@@ -95,8 +95,9 @@ func main() {
 	}
 	if observer == nil {
 		// No sinks configured: still collect the service metrics so a later
-		// restart with -listen/-metrics is the only change needed.
-		observer = obs.New()
+		// restart with -listen/-metrics is the only change needed — but no
+		// tracer, whose events nothing could ever read.
+		observer = &obs.Observer{Reg: obs.NewRegistry()}
 	}
 
 	var logger *slog.Logger

@@ -61,7 +61,9 @@ func main() {
 		os.Exit(1)
 	}
 	if observer == nil {
-		observer = obs.New()
+		// No sinks configured: keep the metrics, but no tracer — nothing
+		// could ever read its events.
+		observer = &obs.Observer{Reg: obs.NewRegistry()}
 	}
 	var logger *slog.Logger
 	if !*quiet {

@@ -165,6 +165,9 @@ func (s *Set) Drain() (added, retracted []*Instantiation) {
 	rawAdded, rawRetracted := s.added, s.retracted
 	s.added, s.retracted = nil, nil
 	s.mu.Unlock()
+	if len(rawRetracted) == 0 {
+		return rawAdded, nil
+	}
 	dead := make(map[*Instantiation]bool, len(rawRetracted))
 	for _, in := range rawRetracted {
 		dead[in] = true

@@ -9,6 +9,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"soarpsme/internal/conflict"
@@ -89,7 +90,10 @@ type Engine struct {
 	// session ID.
 	Prof *matchprof.Profile
 
-	// CycleStats collects per-match-cycle statistics for the experiments.
+	// CycleStats collects per-match-cycle statistics for the experiments:
+	// one entry per ApplyAndMatch, appended forever. A long-lived owner that
+	// does not want the history (the serving layer) truncates it between
+	// cycles; Cycles keeps counting.
 	CycleStats []prun.CycleStats
 	// UpdateStats collects the state-update cycles of run-time additions.
 	UpdateStats []prun.CycleStats
@@ -116,6 +120,10 @@ type Engine struct {
 	// engines that compiled their own network).
 	img *ProgramImage
 
+	// cycles counts ApplyAndMatch cycles run, independent of how much of
+	// CycleStats the owner retains.
+	cycles int64
+
 	// Pre-resolved observability handles (all nil when cfg.Obs is nil).
 	obs           *obs.Observer
 	mCycles       *obs.Counter
@@ -136,11 +144,18 @@ type Engine struct {
 	mAlphaHits    *obs.Counter
 	mAlphaMisses  *obs.Counter
 	lastQueue     spin.Counts
-	lastLine      spin.Counts
-	lastAccess    uint64
 	lastNullSupp  uint64
 	lastAlphaHit  uint64
 	lastAlphaMiss uint64
+
+	// Hash-line harvest state (harvestLines). lineMu orders the harvest,
+	// which a metrics scrape runs on its own goroutine, against the engine
+	// goroutine swapping NW.Mem in resetMatchState; stopHarvest unregisters
+	// the scrape hook (Close).
+	lineMu      sync.Mutex
+	lastLine    spin.Counts
+	lastAccess  uint64
+	stopHarvest func()
 }
 
 // New creates an empty engine owning a private, freshly compiled network.
@@ -202,6 +217,7 @@ func assemble(tab *value.Table, reg *wme.Registry, nw *rete.Network, cs *conflic
 			o.Tracer().SetThreadName(0, w, fmt.Sprintf("match-%d", w))
 		}
 		rt.SetObserver(o.MatchHooks(0))
+		e.stopHarvest = o.Reg.OnCollect(e.harvestLines)
 	}
 	return e
 }
@@ -210,9 +226,12 @@ func assemble(tab *value.Table, reg *wme.Registry, nw *rete.Network, cs *conflic
 // callers hand it to obs' nil-safe accessors.
 func (e *Engine) Obs() *obs.Observer { return e.obs }
 
-// flushContention folds the spin-lock and hash-bucket counter deltas since
-// the previous flush into the registry — the paper's contention measures
+// flushContention folds the queue-lock and network counter deltas since the
+// previous flush into the registry — the paper's contention measures
 // (Figures 6-2/6-3) as live counters instead of only end-of-run totals.
+// Everything here costs the same whatever the size of the network or the
+// hash table, so it runs every cycle; the per-line tallies do not, and are
+// harvested by harvestLines instead.
 func (e *Engine) flushContention() {
 	// delta clamps against external counter resets (Reset*Stats callers).
 	delta := func(cur, last uint64) uint64 {
@@ -226,15 +245,6 @@ func (e *Engine) flushContention() {
 	e.mQueueAcqs.Add(delta(qa, e.lastQueue.Acquires))
 	e.lastQueue = spin.Counts{Spins: qs, Acquires: qa}
 
-	ls, la := e.NW.Mem.LockStats()
-	e.mLineSpins.Add(delta(ls, e.lastLine.Spins))
-	e.mLineAcqs.Add(delta(la, e.lastLine.Acquires))
-	e.lastLine = spin.Counts{Spins: ls, Acquires: la}
-
-	al, ar := e.NW.Mem.AccessTotals()
-	e.mBucketAccess.Add(delta(al+ar, e.lastAccess))
-	e.lastAccess = al + ar
-
 	ns := uint64(e.NW.Stats.NullSuppressed.Load())
 	e.mNullSupp.Add(delta(ns, e.lastNullSupp))
 	e.lastNullSupp = ns
@@ -245,6 +255,61 @@ func (e *Engine) flushContention() {
 	e.mAlphaMisses.Add(delta(am, e.lastAlphaMiss))
 	e.lastAlphaMiss = am
 }
+
+// harvestLines folds the hash-line lock and bucket-access tallies since the
+// previous harvest into the registry. Reading them sweeps every line of the
+// table — HashLines locks, whatever the cycle touched — so a served cycle of
+// a handful of activations must not pay for it: the harvest runs when the
+// totals are looked at (the registry's OnCollect hook, so /metrics and the
+// -metrics file are exact at scrape time), before the table is discarded
+// (resetMatchState) and when the engine is released (Close). It may run
+// concurrently with a match cycle: the tallies are read atomically or under
+// their line's lock.
+func (e *Engine) harvestLines() {
+	e.lineMu.Lock()
+	defer e.lineMu.Unlock()
+	e.foldLines()
+}
+
+// foldLines is harvestLines with lineMu held.
+func (e *Engine) foldLines() {
+	locks, al, ar := e.NW.Mem.Tallies()
+	e.mLineSpins.Add(locks.Spins - e.lastLine.Spins)
+	e.mLineAcqs.Add(locks.Acquires - e.lastLine.Acquires)
+	e.lastLine = locks
+	e.mBucketAccess.Add(al + ar - e.lastAccess)
+	e.lastAccess = al + ar
+}
+
+// resetMatchState discards the network's match state for a serial rebuild.
+// The hash table is replaced wholesale, so its tallies are harvested first
+// and the harvest's baselines restart at zero with the fresh table.
+func (e *Engine) resetMatchState() {
+	e.lineMu.Lock()
+	defer e.lineMu.Unlock()
+	if e.obs != nil {
+		e.foldLines()
+	}
+	e.NW.ResetMatchState()
+	e.lastLine, e.lastAccess = spin.Counts{}, 0
+}
+
+// Close releases the engine's hold on its observer: the hash-line tallies
+// are harvested one last time and the scrape hook is unregistered, so the
+// registry's totals keep what this engine contributed and no longer keep
+// the engine reachable. Call it once, at quiescence, when the engine is
+// done; an engine without an observer needs no Close. A process that exits
+// after flushing its metrics may skip it.
+func (e *Engine) Close() {
+	if e.obs == nil {
+		return
+	}
+	e.stopHarvest()
+	e.harvestLines()
+}
+
+// Cycles returns the number of ApplyAndMatch cycles the engine has run.
+func (e *Engine) Cycles() int64 { return e.cycles }
 
 // Halted reports whether a (halt) action has executed.
 func (e *Engine) Halted() bool { return e.halted }
@@ -271,7 +336,7 @@ func (e *Engine) SetGensym(n int64) { e.gensym = n }
 // rebuilt matches are not re-reported as fresh adds, and refraction is
 // left for the caller to restore.
 func (e *Engine) RebuildMatchState() prun.CycleStats {
-	e.NW.ResetMatchState()
+	e.resetMatchState()
 	cs := e.RT.ReplaySerial(e.WM.All())
 	e.CS.ResetJournal()
 	return cs
@@ -383,6 +448,7 @@ func (e *Engine) ApplyAndMatch(deltas []wme.Delta) prun.CycleStats {
 		e.flushContention()
 	}
 	cs = e.endCycleProf(cs, start)
+	e.cycles++
 	e.CycleStats = append(e.CycleStats, cs)
 	if e.AfterCycle != nil {
 		e.AfterCycle(&e.CycleStats[len(e.CycleStats)-1])
@@ -399,7 +465,7 @@ func (e *Engine) endCycleProf(cs prun.CycleStats, start time.Time) prun.CycleSta
 		return cs
 	}
 	e.Prof.EndCycle(matchprof.CycleEvent{
-		Cycle: int64(len(e.CycleStats)),
+		Cycle: e.cycles,
 		Dur:   time.Since(start),
 		Stats: cs,
 	})
@@ -424,7 +490,7 @@ func (e *Engine) recoverCycle(mark conflict.Mark, failed prun.CycleStats) prun.C
 	if e.obs != nil {
 		start = time.Now()
 	}
-	e.NW.ResetMatchState()
+	e.resetMatchState()
 	rec := e.CS.BeginRecovery(mark)
 	cs := e.RT.ReplaySerial(e.WM.All())
 	e.CS.EndRecovery(rec)

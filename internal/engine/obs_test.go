@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"soarpsme/internal/obs"
 	"soarpsme/internal/ops5"
+	"soarpsme/internal/rete"
+	"soarpsme/internal/wme"
 )
 
 // TestObservability runs a program with the observer attached and checks
@@ -118,5 +121,90 @@ func TestObservabilityDisabled(t *testing.T) {
 	}
 	if e.Obs() != nil {
 		t.Fatal("Obs() should be nil when disabled")
+	}
+}
+
+// TestLineHarvest pins where the hash-line tallies are folded into the
+// registry now that no cycle pays for the sweep: nothing on the per-cycle
+// path, everything — exactly — when the registry is scraped mid-run,
+// across a poisoned cycle that discards the table, and at Close.
+func TestLineHarvest(t *testing.T) {
+	o := obs.New()
+	cfg := DefaultConfig()
+	cfg.Processes = 4
+	cfg.Obs = o
+	e := New(cfg)
+	if err := e.LoadProgram(counterSrc); err != nil {
+		t.Fatal(err)
+	}
+	acquires := o.Counter("hash_line_lock_acquires_total")
+	accesses := o.Counter("hash_bucket_accesses_total")
+	steps := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// tallies reads a table's cumulative counts. Lock acquires first:
+	// reading the access counts takes each line's lock.
+	tallies := func(m *rete.Mem) (acq, acc uint64) {
+		_, acq = m.LockStats()
+		_, l, r := m.Tallies()
+		return acq, l + r
+	}
+	// exact compares the registry with the live table's cumulative tallies
+	// plus those of the table recovery discarded.
+	var discardedAcq, discardedAcc uint64
+	exact := func(when string) {
+		t.Helper()
+		acq, acc := tallies(e.NW.Mem)
+		if got, want := acquires.Value(), discardedAcq+acq; got != want {
+			t.Fatalf("%s: hash_line_lock_acquires_total = %d, tables say %d", when, got, want)
+		}
+		if got, want := accesses.Value(), discardedAcc+acc; got != want || want == 0 {
+			t.Fatalf("%s: hash_bucket_accesses_total = %d, tables say %d", when, got, want)
+		}
+	}
+	scrape := func() {
+		t.Helper()
+		if err := o.Reg.WriteText(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	steps(3)
+	if got := acquires.Value() + accesses.Value(); got != 0 {
+		t.Fatalf("line tallies reached the registry without a scrape (%d): the sweep is back on the per-cycle path", got)
+	}
+	scrape()
+	exact("mid-run scrape")
+
+	// A bad delta poisons the cycle; recovery replaces the table.
+	first := e.NW.Mem
+	if cs := e.ApplyAndMatch([]wme.Delta{{Op: wme.Remove, WME: &wme.WME{ID: 1 << 40}}}); !cs.Recovered {
+		t.Fatalf("bad delta not recovered: %+v", cs)
+	}
+	if e.NW.Mem == first {
+		t.Fatal("recovery kept the hash table")
+	}
+	discardedAcq, discardedAcc = tallies(first)
+	steps(3)
+	scrape()
+	exact("scrape after recovery")
+
+	steps(20)
+	if !e.Halted() {
+		t.Fatal("did not halt")
+	}
+	e.Close()
+	exact("after Close")
+
+	// Closed: the registry no longer reaches the engine.
+	before := acquires.Value()
+	scrape()
+	if got := acquires.Value(); got != before {
+		t.Fatalf("scrape after Close harvested %d more acquires", got-before)
 	}
 }

@@ -49,7 +49,7 @@ type Options struct {
 
 // CycleEvent is what the engine reports at the end of every match cycle.
 type CycleEvent struct {
-	// Cycle is the engine's cycle index (position in its CycleStats log).
+	// Cycle is the engine's cycle index (Engine.Cycles when the cycle ran).
 	Cycle int64
 	// Dur is the cycle's wall-clock duration.
 	Dur time.Duration

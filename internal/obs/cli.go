@@ -8,9 +8,9 @@ import (
 	"syscall"
 )
 
-// liveTraceLimit bounds the tracer when it only feeds the live
-// /trace/last-cycle endpoint (no -trace file): long-running serves stay at
-// a fixed memory footprint instead of accumulating one event per task.
+// liveTraceLimit bounds every tracer that has no -trace file to write (New,
+// and Setup with -listen only): long-running serves stay at a fixed memory
+// footprint instead of accumulating one event per task.
 const liveTraceLimit = 1 << 16
 
 // Setup builds an Observer from the common CLI flag values: a Chrome-trace

@@ -9,9 +9,15 @@ type Observer struct {
 	Trc *Tracer
 }
 
-// New returns an enabled observer with a fresh registry and tracer.
+// New returns an enabled observer with a fresh registry and a tracer
+// bounded at liveTraceLimit: no sink is attached here, so the events can
+// only ever be read live (Trc.WriteJSON/WriteLastCycle) and a long-running
+// server must not keep one per task and per request forever. Only Setup
+// with an explicit -trace file builds the unbounded full-run buffer.
 func New() *Observer {
-	return &Observer{Reg: NewRegistry(), Trc: NewTracer()}
+	trc := NewTracer()
+	trc.SetLimit(liveTraceLimit)
+	return &Observer{Reg: NewRegistry(), Trc: trc}
 }
 
 // Counter resolves a registry counter (nil when disabled).

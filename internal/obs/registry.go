@@ -146,6 +146,10 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// collectors run at the start of every WriteText (see OnCollect), keyed
+	// by registration order so each can be removed.
+	collectors    map[int]func()
+	nextCollector int
 }
 
 // NewRegistry returns an empty registry.
@@ -154,6 +158,31 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+
+		collectors: map[int]func(){},
+	}
+}
+
+// OnCollect registers fn to run at the start of every WriteText — for
+// totals that are cheaper to fold into their counters when somebody looks
+// than on every update. fn folds into metrics it resolved beforehand; it
+// runs on the scraping goroutine, outside the registry lock, so it must
+// synchronize with whatever it reads. The returned function unregisters
+// fn: the owner of what fn reads calls it on release, or the registry
+// keeps that reachable.
+func (r *Registry) OnCollect(fn func()) (remove func()) {
+	if r == nil {
+		return func() {}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	id := r.nextCollector
+	r.nextCollector++
+	r.collectors[id] = fn
+	return func() {
+		r.mu.Lock()
+		delete(r.collectors, id)
+		r.mu.Unlock()
 	}
 }
 
@@ -232,6 +261,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 		h    *Histogram
 	}
 	r.mu.Lock()
+	collectors := make([]func(), 0, len(r.collectors))
+	for _, fn := range r.collectors {
+		collectors = append(collectors, fn)
+	}
 	counters := make([]counter, 0, len(r.counters))
 	for name, c := range r.counters {
 		counters = append(counters, counter{name, c})
@@ -245,6 +278,12 @@ func (r *Registry) WriteText(w io.Writer) error {
 		hists = append(hists, hist{name, h})
 	}
 	r.mu.Unlock()
+	// Collectors fold into metrics they resolved beforehand, so running
+	// them between capturing the pointers and reading the values puts their
+	// contribution into this exposition.
+	for _, fn := range collectors {
+		fn()
+	}
 
 	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
 	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -202,4 +203,30 @@ func TestHistogramExpositionInvariant(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestOnCollect checks the scrape hook: a collector runs at the start of
+// every WriteText, so what it folds in is part of that exposition, and not
+// after it is removed.
+func TestOnCollect(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("harvested_total")
+	remove := r.OnCollect(func() { c.Add(5) })
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "harvested_total 5\n") {
+		t.Fatalf("collector's fold missing from its own scrape:\n%s", buf.String())
+	}
+	remove()
+	remove() // removing twice is harmless
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Value(); got != 5 {
+		t.Fatalf("collector ran after removal: counter = %d", got)
+	}
+	var nilReg *Registry
+	nilReg.OnCollect(func() { t.Fatal("collector on a nil registry ran") })()
 }

@@ -196,3 +196,19 @@ func TestNilTracer(t *testing.T) {
 		t.Fatalf("nil tracer JSON = %q", buf.String())
 	}
 }
+
+// TestNewObserverTracerBounded pins the default observer's tracer to the
+// live ring: obs.New attaches no sink, so a server holding one must not
+// accumulate an event per task and per request for as long as it runs.
+func TestNewObserverTracerBounded(t *testing.T) {
+	o := New()
+	for i := 0; i < 3*liveTraceLimit; i++ {
+		o.Trc.InstantTS(0, 1, "e", "task", float64(i), nil)
+	}
+	if n := o.Trc.Len(); n > liveTraceLimit {
+		t.Fatalf("Len = %d, want <= %d", n, liveTraceLimit)
+	}
+	if o.Trc.Dropped() == 0 {
+		t.Fatal("no events dropped after 3x the limit")
+	}
+}

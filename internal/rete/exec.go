@@ -639,23 +639,21 @@ func (nw *Network) execP(t *Task) int64 {
 	n := t.Node
 	key := t.Tok.Hash()
 	line := nw.Mem.line(n.ID, key)
+	// The conflict set is updated under the line lock: an add and a remove
+	// of one token share this line, so the set sees them in the order the
+	// P-node memory did. Released first, the pair could reach the set as
+	// retract-then-insert — the retract a no-op, the insert stale for good.
 	line.Lock.Lock()
-	act := false
 	if t.Op == wme.Add {
-		_, annihilated := line.addLeft(n.ID, key, t.Tok, 0)
-		act = !annihilated
-	} else {
-		_, found := line.removeLeft(n.ID, key, t.Tok)
-		act = found
-	}
-	line.Lock.Unlock()
-	if act && nw.CS != nil {
-		if t.Op == wme.Add {
+		if _, annihilated := line.addLeft(n.ID, key, t.Tok, 0); !annihilated && nw.CS != nil {
 			nw.CS.Insert(n.Prod, t.Tok)
-		} else {
+		}
+	} else {
+		if _, found := line.removeLeft(n.ID, key, t.Tok); found && nw.CS != nil {
 			nw.CS.Retract(n.Prod, t.Tok)
 		}
 	}
+	line.Lock.Unlock()
 	return CostPNode
 }
 

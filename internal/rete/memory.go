@@ -457,7 +457,7 @@ func (m *Mem) Entries() (left, right int) {
 // counts (nonzero only) and resets them. The distribution over cycles is
 // Figure 6-2's bucket-contention measure. touchLeft/touchRight mutate the
 // counters under the line lock, so the harvest takes each line's lock too
-// (as AccessTotals does) rather than racing a straggling activation.
+// (as Tallies does) rather than racing a straggling activation.
 func (m *Mem) HarvestAccessCounts() []int {
 	var out []int
 	for i := range m.lines {
@@ -473,17 +473,23 @@ func (m *Mem) HarvestAccessCounts() []int {
 	return out
 }
 
-// AccessTotals sums the run-cumulative (left, right) bucket access counts
-// over all lines. Unlike HarvestAccessCounts, reading these never resets
-// anything, so the per-cycle harvest and the observability layer can both
-// consume access counts from the same run.
-func (m *Mem) AccessTotals() (left, right uint64) {
+// Tallies sums, in one sweep, the run-cumulative line-lock contention
+// counters and the (left, right) bucket access counts over all lines.
+// Unlike HarvestAccessCounts it resets nothing, so the per-cycle harvest
+// and the observability layer can both consume access counts from the same
+// run. The access counts are plain fields mutated under the line lock, so
+// each line is read under its own lock: a sweep costs NumLines
+// acquisitions, and they are included in the acquires it returns.
+func (m *Mem) Tallies() (locks spin.Counts, left, right uint64) {
 	for i := range m.lines {
 		l := &m.lines[i]
 		l.Lock.Lock()
 		left += l.cumLeft
 		right += l.cumRight
+		s, a := l.Lock.Stats()
 		l.Lock.Unlock()
+		locks.Spins += s
+		locks.Acquires += a
 	}
 	return
 }

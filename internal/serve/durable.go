@@ -312,6 +312,7 @@ func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 			// Evidence for the post-mortem: dump the flight recorder with
 			// the failure reason (lands in -flight-dir when configured).
 			ss.eng.Prof.Trip(fmt.Sprintf("restore of session %s failed: %v", id, err))
+			s.releaseEngine(ss.eng)
 		}
 		code := http.StatusInternalServerError
 		if os.IsNotExist(err) {
@@ -324,6 +325,7 @@ func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 	if s.sessions[id] != nil {
 		s.mu.Unlock()
 		ss.store.close()
+		s.releaseEngine(ss.eng)
 		return nil, http.StatusConflict, fmt.Errorf("session %s became live during restore", id)
 	}
 	s.sessions[id] = ss
@@ -413,6 +415,7 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 		}
 		ss.drv = drv
 	}
+	ss.syncFingerprint()
 
 	// Re-execute the journal suffix. Records at a cycle index the snapshot
 	// already covers are skipped (a crash between image rename and WAL

@@ -206,7 +206,7 @@ func (s *Server) Close() {
 	}
 	for _, ss := range all {
 		<-ss.done
-		s.sessionClosed(ss)
+		s.releaseEngine(ss.eng)
 		if ss.store != nil {
 			if res, err := ss.saveSnapshot(); err != nil {
 				if s.cfg.Log != nil {
@@ -505,7 +505,7 @@ func (s *Server) engineConfig(req *CreateRequest) (engine.Config, error) {
 // imageEngine stamps out a session engine over the shared compiled image
 // for src — compiling the program only if no session has used it before —
 // and runs its startup actions. The engine holds a cache reference;
-// sessionClosed releases it.
+// releaseEngine returns it.
 func (s *Server) imageEngine(src string, ecfg engine.Config) (*engine.Engine, error) {
 	img, hit, err := s.images.Get(src, ecfg.Rete)
 	if err != nil {
@@ -514,7 +514,7 @@ func (s *Server) imageEngine(src string, ecfg engine.Config) (*engine.Engine, er
 	s.noteCacheLookup(hit)
 	eng := engine.NewFromImage(img, ecfg)
 	if err := eng.RunStartup(); err != nil {
-		s.images.Release(img)
+		s.releaseEngine(eng)
 		return nil, err
 	}
 	return eng, nil
@@ -532,10 +532,14 @@ func (s *Server) noteCacheLookup(hit bool) {
 	}
 }
 
-// sessionClosed returns a session's shared-image reference after its loop
-// has exited (delete or server close).
-func (s *Server) sessionClosed(ss *Session) {
-	s.images.Release(ss.eng.Image())
+// releaseEngine gives back what a session engine holds of the server's:
+// its contribution to the contention counters is harvested and its scrape
+// hook unregistered (engine.Close), and its shared-image reference is
+// returned. The engine must be quiescent — a session's loop has exited, or
+// the session was never registered.
+func (s *Server) releaseEngine(eng *engine.Engine) {
+	eng.Close()
+	s.images.Release(eng.Image())
 }
 
 // ImageCacheStats exposes the compiled-image cache counters (tests and
@@ -618,12 +622,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "need task or program")
 		return
 	}
+	ss.syncFingerprint()
 
 	s.mu.Lock()
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		frac := float64(len(s.sessions)) / float64(s.cfg.MaxSessions)
 		s.mu.Unlock()
-		s.images.Release(ss.eng.Image())
+		s.releaseEngine(ss.eng)
 		s.mRejected.Inc()
 		w.Header().Set("Retry-After", retryAfterHint(frac, s.budgetFrac()))
 		writeErr(w, http.StatusTooManyRequests, "session limit %d reached", s.cfg.MaxSessions)
@@ -632,7 +637,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.ID != "" {
 		if s.sessions[req.ID] != nil || s.restoring[req.ID] {
 			s.mu.Unlock()
-			s.images.Release(ss.eng.Image())
+			s.releaseEngine(ss.eng)
 			writeErr(w, http.StatusConflict, "session %q already exists", req.ID)
 			return
 		}
@@ -660,7 +665,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	delete(s.restoring, ss.ID)
 	if persistErr != nil {
 		s.mu.Unlock()
-		s.images.Release(ss.eng.Image())
+		s.releaseEngine(ss.eng)
 		writeErr(w, http.StatusInternalServerError, "persisting session: %v", persistErr)
 		return
 	}
@@ -852,7 +857,7 @@ func (s *Server) handleConflictSet(w http.ResponseWriter, r *http.Request) {
 			}
 			out = append(out, InstJSON{Production: in.Prod.Name, TimeTags: tags})
 		}
-		return map[string]any{"instantiations": out, "fingerprint": Fingerprint(ss.eng)}, nil
+		return map[string]any{"instantiations": out, "fingerprint": ss.fingerprint()}, nil
 	})
 }
 
@@ -884,7 +889,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	ss.shutdown()
 	<-ss.done
-	s.sessionClosed(ss)
+	s.releaseEngine(ss.eng)
 	if err := ss.deleteDurable(); err != nil && s.cfg.Log != nil {
 		s.cfg.Log.Error("deleting durable state", "session", id, "err", err)
 	}

@@ -241,8 +241,8 @@ func TestRetryAfterHint(t *testing.T) {
 		base  float64 // unjittered hint: 1 + 7·load
 	}{
 		{[]float64{0, 0}, 1},
-		{[]float64{0.5, 0}, 4.5},  // half-full queue, idle budget
-		{[]float64{0.25, 1}, 8},   // saturated budget dominates
+		{[]float64{0.5, 0}, 4.5}, // half-full queue, idle budget
+		{[]float64{0.25, 1}, 8},  // saturated budget dominates
 		{[]float64{1, 1}, 8},
 		{[]float64{-1, 2}, 8}, // fractions clamp to [0, 1]
 		{[]float64{0.1}, 1.7},

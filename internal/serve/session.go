@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,8 +40,13 @@ type Session struct {
 	drv       *cypress.Driver
 	nextChunk int
 
-	cycles int // match cycles run via /run
-	chunks int // productions added at run time
+	cycles    int // match cycles run via /run
+	chunks    int // productions added at run time
+	recovered int // engine cycles that went through the serial fallback
+
+	// fp is the conflict set's wire rendering, kept current from the set's
+	// add/retract journal (fingerprint) instead of re-rendered every cycle.
+	fp fpIndex
 
 	// Durability (nil/zero for non-durable sessions). create is the
 	// original creation request, persisted in the snapshot so a restore
@@ -194,9 +197,44 @@ func (s *Session) runCycles(n int, chunking bool) (*RunResult, error) {
 		s.cycles++
 		res.Cycles++
 		res.LastCycle = s.cycles - 1
-		res.Fingerprints = append(res.Fingerprints, Fingerprint(s.eng))
+		res.Fingerprints = append(res.Fingerprints, s.fingerprint())
 	}
 	return res, nil
+}
+
+// fingerprint closes a served match cycle at a cost that follows what the
+// cycle changed, and returns its fingerprint. It drains the conflict set's
+// journal — net of the transients of parallel match, and already reconciled
+// by EndRecovery when the cycle went through the serial fallback — into
+// the fingerprint index, and folds the engine's per-cycle stats into the
+// running recovered count. The session is the only consumer of either, and
+// both grow without bound unless consumed: the journal pins every retracted
+// token and wme, the stats log one struct per cycle.
+func (s *Session) fingerprint() string {
+	s.foldCycleStats()
+	if added, retracted := s.eng.CS.Drain(); !s.fp.apply(added, retracted) {
+		s.fp.rebuild(s.eng.CS.All())
+	}
+	return s.fp.render(s.eng.WM.Len())
+}
+
+func (s *Session) foldCycleStats() {
+	for i := range s.eng.CycleStats {
+		if s.eng.CycleStats[i].Recovered {
+			s.recovered++
+		}
+	}
+	s.eng.CycleStats = s.eng.CycleStats[:0]
+}
+
+// syncFingerprint rebuilds the fingerprint index from the live conflict
+// set and discards the journal that led up to it. A session calls it once,
+// when it takes over an engine: after create's startup cycle, and after
+// restore's serial rebuild and before its WAL replay.
+func (s *Session) syncFingerprint() {
+	s.foldCycleStats()
+	s.eng.CS.ResetJournal()
+	s.fp.rebuild(s.eng.CS.All())
 }
 
 // run executes one /run request on the session loop: an optional delta
@@ -384,7 +422,7 @@ func (s *Session) applyDeltas(in []DeltaJSON) (*DeltaResult, error) {
 		Recovered:   cs.Recovered,
 		Reason:      cs.Reason,
 		BadDeltas:   s.eng.BadDeltas - bad0,
-		Fingerprint: Fingerprint(s.eng),
+		Fingerprint: s.fingerprint(),
 	}, nil
 }
 
@@ -404,31 +442,6 @@ func jsonValue(tab *value.Table, f any) (value.Value, error) {
 	default:
 		return value.Nil, fmt.Errorf("unsupported field type %T", f)
 	}
-}
-
-// Fingerprint renders an engine's match state canonically: WM size,
-// conflict-set size, and every instantiation as production name plus its
-// wme time tags, sorted. Two engines that matched the same workload produce
-// byte-identical fingerprints regardless of worker count, policy, or
-// recovery path — the serving layer's conformance contract.
-func Fingerprint(e *engine.Engine) string {
-	insts := e.CS.All()
-	lines := make([]string, 0, len(insts))
-	for _, in := range insts {
-		var b strings.Builder
-		b.WriteString(in.Prod.Name)
-		b.WriteByte('(')
-		for i, w := range in.WMEs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", w.TimeTag)
-		}
-		b.WriteByte(')')
-		lines = append(lines, b.String())
-	}
-	sort.Strings(lines)
-	return fmt.Sprintf("wm=%d cs=%d %s", e.WM.Len(), len(insts), strings.Join(lines, " "))
 }
 
 // SoloFingerprints runs a cypress workload on a fresh single-worker serial
@@ -467,7 +480,7 @@ func SoloFingerprints(p cypress.Params, cycles int, chunking bool) ([]string, er
 
 // stats snapshots the session for GET /sessions/{id}. Runs on the loop.
 func (s *Session) stats() *SessionInfo {
-	info := &SessionInfo{
+	return &SessionInfo{
 		ID:        s.ID,
 		Task:      s.Task,
 		Created:   s.Created.UTC().Format(time.RFC3339),
@@ -476,12 +489,7 @@ func (s *Session) stats() *SessionInfo {
 		WM:        s.eng.WM.Len(),
 		Conflict:  s.eng.CS.Len(),
 		BadDeltas: s.eng.BadDeltas,
+		Recovered: s.recovered,
 		Chunks:    s.chunks,
 	}
-	for _, cs := range s.eng.CycleStats {
-		if cs.Recovered {
-			info.Recovered++
-		}
-	}
-	return info
 }

@@ -234,7 +234,7 @@ func Export(e *engine.Engine) *Image {
 		Gensym:    e.Gensym(),
 		FireCount: e.Fired,
 		BadDeltas: e.BadDeltas,
-		Cycles:    len(e.CycleStats),
+		Cycles:    int(e.Cycles()),
 	}
 	if base := e.Image(); base != nil {
 		// Image-backed engine: record the original source (its hash is the
@@ -304,9 +304,11 @@ func RestoreWithCache(img *Image, cfg engine.Config, cache *engine.ImageCache) (
 		// order and chunks are baked into the generated source).
 		e := engine.New(cfg)
 		if err := e.LoadProgram(img.Program); err != nil {
+			e.Close()
 			return nil, false, fmt.Errorf("snapshot: reloading program: %w", err)
 		}
 		if err := restoreState(e, img); err != nil {
+			e.Close()
 			return nil, false, err
 		}
 		return e, false, nil
@@ -337,6 +339,16 @@ func RestoreWithCache(img *Image, cfg engine.Config, cache *engine.ImageCache) (
 	}
 
 	e := engine.NewFromImage(base, cfg)
+	if err := restoreOntoImage(e, img); err != nil {
+		e.Close()
+		return nil, hit, err
+	}
+	return e, hit, nil
+}
+
+// restoreOntoImage rebuilds a snapshot's session-private state on an engine
+// freshly stamped out of the snapshot's base image.
+func restoreOntoImage(e *engine.Engine, img *Image) error {
 	// Re-impose the recorded schema order before anything else touches the
 	// registry: field indices are positional, and runtime firings extend
 	// schemas in firing order, which the shared image cannot know about.
@@ -353,18 +365,15 @@ func RestoreWithCache(img *Image, cfg engine.Config, cache *engine.ImageCache) (
 	for i, src := range img.Chunks {
 		prog, perr := ops5.Parse(src, e.Tab)
 		if perr != nil {
-			return nil, hit, fmt.Errorf("snapshot: parsing chunk %d: %w", i, perr)
+			return fmt.Errorf("snapshot: parsing chunk %d: %w", i, perr)
 		}
 		for _, p := range prog.Productions {
 			if _, aerr := e.AddProductionRuntime(p); aerr != nil {
-				return nil, hit, fmt.Errorf("snapshot: restoring chunk %d: %w", i, aerr)
+				return fmt.Errorf("snapshot: restoring chunk %d: %w", i, aerr)
 			}
 		}
 	}
-	if err := restoreState(e, img); err != nil {
-		return nil, hit, err
-	}
-	return e, hit, nil
+	return restoreState(e, img)
 }
 
 // restoreState re-inserts the recorded wmes with their original
