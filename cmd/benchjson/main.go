@@ -11,39 +11,16 @@
 // comparison is itself a failure, so renamed or dropped cases can't slip
 // past the gate unnoticed.
 //
-// The Profiling/<task>/on|off pair is additionally gated intra-run: the
-// match profiler's always-on attribution counters must cost no more than
-// -prof-tolerance (5%) in ns/op over the unprofiled twin, independent of
-// any baseline file. The replay matrix's unlink=true/false pairs get the
-// same intra-run treatment: unlink=true may not cost more than
-// -unlink-tolerance (5%) in ns/op over its unlink=false twin on any
-// task/policy, so the default-on flip can't silently regress wall-clock.
-// The durability benches add a third intra-run gate: WALIngest with the
-// write-ahead journal on may not cost more than -wal-tolerance (10%) in
-// ns/op over the journal-off twin. The shared-image benches add a fourth:
-// SessionColdStart/cypress/warm (create against a warm image cache) must
-// beat SessionColdStart/cypress/compile (compile-from-source) by at least
-// -image-speedup (5x), or the topology split has stopped paying for
-// itself. The bilinear benches add a fifth: the restructuring pass buys
-// parallel slack with extra tasks, so Bilinear/cypress/bilinear=auto is
-// legitimately slower than its bilinear=off twin in raw serial replay
-// ns/op (~20x more tasks per cycle on the long-chain workload) — what it
-// may NOT do is make the individual tasks heavier. The gate therefore
-// compares per-task cost, ns/op divided by the harness's tasks/op extra:
-// auto must stay within -bilinear-tolerance (10%) of off. If per-task
-// cost grows, the restructure is burning serial wall-clock without
-// creating the parallelism fuel that justifies it (the parallel payoff
-// itself is demonstrated by the abl-bilinear ablation).
+// Independent of any baseline file, every on/off twin pair that ran is also
+// gated intra-run by the one pairGate routine, driven by the gates table
+// below (profiling, unlink, WAL, warm image create, bilinear — the table
+// rows say what each budget defends). The budgets are constants: a budget
+// someone can loosen on the command line defends nothing.
 //
 // Usage:
 //
 //	benchjson [-out file] [-baseline file] [-tolerance 0.10] [-strict]
-//	          [-match regexp] [-figures=false] [-serving=false]
-//	          [-profiling=false] [-prof-tolerance 0.05]
-//	          [-unlink-gate=false] [-unlink-tolerance 0.05]
-//	          [-durability=false] [-wal-gate=false] [-wal-tolerance 0.10]
-//	          [-images=false] [-image-gate=false] [-image-speedup 5]
-//	          [-bilinear=false] [-bilinear-gate=false] [-bilinear-tolerance 0.10]
+//	          [-match regexp]
 package main
 
 import (
@@ -166,269 +143,107 @@ func compare(base, cur []result, tol float64, strict bool) []string {
 	return fails
 }
 
-// profGate enforces the intra-run profiling-overhead budget: for every
-// Profiling/<task>/on result with an /off twin, ns/op(on) must not exceed
-// ns/op(off) by more than tol. A failing pair is re-measured once — both
-// sides, back to back, keeping each side's best time — so a scheduler
-// hiccup on either twin doesn't fail the gate on its own.
-func profGate(cases []benchkit.Case, results []result, tol float64) []string {
-	byName := map[string]float64{}
+// gate is one row of the intra-run gate table: for every result named
+// <prefix>…<on> whose …<off> twin also ran, metric(on)/metric(off) may not
+// exceed maxRatio.
+type gate struct {
+	prefix  string
+	on, off string
+	// perTask compares ns/task (ns/op ÷ the harness's tasks/op extra)
+	// instead of ns/op.
+	perTask bool
+	// maxRatio above 1 is a growth budget (1.05 = the on twin may cost 5%
+	// more); below 1 it is a speedup floor (1.0/5 = at least 5x cheaper).
+	maxRatio float64
+	what     string
+}
+
+var gates = []gate{
+	// The match profiler's always-on attribution counters must stay a
+	// bounded tax on the replay hot path.
+	{prefix: "Profiling/", on: "/on", off: "/off", maxRatio: 1.05, what: "profiling on vs off"},
+	// The null-match filter has to be wall-clock-neutral-or-better on every
+	// task/policy, not just cheaper in tasks/op, or its default-on setting
+	// silently regresses latency.
+	{on: "/unlink=true", off: "/unlink=false", maxRatio: 1.05, what: "unlink=true vs unlink=false"},
+	// The fsync'd append on every mutating request has to stay a bounded
+	// tax on ingest, or durability quietly eats the serving throughput the
+	// rest of the suite defends.
+	{on: "/wal=on", off: "/wal=off", maxRatio: 1.10, what: "WAL on vs off"},
+	// The claim of the compiled-image split — a warm create is per-session
+	// state only — gated as an invariant, not just tracked against a
+	// baseline.
+	{prefix: "SessionColdStart/", on: "/warm", off: "/compile", maxRatio: 1.0 / 5, what: "warm-cache create vs compile-from-source"},
+	// Restructuring is the paper's work-for-parallelism trade: bilinear=auto
+	// schedules ~20x more tasks per cycle, so a serial replay is slower in
+	// raw ns/op by design and that is deliberately NOT gated. What it may
+	// not do is make the individual tasks heavier: then the restructure
+	// burns serial wall-clock without creating the parallel slack that
+	// justifies it (the payoff itself is shown by the abl-bilinear ablation).
+	{prefix: "Bilinear/", on: "/bilinear=auto", off: "/bilinear=off", perTask: true, maxRatio: 1.10, what: "bilinear=auto vs off, per task"},
+}
+
+// metric is the quantity g compares; zero means the result gives no basis
+// (a ns/task row without a tasks/op extra) and the pair is skipped.
+func (g gate) metric(nsPerOp float64, extra map[string]float64) float64 {
+	if !g.perTask {
+		return nsPerOp
+	}
+	if tasks := extra["tasks/op"]; tasks > 0 {
+		return nsPerOp / tasks
+	}
+	return 0
+}
+
+// pairGate applies every gates row to every pair in results whose twins
+// both ran. A pair over budget is re-measured once — both sides, back to
+// back, keeping each side's best — so a scheduler hiccup on either twin
+// doesn't fail the gate on its own. Returns the failure descriptions.
+func pairGate(cases []benchkit.Case, results []result) []string {
+	byName := map[string]result{}
 	for _, r := range results {
-		byName[r.Name] = r.NsPerOp
+		byName[r.Name] = r
 	}
 	bench := map[string]func(b *testing.B){}
 	for _, c := range cases {
 		bench[c.Name] = c.Bench
 	}
 	var fails []string
-	for _, r := range results {
-		if !strings.HasSuffix(r.Name, "/on") || !strings.HasPrefix(r.Name, "Profiling/") {
-			continue
+	for _, g := range gates {
+		unit := "ns/op"
+		if g.perTask {
+			unit = "ns/task"
 		}
-		offName := strings.TrimSuffix(r.Name, "/on") + "/off"
-		off, ok := byName[offName]
-		if !ok || off <= 0 {
-			continue
-		}
-		on := r.NsPerOp
-		if on/off-1 > tol {
-			fmt.Fprintf(os.Stderr, "benchjson: %s over budget on first measurement (+%.1f%%), re-measuring the pair\n",
-				r.Name, 100*(on/off-1))
-			if b, ok := bench[offName]; ok {
-				if v := float64(testing.Benchmark(b).NsPerOp()); v < off {
-					off = v
+		best := func(name string, cur float64) float64 {
+			if b, ok := bench[name]; ok {
+				r := testing.Benchmark(b)
+				if v := g.metric(float64(r.NsPerOp()), r.Extra); v > 0 && v < cur {
+					return v
 				}
 			}
-			if b, ok := bench[r.Name]; ok {
-				if v := float64(testing.Benchmark(b).NsPerOp()); v < on {
-					on = v
-				}
-			}
-		}
-		if growth := on/off - 1; growth > tol {
-			fails = append(fails, fmt.Sprintf("%s: profiling overhead %.0f -> %.0f ns/op (+%.1f%%, budget %.0f%%)",
-				r.Name, off, on, 100*growth, 100*tol))
-		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: profiling overhead %+.1f%% (budget %.0f%%)\n",
-				r.Name, 100*growth, 100*tol)
-		}
-	}
-	return fails
-}
-
-// unlinkGate enforces the intra-run unlink wall-clock budget: for every
-// replay-matrix <task>/<policy>/unlink=true result with an /unlink=false
-// twin, ns/op(true) must not exceed ns/op(false) by more than tol — the
-// null-match filter has to be wall-clock-neutral-or-better everywhere, not
-// just cheaper in tasks/op, or the default-on flip silently regresses
-// latency. Like profGate, a failing pair is re-measured once, both sides
-// back to back keeping each side's best time, so one scheduler hiccup on a
-// noisy box doesn't fail the gate on its own.
-func unlinkGate(cases []benchkit.Case, results []result, tol float64) []string {
-	byName := map[string]float64{}
-	for _, r := range results {
-		byName[r.Name] = r.NsPerOp
-	}
-	bench := map[string]func(b *testing.B){}
-	for _, c := range cases {
-		bench[c.Name] = c.Bench
-	}
-	var fails []string
-	for _, r := range results {
-		if !strings.HasSuffix(r.Name, "/unlink=true") {
-			continue
-		}
-		offName := strings.TrimSuffix(r.Name, "/unlink=true") + "/unlink=false"
-		off, ok := byName[offName]
-		if !ok || off <= 0 {
-			continue
-		}
-		on := r.NsPerOp
-		if on/off-1 > tol {
-			fmt.Fprintf(os.Stderr, "benchjson: %s over budget on first measurement (+%.1f%%), re-measuring the pair\n",
-				r.Name, 100*(on/off-1))
-			if b, ok := bench[offName]; ok {
-				if v := float64(testing.Benchmark(b).NsPerOp()); v < off {
-					off = v
-				}
-			}
-			if b, ok := bench[r.Name]; ok {
-				if v := float64(testing.Benchmark(b).NsPerOp()); v < on {
-					on = v
-				}
-			}
-		}
-		if growth := on/off - 1; growth > tol {
-			fails = append(fails, fmt.Sprintf("%s: unlink=true costs %.0f vs %.0f ns/op (+%.1f%%, budget %.0f%%)",
-				r.Name, on, off, 100*growth, 100*tol))
-		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: unlink wall-clock delta %+.1f%% (budget %.0f%%)\n",
-				r.Name, 100*growth, 100*tol)
-		}
-	}
-	return fails
-}
-
-// walGate enforces the intra-run write-ahead-journal budget: the
-// WALIngest wal=on result may not exceed its wal=off twin by more than
-// tol in ns/op — the fsync'd append on every mutating request has to
-// stay a bounded tax on ingest, or durability quietly eats the serving
-// throughput the rest of the suite defends. Same re-measure-keep-best
-// retry as the other intra-run gates.
-func walGate(cases []benchkit.Case, results []result, tol float64) []string {
-	byName := map[string]float64{}
-	for _, r := range results {
-		byName[r.Name] = r.NsPerOp
-	}
-	bench := map[string]func(b *testing.B){}
-	for _, c := range cases {
-		bench[c.Name] = c.Bench
-	}
-	var fails []string
-	for _, r := range results {
-		if !strings.HasSuffix(r.Name, "/wal=on") {
-			continue
-		}
-		offName := strings.TrimSuffix(r.Name, "/wal=on") + "/wal=off"
-		off, ok := byName[offName]
-		if !ok || off <= 0 {
-			continue
-		}
-		on := r.NsPerOp
-		if on/off-1 > tol {
-			fmt.Fprintf(os.Stderr, "benchjson: %s over budget on first measurement (+%.1f%%), re-measuring the pair\n",
-				r.Name, 100*(on/off-1))
-			if b, ok := bench[offName]; ok {
-				if v := float64(testing.Benchmark(b).NsPerOp()); v < off {
-					off = v
-				}
-			}
-			if b, ok := bench[r.Name]; ok {
-				if v := float64(testing.Benchmark(b).NsPerOp()); v < on {
-					on = v
-				}
-			}
-		}
-		if growth := on/off - 1; growth > tol {
-			fails = append(fails, fmt.Sprintf("%s: wal=on costs %.0f vs %.0f ns/op (+%.1f%%, budget %.0f%%)",
-				r.Name, on, off, 100*growth, 100*tol))
-		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: WAL ingest overhead %+.1f%% (budget %.0f%%)\n",
-				r.Name, 100*growth, 100*tol)
-		}
-	}
-	return fails
-}
-
-// imageGate enforces the intra-run shared-image cold-start budget:
-// SessionColdStart/cypress/warm must be at least minSpeedup times faster
-// in ns/op than SessionColdStart/cypress/compile. This is the tentpole
-// claim of the compiled-image split — a warm create is per-session state
-// only — so it is gated as an invariant, not just tracked against a
-// baseline. Same re-measure-keep-best retry as the other intra-run gates.
-func imageGate(cases []benchkit.Case, results []result, minSpeedup float64) []string {
-	byName := map[string]float64{}
-	for _, r := range results {
-		byName[r.Name] = r.NsPerOp
-	}
-	bench := map[string]func(b *testing.B){}
-	for _, c := range cases {
-		bench[c.Name] = c.Bench
-	}
-	const warmName = "SessionColdStart/cypress/warm"
-	const compileName = "SessionColdStart/cypress/compile"
-	warm, okW := byName[warmName]
-	compile, okC := byName[compileName]
-	if !okW || !okC || warm <= 0 {
-		return nil
-	}
-	if compile/warm < minSpeedup {
-		fmt.Fprintf(os.Stderr, "benchjson: %s under %.0fx speedup on first measurement (%.1fx), re-measuring the pair\n",
-			warmName, minSpeedup, compile/warm)
-		if b, ok := bench[compileName]; ok {
-			if v := float64(testing.Benchmark(b).NsPerOp()); v > 0 && v < compile {
-				compile = v
-			}
-		}
-		if b, ok := bench[warmName]; ok {
-			if v := float64(testing.Benchmark(b).NsPerOp()); v > 0 && v < warm {
-				warm = v
-			}
-		}
-	}
-	if speedup := compile / warm; speedup < minSpeedup {
-		return []string{fmt.Sprintf("%s: warm create %.0f ns/op vs compile %.0f ns/op (%.1fx, need >= %.0fx)",
-			warmName, warm, compile, speedup, minSpeedup)}
-	} else {
-		fmt.Fprintf(os.Stderr, "benchjson: %s: warm-cache create %.1fx faster than compile (floor %.0fx)\n",
-			warmName, speedup, minSpeedup)
-	}
-	return nil
-}
-
-// nsPerTask is the per-task granularity of a replay result: ns/op divided
-// by the harness's tasks/op extra. Zero when the case reports no tasks.
-func nsPerTask(nsPerOp, tasksPerOp float64) float64 {
-	if tasksPerOp <= 0 {
-		return 0
-	}
-	return nsPerOp / tasksPerOp
-}
-
-// bilinearGate enforces the intra-run bilinear granularity budget: the
-// Bilinear/<task>/bilinear=auto replay may not exceed its bilinear=off
-// twin by more than tol in per-task ns (ns/op ÷ tasks/op). Raw ns/op is
-// deliberately NOT gated here — restructuring is the paper's
-// work-for-parallelism trade, so auto schedules ~20x more tasks per cycle
-// and a serial replay is slower by design; what the gate pins down is that
-// the extra wall-clock is purely more tasks (parallel slack), not heavier
-// ones. Same re-measure-keep-best retry as the other intra-run gates.
-func bilinearGate(cases []benchkit.Case, results []result, tol float64) []string {
-	type pt struct{ ns, tasks float64 }
-	byName := map[string]pt{}
-	for _, r := range results {
-		byName[r.Name] = pt{ns: r.NsPerOp, tasks: r.Extra["tasks/op"]}
-	}
-	bench := map[string]func(b *testing.B){}
-	for _, c := range cases {
-		bench[c.Name] = c.Bench
-	}
-	remeasure := func(name string, cur pt) pt {
-		b, ok := bench[name]
-		if !ok {
 			return cur
 		}
-		r := testing.Benchmark(b)
-		if v := nsPerTask(float64(r.NsPerOp()), r.Extra["tasks/op"]); v > 0 && (cur.tasks <= 0 || v < nsPerTask(cur.ns, cur.tasks)) {
-			return pt{ns: float64(r.NsPerOp()), tasks: r.Extra["tasks/op"]}
-		}
-		return cur
-	}
-	var fails []string
-	for _, r := range results {
-		if !strings.HasSuffix(r.Name, "/bilinear=auto") || !strings.HasPrefix(r.Name, "Bilinear/") {
-			continue
-		}
-		offName := strings.TrimSuffix(r.Name, "/bilinear=auto") + "/bilinear=off"
-		offPT, ok := byName[offName]
-		onPT := byName[r.Name]
-		off, on := nsPerTask(offPT.ns, offPT.tasks), nsPerTask(onPT.ns, onPT.tasks)
-		if !ok || off <= 0 || on <= 0 {
-			continue
-		}
-		if on/off-1 > tol {
-			fmt.Fprintf(os.Stderr, "benchjson: %s over budget on first measurement (+%.1f%%), re-measuring the pair\n",
-				r.Name, 100*(on/off-1))
-			offPT = remeasure(offName, offPT)
-			onPT = remeasure(r.Name, onPT)
-			off, on = nsPerTask(offPT.ns, offPT.tasks), nsPerTask(onPT.ns, onPT.tasks)
-		}
-		if growth := on/off - 1; growth > tol {
-			fails = append(fails, fmt.Sprintf("%s: bilinear=auto tasks cost %.0f vs %.0f ns/task (+%.1f%%, budget %.0f%%)",
-				r.Name, on, off, 100*growth, 100*tol))
-		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: per-task granularity %+.1f%% vs linear (budget %+.0f%%)\n",
-				r.Name, 100*growth, 100*tol)
+		for _, r := range results {
+			if !strings.HasPrefix(r.Name, g.prefix) || !strings.HasSuffix(r.Name, g.on) {
+				continue
+			}
+			offName := strings.TrimSuffix(r.Name, g.on) + g.off
+			twin, ok := byName[offName]
+			on, off := g.metric(r.NsPerOp, r.Extra), g.metric(twin.NsPerOp, twin.Extra)
+			if !ok || on <= 0 || off <= 0 {
+				continue
+			}
+			if on/off > g.maxRatio {
+				fmt.Fprintf(os.Stderr, "benchjson: %s over budget on first measurement (x%.3f), re-measuring the pair\n", r.Name, on/off)
+				off = best(offName, off)
+				on = best(r.Name, on)
+			}
+			line := fmt.Sprintf("%s: %s: %.0f vs %.0f %s (x%.3f, budget x%.3f)", r.Name, g.what, on, off, unit, on/off, g.maxRatio)
+			if on/off > g.maxRatio {
+				fails = append(fails, line)
+			} else {
+				fmt.Fprintln(os.Stderr, "benchjson: "+line)
+			}
 		}
 	}
 	return fails
@@ -439,21 +254,6 @@ func main() {
 	basePath := flag.String("baseline", "", "baseline JSON to gate against; exit nonzero on regression")
 	tol := flag.Float64("tolerance", 0.10, "allowed fractional growth in allocs/op and tasks/op")
 	matchExpr := flag.String("match", "", "only run cases whose name matches this regexp")
-	figures := flag.Bool("figures", true, "include the Fig 6-7/6-8 regenerator benches")
-	serving := flag.Bool("serving", true, "include the internal/serve concurrent-session benches")
-	profiling := flag.Bool("profiling", true, "include the match-profiler overhead pair and gate it intra-run")
-	profTol := flag.Float64("prof-tolerance", 0.05, "allowed fractional ns/op overhead of profiling-on vs profiling-off")
-	unlinkCheck := flag.Bool("unlink-gate", true, "gate every <task>/<policy> unlink=true/false pair intra-run on ns/op")
-	unlinkTol := flag.Float64("unlink-tolerance", 0.05, "allowed fractional ns/op cost of unlink=true vs unlink=false")
-	durability := flag.Bool("durability", true, "include the snapshot-restore and WAL-ingest durability benches")
-	walCheck := flag.Bool("wal-gate", true, "gate the WALIngest wal=on/wal=off pair intra-run on ns/op")
-	walTol := flag.Float64("wal-tolerance", 0.10, "allowed fractional ns/op cost of the write-ahead journal on the ingest path")
-	images := flag.Bool("images", true, "include the shared-compiled-image cold-start and resident-bytes benches")
-	imageCheck := flag.Bool("image-gate", true, "gate SessionColdStart warm vs compile intra-run on ns/op")
-	imageSpeedup := flag.Float64("image-speedup", 5, "required ns/op speedup of warm-cache create over compile-from-source")
-	bilinearB := flag.Bool("bilinear", true, "include the bilinear off/auto long-chain replay pair")
-	bilinearCheck := flag.Bool("bilinear-gate", true, "gate the Bilinear bilinear=auto/off pair intra-run on ns/op")
-	bilinearTol := flag.Float64("bilinear-tolerance", 0.10, "allowed fractional growth in per-task ns (ns/op ÷ tasks/op) of bilinear=auto vs bilinear=off")
 	strict := flag.Bool("strict", false, "with -baseline: fail on any current<->baseline name mismatch instead of skipping")
 	flag.Parse()
 
@@ -466,24 +266,12 @@ func main() {
 		}
 	}
 
-	cases := benchkit.PolicyReplayCases()
-	if *figures {
-		cases = append(cases, benchkit.FigureCases()...)
-	}
-	if *serving {
-		cases = append(cases, benchkit.ServeCases()...)
-	}
-	if *profiling {
-		cases = append(cases, benchkit.ProfilingCases()...)
-	}
-	if *durability {
-		cases = append(cases, benchkit.DurabilityCases()...)
-	}
-	if *images {
-		cases = append(cases, benchkit.ImageCases()...)
-	}
-	if *bilinearB {
-		cases = append(cases, benchkit.BilinearCases()...)
+	var cases []benchkit.Case
+	for _, family := range []func() []benchkit.Case{
+		benchkit.PolicyReplayCases, benchkit.FigureCases, benchkit.ServeCases, benchkit.ProfilingCases,
+		benchkit.DurabilityCases, benchkit.ImageCases, benchkit.BilinearCases,
+	} {
+		cases = append(cases, family()...)
 	}
 	f := benchFile{
 		SHA:        gitShortSHA(),
@@ -511,54 +299,12 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d benchmarks)\n", path, len(f.Benchmarks))
 
-	if *profiling {
-		if fails := profGate(cases, f.Benchmarks, *profTol); len(fails) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d profiling-overhead failure(s):\n", len(fails))
-			for _, s := range fails {
-				fmt.Fprintln(os.Stderr, "  "+s)
-			}
-			os.Exit(1)
+	if fails := pairGate(cases, f.Benchmarks); len(fails) > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d intra-run gate failure(s):\n", len(fails))
+		for _, s := range fails {
+			fmt.Fprintln(os.Stderr, "  "+s)
 		}
-	}
-
-	if *unlinkCheck {
-		if fails := unlinkGate(cases, f.Benchmarks, *unlinkTol); len(fails) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d unlink wall-clock failure(s):\n", len(fails))
-			for _, s := range fails {
-				fmt.Fprintln(os.Stderr, "  "+s)
-			}
-			os.Exit(1)
-		}
-	}
-
-	if *walCheck {
-		if fails := walGate(cases, f.Benchmarks, *walTol); len(fails) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d WAL-overhead failure(s):\n", len(fails))
-			for _, s := range fails {
-				fmt.Fprintln(os.Stderr, "  "+s)
-			}
-			os.Exit(1)
-		}
-	}
-
-	if *imageCheck {
-		if fails := imageGate(cases, f.Benchmarks, *imageSpeedup); len(fails) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d image cold-start failure(s):\n", len(fails))
-			for _, s := range fails {
-				fmt.Fprintln(os.Stderr, "  "+s)
-			}
-			os.Exit(1)
-		}
-	}
-
-	if *bilinearCheck {
-		if fails := bilinearGate(cases, f.Benchmarks, *bilinearTol); len(fails) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d bilinear serial-cost failure(s):\n", len(fails))
-			for _, s := range fails {
-				fmt.Fprintln(os.Stderr, "  "+s)
-			}
-			os.Exit(1)
-		}
+		os.Exit(1)
 	}
 
 	if *basePath != "" {

@@ -59,35 +59,53 @@ func TestCompareStrict(t *testing.T) {
 	}
 }
 
-// TestBilinearGatePerTask pins the bilinear gate's unit: it must compare
-// per-task ns (ns/op ÷ tasks/op), not raw ns/op — bilinear=auto schedules
-// ~20x more tasks per op by design, so a raw comparison would fail by
-// construction while heavier *tasks* would slip through.
-func TestBilinearGatePerTask(t *testing.T) {
-	pair := func(offNs, offTasks, onNs, onTasks float64) []result {
-		return []result{
-			{Name: "Bilinear/cypress/bilinear=off", NsPerOp: offNs, Extra: map[string]float64{"tasks/op": offTasks}},
-			{Name: "Bilinear/cypress/bilinear=auto", NsPerOp: onNs, Extra: map[string]float64{"tasks/op": onTasks}},
+// TestPairGate drives every row of the gates table through pairGate: a
+// pair inside its budget passes, one outside fails (no bench funcs are
+// registered, so no re-measure kicks in), and a pair with only one twin —
+// or no basis for the metric — is skipped, not failed. The bilinear rows
+// pin that gate's unit: it must compare per-task ns (ns/op ÷ tasks/op), not
+// raw ns/op — bilinear=auto schedules ~20x more tasks per op by design, so
+// a raw comparison would fail by construction while heavier *tasks* would
+// slip through. The cold-start rows pin the speedup floor.
+func TestPairGate(t *testing.T) {
+	r := func(name string, ns, tasks float64) result {
+		out := result{Name: name, NsPerOp: ns}
+		if tasks > 0 {
+			out.Extra = map[string]float64{"tasks/op": tasks}
 		}
+		return out
 	}
-	// 20x slower raw but 55x the tasks: per-task cost shrank, must pass.
-	if fails := bilinearGate(nil, pair(1e6, 400, 20e6, 22000), 0.10); len(fails) != 0 {
-		t.Fatalf("cheaper per-task cost should pass: %v", fails)
+	cases := []struct {
+		name      string
+		results   []result
+		wantFails int
+	}{
+		{"profiling +4% passes", []result{r("Profiling/eight-puzzle/off", 1000, 0), r("Profiling/eight-puzzle/on", 1040, 0)}, 0},
+		{"profiling +6% fails", []result{r("Profiling/eight-puzzle/off", 1000, 0), r("Profiling/eight-puzzle/on", 1060, 0)}, 1},
+		{"/on outside Profiling/ is not a pair", []result{r("Other/x/off", 1000, 0), r("Other/x/on", 9000, 0)}, 0},
+		{"unlink +4% passes, tasks ignored", []result{r("strips/multi-queue/unlink=false", 1000, 900), r("strips/multi-queue/unlink=true", 1040, 300)}, 0},
+		{"unlink +6% fails on any task/policy", []result{
+			r("strips/multi-queue/unlink=false", 1000, 0), r("strips/multi-queue/unlink=true", 1000, 0),
+			r("cypress/work-stealing/unlink=false", 1000, 0), r("cypress/work-stealing/unlink=true", 1060, 0),
+		}, 1},
+		{"wal +9% passes", []result{r("WALIngest/4x1920/batch=64/wal=off", 1000, 0), r("WALIngest/4x1920/batch=64/wal=on", 1090, 0)}, 0},
+		{"wal +11% fails", []result{r("WALIngest/4x1920/batch=64/wal=off", 1000, 0), r("WALIngest/4x1920/batch=64/wal=on", 1110, 0)}, 1},
+		{"warm create 6x faster passes", []result{r("SessionColdStart/cypress/compile", 6000, 0), r("SessionColdStart/cypress/warm", 1000, 0)}, 0},
+		{"warm create 4x faster fails the 5x floor", []result{r("SessionColdStart/cypress/compile", 4000, 0), r("SessionColdStart/cypress/warm", 1000, 0)}, 1},
+		// 20x slower raw but 55x the tasks: per-task cost shrank.
+		{"bilinear cheaper per task passes", []result{r("Bilinear/cypress/bilinear=off", 1e6, 400), r("Bilinear/cypress/bilinear=auto", 20e6, 22000)}, 0},
+		// Same ns/op ratio but the task count did NOT grow: tasks got 20x heavier.
+		{"bilinear heavier per task fails", []result{r("Bilinear/cypress/bilinear=off", 1e6, 400), r("Bilinear/cypress/bilinear=auto", 20e6, 400)}, 1},
+		{"bilinear +9% per task passes", []result{r("Bilinear/cypress/bilinear=off", 1e6, 400), r("Bilinear/cypress/bilinear=auto", 2.18e6, 800)}, 0},
+		{"bilinear without tasks/op is skipped", []result{r("Bilinear/cypress/bilinear=off", 1e6, 0), r("Bilinear/cypress/bilinear=auto", 20e6, 22000)}, 0},
+		{"a twin that did not run is skipped", []result{r("Profiling/eight-puzzle/on", 9000, 0), r("WALIngest/4x1920/batch=64/wal=on", 9000, 0), r("SessionColdStart/cypress/warm", 9000, 0)}, 0},
 	}
-	// Same ns/op ratio but task count did NOT grow: tasks got 20x heavier,
-	// must fail (no bench funcs registered, so no re-measure kicks in).
-	if fails := bilinearGate(nil, pair(1e6, 400, 20e6, 400), 0.10); len(fails) != 1 {
-		t.Fatalf("heavier per-task cost should fail: %v", fails)
-	}
-	// Within tolerance passes.
-	if fails := bilinearGate(nil, pair(1e6, 400, 2.18e6, 800), 0.10); len(fails) != 0 {
-		t.Fatalf("+9%% per-task growth should pass: %v", fails)
-	}
-	// Missing tasks/op extra on either side: no basis, gate skips.
-	rs := pair(1e6, 400, 20e6, 22000)
-	rs[0].Extra = nil
-	if fails := bilinearGate(nil, rs, 0.10); len(fails) != 0 {
-		t.Fatalf("missing tasks/op should skip, not fail: %v", fails)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if fails := pairGate(nil, tc.results); len(fails) != tc.wantFails {
+				t.Fatalf("pairGate() = %d failures %v, want %d", len(fails), fails, tc.wantFails)
+			}
+		})
 	}
 }
 

@@ -23,8 +23,7 @@ import (
 
 func main() {
 	procs := flag.Int("procs", 1, "number of match processes")
-	queues := flag.String("queues", "multi", "task queue policy: single or multi (superseded by -policy)")
-	policy := flag.String("policy", "", "scheduling policy: single-queue, multi-queue, or work-stealing (overrides -queues)")
+	policy := flag.String("policy", "multi-queue", "scheduling policy: single-queue, multi-queue, or work-stealing")
 	noshare := flag.Bool("noshare", false, "disable two-input node sharing")
 	unlink := flag.Bool("unlink", true, "left/right unlinking: run activations against provably empty opposite memories inline instead of scheduling tasks")
 	bilinear := flag.String("bilinear", "off", "bilinear restructuring: off, all, or auto (restructure productions whose join chain reaches -bilinear-depth)")
@@ -60,17 +59,9 @@ func main() {
 
 	cfg := engine.DefaultConfig()
 	cfg.Processes = *procs
-	cfg.Policy = prun.MultiQueue
-	if *queues == "single" {
-		cfg.Policy = prun.SingleQueue
-	}
-	if *policy != "" {
-		p, err := prun.ParsePolicy(*policy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psme:", err)
-			os.Exit(2)
-		}
-		cfg.Policy = p
+	if cfg.Policy, err = prun.ParsePolicy(*policy); err != nil {
+		fmt.Fprintln(os.Stderr, "psme:", err)
+		os.Exit(2)
 	}
 	cfg.Rete.ShareBeta = !*noshare
 	cfg.Rete.Unlink = *unlink

@@ -31,8 +31,7 @@ import (
 func main() {
 	taskName := flag.String("task", "eight-puzzle", "task: eight-puzzle, strips, hanoi, or blocks")
 	procs := flag.Int("procs", 1, "number of match processes")
-	queues := flag.String("queues", "multi", "task queue policy: single or multi (superseded by -policy)")
-	policy := flag.String("policy", "", "scheduling policy: single-queue, multi-queue, or work-stealing (overrides -queues)")
+	policy := flag.String("policy", "multi-queue", "scheduling policy: single-queue, multi-queue, or work-stealing")
 	chunking := flag.Bool("chunking", false, "enable chunking (during-chunking run)")
 	unlink := flag.Bool("unlink", true, "left/right unlinking: run activations against provably empty opposite memories inline instead of scheduling tasks")
 	bilinear := flag.String("bilinear", "off", "bilinear restructuring: off, all, or auto (restructure productions whose join chain reaches -bilinear-depth)")
@@ -82,17 +81,9 @@ func main() {
 	}
 	cfg.Engine.Rete.Organization = org
 	cfg.Engine.Rete.BilinearDepth = *bilinearDepth
-	cfg.Engine.Policy = prun.MultiQueue
-	if *queues == "single" {
-		cfg.Engine.Policy = prun.SingleQueue
-	}
-	if *policy != "" {
-		p, err := prun.ParsePolicy(*policy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "soar:", err)
-			os.Exit(2)
-		}
-		cfg.Engine.Policy = p
+	if cfg.Engine.Policy, err = prun.ParsePolicy(*policy); err != nil {
+		fmt.Fprintln(os.Stderr, "soar:", err)
+		os.Exit(2)
 	}
 	cfg.Engine.Obs = observer
 	if *faultSeed != 0 {

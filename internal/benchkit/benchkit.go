@@ -219,7 +219,7 @@ func PolicyReplayCases() []Case {
 // ProfilingCases is the eight-puzzle replay bench twice: with the match
 // profiler's always-on attribution counters installed and without. The two
 // cases share everything else, so the ns/op ratio is the profiler's
-// hot-path overhead; cmd/benchjson gates it at -prof-tolerance (5%).
+// hot-path overhead; cmd/benchjson gates it at 5% (a row of its gate table).
 func ProfilingCases() []Case {
 	base := replayCfg{task: "eight-puzzle", pol: prun.WorkStealing, unlink: true}
 	on := base
@@ -235,7 +235,7 @@ func ProfilingCases() []Case {
 // auto mode (balanced pair-join trees). Everything else is shared.
 // Restructuring multiplies tasks/op by design — that is the paper's
 // work-for-parallelism trade — so cmd/benchjson gates the pair on per-task
-// ns (ns/op ÷ tasks/op) at -bilinear-tolerance, pinning down that the
+// ns (ns/op ÷ tasks/op) at +10%, pinning down that the
 // extra serial wall-clock is purely more tasks, not heavier ones.
 func BilinearCases() []Case {
 	base := replayCfg{task: "cypress", pol: prun.WorkStealing, unlink: true}

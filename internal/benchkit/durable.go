@@ -42,7 +42,7 @@ func snapshotRestoreBench(pol prun.Policy) func(b *testing.B) {
 // for a failover-sized session image, and the batched-ingest path with
 // the write-ahead journal on vs off — the same fixed delta stream, so
 // the wal=on/wal=off pair isolates the append+fdatasync cost benchjson's
-// -wal-gate budgets. The shape models the session the journal exists
+// gate table budgets. The shape models the session the journal exists
 // for — long-lived, full ingest batches: batch=64 is the widest request
 // IngestRemoveLag admits, and 1920 deltas/session keep working memory
 // (and so per-request match cost) at a steady-state size. Tiny shapes

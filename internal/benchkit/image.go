@@ -112,7 +112,7 @@ func residentBytesBench(shared bool) func(b *testing.B) {
 
 // ImageCases is the shared-compiled-image bench: cold-start latency with
 // and without a warm image cache, and resident heap per session with
-// owned vs shared topologies. benchjson's -image-gate requires the warm
+// owned vs shared topologies. benchjson's gate table requires the warm
 // create to beat compile-from-source by at least 5x.
 func ImageCases() []Case {
 	return []Case{

@@ -121,7 +121,7 @@ func serveBench(sessions, cycles int, pol prun.Policy) func(b *testing.B) {
 // headline, with cycles/sec alongside as the request-overhead view.
 // With durable set the server journals every /run into a per-session
 // fsync'd write-ahead log (serve.Config.DataDir) — the WALIngest pair
-// measures exactly that overhead, gated intra-run by benchjson -wal-gate.
+// measures exactly that overhead, gated intra-run by benchjson's gate table.
 func serveIngestBench(sessions, deltas, batch int, pol prun.Policy, durable bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		dataDir := ""

@@ -1,16 +1,16 @@
 // Package prun is the parallel match runtime of PSM-E (§2.3): node
 // activations are tasks held in shared task queues and executed by a fixed
-// set of match processes (goroutines). It supports the paper's two
-// scheduling policies — one shared task queue, and one queue per process
-// with cycle-stealing (§6.1/Figure 6-4) — counts lock contention and failed
-// pop operations, and can capture the task-dependency trace of each cycle
-// for the multiprocessor simulator.
+// set of match processes (goroutines). The paper varies only how many
+// queues there are — one shared task queue, or one queue per process with
+// cycle-stealing (§6.1/Figure 6-4) — and so does this package: the worker
+// loop, the injector, the supervision of a failing cycle, the contention
+// and failed-pop counters and the capture of each cycle's task-dependency
+// trace for the multiprocessor simulator exist once, over a small queue
+// interface (queue.go).
 //
-// A third policy, WorkStealing, is not a paper artifact: it is the
-// ROADMAP's "fast as the hardware allows" scaling path — per-worker
-// Chase-Lev lock-free deques (internal/deque) with rotating victim
-// selection, pending-counter termination, and per-worker task free lists
-// for a zero-allocation steady-state hot path.
+// A third policy, WorkStealing, is not a paper artifact: it puts a
+// Chase-Lev lock-free deque (internal/deque) behind the same interface in
+// place of the paper's counted-spinlock stack.
 package prun
 
 import (
@@ -25,7 +25,6 @@ import (
 	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
 	"soarpsme/internal/rete"
-	"soarpsme/internal/spin"
 	"soarpsme/internal/wme"
 )
 
@@ -35,8 +34,8 @@ type Policy uint8
 // SingleQueue is one shared queue (Figure 6-1); MultiQueue gives each match
 // process its own queue with stealing from the others (Figure 6-4). Both
 // use the paper's counted spin-locks. WorkStealing gives each process a
-// lock-free Chase-Lev deque (owner LIFO, thief FIFO) — the modern runtime,
-// kept separate so the reproduction paths stay paper-faithful.
+// lock-free Chase-Lev deque (owner LIFO, thief FIFO). With one match
+// process all three are the same LIFO stack.
 const (
 	SingleQueue Policy = iota
 	MultiQueue
@@ -219,44 +218,30 @@ type Runtime struct {
 	nw  *rete.Network
 	cfg Config
 
-	// queues backs the SingleQueue/MultiQueue spin-lock policies; deques
-	// and free back the WorkStealing policy.
-	queues  []*taskQueue
-	deques  []*deque.Deque[rete.Task]
-	free    [][]*rete.Task
+	// queues are the policy's task queues — one shared, or one per process —
+	// and the only policy-dependent state. workers are the match processes;
+	// they persist across cycles (each keeps its task free list) and a cycle
+	// runs the first n of them, n being what the budget grants.
+	queues  []queue
+	workers []*worker
+	inj     injector
+
 	pending atomic.Int64
 	seq     atomic.Int64
 	// minNodeID, when nonzero, drops activations of older nodes — the
 	// run-time update filter (paper §5.2).
-	minNodeID   atomic.Uint32
-	failedPops  atomic.Int64
-	termProbes  atomic.Int64
-	steals      atomic.Int64
-	suppBatches atomic.Int64
-	rrInject    atomic.Int64
-	panics      atomic.Int64
-
-	// ctl supervises the current cycle; a fresh one is installed by
-	// resetCycleCounters so a stale watchdog can only poison its own
-	// (already finished) cycle.
-	ctl *cycleCtl
+	minNodeID atomic.Uint32
 
 	// obs, when non-nil, receives per-task counters, cost observations and
 	// trace spans. Nil costs one pointer test per task.
 	obs *obs.MatchHooks
-
-	traceMu sync.Mutex
-	trace   []TaskRec
-}
-
-type taskQueue struct {
-	lock  spin.Lock
-	tasks []*rete.Task
 }
 
 // cycleCtl is the supervision state of one cycle: the first failure wins
 // (sync.Once), publishes its reason, and closes abort so stalled workers
-// wake. bad is the cheap per-iteration poison check.
+// wake. bad is the cheap per-iteration poison check. Every cycle gets a
+// fresh one, so a stale watchdog can only poison its own (already
+// finished) cycle.
 type cycleCtl struct {
 	abort  chan struct{}
 	once   sync.Once
@@ -270,7 +255,7 @@ func newCycleCtl() *cycleCtl { return &cycleCtl{abort: make(chan struct{})} }
 // this call won the race to poison (so callers can count causes exactly
 // once). reason is published before the bad store, so any reader that
 // observes bad also observes reason.
-func (rt *Runtime) poison(c *cycleCtl, reason string) (won bool) {
+func (c *cycleCtl) poison(reason string) (won bool) {
 	c.once.Do(func() {
 		won = true
 		c.reason = reason
@@ -280,28 +265,31 @@ func (rt *Runtime) poison(c *cycleCtl, reason string) (won bool) {
 	return won
 }
 
-// New creates a runtime with the given configuration.
+// New creates a runtime with the given configuration. The policy is
+// consulted here and nowhere else: it decides how many queues there are and
+// of which kind.
 func New(nw *rete.Network, cfg Config) *Runtime {
 	if cfg.Processes < 1 {
 		cfg.Processes = 1
 	}
-	rt := &Runtime{nw: nw, cfg: cfg, ctl: newCycleCtl()}
-	nq := 1
-	if cfg.Policy != SingleQueue {
-		nq = cfg.Processes
+	rt := &Runtime{nw: nw, cfg: cfg}
+	nq := cfg.Processes
+	if cfg.Policy == SingleQueue {
+		nq = 1
 	}
-	if cfg.Policy == WorkStealing {
-		rt.deques = make([]*deque.Deque[rete.Task], nq)
-		for i := range rt.deques {
-			rt.deques[i] = deque.New[rete.Task](0)
-		}
-		rt.free = make([][]*rete.Task, nq)
-	} else {
-		rt.queues = make([]*taskQueue, nq)
-		for i := range rt.queues {
-			rt.queues[i] = &taskQueue{}
+	rt.queues = make([]queue, nq)
+	for i := range rt.queues {
+		if cfg.Policy == WorkStealing {
+			rt.queues[i] = dequeQueue{deque.New[rete.Task](0)}
+		} else {
+			rt.queues[i] = &lockQueue{}
 		}
 	}
+	rt.workers = make([]*worker, cfg.Processes)
+	for i := range rt.workers {
+		rt.workers[i] = &worker{sched: sched{rt: rt}, id: i}
+	}
+	rt.inj.s = &rt.workers[0].sched
 	return rt
 }
 
@@ -333,221 +321,82 @@ func (rt *Runtime) SetDeadline(d time.Duration) { rt.cfg.Deadline = d }
 // Deadline returns the current per-cycle watchdog deadline.
 func (rt *Runtime) Deadline() time.Duration { return rt.cfg.Deadline }
 
-// sched is the per-worker scheduler handed to rete.Exec under the
-// spin-lock policies; worker w pushes onto its own queue under MultiQueue.
-type sched struct {
-	rt *Runtime
-	q  *taskQueue
-}
-
-// Push enqueues a child activation.
-func (s sched) Push(t *rete.Task) {
-	rt := s.rt
-	if rt.filtered(t.Node.ID) {
-		return
-	}
-	t.Seq = rt.seq.Add(1)
-	rt.pending.Add(1)
-	q := s.q
-	q.lock.Lock()
-	q.tasks = append(q.tasks, t)
-	q.lock.Unlock()
-}
-
-// Filtered implements rete.ActivationFilter: the unlink fast path consults
-// it before executing an activation inline, mirroring Push's drop.
-func (s sched) Filtered(id rete.NodeID) bool { return s.rt.filtered(id) }
-
-// wsSched is the per-worker scheduler of the WorkStealing policy: it pushes
-// onto the worker's own lock-free deque and recycles executed tasks through
-// a per-worker free list (rete.Exec obtains child tasks via NewTask, so
-// update-filtered activations never allocate).
-type wsSched struct {
-	rt   *Runtime
-	d    *deque.Deque[rete.Task]
-	free []*rete.Task
-}
-
-// freeListCap bounds each worker's task free list; beyond it, executed
-// tasks are left to the garbage collector. Sized to absorb a large cycle's
-// root-task injection (the injector draws on worker 0's list), at ~64 B per
-// idle task.
-const freeListCap = 2048
-
-// NewTask implements rete.TaskSource: it returns a recycled (or fresh)
-// task for an activation of node n, or nil when the update filter drops n.
-func (s *wsSched) NewTask(n *rete.BetaNode) *rete.Task {
-	if s.rt.filtered(n.ID) {
-		return nil
-	}
-	if k := len(s.free); k > 0 {
-		t := s.free[k-1]
-		s.free = s.free[:k-1]
-		return t
-	}
-	return new(rete.Task)
-}
-
-// Push enqueues a child activation on the owner's deque.
-func (s *wsSched) Push(t *rete.Task) {
-	rt := s.rt
-	if rt.filtered(t.Node.ID) {
-		// Injected and seeded tasks don't pass through NewTask; the
-		// filter still applies to them.
-		return
-	}
-	t.Seq = rt.seq.Add(1)
-	rt.pending.Add(1)
-	s.d.PushBottom(t)
-}
-
-// Filtered implements rete.ActivationFilter (see sched.Filtered).
-func (s *wsSched) Filtered(id rete.NodeID) bool { return s.rt.filtered(id) }
-
-// recycle returns an executed task to the free list. The task must no
-// longer be reachable from any queue (it was just executed by this worker).
-func (s *wsSched) recycle(t *rete.Task) {
-	if len(s.free) < freeListCap {
-		s.free = append(s.free, t)
-	}
-}
-
-// injectSched spreads root tasks round-robin over the spin-lock queues.
-func (rt *Runtime) injectSched() sched {
-	i := int(rt.rrInject.Add(1))
-	return sched{rt: rt, q: rt.queues[i%len(rt.queues)]}
-}
-
-// beginInject returns a cycle-scoped injector for the WorkStealing policy
-// (nil otherwise). Injection runs before the match processes start, so the
-// injector may push onto any deque and may borrow worker 0's free list;
-// endInject returns the list before the workers launch.
-func (rt *Runtime) beginInject() *wsSched {
-	if rt.cfg.Policy != WorkStealing {
-		return nil
-	}
-	inj := &wsSched{rt: rt, free: rt.free[0]}
-	rt.free[0] = nil
-	return inj
-}
-
-func (rt *Runtime) endInject(inj *wsSched) {
-	if inj != nil {
-		rt.free[0] = inj.free
-		inj.free = nil
-	}
-}
-
-// rotate advances the injector's round-robin deque.
-func (inj *wsSched) rotate() {
-	rt := inj.rt
-	i := int(rt.rrInject.Add(1))
-	inj.d = rt.deques[i%len(rt.deques)]
-}
-
 // suppBatch is the number of suppressed right activations that ride one
 // scheduled batch task. Large enough to amortize the task's scheduling
 // cost down to noise, small enough that a cycle's suppressed work spreads
 // across the workers (work-stealing steals whole batches).
 const suppBatch = 32
 
-// suppBatcher defers suppressed right activations — destinations whose
-// left memory was empty at injection time — into batch tasks flushed
-// round-robin over the scheduler's queues. This replaces the old
-// injector-inline execution (rete.FilterRight at injection), which
-// serialized every suppressed memory op on the injection goroutine and
-// re-entered the emitter recursively on relink races. Batches keep the
-// per-activation cost near zero while the memory ops parallelize across
-// the match processes like any other task.
-type suppBatcher struct {
-	rt    *Runtime
-	inj   *wsSched // WorkStealing injector; nil under the lock-queue policies
+// injector spreads a cycle's root tasks round-robin over the queues. It
+// runs before the match processes start, so it may push onto any queue, and
+// it schedules through worker 0's sched to draw on that worker's free list
+// (worker 0 runs in every cycle whatever the budget grants, so the list is
+// refilled; worker.begin points the sched back at its own queue).
+//
+// Suppressed right activations — destinations whose left memory was empty
+// at injection time — are deferred into batch tasks instead of executed
+// inline (rete.FilterRight), which serialized every suppressed memory op on
+// the injection goroutine and re-entered the emitter recursively on relink
+// races. Batches keep the per-activation cost near zero while the memory
+// ops parallelize across the match processes like any other task.
+type injector struct {
+	s     *sched
+	rr    int
 	batch []rete.SuppRight
 }
 
-// add defers one suppressed activation, flushing at suppBatch entries.
-// The caller has already applied the update filter and SuppressRight.
-func (b *suppBatcher) add(n *rete.BetaNode, op wme.Op, w *wme.WME) {
-	if b.batch == nil {
-		b.batch = make([]rete.SuppRight, 0, suppBatch)
+// rotate points the injector at the next queue.
+func (in *injector) rotate() {
+	in.rr++
+	in.s.q = in.s.rt.queues[in.rr%len(in.s.rt.queues)]
+}
+
+// delta injects one wme change onto the next queue.
+func (in *injector) delta(d wme.Delta) {
+	in.rotate()
+	in.s.rt.nw.Inject(d, in.activate)
+}
+
+// activate receives one right activation from the alpha network.
+func (in *injector) activate(n *rete.BetaNode, w *wme.WME, op wme.Op) {
+	s := in.s
+	if s.rt.filtered(n.ID) {
+		return
 	}
-	b.batch = append(b.batch, rete.SuppRight{Node: n, Op: op, W: w})
-	if len(b.batch) >= suppBatch {
-		b.flush()
+	if !s.rt.nw.SuppressRight(n) {
+		s.pushRoot(n, op, w)
+		return
+	}
+	if in.batch == nil {
+		in.batch = make([]rete.SuppRight, 0, suppBatch)
+	}
+	in.batch = append(in.batch, rete.SuppRight{Node: n, Op: op, W: w})
+	if len(in.batch) >= suppBatch {
+		in.flush()
 	}
 }
 
-// flush schedules the pending entries as one batch task (no-op when empty).
-func (b *suppBatcher) flush() {
-	if len(b.batch) == 0 {
+// flush schedules the pending suppressed activations as one batch task on
+// the next queue (no-op when there are none).
+func (in *injector) flush() {
+	if len(in.batch) == 0 {
 		return
 	}
-	t := &rete.Task{Node: b.batch[0].Node, Dir: rete.DirRight, Supp: b.batch}
-	b.batch = nil
-	if b.inj != nil {
-		b.inj.rotate()
-		b.inj.Push(t)
-		return
-	}
-	b.rt.injectSched().Push(t)
-}
-
-// pop removes the most recent task from q (LIFO, like PSM-E's stack
-// queues, which favors depth-first chain following).
-func (q *taskQueue) pop() *rete.Task {
-	q.lock.Lock()
-	n := len(q.tasks)
-	if n == 0 {
-		q.lock.Unlock()
-		return nil
-	}
-	t := q.tasks[n-1]
-	q.tasks = q.tasks[:n-1]
-	q.lock.Unlock()
-	return t
+	in.rotate()
+	t := in.s.alloc()
+	*t = rete.Task{Node: in.batch[0].Node, Dir: rete.DirRight, Supp: in.batch}
+	in.batch = nil
+	in.s.Push(t)
 }
 
 // RunCycle injects the wme changes of one cycle and runs match to
 // quiescence. Per the paper's measurement methodology (§6), all wme changes
 // are applied before match begins.
 func (rt *Runtime) RunCycle(deltas []wme.Delta) CycleStats {
-	rt.resetCycleCounters()
-	inj := rt.beginInject()
-	sb := suppBatcher{rt: rt, inj: inj}
 	for _, d := range deltas {
-		if inj != nil {
-			inj.rotate()
-			rt.nw.Inject(d, func(n *rete.BetaNode, w *wme.WME, op wme.Op) {
-				if rt.filtered(n.ID) {
-					return
-				}
-				if rt.nw.SuppressRight(n) {
-					sb.add(n, op, w)
-					return
-				}
-				t := inj.NewTask(n)
-				if t == nil {
-					return
-				}
-				*t = rete.Task{Node: n, Dir: rete.DirRight, Op: op, W: w}
-				inj.Push(t)
-			})
-			continue
-		}
-		s := rt.injectSched()
-		rt.nw.Inject(d, func(n *rete.BetaNode, w *wme.WME, op wme.Op) {
-			if rt.filtered(n.ID) {
-				return
-			}
-			if rt.nw.SuppressRight(n) {
-				sb.add(n, op, w)
-				return
-			}
-			s.Push(&rete.Task{Node: n, Dir: rete.DirRight, Op: op, W: w})
-		})
+		rt.inj.delta(d)
 	}
-	sb.flush()
-	rt.endInject(inj)
+	rt.inj.flush()
 	return rt.runToQuiescence()
 }
 
@@ -555,267 +404,26 @@ func (rt *Runtime) RunCycle(deltas []wme.Delta) CycleStats {
 // replay) plus full-WM right replay, then runs to quiescence. The update
 // filter must already be engaged.
 func (rt *Runtime) RunSeeded(seeds []*rete.Task, all []*wme.WME) CycleStats {
-	rt.resetCycleCounters()
-	inj := rt.beginInject()
-	sb := suppBatcher{rt: rt, inj: inj}
 	for _, t := range seeds {
-		if inj != nil {
-			inj.rotate()
-			inj.Push(t)
-			continue
-		}
-		rt.injectSched().Push(t)
+		rt.inj.rotate()
+		rt.inj.s.Push(t)
 	}
 	for _, w := range all {
-		if inj != nil {
-			inj.rotate()
-			rt.nw.Inject(wme.Delta{Op: wme.Add, WME: w}, func(n *rete.BetaNode, ww *wme.WME, op wme.Op) {
-				if rt.filtered(n.ID) {
-					return
-				}
-				if rt.nw.SuppressRight(n) {
-					sb.add(n, wme.Add, ww)
-					return
-				}
-				t := inj.NewTask(n)
-				if t == nil {
-					return
-				}
-				*t = rete.Task{Node: n, Dir: rete.DirRight, Op: op, W: ww}
-				inj.Push(t)
-			})
-			continue
-		}
-		s := rt.injectSched()
-		rt.nw.Inject(wme.Delta{Op: wme.Add, WME: w}, func(n *rete.BetaNode, ww *wme.WME, op wme.Op) {
-			if rt.filtered(n.ID) {
-				return
-			}
-			if rt.nw.SuppressRight(n) {
-				sb.add(n, wme.Add, ww)
-				return
-			}
-			s.Push(&rete.Task{Node: n, Dir: rete.DirRight, Op: op, W: ww})
-		})
+		rt.inj.delta(wme.Delta{Op: wme.Add, WME: w})
 	}
-	sb.flush()
-	rt.endInject(inj)
+	rt.inj.flush()
 	return rt.runToQuiescence()
 }
 
-func (rt *Runtime) resetCycleCounters() {
-	rt.failedPops.Store(0)
-	rt.termProbes.Store(0)
-	rt.steals.Store(0)
-	rt.suppBatches.Store(0)
-	rt.panics.Store(0)
-	rt.ctl = newCycleCtl()
-	if rt.cfg.CaptureTrace {
-		rt.trace = rt.trace[:0]
-	}
-}
-
-// drainPoisoned forcibly quiesces a poisoned cycle after all workers have
-// exited: every queued task is discarded (the partial match state is being
-// thrown away anyway), the pending counter is cleared, the partial trace
-// dropped, and the work-stealing free lists abandoned (a task on a free
-// list could otherwise alias one that was still queued when the cycle
-// aborted).
-func (rt *Runtime) drainPoisoned() {
-	for _, q := range rt.queues {
-		q.lock.Lock()
-		q.tasks = q.tasks[:0]
-		q.lock.Unlock()
-	}
-	for _, d := range rt.deques {
-		for {
-			t, retry := d.Steal()
-			if t == nil && !retry {
-				break
-			}
-		}
-	}
-	for i := range rt.free {
-		rt.free[i] = nil
-	}
-	rt.pending.Store(0)
-	rt.traceMu.Lock()
-	rt.trace = rt.trace[:0]
-	rt.traceMu.Unlock()
-}
-
-// worker carries one match process's per-cycle bookkeeping; counters are
-// local and folded into the runtime totals once, at worker exit.
-type worker struct {
-	rt      *Runtime
-	id      int
-	h       *obs.MatchHooks
-	ctl     *cycleCtl
-	tracing bool
-	local   []TaskRec
-	tasks   int64
-	batches int64
-	cost    int64
-
-	// Profiling state (all nil/zero when the network has no profiler).
-	// Depth and granularity histograms accumulate locally and flush once at
-	// worker exit so the per-task path adds no histogram atomics; wall-clock
-	// sampling times one task in (sampleMask+1) per worker.
-	prof       *rete.Prof
-	sampleMask uint64
-	profD      [rete.DepthBuckets]int64
-	profC      [rete.CostBuckets]int64
-	profMax    int32
-}
-
-// newWorker builds one match process's per-cycle bookkeeping, wiring the
-// network's profiler when one is installed.
-func (rt *Runtime) newWorker(id int, ctl *cycleCtl, h *obs.MatchHooks) worker {
-	w := worker{rt: rt, id: id, h: h, ctl: ctl, tracing: h != nil && h.Trc != nil}
-	if p := rt.nw.Prof; p != nil {
-		w.prof = p
-		w.sampleMask = p.SampleMask()
-	}
-	return w
-}
-
-// probe consults the fault injector at site. An injected panic unwinds in
-// place (the worker's recover converts it into a poisoned cycle); a stall
-// blocks until its delay elapses or the cycle aborts; a dropped steal is
-// reported as drop=true so the steal scan skips one victim.
-func (w *worker) probe(site fault.Site) (drop bool) {
-	in := w.rt.cfg.Fault
-	if in == nil {
-		return false
-	}
-	a := in.Visit(site)
-	if a.Kind == fault.KindNone {
-		return false
-	}
-	if h := w.h; h != nil {
-		h.Injected.Inc()
-	}
-	switch a.Kind {
-	case fault.KindPanic:
-		panic(fmt.Sprintf("fault: injected panic at %v", site))
-	case fault.KindStall:
-		tm := time.NewTimer(a.Delay)
-		select {
-		case <-tm.C:
-		case <-w.ctl.abort:
-			tm.Stop()
-		}
-	case fault.KindDropSteal:
-		return true
-	}
-	return false
-}
-
-// recovered is the worker goroutines' panic handler: it converts a
-// panicking match process — injected or organic — into a poisoned cycle
-// instead of a dead program. Deferred after wg.Done so the waiter always
-// unblocks.
-func (w *worker) recovered() {
-	if r := recover(); r != nil {
-		rt := w.rt
-		rt.panics.Add(1)
-		if h := w.h; h != nil {
-			h.Panics.Inc()
-		}
-		rt.poison(w.ctl, fmt.Sprintf("worker %d panic: %v", w.id, r))
-	}
-}
-
-// exec runs one task and records its statistics and trace spans.
-func (w *worker) exec(t *rete.Task, s rete.Scheduler, stolen bool) {
-	sampling := w.prof != nil && w.tasks&int64(w.sampleMask) == 0
-	var start time.Time
-	if w.tracing || sampling {
-		start = time.Now()
-	}
-	cost := w.rt.nw.Exec(t, s)
-	t.Cost = cost
-	w.tasks++
-	w.cost += cost
-	if t.Supp != nil {
-		w.batches++
-	}
-	if w.prof != nil {
-		d := t.Depth + 1
-		w.profD[rete.DepthBucket(d)]++
-		w.profC[rete.CostBucket(cost)]++
-		if d > w.profMax {
-			w.profMax = d
-		}
-		if sampling {
-			w.prof.AddSample(t.Node.ID, time.Since(start).Nanoseconds())
-		}
-	}
-	if h := w.h; h != nil {
-		h.Tasks.Inc()
-		h.TaskCost.Observe(float64(cost))
-		if w.tracing {
-			args := map[string]any{"node": int(t.Node.ID), "seq": t.Seq, "cost-us": cost}
-			if stolen {
-				args["stolen"] = true
-			}
-			h.Trc.Complete(h.Pid, w.id+1, fmt.Sprintf("%v#%d", t.Node.Kind, t.Node.ID), "task", start, time.Since(start), args)
-		}
-	}
-	if w.rt.cfg.CaptureTrace {
-		w.local = append(w.local, TaskRec{Seq: t.Seq, Parent: t.ParentSeq, Node: t.Node.ID, Kind: t.Node.Kind, Cost: cost, Depth: t.Depth + 1, Worker: int32(w.id)})
-	}
-}
-
-// flush folds the worker's local statistics into the cycle totals.
-func (w *worker) flush(tasks, totalCost *atomic.Int64) {
-	tasks.Add(w.tasks)
-	totalCost.Add(w.cost)
-	w.rt.suppBatches.Add(w.batches)
-	if w.prof != nil && w.tasks > 0 {
-		w.prof.FlushCycleLocal(&w.profD, &w.profC, w.profMax)
-	}
-	if len(w.local) > 0 {
-		w.rt.traceMu.Lock()
-		w.rt.trace = append(w.rt.trace, w.local...)
-		w.rt.traceMu.Unlock()
-	}
-}
-
-// quiesced handles a fully failed pop/steal round: it reports true when
-// the cycle is over (a quiescence probe, counted separately), and
-// otherwise counts a failed pop — genuine idleness while work is pending —
-// and yields.
-func (w *worker) quiesced() bool {
-	rt := w.rt
-	if rt.pending.Load() == 0 {
-		rt.termProbes.Add(1)
-		if w.h != nil {
-			w.h.TermProbes.Inc()
-		}
-		return true
-	}
-	rt.failedPops.Add(1)
-	if w.h != nil {
-		w.h.FailedPops.Inc()
-	}
-	runtime.Gosched()
-	return false
-}
-
-// noteSteal counts one successful steal.
-func (w *worker) noteSteal() {
-	w.rt.steals.Add(1)
-	if w.h != nil {
-		w.h.Steals.Inc()
-	}
-}
-
+// runToQuiescence runs the injected tasks to completion on as many match
+// processes as the budget grants, under the cycle's supervision: a worker
+// panic or an expired watchdog deadline poisons the cycle, the workers
+// exit, and the cycle is reported Failed.
 func (rt *Runtime) runToQuiescence() CycleStats {
-	ctl := rt.ctl
+	ctl := newCycleCtl()
 	if d := rt.cfg.Deadline; d > 0 {
 		wd := time.AfterFunc(d, func() {
-			if rt.poison(ctl, fmt.Sprintf("watchdog: cycle exceeded %v deadline", d)) {
+			if ctl.poison(fmt.Sprintf("watchdog: cycle exceeded %v deadline", d)) {
 				if h := rt.obs; h != nil {
 					h.Watchdogs.Inc()
 				}
@@ -823,176 +431,65 @@ func (rt *Runtime) runToQuiescence() CycleStats {
 		})
 		defer wd.Stop()
 	}
-	var (
-		wg        sync.WaitGroup
-		tasks     atomic.Int64
-		totalCost atomic.Int64
-	)
-	workers := rt.cfg.Processes
+	n := rt.cfg.Processes
 	if b := rt.cfg.Budget; b != nil {
-		granted := b.Acquire(workers)
-		defer b.Release(granted)
-		workers = granted
+		n = b.Acquire(n)
+		defer b.Release(n)
 	}
-	for i := 0; i < workers; i++ {
+	var wg sync.WaitGroup
+	for _, w := range rt.workers[:n] {
+		w.begin(ctl)
 		wg.Add(1)
-		if rt.cfg.Policy == WorkStealing {
-			go rt.runWorkStealing(i, &wg, &tasks, &totalCost)
-		} else {
-			go rt.runLockQueues(i, &wg, &tasks, &totalCost)
-		}
+		go w.run(&wg)
 	}
 	wg.Wait()
-	cs := CycleStats{
-		Tasks:       int(tasks.Load()),
-		Workers:     workers,
-		TotalCost:   totalCost.Load(),
-		FailedPops:  rt.failedPops.Load(),
-		TermProbes:  rt.termProbes.Load(),
-		Steals:      rt.steals.Load(),
-		SuppBatches: rt.suppBatches.Load(),
-		Panics:      int(rt.panics.Load()),
-	}
+	cs := rt.collect(n)
 	if ctl.bad.Load() {
 		rt.drainPoisoned()
-		cs.Failed = true
-		cs.Reason = ctl.reason
-		return cs
-	}
-	if rt.cfg.CaptureTrace {
-		cs.Trace = append([]TaskRec(nil), rt.trace...)
+		cs.Failed, cs.Reason, cs.Trace = true, ctl.reason, nil
 	}
 	return cs
 }
 
-// runLockQueues is one match process under the paper's counted-spinlock
-// policies (SingleQueue and MultiQueue with cycle-stealing).
-func (rt *Runtime) runLockQueues(id int, wg *sync.WaitGroup, tasks, totalCost *atomic.Int64) {
-	defer wg.Done()
-	ctl := rt.ctl
-	own := rt.queues[id%len(rt.queues)]
-	// Box the scheduler into the interface once; converting per exec call
-	// would allocate on the hot path.
-	var mySched rete.Scheduler = sched{rt: rt, q: own}
-	w := rt.newWorker(id, ctl, rt.obs)
-	defer w.flush(tasks, totalCost)
-	defer w.recovered()
-	nq := len(rt.queues)
-	rot := 0
-	for {
-		if ctl.bad.Load() {
-			break
+// collect folds the cycle-local counters, profile histograms and trace
+// records of the n workers that ran into the cycle's stats.
+func (rt *Runtime) collect(n int) CycleStats {
+	cs := CycleStats{Workers: n}
+	for _, w := range rt.workers[:n] {
+		cs.Tasks += int(w.tasks)
+		cs.TotalCost += w.cost
+		cs.FailedPops += w.failedPops
+		cs.TermProbes += w.termProbes
+		cs.Steals += w.steals
+		cs.SuppBatches += w.batches
+		cs.Panics += w.panics
+		if w.prof != nil && w.tasks > 0 {
+			w.prof.FlushCycleLocal(&w.profD, &w.profC, w.profMax)
 		}
-		t := own.pop()
-		stolen := false
-		if t == nil && nq > 1 {
-			// Rotate the starting victim per scan (deterministically,
-			// from a per-worker counter): a fixed id+1 start concentrates
-			// steals on the adjacent queue.
-			for k := 0; k < nq-1 && t == nil; k++ {
-				if w.probe(fault.SiteSteal) {
-					continue
-				}
-				v := (id + 1 + (rot+k)%(nq-1)) % nq
-				t = rt.queues[v].pop()
-			}
-			rot++
-			stolen = t != nil
-		}
-		if t == nil {
-			if w.quiesced() {
-				break
-			}
-			continue
-		}
-		if stolen {
-			w.noteSteal()
-		}
-		w.probe(fault.SiteExec)
-		if ctl.bad.Load() {
-			// A popped task is abandoned here, not executed: the whole
-			// partial match state is about to be discarded.
-			break
-		}
-		w.exec(t, mySched, stolen)
-		rt.pending.Add(-1)
 	}
-}
-
-// runWorkStealing is one match process under the WorkStealing policy:
-// lock-free owner pops with rotating-victim steals, pending-counter
-// termination confirmed by a fully failed steal round, and task recycling
-// through the worker's free list (persisted across cycles on the runtime).
-func (rt *Runtime) runWorkStealing(id int, wg *sync.WaitGroup, tasks, totalCost *atomic.Int64) {
-	defer wg.Done()
-	ctl := rt.ctl
-	own := rt.deques[id]
-	ws := &wsSched{rt: rt, d: own, free: rt.free[id]}
-	w := rt.newWorker(id, ctl, rt.obs)
-	defer w.flush(tasks, totalCost)
-	// The free list is persisted on every exit path, including a panic:
-	// drainPoisoned then abandons all lists, so a task that was in flight
-	// when the cycle aborted can never alias a recycled one.
-	defer func() { rt.free[id] = ws.free }()
-	defer w.recovered()
-	nq := len(rt.deques)
-	rot := 0
-	for {
-		if ctl.bad.Load() {
-			break
+	if rt.cfg.CaptureTrace && cs.Tasks > 0 {
+		cs.Trace = make([]TaskRec, 0, cs.Tasks)
+		for _, w := range rt.workers[:n] {
+			cs.Trace = append(cs.Trace, w.local...)
 		}
-		t := own.PopBottom()
-		stolen := false
-		if t == nil && nq > 1 {
-			for k := 0; k < nq-1 && t == nil; k++ {
-				if w.probe(fault.SiteSteal) {
-					continue
-				}
-				v := (id + 1 + (rot+k)%(nq-1)) % nq
-				t, _ = rt.deques[v].Steal()
-			}
-			rot++
-			stolen = t != nil
-		}
-		if t == nil {
-			// The failed steal round above is the termination protocol's
-			// confirmation scan: only after probing every queue empty do
-			// we consult the pending counter.
-			if w.quiesced() {
-				break
-			}
-			continue
-		}
-		if stolen {
-			w.noteSteal()
-		}
-		w.probe(fault.SiteExec)
-		if ctl.bad.Load() {
-			break
-		}
-		w.exec(t, ws, stolen)
-		rt.pending.Add(-1)
-		ws.recycle(t)
 	}
+	return cs
 }
 
-// serialSched is the single-threaded scheduler of the degradation path: a
-// plain LIFO stack, no locks, no queues, no injector.
-type serialSched struct {
-	rt    *Runtime
-	stack []*rete.Task
-}
-
-func (s *serialSched) Push(t *rete.Task) {
-	if s.rt.filtered(t.Node.ID) {
-		return
+// drainPoisoned forcibly quiesces a poisoned cycle after all workers have
+// exited: every queued task is discarded (the partial match state is being
+// thrown away anyway), the pending counter is cleared, and the free lists
+// are abandoned (a task on a free list could otherwise alias one that was
+// still queued when the cycle aborted).
+func (rt *Runtime) drainPoisoned() {
+	for _, q := range rt.queues {
+		q.drain()
 	}
-	t.Seq = s.rt.seq.Add(1)
-	s.stack = append(s.stack, t)
+	for _, w := range rt.workers {
+		w.free = nil
+	}
+	rt.pending.Store(0)
 }
-
-// Filtered implements rete.ActivationFilter (see sched.Filtered).
-func (s *serialSched) Filtered(id rete.NodeID) bool { return s.rt.filtered(id) }
 
 // ReplaySerial rebuilds match state from scratch on the calling goroutine:
 // every wme in all is injected and its activation chain run to completion,
@@ -1001,60 +498,26 @@ func (s *serialSched) Filtered(id rete.NodeID) bool { return s.rt.filtered(id) }
 // already have been reset (rete.Network.ResetMatchState) so the replay
 // re-derives them. No fault injector, watchdog, or termination protocol is
 // consulted: a degraded cycle always completes (§2.3's serial semantics are
-// the correctness oracle the parallel policies are measured against).
+// the correctness oracle the parallel policies are measured against). It
+// runs as worker 0 on worker 0's queue, so a recovered cycle is profiled,
+// observed and traced exactly like a one-worker cycle.
 func (rt *Runtime) ReplaySerial(all []*wme.WME) CycleStats {
-	rt.resetCycleCounters()
-	s := &serialSched{rt: rt}
-	cs := CycleStats{Recovered: true, Workers: 1}
-	h := rt.obs
-	// The replay profiles like a one-worker cycle so recovered cycles still
-	// contribute attribution, depth, and granularity data.
-	pw := rt.newWorker(0, rt.ctl, nil)
-	for _, w := range all {
-		rt.nw.Inject(wme.Delta{Op: wme.Add, WME: w}, func(n *rete.BetaNode, ww *wme.WME, op wme.Op) {
-			if rt.filtered(n.ID) {
-				return
+	w := rt.workers[0]
+	w.begin(nil)
+	for _, x := range all {
+		rt.nw.Inject(wme.Delta{Op: wme.Add, WME: x}, func(n *rete.BetaNode, ww *wme.WME, op wme.Op) {
+			// Suppressed activations run inline here, not batched: there
+			// are no other workers to spread them over.
+			if !rt.filtered(n.ID) && !rt.nw.FilterRight(n, op, ww, &w.sched) {
+				w.pushRoot(n, op, ww)
 			}
-			if rt.nw.FilterRight(n, wme.Add, ww, s) {
-				return
-			}
-			s.Push(&rete.Task{Node: n, Dir: rete.DirRight, Op: op, W: ww})
 		})
-		for len(s.stack) > 0 {
-			t := s.stack[len(s.stack)-1]
-			s.stack = s.stack[:len(s.stack)-1]
-			sampling := pw.prof != nil && pw.tasks&int64(pw.sampleMask) == 0
-			var start time.Time
-			if sampling {
-				start = time.Now()
-			}
-			cost := rt.nw.Exec(t, s)
-			cs.Tasks++
-			cs.TotalCost += cost
-			if pw.prof != nil {
-				d := t.Depth + 1
-				pw.profD[rete.DepthBucket(d)]++
-				pw.profC[rete.CostBucket(cost)]++
-				if d > pw.profMax {
-					pw.profMax = d
-				}
-				pw.tasks++
-				if sampling {
-					pw.prof.AddSample(t.Node.ID, time.Since(start).Nanoseconds())
-				}
-			}
-			if h != nil {
-				h.Tasks.Inc()
-				h.TaskCost.Observe(float64(cost))
-			}
-			if rt.cfg.CaptureTrace {
-				cs.Trace = append(cs.Trace, TaskRec{Seq: t.Seq, Parent: t.ParentSeq, Node: t.Node.ID, Kind: t.Node.Kind, Cost: cost, Depth: t.Depth + 1})
-			}
+		for t := w.q.pop(); t != nil; t = w.q.pop() {
+			w.exec(t, false)
 		}
 	}
-	if pw.prof != nil && pw.tasks > 0 {
-		pw.prof.FlushCycleLocal(&pw.profD, &pw.profC, pw.profMax)
-	}
+	cs := rt.collect(1)
+	cs.Recovered = true
 	return cs
 }
 
@@ -1063,9 +526,11 @@ func (rt *Runtime) ReplaySerial(all []*wme.WME) CycleStats {
 // the lock-free WorkStealing policy.
 func (rt *Runtime) QueueLockStats() (spins, acquires uint64) {
 	for _, q := range rt.queues {
-		s, a := q.lock.Stats()
-		spins += s
-		acquires += a
+		if lq, ok := q.(*lockQueue); ok {
+			s, a := lq.lock.Stats()
+			spins += s
+			acquires += a
+		}
 	}
 	return
 }
@@ -1073,6 +538,8 @@ func (rt *Runtime) QueueLockStats() (spins, acquires uint64) {
 // ResetQueueLockStats zeroes the queue-lock counters.
 func (rt *Runtime) ResetQueueLockStats() {
 	for _, q := range rt.queues {
-		q.lock.ResetStats()
+		if lq, ok := q.(*lockQueue); ok {
+			lq.lock.ResetStats()
+		}
 	}
 }

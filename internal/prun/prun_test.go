@@ -56,10 +56,15 @@ func (c *csCount) keys() []string {
 // in one cycle, giving the runtime real parallel work.
 func buildNet(t *testing.T) (*rete.Network, *csCount, []*wme.WME) {
 	t.Helper()
+	return buildNetOpts(t, rete.DefaultOptions())
+}
+
+func buildNetOpts(t *testing.T, opts rete.Options) (*rete.Network, *csCount, []*wme.WME) {
+	t.Helper()
 	tab := value.NewTable()
 	reg := wme.NewRegistry()
 	cs := &csCount{m: map[string]int{}}
-	nw := rete.NewNetwork(tab, reg, cs, rete.DefaultOptions())
+	nw := rete.NewNetwork(tab, reg, cs, opts)
 	src := `
 (p pair (a ^k <k>) (b ^k <k>) --> (make o))
 (p triple (a ^k <k>) (b ^k <k>) (c ^k <k>) --> (make o2))

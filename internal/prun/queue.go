@@ -1,0 +1,76 @@
+package prun
+
+import (
+	"soarpsme/internal/deque"
+	"soarpsme/internal/rete"
+	"soarpsme/internal/spin"
+)
+
+// queue is one task queue — the only thing the three policies differ in.
+// push and pop are the owner's end and steal the thieves' end; pop and
+// steal return nil on an empty queue (or a lost race: the worker loop
+// treats both as "try elsewhere"). drain discards everything queued and is
+// called only while no worker runs.
+type queue interface {
+	push(t *rete.Task)
+	pop() *rete.Task
+	steal() *rete.Task
+	drain()
+}
+
+// lockQueue is PSM-E's task queue: a stack behind a counted spin-lock
+// (Figure 6-3 reads the counts). One shared instance is the SingleQueue
+// policy, one per process MultiQueue. It is LIFO at both ends, like the
+// paper's stack queues, which favors depth-first chain following.
+type lockQueue struct {
+	lock  spin.Lock
+	tasks []*rete.Task
+}
+
+func (q *lockQueue) push(t *rete.Task) {
+	q.lock.Lock()
+	q.tasks = append(q.tasks, t)
+	q.lock.Unlock()
+}
+
+func (q *lockQueue) pop() *rete.Task {
+	q.lock.Lock()
+	n := len(q.tasks)
+	if n == 0 {
+		q.lock.Unlock()
+		return nil
+	}
+	t := q.tasks[n-1]
+	q.tasks = q.tasks[:n-1]
+	q.lock.Unlock()
+	return t
+}
+
+func (q *lockQueue) steal() *rete.Task { return q.pop() }
+
+func (q *lockQueue) drain() {
+	q.lock.Lock()
+	q.tasks = q.tasks[:0]
+	q.lock.Unlock()
+}
+
+// dequeQueue is the WorkStealing policy's queue: a Chase-Lev lock-free
+// deque, owner LIFO and thief FIFO. push and pop are owner-only; the
+// injector may push onto any deque because it runs before the workers.
+type dequeQueue struct{ d *deque.Deque[rete.Task] }
+
+func (q dequeQueue) push(t *rete.Task) { q.d.PushBottom(t) }
+func (q dequeQueue) pop() *rete.Task   { return q.d.PopBottom() }
+
+func (q dequeQueue) steal() *rete.Task {
+	t, _ := q.d.Steal()
+	return t
+}
+
+func (q dequeQueue) drain() {
+	for {
+		if t, retry := q.d.Steal(); t == nil && !retry {
+			return
+		}
+	}
+}

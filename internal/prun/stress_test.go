@@ -2,9 +2,12 @@ package prun
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"soarpsme/internal/fault"
 	"soarpsme/internal/ops5"
+	"soarpsme/internal/rete"
 	"soarpsme/internal/wme"
 )
 
@@ -148,27 +151,123 @@ func TestWorkStealingSeededUpdate(t *testing.T) {
 	}
 }
 
-// TestWorkStealingFreeListRecycles asserts the per-worker free lists
-// survive across cycles and stay bounded.
+// removals is the drain cycle of ws: every wme removed.
+func removals(ws []*wme.WME) []wme.Delta {
+	out := make([]wme.Delta, len(ws))
+	for i, w := range ws {
+		out[i] = wme.Delta{Op: wme.Remove, WME: w}
+	}
+	return out
+}
+
+// TestWorkStealingFreeListRecycles asserts, under every policy, that the
+// per-worker free lists survive across cycles, stay bounded, hold only
+// cleared tasks (a parked task must not pin its token, wme or batch slice),
+// and are abandoned when a poisoned cycle is drained.
 func TestWorkStealingFreeListRecycles(t *testing.T) {
-	nw, _, ws := buildNet(t)
-	rt := New(nw, Config{Processes: 2, Policy: WorkStealing})
-	rt.RunCycle(deltas(ws))
-	freed := 0
-	for _, f := range rt.free {
-		freed += len(f)
+	for _, pol := range allPolicies {
+		t.Run(pol.String(), func(t *testing.T) {
+			nw, _, ws := buildNet(t)
+			rt := New(nw, Config{Processes: 2, Policy: pol})
+			check := func(when string) (freed int) {
+				for _, w := range rt.workers {
+					if len(w.free) > freeListCap {
+						t.Fatalf("%s: worker %d free list over cap: %d", when, w.id, len(w.free))
+					}
+					for _, task := range w.free {
+						if !reflect.DeepEqual(*task, rete.Task{}) {
+							t.Fatalf("%s: worker %d parks a task that was not cleared: %+v", when, w.id, *task)
+						}
+					}
+					freed += len(w.free)
+				}
+				return freed
+			}
+			rt.RunCycle(deltas(ws))
+			first := check("after the add cycle")
+			if first == 0 {
+				t.Fatalf("no tasks recycled into the free lists")
+			}
+			// Every executed task is parked again, so below the cap the
+			// lists only grow (by the tasks a cycle had to allocate).
+			rt.RunCycle(removals(ws))
+			if got := check("after the drain cycle"); got < first {
+				t.Fatalf("free lists shrank across a cycle: %d -> %d", first, got)
+			}
+
+			// A poisoned cycle abandons every list.
+			rt.cfg.Fault = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 3})
+			if st := rt.RunCycle(deltas(ws)); !st.Failed {
+				t.Fatalf("injected panic did not fail the cycle")
+			}
+			if got := check("after a poisoned cycle"); got != 0 {
+				t.Fatalf("drainPoisoned left %d tasks on the free lists", got)
+			}
+			if rt.pending.Load() != 0 {
+				t.Fatalf("drainPoisoned left pending = %d", rt.pending.Load())
+			}
+		})
 	}
-	if freed == 0 {
-		t.Fatalf("no tasks recycled into the free lists")
+}
+
+// traceKey is the part of a TaskRec the simulator's figures are built on.
+type traceKey struct {
+	Seq, Parent int64
+	Node        rete.NodeID
+	Depth       int32
+}
+
+func traceKeys(recs []TaskRec) []traceKey {
+	out := make([]traceKey, len(recs))
+	for i, r := range recs {
+		out[i] = traceKey{r.Seq, r.Parent, r.Node, r.Depth}
 	}
-	var dels []wme.Delta
-	for _, w := range ws {
-		dels = append(dels, wme.Delta{Op: wme.Remove, WME: w})
-	}
-	rt.RunCycle(dels)
-	for i, f := range rt.free {
-		if len(f) > freeListCap {
-			t.Fatalf("worker %d free list over cap: %d", i, len(f))
+	return out
+}
+
+// TestOneProcessPolicyEquivalence pins the invariant the simulator figures
+// rest on: with one match process the three policies are the same LIFO
+// stack, so an injected cycle, a seeded update cycle and a drain cycle
+// execute the identical task sequence — same Seq order, parents, nodes and
+// depths — whichever policy captured it, with unlinking on and off.
+func TestOneProcessPolicyEquivalence(t *testing.T) {
+	for _, unlink := range []bool{true, false} {
+		var ref [][]traceKey
+		for _, pol := range allPolicies {
+			opts := rete.DefaultOptions()
+			opts.Unlink = unlink
+			nw, _, ws := buildNetOpts(t, opts)
+			rt := New(nw, Config{Processes: 1, Policy: pol, CaptureTrace: true})
+			got := [][]traceKey{traceKeys(rt.RunCycle(deltas(ws)).Trace)}
+
+			ast, err := ops5.ParseProduction(`(p seeded-eq (a ^k <k>) (c ^k <k>) --> (make o9))`, nw.Tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, info, err := nw.AddProduction(ast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.SetUpdateFilter(info.FirstNewID)
+			got = append(got, traceKeys(rt.RunSeeded(nw.SeedUpdateTasks(info), ws).Trace))
+			rt.SetUpdateFilter(0)
+			got = append(got, traceKeys(rt.RunCycle(removals(ws)).Trace))
+
+			for i, tr := range got {
+				if len(tr) == 0 {
+					t.Fatalf("unlink=%v %v: cycle %d captured no trace", unlink, pol, i)
+				}
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for i := range got {
+				if !reflect.DeepEqual(got[i], ref[i]) {
+					t.Fatalf("unlink=%v: cycle %d under %v executed a different task sequence than under %v (%d vs %d tasks)",
+						unlink, i, pol, allPolicies[0], len(got[i]), len(ref[i]))
+				}
+			}
 		}
 	}
 }

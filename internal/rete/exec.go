@@ -25,7 +25,7 @@ func (d Dir) String() string {
 }
 
 // Task is one node activation — the unit of parallelism in PSM-E (§2.3).
-// Seq/ParentSeq/Cost are trace metadata filled by the runtime.
+// Seq/ParentSeq are trace metadata filled by the runtime.
 type Task struct {
 	Node *BetaNode
 	Dir  Dir
@@ -43,7 +43,6 @@ type Task struct {
 
 	Seq       int64
 	ParentSeq int64
-	Cost      int64
 	// Depth is the task's position in its dependent activation chain:
 	// injection roots are 0, each emitted child is parent+1. The profiler
 	// reports chain depth as Depth+1 (so a root counts as depth 1).
@@ -66,27 +65,18 @@ func (t *Task) String() string {
 	return fmt.Sprintf("%v %v %v", t.Node, t.Dir, t.Op)
 }
 
-// Scheduler receives the child activations a task produces.
+// Scheduler is what Exec needs from the runtime executing it. For every
+// child activation Exec asks NewTask for a blank task — typically recycled
+// from a per-worker free list — fills it and hands it to Push; NewTask
+// returns nil when the runtime's update filter (the run-time
+// production-addition filter of §5.2) drops activations of node n, so a
+// filtered activation costs neither an allocation nor a Push. Filtered
+// reports that same decision on its own: the unlink fast path must consult
+// it before executing a child activation inline, because an inline
+// execution bypasses NewTask's drop.
 type Scheduler interface {
-	Push(t *Task)
-}
-
-// TaskSource is an optional Scheduler extension for zero-allocation
-// scheduling: NewTask returns a blank task to fill and Push — typically
-// recycled from a per-worker free list — or nil when the runtime's update
-// filter drops activations of node n, in which case Exec skips both the
-// allocation and the Push. Schedulers without a free list simply don't
-// implement it.
-type TaskSource interface {
 	NewTask(n *BetaNode) *Task
-}
-
-// ActivationFilter is an optional Scheduler extension: Filtered reports
-// whether the runtime is currently dropping activations of node n (the
-// run-time production-addition update filter of §5.2). The unlink fast
-// path must consult it before executing a child activation inline, because
-// an inline execution bypasses the scheduler's own Push-time drop.
-type ActivationFilter interface {
+	Push(t *Task)
 	Filtered(n NodeID) bool
 }
 
@@ -123,8 +113,6 @@ type suppRun struct {
 type emitter struct {
 	nw        *Network
 	s         Scheduler
-	src       TaskSource
-	flt       ActivationFilter
 	parentSeq int64
 	depth     int32 // chain depth of the emitting task; children get depth+1
 	emitted   int
@@ -151,7 +139,7 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 		if c.Kind == KindJoinBB && c.RightParent == from {
 			dir = DirRight
 		}
-		if dir == DirLeft && nw.suppressLeft(c) && (em.flt == nil || !em.flt.Filtered(c.ID)) {
+		if dir == DirLeft && nw.suppressLeft(c) && !em.s.Filtered(c.ID) {
 			// Unlink fast path: the child join's right memory is provably
 			// empty, so its own memory insert/remove runs on this goroutine
 			// instead of costing a scheduled task. The run is buffered and
@@ -164,19 +152,15 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 			em.supp = append(em.supp, suppRun{node: c, tok: tok, op: op})
 			continue
 		}
-		// emitted counts filtered children too, keeping the modeled
-		// cost identical to the Push-then-drop schedulers.
+		// emitted counts filtered children too: the modeled cost of a
+		// task does not depend on the update filter.
 		em.emitted++
-		if em.src != nil {
-			ct := em.src.NewTask(c)
-			if ct == nil {
-				continue
-			}
-			*ct = Task{Node: c, Dir: dir, Op: op, Tok: tok, ParentSeq: em.parentSeq, Depth: em.depth + 1}
-			em.s.Push(ct)
+		ct := em.s.NewTask(c)
+		if ct == nil {
 			continue
 		}
-		em.s.Push(&Task{Node: c, Dir: dir, Op: op, Tok: tok, ParentSeq: em.parentSeq, Depth: em.depth + 1})
+		*ct = Task{Node: c, Dir: dir, Op: op, Tok: tok, ParentSeq: em.parentSeq, Depth: em.depth + 1}
+		em.s.Push(ct)
 	}
 }
 
@@ -256,9 +240,7 @@ func (nw *Network) FilterRight(n *BetaNode, op wme.Op, w *wme.WME, s Scheduler) 
 	if !nw.suppressRight(n) {
 		return false
 	}
-	src, _ := s.(TaskSource)
-	flt, _ := s.(ActivationFilter)
-	em := emitter{nw: nw, s: s, src: src, flt: flt}
+	em := emitter{nw: nw, s: s}
 	em.supp = em.suppBuf[:0]
 	nw.Stats.NullSuppressed.Add(1)
 	if n.Kind == KindJoin {
@@ -294,9 +276,7 @@ func (nw *Network) execSuppBatch(batch []SuppRight, em *emitter) int64 {
 // many workers.
 func (nw *Network) Exec(t *Task, s Scheduler) int64 {
 	nw.Stats.Activations.Add(1)
-	src, _ := s.(TaskSource)
-	flt, _ := s.(ActivationFilter)
-	em := emitter{nw: nw, s: s, src: src, flt: flt, parentSeq: t.Seq, depth: t.Depth}
+	em := emitter{nw: nw, s: s, parentSeq: t.Seq, depth: t.Depth}
 	em.supp = em.suppBuf[:0]
 	var cost int64 = CostBetaBase
 

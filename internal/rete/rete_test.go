@@ -17,8 +17,17 @@ type serialSched struct {
 	dropMin NodeID
 }
 
+func (s *serialSched) Filtered(n NodeID) bool { return s.dropMin != 0 && n < s.dropMin }
+
+func (s *serialSched) NewTask(n *BetaNode) *Task {
+	if s.Filtered(n.ID) {
+		return nil
+	}
+	return new(Task)
+}
+
 func (s *serialSched) Push(t *Task) {
-	if s.dropMin != 0 && t.Node.ID < s.dropMin {
+	if s.Filtered(t.Node.ID) {
 		return
 	}
 	s.q = append(s.q, t)
