@@ -146,3 +146,33 @@ func TestSummaryAllShapesHold(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationUnlinkCutsScheduledWork: per task, the filter on schedules no
+// more tasks than the paper's engine and suppresses some null activations;
+// off suppresses none. These counts repeat exactly, which a wall-clock
+// on/off pair does not.
+func TestAblationUnlinkCutsScheduledWork(t *testing.T) {
+	tbl, err := AblationUnlink(sharedLab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(TaskNames)
+	if len(tbl.Rows) != 2*n {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), 2*n)
+	}
+	for i := 0; i < n; i++ {
+		off, on := tbl.Rows[i], tbl.Rows[n+i]
+		if off[0] != on[0] {
+			t.Fatalf("row %d pairs %q with %q", i, off[0], on[0])
+		}
+		if a, b := cellInt(t, on[2]), cellInt(t, off[2]); a > b {
+			t.Errorf("%s: unlink on executed %d tasks, off %d", on[0], a, b)
+		}
+		if s := cellInt(t, on[3]); s <= 0 {
+			t.Errorf("%s: unlink on suppressed %d null activations", on[0], s)
+		}
+		if s := cellInt(t, off[3]); s != 0 {
+			t.Errorf("%s: unlink off suppressed %d null activations", off[0], s)
+		}
+	}
+}

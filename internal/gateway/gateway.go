@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"soarpsme/internal/obs"
@@ -58,6 +59,7 @@ type Gateway struct {
 	owner     map[string]*backend      // session id -> current placement
 	restoring map[string]chan struct{} // closed when the failover restore settles
 	nextID    uint64
+	reqSeq    atomic.Uint64
 
 	quit chan struct{}
 	done chan struct{}
@@ -436,6 +438,14 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, b *backend, path
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return 0
 	}
+	// One id names the request here and at the backend, which puts it in
+	// its log line and error bodies.
+	reqID := serve.InboundRequestID(r)
+	if reqID == "" {
+		reqID = fmt.Sprintf("gw%06d", g.reqSeq.Add(1))
+	}
+	req.Header.Set("X-Request-ID", reqID)
+	w.Header().Set("X-Request-ID", reqID)
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	} else if len(body) > 0 {
@@ -449,7 +459,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, b *backend, path
 		return 0
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", "X-Request-ID"} {
+	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

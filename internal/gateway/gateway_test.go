@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -316,5 +320,99 @@ func TestAllBackendsDown(t *testing.T) {
 			t.Fatalf("gateway never noticed the fleet died (last status %d)", resp.StatusCode)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// lockedBuf is a log sink the backend's handler goroutines and the test
+// can share.
+type lockedBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuf) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuf) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestRequestIDAcrossGateway: one id names a request at the gateway and at
+// the backend. A well-formed client id is kept; with none, or a malformed
+// one, the gateway mints the id — and in every case it is what the backend
+// logs, what its error body carries and what the client reads back.
+func TestRequestIDAcrossGateway(t *testing.T) {
+	var logs lockedBuf
+	backend := httptest.NewServer(serve.New(serve.Config{
+		Workers: 1, Processes: 1,
+		Log: slog.New(slog.NewTextHandler(&logs, nil)),
+	}).Handler())
+	defer backend.Close()
+	g, err := New(Config{Backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	// Reached directly with no id, psmed still mints its own.
+	resp, err := http.Get(backend.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if id := resp.Header.Get("X-Request-ID"); !regexp.MustCompile(`^r\d{6}$`).MatchString(id) {
+		t.Fatalf("direct request with no id: response carries %q, want a backend-minted id", id)
+	}
+
+	minted := regexp.MustCompile(`^gw\d{6}$`)
+	for _, c := range []struct {
+		name, sent string
+		kept       bool
+	}{
+		{"client id", "trace-7f.A_1", true},
+		{"no id", "", false},
+		{"malformed id", "bad id\twith=spaces", false},
+		{"overlong id", strings.Repeat("x", 65), false},
+	} {
+		// A missing session: the 404 error body carries the id too.
+		req, err := http.NewRequest("GET", gw.URL+"/sessions/nope", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.sent != "" {
+			req.Header.Set("X-Request-ID", c.sent)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			RequestID string `json:"request_id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, decode error %v", c.name, resp.StatusCode, err)
+		}
+		id := resp.Header.Get("X-Request-ID")
+		if c.kept && id != c.sent {
+			t.Fatalf("%s: sent %q, response carries %q", c.name, c.sent, id)
+		}
+		if !c.kept && !minted.MatchString(id) {
+			t.Fatalf("%s: sent %q, response carries %q, want a gateway-minted id", c.name, c.sent, id)
+		}
+		if body.RequestID != id {
+			t.Fatalf("%s: error body says %q, header says %q", c.name, body.RequestID, id)
+		}
+		if !strings.Contains(logs.String(), "req="+id+" ") {
+			t.Fatalf("%s: backend log has no line for %q:\n%s", c.name, id, logs.String())
+		}
 	}
 }

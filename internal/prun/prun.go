@@ -452,7 +452,9 @@ func (rt *Runtime) runToQuiescence() CycleStats {
 }
 
 // collect folds the cycle-local counters, profile histograms and trace
-// records of the n workers that ran into the cycle's stats.
+// records of the n workers that ran into the cycle's stats, and publishes
+// the counters to the observer's registry: one Add each per cycle, so the
+// per-task path touches no shared counter.
 func (rt *Runtime) collect(n int) CycleStats {
 	cs := CycleStats{Workers: n}
 	for _, w := range rt.workers[:n] {
@@ -466,6 +468,13 @@ func (rt *Runtime) collect(n int) CycleStats {
 		if w.prof != nil && w.tasks > 0 {
 			w.prof.FlushCycleLocal(&w.profD, &w.profC, w.profMax)
 		}
+	}
+	if h := rt.obs; h != nil {
+		h.Tasks.Add(uint64(cs.Tasks))
+		h.FailedPops.Add(uint64(cs.FailedPops))
+		h.TermProbes.Add(uint64(cs.TermProbes))
+		h.Steals.Add(uint64(cs.Steals))
+		h.Panics.Add(uint64(cs.Panics))
 	}
 	if rt.cfg.CaptureTrace && cs.Tasks > 0 {
 		cs.Trace = make([]TaskRec, 0, cs.Tasks)

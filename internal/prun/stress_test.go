@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"soarpsme/internal/fault"
+	"soarpsme/internal/obs"
 	"soarpsme/internal/ops5"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/wme"
@@ -160,51 +161,89 @@ func removals(ws []*wme.WME) []wme.Delta {
 	return out
 }
 
-// TestWorkStealingFreeListRecycles asserts, under every policy, that the
-// per-worker free lists survive across cycles, stay bounded, hold only
-// cleared tasks (a parked task must not pin its token, wme or batch slice),
-// and are abandoned when a poisoned cycle is drained.
+// TestWorkStealingFreeListRecycles asserts, under every policy at 1, 2 and
+// 4 match processes, that the per-worker free lists survive across cycles,
+// stay bounded, hold only cleared tasks (a parked task must not pin its
+// token, wme or batch slice), and are abandoned when a poisoned cycle is
+// drained — and that across the add, drain, poisoned and serial-replay
+// cycles the observer's registry counters equal the summed CycleStats:
+// collect publishes each counter once per cycle, whatever path ran it.
 func TestWorkStealingFreeListRecycles(t *testing.T) {
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
-			nw, _, ws := buildNet(t)
-			rt := New(nw, Config{Processes: 2, Policy: pol})
-			check := func(when string) (freed int) {
-				for _, w := range rt.workers {
-					if len(w.free) > freeListCap {
-						t.Fatalf("%s: worker %d free list over cap: %d", when, w.id, len(w.free))
-					}
-					for _, task := range w.free {
-						if !reflect.DeepEqual(*task, rete.Task{}) {
-							t.Fatalf("%s: worker %d parks a task that was not cleared: %+v", when, w.id, *task)
-						}
-					}
-					freed += len(w.free)
+			for _, procs := range []int{1, 2, 4} {
+				nw, _, ws := buildNet(t)
+				rt := New(nw, Config{Processes: procs, Policy: pol})
+				h := obs.New().MatchHooks(0)
+				rt.SetObserver(h)
+				var sum CycleStats
+				run := func(st CycleStats) CycleStats {
+					sum.Tasks += st.Tasks
+					sum.FailedPops += st.FailedPops
+					sum.TermProbes += st.TermProbes
+					sum.Steals += st.Steals
+					sum.Panics += st.Panics
+					return st
 				}
-				return freed
-			}
-			rt.RunCycle(deltas(ws))
-			first := check("after the add cycle")
-			if first == 0 {
-				t.Fatalf("no tasks recycled into the free lists")
-			}
-			// Every executed task is parked again, so below the cap the
-			// lists only grow (by the tasks a cycle had to allocate).
-			rt.RunCycle(removals(ws))
-			if got := check("after the drain cycle"); got < first {
-				t.Fatalf("free lists shrank across a cycle: %d -> %d", first, got)
-			}
+				check := func(when string) (freed int) {
+					for _, w := range rt.workers {
+						if len(w.free) > freeListCap {
+							t.Fatalf("procs=%d %s: worker %d free list over cap: %d", procs, when, w.id, len(w.free))
+						}
+						for _, task := range w.free {
+							if !reflect.DeepEqual(*task, rete.Task{}) {
+								t.Fatalf("procs=%d %s: worker %d parks a task that was not cleared: %+v", procs, when, w.id, *task)
+							}
+						}
+						freed += len(w.free)
+					}
+					return freed
+				}
+				run(rt.RunCycle(deltas(ws)))
+				first := check("after the add cycle")
+				if first == 0 {
+					t.Fatalf("procs=%d: no tasks recycled into the free lists", procs)
+				}
+				// Every executed task is parked again, so below the cap the
+				// lists only grow (by the tasks a cycle had to allocate).
+				run(rt.RunCycle(removals(ws)))
+				if got := check("after the drain cycle"); got < first {
+					t.Fatalf("procs=%d: free lists shrank across a cycle: %d -> %d", procs, first, got)
+				}
 
-			// A poisoned cycle abandons every list.
-			rt.cfg.Fault = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 3})
-			if st := rt.RunCycle(deltas(ws)); !st.Failed {
-				t.Fatalf("injected panic did not fail the cycle")
-			}
-			if got := check("after a poisoned cycle"); got != 0 {
-				t.Fatalf("drainPoisoned left %d tasks on the free lists", got)
-			}
-			if rt.pending.Load() != 0 {
-				t.Fatalf("drainPoisoned left pending = %d", rt.pending.Load())
+				// A poisoned cycle abandons every list.
+				rt.cfg.Fault = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 3})
+				if st := run(rt.RunCycle(deltas(ws))); !st.Failed || st.Panics != 1 {
+					t.Fatalf("procs=%d: injected panic gave Failed=%v Panics=%d", procs, st.Failed, st.Panics)
+				}
+				if got := check("after a poisoned cycle"); got != 0 {
+					t.Fatalf("procs=%d: drainPoisoned left %d tasks on the free lists", procs, got)
+				}
+				if rt.pending.Load() != 0 {
+					t.Fatalf("procs=%d: drainPoisoned left pending = %d", procs, rt.pending.Load())
+				}
+
+				// The engine's degradation path: reset, then replay serially.
+				nw.ResetMatchState()
+				if st := run(rt.ReplaySerial(ws)); !st.Recovered || st.Tasks == 0 {
+					t.Fatalf("procs=%d: serial replay gave Recovered=%v Tasks=%d", procs, st.Recovered, st.Tasks)
+				}
+
+				for _, c := range []struct {
+					name      string
+					got, want uint64
+				}{
+					{"match_tasks_total", h.Tasks.Value(), uint64(sum.Tasks)},
+					{"queue_failed_pops_total", h.FailedPops.Value(), uint64(sum.FailedPops)},
+					{"queue_term_probes_total", h.TermProbes.Value(), uint64(sum.TermProbes)},
+					{"queue_steals_total", h.Steals.Value(), uint64(sum.Steals)},
+					{"worker_panics_total", h.Panics.Value(), uint64(sum.Panics)},
+					{"match_task_cost_us count", h.TaskCost.Count(), uint64(sum.Tasks)},
+				} {
+					if c.got != c.want {
+						t.Fatalf("procs=%d: registry %s = %d, summed CycleStats say %d", procs, c.name, c.got, c.want)
+					}
+				}
 			}
 		})
 	}

@@ -84,8 +84,9 @@ func (s *sched) recycle(t *rete.Task) {
 
 // worker is one match process: its scheduler, which persists across cycles
 // (the free list), and per-cycle bookkeeping. Counters are local — no other
-// goroutine touches them while the cycle runs — and folded into CycleStats
-// by collect once the workers have exited.
+// goroutine touches them while the cycle runs — and folded into CycleStats,
+// and from there into the observer's registry, by collect once the workers
+// have exited.
 type worker struct {
 	sched
 	id      int
@@ -164,9 +165,6 @@ func (w *worker) probe(site fault.Site) (drop bool) {
 func (w *worker) recovered() {
 	if r := recover(); r != nil {
 		w.panics++
-		if h := w.h; h != nil {
-			h.Panics.Inc()
-		}
 		w.ctl.poison(fmt.Sprintf("worker %d panic: %v", w.id, r))
 	}
 }
@@ -198,7 +196,6 @@ func (w *worker) exec(t *rete.Task, stolen bool) {
 		}
 	}
 	if h := w.h; h != nil {
-		h.Tasks.Inc()
 		h.TaskCost.Observe(float64(cost))
 		if w.tracing {
 			args := map[string]any{"node": int(t.Node.ID), "seq": t.Seq, "cost-us": cost}
@@ -222,15 +219,9 @@ func (w *worker) exec(t *rete.Task, stolen bool) {
 func (w *worker) quiesced() bool {
 	if w.rt.pending.Load() == 0 {
 		w.termProbes++
-		if w.h != nil {
-			w.h.TermProbes.Inc()
-		}
 		return true
 	}
 	w.failedPops++
-	if w.h != nil {
-		w.h.FailedPops.Inc()
-	}
 	runtime.Gosched()
 	return false
 }
@@ -269,9 +260,6 @@ func (w *worker) run(wg *sync.WaitGroup) {
 		}
 		if stolen {
 			w.steals++
-			if w.h != nil {
-				w.h.Steals.Inc()
-			}
 		}
 		w.probe(fault.SiteExec)
 		if w.ctl.bad.Load() {

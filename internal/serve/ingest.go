@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the canonical batched-ingest workload: a deterministic
-// wme-delta stream every ingest client (psmeload -ingest, the benchkit
-// serve-ingest case, tests) replays identically, so batch sizes are
-// compared on byte-identical work and served fingerprints can be checked
-// against an in-process serial baseline.
+// wme-delta stream every ingest client (psmeload -ingest, tests) replays
+// identically, so batch sizes are compared on byte-identical work and served
+// fingerprints can be checked against an in-process serial baseline.
+// (benchmark/ draws seeded streams of the same shape over the same program.)
 
 // IngestProgram is the embedded OPS5 program ingest sessions run: item
 // adds join against probe adds, so the delta stream exercises real beta

@@ -353,8 +353,9 @@ type errJSON struct {
 // ---- handlers ----
 
 // Handler returns the service mux wrapped in the admission middleware,
-// which assigns every request an ID (echoed in the X-Request-ID header and
-// in error bodies), emits one structured log line and one trace span per
+// which gives every request an ID — the well-formed X-Request-ID it arrived
+// with, else one minted here — echoed in the X-Request-ID header and in
+// error bodies, emits one structured log line and one trace span per
 // request, and refuses everything but /healthz while draining.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -373,7 +374,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/match/flight", s.handleDebugFlight)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.mRequests.Inc()
-		reqID := fmt.Sprintf("r%06d", s.reqSeq.Add(1))
+		reqID := InboundRequestID(r)
+		if reqID == "" {
+			reqID = fmt.Sprintf("r%06d", s.reqSeq.Add(1))
+		}
 		w.Header().Set("X-Request-ID", reqID)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -563,6 +567,19 @@ func validSessionID(id string) bool {
 		}
 	}
 	return true
+}
+
+// InboundRequestID returns the X-Request-ID r arrived with when it obeys the
+// session-id rule, "" otherwise: the header is outside input that ends up in
+// log lines, trace spans and error bodies, and a caller that gets "" mints
+// its own (psmegw does, and forwards it, so one id names the request on both
+// hops). The key is in net/http's canonical spelling, so the lookup is a
+// plain map read.
+func InboundRequestID(r *http.Request) string {
+	if v := r.Header["X-Request-Id"]; len(v) > 0 && validSessionID(v[0]) {
+		return v[0]
+	}
+	return ""
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
