@@ -22,6 +22,8 @@ import (
 
 	"soarpsme/internal/engine"
 	"soarpsme/internal/matchprof"
+	"soarpsme/internal/prun"
+	"soarpsme/internal/rete"
 )
 
 func main() {
@@ -235,7 +237,7 @@ func renderDump(d *matchprof.Dump, top int) {
 		fmt.Printf("  cycle %-6d tasks=%-6d workers=%-2d wall=%.0fus depth<=%d%s\n",
 			c.Cycle, c.Tasks, c.Workers, c.DurUS, maxDepth(c.Trace), status)
 	}
-	fmt.Printf("\n%d trace events on the modeled timeline (load the dump file in chrome://tracing)\n", len(d.Events))
+	fmt.Printf("\n%d trace events (load the dump file in chrome://tracing: wall-clock lanes if a tracer was attached, else the modeled timeline)\n", len(d.Events))
 	if d.Snapshot != nil {
 		fmt.Println()
 		renderSnapshot(d.Snapshot, top)
@@ -246,12 +248,12 @@ func renderDump(d *matchprof.Dump, top int) {
 		tasks int
 		cost  int64
 	}
-	agg := map[uint32]*nodeAgg{}
+	agg := map[rete.NodeID]*nodeAgg{}
 	for _, c := range d.Cycles {
 		for _, t := range c.Trace {
 			a := agg[t.Node]
 			if a == nil {
-				a = &nodeAgg{kind: t.Kind}
+				a = &nodeAgg{kind: t.Kind.String()}
 				agg[t.Node] = a
 			}
 			a.tasks++
@@ -260,7 +262,7 @@ func renderDump(d *matchprof.Dump, top int) {
 	}
 	if len(agg) > 0 {
 		type row struct {
-			id uint32
+			id rete.NodeID
 			*nodeAgg
 		}
 		rows := make([]row, 0, len(agg))
@@ -279,7 +281,7 @@ func renderDump(d *matchprof.Dump, top int) {
 	}
 }
 
-func maxDepth(trace []matchprof.TaskDump) int32 {
+func maxDepth(trace []prun.TaskRec) int32 {
 	var d int32
 	for _, t := range trace {
 		if t.Depth > d {

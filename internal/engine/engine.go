@@ -51,10 +51,9 @@ type Config struct {
 	Deadline time.Duration
 	// Prof, when non-nil, enables match profiling: per-production cost
 	// attribution, chain-depth/granularity histograms, and (unless the
-	// options disable it) the anomaly flight recorder — which forces
-	// runtime trace capture so each cycle's task DAG is retained in the
-	// recorder's ring even when CaptureTrace is off. Per-cycle traces are
-	// only kept on Engine.CycleStats when CaptureTrace itself is set.
+	// options disable it) the anomaly flight recorder, whose ring retains
+	// each cycle's task records. Per-cycle traces are only kept on
+	// Engine.CycleStats when CaptureTrace is set.
 	Prof *matchprof.Options
 	// Budget, when non-nil, is a worker budget shared with other engines in
 	// the same process: each match cycle acquires up to Processes slots from
@@ -171,18 +170,13 @@ func New(cfg Config) *Engine {
 // shared by New (private network) and NewFromImage (shared topology).
 func assemble(tab *value.Table, reg *wme.Registry, nw *rete.Network, cs *conflict.Set, cfg Config) *Engine {
 	var prof *matchprof.Profile
-	capture := cfg.CaptureTrace
 	if cfg.Prof != nil {
 		prof = matchprof.New(nw, *cfg.Prof, cfg.Obs)
-		// The flight recorder needs each cycle's task DAG; trace capture is
-		// cheap (one append per task into a reused buffer) next to match
-		// itself.
-		capture = capture || prof.FlightEnabled()
 	}
 	rt := prun.New(nw, prun.Config{
 		Processes:    cfg.Processes,
 		Policy:       cfg.Policy,
-		CaptureTrace: capture,
+		CaptureTrace: cfg.CaptureTrace,
 		Fault:        cfg.Fault,
 		Deadline:     cfg.Deadline,
 		Budget:       cfg.Budget,
@@ -447,7 +441,7 @@ func (e *Engine) ApplyAndMatch(deltas []wme.Delta) prun.CycleStats {
 		})
 		e.flushContention()
 	}
-	cs = e.endCycleProf(cs, start)
+	cs = e.endCycle(cs, start)
 	e.cycles++
 	e.CycleStats = append(e.CycleStats, cs)
 	if e.AfterCycle != nil {
@@ -456,19 +450,20 @@ func (e *Engine) ApplyAndMatch(deltas []wme.Delta) prun.CycleStats {
 	return cs
 }
 
-// endCycleProf hands a finished cycle to the match profiler. The flight
-// ring keeps the trace; unless the caller asked for traces on CycleStats
-// the engine's own copy is dropped so long-running serving sessions don't
-// accumulate every cycle's task DAG.
-func (e *Engine) endCycleProf(cs prun.CycleStats, start time.Time) prun.CycleStats {
-	if e.Prof == nil {
-		return cs
+// endCycle hands a finished cycle to the match profiler. The runtime keeps
+// the cycle's task records on cs.Trace whenever anything is attached; the
+// flight ring and the tracer hold on to that slice themselves, so unless
+// the caller asked for traces on CycleStats the engine's own reference is
+// dropped and long-running sessions don't accumulate every cycle's task
+// DAG.
+func (e *Engine) endCycle(cs prun.CycleStats, start time.Time) prun.CycleStats {
+	if e.Prof != nil {
+		e.Prof.EndCycle(matchprof.CycleEvent{
+			Cycle: e.cycles,
+			Dur:   time.Since(start),
+			Stats: cs,
+		})
 	}
-	e.Prof.EndCycle(matchprof.CycleEvent{
-		Cycle: e.cycles,
-		Dur:   time.Since(start),
-		Stats: cs,
-	})
 	if !e.cfg.CaptureTrace {
 		cs.Trace = nil
 	}
@@ -842,7 +837,7 @@ func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) 
 			e.flushContention()
 		}
 		e.RT.SetUpdateFilter(0)
-		res.Update = e.endCycleProf(res.Update, ustart)
+		res.Update = e.endCycle(res.Update, ustart)
 		e.UpdateStats = append(e.UpdateStats, res.Update)
 	}
 	e.Additions = append(e.Additions, res)

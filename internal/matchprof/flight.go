@@ -8,38 +8,29 @@ import (
 	"time"
 
 	"soarpsme/internal/obs"
+	"soarpsme/internal/prun"
 )
-
-// TaskDump is one executed task in a dumped cycle trace (prun.TaskRec with
-// the node kind rendered for humans and jq).
-type TaskDump struct {
-	Seq    int64  `json:"seq"`
-	Parent int64  `json:"parent,omitempty"`
-	Node   uint32 `json:"node"`
-	Kind   string `json:"kind"`
-	Cost   int64  `json:"costUS"`
-	Depth  int32  `json:"depth"`
-	Worker int32  `json:"worker"`
-}
 
 // CycleDump is one recorded cycle in a flight dump.
 type CycleDump struct {
-	Cycle     int64      `json:"cycle"`
-	DurUS     float64    `json:"durUS"`
-	Tasks     int        `json:"tasks"`
-	Workers   int        `json:"workers"`
-	Failed    bool       `json:"failed,omitempty"`
-	Recovered bool       `json:"recovered,omitempty"`
-	Reason    string     `json:"reason,omitempty"`
-	Trace     []TaskDump `json:"trace,omitempty"`
+	Cycle     int64          `json:"cycle"`
+	DurUS     float64        `json:"durUS"`
+	Tasks     int            `json:"tasks"`
+	Workers   int            `json:"workers"`
+	Failed    bool           `json:"failed,omitempty"`
+	Recovered bool           `json:"recovered,omitempty"`
+	Reason    string         `json:"reason,omitempty"`
+	Trace     []prun.TaskRec `json:"trace,omitempty"`
 }
 
 // Dump is a flight-recorder dump: the retained cycles around an anomaly,
-// rendered both structurally (Cycles) and as Chrome trace events on a
-// modeled timeline (TraceEvents — per-task wall timestamps are too
-// expensive to record, so each worker lane replays its tasks back to back
-// at their modeled cost). The top-level JSON object is directly loadable in
-// chrome://tracing / Perfetto, which treat the extra keys as metadata.
+// rendered both structurally (Cycles) and as Chrome trace events
+// (TraceEvents, by the same renderer as the live tracer: wall-clock lanes
+// when every retained task was timed — a tracer was attached — and
+// otherwise a modeled timeline, each worker lane replaying its tasks back
+// to back at their modeled cost). The top-level JSON object is directly
+// loadable in chrome://tracing / Perfetto, which treat the extra keys as
+// metadata.
 type Dump struct {
 	Reason    string      `json:"reason"`
 	Session   string      `json:"session,omitempty"`
@@ -54,7 +45,7 @@ type Dump struct {
 
 // tripLocked assembles a dump from the ring (oldest first), publishes it as
 // the profile's last dump, and writes it to FlightDir when configured.
-// Callers hold p.mu; the snapshot harvest only reads atomics.
+// Callers hold p.mu; the snapshot harvest takes only rete.Prof's own lock.
 func (p *Profile) tripLocked(reason string, cycle int64) *Dump {
 	d := &Dump{
 		Reason:    reason,
@@ -62,13 +53,17 @@ func (p *Profile) tripLocked(reason string, cycle int64) *Dump {
 		TrippedAt: time.Now().UTC().Format(time.RFC3339Nano),
 		Cycle:     cycle,
 	}
+	// Wall-clock lanes only if every retained record was timed: a sampled
+	// record here and there must not scatter cycles across two timebases.
+	wall := true
 	for i := 0; i < p.ringN; i++ {
-		// ring[head] is the next slot to overwrite = the oldest entry once
-		// the ring has wrapped; before wrap the oldest is slot 0.
-		idx := (p.head + len(p.ring) - p.ringN + i) % len(p.ring)
-		d.Cycles = append(d.Cycles, cycleDump(p.ring[idx]))
+		ev := p.retained(i)
+		d.Cycles = append(d.Cycles, cycleDump(ev))
+		for j := range ev.Stats.Trace {
+			wall = wall && ev.Stats.Trace[j].Start != 0
+		}
 	}
-	d.Events = modelEvents(d.Cycles)
+	d.Events = p.ringEvents(wall)
 	d.Snapshot = p.buildSnapshot(p.session, p.cycles)
 	p.mTrips.Inc()
 	if p.opts.FlightDir != "" {
@@ -95,8 +90,15 @@ func (p *Profile) LastDump() *Dump {
 	return p.lastDump
 }
 
-func cycleDump(ev CycleEvent) CycleDump {
-	cd := CycleDump{
+// retained returns the i-th oldest cycle in the ring. ring[head] is the next
+// slot to overwrite = the oldest entry once the ring has wrapped; before
+// wrap the oldest is slot 0.
+func (p *Profile) retained(i int) *CycleEvent {
+	return &p.ring[(p.head+len(p.ring)-p.ringN+i)%len(p.ring)]
+}
+
+func cycleDump(ev *CycleEvent) CycleDump {
+	return CycleDump{
 		Cycle:     ev.Cycle,
 		DurUS:     float64(ev.Dur) / float64(time.Microsecond),
 		Tasks:     ev.Stats.Tasks,
@@ -104,59 +106,44 @@ func cycleDump(ev CycleEvent) CycleDump {
 		Failed:    ev.Stats.Failed,
 		Recovered: ev.Stats.Recovered,
 		Reason:    ev.Stats.Reason,
+		Trace:     ev.Stats.Trace,
 	}
-	for _, tr := range ev.Stats.Trace {
-		cd.Trace = append(cd.Trace, TaskDump{
-			Seq:    tr.Seq,
-			Parent: tr.Parent,
-			Node:   uint32(tr.Node),
-			Kind:   tr.Kind.String(),
-			Cost:   tr.Cost,
-			Depth:  tr.Depth,
-			Worker: tr.Worker,
-		})
-	}
-	return cd
 }
 
-// modelEvents renders the recorded cycles on a modeled timeline: within a
-// cycle each worker lane (tid = worker+1) plays its tasks back to back at
-// their modeled µs cost; cycles are laid end to end with a separator gap,
-// and each gets a bracketing span on tid 0. Deterministic — the same ring
-// always renders the same trace.
-func modelEvents(cycles []CycleDump) []obs.Event {
+// ringEvents renders the retained cycles through the runtime's one span
+// renderer and brackets each with a cycle span on tid 0. On the modeled
+// timeline cycles are laid end to end with a separator gap, so the same
+// ring always renders the same trace; on the wall-clock one they sit where
+// they ran, in µs on the process clock.
+func (p *Profile) ringEvents(wall bool) []obs.Event {
 	var evs []obs.Event
-	var base float64
-	const gap = 100 // µs between cycles, purely visual
-	for _, c := range cycles {
-		laneEnd := map[int32]float64{}
-		var cycEnd float64
-		for _, t := range c.Trace {
-			ts := base + laneEnd[t.Worker]
-			dur := float64(t.Cost)
-			evs = append(evs, obs.Event{
-				Name: fmt.Sprintf("%s#%d", t.Kind, t.Node),
-				Cat:  "task",
-				Ph:   "X",
-				Ts:   ts,
-				Dur:  dur,
-				Pid:  0,
-				Tid:  int(t.Worker) + 1,
-				Args: map[string]any{"seq": t.Seq, "parent": t.Parent, "depth": t.Depth, "cycle": c.Cycle},
-			})
-			laneEnd[t.Worker] += dur
-			if laneEnd[t.Worker] > cycEnd {
-				cycEnd = laneEnd[t.Worker]
+	var end float64 // where the previous cycle ended
+	const gap = 100 // µs between modeled cycles, purely visual
+	for i := 0; i < p.ringN; i++ {
+		c := p.retained(i)
+		base, n0 := end, len(evs)
+		if wall {
+			base = 0
+		}
+		evs = prun.AppendSpans(evs, c.Stats.Trace, 0, base, wall)
+		lo, hi := end, end
+		for j, e := range evs[n0:] {
+			if j == 0 || e.Ts < lo {
+				lo = e.Ts
 			}
+			hi = max(hi, e.Ts+e.Dur)
 		}
 		name := fmt.Sprintf("cycle %d", c.Cycle)
-		args := map[string]any{"tasks": c.Tasks, "workers": c.Workers, "wall-us": c.DurUS}
-		if c.Reason != "" {
-			args["reason"] = c.Reason
-			name += " [" + c.Reason + "]"
+		args := map[string]any{"tasks": c.Stats.Tasks, "workers": c.Stats.Workers, "wall-us": float64(c.Dur) / float64(time.Microsecond)}
+		if c.Stats.Reason != "" {
+			args["reason"] = c.Stats.Reason
+			name += " [" + c.Stats.Reason + "]"
 		}
-		evs = append(evs, obs.Event{Name: name, Cat: "cycle", Ph: "X", Ts: base, Dur: cycEnd, Pid: 0, Tid: 0, Args: args})
-		base += cycEnd + gap
+		evs = append(evs, obs.Event{Name: name, Cat: "cycle", Ph: "X", Ts: lo, Dur: hi - lo, Pid: 0, Tid: 0, Args: args})
+		end = hi
+		if !wall {
+			end += gap
+		}
 	}
 	return evs
 }
@@ -185,19 +172,4 @@ func ReadDump(path string) (*Dump, error) {
 		return nil, fmt.Errorf("matchprof: %s: %w", path, err)
 	}
 	return &d, nil
-}
-
-// RingStats reports the flight ring's occupancy and the summed retained
-// trace lengths (tests use it to verify wraparound retention).
-func (p *Profile) RingStats() (cycles, tasks int) {
-	if p == nil {
-		return 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := 0; i < p.ringN; i++ {
-		idx := (p.head + len(p.ring) - p.ringN + i) % len(p.ring)
-		tasks += len(p.ring[idx].Stats.Trace)
-	}
-	return p.ringN, tasks
 }

@@ -1,13 +1,15 @@
-// Package matchprof is the match profiling subsystem: always-cheap
-// per-node cost attribution (collected by rete/prun while matching) rolled
-// up at harvest time into ranked per-production tables, chain-depth and
+// Package matchprof is the match profiling subsystem: per-node cost
+// attribution (folded from each cycle's task records by prun) rolled up at
+// harvest time into ranked per-production tables, chain-depth and
 // task-granularity histograms — the paper's Figure 6 inputs, live — plus an
-// anomaly flight recorder that keeps the last N cycles' task traces and
+// anomaly flight recorder that keeps the last N cycles' task records and
 // dumps them when a cycle fails, recovers, or breaches the latency SLO.
 //
-// Layering: rete owns the hot-path counters (rete.Prof); this package owns
-// interpretation — production attribution, snapshots, the flight recorder,
-// SLO tracking — and the serving layer exposes it at /debug/match.
+// Layering: rete owns the record and the storage it folds into
+// (rete.TaskRec, rete.Prof); prun appends one record per task and folds
+// them after each cycle; this package owns interpretation — production
+// attribution, snapshots, the flight recorder, SLO tracking — and the
+// serving layer exposes it at /debug/match.
 package matchprof
 
 import (
@@ -24,11 +26,12 @@ import (
 type Options struct {
 	// SampleEvery wall-clock samples one task in N per worker (rounded down
 	// to a power of two; 0 means 64). Sampling estimates real task latency
-	// without two clock reads per task.
+	// without a clock read per task; with a tracer attached every task is
+	// timed anyway and every one is a sample.
 	SampleEvery int
 	// FlightCycles is the flight-recorder ring size: the last N cycles'
-	// full task traces are retained for anomaly dumps. 0 means 16; negative
-	// disables the recorder (and the runtime's trace capture with it).
+	// task records are retained for anomaly dumps. 0 means 16; negative
+	// disables the recorder.
 	FlightCycles int
 	// FlightDir, when non-empty, is where anomaly dumps are written as
 	// matchflight-*.json files. Empty keeps dumps in memory only (still
@@ -53,13 +56,13 @@ type CycleEvent struct {
 	Cycle int64
 	// Dur is the cycle's wall-clock duration.
 	Dur time.Duration
-	// Stats is the runtime's cycle summary; Stats.Trace (captured when the
-	// flight recorder is on) is retained by the ring until overwritten.
+	// Stats is the runtime's cycle summary; Stats.Trace, the cycle's task
+	// records, is retained by the ring until overwritten.
 	Stats prun.CycleStats
 }
 
-// Profile is one engine's match profiler: the bridge between the hot-path
-// counters in rete.Prof and everything that reads them.
+// Profile is one engine's match profiler: the bridge between the cells
+// prun folds into rete.Prof and everything that reads them.
 type Profile struct {
 	nw   *rete.Network
 	np   *rete.Prof
@@ -86,12 +89,10 @@ type Profile struct {
 	dumpSeq  int64
 }
 
-// New builds a Profile for nw and installs its hot-path counters on the
-// network. Must be called before any cycle runs. o may be nil.
+// New builds a Profile for nw and installs its attribution cells on the
+// network, which is what makes any runtime driving nw record its tasks.
+// Must be called before any cycle runs. o may be nil.
 func New(nw *rete.Network, opts Options, o *obs.Observer) *Profile {
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 64
-	}
 	if opts.FlightCycles == 0 {
 		opts.FlightCycles = 16
 	}
@@ -122,10 +123,6 @@ func New(nw *rete.Network, opts Options, o *obs.Observer) *Profile {
 	return p
 }
 
-// FlightEnabled reports whether the flight recorder retains cycle traces —
-// the engine forces runtime trace capture when it does.
-func (p *Profile) FlightEnabled() bool { return p != nil && p.ring != nil }
-
 // SetSession labels the profile's snapshots and dumps (the serving layer
 // sets the session ID; CLIs leave it empty).
 func (p *Profile) SetSession(s string) {
@@ -146,7 +143,7 @@ func (p *Profile) EndCycle(ev CycleEvent) *Dump {
 	if p == nil {
 		return nil
 	}
-	if d := p.np.TakeCycleDepth(); d > 0 {
+	if d := ev.Stats.MaxDepth; d > 0 {
 		p.mDepth.Observe(float64(d))
 	}
 	p.mu.Lock()
@@ -210,19 +207,10 @@ func (p *Profile) p99Locked() time.Duration {
 	return tmp[i-1]
 }
 
-// Cycles returns the number of cycles ingested.
-func (p *Profile) Cycles() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cycles
-}
-
 // ---- snapshots ----
 
-// Totals sums attribution counters over a set of nodes.
+// Totals sums attribution counters over a set of nodes (rete.ProfCell with
+// JSON names).
 type Totals struct {
 	Acts     int64 `json:"acts"`
 	Emitted  int64 `json:"emitted"`
@@ -232,16 +220,7 @@ type Totals struct {
 	Samples  int64 `json:"samples"`
 }
 
-func (t *Totals) add(c rete.ProfCellSnap) {
-	t.Acts += c.Acts
-	t.Emitted += c.Emitted
-	t.Nulls += c.Nulls
-	t.Cost += c.Cost
-	t.SampleNS += c.SampleNS
-	t.Samples += c.Samples
-}
-
-func (t *Totals) addTotals(o Totals) {
+func (t *Totals) add(o Totals) {
 	t.Acts += o.Acts
 	t.Emitted += o.Emitted
 	t.Nulls += o.Nulls
@@ -285,8 +264,7 @@ type ProdCost struct {
 
 // Snapshot is a point-in-time harvest of the profile: ranked hot
 // productions, global histograms, and totals. Safe to take while cycles
-// run — counters are read atomically, so a snapshot is consistent per
-// counter, not across counters.
+// run — it reads the counters as of a cycle boundary.
 type Snapshot struct {
 	Session string `json:"session,omitempty"`
 	Taken   string `json:"taken"`
@@ -322,13 +300,11 @@ func (p *Profile) Snapshot() *Snapshot {
 	return p.buildSnapshot(session, cycles)
 }
 
-// buildSnapshot does the harvest without touching p.mu (the counters it
-// reads are atomics and the network's production list takes its own lock),
-// so tripLocked can call it while holding the mutex.
+// buildSnapshot does the harvest without touching p.mu (the counters and
+// the network's production list each take their own lock), so tripLocked
+// can call it while holding the mutex.
 func (p *Profile) buildSnapshot(session string, cycles int64) *Snapshot {
-	cells := p.np.Cells()
-	depth := p.np.DepthHist()
-	cost := p.np.CostHist()
+	cells, depth, cost := p.np.Snapshot()
 
 	s := &Snapshot{
 		Session:   session,
@@ -384,21 +360,30 @@ func (p *Profile) buildSnapshot(session string, cycles int64) *Snapshot {
 		op.pc.Nodes = len(op.nodes)
 		for _, id := range op.nodes {
 			if int(id) < len(cells) {
-				op.pc.Totals.add(cells[id])
+				op.pc.Totals.add(Totals(cells[id]))
 				claimed[id] = true
 			}
 		}
 	}
 	for id := range cells {
-		c := cells[id]
+		c := Totals(cells[id])
 		s.Totals.add(c)
 		if !claimed[id] {
 			s.Unattributed.add(c)
 		}
 	}
-	s.NullRate = s.Totals.NullRate()
+	pcs := make([]ProdCost, len(owned))
 	for i := range owned {
-		pc := owned[i].pc
+		pcs[i] = owned[i].pc
+	}
+	return s.rank(pcs)
+}
+
+// rank fills in the snapshot's derived rates and its Productions: those of
+// pcs that saw any activity, by attributed modeled cost, descending.
+func (s *Snapshot) rank(pcs []ProdCost) *Snapshot {
+	s.NullRate = s.Totals.NullRate()
+	for _, pc := range pcs {
 		if pc.Totals.Acts == 0 && pc.Totals.Cost == 0 {
 			continue
 		}
@@ -464,8 +449,8 @@ func Merge(snaps []*Snapshot) *Snapshot {
 		if s.Nodes > out.Nodes {
 			out.Nodes = s.Nodes
 		}
-		out.Totals.addTotals(s.Totals)
-		out.Unattributed.addTotals(s.Unattributed)
+		out.Totals.add(s.Totals)
+		out.Unattributed.add(s.Unattributed)
 		for i, v := range s.DepthHist {
 			if i < len(out.DepthHist) {
 				out.DepthHist[i] += v
@@ -483,7 +468,7 @@ func Merge(snaps []*Snapshot) *Snapshot {
 				byName[pc.Name] = &cp
 				continue
 			}
-			agg.Totals.addTotals(pc.Totals)
+			agg.Totals.add(pc.Totals)
 			if pc.ChainDepth > agg.ChainDepth {
 				agg.ChainDepth = pc.ChainDepth
 			}
@@ -493,23 +478,9 @@ func Merge(snaps []*Snapshot) *Snapshot {
 			agg.Restructured = agg.Restructured || pc.Restructured
 		}
 	}
-	out.NullRate = out.Totals.NullRate()
+	pcs := make([]ProdCost, 0, len(byName))
 	for _, pc := range byName {
-		pc.NullRate = pc.Totals.NullRate()
-		if out.Totals.Cost > 0 {
-			pc.CostShare = float64(pc.Totals.Cost) / float64(out.Totals.Cost)
-		}
-		if pc.Totals.Samples > 0 {
-			pc.MeanTaskNS = float64(pc.Totals.SampleNS) / float64(pc.Totals.Samples)
-		}
-		out.Productions = append(out.Productions, *pc)
+		pcs = append(pcs, *pc)
 	}
-	sort.Slice(out.Productions, func(i, j int) bool {
-		a, b := out.Productions[i], out.Productions[j]
-		if a.Totals.Cost != b.Totals.Cost {
-			return a.Totals.Cost > b.Totals.Cost
-		}
-		return a.Name < b.Name
-	})
-	return out
+	return out.rank(pcs)
 }

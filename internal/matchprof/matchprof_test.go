@@ -1,30 +1,40 @@
 package matchprof_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"soarpsme/internal/engine"
+	"soarpsme/internal/fault"
 	"soarpsme/internal/matchprof"
 	"soarpsme/internal/obs"
+	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/serve"
 	"soarpsme/internal/tasks/cypress"
 )
 
-// driveCypress runs a profiled engine through the cypress workload exactly
-// as a served session would (chunking on), returning the engine.
-func driveCypress(t *testing.T, procs, cycles int, opts *matchprof.Options) (*engine.Engine, []string) {
-	t.Helper()
-	sys := cypress.Generate(cypress.DefaultParams())
+// profiled is the engine configuration of a profiled session.
+func profiled(procs int, opts *matchprof.Options) engine.Config {
 	ec := engine.DefaultConfig()
 	ec.Processes = procs
 	ec.Prof = opts
+	return ec
+}
+
+// driveCypress runs an engine through the cypress workload exactly as a
+// served session would (chunking on), returning the engine. each, when
+// non-nil, runs after every driver cycle and its chunk additions.
+func driveCypress(t *testing.T, ec engine.Config, cycles int, each func(e *engine.Engine)) (*engine.Engine, []string) {
+	t.Helper()
+	sys := cypress.Generate(cypress.DefaultParams())
 	e := engine.New(ec)
 	if err := e.LoadProgram(sys.Source); err != nil {
 		t.Fatal(err)
@@ -45,12 +55,16 @@ func driveCypress(t *testing.T, procs, cycles int, opts *matchprof.Options) (*en
 			next++
 		}
 		fps = append(fps, serve.Fingerprint(e))
+		if each != nil {
+			each(e)
+		}
 	}
 	return e, fps
 }
 
 // Profiling must not perturb match results: the per-cycle conflict-set
-// fingerprints of profiled runs at 1, 4, and 13 processes are byte-identical
+// fingerprints of profiled runs at 1, 4, and 13 processes — and of one with
+// a tracer attached as well, where every task is timed — are byte-identical
 // to the unprofiled solo serial reference.
 func TestConformanceWithProfiling(t *testing.T) {
 	const cycles = 40
@@ -58,10 +72,19 @@ func TestConformanceWithProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, procs := range []int{1, 4, 13} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+	for _, in := range []struct {
+		procs int
+		obs   *obs.Observer
+	}{{1, nil}, {4, nil}, {13, nil}, {4, obs.New()}} {
+		procs, name := in.procs, fmt.Sprintf("procs=%d", in.procs)
+		if in.obs != nil {
+			name += "+obs"
+		}
+		t.Run(name, func(t *testing.T) {
 			// Aggressive sampling so the sampled path itself is exercised.
-			e, got := driveCypress(t, procs, cycles, &matchprof.Options{SampleEvery: 2})
+			ec := profiled(procs, &matchprof.Options{SampleEvery: 2})
+			ec.Obs = in.obs
+			e, got := driveCypress(t, ec, cycles, nil)
 			for cyc := range want {
 				if got[cyc] != want[cyc] {
 					t.Fatalf("procs=%d cycle %d: fingerprint diverged with profiling on\n got %q\nwant %q",
@@ -74,6 +97,16 @@ func TestConformanceWithProfiling(t *testing.T) {
 			}
 			if len(snap.Productions) == 0 {
 				t.Fatal("no productions attributed")
+			}
+			// SampleEvery is a rate, not "the first task of every cycle":
+			// each worker times every second task it executes, counted
+			// across cycles. A tracer times them all.
+			lo, hi := snap.Totals.Acts/2-int64(procs), snap.Totals.Acts/2
+			if in.obs != nil {
+				lo, hi = snap.Totals.Acts, snap.Totals.Acts
+			}
+			if n := snap.Totals.Samples; n < lo || n > hi {
+				t.Fatalf("%d wall-clock samples over %d activations, want %d..%d", n, snap.Totals.Acts, lo, hi)
 			}
 		})
 	}
@@ -153,22 +186,22 @@ func TestBilinearAttributionCoversRightChains(t *testing.T) {
 // wrapping, oldest first, each with its full task trace.
 func TestFlightRingWraparound(t *testing.T) {
 	const ringSize, cycles = 4, 10
-	e, _ := driveCypress(t, 2, cycles, &matchprof.Options{FlightCycles: ringSize})
-	gotCycles, gotTasks := e.Prof.RingStats()
-	if gotCycles != ringSize {
-		t.Fatalf("ring holds %d cycles, want %d", gotCycles, ringSize)
-	}
+	e, _ := driveCypress(t, profiled(2, &matchprof.Options{FlightCycles: ringSize}), cycles, nil)
 	wantTasks := 0
 	for _, cs := range e.CycleStats[cycles-ringSize:] {
 		wantTasks += cs.Tasks
-	}
-	if gotTasks != wantTasks {
-		t.Fatalf("ring retains %d trace tasks, want %d (last %d cycles)", gotTasks, wantTasks, ringSize)
 	}
 
 	d := e.Prof.Trip("test trip")
 	if d == nil || len(d.Cycles) != ringSize {
 		t.Fatalf("dump has %d cycles, want %d", len(d.Cycles), ringSize)
+	}
+	gotTasks := 0
+	for _, cd := range d.Cycles {
+		gotTasks += len(cd.Trace)
+	}
+	if gotTasks != wantTasks {
+		t.Fatalf("ring retains %d trace tasks, want %d (last %d cycles)", gotTasks, wantTasks, ringSize)
 	}
 	for i, cd := range d.Cycles {
 		if want := int64(cycles - ringSize + i); cd.Cycle != want {
@@ -179,7 +212,7 @@ func TestFlightRingWraparound(t *testing.T) {
 		}
 	}
 	if len(d.Events) == 0 {
-		t.Fatal("dump has no modeled trace events")
+		t.Fatal("dump has no trace events")
 	}
 	if e.Prof.LastDump() != d {
 		t.Fatal("LastDump does not return the trip's dump")
@@ -189,7 +222,7 @@ func TestFlightRingWraparound(t *testing.T) {
 // A dump written to disk must read back equivalent to the in-memory one.
 func TestDumpRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e, _ := driveCypress(t, 2, 6, &matchprof.Options{FlightCycles: 4, FlightDir: dir})
+	e, _ := driveCypress(t, profiled(2, &matchprof.Options{FlightCycles: 4, FlightDir: dir}), 6, nil)
 	d := e.Prof.Trip("round trip")
 	if d.Path == "" {
 		t.Fatal("dump was not written to FlightDir")
@@ -208,7 +241,8 @@ func TestDumpRoundTrip(t *testing.T) {
 }
 
 // Harvesting must be safe while cycles run: goroutines hammer Snapshot,
-// RingStats, and LastDump against a live engine. Run with -race.
+// Trip (which reads the whole ring) and LastDump against a live engine. Run
+// with -race.
 func TestConcurrentHarvest(t *testing.T) {
 	sys := cypress.Generate(cypress.DefaultParams())
 	ec := engine.DefaultConfig()
@@ -237,7 +271,7 @@ func TestConcurrentHarvest(t *testing.T) {
 					t.Error("nil snapshot")
 					return
 				}
-				e.Prof.RingStats()
+				e.Prof.Trip("harvest")
 				e.Prof.LastDump()
 			}
 		}()
@@ -331,4 +365,104 @@ func TestServeDebugMatchConcurrent(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// The fold is checked against counters it does not feed: rete's own
+// NetStats, bumped inside Exec, and the runtime's task counter. After a
+// cypress drive with chunk additions and one worker panic — a poisoned
+// cycle, whose executed tasks still count, and its serial replay — every
+// activation, null activation and (until the replay, whose inline
+// FilterRight emits outside any task) emitted token must be in exactly one
+// cell, one depth bucket, one granularity bucket and one
+// match_task_cost_us observation.
+func TestFoldMatchesNetStats(t *testing.T) {
+	for _, pol := range []prun.Policy{prun.SingleQueue, prun.MultiQueue, prun.WorkStealing} {
+		for _, procs := range []int{1, 2, 4, 13} {
+			t.Run(fmt.Sprintf("%v/procs=%d", pol, procs), func(t *testing.T) {
+				o := obs.New()
+				ec := profiled(procs, &matchprof.Options{SampleEvery: 4})
+				ec.Policy, ec.Obs = pol, o
+				ec.Fault = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 60})
+				replayed := false
+				sum := func(h []int64) (n int64) {
+					for _, v := range h {
+						n += v
+					}
+					return n
+				}
+				check := func(e *engine.Engine) {
+					t.Helper()
+					for _, cs := range append(e.CycleStats[len(e.CycleStats)-1:], e.UpdateStats...) {
+						replayed = replayed || cs.Recovered
+					}
+					s, st := e.Prof.Snapshot(), &e.NW.Stats
+					if got, want := s.Totals.Acts, st.Activations.Load(); got != want {
+						t.Fatalf("cycle %d: folded %d activations, Exec ran %d", e.Cycles(), got, want)
+					}
+					if got, want := s.Totals.Nulls, st.NullActs.Load(); got != want {
+						t.Fatalf("cycle %d: folded %d null activations, Exec saw %d", e.Cycles(), got, want)
+					}
+					if got, want := s.Totals.Emitted, st.TokensEmitted.Load(); !replayed && got != want {
+						t.Fatalf("cycle %d: folded %d emitted tokens, Exec emitted %d", e.Cycles(), got, want)
+					}
+					if d, c := sum(s.DepthHist), sum(s.CostHist); d != s.Totals.Acts || c != s.Totals.Acts {
+						t.Fatalf("cycle %d: depth histogram holds %d tasks, granularity %d, cells %d", e.Cycles(), d, c, s.Totals.Acts)
+					}
+					if got, want := o.Histogram("match_task_cost_us").Count(), o.Counter("match_tasks_total").Value(); got != want || int64(got) != s.Totals.Acts {
+						t.Fatalf("cycle %d: match_task_cost_us holds %d observations for %d tasks, %d folded", e.Cycles(), got, want, s.Totals.Acts)
+					}
+				}
+				e, _ := driveCypress(t, ec, 40, check)
+				if !replayed {
+					t.Fatal("the planned panic poisoned no cycle: the serial replay went unchecked")
+				}
+				if s := e.Prof.Snapshot().Totals; s.Samples == 0 || s.Samples != s.Acts {
+					t.Fatalf("with a tracer attached every task is timed: %d samples for %d activations", s.Samples, s.Acts)
+				}
+			})
+		}
+	}
+}
+
+// One renderer: the task spans a reader gets from the live tracer and from
+// a flight dump of the same cycles are the same spans.
+func TestTracerAndFlightDumpRenderTheSameSpans(t *testing.T) {
+	o := obs.New()
+	ec := profiled(2, &matchprof.Options{FlightCycles: 64})
+	ec.Obs = o
+	e, _ := driveCypress(t, ec, 10, nil)
+	type span struct {
+		name string
+		tid  int
+		seq  float64
+	}
+	spans := func(evs []obs.Event) map[span]int {
+		m := map[span]int{}
+		for _, ev := range evs {
+			if ev.Cat == "task" {
+				m[span{ev.Name, ev.Tid, ev.Args["seq"].(float64)}]++
+			}
+		}
+		return m
+	}
+	decode := func(b []byte) (evs []obs.Event) {
+		t.Helper()
+		if err := json.Unmarshal(b, &evs); err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	var buf bytes.Buffer
+	if err := o.Trc.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	live := spans(decode(buf.Bytes()))
+	dumped, err := json.Marshal(e.Prof.Trip("compare").Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight := spans(decode(dumped))
+	if len(live) == 0 || !reflect.DeepEqual(live, flight) {
+		t.Fatalf("tracer renders %d distinct task spans, flight dump %d; want the same multiset", len(live), len(flight))
+	}
 }

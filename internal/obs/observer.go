@@ -52,10 +52,11 @@ func (o *Observer) Tracer() *Tracer {
 	return o.Trc
 }
 
-// MatchHooks is the pre-resolved hot-path instrumentation handed to the
-// parallel match runtime: the per-task path touches plain pointers instead
-// of doing registry lookups. A nil *MatchHooks disables match
-// instrumentation entirely (one pointer test per task).
+// MatchHooks is the pre-resolved instrumentation handed to the parallel
+// match runtime. Nothing here is touched per task: the runtime records its
+// tasks and publishes counters, cost observations and the cycle's spans
+// once per cycle, after the workers have exited. A nil *MatchHooks
+// disables match instrumentation entirely.
 type MatchHooks struct {
 	// Tasks counts executed match tasks (match_tasks_total).
 	Tasks *Counter
@@ -83,8 +84,10 @@ type MatchHooks struct {
 	// Injected counts faults fired by the internal/fault injector
 	// (faults_injected_total).
 	Injected *Counter
-	// Trc, when non-nil, receives one complete span per executed task on
-	// the worker's lane plus steal instants.
+	// Trc, when non-nil, retains each cycle's task records as one lazy
+	// Batch, rendered as one span per task on the worker's lane (tid =
+	// worker+1) only when the trace is read. Its presence is also what
+	// makes the runtime time every task instead of a sample.
 	Trc *Tracer
 	// Pid is the trace process lane the match goroutines render under.
 	Pid int

@@ -92,17 +92,26 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveEach(1, func(int) float64 { return v }) }
+
+// ObserveEach records the n values value(0) … value(n-1), touching the
+// shared count and sum once for the lot: the once-per-cycle form the match
+// runtime folds its task costs through.
+func (h *Histogram) ObserveEach(n int, value func(i int) float64) {
+	if h == nil || n <= 0 {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	var sum float64
+	for i := 0; i < n; i++ {
+		v := value(i)
+		h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+		sum += v
+	}
+	h.count.Add(uint64(n))
 	for {
 		old := h.sum.Load()
 		cur := math.Float64frombits(old)
-		if h.sum.CompareAndSwap(old, math.Float64bits(cur+v)) {
+		if h.sum.CompareAndSwap(old, math.Float64bits(cur+sum)) {
 			return
 		}
 	}

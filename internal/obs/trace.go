@@ -26,17 +26,34 @@ type Event struct {
 // events are timestamped relative to the tracer's creation so a trace
 // always starts near ts 0.
 type Tracer struct {
-	mu     sync.Mutex
-	start  time.Time
-	events []Event
-	// cycleMark indexes the first event of the current match cycle (the
+	mu    sync.Mutex
+	start time.Time
+	// meta is the process_name/thread_name metadata, one event per lane. It
+	// lives outside the ring so no compaction can discard it, and every
+	// read writes it first.
+	meta []Event
+	// ring is what is retained, oldest first: eager events and lazy
+	// per-cycle batches side by side. size is the number of events they
+	// stand for — limit, Dropped and Len all count events, so a batch of
+	// task records and the events around it share one budget.
+	ring []entry
+	size int
+	// cycleMark indexes the first entry of the current match cycle (the
 	// /trace/last-cycle window).
 	cycleMark int
-	// limit, when > 0, bounds the buffer: past the limit the oldest events
-	// are discarded (dropped counts them). Used when the tracer only feeds
-	// the live /trace/last-cycle endpoint, so long runs stay bounded.
+	// limit, when > 0, bounds the ring: past the limit the oldest entries
+	// are discarded (dropped counts their events). Used when the tracer
+	// only feeds the live /trace endpoints, so long runs stay bounded.
 	limit   int
 	dropped uint64
+}
+
+// entry is one ring slot: an event, or (render != nil) a batch of n events
+// that are built only when the trace is read.
+type entry struct {
+	Event
+	n      int
+	render func(dst []Event) []Event
 }
 
 // NewTracer returns an empty tracer with its epoch set to now.
@@ -44,14 +61,17 @@ func NewTracer() *Tracer {
 	return &Tracer{start: time.Now()}
 }
 
-// ts converts a wall-clock time to trace microseconds.
-func (t *Tracer) ts(at time.Time) float64 {
+// TS converts a wall-clock time to trace microseconds.
+func (t *Tracer) TS(at time.Time) float64 {
+	if t == nil {
+		return 0
+	}
 	return float64(at.Sub(t.start)) / float64(time.Microsecond)
 }
 
-// SetLimit bounds the event buffer to at most n events; once exceeded, the
-// oldest events are discarded (n/2 at a time, to amortize the shift). A
-// limit of 0 restores the unbounded full-run buffer.
+// SetLimit bounds the ring to at most n events; once exceeded, the oldest
+// entries are discarded (down to n/2, to amortize the shift). A limit of 0
+// restores the unbounded full-run buffer.
 func (t *Tracer) SetLimit(n int) {
 	if t == nil {
 		return
@@ -71,122 +91,145 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-func (t *Tracer) emit(e Event) {
+func (t *Tracer) add(e entry) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
-	t.events = append(t.events, e)
-	if t.limit > 0 && len(t.events) > t.limit {
-		keep := t.limit / 2
-		drop := len(t.events) - keep
-		t.dropped += uint64(drop)
-		copy(t.events, t.events[drop:])
-		t.events = t.events[:keep]
-		if t.cycleMark -= drop; t.cycleMark < 0 {
-			t.cycleMark = 0
+	t.ring = append(t.ring, e)
+	t.size += e.n
+	if t.limit > 0 && t.size > t.limit {
+		// The entry just added always survives, so the newest cycle stays
+		// readable even if it alone is larger than the budget.
+		drop := 0
+		for ; t.size > t.limit/2 && drop < len(t.ring)-1; drop++ {
+			t.size -= t.ring[drop].n
+			t.dropped += uint64(t.ring[drop].n)
 		}
+		keep := copy(t.ring, t.ring[drop:])
+		clear(t.ring[keep:]) // release the dropped batches' records
+		t.ring = t.ring[:keep]
+		t.cycleMark = max(t.cycleMark-drop, 0)
 	}
 	t.mu.Unlock()
 }
 
-// Complete emits a complete span ("X") from start lasting d.
-func (t *Tracer) Complete(pid, tid int, name, cat string, start time.Time, d time.Duration, args map[string]any) {
-	if t == nil {
-		return
+// Batch retains n events as one ring entry without building them: render
+// must append exactly those n events to dst, and runs only when the trace
+// is read (WriteJSON, WriteLastCycle) — possibly more than once, possibly
+// never. The match runtime hands each cycle's task records over this way:
+// one lock per cycle instead of one span per task.
+func (t *Tracer) Batch(n int, render func(dst []Event) []Event) {
+	if n > 0 {
+		t.add(entry{n: n, render: render})
 	}
-	t.emit(Event{Name: name, Cat: cat, Ph: "X", Ts: t.ts(start), Dur: float64(d) / float64(time.Microsecond), Pid: pid, Tid: tid, Args: args})
 }
 
-// CompleteTS emits a complete span with explicit microsecond timestamps
-// (for modeled schedules and deterministic tests).
+// Complete emits a complete span ("X") from start lasting d.
+func (t *Tracer) Complete(pid, tid int, name, cat string, start time.Time, d time.Duration, args map[string]any) {
+	t.CompleteTS(pid, tid, name, cat, t.TS(start), float64(d)/float64(time.Microsecond), args)
+}
+
+// CompleteTS emits a complete span with explicit microsecond timestamps.
 func (t *Tracer) CompleteTS(pid, tid int, name, cat string, tsUS, durUS float64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Name: name, Cat: cat, Ph: "X", Ts: tsUS, Dur: durUS, Pid: pid, Tid: tid, Args: args})
+	t.add(entry{Event: Event{Name: name, Cat: cat, Ph: "X", Ts: tsUS, Dur: durUS, Pid: pid, Tid: tid, Args: args}, n: 1})
 }
 
 // Instant emits an instant event ("i") at the given wall-clock time.
 func (t *Tracer) Instant(pid, tid int, name, cat string, at time.Time, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Name: name, Cat: cat, Ph: "i", Ts: t.ts(at), Pid: pid, Tid: tid, Args: args})
+	t.InstantTS(pid, tid, name, cat, t.TS(at), args)
 }
 
 // InstantTS emits an instant event with an explicit microsecond timestamp.
 func (t *Tracer) InstantTS(pid, tid int, name, cat string, tsUS float64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Name: name, Cat: cat, Ph: "i", Ts: tsUS, Pid: pid, Tid: tid, Args: args})
+	t.add(entry{Event: Event{Name: name, Cat: cat, Ph: "i", Ts: tsUS, Pid: pid, Tid: tid, Args: args}, n: 1})
 }
 
-// SetProcessName emits the process_name metadata event for a pid lane.
+// SetProcessName names a pid lane (the process_name metadata event).
 func (t *Tracer) SetProcessName(pid int, name string) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name}})
+	t.setMeta(Event{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name}})
 }
 
-// SetThreadName emits the thread_name metadata event for a (pid, tid) lane.
+// SetThreadName names a (pid, tid) lane (the thread_name metadata event).
 func (t *Tracer) SetThreadName(pid, tid int, name string) {
+	t.setMeta(Event{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}})
+}
+
+// setMeta keeps one metadata event per lane: naming a lane again (every
+// engine of a serving process names the same match lanes) replaces the name.
+func (t *Tracer) setMeta(e Event) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.meta {
+		if m := &t.meta[i]; m.Name == e.Name && m.Pid == e.Pid && m.Tid == e.Tid {
+			*m = e
+			return
+		}
+	}
+	t.meta = append(t.meta, e)
 }
 
-// MarkCycle starts a new /trace/last-cycle window: events emitted from now
-// on (until the next MarkCycle) are "the last cycle".
+// MarkCycle starts a new /trace/last-cycle window: what is emitted or
+// batched from now on (until the next MarkCycle) is "the last cycle".
 func (t *Tracer) MarkCycle() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.cycleMark = len(t.events)
+	t.cycleMark = len(t.ring)
 	t.mu.Unlock()
 }
 
-// Len returns the number of collected events.
+// Len returns the number of retained events, lane metadata aside.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.size
 }
 
-func (t *Tracer) snapshot(fromMark bool) []Event {
+// events renders the lane metadata followed by the ring (from the cycle
+// mark when fromMark is set). Batches are rendered outside the lock.
+func (t *Tracer) events(fromMark bool) []Event {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	lo := 0
 	if fromMark {
 		lo = t.cycleMark
 	}
-	return append([]Event(nil), t.events[lo:]...)
+	out := append([]Event(nil), t.meta...)
+	ring := append([]entry(nil), t.ring[lo:]...)
+	t.mu.Unlock()
+	for _, e := range ring {
+		if e.render != nil {
+			out = e.render(out)
+		} else {
+			out = append(out, e.Event)
+		}
+	}
+	return out
 }
 
-// WriteJSON writes every collected event as a Chrome trace-event JSON
-// array, one event per line.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	return writeEvents(w, t.snapshot(false))
-}
+// WriteJSON writes the lane metadata and every retained event as a Chrome
+// trace-event JSON array, one event per line.
+func (t *Tracer) WriteJSON(w io.Writer) error { return writeEvents(w, t.events(false)) }
 
-// WriteLastCycle writes only the events emitted since the last MarkCycle.
-func (t *Tracer) WriteLastCycle(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	return writeEvents(w, t.snapshot(true))
-}
+// WriteLastCycle writes the lane metadata and only what has been retained
+// since the last MarkCycle.
+func (t *Tracer) WriteLastCycle(w io.Writer) error { return writeEvents(w, t.events(true)) }
 
 func writeEvents(w io.Writer, events []Event) error {
+	if len(events) == 0 {
+		_, err := io.WriteString(w, "[]\n")
+		return err
+	}
 	if _, err := io.WriteString(w, "[\n"); err != nil {
 		return err
 	}

@@ -3,75 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// buildTestTrace emits a small deterministic trace: two worker lanes, a
-// cycle span, a steal-flagged task and a chunk instant.
-func buildTestTrace() *Tracer {
-	trc := NewTracer()
-	trc.SetProcessName(0, "match pipeline")
-	trc.SetThreadName(0, 0, "control")
-	trc.SetThreadName(0, 1, "match-1")
-	trc.SetThreadName(0, 2, "match-2")
-	trc.CompleteTS(0, 0, "match-cycle", "cycle", 0, 500, map[string]any{"tasks": 2})
-	trc.CompleteTS(0, 1, "Join#3", "task", 10, 120, map[string]any{"seq": 1})
-	trc.CompleteTS(0, 2, "Join#4", "task", 15, 200, map[string]any{"seq": 2, "stolen": true})
-	trc.InstantTS(0, 0, "chunk-built:chunk-1", "chunk", 480, map[string]any{"ces": 7})
-	return trc
-}
-
-func TestTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := buildTestTrace().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "trace_golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("trace JSON differs from golden (re-run with -update to refresh):\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
-	}
-}
-
-// TestTraceValidChrome checks the structural contract that chrome://tracing
-// requires: a JSON array of objects each carrying ph/ts/pid/tid.
-func TestTraceValidChrome(t *testing.T) {
-	var buf bytes.Buffer
-	if err := buildTestTrace().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(events) != 8 {
-		t.Fatalf("got %d events, want 8", len(events))
-	}
-	for i, e := range events {
-		for _, k := range []string{"name", "ph", "ts", "pid", "tid"} {
-			if _, ok := e[k]; !ok {
-				t.Fatalf("event %d missing %q: %v", i, k, e)
-			}
-		}
-	}
-}
 
 func TestTraceLastCycleWindow(t *testing.T) {
 	trc := NewTracer()
@@ -200,15 +136,57 @@ func TestNilTracer(t *testing.T) {
 // TestNewObserverTracerBounded pins the default observer's tracer to the
 // live ring: obs.New attaches no sink, so a server holding one must not
 // accumulate an event per task and per request for as long as it runs.
+// Task-record batches and eager events share the one budget, the newest
+// survive, and the lane names — held outside the ring — are still written
+// after any number of compactions.
 func TestNewObserverTracerBounded(t *testing.T) {
 	o := New()
-	for i := 0; i < 3*liveTraceLimit; i++ {
-		o.Trc.InstantTS(0, 1, "e", "task", float64(i), nil)
+	o.Trc.SetProcessName(0, "match pipeline")
+	o.Trc.SetThreadName(0, 1, "match-1")
+	o.Trc.SetThreadName(0, 1, "match-1") // every engine names the same lanes
+	const batch = 100
+	last := 0.0
+	for n := 0; n < 3*liveTraceLimit; n += batch + 1 {
+		o.Trc.MarkCycle()
+		base := float64(n)
+		o.Trc.Batch(batch, func(dst []Event) []Event {
+			for i := 0; i < batch; i++ {
+				dst = append(dst, Event{Name: "t", Cat: "task", Ph: "X", Ts: base + float64(i), Dur: 1, Tid: 1})
+			}
+			return dst
+		})
+		last = base + batch
+		o.Trc.InstantTS(0, 0, "match-cycle", "cycle", last, nil)
 	}
-	if n := o.Trc.Len(); n > liveTraceLimit {
-		t.Fatalf("Len = %d, want <= %d", n, liveTraceLimit)
+	if n := o.Trc.Len(); n > liveTraceLimit || n < liveTraceLimit/2 {
+		t.Fatalf("Len = %d, want in [%d, %d]", n, liveTraceLimit/2, liveTraceLimit)
 	}
 	if o.Trc.Dropped() == 0 {
 		t.Fatal("no events dropped after 3x the limit")
+	}
+	if got := o.Trc.Len() + int(o.Trc.Dropped()); got < 3*liveTraceLimit {
+		t.Fatalf("Len+Dropped = %d: batches are not counted by the events they stand for", got)
+	}
+	for _, write := range []func(*bytes.Buffer) error{
+		func(b *bytes.Buffer) error { return o.Trc.WriteJSON(b) },
+		func(b *bytes.Buffer) error { return o.Trc.WriteLastCycle(b) },
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var events []Event
+		if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+			t.Fatal(err)
+		}
+		if events[0].Name != "process_name" || events[1].Name != "thread_name" || events[2].Ph == "M" {
+			t.Fatalf("want exactly one process_name and one thread_name first, got %+v", events[:3])
+		}
+		if got := events[len(events)-1]; got.Ts != last {
+			t.Fatalf("newest event ts = %g, want %g", got.Ts, last)
+		}
+		if strings.Count(buf.String(), `"cat":"task"`) < batch {
+			t.Fatalf("the last cycle's batch was not rendered")
+		}
 	}
 }

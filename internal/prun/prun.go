@@ -4,9 +4,10 @@
 // queues there are — one shared task queue, or one queue per process with
 // cycle-stealing (§6.1/Figure 6-4) — and so does this package: the worker
 // loop, the injector, the supervision of a failing cycle, the contention
-// and failed-pop counters and the capture of each cycle's task-dependency
-// trace for the multiprocessor simulator exist once, over a small queue
-// interface (queue.go).
+// and failed-pop counters and the one per-task record (rete.TaskRec) that
+// the multiprocessor simulator, the match profiler, the flight recorder and
+// the Chrome trace all read exist once, over a small queue interface
+// (queue.go).
 //
 // A third policy, WorkStealing, is not a paper artifact: it puts a
 // Chase-Lev lock-free deque (internal/deque) behind the same interface in
@@ -146,7 +147,8 @@ type Config struct {
 	// each cycle runs with min(Processes, its granted share) workers, at
 	// least one. Nil runs every cycle at full width.
 	Budget *Budget
-	// CaptureTrace records the task DAG of each cycle for the simulator.
+	// CaptureTrace keeps each cycle's task records on CycleStats.Trace for
+	// the simulator, with nothing else attached.
 	CaptureTrace bool
 	// Fault, when non-nil, is consulted at the named injection sites
 	// (worker.exec, worker.steal); nil injects nothing and costs one
@@ -162,15 +164,13 @@ type Config struct {
 }
 
 // TaskRec is one executed task in a cycle trace.
-type TaskRec struct {
-	Seq    int64
-	Parent int64 // 0 for injected root tasks
-	Node   rete.NodeID
-	Kind   rete.BetaKind
-	Cost   int64
-	Depth  int32 // chain depth (roots are 1)
-	Worker int32 // match process that executed the task
-}
+type TaskRec = rete.TaskRec
+
+// epoch is the zero of the process clock TaskRec.Start is read on.
+var epoch = time.Now()
+
+// clock is one monotonic read: ns since epoch.
+func clock() int64 { return int64(time.Since(epoch)) }
 
 // CycleStats summarizes one match cycle.
 type CycleStats struct {
@@ -198,7 +198,13 @@ type CycleStats struct {
 	// them, so Tasks - SuppBatches is the count of ordinary activations —
 	// the quantity the unlink counter oracle compares against a serial run.
 	SuppBatches int64
-	Trace       []TaskRec
+	// Trace is the cycle's task records, worker by worker, whenever anything
+	// was attached to read them (see Runtime.attached). The same slice is
+	// what the tracer and the flight ring retain; treat it as read-only.
+	Trace []TaskRec
+	// MaxDepth is the cycle's longest dependent activation chain, filled
+	// when a profiler is attached to the network.
+	MaxDepth int32
 	// Failed marks a cycle that did not run to quiescence: a worker
 	// panicked or the watchdog deadline expired. The counters above cover
 	// only the work executed before the abort, Trace is dropped, and the
@@ -232,8 +238,8 @@ type Runtime struct {
 	// run-time update filter (paper §5.2).
 	minNodeID atomic.Uint32
 
-	// obs, when non-nil, receives per-task counters, cost observations and
-	// trace spans. Nil costs one pointer test per task.
+	// obs, when non-nil, receives each cycle's counters, task-cost
+	// observations and (given a tracer) task records from collect.
 	obs *obs.MatchHooks
 }
 
@@ -311,6 +317,22 @@ func (rt *Runtime) filtered(id rete.NodeID) bool {
 // SetObserver attaches (non-nil) or detaches (nil) match instrumentation.
 // Must be called while no cycle is running.
 func (rt *Runtime) SetObserver(h *obs.MatchHooks) { rt.obs = h }
+
+// attached reports whether anything reads per-task records — observer
+// hooks, a profiler on the network, or a trace capture — and, through the
+// mask ANDed with each worker's task ordinal, which records are timed:
+// every one when a tracer will render them as spans, one in the profiler's
+// SampleEvery when only it wants wall-clock samples, none otherwise.
+func (rt *Runtime) attached() (rec bool, timeMask uint64) {
+	h, p := rt.obs, rt.nw.Prof
+	switch {
+	case h != nil && h.Trc != nil:
+		return true, 0
+	case p != nil:
+		return true, p.SampleMask()
+	}
+	return h != nil || rt.cfg.CaptureTrace, ^uint64(0)
+}
 
 // SetDeadline replaces the per-cycle watchdog deadline (0 disables it).
 // The serving layer wires each request's remaining deadline through here so
@@ -451,12 +473,16 @@ func (rt *Runtime) runToQuiescence() CycleStats {
 	return cs
 }
 
-// collect folds the cycle-local counters, profile histograms and trace
-// records of the n workers that ran into the cycle's stats, and publishes
-// the counters to the observer's registry: one Add each per cycle, so the
-// per-task path touches no shared counter.
+// collect folds the cycle-local counters of the n workers that ran into the
+// cycle's stats and publishes them to the observer's registry: one Add each
+// per cycle. If the workers recorded their tasks it then makes the one pass
+// every per-task observer is derived from: the records are merged into
+// Trace, folded into the profiler's cells and histograms and into
+// match_task_cost_us, and handed to the tracer as one lazy batch — nothing
+// is rendered unless the trace is read.
 func (rt *Runtime) collect(n int) CycleStats {
 	cs := CycleStats{Workers: n}
+	nrec := 0
 	for _, w := range rt.workers[:n] {
 		cs.Tasks += int(w.tasks)
 		cs.TotalCost += w.cost
@@ -465,24 +491,60 @@ func (rt *Runtime) collect(n int) CycleStats {
 		cs.Steals += w.steals
 		cs.SuppBatches += w.batches
 		cs.Panics += w.panics
-		if w.prof != nil && w.tasks > 0 {
-			w.prof.FlushCycleLocal(&w.profD, &w.profC, w.profMax)
-		}
+		nrec += len(w.recs)
 	}
-	if h := rt.obs; h != nil {
+	h := rt.obs
+	if h != nil {
 		h.Tasks.Add(uint64(cs.Tasks))
 		h.FailedPops.Add(uint64(cs.FailedPops))
 		h.TermProbes.Add(uint64(cs.TermProbes))
 		h.Steals.Add(uint64(cs.Steals))
 		h.Panics.Add(uint64(cs.Panics))
 	}
-	if rt.cfg.CaptureTrace && cs.Tasks > 0 {
-		cs.Trace = make([]TaskRec, 0, cs.Tasks)
-		for _, w := range rt.workers[:n] {
-			cs.Trace = append(cs.Trace, w.local...)
+	if nrec == 0 {
+		return cs
+	}
+	cs.Trace = make([]TaskRec, 0, nrec)
+	for _, w := range rt.workers[:n] {
+		cs.Trace = append(cs.Trace, w.recs...)
+	}
+	recs := cs.Trace // never reassigned, so the closures below capture it by value
+	if p := rt.nw.Prof; p != nil {
+		cs.MaxDepth = p.Fold(recs)
+	}
+	if h != nil {
+		h.TaskCost.ObserveEach(len(recs), func(i int) float64 { return float64(recs[i].Cost) })
+		if trc := h.Trc; trc != nil {
+			pid, base := h.Pid, trc.TS(epoch)
+			trc.Batch(len(recs), func(dst []obs.Event) []obs.Event { return AppendSpans(dst, recs, pid, base, true) })
 		}
 	}
 	return cs
+}
+
+// AppendSpans is the one TaskRec → Chrome event renderer, behind both the
+// tracer's per-cycle batches and the flight recorder's dumps: one complete
+// span per record on lane tid = worker+1 of pid. With wall set (every
+// record timed) a span sits at its record's Start, base being the process
+// clock's zero in the reader's µs timebase; otherwise each lane replays
+// its tasks back to back from base at their modeled µs cost.
+func AppendSpans(dst []obs.Event, recs []TaskRec, pid int, base float64, wall bool) []obs.Event {
+	lane := map[int32]float64{} // where each worker's modeled lane has got to
+	for i := range recs {
+		r := &recs[i]
+		ts, dur := float64(r.Start)/1e3, float64(r.Dur)/1e3
+		if !wall {
+			ts, dur = lane[r.Worker], float64(r.Cost)
+			lane[r.Worker] += dur
+		}
+		args := map[string]any{"node": int(r.Node), "seq": r.Seq, "parent": r.Parent, "depth": r.Depth, "cost-us": r.Cost}
+		if r.Stolen {
+			args["stolen"] = true
+		}
+		dst = append(dst, obs.Event{Name: fmt.Sprintf("%v#%d", r.Kind, r.Node), Cat: "task", Ph: "X",
+			Ts: base + ts, Dur: dur, Pid: pid, Tid: int(r.Worker) + 1, Args: args})
+	}
+	return dst
 }
 
 // drainPoisoned forcibly quiesces a poisoned cycle after all workers have
@@ -508,8 +570,8 @@ func (rt *Runtime) drainPoisoned() {
 // re-derives them. No fault injector, watchdog, or termination protocol is
 // consulted: a degraded cycle always completes (§2.3's serial semantics are
 // the correctness oracle the parallel policies are measured against). It
-// runs as worker 0 on worker 0's queue, so a recovered cycle is profiled,
-// observed and traced exactly like a one-worker cycle.
+// runs as worker 0 on worker 0's queue, so a recovered cycle is recorded —
+// and so profiled, observed and traced — exactly like a one-worker cycle.
 func (rt *Runtime) ReplaySerial(all []*wme.WME) CycleStats {
 	w := rt.workers[0]
 	w.begin(nil)
@@ -521,6 +583,7 @@ func (rt *Runtime) ReplaySerial(all []*wme.WME) CycleStats {
 				w.pushRoot(n, op, ww)
 			}
 		})
+		w.stamp() // injection is not task time
 		for t := w.q.pop(); t != nil; t = w.q.pop() {
 			w.exec(t, false)
 		}

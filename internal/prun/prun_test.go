@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"soarpsme/internal/obs"
 	"soarpsme/internal/ops5"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/value"
@@ -307,5 +308,44 @@ func TestRunSeededDirectly(t *testing.T) {
 	}
 	if n := nw.Mem.Tombstones(); n != 0 {
 		t.Fatalf("tombstones: %d", n)
+	}
+}
+
+// TestAttachedAllocsPerCycleConstant is the allocation guard of the one
+// per-task record: with obs.New() hooks (a tracer) and a profiler attached,
+// what a steady-state cycle allocates beyond the same cycle with nothing
+// attached is a small constant — the cycle's record slice and the tracer's
+// batch — whether the cycle runs a dozen tasks or a couple of hundred. It
+// was seven allocations per task when every task built its own span.
+func TestAttachedAllocsPerCycleConstant(t *testing.T) {
+	nw, _, ws := buildNet(t)
+	measure := func(rt *Runtime, ws []*wme.WME) (allocs float64, tasks int) {
+		add, del := deltas(ws), removals(ws)
+		allocs = testing.AllocsPerRun(100, func() {
+			tasks = rt.RunCycle(add).Tasks
+			rt.RunCycle(del)
+		})
+		return allocs, tasks
+	}
+	small, big := ws[:4], ws
+	plain := New(nw, Config{Processes: 1, Policy: WorkStealing})
+	small0, _ := measure(plain, small)
+	big0, _ := measure(plain, big)
+
+	nw.Prof = rete.NewProf(int(nw.MaxNodeID())+1, 64)
+	attached := New(nw, Config{Processes: 1, Policy: WorkStealing})
+	attached.SetObserver(obs.New().MatchHooks(0))
+	small1, nSmall := measure(attached, small)
+	big1, nBig := measure(attached, big)
+
+	if nSmall > 20 || nBig < 150 {
+		t.Fatalf("cycles of %d and %d tasks do not span the sizes this test is about", nSmall, nBig)
+	}
+	extraSmall, extraBig := small1-small0, big1-big0
+	// 4 and 4 as built by go test; the race detector's own allocations move
+	// both by one or two, hence the slack. One per task would be +181.
+	if extraBig-extraSmall > 4 || extraBig > 12 {
+		t.Fatalf("attached cycles allocate %v extra at %d tasks and %v extra at %d tasks per add+remove pair; want the same small constant",
+			extraSmall, nSmall, extraBig, nBig)
 	}
 }

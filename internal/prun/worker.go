@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"soarpsme/internal/fault"
-	"soarpsme/internal/obs"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/wme"
 )
@@ -26,6 +25,11 @@ type sched struct {
 	rt   *Runtime
 	q    queue
 	free []*rete.Task
+	// ord is the ordinal of the last task this process recorded, the number
+	// the wall-clock sampling mask applies to. It lives here because the
+	// sched, unlike the worker's per-cycle bookkeeping, persists: the rate
+	// is one in SampleEvery whatever the cycle size.
+	ord uint64
 }
 
 // alloc returns a recycled (or fresh) blank task.
@@ -83,17 +87,23 @@ func (s *sched) recycle(t *rete.Task) {
 }
 
 // worker is one match process: its scheduler, which persists across cycles
-// (the free list), and per-cycle bookkeeping. Counters are local — no other
-// goroutine touches them while the cycle runs — and folded into CycleStats,
-// and from there into the observer's registry, by collect once the workers
-// have exited.
+// (the free list), and per-cycle bookkeeping. Counters and task records are
+// local — no other goroutine touches them while the cycle runs — and folded
+// into CycleStats, the profiler, the observer's registry and its tracer by
+// collect once the workers have exited.
 type worker struct {
 	sched
-	id      int
-	h       *obs.MatchHooks
-	ctl     *cycleCtl
-	tracing bool
-	local   []TaskRec
+	id  int
+	ctl *cycleCtl
+
+	// recs is the cycle's task records, appended iff something is attached
+	// (rec). The task of ordinal k is timed when k&timeMask is zero; last
+	// is the process's latest clock reading, where the next timed task
+	// starts.
+	rec      bool
+	timeMask uint64
+	last     int64
+	recs     []TaskRec
 
 	tasks      int64
 	batches    int64
@@ -102,27 +112,23 @@ type worker struct {
 	termProbes int64
 	steals     int64
 	panics     int
-
-	// Profiling state (all nil/zero when the network has no profiler).
-	// Depth and granularity histograms accumulate locally and flush once per
-	// cycle so the per-task path adds no histogram atomics; wall-clock
-	// sampling times one task in (sampleMask+1) per worker.
-	prof       *rete.Prof
-	sampleMask uint64
-	profD      [rete.DepthBuckets]int64
-	profC      [rete.CostBuckets]int64
-	profMax    int32
 }
 
 // begin resets the per-cycle bookkeeping, pointing the worker at its own
-// queue and at the observer and profiler currently installed.
+// queue and at whatever is attached to the runtime now.
 func (w *worker) begin(ctl *cycleCtl) {
-	rt, h := w.rt, w.rt.obs
-	*w = worker{sched: w.sched, id: w.id, h: h, ctl: ctl, tracing: h != nil && h.Trc != nil, local: w.local[:0]}
-	w.q = rt.queues[w.id%len(rt.queues)]
-	if p := rt.nw.Prof; p != nil {
-		w.prof = p
-		w.sampleMask = p.SampleMask()
+	*w = worker{sched: w.sched, id: w.id, ctl: ctl, recs: w.recs[:0]}
+	w.q = w.rt.queues[w.id%len(w.rt.queues)]
+	w.rec, w.timeMask = w.rt.attached()
+}
+
+// stamp reads the clock if the next task is timed. A timed task starts
+// where its worker's previous reading ended, so a worker stamps when it
+// starts running and again after every fully failed pop round — idle time
+// is not task time.
+func (w *worker) stamp() {
+	if w.rec && (w.ord+1)&w.timeMask == 0 {
+		w.last = clock()
 	}
 }
 
@@ -139,7 +145,7 @@ func (w *worker) probe(site fault.Site) (drop bool) {
 	if a.Kind == fault.KindNone {
 		return false
 	}
-	if h := w.h; h != nil {
+	if h := w.rt.obs; h != nil {
 		h.Injected.Inc()
 	}
 	switch a.Kind {
@@ -169,44 +175,30 @@ func (w *worker) recovered() {
 	}
 }
 
-// exec runs one task, records its statistics and trace spans, and retires
-// it. The pending counter drops only after Exec has pushed the task's
-// children, so it never reads zero while work remains.
+// exec runs one task, counts it, records it if anything is attached, and
+// retires it. The pending counter drops only after Exec has pushed the
+// task's children, so it never reads zero while work remains. A timed
+// record costs one clock read (two for a sampled task: the reading that
+// ends the task before it is its start).
 func (w *worker) exec(t *rete.Task, stolen bool) {
-	sampling := w.prof != nil && w.tasks&int64(w.sampleMask) == 0
-	var start time.Time
-	if w.tracing || sampling {
-		start = time.Now()
-	}
-	cost := w.rt.nw.Exec(t, &w.sched)
+	cost, emitted := w.rt.nw.Exec(t, &w.sched)
 	w.tasks++
 	w.cost += cost
 	if t.Supp != nil {
 		w.batches++
 	}
-	if w.prof != nil {
-		d := t.Depth + 1
-		w.profD[rete.DepthBucket(d)]++
-		w.profC[rete.CostBucket(cost)]++
-		if d > w.profMax {
-			w.profMax = d
-		}
-		if sampling {
-			w.prof.AddSample(t.Node.ID, time.Since(start).Nanoseconds())
-		}
-	}
-	if h := w.h; h != nil {
-		h.TaskCost.Observe(float64(cost))
-		if w.tracing {
-			args := map[string]any{"node": int(t.Node.ID), "seq": t.Seq, "cost-us": cost}
-			if stolen {
-				args["stolen"] = true
+	if w.rec {
+		w.recs = append(w.recs, TaskRec{Seq: t.Seq, Parent: t.ParentSeq, Cost: cost, Node: t.Node.ID, Depth: t.Depth + 1,
+			Worker: int32(w.id), Emitted: int32(emitted), Kind: t.Node.Kind, Stolen: stolen})
+		w.ord++
+		if timed, next := w.ord&w.timeMask == 0, (w.ord+1)&w.timeMask == 0; timed || next {
+			end := clock()
+			if timed {
+				r := &w.recs[len(w.recs)-1]
+				r.Start, r.Dur = w.last, end-w.last
 			}
-			h.Trc.Complete(h.Pid, w.id+1, fmt.Sprintf("%v#%d", t.Node.Kind, t.Node.ID), "task", start, time.Since(start), args)
+			w.last = end
 		}
-	}
-	if w.rt.cfg.CaptureTrace {
-		w.local = append(w.local, TaskRec{Seq: t.Seq, Parent: t.ParentSeq, Node: t.Node.ID, Kind: t.Node.Kind, Cost: cost, Depth: t.Depth + 1, Worker: int32(w.id)})
 	}
 	w.rt.pending.Add(-1)
 	w.recycle(t)
@@ -223,6 +215,7 @@ func (w *worker) quiesced() bool {
 	}
 	w.failedPops++
 	runtime.Gosched()
+	w.stamp()
 	return false
 }
 
@@ -233,6 +226,7 @@ func (w *worker) quiesced() bool {
 func (w *worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer w.recovered()
+	w.stamp()
 	queues, own, id := w.rt.queues, w.q, w.id
 	nq := len(queues)
 	rot := 0

@@ -49,6 +49,31 @@ type Task struct {
 	Depth int32
 }
 
+// TaskRec is the one per-task record. While anything is attached to a
+// runtime — a trace capture, a profiler, observer hooks — the match process
+// that executes a task appends one of these to a buffer of its own and does
+// nothing else; profile cells, histograms, Chrome spans, flight dumps (the
+// JSON form) and the simulator's input are all derived from the cycle's
+// records after its workers have exited.
+type TaskRec struct {
+	Seq    int64 `json:"seq"`
+	Parent int64 `json:"parent,omitempty"` // 0 for injected root tasks
+	Cost   int64 `json:"costUS"`           // modeled µs (the Table 6-1 scale)
+	// Start and Dur are wall-clock ns on the runtime's process clock, set
+	// (Start != 0) only on timed records: every record when a tracer will
+	// render the cycle as spans, one in the profiler's SampleEvery
+	// otherwise. A timed task starts where its worker's previous clock
+	// reading ended, so Dur includes the pop that fetched it.
+	Start   int64    `json:"startNS,omitempty"`
+	Dur     int64    `json:"durNS,omitempty"`
+	Node    NodeID   `json:"node"`
+	Depth   int32    `json:"depth"`             // chain depth (roots are 1)
+	Worker  int32    `json:"worker"`            // match process that executed the task
+	Emitted int32    `json:"emitted,omitempty"` // tokens emitted (0 = a null activation, §2.2)
+	Kind    BetaKind `json:"kind"`
+	Stolen  bool     `json:"stolen,omitempty"` // popped from another process's queue
+}
+
 // SuppRight is one suppressed right activation deferred into a batch task:
 // the destination's left memory was empty when the activation was
 // injected, so it carries no scan work — only its own memory insert or
@@ -272,13 +297,13 @@ func (nw *Network) execSuppBatch(batch []SuppRight, em *emitter) int64 {
 }
 
 // Exec executes one node activation, pushing child activations onto s.
-// It returns the task's modeled cost. Exec is safe for concurrent use by
-// many workers.
-func (nw *Network) Exec(t *Task, s Scheduler) int64 {
+// It returns the task's modeled cost and the number of tokens it emitted.
+// Exec is safe for concurrent use by many workers.
+func (nw *Network) Exec(t *Task, s Scheduler) (cost int64, emitted int) {
 	nw.Stats.Activations.Add(1)
 	em := emitter{nw: nw, s: s, parentSeq: t.Seq, depth: t.Depth}
 	em.supp = em.suppBuf[:0]
-	var cost int64 = CostBetaBase
+	cost = CostBetaBase
 
 	n := t.Node
 	switch {
@@ -311,10 +336,7 @@ func (nw *Network) Exec(t *Task, s Scheduler) int64 {
 	if em.emitted == 0 {
 		nw.Stats.NullActs.Add(1)
 	}
-	if p := nw.Prof; p != nil {
-		p.record(n.ID, int64(em.emitted), cost)
-	}
-	return cost
+	return cost, em.emitted
 }
 
 func (nw *Network) joinLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int64 {

@@ -142,9 +142,10 @@ type Network struct {
 
 	Stats NetStats
 
-	// Prof, when non-nil, receives per-node match-cost attribution from
-	// Exec. Installed once before any cycle runs (engine setup) and never
-	// replaced, so the hot path reads it as a plain field.
+	// Prof, when non-nil, receives per-node match-cost attribution: any
+	// runtime driving this network records its tasks and folds them in
+	// after each cycle. Installed once before any cycle runs (engine setup)
+	// and never replaced, so it is read as a plain field.
 	Prof *Prof
 
 	mu  sync.Mutex // guards construction state (topology while unfrozen, suffix always)

@@ -164,6 +164,19 @@ func (k BetaKind) String() string {
 	return "?"
 }
 
+// MarshalText and UnmarshalText put a kind into JSON (flight dumps) by name.
+func (k BetaKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *BetaKind) UnmarshalText(b []byte) error {
+	for c := KindJoin; c <= KindP; c++ {
+		if c.String() == string(b) {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("rete: unknown node kind %q", b)
+}
+
 // JoinTest compares a field of the right input against a wme already bound
 // in the left token. Eq tests double as the hash key (paper §6.1).
 type JoinTest struct {

@@ -2,31 +2,30 @@ package rete
 
 import (
 	"math/bits"
-	"sync/atomic"
+	"sync"
 )
 
 // ProfCell is the per-node attribution record of the match profiler: every
-// counter a task execution touches lives in the cell indexed by the task's
-// destination node, so cost can later be rolled up chain-by-chain into
-// per-production totals (the paper's per-production task counts, live).
-// All fields are atomics — cells are updated by every match worker at once.
+// counter a task execution contributes to lives in the cell indexed by the
+// task's destination node, so cost can later be rolled up chain-by-chain
+// into per-production totals (the paper's per-production task counts, live).
 type ProfCell struct {
 	// Acts counts executed activations of the node (scheduled tasks; the
 	// unlink fast path's inline executions land in NetStats.NullSuppressed,
 	// not here, mirroring the Activations counter).
-	Acts atomic.Int64
+	Acts int64
 	// Emitted counts tokens the node's activations emitted.
-	Emitted atomic.Int64
+	Emitted int64
 	// Nulls counts activations that emitted nothing — the null-activation
 	// measure of §2.2, attributed to its node.
-	Nulls atomic.Int64
+	Nulls int64
 	// Cost sums the modeled task cost (simulated µs, the Table 6-1 scale).
-	Cost atomic.Int64
-	// SampleNS sums sampled wall-clock task time; Samples counts the tasks
-	// sampled (1-in-SampleEvery), so SampleNS/Samples estimates the node's
-	// real mean task latency without two clock reads on every task.
-	SampleNS atomic.Int64
-	Samples  atomic.Int64
+	Cost int64
+	// SampleNS sums the wall-clock time of the node's timed tasks; Samples
+	// counts them, so SampleNS/Samples estimates the node's real mean task
+	// latency without a clock read on every task.
+	SampleNS int64
+	Samples  int64
 }
 
 // Histogram geometry. Depth buckets are linear (chain depth 1..DepthBuckets,
@@ -60,20 +59,18 @@ func CostBucket(cost int64) int {
 	return b
 }
 
-// Prof is the always-cheap match profiler state attached to a Network:
-// per-node attribution cells plus global chain-depth and task-granularity
-// histograms. The hot path (Exec) does four uncontended atomic adds per
-// task into the task's node cell; depth/granularity histogramming and
-// wall-clock sampling are batched per worker by the runtime and flushed at
-// cycle end. Growth swaps the cell slice through an atomic pointer so
-// /debug/match scrapes may read concurrently with chunking's node
-// additions.
+// Prof is the match profiler state attached to a Network: per-node
+// attribution cells plus global chain-depth and task-granularity
+// histograms. It is storage, one Fold and a snapshot — nothing on the
+// per-task path writes here. The runtime folds each cycle's task records in
+// once its workers have exited, under one lock per cycle; the same lock lets
+// /debug/match scrapes read while cycles run and chunking adds nodes.
 type Prof struct {
-	cells      atomic.Pointer[[]ProfCell]
-	depthH     [DepthBuckets]atomic.Int64
-	costH      [CostBuckets]atomic.Int64
-	cycleDepth atomic.Int32 // max chain depth seen since TakeCycleDepth
-	sampleMask uint64       // sample 1 task in (mask+1)
+	mu         sync.Mutex
+	cells      []ProfCell
+	depthH     [DepthBuckets]int64
+	costH      [CostBuckets]int64
+	sampleMask uint64 // time 1 task in (mask+1)
 }
 
 // NewProf returns a profiler sized for n nodes, wall-sampling one task in
@@ -82,161 +79,66 @@ func NewProf(n, sampleEvery int) *Prof {
 	if sampleEvery <= 0 {
 		sampleEvery = 64
 	}
-	// Round down to a power of two so the hot path masks instead of mods.
+	// Round down to a power of two so the runtime masks instead of mods.
 	mask := uint64(1)<<uint(bits.Len(uint(sampleEvery))-1) - 1
-	p := &Prof{sampleMask: mask}
-	cells := make([]ProfCell, n)
-	p.cells.Store(&cells)
-	return p
+	return &Prof{sampleMask: mask, cells: make([]ProfCell, n)}
 }
 
-// Grow ensures cells exist for node IDs below n. Counter values are carried
-// over with atomic loads/stores; callers must be at quiescence for the
-// carried values to be exact (AddProduction holds the network mutex with no
-// activation in flight), but concurrent readers are always safe — they keep
-// the slice their Load returned.
+// Grow ensures cells exist for node IDs below n.
 func (p *Prof) Grow(n int) {
 	if p == nil {
 		return
 	}
-	old := *p.cells.Load()
-	if n <= len(old) {
-		return
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n > len(p.cells) {
+		p.cells = append(p.cells, make([]ProfCell, max(n, 2*len(p.cells))-len(p.cells))...)
 	}
-	size := 2 * len(old)
-	if size < n {
-		size = n
-	}
-	cells := make([]ProfCell, size)
-	for i := range old {
-		cells[i].Acts.Store(old[i].Acts.Load())
-		cells[i].Emitted.Store(old[i].Emitted.Load())
-		cells[i].Nulls.Store(old[i].Nulls.Load())
-		cells[i].Cost.Store(old[i].Cost.Load())
-		cells[i].SampleNS.Store(old[i].SampleNS.Load())
-		cells[i].Samples.Store(old[i].Samples.Load())
-	}
-	p.cells.Store(&cells)
 }
 
-// SampleMask returns the wall-clock sampling mask: a worker samples the
-// tasks whose per-worker ordinal ANDs to zero.
+// SampleMask returns the wall-clock sampling mask: when only the profiler
+// is attached, a worker times the tasks whose per-worker ordinal (kept
+// across cycles) ANDs to zero.
 func (p *Prof) SampleMask() uint64 { return p.sampleMask }
 
-// record is Exec's per-task attribution: four atomic adds into the node's
-// cell (three when the task emitted).
-func (p *Prof) record(id NodeID, emitted, cost int64) {
-	cells := *p.cells.Load()
-	if int(id) >= len(cells) {
-		return
-	}
-	c := &cells[id]
-	c.Acts.Add(1)
-	c.Cost.Add(cost)
-	if emitted == 0 {
-		c.Nulls.Add(1)
-	} else {
-		c.Emitted.Add(emitted)
-	}
-}
-
-// AddSample attributes one sampled wall-clock task duration to a node.
-func (p *Prof) AddSample(id NodeID, ns int64) {
-	cells := *p.cells.Load()
-	if int(id) >= len(cells) {
-		return
-	}
-	cells[id].SampleNS.Add(ns)
-	cells[id].Samples.Add(1)
-}
-
-// FlushCycleLocal folds one worker's cycle-local depth/granularity
-// histograms and max chain depth into the shared profile (once per worker
-// per cycle, so the per-task path stays free of histogram atomics).
-func (p *Prof) FlushCycleLocal(depth *[DepthBuckets]int64, cost *[CostBuckets]int64, maxDepth int32) {
-	if p == nil {
-		return
-	}
-	for i, v := range depth {
-		if v != 0 {
-			p.depthH[i].Add(v)
+// Fold attributes one cycle's task records — each to its node's cell, with
+// a wall-clock sample for each timed record, and to the depth and
+// granularity histograms — and returns the cycle's longest dependent chain.
+func (p *Prof) Fold(recs []TaskRec) (maxDepth int32) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range recs {
+		r := &recs[i]
+		p.depthH[DepthBucket(r.Depth)]++
+		p.costH[CostBucket(r.Cost)]++
+		if r.Depth > maxDepth {
+			maxDepth = r.Depth
+		}
+		if int(r.Node) >= len(p.cells) {
+			continue
+		}
+		c := &p.cells[r.Node]
+		c.Acts++
+		c.Cost += r.Cost
+		if r.Emitted == 0 {
+			c.Nulls++
+		} else {
+			c.Emitted += int64(r.Emitted)
+		}
+		if r.Start != 0 {
+			c.SampleNS += r.Dur
+			c.Samples++
 		}
 	}
-	for i, v := range cost {
-		if v != 0 {
-			p.costH[i].Add(v)
-		}
-	}
-	for {
-		cur := p.cycleDepth.Load()
-		if maxDepth <= cur || p.cycleDepth.CompareAndSwap(cur, maxDepth) {
-			return
-		}
-	}
+	return maxDepth
 }
 
-// TakeCycleDepth returns the maximum chain depth observed since the last
-// call and resets it — the per-cycle "longest dependent chain" series.
-func (p *Prof) TakeCycleDepth() int32 {
-	if p == nil {
-		return 0
-	}
-	return p.cycleDepth.Swap(0)
-}
-
-// Cells snapshots the per-node attribution counters (index = NodeID).
-func (p *Prof) Cells() []ProfCellSnap {
-	if p == nil {
-		return nil
-	}
-	cells := *p.cells.Load()
-	out := make([]ProfCellSnap, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		out[i] = ProfCellSnap{
-			Acts:     c.Acts.Load(),
-			Emitted:  c.Emitted.Load(),
-			Nulls:    c.Nulls.Load(),
-			Cost:     c.Cost.Load(),
-			SampleNS: c.SampleNS.Load(),
-			Samples:  c.Samples.Load(),
-		}
-	}
-	return out
-}
-
-// ProfCellSnap is a point-in-time copy of one node's attribution counters.
-type ProfCellSnap struct {
-	Acts     int64
-	Emitted  int64
-	Nulls    int64
-	Cost     int64
-	SampleNS int64
-	Samples  int64
-}
-
-// DepthHist snapshots the chain-depth histogram (bucket i = depth i+1;
-// the last bucket collects deeper chains).
-func (p *Prof) DepthHist() [DepthBuckets]int64 {
-	var out [DepthBuckets]int64
-	if p == nil {
-		return out
-	}
-	for i := range p.depthH {
-		out[i] = p.depthH[i].Load()
-	}
-	return out
-}
-
-// CostHist snapshots the task-granularity histogram (bucket i = modeled
-// cost in [2^i, 2^(i+1)) µs).
-func (p *Prof) CostHist() [CostBuckets]int64 {
-	var out [CostBuckets]int64
-	if p == nil {
-		return out
-	}
-	for i := range p.costH {
-		out[i] = p.costH[i].Load()
-	}
-	return out
+// Snapshot copies the per-node attribution counters (index = NodeID), the
+// chain-depth histogram (bucket i = depth i+1; the last bucket collects
+// deeper chains) and the task-granularity histogram (bucket i = modeled
+// cost in [2^i, 2^(i+1)) µs), consistent as of one cycle boundary.
+func (p *Prof) Snapshot() (cells []ProfCell, depth [DepthBuckets]int64, cost [CostBuckets]int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]ProfCell(nil), p.cells...), p.depthH, p.costH
 }
