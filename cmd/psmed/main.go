@@ -47,7 +47,6 @@ import (
 	"soarpsme/internal/matchprof"
 	"soarpsme/internal/obs"
 	"soarpsme/internal/prun"
-	"soarpsme/internal/rete"
 	"soarpsme/internal/serve"
 )
 
@@ -60,8 +59,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session limit")
 	deadline := flag.Duration("deadline", 0, "default per-cycle watchdog deadline; a wedged cycle degrades to the serial fallback (0 = off)")
 	unlink := flag.Bool("unlink", true, "left/right unlinking in session engines: run activations against provably empty opposite memories without scheduling tasks")
-	bilinear := flag.String("bilinear", "off", "bilinear restructuring for session engines: off, all, or auto (structural: hashes into the shared-image key)")
-	bilinearDepth := flag.Int("bilinear-depth", 0, "auto-bilinear selection threshold in positive+negated CEs (0 = default 16)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file at exit")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
@@ -79,11 +76,6 @@ func main() {
 	flag.Parse()
 
 	pol, err := prun.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psmed:", err)
-		os.Exit(2)
-	}
-	org, err := rete.ParseOrganization(*bilinear)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psmed:", err)
 		os.Exit(2)
@@ -118,19 +110,17 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		Workers:       *workers,
-		Processes:     *procs,
-		Policy:        pol,
-		QueueDepth:    *queueDepth,
-		MaxSessions:   *maxSessions,
-		Deadline:      *deadline,
-		Unlink:        unlink,
-		Organization:  org,
-		BilinearDepth: *bilinearDepth,
-		Obs:           observer,
-		Log:           logger,
-		Fault:         inj,
-		DataDir:       *dataDir,
+		Workers:     *workers,
+		Processes:   *procs,
+		Policy:      pol,
+		QueueDepth:  *queueDepth,
+		MaxSessions: *maxSessions,
+		Deadline:    *deadline,
+		Unlink:      unlink,
+		Obs:         observer,
+		Log:         logger,
+		Fault:       inj,
+		DataDir:     *dataDir,
 		Prof: &matchprof.Options{
 			SampleEvery:  *sampleEvery,
 			FlightCycles: *flightCycles,

@@ -159,16 +159,13 @@ type Engine struct {
 
 // New creates an empty engine owning a private, freshly compiled network.
 func New(cfg Config) *Engine {
-	tab := value.NewTable()
-	reg := wme.NewRegistry()
 	cs := conflict.New()
-	nw := rete.NewNetwork(tab, reg, cs, cfg.Rete)
-	return assemble(tab, reg, nw, cs, cfg)
+	return assemble(rete.NewNetwork(value.NewTable(), wme.NewRegistry(), cs, cfg.Rete), cs, cfg)
 }
 
 // assemble wires the runtime, profiler and observability around a network —
 // shared by New (private network) and NewFromImage (shared topology).
-func assemble(tab *value.Table, reg *wme.Registry, nw *rete.Network, cs *conflict.Set, cfg Config) *Engine {
+func assemble(nw *rete.Network, cs *conflict.Set, cfg Config) *Engine {
 	var prof *matchprof.Profile
 	if cfg.Prof != nil {
 		prof = matchprof.New(nw, *cfg.Prof, cfg.Obs)
@@ -184,7 +181,7 @@ func assemble(tab *value.Table, reg *wme.Registry, nw *rete.Network, cs *conflic
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 10000
 	}
-	e := &Engine{Tab: tab, Reg: reg, WM: wme.NewMemory(), NW: nw, RT: rt, CS: cs, cfg: cfg, Prof: prof}
+	e := &Engine{Tab: nw.Tab, Reg: nw.Reg, WM: wme.NewMemory(), NW: nw, RT: rt, CS: cs, cfg: cfg, Prof: prof}
 	if o := cfg.Obs; o != nil {
 		e.obs = o
 		e.mCycles = o.Counter("match_cycles_total")
@@ -341,26 +338,25 @@ func (e *Engine) RebuildMatchState() prun.CycleStats {
 // exists, so no state update is needed) and startup actions, which are
 // applied and matched.
 func (e *Engine) LoadProgram(src string) error {
-	prog, err := ops5.Parse(src, e.Tab)
+	prog, err := compileInto(e.NW, src)
 	if err != nil {
 		return err
 	}
-	for _, lit := range prog.Literalize {
-		e.Reg.Declare(lit.Class, lit.Attrs...)
-	}
 	e.strategy = conflict.ParseStrategy(prog.Strategy)
-	for _, p := range prog.Productions {
-		if _, _, err := e.NW.AddProduction(p); err != nil {
-			return err
-		}
+	return e.runStartup(prog.Startup)
+}
+
+// runStartup executes a program's startup actions, if it has any, as one
+// match cycle.
+func (e *Engine) runStartup(acts []*ops5.Action) error {
+	if len(acts) == 0 {
+		return nil
 	}
-	if len(prog.Startup) > 0 {
-		deltas, err := e.execActions(prog.Startup, nil, nil)
-		if err != nil {
-			return err
-		}
-		e.ApplyAndMatch(deltas)
+	deltas, err := e.execActions(acts, nil, nil)
+	if err != nil {
+		return err
 	}
+	e.ApplyAndMatch(deltas)
 	return nil
 }
 

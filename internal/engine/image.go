@@ -1,5 +1,5 @@
-// Compiled program images: the engine-level face of the rete topology
-// split. CompileProgram builds a program's network once and freezes it;
+// Compiled program images: the engine-level face of the rete base layer.
+// CompileProgram builds a program's network once and freezes it;
 // NewFromImage stamps out sessions against the shared image in O(state)
 // instead of O(compile) — the paper's node-sharing economy extended across
 // sessions. ImageCache (cache.go) keys images by canonical program hash so
@@ -55,29 +55,39 @@ func ProgramHash(src string, opts rete.Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CompileProgram parses and compiles an OPS5 program into a frozen,
-// shareable image. Startup actions are recorded, not executed.
-func CompileProgram(src string, opts rete.Options) (*ProgramImage, error) {
-	tab := value.NewTable()
-	reg := wme.NewRegistry()
-	nw := rete.NewNetwork(tab, reg, nil, opts)
-	prog, err := ops5.Parse(src, tab)
+// compileInto parses src against the network's symbol table, declares its
+// classes and adds its productions — the routine an engine loading its own
+// program (LoadProgram) and an image compile (CompileProgram) share. Startup
+// actions are returned on the program, not executed.
+func compileInto(nw *rete.Network, src string) (*ops5.Program, error) {
+	prog, err := ops5.Parse(src, nw.Tab)
 	if err != nil {
 		return nil, err
 	}
 	for _, lit := range prog.Literalize {
-		reg.Declare(lit.Class, lit.Attrs...)
+		nw.Reg.Declare(lit.Class, lit.Attrs...)
 	}
 	for _, p := range prog.Productions {
 		if _, _, err := nw.AddProduction(p); err != nil {
 			return nil, err
 		}
 	}
+	return prog, nil
+}
+
+// CompileProgram parses and compiles an OPS5 program into a frozen,
+// shareable image. Startup actions are recorded, not executed.
+func CompileProgram(src string, opts rete.Options) (*ProgramImage, error) {
+	nw := rete.NewNetwork(value.NewTable(), wme.NewRegistry(), nil, opts)
+	prog, err := compileInto(nw, src)
+	if err != nil {
+		return nil, err
+	}
 	return &ProgramImage{
 		Hash:     ProgramHash(src, opts),
 		Source:   src,
-		Tab:      tab,
-		Reg:      reg,
+		Tab:      nw.Tab,
+		Reg:      nw.Reg,
 		Top:      nw.Freeze(),
 		Strategy: conflict.ParseStrategy(prog.Strategy),
 		Startup:  prog.Startup,
@@ -93,7 +103,7 @@ func CompileProgram(src string, opts rete.Options) (*ProgramImage, error) {
 func NewFromImage(img *ProgramImage, cfg Config) *Engine {
 	cs := conflict.New()
 	nw := rete.NewFromTopology(img.Top, cs, cfg.Rete)
-	e := assemble(img.Tab, img.Reg, nw, cs, cfg)
+	e := assemble(nw, cs, cfg)
 	e.strategy = img.Strategy
 	e.img = img
 	return e
@@ -106,13 +116,8 @@ func (e *Engine) Image() *ProgramImage { return e.img }
 // RunStartup executes the image's startup actions (one match cycle). It is
 // a no-op for engines not created from an image or images without startup.
 func (e *Engine) RunStartup() error {
-	if e.img == nil || len(e.img.Startup) == 0 {
+	if e.img == nil {
 		return nil
 	}
-	deltas, err := e.execActions(e.img.Startup, nil, nil)
-	if err != nil {
-		return err
-	}
-	e.ApplyAndMatch(deltas)
-	return nil
+	return e.runStartup(e.img.Startup)
 }

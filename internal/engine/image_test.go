@@ -194,8 +194,8 @@ func TestSuffixExcise(t *testing.T) {
 	if _, err := e.AddProductionRuntime(ast); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.NW.SuffixProductions()) != 1 {
-		t.Fatalf("suffix productions = %d, want 1", len(e.NW.SuffixProductions()))
+	if len(e.NW.OwnProductions()) != 1 {
+		t.Fatalf("own-layer productions = %d, want 1", len(e.NW.OwnProductions()))
 	}
 	// Excising the private chunk works and restores the base conflict set.
 	base := New(cfg)

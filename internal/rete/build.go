@@ -42,18 +42,23 @@ type builder struct {
 	shared   bool
 	private  bool // creating NCC-sub or bilinear nodes: never share into
 	info     *AddInfo
+
+	// lastReused is the deepest existing node this build shared into. Sharing
+	// stops for good at the first node that is not reused, so the nodes it
+	// took a reference on are that one and its ancestors (see rollback).
+	lastReused *BetaNode
 }
 
-// AddProduction compiles ast into the network, sharing nodes with existing
-// productions where Options.ShareBeta allows. Against a frozen topology the
-// new nodes splice onto the session-private suffix: shared prefix nodes are
-// reused read-only, never mutated. The caller must be quiescent (no match
-// tasks in flight). The returned AddInfo seeds the state update.
-func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, error) {
+// AddProduction compiles ast into the network's own layer, sharing nodes
+// with existing productions where Options.ShareBeta allows; base nodes are
+// reused read-only, never mutated. It is all-or-nothing: a production that
+// is rejected leaves the network as it was. The caller must be quiescent
+// (no match tasks in flight). The returned AddInfo seeds the state update.
+func (nw *Network) AddProduction(ast *ops5.Production) (_ *Production, _ *AddInfo, err error) {
 	start := time.Now()
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if nw.top.prods[ast.Name] != nil || (nw.sfx != nil && nw.sfx.prods[ast.Name] != nil) {
+	if nw.base.prods[ast.Name] != nil || nw.own.prods[ast.Name] != nil {
 		return nil, nil, fmt.Errorf("rete: production %q already defined", ast.Name)
 	}
 	b := &builder{
@@ -64,8 +69,13 @@ func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, e
 		shared:   true,
 		info:     &AddInfo{},
 	}
+	own := &nw.own
+	defer func(nextID NodeID, nTwoInput int, unspliced bool) {
+		if err != nil {
+			b.rollback(nextID, nTwoInput, unspliced)
+		}
+	}(own.nextID, own.nTwoInput, own.betaKids == nil)
 	var bottom *BetaNode
-	var err error
 	restructured := b.useBilinear()
 	if restructured {
 		bottom, err = b.buildBilinear()
@@ -88,27 +98,41 @@ func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, e
 	pn := b.newNode(&BetaNode{Kind: KindP, Parent: bottom, Prod: prod})
 	b.attach(bottom, pn)
 	prod.PNode = pn
-	if nw.top.frozen {
-		sfx := nw.sfxOf()
-		sfx.prods[ast.Name] = prod
-		sfx.prodOrder = append(sfx.prodOrder, prod)
-	} else {
-		nw.top.prods[ast.Name] = prod
-		nw.top.prodOrder = append(nw.top.prodOrder, prod)
-	}
+	own.prods[ast.Name] = prod
+	own.prodOrder = append(own.prodOrder, prod)
 
 	b.info.Prod = prod
 	b.finishInfo()
 	// Size the unlink counters for the new node IDs while still quiescent
 	// (match workers read them with atomics and never reallocate).
-	maxID := nw.top.nextID
-	if nw.sfx != nil {
-		maxID = nw.sfx.nextID
-	}
-	nw.Mem.GrowCounts(int(maxID) + 1)
-	nw.Prof.Grow(int(maxID) + 1)
+	nw.Mem.GrowCounts(int(own.nextID) + 1)
+	nw.Prof.Grow(int(own.nextID) + 1)
 	b.info.SpliceTime = time.Since(start)
 	return prod, b.info, nil
+}
+
+// rollback removes everything a rejected production built: its beta nodes are
+// detached from their parents and alpha memories exactly as excise would,
+// newest first; the alpha nodes and memories created since nextID are
+// dropped; and the references it took on the nodes it shared into are
+// returned. Nothing has run through the new nodes (the caller is quiescent),
+// so there is no match state to purge and their IDs can be handed out again.
+// If the build made the splice maps (unspliced: they were nil before it), they
+// go back to nil, so the hot paths keep their one nil test (see layer.spliced).
+func (b *builder) rollback(nextID NodeID, nTwoInput int, unspliced bool) {
+	nw := b.nw
+	for i := len(b.info.NewBeta) - 1; i >= 0; i-- {
+		nw.detach(b.info.NewBeta[i])
+	}
+	nw.pruneAlpha(nextID)
+	for n := b.lastReused; n != nil && !nw.inBase(n.ID); n = n.Parent {
+		n.refs--
+	}
+	own := &nw.own
+	own.nextID, own.nTwoInput = nextID, nTwoInput
+	if unspliced {
+		own.alphaKids, own.alphaMemAt, own.alphaSuccs, own.betaKids = nil, nil, nil, nil
+	}
 }
 
 // finishInfo computes FirstNewID and the boundary set.
@@ -138,37 +162,27 @@ func (b *builder) newNode(n *BetaNode) *BetaNode {
 	n.ID = b.nw.newID()
 	n.refs = 1
 	if n.Kind != KindP {
-		if b.nw.top.frozen {
-			b.nw.sfxOf().nTwoInput++
-		} else {
-			b.nw.top.nTwoInput++
-		}
+		b.nw.own.nTwoInput++
 	}
 	b.info.NewBeta = append(b.info.NewBeta, n)
 	b.shared = false
 	return n
 }
 
-// attach wires child under parent (or as a top node). A frozen parent's
-// child list is never touched: the child goes into the session suffix's
-// betaKids overlay instead — the jumptable splice.
+// attach wires child under parent (or as a top node). A base parent's child
+// list is never touched: the child goes into the own layer's betaKids splice
+// map instead — the jumptable splice.
 func (b *builder) attach(parent, child *BetaNode) {
-	nw := b.nw
-	if parent == nil {
-		if nw.top.frozen {
-			sfx := nw.sfxOf()
-			sfx.topNodes = append(sfx.topNodes, child)
-		} else {
-			nw.top.topNodes = append(nw.top.topNodes, child)
-		}
-		return
+	own := &b.nw.own
+	switch {
+	case parent == nil:
+		own.topNodes = append(own.topNodes, child)
+	case b.nw.inBase(parent.ID):
+		kids := own.spliced().betaKids
+		kids[parent.ID] = append(kids[parent.ID], child)
+	default:
+		parent.Children = append(parent.Children, child)
 	}
-	if nw.sharedBeta(parent) {
-		sfx := nw.sfxOf()
-		sfx.betaKids[parent.ID] = append(sfx.betaKids[parent.ID], child)
-		return
-	}
-	parent.Children = append(parent.Children, child)
 }
 
 // ---- linear organization ----
@@ -269,40 +283,17 @@ func (b *builder) joinChild(cur *BetaNode, kind BetaKind, am *AlphaMem, tests []
 		nEq = 0 // no hash discrimination: scan the whole node memory
 	}
 	if b.shared && b.nw.Opts.ShareBeta {
-		match := func(s *BetaNode) bool {
-			return !s.private && s.Kind == kind && s.Alpha == am && s.RightCE == rightCE && sameTests(s.Tests, tests)
-		}
-		var siblings []*BetaNode
-		if cur == nil {
-			siblings = b.nw.top.topNodes
-		} else {
-			siblings = cur.Children
-		}
-		for _, s := range siblings {
-			if match(s) {
-				// Sharing into a frozen prefix node reuses it without any
-				// mutation: its refs stay as compiled (prefix nodes are
-				// permanent; suffix excise skips them).
-				if !b.nw.sharedBeta(s) {
+		for _, s := range b.nw.childrenOf(cur) {
+			if !s.private && s.Kind == kind && s.Alpha == am && s.RightCE == rightCE && sameTests(s.Tests, tests) {
+				// Sharing into a base node reuses it without any mutation:
+				// its refs stay as compiled (base nodes are permanent;
+				// excise skips them).
+				if !b.nw.inBase(s.ID) {
 					s.refs++
 				}
+				b.lastReused = s
 				b.info.SharedTwoInput++
 				return s
-			}
-		}
-		if sfx := b.nw.sfx; sfx != nil {
-			// Suffix siblings: earlier chunks of this same session.
-			if cur == nil {
-				siblings = sfx.topNodes
-			} else {
-				siblings = sfx.betaKids[cur.ID]
-			}
-			for _, s := range siblings {
-				if match(s) {
-					s.refs++
-					b.info.SharedTwoInput++
-					return s
-				}
 			}
 		}
 	}
@@ -315,9 +306,9 @@ func (b *builder) joinChild(cur *BetaNode, kind BetaKind, am *AlphaMem, tests []
 		nEqTests: nEq,
 		private:  b.private,
 	})
-	if b.nw.sharedID(am.ID) {
-		sfx := b.nw.sfxOf()
-		sfx.alphaSuccs[am.ID] = append(sfx.alphaSuccs[am.ID], n)
+	if b.nw.inBase(am.ID) {
+		succs := b.nw.own.spliced().alphaSuccs
+		succs[am.ID] = append(succs[am.ID], n)
 	} else {
 		am.Succs = append(am.Succs, n)
 	}
@@ -520,7 +511,7 @@ func checkRHS(p *Production, nw *Network) error {
 // linear join chain would reach Options.BilinearDepth two-input nodes —
 // and combines their groups with a balanced pair-join tree. The decision
 // is purely structural (source + options), so runtime chunks added
-// against a frozen topology make it identically on every session.
+// over a shared base make it identically on every session.
 func (b *builder) useBilinear() bool {
 	switch b.nw.Opts.Organization {
 	case Bilinear:

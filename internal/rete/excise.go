@@ -12,16 +12,12 @@ import "fmt"
 func (nw *Network) RemoveProduction(name string) error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	prod := nw.top.prods[name]
-	fromSuffix := false
-	if prod == nil && nw.sfx != nil {
-		prod = nw.sfx.prods[name]
-		fromSuffix = prod != nil
-	}
+	own := &nw.own
+	prod := own.prods[name]
 	if prod == nil {
-		return fmt.Errorf("rete: production %q not defined", name)
-	}
-	if !fromSuffix && nw.top.frozen {
+		if nw.base.prods[name] == nil {
+			return fmt.Errorf("rete: production %q not defined", name)
+		}
 		// The production's nodes belong to the shared image other sessions
 		// are matching against; excising them here would mutate structures
 		// read lock-free elsewhere.
@@ -56,11 +52,11 @@ func (nw *Network) RemoveProduction(name string) error {
 	walk(prod.PNode)
 
 	// Decrement reference counts bottom-up; detach nodes that reach zero.
-	// Shared prefix nodes reused by a suffix chunk are skipped entirely:
-	// they are permanent (the frozen image outlives every session) and
-	// their refs field must not be written cross-session.
+	// Base nodes the production reused are skipped entirely: they are
+	// permanent (the shared image outlives every session) and their refs
+	// field must not be written cross-session.
 	for _, n := range chain {
-		if nw.sharedBeta(n) {
+		if nw.inBase(n.ID) {
 			continue
 		}
 		n.refs--
@@ -70,38 +66,25 @@ func (nw *Network) RemoveProduction(name string) error {
 		nw.detach(n)
 		nw.Mem.PurgeNode(n.ID)
 		if n.Kind != KindP {
-			if fromSuffix {
-				nw.sfx.nTwoInput--
-			} else {
-				nw.top.nTwoInput--
-			}
+			own.nTwoInput--
 		}
 	}
 
-	if fromSuffix {
-		delete(nw.sfx.prods, name)
-		for i, p := range nw.sfx.prodOrder {
-			if p == prod {
-				nw.sfx.prodOrder = append(nw.sfx.prodOrder[:i], nw.sfx.prodOrder[i+1:]...)
-				break
-			}
-		}
-		return nil
-	}
-	delete(nw.top.prods, name)
-	for i, p := range nw.top.prodOrder {
+	delete(own.prods, name)
+	for i, p := range own.prodOrder {
 		if p == prod {
-			nw.top.prodOrder = append(nw.top.prodOrder[:i], nw.top.prodOrder[i+1:]...)
+			own.prodOrder = append(own.prodOrder[:i], own.prodOrder[i+1:]...)
 			break
 		}
 	}
 	return nil
 }
 
-// detach unwires a dead node from its parents and alpha memory. A private
-// suffix node hanging off a shared parent is removed from the session's
-// overlay lists; the shared structures themselves are never written.
+// detach unwires a dead own-layer node from its parents and alpha memory.
+// Where one of those is a base node, the node comes off the own layer's
+// splice list for it; the base structures themselves are never written.
 func (nw *Network) detach(n *BetaNode) {
+	own := &nw.own
 	removeChild := func(list []*BetaNode) []*BetaNode {
 		for i, c := range list {
 			if c == n {
@@ -111,35 +94,24 @@ func (nw *Network) detach(n *BetaNode) {
 		return list
 	}
 	unparent := func(p *BetaNode) {
-		if nw.sharedBeta(p) {
-			nw.sfx.betaKids[p.ID] = removeChild(nw.sfx.betaKids[p.ID])
-			return
+		switch {
+		case p == nil:
+			own.topNodes = removeChild(own.topNodes)
+		case nw.inBase(p.ID):
+			own.betaKids[p.ID] = removeChild(own.betaKids[p.ID])
+		default:
+			p.Children = removeChild(p.Children)
 		}
-		p.Children = removeChild(p.Children)
 	}
-	if n.Parent != nil {
-		unparent(n.Parent)
-	} else if nw.top.frozen {
-		if nw.sfx != nil {
-			nw.sfx.topNodes = removeChild(nw.sfx.topNodes)
-		}
-	} else {
-		nw.top.topNodes = removeChild(nw.top.topNodes)
-	}
+	unparent(n.Parent)
 	if n.Kind == KindJoinBB && n.RightParent != nil {
 		unparent(n.RightParent)
 	}
-	if n.Alpha != nil {
-		if nw.sharedID(n.Alpha.ID) {
-			succs := nw.sfx.alphaSuccs[n.Alpha.ID]
-			nw.sfx.alphaSuccs[n.Alpha.ID] = removeChild(succs)
-			return
-		}
-		for i, s := range n.Alpha.Succs {
-			if s == n {
-				n.Alpha.Succs = append(n.Alpha.Succs[:i:i], n.Alpha.Succs[i+1:]...)
-				break
-			}
+	if am := n.Alpha; am != nil {
+		if nw.inBase(am.ID) {
+			own.alphaSuccs[am.ID] = removeChild(own.alphaSuccs[am.ID])
+		} else {
+			am.Succs = removeChild(am.Succs)
 		}
 	}
 }

@@ -148,10 +148,10 @@ type emitter struct {
 
 func (em *emitter) emit(from *BetaNode, tok *Token, op wme.Op) {
 	em.emitTo(from, from.Children, tok, op)
-	if sfx := em.nw.sfx; sfx != nil {
-		// Session-private suffix children spliced under a frozen prefix
-		// node (chunk splice); nil for non-chunking sessions.
-		if kids := sfx.betaKids[from.ID]; len(kids) > 0 {
+	if spliced := em.nw.own.betaKids; spliced != nil {
+		// Own-layer children spliced under a base node (chunk splice); the
+		// map is nil for sessions that never chunk and for owned networks.
+		if kids := spliced[from.ID]; len(kids) > 0 {
 			em.emitTo(from, kids, tok, op)
 		}
 	}

@@ -15,17 +15,11 @@ import (
 // count.
 func (nw *Network) FormatNetwork() string {
 	nw.mu.Lock()
-	tops := nw.topsOf()
+	tops := append([]*BetaNode(nil), nw.childrenOf(nil)...)
 	classOf := map[NodeID]string{}
-	for cls, root := range nw.top.roots {
-		collectAlphaPaths(nw.Tab, nw.Tab.Name(cls), root, "", classOf)
-	}
-	if nw.sfx != nil {
-		for cls, root := range nw.sfx.roots {
-			collectAlphaPaths(nw.Tab, nw.Tab.Name(cls), root, "", classOf)
-		}
-		for id, am := range nw.sfx.alphaMemAt {
-			classOf[am.ID] = fmt.Sprintf("(suffix mem at alpha#%d)", id)
+	for _, roots := range []map[value.Sym]*AlphaNode{nw.base.roots, nw.own.roots} {
+		for cls, root := range roots {
+			nw.collectAlphaPaths(nw.Tab.Name(cls), root, "", classOf)
 		}
 	}
 	nw.mu.Unlock()
@@ -71,16 +65,22 @@ func (nw *Network) FormatNetwork() string {
 	return sb.String()
 }
 
-// collectAlphaPaths maps every alpha-memory ID to its readable test path.
-func collectAlphaPaths(tab *value.Table, prefix string, n *AlphaNode, path string, out map[NodeID]string) {
+// collectAlphaPaths maps every alpha-memory ID to its readable test path,
+// descending into what the own layer spliced under base nodes as well.
+func (nw *Network) collectAlphaPaths(prefix string, n *AlphaNode, path string, out map[NodeID]string) {
 	if n.Test.Pred != 0 || n.Test.Val != (value.Value{}) || n.Test.VsField || n.Test.Disj != nil {
-		path += " " + formatAlphaTest(tab, n.Test)
+		path += " " + formatAlphaTest(nw.Tab, n.Test)
 	}
-	if n.Mem != nil {
-		out[n.Mem.ID] = prefix + path
+	for _, am := range []*AlphaMem{n.Mem, nw.own.alphaMemAt[n.ID]} {
+		if am != nil {
+			out[am.ID] = prefix + path
+		}
 	}
 	for _, c := range n.Children {
-		collectAlphaPaths(tab, prefix, c, path, out)
+		nw.collectAlphaPaths(prefix, c, path, out)
+	}
+	for _, c := range nw.own.alphaKids[n.ID] {
+		nw.collectAlphaPaths(prefix, c, path, out)
 	}
 }
 

@@ -2,6 +2,7 @@ package rete
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -126,13 +127,13 @@ type NetStats struct {
 	AlphaMisses atomic.Int64
 }
 
-// Network is one session's view of a Rete network: a compiled topology —
-// privately owned while unfrozen, shared read-only across sessions once
-// frozen — plus this session's mutable match state (token tables, unlink
-// counters, conflict set) and, for sessions that chunk against a frozen
-// topology, a private copy-on-write suffix overlay. Construction and
-// production addition are serialized (Soar adds chunks only at quiescence);
-// task execution is fully parallel.
+// Network is one session's view of a Rete network: a compiled graph in two
+// layers — a base that is read-only and possibly shared with other sessions,
+// and an own layer that every construction write goes to — plus this
+// session's mutable match state (token tables, unlink counters, conflict
+// set). An owned network (NewNetwork) is simply one whose base is empty.
+// Construction and production addition are serialized (Soar adds chunks only
+// at quiescence); task execution is fully parallel.
 type Network struct {
 	Tab  *value.Table
 	Reg  *wme.Registry
@@ -148,91 +149,52 @@ type Network struct {
 	// and never replaced, so it is read as a plain field.
 	Prof *Prof
 
-	mu  sync.Mutex // guards construction state (topology while unfrozen, suffix always)
-	top *Topology
-	sfx *suffix // lazily created CoW overlay; nil until this session chunks
+	mu   sync.Mutex // guards construction state: the own layer, and base until Freeze
+	base *Topology  // never nil; empty for an owned network
+	own  layer
 }
 
-// NewNetwork creates an empty network owning a fresh (unfrozen) topology.
+// NewNetwork creates an empty owned network: a session over an empty base.
 func NewNetwork(tab *value.Table, reg *wme.Registry, cs ConflictListener, opts Options) *Network {
-	if opts.HashLines <= 0 {
-		opts.HashLines = 1024
-	}
-	return &Network{
-		Tab:  tab,
-		Reg:  reg,
-		Mem:  NewMem(opts.HashLines),
-		Opts: opts,
-		CS:   cs,
-		top: &Topology{
-			tab:       tab,
-			reg:       reg,
-			opts:      opts,
-			roots:     make(map[value.Sym]*AlphaNode),
-			alphaMems: make(map[string]*AlphaMem),
-			prods:     make(map[string]*Production),
-		},
-	}
+	return NewFromTopology(&Topology{tab: tab, reg: reg, opts: opts}, cs, opts)
 }
 
-// newID hands out the next monotone node ID (callers hold nw.mu). Once the
-// topology is frozen, IDs continue from its maximum on the session-private
-// suffix: IDs only index this session's own state vectors, so two sessions
-// assigning the same suffix ID never interfere.
+// newID hands out the next monotone node ID (callers hold nw.mu).
 func (nw *Network) newID() NodeID {
-	if nw.top.frozen {
-		sfx := nw.sfxOf()
-		sfx.nextID++
-		return sfx.nextID
-	}
-	nw.top.nextID++
-	return nw.top.nextID
+	nw.own.nextID++
+	return nw.own.nextID
 }
 
-// MaxNodeID returns the largest node ID assigned so far (shared or suffix).
+// MaxNodeID returns the largest node ID assigned so far, in either layer.
 func (nw *Network) MaxNodeID() NodeID {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if nw.sfx != nil {
-		return nw.sfx.nextID
-	}
-	return nw.top.nextID
+	return nw.own.nextID
 }
 
 // TwoInputNodes returns the number of two-input nodes in the network.
 func (nw *Network) TwoInputNodes() int {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	n := nw.top.nTwoInput
-	if nw.sfx != nil {
-		n += nw.sfx.nTwoInput
-	}
-	return n
+	return nw.base.nTwoInput + nw.own.nTwoInput
 }
 
 // Productions returns the compiled productions in definition order: the
-// shared (base) productions followed by this session's suffix.
+// base's followed by the own layer's.
 func (nw *Network) Productions() []*Production {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	out := append([]*Production(nil), nw.top.prodOrder...)
-	if nw.sfx != nil {
-		out = append(out, nw.sfx.prodOrder...)
-	}
-	return out
+	return append(nw.base.Productions(), nw.own.prodOrder...)
 }
 
 // Lookup returns a compiled production by name.
 func (nw *Network) Lookup(name string) *Production {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if p := nw.top.prods[name]; p != nil {
+	if p := nw.base.prods[name]; p != nil {
 		return p
 	}
-	if nw.sfx != nil {
-		return nw.sfx.prods[name]
-	}
-	return nil
+	return nw.own.prods[name]
 }
 
 // ---- alpha network ----
@@ -277,45 +239,106 @@ func sortAlphaTests(tests []AlphaTest) {
 
 // buildAlpha returns (creating as needed) the alpha memory for a class and
 // test sequence. Constant-test nodes are shared by path prefix; memories by
-// full path. Against a frozen topology the shared trees are traversed
-// read-only and anything missing is created in the session suffix (callers
-// hold nw.mu).
+// full path. The base's trees are traversed read-only: whatever is missing
+// is created in the own layer and, where its parent is a base node, hung
+// under it through a splice map (callers hold nw.mu).
 func (nw *Network) buildAlpha(class value.Sym, tests []AlphaTest) *AlphaMem {
+	own := &nw.own
 	sortAlphaTests(tests)
 	key := alphaKey(class, tests)
-	if am, ok := nw.top.alphaMems[key]; ok {
+	if am, ok := nw.base.alphaMems[key]; ok {
 		return am
 	}
-	if nw.top.frozen {
-		return nw.buildAlphaSuffix(class, tests, key)
+	if am, ok := own.alphaMems[key]; ok {
+		return am
 	}
-	root := nw.top.roots[class]
-	if root == nil {
-		root = &AlphaNode{ID: nw.newID()}
-		nw.top.roots[class] = root
+	cur := nw.base.roots[class]
+	if cur == nil {
+		cur = own.roots[class]
 	}
-	cur := root
+	if cur == nil {
+		cur = &AlphaNode{ID: nw.newID()}
+		own.roots[class] = cur
+	}
 	for _, t := range tests {
-		var next *AlphaNode
-		for _, c := range cur.Children {
-			if c.Test.equalTest(t) {
-				next = c
-				break
-			}
+		next := findAlphaChild(cur.Children, t)
+		if next == nil && nw.inBase(cur.ID) {
+			next = findAlphaChild(own.alphaKids[cur.ID], t)
 		}
 		if next == nil {
 			next = &AlphaNode{ID: nw.newID(), Test: t}
-			cur.Children = append(cur.Children, next)
-			cur.indexChild(next)
+			if nw.inBase(cur.ID) {
+				// Scanned linearly by walkAlpha: spliced fanout is chunk-sized.
+				kids := own.spliced().alphaKids
+				kids[cur.ID] = append(kids[cur.ID], next)
+			} else {
+				cur.Children = append(cur.Children, next)
+				cur.indexChild(next)
+			}
 		}
 		cur = next
 	}
-	if cur.Mem == nil {
-		cur.Mem = &AlphaMem{ID: nw.newID(), key: key}
-	}
 	am := cur.Mem
-	nw.top.alphaMems[key] = am
+	switch {
+	case nw.inBase(cur.ID):
+		// A base terminal without a memory for this key (a memory would
+		// have hit base.alphaMems above): hang the memory beside it.
+		am = &AlphaMem{ID: nw.newID(), key: key}
+		own.spliced().alphaMemAt[cur.ID] = am
+	case am == nil:
+		am = &AlphaMem{ID: nw.newID(), key: key}
+		cur.Mem = am
+	}
+	own.alphaMems[key] = am
 	return am
+}
+
+func findAlphaChild(kids []*AlphaNode, t AlphaTest) *AlphaNode {
+	for _, c := range kids {
+		if c.Test.equalTest(t) {
+			return c
+		}
+	}
+	return nil
+}
+
+// pruneAlpha drops from the own layer every alpha node and memory numbered
+// above keep: what a rejected production created (see builder.rollback). IDs
+// grow monotonically and alpha nodes are never removed otherwise, so in every
+// child list the newcomers are a suffix. It walks the whole own layer, which
+// a rejected production can afford and an accepted one never pays for.
+func (nw *Network) pruneAlpha(keep NodeID) {
+	own := &nw.own
+	var prune func(n *AlphaNode)
+	prune = func(n *AlphaNode) {
+		if n.Mem != nil && n.Mem.ID > keep {
+			n.Mem = nil
+		}
+		for k := len(n.Children); k > 0 && n.Children[k-1].ID > keep; k-- {
+			n.dropLastChild()
+		}
+		for _, c := range n.Children {
+			prune(c)
+		}
+	}
+	for cls, root := range own.roots {
+		if root.ID > keep {
+			delete(own.roots, cls)
+		} else {
+			prune(root)
+		}
+	}
+	for id, kids := range own.alphaKids {
+		for len(kids) > 0 && kids[len(kids)-1].ID > keep {
+			kids = kids[:len(kids)-1]
+		}
+		own.alphaKids[id] = kids
+		for _, c := range kids {
+			prune(c)
+		}
+	}
+	maps.DeleteFunc(own.alphaMemAt, func(_ NodeID, am *AlphaMem) bool { return am.ID > keep })
+	maps.DeleteFunc(own.alphaMems, func(_ string, am *AlphaMem) bool { return am.ID > keep })
 }
 
 // InjectFn receives the right activations produced by an alpha-network
@@ -327,24 +350,25 @@ type InjectFn func(n *BetaNode, w *wme.WME, op wme.Op)
 // inline (one-input nodes are cheap; the tasks PSM-E schedules are the
 // two-input activations — paper §2.2/§2.3).
 func (nw *Network) Inject(d wme.Delta, emit InjectFn) {
-	if root := nw.top.roots[d.WME.Class]; root != nil {
+	root := nw.base.roots[d.WME.Class]
+	if root == nil {
+		root = nw.own.roots[d.WME.Class]
+	}
+	if root != nil {
 		nw.walkAlpha(root, d, emit)
-	} else if sfx := nw.sfx; sfx != nil {
-		if root := sfx.roots[d.WME.Class]; root != nil {
-			nw.walkAlpha(root, d, emit)
-		}
 	}
 }
 
 func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, emit InjectFn) {
+	own := &nw.own
 	if n.Mem != nil {
 		for _, succ := range n.Mem.Succs {
 			emit(succ, d.WME, d.Op)
 		}
-		if sfx := nw.sfx; sfx != nil {
-			// Private suffix joins taking right input from this shared
-			// memory (a private memory's successors live in Succs above).
-			for _, succ := range sfx.alphaSuccs[n.Mem.ID] {
+		if own.alphaSuccs != nil {
+			// Own-layer joins taking right input from this base memory (an
+			// own memory's successors are all in Succs above).
+			for _, succ := range own.alphaSuccs[n.Mem.ID] {
 				emit(succ, d.WME, d.Op)
 			}
 		}
@@ -366,16 +390,15 @@ func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, emit InjectFn) {
 			nw.walkAlpha(c, d, emit)
 		}
 	}
-	if sfx := nw.sfx; sfx != nil && nw.sharedID(n.ID) {
-		// Copy-on-write overlay of a frozen prefix node: a private memory
-		// spliced at a shared interior node, and private constant-test
-		// children (scanned linearly — suffix fanout is chunk-sized).
-		if am := sfx.alphaMemAt[n.ID]; am != nil {
+	if own.alphaKids != nil && nw.inBase(n.ID) {
+		// What the own layer spliced at this base node: a memory beside an
+		// interior node, and constant-test children.
+		if am := own.alphaMemAt[n.ID]; am != nil {
 			for _, succ := range am.Succs {
 				emit(succ, d.WME, d.Op)
 			}
 		}
-		for _, c := range sfx.alphaKids[n.ID] {
+		for _, c := range own.alphaKids[n.ID] {
 			nw.Stats.ConstTests.Add(1)
 			if c.Test.matches(d.WME.Field) {
 				nw.walkAlpha(c, d, emit)
@@ -400,11 +423,11 @@ func (nw *Network) ResetMatchState() {
 	nw.Prof.Grow(int(nw.MaxNodeID()) + 1)
 }
 
-// WalkBeta visits every beta node reachable from the top, once — shared
-// prefix and session suffix both.
+// WalkBeta visits every beta node reachable from the top, once — base and
+// own layer both.
 func (nw *Network) WalkBeta(fn func(*BetaNode)) {
 	nw.mu.Lock()
-	tops := nw.topsOf()
+	tops := nw.childrenOf(nil)
 	nw.mu.Unlock()
 	seen := make(map[NodeID]bool)
 	var rec func(n *BetaNode)

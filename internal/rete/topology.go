@@ -7,18 +7,66 @@ import (
 	"soarpsme/internal/wme"
 )
 
-// Topology is the compiled half of a Rete network: the alpha constant-test
-// trees with their hashed dispatch maps, the shared beta graph, and the
-// production metadata. It extends the paper's node-sharing economy across
-// sessions: compiled once per canonical program, a frozen Topology is
-// referenced read-only by any number of Networks, each of which owns only
-// its mutable match state (token tables, unlink counters, conflict set).
+// layer is one stratum of a compiled network graph: the alpha constant-test
+// trees, the beta graph and the production metadata it holds itself, plus
+// the splice maps that attach its nodes under nodes of the layer below —
+// the paper's §5 jumptable splice of an unshared suffix. A Network is two of
+// them: a read-only base, shared by any number of sessions, and the own
+// layer every construction write goes to.
 //
-// A Topology starts unfrozen and owned by the single Network that is
-// compiling it; Freeze makes it immutable. After Freeze no field below may
-// be written again — sessions that add productions at run time (chunking)
-// splice them onto a session-private suffix overlay instead (see suffix),
-// exactly the paper's jumptable splice of an unshared suffix.
+// Invariants: node IDs continue from the layer below (a node is in the base
+// iff its ID <= base.nextID), so the two layers' IDs never meet and a splice
+// map is keyed only by base IDs; base nodes are never written through — not
+// their child or successor lists, and not refs (base nodes are permanent, so
+// excising an own production skips them). IDs only index a session's own
+// state vectors, so two sessions handing out the same own ID never interfere.
+type layer struct {
+	nextID    NodeID                   // largest ID handed out (the base's, then this layer's)
+	roots     map[value.Sym]*AlphaNode // class -> test tree root, for classes the base has none for
+	alphaMems map[string]*AlphaMem     // canonical path key -> memory
+	prods     map[string]*Production
+	prodOrder []*Production
+	topNodes  []*BetaNode // first-CE nodes (dummy-top children)
+	nTwoInput int         // join/not/ncc/bb node count (statistics)
+
+	// Splice maps, keyed by the ID of the base node shadowed. All four are
+	// nil until the first splice (see spliced).
+	alphaKids  map[NodeID][]*AlphaNode // constant-test children under a base alpha node
+	alphaMemAt map[NodeID]*AlphaMem    // memory at a base interior alpha node
+	alphaSuccs map[NodeID][]*BetaNode  // successors of a base alpha memory
+	betaKids   map[NodeID][]*BetaNode  // children under a base beta node
+}
+
+// newLayer returns an empty layer whose IDs continue from below.
+func newLayer(below NodeID) layer {
+	return layer{
+		nextID:    below,
+		roots:     make(map[value.Sym]*AlphaNode),
+		alphaMems: make(map[string]*AlphaMem),
+		prods:     make(map[string]*Production),
+	}
+}
+
+// spliced returns l with its splice maps made. They are made together, on
+// the first splice, so each hot path (walkAlpha, emitter.emit) tells
+// "nothing spliced" from one nil test: a session that never chunks pays one
+// predictable branch there, and an owned network — whose base is empty, so
+// nothing can be spliced under it — never probes a splice map at all.
+func (l *layer) spliced() *layer {
+	if l.betaKids == nil {
+		l.alphaKids = make(map[NodeID][]*AlphaNode)
+		l.alphaMemAt = make(map[NodeID]*AlphaMem)
+		l.alphaSuccs = make(map[NodeID][]*BetaNode)
+		l.betaKids = make(map[NodeID][]*BetaNode)
+	}
+	return l
+}
+
+// Topology is a base layer handed out for sharing: compiled once per
+// canonical program and frozen (Freeze), it is referenced read-only by any
+// number of Networks, each of which owns only its own layer and its mutable
+// match state (token tables, unlink counters, conflict set). It extends the
+// paper's node-sharing economy across sessions.
 //
 // The symbol table and class registry travel with the topology: node tests
 // hold interned Syms, so every Network sharing the topology must resolve
@@ -29,31 +77,8 @@ type Topology struct {
 	tab  *value.Table
 	reg  *wme.Registry
 	opts Options // as compiled; Unlink/HashLines are per-session overrides
-
-	frozen bool
-	maxID  NodeID // nextID at freeze: n.ID <= maxID <=> n is shared
-
-	nextID    NodeID
-	roots     map[value.Sym]*AlphaNode // class -> test tree root
-	alphaMems map[string]*AlphaMem     // canonical path key -> memory
-	prods     map[string]*Production
-	prodOrder []*Production
-	topNodes  []*BetaNode // first-CE nodes (dummy-top children)
-
-	nTwoInput int // join/not/ncc/bb node count (statistics)
+	layer
 }
-
-// Tab returns the symbol table the topology was compiled against.
-func (t *Topology) Tab() *value.Table { return t.tab }
-
-// Reg returns the class registry the topology was compiled against.
-func (t *Topology) Reg() *wme.Registry { return t.reg }
-
-// Opts returns the options the topology was compiled with.
-func (t *Topology) Opts() Options { return t.opts }
-
-// MaxNodeID returns the largest node ID in the frozen topology.
-func (t *Topology) MaxNodeID() NodeID { return t.maxID }
 
 // TwoInputNodes returns the number of shared two-input nodes.
 func (t *Topology) TwoInputNodes() int { return t.nTwoInput }
@@ -71,7 +96,7 @@ type Sig struct {
 	Prods    int    `json:"prods"`
 }
 
-// Signature summarizes the frozen topology's shape.
+// Signature summarizes the topology's shape.
 func (t *Topology) Signature() Sig {
 	return Sig{Nodes: uint32(t.nextID), TwoInput: t.nTwoInput, Prods: len(t.prodOrder)}
 }
@@ -80,30 +105,27 @@ func (s Sig) String() string {
 	return fmt.Sprintf("nodes=%d twoInput=%d prods=%d", s.Nodes, s.TwoInput, s.Prods)
 }
 
-// Freeze marks the network's topology immutable and returns it for sharing.
-// The freezing network keeps using it — from here on its own production
-// additions go to a private suffix like any other session's. The caller
-// must be quiescent.
+// Freeze hands the network's own layer over as an immutable base and returns
+// it for sharing. The freezing network keeps running, now as one more
+// session over that base: whatever it adds from here on goes to a fresh own
+// layer. The caller must be quiescent. Layers do not stack, so a network
+// that already runs over a base cannot freeze again.
 func (nw *Network) Freeze() *Topology {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	t := nw.top
-	t.frozen = true
-	t.maxID = t.nextID
-	return t
+	if nw.base.nextID != 0 {
+		panic("rete: Freeze on a network that already has a base")
+	}
+	nw.base.layer = nw.own
+	nw.own = newLayer(nw.base.nextID)
+	return nw.base
 }
 
-// Topology returns the network's topology (frozen or not).
-func (nw *Network) Topology() *Topology { return nw.top }
-
-// NewFromTopology builds a session Network over a frozen shared topology:
-// fresh token tables and unlink counters sized for the shared node IDs, no
-// compilation. Session-level options (Unlink, HashLines) come from opts;
-// structural options are fixed by the topology and taken from it.
+// NewFromTopology builds a session Network over a shared base: fresh token
+// tables and unlink counters sized for the base's node IDs, no compilation.
+// Session-level options (Unlink, HashLines) come from opts; structural
+// options are fixed by the topology and taken from it.
 func NewFromTopology(top *Topology, cs ConflictListener, opts Options) *Network {
-	if !top.frozen {
-		panic("rete: NewFromTopology on an unfrozen topology")
-	}
 	o := top.opts
 	o.Unlink = opts.Unlink
 	if opts.HashLines > 0 {
@@ -118,163 +140,40 @@ func NewFromTopology(top *Topology, cs ConflictListener, opts Options) *Network 
 		Mem:  NewMem(o.HashLines),
 		Opts: o,
 		CS:   cs,
-		top:  top,
+		base: top,
+		own:  newLayer(top.nextID),
 	}
-	nw.Mem.GrowCounts(int(top.maxID) + 1)
+	nw.Mem.GrowCounts(int(top.nextID) + 1)
 	return nw
 }
 
-// suffix is a session-private copy-on-write overlay on a frozen topology.
-// Chunks compiled at run time land here: nodes they share with the frozen
-// prefix are reused without mutation, and every place the prefix would have
-// been appended to (a beta node's child list, an alpha memory's successor
-// list, an alpha node's child list) is shadowed by a map keyed on the shared
-// node's ID. The hot paths consult the overlay only when it exists — a
-// session that never chunks pays one nil check.
-//
-// Invariants: shared nodes (ID <= top.maxID) are never written through;
-// private node IDs continue from top.maxID per session (IDs are only used
-// to index this session's own state vectors, so identical IDs in different
-// sessions never meet); the shared refs field of reused prefix nodes is not
-// touched — prefix nodes are permanent, so excising a suffix production
-// skips them.
-type suffix struct {
-	nextID NodeID
+// inBase reports whether a node ID belongs to the shared base, whose nodes
+// must not be mutated. The base of an owned network is empty, so no ID is.
+func (nw *Network) inBase(id NodeID) bool { return id <= nw.base.nextID }
 
-	roots      map[value.Sym]*AlphaNode // classes absent from the shared trees
-	alphaKids  map[NodeID][]*AlphaNode  // private children under shared alpha nodes
-	alphaMemAt map[NodeID]*AlphaMem     // private memory at a shared interior alpha node
-	alphaMems  map[string]*AlphaMem     // canonical path key -> private memory
-	alphaSuccs map[NodeID][]*BetaNode   // private successors of shared alpha memories
-	betaKids   map[NodeID][]*BetaNode   // private children under shared beta nodes
-	topNodes   []*BetaNode              // private first-CE nodes
-
-	prods     map[string]*Production
-	prodOrder []*Production
-	nTwoInput int
-}
-
-// sfxOf returns the session suffix, creating it on first write (callers
-// hold nw.mu).
-func (nw *Network) sfxOf() *suffix {
-	if nw.sfx == nil {
-		nw.sfx = &suffix{
-			nextID:     nw.top.maxID,
-			roots:      make(map[value.Sym]*AlphaNode),
-			alphaKids:  make(map[NodeID][]*AlphaNode),
-			alphaMemAt: make(map[NodeID]*AlphaMem),
-			alphaMems:  make(map[string]*AlphaMem),
-			alphaSuccs: make(map[NodeID][]*BetaNode),
-			betaKids:   make(map[NodeID][]*BetaNode),
-			prods:      make(map[string]*Production),
-		}
-	}
-	return nw.sfx
-}
-
-// sharedBeta reports whether n belongs to the frozen prefix (and must not
-// be mutated).
-func (nw *Network) sharedBeta(n *BetaNode) bool {
-	return nw.top.frozen && n.ID <= nw.top.maxID
-}
-
-// sharedID reports whether a node ID belongs to the frozen prefix.
-func (nw *Network) sharedID(id NodeID) bool {
-	return nw.top.frozen && id <= nw.top.maxID
-}
-
-// childrenOf returns n's children including any session-private suffix
-// children spliced under it. The shared slice is returned as-is when there
-// is no overlay, so non-chunking sessions pay nothing.
+// childrenOf returns the children of n (nil = the dummy top): n's own list —
+// the base's, when n is a base node — followed by what the own layer spliced
+// under it. The list is returned as-is, not copied, when only one side has
+// any (callers hold nw.mu or are quiescent).
 func (nw *Network) childrenOf(n *BetaNode) []*BetaNode {
-	if nw.sfx == nil {
-		return n.Children
+	kids, spliced := nw.base.topNodes, nw.own.topNodes
+	if n != nil {
+		kids, spliced = n.Children, nw.own.betaKids[n.ID]
 	}
-	kids := nw.sfx.betaKids[n.ID]
+	if len(spliced) == 0 {
+		return kids
+	}
 	if len(kids) == 0 {
-		return n.Children
+		return spliced
 	}
-	out := make([]*BetaNode, 0, len(n.Children)+len(kids))
-	out = append(out, n.Children...)
-	return append(out, kids...)
+	out := make([]*BetaNode, 0, len(kids)+len(spliced))
+	return append(append(out, kids...), spliced...)
 }
 
-// topsOf returns the top-level beta nodes including the suffix's (callers
-// hold nw.mu).
-func (nw *Network) topsOf() []*BetaNode {
-	tops := append([]*BetaNode(nil), nw.top.topNodes...)
-	if nw.sfx != nil {
-		tops = append(tops, nw.sfx.topNodes...)
-	}
-	return tops
-}
-
-// SuffixProductions returns the productions this session spliced onto its
-// private suffix (run-time chunks), in addition order.
-func (nw *Network) SuffixProductions() []*Production {
+// OwnProductions returns the productions in the network's own layer — for a
+// session over a shared base, its run-time chunks — in addition order.
+func (nw *Network) OwnProductions() []*Production {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if nw.sfx == nil {
-		return nil
-	}
-	return append([]*Production(nil), nw.sfx.prodOrder...)
-}
-
-// buildAlphaSuffix is buildAlpha against a frozen topology: the shared
-// trees are traversed read-only and every miss descends into the overlay
-// (callers hold nw.mu; key is already canonical).
-func (nw *Network) buildAlphaSuffix(class value.Sym, tests []AlphaTest, key string) *AlphaMem {
-	sfx := nw.sfxOf()
-	if am, ok := sfx.alphaMems[key]; ok {
-		return am
-	}
-	cur := nw.top.roots[class]
-	if cur == nil {
-		cur = sfx.roots[class]
-		if cur == nil {
-			cur = &AlphaNode{ID: nw.newID()}
-			sfx.roots[class] = cur
-		}
-	}
-	for _, t := range tests {
-		var next *AlphaNode
-		for _, c := range cur.Children {
-			if c.Test.equalTest(t) {
-				next = c
-				break
-			}
-		}
-		if next == nil && nw.sharedID(cur.ID) {
-			for _, c := range sfx.alphaKids[cur.ID] {
-				if c.Test.equalTest(t) {
-					next = c
-					break
-				}
-			}
-		}
-		if next == nil {
-			next = &AlphaNode{ID: nw.newID(), Test: t}
-			if nw.sharedID(cur.ID) {
-				sfx.alphaKids[cur.ID] = append(sfx.alphaKids[cur.ID], next)
-			} else {
-				cur.Children = append(cur.Children, next)
-				cur.indexChild(next)
-			}
-		}
-		cur = next
-	}
-	var am *AlphaMem
-	if nw.sharedID(cur.ID) {
-		// A shared terminal without a memory for this key (a memory would
-		// have hit top.alphaMems above): hang the private memory beside it.
-		am = &AlphaMem{ID: nw.newID(), key: key}
-		sfx.alphaMemAt[cur.ID] = am
-	} else {
-		if cur.Mem == nil {
-			cur.Mem = &AlphaMem{ID: nw.newID(), key: key}
-		}
-		am = cur.Mem
-	}
-	sfx.alphaMems[key] = am
-	return am
+	return append([]*Production(nil), nw.own.prodOrder...)
 }

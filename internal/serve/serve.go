@@ -34,7 +34,6 @@ import (
 	"soarpsme/internal/matchprof"
 	"soarpsme/internal/obs"
 	"soarpsme/internal/prun"
-	"soarpsme/internal/rete"
 	"soarpsme/internal/tasks/cypress"
 )
 
@@ -58,12 +57,6 @@ type Config struct {
 	// Unlink overrides left/right unlinking for session engines; nil keeps
 	// the engine default (on).
 	Unlink *bool
-	// Organization selects the bilinear restructuring mode for session
-	// engines (off/all/auto). Structural: it hashes into the program image
-	// key, so sessions differing in it compile separate shared images.
-	Organization rete.Organization
-	// BilinearDepth is the auto-bilinear selection threshold (0 = default).
-	BilinearDepth int
 	// Obs receives service metrics (nil disables instrumentation).
 	Obs *obs.Observer
 	// Log receives structured request logs (nil disables request logging).
@@ -477,8 +470,6 @@ func (s *Server) engineConfig(req *CreateRequest) (engine.Config, error) {
 	if s.cfg.Unlink != nil {
 		ecfg.Rete.Unlink = *s.cfg.Unlink
 	}
-	ecfg.Rete.Organization = s.cfg.Organization
-	ecfg.Rete.BilinearDepth = s.cfg.BilinearDepth
 	ecfg.Processes = s.cfg.Processes
 	if req.Processes > 0 {
 		ecfg.Processes = req.Processes

@@ -282,26 +282,33 @@ func (s *Session) run(deltas []DeltaJSON, n int, chunking bool) (*RunResult, err
 	return res, err
 }
 
-// journal writes one WAL record ahead of execution and returns its
-// durability barrier; see store.append for why receiving the barrier may
-// safely overlap the cycle.
-func (s *Session) journal(rec walRecord) (func() error, error) {
+// writeAhead runs exec under the session's write-ahead rule, which lives
+// here and nowhere else: the record is journaled to the WAL BEFORE exec runs,
+// exec runs while the durability barrier flushes (see store.append for why
+// the two may safely overlap), and the caller gets to acknowledge only after
+// both finish — so a crash loses only unacknowledged work. The error is the
+// journal's alone; exec keeps its own. A barrier failure poisons the session:
+// the engine is then ahead of the journal, so acknowledging anything further
+// would let a later crash silently lose it. Non-durable sessions, and a
+// restore replaying the journal it is reading, just run exec.
+func (s *Session) writeAhead(rec walRecord, exec func()) error {
+	if s.store == nil || s.replaying {
+		exec()
+		return nil
+	}
+	if s.walBroken {
+		return fmt.Errorf("serve: session %s journal failed a durability barrier; snapshot or restore it", s.ID)
+	}
+	start := time.Now()
 	n, barrier, err := s.store.append(rec)
 	if err != nil {
-		return nil, fmt.Errorf("serve: WAL append: %w", err)
+		return fmt.Errorf("serve: WAL append: %w", err)
 	}
 	if s.srv != nil {
 		s.srv.mWALAppends.Inc()
 		s.srv.mWALBytes.Add(uint64(n))
 	}
-	return barrier, nil
-}
-
-// awaitBarrier receives the journal barrier after execution and before
-// the ACK. A barrier failure poisons the session: the engine is ahead of
-// the journal, so acknowledging anything further would let a later crash
-// silently lose it.
-func (s *Session) awaitBarrier(barrier func() error, start time.Time) error {
+	exec()
 	if err := barrier(); err != nil {
 		s.walBroken = true
 		return fmt.Errorf("serve: WAL sync: %w", err)
@@ -313,34 +320,22 @@ func (s *Session) awaitBarrier(barrier func() error, start time.Time) error {
 }
 
 // runLogged is the durable entry point for /run: it short-circuits
-// idempotent retries, journals the request to the WAL BEFORE execution
-// (write-ahead), executes while the durability barrier flushes, and
-// acknowledges only after both finish — so a crash loses only
-// unacknowledged work, which restore's WAL replay plus Seq idempotency
-// reconcile. During restore replay the journal step is skipped and the
-// same path re-derives the pre-crash state.
+// idempotent retries and runs the request write-ahead; restore's WAL replay
+// plus Seq idempotency reconcile whatever a crash left unacknowledged, by
+// re-deriving the pre-crash state through this same path.
 func (s *Session) runLogged(req *RunRequest) (*RunResult, error) {
 	if req.Seq > 0 && req.Seq == s.lastSeq && s.lastRes != nil {
 		cached := *s.lastRes
 		cached.Cached = true
 		return &cached, nil
 	}
-	var barrier func() error
-	start := time.Now()
-	if s.store != nil && !s.replaying {
-		if s.walBroken {
-			return nil, fmt.Errorf("serve: session %s journal failed a durability barrier; snapshot or restore it", s.ID)
-		}
-		var err error
-		if barrier, err = s.journal(walRecord{Seq: req.Seq, Cycle: s.cycles, Run: req}); err != nil {
-			return nil, err
-		}
-	}
-	res, err := s.run(req.Deltas, req.Cycles, req.Chunking)
-	if barrier != nil {
-		if werr := s.awaitBarrier(barrier, start); werr != nil {
-			return nil, werr
-		}
+	var res *RunResult
+	var err error
+	werr := s.writeAhead(walRecord{Seq: req.Seq, Cycle: s.cycles, Run: req}, func() {
+		res, err = s.run(req.Deltas, req.Cycles, req.Chunking)
+	})
+	if werr != nil {
+		return nil, werr
 	}
 	if req.Seq > 0 {
 		s.lastSeq = req.Seq
@@ -351,25 +346,16 @@ func (s *Session) runLogged(req *RunRequest) (*RunResult, error) {
 	return res, err
 }
 
-// deltasLogged journals a /deltas request (as a cycles-0 run record, so
-// restore replays it through the same path) then applies it.
+// deltasLogged is /deltas run write-ahead, journaled as a cycles-0 run
+// record so restore replays it through runLogged.
 func (s *Session) deltasLogged(in []DeltaJSON) (*DeltaResult, error) {
-	var barrier func() error
-	start := time.Now()
-	if s.store != nil && !s.replaying {
-		if s.walBroken {
-			return nil, fmt.Errorf("serve: session %s journal failed a durability barrier; snapshot or restore it", s.ID)
-		}
-		var err error
-		if barrier, err = s.journal(walRecord{Cycle: s.cycles, Run: &RunRequest{Deltas: in}}); err != nil {
-			return nil, err
-		}
-	}
-	res, err := s.applyDeltas(in)
-	if barrier != nil {
-		if werr := s.awaitBarrier(barrier, start); werr != nil {
-			return nil, werr
-		}
+	var res *DeltaResult
+	var err error
+	werr := s.writeAhead(walRecord{Cycle: s.cycles, Run: &RunRequest{Deltas: in}}, func() {
+		res, err = s.applyDeltas(in)
+	})
+	if werr != nil {
+		return nil, werr
 	}
 	return res, err
 }

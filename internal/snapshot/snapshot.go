@@ -238,11 +238,11 @@ func Export(e *engine.Engine) *Image {
 	}
 	if base := e.Image(); base != nil {
 		// Image-backed engine: record the original source (its hash is the
-		// cache key), the suffix chunks, and the schema order instead of a
-		// regenerated monolithic program.
+		// cache key), the own layer's chunks, and the schema order instead
+		// of a regenerated monolithic program.
 		img.Program = base.Source
 		img.BaseHash = base.Hash
-		for _, p := range e.NW.SuffixProductions() {
+		for _, p := range e.NW.OwnProductions() {
 			img.Chunks = append(img.Chunks, ops5.Format(p.AST, e.Tab))
 		}
 		for _, cls := range e.Reg.Classes() {
