@@ -249,7 +249,7 @@ func (e *Engine) flushContention() {
 
 // harvestLines folds the hash-line lock and bucket-access tallies since the
 // previous harvest into the registry. Reading them sweeps every line of the
-// table — HashLines locks, whatever the cycle touched — so a served cycle of
+// table — a lock each, whatever the cycle touched — so a served cycle of
 // a handful of activations must not pay for it: the harvest runs when the
 // totals are looked at (the registry's OnCollect hook, so /metrics and the
 // -metrics file are exact at scrape time), before the table is discarded

@@ -42,10 +42,9 @@ type ProgramImage struct {
 func (img *ProgramImage) Productions() int { return len(img.Top.Productions()) }
 
 // ProgramHash computes the canonical image cache key: a SHA-256 over the
-// program source and the structural (topology-level) options. Session-level
-// options — Unlink, HashLines — are excluded: they configure per-session
-// state, not the compiled graph, so sessions differing only in them share
-// one image.
+// program source and the structural (topology-level) options. The
+// session-level option, Unlink, is excluded: it configures per-session state,
+// not the compiled graph, so sessions differing only in it share one image.
 func ProgramHash(src string, opts rete.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "share=%t org=%d ctx=%d grp=%d bdepth=%d linmem=%t\n",
@@ -97,7 +96,7 @@ func CompileProgram(src string, opts rete.Options) (*ProgramImage, error) {
 // NewFromImage creates a session engine over a shared compiled image:
 // fresh working memory, conflict set, token tables and counters — no
 // compilation. Structural rete options come from the image; cfg.Rete
-// contributes only the session-level Unlink/HashLines. Startup actions are
+// contributes only the session-level Unlink. Startup actions are
 // NOT run — call RunStartup for a fresh session, or skip it when restoring
 // a snapshot whose working memory is replayed explicitly.
 func NewFromImage(img *ProgramImage, cfg Config) *Engine {

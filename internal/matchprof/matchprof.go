@@ -40,15 +40,14 @@ type Options struct {
 	// SLO, when nonzero, is the p99 cycle-latency objective: when the p99
 	// over the rolling window exceeds it, the flight recorder trips.
 	SLO time.Duration
-	// SLOWindow is the rolling latency window in cycles (0 means 128; the
-	// p99 check needs at least 32 observations).
-	SLOWindow int
-	// Cooldown is the minimum number of cycles between SLO-triggered trips,
-	// so a sustained breach produces one dump, not a dump storm (0 means
-	// one window). Hard-failure trips (panic, watchdog, serial fallback)
-	// ignore it — each failed cycle is its own evidence.
-	Cooldown int
 }
+
+// sloWindow is the rolling latency window in cycles (the p99 check needs at
+// least 32 observations). It is also the minimum number of cycles between
+// SLO-triggered trips, so a sustained breach produces one dump, not a dump
+// storm; hard-failure trips (panic, watchdog, serial fallback) ignore that
+// cooldown — each failed cycle is its own evidence.
+const sloWindow = 128
 
 // CycleEvent is what the engine reports at the end of every match cycle.
 type CycleEvent struct {
@@ -96,12 +95,6 @@ func New(nw *rete.Network, opts Options, o *obs.Observer) *Profile {
 	if opts.FlightCycles == 0 {
 		opts.FlightCycles = 16
 	}
-	if opts.SLOWindow <= 0 {
-		opts.SLOWindow = 128
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = opts.SLOWindow
-	}
 	np := rete.NewProf(int(nw.MaxNodeID())+1, opts.SampleEvery)
 	nw.Prof = np
 	p := &Profile{
@@ -113,7 +106,7 @@ func New(nw *rete.Network, opts Options, o *obs.Observer) *Profile {
 	if opts.FlightCycles > 0 {
 		p.ring = make([]CycleEvent, opts.FlightCycles)
 	}
-	p.window = make([]time.Duration, opts.SLOWindow)
+	p.window = make([]time.Duration, sloWindow)
 	if o != nil {
 		p.mDepth = o.Histogram("match_cycle_chain_depth", obs.ExpBuckets(1, 2, 8)...)
 		p.mTrips = o.Counter("match_flight_trips_total")
@@ -168,7 +161,7 @@ func (p *Profile) EndCycle(ev CycleEvent) *Dump {
 		reason = "serial fallback: " + ev.Stats.Reason
 	case ev.Stats.Panics > 0:
 		reason = "worker panic recovered: " + ev.Stats.Reason
-	case p.sloArmed && p.wN >= 32 && p.cycles-p.lastTrip >= int64(p.opts.Cooldown):
+	case p.sloArmed && p.wN >= 32 && p.cycles-p.lastTrip >= sloWindow:
 		if p99 := p.p99Locked(); p99 > p.opts.SLO {
 			reason = "slo breach: p99 " + p99.String() + " > " + p.opts.SLO.String()
 			p.lastTrip = p.cycles

@@ -56,13 +56,14 @@ func ParseOrganization(s string) (Organization, error) {
 	return Linear, fmt.Errorf("rete: unknown bilinear mode %q (want off, all, or auto)", s)
 }
 
+// hashLines is the number of lines in a network's global token tables.
+const hashLines = 1024
+
 // Options configure network construction.
 type Options struct {
 	// ShareBeta enables two-input-node sharing (the paper measures a
 	// 20-30% loss without it; Table 5-2 uses this toggle).
 	ShareBeta bool
-	// HashLines is the number of lines in the global token tables.
-	HashLines int
 	// Organization selects Linear or Bilinear network shape.
 	Organization Organization
 	// ContextCEs is the length of the shared context prefix for Bilinear.
@@ -93,7 +94,7 @@ type Options struct {
 // DefaultOptions returns the production configuration: shared network,
 // hashed memories, linear organization, unlinking on.
 func DefaultOptions() Options {
-	return Options{ShareBeta: true, HashLines: 1024, ContextCEs: 2, GroupCEs: 4, BilinearDepth: 16, Unlink: true}
+	return Options{ShareBeta: true, ContextCEs: 2, GroupCEs: 4, BilinearDepth: 16, Unlink: true}
 }
 
 // EffBilinearDepth resolves the zero-value default of BilinearDepth.
@@ -415,7 +416,7 @@ func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, emit InjectFn) {
 // re-derived by a serial replay of working memory. Must not be called while
 // a cycle is running.
 func (nw *Network) ResetMatchState() {
-	nw.Mem = NewMem(nw.Opts.HashLines)
+	nw.Mem = NewMem(hashLines)
 	// The fresh table starts with zeroed unlink counters, which is exactly
 	// right (no live entries); size them for the existing nodes so the
 	// replay can maintain them without reallocation.

@@ -76,7 +76,7 @@ func (l *layer) spliced() *layer {
 type Topology struct {
 	tab  *value.Table
 	reg  *wme.Registry
-	opts Options // as compiled; Unlink/HashLines are per-session overrides
+	opts Options // as compiled; Unlink is a per-session override
 	layer
 }
 
@@ -123,21 +123,15 @@ func (nw *Network) Freeze() *Topology {
 
 // NewFromTopology builds a session Network over a shared base: fresh token
 // tables and unlink counters sized for the base's node IDs, no compilation.
-// Session-level options (Unlink, HashLines) come from opts; structural
-// options are fixed by the topology and taken from it.
+// The session-level option, Unlink, comes from opts; structural options are
+// fixed by the topology and taken from it.
 func NewFromTopology(top *Topology, cs ConflictListener, opts Options) *Network {
 	o := top.opts
 	o.Unlink = opts.Unlink
-	if opts.HashLines > 0 {
-		o.HashLines = opts.HashLines
-	}
-	if o.HashLines <= 0 {
-		o.HashLines = 1024
-	}
 	nw := &Network{
 		Tab:  top.tab,
 		Reg:  top.reg,
-		Mem:  NewMem(o.HashLines),
+		Mem:  NewMem(hashLines),
 		Opts: o,
 		CS:   cs,
 		base: top,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,4 +170,90 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 	if got := s.cfg.Obs.Counter("serve_cycles_total").Value(); got != uint64(len(combos)*cycles) {
 		t.Fatalf("serve_cycles_total = %d, want %d (no lost cycles)", got, len(combos)*cycles)
 	}
+}
+
+// TestHammeredSessionTilesCycles is the admission and exclusion contract of
+// one session under contention (run under -race in CI): 16 clients race 24
+// two-cycle /run requests into a session that admits one running plus one
+// waiting. Every answer is a 200 or a 429 with Retry-After; the 200s' cycle
+// ranges tile [0, 48) with no overlap or gap — the engine never saw two
+// callers, and nothing admitted was lost — and carry the solo run's
+// fingerprints for exactly those cycles.
+func TestHammeredSessionTilesCycles(t *testing.T) {
+	const clients, requests, per = 16, 24, 2
+	const cycles = requests * per
+	p := *cypressParams(40, cycles, 4, 11)
+	solo := soloFingerprints(t, p, cycles, true)
+
+	s, ts := testServer(t, Config{Workers: 2, Processes: 2, QueueDepth: 1, Obs: obs.New()})
+	var created CreateResult
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Task: "cypress", Params: &p}, &created); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	body, _ := json.Marshal(RunRequest{Cycles: per, Chunking: true})
+
+	var tickets atomic.Int32
+	var mu sync.Mutex
+	covered := make([]bool, cycles)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tickets.Add(1) <= requests {
+				for done := false; !done; {
+					resp, err := http.Post(ts.URL+"/sessions/"+created.ID+"/run", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					data, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					switch resp.StatusCode {
+					case http.StatusTooManyRequests:
+						if resp.Header.Get("Retry-After") == "" {
+							t.Error("429 without Retry-After")
+						}
+						time.Sleep(time.Millisecond)
+					case http.StatusOK:
+						done = true
+						var res RunResult
+						if err := json.Unmarshal(data, &res); err != nil {
+							t.Error(err)
+							return
+						}
+						if res.Cycles != per || res.LastCycle-res.FirstCycle+1 != per || len(res.Fingerprints) != per || res.LastCycle >= cycles {
+							t.Errorf("short or misplaced run: %+v", res)
+							return
+						}
+						mu.Lock()
+						for i, fp := range res.Fingerprints {
+							at := res.FirstCycle + i
+							if covered[at] {
+								t.Errorf("cycle %d answered twice", at)
+							}
+							covered[at] = true
+							if fp != solo[at] {
+								t.Errorf("cycle %d fingerprint diverged from solo serial run:\n  got  %s\n  want %s", at, fp, solo[at])
+							}
+						}
+						mu.Unlock()
+					default:
+						t.Errorf("answer is neither 200 nor 429: %d %s", resp.StatusCode, data)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for at, ok := range covered {
+		if !ok {
+			t.Errorf("cycle %d in no answer", at)
+		}
+	}
+	if got := s.cfg.Obs.Counter("serve_cycles_total").Value(); got != cycles {
+		t.Fatalf("serve_cycles_total = %d, want %d", got, cycles)
+	}
+	t.Logf("%d requests answered 200, %d answered 429", requests, s.cfg.Obs.Counter("serve_backpressure_rejections_total").Value())
 }

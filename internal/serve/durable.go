@@ -225,8 +225,8 @@ type RestoreResult struct {
 }
 
 // saveSnapshot exports the session into its store and truncates the WAL.
-// It must run with exclusive engine access: on the session loop, or after
-// the loop has exited (drain).
+// It must run with exclusive engine access: under the turn, before the
+// session goes live (create), or after shutdown (drain).
 func (s *Session) saveSnapshot() (*SnapshotResult, error) {
 	if s.store == nil {
 		return nil, fmt.Errorf("serve: session %s is not durable (no data dir)", s.ID)
@@ -254,54 +254,47 @@ func (s *Session) saveSnapshot() (*SnapshotResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.srv.mSnapshots.Inc()
+	s.srv.mSnapBytes.Add(uint64(n))
 	return &SnapshotResult{ID: s.ID, Cycles: s.cycles, Bytes: n}, nil
 }
 
 // persistCreate writes the genesis snapshot and opens the WAL for a newly
-// created session. Called before the session is registered, so a session
-// that was ever visible to clients always has an image on disk.
+// created session. Called before the session goes live, so a session that
+// was ever visible to clients always has an image on disk.
 func (s *Server) persistCreate(ss *Session) error {
 	st, err := openStore(filepath.Join(s.cfg.DataDir, ss.ID))
 	if err != nil {
 		return err
 	}
 	ss.store = st
-	res, err := ss.saveSnapshot()
-	if err != nil {
+	if _, err := ss.saveSnapshot(); err != nil {
 		st.close()
 		ss.store = nil
 		return err
 	}
-	s.mSnapshots.Inc()
-	s.mSnapBytes.Add(uint64(res.Bytes))
 	return nil
 }
 
 // restoreSession rebuilds a session from its on-disk image plus WAL and
-// registers it. Returns (result, status, error); status is an HTTP code
+// makes it live. Returns (result, status, error); status is an HTTP code
 // for the handler (409 live/in-progress, 404 no image, 500 otherwise).
 func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 	if s.cfg.DataDir == "" {
 		return nil, http.StatusBadRequest, fmt.Errorf("server has no data dir")
 	}
 	// A restore target must not be live: restoring into a running session
-	// would race its command loop. The restoring set also serializes
-	// concurrent restores of the same id.
-	s.mu.Lock()
-	if s.sessions[id] != nil {
-		s.mu.Unlock()
-		return nil, http.StatusConflict, fmt.Errorf("session %s is live", id)
+	// would race its engine. The reservation also serializes concurrent
+	// restores of the same id.
+	if _, code, err := s.reserve(id, false); err != nil {
+		return nil, code, err
 	}
-	if s.restoring[id] {
-		s.mu.Unlock()
-		return nil, http.StatusConflict, fmt.Errorf("session %s restore already in progress", id)
-	}
-	s.restoring[id] = true
-	s.mu.Unlock()
+	// Deferred as in handleCreate: a rebuild or a WAL replay can panic too.
+	adopted := false
 	defer func() {
-		s.mu.Lock()
-		delete(s.restoring, id)
-		s.mu.Unlock()
+		if !adopted {
+			s.unreserve(id)
+		}
 	}()
 
 	start := time.Now()
@@ -321,18 +314,8 @@ func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 		return nil, code, err
 	}
 
-	s.mu.Lock()
-	if s.sessions[id] != nil {
-		s.mu.Unlock()
-		ss.store.close()
-		s.releaseEngine(ss.eng)
-		return nil, http.StatusConflict, fmt.Errorf("session %s became live during restore", id)
-	}
-	s.sessions[id] = ss
-	s.mSessions.Set(float64(len(s.sessions)))
-	s.mu.Unlock()
-	ss.eng.Prof.SetSession(ss.ID)
-	go ss.loop()
+	s.adopt(ss)
+	adopted = true
 
 	d := time.Since(start)
 	s.mRestored.Inc()
@@ -355,7 +338,7 @@ func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 
 // rebuildSession does the heavy lifting of restoreSession: decode the
 // image, rebuild the engine by serial replay, resurrect task state, and
-// re-execute the WAL suffix. The returned session is not yet registered.
+// re-execute the WAL suffix. The returned session is not yet live.
 // cacheHit reports whether the base topology came warm out of the image
 // cache (one compile per program per server, however many sessions fail
 // over at once).
@@ -372,6 +355,7 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 	if img.ID != id {
 		return nil, 0, false, fmt.Errorf("serve: image in %s is for session %q", dir, img.ID)
 	}
+	img.Create.ID = id
 	ecfg, err := s.engineConfig(&img.Create)
 	if err != nil {
 		return nil, 0, false, err
@@ -380,32 +364,13 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 	if err != nil {
 		return nil, 0, false, err
 	}
-	created, err := time.Parse(time.RFC3339Nano, img.Created)
-	if err != nil {
-		created = time.Now()
+	ss := s.newSession(img.Create, cypressSystem(&img.Create), eng)
+	if created, err := time.Parse(time.RFC3339Nano, img.Created); err == nil {
+		ss.Created = created
 	}
-	ss := &Session{
-		ID:        id,
-		Task:      img.Task,
-		Created:   created,
-		create:    img.Create,
-		srv:       s,
-		eng:       eng,
-		cycles:    img.Cycles,
-		chunks:    img.Chunks,
-		nextChunk: img.NextChunk,
-		lastSeq:   img.LastSeq,
-		lastRes:   img.LastResult,
-		cmds:      make(chan command, s.cfg.QueueDepth),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	if img.Task == "cypress" {
-		var p cypress.Params
-		if img.Create.Params != nil {
-			p = *img.Create.Params
-		}
-		ss.sys = cypress.Generate(p)
+	ss.cycles, ss.chunks, ss.nextChunk = img.Cycles, img.Chunks, img.NextChunk
+	ss.lastSeq, ss.lastRes = img.LastSeq, img.LastResult
+	if ss.sys != nil {
 		if img.Driver == nil {
 			return ss, 0, cacheHit, fmt.Errorf("serve: cypress image for %s has no driver state", id)
 		}
@@ -415,7 +380,6 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 		}
 		ss.drv = drv
 	}
-	ss.syncFingerprint()
 
 	// Re-execute the journal suffix. Records at a cycle index the snapshot
 	// already covers are skipped (a crash between image rename and WAL
@@ -427,16 +391,15 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 	}
 	replayed := 0
 	ss.replaying = true
+	defer func() { ss.replaying = false }()
 	for _, rec := range recs {
 		if rec.Cycle < ss.cycles {
 			continue
 		}
 		if rec.Cycle > ss.cycles {
-			ss.replaying = false
 			return ss, replayed, cacheHit, fmt.Errorf("serve: WAL gap for %s: record at cycle %d, session at %d", id, rec.Cycle, ss.cycles)
 		}
 		if rec.Run == nil {
-			ss.replaying = false
 			return ss, replayed, cacheHit, fmt.Errorf("serve: WAL record for %s at cycle %d has no request", id, rec.Cycle)
 		}
 		// Replay errors mirror the original execution: a request that
@@ -446,7 +409,6 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 		ss.runLogged(rec.Run)
 		replayed++
 	}
-	ss.replaying = false
 
 	st, err := openStore(dir)
 	if err != nil {
@@ -454,13 +416,4 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 	}
 	ss.store = st
 	return ss, replayed, cacheHit, nil
-}
-
-// deleteDurable removes a deleted session's on-disk state.
-func (s *Session) deleteDurable() error {
-	if s.store == nil {
-		return nil
-	}
-	s.store.close()
-	return os.RemoveAll(s.store.dir)
 }

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"soarpsme/internal/snapshot"
 )
 
 // crashableServer boots a durable server whose Close is NOT registered as
@@ -101,7 +105,7 @@ func TestRestoreAfterCrash(t *testing.T) {
 // session id is refused, and a missing image is a 404.
 func TestRestoreConflicts(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	s, ts := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
 	seedSession(t, ts.URL, "live1")
 
 	if code, _ := doJSON(t, "POST", ts.URL+"/sessions/live1/restore", nil, nil); code != http.StatusConflict {
@@ -113,6 +117,24 @@ func TestRestoreConflicts(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "POST", ts.URL+"/sessions/no-such/restore", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("restore of unknown session: %d, want 404", code)
+	}
+
+	// A restore that panics — a sealed image with no engine in it — is not
+	// "in progress" afterwards: the second attempt gets as far as the first.
+	data, err := snapshot.Seal(&SessionImage{ID: "hollow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.MkdirAll(filepath.Join(dir, "hollow"), 0o755)
+	if err := os.WriteFile(filepath.Join(dir, "hollow", "image.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() { recover() }()
+			_, code, err := s.restoreSession("hollow")
+			t.Errorf("restore %d of an image without an engine did not panic: code=%d err=%v", i, code, err)
+		}()
 	}
 }
 
@@ -247,10 +269,11 @@ func TestDrainToSnapshotOnClose(t *testing.T) {
 }
 
 // TestDeleteRemovesDurableState: deleting a session removes its directory,
-// so a later restore of the id correctly 404s.
+// so a later restore of the id correctly 404s — and a DELETE that races
+// Server.Close retires the session once between them.
 func TestDeleteRemovesDurableState(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	s, ts := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
 	seedSession(t, ts.URL, "del1")
 	if code, _ := doJSON(t, "DELETE", ts.URL+"/sessions/del1", nil, nil); code != http.StatusOK {
 		t.Fatalf("delete: %d", code)
@@ -260,6 +283,99 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "POST", ts.URL+"/sessions/del1/restore", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("restore after delete: %d, want 404", code)
+	}
+
+	// The race: Close has collected the session and waits out a running
+	// request when the DELETE arrives. The test holds a reference of its own
+	// to the session's image, so a second release would show as a count of 0.
+	seedSession(t, ts.URL, "del2")
+	ecfg, _ := s.engineConfig(&CreateRequest{})
+	if _, _, err := s.images.Get(serveProgSrc, ecfg.Rete); err != nil {
+		t.Fatal(err)
+	}
+	ss := liveSession(s, "del2")
+	started, release := make(chan struct{}), make(chan struct{})
+	go ss.submit(nil, func() (any, error) { close(started); <-release; return nil, nil })
+	<-started
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	for !ss.gone.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	deleted := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest("DELETE", "/sessions/del2", nil)
+		req.SetPathValue("id", "del2")
+		rec := httptest.NewRecorder()
+		s.handleDelete(rec, req) // past the drain check, as a request already in its handler is
+		deleted <- rec.Code
+	}()
+	for len(s.live()) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-closed
+	if code := <-deleted; code != http.StatusOK {
+		t.Fatalf("delete racing close: %d", code)
+	}
+	if st := s.ImageCacheStats(); st.Sessions != 1 {
+		t.Fatalf("image references after delete racing close: %+v, want the test's own 1", st)
+	}
+	// Close got there first and kept the state; the DELETE still deletes it.
+	if _, err := os.Stat(filepath.Join(dir, "del2")); !os.IsNotExist(err) {
+		t.Fatalf("durable dir survived a delete that answered 200: %v", err)
+	}
+}
+
+// TestPanicUnderTurnFailsStop: a request that panics while it holds the turn
+// gives the turn and its slot back, but the engine it leaves behind is not
+// served from again and not saved: the session answers 410, a drain keeps
+// the image and journal it finds, and those restore the session with the
+// journaled request replayed.
+func TestPanicUnderTurnFailsStop(t *testing.T) {
+	dir := t.TempDir()
+	sA, tsA := crashableServer(t, dir)
+	seedSession(t, tsA.URL, "brk1")
+	before, _ := sessionState(t, tsA.URL, "brk1")
+	ss := liveSession(sA, "brk1")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic under the turn did not reach the caller")
+			}
+		}()
+		ss.submit(nil, func() (any, error) {
+			ss.runLogged(&RunRequest{Deltas: []DeltaJSON{{Op: "add", Class: "fact", Fields: []any{3}}}})
+			panic("bug in serve")
+		})
+	}()
+	if len(ss.turn) != 0 || len(ss.admit) != 0 {
+		t.Fatalf("panicked request kept turn=%d admit=%d", len(ss.turn), len(ss.admit))
+	}
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions/brk1/run", RunRequest{Cycles: 1}, nil); code != http.StatusGone {
+		t.Fatalf("run on a broken session: code=%d, want 410", code)
+	}
+	if code, _ := doJSON(t, "GET", tsA.URL+"/sessions/brk1", nil, nil); code != http.StatusGone {
+		t.Fatalf("stats on a broken session: code=%d, want 410", code)
+	}
+
+	image, err := os.ReadFile(filepath.Join(dir, "brk1", "image.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA.Close()
+	sA.Close()
+	if after, _ := os.ReadFile(filepath.Join(dir, "brk1", "image.json")); !bytes.Equal(after, image) {
+		t.Fatal("drain snapshotted a broken session over its last good image")
+	}
+
+	_, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	var rr RestoreResult
+	if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/brk1/restore", nil, &rr); code != http.StatusOK || rr.Replayed != 3 {
+		t.Fatalf("restore of a broken session: code=%d %+v, want 3 records replayed", code, rr)
+	}
+	if after, _ := sessionState(t, tsB.URL, "brk1"); after.Cycles != before.Cycles+1 || after.WM != before.WM+1 {
+		t.Fatalf("restored session: %+v, want one cycle and one wme past %+v", after, before)
 	}
 }
 

@@ -4,15 +4,17 @@
 // a named task from internal/tasks (currently cypress, the chunk-heavy
 // synthetic workload) or an uploaded OPS5 program.
 //
-// Concurrency model: every session owns a command-loop goroutine, so each
-// engine is driven strictly serially, while all sessions share one global
-// prun.Budget — S sessions share the worker pool instead of each spawning
-// Processes workers. Admission per session is a bounded queue: a full
-// queue fails fast with 429 + Retry-After (backpressure) rather than
-// queueing unboundedly. Per-request deadlines wire into the runtime's
-// cycle watchdog, so a wedged parallel cycle degrades through the serial
-// fallback instead of hanging the connection. Drain (SIGTERM) stops
-// admitting work, finishes everything already accepted, and exits cleanly.
+// Concurrency model: a session is an engine behind a lock. A request runs on
+// the goroutine that received it, holding the session's one-slot turn, so
+// each engine is driven strictly serially, while all sessions share one
+// global prun.Budget — S sessions share the worker pool instead of each
+// spawning Processes workers. Admission per session is a bounded number of
+// slots: with none free a request fails fast with 429 + Retry-After
+// (backpressure) rather than queueing unboundedly. Per-request deadlines wire
+// into the runtime's cycle watchdog, so a wedged parallel cycle degrades
+// through the serial fallback instead of hanging the connection. Drain
+// (SIGTERM) stops admitting work, finishes everything already accepted, and
+// exits cleanly.
 package serve
 
 import (
@@ -21,6 +23,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -47,7 +50,8 @@ type Config struct {
 	Processes int
 	// Policy is the default scheduling policy for new sessions.
 	Policy prun.Policy
-	// QueueDepth bounds each session's admission queue (0 = 4).
+	// QueueDepth bounds how many requests may wait on one session behind
+	// the one that is running (0 = 4).
 	QueueDepth int
 	// MaxSessions bounds concurrent sessions (0 = 64).
 	MaxSessions int
@@ -89,8 +93,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*Session
-	// restoring marks session ids with a restore in flight, so a second
-	// restore or a create of the same id fails with 409 instead of racing.
+	// restoring holds the ids reserved for a create or a restore in flight:
+	// they count against MaxSessions, and a second create or restore of one
+	// fails with 409 instead of racing (reserve, adopt).
 	restoring map[string]bool
 	nextID    int
 
@@ -180,37 +185,96 @@ func (s *Server) Drain() { s.draining.Store(true) }
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops every session loop, letting each finish the commands it has
-// already admitted (cycles are never dropped), and blocks until all loops
-// exit. Durable sessions are then drained to a final snapshot — the loop
-// has exited, so the engine is quiescent — leaving an empty WAL behind:
-// a restore after a clean shutdown replays nothing. Call after the HTTP
-// server has shut down.
+// Close retires every session, letting each finish the requests it has
+// already admitted (cycles are never dropped), and blocks until all have.
+// Durable sessions are drained to a final snapshot, leaving an empty WAL
+// behind: a restore after a clean shutdown replays nothing. Call after the
+// HTTP server has shut down.
 func (s *Server) Close() {
 	s.Drain()
+	for _, ss := range s.live() {
+		s.retire(ss, false)
+	}
+}
+
+// live returns the sessions in the table.
+func (s *Server) live() []*Session {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	all := make([]*Session, 0, len(s.sessions))
 	for _, ss := range s.sessions {
 		all = append(all, ss)
 	}
-	s.mu.Unlock()
-	for _, ss := range all {
-		ss.shutdown()
+	return all
+}
+
+// reserve claims a session id before any work is done for it — load is shed
+// at the edge, not after a compile. The id, picked here when empty, goes into
+// the restoring set until adopt makes the session live or unreserve gives it
+// up. A refusal is (status, error) like restoreSession's: a create gets 429 at
+// MaxSessions, counted over live sessions and reservations alike (a restore
+// does not: a failover must be able to re-home sessions onto a full
+// survivor), and either gets 409 when the id is live or reserved.
+func (s *Server) reserve(id string, create bool) (string, int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if create && len(s.sessions)+len(s.restoring) >= s.cfg.MaxSessions {
+		return "", http.StatusTooManyRequests, fmt.Errorf("session limit %d reached", s.cfg.MaxSessions)
 	}
-	for _, ss := range all {
-		<-ss.done
-		s.releaseEngine(ss.eng)
-		if ss.store != nil {
-			if res, err := ss.saveSnapshot(); err != nil {
-				if s.cfg.Log != nil {
-					s.cfg.Log.Error("drain snapshot failed", "session", ss.ID, "err", err)
-				}
-			} else {
-				s.mSnapshots.Inc()
-				s.mSnapBytes.Add(uint64(res.Bytes))
-			}
-			ss.store.close()
+	if id == "" {
+		for id == "" || s.sessions[id] != nil || s.restoring[id] {
+			s.nextID++
+			id = fmt.Sprintf("s%d", s.nextID)
 		}
+	}
+	switch {
+	case s.sessions[id] != nil:
+		return "", http.StatusConflict, fmt.Errorf("session %s is live", id)
+	case s.restoring[id]:
+		return "", http.StatusConflict, fmt.Errorf("session %s create or restore already in progress", id)
+	}
+	s.restoring[id] = true
+	return id, 0, nil
+}
+
+func (s *Server) unreserve(id string) {
+	s.mu.Lock()
+	delete(s.restoring, id)
+	s.mu.Unlock()
+}
+
+// adopt makes a session live under the id reserved for it.
+func (s *Server) adopt(ss *Session) {
+	s.mu.Lock()
+	delete(s.restoring, ss.ID)
+	s.sessions[ss.ID] = ss
+	s.mSessions.Set(float64(len(s.sessions)))
+	s.mu.Unlock()
+	ss.eng.Prof.SetSession(ss.ID)
+}
+
+// retire takes a session out of service and gives back what it holds, once:
+// of DELETE racing Close the first caller does the work and the other waits
+// until all of it is done. The journal is closed last, after the drain
+// snapshot that empties it — taken unless the state is about to be erased, or
+// the session is broken and what is on disk is the only good copy. Erasing
+// is outside the once: a DELETE that lost the race to Close still removes
+// the directory Close kept.
+func (s *Server) retire(ss *Session, erase bool) {
+	var err error
+	ss.retired.Do(func() {
+		ss.shutdown()
+		s.releaseEngine(ss.eng)
+		if ss.store != nil && !erase && !ss.broken {
+			_, err = ss.saveSnapshot()
+		}
+		ss.store.close()
+	})
+	if erase && ss.store != nil {
+		err = os.RemoveAll(ss.store.dir)
+	}
+	if err != nil && s.cfg.Log != nil {
+		s.cfg.Log.Error("retiring durable state", "session", ss.ID, "erase", erase, "err", err)
 	}
 }
 
@@ -530,8 +594,8 @@ func (s *Server) noteCacheLookup(hit bool) {
 // releaseEngine gives back what a session engine holds of the server's:
 // its contribution to the contention counters is harvested and its scrape
 // hook unregistered (engine.Close), and its shared-image reference is
-// returned. The engine must be quiescent — a session's loop has exited, or
-// the session was never registered.
+// returned. The engine must be quiescent — its session has been shut down,
+// or never went live.
 func (s *Server) releaseEngine(eng *engine.Engine) {
 	eng.Close()
 	s.images.Release(eng.Image())
@@ -573,6 +637,19 @@ func InboundRequestID(r *http.Request) string {
 	return ""
 }
 
+// cypressSystem generates the workload a cypress create request describes
+// (nil for a program session), the same at create and at restore.
+func cypressSystem(req *CreateRequest) *cypress.System {
+	if req.Task != "cypress" {
+		return nil
+	}
+	var p cypress.Params
+	if req.Params != nil {
+		p = *req.Params
+	}
+	return cypress.Generate(p)
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -588,41 +665,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	ss := &Session{
-		Created: time.Now(),
-		create:  req,
-		srv:     s,
-		cmds:    make(chan command, s.cfg.QueueDepth),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	prods := 0
 	switch {
-	case req.Task == "cypress":
-		var p cypress.Params
-		if req.Params != nil {
-			p = *req.Params
-		}
-		sys := cypress.Generate(p)
-		eng, err := s.imageEngine(sys.Source, ecfg)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "cypress program: %v", err)
-			return
-		}
-		ss.Task = "cypress"
-		ss.eng = eng
-		ss.sys = sys
-		ss.drv = cypress.NewDriver(sys, eng.Tab, eng.WM)
-		prods = sys.Params.Productions
-	case req.Task == "" && req.Program != "":
-		eng, err := s.imageEngine(req.Program, ecfg)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "program: %v", err)
-			return
-		}
-		ss.Task = "program"
-		ss.eng = eng
+	case req.Task == "cypress", req.Task == "" && req.Program != "":
 	case req.Task != "":
 		writeErr(w, http.StatusBadRequest, "unknown task %q (available: cypress, or upload an OPS5 program)", req.Task)
 		return
@@ -630,58 +674,53 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "need task or program")
 		return
 	}
-	ss.syncFingerprint()
 
-	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		frac := float64(len(s.sessions)) / float64(s.cfg.MaxSessions)
-		s.mu.Unlock()
-		s.releaseEngine(ss.eng)
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", retryAfterHint(frac, s.budgetFrac()))
-		writeErr(w, http.StatusTooManyRequests, "session limit %d reached", s.cfg.MaxSessions)
+	id, code, err := s.reserve(req.ID, true)
+	if err != nil {
+		if code == http.StatusTooManyRequests {
+			s.mRejected.Inc()
+			w.Header().Set("Retry-After", retryAfterHint(1, s.budgetFrac()))
+		}
+		writeErr(w, code, "%v", err)
 		return
 	}
-	if req.ID != "" {
-		if s.sessions[req.ID] != nil || s.restoring[req.ID] {
-			s.mu.Unlock()
-			s.releaseEngine(ss.eng)
-			writeErr(w, http.StatusConflict, "session %q already exists", req.ID)
+	req.ID = id
+	// Deferred, so that a panic below (net/http recovers it) gives the id back
+	// as a failure does, not holds it and a place under the limit for good.
+	adopted := false
+	defer func() {
+		if !adopted {
+			s.unreserve(id)
+		}
+	}()
+	sys := cypressSystem(&req)
+	src, what := req.Program, "program"
+	if sys != nil {
+		src, what = sys.Source, "cypress program"
+	}
+	eng, err := s.imageEngine(src, ecfg)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%s: %v", what, err)
+		return
+	}
+	ss := s.newSession(req, sys, eng)
+	prods := 0
+	if sys != nil {
+		ss.drv = cypress.NewDriver(sys, eng.Tab, eng.WM)
+		prods = sys.Params.Productions
+	}
+	// The genesis snapshot is written before the session goes live: a
+	// session a client has seen always has an image on disk a survivor can
+	// restore.
+	if s.cfg.DataDir != "" {
+		if err := s.persistCreate(ss); err != nil {
+			s.releaseEngine(eng)
+			writeErr(w, http.StatusInternalServerError, "persisting session: %v", err)
 			return
 		}
-		ss.ID = req.ID
-	} else {
-		for {
-			s.nextID++
-			ss.ID = fmt.Sprintf("s%d", s.nextID)
-			if s.sessions[ss.ID] == nil && !s.restoring[ss.ID] {
-				break
-			}
-		}
 	}
-	ss.create.ID = ss.ID
-	// Reserve the id (via the restoring set) while the genesis snapshot is
-	// written outside the lock, then register. A session a client has seen
-	// always has an image on disk a survivor can restore.
-	s.restoring[ss.ID] = true
-	s.mu.Unlock()
-	var persistErr error
-	if s.cfg.DataDir != "" {
-		persistErr = s.persistCreate(ss)
-	}
-	s.mu.Lock()
-	delete(s.restoring, ss.ID)
-	if persistErr != nil {
-		s.mu.Unlock()
-		s.releaseEngine(ss.eng)
-		writeErr(w, http.StatusInternalServerError, "persisting session: %v", persistErr)
-		return
-	}
-	s.sessions[ss.ID] = ss
-	s.mSessions.Set(float64(len(s.sessions)))
-	s.mu.Unlock()
-	ss.eng.Prof.SetSession(ss.ID)
-	go ss.loop()
+	s.adopt(ss)
+	adopted = true
 	if s.cfg.Log != nil {
 		s.cfg.Log.Info("session created", "req", w.Header().Get("X-Request-ID"),
 			"session", ss.ID, "task", ss.Task, "productions", prods)
@@ -690,23 +729,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, CreateResult{ID: ss.ID, Task: ss.Task, Productions: prods})
 }
 
-func (s *Server) session(w http.ResponseWriter, r *http.Request) *Session {
+// session looks a live session up, answering 404 itself when there is none.
+func (s *Server) session(w http.ResponseWriter, id string) *Session {
 	s.mu.Lock()
-	ss := s.sessions[r.PathValue("id")]
+	ss := s.sessions[id]
 	s.mu.Unlock()
 	if ss == nil {
-		writeErr(w, http.StatusNotFound, "no session %q", r.PathValue("id"))
+		writeErr(w, http.StatusNotFound, "no session %q", id)
 	}
 	return ss
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	all := make([]*Session, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		all = append(all, ss)
-	}
-	s.mu.Unlock()
+	all := s.live()
 	infos := make([]*SessionInfo, 0, len(all))
 	for _, ss := range all {
 		v, err := ss.submit(r.Context().Done(), func() (any, error) { return ss.stats(), nil })
@@ -725,11 +760,8 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, ss *Session, f
 	switch {
 	case err == errBusy:
 		s.mRejected.Inc()
-		qfrac := 1.0
-		if d := cap(ss.cmds); d > 0 {
-			qfrac = float64(len(ss.cmds)) / float64(d)
-		}
-		w.Header().Set("Retry-After", retryAfterHint(qfrac, s.budgetFrac()))
+		occupied := float64(len(ss.admit)) / float64(cap(ss.admit))
+		w.Header().Set("Retry-After", retryAfterHint(occupied, s.budgetFrac()))
 		writeErr(w, http.StatusTooManyRequests, "session %s queue full", ss.ID)
 	case err == errGone:
 		writeErr(w, http.StatusGone, "session %s closed", ss.ID)
@@ -741,7 +773,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, ss *Session, f
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(w, r)
+	ss := s.session(w, r.PathValue("id"))
 	if ss == nil {
 		return
 	}
@@ -749,7 +781,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(w, r)
+	ss := s.session(w, r.PathValue("id"))
 	if ss == nil {
 		return
 	}
@@ -786,9 +818,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			res, err := ss.runLogged(&req)
 			if res != nil && !res.Cached {
 				s.mCycles.Add(uint64(res.Cycles))
-				// The handler goroutine is parked in submit until this
-				// closure's reply, so reading the response headers here is
-				// race-free.
 				if s.cfg.Log != nil && res.Cycles > 0 {
 					s.cfg.Log.Info("run", "req", w.Header().Get("X-Request-ID"),
 						"session", ss.ID, "cycles", res.Cycles,
@@ -802,7 +831,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(w, r)
+	ss := s.session(w, r.PathValue("id"))
 	if ss == nil {
 		return
 	}
@@ -820,27 +849,20 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSnapshot forces a snapshot (and WAL truncation) on the session
-// loop, so it cannot race match cycles.
+// handleSnapshot forces a snapshot (and WAL truncation) under the session's
+// turn, so it cannot race match cycles.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(w, r)
+	ss := s.session(w, r.PathValue("id"))
 	if ss == nil {
 		return
 	}
-	s.dispatch(w, r, ss, func() (any, error) {
-		res, err := ss.saveSnapshot()
-		if err == nil {
-			s.mSnapshots.Inc()
-			s.mSnapBytes.Add(uint64(res.Bytes))
-		}
-		return res, err
-	})
+	s.dispatch(w, r, ss, func() (any, error) { return ss.saveSnapshot() })
 }
 
 // handleRestore rebuilds a session from its on-disk snapshot + WAL. A
 // restore into a still-live session id is refused with 409: the live
-// session owns the engine and the command loop, and a second copy would
-// race it (and fork the WAL).
+// session owns the engine, and a second copy would race it (and fork the
+// WAL).
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	res, code, err := s.restoreSession(r.PathValue("id"))
 	if err != nil {
@@ -851,7 +873,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleConflictSet(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(w, r)
+	ss := s.session(w, r.PathValue("id"))
 	if ss == nil {
 		return
 	}
@@ -870,7 +892,7 @@ func (s *Server) handleConflictSet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(w, r)
+	ss := s.session(w, r.PathValue("id"))
 	if ss == nil {
 		return
 	}
@@ -895,37 +917,22 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
-	ss.shutdown()
-	<-ss.done
-	s.releaseEngine(ss.eng)
-	if err := ss.deleteDurable(); err != nil && s.cfg.Log != nil {
-		s.cfg.Log.Error("deleting durable state", "session", id, "err", err)
-	}
+	s.retire(ss, true)
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
 
 // handleDebugMatch serves match-profiling snapshots: per-session tables
 // plus the aggregate, or a single session with ?session=ID. Snapshots read
-// atomic counters directly — no session-loop dispatch — so a scrape never
-// queues behind (or backpressures) match work.
+// atomic counters directly — no admission slot, no turn — so a scrape
+// never queues behind (or backpressures) match work.
 func (s *Server) handleDebugMatch(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("session"); id != "" {
-		s.mu.Lock()
-		ss := s.sessions[id]
-		s.mu.Unlock()
-		if ss == nil {
-			writeErr(w, http.StatusNotFound, "no session %q", id)
-			return
+		if ss := s.session(w, id); ss != nil {
+			writeJSON(w, http.StatusOK, ss.eng.Prof.Snapshot())
 		}
-		writeJSON(w, http.StatusOK, ss.eng.Prof.Snapshot())
 		return
 	}
-	s.mu.Lock()
-	all := make([]*Session, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		all = append(all, ss)
-	}
-	s.mu.Unlock()
+	all := s.live()
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	snaps := make([]*matchprof.Snapshot, 0, len(all))
 	for _, ss := range all {
@@ -944,16 +951,10 @@ func (s *Server) handleDebugMatch(w http.ResponseWriter, r *http.Request) {
 // session with ?session=ID, otherwise the newest across all sessions. 404
 // until an anomaly has tripped a recorder.
 func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	all := make([]*Session, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		all = append(all, ss)
-	}
-	s.mu.Unlock()
 	want := r.URL.Query().Get("session")
 	var latest *matchprof.Dump
 	var latestAt time.Time
-	for _, ss := range all {
+	for _, ss := range s.live() {
 		if want != "" && ss.ID != want {
 			continue
 		}
@@ -961,10 +962,7 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 		if d == nil {
 			continue
 		}
-		at, err := time.Parse(time.RFC3339Nano, d.TrippedAt)
-		if err != nil {
-			at = time.Time{}
-		}
+		at, _ := time.Parse(time.RFC3339Nano, d.TrippedAt) // zero when malformed
 		if latest == nil || at.After(latestAt) {
 			latest, latestAt = d, at
 		}
@@ -977,10 +975,10 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 // retryAfterHint grades a 429's Retry-After by how loaded the rejecting
-// resources are: each argument is a load fraction (admission-queue depth,
+// resources are: each argument is a load fraction (admission slots taken,
 // session-table fullness, shared-budget occupancy), and the hint scales
 // linearly from 1s at idle to 8s at saturation on the worst of them. A
-// saturated worker budget means queued commands drain slowly, so a longer
+// saturated worker budget means admitted requests finish slowly, so a longer
 // backoff keeps rejected clients from hammering a server that cannot free
 // capacity quickly. The base is jittered ±20% (clamped to [1s, 8s]) so a
 // burst of clients rejected together doesn't retry together: without

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,6 +22,13 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
+}
+
+// liveSession reaches behind the API for a session the tests drive directly.
+func liveSession(s *Server, id string) *Session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sessions[id]
 }
 
 func doJSON(t *testing.T, method, url string, body any, out any) (int, http.Header) {
@@ -276,7 +285,7 @@ func TestRetryAfterHint(t *testing.T) {
 }
 
 func TestCreateValidation(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{MaxSessions: 1})
 	for _, c := range []struct {
 		req  CreateRequest
 		want int
@@ -294,42 +303,116 @@ func TestCreateValidation(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts.URL+"/sessions/nope/run", RunRequest{Cycles: 1}, nil); code != http.StatusNotFound {
 		t.Fatalf("run on missing session: %d", code)
 	}
+
+	// A create that panics after it has reserved its id — cypress params are
+	// not validated and a negative size divides by zero in the generator;
+	// behind a listener net/http recovers it — gives back the id and its place
+	// under the limit, here the only one.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("create with Productions -1 no longer panics: fail a create past its reservation some other way")
+			}
+		}()
+		s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/sessions",
+			strings.NewReader(`{"id":"neg","task":"cypress","params":{"Productions":-1}}`)))
+	}()
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{ID: "neg", Program: serveProgSrc}, nil); code != http.StatusCreated {
+		t.Fatalf("create after a create that panicked: code=%d, want 201 (reservation leaked)", code)
+	}
 }
 
+// TestSessionLimit: a create the server is going to refuse — the id is taken,
+// or the session table is full — is refused before it does any work. The
+// refused requests carry a program no session has used, so a compile would
+// show as an image-cache miss.
 func TestSessionLimit(t *testing.T) {
-	_, ts := testServer(t, Config{MaxSessions: 2})
-	for i := 0; i < 2; i++ {
-		if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: serveProgSrc}, nil); code != http.StatusCreated {
-			t.Fatalf("create %d: %d", i, code)
-		}
+	s, ts := testServer(t, Config{MaxSessions: 2, Obs: obs.New()})
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{ID: "taken", Program: serveProgSrc}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
 	}
-	code, hdr := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: serveProgSrc}, nil)
+	compiles := func() [2]uint64 {
+		return [2]uint64{s.ImageCacheStats().Misses, s.cfg.Obs.Counter("rete_image_cache_misses_total").Value()}
+	}
+	before := compiles()
+	unseen := serveProgSrc + "\n(p unseen (fact ^v 1) --> (make seen ^v 1))"
+
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{ID: "taken", Program: unseen}, nil); code != http.StatusConflict {
+		t.Fatalf("create over a taken id: code=%d, want 409", code)
+	}
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: serveProgSrc}, nil); code != http.StatusCreated {
+		t.Fatalf("second create: %d", code)
+	}
+	code, hdr := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: unseen}, nil)
 	if code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
 		t.Fatalf("over-limit create: code=%d Retry-After=%q", code, hdr.Get("Retry-After"))
 	}
+	if after := compiles(); after != before {
+		t.Fatalf("refused creates compiled their program: cache misses (stats, metric) %v -> %v", before, after)
+	}
 }
 
-// TestBackpressure429 fills a session's admission queue and checks the next
-// request is rejected fast with 429 + Retry-After instead of queueing.
+// TestSessionsOwnNoGoroutine: a session is an engine behind a lock, not a
+// goroutine — a server holding 32 idle sessions runs what it ran with none.
+// The handler is called directly so no connection goroutines come and go.
+func TestSessionsOwnNoGoroutine(t *testing.T) {
+	s := New(Config{Workers: 2, Processes: 2})
+	defer s.Close()
+	h := s.Handler()
+	create := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/sessions", strings.NewReader(`{"program":`+strconv.Quote(serveProgSrc)+`}`)))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("create: %d %s", rec.Code, rec.Body)
+		}
+	}
+	create() // compiles the image; the rest are warm
+	before := runtime.NumGoroutine()
+	for i := 0; i < 32; i++ {
+		create()
+	}
+	// Match workers of a startup cycle exit on their own; give them a moment.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("32 idle sessions hold %d goroutines (%d -> %d)", after-before, before, after)
+	}
+}
+
+// TestBackpressure429 takes every admission slot of a session and checks the
+// next request is rejected fast with 429 + Retry-After instead of queueing —
+// and that a waiter whose client goes away before its turn gives its slot
+// back without having run.
 func TestBackpressure429(t *testing.T) {
 	s, ts := testServer(t, Config{QueueDepth: 1, Obs: obs.New()})
 	var created CreateResult
 	doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: serveProgSrc}, &created)
-	s.mu.Lock()
-	ss := s.sessions[created.ID]
-	s.mu.Unlock()
+	ss := liveSession(s, created.ID)
 
-	// Occupy the loop with a blocking command, then fill the queue.
+	// Hold the turn with a blocking request, then take the one waiting slot
+	// with a run whose client can still cancel.
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go ss.submit(nil, func() (any, error) { close(started); <-release; return nil, nil })
 	<-started
-	go ss.submit(nil, func() (any, error) { return nil, nil })
-	// The filler lands in the queue; wait until it is actually enqueued.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(ss.cmds) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	cancel := make(chan struct{})
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := ss.submit(cancel, func() (any, error) {
+			return ss.runLogged(&RunRequest{Deltas: []DeltaJSON{{Op: "add", Class: "fact", Fields: []any{1}}}})
+		})
+		waiter <- err
+	}()
+	admitted := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); len(ss.admit) != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d slots taken, want %d", len(ss.admit), n)
+			}
+		}
 	}
+	admitted(2)
 
 	code, hdr := doJSON(t, "GET", ts.URL+"/sessions/"+created.ID, nil, nil)
 	if code != http.StatusTooManyRequests {
@@ -341,24 +424,34 @@ func TestBackpressure429(t *testing.T) {
 	if got := s.cfg.Obs.Counter("serve_backpressure_rejections_total").Value(); got == 0 {
 		t.Fatal("rejection not counted")
 	}
-	close(release)
 
-	// Once the loop drains, the same request succeeds.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		code, _ = doJSON(t, "GET", ts.URL+"/sessions/"+created.ID, nil, nil)
-		if code == http.StatusOK || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The waiting client goes away: its request returns canceled without
+	// waiting for the turn, and the freed slot admits the next request,
+	// which waits for the turn in its place.
+	close(cancel)
+	if err := <-waiter; err != errCanceled {
+		t.Fatalf("canceled waiter: err=%v, want %v", err, errCanceled)
 	}
-	if code != http.StatusOK {
-		t.Fatalf("after release: code=%d", code)
+	admitted(1)
+	next := make(chan int, 1)
+	go func() {
+		var info SessionInfo
+		code, _ := doJSON(t, "GET", ts.URL+"/sessions/"+created.ID, nil, &info)
+		if info.Cycles != 0 || info.WM != 0 {
+			t.Errorf("canceled waiter ran: %+v", info)
+		}
+		next <- code
+	}()
+	admitted(2)
+	close(release)
+	if code := <-next; code != http.StatusOK {
+		t.Fatalf("request admitted into the freed slot: code=%d", code)
 	}
 }
 
 // TestDrainRejectsButFinishes checks drain semantics: new work is refused
-// with 503 while admitted work completes and no cycles are lost.
+// with 503 while admitted work completes and no cycles are lost, and a
+// request that reaches a session after its shutdown is told 410, not 429.
 func TestDrainRejectsButFinishes(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 2})
 	var created CreateResult
@@ -398,7 +491,18 @@ func TestDrainRejectsButFinishes(t *testing.T) {
 	if r.code != http.StatusOK || r.res.Fired != 1 {
 		t.Fatalf("in-flight run after drain: code=%d %+v", r.code, r.res)
 	}
+	ss := liveSession(s, created.ID)
 	s.Close() // must not hang or drop the completed work
+
+	// Close holds every admission slot for good; that must not read as busy.
+	rec := httptest.NewRecorder()
+	s.dispatch(rec, httptest.NewRequest("GET", "/sessions/"+created.ID, nil), ss, func() (any, error) {
+		t.Error("request ran on a session that was shut down")
+		return nil, nil
+	})
+	if rec.Code != http.StatusGone {
+		t.Fatalf("request after shutdown: code=%d, want 410", rec.Code)
+	}
 }
 
 func TestCypressSessionRuns(t *testing.T) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"soarpsme/internal/engine"
@@ -11,24 +12,9 @@ import (
 	"soarpsme/internal/wme"
 )
 
-// command is one unit of session work: fn runs on the session's loop
-// goroutine (so all engine access is serialized) and its result is sent on
-// reply. reply is buffered so the loop never blocks on a handler that
-// abandoned the request.
-type command struct {
-	fn    func() (any, error)
-	reply chan cmdReply
-}
-
-type cmdReply struct {
-	v   any
-	err error
-}
-
-// Session hosts one engine behind a serialized command loop. Cypress
-// sessions carry the workload driver and chunk schedule server-side;
-// program sessions hold an uploaded OPS5 program driven by client deltas
-// and recognize-act steps.
+// Session hosts one engine behind a lock. Cypress sessions carry the
+// workload driver and chunk schedule server-side; program sessions hold an
+// uploaded OPS5 program driven by client deltas and recognize-act steps.
 type Session struct {
 	ID      string
 	Task    string // "cypress" or "program"
@@ -66,83 +52,111 @@ type Session struct {
 	// further mutation can be safely acknowledged.
 	walBroken bool
 
-	cmds     chan command
-	quit     chan struct{} // closed via shutdown: drain queue and exit
-	done     chan struct{} // closed when the loop has exited
-	quitOnce sync.Once
+	// Two counted resources stand between a request and the engine, each
+	// taken by a send and given back by a receive. admit has QueueDepth+1
+	// slots — one request running plus QueueDepth waiting — and is only ever
+	// tried, never waited on: no free slot is the backpressure signal. turn
+	// is the engine lock, a one-slot channel rather than a mutex so that a
+	// waiter can still watch its client's cancel and blocked senders are
+	// served in arrival order.
+	admit chan struct{}
+	turn  chan struct{}
+	// retired makes Server.retire's work happen once; gone is set by its
+	// shutdown and refuses every later request.
+	retired sync.Once
+	gone    atomic.Bool
+	// broken is set while a request runs and cleared when it returns, so it
+	// stays set iff one panicked under the turn, leaving the engine in a state
+	// no replay of the journal reproduces. The session then fails stop: it
+	// serves nothing more and is never snapshotted; what is on disk restores
+	// it. Guarded by the turn.
+	broken bool
 }
 
-// shutdown asks the loop to drain and exit; safe to call more than once
-// (session DELETE can race Server.Close).
-func (s *Session) shutdown() { s.quitOnce.Do(func() { close(s.quit) }) }
+// newSession wraps eng, built for req, in a session that takes over its
+// conflict set. sys is the generated cypress system, nil for a program
+// session; the workload driver is the caller's to attach (a fresh one at
+// create, the snapshot's at restore).
+func (s *Server) newSession(req CreateRequest, sys *cypress.System, eng *engine.Engine) *Session {
+	ss := &Session{
+		ID:      req.ID,
+		Task:    "program",
+		Created: time.Now(),
+		eng:     eng,
+		sys:     sys,
+		create:  req,
+		srv:     s,
+		admit:   make(chan struct{}, s.cfg.QueueDepth+1),
+		turn:    make(chan struct{}, 1),
+	}
+	if sys != nil {
+		ss.Task = "cypress"
+	}
+	ss.syncFingerprint()
+	return ss
+}
 
-func (s *Session) loop() {
-	defer close(s.done)
-	for {
-		select {
-		case c := <-s.cmds:
-			s.exec(c)
-		case <-s.quit:
-			// Drain: commands already admitted still run to completion
-			// (their cycles must not be lost), then the loop exits.
-			for {
-				select {
-				case c := <-s.cmds:
-					s.exec(c)
-				default:
-					return
-				}
-			}
-		}
+// shutdown stops admission and takes every slot for good, so it returns once
+// everything already admitted has run to completion — a drain loses no cycle
+// — with the engine quiescent. Server.retire calls it, once.
+func (s *Session) shutdown() {
+	s.gone.Store(true)
+	for i := 0; i < cap(s.admit); i++ {
+		s.admit <- struct{}{}
 	}
 }
 
-func (s *Session) exec(c command) {
-	v, err := c.fn()
-	c.reply <- cmdReply{v: v, err: err}
-}
+var (
+	// errBusy is returned when every admission slot is taken; the handler
+	// maps it to 429 + Retry-After.
+	errBusy = fmt.Errorf("serve: session queue full")
+	// errGone is returned once the session has been shut down, or broken by
+	// a request that panicked (410).
+	errGone = fmt.Errorf("serve: session closed")
+	// errCanceled is returned to a waiter whose client went away before its
+	// turn came; fn has not run.
+	errCanceled = fmt.Errorf("serve: request canceled")
+)
 
-// errBusy is returned when the session's admission queue is full; the
-// handler maps it to 429 + Retry-After.
-var errBusy = fmt.Errorf("serve: session queue full")
-
-// errGone is returned when the session loop has already exited.
-var errGone = fmt.Errorf("serve: session closed")
-
-// submit enqueues fn on the session loop and waits for its reply or the
-// request context's cancellation. A full queue fails fast with errBusy —
-// the backpressure signal — rather than queueing unboundedly.
+// submit runs fn with exclusive access to the engine, on the caller's
+// goroutine. A request that finds no admission slot fails fast with errBusy —
+// the backpressure signal — rather than queueing unboundedly; an admitted one
+// waits for its turn or for cancel, whichever comes first, and once it has
+// the turn it runs to completion whatever happens to its client. If fn
+// panics, the turn and the slot are given back as the panic unwinds and the
+// session is left broken: whoever has the turn next is told errGone.
 func (s *Session) submit(cancel <-chan struct{}, fn func() (any, error)) (any, error) {
-	c := command{fn: fn, reply: make(chan cmdReply, 1)}
-	select {
-	case s.cmds <- c:
-	case <-s.done:
+	if s.gone.Load() {
 		return nil, errGone
-	default:
-		return nil, errBusy
 	}
 	select {
-	case r := <-c.reply:
-		return r.v, r.err
-	case <-cancel:
-		// The client went away; the command still runs (the loop owns it)
-		// but nobody reads the buffered reply.
-		return nil, fmt.Errorf("serve: request canceled")
-	case <-s.done:
-		// The loop drained the queue and exited after our enqueue raced
-		// Server.Close; the reply (if any) is in the buffer.
-		select {
-		case r := <-c.reply:
-			return r.v, r.err
-		default:
+	case s.admit <- struct{}{}:
+	default:
+		// A shutdown that got in after the check above holds the slots for
+		// good; that is not a queue to retry against.
+		if s.gone.Load() {
 			return nil, errGone
 		}
+		return nil, errBusy
 	}
+	defer func() { <-s.admit }()
+	select {
+	case s.turn <- struct{}{}:
+	case <-cancel:
+		return nil, errCanceled
+	}
+	defer func() { <-s.turn }()
+	if s.broken {
+		return nil, errGone
+	}
+	s.broken = true
+	v, err := fn()
+	s.broken = false
+	return v, err
 }
 
 // withDeadline runs fn with the runtime's cycle watchdog set to d (0 keeps
-// the session default). Safe here because only the loop goroutine runs
-// engine cycles.
+// the session default). Safe here because the caller holds the turn.
 func (s *Session) withDeadline(d time.Duration, fn func() (any, error)) (any, error) {
 	if d > 0 {
 		prev := s.eng.RT.Deadline()
@@ -152,13 +166,12 @@ func (s *Session) withDeadline(d time.Duration, fn func() (any, error)) (any, er
 	return fn()
 }
 
-// runCycles advances the session n match cycles. Cypress sessions pull
-// batches from the server-side driver and, with chunking on, add scheduled
-// chunk productions mid-stream; program sessions run recognize-act steps.
-// It reports per-cycle conflict-set fingerprints so clients can verify
-// byte-identical match results against a solo serial run.
-func (s *Session) runCycles(n int, chunking bool) (*RunResult, error) {
-	res := &RunResult{FirstCycle: s.cycles, LastCycle: s.cycles}
+// runCycles advances the session n match cycles, adding what they did to
+// res. Cypress sessions pull batches from the server-side driver and, with
+// chunking on, add scheduled chunk productions mid-stream; program sessions
+// run recognize-act steps. It reports per-cycle conflict-set fingerprints so
+// clients can verify byte-identical match results against a solo serial run.
+func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 	for i := 0; i < n; i++ {
 		switch s.Task {
 		case "cypress":
@@ -174,10 +187,10 @@ func (s *Session) runCycles(n int, chunking bool) (*RunResult, error) {
 				for s.nextChunk < len(s.drv.ChunkAt) && s.drv.ChunkAt[s.nextChunk] == s.cycles {
 					ast, err := s.sys.ParseChunk(s.nextChunk, s.eng.Tab)
 					if err != nil {
-						return res, fmt.Errorf("serve: chunk %d: %w", s.nextChunk, err)
+						return fmt.Errorf("serve: chunk %d: %w", s.nextChunk, err)
 					}
 					if _, err := s.eng.AddProductionRuntime(ast); err != nil {
-						return res, fmt.Errorf("serve: chunk %d: %w", s.nextChunk, err)
+						return fmt.Errorf("serve: chunk %d: %w", s.nextChunk, err)
 					}
 					s.nextChunk++
 					s.chunks++
@@ -186,11 +199,11 @@ func (s *Session) runCycles(n int, chunking bool) (*RunResult, error) {
 		case "program":
 			fired, err := s.eng.Step()
 			if err != nil {
-				return res, err
+				return err
 			}
 			if !fired {
 				res.Quiesced = true
-				return res, nil
+				return nil
 			}
 			res.Fired++
 		}
@@ -199,7 +212,7 @@ func (s *Session) runCycles(n int, chunking bool) (*RunResult, error) {
 		res.LastCycle = s.cycles - 1
 		res.Fingerprints = append(res.Fingerprints, s.fingerprint())
 	}
-	return res, nil
+	return nil
 }
 
 // fingerprint closes a served match cycle at a cost that follows what the
@@ -237,7 +250,7 @@ func (s *Session) syncFingerprint() {
 	s.fp.rebuild(s.eng.CS.All())
 }
 
-// run executes one /run request on the session loop: an optional delta
+// run executes one /run request under the turn: an optional delta
 // batch ingested as ONE match cycle (the whole batch alpha-dispatched
 // before beta execution, exactly like /deltas), then n recognize-act or
 // driver cycles. Folding both into one request is the batched-ingest fast
@@ -263,23 +276,7 @@ func (s *Session) run(deltas []DeltaJSON, n int, chunking bool) (*RunResult, err
 		res.BadDeltas = dr.BadDeltas
 		res.Fingerprints = append(res.Fingerprints, dr.Fingerprint)
 	}
-	if n == 0 {
-		return res, nil
-	}
-	rr, err := s.runCycles(n, chunking)
-	if rr != nil {
-		res.Cycles += rr.Cycles
-		if rr.Cycles > 0 {
-			res.LastCycle = rr.LastCycle
-		}
-		res.Fired = rr.Fired
-		res.Tasks += rr.Tasks
-		res.Failed += rr.Failed
-		res.Recovered += rr.Recovered
-		res.Quiesced = rr.Quiesced
-		res.Fingerprints = append(res.Fingerprints, rr.Fingerprints...)
-	}
-	return res, err
+	return res, s.runCycles(res, n, chunking)
 }
 
 // writeAhead runs exec under the session's write-ahead rule, which lives
@@ -464,7 +461,7 @@ func SoloFingerprints(p cypress.Params, cycles int, chunking bool) ([]string, er
 	return fps, nil
 }
 
-// stats snapshots the session for GET /sessions/{id}. Runs on the loop.
+// stats snapshots the session for GET /sessions/{id}. Runs under the turn.
 func (s *Session) stats() *SessionInfo {
 	return &SessionInfo{
 		ID:        s.ID,
