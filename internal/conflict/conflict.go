@@ -8,6 +8,7 @@ package conflict
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,6 +23,14 @@ type Instantiation struct {
 	Prod *rete.Production
 	Tok  *rete.Token
 	WMEs []*wme.WME
+
+	// fired is refraction: Select has returned this instantiation, and will
+	// not again. It lives and dies with the object — a retracted match takes
+	// it along, so the same wme combination fires again if re-derived (OPS5
+	// semantics), and a recovered cycle keeps it because EndRecovery keeps the
+	// pre-cycle object of every match the replay re-derives. Guarded by the
+	// set's mutex.
+	fired bool
 }
 
 // TimeTags returns the instantiation's wme time tags sorted descending
@@ -70,7 +79,6 @@ type instKey struct {
 type Set struct {
 	mu    sync.Mutex
 	insts map[instKey][]*Instantiation
-	fired map[instKey][]*rete.Token // refraction memory
 	size  int
 
 	// Soar elaboration support: instantiations added/retracted since the
@@ -81,10 +89,7 @@ type Set struct {
 
 // New returns an empty conflict set.
 func New() *Set {
-	return &Set{
-		insts: make(map[instKey][]*Instantiation),
-		fired: make(map[instKey][]*rete.Token),
-	}
+	return &Set{insts: make(map[instKey][]*Instantiation)}
 }
 
 var _ rete.ConflictListener = (*Set)(nil)
@@ -100,39 +105,12 @@ func (s *Set) Insert(p *rete.Production, t *rete.Token) {
 	s.mu.Unlock()
 }
 
-// Retract removes an instantiation. Retracting also clears its refraction
-// entry, so the same wme combination can fire again if re-derived (OPS5
-// semantics).
+// Retract removes an instantiation, and its refraction with it.
 func (s *Set) Retract(p *rete.Production, t *rete.Token) {
-	k := instKey{p, t.Hash()}
 	s.mu.Lock()
-	list := s.insts[k]
-	for i, in := range list {
-		if in.Tok.Equal(t) {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			s.size--
-			s.retracted = append(s.retracted, in)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(s.insts, k)
-	} else {
-		s.insts[k] = list
-	}
-	ref := s.fired[k]
-	for i, tok := range ref {
-		if tok.Equal(t) {
-			ref[i] = ref[len(ref)-1]
-			ref = ref[:len(ref)-1]
-			break
-		}
-	}
-	if len(ref) == 0 {
-		delete(s.fired, k)
-	} else {
-		s.fired[k] = ref
+	if in := s.matchOut(s.insts, instKey{p, t.Hash()}, t); in != nil {
+		s.size--
+		s.retracted = append(s.retracted, in)
 	}
 	s.mu.Unlock()
 }
@@ -216,10 +194,9 @@ type Recovery struct {
 // journal suffix is undone — retract records re-inserted first, then add
 // records removed, so an instantiation both added and retracted within the
 // cycle nets out absent — and the live set is parked in the returned
-// Recovery while an empty one accepts the replay's insertions. Refraction
-// entries cleared by a poisoned-cycle Retract cannot be restored; a
-// re-derived match may therefore fire again, which is OPS5's semantics for
-// any re-derivation.
+// Recovery while an empty one accepts the replay's insertions. A fired
+// instantiation the poisoned cycle retracted comes back here as the object it
+// was, so it is still fired if the replay re-derives it.
 //
 // Between BeginRecovery and EndRecovery the set must receive P-node calls
 // only from the replay (single-threaded, at quiescence).
@@ -260,13 +237,13 @@ func (s *Set) BeginRecovery(m Mark) *Recovery {
 // live set so the next Drain reports exactly the cycle's true effect:
 //
 //   - a replayed match also present before the cycle keeps its original
-//     *Instantiation (pointer identity survives recovery) and produces no
-//     journal record;
+//     *Instantiation (pointer identity, and with it refraction, survives
+//     recovery) and produces no journal record;
 //   - a replayed match with no pre-cycle counterpart stays journalled as
 //     added — it is the cycle's genuine contribution;
 //   - a pre-cycle match the replay did not re-derive was genuinely
-//     retracted by the cycle's wme changes: it is journalled as retracted
-//     and its refraction entry cleared, exactly as a live Retract would.
+//     retracted by the cycle's wme changes: it is journalled as retracted,
+//     exactly as a live Retract would.
 func (s *Set) EndRecovery(rec *Recovery) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,24 +266,9 @@ func (s *Set) EndRecovery(rec *Recovery) {
 		}
 	}
 	s.added = kept
-	for k, list := range rec.prev {
-		for _, in := range list {
-			// Not re-derived: the cycle retracted it.
-			s.retracted = append(s.retracted, in)
-			ref := s.fired[k]
-			for i, tok := range ref {
-				if tok.Equal(in.Tok) {
-					ref[i] = ref[len(ref)-1]
-					ref = ref[:len(ref)-1]
-					break
-				}
-			}
-			if len(ref) == 0 {
-				delete(s.fired, k)
-			} else {
-				s.fired[k] = ref
-			}
-		}
+	for _, list := range rec.prev {
+		// Not re-derived: the cycle retracted them.
+		s.retracted = append(s.retracted, list...)
 	}
 }
 
@@ -330,9 +292,8 @@ func (s *Set) matchOut(m map[instKey][]*Instantiation, k instKey, t *rete.Token)
 }
 
 // FiredEntry is one refraction record in portable form: the production
-// name plus the time tags of the matched wmes in CE order. Every fired
-// token corresponds to a live instantiation (Retract clears refraction),
-// so the pair identifies the instantiation uniquely on any engine whose
+// name plus the time tags of the matched wmes in CE order. Only a live
+// instantiation can be fired, so the pair identifies it on any engine whose
 // working memory carries the same time tags.
 type FiredEntry struct {
 	Prod string   `json:"prod"`
@@ -345,73 +306,63 @@ func (s *Set) ExportFired() []FiredEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []FiredEntry
-	for k, toks := range s.fired {
-		for _, t := range toks {
-			ws := t.WMEs()
-			tags := make([]uint64, len(ws))
-			for i, w := range ws {
+	for _, list := range s.insts {
+		for _, in := range list {
+			if !in.fired {
+				continue
+			}
+			tags := make([]uint64, len(in.WMEs))
+			for i, w := range in.WMEs {
 				tags[i] = w.TimeTag
 			}
-			out = append(out, FiredEntry{Prod: k.prod.Name, Tags: tags})
+			out = append(out, FiredEntry{Prod: in.Prod.Name, Tags: tags})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Prod != out[j].Prod {
 			return out[i].Prod < out[j].Prod
 		}
-		a, b := out[i].Tags, out[j].Tags
-		for x := 0; x < len(a) && x < len(b); x++ {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return len(a) < len(b)
+		return slices.Compare(out[i].Tags, out[j].Tags) < 0
 	})
 	return out
 }
 
-// RestoreFired rebuilds the refraction memory from exported entries by
-// matching them against the live instantiations (which a snapshot restore
-// re-derives via serial replay before calling this). An entry with no
-// live counterpart means the snapshot is inconsistent.
+// RestoreFired re-marks refraction from exported entries by matching them
+// against the live instantiations (which a snapshot restore re-derives via
+// serial replay before calling this). An entry with no live counterpart
+// means the snapshot is inconsistent.
 func (s *Set) RestoreFired(entries []FiredEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range entries {
-		found := false
-	scan:
-		for k, list := range s.insts {
-			if k.prod.Name != e.Prod {
-				continue
-			}
-			for _, in := range list {
-				if len(in.WMEs) != len(e.Tags) {
-					continue
-				}
-				match := true
-				for i, w := range in.WMEs {
-					if w.TimeTag != e.Tags[i] {
-						match = false
-						break
-					}
-				}
-				if !match || s.isFired(k, in.Tok) {
-					continue
-				}
-				s.fired[k] = append(s.fired[k], in.Tok)
-				found = true
-				break scan
-			}
-		}
-		if !found {
+		in := s.unfired(e)
+		if in == nil {
 			return fmt.Errorf("conflict: refraction entry %s %v has no live instantiation", e.Prod, e.Tags)
+		}
+		in.fired = true
+	}
+	return nil
+}
+
+// unfired returns a live instantiation of e's production over e's time tags
+// that has not fired, or nil (caller holds s.mu).
+func (s *Set) unfired(e FiredEntry) *Instantiation {
+	sameTag := func(w *wme.WME, tag uint64) bool { return w.TimeTag == tag }
+	for k, list := range s.insts {
+		if k.prod.Name != e.Prod {
+			continue
+		}
+		for _, in := range list {
+			if !in.fired && slices.EqualFunc(in.WMEs, e.Tags, sameTag) {
+				return in
+			}
 		}
 	}
 	return nil
 }
 
 // ResetJournal clears the added/retracted journal without touching the
-// live set or refraction memory. A snapshot restore calls it after serial
+// live set or its refraction. A snapshot restore calls it after serial
 // replay so the rebuilt matches are not re-reported by the next Drain.
 func (s *Set) ResetJournal() {
 	s.mu.Lock()
@@ -426,30 +377,17 @@ func (s *Set) Select(strat Strategy) *Instantiation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best *Instantiation
-	for k, list := range s.insts {
+	for _, list := range s.insts {
 		for _, in := range list {
-			if s.isFired(k, in.Tok) {
-				continue
-			}
-			if best == nil || better(in, best, strat) {
+			if !in.fired && (best == nil || better(in, best, strat)) {
 				best = in
 			}
 		}
 	}
 	if best != nil {
-		k := instKey{best.Prod, best.Tok.Hash()}
-		s.fired[k] = append(s.fired[k], best.Tok)
+		best.fired = true
 	}
 	return best
-}
-
-func (s *Set) isFired(k instKey, t *rete.Token) bool {
-	for _, tok := range s.fired[k] {
-		if tok.Equal(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // better reports whether a dominates b under the strategy.

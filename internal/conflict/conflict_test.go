@@ -323,9 +323,10 @@ func TestRecoveryAnnihilatesWindowTransient(t *testing.T) {
 	}
 }
 
-// TestRecoveryRefraction: a re-derived fired match stays refracted; a match
-// the replay does not re-derive has its refraction cleared, so a later
-// re-derivation may fire again (OPS5 semantics).
+// TestRecoveryRefraction: a re-derived fired match stays refracted — also
+// when the poisoned cycle had retracted it before failing; a match the replay
+// does not re-derive is gone, so a later re-derivation may fire again (OPS5
+// semantics).
 func TestRecoveryRefraction(t *testing.T) {
 	s, p, ws := recoveryEnv(t)
 	s.Insert(p, tok(ws[1]))
@@ -340,7 +341,20 @@ func TestRecoveryRefraction(t *testing.T) {
 		t.Fatalf("re-derived fired match selected again: %v", got)
 	}
 
-	// Second round: this time the replay does NOT re-derive it.
+	// Second round: the poisoned cycle retracts the fired match before it
+	// fails, and the replay re-derives it. Recovery brings back the object
+	// that was retracted, refraction and all; a refraction memory kept beside
+	// the set had already dropped its entry and let the match fire twice.
+	mark = s.Mark()
+	s.Retract(p, tok(ws[1]))
+	rec = s.BeginRecovery(mark)
+	s.Insert(p, tok(ws[1]))
+	s.EndRecovery(rec)
+	if got := s.Select(LEX); got != nil {
+		t.Fatalf("fired match retracted by the poisoned cycle and re-derived by the replay selected again: %v", got)
+	}
+
+	// Third round: this time the replay does NOT re-derive it.
 	mark = s.Mark()
 	rec = s.BeginRecovery(mark)
 	s.EndRecovery(rec)

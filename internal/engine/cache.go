@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +11,8 @@ import (
 // ImageCache is a process-wide, ref-counted cache of compiled program
 // images keyed by canonical program hash. Concurrent requests for the same
 // program are deduplicated (one compile, everybody waits on it); released
-// images are kept warm so a session churn of one program never recompiles.
+// images are kept warm so a session churn of one program never recompiles,
+// up to a bound (warmImages) so a churn of distinct programs cannot leak.
 type ImageCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -25,6 +27,11 @@ type cacheEntry struct {
 	ready chan struct{}
 	refs  int // live sessions holding the image
 }
+
+// warmImages is how many images stay resident before a miss starts dropping
+// the ones no session holds: the serving layer's default session limit, so a
+// full server of distinct programs still restarts each of them warm.
+const warmImages = 64
 
 // NewImageCache returns an empty cache.
 func NewImageCache() *ImageCache {
@@ -52,6 +59,9 @@ func (c *ImageCache) Get(src string, opts rete.Options) (img *ProgramImage, hit 
 	}
 	e = &cacheEntry{ready: make(chan struct{}), refs: 1}
 	c.entries[key] = e
+	if len(c.entries) > warmImages {
+		maps.DeleteFunc(c.entries, func(_ string, old *cacheEntry) bool { return old.refs == 0 })
+	}
 	c.mu.Unlock()
 
 	c.misses.Add(1)
@@ -67,12 +77,9 @@ func (c *ImageCache) Get(src string, opts rete.Options) (img *ProgramImage, hit 
 	return e.img, false, nil
 }
 
-// Release drops one session's reference. Zero-ref images stay cached
-// (keep-warm): the topology's whole point is surviving session churn.
+// Release drops one session's reference. A zero-ref image stays cached
+// (keep-warm: the topology's whole point is surviving session churn).
 func (c *ImageCache) Release(img *ProgramImage) {
-	if img == nil {
-		return
-	}
 	c.mu.Lock()
 	if e, ok := c.entries[img.Hash]; ok && e.refs > 0 {
 		e.refs--

@@ -115,8 +115,8 @@ type Engine struct {
 	// pendingExcise holds (excise ...) actions deferred to quiescence.
 	pendingExcise []string
 
-	// img is the shared compiled image this engine runs against (nil for
-	// engines that compiled their own network).
+	// img is the compiled image this engine runs against, never nil: the
+	// empty program's for an engine made by New.
 	img *ProgramImage
 
 	// cycles counts ApplyAndMatch cycles run, independent of how much of
@@ -157,15 +157,27 @@ type Engine struct {
 	stopHarvest func()
 }
 
-// New creates an empty engine owning a private, freshly compiled network.
+// New creates an empty engine: a session over the image of the empty
+// program. What LoadProgram and run-time additions compile goes to the
+// network's own layer, as a served session's chunks do.
 func New(cfg Config) *Engine {
-	cs := conflict.New()
-	return assemble(rete.NewNetwork(value.NewTable(), wme.NewRegistry(), cs, cfg.Rete), cs, cfg)
+	img, err := CompileProgram("", cfg.Rete)
+	if err != nil {
+		panic(err) // the empty program has nothing to reject
+	}
+	return NewFromImage(img, cfg)
 }
 
-// assemble wires the runtime, profiler and observability around a network —
-// shared by New (private network) and NewFromImage (shared topology).
-func assemble(nw *rete.Network, cs *conflict.Set, cfg Config) *Engine {
+// NewFromImage creates a session engine over a shared compiled image:
+// fresh working memory, conflict set, token tables and counters — no
+// compilation — with the runtime, profiler and observability wired around
+// them. Structural rete options come from the image; cfg.Rete contributes
+// only the session-level Unlink. Startup actions are NOT run — call
+// RunStartup for a fresh session, or skip it when restoring a snapshot whose
+// working memory is replayed explicitly.
+func NewFromImage(img *ProgramImage, cfg Config) *Engine {
+	cs := conflict.New()
+	nw := rete.NewFromTopology(img.Top, cs, cfg.Rete)
 	var prof *matchprof.Profile
 	if cfg.Prof != nil {
 		prof = matchprof.New(nw, *cfg.Prof, cfg.Obs)
@@ -181,7 +193,8 @@ func assemble(nw *rete.Network, cs *conflict.Set, cfg Config) *Engine {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 10000
 	}
-	e := &Engine{Tab: nw.Tab, Reg: nw.Reg, WM: wme.NewMemory(), NW: nw, RT: rt, CS: cs, cfg: cfg, Prof: prof}
+	e := &Engine{Tab: nw.Tab, Reg: nw.Reg, WM: wme.NewMemory(), NW: nw, RT: rt, CS: cs,
+		cfg: cfg, strategy: img.Strategy, Prof: prof, img: img}
 	if o := cfg.Obs; o != nil {
 		e.obs = o
 		e.mCycles = o.Counter("match_cycles_total")
@@ -305,8 +318,13 @@ func (e *Engine) Cycles() int64 { return e.cycles }
 // Halted reports whether a (halt) action has executed.
 func (e *Engine) Halted() bool { return e.halted }
 
-// Strategy returns the loaded conflict-resolution strategy.
+// Strategy returns the conflict-resolution strategy: the image's, unless
+// LoadProgram or SetStrategy has replaced it.
 func (e *Engine) Strategy() conflict.Strategy { return e.strategy }
+
+// SetStrategy replaces the conflict-resolution strategy; snapshot restore
+// uses it for an engine whose strategy was not its image's.
+func (e *Engine) SetStrategy(s conflict.Strategy) { e.strategy = s }
 
 // SetHalted forces the halt flag; snapshot restore uses it to reproduce a
 // session that had executed (halt).

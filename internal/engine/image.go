@@ -93,30 +93,10 @@ func CompileProgram(src string, opts rete.Options) (*ProgramImage, error) {
 	}, nil
 }
 
-// NewFromImage creates a session engine over a shared compiled image:
-// fresh working memory, conflict set, token tables and counters — no
-// compilation. Structural rete options come from the image; cfg.Rete
-// contributes only the session-level Unlink. Startup actions are
-// NOT run — call RunStartup for a fresh session, or skip it when restoring
-// a snapshot whose working memory is replayed explicitly.
-func NewFromImage(img *ProgramImage, cfg Config) *Engine {
-	cs := conflict.New()
-	nw := rete.NewFromTopology(img.Top, cs, cfg.Rete)
-	e := assemble(nw, cs, cfg)
-	e.strategy = img.Strategy
-	e.img = img
-	return e
-}
-
-// Image returns the compiled image this engine was created from, or nil
-// for an engine that compiled its own private network.
+// Image returns the compiled image this engine was created from: the empty
+// program's for an engine made by New.
 func (e *Engine) Image() *ProgramImage { return e.img }
 
-// RunStartup executes the image's startup actions (one match cycle). It is
-// a no-op for engines not created from an image or images without startup.
-func (e *Engine) RunStartup() error {
-	if e.img == nil {
-		return nil
-	}
-	return e.runStartup(e.img.Startup)
-}
+// RunStartup executes the image's startup actions, if it has any, as one
+// match cycle.
+func (e *Engine) RunStartup() error { return e.runStartup(e.img.Startup) }

@@ -297,26 +297,7 @@ type Diagnosis struct {
 // Diagnose simulates every cycle of a capture at the given process count
 // and explains the low-speedup ones (below the threshold).
 func Diagnose(c *Capture, procs int, threshold float64) []Diagnosis {
-	// Map beta nodes to the productions whose chains contain them.
-	// Walk both inputs: a Parent-only walk would miss the right-side group
-	// sub-chains of bilinear pair joins, leaving their nodes unowned.
-	owner := map[rete.NodeID]string{}
-	var claim func(n *rete.BetaNode, name string)
-	claim = func(n *rete.BetaNode, name string) {
-		if n == nil {
-			return
-		}
-		if _, taken := owner[n.ID]; !taken {
-			owner[n.ID] = name
-		}
-		claim(n.Parent, name)
-		if n.Kind == rete.KindJoinBB {
-			claim(n.RightParent, name)
-		}
-	}
-	for _, p := range c.eng.NW.Productions() {
-		claim(p.PNode, p.Name)
-	}
+	prods, owner := c.eng.NW.Owners()
 	// Per-production run-wide attribution (chain depth, null rate) from the
 	// matchprof snapshot harvested at capture time.
 	prodProf := map[string]matchprof.ProdCost{}
@@ -354,7 +335,9 @@ func Diagnose(c *Capture, procs int, threshold float64) []Diagnosis {
 				tail = r
 			}
 		}
-		d.Production = owner[tail.Node]
+		if o := owner[tail.Node]; o >= 0 {
+			d.Production = prods[o].Name
+		}
 		if pp, ok := prodProf[d.Production]; ok {
 			d.ChainDepth = pp.ChainDepth
 			d.NullRate = pp.NullRate

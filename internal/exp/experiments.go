@@ -432,32 +432,14 @@ func Fig68(l *Lab) (*stats.Table, error) {
 }
 
 // prodChainDepth returns the longest node chain from the top to the named
-// production's P node (the paper reports the monitor production's chain
-// shrinking from 43 to 15 CEs).
+// production's P node, the P node included (the paper reports the monitor
+// production's chain shrinking from 43 to 15 CEs).
 func prodChainDepth(e *engine.Engine, name string) int {
 	p := e.NW.Lookup(name)
 	if p == nil {
 		return 0
 	}
-	var depth func(n *rete.BetaNode) int
-	depth = func(n *rete.BetaNode) int {
-		if n == nil {
-			return 0
-		}
-		d := depth(n.Parent)
-		if n.Kind == rete.KindJoinBB {
-			if r := depth(n.RightParent); r > d {
-				d = r
-			}
-		}
-		if n.Kind == rete.KindNCC {
-			if r := depth(n.Partner.Parent); r > d {
-				d = r
-			}
-		}
-		return d + 1
-	}
-	return depth(p.PNode)
+	return p.ChainDepth() + 1
 }
 
 // criticalPath returns the longest dependent-activation chain in a trace.

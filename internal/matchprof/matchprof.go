@@ -239,8 +239,8 @@ type ProdCost struct {
 	ChainDepth int `json:"chainDepth"`
 	// Nodes is the number of beta nodes attributed to the production. A
 	// node shared with an earlier production is attributed to that earlier
-	// one (first-owner-wins, matching the diagnose tool), so shared-prefix
-	// cost is never double counted.
+	// one (rete.Network.Owners), so shared-prefix cost is never double
+	// counted.
 	Nodes  int    `json:"nodes"`
 	Totals Totals `json:"totals"`
 	// Restructured marks productions the bilinear pass compiled into the
@@ -308,66 +308,29 @@ func (p *Profile) buildSnapshot(session string, cycles int64) *Snapshot {
 		CostHist:  cost[:],
 	}
 
-	// Attribute each node's cell to the first production whose beta spine
-	// contains it (definition order, matching the diagnose tool's owner
-	// map); walk each P node up through its parents.
-	prods := p.nw.Productions()
-	type ownedProd struct {
-		pc    ProdCost
-		nodes []rete.NodeID
+	// Each node's cell goes to the production that owns the node
+	// (rete.Network.Owners: first spine in definition order), so shared-prefix
+	// cost is never counted twice; what no spine claims is Unattributed.
+	prods, owner := p.nw.Owners()
+	pcs := make([]ProdCost, len(prods))
+	for i, pr := range prods {
+		pcs[i] = ProdCost{Name: pr.Name, Restructured: pr.Restructured, ChainDepth: pr.ChainDepth()}
 	}
-	owner := make(map[rete.NodeID]int, len(cells))
-	owned := make([]ownedProd, 0, len(prods))
-	for _, pr := range prods {
-		if pr.PNode == nil {
+	for id, o := range owner {
+		if o < 0 {
 			continue
 		}
-		op := ownedProd{pc: ProdCost{Name: pr.Name, Restructured: pr.Restructured}}
-		// Claim both inputs of every node on the production's spine: Parent
-		// (the left input) and, for bilinear pair joins, RightParent — the
-		// right-side group sub-chains are real two-input nodes with their own
-		// cost cells, and a Parent-only walk would leave them unowned (and
-		// undercount Nodes for every restructured production). NCC partner
-		// sub-chains stay unclaimed (see Snapshot.Unattributed).
-		var claim func(n *rete.BetaNode)
-		claim = func(n *rete.BetaNode) {
-			if n == nil {
-				return
-			}
-			if _, taken := owner[n.ID]; !taken {
-				owner[n.ID] = len(owned)
-				op.nodes = append(op.nodes, n.ID)
-			}
-			claim(n.Parent)
-			if n.Kind == rete.KindJoinBB {
-				claim(n.RightParent)
-			}
-		}
-		claim(pr.PNode)
-		op.pc.ChainDepth = spineDepth(pr.PNode)
-		owned = append(owned, op)
-	}
-	claimed := make([]bool, len(cells))
-	for i := range owned {
-		op := &owned[i]
-		op.pc.Nodes = len(op.nodes)
-		for _, id := range op.nodes {
-			if int(id) < len(cells) {
-				op.pc.Totals.add(Totals(cells[id]))
-				claimed[id] = true
-			}
+		pcs[o].Nodes++
+		if id < len(cells) {
+			pcs[o].Totals.add(Totals(cells[id]))
 		}
 	}
 	for id := range cells {
 		c := Totals(cells[id])
 		s.Totals.add(c)
-		if !claimed[id] {
+		if id >= len(owner) || owner[id] < 0 {
 			s.Unattributed.add(c)
 		}
-	}
-	pcs := make([]ProdCost, len(owned))
-	for i := range owned {
-		pcs[i] = owned[i].pc
 	}
 	return s.rank(pcs)
 }
@@ -397,31 +360,6 @@ func (s *Snapshot) rank(pcs []ProdCost) *Snapshot {
 		return a.Name < b.Name
 	})
 	return s
-}
-
-// spineDepth is the longest root-to-P path of two-input nodes: the bound on
-// the dependent activation chain the production can generate. Pair joins
-// take the deeper of their two inputs; NCC sub-chains count toward depth
-// through the partner even though their cost stays unattributed.
-func spineDepth(n *rete.BetaNode) int {
-	if n == nil {
-		return 0
-	}
-	d := spineDepth(n.Parent)
-	if n.Kind == rete.KindJoinBB {
-		if r := spineDepth(n.RightParent); r > d {
-			d = r
-		}
-	}
-	if n.Kind == rete.KindNCC && n.Partner != nil {
-		if r := spineDepth(n.Partner.Parent); r > d {
-			d = r
-		}
-	}
-	if n.Kind == rete.KindP {
-		return d
-	}
-	return d + 1
 }
 
 // Merge folds several snapshots (one per session) into an aggregate view:

@@ -274,6 +274,62 @@ type Binding struct {
 	Field int
 }
 
+// ChainDepth is the longest top-to-P path of two-input nodes in the
+// production's network: the bound on the dependent activation chain it can
+// generate (the P node itself is not counted). Pair joins take the deeper of
+// their two inputs, and an NCC node the deeper of its own chain and its
+// partner's sub-chain.
+func (p *Production) ChainDepth() int { return chainDepth(p.PNode) }
+
+func chainDepth(n *BetaNode) int {
+	if n == nil {
+		return 0
+	}
+	d := chainDepth(n.Parent)
+	if n.Kind == KindJoinBB {
+		d = max(d, chainDepth(n.RightParent))
+	}
+	if n.Kind == KindNCC && n.Partner != nil {
+		d = max(d, chainDepth(n.Partner.Parent))
+	}
+	if n.Kind == KindP {
+		return d
+	}
+	return d + 1
+}
+
+// Owners attributes every beta node to one production: owner[id] indexes
+// prods (the productions in definition order) at the first production whose
+// spine contains node id, or is -1 for an ID no spine claims. A spine is the
+// P node and everything above it through Parent — and, at a bilinear pair
+// join, RightParent too: the group sub-chains are real two-input nodes, which
+// a Parent-only walk would leave unowned. First owner wins, so the cost of a
+// shared prefix is counted once; NCC partner sub-chains stay unclaimed.
+func (nw *Network) Owners() (prods []*Production, owner []int32) {
+	prods = nw.Productions()
+	owner = make([]int32, nw.MaxNodeID()+1)
+	for i := range owner {
+		owner[i] = -1
+	}
+	var claim func(n *BetaNode, p int32)
+	claim = func(n *BetaNode, p int32) {
+		if n == nil {
+			return
+		}
+		if owner[n.ID] < 0 {
+			owner[n.ID] = p
+		}
+		claim(n.Parent, p)
+		if n.Kind == KindJoinBB {
+			claim(n.RightParent, p)
+		}
+	}
+	for i, p := range prods {
+		claim(p.PNode, int32(i))
+	}
+	return prods, owner
+}
+
 // String renders a short description of the node.
 func (n *BetaNode) String() string {
 	if n == nil {

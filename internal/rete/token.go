@@ -82,7 +82,7 @@ func (t *Token) WMEAt(ce int) *wme.WME {
 	return nil
 }
 
-// appendPairs collects (ce, wmeID) pairs into buf.
+// appendPairs collects the token's (ce, wme) pairs into buf.
 func (t *Token) appendPairs(buf []cePair) []cePair {
 	for t != nil {
 		if t.L != nil {
@@ -91,7 +91,7 @@ func (t *Token) appendPairs(buf []cePair) []cePair {
 			continue
 		}
 		if t.W != nil {
-			buf = append(buf, cePair{t.CE, t.W.ID})
+			buf = append(buf, cePair{t.CE, t.W})
 		}
 		t = t.Parent
 	}
@@ -100,7 +100,7 @@ func (t *Token) appendPairs(buf []cePair) []cePair {
 
 type cePair struct {
 	ce int16
-	id uint64
+	w  *wme.WME
 }
 
 // Equal reports whether two tokens bind the same wmes to the same CEs,
@@ -124,7 +124,7 @@ func (t *Token) Equal(o *Token) bool {
 	sortPairs(a)
 	sortPairs(b)
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].ce != b[i].ce || a[i].w.ID != b[i].w.ID {
 			return false
 		}
 	}
@@ -157,7 +157,7 @@ func linearEqual(a, b *Token) (eq, ok bool) {
 func sortPairs(p []cePair) {
 	for i := 1; i < len(p); i++ {
 		for j := i; j > 0; j-- {
-			if p[j].ce > p[j-1].ce || (p[j].ce == p[j-1].ce && p[j].id >= p[j-1].id) {
+			if p[j].ce > p[j-1].ce || (p[j].ce == p[j-1].ce && p[j].w.ID >= p[j-1].w.ID) {
 				break
 			}
 			p[j], p[j-1] = p[j-1], p[j]
@@ -170,29 +170,14 @@ func (t *Token) WMEs() []*wme.WME {
 	if t == nil || t.N == 0 {
 		return nil
 	}
-	pairs := t.appendPairs(make([]cePair, 0, t.N))
+	var buf [24]cePair
+	pairs := t.appendPairs(buf[:0])
 	sortPairs(pairs)
-	out := make([]*wme.WME, 0, len(pairs))
-	byCE := map[int16]*wme.WME{}
-	collectWMEs(t, byCE)
-	for _, p := range pairs {
-		out = append(out, byCE[p.ce])
+	out := make([]*wme.WME, len(pairs))
+	for i, p := range pairs {
+		out[i] = p.w
 	}
 	return out
-}
-
-func collectWMEs(t *Token, m map[int16]*wme.WME) {
-	for t != nil {
-		if t.L != nil {
-			collectWMEs(t.L, m)
-			t = t.R
-			continue
-		}
-		if t.W != nil {
-			m[t.CE] = t.W
-		}
-		t = t.Parent
-	}
 }
 
 // String renders the token's wme IDs for debugging.

@@ -297,6 +297,10 @@ func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 		}
 	}()
 
+	if s.testHookReserved != nil {
+		s.testHookReserved()
+	}
+
 	start := time.Now()
 	ss, replayed, cacheHit, err := s.rebuildSession(id)
 	if err != nil {
@@ -321,9 +325,7 @@ func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 	s.mRestored.Inc()
 	s.mRestoreSecs.Observe(d.Seconds())
 	s.mReplayed.Add(uint64(replayed))
-	if ss.eng.Image() != nil {
-		s.noteCacheLookup(cacheHit)
-	}
+	s.noteCacheLookup(cacheHit)
 	if s.cfg.Log != nil {
 		temp := "cold"
 		if cacheHit {
@@ -357,6 +359,9 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 	}
 	img.Create.ID = id
 	ecfg, err := s.engineConfig(&img.Create)
+	if err == nil {
+		err = checkCypressParams(&img.Create)
+	}
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -390,8 +395,6 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 		return ss, 0, cacheHit, err
 	}
 	replayed := 0
-	ss.replaying = true
-	defer func() { ss.replaying = false }()
 	for _, rec := range recs {
 		if rec.Cycle < ss.cycles {
 			continue
@@ -410,6 +413,8 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 		replayed++
 	}
 
+	// Only now does the session get its store: with none, the replay above
+	// ran its records without journaling them again (writeAhead).
 	st, err := openStore(dir)
 	if err != nil {
 		return ss, replayed, cacheHit, err

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"soarpsme/internal/obs"
 	"soarpsme/internal/snapshot"
+	"soarpsme/internal/tasks/cypress"
 )
 
 // crashableServer boots a durable server whose Close is NOT registered as
@@ -105,7 +107,7 @@ func TestRestoreAfterCrash(t *testing.T) {
 // session id is refused, and a missing image is a 404.
 func TestRestoreConflicts(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	s, ts := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir, Obs: obs.New()})
 	seedSession(t, ts.URL, "live1")
 
 	if code, _ := doJSON(t, "POST", ts.URL+"/sessions/live1/restore", nil, nil); code != http.StatusConflict {
@@ -119,21 +121,38 @@ func TestRestoreConflicts(t *testing.T) {
 		t.Fatalf("restore of unknown session: %d, want 404", code)
 	}
 
-	// A restore that panics — a sealed image with no engine in it — is not
-	// "in progress" afterwards: the second attempt gets as far as the first.
-	data, err := snapshot.Seal(&SessionImage{ID: "hollow"})
-	if err != nil {
-		t.Fatal(err)
+	// A sealed image with no engine in it, or with cypress params the
+	// generator is not defined for, is a failed restore — a 500 that counts —
+	// not a nil dereference or a division by zero.
+	for id, img := range map[string]*SessionImage{
+		"hollow": {ID: "hollow"},
+		"badgen": {ID: "badgen", Create: CreateRequest{Task: "cypress", Params: &cypress.Params{AvgCEs: 1}}},
+	} {
+		data, err := snapshot.Seal(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.MkdirAll(filepath.Join(dir, id), 0o755)
+		if err := os.WriteFile(filepath.Join(dir, id, "image.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		failed := s.cfg.Obs.Counter("serve_restore_failures_total").Value()
+		if _, code, err := s.restoreSession(id); err == nil || code != http.StatusInternalServerError {
+			t.Fatalf("restore of %s: code=%d err=%v, want 500 and an error", id, code, err)
+		}
+		if got := s.cfg.Obs.Counter("serve_restore_failures_total").Value(); got != failed+1 {
+			t.Fatalf("restore of %s: serve_restore_failures_total %d -> %d, want +1", id, failed, got)
+		}
 	}
-	os.MkdirAll(filepath.Join(dir, "hollow"), 0o755)
-	if err := os.WriteFile(filepath.Join(dir, "hollow", "image.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+
+	// A restore that panics past its reservation is not "in progress"
+	// afterwards: the second attempt gets as far as the first.
+	s.testHookReserved = func() { panic("rebuild failed past the reservation") }
 	for i := 0; i < 2; i++ {
 		func() {
 			defer func() { recover() }()
 			_, code, err := s.restoreSession("hollow")
-			t.Errorf("restore %d of an image without an engine did not panic: code=%d err=%v", i, code, err)
+			t.Errorf("restore %d: the reserved hook did not run between reserve and adopt: code=%d err=%v", i, code, err)
 		}()
 	}
 }

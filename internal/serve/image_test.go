@@ -54,6 +54,36 @@ func TestImageCacheAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestImageCacheBounded: a churn of distinct programs does not leave one
+// compiled topology resident per program ever uploaded — zero-reference
+// images go once the cache is past its warm bound — while an image a live
+// session holds stays, whatever the churn.
+func TestImageCacheBounded(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2, Processes: 2})
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{ID: "held", Program: serveProgSrc}, nil); code != http.StatusCreated {
+		t.Fatalf("create held: %d", code)
+	}
+	for i := 0; i < 80; i++ {
+		prog := fmt.Sprintf("%s\n(p churn-%d (fact ^v %d) --> (make seen ^v %d))", serveProgSrc, i, i, i)
+		id := fmt.Sprintf("churn%d", i)
+		if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{ID: id, Program: prog}, nil); code != http.StatusCreated {
+			t.Fatalf("create %d: %d", i, code)
+		}
+		if code, _ := doJSON(t, "DELETE", ts.URL+"/sessions/"+id, nil, nil); code != http.StatusOK {
+			t.Fatalf("delete %d: %d", i, code)
+		}
+	}
+	if st := s.ImageCacheStats(); st.Live > 65 || st.Sessions != 1 || st.Misses != 81 {
+		t.Fatalf("cache after 80 create+delete rounds of distinct programs beside one live session: %+v, want at most 65 live, 1 reference, 81 compiles", st)
+	}
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: serveProgSrc}, nil); code != http.StatusCreated {
+		t.Fatal("second create of the held program failed")
+	}
+	if st := s.ImageCacheStats(); st.Hits != 1 || st.Misses != 81 {
+		t.Fatalf("the image a live session holds was dropped by the churn: %+v", st)
+	}
+}
+
 // TestRestoreStormWarm is the failover storm in miniature: a backend
 // hosting many sessions of ONE program dies, and a cold survivor restores
 // them all. Only the first restore compiles the program; every subsequent

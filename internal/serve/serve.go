@@ -102,6 +102,11 @@ type Server struct {
 	draining atomic.Bool
 	reqSeq   atomic.Int64
 
+	// testHookReserved, nil outside tests, runs once in every create and
+	// restore between reserve and adopt: a test panics from it to prove the
+	// reservation is given back when a build does.
+	testHookReserved func()
+
 	mSessions      *obs.Gauge
 	mRequests      *obs.Counter
 	mCycles        *obs.Counter
@@ -637,6 +642,37 @@ func InboundRequestID(r *http.Request) string {
 	return ""
 }
 
+// maxCypressSize bounds every field of a cypress create's params, and the
+// condition elements they multiply out to (task productions and chunks
+// together): about fifteen times the paper-matched default.
+const maxCypressSize = 100000
+
+// checkCypressParams refuses the params cypress.Generate is not defined for
+// — a negative size, or an AvgCEs of 1, which leaves the generator's
+// shared-prefix draw nothing to draw from — and those large enough to be a
+// denial of service on their own. Zero fields take the defaults, as in
+// Generate.
+func checkCypressParams(req *CreateRequest) error {
+	p := req.Params
+	if req.Task != "cypress" || p == nil {
+		return nil
+	}
+	d := cypress.DefaultParams()
+	v := [...]int64{int64(p.Productions), int64(p.AvgCEs), int64(p.Chunks), int64(p.ChunkCEs), int64(p.Alphabet), int64(p.Cycles)}
+	for i, def := range [...]int{d.Productions, d.AvgCEs, d.Chunks, d.ChunkCEs, d.Alphabet, d.Cycles} {
+		if v[i] == 0 {
+			v[i] = int64(def)
+		}
+		if v[i] < 0 || v[i] > maxCypressSize {
+			return fmt.Errorf("cypress params: every size must be in [0, %d] (0 = default)", maxCypressSize)
+		}
+	}
+	if n, avg, chunks, cces := v[0], v[1], v[2], v[3]; avg < 2 || n*avg+chunks*cces > maxCypressSize {
+		return fmt.Errorf("cypress params: need AvgCEs >= 2 (got %d) and Productions×AvgCEs + Chunks×ChunkCEs <= %d condition elements (got %d)", avg, maxCypressSize, n*avg+chunks*cces)
+	}
+	return nil
+}
+
 // cypressSystem generates the workload a cypress create request describes
 // (nil for a program session), the same at create and at restore.
 func cypressSystem(req *CreateRequest) *cypress.System {
@@ -661,6 +697,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ecfg, err := s.engineConfig(&req)
+	if err == nil {
+		err = checkCypressParams(&req)
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -693,6 +732,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			s.unreserve(id)
 		}
 	}()
+	if s.testHookReserved != nil {
+		s.testHookReserved()
+	}
 	sys := cypressSystem(&req)
 	src, what := req.Program, "program"
 	if sys != nil {

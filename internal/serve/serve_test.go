@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"soarpsme/internal/obs"
+	"soarpsme/internal/tasks/cypress"
 )
 
 // testServer boots a serve.Server behind httptest.
@@ -304,19 +305,59 @@ func TestCreateValidation(t *testing.T) {
 		t.Fatalf("run on missing session: %d", code)
 	}
 
-	// A create that panics after it has reserved its id — cypress params are
-	// not validated and a negative size divides by zero in the generator;
-	// behind a listener net/http recovers it — gives back the id and its place
-	// under the limit, here the only one.
+	// Cypress params the generator is not defined for, or that are a denial of
+	// service on their own, are refused before anything is reserved or
+	// generated: the limit's one place stays free throughout.
+	for _, params := range []string{
+		`{"Productions":-1}`, `{"AvgCEs":1}`, `{"Chunks":-3}`, `{"ChunkCEs":-1}`, `{"Alphabet":-2}`, `{"Cycles":-1}`,
+		`{"Productions":100001}`, `{"Productions":50000,"AvgCEs":3}`, `{"Chunks":2000,"ChunkCEs":60}`,
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/sessions",
+			strings.NewReader(`{"task":"cypress","params":`+params+`}`)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "cypress params") {
+			t.Fatalf("create with params %s: code=%d body=%s, want 400 naming the params", params, rec.Code, rec.Body)
+		}
+	}
+	// The smallest params that pass do generate and run.
+	small := CreateRequest{ID: "small", Task: "cypress", Params: &cypress.Params{Productions: 1, AvgCEs: 2, Chunks: 1, ChunkCEs: 1, Alphabet: 1, Cycles: 1}}
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", small, nil); code != http.StatusCreated {
+		t.Fatalf("create with the smallest valid cypress params: code=%d", code)
+	}
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions/small/run", RunRequest{Cycles: 3, Chunking: true}, nil); code != http.StatusOK {
+		t.Fatalf("run on the smallest cypress session: code=%d", code)
+	}
+	if code, _ := doJSON(t, "DELETE", ts.URL+"/sessions/small", nil, nil); code != http.StatusOK {
+		t.Fatalf("delete: code=%d", code)
+	}
+
+	// Everything small the check admits, the generator is defined for.
+	for seed := uint64(1); seed <= 20; seed++ {
+		for avg := 2; avg <= 5; avg++ {
+			for cce := 1; cce <= 3; cce++ {
+				p := cypress.Params{Productions: 3, AvgCEs: avg, Chunks: 2, ChunkCEs: cce, Alphabet: 1, Cycles: 1, Seed: seed}
+				if err := checkCypressParams(&CreateRequest{Task: "cypress", Params: &p}); err != nil {
+					t.Fatalf("%+v refused: %v", p, err)
+				}
+				cypress.Generate(p)
+			}
+		}
+	}
+
+	// A create that panics after it has reserved its id (behind a listener
+	// net/http recovers it) gives back the id and its place under the limit,
+	// here the only one.
+	s.testHookReserved = func() { panic("build failed past the reservation") }
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("create with Productions -1 no longer panics: fail a create past its reservation some other way")
+				t.Error("the reserved hook did not run between reserve and adopt")
 			}
 		}()
 		s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/sessions",
-			strings.NewReader(`{"id":"neg","task":"cypress","params":{"Productions":-1}}`)))
+			strings.NewReader(`{"id":"neg","program":"(p x (a) --> (halt))"}`)))
 	}()
+	s.testHookReserved = nil
 	if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{ID: "neg", Program: serveProgSrc}, nil); code != http.StatusCreated {
 		t.Fatalf("create after a create that panicked: code=%d, want 201 (reservation leaked)", code)
 	}

@@ -40,12 +40,11 @@ type Session struct {
 	// idempotency watermark: a retried request with Seq == lastSeq returns
 	// the cached result instead of re-executing, which is what makes
 	// client retries across a failover exactly-once.
-	create    CreateRequest
-	srv       *Server
-	store     *store
-	lastSeq   int64
-	lastRes   *RunResult
-	replaying bool // true during WAL replay: skip re-journaling
+	create  CreateRequest
+	srv     *Server
+	store   *store
+	lastSeq int64
+	lastRes *RunResult
 	// walBroken poisons the session after a durability-barrier failure:
 	// the engine has executed a request whose journal record never
 	// reached disk, so the memory state is ahead of the journal and no
@@ -286,10 +285,12 @@ func (s *Session) run(deltas []DeltaJSON, n int, chunking bool) (*RunResult, err
 // both finish — so a crash loses only unacknowledged work. The error is the
 // journal's alone; exec keeps its own. A barrier failure poisons the session:
 // the engine is then ahead of the journal, so acknowledging anything further
-// would let a later crash silently lose it. Non-durable sessions, and a
-// restore replaying the journal it is reading, just run exec.
+// would let a later crash silently lose it. A session without a store just
+// runs exec: a non-durable one, and one being restored, which replays the
+// journal it is reading through here and is given its store only afterwards
+// (rebuildSession).
 func (s *Session) writeAhead(rec walRecord, exec func()) error {
-	if s.store == nil || s.replaying {
+	if s.store == nil {
 		exec()
 		return nil
 	}
@@ -301,18 +302,14 @@ func (s *Session) writeAhead(rec walRecord, exec func()) error {
 	if err != nil {
 		return fmt.Errorf("serve: WAL append: %w", err)
 	}
-	if s.srv != nil {
-		s.srv.mWALAppends.Inc()
-		s.srv.mWALBytes.Add(uint64(n))
-	}
+	s.srv.mWALAppends.Inc()
+	s.srv.mWALBytes.Add(uint64(n))
 	exec()
 	if err := barrier(); err != nil {
 		s.walBroken = true
 		return fmt.Errorf("serve: WAL sync: %w", err)
 	}
-	if s.srv != nil {
-		s.srv.mWALFsync.Observe(time.Since(start).Seconds())
-	}
+	s.srv.mWALFsync.Observe(time.Since(start).Seconds())
 	return nil
 }
 

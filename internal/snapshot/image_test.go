@@ -52,7 +52,7 @@ func csPrint(e *engine.Engine) string {
 // imageSession builds an image-backed engine with one runtime chunk and a
 // fired cycle, so the export carries a private suffix, a runtime-extended
 // schema (goal is never literalized), and refraction state.
-func imageSession(t *testing.T, cfg engine.Config) (*engine.ProgramImage, *engine.Engine) {
+func imageSession(t testing.TB, cfg engine.Config) (*engine.ProgramImage, *engine.Engine) {
 	t.Helper()
 	img, err := engine.CompileProgram(imgProg, cfg.Rete)
 	if err != nil {

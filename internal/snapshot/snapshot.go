@@ -1,19 +1,18 @@
-// Package snapshot serializes full engine session state — working memory,
-// the production set (source OPS5 plus runtime-added chunks), refraction
-// memory, and counters — into a versioned, checksummed image that any node
-// can restore by rebuilding match state through the engine's serial-replay
-// machinery (the paper's run-time state-update algorithm used as a
-// migration primitive). Token memories and conflict-set contents are NOT
-// serialized: they are pure functions of (productions, WM) and are
-// re-derived on restore, which keeps images small and makes the format
-// independent of the Rete implementation's in-memory layout.
+// Package snapshot serializes full engine session state — what an engine is:
+// its image's program, its own layer's productions, working memory, which
+// instantiations have fired, and counters — into a versioned, checksummed
+// image that any node can restore by rebuilding match state through the
+// engine's serial-replay machinery (the paper's run-time state-update
+// algorithm used as a migration primitive). Token memories and conflict-set
+// contents are NOT serialized: they are pure functions of (productions, WM)
+// and are re-derived on restore, which keeps images small and makes the
+// format independent of the Rete implementation's in-memory layout.
 package snapshot
 
 import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"strings"
 
 	"soarpsme/internal/conflict"
 	"soarpsme/internal/engine"
@@ -24,9 +23,10 @@ import (
 )
 
 // FormatVersion is the image format version; Decode rejects images whose
-// version it does not understand. Version 2 added compiled-image fields
-// (BaseHash, Chunks, Schema, TopoSig); version-1 images are still readable
-// and restore through the standalone path.
+// version it does not understand. Version 2 added the compiled-image fields
+// (BaseHash, Chunks, Schema, TopoSig) every snapshot now carries; an image
+// without them — version 1, or a version-2 "standalone" one — is still
+// readable and restores as a program with nothing in its own layer.
 const FormatVersion = 2
 
 // envelope wraps any payload with a format version and a CRC32 (Castagnoli)
@@ -147,27 +147,21 @@ func decodeWME(tab *value.Table, r WMERec) (*wme.WME, error) {
 
 // Image is the serialized state of one engine.
 type Image struct {
-	// Program is generated OPS5 source that reconstructs the full rule
-	// state: literalize declarations in schema order (so compiled field
-	// indices are identical), the strategy, and every production currently
-	// in the network — including runtime-added chunks — printed via
-	// ops5.Format. It deliberately has no startup section; loading it must
-	// not touch working memory.
-	//
-	// For engines created from a shared compiled image, Program is instead
-	// the image's exact original source: its hash is the image-cache key, so
-	// a restoring node with the image already compiled pays no compile at
-	// all. Runtime-added chunks then live in Chunks, and Schema pins the
-	// field-index order (see those fields).
+	// Program is the exact source of the engine's compiled image: its hash
+	// is the image-cache key, so a restoring node with the image already
+	// compiled pays no compile at all. It is empty for an engine made by
+	// engine.New, whose every production is in Chunks. The standalone images
+	// of earlier builds carry generated source here (literalizes, strategy,
+	// every production) and none of the four fields below; restore compiles
+	// it like any other program.
 	Program string `json:"program"`
 
-	// BaseHash, when non-empty, marks an image-backed snapshot: it is the
-	// canonical hash of Program under the exporting engine's structural
-	// options. Restore recompiles (or cache-hits) the base image and fails
-	// loudly if the hash or topology signature diverges.
+	// BaseHash is the canonical hash of Program under the exporting engine's
+	// structural options. Restore recompiles (or cache-hits) the base image
+	// and fails loudly if the hash or topology signature diverges.
 	BaseHash string `json:"baseHash,omitempty"`
-	// Chunks holds the OPS5 source of every production the session spliced
-	// onto its private suffix at runtime, in addition order.
+	// Chunks holds the OPS5 source of every production in the engine's own
+	// layer — what it loaded or spliced on at run time — in addition order.
 	Chunks []string `json:"chunks,omitempty"`
 	// Schema records every class's attribute list in registry order. Field
 	// indices are positional and runtime firings may have extended schemas
@@ -177,6 +171,10 @@ type Image struct {
 	// TopoSig is the base topology's shape signature at export; restore
 	// verifies the recompiled image matches it.
 	TopoSig *rete.Sig `json:"topoSig,omitempty"`
+	// Strategy is the engine's conflict-resolution strategy when it is not
+	// its image's (an engine.New engine that loaded an MEA program). A served
+	// session's strategy is always its image's, so it never writes the key.
+	Strategy string `json:"strategy,omitempty"`
 
 	WMEs    []WMERec `json:"wmes"`
 	NextID  uint64   `json:"nextId"`
@@ -193,42 +191,16 @@ type Image struct {
 	Cycles    int   `json:"cycles"` // informational: match cycles run at export
 }
 
-// ProgramSource generates self-contained OPS5 source for the engine's
-// current rule state. Classes are emitted in ascending Sym order with
-// their complete attribute lists in schema order, so parsing the source
-// reproduces every compiled field index; productions are emitted in
-// network definition order, which covers runtime-added chunks the
-// original source never contained.
-func ProgramSource(e *engine.Engine) string {
-	var b strings.Builder
-	for _, cls := range e.Reg.Classes() {
-		s := e.Reg.Get(cls, false)
-		if s == nil {
-			continue
-		}
-		b.WriteString("(literalize ")
-		b.WriteString(ops5.QuoteSym(e.Tab.Name(cls)))
-		for _, a := range s.Attrs() {
-			b.WriteByte(' ')
-			b.WriteString(ops5.QuoteSym(e.Tab.Name(a)))
-		}
-		b.WriteString(")\n")
-	}
-	if e.Strategy() == conflict.MEA {
-		b.WriteString("(strategy mea)\n")
-	}
-	for _, p := range e.NW.Productions() {
-		b.WriteString(ops5.Format(p.AST, e.Tab))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Export captures the engine's state as an Image. The engine must be at
 // quiescence (between cycles); the serving layer guarantees this by
-// exporting from the session command loop.
+// exporting under the session's turn.
 func Export(e *engine.Engine) *Image {
+	base := e.Image()
+	sig := base.Top.Signature()
 	img := &Image{
+		Program:   base.Source,
+		BaseHash:  base.Hash,
+		TopoSig:   &sig,
 		Fired:     e.CS.ExportFired(),
 		Halted:    e.Halted(),
 		Gensym:    e.Gensym(),
@@ -236,30 +208,18 @@ func Export(e *engine.Engine) *Image {
 		BadDeltas: e.BadDeltas,
 		Cycles:    int(e.Cycles()),
 	}
-	if base := e.Image(); base != nil {
-		// Image-backed engine: record the original source (its hash is the
-		// cache key), the own layer's chunks, and the schema order instead
-		// of a regenerated monolithic program.
-		img.Program = base.Source
-		img.BaseHash = base.Hash
-		for _, p := range e.NW.OwnProductions() {
-			img.Chunks = append(img.Chunks, ops5.Format(p.AST, e.Tab))
+	if e.Strategy() != base.Strategy {
+		img.Strategy = e.Strategy().String()
+	}
+	for _, p := range e.NW.OwnProductions() {
+		img.Chunks = append(img.Chunks, ops5.Format(p.AST, e.Tab))
+	}
+	for _, cls := range e.Reg.Classes() {
+		rec := SchemaRec{Class: e.Tab.Name(cls)}
+		for _, a := range e.Reg.Get(cls, false).Attrs() {
+			rec.Attrs = append(rec.Attrs, e.Tab.Name(a))
 		}
-		for _, cls := range e.Reg.Classes() {
-			s := e.Reg.Get(cls, false)
-			if s == nil {
-				continue
-			}
-			rec := SchemaRec{Class: e.Tab.Name(cls)}
-			for _, a := range s.Attrs() {
-				rec.Attrs = append(rec.Attrs, e.Tab.Name(a))
-			}
-			img.Schema = append(img.Schema, rec)
-		}
-		sig := base.Top.Signature()
-		img.TopoSig = &sig
-	} else {
-		img.Program = ProgramSource(e)
+		img.Schema = append(img.Schema, rec)
 	}
 	img.NextID, img.NextTag = e.WM.Counters()
 	all := e.WM.All()
@@ -282,44 +242,35 @@ func Decode(data []byte) (*Image, error) {
 	return &img, nil
 }
 
-// Restore builds a fresh engine from an image. Image-backed snapshots
-// (BaseHash set) compile their base program directly; use RestoreWithCache
-// to share compiled topologies across restores. The result is
-// byte-identical to the exporting engine: same conflict set, same
-// fingerprints, same counters.
+// Restore builds a fresh engine from an image, compiling its base program
+// privately; use RestoreWithCache to share compiled topologies across
+// restores. The result is byte-identical to the exporting engine: same
+// conflict set, same fingerprints, same counters.
 func Restore(img *Image, cfg engine.Config) (*engine.Engine, error) {
 	e, _, err := RestoreWithCache(img, cfg, nil)
 	return e, err
 }
 
-// RestoreWithCache restores an engine, resolving image-backed snapshots
+// RestoreWithCache restores an engine, resolving the snapshot's base image
 // through cache (which may be nil to force a private compile). cacheHit
 // reports whether the base topology came out of the cache without a
 // compile. A recompiled base whose program hash or topology signature
 // diverges from the snapshot's record fails loudly: restoring state
 // vectors against a different graph would be silent corruption.
 func RestoreWithCache(img *Image, cfg engine.Config, cache *engine.ImageCache) (*engine.Engine, bool, error) {
-	if img.BaseHash == "" {
-		// v1 / standalone snapshot: the program is self-contained (schema
-		// order and chunks are baked into the generated source).
-		e := engine.New(cfg)
-		if err := e.LoadProgram(img.Program); err != nil {
-			e.Close()
-			return nil, false, fmt.Errorf("snapshot: reloading program: %w", err)
-		}
-		if err := restoreState(e, img); err != nil {
-			e.Close()
-			return nil, false, err
-		}
-		return e, false, nil
+	if img == nil {
+		return nil, false, fmt.Errorf("snapshot: no engine image to restore")
 	}
-
+	// The empty program's image is never shared: an image carries the symbol
+	// table and class registry, and an engine.New engine fills them with its
+	// own program's classes.
+	shared := cache != nil && img.Program != ""
 	var (
 		base *engine.ProgramImage
 		hit  bool
 		err  error
 	)
-	if cache != nil {
+	if shared {
 		base, hit, err = cache.Get(img.Program, cfg.Rete)
 	} else {
 		base, err = engine.CompileProgram(img.Program, cfg.Rete)
@@ -327,28 +278,33 @@ func RestoreWithCache(img *Image, cfg engine.Config, cache *engine.ImageCache) (
 	if err != nil {
 		return nil, false, fmt.Errorf("snapshot: compiling base image: %w", err)
 	}
-	if base.Hash != img.BaseHash {
-		return nil, hit, fmt.Errorf("snapshot: base image hash mismatch: compiled %s, snapshot recorded %s (structural options differ?)",
-			base.Hash, img.BaseHash)
+	e, err := restoreOnto(base, img, cfg)
+	if err != nil && shared {
+		cache.Release(base)
 	}
-	if img.TopoSig != nil {
-		if got := base.Top.Signature(); got != *img.TopoSig {
-			return nil, hit, fmt.Errorf("snapshot: topology mismatch on restore: compiled [%s], snapshot recorded [%s] — refusing to restore state against a divergent image",
-				got, *img.TopoSig)
-		}
-	}
-
-	e := engine.NewFromImage(base, cfg)
-	if err := restoreOntoImage(e, img); err != nil {
-		e.Close()
-		return nil, hit, err
-	}
-	return e, hit, nil
+	return e, hit, err
 }
 
-// restoreOntoImage rebuilds a snapshot's session-private state on an engine
-// freshly stamped out of the snapshot's base image.
-func restoreOntoImage(e *engine.Engine, img *Image) error {
+// restoreOnto checks base against what the snapshot recorded of it, stamps
+// an engine out of it and rebuilds the snapshot's session-private state.
+func restoreOnto(base *engine.ProgramImage, img *Image, cfg engine.Config) (_ *engine.Engine, err error) {
+	if img.BaseHash != "" && base.Hash != img.BaseHash {
+		return nil, fmt.Errorf("snapshot: base image hash mismatch: compiled %s, snapshot recorded %s (structural options differ?)",
+			base.Hash, img.BaseHash)
+	}
+	if got := base.Top.Signature(); img.TopoSig != nil && got != *img.TopoSig {
+		return nil, fmt.Errorf("snapshot: topology mismatch on restore: compiled [%s], snapshot recorded [%s] — refusing to restore state against a divergent image",
+			got, *img.TopoSig)
+	}
+	e := engine.NewFromImage(base, cfg)
+	defer func() {
+		if err != nil {
+			e.Close()
+		}
+	}()
+	if img.Strategy != "" {
+		e.SetStrategy(conflict.ParseStrategy(img.Strategy))
+	}
 	// Re-impose the recorded schema order before anything else touches the
 	// registry: field indices are positional, and runtime firings extend
 	// schemas in firing order, which the shared image cannot know about.
@@ -359,46 +315,39 @@ func restoreOntoImage(e *engine.Engine, img *Image) error {
 		}
 		e.Reg.Declare(e.Tab.Intern(rec.Class), attrs...)
 	}
-	// Splice the session's runtime chunks onto a private suffix. Working
-	// memory is still empty here, so the §5.2 state update is a no-op and
-	// the chunks pick up their state from RebuildMatchState below.
+	// Compile the own layer's productions. Working memory is still empty
+	// here, so the §5.2 state update is a no-op and they pick up their state
+	// from RebuildMatchState below.
 	for i, src := range img.Chunks {
-		prog, perr := ops5.Parse(src, e.Tab)
+		p, perr := ops5.ParseProduction(src, e.Tab)
 		if perr != nil {
-			return fmt.Errorf("snapshot: parsing chunk %d: %w", i, perr)
+			return nil, fmt.Errorf("snapshot: parsing chunk %d: %w", i, perr)
 		}
-		for _, p := range prog.Productions {
-			if _, aerr := e.AddProductionRuntime(p); aerr != nil {
-				return fmt.Errorf("snapshot: restoring chunk %d: %w", i, aerr)
-			}
+		if _, aerr := e.AddProductionRuntime(p); aerr != nil {
+			return nil, fmt.Errorf("snapshot: restoring chunk %d: %w", i, aerr)
 		}
 	}
-	return restoreState(e, img)
-}
-
-// restoreState re-inserts the recorded wmes with their original
-// identities, rebuilds all match state by serial replay, then re-marks
-// refraction and counters.
-func restoreState(e *engine.Engine, img *Image) error {
+	// Re-insert the recorded wmes with their original identities, rebuild all
+	// match state by serial replay, then re-mark refraction and counters.
 	for _, wr := range img.WMEs {
-		w, err := decodeWME(e.Tab, wr)
-		if err != nil {
-			return err
+		w, derr := decodeWME(e.Tab, wr)
+		if derr != nil {
+			return nil, derr
 		}
-		if err := e.WM.Insert(w); err != nil {
-			return fmt.Errorf("snapshot: restoring wme %d: %w", wr.ID, err)
+		if ierr := e.WM.Insert(w); ierr != nil {
+			return nil, fmt.Errorf("snapshot: restoring wme %d: %w", wr.ID, ierr)
 		}
 	}
 	e.WM.SetCounters(img.NextID, img.NextTag)
 	e.RebuildMatchState()
-	if err := e.CS.RestoreFired(img.Fired); err != nil {
-		return err
+	if ferr := e.CS.RestoreFired(img.Fired); ferr != nil {
+		return nil, ferr
 	}
 	e.SetHalted(img.Halted)
 	e.SetGensym(img.Gensym)
 	e.Fired = img.FireCount
 	e.BadDeltas = img.BadDeltas
-	return nil
+	return e, nil
 }
 
 // DeltaRec is one recorded working-memory change, replayable against a

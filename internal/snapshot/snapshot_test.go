@@ -2,7 +2,9 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -164,24 +166,164 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestProgramSourceRoundTrips checks the generated program source is
-// self-contained: loading it into a fresh engine reproduces every class
-// schema (field indices included) and every production, including ones
-// with bar-quoted names.
-func TestProgramSourceRoundTrips(t *testing.T) {
+// roundTrip exports e through the full wire form and restores it.
+func roundTrip(t *testing.T, e *engine.Engine) (*snapshot.Image, *engine.Engine) {
+	t.Helper()
+	data, err := snapshot.Export(e).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := snapshot.Restore(img, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, back
+}
+
+// TestExportRestoreExportIsFixedPoint: a restored engine reproduces every
+// class schema (field indices included) and every production, bar-quoted
+// names included — so exporting it again yields the snapshot it came from.
+func TestExportRestoreExportIsFixedPoint(t *testing.T) {
 	e := engine.New(engine.DefaultConfig())
 	if err := e.LoadProgram(refractionProg); err != nil {
 		t.Fatal(err)
 	}
-	src := snapshot.ProgramSource(e)
-	e2 := engine.New(engine.DefaultConfig())
-	if err := e2.LoadProgram(src); err != nil {
-		t.Fatalf("generated source does not parse: %v\n%s", err, src)
+	runSteps(t, e, 100)
+	img, back := roundTrip(t, e)
+	if len(img.Chunks) != 3 || img.Program != "" || len(img.Fired) == 0 {
+		t.Fatalf("an engine.New engine exported program %q, %d own productions and %d fired entries, want none, 3 and some",
+			img.Program, len(img.Chunks), len(img.Fired))
 	}
-	if got, want := snapshot.ProgramSource(e2), src; got != want {
-		t.Fatalf("program source not a fixed point:\n got %q\nwant %q", got, want)
+	again := snapshot.Export(back)
+	again.Cycles = img.Cycles // informational: the restore's replay is not a cycle
+	want, _ := img.Encode()
+	got, _ := again.Encode()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Export(Restore(Export(e))) is not the snapshot it came from:\n got %s\nwant %s", got, want)
 	}
-	if e2.WM.Len() != 0 {
-		t.Fatalf("generated source touched working memory: %d wmes", e2.WM.Len())
+}
+
+const meaProg = `
+(literalize |goal item| id want)
+(literalize fact v)
+(strategy mea)
+(startup
+  (make |goal item| ^id one ^want a)
+  (make |goal item| ^id two ^want b)
+  (make |goal item| ^id three ^want c)
+  (make fact ^v c)
+  (make fact ^v b)
+  (make fact ^v a))
+(p |match goal|
+  (|goal item| ^id <g> ^want <w>)
+  (fact ^v <w>)
+  -->
+  (make done ^g <g> ^sym (gensym)))
+(p |one done|
+  (done ^g one)
+  -->
+  (halt))
+`
+
+// TestStrategyRoundTrips: MEA fires meaProg's goals newest first, LEX the
+// one matched to the newest fact first, so a restore that lost the strategy
+// diverges on its first step. An engine.New engine's strategy is not its
+// (empty) image's and travels in the snapshot; an image-backed engine's is
+// its image's, and its export — a served session's — has no strategy key.
+func TestStrategyRoundTrips(t *testing.T) {
+	owned := engine.New(engine.DefaultConfig())
+	if err := owned.LoadProgram(meaProg); err != nil {
+		t.Fatal(err)
+	}
+	base, err := engine.CompileProgram(meaProg, engine.DefaultConfig().Rete)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imaged := engine.NewFromImage(base, engine.DefaultConfig())
+	if err := imaged.RunStartup(); err != nil {
+		t.Fatal(err)
+	}
+	lex, err := engine.CompileProgram(imgProg, engine.DefaultConfig().Rete)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*engine.Engine{"owned": owned, "imaged": imaged, "lex": engine.NewFromImage(lex, engine.DefaultConfig())} {
+		runSteps(t, e, 1)
+		data, err := snapshot.Export(e).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if has, want := bytes.Contains(data, []byte(`"strategy"`)), name == "owned"; has != want {
+			t.Fatalf("%s: snapshot has a strategy key: %v, want %v\n%s", name, has, want, data)
+		}
+		_, back := roundTrip(t, e)
+		if back.Strategy() != e.Strategy() {
+			t.Fatalf("%s: restored strategy %v, want %v", name, back.Strategy(), e.Strategy())
+		}
+		want, got := runSteps(t, e, 10), runSteps(t, back, 10)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: remaining run after restore\n got %q\nwant %q", name, got, want)
+		}
+	}
+}
+
+// TestParentStandaloneFixture restores testdata/standalone-parent.json: a
+// snapshot in the standalone form — generated program source, no base hash,
+// no chunks — written by the last build that had it (commit b3d0519), from
+// an engine.New engine that loaded the fixture's "source" (meaProg with the
+// startup section laid out differently) and fired once; the program that
+// wrote it is kept beside it as standalone-parent.gen.txt. It must restore, as
+// an image with nothing in its own layer, to the recorded fingerprint and
+// strategy and run the recorded remaining steps; and what this build exports
+// of it must restore to the same.
+func TestParentStandaloneFixture(t *testing.T) {
+	raw, err := os.ReadFile("testdata/standalone-parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fx struct {
+		Image       string   `json:"image"`
+		Fingerprint string   `json:"fingerprint"`
+		Strategy    string   `json:"strategy"`
+		Remaining   []string `json:"remaining"`
+	}
+	if err := json.Unmarshal(raw, &fx); err != nil {
+		t.Fatal(err)
+	}
+	img, err := snapshot.Decode([]byte(fx.Image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.BaseHash != "" || img.Chunks != nil || img.Schema != nil || img.Strategy != "" {
+		t.Fatalf("fixture is not a standalone image: %+v", img)
+	}
+	e, err := snapshot.Restore(img, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.NW.OwnProductions()); n != 0 {
+		t.Fatalf("standalone image restored with %d productions in the own layer, want 0", n)
+	}
+	reexported, again := roundTrip(t, e)
+	if reexported.BaseHash == "" || reexported.Program != img.Program {
+		t.Fatalf("re-export of the restored fixture: baseHash %q program %q", reexported.BaseHash, reexported.Program)
+	}
+	for name, e := range map[string]*engine.Engine{"fixture": e, "re-exported": again} {
+		if got := serve.Fingerprint(e); got != fx.Fingerprint {
+			t.Fatalf("%s: fingerprint\n got %s\nwant %s", name, got, fx.Fingerprint)
+		}
+		if got := e.Strategy().String(); got != fx.Strategy {
+			t.Fatalf("%s: strategy %s, want %s", name, got, fx.Strategy)
+		}
+		if err := e.AuditInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := runSteps(t, e, 100); strings.Join(got, "\n") != strings.Join(fx.Remaining, "\n") || !e.Halted() {
+			t.Fatalf("%s: remaining run (halted %v)\n got %q\nwant %q", name, e.Halted(), got, fx.Remaining)
+		}
 	}
 }
