@@ -69,11 +69,12 @@ func ParsePolicy(s string) (Policy, error) {
 // Budget caps the number of match workers running concurrently across
 // every Runtime that shares it. The serving layer hands one Budget to all
 // of its sessions so S sessions × P processes never oversubscribe the
-// machine: a cycle that wants P workers takes whatever share of the budget
-// is free (always at least one, so no session ever starves), and returns
-// it at quiescence. Worker count never affects match results — only how
-// the cycle's tasks are spread — so running a cycle below its configured
-// width is safe.
+// machine. A slot is held only by a process that runs: a cycle blocks for
+// its floor of one (so no session ever starves), takes whatever share of
+// the rest is free — without blocking — if and when it starts its helpers,
+// and returns what it took at quiescence. Worker count never affects match
+// results — only how the cycle's tasks are spread — so running a cycle
+// below its configured width is safe.
 type Budget struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -108,23 +109,29 @@ func (b *Budget) InUse() int {
 // Acquire blocks until at least one worker slot is free, then takes up to
 // want slots and returns the number taken (in [1, want]).
 func (b *Budget) Acquire(want int) int {
-	if want < 1 {
-		want = 1
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.free == 0 {
 		b.cond.Wait()
 	}
-	got := want
-	if got > b.free {
-		got = b.free
-	}
+	return b.take(max(want, 1))
+}
+
+// TryAcquire takes up to want free slots without blocking and returns the
+// number taken (in [0, want]).
+func (b *Budget) TryAcquire(want int) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.take(want)
+}
+
+func (b *Budget) take(want int) int {
+	got := min(want, b.free)
 	b.free -= got
 	return got
 }
 
-// Release returns n slots taken by Acquire.
+// Release returns n slots taken by Acquire or TryAcquire.
 func (b *Budget) Release(n int) {
 	if n <= 0 {
 		return
@@ -144,8 +151,8 @@ type Config struct {
 	Processes int
 	Policy    Policy
 	// Budget, when non-nil, is a worker budget shared with other Runtimes:
-	// each cycle runs with min(Processes, its granted share) workers, at
-	// least one. Nil runs every cycle at full width.
+	// a cycle that starts its helpers runs with min(Processes, its granted
+	// share) processes, at least one. Nil grants every helper.
 	Budget *Budget
 	// CaptureTrace keeps each cycle's task records on CycleStats.Trace for
 	// the simulator, with nothing else attached.
@@ -176,9 +183,9 @@ func clock() int64 { return int64(time.Since(epoch)) }
 type CycleStats struct {
 	Tasks     int
 	TotalCost int64 // summed modeled task cost (sequential work, µs)
-	// Workers is the number of match processes the cycle actually ran with
-	// — less than the configured Processes when a shared Budget was
-	// contended (serving many sessions), 1 for the serial fallback.
+	// Workers is the number of match processes that ran: the caller, plus
+	// the helpers started at the crossing (fewer than Processes−1 when a
+	// shared Budget was contended). 1 for the serial fallback.
 	Workers int
 	// FailedPops counts pop attempts that found every queue empty while
 	// tasks were still pending — genuine idleness/contention (§6.1). Pops
@@ -186,9 +193,9 @@ type CycleStats struct {
 	FailedPops int64
 	// TermProbes counts quiescence-detection probes: a failed pop (or
 	// failed steal round) observed with zero pending tasks. Exactly one
-	// per worker per cycle — previously these were miscounted as failed
-	// pops, inflating the paper's §6.1 metric by at least Processes per
-	// cycle.
+	// per process that ran (== Workers) — previously these were miscounted
+	// as failed pops, inflating the paper's §6.1 metric by at least
+	// Processes per cycle.
 	TermProbes int64
 	// Steals counts tasks popped from another process's queue (multi-queue
 	// cycle-stealing, §6.1, and the WorkStealing policy's thief path).
@@ -226,8 +233,8 @@ type Runtime struct {
 
 	// queues are the policy's task queues — one shared, or one per process —
 	// and the only policy-dependent state. workers are the match processes;
-	// they persist across cycles (each keeps its task free list) and a cycle
-	// runs the first n of them, n being what the budget grants.
+	// they persist across cycles (each keeps its task free list); a cycle
+	// runs worker 0 on its caller and, past helperThreshold, the next few.
 	queues  []queue
 	workers []*worker
 	inj     injector
@@ -249,10 +256,12 @@ type Runtime struct {
 // fresh one, so a stale watchdog can only poison its own (already
 // finished) cycle.
 type cycleCtl struct {
-	abort  chan struct{}
-	once   sync.Once
-	bad    atomic.Bool
-	reason string
+	abort   chan struct{}
+	once    sync.Once
+	bad     atomic.Bool
+	reason  string
+	helpers int            // processes started beside the caller, and by it
+	wg      sync.WaitGroup // their exits
 }
 
 func newCycleCtl() *cycleCtl { return &cycleCtl{abort: make(chan struct{})} }
@@ -352,8 +361,9 @@ const suppBatch = 32
 // injector spreads a cycle's root tasks round-robin over the queues. It
 // runs before the match processes start, so it may push onto any queue, and
 // it schedules through worker 0's sched to draw on that worker's free list
-// (worker 0 runs in every cycle whatever the budget grants, so the list is
-// refilled; worker.begin points the sched back at its own queue).
+// (worker 0 runs in every cycle, so the list is refilled; worker.begin
+// points the sched back at its own queue). Roots parked on the queue of a
+// process that is never started are reached by worker 0's steal scan.
 //
 // Suppressed right activations — destinations whose left memory was empty
 // at injection time — are deferred into batch tasks instead of executed
@@ -437,10 +447,21 @@ func (rt *Runtime) RunSeeded(seeds []*rete.Task, all []*wme.WME) CycleStats {
 	return rt.runToQuiescence()
 }
 
-// runToQuiescence runs the injected tasks to completion on as many match
-// processes as the budget grants, under the cycle's supervision: a worker
-// panic or an expired watchdog deadline poisons the cycle, the workers
-// exit, and the cycle is reported Failed.
+// helperThreshold is the pending-task count at which a cycle starts its
+// helpers. From the sweep on the 2-core builder host (EXPERIMENTS.md, PR 23):
+// a task costs 0.7–1.0 µs and a helper costs its cycle 1.4–1.8 µs to start
+// and await (≈ 4 µs when, as before PR 23, the caller parks as well), on a
+// cycle it can at best halve. Of {8, 16, 24, 32, 64, never}, 24 is the
+// smallest at which the small-cycle trajectories (cypress, 5 tasks at the
+// median; eight-puzzle, 34) read as they do at "never" while strips cycles
+// (135) read as they do with helpers always started.
+const helperThreshold = 24
+
+// runToQuiescence runs the injected tasks to completion under the cycle's
+// supervision: a panicking process or an expired watchdog deadline poisons
+// the cycle, the processes exit, and the cycle is reported Failed. The
+// caller is the first match process (worker 0) and holds the budget's floor
+// of one slot; below helperThreshold there is no other, and no other slot.
 func (rt *Runtime) runToQuiescence() CycleStats {
 	ctl := newCycleCtl()
 	if d := rt.cfg.Deadline; d > 0 {
@@ -453,19 +474,18 @@ func (rt *Runtime) runToQuiescence() CycleStats {
 		})
 		defer wd.Stop()
 	}
-	n := rt.cfg.Processes
 	if b := rt.cfg.Budget; b != nil {
-		n = b.Acquire(n)
-		defer b.Release(n)
+		b.Acquire(1)
+		defer func() { b.Release(1 + ctl.helpers) }()
 	}
-	var wg sync.WaitGroup
-	for _, w := range rt.workers[:n] {
-		w.begin(ctl)
-		wg.Add(1)
-		go w.run(&wg)
+	w := rt.workers[0]
+	w.begin(ctl)
+	w.lead = rt.cfg.Processes > 1
+	w.run()
+	if ctl.helpers > 0 {
+		ctl.wg.Wait()
 	}
-	wg.Wait()
-	cs := rt.collect(n)
+	cs := rt.collect(1 + ctl.helpers)
 	if ctl.bad.Load() {
 		rt.drainPoisoned()
 		cs.Failed, cs.Reason, cs.Trace = true, ctl.reason, nil
@@ -473,7 +493,23 @@ func (rt *Runtime) runToQuiescence() CycleStats {
 	return cs
 }
 
-// collect folds the cycle-local counters of the n workers that ran into the
+// startHelpers is the crossing: worker 0 calls it once, the first time it
+// sees helperThreshold tasks pending, and every other match process the
+// budget can spare right now starts (run recovers, so Done is reached).
+func (rt *Runtime) startHelpers(ctl *cycleCtl) {
+	n := rt.cfg.Processes - 1
+	if b := rt.cfg.Budget; b != nil {
+		n = b.TryAcquire(n)
+	}
+	ctl.helpers = n
+	ctl.wg.Add(n)
+	for _, w := range rt.workers[1 : 1+n] {
+		w.begin(ctl)
+		go func() { defer ctl.wg.Done(); w.run() }()
+	}
+}
+
+// collect folds the cycle-local counters of the n processes that ran into the
 // cycle's stats and publishes them to the observer's registry: one Add each
 // per cycle. If the workers recorded their tasks it then makes the one pass
 // every per-task observer is derived from: the records are merged into

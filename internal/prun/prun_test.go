@@ -82,14 +82,7 @@ func buildNetOpts(t *testing.T, opts rete.Options) (*rete.Network, *csCount, []*
 	}
 	mem := wme.NewMemory()
 	var ws []*wme.WME
-	mk := func(class string, k int) *wme.WME {
-		cls := tab.Intern(class)
-		idx, _ := reg.FieldIndex(cls, tab.Intern("k"), true)
-		fields := make([]value.Value, idx+1)
-		fields[idx] = value.IntVal(int64(k))
-		w := mem.Make(cls, fields)
-		return w
-	}
+	mk := func(class string, k int) *wme.WME { return makeK(nw, mem, class, k) }
 	for k := 0; k < 40; k++ {
 		ws = append(ws, mk("a", k))
 		if k%2 == 0 {
@@ -100,6 +93,15 @@ func buildNetOpts(t *testing.T, opts rete.Options) (*rete.Network, *csCount, []*
 		}
 	}
 	return nw, cs, ws
+}
+
+// makeK makes a wme of the given class whose ^k field is k.
+func makeK(nw *rete.Network, mem *wme.Memory, class string, k int) *wme.WME {
+	cls := nw.Tab.Intern(class)
+	idx, _ := nw.Reg.FieldIndex(cls, nw.Tab.Intern("k"), true)
+	fields := make([]value.Value, idx+1)
+	fields[idx] = value.IntVal(int64(k))
+	return mem.Make(cls, fields)
 }
 
 func deltas(ws []*wme.WME) []wme.Delta {

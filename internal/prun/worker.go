@@ -3,7 +3,6 @@ package prun
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"soarpsme/internal/fault"
@@ -95,6 +94,8 @@ type worker struct {
 	sched
 	id  int
 	ctl *cycleCtl
+	// lead marks worker 0 until it has started the cycle's helpers.
+	lead bool
 
 	// recs is the cycle's task records, appended iff something is attached
 	// (rec). The task of ordinal k is timed when k&timeMask is zero; last
@@ -164,10 +165,9 @@ func (w *worker) probe(site fault.Site) (drop bool) {
 	return false
 }
 
-// recovered is the worker goroutines' panic handler: it converts a
-// panicking match process — injected or organic — into a poisoned cycle
-// instead of a dead program. Deferred after wg.Done so the waiter always
-// unblocks.
+// recovered is every match process's panic handler, the caller's goroutine
+// included: it converts a panicking match process — injected or organic —
+// into a poisoned cycle instead of a dead program.
 func (w *worker) recovered() {
 	if r := recover(); r != nil {
 		w.panics++
@@ -222,15 +222,20 @@ func (w *worker) quiesced() bool {
 // run is one match process, the same under every policy: pop the own queue,
 // else steal from the others starting at a rotating victim, else test for
 // quiescence — the pending counter is consulted only after a fully failed
-// round, which is the termination protocol's confirmation scan.
-func (w *worker) run(wg *sync.WaitGroup) {
-	defer wg.Done()
+// round, which is the termination protocol's confirmation scan. The lead
+// also looks at it once after injection and after each task it retires,
+// until the cycle has crossed helperThreshold.
+func (w *worker) run() {
 	defer w.recovered()
 	w.stamp()
 	queues, own, id := w.rt.queues, w.q, w.id
 	nq := len(queues)
 	rot := 0
 	for !w.ctl.bad.Load() {
+		if w.lead && w.rt.pending.Load() >= helperThreshold {
+			w.lead = false
+			w.rt.startHelpers(w.ctl)
+		}
 		t := own.pop()
 		stolen := false
 		if t == nil && nq > 1 {
