@@ -6,9 +6,10 @@
 package chunk
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"soarpsme/internal/ops5"
 	"soarpsme/internal/rete"
@@ -48,6 +49,7 @@ type Builder struct {
 
 	counter int
 	seen    map[string]string // canonical body -> chunk name
+	key     []byte            // appendCanonical's buffer, reused across builds
 }
 
 // Stats summarizes the chunks built so far (Table 5-1 feeds from this).
@@ -86,18 +88,18 @@ func (b *Builder) Build(rec *Record) (*ops5.Production, string, error) {
 	}
 	conds = orderLinked(conds, b)
 	ast := b.buildAST(conds, results)
-	key := b.canonical(ast)
-	if name, dup := b.seen[key]; dup {
+	b.key = appendCanonical(b.key[:0], ast)
+	if name, dup := b.seen[string(b.key)]; dup {
 		return nil, name, nil
 	}
 	for {
 		b.counter++
-		ast.Name = fmt.Sprintf("chunk-%d", b.counter)
+		ast.Name = "chunk-" + strconv.Itoa(b.counter)
 		if b.Taken == nil || !b.Taken(ast.Name) {
 			break
 		}
 	}
-	b.seen[key] = ast.Name
+	b.seen[string(b.key)] = ast.Name
 	return ast, ast.Name, nil
 }
 
@@ -134,7 +136,7 @@ func (b *Builder) backtrace(rec *Record) ([]*wme.WME, error) {
 		// Architecture wme of the subgoal (goal/context): terminates the
 		// trace without contributing a condition.
 	}
-	sort.Slice(conds, func(i, j int) bool { return conds[i].ID < conds[j].ID })
+	slices.SortFunc(conds, func(x, y *wme.WME) int { return cmp.Compare(x.ID, y.ID) })
 	return conds, nil
 }
 
@@ -205,7 +207,7 @@ func (b *Builder) buildAST(conds, results []*wme.WME) *ops5.Production {
 			return v
 		}
 		nv++
-		v := b.Tab.Intern(fmt.Sprintf("v%d", nv))
+		v := b.Tab.Intern("v" + strconv.Itoa(nv))
 		vars[s] = v
 		return v
 	}
@@ -265,40 +267,38 @@ func (b *Builder) buildAST(conds, results []*wme.WME) *ops5.Production {
 	return p
 }
 
-// canonical renders a name-independent body signature for duplicate
-// detection.
-func (b *Builder) canonical(p *ops5.Production) string {
-	var sb strings.Builder
-	writeTest := func(t ops5.Test) {
-		switch t.Kind {
-		case ops5.TestVar:
-			fmt.Fprintf(&sb, "?%d", t.Var)
-		case ops5.TestConst:
-			fmt.Fprintf(&sb, "=%v", t.Val)
-		}
-	}
+// appendCanonical appends a name-independent body signature for duplicate
+// detection, e.g. "(3 1:?40 2:=sym#17)->(make 3 1:?40)"
+// (testdata/canonical.golden).
+func appendCanonical(b []byte, p *ops5.Production) []byte {
+	sym := func(b []byte, s value.Sym) []byte { return strconv.AppendUint(b, uint64(s), 10) }
 	for _, ci := range p.LHS {
-		fmt.Fprintf(&sb, "(%d", ci.CE.Class)
+		b = sym(append(b, '('), ci.CE.Class)
 		for _, at := range ci.CE.Tests {
-			fmt.Fprintf(&sb, " %d:", at.Attr)
+			b = append(sym(append(b, ' '), at.Attr), ':')
 			for _, t := range at.Tests {
-				writeTest(t)
+				switch t.Kind {
+				case ops5.TestVar:
+					b = sym(append(b, '?'), t.Var)
+				case ops5.TestConst:
+					b = t.Val.AppendTo(append(b, '='))
+				}
 			}
 		}
-		sb.WriteString(")")
+		b = append(b, ')')
 	}
-	sb.WriteString("->")
+	b = append(b, "->"...)
 	for _, a := range p.RHS {
-		fmt.Fprintf(&sb, "(%v %d", a.Kind, a.Class)
+		b = sym(append(append(append(b, '('), a.Kind.String()...), ' '), a.Class)
 		for _, s := range a.Sets {
-			fmt.Fprintf(&sb, " %d:", s.Attr)
+			b = append(sym(append(b, ' '), s.Attr), ':')
 			if s.Expr.Kind == ops5.ExprVar {
-				fmt.Fprintf(&sb, "?%d", s.Expr.Var)
+				b = sym(append(b, '?'), s.Expr.Var)
 			} else {
-				fmt.Fprintf(&sb, "=%v", s.Expr.Val)
+				b = s.Expr.Val.AppendTo(append(b, '='))
 			}
 		}
-		sb.WriteString(")")
+		b = append(b, ')')
 	}
-	return sb.String()
+	return b
 }

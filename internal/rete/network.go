@@ -1,10 +1,11 @@
 package rete
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -200,41 +201,42 @@ func (nw *Network) Lookup(name string) *Production {
 
 // ---- alpha network ----
 
-// alphaKey builds the canonical sharing key for a test path.
-func alphaKey(class value.Sym, tests []AlphaTest) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "c%d", class)
+// appendAlphaKey appends the canonical sharing key for a test path, e.g.
+// "c7|f0 = sym#17|f1 in 3 4|f2 > f1" (testdata/alphakey.golden).
+func appendAlphaKey(b []byte, class value.Sym, tests []AlphaTest) []byte {
+	b = strconv.AppendUint(append(b, 'c'), uint64(class), 10)
 	for _, t := range tests {
+		b = strconv.AppendInt(append(b, "|f"...), int64(t.Field), 10)
 		if t.Disj != nil {
-			fmt.Fprintf(&b, "|f%d in", t.Field)
+			b = append(b, " in"...)
 			for _, d := range t.Disj {
-				fmt.Fprintf(&b, " %v", d)
+				b = d.AppendTo(append(b, ' '))
 			}
 			continue
 		}
+		b = append(append(append(b, ' '), t.Pred.String()...), ' ')
 		if t.VsField {
-			fmt.Fprintf(&b, "|f%d %v f%d", t.Field, t.Pred, t.Other)
+			b = strconv.AppendInt(append(b, 'f'), int64(t.Other), 10)
 			continue
 		}
-		fmt.Fprintf(&b, "|f%d %v %v", t.Field, t.Pred, t.Val)
+		b = t.Val.AppendTo(b)
 	}
-	return b.String()
+	return b
 }
 
 // sortAlphaTests puts tests in canonical order to maximize path sharing.
 func sortAlphaTests(tests []AlphaTest) {
-	sort.SliceStable(tests, func(i, j int) bool {
-		a, b := tests[i], tests[j]
-		if a.Field != b.Field {
-			return a.Field < b.Field
+	slices.SortStableFunc(tests, func(a, b AlphaTest) int {
+		if c := cmp.Compare(a.Field, b.Field); c != 0 {
+			return c
 		}
 		if a.VsField != b.VsField {
-			return !a.VsField
+			if a.VsField {
+				return 1
+			}
+			return -1
 		}
-		if a.Pred != b.Pred {
-			return a.Pred < b.Pred
-		}
-		return false
+		return cmp.Compare(a.Pred, b.Pred)
 	})
 }
 
@@ -246,13 +248,15 @@ func sortAlphaTests(tests []AlphaTest) {
 func (nw *Network) buildAlpha(class value.Sym, tests []AlphaTest) *AlphaMem {
 	own := &nw.own
 	sortAlphaTests(tests)
-	key := alphaKey(class, tests)
-	if am, ok := nw.base.alphaMems[key]; ok {
+	var buf [128]byte
+	kb := appendAlphaKey(buf[:0], class, tests)
+	if am, ok := nw.base.alphaMems[string(kb)]; ok {
 		return am
 	}
-	if am, ok := own.alphaMems[key]; ok {
+	if am, ok := own.alphaMems[string(kb)]; ok {
 		return am
 	}
+	key := string(kb)
 	cur := nw.base.roots[class]
 	if cur == nil {
 		cur = own.roots[class]

@@ -1,6 +1,8 @@
 package soar
 
 import (
+	"slices"
+
 	"soarpsme/internal/value"
 	"soarpsme/internal/wme"
 )
@@ -17,13 +19,17 @@ type pref struct {
 // prefTable indexes preferences by (goal, role).
 type prefTable map[value.Sym]map[value.Sym][]pref
 
+// collectPrefs decodes the live preferences, in time-tag order, from the
+// agent's preference index, and drops the entries working memory no longer
+// holds.
 func (a *Agent) collectPrefs() prefTable {
 	t := prefTable{}
-	k := a.k
-	for _, w := range a.Eng.WM.All() {
-		if w.Class != k.clsPref {
+	live := a.prefs[:0]
+	for _, w := range a.prefs {
+		if !a.inWM(w) {
 			continue
 		}
+		live = append(live, w)
 		g := w.Field(0).Sym
 		role := w.Field(2).Sym
 		if t[g] == nil {
@@ -37,8 +43,13 @@ func (a *Agent) collectPrefs() prefTable {
 			w:      w,
 		})
 	}
+	clear(a.prefs[len(live):])
+	a.prefs = live
 	return t
 }
+
+// inWM reports whether w is in working memory.
+func (a *Agent) inWM(w *wme.WME) bool { return a.Eng.WM.Get(w.ID) == w }
 
 // outcomeKind classifies a slot decision.
 type outcomeKind uint8
@@ -208,7 +219,9 @@ nextGoal:
 			case outKeep:
 				continue
 			case outDecide:
-				a.tracef("decide: goal %s %v <- %s [%s]", a.fmtSym(g.id), s, a.fmtSym(out.winner), a.signature(out.winner))
+				if a.tracing() {
+					a.tracef("decide: goal %s %v <- %s [%s]", a.fmtSym(g.id), s, a.fmtSym(out.winner), a.signature(out.winner))
+				}
 				if s == SlotOperator && gi == 0 {
 					a.res.OperatorDecisions++
 				}
@@ -220,6 +233,16 @@ nextGoal:
 				g.subImpasse = ImpasseNone
 				deltas = append(deltas, a.gcDeltas()...)
 				a.Eng.ApplyAndMatch(deltas)
+				// The context wmes installSlot replaced are out of working
+				// memory now; they keep their anchors (old firing records
+				// backtrace through them) but leave byID. Unlinking them any
+				// earlier would hide them from this decision's garbage
+				// collection, which still walks them.
+				for _, d := range deltas {
+					if d.Op == wme.Remove && d.WME.Class == a.k.clsContext {
+						a.unlink(d.WME)
+					}
+				}
 				return true, nil
 			case outImpasse:
 				if g.subImpasse == out.impasse && g.subSlot == s && gi+1 < len(a.goals) {
@@ -229,11 +252,15 @@ nextGoal:
 					continue nextGoal
 				}
 				if g.depth >= a.cfg.MaxGoalDepth {
-					a.tracef("decide: max goal depth at %s (%v %v)", a.fmtSym(g.id), s, out.impasse)
+					if a.tracing() {
+						a.tracef("decide: max goal depth at %s (%v %v)", a.fmtSym(g.id), s, out.impasse)
+					}
 					return false, nil
 				}
-				a.tracef("decide: goal %s %v impasse %v (%d candidates)",
-					a.fmtSym(g.id), s, out.impasse, len(out.candidates))
+				if a.tracing() {
+					a.tracef("decide: goal %s %v impasse %v (%d candidates)",
+						a.fmtSym(g.id), s, out.impasse, len(out.candidates))
+				}
 				deltas := a.destroyBelow(g.depth)
 				deltas = append(deltas, a.createSubgoal(g, s, out)...)
 				a.Eng.ApplyAndMatch(deltas)
@@ -246,7 +273,9 @@ nextGoal:
 	// on the lowest goal with an operator installed and no subgoal yet.
 	low := a.goals[len(a.goals)-1]
 	if low.slots[SlotOperator] != value.NilSym && low.subImpasse == ImpasseNone && low.depth < a.cfg.MaxGoalDepth {
-		a.tracef("decide: goal %s operator no-change impasse", a.fmtSym(low.id))
+		if a.tracing() {
+			a.tracef("decide: goal %s operator no-change impasse", a.fmtSym(low.id))
+		}
 		deltas := a.createSubgoal(low, SlotOperator, outcome{impasse: ImpasseNoChange})
 		a.Eng.ApplyAndMatch(deltas)
 		return true, nil
@@ -304,10 +333,30 @@ func (a *Agent) destroyBelow(depth int) []wme.Delta {
 	return deltas
 }
 
+// forgetWME drops the agent's bookkeeping for a wme being removed from
+// working memory, its identifier's byID entry included.
 func (a *Agent) forgetWME(w *wme.WME) {
+	a.unlink(w)
+	delete(a.anchor, w.ID)
 	delete(a.records, w.ID)
 	delete(a.subst, w.ID)
-	delete(a.anchor, w.ID)
+}
+
+// unlink removes w from its identifier's byID list.
+func (a *Agent) unlink(w *wme.WME) {
+	id, ok := a.anchor[w.ID]
+	if !ok {
+		return
+	}
+	list := a.byID[id]
+	i := slices.Index(list, w)
+	switch {
+	case i < 0:
+	case len(list) == 1:
+		delete(a.byID, id)
+	default:
+		a.byID[id] = slices.Delete(list, i, i+1)
+	}
 }
 
 // gcDeltas implements the decision module's garbage collection of
@@ -325,8 +374,8 @@ func (a *Agent) gcDeltas() []wme.Delta {
 	for _, g := range a.goals {
 		curState[g.id] = g.slots[SlotState]
 	}
-	for _, w := range a.Eng.WM.All() {
-		if w.Class != k.clsPref {
+	for _, w := range a.prefs {
+		if !a.inWM(w) {
 			continue
 		}
 		gID := w.Field(0).Sym
@@ -366,7 +415,7 @@ func (a *Agent) gcDeltas() []wme.Delta {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, w := range a.byID[id] {
-			if a.Eng.WM.Get(w.ID) == nil || dead[w.ID] {
+			if !a.inWM(w) || dead[w.ID] {
 				continue
 			}
 			for i := 1; i < len(w.Fields); i++ {

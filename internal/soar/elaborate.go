@@ -53,7 +53,7 @@ func (a *Agent) elaborate() error {
 				rec.Created = append(rec.Created, d.WME)
 				a.records[d.WME.ID] = rec
 				deltas = append(deltas, d)
-				if lvl < gl {
+				if lvl < gl && a.tracing() {
 					a.tracef("  result %s from %s (level %d < %d)",
 						d.WME.Format(a.Eng.Tab, a.Eng.Reg), in.Prod.Name, lvl, gl)
 				}
@@ -66,7 +66,9 @@ func (a *Agent) elaborate() error {
 				if ast != nil {
 					a.pendingC = append(a.pendingC, ast)
 					a.res.ChunkCEs = append(a.res.ChunkCEs, len(ast.LHS))
-					a.tracef("  built %s (%d CEs)", name, len(ast.LHS))
+					if a.tracing() {
+						a.tracef("  built %s (%d CEs)", name, len(ast.LHS))
+					}
 					if o := a.Eng.Obs(); o != nil {
 						o.Counter("chunks_built_total").Inc()
 						o.Tracer().Instant(0, 0, "chunk-built:"+name, "chunk", time.Now(),

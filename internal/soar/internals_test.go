@@ -1,9 +1,11 @@
 package soar_test
 
 import (
+	"fmt"
 	"testing"
 
 	"soarpsme/internal/engine"
+	"soarpsme/internal/prun"
 	. "soarpsme/internal/soar"
 	"soarpsme/internal/tasks/blocks"
 	"soarpsme/internal/tasks/eightpuzzle"
@@ -13,7 +15,10 @@ import (
 
 // TestWorkingMemoryBounded verifies the decision module's garbage
 // collection (paper §3: "automatically garbage collects inaccessible
-// wmes"): working memory must not grow with the length of the run.
+// wmes"): working memory must not grow with the length of the run, and
+// neither may the agent's own bookkeeping — after every match cycle the
+// byID lists hold at most one entry per anchored wme, and the preference
+// index agrees with working memory.
 func TestWorkingMemoryBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -29,6 +34,16 @@ func TestWorkingMemoryBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var bad error
+		a.Eng.AfterCycle = func(*prun.CycleStats) {
+			byID, anchors, err := a.CheckBookkeeping()
+			if err == nil && byID > anchors {
+				err = fmt.Errorf("byID holds %d entries for %d anchored wmes", byID, anchors)
+			}
+			if bad == nil && err != nil {
+				bad = fmt.Errorf("cycle %d: %w", len(a.Eng.CycleStats), err)
+			}
+		}
 		res, err := a.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -38,6 +53,9 @@ func TestWorkingMemoryBounded(t *testing.T) {
 		}
 		if n := a.Eng.WM.Len(); n > tc.bound {
 			t.Errorf("%s: WM grew to %d wmes (> %d) — GC leak", tc.name, n, tc.bound)
+		}
+		if bad != nil {
+			t.Errorf("%s: agent bookkeeping: %v", tc.name, bad)
 		}
 	}
 }

@@ -150,8 +150,9 @@ type Agent struct {
 	task      *Task
 	goals     []*goalEntry
 	idLevel   map[value.Sym]int
-	anchor    map[uint64]value.Sym // wme ID -> identifier whose level it has
-	byID      map[value.Sym][]*wme.WME
+	anchor    map[uint64]value.Sym     // wme ID -> identifier whose level it has
+	byID      map[value.Sym][]*wme.WME // identifier -> its anchored wmes, registration order
+	prefs     []*wme.WME               // preference wmes, registration (= time-tag) order
 	records   map[uint64]*chunk.Record // created wme -> firing record
 	subst     map[uint64]*wme.WME      // impasse item -> acceptable pref
 	builder   *chunk.Builder
@@ -301,6 +302,9 @@ func (a *Agent) registerWME(w *wme.WME, creating int) int {
 		a.anchor[w.ID] = id
 		a.byID[id] = append(a.byID[id], w)
 	}
+	if w.Class == a.k.clsPref {
+		a.prefs = append(a.prefs, w)
+	}
 	lvl := creating
 	if id != value.NilSym {
 		lvl = a.idLevel[id]
@@ -359,8 +363,12 @@ func (a *Agent) archWME(class value.Sym, lvl int, fields ...value.Value) *wme.WM
 	return w
 }
 
+// tracing reports whether a decision trace writer is attached. Call sites
+// test it before tracef so that, untraced, no argument is rendered or boxed.
+func (a *Agent) tracing() bool { return a.cfg.Trace != nil }
+
 func (a *Agent) tracef(format string, args ...any) {
-	if a.cfg.Trace != nil {
+	if a.tracing() {
 		fmt.Fprintf(a.cfg.Trace, format+"\n", args...)
 	}
 }
@@ -419,6 +427,9 @@ func (a *Agent) initTop() error {
 			a.permanent[id] = true
 			a.anchor[w.ID] = id
 			a.byID[id] = append(a.byID[id], w)
+		}
+		if w.Class == a.k.clsPref {
+			a.prefs = append(a.prefs, w)
 		}
 		// Register value-field symbols as identifiers too: task objects
 		// referenced before being used as ids (e.g. cell names).

@@ -158,18 +158,22 @@ func (v Value) Compare(o Value) (cmp int, ok bool) {
 
 // String renders the value using the table-less fallback form; use
 // Table.Format for symbol names.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends String's rendering of v to b. Key builders (alpha
+// sharing keys, chunk signatures) render through it into one buffer.
+func (v Value) AppendTo(b []byte) []byte {
 	switch v.Kind {
 	case KindNil:
-		return "nil"
+		return append(b, "nil"...)
 	case KindSym:
-		return fmt.Sprintf("sym#%d", v.Sym)
+		return strconv.AppendUint(append(b, "sym#"...), uint64(v.Sym), 10)
 	case KindInt:
-		return strconv.FormatInt(v.Int(), 10)
+		return strconv.AppendInt(b, v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+		return strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // Table interns symbol names. It is safe for concurrent use; interning is

@@ -258,6 +258,37 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// TestValueStringPinned pins String for the four kinds (the bytes alpha
+// keys and chunk signatures are made of) and requires AppendTo to append
+// exactly String's bytes.
+func TestValueStringPinned(t *testing.T) {
+	for _, tc := range []struct {
+		v    Value
+		want string
+	}{
+		{Nil, "nil"},
+		{SymVal(7), "sym#7"},
+		{SymVal(4294967295), "sym#4294967295"},
+		{IntVal(-42), "-42"},
+		{IntVal(-9223372036854775808), "-9223372036854775808"},
+		{FloatVal(2.5), "2.5"},
+		{FloatVal(100), "100"},
+		{FloatVal(1e21), "1e+21"},
+		{FloatVal(1e-7), "1e-07"},
+		{Value{Kind: 9}, "?"},
+	} {
+		if got := tc.v.String(); got != tc.want {
+			t.Errorf("%#v.String() = %q, want %q", tc.v, got, tc.want)
+		}
+		if got := string(tc.v.AppendTo([]byte("x|"))); got != "x|"+tc.want {
+			t.Errorf("%#v.AppendTo = %q, want %q", tc.v, got, "x|"+tc.want)
+		}
+		if got := fmt.Sprintf("%v", tc.v); got != tc.want {
+			t.Errorf("%%v of %#v = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}
+
 func TestFloatNormalization(t *testing.T) {
 	nz := FloatVal(math_Copysign0())
 	pz := FloatVal(0)

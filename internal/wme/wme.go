@@ -9,7 +9,9 @@
 package wme
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -178,17 +180,38 @@ func (w *WME) Format(tab *value.Table, reg *Registry) string {
 // through Insert/Delete so time tags stay monotone. Memory is not itself
 // locked — the engine serializes WM changes (match starts only after all
 // wme changes of a cycle complete, per the paper §6).
+//
+// The live wmes are kept in time-tag order as they are inserted, so All
+// neither walks a map nor sorts; it compacts, so for concurrency it counts
+// as a change, not a read. Invariants: order holds every live wme
+// exactly once, at order[pos[w.ID]], plus nil holes where wmes were
+// deleted since the last compaction; holes <= Len() + compactSlack after
+// every operation, so order never holds more than 2·Len() + compactSlack
+// entries and a removed wme is never retained. If unsorted is false,
+// order's non-nil entries ascend by TimeTag.
 type Memory struct {
 	nextID  uint64
 	nextTag uint64
-	byID    map[uint64]*WME
+	order   []*WME
+	pos     map[uint64]int // live wme ID -> index in order
+	holes   int            // nil entries in order
+	lastTag uint64         // TimeTag of the newest entry appended in order
+	// unsorted is set by an insert whose tag is older than lastTag (a
+	// restore, or a replay with pre-assigned tags); the next compaction
+	// re-sorts once.
+	unsorted bool
 	// byKey indexes wmes by contents hash for Soar set semantics.
 	byKey map[uint64][]*WME
 }
 
+// compactSlack is the number of holes order may carry beyond one per live
+// wme before Delete compacts it: a memory of a handful of wmes with a
+// steady stream of changes does not compact on every other delete.
+const compactSlack = 32
+
 // NewMemory returns an empty working memory.
 func NewMemory() *Memory {
-	return &Memory{byID: make(map[uint64]*WME), byKey: make(map[uint64][]*WME)}
+	return &Memory{pos: make(map[uint64]int), byKey: make(map[uint64][]*WME)}
 }
 
 // Make builds a new wme (assigning ID and time tag) without inserting it.
@@ -226,10 +249,16 @@ func (m *Memory) EnsureCounters(id, tag uint64) {
 // present) is rejected with an error and leaves memory unchanged; the
 // engine treats it as a failed cycle and recovers rather than crashing.
 func (m *Memory) Insert(w *WME) error {
-	if _, dup := m.byID[w.ID]; dup {
+	if _, dup := m.pos[w.ID]; dup {
 		return fmt.Errorf("wme: duplicate insert of wme %d", w.ID)
 	}
-	m.byID[w.ID] = w
+	if w.TimeTag < m.lastTag {
+		m.unsorted = true
+	} else {
+		m.lastTag = w.TimeTag
+	}
+	m.pos[w.ID] = len(m.order)
+	m.order = append(m.order, w)
 	k := w.contentsKey()
 	m.byKey[k] = append(m.byKey[k], w)
 	return nil
@@ -237,15 +266,20 @@ func (m *Memory) Insert(w *WME) error {
 
 // Delete removes w from working memory; it reports whether w was present.
 func (m *Memory) Delete(w *WME) bool {
-	if _, ok := m.byID[w.ID]; !ok {
+	i, ok := m.pos[w.ID]
+	if !ok {
 		return false
 	}
-	delete(m.byID, w.ID)
+	delete(m.pos, w.ID)
+	m.order[i] = nil
+	if m.holes++; m.holes > len(m.pos)+compactSlack {
+		m.compact()
+	}
 	k := w.contentsKey()
 	list := m.byKey[k]
-	for i, x := range list {
+	for j, x := range list {
 		if x == w {
-			list[i] = list[len(list)-1]
+			list[j] = list[len(list)-1]
 			list = list[:len(list)-1]
 			break
 		}
@@ -271,20 +305,53 @@ func (m *Memory) FindEqual(w *WME) *WME {
 }
 
 // Get returns the wme with the given ID.
-func (m *Memory) Get(id uint64) *WME { return m.byID[id] }
+func (m *Memory) Get(id uint64) *WME {
+	if i, ok := m.pos[id]; ok {
+		return m.order[i]
+	}
+	return nil
+}
 
 // Len returns the number of live wmes.
-func (m *Memory) Len() int { return len(m.byID) }
+func (m *Memory) Len() int { return len(m.pos) }
 
 // All returns the live wmes sorted by time tag (deterministic order; the
-// run-time update algorithm replays these through the network).
+// run-time update algorithm replays these through the network). The slice
+// is the caller's.
 func (m *Memory) All() []*WME {
-	out := make([]*WME, 0, len(m.byID))
-	for _, w := range m.byID {
-		out = append(out, w)
+	if m.holes > 0 || m.unsorted {
+		m.compact()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TimeTag < out[j].TimeTag })
-	return out
+	return append(make([]*WME, 0, len(m.order)), m.order...)
+}
+
+// compact drops order's holes, re-sorts it if an out-of-order insert
+// marked it, and re-indexes what moved. An order whose capacity is more
+// than four times what it now needs is reallocated, so a memory that
+// shrank does not keep its peak.
+func (m *Memory) compact() {
+	n := len(m.pos)
+	out := m.order[:0]
+	if cap(m.order) > 4*(n+compactSlack) {
+		out = make([]*WME, 0, 2*(n+compactSlack))
+	}
+	for _, w := range m.order {
+		if w != nil {
+			out = append(out, w)
+		}
+	}
+	clear(m.order[len(out):])
+	if m.unsorted {
+		slices.SortStableFunc(out, func(a, b *WME) int { return cmp.Compare(a.TimeTag, b.TimeTag) })
+		m.unsorted = false
+	}
+	for i, w := range out {
+		m.pos[w.ID] = i
+	}
+	m.order, m.holes, m.lastTag = out, 0, 0
+	if len(out) > 0 {
+		m.lastTag = out[len(out)-1].TimeTag
+	}
 }
 
 // Op is the direction of a working-memory change.
