@@ -111,6 +111,9 @@ type Engine struct {
 	// OnApply, when set, receives each cycle's applied wme deltas just
 	// before the match runs (benchmarks capture replayable batches here).
 	OnApply func(deltas []wme.Delta)
+	// beforeUpdate, when set, sees each addition's AddInfo just before its
+	// state update runs (a test seam: export_test.go).
+	beforeUpdate func(info *rete.AddInfo)
 
 	// pendingExcise holds (excise ...) actions deferred to quiescence.
 	pendingExcise []string
@@ -811,9 +814,10 @@ type AddResult struct {
 
 // AddProductionRuntime adds a production while the system is running
 // (chunking): it compiles the production into the shared network and then
-// runs the §5.2 state-update cycle — replaying WM through the network with
-// the update filter engaged and seeding the first new nodes from the last
-// shared node's stored state — so the chunk is immediately available.
+// runs the §5.2 state-update cycle — running WM through the alpha paths that
+// feed the new nodes with the update filter engaged, and seeding the first
+// new nodes from the last shared node's stored state — so the chunk is
+// immediately available.
 // The caller must be at quiescence.
 func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) {
 	start := time.Now()
@@ -837,7 +841,10 @@ func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) 
 			ustart = time.Now()
 		}
 		mark := e.CS.Mark()
-		res.Update = e.RT.RunSeeded(seeds, e.WM.All())
+		if e.beforeUpdate != nil {
+			e.beforeUpdate(info)
+		}
+		res.Update = e.RT.RunSeeded(info, seeds, e.WM.All())
 		if res.Update.Failed {
 			// A poisoned state-update cycle: clear the filter and rebuild
 			// everything — old and new productions alike — serially.

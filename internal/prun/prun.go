@@ -432,16 +432,22 @@ func (rt *Runtime) RunCycle(deltas []wme.Delta) CycleStats {
 	return rt.runToQuiescence()
 }
 
-// RunSeeded pushes pre-built tasks (the update algorithm's last-shared-node
-// replay) plus full-WM right replay, then runs to quiescence. The update
-// filter must already be engaged.
-func (rt *Runtime) RunSeeded(seeds []*rete.Task, all []*wme.WME) CycleStats {
+// RunSeeded runs the state update of one production addition (paper §5.2):
+// it pushes the last-shared-node seeds (rete.SeedUpdateTasks), runs each
+// live wme in all through the alpha paths that feed info's new nodes
+// (rete.InjectUpdate), and runs to quiescence. The update filter must
+// already be engaged.
+func (rt *Runtime) RunSeeded(info *rete.AddInfo, seeds []*rete.Task, all []*wme.WME) CycleStats {
 	for _, t := range seeds {
 		rt.inj.rotate()
 		rt.inj.s.Push(t)
 	}
 	for _, w := range all {
-		rt.inj.delta(wme.Delta{Op: wme.Add, WME: w})
+		// One rotation per wme, as the injector makes per delta, so an
+		// activation lands on the queue injecting w as a delta would put
+		// it on.
+		rt.inj.rotate()
+		rt.nw.InjectUpdate(info, w, rt.inj.activate)
 	}
 	rt.inj.flush()
 	return rt.runToQuiescence()

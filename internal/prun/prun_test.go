@@ -296,7 +296,7 @@ func TestRunSeededDirectly(t *testing.T) {
 	for _, w := range ws {
 		all = append(all, w)
 	}
-	st := rt.RunSeeded(nw.SeedUpdateTasks(info), all)
+	st := rt.RunSeeded(info, nw.SeedUpdateTasks(info), all)
 	rt.SetUpdateFilter(0)
 	if st.Tasks == 0 {
 		t.Fatalf("seeded run executed nothing")

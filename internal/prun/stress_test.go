@@ -136,7 +136,7 @@ func TestWorkStealingSeededUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.SetUpdateFilter(info.FirstNewID)
-	st := rt.RunSeeded(nw.SeedUpdateTasks(info), ws)
+	st := rt.RunSeeded(info, nw.SeedUpdateTasks(info), ws)
 	rt.SetUpdateFilter(0)
 	if st.Tasks == 0 {
 		t.Fatalf("seeded run executed nothing")
@@ -288,7 +288,7 @@ func TestOneProcessPolicyEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt.SetUpdateFilter(info.FirstNewID)
-			got = append(got, traceKeys(rt.RunSeeded(nw.SeedUpdateTasks(info), ws).Trace))
+			got = append(got, traceKeys(rt.RunSeeded(info, nw.SeedUpdateTasks(info), ws).Trace))
 			rt.SetUpdateFilter(0)
 			got = append(got, traceKeys(rt.RunCycle(removals(ws)).Trace))
 

@@ -5,20 +5,20 @@ import "soarpsme/internal/wme"
 // This file implements the run-time state-update algorithm of paper §5.2.
 //
 // When a chunk is added at quiescence, its unshared suffix of nodes is
-// empty of state. The update replays working memory through the normal
-// network while the task queues ignore activations of nodes older than the
-// first new node, and the *last shared node* is specially executed to pass
-// down the partial instantiations it has stored. Because new node IDs are
-// strictly larger than all old IDs and sharing is lost monotonically along
-// a production's chain, "ID >= FirstNewID" identifies exactly the nodes to
-// update, and the full parallelism of the match speeds up the update
-// (Figure 6-9).
+// empty of state. The update runs working memory through the alpha paths
+// that feed the new nodes (InjectUpdate) while the task queues ignore
+// activations of nodes older than the first new node, and the *last shared
+// node* is specially executed to pass down the partial instantiations it has
+// stored (SeedUpdateTasks). Because new node IDs are strictly larger than
+// all old IDs and sharing is lost monotonically along a production's chain,
+// "ID >= FirstNewID" identifies exactly the nodes to update, and the full
+// parallelism of the match speeds up the update (Figure 6-9).
 
 // SeedUpdateTasks builds the "last shared node" replay tasks: for every
 // boundary node (a new node whose left — or, for bilinear joins, right —
 // input comes from a pre-existing node), one activation per stored output
-// token of that shared parent. The caller must also replay all of WM
-// through the alpha network with the update filter engaged (UpdateFilter).
+// token of that shared parent. The caller must also run every wme through
+// InjectUpdate with the update filter engaged.
 func (nw *Network) SeedUpdateTasks(info *AddInfo) []*Task {
 	var seeds []*Task
 	isNew := func(n *BetaNode) bool { return n != nil && n.ID >= info.FirstNewID }
@@ -55,7 +55,12 @@ func (nw *Network) dumpOutputs(p *BetaNode, firstNew NodeID) []*Token {
 			continue
 		}
 		switch c.Kind {
-		case KindJoin, KindNot, KindNCC, KindP:
+		case KindJoin, KindNot:
+			if c.nEqTests == 0 {
+				return nw.Mem.dumpLeftAt(c.ID, keySeed)
+			}
+			return nw.Mem.DumpLeft(c.ID)
+		case KindNCC, KindP:
 			return nw.Mem.DumpLeft(c.ID)
 		case KindJoinBB:
 			if c.Parent == p {
@@ -71,4 +76,77 @@ func (nw *Network) dumpOutputs(p *BetaNode, firstNew NodeID) []*Token {
 	// p existed before this addition, so it must have had a child; an
 	// empty answer here means p simply has no stored outputs yet.
 	return nil
+}
+
+// InjectUpdate is the state update's right replay of one live wme: Inject
+// restricted to the alpha paths info marks (the memories feeding a new join
+// or not node, and the test nodes above them), emitting at a marked memory
+// only its new successors. That is exactly what Inject would emit for w with
+// every node below info.FirstNewID dropped, in the same order: a memory off
+// the marked paths has no new successor, and the new successors of a memory
+// are a suffix of its list, because IDs are handed out in creation order and
+// successors are appended as they are created.
+func (nw *Network) InjectUpdate(info *AddInfo, w *wme.WME, emit InjectFn) {
+	root := nw.base.roots[w.Class]
+	if root == nil {
+		root = nw.own.roots[w.Class]
+	}
+	if root != nil && info.onUpdatePath(root.ID) {
+		nw.walkUpdate(root, w, info, emit)
+	}
+}
+
+// walkUpdate is walkAlpha over the marked nodes only (see InjectUpdate).
+func (nw *Network) walkUpdate(n *AlphaNode, w *wme.WME, info *AddInfo, emit InjectFn) {
+	own, first := &nw.own, info.FirstNewID
+	if am := n.Mem; am != nil && info.onUpdatePath(am.ID) {
+		emitNew(am.Succs, w, first, emit)
+		if own.alphaSuccs != nil {
+			emitNew(own.alphaSuccs[am.ID], w, first, emit)
+		}
+	}
+	for _, f := range n.eqFields {
+		nw.Stats.ConstTests.Add(1)
+		if c, ok := n.eqKids[alphaEqKey{field: f, val: w.Field(f)}]; ok {
+			nw.Stats.AlphaHits.Add(1)
+			if info.onUpdatePath(c.ID) {
+				nw.walkUpdate(c, w, info, emit)
+			}
+		} else {
+			nw.Stats.AlphaMisses.Add(1)
+		}
+	}
+	for _, c := range n.linear {
+		if info.onUpdatePath(c.ID) {
+			nw.Stats.ConstTests.Add(1)
+			if c.Test.matches(w.Field) {
+				nw.walkUpdate(c, w, info, emit)
+			}
+		}
+	}
+	if own.alphaKids != nil && nw.inBase(n.ID) {
+		if am := own.alphaMemAt[n.ID]; am != nil && info.onUpdatePath(am.ID) {
+			emitNew(am.Succs, w, first, emit)
+		}
+		for _, c := range own.alphaKids[n.ID] {
+			if info.onUpdatePath(c.ID) {
+				nw.Stats.ConstTests.Add(1)
+				if c.Test.matches(w.Field) {
+					nw.walkUpdate(c, w, info, emit)
+				}
+			}
+		}
+	}
+}
+
+// emitNew emits the right activations of w at the successors numbered first
+// or above: the tail of succs, which is in ID order.
+func emitNew(succs []*BetaNode, w *wme.WME, first NodeID, emit InjectFn) {
+	k := len(succs)
+	for k > 0 && succs[k-1].ID >= first {
+		k--
+	}
+	for _, s := range succs[k:] {
+		emit(s, w, wme.Add)
+	}
 }

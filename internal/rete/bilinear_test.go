@@ -42,15 +42,7 @@ func runtimeAddWithUpdate(t *testing.T, e *testEnv, src string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.s.dropMin = info.FirstNewID
-	for _, seed := range e.nw.SeedUpdateTasks(info) {
-		e.s.Push(seed)
-	}
-	for _, w := range e.mem.All() {
-		e.inject(wme.Delta{Op: wme.Add, WME: w})
-	}
-	drain(e.nw, e.s)
-	e.s.dropMin = 0
+	e.update(info)
 }
 
 func bilinWMEs(e *testEnv) []*wme.WME {

@@ -2,6 +2,7 @@ package rete
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,6 +26,12 @@ type AddInfo struct {
 	Boundary []*BetaNode
 	// SharedTwoInput counts reused two-input nodes (sharing statistics).
 	SharedTwoInput int
+	// updPath holds, sorted, the IDs of the alpha memories feeding a new
+	// join or not node and of every test node on the path down to them: the
+	// part of the alpha network the state update walks (InjectUpdate). It is
+	// a slice, not a set, because an engine keeps every AddInfo for the
+	// session's life: about 31 IDs for a learned chunk, 124 bytes.
+	updPath []NodeID
 	// SpliceTime is the wall-clock duration of the network surgery itself
 	// (node creation plus jumptable-style successor splicing), excluding
 	// the caller's state-update cycle.
@@ -135,7 +142,7 @@ func (b *builder) rollback(nextID NodeID, nTwoInput int, unspliced bool) {
 	}
 }
 
-// finishInfo computes FirstNewID and the boundary set.
+// finishInfo computes FirstNewID, the boundary set and the update paths.
 func (b *builder) finishInfo() {
 	inf := b.info
 	if len(inf.NewBeta) == 0 {
@@ -154,7 +161,22 @@ func (b *builder) finishInfo() {
 		if leftOld || rightOld {
 			inf.Boundary = append(inf.Boundary, n)
 		}
+		if am := n.Alpha; am != nil {
+			inf.updPath = append(inf.updPath, am.ID)
+			for a := am.at; a != nil; a = a.parent {
+				inf.updPath = append(inf.updPath, a.ID)
+			}
+		}
 	}
+	slices.Sort(inf.updPath)
+	inf.updPath = slices.Clip(slices.Compact(inf.updPath))
+}
+
+// onUpdatePath reports whether the state update walks alpha node or memory
+// id (see updPath).
+func (inf *AddInfo) onUpdatePath(id NodeID) bool {
+	_, ok := slices.BinarySearch(inf.updPath, id)
+	return ok
 }
 
 // newNode registers a freshly created beta node.

@@ -95,14 +95,7 @@ func TestExciseThenReAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.s.dropMin = info.FirstNewID
-	for _, seed := range e.nw.SeedUpdateTasks(info) {
-		e.s.Push(seed)
-	}
-	for _, w := range e.mem.All() {
-		e.inject(wme.Delta{Op: wme.Add, WME: w})
-	}
-	e.s.dropMin = 0
+	e.update(info)
 	e.wantCS(fmt.Sprintf("p1[%d]", w1.ID))
 }
 

@@ -116,10 +116,15 @@ const (
 	CostPNode     = 220 // conflict-set update
 )
 
-// suppInline sizes the emitter's stack-backed suppressed-run buffer; runs
-// deeper than this spill to the heap (rare — it takes a chain of more than
-// suppInline consecutive empty-right joins pending at once).
+// suppInline sizes the emitter's inline suppressed-run buffer; runs pending
+// beyond it spill to a heap slice (rare — it takes more than suppInline
+// empty-right child joins pending at once, which outside a relink race
+// means that much fan-out below one emitting node).
 const suppInline = 8
+
+// matchInline sizes the stack arrays the join bodies collect their matches
+// in under the line lock; an activation with more matches spills to the heap.
+const matchInline = 8
 
 // suppRun is one pending suppressed left activation: a child join whose
 // right memory was empty when its parent emitted. It is buffered and
@@ -135,6 +140,12 @@ type suppRun struct {
 // of children executed inline by the unlink fast path. One emitter lives
 // on the stack per Exec call and the exec bodies invoke em.emit directly,
 // so the hot path allocates no closure.
+//
+// The pending suppressed runs are a LIFO stack of suppN entries: the first
+// suppInline in suppBuf, the rest in spill. It is kept by index because a
+// slice into suppBuf would point the emitter into itself, and that alone
+// moves it to the heap (Go issue 35518); CI fails the build if exec.go
+// reports "moved to heap" again.
 type emitter struct {
 	nw        *Network
 	s         Scheduler
@@ -142,8 +153,29 @@ type emitter struct {
 	depth     int32 // chain depth of the emitting task; children get depth+1
 	emitted   int
 	cost      int64
-	supp      []suppRun
+	suppN     int
 	suppBuf   [suppInline]suppRun
+	spill     []suppRun
+}
+
+// pushSupp and popSupp are the suppressed-run stack (see emitter).
+func (em *emitter) pushSupp(r suppRun) {
+	if em.suppN < suppInline {
+		em.suppBuf[em.suppN] = r
+	} else {
+		em.spill = append(em.spill, r)
+	}
+	em.suppN++
+}
+
+func (em *emitter) popSupp() suppRun {
+	em.suppN--
+	if em.suppN < suppInline {
+		return em.suppBuf[em.suppN]
+	}
+	r := em.spill[len(em.spill)-1]
+	em.spill = em.spill[:len(em.spill)-1]
+	return r
 }
 
 func (em *emitter) emit(from *BetaNode, tok *Token, op wme.Op) {
@@ -174,7 +206,7 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 			// goroutines' stacks (runtime.newstack) is what made unlink=true
 			// lose wall-clock on chain-heavy workloads.
 			nw.Stats.NullSuppressed.Add(1)
-			em.supp = append(em.supp, suppRun{node: c, tok: tok, op: op})
+			em.pushSupp(suppRun{node: c, tok: tok, op: op})
 			continue
 		}
 		// emitted counts filtered children too: the modeled cost of a
@@ -197,9 +229,8 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 // lock; in the rare relink race the scan still runs and its matches emit
 // through this same emitter.
 func (em *emitter) drain() {
-	for len(em.supp) > 0 {
-		r := em.supp[len(em.supp)-1]
-		em.supp = em.supp[:len(em.supp)-1]
+	for em.suppN > 0 {
+		r := em.popSupp()
 		em.cost += em.nw.joinLeft(r.node, r.op, r.tok, em)
 	}
 }
@@ -266,7 +297,6 @@ func (nw *Network) FilterRight(n *BetaNode, op wme.Op, w *wme.WME, s Scheduler) 
 		return false
 	}
 	em := emitter{nw: nw, s: s}
-	em.supp = em.suppBuf[:0]
 	nw.Stats.NullSuppressed.Add(1)
 	if n.Kind == KindJoin {
 		nw.joinRight(n, op, w, &em)
@@ -302,7 +332,6 @@ func (nw *Network) execSuppBatch(batch []SuppRight, em *emitter) int64 {
 func (nw *Network) Exec(t *Task, s Scheduler) (cost int64, emitted int) {
 	nw.Stats.Activations.Add(1)
 	em := emitter{nw: nw, s: s, parentSeq: t.Seq, depth: t.Depth}
-	em.supp = em.suppBuf[:0]
 	cost = CostBetaBase
 
 	n := t.Node
@@ -343,7 +372,8 @@ func (nw *Network) joinLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int
 	var cost int64
 	key := n.leftKeyFromToken(tok)
 	line := nw.Mem.line(n.ID, key)
-	var matches []*wme.WME
+	var buf [matchInline]*wme.WME
+	matches := buf[:0]
 	line.Lock.Lock()
 	proceed := true
 	if op == wme.Add {
@@ -377,7 +407,8 @@ func (nw *Network) joinRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) in
 	var cost int64
 	key := n.rightKeyFromWME(w)
 	line := nw.Mem.line(n.ID, key)
-	var matches []*Token
+	var buf [matchInline]*Token
+	matches := buf[:0]
 	line.Lock.Lock()
 	proceed := true
 	if op == wme.Add {
@@ -448,7 +479,8 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 	var cost int64
 	key := n.rightKeyFromWME(w)
 	line := nw.Mem.line(n.ID, key)
-	var flips []*Token
+	var buf [matchInline]*Token
+	flips := buf[:0]
 	comparisons := 0
 	line.Lock.Lock()
 	if op == wme.Add {
@@ -571,7 +603,8 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 		ctx := ctxOf(t.Tok, ctxN)
 		key := ctx.Hash() ^ n.bbLeftKey(t.Tok)
 		line := nw.Mem.line(n.ID, key)
-		var matches []*Token
+		var buf [matchInline]*Token
+		matches := buf[:0]
 		line.Lock.Lock()
 		proceed := true
 		if t.Op == wme.Add {
@@ -607,7 +640,8 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 	stripped := stripAbove(t.Tok, ctxN)
 	key := ctx.Hash() ^ n.bbRightKey(t.Tok)
 	line := nw.Mem.line(n.ID, key)
-	var matches []*Token
+	var buf [matchInline]*Token
+	matches := buf[:0]
 	line.Lock.Lock()
 	proceed := true
 	if t.Op == wme.Add {

@@ -14,22 +14,14 @@ import (
 )
 
 // addLive compiles p into e's network and runs the §5.2 state update over the
-// live wmes. Unlike the other tests' inline copies it reports an error
-// instead of failing the test, so it can run off the test goroutine.
+// live wmes. It reports an error instead of failing the test, so it can run
+// off the test goroutine.
 func addLive(e *testEnv, p *ops5.Production, live []*wme.WME) error {
 	_, info, err := e.nw.AddProduction(p)
 	if err != nil {
 		return err
 	}
-	e.s.dropMin = info.FirstNewID
-	for _, seed := range e.nw.SeedUpdateTasks(info) {
-		e.s.Push(seed)
-	}
-	for _, w := range live {
-		e.inject(wme.Delta{Op: wme.Add, WME: w})
-	}
-	e.s.dropMin = 0
-	return nil
+	return runUpdate(e.nw, e.s, info, live)
 }
 
 func prodNames(ps []*Production) []string {
@@ -265,6 +257,69 @@ func layerTrial(t *testing.T, rng *rand.Rand, share bool) {
 	}
 	if got := c.nw.FormatNetwork(); got != baseFormat {
 		t.Fatalf("(b)'s layer changed what (c) sees:\nbefore:\n%s\nafter:\n%s", baseFormat, got)
+	}
+}
+
+// TestUpdateWalkUnderSplices runs the state update of chunks that a session
+// splices under its shared base through every alpha splice map: a new test
+// node under a base test node (alphaKids), a new memory at a base interior
+// node (alphaMemAt), and new joins under base memories (alphaSuccs); the
+// second chunk also shares base joins, so it is seeded from base state.
+// runUpdate checks each wme's update walk against the filtered alpha walk;
+// the conflict sets must equal the naive matcher's.
+func TestUpdateWalkUnderSplices(t *testing.T) {
+	const src = `
+(literalize a x y z)
+(literalize b x)
+(p base1 (a ^x 1 ^y 2) (b ^x <v>) --> (make o))
+(p base2 (b ^x 7) --> (make o))
+`
+	chunks := []string{
+		"(p chunk1 (a ^x 1 ^z 3) (a ^x 1) (b ^x 7) (a ^x 1 ^y 2) --> (make o))",
+		"(p chunk2 (a ^x 1 ^y 2) (b ^x <v>) (a ^x 1 ^z <v>) --> (make o))",
+	}
+	e := newTestEnv(t, src)
+	e.nw = NewFromTopology(e.nw.Freeze(), e.cs, DefaultOptions())
+	prog, err := ops5.Parse(src, e.tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prods := prog.Productions
+	check := func(when string) {
+		t.Helper()
+		if got, want := e.cs.keys(), naiveCS(prods, nil, e.mem.All(), e.reg); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: CS %v, naive %v", when, got, want)
+		}
+		auditClean(t, e)
+	}
+	for _, kv := range [][]any{{"x", 1, "y", 2}, {"x", 1, "z", 3}, {"x", 1, "y", 2, "z", 7}, {"x", 1, "z", 7}, {"x", 2}} {
+		e.add(e.wmeOf("a", kv...))
+	}
+	for _, v := range []int{7, 3, 2} {
+		e.add(e.wmeOf("b", "x", v))
+	}
+	check("before the chunks")
+	for _, c := range chunks {
+		ast, err := ops5.ParseProduction(c, e.tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, info, err := e.nw.AddProduction(ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.update(info)
+		prods = append(prods, ast)
+		check("after " + ast.Name)
+	}
+	own := &e.nw.own
+	if len(own.alphaKids) == 0 || len(own.alphaMemAt) == 0 || len(own.alphaSuccs) == 0 || len(own.betaKids) == 0 {
+		t.Fatalf("splices made: %d alphaKids, %d alphaMemAt, %d alphaSuccs, %d betaKids; want some of each",
+			len(own.alphaKids), len(own.alphaMemAt), len(own.alphaSuccs), len(own.betaKids))
+	}
+	for _, w := range e.mem.All() {
+		e.remove(w)
+		check(fmt.Sprintf("after removing wme %d", w.ID))
 	}
 }
 

@@ -204,9 +204,13 @@ func (m *Mem) NumLines() int { return len(m.lines) }
 // line returns the line for (node, key). The node ID participates in line
 // selection, per the paper's hash function.
 func (m *Mem) line(node NodeID, key uint64) *Line {
+	return &m.lines[m.lineIndex(node, key)]
+}
+
+func (m *Mem) lineIndex(node NodeID, key uint64) uint64 {
 	h := key ^ (uint64(node) * 0x9e3779b97f4a7c15)
 	h ^= h >> 33
-	return &m.lines[h&m.mask]
+	return h & m.mask
 }
 
 // ---- left-entry operations (caller holds the line lock) ----
@@ -377,19 +381,40 @@ func (l *Line) countRight(node NodeID, key uint64) int32 {
 
 // ---- whole-table operations (no activation in flight) ----
 
-// DumpLeft returns every live token stored at node (the run-time update
-// algorithm replays the outputs of the last shared node this way).
+// DumpLeft returns every live token stored at node, in table order (the
+// run-time update algorithm replays the outputs of the last shared node
+// this way). The scan stops once it has found as many tokens as node's
+// live-entry counter holds, so node must be covered by GrowCounts — every
+// node of a Network is.
 func (m *Mem) DumpLeft(node NodeID) []*Token {
-	var out []*Token
-	for i := range m.lines {
-		l := &m.lines[i]
+	return m.dumpLeft(node, m.lines)
+}
+
+// dumpLeftAt is DumpLeft for a node that keys every token to key: it reads
+// that key's line alone, which holds all of them.
+func (m *Mem) dumpLeftAt(node NodeID, key uint64) []*Token {
+	i := m.lineIndex(node, key)
+	return m.dumpLeft(node, m.lines[i:i+1])
+}
+
+func (m *Mem) dumpLeft(node NodeID, lines []Line) []*Token {
+	want := int(m.LeftCount(node))
+	if want == 0 {
+		return nil
+	}
+	out := make([]*Token, 0, want)
+	for i := range lines {
+		l := &lines[i]
 		l.Lock.Lock()
-		for e := l.left; e != nil; e = e.next {
+		for e := l.left; e != nil && len(out) < want; e = e.next {
 			if !e.tomb && e.node == node {
 				out = append(out, e.tok)
 			}
 		}
 		l.Lock.Unlock()
+		if len(out) == want {
+			break
+		}
 	}
 	return out
 }

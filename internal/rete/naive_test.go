@@ -306,15 +306,9 @@ func TestReteMatchesNaiveUnderRuntimeAddition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sched.dropMin = info.FirstNewID
-			for _, seed := range nw.SeedUpdateTasks(info) {
-				sched.Push(seed)
+			if err := runUpdate(nw, sched, info, mem.All()); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
 			}
-			for _, w := range mem.All() {
-				inject(wme.Delta{Op: wme.Add, WME: w})
-			}
-			drain(nw, sched)
-			sched.dropMin = 0
 		}
 		var want []string
 		for _, p := range prog.Productions {

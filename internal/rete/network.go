@@ -271,7 +271,7 @@ func (nw *Network) buildAlpha(class value.Sym, tests []AlphaTest) *AlphaMem {
 			next = findAlphaChild(own.alphaKids[cur.ID], t)
 		}
 		if next == nil {
-			next = &AlphaNode{ID: nw.newID(), Test: t}
+			next = &AlphaNode{ID: nw.newID(), Test: t, parent: cur}
 			if nw.inBase(cur.ID) {
 				// Scanned linearly by walkAlpha: spliced fanout is chunk-sized.
 				kids := own.spliced().alphaKids
@@ -288,10 +288,10 @@ func (nw *Network) buildAlpha(class value.Sym, tests []AlphaTest) *AlphaMem {
 	case nw.inBase(cur.ID):
 		// A base terminal without a memory for this key (a memory would
 		// have hit base.alphaMems above): hang the memory beside it.
-		am = &AlphaMem{ID: nw.newID(), key: key}
+		am = &AlphaMem{ID: nw.newID(), key: key, at: cur}
 		own.spliced().alphaMemAt[cur.ID] = am
 	case am == nil:
-		am = &AlphaMem{ID: nw.newID(), key: key}
+		am = &AlphaMem{ID: nw.newID(), key: key, at: cur}
 		cur.Mem = am
 	}
 	own.alphaMems[key] = am

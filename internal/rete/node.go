@@ -72,6 +72,7 @@ type AlphaNode struct {
 	Test     AlphaTest
 	Children []*AlphaNode
 	Mem      *AlphaMem
+	parent   *AlphaNode // nil for a class root
 
 	// Hashed dispatch index, maintained incrementally by buildAlpha as
 	// children are spliced in: eqKids maps (field, constant) to the child
@@ -137,8 +138,9 @@ func (n *AlphaNode) dropLastChild() {
 // activations.
 type AlphaMem struct {
 	ID    NodeID
-	Succs []*BetaNode // two-input nodes taking right input here
+	Succs []*BetaNode // two-input nodes taking right input here, in ID order
 	key   string      // canonical test-path key (for sharing)
+	at    *AlphaNode  // the terminal test node it hangs at
 }
 
 // BetaKind discriminates the beta-network node types.
@@ -341,10 +343,14 @@ func (n *BetaNode) String() string {
 	return fmt.Sprintf("%s#%d", n.Kind, n.ID)
 }
 
+// keySeed starts every node hash key, so a node without equality tests keys
+// every token and wme to keySeed: its whole memory shares one line.
+const keySeed uint64 = 0x8f1b5c37a9e3d421
+
 // leftKeyFromToken hashes the left-side join-variable bindings of t for
 // this node's hash key (the leading equality tests).
 func (n *BetaNode) leftKeyFromToken(t *Token) uint64 {
-	h := uint64(0x8f1b5c37a9e3d421)
+	h := keySeed
 	for i := 0; i < n.nEqTests; i++ {
 		jt := n.Tests[i]
 		w := t.WMEAt(jt.LeftCE)
@@ -359,7 +365,7 @@ func (n *BetaNode) leftKeyFromToken(t *Token) uint64 {
 
 // rightKeyFromWME hashes the right-side join-variable values of w.
 func (n *BetaNode) rightKeyFromWME(w interface{ Field(int) value.Value }) uint64 {
-	h := uint64(0x8f1b5c37a9e3d421)
+	h := keySeed
 	for i := 0; i < n.nEqTests; i++ {
 		jt := n.Tests[i]
 		h = h*0x100000001b3 ^ w.Field(jt.RightField).Hash()
@@ -370,7 +376,7 @@ func (n *BetaNode) rightKeyFromWME(w interface{ Field(int) value.Value }) uint64
 // bbLeftKey / bbRightKey hash the shared-variable bindings for a bilinear
 // join's two beta inputs.
 func (n *BetaNode) bbLeftKey(t *Token) uint64 {
-	h := uint64(0x8f1b5c37a9e3d421)
+	h := keySeed
 	for i := 0; i < n.nEqTests; i++ {
 		bt := n.BBTests[i]
 		var v value.Value
@@ -383,7 +389,7 @@ func (n *BetaNode) bbLeftKey(t *Token) uint64 {
 }
 
 func (n *BetaNode) bbRightKey(t *Token) uint64 {
-	h := uint64(0x8f1b5c37a9e3d421)
+	h := keySeed
 	for i := 0; i < n.nEqTests; i++ {
 		bt := n.BBTests[i]
 		var v value.Value

@@ -2,6 +2,7 @@ package rete
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -168,6 +169,50 @@ func (e *testEnv) inject(d wme.Delta) {
 		e.s.Push(&Task{Node: n, Dir: DirRight, Op: op, W: w})
 	})
 	drain(e.nw, e.s)
+}
+
+// runUpdate runs the §5.2 state update of an addition on s: the last
+// shared node's seeds, then every live wme through InjectUpdate, with the
+// update filter engaged. It also checks the pruned walk against its
+// definition: for each wme, the (node, wme) activations InjectUpdate emits
+// must be, in order, those Inject emits with every node below FirstNewID
+// dropped.
+func runUpdate(nw *Network, s *serialSched, info *AddInfo, live []*wme.WME) error {
+	s.dropMin = info.FirstNewID
+	defer func() { s.dropMin = 0 }()
+	for _, seed := range nw.SeedUpdateTasks(info) {
+		s.Push(seed)
+	}
+	for _, w := range live {
+		type act struct {
+			n  *BetaNode
+			w  *wme.WME
+			op wme.Op
+		}
+		var want, got []act
+		nw.Inject(wme.Delta{Op: wme.Add, WME: w}, func(n *BetaNode, x *wme.WME, op wme.Op) {
+			if n.ID >= info.FirstNewID {
+				want = append(want, act{n, x, op})
+			}
+		})
+		nw.InjectUpdate(info, w, func(n *BetaNode, x *wme.WME, op wme.Op) {
+			got = append(got, act{n, x, op})
+			s.Push(&Task{Node: n, Dir: DirRight, Op: op, W: x})
+		})
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("wme %d: update walk emitted %v, the filtered alpha walk %v", w.ID, got, want)
+		}
+	}
+	drain(nw, s)
+	return nil
+}
+
+// update runs the state update of an addition over e's working memory.
+func (e *testEnv) update(info *AddInfo) {
+	e.t.Helper()
+	if err := runUpdate(e.nw, e.s, info, e.mem.All()); err != nil {
+		e.t.Fatal(err)
+	}
 }
 
 func (e *testEnv) wantCS(want ...string) {
@@ -478,16 +523,7 @@ func TestRuntimeAdditionWithUpdate(t *testing.T) {
 	if len(info.Boundary) == 0 {
 		t.Fatalf("no boundary nodes")
 	}
-	// Run the update: filter old nodes, seed boundary, replay WM.
-	e.s.dropMin = info.FirstNewID
-	for _, seed := range e.nw.SeedUpdateTasks(info) {
-		e.s.Push(seed)
-	}
-	for _, w := range e.mem.All() {
-		e.inject(wme.Delta{Op: wme.Add, WME: w})
-	}
-	drain(e.nw, e.s)
-	e.s.dropMin = 0
+	e.update(info)
 
 	// chunk-1 requires a non-free hand: no instantiation yet, and the
 	// pre-existing instantiation must not be duplicated.
@@ -528,14 +564,7 @@ func TestRuntimeAdditionFreshAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.s.dropMin = info.FirstNewID
-	for _, seed := range e.nw.SeedUpdateTasks(info) {
-		e.s.Push(seed)
-	}
-	for _, w := range e.mem.All() {
-		e.inject(wme.Delta{Op: wme.Add, WME: w})
-	}
-	e.s.dropMin = 0
+	e.update(info)
 	e.wantCS(fmt.Sprintf("p1[%d]", w1.ID), fmt.Sprintf("c2[%d]", w2.ID))
 }
 
@@ -579,14 +608,7 @@ func TestUpdateEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cand.s.dropMin = info.FirstNewID
-		for _, seed := range cand.nw.SeedUpdateTasks(info) {
-			cand.s.Push(seed)
-		}
-		for _, w := range cand.mem.All() {
-			cand.inject(wme.Delta{Op: wme.Add, WME: w})
-		}
-		cand.s.dropMin = 0
+		cand.update(info)
 
 		if fmt.Sprint(ref.cs.keys()) != fmt.Sprint(cand.cs.keys()) {
 			t.Fatalf("scenario %d: update CS %v != reference %v", i, cand.cs.keys(), ref.cs.keys())

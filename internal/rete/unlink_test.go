@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"soarpsme/internal/ops5"
-	"soarpsme/internal/wme"
 )
 
 // unlinkSrc exercises join, not and NCC nodes; several productions share
@@ -139,15 +138,7 @@ func TestUnlinkCountersRuntimeAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.s.dropMin = info.FirstNewID
-	for _, seed := range e.nw.SeedUpdateTasks(info) {
-		e.s.Push(seed)
-	}
-	drain(e.nw, e.s)
-	for _, w := range e.mem.All() {
-		e.inject(wme.Delta{Op: wme.Add, WME: w})
-	}
-	e.s.dropMin = 0
+	e.update(info)
 	e.wantCS(fmt.Sprintf("p1[%d %d]", w1.ID, w2.ID))
 	auditClean(t, e)
 	// And the relinked production keeps matching incrementally.
