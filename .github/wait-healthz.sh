@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Blocks until every daemon named on the command line answers GET /healthz
-# (psmed and psmegw both serve it, and psmed's -kill-after does not count
-# it), instead of sleeping and hoping ListenAndServe has won the race.
+# Blocks until every psmed named on the command line answers GET /healthz
+# (its -kill-after does not count it), instead of sleeping and hoping ListenAndServe has won the race.
 #
 #   .github/wait-healthz.sh HOST:PORT [HOST:PORT ...]
 #

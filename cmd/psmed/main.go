@@ -135,7 +135,7 @@ func main() {
 			inner.ServeHTTP(w, r)
 			// Tick after the response: the Nth request is answered, then the
 			// process dies mid-fleet — the deterministic crash CI's
-			// failover-smoke leg keys off.
+			// restore-storm-smoke leg keys off.
 			if r.URL.Path != "/healthz" {
 				ks.Tick()
 			}

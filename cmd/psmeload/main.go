@@ -18,29 +18,36 @@
 // for, and the exit status is nonzero on lost cycles or fingerprint
 // divergence — CI's serve-smoke leg keys off it.
 //
-// With -cluster the target is a psmegw-fronted fleet: transport errors
-// and 502/503/504 (the failover window while a dead backend's sessions
-// restore from their durable image+WAL) are retried, and every /run
-// carries a Seq so retries are exactly-once. CI's failover-smoke leg
-// kills a backend mid-run and still demands a zero exit, all cycles
-// accounted, all fingerprints byte-identical.
+// Failover is client-driven. -addr takes a comma-separated list of psmed
+// servers sharing one -data directory; session i starts on address i mod
+// n. When a session's request fails in transport — its server is taken to
+// be dead — the session moves to the next address, POSTs
+// /sessions/{id}/restore there (image + WAL suffix), and resends the same
+// request. Every /run carries a Seq, so a resent request the dead server
+// had already applied is answered from the restored session's cache:
+// exactly once. CI's restore-storm-smoke leg kills one server mid-run and
+// still demands a zero exit, all cycles accounted, all fingerprints
+// byte-identical, and as many restores on the survivor as psmeload
+// reports.
 //
 // Usage:
 //
-//	psmeload [-addr http://127.0.0.1:8740] [-sessions 8] [-cycles 60]
-//	         [-batch 10] [-chunking] [-policy work-stealing]
+//	psmeload [-addr http://127.0.0.1:8740[,http://...]] [-sessions 8]
+//	         [-cycles 60] [-batch 10] [-chunking] [-policy work-stealing]
 //	         [-productions 60] [-chunks 6] [-seed 17] [-verify]
-//	         [-ingest] [-deltas 480] [-cluster]
+//	         [-ingest] [-deltas 480]
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,12 +55,14 @@ import (
 	"soarpsme/internal/tasks/cypress"
 )
 
-// clusterMode (the -cluster flag) makes call treat the target as a
-// psmegw-fronted fleet: transport errors and 502/503/504 — the failover
-// window while a dead backend's sessions restore elsewhere — are retried
-// instead of fatal. Run requests carry a Seq, so a retry that straddles a
-// backend death is answered exactly once from the restored session.
-var clusterMode bool
+// statusError is a response psmed sent with a non-2xx status. Any other
+// error from call is a transport error: the server is unreachable.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
 
 func call(method, url string, body, out any) error {
 	for attempt := 0; ; attempt++ {
@@ -71,34 +80,20 @@ func call(method, url string, body, out any) error {
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			if clusterMode && attempt < 100 {
-				time.Sleep(200 * time.Millisecond)
-				continue
-			}
 			return err
 		}
 		data, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			if clusterMode && attempt < 100 {
-				time.Sleep(200 * time.Millisecond)
-				continue
-			}
 			return err
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < 100 {
 			time.Sleep(serve.RetryAfter(resp))
 			continue
 		}
-		if clusterMode && attempt < 100 &&
-			(resp.StatusCode == http.StatusBadGateway ||
-				resp.StatusCode == http.StatusServiceUnavailable ||
-				resp.StatusCode == http.StatusGatewayTimeout) {
-			time.Sleep(serve.RetryAfter(resp))
-			continue
-		}
 		if resp.StatusCode >= 300 {
-			return fmt.Errorf("%s %s: %d %s", method, url, resp.StatusCode, bytes.TrimSpace(data))
+			return &statusError{resp.StatusCode,
+				fmt.Sprintf("%s %s: %d %s", method, url, resp.StatusCode, bytes.TrimSpace(data))}
 		}
 		if out != nil {
 			return json.Unmarshal(data, out)
@@ -107,26 +102,110 @@ func call(method, url string, body, out any) error {
 	}
 }
 
+func hasStatus(err error, code int) bool {
+	var se *statusError
+	return errors.As(err, &se) && se.code == code
+}
+
+// session is one load session's view of the fleet: the servers it may
+// use, the one it is on, and its id. The id is chosen here, unique to this
+// run, because every server writes under the same data directory.
+type session struct {
+	addrs    []string
+	cur      int
+	id       string
+	moved    bool // failed over at least once
+	restores int  // successful failover restores
+}
+
+func newSession(addrs []string, run string, i int) *session {
+	return &session{addrs: addrs, cur: i % len(addrs), id: fmt.Sprintf("%s-%d", run, i)}
+}
+
+// do sends one request for the session, failing over on a transport error:
+// it moves to the next address, restores the session there from the shared
+// data directory, and resends the request unchanged. Each address is
+// tried at most once per request.
+func (c *session) do(method, path string, body, out any) error {
+	for moves := 0; ; moves++ {
+		err := call(method, c.addrs[c.cur]+path, body, out)
+		var se *statusError
+		if err == nil || errors.As(err, &se) || moves == len(c.addrs)-1 {
+			return err
+		}
+		c.cur = (c.cur + 1) % len(c.addrs)
+		c.moved = true
+		if rerr := c.restore(); rerr != nil {
+			return fmt.Errorf("failover after %v: %w", err, rerr)
+		}
+	}
+}
+
+// restore rebuilds the session on its current server. 409 means it is
+// already live there; 404 means there is nothing on disk to restore (the
+// create never landed, or the delete did), which the resent request
+// settles.
+func (c *session) restore() error {
+	err := call("POST", c.addrs[c.cur]+"/sessions/"+c.id+"/restore", nil, nil)
+	switch {
+	case err == nil:
+		c.restores++
+		return nil
+	case hasStatus(err, http.StatusConflict), hasStatus(err, http.StatusNotFound):
+		return nil
+	}
+	return err
+}
+
+// create opens the session; delete closes it. After a failover, a create
+// that finds the session live (restored) or a delete that finds it gone
+// had landed before the crash.
+func (c *session) create(req serve.CreateRequest) error {
+	req.ID = c.id
+	err := c.do("POST", "/sessions", req, nil)
+	if hasStatus(err, http.StatusConflict) && c.moved {
+		return nil
+	}
+	return err
+}
+
+func (c *session) delete() error {
+	err := c.do("DELETE", "/sessions/"+c.id, nil, nil)
+	if hasStatus(err, http.StatusNotFound) && c.moved {
+		return nil
+	}
+	return err
+}
+
 type sessionReport struct {
-	cycles int
-	deltas int
-	tasks  int
-	err    error
+	cycles   int
+	deltas   int
+	tasks    int
+	restores int
+	err      error
+}
+
+// finish checks a session's fingerprints against the solo serial run
+// (baseline nil: unverified) and deletes it.
+func finish(c *session, fps, baseline []string) error {
+	if baseline != nil {
+		for i := range fps {
+			if i >= len(baseline) || fps[i] != baseline[i] {
+				return fmt.Errorf("session %s cycle %d fingerprint diverged from solo serial run", c.id, i)
+			}
+		}
+	}
+	return c.delete()
 }
 
 // driveIngestSession feeds the delta script to one program session, one
 // /run request (= one match cycle) per batch, resolving remove references
 // through the server-assigned ids accumulated from RunResult.Added.
-func driveIngestSession(addr, policy string, script [][]serve.IngestOp, baseline []string) sessionReport {
-	var rep sessionReport
-	var created serve.CreateResult
-	if err := call("POST", addr+"/sessions", serve.CreateRequest{
-		Program: serve.IngestProgram, Policy: policy,
-	}, &created); err != nil {
+func driveIngestSession(c *session, policy string, script [][]serve.IngestOp, baseline []string) (rep sessionReport) {
+	if err := c.create(serve.CreateRequest{Program: serve.IngestProgram, Policy: policy}); err != nil {
 		rep.err = fmt.Errorf("create: %w", err)
 		return rep
 	}
-	base := addr + "/sessions/" + created.ID
 	var ids []uint64
 	var fps []string
 	for cyc, ops := range script {
@@ -136,7 +215,7 @@ func driveIngestSession(addr, policy string, script [][]serve.IngestOp, baseline
 			return rep
 		}
 		var res serve.RunResult
-		if err := call("POST", base+"/run", serve.RunRequest{Deltas: batch, Seq: int64(cyc) + 1}, &res); err != nil {
+		if err := c.do("POST", "/sessions/"+c.id+"/run", serve.RunRequest{Deltas: batch, Seq: int64(cyc) + 1}, &res); err != nil {
 			rep.err = fmt.Errorf("ingest cycle %d: %w", cyc, err)
 			return rep
 		}
@@ -150,28 +229,15 @@ func driveIngestSession(addr, policy string, script [][]serve.IngestOp, baseline
 		ids = append(ids, res.Added...)
 		fps = append(fps, res.Fingerprints...)
 	}
-	if baseline != nil {
-		for i := range fps {
-			if i >= len(baseline) || fps[i] != baseline[i] {
-				rep.err = fmt.Errorf("session %s cycle %d fingerprint diverged from solo serial run", created.ID, i)
-				return rep
-			}
-		}
-	}
-	rep.err = call("DELETE", base, nil, nil)
+	rep.err = finish(c, fps, baseline)
 	return rep
 }
 
-func driveSession(addr string, p cypress.Params, policy string, cycles, batch int, chunking bool, baseline []string) sessionReport {
-	var rep sessionReport
-	var created serve.CreateResult
-	if err := call("POST", addr+"/sessions", serve.CreateRequest{
-		Task: "cypress", Params: &p, Policy: policy,
-	}, &created); err != nil {
+func driveSession(c *session, p cypress.Params, policy string, cycles, batch int, chunking bool, baseline []string) (rep sessionReport) {
+	if err := c.create(serve.CreateRequest{Task: "cypress", Params: &p, Policy: policy}); err != nil {
 		rep.err = fmt.Errorf("create: %w", err)
 		return rep
 	}
-	base := addr + "/sessions/" + created.ID
 	var fps []string
 	var seq int64
 	for rep.cycles < cycles {
@@ -181,7 +247,7 @@ func driveSession(addr string, p cypress.Params, policy string, cycles, batch in
 		}
 		var res serve.RunResult
 		seq++
-		if err := call("POST", base+"/run", serve.RunRequest{Cycles: n, Chunking: chunking, Seq: seq}, &res); err != nil {
+		if err := c.do("POST", "/sessions/"+c.id+"/run", serve.RunRequest{Cycles: n, Chunking: chunking, Seq: seq}, &res); err != nil {
 			rep.err = fmt.Errorf("run after %d cycles: %w", rep.cycles, err)
 			return rep
 		}
@@ -193,20 +259,56 @@ func driveSession(addr string, p cypress.Params, policy string, cycles, batch in
 			return rep
 		}
 	}
-	if baseline != nil {
-		for i := range fps {
-			if i >= len(baseline) || fps[i] != baseline[i] {
-				rep.err = fmt.Errorf("session %s cycle %d fingerprint diverged from solo serial run", created.ID, i)
-				return rep
-			}
-		}
-	}
-	rep.err = call("DELETE", base, nil, nil)
+	rep.err = finish(c, fps, baseline)
 	return rep
 }
 
+// runSessions drives n sessions of run concurrently and reports the wall
+// time and the summed report; session errors go to stderr and are counted
+// in failed.
+func runSessions(addrs []string, run string, n int, drive func(*session) sessionReport) (elapsed time.Duration, sum sessionReport, failed int) {
+	start := time.Now()
+	reports := make([]sessionReport, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := newSession(addrs, run, i)
+			reports[i] = drive(c)
+			reports[i].restores = c.restores
+		}(i)
+	}
+	wg.Wait()
+	elapsed = time.Since(start)
+	for i, r := range reports {
+		sum.cycles += r.cycles
+		sum.deltas += r.deltas
+		sum.tasks += r.tasks
+		sum.restores += r.restores
+		if r.err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "psmeload: session %d: %v\n", i, r.err)
+		}
+	}
+	return elapsed, sum, failed
+}
+
+// printTail ends a report line: the verification tag, and with more than
+// one address the failover restores CI compares with the survivor's
+// serve_sessions_restored_total.
+func printTail(verify bool, addrs []string, sum sessionReport) {
+	if verify {
+		fmt.Printf(" [verified vs solo serial]")
+	}
+	if len(addrs) > 1 {
+		fmt.Printf(" [failover restores: %d]", sum.restores)
+	}
+	fmt.Println()
+}
+
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8740", "psmed base URL")
+	addr := flag.String("addr", "http://127.0.0.1:8740", "psmed base URL, or a comma-separated list of servers sharing one -data directory (a session fails over to the next on a transport error)")
 	sessions := flag.Int("sessions", 8, "concurrent sessions")
 	cycles := flag.Int("cycles", 60, "cycles per session")
 	batch := flag.Int("batch", 10, "cycles per run request")
@@ -218,12 +320,24 @@ func main() {
 	verify := flag.Bool("verify", true, "verify per-cycle fingerprints against an in-process solo serial run")
 	ingest := flag.Bool("ingest", false, "drive program sessions with client-side delta batches via /run (-batch deltas = one match cycle) instead of server-side cypress cycles")
 	deltas := flag.Int("deltas", 480, "ingest mode: wme deltas per session (the stream is fixed; -batch only changes how many ride one request)")
-	cluster := flag.Bool("cluster", false, "target is a psmegw-fronted fleet: retry transport errors and 502/503/504 (the failover window); Seq-tagged requests make retries exactly-once")
 	flag.Parse()
-	clusterMode = *cluster
+
+	var addrs []string
+	for _, a := range strings.Split(*addr, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	if len(addrs) == 0 {
+		fmt.Fprintln(os.Stderr, "psmeload: -addr is empty")
+		os.Exit(2)
+	}
+	// Session ids are unique to this run: a create over a leftover session
+	// directory would append to its WAL.
+	run := fmt.Sprintf("load%x", time.Now().UnixNano())
 
 	if *ingest {
-		runIngest(*addr, *policy, *sessions, *deltas, *batch, *verify)
+		runIngest(addrs, run, *policy, *sessions, *deltas, *batch, *verify)
 		return
 	}
 
@@ -240,37 +354,15 @@ func main() {
 		baseline = fps
 	}
 
-	start := time.Now()
-	reports := make([]sessionReport, *sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < *sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i] = driveSession(*addr, p, *policy, *cycles, *batch, *chunking, baseline)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	total, tasks, failed := 0, 0, 0
-	for i, r := range reports {
-		total += r.cycles
-		tasks += r.tasks
-		if r.err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "psmeload: session %d: %v\n", i, r.err)
-		}
-	}
+	elapsed, sum, failed := runSessions(addrs, run, *sessions, func(c *session) sessionReport {
+		return driveSession(c, p, *policy, *cycles, *batch, *chunking, baseline)
+	})
 	fmt.Printf(";; psmeload: %d sessions x %d cycles: %d cycles in %.3fs (%.1f cycles/sec, %d match tasks)",
-		*sessions, *cycles, total, elapsed.Seconds(), float64(total)/elapsed.Seconds(), tasks)
-	if *verify {
-		fmt.Printf(" [verified vs solo serial]")
-	}
-	fmt.Println()
-	if failed > 0 || total != *sessions**cycles {
+		*sessions, *cycles, sum.cycles, elapsed.Seconds(), float64(sum.cycles)/elapsed.Seconds(), sum.tasks)
+	printTail(*verify, addrs, sum)
+	if failed > 0 || sum.cycles != *sessions**cycles {
 		fmt.Fprintf(os.Stderr, "psmeload: FAILED: %d session errors, %d/%d cycles completed\n",
-			failed, total, *sessions**cycles)
+			failed, sum.cycles, *sessions**cycles)
 		os.Exit(1)
 	}
 }
@@ -280,7 +372,7 @@ func main() {
 // sizes ingest identical work and deltas/sec — the sustained ingest
 // bandwidth — is directly comparable across them. cycles/sec (one cycle
 // per request) is reported alongside as the request-overhead view.
-func runIngest(addr, policy string, sessions, deltas, batch int, verify bool) {
+func runIngest(addrs []string, run, policy string, sessions, deltas, batch int, verify bool) {
 	if batch < 1 || batch > serve.IngestRemoveLag {
 		fmt.Fprintf(os.Stderr, "psmeload: ingest -batch must be in [1, %d] (removes reference ids assigned %d slots earlier)\n",
 			serve.IngestRemoveLag, serve.IngestRemoveLag)
@@ -297,38 +389,15 @@ func runIngest(addr, policy string, sessions, deltas, batch int, verify bool) {
 		baseline = fps
 	}
 
-	start := time.Now()
-	reports := make([]sessionReport, sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i] = driveIngestSession(addr, policy, batches, baseline)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	cycles, total, tasks, failed := 0, 0, 0, 0
-	for i, r := range reports {
-		cycles += r.cycles
-		total += r.deltas
-		tasks += r.tasks
-		if r.err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "psmeload: session %d: %v\n", i, r.err)
-		}
-	}
+	elapsed, sum, failed := runSessions(addrs, run, sessions, func(c *session) sessionReport {
+		return driveIngestSession(c, policy, batches, baseline)
+	})
 	fmt.Printf(";; psmeload ingest: %d sessions x %d deltas (batch %d): %d cycles in %.3fs (%.1f cycles/sec, %.1f deltas/sec, %d match tasks)",
-		sessions, deltas, batch, cycles, elapsed.Seconds(), float64(cycles)/elapsed.Seconds(), float64(total)/elapsed.Seconds(), tasks)
-	if verify {
-		fmt.Printf(" [verified vs solo serial]")
-	}
-	fmt.Println()
-	if failed > 0 || total != sessions*deltas {
+		sessions, deltas, batch, sum.cycles, elapsed.Seconds(), float64(sum.cycles)/elapsed.Seconds(), float64(sum.deltas)/elapsed.Seconds(), sum.tasks)
+	printTail(verify, addrs, sum)
+	if failed > 0 || sum.deltas != sessions*deltas {
 		fmt.Fprintf(os.Stderr, "psmeload: FAILED: %d session errors, %d/%d deltas ingested\n",
-			failed, total, sessions*deltas)
+			failed, sum.deltas, sessions*deltas)
 		os.Exit(1)
 	}
 }

@@ -815,9 +815,8 @@ type AddResult struct {
 // AddProductionRuntime adds a production while the system is running
 // (chunking): it compiles the production into the shared network and then
 // runs the §5.2 state-update cycle — running WM through the alpha paths that
-// feed the new nodes with the update filter engaged, and seeding the first
-// new nodes from the last shared node's stored state — so the chunk is
-// immediately available.
+// feed the new nodes, and seeding the first new nodes from the last shared
+// node's stored state — so the chunk is immediately available.
 // The caller must be at quiescence.
 func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) {
 	start := time.Now()
@@ -834,7 +833,6 @@ func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) 
 				"splice-us": float64(info.SpliceTime) / float64(time.Microsecond)})
 	}
 	if e.WM.Len() > 0 && len(info.NewBeta) > 0 {
-		e.RT.SetUpdateFilter(info.FirstNewID)
 		seeds := e.NW.SeedUpdateTasks(info)
 		var ustart time.Time
 		if e.obs != nil || e.Prof != nil {
@@ -846,9 +844,8 @@ func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) 
 		}
 		res.Update = e.RT.RunSeeded(info, seeds, e.WM.All())
 		if res.Update.Failed {
-			// A poisoned state-update cycle: clear the filter and rebuild
-			// everything — old and new productions alike — serially.
-			e.RT.SetUpdateFilter(0)
+			// A poisoned state-update cycle: rebuild everything — old and
+			// new productions alike — serially.
 			res.Update = e.recoverCycle(mark, res.Update)
 		}
 		if e.obs != nil {
@@ -857,7 +854,6 @@ func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) 
 				map[string]any{"tasks": res.Update.Tasks, "seeds": len(seeds), "modeled-us": res.Update.TotalCost})
 			e.flushContention()
 		}
-		e.RT.SetUpdateFilter(0)
 		res.Update = e.endCycle(res.Update, ustart)
 		e.UpdateStats = append(e.UpdateStats, res.Update)
 	}

@@ -12,7 +12,7 @@ import (
 // Tick delivers an uncatchable SIGKILL to the process itself — no drain,
 // no deferred handlers, no final snapshot — which is exactly the crash
 // the durability layer (image + WAL, DESIGN §10) must absorb. CI's
-// failover-smoke leg arms it via psmed -kill-after to murder a backend
+// restore-storm-smoke leg arms it via psmed -kill-after to murder a backend
 // at a deterministic point in the request stream.
 type KillSwitch struct {
 	remaining atomic.Int64

@@ -241,9 +241,6 @@ type Runtime struct {
 
 	pending atomic.Int64
 	seq     atomic.Int64
-	// minNodeID, when nonzero, drops activations of older nodes — the
-	// run-time update filter (paper §5.2).
-	minNodeID atomic.Uint32
 
 	// obs, when non-nil, receives each cycle's counters, task-cost
 	// observations and (given a tracer) task records from collect.
@@ -310,18 +307,6 @@ func New(nw *rete.Network, cfg Config) *Runtime {
 
 // Config returns the runtime configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
-
-// SetUpdateFilter engages (nonzero) or clears (zero) the update-cycle node
-// filter.
-func (rt *Runtime) SetUpdateFilter(firstNew rete.NodeID) {
-	rt.minNodeID.Store(uint32(firstNew))
-}
-
-// filtered reports whether the update filter drops activations of node id.
-func (rt *Runtime) filtered(id rete.NodeID) bool {
-	min := rt.minNodeID.Load()
-	return min != 0 && uint32(id) < min
-}
 
 // SetObserver attaches (non-nil) or detaches (nil) match instrumentation.
 // Must be called while no cycle is running.
@@ -392,9 +377,6 @@ func (in *injector) delta(d wme.Delta) {
 // activate receives one right activation from the alpha network.
 func (in *injector) activate(n *rete.BetaNode, w *wme.WME, op wme.Op) {
 	s := in.s
-	if s.rt.filtered(n.ID) {
-		return
-	}
 	if !s.rt.nw.SuppressRight(n) {
 		s.pushRoot(n, op, w)
 		return
@@ -435,8 +417,7 @@ func (rt *Runtime) RunCycle(deltas []wme.Delta) CycleStats {
 // RunSeeded runs the state update of one production addition (paper §5.2):
 // it pushes the last-shared-node seeds (rete.SeedUpdateTasks), runs each
 // live wme in all through the alpha paths that feed info's new nodes
-// (rete.InjectUpdate), and runs to quiescence. The update filter must
-// already be engaged.
+// (rete.InjectUpdate), and runs to quiescence.
 func (rt *Runtime) RunSeeded(info *rete.AddInfo, seeds []*rete.Task, all []*wme.WME) CycleStats {
 	for _, t := range seeds {
 		rt.inj.rotate()
@@ -621,7 +602,7 @@ func (rt *Runtime) ReplaySerial(all []*wme.WME) CycleStats {
 		rt.nw.Inject(wme.Delta{Op: wme.Add, WME: x}, func(n *rete.BetaNode, ww *wme.WME, op wme.Op) {
 			// Suppressed activations run inline here, not batched: there
 			// are no other workers to spread them over.
-			if !rt.filtered(n.ID) && !rt.nw.FilterRight(n, op, ww, &w.sched) {
+			if !rt.nw.FilterRight(n, op, ww, &w.sched) {
 				w.pushRoot(n, op, ww)
 			}
 		})

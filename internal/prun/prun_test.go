@@ -242,24 +242,6 @@ func TestQueueLockStats(t *testing.T) {
 	}
 }
 
-func TestUpdateFilterDropsOldNodes(t *testing.T) {
-	nw, cs, ws := buildNet(t)
-	rt := New(nw, Config{Processes: 2, Policy: MultiQueue})
-	rt.SetUpdateFilter(rete.NodeID(1 << 30)) // drop everything
-	st := rt.RunCycle(deltas(ws))
-	if st.Tasks != 0 {
-		t.Fatalf("filter leaked %d tasks", st.Tasks)
-	}
-	if len(cs.keys()) != 0 {
-		t.Fatalf("filtered run changed CS")
-	}
-	rt.SetUpdateFilter(0)
-	st = rt.RunCycle(deltas(ws))
-	if st.Tasks == 0 {
-		t.Fatalf("filter not cleared")
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if SingleQueue.String() != "single-queue" || MultiQueue.String() != "multi-queue" || WorkStealing.String() != "work-stealing" {
 		t.Fatalf("Policy.String wrong")
@@ -291,13 +273,11 @@ func TestRunSeededDirectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.SetUpdateFilter(info.FirstNewID)
 	var all []*wme.WME
 	for _, w := range ws {
 		all = append(all, w)
 	}
 	st := rt.RunSeeded(info, nw.SeedUpdateTasks(info), all)
-	rt.SetUpdateFilter(0)
 	if st.Tasks == 0 {
 		t.Fatalf("seeded run executed nothing")
 	}

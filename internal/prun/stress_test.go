@@ -119,8 +119,8 @@ func TestQuiescenceStress(t *testing.T) {
 }
 
 // TestWorkStealingSeededUpdate runs the §5.2 state-update cycle under the
-// work-stealing policy: the update filter plus NewTask's
-// filter-before-allocate must drop exactly the old-node activations.
+// work-stealing policy: the seeds and the pruned alpha walk must bring the
+// new production's instantiations into the conflict set.
 func TestWorkStealingSeededUpdate(t *testing.T) {
 	nw, cs, ws := buildNet(t)
 	rt := New(nw, Config{Processes: 4, Policy: WorkStealing, CaptureTrace: true})
@@ -135,9 +135,7 @@ func TestWorkStealingSeededUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.SetUpdateFilter(info.FirstNewID)
 	st := rt.RunSeeded(info, nw.SeedUpdateTasks(info), ws)
-	rt.SetUpdateFilter(0)
 	if st.Tasks == 0 {
 		t.Fatalf("seeded run executed nothing")
 	}
@@ -287,9 +285,7 @@ func TestOneProcessPolicyEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt.SetUpdateFilter(info.FirstNewID)
 			got = append(got, traceKeys(rt.RunSeeded(info, nw.SeedUpdateTasks(info), ws).Trace))
-			rt.SetUpdateFilter(0)
 			got = append(got, traceKeys(rt.RunCycle(removals(ws)).Trace))
 
 			for i, tr := range got {

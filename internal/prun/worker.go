@@ -17,9 +17,9 @@ import (
 const freeListCap = 2048
 
 // sched is the rete.Scheduler of one match process under every policy: it
-// pushes onto the process's own queue, applies the update filter, and
-// recycles executed tasks through a per-worker free list so the steady-state
-// hot path allocates no tasks. It is used by one goroutine at a time.
+// pushes onto the process's own queue and recycles executed tasks through a
+// per-worker free list so the steady-state hot path allocates no tasks. It
+// is used by one goroutine at a time.
 type sched struct {
 	rt   *Runtime
 	q    queue
@@ -41,38 +41,24 @@ func (s *sched) alloc() *rete.Task {
 	return new(rete.Task)
 }
 
-// NewTask implements rete.Scheduler: a blank task for an activation of node
-// n, or nil when the update filter drops n (filter before allocate).
-func (s *sched) NewTask(n *rete.BetaNode) *rete.Task {
-	if s.rt.filtered(n.ID) {
-		return nil
-	}
-	return s.alloc()
-}
+// NewTask implements rete.Scheduler: a blank task, recycled from this
+// worker's free list when one is parked there.
+func (s *sched) NewTask() *rete.Task { return s.alloc() }
 
-// Push enqueues an activation on the owner's queue. Seeded tasks don't pass
-// through NewTask; the filter still applies to them.
+// Push enqueues an activation on the owner's queue.
 func (s *sched) Push(t *rete.Task) {
 	rt := s.rt
-	if rt.filtered(t.Node.ID) {
-		return
-	}
 	t.Seq = rt.seq.Add(1)
 	rt.pending.Add(1)
 	s.q.push(t)
 }
 
 // pushRoot schedules a right activation arriving from the alpha network.
-// The caller has already applied the update filter.
 func (s *sched) pushRoot(n *rete.BetaNode, op wme.Op, w *wme.WME) {
 	t := s.alloc()
 	*t = rete.Task{Node: n, Dir: rete.DirRight, Op: op, W: w}
 	s.Push(t)
 }
-
-// Filtered implements rete.Scheduler: the unlink fast path consults it
-// before executing an activation inline, mirroring Push's drop.
-func (s *sched) Filtered(id rete.NodeID) bool { return s.rt.filtered(id) }
 
 // recycle returns an executed task to the free list. The task must no
 // longer be reachable from any queue (it was just executed by this worker).

@@ -6,19 +6,20 @@ import "soarpsme/internal/wme"
 //
 // When a chunk is added at quiescence, its unshared suffix of nodes is
 // empty of state. The update runs working memory through the alpha paths
-// that feed the new nodes (InjectUpdate) while the task queues ignore
-// activations of nodes older than the first new node, and the *last shared
-// node* is specially executed to pass down the partial instantiations it has
-// stored (SeedUpdateTasks). Because new node IDs are strictly larger than
-// all old IDs and sharing is lost monotonically along a production's chain,
-// "ID >= FirstNewID" identifies exactly the nodes to update, and the full
-// parallelism of the match speeds up the update (Figure 6-9).
+// that feed the new nodes (InjectUpdate), and the *last shared node* is
+// specially executed to pass down the partial instantiations it has stored
+// (SeedUpdateTasks). Because new node IDs are strictly larger than all old
+// IDs and sharing is lost monotonically along a production's chain,
+// "ID >= FirstNewID" identifies exactly the nodes to update. Both sources
+// activate only such nodes, and every child of a new node is new, so unlike
+// the paper the task queues need no filter on older nodes; the update runs
+// with the full parallelism of the match (Figure 6-9).
 
 // SeedUpdateTasks builds the "last shared node" replay tasks: for every
 // boundary node (a new node whose left — or, for bilinear joins, right —
 // input comes from a pre-existing node), one activation per stored output
 // token of that shared parent. The caller must also run every wme through
-// InjectUpdate with the update filter engaged.
+// InjectUpdate.
 func (nw *Network) SeedUpdateTasks(info *AddInfo) []*Task {
 	var seeds []*Task
 	isNew := func(n *BetaNode) bool { return n != nil && n.ID >= info.FirstNewID }

@@ -13,9 +13,8 @@ import (
 // stores and emits.
 type poolSched struct{ t Task }
 
-func (s *poolSched) NewTask(*BetaNode) *Task { return &s.t }
-func (s *poolSched) Push(*Task)              {}
-func (s *poolSched) Filtered(NodeID) bool    { return false }
+func (s *poolSched) NewTask() *Task { return &s.t }
+func (s *poolSched) Push(*Task)     {}
 
 // TestJoinActivationAllocs pins what one join activation allocates: its own
 // memory entry plus one token per match, and nothing else — no emitter, no

@@ -17,8 +17,8 @@ type AddInfo struct {
 	// NewBeta lists the beta nodes created (not reused) for this
 	// production, in creation order.
 	NewBeta []*BetaNode
-	// FirstNewID is the smallest new node ID; the update filter ignores
-	// activations of nodes below it.
+	// FirstNewID is the smallest new node ID: the state update activates
+	// only nodes at or above it.
 	FirstNewID NodeID
 	// Boundary lists the new nodes whose parent (left or right input) is a
 	// pre-existing shared node: the "first new node" positions whose left

@@ -92,17 +92,10 @@ func (t *Task) String() string {
 
 // Scheduler is what Exec needs from the runtime executing it. For every
 // child activation Exec asks NewTask for a blank task — typically recycled
-// from a per-worker free list — fills it and hands it to Push; NewTask
-// returns nil when the runtime's update filter (the run-time
-// production-addition filter of §5.2) drops activations of node n, so a
-// filtered activation costs neither an allocation nor a Push. Filtered
-// reports that same decision on its own: the unlink fast path must consult
-// it before executing a child activation inline, because an inline
-// execution bypasses NewTask's drop.
+// from a per-worker free list — fills it and hands it to Push.
 type Scheduler interface {
-	NewTask(n *BetaNode) *Task
+	NewTask() *Task
 	Push(t *Task)
-	Filtered(n NodeID) bool
 }
 
 // Activation cost model, in simulated microseconds on the paper's 0.75-MIPS
@@ -196,7 +189,7 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 		if c.Kind == KindJoinBB && c.RightParent == from {
 			dir = DirRight
 		}
-		if dir == DirLeft && nw.suppressLeft(c) && !em.s.Filtered(c.ID) {
+		if dir == DirLeft && nw.suppressLeft(c) {
 			// Unlink fast path: the child join's right memory is provably
 			// empty, so its own memory insert/remove runs on this goroutine
 			// instead of costing a scheduled task. The run is buffered and
@@ -209,13 +202,8 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 			em.pushSupp(suppRun{node: c, tok: tok, op: op})
 			continue
 		}
-		// emitted counts filtered children too: the modeled cost of a
-		// task does not depend on the update filter.
 		em.emitted++
-		ct := em.s.NewTask(c)
-		if ct == nil {
-			continue
-		}
+		ct := em.s.NewTask()
 		*ct = Task{Node: c, Dir: dir, Op: op, Tok: tok, ParentSeq: em.parentSeq, Depth: em.depth + 1}
 		em.s.Push(ct)
 	}
@@ -280,7 +268,6 @@ func (nw *Network) leftScanSkip(n *BetaNode) bool {
 // into a suppressed batch: its left memory is provably empty, so the
 // activation carries only its own memory op. Injectors consult this to
 // decide between scheduling a full task and appending a SuppRight entry.
-// Callers must apply any update filter first (as they would before Push).
 func (nw *Network) SuppressRight(n *BetaNode) bool { return nw.suppressRight(n) }
 
 // FilterRight applies the unlink fast path to a right activation arriving

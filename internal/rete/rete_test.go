@@ -13,26 +13,11 @@ import (
 )
 
 // serialSched executes pushed tasks LIFO on the calling goroutine.
-type serialSched struct {
-	q       []*Task
-	dropMin NodeID
-}
+type serialSched struct{ q []*Task }
 
-func (s *serialSched) Filtered(n NodeID) bool { return s.dropMin != 0 && n < s.dropMin }
+func (s *serialSched) NewTask() *Task { return new(Task) }
 
-func (s *serialSched) NewTask(n *BetaNode) *Task {
-	if s.Filtered(n.ID) {
-		return nil
-	}
-	return new(Task)
-}
-
-func (s *serialSched) Push(t *Task) {
-	if s.Filtered(t.Node.ID) {
-		return
-	}
-	s.q = append(s.q, t)
-}
+func (s *serialSched) Push(t *Task) { s.q = append(s.q, t) }
 
 func drain(nw *Network, s *serialSched) int {
 	n := 0
@@ -172,14 +157,11 @@ func (e *testEnv) inject(d wme.Delta) {
 }
 
 // runUpdate runs the §5.2 state update of an addition on s: the last
-// shared node's seeds, then every live wme through InjectUpdate, with the
-// update filter engaged. It also checks the pruned walk against its
-// definition: for each wme, the (node, wme) activations InjectUpdate emits
-// must be, in order, those Inject emits with every node below FirstNewID
-// dropped.
+// shared node's seeds, then every live wme through InjectUpdate. It also
+// checks the pruned walk against its definition: for each wme, the (node,
+// wme) activations InjectUpdate emits must be, in order, those Inject emits
+// with every node below FirstNewID dropped.
 func runUpdate(nw *Network, s *serialSched, info *AddInfo, live []*wme.WME) error {
-	s.dropMin = info.FirstNewID
-	defer func() { s.dropMin = 0 }()
 	for _, seed := range nw.SeedUpdateTasks(info) {
 		s.Push(seed)
 	}

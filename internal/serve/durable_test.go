@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -260,6 +261,47 @@ func TestRunSeqIdempotent(t *testing.T) {
 	}
 	if !after.Cached || after.Fired != first.Fired {
 		t.Fatalf("post-restore retry not cached: %+v", after)
+	}
+}
+
+// TestClientFailoverMidStream is the contract psmeload's client-driven
+// failover rests on. Two servers share a data directory; a cypress session
+// on A crashes after applying a request whose response the client never
+// saw. Restored on B, the resent request (same Seq) is answered from cache,
+// and every cycle the client was given, before and after the crash, has
+// the solo serial run's fingerprint.
+func TestClientFailoverMidStream(t *testing.T) {
+	const cycles, batch, crashAt = 40, 5, 3 // the crash loses the answer to Seq 3
+	p := cypressParams(30, cycles, 3, 5)
+	want := soloFingerprints(t, *p, cycles, true)
+	dir := t.TempDir()
+	_, tsA := crashableServer(t, dir)
+	_, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions", CreateRequest{ID: "fo1", Task: "cypress", Params: p}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	url := tsA.URL
+	var got []string
+	for seq := int64(1); len(got) < cycles; seq++ {
+		req := RunRequest{Cycles: batch, Chunking: true, Seq: seq}
+		var res RunResult
+		if code, _ := doJSON(t, "POST", url+"/sessions/fo1/run", req, &res); code != http.StatusOK {
+			t.Fatalf("run seq %d: %d", seq, code)
+		}
+		if seq == crashAt {
+			tsA.Close() // crash: the answer is lost, no drain, no snapshot
+			url = tsB.URL
+			if code, _ := doJSON(t, "POST", url+"/sessions/fo1/restore", nil, nil); code != http.StatusOK {
+				t.Fatalf("restore on B: %d", code)
+			}
+			if code, _ := doJSON(t, "POST", url+"/sessions/fo1/run", req, &res); code != http.StatusOK || !res.Cached {
+				t.Fatalf("resent seq %d on B: code=%d cached=%v, want the cached answer", seq, code, res.Cached)
+			}
+		}
+		got = append(got, res.Fingerprints...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fingerprints across the failover differ from the solo serial run\n got %q\nwant %q", got, want)
 	}
 }
 

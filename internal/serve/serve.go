@@ -288,8 +288,9 @@ func (s *Server) retire(ss *Session, erase bool) {
 // CreateRequest creates a session.
 type CreateRequest struct {
 	// ID requests a specific session id (letters, digits, ".", "_", "-";
-	// 409 if taken). The gateway uses it to assign cluster-unique ids;
-	// empty lets the server pick one.
+	// 409 if taken). Servers sharing a data directory pick ids
+	// independently, so a client that may fail a session over to another
+	// one names it here; empty lets the server pick one.
 	ID string `json:"id,omitempty"`
 	// Task names a server-side workload ("cypress"); empty with Program
 	// set uploads an OPS5 program instead.
@@ -436,7 +437,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/match/flight", s.handleDebugFlight)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.mRequests.Inc()
-		reqID := InboundRequestID(r)
+		reqID := inboundRequestID(r)
 		if reqID == "" {
 			reqID = fmt.Sprintf("r%06d", s.reqSeq.Add(1))
 		}
@@ -629,13 +630,13 @@ func validSessionID(id string) bool {
 	return true
 }
 
-// InboundRequestID returns the X-Request-ID r arrived with when it obeys the
+// inboundRequestID returns the X-Request-ID r arrived with when it obeys the
 // session-id rule, "" otherwise: the header is outside input that ends up in
-// log lines, trace spans and error bodies, and a caller that gets "" mints
-// its own (psmegw does, and forwards it, so one id names the request on both
-// hops). The key is in net/http's canonical spelling, so the lookup is a
-// plain map read.
-func InboundRequestID(r *http.Request) string {
+// log lines, trace spans and error bodies, so on "" the handler mints its
+// own and every request line and error body still names its request. The
+// key is in net/http's canonical spelling, so the lookup is a plain map
+// read.
+func inboundRequestID(r *http.Request) string {
 	if v := r.Header["X-Request-Id"]; len(v) > 0 && validSessionID(v[0]) {
 		return v[0]
 	}

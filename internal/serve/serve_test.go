@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -572,5 +575,75 @@ func TestCypressSessionRuns(t *testing.T) {
 	// Deltas are rejected on driver-owned sessions.
 	if code, _ := doJSON(t, "POST", base+"/deltas", DeltasRequest{Deltas: []DeltaJSON{{Op: "add", Class: "step"}}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("deltas on cypress session: %d", code)
+	}
+}
+
+// lockedBuf is a log sink the handler goroutines and the test can share.
+type lockedBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuf) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuf) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestRequestID: one id names a request in psmed's response header, its
+// error body and its log line. A well-formed client id is kept; with none,
+// or a malformed or overlong one, psmed mints its own.
+func TestRequestID(t *testing.T) {
+	var logs lockedBuf
+	_, ts := testServer(t, Config{Workers: 1, Processes: 1, Log: slog.New(slog.NewTextHandler(&logs, nil))})
+	minted := regexp.MustCompile(`^r\d{6}$`)
+	for _, c := range []struct {
+		name, sent string
+		kept       bool
+	}{
+		{"client id", "trace-7f.A_1", true},
+		{"no id", "", false},
+		{"malformed id", "bad id\twith=spaces", false},
+		{"overlong id", strings.Repeat("x", 65), false},
+	} {
+		// A missing session: the 404 error body carries the id too.
+		req, err := http.NewRequest("GET", ts.URL+"/sessions/nope", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.sent != "" {
+			req.Header.Set("X-Request-ID", c.sent)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			RequestID string `json:"request_id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, decode error %v", c.name, resp.StatusCode, err)
+		}
+		id := resp.Header.Get("X-Request-ID")
+		if c.kept && id != c.sent {
+			t.Fatalf("%s: sent %q, response carries %q", c.name, c.sent, id)
+		}
+		if !c.kept && !minted.MatchString(id) {
+			t.Fatalf("%s: sent %q, response carries %q, want a minted id", c.name, c.sent, id)
+		}
+		if body.RequestID != id {
+			t.Fatalf("%s: error body says %q, header says %q", c.name, body.RequestID, id)
+		}
+		if !strings.Contains(logs.String(), "req="+id+" ") {
+			t.Fatalf("%s: log has no line for %q:\n%s", c.name, id, logs.String())
+		}
 	}
 }
