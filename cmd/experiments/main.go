@@ -5,7 +5,6 @@
 // Usage:
 //
 //	experiments [-exp all|t51|t52|t61|f61|f62|...|extras] [-out file]
-//	            [-policy single-queue|multi-queue|work-stealing]
 //	            [-fault-seed N] [-deadline 5s]
 //	            [-trace out.json] [-metrics out.txt] [-listen :6060]
 package main
@@ -21,7 +20,6 @@ import (
 	"soarpsme/internal/exp"
 	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
-	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/stats"
 )
@@ -77,7 +75,6 @@ var runners = []runner{
 
 func main() {
 	which := flag.String("exp", "all", "experiment id (t51..f612, extras) or all")
-	policyName := flag.String("policy", "", "live-capture scheduling policy: single-queue, multi-queue, or work-stealing (figures replay captured traces in the simulator and are unaffected)")
 	outPath := flag.String("out", "", "write output to file instead of stdout")
 	plot := flag.Bool("plot", false, "render figures as ASCII charts too")
 	unlink := flag.Bool("unlink", true, "left/right unlinking in the capture engines (pass -unlink=false to reproduce the paper's full task volume: its engine scheduled every null activation)")
@@ -122,14 +119,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, ";; note: null-activation filter on (the default); the paper's engine"+
 			" scheduled every null activation, so figures that measure task volume or"+
 			" its parallel speedup run lower here — pass -unlink=false for paper fidelity")
-	}
-	if *policyName != "" {
-		p, err := prun.ParsePolicy(*policyName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
-		}
-		l.SetPolicy(p)
 	}
 	if *faultSeed != 0 {
 		l.SetFault(fault.Seeded(*faultSeed, fault.DefaultRates()))

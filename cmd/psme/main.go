@@ -1,11 +1,10 @@
 // Command psme runs an OPS5 program through the parallel PSM-E match
 // engine: the recognize-act cycle with LEX/MEA conflict resolution, match
-// parallelized over N match processes with single or multiple task queues.
+// parallelized over N match processes with one task queue each.
 //
 // Usage:
 //
-//	psme [-procs N] [-policy single-queue|multi-queue|work-stealing]
-//	     [-noshare] [-stats] [-trace out.json] [-metrics out.txt]
+//	psme [-procs N] [-noshare] [-stats] [-trace out.json] [-metrics out.txt]
 //	     [-listen :6060] program.ops
 package main
 
@@ -17,13 +16,11 @@ import (
 	"soarpsme/internal/engine"
 	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
-	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
 )
 
 func main() {
 	procs := flag.Int("procs", 1, "number of match processes")
-	policy := flag.String("policy", "multi-queue", "scheduling policy: single-queue, multi-queue, or work-stealing")
 	noshare := flag.Bool("noshare", false, "disable two-input node sharing")
 	unlink := flag.Bool("unlink", true, "left/right unlinking: run activations against provably empty opposite memories inline instead of scheduling tasks")
 	bilinear := flag.String("bilinear", "off", "bilinear restructuring: off, all, or auto (restructure productions whose join chain reaches -bilinear-depth)")
@@ -59,10 +56,6 @@ func main() {
 
 	cfg := engine.DefaultConfig()
 	cfg.Processes = *procs
-	if cfg.Policy, err = prun.ParsePolicy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, "psme:", err)
-		os.Exit(2)
-	}
 	cfg.Rete.ShareBeta = !*noshare
 	cfg.Rete.Unlink = *unlink
 	org, err := rete.ParseOrganization(*bilinear)

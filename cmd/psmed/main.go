@@ -23,7 +23,7 @@
 //
 // Usage:
 //
-//	psmed [-addr :8740] [-workers N] [-procs N] [-policy work-stealing]
+//	psmed [-addr :8740] [-workers N] [-procs N]
 //	      [-queue-depth 4] [-max-sessions 64] [-deadline 0] [-unlink]
 //	      [-data DIR] [-kill-after 0]
 //	      [-trace out.json] [-metrics out.txt] [-listen :6060]
@@ -54,7 +54,6 @@ func main() {
 	addr := flag.String("addr", ":8740", "service listen address")
 	workers := flag.Int("workers", 0, "shared match-worker budget across all sessions (0 = GOMAXPROCS)")
 	procs := flag.Int("procs", 4, "per-session worker width requested from the budget")
-	policy := flag.String("policy", "work-stealing", "default scheduling policy: single-queue, multi-queue, or work-stealing")
 	queueDepth := flag.Int("queue-depth", 4, "per-session admission queue depth (full queue = 429)")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session limit")
 	deadline := flag.Duration("deadline", 0, "default per-cycle watchdog deadline; a wedged cycle degrades to the serial fallback (0 = off)")
@@ -75,11 +74,6 @@ func main() {
 	killAfter := flag.Int64("kill-after", 0, "fault injection: self-SIGKILL after serving N requests — no drain, no snapshot (0 = off; pairs with -data to exercise crash restore)")
 	flag.Parse()
 
-	pol, err := prun.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psmed:", err)
-		os.Exit(2)
-	}
 	observer, flush, err := obs.Setup(*traceOut, *metricsOut, *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psmed:", err)
@@ -112,7 +106,7 @@ func main() {
 	srv := serve.New(serve.Config{
 		Workers:     *workers,
 		Processes:   *procs,
-		Policy:      pol,
+		Policy:      prun.WorkStealing,
 		QueueDepth:  *queueDepth,
 		MaxSessions: *maxSessions,
 		Deadline:    *deadline,
@@ -147,7 +141,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, ";; psmed: serving on %s (workers=%d procs=%d policy=%v)\n",
-		*addr, srv.Budget().Cap(), *procs, pol)
+		*addr, srv.Budget().Cap(), *procs, prun.WorkStealing)
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -33,7 +33,7 @@
 // Usage:
 //
 //	psmeload [-addr http://127.0.0.1:8740[,http://...]] [-sessions 8]
-//	         [-cycles 60] [-batch 10] [-chunking] [-policy work-stealing]
+//	         [-cycles 60] [-batch 10] [-chunking]
 //	         [-productions 60] [-chunks 6] [-seed 17] [-verify]
 //	         [-ingest] [-deltas 480]
 package main
@@ -201,8 +201,8 @@ func finish(c *session, fps, baseline []string) error {
 // driveIngestSession feeds the delta script to one program session, one
 // /run request (= one match cycle) per batch, resolving remove references
 // through the server-assigned ids accumulated from RunResult.Added.
-func driveIngestSession(c *session, policy string, script [][]serve.IngestOp, baseline []string) (rep sessionReport) {
-	if err := c.create(serve.CreateRequest{Program: serve.IngestProgram, Policy: policy}); err != nil {
+func driveIngestSession(c *session, script [][]serve.IngestOp, baseline []string) (rep sessionReport) {
+	if err := c.create(serve.CreateRequest{Program: serve.IngestProgram}); err != nil {
 		rep.err = fmt.Errorf("create: %w", err)
 		return rep
 	}
@@ -233,8 +233,8 @@ func driveIngestSession(c *session, policy string, script [][]serve.IngestOp, ba
 	return rep
 }
 
-func driveSession(c *session, p cypress.Params, policy string, cycles, batch int, chunking bool, baseline []string) (rep sessionReport) {
-	if err := c.create(serve.CreateRequest{Task: "cypress", Params: &p, Policy: policy}); err != nil {
+func driveSession(c *session, p cypress.Params, cycles, batch int, chunking bool, baseline []string) (rep sessionReport) {
+	if err := c.create(serve.CreateRequest{Task: "cypress", Params: &p}); err != nil {
 		rep.err = fmt.Errorf("create: %w", err)
 		return rep
 	}
@@ -313,7 +313,6 @@ func main() {
 	cycles := flag.Int("cycles", 60, "cycles per session")
 	batch := flag.Int("batch", 10, "cycles per run request")
 	chunking := flag.Bool("chunking", true, "enable mid-stream chunk additions (AddProductionRuntime)")
-	policy := flag.String("policy", "work-stealing", "session scheduling policy")
 	productions := flag.Int("productions", 60, "cypress task productions")
 	chunks := flag.Int("chunks", 6, "cypress run-time chunks")
 	seed := flag.Uint64("seed", 17, "cypress workload seed (all sessions share it)")
@@ -337,7 +336,7 @@ func main() {
 	run := fmt.Sprintf("load%x", time.Now().UnixNano())
 
 	if *ingest {
-		runIngest(addrs, run, *policy, *sessions, *deltas, *batch, *verify)
+		runIngest(addrs, run, *sessions, *deltas, *batch, *verify)
 		return
 	}
 
@@ -355,7 +354,7 @@ func main() {
 	}
 
 	elapsed, sum, failed := runSessions(addrs, run, *sessions, func(c *session) sessionReport {
-		return driveSession(c, p, *policy, *cycles, *batch, *chunking, baseline)
+		return driveSession(c, p, *cycles, *batch, *chunking, baseline)
 	})
 	fmt.Printf(";; psmeload: %d sessions x %d cycles: %d cycles in %.3fs (%.1f cycles/sec, %d match tasks)",
 		*sessions, *cycles, sum.cycles, elapsed.Seconds(), float64(sum.cycles)/elapsed.Seconds(), sum.tasks)
@@ -372,7 +371,7 @@ func main() {
 // sizes ingest identical work and deltas/sec — the sustained ingest
 // bandwidth — is directly comparable across them. cycles/sec (one cycle
 // per request) is reported alongside as the request-overhead view.
-func runIngest(addrs []string, run, policy string, sessions, deltas, batch int, verify bool) {
+func runIngest(addrs []string, run string, sessions, deltas, batch int, verify bool) {
 	if batch < 1 || batch > serve.IngestRemoveLag {
 		fmt.Fprintf(os.Stderr, "psmeload: ingest -batch must be in [1, %d] (removes reference ids assigned %d slots earlier)\n",
 			serve.IngestRemoveLag, serve.IngestRemoveLag)
@@ -390,7 +389,7 @@ func runIngest(addrs []string, run, policy string, sessions, deltas, batch int, 
 	}
 
 	elapsed, sum, failed := runSessions(addrs, run, sessions, func(c *session) sessionReport {
-		return driveIngestSession(c, policy, batches, baseline)
+		return driveIngestSession(c, batches, baseline)
 	})
 	fmt.Printf(";; psmeload ingest: %d sessions x %d deltas (batch %d): %d cycles in %.3fs (%.1f cycles/sec, %.1f deltas/sec, %d match tasks)",
 		sessions, deltas, batch, sum.cycles, elapsed.Seconds(), float64(sum.cycles)/elapsed.Seconds(), float64(sum.deltas)/elapsed.Seconds(), sum.tasks)

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	soar [-task eight-puzzle|strips] [-procs N] [-chunking] [-after]
-//	     [-policy single-queue|multi-queue|work-stealing]
 //	     [-decisions N] [-dtrace] [-trace out.json] [-metrics out.txt]
 //	     [-listen :6060]
 package main
@@ -19,7 +18,6 @@ import (
 	"soarpsme/internal/engine"
 	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
-	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/soar"
 	"soarpsme/internal/tasks/blocks"
@@ -31,7 +29,6 @@ import (
 func main() {
 	taskName := flag.String("task", "eight-puzzle", "task: eight-puzzle, strips, hanoi, or blocks")
 	procs := flag.Int("procs", 1, "number of match processes")
-	policy := flag.String("policy", "multi-queue", "scheduling policy: single-queue, multi-queue, or work-stealing")
 	chunking := flag.Bool("chunking", false, "enable chunking (during-chunking run)")
 	unlink := flag.Bool("unlink", true, "left/right unlinking: run activations against provably empty opposite memories inline instead of scheduling tasks")
 	bilinear := flag.String("bilinear", "off", "bilinear restructuring: off, all, or auto (restructure productions whose join chain reaches -bilinear-depth)")
@@ -81,10 +78,6 @@ func main() {
 	}
 	cfg.Engine.Rete.Organization = org
 	cfg.Engine.Rete.BilinearDepth = *bilinearDepth
-	if cfg.Engine.Policy, err = prun.ParsePolicy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, "soar:", err)
-		os.Exit(2)
-	}
 	cfg.Engine.Obs = observer
 	if *faultSeed != 0 {
 		cfg.Engine.Fault = fault.Seeded(*faultSeed, fault.DefaultRates())

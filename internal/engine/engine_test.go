@@ -62,7 +62,7 @@ func TestCounterLoop(t *testing.T) {
 
 func TestCounterLoopParallel(t *testing.T) {
 	for _, procs := range []int{2, 4, 8} {
-		for _, pol := range []prun.Policy{prun.SingleQueue, prun.MultiQueue} {
+		for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 			cfg := DefaultConfig()
 			cfg.Processes = procs
 			cfg.Policy = pol
@@ -372,7 +372,7 @@ func TestParallelMatchEquivalence(t *testing.T) {
 		t.Fatalf("reference CS empty")
 	}
 	for _, procs := range []int{2, 4, 8, 13} {
-		for _, pol := range []prun.Policy{prun.SingleQueue, prun.MultiQueue} {
+		for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 			cfg := DefaultConfig()
 			cfg.Processes = procs
 			cfg.Policy = pol

@@ -142,7 +142,7 @@ func runRelink(t *testing.T, procs int, pol prun.Policy, unlink bool) relinkRun 
 }
 
 func TestRelinkBoundaryStress(t *testing.T) {
-	base := runRelink(t, 1, prun.SingleQueue, false)
+	base := runRelink(t, 1, prun.MultiQueue, false)
 	if base.suppressed != 0 || base.suppBatches != 0 {
 		t.Fatalf("unlink=off run suppressed %d activations in %d batches, want 0",
 			base.suppressed, base.suppBatches)

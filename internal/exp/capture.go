@@ -156,7 +156,6 @@ type Lab struct {
 	cache    map[string]*Capture
 	opts     rete.Options
 	obs      *obs.Observer
-	policy   prun.Policy
 	fault    *fault.Injector
 	deadline time.Duration
 }
@@ -168,7 +167,7 @@ type Lab struct {
 func NewLab() *Lab {
 	opts := rete.DefaultOptions()
 	opts.Unlink = false
-	return &Lab{cache: map[string]*Capture{}, opts: opts, policy: engine.DefaultConfig().Policy}
+	return &Lab{cache: map[string]*Capture{}, opts: opts}
 }
 
 // SetUnlink toggles left/right unlinking on every engine the lab creates
@@ -186,12 +185,6 @@ func (l *Lab) SetOrganization(org rete.Organization) { l.opts.Organization = org
 // creates from now on (live /metrics while experiments run).
 func (l *Lab) SetObserver(o *obs.Observer) { l.obs = o }
 
-// SetPolicy selects the scheduling policy of the live capture engines
-// (cmd/experiments -policy). The captures stay sequential (one process),
-// so the task traces — and every simulator-replayed figure — are
-// unaffected; only the live runtime's own queue diagnostics change.
-func (l *Lab) SetPolicy(p prun.Policy) { l.policy = p }
-
 // SetFault injects a fault schedule into every engine the lab creates from
 // now on (cmd/experiments -fault-seed). Failed cycles recover through the
 // serial fallback, so the captured results stay byte-identical; the fault
@@ -205,7 +198,6 @@ func (l *Lab) SetDeadline(d time.Duration) { l.deadline = d }
 func (l *Lab) engCfg() engine.Config {
 	cfg := engine.DefaultConfig()
 	cfg.Processes = 1 // sequential capture: deterministic traces
-	cfg.Policy = l.policy
 	cfg.CaptureTrace = true
 	cfg.Rete = l.opts
 	cfg.Obs = l.obs

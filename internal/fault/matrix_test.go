@@ -196,14 +196,14 @@ func TestFaultMatrix(t *testing.T) {
 			wantRecovery: true,
 		},
 	}
-	policies := []prun.Policy{prun.SingleQueue, prun.MultiQueue, prun.WorkStealing}
+	policies := []prun.Policy{prun.MultiQueue, prun.WorkStealing}
 	procCounts := []int{1, 4, 13}
 
 	programs := []program{cypressProgram("cypress", false), fanoutProgram}
 	baselines := make([][]string, len(programs))
 	for i, prog := range programs {
 		var be *engine.Engine
-		baselines[i], be = run(t, prog, 1, prun.SingleQueue, nil, 0)
+		baselines[i], be = run(t, prog, 1, prun.MultiQueue, nil, 0)
 		if err := be.AuditInvariants(); err != nil {
 			t.Fatalf("%s: baseline audit: %v", prog.name, err)
 		}
@@ -283,8 +283,8 @@ func checkRun(t *testing.T, e *engine.Engine, fps, baseline []string, in *fault.
 // of a clean run.
 func TestCallerProcessSupervised(t *testing.T) {
 	prog := cypressProgram("cypress-b1", true)
-	baseline, _ := run(t, prog, 1, prun.SingleQueue, nil, 0)
-	for _, pol := range []prun.Policy{prun.SingleQueue, prun.MultiQueue, prun.WorkStealing} {
+	baseline, _ := run(t, prog, 1, prun.MultiQueue, nil, 0)
+	for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 		in := fault.Plan(
 			fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 0},
 			fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 9},

@@ -376,7 +376,7 @@ func TestServeDebugMatchConcurrent(t *testing.T) {
 // cell, one depth bucket, one granularity bucket and one
 // match_task_cost_us observation.
 func TestFoldMatchesNetStats(t *testing.T) {
-	for _, pol := range []prun.Policy{prun.SingleQueue, prun.MultiQueue, prun.WorkStealing} {
+	for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 		for _, procs := range []int{1, 2, 4, 13} {
 			t.Run(fmt.Sprintf("%v/procs=%d", pol, procs), func(t *testing.T) {
 				o := obs.New()

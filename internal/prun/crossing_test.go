@@ -17,12 +17,12 @@ import (
 // runs on the caller alone — one process in the stats, every task record on
 // lane 0 — and allocates strictly less than it did when every cycle started
 // four goroutines and parked its caller on a WaitGroup. Allocations per
-// pair, the test listener's included, single-queue / multi-queue /
-// work-stealing: 198 / 177 / 196 at the parent commit (fb78b2f), 180 / 159 /
-// 178 here: nine fewer per cycle. (The policies differ because the order
-// the tasks retire in, and so the listener's work, does.)
+// pair, the test listener's included, multi-queue / work-stealing: 177 /
+// 196 at commit fb78b2f, 159 / 178 since: nine fewer per cycle. (The
+// policies differ because the order the tasks retire in, and so the
+// listener's work, does.)
 func TestSmallCycleStartsNoGoroutine(t *testing.T) {
-	parentAllocsPerPair := map[Policy]float64{SingleQueue: 198, MultiQueue: 177, WorkStealing: 196}
+	parentAllocsPerPair := map[Policy]float64{MultiQueue: 177, WorkStealing: 196}
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			nw, _, ws := buildNet(t)

@@ -1,15 +1,16 @@
 // Package prun is the parallel match runtime of PSM-E (§2.3): node
-// activations are tasks held in shared task queues and executed by a fixed
-// set of match processes (goroutines). The paper varies only how many
-// queues there are — one shared task queue, or one queue per process with
-// cycle-stealing (§6.1/Figure 6-4) — and so does this package: the worker
-// loop, the injector, the supervision of a failing cycle, the contention
-// and failed-pop counters and the one per-task record (rete.TaskRec) that
-// the multiprocessor simulator, the match profiler, the flight recorder and
-// the Chrome trace all read exist once, over a small queue interface
-// (queue.go).
+// activations are tasks held in task queues and executed by a fixed set of
+// match processes (goroutines), one queue per process with cycle-stealing
+// (§6.1/Figure 6-4). The worker loop, the injector, the supervision of a
+// failing cycle, the contention and failed-pop counters and the one
+// per-task record (rete.TaskRec) that the multiprocessor simulator, the
+// match profiler, the flight recorder and the Chrome trace all read exist
+// once, over a small queue interface (queue.go). The paper's other
+// organization, one shared queue (Figure 6-1), is modeled only by
+// internal/sim, which draws every figure from traces captured at one
+// process.
 //
-// A third policy, WorkStealing, is not a paper artifact: it puts a
+// A second policy, WorkStealing, is not a paper artifact: it puts a
 // Chase-Lev lock-free deque (internal/deque) behind the same interface in
 // place of the paper's counted-spinlock stack.
 package prun
@@ -17,7 +18,6 @@ package prun
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,38 +32,20 @@ import (
 // Policy selects the task-queue organization.
 type Policy uint8
 
-// SingleQueue is one shared queue (Figure 6-1); MultiQueue gives each match
-// process its own queue with stealing from the others (Figure 6-4). Both
-// use the paper's counted spin-locks. WorkStealing gives each process a
-// lock-free Chase-Lev deque (owner LIFO, thief FIFO). With one match
-// process all three are the same LIFO stack.
+// MultiQueue, the zero Policy, gives each match process its own stack under
+// the paper's counted spin-lock, with stealing from the others (Figure
+// 6-4). WorkStealing gives each process a lock-free Chase-Lev deque (owner
+// LIFO, thief FIFO). With one match process both are the same LIFO stack.
 const (
-	SingleQueue Policy = iota
-	MultiQueue
+	MultiQueue Policy = iota
 	WorkStealing
 )
 
 func (p Policy) String() string {
-	switch p {
-	case SingleQueue:
-		return "single-queue"
-	case WorkStealing:
+	if p == WorkStealing {
 		return "work-stealing"
 	}
 	return "multi-queue"
-}
-
-// ParsePolicy parses a policy name as accepted by the CLIs' -policy flag.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(s) {
-	case "single", "single-queue":
-		return SingleQueue, nil
-	case "multi", "multi-queue":
-		return MultiQueue, nil
-	case "ws", "work-stealing", "worksteal":
-		return WorkStealing, nil
-	}
-	return 0, fmt.Errorf("prun: unknown policy %q (want single-queue, multi-queue, or work-stealing)", s)
 }
 
 // Budget caps the number of match workers running concurrently across
@@ -231,8 +213,8 @@ type Runtime struct {
 	nw  *rete.Network
 	cfg Config
 
-	// queues are the policy's task queues — one shared, or one per process —
-	// and the only policy-dependent state. workers are the match processes;
+	// queues are the policy's task queues, one per process, and the only
+	// policy-dependent state. workers are the match processes;
 	// they persist across cycles (each keeps its task free list); a cycle
 	// runs worker 0 on its caller and, past helperThreshold, the next few.
 	queues  []queue
@@ -278,18 +260,14 @@ func (c *cycleCtl) poison(reason string) (won bool) {
 }
 
 // New creates a runtime with the given configuration. The policy is
-// consulted here and nowhere else: it decides how many queues there are and
-// of which kind.
+// consulted here and nowhere else: it decides which kind of queue each
+// process owns.
 func New(nw *rete.Network, cfg Config) *Runtime {
 	if cfg.Processes < 1 {
 		cfg.Processes = 1
 	}
 	rt := &Runtime{nw: nw, cfg: cfg}
-	nq := cfg.Processes
-	if cfg.Policy == SingleQueue {
-		nq = 1
-	}
-	rt.queues = make([]queue, nq)
+	rt.queues = make([]queue, cfg.Processes)
 	for i := range rt.queues {
 		if cfg.Policy == WorkStealing {
 			rt.queues[i] = dequeQueue{deque.New[rete.Task](0)}
@@ -616,9 +594,11 @@ func (rt *Runtime) ReplaySerial(all []*wme.WME) CycleStats {
 	return cs
 }
 
-// QueueLockStats sums (spins, acquires) over the task-queue locks — the
-// paper's spins/task contention measure (Figure 6-3). Always zero under
-// the lock-free WorkStealing policy.
+// QueueLockStats sums (spins, acquires) over the task-queue locks: the live
+// counterpart of the paper's spins/task measure, read by queue_lock_spins_total
+// and psme -stats. Figure 6-3 itself is drawn by internal/sim from
+// one-process traces, not from these counts. Always zero under the
+// lock-free WorkStealing policy.
 func (rt *Runtime) QueueLockStats() (spins, acquires uint64) {
 	for _, q := range rt.queues {
 		if lq, ok := q.(*lockQueue); ok {
@@ -628,13 +608,4 @@ func (rt *Runtime) QueueLockStats() (spins, acquires uint64) {
 		}
 	}
 	return
-}
-
-// ResetQueueLockStats zeroes the queue-lock counters.
-func (rt *Runtime) ResetQueueLockStats() {
-	for _, q := range rt.queues {
-		if lq, ok := q.(*lockQueue); ok {
-			lq.lock.ResetStats()
-		}
-	}
 }

@@ -114,7 +114,7 @@ func deltas(ws []*wme.WME) []wme.Delta {
 
 func TestRunCycleSequential(t *testing.T) {
 	nw, cs, ws := buildNet(t)
-	rt := New(nw, Config{Processes: 1, Policy: SingleQueue})
+	rt := New(nw, Config{Processes: 1})
 	st := rt.RunCycle(deltas(ws))
 	if st.Tasks == 0 {
 		t.Fatalf("no tasks executed")
@@ -134,12 +134,12 @@ func TestRunCycleSequential(t *testing.T) {
 func TestParallelEquivalenceAcrossConfigs(t *testing.T) {
 	ref := func() []string {
 		nw, cs, ws := buildNet(t)
-		rt := New(nw, Config{Processes: 1, Policy: SingleQueue})
+		rt := New(nw, Config{Processes: 1})
 		rt.RunCycle(deltas(ws))
 		return cs.keys()
 	}()
 	for _, procs := range []int{2, 3, 5, 8, 13} {
-		for _, pol := range []Policy{SingleQueue, MultiQueue, WorkStealing} {
+		for _, pol := range allPolicies {
 			nw, cs, ws := buildNet(t)
 			rt := New(nw, Config{Processes: procs, Policy: pol})
 			rt.RunCycle(deltas(ws))
@@ -204,7 +204,7 @@ func TestMixedAddRemoveSameCycle(t *testing.T) {
 
 func TestTraceCapture(t *testing.T) {
 	nw, _, ws := buildNet(t)
-	rt := New(nw, Config{Processes: 1, Policy: SingleQueue, CaptureTrace: true})
+	rt := New(nw, Config{Processes: 1, CaptureTrace: true})
 	st := rt.RunCycle(deltas(ws))
 	if len(st.Trace) != st.Tasks {
 		t.Fatalf("trace len %d != tasks %d", len(st.Trace), st.Tasks)
@@ -227,24 +227,23 @@ func TestTraceCapture(t *testing.T) {
 	}
 }
 
+// TestQueueLockStats: the multi-queue locks count their acquisitions, and
+// the lock-free deques have none to count.
 func TestQueueLockStats(t *testing.T) {
-	nw, _, ws := buildNet(t)
-	rt := New(nw, Config{Processes: 4, Policy: SingleQueue})
-	rt.RunCycle(deltas(ws))
-	_, acq := rt.QueueLockStats()
-	if acq == 0 {
-		t.Fatalf("no queue lock acquisitions recorded")
-	}
-	rt.ResetQueueLockStats()
-	s, a := rt.QueueLockStats()
-	if s != 0 || a != 0 {
-		t.Fatalf("reset failed")
+	for _, pol := range allPolicies {
+		nw, _, ws := buildNet(t)
+		rt := New(nw, Config{Processes: 4, Policy: pol})
+		rt.RunCycle(deltas(ws))
+		if _, acq := rt.QueueLockStats(); (acq == 0) != (pol == WorkStealing) {
+			t.Fatalf("%v: %d queue lock acquisitions recorded", pol, acq)
+		}
 	}
 }
 
 func TestPolicyString(t *testing.T) {
-	if SingleQueue.String() != "single-queue" || MultiQueue.String() != "multi-queue" || WorkStealing.String() != "work-stealing" {
-		t.Fatalf("Policy.String wrong")
+	var zero Policy
+	if zero != MultiQueue || MultiQueue.String() != "multi-queue" || WorkStealing.String() != "work-stealing" {
+		t.Fatalf("Policy.String wrong, or the zero Policy is not multi-queue")
 	}
 }
 

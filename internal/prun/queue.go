@@ -6,7 +6,7 @@ import (
 	"soarpsme/internal/spin"
 )
 
-// queue is one task queue — the only thing the three policies differ in.
+// queue is one task queue — the only thing the two policies differ in.
 // push and pop are the owner's end and steal the thieves' end; pop and
 // steal return nil on an empty queue (or a lost race: the worker loop
 // treats both as "try elsewhere"). drain discards everything queued and is
@@ -19,9 +19,9 @@ type queue interface {
 }
 
 // lockQueue is PSM-E's task queue: a stack behind a counted spin-lock
-// (Figure 6-3 reads the counts). One shared instance is the SingleQueue
-// policy, one per process MultiQueue. It is LIFO at both ends, like the
-// paper's stack queues, which favors depth-first chain following.
+// (Runtime.QueueLockStats reads the counts), one per process under the
+// MultiQueue policy. It is LIFO at both ends, like the paper's stack
+// queues, which favors depth-first chain following.
 type lockQueue struct {
 	lock  spin.Lock
 	tasks []*rete.Task

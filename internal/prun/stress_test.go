@@ -12,9 +12,9 @@ import (
 	"soarpsme/internal/wme"
 )
 
-// allPolicies covers the two paper-faithful spin-lock policies and the
+// allPolicies covers the paper's multi-queue spin-lock policy and the
 // lock-free work-stealing runtime.
-var allPolicies = []Policy{SingleQueue, MultiQueue, WorkStealing}
+var allPolicies = []Policy{MultiQueue, WorkStealing}
 
 // stressProcs spans the paper's range: sequential, mid, and the full 13
 // processes of the Encore Multimax runs.
@@ -28,7 +28,7 @@ var stressProcs = []int{1, 4, 13}
 func oracle(t *testing.T) (keys []string, tasks int) {
 	t.Helper()
 	nw, cs, ws := buildNet(t)
-	rt := New(nw, Config{Processes: 1, Policy: SingleQueue})
+	rt := New(nw, Config{Processes: 1})
 	st := rt.RunCycle(deltas(ws))
 	if st.FailedPops != 0 {
 		t.Fatalf("single-threaded oracle saw %d failed pops (termination probes leaking into contention)", st.FailedPops)
@@ -46,7 +46,7 @@ func oracle(t *testing.T) (keys []string, tasks int) {
 // a cycle terminates exactly at quiescence: no lost tasks and no premature
 // termination (the conflict set matches the single-threaded oracle, and a
 // drain cycle empties every memory), with the steal/failed-pop/term-probe
-// counters obeying their oracle values. At Processes=1 all three policies
+// counters obeying their oracle values. At Processes=1 both policies
 // execute the identical LIFO order, so the task count must equal the
 // oracle's exactly; at higher counts the negated condition makes child-task
 // counts schedule-dependent, and the conflict set is the invariant. Run
@@ -88,9 +88,6 @@ func TestQuiescenceStress(t *testing.T) {
 						if st.Steals != 0 {
 							t.Fatalf("trial %d: lone worker counted %d steals", trial, st.Steals)
 						}
-					}
-					if pol == SingleQueue && st.Steals != 0 {
-						t.Fatalf("trial %d: single queue counted %d steals", trial, st.Steals)
 					}
 					// Drain: removing everything must leave no residue and
 					// still terminate (the remove cycle re-exercises
@@ -263,7 +260,7 @@ func traceKeys(recs []TaskRec) []traceKey {
 }
 
 // TestOneProcessPolicyEquivalence pins the invariant the simulator figures
-// rest on: with one match process the three policies are the same LIFO
+// rest on: with one match process both policies are the same LIFO
 // stack, so an injected cycle, a seeded update cycle and a drain cycle
 // execute the identical task sequence — same Seq order, parents, nodes and
 // depths — whichever policy captured it, with unlinking on and off.
@@ -304,26 +301,5 @@ func TestOneProcessPolicyEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPolicyParse covers the CLI policy-name parser.
-func TestPolicyParse(t *testing.T) {
-	cases := map[string]Policy{
-		"single": SingleQueue, "single-queue": SingleQueue,
-		"multi": MultiQueue, "multi-queue": MultiQueue,
-		"ws": WorkStealing, "work-stealing": WorkStealing, "WORK-STEALING": WorkStealing,
-	}
-	for in, want := range cases {
-		got, err := ParsePolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatalf("ParsePolicy accepted bogus")
-	}
-	if WorkStealing.String() != "work-stealing" {
-		t.Fatalf("WorkStealing.String() = %q", WorkStealing.String())
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"soarpsme/internal/obs"
+	"soarpsme/internal/prun"
 	"soarpsme/internal/tasks/cypress"
 )
 
@@ -71,7 +72,6 @@ func postJSON(method, url string, body, out any) error {
 }
 
 type sessionCombo struct {
-	policy   string
 	chunking bool
 	deadline string // per-session cycle watchdog; "1ns" poisons every cycle
 }
@@ -82,7 +82,7 @@ type sessionCombo struct {
 func driveSession(url string, c sessionCombo, p cypress.Params, cycles, batch int, baseline []string) error {
 	var created CreateResult
 	err := postJSON("POST", url+"/sessions", CreateRequest{
-		Task: "cypress", Params: &p, Policy: c.policy, Deadline: c.deadline,
+		Task: "cypress", Params: &p, Deadline: c.deadline,
 	}, &created)
 	if err != nil {
 		return fmt.Errorf("%+v: create: %w", c, err)
@@ -126,12 +126,12 @@ func driveSession(url string, c sessionCombo, p cypress.Params, cycles, batch in
 }
 
 // TestConcurrentSessionsByteIdentical is the serving conformance test (run
-// under -race in CI): >= 8 concurrent sessions over one shared 4-slot
-// worker budget, across SingleQueue/MultiQueue/WorkStealing, with and
-// without mid-stream AddProductionRuntime chunking, including sessions
-// whose 1ns deadline poisons every parallel cycle onto the serial-fallback
-// path — every session's per-cycle conflict-set fingerprints must be
-// byte-identical to a solo serial run of the same task.
+// under -race in CI): under each policy, 8 concurrent sessions over one
+// shared 4-slot worker budget, with and without mid-stream
+// AddProductionRuntime chunking, including sessions whose 1ns deadline
+// poisons every parallel cycle onto the serial-fallback path — every
+// session's per-cycle conflict-set fingerprints must be byte-identical to a
+// solo serial run of the same task.
 func TestConcurrentSessionsByteIdentical(t *testing.T) {
 	const cycles, batch = 24, 7
 	p := *cypressParams(40, cycles, 4, 11)
@@ -139,36 +139,33 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 		false: soloFingerprints(t, p, cycles, false),
 		true:  soloFingerprints(t, p, cycles, true),
 	}
-
-	s, ts := testServer(t, Config{Workers: 4, Processes: 4, QueueDepth: 8, Obs: obs.New()})
 	combos := []sessionCombo{
-		{"single-queue", false, ""},
-		{"single-queue", true, ""},
-		{"work-stealing", false, ""},
-		{"work-stealing", true, ""},
-		{"multi-queue", false, ""},
-		{"multi-queue", true, ""},
-		{"work-stealing", true, "1ns"},
-		{"single-queue", false, "1ns"},
+		{false, ""}, {true, ""}, {false, ""}, {true, ""}, {false, ""}, {true, ""},
+		{true, "1ns"}, {false, "1ns"},
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, len(combos))
-	for _, c := range combos {
-		wg.Add(1)
-		go func(c sessionCombo) {
-			defer wg.Done()
-			errs <- driveSession(ts.URL, c, p, cycles, batch, baseline[c.chunking])
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Error(err)
-		}
-	}
-	if got := s.cfg.Obs.Counter("serve_cycles_total").Value(); got != uint64(len(combos)*cycles) {
-		t.Fatalf("serve_cycles_total = %d, want %d (no lost cycles)", got, len(combos)*cycles)
+	for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
+		t.Run(pol.String(), func(t *testing.T) {
+			s, ts := testServer(t, Config{Workers: 4, Processes: 4, Policy: pol, QueueDepth: 8, Obs: obs.New()})
+			var wg sync.WaitGroup
+			errs := make(chan error, len(combos))
+			for _, c := range combos {
+				wg.Add(1)
+				go func(c sessionCombo) {
+					defer wg.Done()
+					errs <- driveSession(ts.URL, c, p, cycles, batch, baseline[c.chunking])
+				}(c)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Error(err)
+				}
+			}
+			if got := s.cfg.Obs.Counter("serve_cycles_total").Value(); got != uint64(len(combos)*cycles) {
+				t.Fatalf("serve_cycles_total = %d, want %d (no lost cycles)", got, len(combos)*cycles)
+			}
+		})
 	}
 }
 

@@ -37,12 +37,11 @@ func seedSession(t *testing.T, url, id string) {
 	if created.ID != id {
 		t.Fatalf("create: got id %q, want %q", created.ID, id)
 	}
-	var dres DeltaResult
-	if code, _ := doJSON(t, "POST", url+"/sessions/"+id+"/deltas", DeltasRequest{Deltas: []DeltaJSON{
-		{Op: "add", Class: "fact", Fields: []any{1}},
-		{Op: "add", Class: "fact", Fields: []any{2}},
-	}}, &dres); code != http.StatusOK || dres.Failed {
-		t.Fatalf("deltas: code=%d %+v", code, dres)
+	if dres := ingest(t, url+"/sessions/"+id,
+		DeltaJSON{Op: "add", Class: "fact", Fields: []any{1}},
+		DeltaJSON{Op: "add", Class: "fact", Fields: []any{2}},
+	); dres.Failed != 0 {
+		t.Fatalf("deltas: %+v", dres)
 	}
 	var rres RunResult
 	if code, _ := doJSON(t, "POST", url+"/sessions/"+id+"/run", RunRequest{Cycles: 10, Seq: 1}, &rres); code != http.StatusOK || rres.Fired != 2 {
@@ -96,11 +95,8 @@ func TestRestoreAfterCrash(t *testing.T) {
 	}
 
 	// The restored session keeps serving — and keeps journalling.
-	var dres DeltaResult
-	if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/dur1/deltas", DeltasRequest{Deltas: []DeltaJSON{
-		{Op: "add", Class: "fact", Fields: []any{3}},
-	}}, &dres); code != http.StatusOK || dres.Failed {
-		t.Fatalf("post-restore deltas: code=%d %+v", code, dres)
+	if dres := ingest(t, tsB.URL+"/sessions/dur1", DeltaJSON{Op: "add", Class: "fact", Fields: []any{3}}); dres.Failed != 0 {
+		t.Fatalf("post-restore deltas: %+v", dres)
 	}
 }
 
@@ -269,7 +265,8 @@ func TestRunSeqIdempotent(t *testing.T) {
 // on A crashes after applying a request whose response the client never
 // saw. Restored on B, the resent request (same Seq) is answered from cache,
 // and every cycle the client was given, before and after the crash, has
-// the solo serial run's fingerprint.
+// the solo serial run's fingerprint. The create body carries the retired
+// "policy" field, which the server ignores like any other unknown field.
 func TestClientFailoverMidStream(t *testing.T) {
 	const cycles, batch, crashAt = 40, 5, 3 // the crash loses the answer to Seq 3
 	p := cypressParams(30, cycles, 3, 5)
@@ -277,7 +274,8 @@ func TestClientFailoverMidStream(t *testing.T) {
 	dir := t.TempDir()
 	_, tsA := crashableServer(t, dir)
 	_, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
-	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions", CreateRequest{ID: "fo1", Task: "cypress", Params: p}, nil); code != http.StatusCreated {
+	create := map[string]any{"id": "fo1", "task": "cypress", "params": p, "policy": "single-queue"}
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions", create, nil); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
 	url := tsA.URL
@@ -302,6 +300,74 @@ func TestClientFailoverMidStream(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("fingerprints across the failover differ from the solo serial run\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestParentDataDirRestores restores a copy of testdata/parent-data (see
+// its README): a cypress session whose create request carries the retired
+// "policy" field, and a program session whose WAL holds the cycles-0 run
+// records POST /deltas journaled. Each must then serve what an
+// uninterrupted run serves: pol the solo serial run's fingerprints, dlt the
+// state and next cycles of a session given the same batches through /run.
+func TestParentDataDirRestores(t *testing.T) {
+	dir := t.TempDir()
+	for _, id := range []string{"pol", "dlt"} {
+		if err := os.Mkdir(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []string{"image.json", "wal.jsonl"} {
+			b, err := os.ReadFile(filepath.Join("testdata", "parent-data", id, f))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, id, f), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, ts := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	for _, id := range []string{"pol", "dlt"} {
+		var rr RestoreResult
+		if code, _ := doJSON(t, "POST", ts.URL+"/sessions/"+id+"/restore", nil, &rr); code != http.StatusOK || rr.Replayed == 0 {
+			t.Fatalf("restore %s: code=%d %+v", id, code, rr)
+		}
+	}
+
+	want := soloFingerprints(t, *cypressParams(12, 30, 2, 5), 30, true)
+	var res RunResult
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions/pol/run", RunRequest{Cycles: 10, Chunking: true, Seq: 3}, &res); code != http.StatusOK {
+		t.Fatalf("pol run: %d", code)
+	}
+	if !slices.Equal(res.Fingerprints, want[20:]) {
+		t.Fatalf("pol after restore\n got %q\nwant %q", res.Fingerprints, want[20:])
+	}
+
+	_, tsRef := testServer(t, Config{Workers: 2, Processes: 2})
+	if code, _ := doJSON(t, "POST", tsRef.URL+"/sessions", CreateRequest{ID: "dlt", Program: mixProgSrc}, nil); code != http.StatusCreated {
+		t.Fatalf("reference create: %d", code)
+	}
+	ref := tsRef.URL + "/sessions/dlt"
+	ingest(t, ref, addFact(1), addFact(2), addFact(3))
+	doJSON(t, "POST", ref+"/run", RunRequest{Cycles: 2}, nil)
+	ingest(t, ref, addFact(4), DeltaJSON{Op: "remove", ID: 1})
+	ingest(t, ref, DeltaJSON{Op: "remove", ID: 1 << 40}, addFact(5))
+	doJSON(t, "POST", ref+"/run", RunRequest{Cycles: 1}, nil)
+	wantInfo, wantFp := sessionState(t, tsRef.URL, "dlt")
+	// What the parent build answered after its last request.
+	if parent := "wm=7 cs=6 note(2) note(3) note(6) note(7) pair(3,4) pair(7,8)"; wantFp != parent {
+		t.Fatalf("reference fingerprint %s, the parent served %s", wantFp, parent)
+	}
+	gotInfo, gotFp := sessionState(t, ts.URL, "dlt")
+	if gotFp != wantFp || gotInfo.Cycles != wantInfo.Cycles || gotInfo.Fired != wantInfo.Fired ||
+		gotInfo.WM != wantInfo.WM || gotInfo.BadDeltas != wantInfo.BadDeltas {
+		t.Fatalf("dlt after restore\n got %+v %s\nwant %+v %s", gotInfo, gotFp, wantInfo, wantFp)
+	}
+	next := RunRequest{Deltas: []DeltaJSON{addFact(9), {Op: "remove", ID: 2}}, Cycles: 10}
+	var got, wantNext RunResult
+	doJSON(t, "POST", ts.URL+"/sessions/dlt/run", next, &got)
+	doJSON(t, "POST", ref+"/run", next, &wantNext)
+	if len(got.Fingerprints) < 2 || !slices.Equal(got.Fingerprints, wantNext.Fingerprints) {
+		t.Fatalf("dlt next cycles\n got %q\nwant %q", got.Fingerprints, wantNext.Fingerprints)
 	}
 }
 

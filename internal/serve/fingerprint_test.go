@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"soarpsme/internal/ops5"
+	"soarpsme/internal/prun"
 )
 
 // fpProbe drives one session through its server's handler in-process and,
@@ -112,14 +113,10 @@ func (p *fpProbe) run(label string, req RunRequest) *RunResult {
 	return &res
 }
 
-func (p *fpProbe) deltas(label string, ds ...DeltaJSON) *DeltaResult {
+// ingest posts ds as an ingest-only /run and checks its one cycle.
+func (p *fpProbe) ingest(label string, ds ...DeltaJSON) *RunResult {
 	p.t.Helper()
-	var res DeltaResult
-	if code := call(p.t, p.h, "POST", p.base+"/deltas", DeltasRequest{Deltas: ds}, &res); code != http.StatusOK {
-		p.t.Fatalf("%s: deltas: %d", label, code)
-	}
-	p.check(label, res.Fingerprint)
-	return &res
+	return p.run(label, RunRequest{Deltas: ds})
 }
 
 func (p *fpProbe) delete() {
@@ -150,21 +147,21 @@ const mixProgSrc = `
 
 func addFact(v int) DeltaJSON { return DeltaJSON{Op: "add", Class: "fact", Fields: []any{v}} }
 
-// mixFirstHalf and mixSecondHalf are one /deltas + /run + Step script,
+// mixFirstHalf and mixSecondHalf are one ingest + Step script,
 // split so the restore scenario can put a snapshot and a failover between
 // the halves. The first half returns the ids of the facts it added.
 func mixFirstHalf(p *fpProbe) []uint64 {
 	t := p.t
-	added := p.deltas("add facts", addFact(1), addFact(2), addFact(3), addFact(4), addFact(5), addFact(6)).Added
+	added := p.ingest("add facts", addFact(1), addFact(2), addFact(3), addFact(4), addFact(5), addFact(6)).Added
 	if len(added) != 6 {
 		t.Fatalf("added %v", added)
 	}
 	p.run("step", RunRequest{Cycles: 1})
 	p.run("step", RunRequest{Cycles: 1})
-	p.deltas("remove fact", DeltaJSON{Op: "remove", ID: added[0]})
+	p.ingest("remove fact", DeltaJSON{Op: "remove", ID: added[0]})
 	// A remove of an unknown id is a bad delta: the cycle is poisoned and
 	// recovered through BeginRecovery/EndRecovery.
-	if res := p.deltas("bad remove", DeltaJSON{Op: "remove", ID: 1 << 40}, addFact(7)); !res.Recovered || res.BadDeltas != 1 {
+	if res := p.ingest("bad remove", DeltaJSON{Op: "remove", ID: 1 << 40}, addFact(7)); res.Recovered != 1 || res.BadDeltas != 1 {
 		t.Fatalf("bad remove not recovered: %+v", res)
 	}
 	// A 1ns watchdog poisons the parallel cycles of this request (where
@@ -176,7 +173,7 @@ func mixFirstHalf(p *fpProbe) []uint64 {
 
 func mixSecondHalf(p *fpProbe, added []uint64) {
 	t := p.t
-	p.run("ingest", RunRequest{Deltas: []DeltaJSON{addFact(9), {Op: "remove", ID: added[1]}}})
+	p.ingest("ingest", addFact(9), DeltaJSON{Op: "remove", ID: added[1]})
 	// A production added at run time, then excised. A session's base
 	// productions sit in a frozen shared image and cannot be excised, so
 	// this is the excise a served session can see: a chunk's.
@@ -217,9 +214,9 @@ func TestIncrementalFingerprintProperty(t *testing.T) {
 	script := IngestScript(256)
 
 	for _, procs := range []int{1, 4, 13} {
-		for _, policy := range []string{"single-queue", "multi-queue", "work-stealing"} {
-			t.Run(fmt.Sprintf("%s/p%d", policy, procs), func(t *testing.T) {
-				srv := New(Config{Workers: procs, Processes: procs, DataDir: t.TempDir()})
+		for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
+			t.Run(fmt.Sprintf("%v/p%d", pol, procs), func(t *testing.T) {
+				srv := New(Config{Workers: procs, Processes: procs, Policy: pol, DataDir: t.TempDir()})
 				defer srv.Close()
 
 				for _, batch := range []int{1, 8, 64} {
@@ -228,7 +225,7 @@ func TestIncrementalFingerprintProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					p := newProbe(t, srv, CreateRequest{Program: IngestProgram, Policy: policy})
+					p := newProbe(t, srv, CreateRequest{Program: IngestProgram})
 					var ids []uint64
 					for i, ops := range batches {
 						ds, err := IngestBatchJSON(ops, ids)
@@ -244,7 +241,7 @@ func TestIncrementalFingerprintProperty(t *testing.T) {
 					p.delete()
 				}
 
-				p := newProbe(t, srv, CreateRequest{Task: "cypress", Params: &cyp, Policy: policy})
+				p := newProbe(t, srv, CreateRequest{Task: "cypress", Params: &cyp})
 				for i := range solo {
 					res := p.run(fmt.Sprintf("cypress #%d", i), RunRequest{Cycles: 1, Chunking: true})
 					if res.Fingerprints[0] != solo[i] {
@@ -256,7 +253,7 @@ func TestIncrementalFingerprintProperty(t *testing.T) {
 				}
 				p.delete()
 
-				p = newProbe(t, srv, CreateRequest{Program: mixProgSrc, Policy: policy})
+				p = newProbe(t, srv, CreateRequest{Program: mixProgSrc})
 				mixSecondHalf(p, mixFirstHalf(p))
 				p.delete()
 
@@ -264,15 +261,15 @@ func TestIncrementalFingerprintProperty(t *testing.T) {
 				// server: the restored session's index is rebuilt from the
 				// replayed conflict set, brought forward by the WAL replay, and
 				// then maintained incrementally again.
-				p = newProbe(t, srv, CreateRequest{ID: "failover", Program: mixProgSrc, Policy: policy})
-				p.deltas("pre-snapshot", addFact(20), addFact(21))
+				p = newProbe(t, srv, CreateRequest{ID: "failover", Program: mixProgSrc})
+				p.ingest("pre-snapshot", addFact(20), addFact(21))
 				if code := call(t, p.h, "POST", p.base+"/snapshot", nil, nil); code != http.StatusOK {
 					t.Fatalf("snapshot: %d", code)
 				}
 				added := mixFirstHalf(p)
 				last := p.served()
 
-				srvB := New(Config{Workers: procs, Processes: procs, DataDir: srv.cfg.DataDir})
+				srvB := New(Config{Workers: procs, Processes: procs, Policy: pol, DataDir: srv.cfg.DataDir})
 				defer srvB.Close()
 				pb := &fpProbe{t: t, srv: srvB, h: srvB.Handler()}
 				var rr RestoreResult

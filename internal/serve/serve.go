@@ -48,7 +48,7 @@ type Config struct {
 	// Processes is the per-session worker width a cycle asks the budget
 	// for (0 = 4).
 	Processes int
-	// Policy is the default scheduling policy for new sessions.
+	// Policy is every session's scheduling policy.
 	Policy prun.Policy
 	// QueueDepth bounds how many requests may wait on one session behind
 	// the one that is running (0 = 4).
@@ -285,7 +285,9 @@ func (s *Server) retire(ss *Session, erase bool) {
 
 // ---- wire types ----
 
-// CreateRequest creates a session.
+// CreateRequest creates a session. Unknown fields are ignored, among them
+// "policy", which a session image written before the server picked its own
+// policy still carries.
 type CreateRequest struct {
 	// ID requests a specific session id (letters, digits, ".", "_", "-";
 	// 409 if taken). Servers sharing a data directory pick ids
@@ -299,9 +301,6 @@ type CreateRequest struct {
 	Params *cypress.Params `json:"params,omitempty"`
 	// Program is OPS5 source for an uploaded-program session.
 	Program string `json:"program,omitempty"`
-	// Policy overrides the server default ("single-queue", "multi-queue",
-	// "work-stealing").
-	Policy string `json:"policy,omitempty"`
 	// Processes overrides the per-session worker width.
 	Processes int `json:"processes,omitempty"`
 	// Deadline is the session's per-cycle watchdog deadline (Go duration
@@ -370,22 +369,6 @@ type DeltaJSON struct {
 	ID     uint64 `json:"id,omitempty"`
 }
 
-// DeltasRequest posts wme changes to a program session.
-type DeltasRequest struct {
-	Deltas []DeltaJSON `json:"deltas"`
-}
-
-// DeltaResult reports one delta cycle.
-type DeltaResult struct {
-	Added       []uint64 `json:"added,omitempty"`
-	Tasks       int      `json:"tasks"`
-	Failed      bool     `json:"failed"`
-	Recovered   bool     `json:"recovered"`
-	Reason      string   `json:"reason,omitempty"`
-	BadDeltas   int      `json:"bad_deltas"`
-	Fingerprint string   `json:"fingerprint"`
-}
-
 // SessionInfo is a session stats snapshot.
 type SessionInfo struct {
 	ID        string `json:"id"`
@@ -428,7 +411,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /sessions/{id}", s.handleStats)
 	mux.HandleFunc("DELETE /sessions/{id}", s.handleDelete)
 	mux.HandleFunc("POST /sessions/{id}/run", s.handleRun)
-	mux.HandleFunc("POST /sessions/{id}/deltas", s.handleDeltas)
 	mux.HandleFunc("POST /sessions/{id}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /sessions/{id}/restore", s.handleRestore)
 	mux.HandleFunc("GET /sessions/{id}/conflict-set", s.handleConflictSet)
@@ -545,13 +527,6 @@ func (s *Server) engineConfig(req *CreateRequest) (engine.Config, error) {
 		ecfg.Processes = req.Processes
 	}
 	ecfg.Policy = s.cfg.Policy
-	if req.Policy != "" {
-		p, err := prun.ParsePolicy(req.Policy)
-		if err != nil {
-			return ecfg, err
-		}
-		ecfg.Policy = p
-	}
 	ecfg.Deadline = s.cfg.Deadline
 	if req.Deadline != "" {
 		d, err := time.ParseDuration(req.Deadline)
@@ -870,25 +845,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 			return res, err
 		})
-	})
-}
-
-func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	ss := s.session(w, r.PathValue("id"))
-	if ss == nil {
-		return
-	}
-	var req DeltasRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	s.dispatch(w, r, ss, func() (any, error) {
-		res, err := ss.deltasLogged(req.Deltas)
-		if err == nil {
-			s.mCycles.Inc()
-		}
-		return res, err
 	})
 }
 

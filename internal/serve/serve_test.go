@@ -72,6 +72,17 @@ const serveProgSrc = `
 (p note (fact ^v <v>) --> (make seen ^v <v>))
 `
 
+// ingest posts ds as an ingest-only /run (one match cycle, no steps) to the
+// session at base and returns its result.
+func ingest(t *testing.T, base string, ds ...DeltaJSON) RunResult {
+	t.Helper()
+	var res RunResult
+	if code, _ := doJSON(t, "POST", base+"/run", RunRequest{Deltas: ds}, &res); code != http.StatusOK {
+		t.Fatalf("ingest %+v: code=%d", ds, code)
+	}
+	return res
+}
+
 func TestProgramSessionLifecycle(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 2, Processes: 2})
 
@@ -82,13 +93,11 @@ func TestProgramSessionLifecycle(t *testing.T) {
 	base := ts.URL + "/sessions/" + created.ID
 
 	// Post two adds: one match cycle, two assigned ids.
-	var dres DeltaResult
-	code, _ := doJSON(t, "POST", base+"/deltas", DeltasRequest{Deltas: []DeltaJSON{
-		{Op: "add", Class: "fact", Fields: []any{1}},
-		{Op: "add", Class: "fact", Fields: []any{2}},
-	}}, &dres)
-	if code != http.StatusOK || len(dres.Added) != 2 || dres.Failed {
-		t.Fatalf("deltas: code=%d %+v", code, dres)
+	if dres := ingest(t, base,
+		DeltaJSON{Op: "add", Class: "fact", Fields: []any{1}},
+		DeltaJSON{Op: "add", Class: "fact", Fields: []any{2}},
+	); len(dres.Added) != 2 || dres.Failed != 0 {
+		t.Fatalf("deltas: %+v", dres)
 	}
 
 	// The two matches are in the conflict set.
@@ -141,29 +150,16 @@ func TestBadRemoveReportedNotDesynced(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: serveProgSrc}, &created)
 	base := ts.URL + "/sessions/" + created.ID
 
-	var dres DeltaResult
-	doJSON(t, "POST", base+"/deltas", DeltasRequest{Deltas: []DeltaJSON{
-		{Op: "add", Class: "fact", Fields: []any{7}},
-	}}, &dres)
-	id := dres.Added[0]
+	id := ingest(t, base, DeltaJSON{Op: "add", Class: "fact", Fields: []any{7}}).Added[0]
 
 	// Remove it twice in one batch: second is a bad delta.
-	code, _ := doJSON(t, "POST", base+"/deltas", DeltasRequest{Deltas: []DeltaJSON{
-		{Op: "remove", ID: id},
-		{Op: "remove", ID: id},
-	}}, &dres)
-	if code != http.StatusOK {
-		t.Fatalf("deltas: %d", code)
-	}
-	if !dres.Failed || !dres.Recovered || dres.BadDeltas != 1 {
+	dres := ingest(t, base, DeltaJSON{Op: "remove", ID: id}, DeltaJSON{Op: "remove", ID: id})
+	if dres.Failed != 1 || dres.Recovered != 1 || dres.BadDeltas != 1 {
 		t.Fatalf("double remove: %+v", dres)
 	}
 	// Remove of a never-allocated id likewise.
-	code, _ = doJSON(t, "POST", base+"/deltas", DeltasRequest{Deltas: []DeltaJSON{
-		{Op: "remove", ID: 999999},
-	}}, &dres)
-	if code != http.StatusOK || !dres.Failed || dres.BadDeltas != 1 {
-		t.Fatalf("unknown remove: code=%d %+v", code, dres)
+	if dres := ingest(t, base, DeltaJSON{Op: "remove", ID: 999999}); dres.Failed != 1 || dres.BadDeltas != 1 {
+		t.Fatalf("unknown remove: %+v", dres)
 	}
 
 	var audit struct {
@@ -231,7 +227,7 @@ func TestRunIngestsDeltaBatch(t *testing.T) {
 	if code, _ := doJSON(t, "POST", base+"/run", RunRequest{Cycles: 0}, nil); code != http.StatusBadRequest {
 		t.Fatalf("cycles=0 without deltas: %d", code)
 	}
-	// Driver-owned sessions reject batches, matching /deltas.
+	// Driver-owned sessions reject batches.
 	var cyp CreateResult
 	doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Task: "cypress", Params: cypressParams(5, 4, 2, 3)}, &cyp)
 	code, _ = doJSON(t, "POST", ts.URL+"/sessions/"+cyp.ID+"/run", RunRequest{
@@ -297,7 +293,6 @@ func TestCreateValidation(t *testing.T) {
 		{CreateRequest{}, http.StatusBadRequest},
 		{CreateRequest{Task: "nope"}, http.StatusBadRequest},
 		{CreateRequest{Program: "(p broken"}, http.StatusBadRequest},
-		{CreateRequest{Program: serveProgSrc, Policy: "bogus"}, http.StatusBadRequest},
 		{CreateRequest{Program: serveProgSrc, Deadline: "soon"}, http.StatusBadRequest},
 	} {
 		if code, _ := doJSON(t, "POST", ts.URL+"/sessions", c.req, nil); code != c.want {
@@ -501,10 +496,7 @@ func TestDrainRejectsButFinishes(t *testing.T) {
 	var created CreateResult
 	doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: serveProgSrc}, &created)
 	base := ts.URL + "/sessions/" + created.ID
-	var dres DeltaResult
-	doJSON(t, "POST", base+"/deltas", DeltasRequest{Deltas: []DeltaJSON{
-		{Op: "add", Class: "fact", Fields: []any{1}},
-	}}, &dres)
+	ingest(t, base, DeltaJSON{Op: "add", Class: "fact", Fields: []any{1}})
 
 	// Enqueue a run, then drain immediately: the run must still finish.
 	type result struct {
@@ -573,7 +565,7 @@ func TestCypressSessionRuns(t *testing.T) {
 		t.Fatalf("stats: %+v (want 12 cycles and chunks added)", info)
 	}
 	// Deltas are rejected on driver-owned sessions.
-	if code, _ := doJSON(t, "POST", base+"/deltas", DeltasRequest{Deltas: []DeltaJSON{{Op: "add", Class: "step"}}}, nil); code != http.StatusBadRequest {
+	if code, _ := doJSON(t, "POST", base+"/run", RunRequest{Deltas: []DeltaJSON{{Op: "add", Class: "step"}}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("deltas on cypress session: %d", code)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"soarpsme/internal/engine"
+	"soarpsme/internal/prun"
 	"soarpsme/internal/tasks/cypress"
 	"soarpsme/internal/value"
 	"soarpsme/internal/wme"
@@ -174,14 +175,7 @@ func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 	for i := 0; i < n; i++ {
 		switch s.Task {
 		case "cypress":
-			cs := s.eng.ApplyAndMatch(s.drv.Batch())
-			res.Tasks += cs.Tasks
-			if cs.Failed {
-				res.Failed++
-			}
-			if cs.Recovered {
-				res.Recovered++
-			}
+			res.count(s.eng.ApplyAndMatch(s.drv.Batch()))
 			if chunking {
 				for s.nextChunk < len(s.drv.ChunkAt) && s.drv.ChunkAt[s.nextChunk] == s.cycles {
 					ast, err := s.sys.ParseChunk(s.nextChunk, s.eng.Tab)
@@ -206,12 +200,29 @@ func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 			}
 			res.Fired++
 		}
-		s.cycles++
-		res.Cycles++
-		res.LastCycle = s.cycles - 1
-		res.Fingerprints = append(res.Fingerprints, s.fingerprint())
+		s.closeCycle(res)
 	}
 	return nil
+}
+
+// count adds one match cycle's task and recovery counts to r.
+func (r *RunResult) count(cs prun.CycleStats) {
+	r.Tasks += cs.Tasks
+	if cs.Failed {
+		r.Failed++
+	}
+	if cs.Recovered {
+		r.Recovered++
+	}
+}
+
+// closeCycle ends one session cycle of a /run: the cycle is counted in res
+// and its conflict-set fingerprint appended.
+func (s *Session) closeCycle(res *RunResult) {
+	s.cycles++
+	res.Cycles++
+	res.LastCycle = s.cycles - 1
+	res.Fingerprints = append(res.Fingerprints, s.fingerprint())
 }
 
 // fingerprint closes a served match cycle at a cost that follows what the
@@ -251,29 +262,16 @@ func (s *Session) syncFingerprint() {
 
 // run executes one /run request under the turn: an optional delta
 // batch ingested as ONE match cycle (the whole batch alpha-dispatched
-// before beta execution, exactly like /deltas), then n recognize-act or
-// driver cycles. Folding both into one request is the batched-ingest fast
-// path: a client streaming wme changes pays one HTTP round trip per batch
-// instead of one per delta plus one per run.
+// before beta execution), then n recognize-act or driver cycles. Folding
+// both into one request is the batched-ingest fast path: a client
+// streaming wme changes pays one HTTP round trip per batch instead of one
+// per delta plus one per run.
 func (s *Session) run(deltas []DeltaJSON, n int, chunking bool) (*RunResult, error) {
 	res := &RunResult{FirstCycle: s.cycles, LastCycle: s.cycles}
 	if len(deltas) > 0 {
-		dr, err := s.applyDeltas(deltas)
-		if err != nil {
+		if err := s.applyDeltas(res, deltas); err != nil {
 			return nil, err
 		}
-		res.Cycles++
-		res.LastCycle = s.cycles - 1
-		res.Tasks += dr.Tasks
-		if dr.Failed {
-			res.Failed++
-		}
-		if dr.Recovered {
-			res.Recovered++
-		}
-		res.Added = dr.Added
-		res.BadDeltas = dr.BadDeltas
-		res.Fingerprints = append(res.Fingerprints, dr.Fingerprint)
 	}
 	return res, s.runCycles(res, n, chunking)
 }
@@ -340,28 +338,15 @@ func (s *Session) runLogged(req *RunRequest) (*RunResult, error) {
 	return res, err
 }
 
-// deltasLogged is /deltas run write-ahead, journaled as a cycles-0 run
-// record so restore replays it through runLogged.
-func (s *Session) deltasLogged(in []DeltaJSON) (*DeltaResult, error) {
-	var res *DeltaResult
-	var err error
-	werr := s.writeAhead(walRecord{Cycle: s.cycles, Run: &RunRequest{Deltas: in}}, func() {
-		res, err = s.applyDeltas(in)
-	})
-	if werr != nil {
-		return nil, werr
-	}
-	return res, err
-}
-
 // applyDeltas converts the wire-format deltas and runs them through one
-// match cycle. Added wmes get server-assigned ids (returned in order) that
-// later removes reference. Bad deltas — unknown remove ids included — are
-// dropped and counted by the engine, and the cycle degrades through the
-// serial-recovery path; the response reports it rather than desyncing.
-func (s *Session) applyDeltas(in []DeltaJSON) (*DeltaResult, error) {
+// match cycle, counted in res. Added wmes get server-assigned ids
+// (res.Added, in order) that later removes reference. Bad deltas — unknown
+// remove ids included — are dropped and counted by the engine, and the
+// cycle degrades through the serial-recovery path; res reports it rather
+// than desyncing.
+func (s *Session) applyDeltas(res *RunResult, in []DeltaJSON) error {
 	if s.Task != "program" {
-		return nil, fmt.Errorf("serve: deltas only apply to program sessions (task %q drives its own workload)", s.Task)
+		return fmt.Errorf("serve: deltas only apply to program sessions (task %q drives its own workload)", s.Task)
 	}
 	var ds []wme.Delta
 	var added []uint64
@@ -373,7 +358,7 @@ func (s *Session) applyDeltas(in []DeltaJSON) (*DeltaResult, error) {
 			for j, f := range dj.Fields {
 				v, err := jsonValue(s.eng.Tab, f)
 				if err != nil {
-					return nil, fmt.Errorf("serve: delta %d field %d: %w", i, j, err)
+					return fmt.Errorf("serve: delta %d field %d: %w", i, j, err)
 				}
 				fields[j] = v
 			}
@@ -389,21 +374,15 @@ func (s *Session) applyDeltas(in []DeltaJSON) (*DeltaResult, error) {
 			}
 			ds = append(ds, wme.Delta{Op: wme.Remove, WME: w})
 		default:
-			return nil, fmt.Errorf("serve: delta %d: bad op %q", i, dj.Op)
+			return fmt.Errorf("serve: delta %d: bad op %q", i, dj.Op)
 		}
 	}
 	bad0 := s.eng.BadDeltas
-	cs := s.eng.ApplyAndMatch(ds)
-	s.cycles++
-	return &DeltaResult{
-		Added:       added,
-		Tasks:       cs.Tasks,
-		Failed:      cs.Failed,
-		Recovered:   cs.Recovered,
-		Reason:      cs.Reason,
-		BadDeltas:   s.eng.BadDeltas - bad0,
-		Fingerprint: s.fingerprint(),
-	}, nil
+	res.count(s.eng.ApplyAndMatch(ds))
+	res.Added = added
+	res.BadDeltas = s.eng.BadDeltas - bad0
+	s.closeCycle(res)
+	return nil
 }
 
 // jsonValue maps a JSON field to an engine value: strings intern as

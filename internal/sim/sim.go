@@ -19,13 +19,15 @@ import (
 	"soarpsme/internal/prun"
 )
 
-// Policy mirrors prun's queue organizations.
-type Policy = prun.Policy
+// Policy is the paper's task-queue organization: SingleQueue is one queue
+// shared by every process (Figure 6-1), MultiQueue one queue per process
+// with cycle-stealing (Figure 6-4). The live runtime keeps only the
+// second; the first exists here, where the figures are drawn.
+type Policy uint8
 
-// Re-exported policies.
 const (
-	SingleQueue = prun.SingleQueue
-	MultiQueue  = prun.MultiQueue
+	SingleQueue Policy = iota
+	MultiQueue
 )
 
 // Config sets the machine model.

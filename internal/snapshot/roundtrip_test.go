@@ -160,7 +160,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		}},
 		{"cypress", captureCypressTrajectory},
 	}
-	policies := []prun.Policy{prun.SingleQueue, prun.MultiQueue, prun.WorkStealing}
+	policies := []prun.Policy{prun.MultiQueue, prun.WorkStealing}
 	procs := []int{1, 4, 13}
 	if testing.Short() {
 		procs = []int{4}
@@ -173,7 +173,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			if len(tr.batches) < 4 {
 				t.Fatalf("trajectory too short: %d batches", len(tr.batches))
 			}
-			ref := tr.restoreGenesis(t, policyCfg(prun.SingleQueue, 1))
+			ref := tr.restoreGenesis(t, policyCfg(prun.MultiQueue, 1))
 			refFps := tr.replay(t, ref, 0, len(tr.batches))
 			k := 3 * len(tr.batches) / 4
 

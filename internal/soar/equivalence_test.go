@@ -96,7 +96,7 @@ func TestLearningParallelEquivalence(t *testing.T) {
 			if !ref.res.Halted {
 				t.Fatalf("serial reference did not halt: %+v", ref.res)
 			}
-			for _, pol := range []prun.Policy{prun.SingleQueue, prun.MultiQueue, prun.WorkStealing} {
+			for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 				for _, procs := range []int{2, 4} {
 					if d := solveLearning(t, tc.mk, procs, pol).diff(ref); d != "" {
 						t.Errorf("%v × %d processes: %s", pol, procs, d)
