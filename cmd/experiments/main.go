@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-exp all|t51|t52|t61|f61|f62|...|extras] [-out file]
-//	            [-fault-seed N] [-deadline 5s]
+//	            [-plot] [-unlink=false]
 //	            [-trace out.json] [-metrics out.txt] [-listen :6060]
 package main
 
@@ -18,9 +18,7 @@ import (
 	"time"
 
 	"soarpsme/internal/exp"
-	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
-	"soarpsme/internal/rete"
 	"soarpsme/internal/stats"
 )
 
@@ -78,9 +76,6 @@ func main() {
 	outPath := flag.String("out", "", "write output to file instead of stdout")
 	plot := flag.Bool("plot", false, "render figures as ASCII charts too")
 	unlink := flag.Bool("unlink", true, "left/right unlinking in the capture engines (pass -unlink=false to reproduce the paper's full task volume: its engine scheduled every null activation)")
-	bilinear := flag.String("bilinear", "off", "bilinear restructuring in the capture engines: off, all, or auto (abl-bilinear sweeps all three regardless)")
-	faultSeed := flag.Int64("fault-seed", 0, "inject a seeded fault schedule into the capture engines (0 = off); failed cycles recover via the serial fallback, so results are unchanged")
-	deadline := flag.Duration("deadline", 0, "per-cycle quiescence watchdog deadline for the capture engines (0 = off)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the captured runs")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
 	listen := flag.String("listen", "", "serve /metrics, /trace/last-cycle and /debug/pprof while experiments run (e.g. :6060)")
@@ -109,21 +104,11 @@ func main() {
 	l := exp.NewLab()
 	l.SetObserver(observer)
 	l.SetUnlink(*unlink)
-	org, err := rete.ParseOrganization(*bilinear)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	l.SetOrganization(org)
 	if *unlink {
 		fmt.Fprintln(os.Stderr, ";; note: null-activation filter on (the default); the paper's engine"+
 			" scheduled every null activation, so figures that measure task volume or"+
 			" its parallel speedup run lower here — pass -unlink=false for paper fidelity")
 	}
-	if *faultSeed != 0 {
-		l.SetFault(fault.Seeded(*faultSeed, fault.DefaultRates()))
-	}
-	l.SetDeadline(*deadline)
 	matched := false
 	for _, r := range runners {
 		if *which != "all" && !strings.EqualFold(*which, r.id) {

@@ -4,8 +4,9 @@
 //
 // Usage:
 //
-//	psme [-procs N] [-noshare] [-stats] [-trace out.json] [-metrics out.txt]
-//	     [-listen :6060] program.ops
+//	psme [-procs N] [-stats] [-cycles N] [-watch N] [-network]
+//	     [-trace out.json] [-metrics out.txt] [-listen :6060]
+//	     [-fault-seed N] [-deadline 2s] program.ops
 package main
 
 import (
@@ -16,15 +17,10 @@ import (
 	"soarpsme/internal/engine"
 	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
-	"soarpsme/internal/rete"
 )
 
 func main() {
 	procs := flag.Int("procs", 1, "number of match processes")
-	noshare := flag.Bool("noshare", false, "disable two-input node sharing")
-	unlink := flag.Bool("unlink", true, "left/right unlinking: run activations against provably empty opposite memories inline instead of scheduling tasks")
-	bilinear := flag.String("bilinear", "off", "bilinear restructuring: off, all, or auto (restructure productions whose join chain reaches -bilinear-depth)")
-	bilinearDepth := flag.Int("bilinear-depth", 0, "auto-bilinear selection threshold in positive+negated CEs (0 = default 16)")
 	showStats := flag.Bool("stats", false, "print match statistics")
 	maxCycles := flag.Int("cycles", 10000, "recognize-act cycle bound")
 	watch := flag.Int("watch", 0, "trace level: 1 = firings, 2 = +wme changes")
@@ -56,15 +52,6 @@ func main() {
 
 	cfg := engine.DefaultConfig()
 	cfg.Processes = *procs
-	cfg.Rete.ShareBeta = !*noshare
-	cfg.Rete.Unlink = *unlink
-	org, err := rete.ParseOrganization(*bilinear)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psme:", err)
-		os.Exit(2)
-	}
-	cfg.Rete.Organization = org
-	cfg.Rete.BilinearDepth = *bilinearDepth
 	if *faultSeed != 0 {
 		cfg.Fault = fault.Seeded(*faultSeed, fault.DefaultRates())
 	}

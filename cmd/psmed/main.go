@@ -24,7 +24,7 @@
 // Usage:
 //
 //	psmed [-addr :8740] [-workers N] [-procs N]
-//	      [-queue-depth 4] [-max-sessions 64] [-deadline 0] [-unlink]
+//	      [-queue-depth 4] [-max-sessions 64] [-deadline 0]
 //	      [-data DIR] [-kill-after 0]
 //	      [-trace out.json] [-metrics out.txt] [-listen :6060]
 //	      [-drain-timeout 30s] [-log-json] [-quiet]
@@ -57,7 +57,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 4, "per-session admission queue depth (full queue = 429)")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session limit")
 	deadline := flag.Duration("deadline", 0, "default per-cycle watchdog deadline; a wedged cycle degrades to the serial fallback (0 = off)")
-	unlink := flag.Bool("unlink", true, "left/right unlinking in session engines: run activations against provably empty opposite memories without scheduling tasks")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file at exit")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
@@ -110,7 +109,6 @@ func main() {
 		QueueDepth:  *queueDepth,
 		MaxSessions: *maxSessions,
 		Deadline:    *deadline,
-		Unlink:      unlink,
 		Obs:         observer,
 		Log:         logger,
 		Fault:       inj,

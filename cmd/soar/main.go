@@ -1,12 +1,12 @@
-// Command soar runs a Soar task (Eight-Puzzle-Soar, Strips-Soar, or the
-// synthetic Cypress workload) on the Soar/PSM-E architecture, with chunking
+// Command soar runs a Soar task (Eight-Puzzle-Soar, Strips-Soar, Towers of
+// Hanoi or the blocks world) on the Soar/PSM-E architecture, with chunking
 // off or on, and optionally an after-chunking re-run.
 //
 // Usage:
 //
-//	soar [-task eight-puzzle|strips] [-procs N] [-chunking] [-after]
-//	     [-decisions N] [-dtrace] [-trace out.json] [-metrics out.txt]
-//	     [-listen :6060]
+//	soar [-task eight-puzzle|strips|hanoi|blocks] [-procs N] [-chunking]
+//	     [-after] [-decisions N] [-dtrace] [-trace out.json]
+//	     [-metrics out.txt] [-listen :6060] [-fault-seed N] [-deadline 2s]
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"soarpsme/internal/engine"
 	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
-	"soarpsme/internal/rete"
 	"soarpsme/internal/soar"
 	"soarpsme/internal/tasks/blocks"
 	"soarpsme/internal/tasks/eightpuzzle"
@@ -30,13 +29,10 @@ func main() {
 	taskName := flag.String("task", "eight-puzzle", "task: eight-puzzle, strips, hanoi, or blocks")
 	procs := flag.Int("procs", 1, "number of match processes")
 	chunking := flag.Bool("chunking", false, "enable chunking (during-chunking run)")
-	unlink := flag.Bool("unlink", true, "left/right unlinking: run activations against provably empty opposite memories inline instead of scheduling tasks")
-	bilinear := flag.String("bilinear", "off", "bilinear restructuring: off, all, or auto (restructure productions whose join chain reaches -bilinear-depth)")
-	bilinearDepth := flag.Int("bilinear-depth", 0, "auto-bilinear selection threshold in positive+negated CEs (0 = default 16)")
 	after := flag.Bool("after", false, "run again with the learned chunks (after-chunking run)")
 	decisions := flag.Int("decisions", 400, "decision-cycle bound")
-	dtrace := flag.Bool("dtrace", false, "print decision-level trace (formerly -trace)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing); BREAKING: was the bool now named -dtrace")
+	dtrace := flag.Bool("dtrace", false, "print decision-level trace")
+	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
 	listen := flag.String("listen", "", "serve /metrics, /trace/last-cycle and /debug/pprof on this address (e.g. :6060)")
 	faultSeed := flag.Int64("fault-seed", 0, "inject a seeded fault schedule into the match workers (0 = off); failed cycles recover via the serial fallback")
@@ -70,14 +66,6 @@ func main() {
 
 	cfg := soar.Config{Engine: engine.DefaultConfig(), Chunking: *chunking, MaxDecisions: *decisions}
 	cfg.Engine.Processes = *procs
-	cfg.Engine.Rete.Unlink = *unlink
-	org, err := rete.ParseOrganization(*bilinear)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "soar:", err)
-		os.Exit(2)
-	}
-	cfg.Engine.Rete.Organization = org
-	cfg.Engine.Rete.BilinearDepth = *bilinearDepth
 	cfg.Engine.Obs = observer
 	if *faultSeed != 0 {
 		cfg.Engine.Fault = fault.Seeded(*faultSeed, fault.DefaultRates())
@@ -94,15 +82,10 @@ func main() {
 			os.Exit(1)
 		}
 		if seed != nil {
-			n := 0
-			for _, p := range seed.Eng.NW.Productions() {
-				if strings.HasPrefix(p.Name, "chunk-") {
-					if _, err := a.Eng.AddProductionRuntime(p.AST); err != nil {
-						fmt.Fprintln(os.Stderr, "soar: chunk transfer:", err)
-						os.Exit(1)
-					}
-					n++
-				}
+			n, err := a.AdoptChunks(seed)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "soar: chunk transfer:", err)
+				os.Exit(1)
 			}
 			fmt.Printf(";; transferred %d chunks\n", n)
 		}

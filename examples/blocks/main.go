@@ -26,14 +26,9 @@ func run(label string, seed *soar.Agent) *soar.Agent {
 		log.Fatal(err)
 	}
 	if seed != nil {
-		n := 0
-		for _, p := range seed.Eng.NW.Productions() {
-			if strings.HasPrefix(p.Name, "chunk-") {
-				if _, err := agent.Eng.AddProductionRuntime(p.AST); err != nil {
-					log.Fatal(err)
-				}
-				n++
-			}
+		n, err := agent.AdoptChunks(seed)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("transferred %d chunks\n", n)
 	}

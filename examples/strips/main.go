@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"soarpsme/internal/engine"
 	"soarpsme/internal/soar"
@@ -23,14 +22,9 @@ func run(label string, seed *soar.Agent) *soar.Agent {
 		log.Fatal(err)
 	}
 	if seed != nil {
-		moved := 0
-		for _, p := range seed.Eng.NW.Productions() {
-			if strings.HasPrefix(p.Name, "chunk-") {
-				if _, err := agent.Eng.AddProductionRuntime(p.AST); err != nil {
-					log.Fatal(err)
-				}
-				moved++
-			}
+		moved, err := agent.AdoptChunks(seed)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("transferred %d learned chunks into a fresh agent\n", moved)
 	}

@@ -26,6 +26,9 @@ type Record struct {
 	Level   int // goal depth of the firing (deepest matched wme)
 }
 
+// Prefix starts the name of every chunk Build makes: chunk-1, chunk-2, ...
+const Prefix = "chunk-"
+
 // Builder accumulates chunks. The owning architecture supplies the level,
 // substitution and provenance oracles.
 type Builder struct {
@@ -94,7 +97,7 @@ func (b *Builder) Build(rec *Record) (*ops5.Production, string, error) {
 	}
 	for {
 		b.counter++
-		ast.Name = "chunk-" + strconv.Itoa(b.counter)
+		ast.Name = Prefix + strconv.Itoa(b.counter)
 		if b.Taken == nil || !b.Taken(ast.Name) {
 			break
 		}

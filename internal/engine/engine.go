@@ -240,26 +240,19 @@ func (e *Engine) Obs() *obs.Observer { return e.obs }
 // hash table, so it runs every cycle; the per-line tallies do not, and are
 // harvested by harvestLines instead.
 func (e *Engine) flushContention() {
-	// delta clamps against external counter resets (Reset*Stats callers).
-	delta := func(cur, last uint64) uint64 {
-		if cur < last {
-			return cur
-		}
-		return cur - last
-	}
 	qs, qa := e.RT.QueueLockStats()
-	e.mQueueSpins.Add(delta(qs, e.lastQueue.Spins))
-	e.mQueueAcqs.Add(delta(qa, e.lastQueue.Acquires))
+	e.mQueueSpins.Add(qs - e.lastQueue.Spins)
+	e.mQueueAcqs.Add(qa - e.lastQueue.Acquires)
 	e.lastQueue = spin.Counts{Spins: qs, Acquires: qa}
 
 	ns := uint64(e.NW.Stats.NullSuppressed.Load())
-	e.mNullSupp.Add(delta(ns, e.lastNullSupp))
+	e.mNullSupp.Add(ns - e.lastNullSupp)
 	e.lastNullSupp = ns
 	ah := uint64(e.NW.Stats.AlphaHits.Load())
-	e.mAlphaHits.Add(delta(ah, e.lastAlphaHit))
+	e.mAlphaHits.Add(ah - e.lastAlphaHit)
 	e.lastAlphaHit = ah
 	am := uint64(e.NW.Stats.AlphaMisses.Load())
-	e.mAlphaMisses.Add(delta(am, e.lastAlphaMiss))
+	e.mAlphaMisses.Add(am - e.lastAlphaMiss)
 	e.lastAlphaMiss = am
 }
 

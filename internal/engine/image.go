@@ -45,11 +45,14 @@ func (img *ProgramImage) Productions() int { return len(img.Top.Productions()) }
 // program source and the structural (topology-level) options. The
 // session-level option, Unlink, is excluded: it configures per-session state,
 // not the compiled graph, so sessions differing only in it share one image.
+// The bilinear victim depth is a constant now, but it stays in the hashed
+// text so that images and data directories written while it was an option
+// keep their hashes.
 func ProgramHash(src string, opts rete.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "share=%t org=%d ctx=%d grp=%d bdepth=%d linmem=%t\n",
 		opts.ShareBeta, opts.Organization, opts.ContextCEs, opts.GroupCEs,
-		opts.EffBilinearDepth(), opts.LinearMemories)
+		rete.BilinearDepth, opts.LinearMemories)
 	h.Write([]byte(src))
 	return hex.EncodeToString(h.Sum(nil))
 }

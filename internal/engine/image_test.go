@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"soarpsme/internal/ops5"
+	"soarpsme/internal/rete"
 )
 
 const imageProg = `
@@ -88,6 +89,22 @@ func TestProgramHashSessionOptionsExcluded(t *testing.T) {
 	}
 	if ProgramHash(imageProg, base) == ProgramHash(imageProg+"\n(p x (hand) --> (make o))", base) {
 		t.Fatal("source change did not change the image hash")
+	}
+	// Literal hashes from the last build in which the bilinear depth was
+	// an option (default 16): the images and data directories it wrote
+	// must keep their keys.
+	auto := base
+	auto.Organization = rete.BilinearAuto
+	for _, c := range []struct {
+		opts rete.Options
+		want string
+	}{
+		{base, "aaed31851e5dc9a2543e7fbc3c81e5e2cab3bfb915d8682e911e1549417375a1"},
+		{auto, "b0e5a7deff61052c1eed4640c9097a78c3101a3283cc259e97b2592b52c4181c"},
+	} {
+		if got := ProgramHash(imageProg, c.opts); got != c.want {
+			t.Fatalf("org %v: image hash %s, want %s", c.opts.Organization, got, c.want)
+		}
 	}
 }
 

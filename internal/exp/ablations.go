@@ -97,7 +97,7 @@ func AblationBilinear(l *Lab) (*stats.Table, error) {
 	for _, org := range []rete.Organization{rete.Linear, rete.Bilinear, rete.BilinearAuto} {
 		lab := NewLab()
 		lab.SetUnlink(true)
-		lab.SetOrganization(org)
+		lab.opts.Organization = org
 		c, err := lab.Cypress(DuringChunk)
 		if err != nil {
 			return nil, err

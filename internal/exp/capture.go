@@ -9,11 +9,10 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"time"
 
+	"soarpsme/internal/chunk"
 	"soarpsme/internal/codegen"
 	"soarpsme/internal/engine"
-	"soarpsme/internal/fault"
 	"soarpsme/internal/matchprof"
 	"soarpsme/internal/obs"
 	"soarpsme/internal/ops5"
@@ -106,7 +105,7 @@ func (c *Capture) harvest(e *engine.Engine) {
 		c.SharedTwoInput += add.Info.SharedTwoInput
 	}
 	for _, p := range e.NW.Productions() {
-		if !strings.HasPrefix(p.Name, "chunk-") && !strings.HasPrefix(p.Name, "cy-chunk-") {
+		if !isChunkName(p.Name) {
 			c.TaskProdCEs = append(c.TaskProdCEs, countCEs(p.AST))
 		}
 	}
@@ -153,11 +152,9 @@ func (m Mode) String() string {
 
 // Lab lazily captures and caches workload runs.
 type Lab struct {
-	cache    map[string]*Capture
-	opts     rete.Options
-	obs      *obs.Observer
-	fault    *fault.Injector
-	deadline time.Duration
+	cache map[string]*Capture
+	opts  rete.Options
+	obs   *obs.Observer
 }
 
 // NewLab returns an empty lab with default network options — except that
@@ -175,25 +172,9 @@ func NewLab() *Lab {
 // paper fidelity).
 func (l *Lab) SetUnlink(on bool) { l.opts.Unlink = on }
 
-// SetOrganization selects the bilinear restructuring mode (off/all/auto)
-// for every engine the lab creates from now on (cmd/experiments -bilinear).
-// The organization is part of every capture cache key, so captures at
-// different organizations never alias.
-func (l *Lab) SetOrganization(org rete.Organization) { l.opts.Organization = org }
-
 // SetObserver attaches an observability handle to every engine the lab
 // creates from now on (live /metrics while experiments run).
 func (l *Lab) SetObserver(o *obs.Observer) { l.obs = o }
-
-// SetFault injects a fault schedule into every engine the lab creates from
-// now on (cmd/experiments -fault-seed). Failed cycles recover through the
-// serial fallback, so the captured results stay byte-identical; the fault
-// counters land in /metrics.
-func (l *Lab) SetFault(in *fault.Injector) { l.fault = in }
-
-// SetDeadline arms the per-cycle quiescence watchdog on every engine the
-// lab creates from now on (cmd/experiments -deadline). Zero disables it.
-func (l *Lab) SetDeadline(d time.Duration) { l.deadline = d }
 
 func (l *Lab) engCfg() engine.Config {
 	cfg := engine.DefaultConfig()
@@ -201,8 +182,6 @@ func (l *Lab) engCfg() engine.Config {
 	cfg.CaptureTrace = true
 	cfg.Rete = l.opts
 	cfg.Obs = l.obs
-	cfg.Fault = l.fault
-	cfg.Deadline = l.deadline
 	// Attribution profiling without the flight recorder: diagnose reads
 	// per-production null rates and chain depths from the snapshot.
 	cfg.Prof = &matchprof.Options{FlightCycles: -1}
@@ -235,12 +214,8 @@ func (l *Lab) SoarTask(name string, task *soar.Task, mode Mode) (*Capture, error
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range during.eng.NW.Productions() {
-			if strings.HasPrefix(p.Name, "chunk-") {
-				if _, err := a.Eng.AddProductionRuntime(p.AST); err != nil {
-					return nil, fmt.Errorf("exp: transfer %s: %w", p.Name, err)
-				}
-			}
+		if _, err := a.AdoptChunks(during.agent); err != nil {
+			return nil, fmt.Errorf("exp: %s transfer: %w", name, err)
 		}
 		// Transfer-time update stats are not part of the measured run.
 		a.Eng.UpdateStats = nil
@@ -278,7 +253,7 @@ func (l *Lab) soarTaskSeeded(name string, task *soar.Task, prev *Capture) (*Capt
 	if prev != nil {
 		n := 0
 		for _, p := range prev.eng.NW.Productions() {
-			if strings.HasPrefix(p.Name, "chunk-") || strings.HasPrefix(p.Name, "xfer-") {
+			if strings.HasPrefix(p.Name, chunk.Prefix) || strings.HasPrefix(p.Name, "xfer-") {
 				n++
 				clone := *p.AST
 				// Rename so the new agent's own chunk counter can't collide.

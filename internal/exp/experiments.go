@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"soarpsme/internal/chunk"
 	"soarpsme/internal/codegen"
 	"soarpsme/internal/engine"
 	"soarpsme/internal/ops5"
@@ -141,7 +142,7 @@ func recompileChunks(c *Capture, chunks []*ops5.Production, share bool) (int64, 
 }
 
 func isChunkName(n string) bool {
-	return strings.HasPrefix(n, "chunk-") || strings.HasPrefix(n, "cy-chunk-")
+	return strings.HasPrefix(n, chunk.Prefix) || strings.HasPrefix(n, "cy-chunk-")
 }
 
 // Table61 reproduces Table 6-1: the granularity of tasks — uniprocessor

@@ -21,19 +21,23 @@ import (
 	"soarpsme/internal/wme"
 )
 
-// matrixParams is kept small: the matrix multiplies it by 5 schedules x 3
-// policies x 3 process counts, and CI runs the whole thing under -race.
+// matrixParams is kept small: the matrix multiplies it by 5 schedules x 2
+// policies x 3 process counts x two cypress programs, and CI runs the whole
+// thing under -race.
 var matrixParams = cypress.Params{Productions: 60, Cycles: 20, Seed: 5}
 
 // A program is one workload of the matrix: load compiles it into e and
 // returns the source of its per-cycle delta batches. Some cycle of a
 // helpers program must start helpers, and every cycle of the other kind
 // must stay on its caller's goroutine (checked on the fault-free schedule).
+// A noUnlink program runs with left/right unlinking off: the paper's
+// engine, which schedules every null activation as a task.
 type program struct {
-	name    string
-	cycles  int
-	helpers bool
-	load    func(t *testing.T, e *engine.Engine) (batch func() []wme.Delta)
+	name     string
+	cycles   int
+	helpers  bool
+	noUnlink bool
+	load     func(t *testing.T, e *engine.Engine) (batch func() []wme.Delta)
 }
 
 // cypressProgram is the paper's small-cycle workload: a few deltas and,
@@ -121,6 +125,7 @@ func run(t *testing.T, prog program, procs int, pol prun.Policy, in *fault.Injec
 	cfg.Policy = pol
 	cfg.Fault = in
 	cfg.Deadline = deadline
+	cfg.Rete.Unlink = !prog.noUnlink
 	e := engine.New(cfg)
 	batch := prog.load(t, e)
 	fps := make([]string, 0, prog.cycles)
@@ -199,7 +204,9 @@ func TestFaultMatrix(t *testing.T) {
 	policies := []prun.Policy{prun.MultiQueue, prun.WorkStealing}
 	procCounts := []int{1, 4, 13}
 
-	programs := []program{cypressProgram("cypress", false), fanoutProgram}
+	paper := cypressProgram("cypress-nounlink", false)
+	paper.noUnlink = true
+	programs := []program{cypressProgram("cypress", false), paper, fanoutProgram}
 	baselines := make([][]string, len(programs))
 	for i, prog := range programs {
 		var be *engine.Engine

@@ -283,9 +283,6 @@ func New(nw *rete.Network, cfg Config) *Runtime {
 	return rt
 }
 
-// Config returns the runtime configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
 // SetObserver attaches (non-nil) or detaches (nil) match instrumentation.
 // Must be called while no cycle is running.
 func (rt *Runtime) SetObserver(h *obs.MatchHooks) { rt.obs = h }

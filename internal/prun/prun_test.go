@@ -250,8 +250,8 @@ func TestPolicyString(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	nw, _, _ := buildNet(t)
 	rt := New(nw, Config{})
-	if rt.Config().Processes != 1 {
-		t.Fatalf("default processes = %d", rt.Config().Processes)
+	if rt.cfg.Processes != 1 {
+		t.Fatalf("default processes = %d", rt.cfg.Processes)
 	}
 }
 

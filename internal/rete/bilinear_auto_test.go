@@ -2,42 +2,39 @@ package rete
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"soarpsme/internal/wme"
 )
 
-// chainSrc is a cypress-style dependent join chain: ten positive CEs where
+// chainProd is a cypress-style dependent join chain: n positive CEs where
 // each step's ^prev references the previous step's ^id. With ContextCEs=2
-// and GroupCEs=2 it partitions into four groups whose cross-group tests
-// link adjacent groups — the shape the balanced combine must cover with
+// and GroupCEs=2 it partitions into groups whose cross-group tests link
+// adjacent groups — the shape the balanced combine must cover with
 // LCA-placed BB tests.
 const chainLit = `
 (literalize step id prev op)
 `
 
-const chainProd = `
-(p chain
-  (step ^id <s1> ^prev r0 ^op a1)
-  (step ^id <s2> ^prev <s1> ^op a2)
-  (step ^id <s3> ^prev <s2> ^op a3)
-  (step ^id <s4> ^prev <s3> ^op a4)
-  (step ^id <s5> ^prev <s4> ^op a5)
-  (step ^id <s6> ^prev <s5> ^op a6)
-  (step ^id <s7> ^prev <s6> ^op a7)
-  (step ^id <s8> ^prev <s7> ^op a8)
-  (step ^id <s9> ^prev <s8> ^op a9)
-  (step ^id <s10> ^prev <s9> ^op a10)
-  -->
-  (make out ^last <s10>))
-`
+func chainProd(n int) string {
+	var b strings.Builder
+	b.WriteString("(p chain\n  (step ^id <s1> ^prev r0 ^op a1)\n")
+	for i := 2; i <= n; i++ {
+		fmt.Fprintf(&b, "  (step ^id <s%d> ^prev <s%d> ^op a%d)\n", i, i-1, i)
+	}
+	fmt.Fprintf(&b, "  -->\n  (make out ^last <s%d>))\n", n)
+	return b.String()
+}
 
-const chainSrc = chainLit + chainProd
+// chainSrc is a chain exactly BilinearDepth CEs long: the shortest that
+// BilinearAuto restructures.
+var chainSrc = chainLit + chainProd(BilinearDepth)
 
 func chainWMEs(e *testEnv) []*wme.WME {
-	ws := make([]*wme.WME, 0, 10)
+	ws := make([]*wme.WME, 0, BilinearDepth)
 	prev := "r0"
-	for i := 1; i <= 10; i++ {
+	for i := 1; i <= BilinearDepth; i++ {
 		id := fmt.Sprintf("s%d", i)
 		ws = append(ws, e.wmeOf("step", "id", id, "prev", prev, "op", fmt.Sprintf("a%d", i)))
 		prev = id
@@ -45,10 +42,9 @@ func chainWMEs(e *testEnv) []*wme.WME {
 	return ws
 }
 
-func autoOpts(depth int) Options {
+func autoOpts() Options {
 	opts := DefaultOptions()
 	opts.Organization = BilinearAuto
-	opts.BilinearDepth = depth
 	opts.ContextCEs = 2
 	opts.GroupCEs = 2
 	return opts
@@ -77,21 +73,17 @@ func netDepth(e *testEnv) int {
 }
 
 // TestBilinearAutoSelection: auto restructures exactly the productions
-// whose linear chain reaches the depth threshold, and marks them.
+// whose linear chain reaches BilinearDepth, and marks them.
 func TestBilinearAutoSelection(t *testing.T) {
-	// Threshold at the chain length: selected.
-	e := newEnvOpts(t, bilinProg+chainSrc, autoOpts(10))
-	if p := e.nw.Lookup("chain"); p == nil || !p.Restructured {
-		t.Fatalf("chain not restructured at threshold 10: %+v", e.nw.Lookup("chain"))
-	}
-	// Short production in the same network stays linear.
-	if p := e.nw.Lookup("base"); p == nil || p.Restructured {
-		t.Fatalf("short production restructured: %+v", e.nw.Lookup("base"))
-	}
-	// Threshold above the chain length: nothing selected.
-	e2 := newEnvOpts(t, bilinProg+chainSrc, autoOpts(11))
-	if p := e2.nw.Lookup("chain"); p == nil || p.Restructured {
-		t.Fatalf("chain restructured below threshold: %+v", e2.nw.Lookup("chain"))
+	for _, n := range []int{BilinearDepth - 1, BilinearDepth, BilinearDepth + 1} {
+		e := newEnvOpts(t, bilinProg+chainLit+chainProd(n), autoOpts())
+		if p := e.nw.Lookup("chain"); p == nil || p.Restructured != (n >= BilinearDepth) {
+			t.Fatalf("%d-CE chain at depth %d: %+v", n, BilinearDepth, p)
+		}
+		// Short production in the same network stays linear.
+		if p := e.nw.Lookup("base"); p == nil || p.Restructured {
+			t.Fatalf("short production restructured: %+v", p)
+		}
 	}
 	// Organization=Linear never restructures regardless of depth.
 	lin := newTestEnv(t, bilinProg+chainSrc)
@@ -105,7 +97,7 @@ func TestBilinearAutoSelection(t *testing.T) {
 // delete (full retraction ripple across the tree) and a re-add.
 func TestBilinearAutoEquivalence(t *testing.T) {
 	lin := newTestEnv(t, chainSrc)
-	aut := newEnvOpts(t, chainSrc, autoOpts(10))
+	aut := newEnvOpts(t, chainSrc, autoOpts())
 	if p := aut.nw.Lookup("chain"); p == nil || !p.Restructured {
 		t.Fatal("chain not restructured")
 	}
@@ -155,11 +147,11 @@ func TestBilinearAutoEquivalence(t *testing.T) {
 func TestBilinearAutoBalancedDepth(t *testing.T) {
 	lin := newTestEnv(t, chainSrc)
 
-	all := autoOpts(10)
+	all := autoOpts()
 	all.Organization = Bilinear
 	spine := newEnvOpts(t, chainSrc, all)
 
-	aut := newEnvOpts(t, chainSrc, autoOpts(10))
+	aut := newEnvOpts(t, chainSrc, autoOpts())
 
 	dl, ds, da := netDepth(lin), netDepth(spine), netDepth(aut)
 	if !(da < ds && ds < dl) {
@@ -171,7 +163,7 @@ func TestBilinearAutoBalancedDepth(t *testing.T) {
 // run time over loaded WM builds the same instantiations as an up-front
 // compile (the chunking path on the PR 9 CoW suffix).
 func TestBilinearAutoRuntimeAddition(t *testing.T) {
-	opts := autoOpts(10)
+	opts := autoOpts()
 
 	ref := newEnvOpts(t, bilinProg+chainSrc, opts)
 	for _, w := range chainWMEs(ref) {
@@ -182,7 +174,7 @@ func TestBilinearAutoRuntimeAddition(t *testing.T) {
 	for _, w := range chainWMEs(cand) {
 		cand.add(w)
 	}
-	runtimeAddWithUpdate(t, cand, chainProd)
+	runtimeAddWithUpdate(t, cand, chainProd(BilinearDepth))
 	if p := cand.nw.Lookup("chain"); p == nil || !p.Restructured {
 		t.Fatal("runtime-added chain not restructured")
 	}

@@ -530,7 +530,7 @@ func checkRHS(p *Production, nw *Network) error {
 // constrained bilinear shape. Bilinear restructures every applicable
 // production (the fixed Fig 6-8 organization, left-spine pair joins);
 // BilinearAuto restructures only chain-depth victims — productions whose
-// linear join chain would reach Options.BilinearDepth two-input nodes —
+// linear join chain would reach BilinearDepth two-input nodes —
 // and combines their groups with a balanced pair-join tree. The decision
 // is purely structural (source + options), so runtime chunks added
 // over a shared base make it identically on every session.
@@ -539,7 +539,7 @@ func (b *builder) useBilinear() bool {
 	case Bilinear:
 		return b.bilinearApplicable()
 	case BilinearAuto:
-		return b.bilinearApplicable() && b.linearChainLen() >= b.nw.Opts.EffBilinearDepth()
+		return b.bilinearApplicable() && b.linearChainLen() >= BilinearDepth
 	}
 	return false
 }

@@ -528,10 +528,3 @@ func (m *Mem) LockStats() (spins, acquires uint64) {
 	}
 	return
 }
-
-// ResetLockStats zeroes all line-lock contention counters.
-func (m *Mem) ResetLockStats() {
-	for i := range m.lines {
-		m.lines[i].Lock.ResetStats()
-	}
-}

@@ -117,10 +117,6 @@ func TestHarvestAndLockStats(t *testing.T) {
 	if _, acq := m.LockStats(); acq == 0 {
 		t.Fatalf("no lock acquisitions recorded")
 	}
-	m.ResetLockStats()
-	if s, a := m.LockStats(); s != 0 || a != 0 {
-		t.Fatalf("ResetLockStats failed")
-	}
 }
 
 func TestNetworkProductionsOrder(t *testing.T) {

@@ -2,7 +2,6 @@ package rete
 
 import (
 	"cmp"
-	"fmt"
 	"maps"
 	"slices"
 	"strconv"
@@ -22,7 +21,7 @@ type Organization uint8
 // shared context prefix and pair-joining the group results. BilinearAuto
 // is the measurement-driven restructuring pass: it selects victims
 // deterministically at compile time — productions whose linear join chain
-// would reach Options.BilinearDepth two-input nodes — and combines their
+// would reach BilinearDepth two-input nodes — and combines their
 // group sub-chains with a balanced binary pair-join tree instead of the
 // fixed left spine, bounding dependent-chain depth at
 // context + group + ceil(log2 groups). Everything else stays linear.
@@ -42,20 +41,13 @@ func (o Organization) String() string {
 	return "off"
 }
 
-// ParseOrganization maps the -bilinear flag values: off (linear), all
-// (every applicable production restructures, Fig 6-8's fixed shape), auto
-// (deterministic per-production victim selection + balanced pair trees).
-func ParseOrganization(s string) (Organization, error) {
-	switch s {
-	case "off", "linear", "":
-		return Linear, nil
-	case "all", "bilinear":
-		return Bilinear, nil
-	case "auto":
-		return BilinearAuto, nil
-	}
-	return Linear, fmt.Errorf("rete: unknown bilinear mode %q (want off, all, or auto)", s)
-}
+// BilinearDepth is BilinearAuto's victim threshold: a production whose
+// linear join chain would reach this many two-input nodes is restructured;
+// shorter chains stay linear. The cypress 20-32-CE productions qualify, the
+// hand tasks' short rules don't. Selection is structural — it depends only
+// on the production source and the network options — so every session
+// sharing a compiled image agrees on it.
+const BilinearDepth = 16
 
 // hashLines is the number of lines in a network's global token tables.
 const hashLines = 1024
@@ -71,14 +63,6 @@ type Options struct {
 	ContextCEs int
 	// GroupCEs is the sub-chain group size for Bilinear.
 	GroupCEs int
-	// BilinearDepth is BilinearAuto's victim threshold: a production whose
-	// linear join chain would reach this many two-input nodes is
-	// restructured; shorter chains stay linear. 0 means 16 (the cypress
-	// 20-32-CE productions qualify, the hand tasks' short rules don't).
-	// Selection is structural — it depends only on the production source
-	// and these options — so it hashes into the program identity and every
-	// session sharing a compiled image agrees on it.
-	BilinearDepth int
 	// LinearMemories disables hashing: a node's tokens all share one
 	// bucket and every join scans the node's whole opposite memory — the
 	// §6.1 "linear lists" baseline ablation.
@@ -95,15 +79,7 @@ type Options struct {
 // DefaultOptions returns the production configuration: shared network,
 // hashed memories, linear organization, unlinking on.
 func DefaultOptions() Options {
-	return Options{ShareBeta: true, ContextCEs: 2, GroupCEs: 4, BilinearDepth: 16, Unlink: true}
-}
-
-// EffBilinearDepth resolves the zero-value default of BilinearDepth.
-func (o Options) EffBilinearDepth() int {
-	if o.BilinearDepth <= 0 {
-		return 16
-	}
-	return o.BilinearDepth
+	return Options{ShareBeta: true, ContextCEs: 2, GroupCEs: 4, Unlink: true}
 }
 
 // ConflictListener receives instantiation insertions and retractions from

@@ -260,7 +260,7 @@ type Production struct {
 	NumCEs   int // positive CEs
 	// Restructured marks productions the bilinear pass compiled into the
 	// context+group shape (Organization Bilinear, or BilinearAuto when the
-	// linear chain would reach Options.BilinearDepth).
+	// linear chain would reach BilinearDepth).
 	Restructured bool
 	PNode        *BetaNode
 	// ActionCE maps 0-based LHS positions to token CE tags (-1 for

@@ -58,9 +58,6 @@ type Config struct {
 	// Deadline is the default per-cycle watchdog deadline for sessions
 	// that don't set their own (0 = off).
 	Deadline time.Duration
-	// Unlink overrides left/right unlinking for session engines; nil keeps
-	// the engine default (on).
-	Unlink *bool
 	// Obs receives service metrics (nil disables instrumentation).
 	Obs *obs.Observer
 	// Log receives structured request logs (nil disables request logging).
@@ -519,9 +516,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // restored session runs under the same configuration it was created with.
 func (s *Server) engineConfig(req *CreateRequest) (engine.Config, error) {
 	ecfg := engine.DefaultConfig()
-	if s.cfg.Unlink != nil {
-		ecfg.Rete.Unlink = *s.cfg.Unlink
-	}
 	ecfg.Processes = s.cfg.Processes
 	if req.Processes > 0 {
 		ecfg.Processes = req.Processes

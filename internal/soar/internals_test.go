@@ -166,14 +166,9 @@ func TestChunksAreRealProductions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, p := range a.Eng.NW.Productions() {
-		if len(p.Name) > 6 && p.Name[:6] == "chunk-" {
-			if _, err := fresh.Eng.AddProductionRuntime(p.AST); err != nil {
-				t.Fatalf("chunk %s does not recompile: %v", p.Name, err)
-			}
-			n++
-		}
+	n, err := fresh.AdoptChunks(a)
+	if err != nil {
+		t.Fatalf("chunks do not recompile: %v", err)
 	}
 	if n != res.ChunksBuilt {
 		t.Fatalf("recompiled %d of %d chunks", n, res.ChunksBuilt)

@@ -30,7 +30,6 @@ import (
 	"soarpsme/internal/chunk"
 	"soarpsme/internal/engine"
 	"soarpsme/internal/ops5"
-	"soarpsme/internal/prun"
 	"soarpsme/internal/value"
 	"soarpsme/internal/wme"
 )
@@ -534,8 +533,23 @@ func (a *Agent) observeDecision(start time.Time, name string) {
 		start, time.Since(start), map[string]any{"goal-depth": len(a.goals), "elab-cycles": a.res.ElabCycles})
 }
 
-// MatchConfig exposes the engine's runtime configuration (for experiments).
-func (a *Agent) MatchConfig() prun.Config { return a.Eng.RT.Config() }
+// AdoptChunks adds every chunk in from's network (the ones from learned and
+// the ones it adopted itself) to a's as run-time additions, in from's
+// definition order: the after-chunking run of the paper (§3). It returns how
+// many it added.
+func (a *Agent) AdoptChunks(from *Agent) (int, error) {
+	n := 0
+	for _, p := range from.Eng.NW.Productions() {
+		if !strings.HasPrefix(p.Name, chunk.Prefix) {
+			continue
+		}
+		if _, err := a.Eng.AddProductionRuntime(p.AST); err != nil {
+			return n, fmt.Errorf("soar: adopt %s: %w", p.Name, err)
+		}
+		n++
+	}
+	return n, nil
+}
 
 // Builder exposes the chunk builder (for statistics).
 func (a *Agent) Builder() *chunk.Builder { return a.builder }

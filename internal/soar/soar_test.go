@@ -106,12 +106,8 @@ func TestEightPuzzleChunkTransfer(t *testing.T) {
 
 	second := epAgent(t, board, true, 1)
 	// Transfer the learned chunks into the fresh agent before running.
-	for _, p := range first.Eng.NW.Productions() {
-		if strings.HasPrefix(p.Name, "chunk-") {
-			if _, err := second.Eng.AddProductionRuntime(p.AST); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if _, err := second.AdoptChunks(first); err != nil {
+		t.Fatal(err)
 	}
 	res2, err := second.Run()
 	if err != nil {

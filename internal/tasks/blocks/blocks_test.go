@@ -21,12 +21,8 @@ func run(t *testing.T, chunking bool, seed *soar.Agent, trace *bytes.Buffer) (*s
 		t.Fatal(err)
 	}
 	if seed != nil {
-		for _, p := range seed.Eng.NW.Productions() {
-			if strings.HasPrefix(p.Name, "chunk-") {
-				if _, err := a.Eng.AddProductionRuntime(p.AST); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if _, err := a.AdoptChunks(seed); err != nil {
+			t.Fatal(err)
 		}
 	}
 	res, err := a.Run()

@@ -17,12 +17,8 @@ func solve(t *testing.T, b eightpuzzle.Board, chunking bool, seed *soar.Agent) (
 		t.Fatal(err)
 	}
 	if seed != nil {
-		for _, p := range seed.Eng.NW.Productions() {
-			if strings.HasPrefix(p.Name, "chunk-") {
-				if _, err := a.Eng.AddProductionRuntime(p.AST); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if _, err := a.AdoptChunks(seed); err != nil {
+			t.Fatal(err)
 		}
 	}
 	res, err := a.Run()
