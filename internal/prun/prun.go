@@ -321,9 +321,11 @@ const suppBatch = 32
 // injector spreads a cycle's root tasks round-robin over the queues. It
 // runs before the match processes start, so it may push onto any queue, and
 // it schedules through worker 0's sched to draw on that worker's free list
-// (worker 0 runs in every cycle, so the list is refilled; worker.begin
-// points the sched back at its own queue). Roots parked on the queue of a
-// process that is never started are reached by worker 0's steal scan.
+// (worker.begin points the sched back at its own queue). Worker 0 runs in
+// every cycle, but the tasks the helpers steal are recycled onto their
+// lists, not its own; rebalance deals the lists back out when a cycle with
+// helpers ends. Roots parked on the queue of a process that is never
+// started are reached by worker 0's steal scan.
 //
 // Suppressed right activations — destinations whose left memory was empty
 // at injection time — are deferred into batch tasks instead of executed
@@ -451,8 +453,42 @@ func (rt *Runtime) runToQuiescence() CycleStats {
 	if ctl.bad.Load() {
 		rt.drainPoisoned()
 		cs.Failed, cs.Reason, cs.Trace = true, ctl.reason, nil
+	} else if ctl.helpers > 0 {
+		rebalance(rt.workers[:1+ctl.helpers])
 	}
 	return cs
+}
+
+// rebalance deals the task free lists of the processes that ran a cycle
+// back out evenly, so that no two differ by more than one. A task is
+// recycled by the process that executed it, so every steal moves one off
+// worker 0 — which injects every cycle's roots and would otherwise keep
+// allocating them. Each list was at most freeListCap long, so no share
+// exceeds it. It runs after the helpers have exited: nothing else touches
+// the lists.
+func rebalance(ws []*worker) {
+	total := 0
+	for _, w := range ws {
+		total += len(w.free)
+	}
+	want := func(i int) int {
+		if i < total%len(ws) {
+			return total/len(ws) + 1
+		}
+		return total / len(ws)
+	}
+	d := 0 // the first process that may still have tasks to spare
+	for i, w := range ws {
+		for len(w.free) < want(i) {
+			for len(ws[d].free) <= want(d) {
+				d++
+			}
+			from := ws[d].free
+			k := min(want(i)-len(w.free), len(from)-want(d))
+			w.free = append(w.free, from[len(from)-k:]...)
+			ws[d].free = from[:len(from)-k]
+		}
+	}
 }
 
 // startHelpers is the crossing: worker 0 calls it once, the first time it

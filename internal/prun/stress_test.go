@@ -244,6 +244,104 @@ func TestWorkStealingFreeListRecycles(t *testing.T) {
 	}
 }
 
+// TestFreeListRebalance pins how a cycle that started helpers hands its
+// tasks back: dealing uneven lists conserves every parked task; after a live
+// cycle that stole, the lists of the processes that ran differ by at most
+// one, none exceeds freeListCap, every parked task is blank, no task is
+// parked twice and none is lost; and a poisoned cycle still abandons every
+// list. CI runs it twenty times under -race with the crossing tests.
+func TestFreeListRebalance(t *testing.T) {
+	for _, lens := range [][]int{{0, 7, 3}, {freeListCap, 0}, {1, 0, 0, 0}, {5}, {0, 0}} {
+		var ws []*worker
+		before := map[*rete.Task]bool{}
+		for _, n := range lens {
+			w := &worker{}
+			for range n {
+				task := new(rete.Task)
+				before[task] = true
+				w.free = append(w.free, task)
+			}
+			ws = append(ws, w)
+		}
+		rebalance(ws)
+		after := map[*rete.Task]bool{}
+		lo, hi := freeListCap, 0
+		for _, w := range ws {
+			lo, hi = min(lo, len(w.free)), max(hi, len(w.free))
+			for _, task := range w.free {
+				after[task] = true
+			}
+		}
+		if hi-lo > 1 || !reflect.DeepEqual(after, before) {
+			t.Fatalf("dealing lists of %v: lengths from %d to %d, %d of %d tasks kept", lens, lo, hi, len(after), len(before))
+		}
+	}
+
+	for _, pol := range allPolicies {
+		for _, procs := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%v/procs=%d", pol, procs), func(t *testing.T) {
+				nw, _, ws := buildNet(t)
+				rt := New(nw, Config{Processes: procs, Policy: pol})
+				parked := 0
+				check := func(st CycleStats) {
+					seen := map[*rete.Task]bool{}
+					lo, hi, total := freeListCap, 0, 0
+					for _, w := range rt.workers[:st.Workers] {
+						lo, hi = min(lo, len(w.free)), max(hi, len(w.free))
+						for _, task := range w.free {
+							if seen[task] {
+								t.Fatalf("task %p is parked twice", task)
+							}
+							seen[task] = true
+							if !reflect.DeepEqual(*task, rete.Task{}) {
+								t.Fatalf("a parked task was not cleared: %+v", *task)
+							}
+						}
+					}
+					for _, w := range rt.workers {
+						total += len(w.free)
+					}
+					if st.Workers > 1 && hi-lo > 1 {
+						t.Fatalf("after a %d-process cycle the free lists range from %d to %d tasks", st.Workers, lo, hi)
+					}
+					if hi > freeListCap {
+						t.Fatalf("a free list holds %d tasks, over the cap of %d", hi, freeListCap)
+					}
+					// Below the cap every executed task is parked again.
+					if total < parked {
+						t.Fatalf("the free lists shrank across a cycle: %d -> %d", parked, total)
+					}
+					parked = total
+				}
+				stole := 0
+				for i := 0; i < 100 && stole < 3; i++ {
+					for _, batch := range [][]wme.Delta{deltas(ws), removals(ws)} {
+						st := rt.RunCycle(batch)
+						check(st)
+						if st.Workers > 1 && st.Steals > 0 {
+							stole++
+						}
+					}
+				}
+				if stole == 0 {
+					t.Fatalf("no cycle started a helper and stole in 200 cycles")
+				}
+
+				// A poisoned cycle past the crossing abandons every list.
+				rt.cfg.Fault = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 2 * helperThreshold})
+				if st := rt.RunCycle(deltas(ws)); !st.Failed || st.Workers < 2 {
+					t.Fatalf("injected panic gave Failed=%v Workers=%d, want a failed cycle with helpers", st.Failed, st.Workers)
+				}
+				for _, w := range rt.workers {
+					if len(w.free) != 0 {
+						t.Fatalf("drainPoisoned left %d tasks on worker %d's free list", len(w.free), w.id)
+					}
+				}
+			})
+		}
+	}
+}
+
 // traceKey is the part of a TaskRec the simulator's figures are built on.
 type traceKey struct {
 	Seq, Parent int64

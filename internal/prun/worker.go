@@ -12,8 +12,9 @@ import (
 
 // freeListCap bounds each worker's task free list; beyond it, executed
 // tasks are left to the garbage collector. Sized to absorb a large cycle's
-// root-task injection (the injector draws on worker 0's list), at ~64 B per
-// idle task.
+// root-task injection, at ~64 B per idle task: the injector draws on worker
+// 0's list, which a cycle with helpers refills only because rebalance deals
+// the lists back out at its end.
 const freeListCap = 2048
 
 // sched is the rete.Scheduler of one match process under every policy: it

@@ -77,7 +77,8 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 	for i := range m.lines {
 		l := &m.lines[i]
 		l.Lock.Lock()
-		for e := l.left; e != nil; e = e.next {
+		for j := len(l.left) - 1; j >= 0; j-- {
+			e := &l.left[j]
 			if e.tomb {
 				add("line %d: left tombstone at node %d (lost conjugate pair)", i, e.node)
 				continue
@@ -102,14 +103,15 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 					add("node %v: token %v blocking count %d != recount %d", n, e.tok, e.count, got)
 				}
 			}
-			for d := e.next; d != nil; d = d.next {
+			for _, d := range l.left[:j] {
 				if !d.tomb && d.node == e.node && d.key == e.key && d.tok.Equal(e.tok) {
 					add("node %v: duplicate left entry for token %v", n, e.tok)
 					break
 				}
 			}
 		}
-		for e := l.right; e != nil; e = e.next {
+		for j := len(l.right) - 1; j >= 0; j-- {
+			e := &l.right[j]
 			if e.tomb {
 				add("line %d: right tombstone at node %d (lost conjugate pair)", i, e.node)
 				continue
@@ -142,7 +144,7 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 					add("node %v: sub-result key %#x != recomputed %#x", n, e.key, want)
 				}
 			}
-			for d := e.next; d != nil; d = d.next {
+			for _, d := range l.right[:j] {
 				if d.tomb || d.node != e.node || d.key != e.key {
 					continue
 				}
@@ -188,8 +190,8 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 			line := m.line(n.ID, key)
 			line.Lock.Lock()
 			found := false
-			for e := line.right; e != nil; e = e.next {
-				if !e.tomb && e.node == n.ID && e.key == key && e.w == ww {
+			for i := len(line.right) - 1; i >= 0; i-- {
+				if e := &line.right[i]; !e.tomb && e.node == n.ID && e.key == key && e.w == ww {
 					found = true
 					break
 				}
@@ -236,7 +238,8 @@ func subKeyFor(n *BetaNode, owner, sub *Token) (key uint64, ok bool) {
 // live right entries on its line (caller holds the line lock).
 func recountBlockers(l *Line, n *BetaNode, le *LEntry) int32 {
 	var count int32
-	for e := l.right; e != nil; e = e.next {
+	for i := len(l.right) - 1; i >= 0; i-- {
+		e := &l.right[i]
 		if e.tomb || e.node != le.node || e.key != le.key {
 			continue
 		}
@@ -269,8 +272,8 @@ func (nw *Network) LivePTokens() int {
 	for i := range m.lines {
 		l := &m.lines[i]
 		l.Lock.Lock()
-		for e := l.left; e != nil; e = e.next {
-			if !e.tomb && pnodes[e.node] {
+		for j := len(l.left) - 1; j >= 0; j-- {
+			if e := &l.left[j]; !e.tomb && pnodes[e.node] {
 				count++
 			}
 		}

@@ -83,8 +83,8 @@ func corrupt(e *testEnv, pred func(*LEntry) bool, fn func(l *Line, en *LEntry)) 
 	m := e.nw.Mem
 	for i := range m.lines {
 		l := &m.lines[i]
-		for en := l.left; en != nil; en = en.next {
-			if !en.tomb && pred(en) {
+		for j := len(l.left) - 1; j >= 0; j-- {
+			if en := &l.left[j]; !en.tomb && pred(en) {
 				fn(l, en)
 				return true
 			}
@@ -142,7 +142,7 @@ func TestAuditDetectsRefcountDrift(t *testing.T) {
 func TestAuditDetectsTombstone(t *testing.T) {
 	e := nccEnv(t)
 	if !corrupt(e, func(en *LEntry) bool { return true }, func(l *Line, en *LEntry) {
-		l.left = &LEntry{node: en.node, key: en.key, tok: en.tok, tomb: true, next: l.left}
+		l.left = append(l.left, LEntry{node: en.node, key: en.key, tok: en.tok, tomb: true})
 	}) {
 		t.Fatalf("no left entry found")
 	}
@@ -152,7 +152,7 @@ func TestAuditDetectsTombstone(t *testing.T) {
 func TestAuditDetectsDuplicate(t *testing.T) {
 	e := nccEnv(t)
 	if !corrupt(e, func(en *LEntry) bool { return true }, func(l *Line, en *LEntry) {
-		l.left = &LEntry{node: en.node, key: en.key, tok: en.tok, count: en.count, next: l.left}
+		l.left = append(l.left, LEntry{node: en.node, key: en.key, tok: en.tok, count: en.count})
 	}) {
 		t.Fatalf("no left entry found")
 	}
@@ -203,8 +203,8 @@ func TestAuditErrorLimit(t *testing.T) {
 	// Corrupt every left entry; the audit must cap its error list.
 	m := e.nw.Mem
 	for i := range m.lines {
-		for en := m.lines[i].left; en != nil; en = en.next {
-			en.key ^= 0xabcdef
+		for j := range m.lines[i].left {
+			m.lines[i].left[j].key ^= 0xabcdef
 		}
 	}
 	errs := e.nw.Audit(e.mem)

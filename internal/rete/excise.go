@@ -1,6 +1,9 @@
 package rete
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RemoveProduction excises a production from the network at quiescence:
 // nodes used only by this production are detached and their stored state
@@ -124,34 +127,8 @@ func (m *Mem) PurgeNode(node NodeID) {
 	for i := range m.lines {
 		l := &m.lines[i]
 		l.Lock.Lock()
-		var lp *LEntry
-		for e := l.left; e != nil; {
-			next := e.next
-			if e.node == node {
-				if lp == nil {
-					l.left = next
-				} else {
-					lp.next = next
-				}
-			} else {
-				lp = e
-			}
-			e = next
-		}
-		var rp *REntry
-		for e := l.right; e != nil; {
-			next := e.next
-			if e.node == node {
-				if rp == nil {
-					l.right = next
-				} else {
-					rp.next = next
-				}
-			} else {
-				rp = e
-			}
-			e = next
-		}
+		l.left = slices.DeleteFunc(l.left, func(e LEntry) bool { return e.node == node })
+		l.right = slices.DeleteFunc(l.right, func(e REntry) bool { return e.node == node })
 		l.Lock.Unlock()
 	}
 }

@@ -364,11 +364,9 @@ func (nw *Network) joinLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int
 	line.Lock.Lock()
 	proceed := true
 	if op == wme.Add {
-		_, annihilated := line.addLeft(n.ID, key, tok, 0)
-		proceed = !annihilated
+		proceed = !line.addLeft(n.ID, key, tok, 0)
 	} else {
-		_, found := line.removeLeft(n.ID, key, tok)
-		proceed = found
+		_, proceed = line.removeLeft(n.ID, key, tok)
 	}
 	comparisons := 0
 	if proceed && !nw.rightScanSkip(n) {
@@ -446,11 +444,10 @@ func (nw *Network) notLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int6
 				}
 			})
 		}
-		_, annihilated := line.addLeft(n.ID, key, tok, count)
-		pass = !annihilated && count == 0
+		pass = !line.addLeft(n.ID, key, tok, count) && count == 0
 	} else {
-		e, found := line.removeLeft(n.ID, key, tok)
-		pass = found && e.count == 0
+		count, found := line.removeLeft(n.ID, key, tok)
+		pass = found && count == 0
 	}
 	line.Lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
@@ -529,11 +526,10 @@ func (nw *Network) execNCC(t *Task, em *emitter) int64 {
 				}
 			})
 		}
-		_, annihilated := line.addLeft(n.ID, key, t.Tok, count)
-		pass = !annihilated && count == 0
+		pass = !line.addLeft(n.ID, key, t.Tok, count) && count == 0
 	} else {
-		e, found := line.removeLeft(n.ID, key, t.Tok)
-		pass = found && e.count == 0
+		count, found := line.removeLeft(n.ID, key, t.Tok)
+		pass = found && count == 0
 	}
 	line.Lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
@@ -595,11 +591,9 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 		line.Lock.Lock()
 		proceed := true
 		if t.Op == wme.Add {
-			_, annihilated := line.addLeft(n.ID, key, t.Tok, 0)
-			proceed = !annihilated
+			proceed = !line.addLeft(n.ID, key, t.Tok, 0)
 		} else {
-			_, found := line.removeLeft(n.ID, key, t.Tok)
-			proceed = found
+			_, proceed = line.removeLeft(n.ID, key, t.Tok)
 		}
 		if proceed && !nw.rightScanSkip(n) {
 			line.eachRight(n.ID, key, func(e *REntry) {
@@ -668,7 +662,7 @@ func (nw *Network) execP(t *Task) int64 {
 	// retract-then-insert — the retract a no-op, the insert stale for good.
 	line.Lock.Lock()
 	if t.Op == wme.Add {
-		if _, annihilated := line.addLeft(n.ID, key, t.Tok, 0); !annihilated && nw.CS != nil {
+		if !line.addLeft(n.ID, key, t.Tok, 0) && nw.CS != nil {
 			nw.CS.Insert(n.Prod, t.Tok)
 		}
 	} else {

@@ -1,6 +1,7 @@
 package rete
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"soarpsme/internal/spin"
@@ -127,12 +128,18 @@ func (m *Mem) PurgeCounts(node NodeID) {
 	}
 }
 
-// Line is one lockable left/right bucket pair.
+// Line is one lockable left/right bucket pair. Each side holds its entries
+// by value, oldest first: an insert appends, and every scan walks from the
+// end, so entries are visited newest first. A removal shifts the tail down
+// (order never changes) and clears the vacated slot, so a removed entry
+// pins no token or wme. A pointer to an entry (findLeft, eachLeft,
+// eachRight) is valid only while the line lock is held: the next insert
+// may move the array and the next removal shifts it.
 type Line struct {
 	Lock  spin.Lock
 	nc    *nodeCounts
-	left  *LEntry
-	right *REntry
+	left  []LEntry
+	right []REntry
 	// leftAccesses counts left-token accesses this cycle (Figure 6-2).
 	// cumLeft/cumRight are the run-cumulative totals (never reset by the
 	// per-cycle harvest) the observability layer reads.
@@ -156,32 +163,24 @@ func (l *Line) touchRight() {
 
 // LEntry is a left-memory entry: a token stored at a two-input node. count
 // is used by not/NCC nodes (number of blocking right matches). tomb marks
-// a pending delete awaiting its add.
+// a pending delete awaiting its add. 32 bytes.
 type LEntry struct {
-	node  NodeID
 	key   uint64
 	tok   *Token
+	node  NodeID
 	count int32
 	tomb  bool
-	next  *LEntry
 }
 
-// Token returns the stored token.
-func (e *LEntry) Token() *Token { return e.tok }
-
-// Count returns the not/NCC blocking-match count.
-func (e *LEntry) Count() int32 { return e.count }
-
 // REntry is a right-memory entry: a wme (join/not right input) or an NCC
-// subnetwork result (owner + sub token).
+// subnetwork result (owner + sub token). 40 bytes.
 type REntry struct {
-	node  NodeID
 	key   uint64
 	w     *wme.WME
 	owner *Token // NCC partner results
 	sub   *Token
+	node  NodeID
 	tomb  bool
-	next  *REntry
 }
 
 // NewMem allocates a table with the given number of lines (rounded up to a
@@ -213,56 +212,66 @@ func (m *Mem) lineIndex(node NodeID, key uint64) uint64 {
 	return h & m.mask
 }
 
+// firstTouch is the capacity a line side gets on its first insert. Every
+// learning solve builds a fresh table whose lines grow from empty; starting
+// at four entries skips the one- and two-entry arrays that plain append
+// would allocate and copy on the way there.
+const firstTouch = 4
+
+// pushLeft and pushRight append one entry (caller holds the line lock).
+func (l *Line) pushLeft(e LEntry) {
+	if l.left == nil {
+		l.left = make([]LEntry, 0, firstTouch)
+	}
+	l.left = append(l.left, e)
+}
+
+func (l *Line) pushRight(e REntry) {
+	if l.right == nil {
+		l.right = make([]REntry, 0, firstTouch)
+	}
+	l.right = append(l.right, e)
+}
+
 // ---- left-entry operations (caller holds the line lock) ----
 
 // addLeft inserts tok into node's left memory on l. If a matching tombstone
 // is present the add is annihilated: nothing is inserted and annihilated is
 // true (the caller must not emit pairings).
-func (l *Line) addLeft(node NodeID, key uint64, tok *Token, count int32) (entry *LEntry, annihilated bool) {
+func (l *Line) addLeft(node NodeID, key uint64, tok *Token, count int32) (annihilated bool) {
 	l.touchLeft()
-	var prev *LEntry
-	for e := l.left; e != nil; e = e.next {
-		if e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
-			if prev == nil {
-				l.left = e.next
-			} else {
-				prev.next = e.next
-			}
-			return nil, true
+	for i := len(l.left) - 1; i >= 0; i-- {
+		if e := &l.left[i]; e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
+			l.left = slices.Delete(l.left, i, i+1)
+			return true
 		}
-		prev = e
 	}
-	e := &LEntry{node: node, key: key, tok: tok, count: count, next: l.left}
-	l.left = e
+	l.pushLeft(LEntry{key: key, tok: tok, node: node, count: count})
 	l.nc.incLeft(node)
-	return e, false
+	return false
 }
 
 // removeLeft removes tok from node's left memory on l, returning the
-// removed entry. When absent, a tombstone is inserted and found is false.
-func (l *Line) removeLeft(node NodeID, key uint64, tok *Token) (removed *LEntry, found bool) {
+// removed entry's blocking count. When absent, a tombstone is inserted and
+// found is false.
+func (l *Line) removeLeft(node NodeID, key uint64, tok *Token) (count int32, found bool) {
 	l.touchLeft()
-	var prev *LEntry
-	for e := l.left; e != nil; e = e.next {
-		if !e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
-			if prev == nil {
-				l.left = e.next
-			} else {
-				prev.next = e.next
-			}
+	for i := len(l.left) - 1; i >= 0; i-- {
+		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
+			count = e.count
+			l.left = slices.Delete(l.left, i, i+1)
 			l.nc.decLeft(node)
-			return e, true
+			return count, true
 		}
-		prev = e
 	}
-	l.left = &LEntry{node: node, key: key, tok: tok, tomb: true, next: l.left}
-	return nil, false
+	l.pushLeft(LEntry{key: key, tok: tok, node: node, tomb: true})
+	return 0, false
 }
 
 // findLeft returns the live entry for tok at node, if present.
 func (l *Line) findLeft(node NodeID, key uint64, tok *Token) *LEntry {
-	for e := l.left; e != nil; e = e.next {
-		if !e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
+	for i := len(l.left) - 1; i >= 0; i-- {
+		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
 			return e
 		}
 	}
@@ -272,8 +281,8 @@ func (l *Line) findLeft(node NodeID, key uint64, tok *Token) *LEntry {
 // eachLeft calls fn for every live left entry of node with the given key.
 func (l *Line) eachLeft(node NodeID, key uint64, fn func(*LEntry)) {
 	l.touchLeft()
-	for e := l.left; e != nil; e = e.next {
-		if !e.tomb && e.node == node && e.key == key {
+	for i := len(l.left) - 1; i >= 0; i-- {
+		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key {
 			fn(e)
 		}
 	}
@@ -284,19 +293,13 @@ func (l *Line) eachLeft(node NodeID, key uint64, fn func(*LEntry)) {
 // addRight inserts a wme right entry, honouring tombstones.
 func (l *Line) addRight(node NodeID, key uint64, w *wme.WME) (annihilated bool) {
 	l.touchRight()
-	var prev *REntry
-	for e := l.right; e != nil; e = e.next {
-		if e.tomb && e.node == node && e.key == key && e.w == w {
-			if prev == nil {
-				l.right = e.next
-			} else {
-				prev.next = e.next
-			}
+	for i := len(l.right) - 1; i >= 0; i-- {
+		if e := &l.right[i]; e.tomb && e.node == node && e.key == key && e.w == w {
+			l.right = slices.Delete(l.right, i, i+1)
 			return true
 		}
-		prev = e
 	}
-	l.right = &REntry{node: node, key: key, w: w, next: l.right}
+	l.pushRight(REntry{key: key, w: w, node: node})
 	l.nc.incRight(node)
 	return false
 }
@@ -304,20 +307,14 @@ func (l *Line) addRight(node NodeID, key uint64, w *wme.WME) (annihilated bool) 
 // removeRight removes a wme right entry or leaves a tombstone.
 func (l *Line) removeRight(node NodeID, key uint64, w *wme.WME) (found bool) {
 	l.touchRight()
-	var prev *REntry
-	for e := l.right; e != nil; e = e.next {
-		if !e.tomb && e.node == node && e.key == key && e.w == w {
-			if prev == nil {
-				l.right = e.next
-			} else {
-				prev.next = e.next
-			}
+	for i := len(l.right) - 1; i >= 0; i-- {
+		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key && e.w == w {
+			l.right = slices.Delete(l.right, i, i+1)
 			l.nc.decRight(node)
 			return true
 		}
-		prev = e
 	}
-	l.right = &REntry{node: node, key: key, w: w, tomb: true, next: l.right}
+	l.pushRight(REntry{key: key, w: w, node: node, tomb: true})
 	return false
 }
 
@@ -325,19 +322,13 @@ func (l *Line) removeRight(node NodeID, key uint64, w *wme.WME) (found bool) {
 // a bilinear join's right-side token — honouring tombstones.
 func (l *Line) addSubResult(node NodeID, key uint64, owner, sub *Token) (annihilated bool) {
 	l.touchRight()
-	var prev *REntry
-	for e := l.right; e != nil; e = e.next {
-		if e.tomb && e.node == node && e.key == key && e.sub.Equal(sub) && e.owner.Equal(owner) {
-			if prev == nil {
-				l.right = e.next
-			} else {
-				prev.next = e.next
-			}
+	for i := len(l.right) - 1; i >= 0; i-- {
+		if e := &l.right[i]; e.tomb && e.node == node && e.key == key && e.sub.Equal(sub) && e.owner.Equal(owner) {
+			l.right = slices.Delete(l.right, i, i+1)
 			return true
 		}
-		prev = e
 	}
-	l.right = &REntry{node: node, key: key, owner: owner, sub: sub, next: l.right}
+	l.pushRight(REntry{key: key, owner: owner, sub: sub, node: node})
 	l.nc.incRight(node)
 	return false
 }
@@ -345,28 +336,22 @@ func (l *Line) addSubResult(node NodeID, key uint64, owner, sub *Token) (annihil
 // removeSubResult removes a token-pair right entry or leaves a tombstone.
 func (l *Line) removeSubResult(node NodeID, key uint64, owner, sub *Token) (found bool) {
 	l.touchRight()
-	var prev *REntry
-	for e := l.right; e != nil; e = e.next {
-		if !e.tomb && e.node == node && e.key == key && e.sub != nil && e.sub.Equal(sub) && e.owner.Equal(owner) {
-			if prev == nil {
-				l.right = e.next
-			} else {
-				prev.next = e.next
-			}
+	for i := len(l.right) - 1; i >= 0; i-- {
+		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key && e.sub != nil && e.sub.Equal(sub) && e.owner.Equal(owner) {
+			l.right = slices.Delete(l.right, i, i+1)
 			l.nc.decRight(node)
 			return true
 		}
-		prev = e
 	}
-	l.right = &REntry{node: node, key: key, owner: owner, sub: sub, tomb: true, next: l.right}
+	l.pushRight(REntry{key: key, owner: owner, sub: sub, node: node, tomb: true})
 	return false
 }
 
 // eachRight calls fn for every live right entry of node with the given key.
 func (l *Line) eachRight(node NodeID, key uint64, fn func(*REntry)) {
 	l.touchRight()
-	for e := l.right; e != nil; e = e.next {
-		if !e.tomb && e.node == node && e.key == key {
+	for i := len(l.right) - 1; i >= 0; i-- {
+		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key {
 			fn(e)
 		}
 	}
@@ -406,8 +391,8 @@ func (m *Mem) dumpLeft(node NodeID, lines []Line) []*Token {
 	for i := range lines {
 		l := &lines[i]
 		l.Lock.Lock()
-		for e := l.left; e != nil && len(out) < want; e = e.next {
-			if !e.tomb && e.node == node {
+		for i := len(l.left) - 1; i >= 0 && len(out) < want; i-- {
+			if e := &l.left[i]; !e.tomb && e.node == node {
 				out = append(out, e.tok)
 			}
 		}
@@ -426,8 +411,8 @@ func (m *Mem) DumpRightSubs(node NodeID) []*Token {
 	for i := range m.lines {
 		l := &m.lines[i]
 		l.Lock.Lock()
-		for e := l.right; e != nil; e = e.next {
-			if !e.tomb && e.node == node && e.sub != nil {
+		for i := len(l.right) - 1; i >= 0; i-- {
+			if e := &l.right[i]; !e.tomb && e.node == node && e.sub != nil {
 				out = append(out, e.sub)
 			}
 		}
@@ -443,13 +428,13 @@ func (m *Mem) Tombstones() int {
 	for i := range m.lines {
 		l := &m.lines[i]
 		l.Lock.Lock()
-		for e := l.left; e != nil; e = e.next {
-			if e.tomb {
+		for i := range l.left {
+			if l.left[i].tomb {
 				n++
 			}
 		}
-		for e := l.right; e != nil; e = e.next {
-			if e.tomb {
+		for i := range l.right {
+			if l.right[i].tomb {
 				n++
 			}
 		}
@@ -463,13 +448,13 @@ func (m *Mem) Entries() (left, right int) {
 	for i := range m.lines {
 		l := &m.lines[i]
 		l.Lock.Lock()
-		for e := l.left; e != nil; e = e.next {
-			if !e.tomb {
+		for i := range l.left {
+			if !l.left[i].tomb {
 				left++
 			}
 		}
-		for e := l.right; e != nil; e = e.next {
-			if !e.tomb {
+		for i := range l.right {
+			if !l.right[i].tomb {
 				right++
 			}
 		}

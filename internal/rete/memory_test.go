@@ -14,11 +14,10 @@ func TestMemLineBasics(t *testing.T) {
 	tok := Extend(DummyTop, 0, mkWME(1))
 	l := m.line(7, 99)
 	l.Lock.Lock()
-	e, ann := l.addLeft(7, 99, tok, 2)
-	if ann || e == nil {
-		t.Fatalf("addLeft failed")
+	if l.addLeft(7, 99, tok, 2) {
+		t.Fatalf("addLeft annihilated")
 	}
-	if e.Token() != tok || e.Count() != 2 {
+	if e := l.findLeft(7, 99, tok); e == nil || e.tok != tok || e.count != 2 {
 		t.Fatalf("entry accessors wrong")
 	}
 	l.addRight(7, 99, mkWME(2))
@@ -42,8 +41,7 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 		t.Fatalf("remove of absent token found something")
 	}
 	// The add annihilates against the tombstone.
-	_, ann := l.addLeft(3, 5, Extend(DummyTop, 0, mkWME(1)), 0)
-	if !ann {
+	if !l.addLeft(3, 5, Extend(DummyTop, 0, mkWME(1)), 0) {
 		t.Fatalf("add not annihilated by tombstone")
 	}
 	l.Lock.Unlock()
@@ -71,6 +69,62 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 	l.Lock.Unlock()
 	if n := m.Tombstones(); n != 0 {
 		t.Fatalf("tombstones left after right-side: %d", n)
+	}
+}
+
+// TestLineOrderAndRemoval pins the by-value line layout: scans visit
+// entries newest first, a removal (a plain remove or an annihilation) keeps
+// the order of the rest, and every vacated slot is cleared so that it pins
+// no token or wme.
+func TestLineOrderAndRemoval(t *testing.T) {
+	m := NewMem(16)
+	l := m.line(1, 1)
+	toks := make([]*Token, 5)
+	for i := range toks {
+		toks[i] = Extend(DummyTop, 0, mkWME(uint64(i+1)))
+	}
+	scan := func() (got []*Token) {
+		l.eachLeft(1, 1, func(e *LEntry) { got = append(got, e.tok) })
+		return got
+	}
+	want := func(idx ...int) {
+		t.Helper()
+		got := scan()
+		if len(got) != len(idx) {
+			t.Fatalf("scan found %d tokens, want %d", len(got), len(idx))
+		}
+		for i, k := range idx {
+			if got[i] != toks[k] {
+				t.Fatalf("scan position %d holds token %v, want %v", i, got[i], toks[k])
+			}
+		}
+		for _, e := range l.left[len(l.left):cap(l.left)] {
+			if e != (LEntry{}) {
+				t.Fatalf("a vacated slot still holds %+v", e)
+			}
+		}
+	}
+	l.Lock.Lock()
+	defer l.Lock.Unlock()
+	l.addLeft(1, 1, toks[0], 0)
+	l.addLeft(1, 1, toks[1], 0)
+	// A remove that overtakes its add leaves a tombstone among the entries.
+	if _, found := l.removeLeft(1, 1, toks[4]); found {
+		t.Fatalf("removeLeft found an absent token")
+	}
+	l.addLeft(1, 1, toks[2], 0)
+	l.addLeft(1, 1, toks[3], 0)
+	want(3, 2, 1, 0)
+	if _, found := l.removeLeft(1, 1, toks[1]); !found {
+		t.Fatalf("removeLeft missed a stored token")
+	}
+	want(3, 2, 0)
+	if !l.addLeft(1, 1, toks[4], 0) {
+		t.Fatalf("add not annihilated by its tombstone")
+	}
+	want(3, 2, 0)
+	if len(l.left) != 3 {
+		t.Fatalf("the line holds %d entries after the annihilation, want 3", len(l.left))
 	}
 }
 

@@ -80,9 +80,3 @@ func (l *Lock) Snapshot() Counts {
 func (c Counts) Sub(prev Counts) Counts {
 	return Counts{Spins: c.Spins - prev.Spins, Acquires: c.Acquires - prev.Acquires}
 }
-
-// ResetStats zeroes the contention counters (lock state is untouched).
-func (l *Lock) ResetStats() {
-	l.spins.Store(0)
-	l.acquires.Store(0)
-}

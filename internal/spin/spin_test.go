@@ -69,14 +69,3 @@ func TestMutualExclusion(t *testing.T) {
 		t.Fatalf("acquires = %d, want %d", acq, G*N)
 	}
 }
-
-func TestResetStats(t *testing.T) {
-	var l Lock
-	l.Lock()
-	l.Unlock()
-	l.ResetStats()
-	spins, acq := l.Stats()
-	if spins != 0 || acq != 0 {
-		t.Fatalf("ResetStats did not zero: %d,%d", spins, acq)
-	}
-}
