@@ -4,11 +4,12 @@
 //
 // Every request gets a structured log line (log/slog, text or JSON) with a
 // request ID that is echoed in the X-Request-ID header and in 429/503
-// bodies. Match profiling is always on: /debug/match serves per-session
-// and aggregate cost-attribution snapshots, and /debug/match/flight serves
-// the latest anomaly flight-recorder dump (watchdog, panic recovery,
-// serial fallback, or p99 SLO breach; -flight-dir also writes dumps to
-// disk as matchflight-*.json).
+// bodies. Match profiling is always on, at matchprof's defaults (one task
+// in 64 per worker timed, a 16-cycle flight ring): /debug/match serves
+// per-session and aggregate cost-attribution snapshots, and
+// /debug/match/flight serves the latest anomaly flight-recorder dump
+// (watchdog, panic recovery or serial fallback; -flight-dir also writes
+// dumps to disk as matchflight-*.json).
 //
 // Lifecycle: on SIGTERM/SIGINT the daemon drains — it stops admitting
 // requests (503), finishes every cycle already accepted, flushes the obs
@@ -28,8 +29,7 @@
 //	      [-data DIR] [-kill-after 0]
 //	      [-trace out.json] [-metrics out.txt] [-listen :6060]
 //	      [-drain-timeout 30s] [-log-json] [-quiet]
-//	      [-flight-dir DIR] [-flight-cycles 16] [-slo 0] [-sample-every 64]
-//	      [-fault-seed 0]
+//	      [-flight-dir DIR] [-fault-seed 0] [-fault-panic -1]
 package main
 
 import (
@@ -64,9 +64,6 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "emit request logs as JSON instead of logfmt-style text")
 	quiet := flag.Bool("quiet", false, "disable per-request logging")
 	flightDir := flag.String("flight-dir", "", "write anomaly flight-recorder dumps (matchflight-*.json) into this directory")
-	flightCycles := flag.Int("flight-cycles", 16, "flight-recorder ring size in cycles (negative disables the recorder)")
-	slo := flag.Duration("slo", 0, "p99 cycle-latency SLO; a rolling-window breach trips the flight recorder (0 = off)")
-	sampleEvery := flag.Int("sample-every", 64, "wall-clock sample one match task in N (power of two)")
 	faultSeed := flag.Int64("fault-seed", 0, "seed deterministic fault injection into every session's match workers (0 = off)")
 	faultPanic := flag.Int("fault-panic", -1, "override the injected panic rate per 65536 exec visits (-1 = default schedule)")
 	dataDir := flag.String("data", "", "durable session state directory: per-session snapshot image + write-ahead delta journal, enabling /snapshot, /restore, and drain-to-snapshot on SIGTERM")
@@ -113,12 +110,7 @@ func main() {
 		Log:         logger,
 		Fault:       inj,
 		DataDir:     *dataDir,
-		Prof: &matchprof.Options{
-			SampleEvery:  *sampleEvery,
-			FlightCycles: *flightCycles,
-			FlightDir:    *flightDir,
-			SLO:          *slo,
-		},
+		Prof:        &matchprof.Options{FlightDir: *flightDir},
 	})
 	var handler http.Handler = srv.Handler()
 	if ks := fault.NewKillSwitch(*killAfter); ks != nil {

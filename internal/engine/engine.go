@@ -145,19 +145,19 @@ type Engine struct {
 	mNullSupp     *obs.Counter
 	mAlphaHits    *obs.Counter
 	mAlphaMisses  *obs.Counter
+
+	// Counter harvest state (harvest): the totals already folded into the
+	// registry. harvestMu orders the harvest, which a metrics scrape runs on
+	// its own goroutine, against the engine goroutine swapping NW.Mem in
+	// resetMatchState; stopHarvest unregisters the scrape hook (Close).
+	harvestMu     sync.Mutex
 	lastQueue     spin.Counts
+	lastLine      spin.Counts
+	lastAccess    uint64
 	lastNullSupp  uint64
 	lastAlphaHit  uint64
 	lastAlphaMiss uint64
-
-	// Hash-line harvest state (harvestLines). lineMu orders the harvest,
-	// which a metrics scrape runs on its own goroutine, against the engine
-	// goroutine swapping NW.Mem in resetMatchState; stopHarvest unregisters
-	// the scrape hook (Close).
-	lineMu      sync.Mutex
-	lastLine    spin.Counts
-	lastAccess  uint64
-	stopHarvest func()
+	stopHarvest   func()
 }
 
 // New creates an empty engine: a session over the image of the empty
@@ -224,7 +224,7 @@ func NewFromImage(img *ProgramImage, cfg Config) *Engine {
 			o.Tracer().SetThreadName(0, w, fmt.Sprintf("match-%d", w))
 		}
 		rt.SetObserver(o.MatchHooks(0))
-		e.stopHarvest = o.Reg.OnCollect(e.harvestLines)
+		e.stopHarvest = o.Reg.OnCollect(e.harvest)
 	}
 	return e
 }
@@ -233,18 +233,36 @@ func NewFromImage(img *ProgramImage, cfg Config) *Engine {
 // callers hand it to obs' nil-safe accessors.
 func (e *Engine) Obs() *obs.Observer { return e.obs }
 
-// flushContention folds the queue-lock and network counter deltas since the
-// previous flush into the registry — the paper's contention measures
-// (Figures 6-2/6-3) as live counters instead of only end-of-run totals.
-// Everything here costs the same whatever the size of the network or the
-// hash table, so it runs every cycle; the per-line tallies do not, and are
-// harvested by harvestLines instead.
-func (e *Engine) flushContention() {
+// harvest folds the engine's contention and filtering counters since the
+// previous harvest into the registry: the paper's contention measures
+// (queue-lock and hash-line lock counts, bucket accesses; Figures 6-2/6-3)
+// and the null-suppressed and alpha-dispatch counts. Reading the line
+// tallies sweeps every line of the table — a lock each, whatever the cycle
+// touched — so no cycle pays for any of it: the harvest runs when the totals
+// are looked at (the registry's OnCollect hook, so /metrics and the -metrics
+// file are exact at scrape time), before the table is discarded
+// (resetMatchState) and when the engine is released (Close). It may run
+// concurrently with a match cycle: every counter is read atomically or
+// under its line's lock.
+func (e *Engine) harvest() {
+	e.harvestMu.Lock()
+	defer e.harvestMu.Unlock()
+	e.fold()
+}
+
+// fold is harvest with harvestMu held.
+func (e *Engine) fold() {
+	locks, al, ar := e.NW.Mem.Tallies()
+	e.mLineSpins.Add(locks.Spins - e.lastLine.Spins)
+	e.mLineAcqs.Add(locks.Acquires - e.lastLine.Acquires)
+	e.lastLine = locks
+	e.mBucketAccess.Add(al + ar - e.lastAccess)
+	e.lastAccess = al + ar
+
 	qs, qa := e.RT.QueueLockStats()
 	e.mQueueSpins.Add(qs - e.lastQueue.Spins)
 	e.mQueueAcqs.Add(qa - e.lastQueue.Acquires)
 	e.lastQueue = spin.Counts{Spins: qs, Acquires: qa}
-
 	ns := uint64(e.NW.Stats.NullSuppressed.Load())
 	e.mNullSupp.Add(ns - e.lastNullSupp)
 	e.lastNullSupp = ns
@@ -256,46 +274,22 @@ func (e *Engine) flushContention() {
 	e.lastAlphaMiss = am
 }
 
-// harvestLines folds the hash-line lock and bucket-access tallies since the
-// previous harvest into the registry. Reading them sweeps every line of the
-// table — a lock each, whatever the cycle touched — so a served cycle of
-// a handful of activations must not pay for it: the harvest runs when the
-// totals are looked at (the registry's OnCollect hook, so /metrics and the
-// -metrics file are exact at scrape time), before the table is discarded
-// (resetMatchState) and when the engine is released (Close). It may run
-// concurrently with a match cycle: the tallies are read atomically or under
-// their line's lock.
-func (e *Engine) harvestLines() {
-	e.lineMu.Lock()
-	defer e.lineMu.Unlock()
-	e.foldLines()
-}
-
-// foldLines is harvestLines with lineMu held.
-func (e *Engine) foldLines() {
-	locks, al, ar := e.NW.Mem.Tallies()
-	e.mLineSpins.Add(locks.Spins - e.lastLine.Spins)
-	e.mLineAcqs.Add(locks.Acquires - e.lastLine.Acquires)
-	e.lastLine = locks
-	e.mBucketAccess.Add(al + ar - e.lastAccess)
-	e.lastAccess = al + ar
-}
-
 // resetMatchState discards the network's match state for a serial rebuild.
 // The hash table is replaced wholesale, so its tallies are harvested first
-// and the harvest's baselines restart at zero with the fresh table.
+// and the line baselines restart at zero with the fresh table; the runtime
+// and network counters live on.
 func (e *Engine) resetMatchState() {
-	e.lineMu.Lock()
-	defer e.lineMu.Unlock()
+	e.harvestMu.Lock()
+	defer e.harvestMu.Unlock()
 	if e.obs != nil {
-		e.foldLines()
+		e.fold()
 	}
 	e.NW.ResetMatchState()
 	e.lastLine, e.lastAccess = spin.Counts{}, 0
 }
 
-// Close releases the engine's hold on its observer: the hash-line tallies
-// are harvested one last time and the scrape hook is unregistered, so the
+// Close releases the engine's hold on its observer: its counters are
+// harvested one last time and the scrape hook is unregistered, so the
 // registry's totals keep what this engine contributed and no longer keep
 // the engine reachable. Call it once, at quiescence, when the engine is
 // done; an engine without an observer needs no Close. A process that exits
@@ -305,7 +299,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.stopHarvest()
-	e.harvestLines()
+	e.harvest()
 }
 
 // Cycles returns the number of ApplyAndMatch cycles the engine has run.
@@ -449,7 +443,6 @@ func (e *Engine) ApplyAndMatch(deltas []wme.Delta) prun.CycleStats {
 			"tasks": cs.Tasks, "wme-changes": len(applied), "modeled-us": cs.TotalCost,
 			"failed-pops": cs.FailedPops, "term-probes": cs.TermProbes, "steals": cs.Steals,
 		})
-		e.flushContention()
 	}
 	cs = e.endCycle(cs, start)
 	e.cycles++
@@ -845,7 +838,6 @@ func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) 
 			e.mUpdateTasks.Observe(float64(res.Update.Tasks))
 			e.obs.Tracer().Complete(0, 0, "state-update:"+prod.Name, "update", ustart, time.Since(ustart),
 				map[string]any{"tasks": res.Update.Tasks, "seeds": len(seeds), "modeled-us": res.Update.TotalCost})
-			e.flushContention()
 		}
 		res.Update = e.endCycle(res.Update, ustart)
 		e.UpdateStats = append(e.UpdateStats, res.Update)

@@ -14,7 +14,7 @@ import (
 
 // TestObservability runs a program with the observer attached and checks
 // that the pipeline hooks actually fire: match counters, the cycle
-// histogram, the contention flush, and the trace spans.
+// histogram, the contention harvest, and the trace spans.
 func TestObservability(t *testing.T) {
 	o := obs.New()
 	cfg := DefaultConfig()
@@ -37,11 +37,27 @@ func TestObservability(t *testing.T) {
 	if got := o.Histogram("match_cycle_seconds").Count(); got != uint64(len(e.CycleStats)) {
 		t.Fatalf("match_cycle_seconds count = %d, want %d", got, len(e.CycleStats))
 	}
-	// The contention flush must agree with the runtime's own cumulative
-	// queue-lock counters.
+	// The contention counters are harvested when the registry is collected,
+	// not per cycle; after a collect they agree with the runtime's and the
+	// network's own cumulative counts.
+	if got := o.Counter("queue_lock_acquires_total").Value(); got != 0 {
+		t.Fatalf("queue_lock_acquires_total = %d before a collect: the harvest is back on the per-cycle path", got)
+	}
+	if err := o.Reg.WriteText(io.Discard); err != nil {
+		t.Fatal(err)
+	}
 	_, qa := e.RT.QueueLockStats()
-	if got := o.Counter("queue_lock_acquires_total").Value(); got != qa {
+	if got := o.Counter("queue_lock_acquires_total").Value(); got != qa || qa == 0 {
 		t.Fatalf("queue_lock_acquires_total = %d, want %d", got, qa)
+	}
+	for name, want := range map[string]int64{
+		"null_activations_suppressed_total": e.NW.Stats.NullSuppressed.Load(),
+		"alpha_dispatch_hits_total":         e.NW.Stats.AlphaHits.Load(),
+		"alpha_dispatch_misses_total":       e.NW.Stats.AlphaMisses.Load(),
+	} {
+		if got := o.Counter(name).Value(); got != uint64(want) {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
 	}
 
 	if o.Trc.Len() == 0 {

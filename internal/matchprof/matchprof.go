@@ -3,13 +3,13 @@
 // harvest time into ranked per-production tables, chain-depth and
 // task-granularity histograms — the paper's Figure 6 inputs, live — plus an
 // anomaly flight recorder that keeps the last N cycles' task records and
-// dumps them when a cycle fails, recovers, or breaches the latency SLO.
+// dumps them when a cycle fails or recovers.
 //
 // Layering: rete owns the record and the storage it folds into
 // (rete.TaskRec, rete.Prof); prun appends one record per task and folds
 // them after each cycle; this package owns interpretation — production
-// attribution, snapshots, the flight recorder, SLO tracking — and the
-// serving layer exposes it at /debug/match.
+// attribution, snapshots, the flight recorder — and the serving layer
+// exposes it at /debug/match.
 package matchprof
 
 import (
@@ -37,17 +37,7 @@ type Options struct {
 	// matchflight-*.json files. Empty keeps dumps in memory only (still
 	// served at /debug/match/flight).
 	FlightDir string
-	// SLO, when nonzero, is the p99 cycle-latency objective: when the p99
-	// over the rolling window exceeds it, the flight recorder trips.
-	SLO time.Duration
 }
-
-// sloWindow is the rolling latency window in cycles (the p99 check needs at
-// least 32 observations). It is also the minimum number of cycles between
-// SLO-triggered trips, so a sustained breach produces one dump, not a dump
-// storm; hard-failure trips (panic, watchdog, serial fallback) ignore that
-// cooldown — each failed cycle is its own evidence.
-const sloWindow = 128
 
 // CycleEvent is what the engine reports at the end of every match cycle.
 type CycleEvent struct {
@@ -70,7 +60,6 @@ type Profile struct {
 	// Pre-resolved metrics (nil-safe when no observer is attached).
 	mDepth    *obs.Histogram
 	mTrips    *obs.Counter
-	mSLO      *obs.Counter
 	mDumpErrs *obs.Counter
 
 	mu       sync.Mutex
@@ -78,12 +67,7 @@ type Profile struct {
 	cycles   int64
 	ring     []CycleEvent // flight ring, ring[head] is the oldest slot
 	head     int
-	ringN    int             // number of valid entries
-	window   []time.Duration // rolling cycle latencies for the SLO check
-	wHead    int
-	wN       int
-	lastTrip int64 // cycle index of the last SLO trip (cooldown)
-	sloArmed bool
+	ringN    int // number of valid entries
 	lastDump *Dump
 	dumpSeq  int64
 }
@@ -97,20 +81,13 @@ func New(nw *rete.Network, opts Options, o *obs.Observer) *Profile {
 	}
 	np := rete.NewProf(int(nw.MaxNodeID())+1, opts.SampleEvery)
 	nw.Prof = np
-	p := &Profile{
-		nw:       nw,
-		np:       np,
-		opts:     opts,
-		sloArmed: opts.SLO > 0,
-	}
+	p := &Profile{nw: nw, np: np, opts: opts}
 	if opts.FlightCycles > 0 {
 		p.ring = make([]CycleEvent, opts.FlightCycles)
 	}
-	p.window = make([]time.Duration, sloWindow)
 	if o != nil {
 		p.mDepth = o.Histogram("match_cycle_chain_depth", obs.ExpBuckets(1, 2, 8)...)
 		p.mTrips = o.Counter("match_flight_trips_total")
-		p.mSLO = o.Counter("match_slo_breaches_total")
 		p.mDumpErrs = o.Counter("match_flight_dump_errors_total")
 	}
 	return p
@@ -128,9 +105,9 @@ func (p *Profile) SetSession(s string) {
 }
 
 // EndCycle ingests one finished cycle: records it in the flight ring,
-// observes the cycle's chain depth, advances the SLO window, and trips the
-// flight recorder on any anomaly — a failed cycle (watchdog or panic), a
-// serial-fallback recovery, or a p99 SLO breach. It returns the dump when
+// observes the cycle's chain depth, and trips the flight recorder on any
+// anomaly — a failed cycle (watchdog or panic), a serial-fallback
+// recovery, or a worker panic recovered in-cycle. It returns the dump when
 // a trip fired, nil otherwise.
 func (p *Profile) EndCycle(ev CycleEvent) *Dump {
 	if p == nil {
@@ -148,11 +125,6 @@ func (p *Profile) EndCycle(ev CycleEvent) *Dump {
 			p.ringN++
 		}
 	}
-	p.window[p.wHead] = ev.Dur
-	p.wHead = (p.wHead + 1) % len(p.window)
-	if p.wN < len(p.window) {
-		p.wN++
-	}
 	var reason string
 	switch {
 	case ev.Stats.Failed:
@@ -161,12 +133,6 @@ func (p *Profile) EndCycle(ev CycleEvent) *Dump {
 		reason = "serial fallback: " + ev.Stats.Reason
 	case ev.Stats.Panics > 0:
 		reason = "worker panic recovered: " + ev.Stats.Reason
-	case p.sloArmed && p.wN >= 32 && p.cycles-p.lastTrip >= sloWindow:
-		if p99 := p.p99Locked(); p99 > p.opts.SLO {
-			reason = "slo breach: p99 " + p99.String() + " > " + p.opts.SLO.String()
-			p.lastTrip = p.cycles
-			p.mSLO.Inc()
-		}
 	}
 	if reason == "" {
 		p.mu.Unlock()
@@ -186,18 +152,6 @@ func (p *Profile) Trip(reason string) *Dump {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.tripLocked(reason, p.cycles-1)
-}
-
-// p99Locked computes the 99th percentile of the rolling latency window.
-func (p *Profile) p99Locked() time.Duration {
-	tmp := make([]time.Duration, p.wN)
-	copy(tmp, p.window[:p.wN])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := (len(tmp)*99 + 99) / 100
-	if i > len(tmp) {
-		i = len(tmp)
-	}
-	return tmp[i-1]
 }
 
 // ---- snapshots ----

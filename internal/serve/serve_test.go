@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
+	"soarpsme/internal/prun"
 	"soarpsme/internal/tasks/cypress"
 )
 
@@ -173,6 +175,85 @@ func TestBadRemoveReportedNotDesynced(t *testing.T) {
 	doJSON(t, "GET", base, nil, &info)
 	if info.BadDeltas != 2 || info.Recovered != 2 {
 		t.Fatalf("stats after bad deltas: %+v", info)
+	}
+}
+
+// stepProgSrc fires once per fact, and each firing's make retracts its own
+// instantiation through the negated CE, so every recognize-act step runs
+// match tasks.
+const stepProgSrc = `
+(literalize fact v)
+(literalize seen v)
+(p note (fact ^v <v>) -(seen ^v <v>) --> (make seen ^v <v>))
+`
+
+// TestProgramRunCountsStepCycles pins that a program session's /run counts
+// the recognize-act cycles it steps as an ingest or a cypress /run counts
+// its cycles: tasks equal to the sum over the engine's own per-cycle stats,
+// and a step cycle poisoned by an injected panic in failed and recovered,
+// which GET /sessions/{id} reports too.
+func TestProgramRunCountsStepCycles(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		fault *fault.Injector
+	}{
+		{"healthy", nil},
+		{"every-cycle-panics", fault.Seeded(1, fault.Rates{Panic: 1 << 16})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, ts := testServer(t, Config{Workers: 2, Processes: 2, Fault: c.fault})
+			var created CreateResult
+			if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{Program: stepProgSrc}, &created); code != http.StatusCreated {
+				t.Fatalf("create: %d", code)
+			}
+			base := ts.URL + "/sessions/" + created.ID
+			ingested := ingest(t, base,
+				DeltaJSON{Op: "add", Class: "fact", Fields: []any{1}},
+				DeltaJSON{Op: "add", Class: "fact", Fields: []any{2}})
+
+			// The engine's cycles are summed by its AfterCycle hook, which is
+			// set and read under the session's turn, as a request runs.
+			ss := liveSession(s, created.ID)
+			underTurn := func(fn func()) {
+				t.Helper()
+				if _, err := ss.submit(nil, func() (any, error) { fn(); return nil, nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var sum RunResult
+			underTurn(func() {
+				ss.eng.AfterCycle = func(cs *prun.CycleStats) {
+					sum.Tasks += cs.Tasks
+					if cs.Failed {
+						sum.Failed++
+					}
+					if cs.Recovered {
+						sum.Recovered++
+					}
+				}
+			})
+			var res RunResult
+			if code, _ := doJSON(t, "POST", base+"/run", RunRequest{Cycles: 2}, &res); code != http.StatusOK {
+				t.Fatalf("run: %d", code)
+			}
+			var want RunResult
+			underTurn(func() { want = sum })
+			if res.Fired != 2 || want.Tasks == 0 {
+				t.Fatalf("run fired %d with %d tasks summed over its cycles, want 2 firings that match", res.Fired, want.Tasks)
+			}
+			if res.Tasks != want.Tasks || res.Failed != want.Failed || res.Recovered != want.Recovered {
+				t.Fatalf("run reported tasks=%d failed=%d recovered=%d, its cycles sum to tasks=%d failed=%d recovered=%d",
+					res.Tasks, res.Failed, res.Recovered, want.Tasks, want.Failed, want.Recovered)
+			}
+			if c.fault != nil && (res.Failed != 2 || res.Recovered != 2) {
+				t.Fatalf("every step cycle panics, run reported failed=%d recovered=%d", res.Failed, res.Recovered)
+			}
+			var info SessionInfo
+			doJSON(t, "GET", base, nil, &info)
+			if info.Recovered != ingested.Recovered+res.Recovered {
+				t.Fatalf("recovered_cycles = %d, requests reported %d + %d", info.Recovered, ingested.Recovered, res.Recovered)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"soarpsme/internal/engine"
-	"soarpsme/internal/prun"
 	"soarpsme/internal/tasks/cypress"
 	"soarpsme/internal/value"
 	"soarpsme/internal/wme"
@@ -175,7 +174,7 @@ func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 	for i := 0; i < n; i++ {
 		switch s.Task {
 		case "cypress":
-			res.count(s.eng.ApplyAndMatch(s.drv.Batch()))
+			s.eng.ApplyAndMatch(s.drv.Batch())
 			if chunking {
 				for s.nextChunk < len(s.drv.ChunkAt) && s.drv.ChunkAt[s.nextChunk] == s.cycles {
 					ast, err := s.sys.ParseChunk(s.nextChunk, s.eng.Tab)
@@ -205,46 +204,52 @@ func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 	return nil
 }
 
-// count adds one match cycle's task and recovery counts to r.
-func (r *RunResult) count(cs prun.CycleStats) {
-	r.Tasks += cs.Tasks
-	if cs.Failed {
-		r.Failed++
-	}
-	if cs.Recovered {
-		r.Recovered++
-	}
-}
-
-// closeCycle ends one session cycle of a /run: the cycle is counted in res
-// and its conflict-set fingerprint appended.
+// closeCycle ends one session cycle of a /run: the engine cycles it ran are
+// counted in res and its conflict-set fingerprint appended.
 func (s *Session) closeCycle(res *RunResult) {
 	s.cycles++
 	res.Cycles++
 	res.LastCycle = s.cycles - 1
-	res.Fingerprints = append(res.Fingerprints, s.fingerprint())
+	res.Fingerprints = append(res.Fingerprints, s.fingerprint(res))
 }
 
 // fingerprint closes a served match cycle at a cost that follows what the
 // cycle changed, and returns its fingerprint. It drains the conflict set's
 // journal — net of the transients of parallel match, and already reconciled
 // by EndRecovery when the cycle went through the serial fallback — into
-// the fingerprint index, and folds the engine's per-cycle stats into the
-// running recovered count. The session is the only consumer of either, and
-// both grow without bound unless consumed: the journal pins every retracted
-// token and wme, the stats log one struct per cycle.
-func (s *Session) fingerprint() string {
-	s.foldCycleStats()
+// the fingerprint index, and folds the engine's per-cycle stats into res
+// (nil outside a /run) and the running recovered count. The session is the
+// only consumer of either, and both grow without bound unless consumed: the
+// journal pins every retracted token and wme, the stats log one struct per
+// cycle.
+func (s *Session) fingerprint(res *RunResult) string {
+	s.foldCycleStats(res)
 	if added, retracted := s.eng.CS.Drain(); !s.fp.apply(added, retracted) {
 		s.fp.rebuild(s.eng.CS.All())
 	}
 	return s.fp.render(s.eng.WM.Len())
 }
 
-func (s *Session) foldCycleStats() {
+// foldCycleStats consumes the engine's per-cycle stats, the one place a
+// request's engine cycles are counted: every ApplyAndMatch since the last
+// fold — an ingest batch, a cypress batch or a recognize-act step — adds its
+// tasks and failure flags to res (nil outside a /run), and a cycle that went
+// through the serial fallback to the session's recovered count.
+func (s *Session) foldCycleStats(res *RunResult) {
 	for i := range s.eng.CycleStats {
-		if s.eng.CycleStats[i].Recovered {
+		cs := &s.eng.CycleStats[i]
+		if cs.Recovered {
 			s.recovered++
+		}
+		if res == nil {
+			continue
+		}
+		res.Tasks += cs.Tasks
+		if cs.Failed {
+			res.Failed++
+		}
+		if cs.Recovered {
+			res.Recovered++
 		}
 	}
 	s.eng.CycleStats = s.eng.CycleStats[:0]
@@ -255,7 +260,7 @@ func (s *Session) foldCycleStats() {
 // when it takes over an engine: after create's startup cycle, and after
 // restore's serial rebuild and before its WAL replay.
 func (s *Session) syncFingerprint() {
-	s.foldCycleStats()
+	s.foldCycleStats(nil)
 	s.eng.CS.ResetJournal()
 	s.fp.rebuild(s.eng.CS.All())
 }
@@ -378,7 +383,7 @@ func (s *Session) applyDeltas(res *RunResult, in []DeltaJSON) error {
 		}
 	}
 	bad0 := s.eng.BadDeltas
-	res.count(s.eng.ApplyAndMatch(ds))
+	s.eng.ApplyAndMatch(ds)
 	res.Added = added
 	res.BadDeltas = s.eng.BadDeltas - bad0
 	s.closeCycle(res)

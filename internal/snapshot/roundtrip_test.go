@@ -12,6 +12,7 @@ import (
 	"soarpsme/internal/tasks/cypress"
 	"soarpsme/internal/tasks/eightpuzzle"
 	"soarpsme/internal/tasks/strips"
+	"soarpsme/internal/value"
 	"soarpsme/internal/wme"
 )
 
@@ -22,9 +23,74 @@ import (
 // runtime chunk i was added.
 type trajectory struct {
 	genesis []byte
-	batches [][]snapshot.DeltaRec
+	batches [][]deltaRec
 	sys     *cypress.System
 	chunkAt []int
+}
+
+// deltaRec is one recorded working-memory change in a form independent of
+// the recording engine's symbol table: an add keeps its wme's identity and
+// time tag, so the replayed trajectory is tag-identical to the original; a
+// remove is resolved against the target memory by id.
+type deltaRec struct {
+	op      wme.Op
+	id, tag uint64
+	class   string
+	fields  []any // symbol name, int64, float64 or nil
+}
+
+func recordDeltas(tab *value.Table, ds []wme.Delta) []deltaRec {
+	out := make([]deltaRec, len(ds))
+	for i, d := range ds {
+		w := d.WME
+		fs := make([]any, len(w.Fields))
+		for j, f := range w.Fields {
+			switch f.Kind {
+			case value.KindSym:
+				fs[j] = tab.Name(f.Sym)
+			case value.KindInt:
+				fs[j] = f.Int()
+			case value.KindFloat:
+				fs[j] = f.Float()
+			}
+		}
+		out[i] = deltaRec{op: d.Op, id: w.ID, tag: w.TimeTag, class: tab.Name(w.Class), fields: fs}
+	}
+	return out
+}
+
+// replayDeltas rebuilds a recorded batch against wm: adds become fresh wme
+// objects with their recorded identities (raising wm's allocation counters
+// past them), removes resolve to the live object in wm so Delete's
+// pointer-based index update stays coherent.
+func replayDeltas(tab *value.Table, wm *wme.Memory, recs []deltaRec) ([]wme.Delta, error) {
+	out := make([]wme.Delta, len(recs))
+	for i, r := range recs {
+		if r.op == wme.Remove {
+			w := wm.Get(r.id)
+			if w == nil {
+				return nil, fmt.Errorf("remove of unknown wme %d", r.id)
+			}
+			out[i] = wme.Delta{Op: wme.Remove, WME: w}
+			continue
+		}
+		fs := make([]value.Value, len(r.fields))
+		for j, f := range r.fields {
+			switch f := f.(type) {
+			case string:
+				fs[j] = tab.SymV(f)
+			case int64:
+				fs[j] = value.IntVal(f)
+			case float64:
+				fs[j] = value.FloatVal(f)
+			default:
+				fs[j] = value.Nil
+			}
+		}
+		wm.EnsureCounters(r.id, r.tag)
+		out[i] = wme.Delta{Op: wme.Add, WME: &wme.WME{ID: r.id, TimeTag: r.tag, Class: tab.Intern(r.class), Fields: fs}}
+	}
+	return out, nil
 }
 
 func captureSoarTrajectory(t *testing.T, mk func() *soar.Task) *trajectory {
@@ -39,7 +105,7 @@ func captureSoarTrajectory(t *testing.T, mk func() *soar.Task) *trajectory {
 	}
 	tr := &trajectory{genesis: genesis}
 	a.Eng.OnApply = func(ds []wme.Delta) {
-		tr.batches = append(tr.batches, snapshot.EncodeDeltas(a.Eng.Tab, ds))
+		tr.batches = append(tr.batches, recordDeltas(a.Eng.Tab, ds))
 	}
 	res, err := a.Run()
 	if err != nil {
@@ -68,7 +134,7 @@ func captureCypressTrajectory(t *testing.T) *trajectory {
 	next := 0
 	for cyc := 0; cyc < sys.Params.Cycles; cyc++ {
 		ds := drv.Batch()
-		tr.batches = append(tr.batches, snapshot.EncodeDeltas(e.Tab, ds))
+		tr.batches = append(tr.batches, recordDeltas(e.Tab, ds))
 		e.ApplyAndMatch(ds)
 		for next < len(drv.ChunkAt) && drv.ChunkAt[next] == cyc {
 			ast, err := sys.ParseChunk(next, e.Tab)
@@ -109,7 +175,7 @@ func (tr *trajectory) replay(t *testing.T, e *engine.Engine, from, to int) []str
 	}
 	fps := make([]string, 0, to-from)
 	for i := from; i < to; i++ {
-		ds, err := snapshot.DecodeDeltas(e.Tab, e.WM, tr.batches[i])
+		ds, err := replayDeltas(e.Tab, e.WM, tr.batches[i])
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}

@@ -349,49 +349,3 @@ func restoreOnto(base *engine.ProgramImage, img *Image, cfg engine.Config) (_ *e
 	e.BadDeltas = img.BadDeltas
 	return e, nil
 }
-
-// DeltaRec is one recorded working-memory change, replayable against a
-// restored engine: adds carry their assigned identity so the replayed
-// trajectory is tag-identical to the original, removes are resolved
-// against the target memory by ID.
-type DeltaRec struct {
-	Op  string `json:"op"` // "add" | "remove"
-	WME WMERec `json:"wme"`
-}
-
-// EncodeDeltas records a delta batch in portable form.
-func EncodeDeltas(tab *value.Table, ds []wme.Delta) []DeltaRec {
-	out := make([]DeltaRec, len(ds))
-	for i, d := range ds {
-		out[i] = DeltaRec{Op: d.Op.String(), WME: encodeWME(tab, d.WME)}
-	}
-	return out
-}
-
-// DecodeDeltas rebuilds a delta batch against wm: adds become fresh wme
-// objects with their recorded identities (raising wm's allocation
-// counters past them), removes resolve to the live object in wm so
-// Delete's pointer-based index update stays coherent.
-func DecodeDeltas(tab *value.Table, wm *wme.Memory, recs []DeltaRec) ([]wme.Delta, error) {
-	out := make([]wme.Delta, len(recs))
-	for i, r := range recs {
-		switch r.Op {
-		case "add":
-			w, err := decodeWME(tab, r.WME)
-			if err != nil {
-				return nil, err
-			}
-			wm.EnsureCounters(w.ID, w.TimeTag)
-			out[i] = wme.Delta{Op: wme.Add, WME: w}
-		case "remove":
-			w := wm.Get(r.WME.ID)
-			if w == nil {
-				return nil, fmt.Errorf("snapshot: remove of unknown wme %d", r.WME.ID)
-			}
-			out[i] = wme.Delta{Op: wme.Remove, WME: w}
-		default:
-			return nil, fmt.Errorf("snapshot: unknown delta op %q", r.Op)
-		}
-	}
-	return out, nil
-}

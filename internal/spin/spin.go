@@ -62,9 +62,8 @@ func (l *Lock) Stats() (spins, acquires uint64) {
 
 // Counts is a point-in-time snapshot of a lock's (or lock group's)
 // contention counters; the observability layer folds deltas between
-// snapshots into its metrics registry (queue locks once per match cycle,
-// hash-line locks when the registry is scraped), so the hot-path counters
-// stay plain atomics.
+// snapshots into its metrics registry when the registry is scraped, so the
+// hot-path counters stay plain atomics.
 type Counts struct {
 	Spins    uint64
 	Acquires uint64
