@@ -4,15 +4,14 @@
 //
 // Usage:
 //
-//	experiments [-exp all|t51|t52|t61|f61|f62|...|extras] [-out file]
-//	            [-plot] [-unlink=false]
+//	experiments [-exp all|t51|t52|t61|f61|f62|...|extras] [-plot]
+//	            [-unlink=false]
 //	            [-trace out.json] [-metrics out.txt] [-listen :6060]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -73,7 +72,6 @@ var runners = []runner{
 
 func main() {
 	which := flag.String("exp", "all", "experiment id (t51..f612, extras) or all")
-	outPath := flag.String("out", "", "write output to file instead of stdout")
 	plot := flag.Bool("plot", false, "render figures as ASCII charts too")
 	unlink := flag.Bool("unlink", true, "left/right unlinking in the capture engines (pass -unlink=false to reproduce the paper's full task volume: its engine scheduled every null activation)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the captured runs")
@@ -89,17 +87,6 @@ func main() {
 	}
 	// An interrupt mid-run still flushes complete -trace/-metrics files.
 	flush = obs.FlushOnInterrupt(flush)
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		out = f
-	}
 
 	l := exp.NewLab()
 	l.SetObserver(observer)
@@ -121,7 +108,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.id, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(out, "==== %s (%s) ====\n%s\n", r.id, r.desc, text)
+		fmt.Printf("==== %s (%s) ====\n%s\n", r.id, r.desc, text)
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", r.id, time.Since(start).Round(time.Millisecond))
 	}
 	if !matched {

@@ -1,6 +1,8 @@
 // Command psmed is the match-service daemon: it hosts many independent
 // engine sessions in one process behind the internal/serve HTTP/JSON API,
-// all sessions sharing one match-worker budget.
+// all sessions sharing one match-worker budget. Every session asks the
+// budget for -procs match processes and runs under the -deadline cycle
+// watchdog; no request can change either.
 //
 // Every request gets a structured log line (log/slog, text or JSON) with a
 // request ID that is echoed in the X-Request-ID header and in 429/503
@@ -27,7 +29,7 @@
 //	psmed [-addr :8740] [-workers N] [-procs N]
 //	      [-queue-depth 4] [-max-sessions 64] [-deadline 0]
 //	      [-data DIR] [-kill-after 0]
-//	      [-trace out.json] [-metrics out.txt] [-listen :6060]
+//	      [-metrics out.txt] [-listen :6060]
 //	      [-drain-timeout 30s] [-log-json] [-quiet]
 //	      [-flight-dir DIR] [-fault-seed 0] [-fault-panic -1]
 package main
@@ -56,9 +58,8 @@ func main() {
 	procs := flag.Int("procs", 4, "per-session worker width requested from the budget")
 	queueDepth := flag.Int("queue-depth", 4, "per-session admission queue depth (full queue = 429)")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session limit")
-	deadline := flag.Duration("deadline", 0, "default per-cycle watchdog deadline; a wedged cycle degrades to the serial fallback (0 = off)")
+	deadline := flag.Duration("deadline", 0, "every session's per-cycle watchdog deadline; a wedged cycle degrades to the serial fallback (0 = off)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file at exit")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
 	listen := flag.String("listen", "", "serve obs diagnostics (/metrics, /debug/pprof) on this address")
 	logJSON := flag.Bool("log-json", false, "emit request logs as JSON instead of logfmt-style text")
@@ -70,16 +71,13 @@ func main() {
 	killAfter := flag.Int64("kill-after", 0, "fault injection: self-SIGKILL after serving N requests — no drain, no snapshot (0 = off; pairs with -data to exercise crash restore)")
 	flag.Parse()
 
-	observer, flush, err := obs.Setup(*traceOut, *metricsOut, *listen)
+	// Without -metrics or -listen there is no observer: nothing could read
+	// it. The only trace is -listen's bounded live one: a trace kept whole
+	// for a file written at exit would grow for the daemon's whole life.
+	observer, flush, err := obs.Setup("", *metricsOut, *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psmed:", err)
 		os.Exit(1)
-	}
-	if observer == nil {
-		// No sinks configured: still collect the service metrics so a later
-		// restart with -listen/-metrics is the only change needed — but no
-		// tracer, whose events nothing could ever read.
-		observer = &obs.Observer{Reg: obs.NewRegistry()}
 	}
 
 	var logger *slog.Logger

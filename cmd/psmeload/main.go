@@ -1,9 +1,9 @@
 // Command psmeload drives a psmed daemon with S concurrent cypress
-// sessions of C cycles each and reports aggregate serving throughput.
-// With -verify (the default) it first computes the solo serial run's
-// per-cycle conflict-set fingerprints in-process and asserts every served
-// session matches them byte for byte — the serving layer's conformance
-// contract under real HTTP concurrency.
+// sessions of C cycles each, chunks added mid-stream, and reports aggregate
+// serving throughput. It first computes the solo serial run's per-cycle
+// conflict-set fingerprints in-process and asserts every served session
+// matches them byte for byte — the serving layer's conformance contract
+// under real HTTP concurrency.
 //
 // With -ingest the sessions are program sessions driven by client-side
 // wme-delta batches instead of server-side cypress cycles: each /run
@@ -11,8 +11,8 @@
 // separates cycles/sec (request/cycle overhead) from deltas/sec (ingest
 // bandwidth). The delta script is deterministic — a rotating window of
 // item adds, joining probe adds, and windowed removes of the oldest
-// outstanding wme — so -verify can replay it on an in-process serial
-// engine and demand byte-identical per-cycle fingerprints.
+// outstanding wme — so it is replayed on an in-process serial engine too,
+// and every per-cycle fingerprint must be byte-identical to that replay.
 //
 // Backpressure (429) is honored via Retry-After; every cycle is accounted
 // for, and the exit status is nonzero on lost cycles or fingerprint
@@ -33,9 +33,7 @@
 // Usage:
 //
 //	psmeload [-addr http://127.0.0.1:8740[,http://...]] [-sessions 8]
-//	         [-cycles 60] [-batch 10] [-chunking]
-//	         [-productions 60] [-chunks 6] [-seed 17] [-verify]
-//	         [-ingest] [-deltas 480]
+//	         [-cycles 60] [-batch 10] [-ingest] [-deltas 480]
 package main
 
 import (
@@ -185,14 +183,12 @@ type sessionReport struct {
 	err      error
 }
 
-// finish checks a session's fingerprints against the solo serial run
-// (baseline nil: unverified) and deletes it.
+// finish checks a session's fingerprints against the solo serial run and
+// deletes it.
 func finish(c *session, fps, baseline []string) error {
-	if baseline != nil {
-		for i := range fps {
-			if i >= len(baseline) || fps[i] != baseline[i] {
-				return fmt.Errorf("session %s cycle %d fingerprint diverged from solo serial run", c.id, i)
-			}
+	for i := range fps {
+		if i >= len(baseline) || fps[i] != baseline[i] {
+			return fmt.Errorf("session %s cycle %d fingerprint diverged from solo serial run", c.id, i)
 		}
 	}
 	return c.delete()
@@ -233,7 +229,7 @@ func driveIngestSession(c *session, script [][]serve.IngestOp, baseline []string
 	return rep
 }
 
-func driveSession(c *session, p cypress.Params, cycles, batch int, chunking bool, baseline []string) (rep sessionReport) {
+func driveSession(c *session, p cypress.Params, cycles, batch int, baseline []string) (rep sessionReport) {
 	if err := c.create(serve.CreateRequest{Task: "cypress", Params: &p}); err != nil {
 		rep.err = fmt.Errorf("create: %w", err)
 		return rep
@@ -247,7 +243,7 @@ func driveSession(c *session, p cypress.Params, cycles, batch int, chunking bool
 		}
 		var res serve.RunResult
 		seq++
-		if err := c.do("POST", "/sessions/"+c.id+"/run", serve.RunRequest{Cycles: n, Chunking: chunking, Seq: seq}, &res); err != nil {
+		if err := c.do("POST", "/sessions/"+c.id+"/run", serve.RunRequest{Cycles: n, Chunking: true, Seq: seq}, &res); err != nil {
 			rep.err = fmt.Errorf("run after %d cycles: %w", rep.cycles, err)
 			return rep
 		}
@@ -297,10 +293,8 @@ func runSessions(addrs []string, run string, n int, drive func(*session) session
 // printTail ends a report line: the verification tag, and with more than
 // one address the failover restores CI compares with the survivor's
 // serve_sessions_restored_total.
-func printTail(verify bool, addrs []string, sum sessionReport) {
-	if verify {
-		fmt.Printf(" [verified vs solo serial]")
-	}
+func printTail(addrs []string, sum sessionReport) {
+	fmt.Printf(" [verified vs solo serial]")
 	if len(addrs) > 1 {
 		fmt.Printf(" [failover restores: %d]", sum.restores)
 	}
@@ -312,11 +306,6 @@ func main() {
 	sessions := flag.Int("sessions", 8, "concurrent sessions")
 	cycles := flag.Int("cycles", 60, "cycles per session")
 	batch := flag.Int("batch", 10, "cycles per run request")
-	chunking := flag.Bool("chunking", true, "enable mid-stream chunk additions (AddProductionRuntime)")
-	productions := flag.Int("productions", 60, "cypress task productions")
-	chunks := flag.Int("chunks", 6, "cypress run-time chunks")
-	seed := flag.Uint64("seed", 17, "cypress workload seed (all sessions share it)")
-	verify := flag.Bool("verify", true, "verify per-cycle fingerprints against an in-process solo serial run")
 	ingest := flag.Bool("ingest", false, "drive program sessions with client-side delta batches via /run (-batch deltas = one match cycle) instead of server-side cypress cycles")
 	deltas := flag.Int("deltas", 480, "ingest mode: wme deltas per session (the stream is fixed; -batch only changes how many ride one request)")
 	flag.Parse()
@@ -336,29 +325,25 @@ func main() {
 	run := fmt.Sprintf("load%x", time.Now().UnixNano())
 
 	if *ingest {
-		runIngest(addrs, run, *sessions, *deltas, *batch, *verify)
+		runIngest(addrs, run, *sessions, *deltas, *batch)
 		return
 	}
 
-	// All sessions share one seed, so one solo baseline checks them all.
-	p := cypress.Params{Productions: *productions, AvgCEs: 10, Chunks: *chunks, ChunkCEs: 16,
-		Alphabet: 6, Cycles: *cycles, Seed: *seed}
-	var baseline []string
-	if *verify {
-		fps, err := serve.SoloFingerprints(p, *cycles, *chunking)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psmeload: baseline:", err)
-			os.Exit(1)
-		}
-		baseline = fps
+	// All sessions share one workload, so one solo baseline checks them all.
+	p := cypress.Params{Productions: 60, AvgCEs: 10, Chunks: 6, ChunkCEs: 16,
+		Alphabet: 6, Cycles: *cycles, Seed: 17}
+	baseline, err := serve.SoloFingerprints(p, *cycles, true)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "psmeload: baseline:", err)
+		os.Exit(1)
 	}
 
 	elapsed, sum, failed := runSessions(addrs, run, *sessions, func(c *session) sessionReport {
-		return driveSession(c, p, *cycles, *batch, *chunking, baseline)
+		return driveSession(c, p, *cycles, *batch, baseline)
 	})
 	fmt.Printf(";; psmeload: %d sessions x %d cycles: %d cycles in %.3fs (%.1f cycles/sec, %d match tasks)",
 		*sessions, *cycles, sum.cycles, elapsed.Seconds(), float64(sum.cycles)/elapsed.Seconds(), sum.tasks)
-	printTail(*verify, addrs, sum)
+	printTail(addrs, sum)
 	if failed > 0 || sum.cycles != *sessions**cycles {
 		fmt.Fprintf(os.Stderr, "psmeload: FAILED: %d session errors, %d/%d cycles completed\n",
 			failed, sum.cycles, *sessions**cycles)
@@ -371,21 +356,17 @@ func main() {
 // sizes ingest identical work and deltas/sec — the sustained ingest
 // bandwidth — is directly comparable across them. cycles/sec (one cycle
 // per request) is reported alongside as the request-overhead view.
-func runIngest(addrs []string, run string, sessions, deltas, batch int, verify bool) {
+func runIngest(addrs []string, run string, sessions, deltas, batch int) {
 	if batch < 1 || batch > serve.IngestRemoveLag {
 		fmt.Fprintf(os.Stderr, "psmeload: ingest -batch must be in [1, %d] (removes reference ids assigned %d slots earlier)\n",
 			serve.IngestRemoveLag, serve.IngestRemoveLag)
 		os.Exit(2)
 	}
 	batches := serve.ChopScript(serve.IngestScript(deltas), batch)
-	var baseline []string
-	if verify {
-		fps, err := serve.IngestBaseline(batches)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psmeload: ingest baseline:", err)
-			os.Exit(1)
-		}
-		baseline = fps
+	baseline, err := serve.IngestBaseline(batches)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "psmeload: ingest baseline:", err)
+		os.Exit(1)
 	}
 
 	elapsed, sum, failed := runSessions(addrs, run, sessions, func(c *session) sessionReport {
@@ -393,7 +374,7 @@ func runIngest(addrs []string, run string, sessions, deltas, batch int, verify b
 	})
 	fmt.Printf(";; psmeload ingest: %d sessions x %d deltas (batch %d): %d cycles in %.3fs (%.1f cycles/sec, %.1f deltas/sec, %d match tasks)",
 		sessions, deltas, batch, sum.cycles, elapsed.Seconds(), float64(sum.cycles)/elapsed.Seconds(), float64(sum.deltas)/elapsed.Seconds(), sum.tasks)
-	printTail(verify, addrs, sum)
+	printTail(addrs, sum)
 	if failed > 0 || sum.deltas != sessions*deltas {
 		fmt.Fprintf(os.Stderr, "psmeload: FAILED: %d session errors, %d/%d deltas ingested\n",
 			failed, sum.deltas, sessions*deltas)

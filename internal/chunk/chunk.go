@@ -55,13 +55,6 @@ type Builder struct {
 	key     []byte            // appendCanonical's buffer, reused across builds
 }
 
-// Stats summarizes the chunks built so far (Table 5-1 feeds from this).
-type Stats struct {
-	Chunks     int
-	TotalCEs   int
-	Duplicates int
-}
-
 func (b *Builder) ensure() {
 	if b.seen == nil {
 		b.seen = make(map[string]string)

@@ -78,24 +78,19 @@ func Size(op OpCode) int {
 	return 8
 }
 
-// Instr is one instruction with up to two operands.
-type Instr struct {
-	Op   OpCode
-	A, B int32
-}
-
-// NodeCode is the compiled stream for one node.
+// NodeCode is the compiled stream for one node. Only the opcodes are kept:
+// the encoded size, not the operands, is what the paper measures.
 type NodeCode struct {
 	Node   rete.NodeID
 	Kind   rete.BetaKind
-	Instrs []Instr
+	Instrs []OpCode
 }
 
 // Bytes returns the encoded size of the node's code.
 func (nc *NodeCode) Bytes() int {
 	n := 0
-	for _, in := range nc.Instrs {
-		n += Size(in.Op)
+	for _, op := range nc.Instrs {
+		n += Size(op)
 	}
 	return n
 }
@@ -104,14 +99,14 @@ func (nc *NodeCode) Bytes() int {
 // mirroring PSM-E's open-coded join bodies.
 func CompileNode(n *rete.BetaNode) *NodeCode {
 	nc := &NodeCode{Node: n.ID, Kind: n.Kind}
-	emit := func(op OpCode, a, b int32) { nc.Instrs = append(nc.Instrs, Instr{op, a, b}) }
-	emit(OpLabel, int32(n.ID), 0)
+	emit := func(op OpCode) { nc.Instrs = append(nc.Instrs, op) }
+	emit(OpLabel)
 	if n.Kind == rete.KindP {
-		emit(OpLockLine, 0, 0)
-		emit(OpInsert, 0, 0)
-		emit(OpUnlock, 0, 0)
-		emit(OpUpdateCS, 0, 0)
-		emit(OpReturn, 0, 0)
+		emit(OpLockLine)
+		emit(OpInsert)
+		emit(OpUnlock)
+		emit(OpUpdateCS)
+		emit(OpReturn)
 		return nc
 	}
 	tests := n.Tests
@@ -123,43 +118,41 @@ func CompileNode(n *rete.BetaNode) *NodeCode {
 	}
 	// Hash the equality-test bindings, lock, insert self.
 	for i := 0; i < nEq; i++ {
-		emit(OpHashField, int32(tests[i].RightField), int32(tests[i].LeftCE))
+		emit(OpHashField)
 	}
-	if len(n.BBTests) > 0 {
-		for range n.BBTests {
-			emit(OpHashField, 0, 0)
-		}
+	for range n.BBTests {
+		emit(OpHashField)
 	}
-	emit(OpLockLine, 0, 0)
-	emit(OpInsert, 0, 0)
+	emit(OpLockLine)
+	emit(OpInsert)
 	// Scan the opposite memory; every test is open-coded twice (left and
 	// right activation bodies are both generated, as in PSM-E).
 	for side := 0; side < 2; side++ {
-		emit(OpScanOpp, 0, 0)
-		for _, t := range tests {
-			emit(OpLoadLeft, int32(t.LeftCE), int32(t.LeftField))
-			emit(OpLoadRight, int32(t.RightField), 0)
-			emit(OpCompare, int32(t.Pred), 0)
-			emit(OpBranchFail, 0, 0)
+		emit(OpScanOpp)
+		for range tests {
+			emit(OpLoadLeft)
+			emit(OpLoadRight)
+			emit(OpCompare)
+			emit(OpBranchFail)
 		}
-		for _, t := range n.BBTests {
-			emit(OpLoadLeft, int32(t.LeftCE), int32(t.LeftField))
-			emit(OpLoadRight, int32(t.RightCE), int32(t.RightField))
-			emit(OpCompare, int32(t.Pred), 0)
-			emit(OpBranchFail, 0, 0)
+		for range n.BBTests {
+			emit(OpLoadLeft)
+			emit(OpLoadRight)
+			emit(OpCompare)
+			emit(OpBranchFail)
 		}
 		if n.Kind == rete.KindNot || n.Kind == rete.KindNCC || n.Kind == rete.KindNCCPartner {
-			emit(OpCountAdj, 0, 0)
+			emit(OpCountAdj)
 		} else {
-			emit(OpExtendTok, 0, 0)
+			emit(OpExtendTok)
 		}
 		// Successor dispatch goes through the jumptable so later
 		// productions can splice new successors in (Figure 5-1).
-		emit(OpPushTask, 0, 0)
-		emit(OpJumpTable, int32(n.ID), 0)
+		emit(OpPushTask)
+		emit(OpJumpTable)
 	}
-	emit(OpUnlock, 0, 0)
-	emit(OpReturn, 0, 0)
+	emit(OpUnlock)
+	emit(OpReturn)
 	return nc
 }
 

@@ -33,16 +33,8 @@ func runCypressBilinear(t *testing.T, procs int, org rete.Organization) unlinkRu
 	var r unlinkRun
 	next := 0
 	for c := 0; c < sys.Params.Cycles; c++ {
-		e.ApplyAndMatch(drv.Batch())
-		for next < len(drv.ChunkAt) && drv.ChunkAt[next] == c {
-			ast, err := sys.ParseChunk(next, e.Tab)
-			if err != nil {
-				t.Fatalf("chunk %d: %v", next, err)
-			}
-			if _, err := e.AddProductionRuntime(ast); err != nil {
-				t.Fatalf("add chunk %d: %v", next, err)
-			}
-			next++
+		if _, err := drv.Step(e, c, &next, true); err != nil {
+			t.Fatal(err)
 		}
 		r.fps = append(r.fps, csFingerprint(e))
 	}

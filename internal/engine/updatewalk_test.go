@@ -111,15 +111,8 @@ func TestUpdateWalkEquivalence(t *testing.T) {
 			drv := cypress.NewDriver(sys, e.Tab, e.WM)
 			next := 0
 			for cyc := 0; cyc < sys.Params.Cycles; cyc++ {
-				e.ApplyAndMatch(drv.Batch())
-				for ; next < len(drv.ChunkAt) && drv.ChunkAt[next] == cyc; next++ {
-					ast, err := sys.ParseChunk(next, e.Tab)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := e.AddProductionRuntime(ast); err != nil {
-						t.Fatal(err)
-					}
+				if _, err := drv.Step(e, cyc, &next, true); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if c.additions != len(sys.ChunkSrcs) {

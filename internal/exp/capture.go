@@ -319,18 +319,8 @@ func (l *Lab) Cypress(mode Mode) (*Capture, error) {
 	drv := cypress.NewDriver(sys, e.Tab, e.WM)
 	next := 0
 	for cyc := 0; cyc < sys.Params.Cycles; cyc++ {
-		e.ApplyAndMatch(drv.Batch())
-		if mode == DuringChunk {
-			for next < len(drv.ChunkAt) && drv.ChunkAt[next] == cyc {
-				ast, err := sys.ParseChunk(next, e.Tab)
-				if err != nil {
-					return nil, fmt.Errorf("exp: cypress chunk %d: %w", next, err)
-				}
-				if _, err := e.AddProductionRuntime(ast); err != nil {
-					return nil, fmt.Errorf("exp: cypress chunk %d: %w", next, err)
-				}
-				next++
-			}
+		if _, err := drv.Step(e, cyc, &next, mode == DuringChunk); err != nil {
+			return nil, fmt.Errorf("exp: %w", err)
 		}
 	}
 	cap.Halted = true

@@ -43,16 +43,8 @@ func driveCypress(t *testing.T, ec engine.Config, cycles int, each func(e *engin
 	var fps []string
 	next := 0
 	for cyc := 0; cyc < cycles; cyc++ {
-		e.ApplyAndMatch(drv.Batch())
-		for next < len(drv.ChunkAt) && drv.ChunkAt[next] == cyc {
-			ast, err := sys.ParseChunk(next, e.Tab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.AddProductionRuntime(ast); err != nil {
-				t.Fatal(err)
-			}
-			next++
+		if _, err := drv.Step(e, cyc, &next, true); err != nil {
+			t.Fatal(err)
 		}
 		fps = append(fps, serve.Fingerprint(e))
 		if each != nil {
@@ -132,16 +124,8 @@ func TestBilinearAttributionCoversRightChains(t *testing.T) {
 		drv := cypress.NewDriver(sys, e.Tab, e.WM)
 		next := 0
 		for cyc := 0; cyc < 8; cyc++ {
-			e.ApplyAndMatch(drv.Batch())
-			for next < len(drv.ChunkAt) && drv.ChunkAt[next] == cyc {
-				ast, err := sys.ParseChunk(next, e.Tab)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := e.AddProductionRuntime(ast); err != nil {
-					t.Fatal(err)
-				}
-				next++
+			if _, err := drv.Step(e, cyc, &next, true); err != nil {
+				t.Fatal(err)
 			}
 		}
 		return e.Prof.Snapshot()
@@ -278,16 +262,8 @@ func TestConcurrentHarvest(t *testing.T) {
 	}
 	next := 0
 	for cyc := 0; cyc < 60; cyc++ {
-		e.ApplyAndMatch(drv.Batch())
-		for next < len(drv.ChunkAt) && drv.ChunkAt[next] == cyc {
-			ast, err := sys.ParseChunk(next, e.Tab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.AddProductionRuntime(ast); err != nil {
-				t.Fatal(err)
-			}
-			next++
+		if _, err := drv.Step(e, cyc, &next, true); err != nil {
+			t.Fatal(err)
 		}
 	}
 	close(done)

@@ -59,20 +59,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add atomically adds delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		if g.bits.CompareAndSwap(old, math.Float64bits(cur+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

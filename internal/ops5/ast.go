@@ -53,18 +53,6 @@ type Production struct {
 	RHS  []*Action
 }
 
-// PositiveCEs returns the positive condition elements, in order. The Rete
-// compiler joins these left to right; negations attach to the join prefix.
-func (p *Production) PositiveCEs() []*CE {
-	var out []*CE
-	for _, ci := range p.LHS {
-		if ci.Kind == CondPos {
-			out = append(out, ci.CE)
-		}
-	}
-	return out
-}
-
 // CondKind discriminates LHS items.
 type CondKind uint8
 
@@ -203,34 +191,6 @@ type Expr struct {
 	Var  value.Sym
 	Op   byte // '+', '-', '*', '/' or '%' for ExprCompute
 	L, R *Expr
-}
-
-// Vars returns every distinct variable name used in the production's LHS,
-// in first-occurrence order.
-func (p *Production) Vars() []value.Sym {
-	seen := map[value.Sym]bool{}
-	var out []value.Sym
-	add := func(ce *CE) {
-		for _, at := range ce.Tests {
-			for _, t := range at.Tests {
-				if t.Kind == TestVar && !seen[t.Var] {
-					seen[t.Var] = true
-					out = append(out, t.Var)
-				}
-			}
-		}
-	}
-	for _, ci := range p.LHS {
-		switch ci.Kind {
-		case CondPos, CondNeg:
-			add(ci.CE)
-		case CondNCC:
-			for _, ce := range ci.Sub {
-				add(ce)
-			}
-		}
-	}
-	return out
 }
 
 // String renders a compact debug form of the production.

@@ -48,20 +48,17 @@ func TestParseBlueBlock(t *testing.T) {
 	if len(ce0.Tests) != 2 {
 		t.Fatalf("tests = %d", len(ce0.Tests))
 	}
-	if ce0.Tests[0].Tests[0].Kind != TestVar {
-		t.Fatalf("^name test should be a variable")
+	if v := ce0.Tests[0].Tests[0]; v.Kind != TestVar || tab.Name(v.Var) != "b" {
+		t.Fatalf("^name test should be the variable <b>")
+	}
+	if v := p.LHS[1].CE.Tests[0].Tests[0]; v.Kind != TestVar || v.Var != ce0.Tests[0].Tests[0].Var {
+		t.Fatalf("negated ^on test should reuse <b>")
 	}
 	if ce0.Tests[1].Tests[0].Kind != TestConst || tab.Format(ce0.Tests[1].Tests[0].Val) != "blue" {
 		t.Fatalf("^color test wrong")
 	}
 	if len(p.RHS) != 1 || p.RHS[0].Kind != ActModify || p.RHS[0].CE != 1 {
 		t.Fatalf("RHS wrong: %+v", p.RHS[0])
-	}
-	if got := p.PositiveCEs(); len(got) != 2 {
-		t.Fatalf("PositiveCEs = %d", len(got))
-	}
-	if vars := p.Vars(); len(vars) != 1 || tab.Name(vars[0]) != "b" {
-		t.Fatalf("Vars wrong")
 	}
 }
 

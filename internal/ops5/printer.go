@@ -47,11 +47,6 @@ func Format(p *Production, tab *value.Table) string {
 // quoteSym renders a symbol name so it re-lexes as the same symbol: bare
 // when possible, |bar-quoted| otherwise (symbols interned from | strings
 // can hold delimiters, whitespace, predicates, or number-shaped text).
-// QuoteSym renders a symbol name in re-parseable OPS5 source form,
-// bar-quoting it when it would not lex back as the same single symbol.
-// Snapshot export uses it to emit literalize declarations.
-func QuoteSym(name string) string { return quoteSym(name) }
-
 func quoteSym(name string) string {
 	lx := newLexer(name)
 	if t, err := lx.next(); err == nil && t.Kind == tokSym && t.Text == name && lx.pos == len(name) {

@@ -303,15 +303,6 @@ func (rt *Runtime) attached() (rec bool, timeMask uint64) {
 	return h != nil || rt.cfg.CaptureTrace, ^uint64(0)
 }
 
-// SetDeadline replaces the per-cycle watchdog deadline (0 disables it).
-// The serving layer wires each request's remaining deadline through here so
-// a wedged cycle degrades via the serial fallback instead of hanging the
-// connection. Must be called while no cycle is running.
-func (rt *Runtime) SetDeadline(d time.Duration) { rt.cfg.Deadline = d }
-
-// Deadline returns the current per-cycle watchdog deadline.
-func (rt *Runtime) Deadline() time.Duration { return rt.cfg.Deadline }
-
 // suppBatch is the number of suppressed right activations that ride one
 // scheduled batch task. Large enough to amortize the task's scheduling
 // cost down to noise, small enough that a cycle's suppressed work spreads

@@ -143,23 +143,19 @@ type Line struct {
 	// leftAccesses counts left-token accesses this cycle (Figure 6-2).
 	// cumLeft/cumRight are the run-cumulative totals (never reset by the
 	// per-cycle harvest) the observability layer reads.
-	leftAccesses  uint32
-	rightAccesses uint32
-	cumLeft       uint64
-	cumRight      uint64
+	leftAccesses uint32
+	cumLeft      uint64
+	cumRight     uint64
 }
 
-// touchLeft/touchRight bump both the per-cycle and cumulative access
-// counters (caller holds the line lock).
+// touchLeft bumps both the per-cycle and cumulative left access counters,
+// touchRight the cumulative right one (caller holds the line lock).
 func (l *Line) touchLeft() {
 	l.leftAccesses++
 	l.cumLeft++
 }
 
-func (l *Line) touchRight() {
-	l.rightAccesses++
-	l.cumRight++
-}
+func (l *Line) touchRight() { l.cumRight++ }
 
 // LEntry is a left-memory entry: a token stored at a two-input node. count
 // is used by not/NCC nodes (number of blocking right matches). tomb marks
@@ -477,7 +473,6 @@ func (m *Mem) HarvestAccessCounts() []int {
 			out = append(out, int(l.leftAccesses))
 		}
 		l.leftAccesses = 0
-		l.rightAccesses = 0
 		l.Lock.Unlock()
 	}
 	return out

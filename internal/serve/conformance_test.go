@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
 	"soarpsme/internal/prun"
 	"soarpsme/internal/tasks/cypress"
@@ -71,21 +72,14 @@ func postJSON(method, url string, body, out any) error {
 	}
 }
 
-type sessionCombo struct {
-	chunking bool
-	deadline string // per-session cycle watchdog; "1ns" poisons every cycle
-}
-
 // driveSession creates a session, runs the workload in several batch
 // requests, and verifies every per-cycle fingerprint against the solo
-// serial baseline.
-func driveSession(url string, c sessionCombo, p cypress.Params, cycles, batch int, baseline []string) error {
+// serial baseline. It reports how many of the session's cycles went
+// through the serial fallback.
+func driveSession(url string, chunking bool, p cypress.Params, cycles, batch int, baseline []string) (recovered int, err error) {
 	var created CreateResult
-	err := postJSON("POST", url+"/sessions", CreateRequest{
-		Task: "cypress", Params: &p, Deadline: c.deadline,
-	}, &created)
-	if err != nil {
-		return fmt.Errorf("%+v: create: %w", c, err)
+	if err := postJSON("POST", url+"/sessions", CreateRequest{Task: "cypress", Params: &p}, &created); err != nil {
+		return 0, fmt.Errorf("chunking=%v: create: %w", chunking, err)
 	}
 	base := url + "/sessions/" + created.ID
 	var fps []string
@@ -95,21 +89,22 @@ func driveSession(url string, c sessionCombo, p cypress.Params, cycles, batch in
 			n = rem
 		}
 		var res RunResult
-		if err := postJSON("POST", base+"/run", RunRequest{Cycles: n, Chunking: c.chunking}, &res); err != nil {
-			return fmt.Errorf("%+v: run: %w", c, err)
+		if err := postJSON("POST", base+"/run", RunRequest{Cycles: n, Chunking: chunking}, &res); err != nil {
+			return 0, fmt.Errorf("%s: run: %w", created.ID, err)
 		}
 		if res.Cycles != n {
-			return fmt.Errorf("%+v: lost cycles: ran %d of %d", c, res.Cycles, n)
+			return 0, fmt.Errorf("%s: lost cycles: ran %d of %d", created.ID, res.Cycles, n)
 		}
 		fps = append(fps, res.Fingerprints...)
+		recovered += res.Recovered
 	}
 	if len(fps) != len(baseline) {
-		return fmt.Errorf("%+v: %d fingerprints vs %d baseline", c, len(fps), len(baseline))
+		return 0, fmt.Errorf("%s: %d fingerprints vs %d baseline", created.ID, len(fps), len(baseline))
 	}
 	for i := range fps {
 		if fps[i] != baseline[i] {
-			return fmt.Errorf("%+v: cycle %d fingerprint diverged from solo serial run:\n  got  %s\n  want %s",
-				c, i, fps[i], baseline[i])
+			return 0, fmt.Errorf("%s (chunking=%v): cycle %d fingerprint diverged from solo serial run:\n  got  %s\n  want %s",
+				created.ID, chunking, i, fps[i], baseline[i])
 		}
 	}
 	var audit struct {
@@ -117,21 +112,23 @@ func driveSession(url string, c sessionCombo, p cypress.Params, cycles, batch in
 		Error string `json:"error"`
 	}
 	if err := postJSON("GET", base+"/audit", nil, &audit); err != nil {
-		return fmt.Errorf("%+v: audit: %w", c, err)
+		return 0, fmt.Errorf("%s: audit: %w", created.ID, err)
 	}
 	if !audit.OK {
-		return fmt.Errorf("%+v: audit failed: %s", c, audit.Error)
+		return 0, fmt.Errorf("%s: audit failed: %s", created.ID, audit.Error)
 	}
-	return postJSON("DELETE", base, nil, nil)
+	return recovered, postJSON("DELETE", base, nil, nil)
 }
 
 // TestConcurrentSessionsByteIdentical is the serving conformance test (run
 // under -race in CI): under each policy, 8 concurrent sessions over one
 // shared 4-slot worker budget, with and without mid-stream
-// AddProductionRuntime chunking, including sessions whose 1ns deadline
-// poisons every parallel cycle onto the serial-fallback path — every
-// session's per-cycle conflict-set fingerprints must be byte-identical to a
-// solo serial run of the same task.
+// AddProductionRuntime chunking, on two servers. On the first, seeded
+// worker panics poison some cycles onto the serial-fallback path while the
+// rest run healthy, interleaved across all eight sessions. On the second, a
+// 1ns deadline poisons every cycle that runs a task: each task stalls until
+// the watchdog fires. Every session's per-cycle conflict-set fingerprints
+// must be byte-identical to a solo serial run of the same task.
 func TestConcurrentSessionsByteIdentical(t *testing.T) {
 	const cycles, batch = 24, 7
 	p := *cypressParams(40, cycles, 4, 11)
@@ -139,31 +136,46 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 		false: soloFingerprints(t, p, cycles, false),
 		true:  soloFingerprints(t, p, cycles, true),
 	}
-	combos := []sessionCombo{
-		{false, ""}, {true, ""}, {false, ""}, {true, ""}, {false, ""}, {true, ""},
-		{true, "1ns"}, {false, "1ns"},
-	}
+	chunking := []bool{false, true, false, true, false, true, true, false}
 	for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 		t.Run(pol.String(), func(t *testing.T) {
-			s, ts := testServer(t, Config{Workers: 4, Processes: 4, Policy: pol, QueueDepth: 8, Obs: obs.New()})
-			var wg sync.WaitGroup
-			errs := make(chan error, len(combos))
-			for _, c := range combos {
-				wg.Add(1)
-				go func(c sessionCombo) {
-					defer wg.Done()
-					errs <- driveSession(ts.URL, c, p, cycles, batch, baseline[c.chunking])
-				}(c)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				if err != nil {
-					t.Error(err)
+			for _, cfg := range []Config{
+				{Fault: fault.Seeded(11, fault.Rates{Panic: 2048})},
+				{Deadline: time.Nanosecond, Fault: fault.Seeded(11, fault.Rates{Stall: 1 << 16, StallFor: time.Minute})},
+			} {
+				cfg.Workers, cfg.Processes, cfg.Policy, cfg.QueueDepth, cfg.Obs = 4, 4, pol, 8, obs.New()
+				s, ts := testServer(t, cfg)
+				var wg sync.WaitGroup
+				var recovered atomic.Int64
+				errs := make(chan error, len(chunking))
+				for _, c := range chunking {
+					wg.Add(1)
+					go func(c bool) {
+						defer wg.Done()
+						n, err := driveSession(ts.URL, c, p, cycles, batch, baseline[c])
+						recovered.Add(int64(n))
+						errs <- err
+					}(c)
 				}
-			}
-			if got := s.cfg.Obs.Counter("serve_cycles_total").Value(); got != uint64(len(combos)*cycles) {
-				t.Fatalf("serve_cycles_total = %d, want %d (no lost cycles)", got, len(combos)*cycles)
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					if err != nil {
+						t.Error(err)
+					}
+				}
+				total := len(chunking) * cycles
+				if got := s.cfg.Obs.Counter("serve_cycles_total").Value(); got != uint64(total) {
+					t.Fatalf("serve_cycles_total = %d, want %d (no lost cycles)", got, total)
+				}
+				n := recovered.Load()
+				t.Logf("deadline %v: %d of %d cycles recovered", cfg.Deadline, n, total)
+				switch {
+				case cfg.Deadline == 0 && (n == 0 || n == int64(total)):
+					t.Fatalf("seeded panics recovered %d of %d cycles, want some poisoned and some healthy", n, total)
+				case cfg.Deadline > 0 && n <= int64(total/2):
+					t.Fatalf("a 1ns deadline over stalled tasks recovered %d of %d cycles, want most", n, total)
+				}
 			}
 		})
 	}

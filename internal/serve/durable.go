@@ -358,14 +358,10 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 		return nil, 0, false, fmt.Errorf("serve: image in %s is for session %q", dir, img.ID)
 	}
 	img.Create.ID = id
-	ecfg, err := s.engineConfig(&img.Create)
-	if err == nil {
-		err = checkCypressParams(&img.Create)
-	}
-	if err != nil {
+	if err := checkCypressParams(&img.Create); err != nil {
 		return nil, 0, false, err
 	}
-	eng, cacheHit, err := snapshot.RestoreWithCache(img.Engine, ecfg, s.images)
+	eng, cacheHit, err := snapshot.RestoreWithCache(img.Engine, s.engineConfig(), s.images)
 	if err != nil {
 		return nil, 0, false, err
 	}

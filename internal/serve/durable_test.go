@@ -416,8 +416,7 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 	// request when the DELETE arrives. The test holds a reference of its own
 	// to the session's image, so a second release would show as a count of 0.
 	seedSession(t, ts.URL, "del2")
-	ecfg, _ := s.engineConfig(&CreateRequest{})
-	if _, _, err := s.images.Get(serveProgSrc, ecfg.Rete); err != nil {
+	if _, _, err := s.images.Get(serveProgSrc, s.engineConfig().Rete); err != nil {
 		t.Fatal(err)
 	}
 	ss := liveSession(s, "del2")

@@ -10,8 +10,8 @@
 // global prun.Budget — S sessions share the worker pool instead of each
 // spawning Processes workers. Admission per session is a bounded number of
 // slots: with none free a request fails fast with 429 + Retry-After
-// (backpressure) rather than queueing unboundedly. Per-request deadlines wire
-// into the runtime's cycle watchdog, so a wedged parallel cycle degrades
+// (backpressure) rather than queueing unboundedly. The server's deadline arms
+// every session runtime's cycle watchdog, so a wedged parallel cycle degrades
 // through the serial fallback instead of hanging the connection. Drain
 // (SIGTERM) stops admitting work, finishes everything already accepted, and
 // exits cleanly.
@@ -55,8 +55,7 @@ type Config struct {
 	QueueDepth int
 	// MaxSessions bounds concurrent sessions (0 = 64).
 	MaxSessions int
-	// Deadline is the default per-cycle watchdog deadline for sessions
-	// that don't set their own (0 = off).
+	// Deadline is every session's per-cycle watchdog deadline (0 = off).
 	Deadline time.Duration
 	// Obs receives service metrics (nil disables instrumentation).
 	Obs *obs.Observer
@@ -184,9 +183,6 @@ func (s *Server) Budget() *prun.Budget { return s.budget }
 // http.Server.Shutdown so the listener drains instead of racing new work.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close retires every session, letting each finish the requests it has
 // already admitted (cycles are never dropped), and blocks until all have.
 // Durable sessions are drained to a final snapshot, leaving an empty WAL
@@ -283,8 +279,8 @@ func (s *Server) retire(ss *Session, erase bool) {
 // ---- wire types ----
 
 // CreateRequest creates a session. Unknown fields are ignored, among them
-// "policy", which a session image written before the server picked its own
-// policy still carries.
+// "policy", "processes" and "deadline", which session images written before
+// the server fixed every session's policy, width and deadline still carry.
 type CreateRequest struct {
 	// ID requests a specific session id (letters, digits, ".", "_", "-";
 	// 409 if taken). Servers sharing a data directory pick ids
@@ -298,11 +294,6 @@ type CreateRequest struct {
 	Params *cypress.Params `json:"params,omitempty"`
 	// Program is OPS5 source for an uploaded-program session.
 	Program string `json:"program,omitempty"`
-	// Processes overrides the per-session worker width.
-	Processes int `json:"processes,omitempty"`
-	// Deadline is the session's per-cycle watchdog deadline (Go duration
-	// string, e.g. "500ms"); empty inherits the server default.
-	Deadline string `json:"deadline,omitempty"`
 }
 
 // CreateResult answers a session creation.
@@ -312,7 +303,9 @@ type CreateResult struct {
 	Productions int    `json:"productions"`
 }
 
-// RunRequest runs match cycles on a session.
+// RunRequest runs match cycles on a session. Unknown fields are ignored,
+// among them "deadline", which WAL records written before the server fixed
+// every session's deadline may carry.
 type RunRequest struct {
 	Cycles int `json:"cycles"`
 	// Seq is an optional per-session idempotency sequence number. A
@@ -324,9 +317,6 @@ type RunRequest struct {
 	// Chunking enables the cypress chunk schedule (AddProductionRuntime
 	// mid-stream); ignored for program sessions.
 	Chunking bool `json:"chunking,omitempty"`
-	// Deadline bounds each cycle for this request only (Go duration
-	// string).
-	Deadline string `json:"deadline,omitempty"`
 	// Deltas, when present, is a wme-change batch ingested as ONE match
 	// cycle — alpha dispatch over the whole batch before beta execution —
 	// ahead of the Cycles recognize-act steps. Program sessions only. With
@@ -511,36 +501,26 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// engineConfig builds a session engine configuration from the server
-// defaults plus the creation request's overrides. Restore reuses it so a
-// restored session runs under the same configuration it was created with.
-func (s *Server) engineConfig(req *CreateRequest) (engine.Config, error) {
+// engineConfig is every session engine's configuration, created or restored:
+// the server's width, policy and deadline over its shared budget.
+func (s *Server) engineConfig() engine.Config {
 	ecfg := engine.DefaultConfig()
 	ecfg.Processes = s.cfg.Processes
-	if req.Processes > 0 {
-		ecfg.Processes = req.Processes
-	}
 	ecfg.Policy = s.cfg.Policy
 	ecfg.Deadline = s.cfg.Deadline
-	if req.Deadline != "" {
-		d, err := time.ParseDuration(req.Deadline)
-		if err != nil {
-			return ecfg, fmt.Errorf("bad deadline: %w", err)
-		}
-		ecfg.Deadline = d
-	}
 	ecfg.Budget = s.budget
 	ecfg.Obs = s.cfg.Obs
 	ecfg.Prof = s.cfg.Prof
 	ecfg.Fault = s.cfg.Fault
-	return ecfg, nil
+	return ecfg
 }
 
 // imageEngine stamps out a session engine over the shared compiled image
 // for src — compiling the program only if no session has used it before —
 // and runs its startup actions. The engine holds a cache reference;
 // releaseEngine returns it.
-func (s *Server) imageEngine(src string, ecfg engine.Config) (*engine.Engine, error) {
+func (s *Server) imageEngine(src string) (*engine.Engine, error) {
+	ecfg := s.engineConfig()
 	img, hit, err := s.images.Get(src, ecfg.Rete)
 	if err != nil {
 		return nil, err
@@ -666,11 +646,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad session id %q", req.ID)
 		return
 	}
-	ecfg, err := s.engineConfig(&req)
-	if err == nil {
-		err = checkCypressParams(&req)
-	}
-	if err != nil {
+	if err := checkCypressParams(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -710,7 +686,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if sys != nil {
 		src, what = sys.Source, "cypress program"
 	}
-	eng, err := s.imageEngine(src, ecfg)
+	eng, err := s.imageEngine(src)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%s: %v", what, err)
 		return
@@ -816,29 +792,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "seq must be non-negative")
 		return
 	}
-	var deadline time.Duration
-	if req.Deadline != "" {
-		d, err := time.ParseDuration(req.Deadline)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad deadline: %v", err)
-			return
-		}
-		deadline = d
-	}
 	s.dispatch(w, r, ss, func() (any, error) {
-		return ss.withDeadline(deadline, func() (any, error) {
-			res, err := ss.runLogged(&req)
-			if res != nil && !res.Cached {
-				s.mCycles.Add(uint64(res.Cycles))
-				if s.cfg.Log != nil && res.Cycles > 0 {
-					s.cfg.Log.Info("run", "req", w.Header().Get("X-Request-ID"),
-						"session", ss.ID, "cycles", res.Cycles,
-						"first_cycle", res.FirstCycle, "last_cycle", res.LastCycle,
-						"tasks", res.Tasks, "failed", res.Failed, "recovered", res.Recovered)
-				}
+		res, err := ss.runLogged(&req)
+		if res != nil && !res.Cached {
+			s.mCycles.Add(uint64(res.Cycles))
+			if s.cfg.Log != nil && res.Cycles > 0 {
+				s.cfg.Log.Info("run", "req", w.Header().Get("X-Request-ID"),
+					"session", ss.ID, "cycles", res.Cycles,
+					"first_cycle", res.FirstCycle, "last_cycle", res.LastCycle,
+					"tasks", res.Tasks, "failed", res.Failed, "recovered", res.Recovered)
 			}
-			return res, err
-		})
+		}
+		return res, err
 	})
 }
 

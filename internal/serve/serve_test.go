@@ -374,7 +374,6 @@ func TestCreateValidation(t *testing.T) {
 		{CreateRequest{}, http.StatusBadRequest},
 		{CreateRequest{Task: "nope"}, http.StatusBadRequest},
 		{CreateRequest{Program: "(p broken"}, http.StatusBadRequest},
-		{CreateRequest{Program: serveProgSrc, Deadline: "soon"}, http.StatusBadRequest},
 	} {
 		if code, _ := doJSON(t, "POST", ts.URL+"/sessions", c.req, nil); code != c.want {
 			t.Fatalf("create %+v: code=%d want %d", c.req, code, c.want)
@@ -648,6 +647,85 @@ func TestCypressSessionRuns(t *testing.T) {
 	// Deltas are rejected on driver-owned sessions.
 	if code, _ := doJSON(t, "POST", base+"/run", RunRequest{Deltas: []DeltaJSON{{Op: "add", Class: "step"}}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("deltas on cypress session: %d", code)
+	}
+}
+
+// TestChunkScheduleSurvivesChunkingOff pins a cypress session's chunk
+// schedule across requests that toggle chunking. With these params chunks
+// are due after cycles 20, 22, 25 and 27: a chunk whose cycle passes while
+// chunking is off is skipped, and every later one is still added.
+func TestChunkScheduleSurvivesChunkingOff(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 2, Processes: 2})
+	for _, c := range []struct {
+		runs []RunRequest
+		want int
+	}{
+		{[]RunRequest{{Cycles: 40, Chunking: true}}, 4},
+		{[]RunRequest{{Cycles: 21}, {Cycles: 19, Chunking: true}}, 3},
+		{[]RunRequest{{Cycles: 23, Chunking: true}, {Cycles: 3}, {Cycles: 14, Chunking: true}}, 3},
+	} {
+		var created CreateResult
+		req := CreateRequest{Task: "cypress", Params: cypressParams(40, 40, 4, 11)}
+		if code, _ := doJSON(t, "POST", ts.URL+"/sessions", req, &created); code != http.StatusCreated {
+			t.Fatalf("create: %d", code)
+		}
+		base := ts.URL + "/sessions/" + created.ID
+		for _, run := range c.runs {
+			if code, _ := doJSON(t, "POST", base+"/run", run, nil); code != http.StatusOK {
+				t.Fatalf("%+v: run: %d", c.runs, code)
+			}
+		}
+		var info SessionInfo
+		doJSON(t, "GET", base, nil, &info)
+		if info.Cycles != 40 || info.Chunks != c.want {
+			t.Fatalf("%+v: %d cycles added %d chunks, want 40 and %d", c.runs, info.Cycles, info.Chunks, c.want)
+		}
+	}
+}
+
+// TestCreateCannotSizeSession pins that every session runs at the server's
+// width and under its deadline, whatever the create body says: "processes"
+// and "deadline", which older clients sent and older session images carry,
+// are ignored. A width taken from the request would let one create allocate
+// a worker and a queue per process it names; a 1ns deadline would push every
+// cycle of its session into the serial replay, which runs outside the
+// shared budget.
+func TestCreateCannotSizeSession(t *testing.T) {
+	s := New(Config{Workers: 2, Processes: 2})
+	defer s.Close()
+	h := s.Handler()
+	create := func(fields string) (id string, allocated uint64) {
+		t.Helper()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/sessions", strings.NewReader("{"+fields+"}")))
+		runtime.ReadMemStats(&ms)
+		var created CreateResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &created); rec.Code != http.StatusCreated || err != nil {
+			t.Fatalf("create {%s}: %d %s", fields, rec.Code, rec.Body)
+		}
+		return created.ID, ms.TotalAlloc - before
+	}
+	prog, _ := json.Marshal(serveProgSrc)
+	program := `"program":` + string(prog)
+	create(program) // compiles the image every later create shares
+	_, plain := create(program)
+	_, wide := create(program + `,"processes":100000`)
+	if wide > plain+1<<20 {
+		t.Fatalf(`a create with "processes":100000 allocated %d bytes, one without it %d`, wide, plain)
+	}
+
+	params, _ := json.Marshal(cypressParams(40, 40, 4, 11))
+	id, _ := create(`"task":"cypress","params":` + string(params) + `,"deadline":"1ns"`)
+	var res RunResult
+	if code := call(t, h, "POST", "/sessions/"+id+"/run", RunRequest{Cycles: 40, Chunking: true}, &res); code != http.StatusOK {
+		t.Fatalf("run: %d", code)
+	}
+	if res.Cycles != 40 || res.Failed != 0 || res.Recovered != 0 {
+		t.Fatalf(`a create with "deadline":"1ns" ran %d cycles, %d failed and %d recovered; want 40, none poisoned`,
+			res.Cycles, res.Failed, res.Recovered)
 	}
 }
 

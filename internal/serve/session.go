@@ -36,7 +36,7 @@ type Session struct {
 
 	// Durability (nil/zero for non-durable sessions). create is the
 	// original creation request, persisted in the snapshot so a restore
-	// rebuilds the same engine configuration; lastSeq/lastRes are the
+	// rebuilds the same task or program; lastSeq/lastRes are the
 	// idempotency watermark: a retried request with Seq == lastSeq returns
 	// the cached result instead of re-executing, which is what makes
 	// client retries across a failover exactly-once.
@@ -154,39 +154,19 @@ func (s *Session) submit(cancel <-chan struct{}, fn func() (any, error)) (any, e
 	return v, err
 }
 
-// withDeadline runs fn with the runtime's cycle watchdog set to d (0 keeps
-// the session default). Safe here because the caller holds the turn.
-func (s *Session) withDeadline(d time.Duration, fn func() (any, error)) (any, error) {
-	if d > 0 {
-		prev := s.eng.RT.Deadline()
-		s.eng.RT.SetDeadline(d)
-		defer s.eng.RT.SetDeadline(prev)
-	}
-	return fn()
-}
-
 // runCycles advances the session n match cycles, adding what they did to
-// res. Cypress sessions pull batches from the server-side driver and, with
-// chunking on, add scheduled chunk productions mid-stream; program sessions
-// run recognize-act steps. It reports per-cycle conflict-set fingerprints so
+// res. Cypress sessions step the server-side driver, which with chunking on
+// adds scheduled chunk productions mid-stream; program sessions run
+// recognize-act steps. It reports per-cycle conflict-set fingerprints so
 // clients can verify byte-identical match results against a solo serial run.
 func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 	for i := 0; i < n; i++ {
 		switch s.Task {
 		case "cypress":
-			s.eng.ApplyAndMatch(s.drv.Batch())
-			if chunking {
-				for s.nextChunk < len(s.drv.ChunkAt) && s.drv.ChunkAt[s.nextChunk] == s.cycles {
-					ast, err := s.sys.ParseChunk(s.nextChunk, s.eng.Tab)
-					if err != nil {
-						return fmt.Errorf("serve: chunk %d: %w", s.nextChunk, err)
-					}
-					if _, err := s.eng.AddProductionRuntime(ast); err != nil {
-						return fmt.Errorf("serve: chunk %d: %w", s.nextChunk, err)
-					}
-					s.nextChunk++
-					s.chunks++
-				}
+			added, err := s.drv.Step(s.eng, s.cycles, &s.nextChunk, chunking)
+			s.chunks += added
+			if err != nil {
+				return err
 			}
 		case "program":
 			fired, err := s.eng.Step()
@@ -424,18 +404,8 @@ func SoloFingerprints(p cypress.Params, cycles int, chunking bool) ([]string, er
 	var fps []string
 	next := 0
 	for cyc := 0; cyc < cycles; cyc++ {
-		e.ApplyAndMatch(drv.Batch())
-		if chunking {
-			for next < len(drv.ChunkAt) && drv.ChunkAt[next] == cyc {
-				ast, err := sys.ParseChunk(next, e.Tab)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := e.AddProductionRuntime(ast); err != nil {
-					return nil, err
-				}
-				next++
-			}
+		if _, err := drv.Step(e, cyc, &next, chunking); err != nil {
+			return nil, err
 		}
 		fps = append(fps, Fingerprint(e))
 	}

@@ -147,7 +147,7 @@ func FuzzRestore(f *testing.F) {
 			panic(fmt.Sprintf("restore still running after 20s: %q", payload))
 		})
 		defer watchdog.Stop()
-		if e, err := snapshot.Restore(img, engine.DefaultConfig()); err == nil {
+		if e, _, err := snapshot.RestoreWithCache(img, engine.DefaultConfig(), nil); err == nil {
 			e.Close()
 		}
 	})

@@ -141,8 +141,8 @@ func TestImageBackedSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("restore %d is not image-backed", i+1)
 		}
 	}
-	// Restore without a cache (plain Restore) must work identically.
-	r3, err := snapshot.Restore(dec, cfg)
+	// A restore without a cache (a private compile) must work identically.
+	r3, _, err := snapshot.RestoreWithCache(dec, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func (tr *trajectory) restoreGenesis(t *testing.T, cfg engine.Config) *engine.En
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := snapshot.Restore(img, cfg)
+	e, _, err := snapshot.RestoreWithCache(img, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						e2, err := snapshot.Restore(img, cfg)
+						e2, _, err := snapshot.RestoreWithCache(img, cfg, nil)
 						if err != nil {
 							t.Fatalf("restore at cycle %d: %v", k, err)
 						}

@@ -157,7 +157,7 @@ type Image struct {
 	Program string `json:"program"`
 
 	// BaseHash is the canonical hash of Program under the exporting engine's
-	// structural options. Restore recompiles (or cache-hits) the base image
+	// structural options. A restore recompiles (or cache-hits) the base image
 	// and fails loudly if the hash or topology signature diverges.
 	BaseHash string `json:"baseHash,omitempty"`
 	// Chunks holds the OPS5 source of every production in the engine's own
@@ -242,17 +242,10 @@ func Decode(data []byte) (*Image, error) {
 	return &img, nil
 }
 
-// Restore builds a fresh engine from an image, compiling its base program
-// privately; use RestoreWithCache to share compiled topologies across
-// restores. The result is byte-identical to the exporting engine: same
-// conflict set, same fingerprints, same counters.
-func Restore(img *Image, cfg engine.Config) (*engine.Engine, error) {
-	e, _, err := RestoreWithCache(img, cfg, nil)
-	return e, err
-}
-
-// RestoreWithCache restores an engine, resolving the snapshot's base image
-// through cache (which may be nil to force a private compile). cacheHit
+// RestoreWithCache builds a fresh engine from an image, byte-identical to
+// the exporting engine: same conflict set, same fingerprints, same
+// counters. It resolves the snapshot's base image through cache, which may
+// be nil to force a private compile. cacheHit
 // reports whether the base topology came out of the cache without a
 // compile. A recompiled base whose program hash or topology signature
 // diverges from the snapshot's record fails loudly: restoring state

@@ -16,7 +16,8 @@ import (
 // refractionProg exercises the state a snapshot must carry beyond working
 // memory: refraction (the `watch` production stays matched across cycles
 // and must not re-fire after a restore), gensym, and halt. The bar-quoted
-// class name exercises QuoteSym on the generated literalize line.
+// class name exercises the printer's bar-quoting on the generated
+// literalize line.
 const refractionProg = `
 (literalize fib i a b)
 (literalize limit n)
@@ -93,7 +94,7 @@ func TestOPS5RoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := snapshot.Restore(img, engine.DefaultConfig())
+		e2, _, err := snapshot.RestoreWithCache(img, engine.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("restore at step %d: %v", k, err)
 		}
@@ -177,7 +178,7 @@ func roundTrip(t *testing.T, e *engine.Engine) (*snapshot.Image, *engine.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := snapshot.Restore(img, engine.DefaultConfig())
+	back, _, err := snapshot.RestoreWithCache(img, engine.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestParentStandaloneFixture(t *testing.T) {
 	if img.BaseHash != "" || img.Chunks != nil || img.Schema != nil || img.Strategy != "" {
 		t.Fatalf("fixture is not a standalone image: %+v", img)
 	}
-	e, err := snapshot.Restore(img, engine.DefaultConfig())
+	e, _, err := snapshot.RestoreWithCache(img, engine.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,17 +37,6 @@ func (l *Lock) Lock() {
 	l.acquires.Add(1)
 }
 
-// TryLock attempts a single acquisition without spinning.
-func (l *Lock) TryLock() bool {
-	ok := l.state.Load() == 0 && l.state.CompareAndSwap(0, 1)
-	if ok {
-		l.acquires.Add(1)
-	} else {
-		l.spins.Add(1)
-	}
-	return ok
-}
-
 // Unlock releases the lock.
 func (l *Lock) Unlock() {
 	if l.state.Swap(0) != 1 {
@@ -67,15 +56,4 @@ func (l *Lock) Stats() (spins, acquires uint64) {
 type Counts struct {
 	Spins    uint64
 	Acquires uint64
-}
-
-// Snapshot returns the lock's current counters as a Counts.
-func (l *Lock) Snapshot() Counts {
-	s, a := l.Stats()
-	return Counts{Spins: s, Acquires: a}
-}
-
-// Sub returns the counter deltas since prev.
-func (c Counts) Sub(prev Counts) Counts {
-	return Counts{Spins: c.Spins - prev.Spins, Acquires: c.Acquires - prev.Acquires}
 }

@@ -25,25 +25,6 @@ func TestUnlockPanics(t *testing.T) {
 	l.Unlock()
 }
 
-func TestTryLock(t *testing.T) {
-	var l Lock
-	if !l.TryLock() {
-		t.Fatalf("TryLock on free lock failed")
-	}
-	if l.TryLock() {
-		t.Fatalf("TryLock on held lock succeeded")
-	}
-	l.Unlock()
-	if !l.TryLock() {
-		t.Fatalf("TryLock after unlock failed")
-	}
-	l.Unlock()
-	spins, acq := l.Stats()
-	if acq != 2 || spins != 1 {
-		t.Fatalf("Stats = %d,%d want 1,2", spins, acq)
-	}
-}
-
 func TestMutualExclusion(t *testing.T) {
 	var l Lock
 	counter := 0

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strings"
 
+	"soarpsme/internal/engine"
 	"soarpsme/internal/ops5"
 	"soarpsme/internal/value"
 	"soarpsme/internal/wme"
@@ -153,7 +154,7 @@ func renderProd(name string, seq []int) string {
 // Driver produces the run's working-memory change batches. Each batch is
 // one "decision cycle" worth of wme changes; the engine matches each batch
 // to quiescence. ChunkAt maps batch indices to the chunk (index) added
-// when that batch completes.
+// when that batch completes; Step applies both.
 type Driver struct {
 	sys     *System
 	rng     *lcg
@@ -251,6 +252,33 @@ func (d *Driver) Batch() []wme.Delta {
 		d.targets = d.targets[:len(d.targets)-1]
 	}
 	return deltas
+}
+
+// Step runs driver cycle number cycle on e: it matches the batch and then,
+// with chunking on, adds the chunks scheduled after it. *next is the first
+// chunk neither added nor skipped. A chunk whose cycle passed while chunking
+// was off is skipped, never added late, and every later one still fires.
+// Step reports how many chunks it added.
+func (d *Driver) Step(e *engine.Engine, cycle int, next *int, chunking bool) (int, error) {
+	e.ApplyAndMatch(d.Batch())
+	if !chunking {
+		return 0, nil
+	}
+	added := 0
+	for ; *next < len(d.ChunkAt) && d.ChunkAt[*next] <= cycle; *next++ {
+		if d.ChunkAt[*next] < cycle {
+			continue
+		}
+		ast, err := d.sys.ParseChunk(*next, e.Tab)
+		if err == nil {
+			_, err = e.AddProductionRuntime(ast)
+		}
+		if err != nil {
+			return added, fmt.Errorf("cypress: chunk %d: %w", *next, err)
+		}
+		added++
+	}
+	return added, nil
 }
 
 // ParseChunk parses chunk i's production for run-time addition.

@@ -102,24 +102,17 @@ func TestRunTimeChunkAddition(t *testing.T) {
 	drv := NewDriver(sys, e.Tab, e.WM)
 	next := 0
 	for c := 0; c < sys.Params.Cycles; c++ {
-		e.ApplyAndMatch(drv.Batch())
-		for next < len(drv.ChunkAt) && drv.ChunkAt[next] == c {
-			ast, err := sys.ParseChunk(next, e.Tab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.AddProductionRuntime(ast)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Info.SharedTwoInput == 0 {
-				t.Fatalf("chunk %d shared nothing (chunks extend task productions)", next)
-			}
-			next++
+		if _, err := drv.Step(e, c, &next, true); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if next != 3 {
-		t.Fatalf("added %d chunks, want 3", next)
+	if len(e.Additions) != 3 {
+		t.Fatalf("added %d chunks, want 3", len(e.Additions))
+	}
+	for i, res := range e.Additions {
+		if res.Info.SharedTwoInput == 0 {
+			t.Fatalf("chunk %d shared nothing (chunks extend task productions)", i)
+		}
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
