@@ -77,25 +77,15 @@ func main() {
 	}
 	fmt.Printf(";; %d firings, halted=%v, wm=%d wmes\n", fired, e.Halted(), e.WM.Len())
 	if *showStats {
-		tasks := 0
-		var cost int64
-		for _, cs := range e.CycleStats {
-			tasks += cs.Tasks
-			cost += cs.TotalCost
-		}
+		tot := &e.Totals
 		fmt.Printf(";; cycles=%d tasks=%d modeled-match-time=%.3fs two-input-nodes=%d\n",
-			len(e.CycleStats), tasks, float64(cost)/1e6, e.NW.TwoInputNodes())
+			e.Cycles(), tot.Tasks, float64(tot.Cost)/1e6, e.NW.TwoInputNodes())
 		spins, acquires := e.NW.Mem.LockStats()
 		fmt.Printf(";; hash-line lock: %d acquires, %d spins\n", acquires, spins)
 		qs, qa := e.RT.QueueLockStats()
 		fmt.Printf(";; task-queue lock: %d acquires, %d spins\n", qa, qs)
-		var fp, tp, stl int64
-		for _, cs := range e.CycleStats {
-			fp += cs.FailedPops
-			tp += cs.TermProbes
-			stl += cs.Steals
-		}
-		fmt.Printf(";; task-queue: %d failed pops, %d steals, %d quiescence probes\n", fp, stl, tp)
+		fmt.Printf(";; task-queue: %d failed pops, %d steals, %d quiescence probes\n",
+			tot.FailedPops, tot.Steals, tot.TermProbes)
 		st := &e.NW.Stats
 		fmt.Printf(";; match filtering: %d null activations suppressed, alpha dispatch %d hits / %d misses\n",
 			st.NullSuppressed.Load(), st.AlphaHits.Load(), st.AlphaMisses.Load())

@@ -94,16 +94,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "soar:", err)
 			os.Exit(1)
 		}
-		tasks := 0
-		var cost int64
-		for _, cs := range a.Eng.CycleStats {
-			tasks += cs.Tasks
-			cost += cs.TotalCost
-		}
 		fmt.Printf(";; %s: solved=%v decisions=%d elab-cycles=%d chunks-built=%d\n",
 			label, res.Halted, res.Decisions, res.ElabCycles, res.ChunksBuilt)
+		tot := &a.Eng.Totals
 		fmt.Printf(";;   match: %d cycles, %d tasks, modeled time %.2fs, wm=%d\n",
-			len(a.Eng.CycleStats), tasks, float64(cost)/1e6, a.Eng.WM.Len())
+			a.Eng.Cycles(), tot.Tasks, float64(tot.Cost)/1e6, a.Eng.WM.Len())
 		return a
 	}
 

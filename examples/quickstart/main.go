@@ -55,9 +55,5 @@ func main() {
 	}
 	fmt.Printf("fired %d productions; %d wmes in working memory\n", fired, e.WM.Len())
 
-	tasks := 0
-	for _, cs := range e.CycleStats {
-		tasks += cs.Tasks
-	}
-	fmt.Printf("match executed %d node activations over %d cycles\n", tasks, len(e.CycleStats))
+	fmt.Printf("match executed %d node activations over %d cycles\n", e.Totals.Tasks, e.Cycles())
 }

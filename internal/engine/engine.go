@@ -26,9 +26,11 @@ import (
 
 // Config configures an engine.
 type Config struct {
-	Processes    int
-	Policy       prun.Policy
-	Rete         rete.Options
+	Processes int
+	Policy    prun.Policy
+	Rete      rete.Options
+	// CaptureTrace keeps every match cycle's stats, its task records
+	// included, on Engine.CycleStats: the experiments' capture.
 	CaptureTrace bool
 	// MaxCycles bounds the OPS5 recognize-act loop (0 = 10000).
 	MaxCycles int
@@ -89,14 +91,13 @@ type Engine struct {
 	// session ID.
 	Prof *matchprof.Profile
 
-	// CycleStats collects per-match-cycle statistics for the experiments:
-	// one entry per ApplyAndMatch, appended forever. A long-lived owner that
-	// does not want the history (the serving layer) truncates it between
-	// cycles; Cycles keeps counting.
+	// CycleStats is the experiments' per-match-cycle log: one entry per
+	// ApplyAndMatch, kept only under Config.CaptureTrace.
 	CycleStats []prun.CycleStats
-	// UpdateStats collects the state-update cycles of run-time additions.
-	UpdateStats []prun.CycleStats
-	// Additions records every run-time production addition.
+	// Totals sums every ApplyAndMatch cycle the engine has run.
+	Totals Totals
+	// Additions records every run-time production addition, with its
+	// state-update cycle.
 	Additions []*AddResult
 	// Fired counts production firings.
 	Fired int
@@ -107,7 +108,9 @@ type Engine struct {
 	BadDeltas int
 	// AfterCycle, when set, runs at the end of every ApplyAndMatch (the
 	// experiment harness harvests per-cycle hash-line access counts here).
+	// cs points at an engine-owned slot that the next cycle overwrites.
 	AfterCycle func(cs *prun.CycleStats)
+	last       prun.CycleStats
 	// OnApply, when set, receives each cycle's applied wme deltas just
 	// before the match runs (benchmarks capture replayable batches here).
 	OnApply func(deltas []wme.Delta)
@@ -122,8 +125,7 @@ type Engine struct {
 	// empty program's for an engine made by New.
 	img *ProgramImage
 
-	// cycles counts ApplyAndMatch cycles run, independent of how much of
-	// CycleStats the owner retains.
+	// cycles counts ApplyAndMatch cycles run.
 	cycles int64
 
 	// Pre-resolved observability handles (all nil when cfg.Obs is nil).
@@ -446,11 +448,42 @@ func (e *Engine) ApplyAndMatch(deltas []wme.Delta) prun.CycleStats {
 	}
 	cs = e.endCycle(cs, start)
 	e.cycles++
-	e.CycleStats = append(e.CycleStats, cs)
+	e.Totals.add(&cs)
+	if e.cfg.CaptureTrace {
+		e.CycleStats = append(e.CycleStats, cs)
+	}
 	if e.AfterCycle != nil {
-		e.AfterCycle(&e.CycleStats[len(e.CycleStats)-1])
+		e.last = cs
+		e.AfterCycle(&e.last)
 	}
 	return cs
+}
+
+// Totals is the running sum of an engine's ApplyAndMatch cycles.
+type Totals struct {
+	Tasks      int
+	Cost       int64 // modeled task cost (µs)
+	FailedPops int64
+	Steals     int64
+	TermProbes int64
+	// Failed counts cycles that did not run to quiescence; Recovered, those
+	// the serial fallback replayed.
+	Failed    int
+	Recovered int
+}
+
+func (t *Totals) add(cs *prun.CycleStats) {
+	t.Tasks += cs.Tasks
+	t.Cost += cs.TotalCost
+	t.FailedPops += cs.FailedPops
+	t.Steals += cs.Steals
+	t.TermProbes += cs.TermProbes
+	if cs.Failed {
+		t.Failed++
+	}
+	if cs.Recovered {
+		t.Recovered++
+	}
 }
 
 // endCycle hands a finished cycle to the match profiler. The runtime keeps
@@ -522,10 +555,13 @@ func (e *Engine) AuditInvariants() error {
 }
 
 // Step runs one recognize-act cycle: select a dominant instantiation, fire
-// it, apply+match its wme changes, and run any excises it deferred. It
+// it, apply+match its wme changes, and run every excise it deferred. It
 // reports whether a production fired — false means quiescence (empty
-// conflict set) or a previously executed (halt). The serving layer uses it
-// to run bounded cycle batches between checkpoints.
+// conflict set) or a previously executed (halt). An excise that fails is
+// reported, as the first error, after the cycle has run, and is not retried
+// by the next Step. The conflict set's journal is left for the caller: the
+// serving layer uses Step to run bounded cycle batches between checkpoints
+// and drains the journal into its fingerprint.
 func (e *Engine) Step() (bool, error) {
 	if e.halted {
 		return false, nil
@@ -540,12 +576,12 @@ func (e *Engine) Step() (bool, error) {
 	}
 	e.ApplyAndMatch(deltas)
 	for _, name := range e.pendingExcise {
-		if err := e.ExciseProduction(name); err != nil {
-			return true, err
+		if xerr := e.ExciseProduction(name); xerr != nil && err == nil {
+			err = xerr
 		}
 	}
 	e.pendingExcise = e.pendingExcise[:0]
-	return true, nil
+	return true, err
 }
 
 // RunOPS5 executes the recognize-act cycle until quiescence, halt, or the
@@ -554,6 +590,9 @@ func (e *Engine) RunOPS5() (int, error) {
 	fired := 0
 	for i := 0; i < e.cfg.MaxCycles; i++ {
 		ok, err := e.Step()
+		// Select reads the live set, so nothing here reads the journal, which
+		// would otherwise pin every instantiation the run ever made.
+		e.CS.ResetJournal()
 		if ok {
 			fired++
 		}
@@ -840,7 +879,6 @@ func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) 
 				map[string]any{"tasks": res.Update.Tasks, "seeds": len(seeds), "modeled-us": res.Update.TotalCost})
 		}
 		res.Update = e.endCycle(res.Update, ustart)
-		e.UpdateStats = append(e.UpdateStats, res.Update)
 	}
 	e.Additions = append(e.Additions, res)
 	return res, nil

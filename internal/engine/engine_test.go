@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -242,6 +243,39 @@ func TestMaxCyclesBound(t *testing.T) {
 	}
 	if fired != 5 {
 		t.Fatalf("fired %d, want 5 (cycle bound)", fired)
+	}
+}
+
+// TestRunOPS5Retention pins that an OPS5 run's memory follows its live
+// state, not its length: a 40,000-cycle run of a one-rule counter keeps
+// within 1 MiB of what a 1,000-cycle run keeps, with neither a per-cycle
+// stats log nor an undrained conflict-set journal behind it.
+func TestRunOPS5Retention(t *testing.T) {
+	const src = `
+(literalize counter n)
+(startup (make counter ^n 0))
+(p count-up (counter ^n <n>) --> (modify 1 ^n (compute <n> + 1)))
+`
+	liveAfter := func(cycles int) uint64 {
+		cfg := DefaultConfig()
+		cfg.MaxCycles = cycles
+		e := New(cfg)
+		if err := e.LoadProgram(src); err != nil {
+			t.Fatal(err)
+		}
+		if fired, err := e.RunOPS5(); err != nil || fired != cycles {
+			t.Fatalf("fired %d (%v), want %d", fired, err, cycles)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(e)
+		return ms.HeapAlloc
+	}
+	short, long := liveAfter(1000), liveAfter(40000)
+	t.Logf("live heap after 1,000 cycles %d KiB, after 40,000 cycles %d KiB", short>>10, long>>10)
+	if long > short+1<<20 {
+		t.Fatalf("a 40,000-cycle run keeps %d KiB, a 1,000-cycle run %d KiB: memory grows with the run", long>>10, short>>10)
 	}
 }
 

@@ -28,14 +28,14 @@ func TestObservability(t *testing.T) {
 	if got := o.Counter("match_tasks_total").Value(); got == 0 {
 		t.Fatal("match_tasks_total is zero")
 	}
-	if got := o.Counter("match_cycles_total").Value(); got != uint64(len(e.CycleStats)) {
-		t.Fatalf("match_cycles_total = %d, want %d", got, len(e.CycleStats))
+	if got := o.Counter("match_cycles_total").Value(); got != uint64(e.Cycles()) {
+		t.Fatalf("match_cycles_total = %d, want %d", got, e.Cycles())
 	}
 	if got := o.Counter("wme_changes_total").Value(); got == 0 {
 		t.Fatal("wme_changes_total is zero")
 	}
-	if got := o.Histogram("match_cycle_seconds").Count(); got != uint64(len(e.CycleStats)) {
-		t.Fatalf("match_cycle_seconds count = %d, want %d", got, len(e.CycleStats))
+	if got := o.Histogram("match_cycle_seconds").Count(); got != uint64(e.Cycles()) {
+		t.Fatalf("match_cycle_seconds count = %d, want %d", got, e.Cycles())
 	}
 	// The contention counters are harvested when the registry is collected,
 	// not per cycle; after a collect they agree with the runtime's and the

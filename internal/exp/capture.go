@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"soarpsme/internal/chunk"
-	"soarpsme/internal/codegen"
 	"soarpsme/internal/engine"
 	"soarpsme/internal/matchprof"
 	"soarpsme/internal/obs"
@@ -72,6 +71,9 @@ type Capture struct {
 	// Agent/engine are retained for follow-up queries (chunk transfer).
 	agent *soar.Agent
 	eng   *engine.Engine
+	// measuredFrom is the first addition whose state update is part of the
+	// measured run: additions that seed or preload the engine come before it.
+	measuredFrom int
 }
 
 func (c *Capture) harvest(e *engine.Engine) {
@@ -86,7 +88,8 @@ func (c *Capture) harvest(e *engine.Engine) {
 		c.TermProbes += cs.TermProbes
 		c.Steals += cs.Steals
 	}
-	for _, cs := range e.UpdateStats {
+	for _, add := range e.Additions[c.measuredFrom:] {
+		cs := &add.Update
 		if len(cs.Trace) > 0 {
 			c.UpdateTraces = append(c.UpdateTraces, cs.Trace)
 		}
@@ -96,12 +99,11 @@ func (c *Capture) harvest(e *engine.Engine) {
 		c.TermProbes += cs.TermProbes
 		c.Steals += cs.Steals
 	}
-	jt := codegen.NewJumptable()
 	for _, add := range e.Additions {
 		c.ChunkCEs = append(c.ChunkCEs, countCEs(add.Prod.AST))
-		cg := codegen.CompileProduction(add.Info, jt)
-		c.ChunkBytes = append(c.ChunkBytes, cg.Bytes)
-		c.ChunkNew2In = append(c.ChunkNew2In, cg.TwoInput)
+		bytes, twoInput := codeSize(add.Info)
+		c.ChunkBytes = append(c.ChunkBytes, bytes)
+		c.ChunkNew2In = append(c.ChunkNew2In, twoInput)
 		c.SharedTwoInput += add.Info.SharedTwoInput
 	}
 	for _, p := range e.NW.Productions() {
@@ -217,8 +219,7 @@ func (l *Lab) SoarTask(name string, task *soar.Task, mode Mode) (*Capture, error
 		if _, err := a.AdoptChunks(during.agent); err != nil {
 			return nil, fmt.Errorf("exp: %s transfer: %w", name, err)
 		}
-		// Transfer-time update stats are not part of the measured run.
-		a.Eng.UpdateStats = nil
+		// Transfer-time additions are not part of the measured run.
 		a.Eng.Additions = nil
 	}
 	res, err := a.Run()
@@ -263,7 +264,7 @@ func (l *Lab) soarTaskSeeded(name string, task *soar.Task, prev *Capture) (*Capt
 				}
 			}
 		}
-		a.Eng.UpdateStats = nil
+		cap.measuredFrom = len(a.Eng.Additions)
 	}
 	res, err := a.Run()
 	if err != nil {
@@ -314,7 +315,7 @@ func (l *Lab) Cypress(mode Mode) (*Capture, error) {
 				return nil, fmt.Errorf("exp: cypress chunk %d: %w", i, err)
 			}
 		}
-		e.UpdateStats = nil // preload is not part of the measured run
+		cap.measuredFrom = len(e.Additions) // preload is not part of the measured run
 	}
 	drv := cypress.NewDriver(sys, e.Tab, e.WM)
 	next := 0

@@ -3,6 +3,9 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"soarpsme/internal/rete"
+	"soarpsme/internal/value"
 )
 
 // sharedLab caches captures across tests in this package (they are
@@ -27,6 +30,35 @@ func TestTable51ChunksBiggerThanTaskProductions(t *testing.T) {
 		chunkCEs := atoiOr(t, row[2])
 		if chunkCEs <= taskCEs {
 			t.Errorf("%s: chunk CEs (%d) not larger than task CEs (%d)", row[0], chunkCEs, taskCEs)
+		}
+	}
+}
+
+// TestNodeBytes pins the code-size formula to the sizes the instruction
+// emitter it replaced produced for each node shape (Table 5-1's inputs).
+func TestNodeBytes(t *testing.T) {
+	eq := rete.JoinTest{Pred: value.PredEq}
+	ne := rete.JoinTest{Pred: value.PredNe}
+	pair := rete.BBTest{}
+	for _, c := range []struct {
+		name string
+		node rete.BetaNode
+		want int
+	}{
+		{"P", rete.BetaNode{Kind: rete.KindP}, 56},
+		{"join, no tests", rete.BetaNode{Kind: rete.KindJoin}, 158},
+		{"join, one equality", rete.BetaNode{Kind: rete.KindJoin, Tests: []rete.JoinTest{eq}}, 240},
+		{"join, one inequality", rete.BetaNode{Kind: rete.KindJoin, Tests: []rete.JoinTest{ne}}, 230},
+		{"join, two equalities and an inequality", rete.BetaNode{Kind: rete.KindJoin, Tests: []rete.JoinTest{eq, eq, ne}}, 394},
+		{"not, no tests", rete.BetaNode{Kind: rete.KindNot}, 146},
+		{"not, one equality", rete.BetaNode{Kind: rete.KindNot, Tests: []rete.JoinTest{eq}}, 228},
+		{"NCC", rete.BetaNode{Kind: rete.KindNCC}, 146},
+		{"NCC partner", rete.BetaNode{Kind: rete.KindNCCPartner}, 146},
+		{"pair join, two pair tests", rete.BetaNode{Kind: rete.KindJoinBB, BBTests: []rete.BBTest{pair, pair}}, 322},
+		{"pair join, one equality and one pair test", rete.BetaNode{Kind: rete.KindJoinBB, Tests: []rete.JoinTest{eq}, BBTests: []rete.BBTest{pair}}, 322},
+	} {
+		if got := nodeBytes(&c.node); got != c.want {
+			t.Errorf("%s: %d bytes, want %d", c.name, got, c.want)
 		}
 	}
 }

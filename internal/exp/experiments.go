@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"soarpsme/internal/chunk"
-	"soarpsme/internal/codegen"
 	"soarpsme/internal/engine"
 	"soarpsme/internal/ops5"
 	"soarpsme/internal/prun"
@@ -14,6 +13,7 @@ import (
 	"soarpsme/internal/sim"
 	"soarpsme/internal/stats"
 	"soarpsme/internal/tasks/strips"
+	"soarpsme/internal/value"
 )
 
 // ProcessCounts is the paper's sweep of match processes.
@@ -65,6 +65,51 @@ func Table51(l *Lab) (*stats.Table, error) {
 			fmt.Sprintf("%.0f", per2in))
 	}
 	return t, nil
+}
+
+// nodeBytes is the size of the code PSM-E's generator (§5.1) emits for one
+// new node: the node's instruction counts times nominal NS32032 encodings.
+// A P node locks its line, inserts, unlocks, updates the conflict set and
+// returns: 56 bytes. A two-input node hashes each equality and pair-join
+// binding (10 bytes each), locks and inserts (22), and open-codes a left and
+// a right activation body. Each body scans the opposite memory (18), loads,
+// compares and branches on every test (36 each), adjusts a match count (14,
+// not and NCC nodes) or extends the token (20), and dispatches successors
+// through the jumptable (24). Unlock and return close the node (12).
+func nodeBytes(n *rete.BetaNode) int {
+	if n.Kind == rete.KindP {
+		return 56
+	}
+	eq := 0
+	for _, t := range n.Tests {
+		if t.Pred == value.PredEq {
+			eq++
+		}
+	}
+	k := 20
+	switch n.Kind {
+	case rete.KindNot, rete.KindNCC, rete.KindNCCPartner:
+		k = 14
+	}
+	pairs := len(n.BBTests)
+	return 118 + 10*(eq+pairs) + 72*(len(n.Tests)+pairs) + 2*k
+}
+
+// jumpBytes is the indirect jump through the jumptable that every successor
+// dispatch pays; over a node's average size it is the jumptable's match-time
+// overhead, which the paper measured at 1-3% (§5.1).
+const jumpBytes = 8
+
+// codeSize returns the bytes of code a production addition emitted and how
+// many of its new nodes are two-input nodes.
+func codeSize(info *rete.AddInfo) (bytes, twoInput int) {
+	for _, n := range info.NewBeta {
+		bytes += nodeBytes(n)
+		if n.Kind != rete.KindP {
+			twoInput++
+		}
+	}
+	return bytes, twoInput
 }
 
 // compileModelMicros models chunk compilation time on the paper's 0.75-MIPS
@@ -126,7 +171,6 @@ func recompileChunks(c *Capture, chunks []*ops5.Production, share bool) (int64, 
 			return 0, fmt.Errorf("exp: recompile %s: %w", p.Name, err)
 		}
 	}
-	jt := codegen.NewJumptable()
 	var total int64
 	for _, ast := range chunks {
 		clone := *ast
@@ -135,8 +179,8 @@ func recompileChunks(c *Capture, chunks []*ops5.Production, share bool) (int64, 
 		if err != nil {
 			return 0, fmt.Errorf("exp: recompile %s: %w", clone.Name, err)
 		}
-		cg := codegen.CompileProduction(info, jt)
-		total += compileModelMicros(cg.Bytes, len(info.NewBeta), info.SharedTwoInput)
+		bytes, _ := codeSize(info)
+		total += compileModelMicros(bytes, len(info.NewBeta), info.SharedTwoInput)
 	}
 	return total, nil
 }
@@ -552,8 +596,7 @@ func Extras(l *Lab) (*stats.Table, error) {
 		}
 		overhead := 0.0
 		if n2in > 0 {
-			jt := codegen.NewJumptable()
-			overhead = jt.OverheadFraction(float64(bytes) / float64(n2in))
+			overhead = jumpBytes / (float64(bytes) / float64(n2in))
 		}
 		h := stats.NewHistogram(100)
 		for _, n := range ac.TasksPerCycle {

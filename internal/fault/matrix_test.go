@@ -117,8 +117,9 @@ var fanoutProgram = program{name: "fanout", cycles: 9, helpers: true, load: func
 }}
 
 // run drives one program for one configuration and returns the per-cycle
-// conflict-set fingerprints plus the engine for post-run audits.
-func run(t *testing.T, prog program, procs int, pol prun.Policy, in *fault.Injector, deadline time.Duration) ([]string, *engine.Engine) {
+// conflict-set fingerprints and match-cycle stats, plus the engine for
+// post-run audits.
+func run(t *testing.T, prog program, procs int, pol prun.Policy, in *fault.Injector, deadline time.Duration) ([]string, []prun.CycleStats, *engine.Engine) {
 	t.Helper()
 	cfg := engine.DefaultConfig()
 	cfg.Processes = procs
@@ -127,13 +128,15 @@ func run(t *testing.T, prog program, procs int, pol prun.Policy, in *fault.Injec
 	cfg.Deadline = deadline
 	cfg.Rete.Unlink = !prog.noUnlink
 	e := engine.New(cfg)
+	var stats []prun.CycleStats
+	e.AfterCycle = func(cs *prun.CycleStats) { stats = append(stats, *cs) }
 	batch := prog.load(t, e)
 	fps := make([]string, 0, prog.cycles)
 	for c := 0; c < prog.cycles; c++ {
 		e.ApplyAndMatch(batch())
 		fps = append(fps, fingerprint(e))
 	}
-	return fps, e
+	return fps, stats, e
 }
 
 // fingerprint renders the live conflict set (plus the working-memory size)
@@ -210,7 +213,7 @@ func TestFaultMatrix(t *testing.T) {
 	baselines := make([][]string, len(programs))
 	for i, prog := range programs {
 		var be *engine.Engine
-		baselines[i], be = run(t, prog, 1, prun.MultiQueue, nil, 0)
+		baselines[i], _, be = run(t, prog, 1, prun.MultiQueue, nil, 0)
 		if err := be.AuditInvariants(); err != nil {
 			t.Fatalf("%s: baseline audit: %v", prog.name, err)
 		}
@@ -228,8 +231,8 @@ func TestFaultMatrix(t *testing.T) {
 					for i, prog := range programs {
 						t.Run(prog.name, func(t *testing.T) {
 							in := sched.mk()
-							fps, e := run(t, prog, procs, pol, in, sched.deadline)
-							failed := checkRun(t, e, fps, baselines[i], in, sched.wantRecovery)
+							fps, stats, e := run(t, prog, procs, pol, in, sched.deadline)
+							failed := checkRun(t, e, fps, baselines[i], stats, in, sched.wantRecovery)
 							if sched.name != "none" {
 								return
 							}
@@ -237,7 +240,7 @@ func TestFaultMatrix(t *testing.T) {
 								t.Fatalf("fault-free run failed %d cycles", len(failed))
 							}
 							widest := 0
-							for _, cs := range e.CycleStats {
+							for _, cs := range stats {
 								widest = max(widest, cs.Workers)
 							}
 							if procs > 1 && (widest > 1) != prog.helpers {
@@ -255,7 +258,7 @@ func TestFaultMatrix(t *testing.T) {
 // cycle's fingerprint equals the fault-free serial baseline's, the audit
 // holds, and every failed cycle was recovered — at least one of them, when
 // the schedule is meant to fail cycles. It returns the failed cycles.
-func checkRun(t *testing.T, e *engine.Engine, fps, baseline []string, in *fault.Injector, wantRecovery bool) (failed []prun.CycleStats) {
+func checkRun(t *testing.T, e *engine.Engine, fps, baseline []string, stats []prun.CycleStats, in *fault.Injector, wantRecovery bool) (failed []prun.CycleStats) {
 	t.Helper()
 	for c := range fps {
 		if fps[c] != baseline[c] {
@@ -265,7 +268,7 @@ func checkRun(t *testing.T, e *engine.Engine, fps, baseline []string, in *fault.
 	if err := e.AuditInvariants(); err != nil {
 		t.Fatalf("post-run audit: %v", err)
 	}
-	for _, cs := range e.CycleStats {
+	for _, cs := range stats {
 		if cs.Failed {
 			if !cs.Recovered {
 				t.Fatalf("cycle failed (%s) without recovery", cs.Reason)
@@ -290,14 +293,14 @@ func checkRun(t *testing.T, e *engine.Engine, fps, baseline []string, in *fault.
 // of a clean run.
 func TestCallerProcessSupervised(t *testing.T) {
 	prog := cypressProgram("cypress-b1", true)
-	baseline, _ := run(t, prog, 1, prun.MultiQueue, nil, 0)
+	baseline, _, _ := run(t, prog, 1, prun.MultiQueue, nil, 0)
 	for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 		in := fault.Plan(
 			fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 0},
 			fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 9},
 		)
-		fps, e := run(t, prog, 4, pol, in, 0)
-		failed := checkRun(t, e, fps, baseline, in, true)
+		fps, stats, e := run(t, prog, 4, pol, in, 0)
+		failed := checkRun(t, e, fps, baseline, stats, in, true)
 		for _, cs := range failed {
 			if cs.Panics != 1 || !strings.Contains(cs.Reason, "worker 0 panic") {
 				t.Fatalf("%v: failed cycle has Panics=%d Reason=%q, want one panic on worker 0", pol, cs.Panics, cs.Reason)
@@ -309,15 +312,15 @@ func TestCallerProcessSupervised(t *testing.T) {
 
 		in = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindStall, Visit: 2, Delay: time.Minute})
 		start := time.Now()
-		fps, e = run(t, prog, 4, pol, in, 50*time.Millisecond)
-		failed = checkRun(t, e, fps, baseline, in, true)
+		fps, stats, e = run(t, prog, 4, pol, in, 50*time.Millisecond)
+		failed = checkRun(t, e, fps, baseline, stats, in, true)
 		if len(failed) != 1 || !strings.Contains(failed[0].Reason, "watchdog") {
 			t.Fatalf("%v: stalled run failed %d cycles (%+v), want one watchdog expiry", pol, len(failed), failed)
 		}
 		if d := time.Since(start); d > 20*time.Second {
 			t.Fatalf("%v: stalled run took %v: the watchdog did not wake the caller", pol, d)
 		}
-		for _, cs := range e.CycleStats {
+		for _, cs := range stats {
 			if cs.Workers != 1 {
 				t.Fatalf("%v: a one-delta cycle ran %d processes", pol, cs.Workers)
 			}

@@ -170,7 +170,9 @@ func TestBilinearAttributionCoversRightChains(t *testing.T) {
 // wrapping, oldest first, each with its full task trace.
 func TestFlightRingWraparound(t *testing.T) {
 	const ringSize, cycles = 4, 10
-	e, _ := driveCypress(t, profiled(2, &matchprof.Options{FlightCycles: ringSize}), cycles, nil)
+	ec := profiled(2, &matchprof.Options{FlightCycles: ringSize})
+	ec.CaptureTrace = true // keep the per-cycle log the ring is checked against
+	e, _ := driveCypress(t, ec, cycles, nil)
 	wantTasks := 0
 	for _, cs := range e.CycleStats[cycles-ringSize:] {
 		wantTasks += cs.Tasks
@@ -368,8 +370,9 @@ func TestFoldMatchesNetStats(t *testing.T) {
 				}
 				check := func(e *engine.Engine) {
 					t.Helper()
-					for _, cs := range append(e.CycleStats[len(e.CycleStats)-1:], e.UpdateStats...) {
-						replayed = replayed || cs.Recovered
+					replayed = replayed || e.Totals.Recovered > 0
+					for _, add := range e.Additions {
+						replayed = replayed || add.Update.Recovered
 					}
 					s, st := e.Prof.Snapshot(), &e.NW.Stats
 					if got, want := s.Totals.Acts, st.Activations.Load(); got != want {

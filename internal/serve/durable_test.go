@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -502,6 +503,60 @@ func TestPanicUnderTurnFailsStop(t *testing.T) {
 	}
 	if after, _ := sessionState(t, tsB.URL, "brk1"); after.Cycles != before.Cycles+1 || after.WM != before.WM+1 {
 		t.Fatalf("restored session: %+v, want one cycle and one wme past %+v", after, before)
+	}
+}
+
+// exciseProgSrc's once excises a rule of its own program. An uploaded
+// program compiles into the shared base image, which no excise reaches, so
+// that excise fails after once's cycle has fired and matched.
+const exciseProgSrc = `
+(literalize go)
+(literalize item n)
+(startup (make item ^n 1) (make item ^n 2) (make go))
+(p once (go) --> (remove 1) (excise other))
+(p other (item ^n <n>) --> (remove 1))
+`
+
+// TestFailedExciseDoesNotWedgeSession: a /run whose step fails to excise
+// answers with the error, but the step's cycle is closed and the excise is
+// not retried, so the next /run succeeds; a restore that replays both from
+// the WAL reproduces the session.
+func TestFailedExciseDoesNotWedgeSession(t *testing.T) {
+	dir := t.TempDir()
+	sA, tsA := crashableServer(t, dir)
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions", CreateRequest{ID: "xc", Program: exciseProgSrc}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	base := tsA.URL + "/sessions/xc"
+	if code, _ := doJSON(t, "POST", base+"/run", RunRequest{Cycles: 1}, nil); code != http.StatusBadRequest {
+		t.Fatalf("run excising a base production: code=%d, want 400", code)
+	}
+	var res RunResult
+	if code, _ := doJSON(t, "POST", base+"/run", RunRequest{Cycles: 1}, &res); code != http.StatusOK || res.Fired != 1 || res.FirstCycle != 1 {
+		t.Fatalf("run after the failed excise: code=%d %+v, want cycle 1 fired", code, res)
+	}
+	want, wantFp := sessionState(t, tsA.URL, "xc")
+	if want.Cycles != 2 || want.Fired != 2 {
+		t.Fatalf("stats %+v, want 2 cycles and 2 firings", want)
+	}
+	ss := liveSession(sA, "xc")
+	if _, err := ss.submit(nil, func() (any, error) {
+		if scratch := Fingerprint(ss.eng); scratch != wantFp {
+			return nil, fmt.Errorf("served fingerprint %s, from scratch %s", wantFp, scratch)
+		}
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tsA.Close()
+
+	_, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/xc/restore", nil, nil); code != http.StatusOK {
+		t.Fatalf("restore: %d", code)
+	}
+	got, gotFp := sessionState(t, tsB.URL, "xc")
+	if gotFp != wantFp || got.Cycles != want.Cycles || got.Fired != want.Fired || got.WM != want.WM {
+		t.Fatalf("restored session %+v %s, want %+v %s", got, gotFp, want, wantFp)
 	}
 }
 

@@ -845,7 +845,7 @@ func (s *Server) handleConflictSet(w http.ResponseWriter, r *http.Request) {
 			}
 			out = append(out, InstJSON{Production: in.Prod.Name, TimeTags: tags})
 		}
-		return map[string]any{"instantiations": out, "fingerprint": ss.fingerprint(nil)}, nil
+		return map[string]any{"instantiations": out, "fingerprint": ss.fingerprint()}, nil
 	})
 }
 

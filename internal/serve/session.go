@@ -26,9 +26,8 @@ type Session struct {
 	drv       *cypress.Driver
 	nextChunk int
 
-	cycles    int // match cycles run via /run
-	chunks    int // productions added at run time
-	recovered int // engine cycles that went through the serial fallback
+	cycles int // match cycles run via /run
+	chunks int // productions added at run time
 
 	// fp is the conflict set's wire rendering, kept current from the set's
 	// add/retract journal (fingerprint) instead of re-rendered every cycle.
@@ -154,11 +153,14 @@ func (s *Session) submit(cancel <-chan struct{}, fn func() (any, error)) (any, e
 	return v, err
 }
 
-// runCycles advances the session n match cycles, adding what they did to
-// res. Cypress sessions step the server-side driver, which with chunking on
-// adds scheduled chunk productions mid-stream; program sessions run
-// recognize-act steps. It reports per-cycle conflict-set fingerprints so
-// clients can verify byte-identical match results against a solo serial run.
+// runCycles advances the session n match cycles. Cypress sessions step the
+// server-side driver, which with chunking on adds scheduled chunk
+// productions mid-stream; program sessions run recognize-act steps. It
+// reports per-cycle conflict-set fingerprints so clients can verify
+// byte-identical match results against a solo serial run. A step that fired
+// and matched before an excise failed is closed before the error returns,
+// so the session's cycles, fingerprints and journal stay in step with the
+// engine.
 func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 	for i := 0; i < n; i++ {
 		switch s.Task {
@@ -170,69 +172,41 @@ func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 			}
 		case "program":
 			fired, err := s.eng.Step()
-			if err != nil {
+			if !fired {
+				res.Quiesced = err == nil
 				return err
 			}
-			if !fired {
-				res.Quiesced = true
-				return nil
-			}
 			res.Fired++
+			if err != nil {
+				s.closeCycle(res)
+				return err
+			}
 		}
 		s.closeCycle(res)
 	}
 	return nil
 }
 
-// closeCycle ends one session cycle of a /run: the engine cycles it ran are
-// counted in res and its conflict-set fingerprint appended.
+// closeCycle ends one session cycle of a /run and appends its conflict-set
+// fingerprint.
 func (s *Session) closeCycle(res *RunResult) {
 	s.cycles++
 	res.Cycles++
 	res.LastCycle = s.cycles - 1
-	res.Fingerprints = append(res.Fingerprints, s.fingerprint(res))
+	res.Fingerprints = append(res.Fingerprints, s.fingerprint())
 }
 
 // fingerprint closes a served match cycle at a cost that follows what the
 // cycle changed, and returns its fingerprint. It drains the conflict set's
 // journal — net of the transients of parallel match, and already reconciled
 // by EndRecovery when the cycle went through the serial fallback — into
-// the fingerprint index, and folds the engine's per-cycle stats into res
-// (nil outside a /run) and the running recovered count. The session is the
-// only consumer of either, and both grow without bound unless consumed: the
-// journal pins every retracted token and wme, the stats log one struct per
-// cycle.
-func (s *Session) fingerprint(res *RunResult) string {
-	s.foldCycleStats(res)
+// the fingerprint index. The session is the journal's only consumer, and
+// the journal pins every retracted token and wme until it is drained.
+func (s *Session) fingerprint() string {
 	if added, retracted := s.eng.CS.Drain(); !s.fp.apply(added, retracted) {
 		s.fp.rebuild(s.eng.CS.All())
 	}
 	return s.fp.render(s.eng.WM.Len())
-}
-
-// foldCycleStats consumes the engine's per-cycle stats, the one place a
-// request's engine cycles are counted: every ApplyAndMatch since the last
-// fold — an ingest batch, a cypress batch or a recognize-act step — adds its
-// tasks and failure flags to res (nil outside a /run), and a cycle that went
-// through the serial fallback to the session's recovered count.
-func (s *Session) foldCycleStats(res *RunResult) {
-	for i := range s.eng.CycleStats {
-		cs := &s.eng.CycleStats[i]
-		if cs.Recovered {
-			s.recovered++
-		}
-		if res == nil {
-			continue
-		}
-		res.Tasks += cs.Tasks
-		if cs.Failed {
-			res.Failed++
-		}
-		if cs.Recovered {
-			res.Recovered++
-		}
-	}
-	s.eng.CycleStats = s.eng.CycleStats[:0]
 }
 
 // syncFingerprint rebuilds the fingerprint index from the live conflict
@@ -240,7 +214,6 @@ func (s *Session) foldCycleStats(res *RunResult) {
 // when it takes over an engine: after create's startup cycle, and after
 // restore's serial rebuild and before its WAL replay.
 func (s *Session) syncFingerprint() {
-	s.foldCycleStats(nil)
 	s.eng.CS.ResetJournal()
 	s.fp.rebuild(s.eng.CS.All())
 }
@@ -250,15 +223,23 @@ func (s *Session) syncFingerprint() {
 // before beta execution), then n recognize-act or driver cycles. Folding
 // both into one request is the batched-ingest fast path: a client
 // streaming wme changes pays one HTTP round trip per batch instead of one
-// per delta plus one per run.
+// per delta plus one per run. Every engine cycle the request ran — an
+// ingest batch, a cypress batch or a recognize-act step — is counted in res
+// as the difference of the engine's totals across it.
 func (s *Session) run(deltas []DeltaJSON, n int, chunking bool) (*RunResult, error) {
 	res := &RunResult{FirstCycle: s.cycles, LastCycle: s.cycles}
+	before := s.eng.Totals
 	if len(deltas) > 0 {
 		if err := s.applyDeltas(res, deltas); err != nil {
 			return nil, err
 		}
 	}
-	return res, s.runCycles(res, n, chunking)
+	err := s.runCycles(res, n, chunking)
+	after := s.eng.Totals
+	res.Tasks = after.Tasks - before.Tasks
+	res.Failed = after.Failed - before.Failed
+	res.Recovered = after.Recovered - before.Recovered
+	return res, err
 }
 
 // writeAhead runs exec under the session's write-ahead rule, which lives
@@ -423,7 +404,7 @@ func (s *Session) stats() *SessionInfo {
 		WM:        s.eng.WM.Len(),
 		Conflict:  s.eng.CS.Len(),
 		BadDeltas: s.eng.BadDeltas,
-		Recovered: s.recovered,
+		Recovered: s.eng.Totals.Recovered,
 		Chunks:    s.chunks,
 	}
 }

@@ -51,6 +51,10 @@ func (a *Agent) collectPrefs() prefTable {
 // inWM reports whether w is in working memory.
 func (a *Agent) inWM(w *wme.WME) bool { return a.Eng.WM.Get(w.ID) == w }
 
+// maxGoalDepth bounds subgoal recursion: a slot that impasses at this depth
+// ends the run instead of creating a subgoal.
+const maxGoalDepth = 8
+
 // outcomeKind classifies a slot decision.
 type outcomeKind uint8
 
@@ -251,7 +255,7 @@ nextGoal:
 					// move on to the subgoal.
 					continue nextGoal
 				}
-				if g.depth >= a.cfg.MaxGoalDepth {
+				if g.depth >= maxGoalDepth {
 					if a.tracing() {
 						a.tracef("decide: max goal depth at %s (%v %v)", a.fmtSym(g.id), s, out.impasse)
 					}
@@ -272,7 +276,7 @@ nextGoal:
 	// §3 — the selected operator's application needs a subgoal). Created
 	// on the lowest goal with an operator installed and no subgoal yet.
 	low := a.goals[len(a.goals)-1]
-	if low.slots[SlotOperator] != value.NilSym && low.subImpasse == ImpasseNone && low.depth < a.cfg.MaxGoalDepth {
+	if low.slots[SlotOperator] != value.NilSym && low.subImpasse == ImpasseNone && low.depth < maxGoalDepth {
 		if a.tracing() {
 			a.tracef("decide: goal %s operator no-change impasse", a.fmtSym(low.id))
 		}

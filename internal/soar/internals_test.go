@@ -41,7 +41,7 @@ func TestWorkingMemoryBounded(t *testing.T) {
 				err = fmt.Errorf("byID holds %d entries for %d anchored wmes", byID, anchors)
 			}
 			if bad == nil && err != nil {
-				bad = fmt.Errorf("cycle %d: %w", len(a.Eng.CycleStats), err)
+				bad = fmt.Errorf("cycle %d: %w", a.Eng.Cycles(), err)
 			}
 		}
 		res, err := a.Run()
@@ -85,7 +85,7 @@ func TestMemoriesEmptyOfOldStates(t *testing.T) {
 }
 
 // TestMaxGoalDepthBounds: a task whose subgoals cannot make progress must
-// stop at the configured depth instead of descending forever.
+// stop at the goal-depth bound (8) instead of descending forever.
 func TestMaxGoalDepthBounds(t *testing.T) {
 	// Minimal stuck task: a problem space with two operators proposed but
 	// no selection knowledge at all — the tie subgoal has no productions,
@@ -112,7 +112,7 @@ func TestMaxGoalDepthBounds(t *testing.T) {
 		ProblemSpace: "stuck",
 		InitialState: "s0",
 	}
-	cfg := Config{Engine: engine.DefaultConfig(), MaxDecisions: 100, MaxGoalDepth: 4}
+	cfg := Config{Engine: engine.DefaultConfig(), MaxDecisions: 100}
 	a, err := New(cfg, task)
 	if err != nil {
 		t.Fatal(err)

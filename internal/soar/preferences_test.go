@@ -49,7 +49,7 @@ func prefTask(extra string) *Task {
 func runPref(t *testing.T, extra string) (*Agent, *Result, string) {
 	t.Helper()
 	var trace bytes.Buffer
-	cfg := Config{Engine: engine.DefaultConfig(), MaxDecisions: 30, MaxGoalDepth: 3, Trace: &trace}
+	cfg := Config{Engine: engine.DefaultConfig(), MaxDecisions: 30, Trace: &trace}
 	a, err := New(cfg, prefTask(extra))
 	if err != nil {
 		t.Fatal(err)

@@ -98,8 +98,6 @@ type Config struct {
 	Chunking bool
 	// MaxDecisions bounds the run (0 = 500).
 	MaxDecisions int
-	// MaxGoalDepth bounds subgoal recursion (0 = 8).
-	MaxGoalDepth int
 	// Trace receives decision-level logging; nil disables.
 	Trace io.Writer
 }
@@ -165,9 +163,6 @@ type Agent struct {
 func New(cfg Config, task *Task) (*Agent, error) {
 	if cfg.MaxDecisions == 0 {
 		cfg.MaxDecisions = 500
-	}
-	if cfg.MaxGoalDepth == 0 {
-		cfg.MaxGoalDepth = 8
 	}
 	eng := engine.New(cfg.Engine)
 	a := &Agent{

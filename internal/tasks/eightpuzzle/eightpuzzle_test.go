@@ -116,13 +116,7 @@ func TestExpensiveChunksIncreaseMatchWork(t *testing.T) {
 	_, nc := solve(t, b, false, nil)
 	during, _ := solve(t, b, true, nil)
 	after, ares := solve(t, b, true, during)
-	tasksOf := func(a *soar.Agent) int {
-		n := 0
-		for _, cs := range a.Eng.CycleStats {
-			n += cs.Tasks
-		}
-		return n
-	}
+	tasksOf := func(a *soar.Agent) int { return a.Eng.Totals.Tasks }
 	_ = nc
 	ncAgent, _ := solve(t, b, false, nil)
 	if tasksOf(after) <= tasksOf(ncAgent) {
