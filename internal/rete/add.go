@@ -1,6 +1,10 @@
 package rete
 
-import "soarpsme/internal/wme"
+import (
+	"slices"
+
+	"soarpsme/internal/wme"
+)
 
 // This file implements the run-time state-update algorithm of paper §5.2.
 //
@@ -79,75 +83,41 @@ func (nw *Network) dumpOutputs(p *BetaNode, firstNew NodeID) []*Token {
 	return nil
 }
 
-// InjectUpdate is the state update's right replay of one live wme: Inject
-// restricted to the alpha paths info marks (the memories feeding a new join
-// or not node, and the test nodes above them), emitting at a marked memory
-// only its new successors. That is exactly what Inject would emit for w with
-// every node below info.FirstNewID dropped, in the same order: a memory off
-// the marked paths has no new successor, and the new successors of a memory
-// are a suffix of its list, because IDs are handed out in creation order and
-// successors are appended as they are created.
+// InjectUpdate is the state update's right replay of one live wme: the alpha
+// walk of Inject confined to the paths info marks (the memories feeding a
+// new join or not node, and the test nodes above them), emitting at a marked
+// memory only its new successors. That is exactly what Inject would emit for
+// w with every node below info.FirstNewID dropped, in the same order: a
+// memory off the marked paths has no new successor, and the new successors
+// of a memory are a suffix of its list, because IDs are handed out in
+// creation order and successors are appended as they are created.
 func (nw *Network) InjectUpdate(info *AddInfo, w *wme.WME, emit InjectFn) {
-	root := nw.base.roots[w.Class]
-	if root == nil {
-		root = nw.own.roots[w.Class]
-	}
-	if root != nil && info.onUpdatePath(root.ID) {
-		nw.walkUpdate(root, w, info, emit)
+	if root := nw.alphaRoot(w.Class); root != nil && info.walks(root.ID) {
+		nw.walkAlpha(root, wme.Delta{Op: wme.Add, WME: w}, info, emit)
 	}
 }
 
-// walkUpdate is walkAlpha over the marked nodes only (see InjectUpdate).
-func (nw *Network) walkUpdate(n *AlphaNode, w *wme.WME, info *AddInfo, emit InjectFn) {
-	own, first := &nw.own, info.FirstNewID
-	if am := n.Mem; am != nil && info.onUpdatePath(am.ID) {
-		emitNew(am.Succs, w, first, emit)
-		if own.alphaSuccs != nil {
-			emitNew(own.alphaSuccs[am.ID], w, first, emit)
-		}
+// walks reports whether an alpha walk for inf visits alpha node or memory
+// id: a match's walk (inf nil) visits every one, a state update's only the
+// update paths (updPath).
+func (inf *AddInfo) walks(id NodeID) bool {
+	if inf == nil {
+		return true
 	}
-	for _, f := range n.eqFields {
-		nw.Stats.ConstTests.Add(1)
-		if c, ok := n.eqKids[alphaEqKey{field: f, val: w.Field(f)}]; ok {
-			nw.Stats.AlphaHits.Add(1)
-			if info.onUpdatePath(c.ID) {
-				nw.walkUpdate(c, w, info, emit)
-			}
-		} else {
-			nw.Stats.AlphaMisses.Add(1)
-		}
-	}
-	for _, c := range n.linear {
-		if info.onUpdatePath(c.ID) {
-			nw.Stats.ConstTests.Add(1)
-			if c.Test.matches(w.Field) {
-				nw.walkUpdate(c, w, info, emit)
-			}
-		}
-	}
-	if own.alphaKids != nil && nw.inBase(n.ID) {
-		if am := own.alphaMemAt[n.ID]; am != nil && info.onUpdatePath(am.ID) {
-			emitNew(am.Succs, w, first, emit)
-		}
-		for _, c := range own.alphaKids[n.ID] {
-			if info.onUpdatePath(c.ID) {
-				nw.Stats.ConstTests.Add(1)
-				if c.Test.matches(w.Field) {
-					nw.walkUpdate(c, w, info, emit)
-				}
-			}
-		}
-	}
+	_, ok := slices.BinarySearch(inf.updPath, id)
+	return ok
 }
 
-// emitNew emits the right activations of w at the successors numbered first
-// or above: the tail of succs, which is in ID order.
-func emitNew(succs []*BetaNode, w *wme.WME, first NodeID, emit InjectFn) {
+// reached returns the successors of a memory at which an alpha walk for inf
+// emits: all of succs in a match's walk (inf nil), and in a state update's
+// the new ones — the tail of succs, which is in ID order.
+func (inf *AddInfo) reached(succs []*BetaNode) []*BetaNode {
+	if inf == nil {
+		return succs
+	}
 	k := len(succs)
-	for k > 0 && succs[k-1].ID >= first {
+	for k > 0 && succs[k-1].ID >= inf.FirstNewID {
 		k--
 	}
-	for _, s := range succs[k:] {
-		emit(s, w, wme.Add)
-	}
+	return succs[k:]
 }

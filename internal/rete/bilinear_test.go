@@ -213,7 +213,7 @@ func TestBilinearPairTokenDeletionDeep(t *testing.T) {
 var _ = value.Nil
 
 // TestBilinearInGroupNegation: a negation whose variables are resolvable
-// within its group stays in the group chain (negResolvable true), while a
+// within its group stays in the group chain (groupScope.place places it), while a
 // cross-group negation defers to the combined line — both must match
 // correctly.
 func TestBilinearInGroupNegation(t *testing.T) {

@@ -2,6 +2,7 @@ package rete
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -44,24 +45,21 @@ type builder struct {
 	ast      *ops5.Production
 	bindings map[value.Sym]Binding
 	negVars  map[value.Sym]bool
-	ceTag    int
 	posCount int
 	shared   bool
 	private  bool // creating NCC-sub or bilinear nodes: never share into
 	info     *AddInfo
-
-	// lastReused is the deepest existing node this build shared into. Sharing
-	// stops for good at the first node that is not reused, so the nodes it
-	// took a reference on are that one and its ancestors (see rollback).
-	lastReused *BetaNode
 }
 
 // AddProduction compiles ast into the network's own layer, sharing nodes
 // with existing productions where Options.ShareBeta allows; base nodes are
-// reused read-only, never mutated. It is all-or-nothing: a production that
-// is rejected leaves the network as it was. The caller must be quiescent
-// (no match tasks in flight). The returned AddInfo seeds the state update.
-func (nw *Network) AddProduction(ast *ops5.Production) (_ *Production, _ *AddInfo, err error) {
+// reused read-only, never mutated. The whole production — conditions and
+// actions — is compiled and checked before its first node is built, so a
+// production that is rejected leaves the network as it was, and whether it
+// is rejected does not depend on the network's shape. The caller must be
+// quiescent (no match tasks in flight). The returned AddInfo seeds the
+// state update.
+func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, error) {
 	start := time.Now()
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -76,35 +74,25 @@ func (nw *Network) AddProduction(ast *ops5.Production) (_ *Production, _ *AddInf
 		shared:   true,
 		info:     &AddInfo{},
 	}
-	own := &nw.own
-	defer func(nextID NodeID, nTwoInput int, unspliced bool) {
-		if err != nil {
-			b.rollback(nextID, nTwoInput, unspliced)
-		}
-	}(own.nextID, own.nTwoInput, own.betaKids == nil)
-	var bottom *BetaNode
-	restructured := b.useBilinear()
-	if restructured {
-		bottom, err = b.buildBilinear()
-	} else {
-		bottom, err = b.buildLinear()
-	}
+	conds, err := b.compileLHS()
 	if err != nil {
 		return nil, nil, err
 	}
-	prod := &Production{
-		Name:         ast.Name,
-		AST:          ast,
-		Bindings:     b.bindings,
-		NumCEs:       b.posCount,
-		Restructured: restructured,
-	}
-	if err := checkRHS(prod, nw); err != nil {
+	prod := &Production{Name: ast.Name, AST: ast, Bindings: b.bindings}
+	if err := b.checkRHS(prod, conds); err != nil {
 		return nil, nil, err
 	}
+	var bottom *BetaNode
+	if prod.Restructured = b.useBilinear(); prod.Restructured {
+		bottom = b.buildBilinear(conds)
+	} else {
+		bottom = b.buildLinear(conds)
+	}
+	prod.NumCEs = b.posCount
 	pn := b.newNode(&BetaNode{Kind: KindP, Parent: bottom, Prod: prod})
 	b.attach(bottom, pn)
 	prod.PNode = pn
+	own := &nw.own
 	own.prods[ast.Name] = prod
 	own.prodOrder = append(own.prodOrder, prod)
 
@@ -116,30 +104,6 @@ func (nw *Network) AddProduction(ast *ops5.Production) (_ *Production, _ *AddInf
 	nw.Prof.Grow(int(own.nextID) + 1)
 	b.info.SpliceTime = time.Since(start)
 	return prod, b.info, nil
-}
-
-// rollback removes everything a rejected production built: its beta nodes are
-// detached from their parents and alpha memories exactly as excise would,
-// newest first; the alpha nodes and memories created since nextID are
-// dropped; and the references it took on the nodes it shared into are
-// returned. Nothing has run through the new nodes (the caller is quiescent),
-// so there is no match state to purge and their IDs can be handed out again.
-// If the build made the splice maps (unspliced: they were nil before it), they
-// go back to nil, so the hot paths keep their one nil test (see layer.spliced).
-func (b *builder) rollback(nextID NodeID, nTwoInput int, unspliced bool) {
-	nw := b.nw
-	for i := len(b.info.NewBeta) - 1; i >= 0; i-- {
-		nw.detach(b.info.NewBeta[i])
-	}
-	nw.pruneAlpha(nextID)
-	for n := b.lastReused; n != nil && !nw.inBase(n.ID); n = n.Parent {
-		n.refs--
-	}
-	own := &nw.own
-	own.nextID, own.nTwoInput = nextID, nTwoInput
-	if unspliced {
-		own.alphaKids, own.alphaMemAt, own.alphaSuccs, own.betaKids = nil, nil, nil, nil
-	}
 }
 
 // finishInfo computes FirstNewID, the boundary set and the update paths.
@@ -172,13 +136,6 @@ func (b *builder) finishInfo() {
 	inf.updPath = slices.Clip(slices.Compact(inf.updPath))
 }
 
-// onUpdatePath reports whether the state update walks alpha node or memory
-// id (see updPath).
-func (inf *AddInfo) onUpdatePath(id NodeID) bool {
-	_, ok := slices.BinarySearch(inf.updPath, id)
-	return ok
-}
-
 // newNode registers a freshly created beta node.
 func (b *builder) newNode(n *BetaNode) *BetaNode {
 	n.ID = b.nw.newID()
@@ -207,113 +164,242 @@ func (b *builder) attach(parent, child *BetaNode) {
 	}
 }
 
-// ---- linear organization ----
+// ---- the conditions, compiled once ----
 
-func (b *builder) buildLinear() (*BetaNode, error) {
-	var cur *BetaNode
-	for _, ci := range b.ast.LHS {
+// cond is one LHS item compiled in source order against the bindings of the
+// items to its left. It is the only place a production's variables are
+// scoped: every network shape builds from the same conds, so a production
+// is legal under any shape exactly when its linear chain is.
+type cond struct {
+	kind  ops5.CondKind
+	class value.Sym
+	tag   int // token position of a positive CE; -1 for a negation or an NCC
+	alpha []AlphaTest
+	join  []JoinTest // against the first binding of each variable they read
+	sub   []cond     // a conjunctive negation's sub-chain
+}
+
+// compileLHS compiles the production's conditions in source order.
+func (b *builder) compileLHS() ([]cond, error) {
+	conds := make([]cond, len(b.ast.LHS))
+	tag := 0
+	for i, ci := range b.ast.LHS {
+		if i == 0 && ci.Kind != ops5.CondPos {
+			return nil, fmt.Errorf("rete: production %s: first condition must be positive", b.ast.Name)
+		}
+		c := &conds[i]
+		c.kind, c.tag = ci.Kind, -1
 		var err error
 		switch ci.Kind {
 		case ops5.CondPos:
-			cur, err = b.addPositive(cur, ci.CE)
+			c.tag, tag = tag, tag+1
+			err = b.compileCE(c, ci.CE, b.bindings)
 		case ops5.CondNeg:
-			cur, err = b.addNegative(cur, ci.CE)
+			err = b.compileCE(c, ci.CE, b.bindings)
 		case ops5.CondNCC:
-			cur, err = b.addNCC(cur, ci.Sub)
+			// The sub-chain's bindings extend the outer ones, scoped inside
+			// the negation.
+			local := maps.Clone(b.bindings)
+			c.sub = make([]cond, len(ci.Sub))
+			for j, ce := range ci.Sub {
+				c.sub[j] = cond{kind: ops5.CondPos, tag: tag}
+				tag++
+				if err = b.compileCE(&c.sub[j], ce, local); err != nil {
+					break
+				}
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
-	return cur, nil
+	return conds, nil
 }
 
-// addPositive compiles one positive CE: alpha path + join node.
-func (b *builder) addPositive(cur *BetaNode, ce *ops5.CE) (*BetaNode, error) {
-	tag := b.ceTag
-	alphaTests, joinTests, newBinds, err := b.compileCE(ce, tag, b.bindings, true)
-	if err != nil {
-		return nil, err
+// compileCE splits a CE's attribute tests into alpha tests (constants,
+// disjunctions, intra-CE variable consistency) and join tests against the
+// variables scope binds to CEs to its left. A positive CE (c.tag >= 0)
+// binds its unbound equality variables in scope; in a negated one they are
+// wildcards local to the CE.
+func (b *builder) compileCE(c *cond, ce *ops5.CE, scope map[value.Sym]Binding) error {
+	c.class = ce.Class
+	var wild map[value.Sym]int // a negated CE's wildcards -> field
+	for _, at := range ce.Tests {
+		field, ok := b.nw.Reg.FieldIndex(ce.Class, at.Attr, true)
+		if !ok {
+			return fmt.Errorf("rete: %s: unknown attribute", b.ast.Name)
+		}
+		for _, t := range at.Tests {
+			switch t.Kind {
+			case ops5.TestConst:
+				c.alpha = append(c.alpha, AlphaTest{Field: field, Pred: t.Pred, Val: t.Val})
+				continue
+			case ops5.TestDisj:
+				c.alpha = append(c.alpha, AlphaTest{Field: field, Disj: t.Disj})
+				continue
+			}
+			if bd, ok := scope[t.Var]; ok {
+				if bd.CE == c.tag {
+					c.alpha = append(c.alpha, AlphaTest{Field: field, Pred: t.Pred, VsField: true, Other: bd.Field})
+				} else {
+					c.join = append(c.join, JoinTest{RightField: field, LeftCE: bd.CE, LeftField: bd.Field, Pred: t.Pred})
+				}
+				continue
+			}
+			if f, ok := wild[t.Var]; ok {
+				c.alpha = append(c.alpha, AlphaTest{Field: field, Pred: t.Pred, VsField: true, Other: f})
+				continue
+			}
+			switch {
+			case t.Pred != value.PredEq:
+				return fmt.Errorf("rete: %s: predicate %v on unbound variable <%s>", b.ast.Name, t.Pred, b.nw.Tab.Name(t.Var))
+			case c.tag >= 0:
+				if b.negVars[t.Var] {
+					return fmt.Errorf("rete: %s: variable <%s> first bound in a negated condition", b.ast.Name, b.nw.Tab.Name(t.Var))
+				}
+				scope[t.Var] = Binding{CE: c.tag, Field: field}
+			default:
+				b.negVars[t.Var] = true
+				if wild == nil {
+					wild = make(map[value.Sym]int)
+				}
+				wild[t.Var] = field
+			}
+		}
 	}
-	am := b.nw.buildAlpha(ce.Class, alphaTests)
-	node := b.joinChild(cur, KindJoin, am, joinTests, tag)
-	for v, bd := range newBinds {
-		b.bindings[v] = bd
-	}
-	b.ceTag++
-	b.posCount++
-	return node, nil
+	return nil
 }
 
-// addNegative compiles one negated CE as a not node.
-func (b *builder) addNegative(cur *BetaNode, ce *ops5.CE) (*BetaNode, error) {
-	if cur == nil {
-		return nil, fmt.Errorf("rete: production %s: first condition cannot be negative", b.ast.Name)
+// checkRHS validates the actions' CE references and variable uses, and
+// records where each LHS position and element variable sits in a token: the
+// tags compileLHS gave the conditions.
+func (b *builder) checkRHS(p *Production, conds []cond) error {
+	tab := b.nw.Tab
+	p.ActionCE = make([]int, len(conds))
+	p.ElemCE = make(map[value.Sym]int)
+	for i, c := range conds {
+		p.ActionCE[i] = c.tag
+		if ev := p.AST.LHS[i].ElemVar; ev != 0 && c.kind == ops5.CondPos {
+			if _, dup := p.ElemCE[ev]; dup {
+				return fmt.Errorf("rete: %s: element variable <%s> bound twice", p.Name, tab.Name(ev))
+			}
+			p.ElemCE[ev] = c.tag
+		}
 	}
-	alphaTests, joinTests, _, err := b.compileCE(ce, -1, b.bindings, false)
-	if err != nil {
-		return nil, err
+	bound := make(map[value.Sym]bool, len(p.Bindings))
+	for v := range p.Bindings {
+		bound[v] = true
 	}
-	am := b.nw.buildAlpha(ce.Class, alphaTests)
-	return b.joinChild(cur, KindNot, am, joinTests, -1), nil
+	var checkExpr func(e *ops5.Expr) error
+	checkExpr = func(e *ops5.Expr) error {
+		if e == nil {
+			return nil
+		}
+		if e.Kind == ops5.ExprVar && !bound[e.Var] {
+			return fmt.Errorf("rete: %s: unbound variable <%s> in RHS", p.Name, tab.Name(e.Var))
+		}
+		if err := checkExpr(e.L); err != nil {
+			return err
+		}
+		return checkExpr(e.R)
+	}
+	for _, a := range p.AST.RHS {
+		switch a.Kind {
+		case ops5.ActRemove, ops5.ActModify:
+			if a.Elem != 0 {
+				if _, ok := p.ElemCE[a.Elem]; !ok {
+					return fmt.Errorf("rete: %s: unbound element variable <%s>", p.Name, tab.Name(a.Elem))
+				}
+				break
+			}
+			if a.CE < 1 || a.CE > len(conds) {
+				return fmt.Errorf("rete: %s: action references CE %d of %d", p.Name, a.CE, len(conds))
+			}
+			if p.ActionCE[a.CE-1] < 0 {
+				return fmt.Errorf("rete: %s: action references negated CE %d", p.Name, a.CE)
+			}
+		case ops5.ActBind:
+			if err := checkExpr(a.Expr); err != nil {
+				return err
+			}
+			bound[a.Var] = true
+		}
+		for _, s := range a.Sets {
+			if err := checkExpr(s.Expr); err != nil {
+				return err
+			}
+		}
+		for _, e := range a.Args {
+			if err := checkExpr(e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// addNCC compiles a conjunctive negation: a positive sub-chain hanging off
+// ---- linear organization ----
+
+// buildLinear chains the conditions left to right: OPS5's network shape.
+func (b *builder) buildLinear(conds []cond) *BetaNode {
+	var cur *BetaNode
+	for i := range conds {
+		cur = b.addCond(cur, &conds[i])
+	}
+	return cur
+}
+
+// addCond builds one condition below cur: a join node for a positive CE, a
+// not node for a negated one, an NCC pair for a conjunctive negation.
+func (b *builder) addCond(cur *BetaNode, c *cond) *BetaNode {
+	switch c.kind {
+	case ops5.CondPos:
+		b.posCount++
+		return b.joinChild(cur, KindJoin, c)
+	case ops5.CondNeg:
+		return b.joinChild(cur, KindNot, c)
+	}
+	return b.addNCC(cur, c.sub)
+}
+
+// addNCC builds a conjunctive negation: a positive sub-chain hanging off
 // cur, terminated by a partner node paired with an NCC node on the main
 // line. NCC structures are never shared.
-func (b *builder) addNCC(cur *BetaNode, sub []*ops5.CE) (*BetaNode, error) {
-	if cur == nil {
-		return nil, fmt.Errorf("rete: production %s: conjunctive negation cannot be first", b.ast.Name)
-	}
+func (b *builder) addNCC(cur *BetaNode, sub []cond) *BetaNode {
 	b.shared = false // NCC pairs are private to their production
 	b.private = true
-	defer func() { b.private = false }()
-	branchN := b.posCount
-	// Sub-chain bindings extend the outer bindings but are locally scoped.
-	local := make(map[value.Sym]Binding, len(b.bindings))
-	for k, v := range b.bindings {
-		local[k] = v
-	}
 	subCur := cur
-	for _, ce := range sub {
-		tag := b.ceTag
-		alphaTests, joinTests, newBinds, err := b.compileCE(ce, tag, local, true)
-		if err != nil {
-			return nil, err
-		}
-		am := b.nw.buildAlpha(ce.Class, alphaTests)
-		subCur = b.joinChild(subCur, KindJoin, am, joinTests, tag)
-		for v, bd := range newBinds {
-			local[v] = bd
-		}
-		b.ceTag++
+	for i := range sub {
+		subCur = b.joinChild(subCur, KindJoin, &sub[i])
 	}
-	ncc := b.newNode(&BetaNode{Kind: KindNCC, Parent: cur, BranchN: branchN, private: true})
-	partner := b.newNode(&BetaNode{Kind: KindNCCPartner, Parent: subCur, BranchN: branchN, private: true})
+	b.private = false
+	ncc := b.newNode(&BetaNode{Kind: KindNCC, Parent: cur, BranchN: b.posCount, private: true})
+	partner := b.newNode(&BetaNode{Kind: KindNCCPartner, Parent: subCur, BranchN: b.posCount, private: true})
 	ncc.Partner = partner
 	partner.Partner = ncc
 	b.attach(subCur, partner)
 	b.attach(cur, ncc)
-	return ncc, nil
+	return ncc
 }
 
-// joinChild finds or creates a join/not child of cur for the given right
-// input and tests.
-func (b *builder) joinChild(cur *BetaNode, kind BetaKind, am *AlphaMem, tests []JoinTest, rightCE int) *BetaNode {
+// joinChild finds or creates the join or not child of cur that takes c's
+// alpha memory as its right input and applies c's join tests.
+func (b *builder) joinChild(cur *BetaNode, kind BetaKind, c *cond) *BetaNode {
+	am := b.nw.buildAlpha(c.class, c.alpha)
+	tests := c.join
 	nEq := canonicalizeTests(tests)
 	if b.nw.Opts.LinearMemories {
 		nEq = 0 // no hash discrimination: scan the whole node memory
 	}
 	if b.shared && b.nw.Opts.ShareBeta {
 		for _, s := range b.nw.childrenOf(cur) {
-			if !s.private && s.Kind == kind && s.Alpha == am && s.RightCE == rightCE && sameTests(s.Tests, tests) {
+			if !s.private && s.Kind == kind && s.Alpha == am && s.RightCE == c.tag && sameTests(s.Tests, tests) {
 				// Sharing into a base node reuses it without any mutation:
 				// its refs stay as compiled (base nodes are permanent;
 				// excise skips them).
 				if !b.nw.inBase(s.ID) {
 					s.refs++
 				}
-				b.lastReused = s
 				b.info.SharedTwoInput++
 				return s
 			}
@@ -323,7 +409,7 @@ func (b *builder) joinChild(cur *BetaNode, kind BetaKind, am *AlphaMem, tests []
 		Kind:     kind,
 		Parent:   cur,
 		Alpha:    am,
-		RightCE:  rightCE,
+		RightCE:  c.tag,
 		Tests:    tests,
 		nEqTests: nEq,
 		private:  b.private,
@@ -376,154 +462,6 @@ func sameTests(a, c []JoinTest) bool {
 	return true
 }
 
-// compileCE splits a CE's attribute tests into alpha tests (constants,
-// disjunctions, intra-CE variable consistency) and join tests (variables
-// bound in earlier CEs). When bind is true, unbound equality variables bind
-// to this CE (tag); otherwise they are local wildcards (negated CEs).
-func (b *builder) compileCE(ce *ops5.CE, tag int, bindings map[value.Sym]Binding, bind bool) (alphaTests []AlphaTest, joinTests []JoinTest, newBinds map[value.Sym]Binding, err error) {
-	newBinds = make(map[value.Sym]Binding)
-	localFields := make(map[value.Sym]int) // var -> field within this CE
-	for _, at := range ce.Tests {
-		field, ok := b.nw.Reg.FieldIndex(ce.Class, at.Attr, true)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("rete: %s: unknown attribute", b.ast.Name)
-		}
-		for _, t := range at.Tests {
-			switch t.Kind {
-			case ops5.TestConst:
-				alphaTests = append(alphaTests, AlphaTest{Field: field, Pred: t.Pred, Val: t.Val})
-			case ops5.TestDisj:
-				alphaTests = append(alphaTests, AlphaTest{Field: field, Disj: t.Disj})
-			case ops5.TestVar:
-				switch {
-				case hasBinding(bindings, newBinds, t.Var):
-					bd := getBinding(bindings, newBinds, t.Var)
-					if bind && bd.CE == tag {
-						// bound earlier in this same CE: intra-wme test
-						alphaTests = append(alphaTests, AlphaTest{Field: field, Pred: t.Pred, VsField: true, Other: bd.Field})
-					} else {
-						joinTests = append(joinTests, JoinTest{RightField: field, LeftCE: bd.CE, LeftField: bd.Field, Pred: t.Pred})
-					}
-				case hasLocal(localFields, t.Var):
-					alphaTests = append(alphaTests, AlphaTest{Field: field, Pred: t.Pred, VsField: true, Other: localFields[t.Var]})
-				case t.Pred != value.PredEq:
-					return nil, nil, nil, fmt.Errorf("rete: %s: predicate %v on unbound variable <%s>", b.ast.Name, t.Pred, b.nw.Tab.Name(t.Var))
-				case bind:
-					if b.negVars[t.Var] {
-						return nil, nil, nil, fmt.Errorf("rete: %s: variable <%s> first bound in a negated condition", b.ast.Name, b.nw.Tab.Name(t.Var))
-					}
-					newBinds[t.Var] = Binding{CE: tag, Field: field}
-					localFields[t.Var] = field
-				default:
-					// wildcard local to a negated CE
-					b.negVars[t.Var] = true
-					localFields[t.Var] = field
-				}
-			}
-		}
-	}
-	return alphaTests, joinTests, newBinds, nil
-}
-
-func hasBinding(a, b map[value.Sym]Binding, v value.Sym) bool {
-	if _, ok := a[v]; ok {
-		return true
-	}
-	_, ok := b[v]
-	return ok
-}
-
-func getBinding(a, b map[value.Sym]Binding, v value.Sym) Binding {
-	if bd, ok := b[v]; ok {
-		return bd
-	}
-	return a[v]
-}
-
-func hasLocal(m map[value.Sym]int, v value.Sym) bool {
-	_, ok := m[v]
-	return ok
-}
-
-// checkRHS validates action CE references and variable uses, and records
-// the mapping from 1-based LHS positions to token CE tags.
-func checkRHS(p *Production, nw *Network) error {
-	ast := p.AST
-	posTag := make([]int, len(ast.LHS)) // LHS index -> tag or -1
-	elem := make(map[value.Sym]int)
-	tag := 0
-	for i, ci := range ast.LHS {
-		switch ci.Kind {
-		case ops5.CondPos:
-			posTag[i] = tag
-			if ci.ElemVar != 0 {
-				if _, dup := elem[ci.ElemVar]; dup {
-					return fmt.Errorf("rete: %s: element variable <%s> bound twice", p.Name, nw.Tab.Name(ci.ElemVar))
-				}
-				elem[ci.ElemVar] = tag
-			}
-			tag++
-		case ops5.CondNCC:
-			posTag[i] = -1
-			tag += len(ci.Sub)
-		default:
-			posTag[i] = -1
-		}
-	}
-	bound := make(map[value.Sym]bool, len(p.Bindings))
-	for v := range p.Bindings {
-		bound[v] = true
-	}
-	var checkExpr func(e *ops5.Expr) error
-	checkExpr = func(e *ops5.Expr) error {
-		if e == nil {
-			return nil
-		}
-		if e.Kind == ops5.ExprVar && !bound[e.Var] {
-			return fmt.Errorf("rete: %s: unbound variable <%s> in RHS", p.Name, nw.Tab.Name(e.Var))
-		}
-		if err := checkExpr(e.L); err != nil {
-			return err
-		}
-		return checkExpr(e.R)
-	}
-	for _, a := range ast.RHS {
-		switch a.Kind {
-		case ops5.ActRemove, ops5.ActModify:
-			if a.Elem != 0 {
-				if _, ok := elem[a.Elem]; !ok {
-					return fmt.Errorf("rete: %s: unbound element variable <%s>", p.Name, nw.Tab.Name(a.Elem))
-				}
-				break
-			}
-			if a.CE < 1 || a.CE > len(ast.LHS) {
-				return fmt.Errorf("rete: %s: action references CE %d of %d", p.Name, a.CE, len(ast.LHS))
-			}
-			if posTag[a.CE-1] < 0 {
-				return fmt.Errorf("rete: %s: action references negated CE %d", p.Name, a.CE)
-			}
-		case ops5.ActBind:
-			if err := checkExpr(a.Expr); err != nil {
-				return err
-			}
-			bound[a.Var] = true
-		}
-		for _, s := range a.Sets {
-			if err := checkExpr(s.Expr); err != nil {
-				return err
-			}
-		}
-		for _, e := range a.Args {
-			if err := checkExpr(e); err != nil {
-				return err
-			}
-		}
-	}
-	p.ActionCE = posTag
-	p.ElemCE = elem
-	return nil
-}
-
 // ---- bilinear organization (paper Figure 6-8) ----
 
 // useBilinear decides whether this production compiles into the
@@ -559,9 +497,8 @@ func (b *builder) linearChainLen() int {
 }
 
 // bilinearApplicable reports whether this production can use the
-// constrained bilinear shape: enough positive CEs, no NCCs, and every
-// in-group negation's variables resolvable (checked during build; here we
-// apply the cheap structural tests).
+// constrained bilinear shape: more positive CEs than the context and one
+// group hold, and no NCCs.
 func (b *builder) bilinearApplicable() bool {
 	pos := 0
 	for _, ci := range b.ast.LHS {
@@ -575,302 +512,196 @@ func (b *builder) bilinearApplicable() bool {
 	return pos > b.nw.Opts.ContextCEs+b.nw.Opts.GroupCEs
 }
 
-// buildBilinear builds: a linear context prefix, per-group sub-chains
-// constrained by the context, a chain of beta×beta pair joins combining the
-// group results, and trailing negations on the combined line.
-func (b *builder) buildBilinear() (*BetaNode, error) {
+// groupScope places a restructured production's conditions, compiled
+// against each variable's first binding, into the CEs a bilinear group can
+// see: the context's and its own. A join test against a CE of another
+// group becomes a pair test, applied where the two groups meet; the first
+// equality such test also binds the variable again inside the group, and
+// the group's later tests of it join against that CE instead. A pair test
+// reads its variable at its latest binding in an earlier group.
+type groupScope struct {
+	ctxTags int                 // CE tags below this are the context's
+	group   int                 // the group placing conditions; -1 is the combined line
+	groupOf map[int]int         // positive CE tag -> its group
+	local   map[Binding]Binding // first binding -> where the current group binds it again
+	latest  map[Binding]Binding // first binding -> where a finished group last bound it again
+	pairs   []BBTest            // every group's pair tests, in build order
+}
+
+// at returns where the current group reads the variable first bound at
+// src. It reports false for another group's variable the group has not
+// bound again; the combined line reads every variable at its latest
+// binding.
+func (s *groupScope) at(src Binding) (Binding, bool) {
+	switch {
+	case s.group < 0:
+		if l, ok := s.latest[src]; ok {
+			return l, true
+		}
+		return src, true
+	case src.CE < s.ctxTags || s.groupOf[src.CE] == s.group:
+		return src, true
+	}
+	l, ok := s.local[src]
+	return l, ok
+}
+
+// place rescopes c for the current group. A positive CE's tests of foreign
+// variables go to s.pairs; a negation that tests one cannot be placed here
+// (false) and waits for the combined line.
+func (s *groupScope) place(c *cond) (cond, bool) {
+	out := cond{kind: c.kind, class: c.class, tag: c.tag, alpha: slices.Clip(c.alpha)}
+	for _, jt := range c.join {
+		src := Binding{CE: jt.LeftCE, Field: jt.LeftField}
+		l, ok := s.at(src)
+		switch {
+		case ok && l.CE == c.tag:
+			out.alpha = append(out.alpha, AlphaTest{Field: jt.RightField, Pred: jt.Pred, VsField: true, Other: l.Field})
+		case ok:
+			jt.LeftCE, jt.LeftField = l.CE, l.Field
+			out.join = append(out.join, jt)
+		case c.kind != ops5.CondPos:
+			return cond{}, false
+		default:
+			if last, ok := s.latest[src]; ok {
+				l = last
+			} else {
+				l = src
+			}
+			s.pairs = append(s.pairs, BBTest{LeftCE: l.CE, LeftField: l.Field, RightCE: c.tag, RightField: jt.RightField, Pred: jt.Pred})
+			if jt.Pred == value.PredEq {
+				s.local[src] = Binding{CE: c.tag, Field: jt.RightField}
+			}
+		}
+	}
+	return out, true
+}
+
+// buildBilinear builds Figure 6-8's shape: a linear context prefix of the
+// first ContextCEs positive CEs, the rest cut into groups of GroupCEs
+// positive CEs, each a sub-chain below the context, the groups' bottoms
+// combined by pair joins, and on the combined line the negations no group
+// could hold.
+func (b *builder) buildBilinear(conds []cond) *BetaNode {
 	b.shared = false // bilinear structures are private
 	b.private = true
-	ctxN := b.nw.Opts.ContextCEs
-	groupSz := b.nw.Opts.GroupCEs
-
-	// Split LHS: context items (first ctxN positive CEs and negs between
-	// them), group items, deferred negations.
-	var ctxItems []*ops5.CondItem
-	var rest []*ops5.CondItem
-	pos := 0
-	for _, ci := range b.ast.LHS {
-		if pos < ctxN {
-			ctxItems = append(ctxItems, ci)
-			if ci.Kind == ops5.CondPos {
-				pos++
-			}
-		} else {
-			rest = append(rest, ci)
-		}
+	var ctx *BetaNode
+	i := 0
+	for ; i < len(conds) && b.posCount < b.nw.Opts.ContextCEs; i++ {
+		ctx = b.addCond(ctx, &conds[i])
 	}
 
-	// Context chain.
-	var cur *BetaNode
-	for _, ci := range ctxItems {
-		var err error
-		switch ci.Kind {
-		case ops5.CondPos:
-			cur, err = b.addPositive(cur, ci.CE)
-		case ops5.CondNeg:
-			cur, err = b.addNegative(cur, ci.CE)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	ctxNode := cur
-	ctxCount := b.posCount
-
-	// Partition the rest into groups of positive CEs (negations stay with
-	// their group when their variables are context- or group-local, else
-	// they are deferred to the combined line).
+	// Cut the rest into groups of positive CEs, each negation with the
+	// group before it.
 	//
 	// Trailing-negation rule: a group is flushed lazily — only when the
 	// NEXT positive CE arrives — so a negation that textually follows a
-	// group's final (groupSz-th) positive CE attaches to that full group,
+	// group's final (GroupCEs-th) positive CE attaches to that full group,
 	// not to the one after it. This is deliberate, not an off-by-one: OPS5
 	// scopes a negation's variables to the conditions before it, so the
 	// group whose positives precede the negation is exactly the group whose
 	// bindings it may reference. Attaching it to the *next* group would
 	// make those bindings foreign and force every trailing negation onto
-	// the combined line (negResolvable would fail), serializing it behind
-	// the pair joins. TestBilinearTrailingNegationPlacement pins both the
-	// placement and linear-equivalence.
-	type group struct {
-		pos  []*ops5.CE
-		negs []*ops5.CE
-	}
+	// the combined line, serializing it behind the pair joins.
+	// TestBilinearTrailingNegationPlacement pins both the placement and
+	// linear-equivalence.
+	type group struct{ pos, negs []*cond }
 	var groups []group
-	var deferred []*ops5.CE
-	cg := group{}
-	for _, ci := range rest {
-		switch ci.Kind {
-		case ops5.CondPos:
-			if len(cg.pos) == groupSz {
-				groups = append(groups, cg)
-				cg = group{}
-			}
-			cg.pos = append(cg.pos, ci.CE)
-		case ops5.CondNeg:
-			cg.negs = append(cg.negs, ci.CE)
+	var open group
+	for ; i < len(conds); i++ {
+		c := &conds[i]
+		if c.kind == ops5.CondNeg {
+			open.negs = append(open.negs, c)
+			continue
 		}
+		if len(open.pos) == b.nw.Opts.GroupCEs {
+			groups = append(groups, open)
+			open = group{}
+		}
+		open.pos = append(open.pos, c)
 	}
-	if len(cg.pos) > 0 || len(cg.negs) > 0 {
-		groups = append(groups, cg)
-	}
+	groups = append(groups, open)
 
-	// Build each group chain off the context; collect cross-group tests.
-	// ceGroup records which group each positive CE tag compiled into — the
-	// balanced combine places each cross test at the pair join where its
-	// two groups first meet.
-	groupBinds := make([]map[value.Sym]Binding, len(groups))
-	ceGroup := make(map[int]int)
-	var bottoms []*BetaNode
-	var crossTests [][]BBTest // per group: tests vs earlier groups
+	s := &groupScope{ctxTags: b.posCount, groupOf: make(map[int]int), latest: make(map[Binding]Binding)}
 	for gi, g := range groups {
-		gb := make(map[value.Sym]Binding, len(b.bindings))
-		// Visible bindings: context bindings plus this group's own.
-		for v, bd := range b.bindings {
-			if bd.CE < ctxCount {
-				gb[v] = bd
-			}
+		for _, c := range g.pos {
+			s.groupOf[c.tag] = gi
 		}
-		gcur := ctxNode
-		var cross []BBTest
-		for _, ce := range g.pos {
-			tag := b.ceTag
-			ceGroup[tag] = gi
-			// Compile with group-visible bindings; cross-group variable
-			// references surface as unbound-or-foreign and become BB tests.
-			alphaTests, joinTests, bbs, newBinds, err := b.compileGroupCE(ce, tag, gb)
-			if err != nil {
-				return nil, err
-			}
-			cross = append(cross, bbs...)
-			am := b.nw.buildAlpha(ce.Class, alphaTests)
-			gcur = b.joinChild(gcur, KindJoin, am, joinTests, tag)
-			for v, bd := range newBinds {
-				gb[v] = bd
-				b.bindings[v] = bd
-			}
-			b.ceTag++
+	}
+	// Each group is a sub-chain below the context: its positive CEs, then
+	// the negations it can place.
+	bottoms := make([]*BetaNode, len(groups))
+	var deferred []*cond
+	for gi, g := range groups {
+		s.group, s.local = gi, make(map[Binding]Binding)
+		cur := ctx
+		for _, c := range g.pos {
+			gc, _ := s.place(c)
 			b.posCount++
+			cur = b.joinChild(cur, KindJoin, &gc)
 		}
-		// In-group negations: only if resolvable with group bindings.
-		for _, ce := range g.negs {
-			if b.negResolvable(ce, gb) {
-				alphaTests, joinTests, _, err := b.compileCE(ce, -1, gb, false)
-				if err != nil {
-					return nil, err
-				}
-				am := b.nw.buildAlpha(ce.Class, alphaTests)
-				gcur = b.joinChild(gcur, KindNot, am, joinTests, -1)
+		for _, c := range g.negs {
+			if gc, ok := s.place(c); ok {
+				cur = b.joinChild(cur, KindNot, &gc)
 			} else {
-				deferred = append(deferred, ce)
+				deferred = append(deferred, c)
 			}
 		}
-		groupBinds[gi] = gb
-		bottoms = append(bottoms, gcur)
-		crossTests = append(crossTests, cross)
+		bottoms[gi] = cur
+		maps.Copy(s.latest, s.local)
 	}
+	main := b.combine(bottoms, 0, len(bottoms)-1, s)
+	s.group = -1
+	for _, c := range deferred {
+		gc, _ := s.place(c)
+		main = b.joinChild(main, KindNot, &gc)
+	}
+	return main
+}
 
-	// Pair-join the group bottoms. The fixed Bilinear organization chains
-	// them left to right (Fig 6-8's shape: depth ctx + group + G-1); the
-	// auto pass combines them with a balanced binary tree (depth ctx +
-	// group + ceil(log2 G)) — the bounded-depth structure that shortens
-	// the dependent activation chain the paper names as the second
-	// parallelism limiter.
-	if len(bottoms) == 0 {
-		return ctxNode, nil
+// combine joins the group bottoms lo..hi with pair joins: under Bilinear
+// the left spine of Figure 6-8, each group joined onto all before it
+// (depth context + group + G-1); under BilinearAuto a balanced binary tree
+// (depth context + group + ceil(log2 G)) — the bounded depth that shortens
+// the dependent activation chain the paper names as the second parallelism
+// limiter. A pair test reads a group to the left of its own (see
+// groupScope), so exactly one pair join has its left group in its left
+// input and its right group in its right input: the test sits there. Tokens
+// are pairs of pairs; ctxOf/ancestorAt/stripAbove descend the left spine,
+// where the shared context always lives.
+func (b *builder) combine(bottoms []*BetaNode, lo, hi int, s *groupScope) *BetaNode {
+	if lo == hi {
+		return bottoms[lo]
 	}
-	var main *BetaNode
+	mid := hi - 1
 	if b.nw.Opts.Organization == BilinearAuto {
-		main = b.combineBalanced(bottoms, crossTests, ceGroup, ctxCount)
-	} else {
-		main = bottoms[0]
-		for gi := 1; gi < len(bottoms); gi++ {
-			tests := crossTests[gi]
-			nEq := canonicalizeBB(tests)
-			if b.nw.Opts.LinearMemories {
-				nEq = 0
-			}
-			bb := b.newNode(&BetaNode{
-				Kind:        KindJoinBB,
-				Parent:      main,
-				RightParent: bottoms[gi],
-				BBTests:     tests,
-				nEqTests:    nEq,
-				BranchN:     ctxCount,
-				private:     true,
-			})
-			b.attach(main, bb)
-			b.attach(bottoms[gi], bb)
-			main = bb
+		mid = (lo + hi) / 2
+	}
+	left := b.combine(bottoms, lo, mid, s)
+	right := b.combine(bottoms, mid+1, hi, s)
+	var tests []BBTest
+	for _, t := range s.pairs {
+		lg, rg := s.groupOf[t.LeftCE], s.groupOf[t.RightCE]
+		if lg >= lo && lg <= mid && rg > mid && rg <= hi {
+			tests = append(tests, t)
 		}
 	}
-	// Note: cross tests of group 0 are impossible (no earlier group).
-
-	// Deferred negations on the combined line.
-	for _, ce := range deferred {
-		var err error
-		main, err = b.addNegative(main, ce)
-		if err != nil {
-			return nil, err
-		}
+	nEq := canonicalizeBB(tests)
+	if b.nw.Opts.LinearMemories {
+		nEq = 0
 	}
-	return main, nil
-}
-
-// combineBalanced builds a balanced binary pair-join tree over the group
-// bottoms. Every cross-group test has LeftCE bound in an earlier group
-// than RightCE (compileGroupCE only emits a BB test for a variable bound
-// in a prior group), so for each test there is exactly one tree node where
-// its left group falls in the left subtree and its right group in the
-// right subtree — the LCA of the two groups — and the test is applied
-// there. Tokens are pairs of pairs; ctxOf/ancestorAt/stripAbove descend
-// the left spine, where the shared context always lives.
-func (b *builder) combineBalanced(bottoms []*BetaNode, crossTests [][]BBTest, ceGroup map[int]int, ctxCount int) *BetaNode {
-	var all []BBTest
-	for _, ts := range crossTests {
-		all = append(all, ts...)
-	}
-	var combine func(lo, hi int) *BetaNode
-	combine = func(lo, hi int) *BetaNode {
-		if lo == hi {
-			return bottoms[lo]
-		}
-		mid := (lo + hi) / 2
-		left := combine(lo, mid)
-		right := combine(mid+1, hi)
-		var tests []BBTest
-		for _, t := range all {
-			lg, rg := ceGroup[t.LeftCE], ceGroup[t.RightCE]
-			if lg >= lo && lg <= mid && rg > mid && rg <= hi {
-				tests = append(tests, t)
-			}
-		}
-		nEq := canonicalizeBB(tests)
-		if b.nw.Opts.LinearMemories {
-			nEq = 0
-		}
-		bb := b.newNode(&BetaNode{
-			Kind:        KindJoinBB,
-			Parent:      left,
-			RightParent: right,
-			BBTests:     tests,
-			nEqTests:    nEq,
-			BranchN:     ctxCount,
-			private:     true,
-		})
-		b.attach(left, bb)
-		b.attach(right, bb)
-		return bb
-	}
-	return combine(0, len(bottoms)-1)
-}
-
-// compileGroupCE is compileCE for bilinear groups: references to variables
-// bound in *other groups* become BB tests at the pair join.
-func (b *builder) compileGroupCE(ce *ops5.CE, tag int, gb map[value.Sym]Binding) (alphaTests []AlphaTest, joinTests []JoinTest, bbs []BBTest, newBinds map[value.Sym]Binding, err error) {
-	newBinds = make(map[value.Sym]Binding)
-	localFields := make(map[value.Sym]int)
-	for _, at := range ce.Tests {
-		field, ok := b.nw.Reg.FieldIndex(ce.Class, at.Attr, true)
-		if !ok {
-			return nil, nil, nil, nil, fmt.Errorf("rete: %s: unknown attribute", b.ast.Name)
-		}
-		for _, t := range at.Tests {
-			switch t.Kind {
-			case ops5.TestConst:
-				alphaTests = append(alphaTests, AlphaTest{Field: field, Pred: t.Pred, Val: t.Val})
-			case ops5.TestDisj:
-				alphaTests = append(alphaTests, AlphaTest{Field: field, Disj: t.Disj})
-			case ops5.TestVar:
-				switch {
-				case hasBinding(gb, newBinds, t.Var):
-					bd := getBinding(gb, newBinds, t.Var)
-					if bd.CE == tag {
-						alphaTests = append(alphaTests, AlphaTest{Field: field, Pred: t.Pred, VsField: true, Other: bd.Field})
-					} else {
-						joinTests = append(joinTests, JoinTest{RightField: field, LeftCE: bd.CE, LeftField: bd.Field, Pred: t.Pred})
-					}
-				case hasLocal(localFields, t.Var):
-					alphaTests = append(alphaTests, AlphaTest{Field: field, Pred: t.Pred, VsField: true, Other: localFields[t.Var]})
-				default:
-					if bd, ok := b.bindings[t.Var]; ok {
-						// Bound in an earlier group: cross-group test.
-						bbs = append(bbs, BBTest{LeftCE: bd.CE, LeftField: bd.Field, RightCE: tag, RightField: field, Pred: t.Pred})
-						if t.Pred == value.PredEq {
-							newBinds[t.Var] = Binding{CE: tag, Field: field}
-							localFields[t.Var] = field
-						}
-						continue
-					}
-					if t.Pred != value.PredEq {
-						return nil, nil, nil, nil, fmt.Errorf("rete: %s: predicate %v on unbound variable", b.ast.Name, t.Pred)
-					}
-					newBinds[t.Var] = Binding{CE: tag, Field: field}
-					localFields[t.Var] = field
-				}
-			}
-		}
-	}
-	return alphaTests, joinTests, bbs, newBinds, nil
-}
-
-// negResolvable reports whether every bound-variable reference in a
-// negated CE is available in the given bindings.
-func (b *builder) negResolvable(ce *ops5.CE, gb map[value.Sym]Binding) bool {
-	for _, at := range ce.Tests {
-		for _, t := range at.Tests {
-			if t.Kind != ops5.TestVar {
-				continue
-			}
-			if _, ok := gb[t.Var]; ok {
-				continue
-			}
-			if _, ok := b.bindings[t.Var]; ok {
-				return false // bound only in a foreign group
-			}
-		}
-	}
-	return true
+	bb := b.newNode(&BetaNode{
+		Kind:        KindJoinBB,
+		Parent:      left,
+		RightParent: right,
+		BBTests:     tests,
+		nEqTests:    nEq,
+		BranchN:     s.ctxTags,
+		private:     true,
+	})
+	b.attach(left, bb)
+	b.attach(right, bb)
+	return bb
 }
 
 func canonicalizeBB(tests []BBTest) int {

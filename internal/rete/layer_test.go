@@ -337,10 +337,10 @@ func naiveCS(prods []*ops5.Production, skip *ops5.Production, live []*wme.WME, r
 }
 
 // TestRejectedAddLeavesNetworkUnchanged pins AddProduction's all-or-nothing
-// contract: a production rejected after some of its nodes were built — by
-// checkRHS, or by a condition that fails to compile mid-chain — leaves no
-// node, memory, reference or ID behind, on an owned network and on a session
-// layer over a shared base alike.
+// contract: a production rejected by checkRHS, or by a condition that fails
+// to compile after conditions that would share a join or grow the alpha
+// network, leaves no node, memory, reference or ID behind, on an owned
+// network and on a session layer over a shared base alike.
 func TestRejectedAddLeavesNetworkUnchanged(t *testing.T) {
 	const (
 		decls = "(literalize a x y)\n(literalize b x)\n"
@@ -348,10 +348,11 @@ func TestRejectedAddLeavesNetworkUnchanged(t *testing.T) {
 		good  = "(p good (a ^x <v> ^y blue) (b ^x <v>) (a ^y 9) --> (make o))"
 	)
 	rejected := map[string]string{
-		// The issue's reproduction: both joins are built before checkRHS runs.
+		// Two joins' worth of conditions before an RHS that reads an
+		// unbound variable.
 		"rhs": "(p bad (a ^x <v>) (a ^y <v>) --> (make a ^x <nope>))",
-		// Shares keep's first join (taking a reference), grows the alpha
-		// network (^y 7, class c) and only then fails to compile.
+		// Would share keep's first join and grow the alpha network (^y 7,
+		// class c) before the condition that fails to compile.
 		"mid-build": "(p bad (a ^x <v> ^y blue) (a ^y 7 ^x <v>) (c ^z 1) (b ^x > <w>) --> (make o))",
 		"ncc":       "(p bad (a ^x <v> ^y blue) -{ (b ^x <v>) (a ^y <v>) } (b ^x > <w>) --> (make o))",
 	}

@@ -2,7 +2,6 @@ package rete
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"strconv"
 	"sync"
@@ -233,10 +232,7 @@ func (nw *Network) buildAlpha(class value.Sym, tests []AlphaTest) *AlphaMem {
 		return am
 	}
 	key := string(kb)
-	cur := nw.base.roots[class]
-	if cur == nil {
-		cur = own.roots[class]
-	}
+	cur := nw.alphaRoot(class)
 	if cur == nil {
 		cur = &AlphaNode{ID: nw.newID()}
 		own.roots[class] = cur
@@ -283,43 +279,13 @@ func findAlphaChild(kids []*AlphaNode, t AlphaTest) *AlphaNode {
 	return nil
 }
 
-// pruneAlpha drops from the own layer every alpha node and memory numbered
-// above keep: what a rejected production created (see builder.rollback). IDs
-// grow monotonically and alpha nodes are never removed otherwise, so in every
-// child list the newcomers are a suffix. It walks the whole own layer, which
-// a rejected production can afford and an accepted one never pays for.
-func (nw *Network) pruneAlpha(keep NodeID) {
-	own := &nw.own
-	var prune func(n *AlphaNode)
-	prune = func(n *AlphaNode) {
-		if n.Mem != nil && n.Mem.ID > keep {
-			n.Mem = nil
-		}
-		for k := len(n.Children); k > 0 && n.Children[k-1].ID > keep; k-- {
-			n.dropLastChild()
-		}
-		for _, c := range n.Children {
-			prune(c)
-		}
+// alphaRoot returns the constant-test tree of a class: the base's, or the
+// own layer's for a class the base has none for.
+func (nw *Network) alphaRoot(class value.Sym) *AlphaNode {
+	if root := nw.base.roots[class]; root != nil {
+		return root
 	}
-	for cls, root := range own.roots {
-		if root.ID > keep {
-			delete(own.roots, cls)
-		} else {
-			prune(root)
-		}
-	}
-	for id, kids := range own.alphaKids {
-		for len(kids) > 0 && kids[len(kids)-1].ID > keep {
-			kids = kids[:len(kids)-1]
-		}
-		own.alphaKids[id] = kids
-		for _, c := range kids {
-			prune(c)
-		}
-	}
-	maps.DeleteFunc(own.alphaMemAt, func(_ NodeID, am *AlphaMem) bool { return am.ID > keep })
-	maps.DeleteFunc(own.alphaMems, func(_ string, am *AlphaMem) bool { return am.ID > keep })
+	return nw.own.roots[class]
 }
 
 // InjectFn receives the right activations produced by an alpha-network
@@ -331,25 +297,25 @@ type InjectFn func(n *BetaNode, w *wme.WME, op wme.Op)
 // inline (one-input nodes are cheap; the tasks PSM-E schedules are the
 // two-input activations — paper §2.2/§2.3).
 func (nw *Network) Inject(d wme.Delta, emit InjectFn) {
-	root := nw.base.roots[d.WME.Class]
-	if root == nil {
-		root = nw.own.roots[d.WME.Class]
-	}
-	if root != nil {
-		nw.walkAlpha(root, d, emit)
+	if root := nw.alphaRoot(d.WME.Class); root != nil {
+		nw.walkAlpha(root, d, nil, emit)
 	}
 }
 
-func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, emit InjectFn) {
+// walkAlpha is the one alpha walk: it runs d down the tree below n and
+// emits a right activation at every two-input node fed by a memory d
+// reaches. upd is nil for a match; a state update's walk keeps to upd's
+// paths and emits only at its new nodes (see InjectUpdate).
+func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, upd *AddInfo, emit InjectFn) {
 	own := &nw.own
-	if n.Mem != nil {
-		for _, succ := range n.Mem.Succs {
+	if am := n.Mem; am != nil && upd.walks(am.ID) {
+		for _, succ := range upd.reached(am.Succs) {
 			emit(succ, d.WME, d.Op)
 		}
 		if own.alphaSuccs != nil {
 			// Own-layer joins taking right input from this base memory (an
 			// own memory's successors are all in Succs above).
-			for _, succ := range own.alphaSuccs[n.Mem.ID] {
+			for _, succ := range upd.reached(own.alphaSuccs[am.ID]) {
 				emit(succ, d.WME, d.Op)
 			}
 		}
@@ -360,29 +326,35 @@ func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, emit InjectFn) {
 		nw.Stats.ConstTests.Add(1)
 		if c, ok := n.eqKids[alphaEqKey{field: f, val: d.WME.Field(f)}]; ok {
 			nw.Stats.AlphaHits.Add(1)
-			nw.walkAlpha(c, d, emit)
+			if upd.walks(c.ID) {
+				nw.walkAlpha(c, d, upd, emit)
+			}
 		} else {
 			nw.Stats.AlphaMisses.Add(1)
 		}
 	}
 	for _, c := range n.linear {
-		nw.Stats.ConstTests.Add(1)
-		if c.Test.matches(d.WME.Field) {
-			nw.walkAlpha(c, d, emit)
+		if upd.walks(c.ID) {
+			nw.Stats.ConstTests.Add(1)
+			if c.Test.matches(d.WME.Field) {
+				nw.walkAlpha(c, d, upd, emit)
+			}
 		}
 	}
 	if own.alphaKids != nil && nw.inBase(n.ID) {
 		// What the own layer spliced at this base node: a memory beside an
 		// interior node, and constant-test children.
-		if am := own.alphaMemAt[n.ID]; am != nil {
-			for _, succ := range am.Succs {
+		if am := own.alphaMemAt[n.ID]; am != nil && upd.walks(am.ID) {
+			for _, succ := range upd.reached(am.Succs) {
 				emit(succ, d.WME, d.Op)
 			}
 		}
 		for _, c := range own.alphaKids[n.ID] {
-			nw.Stats.ConstTests.Add(1)
-			if c.Test.matches(d.WME.Field) {
-				nw.walkAlpha(c, d, emit)
+			if upd.walks(c.ID) {
+				nw.Stats.ConstTests.Add(1)
+				if c.Test.matches(d.WME.Field) {
+					nw.walkAlpha(c, d, upd, emit)
+				}
 			}
 		}
 	}

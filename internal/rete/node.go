@@ -120,17 +120,6 @@ func (n *AlphaNode) indexChild(c *AlphaNode) {
 	n.eqFields = append(n.eqFields, c.Test.Field)
 }
 
-// dropLastChild undoes the latest Children append and its indexChild (see
-// pruneAlpha). The index is rebuilt from the remaining children in order,
-// which is how it was built, so it comes out as it was.
-func (n *AlphaNode) dropLastChild() {
-	n.Children = n.Children[:len(n.Children)-1]
-	n.eqKids, n.eqFields, n.linear = nil, nil, nil
-	for _, c := range n.Children {
-		n.indexChild(c)
-	}
-}
-
 // AlphaMem is the terminus of an alpha path. It does not store wmes itself:
 // per the PSM-E hashed-memory design, right state lives in the global right
 // hash table keyed by destination two-input node. The memory's job is to
