@@ -76,7 +76,7 @@ func main() {
 	unlink := flag.Bool("unlink", true, "left/right unlinking in the capture engines (pass -unlink=false to reproduce the paper's full task volume: its engine scheduled every null activation)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the captured runs")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
-	listen := flag.String("listen", "", "serve /metrics, /trace/last-cycle and /debug/pprof while experiments run (e.g. :6060)")
+	listen := flag.String("listen", "", "serve /metrics and /debug/pprof while experiments run (e.g. :6060)")
 	flag.Parse()
 	plotFigures = *plot
 
@@ -85,8 +85,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	// An interrupt mid-run still flushes complete -trace/-metrics files.
+	// An interrupt mid-run still flushes complete -trace/-metrics files,
+	// and so does a run that fails.
 	flush = obs.FlushOnInterrupt(flush)
+	fail := func(code int, msg ...any) {
+		fmt.Fprintln(os.Stderr, append([]any{"experiments:"}, msg...)...)
+		if err := flush(); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+		}
+		os.Exit(code)
+	}
 
 	l := exp.NewLab()
 	l.SetObserver(observer)
@@ -105,15 +113,13 @@ func main() {
 		start := time.Now()
 		text, err := r.fn(l)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.id, err)
-			os.Exit(1)
+			fail(1, r.id+":", err)
 		}
 		fmt.Printf("==== %s (%s) ====\n%s\n", r.id, r.desc, text)
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", r.id, time.Since(start).Round(time.Millisecond))
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *which)
-		os.Exit(2)
+		fail(2, fmt.Sprintf("unknown experiment %q", *which))
 	}
 	if err := flush(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -27,7 +27,7 @@ func main() {
 	network := flag.Bool("network", false, "print the compiled Rete network and exit")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
-	listen := flag.String("listen", "", "serve /metrics, /trace/last-cycle and /debug/pprof on this address (e.g. :6060)")
+	listen := flag.String("listen", "", "serve /metrics and /debug/pprof on this address (e.g. :6060)")
 	faultSeed := flag.Int64("fault-seed", 0, "inject a seeded fault schedule into the match workers (0 = off); failed cycles recover via the serial fallback")
 	deadline := flag.Duration("deadline", 0, "per-cycle quiescence watchdog deadline (0 = off)")
 	flag.Parse()
@@ -47,8 +47,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "psme:", err)
 		os.Exit(1)
 	}
-	// An interrupt mid-run still flushes complete -trace/-metrics files.
+	// An interrupt mid-run still flushes complete -trace/-metrics files,
+	// and so does a run that fails.
 	flush = obs.FlushOnInterrupt(flush)
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "psme:", err)
+		if err := flush(); err != nil {
+			fmt.Fprintln(os.Stderr, "psme:", err)
+		}
+		os.Exit(1)
+	}
 
 	cfg := engine.DefaultConfig()
 	cfg.Processes = *procs
@@ -63,8 +71,7 @@ func main() {
 
 	e := engine.New(cfg)
 	if err := e.LoadProgram(string(src)); err != nil {
-		fmt.Fprintln(os.Stderr, "psme:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	if *network {
 		fmt.Print(e.NW.FormatNetwork())
@@ -72,8 +79,7 @@ func main() {
 	}
 	fired, err := e.RunOPS5()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "psme:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf(";; %d firings, halted=%v, wm=%d wmes\n", fired, e.Halted(), e.WM.Len())
 	if *showStats {

@@ -72,8 +72,8 @@ func main() {
 	flag.Parse()
 
 	// Without -metrics or -listen there is no observer: nothing could read
-	// it. The only trace is -listen's bounded live one: a trace kept whole
-	// for a file written at exit would grow for the daemon's whole life.
+	// it. Neither builds a tracer: the daemon's trace is each session's
+	// flight ring, served at /debug/match/flight.
 	observer, flush, err := obs.Setup("", *metricsOut, *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psmed:", err)

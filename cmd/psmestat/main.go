@@ -237,7 +237,7 @@ func renderDump(d *matchprof.Dump, top int) {
 		fmt.Printf("  cycle %-6d tasks=%-6d workers=%-2d wall=%.0fus depth<=%d%s\n",
 			c.Cycle, c.Tasks, c.Workers, c.DurUS, maxDepth(c.Trace), status)
 	}
-	fmt.Printf("\n%d trace events (load the dump file in chrome://tracing: wall-clock lanes if a tracer was attached, else the modeled timeline)\n", len(d.Events))
+	fmt.Printf("\n%d trace events (load the dump file in chrome://tracing: each worker lane replays its tasks at their modeled cost)\n", len(d.Events))
 	if d.Snapshot != nil {
 		fmt.Println()
 		renderSnapshot(d.Snapshot, top)

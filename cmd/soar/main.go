@@ -34,10 +34,26 @@ func main() {
 	dtrace := flag.Bool("dtrace", false, "print decision-level trace")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
-	listen := flag.String("listen", "", "serve /metrics, /trace/last-cycle and /debug/pprof on this address (e.g. :6060)")
+	listen := flag.String("listen", "", "serve /metrics and /debug/pprof on this address (e.g. :6060)")
 	faultSeed := flag.Int64("fault-seed", 0, "inject a seeded fault schedule into the match workers (0 = off); failed cycles recover via the serial fallback")
 	deadline := flag.Duration("deadline", 0, "per-cycle quiescence watchdog deadline (0 = off)")
 	flag.Parse()
+
+	observer, flush, err := obs.Setup(*traceOut, *metricsOut, *listen)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "soar:", err)
+		os.Exit(1)
+	}
+	// An interrupt mid-run still flushes complete -trace/-metrics files,
+	// and so does a run that fails.
+	flush = obs.FlushOnInterrupt(flush)
+	fail := func(code int, msg ...any) {
+		fmt.Fprintln(os.Stderr, append([]any{"soar:"}, msg...)...)
+		if err := flush(); err != nil {
+			fmt.Fprintln(os.Stderr, "soar:", err)
+		}
+		os.Exit(code)
+	}
 
 	mkTask := func() *soar.Task {
 		// Accept both "eight-puzzle" and "eightpuzzle" spellings.
@@ -51,18 +67,9 @@ func main() {
 		case "blocks":
 			return blocks.Default()
 		}
-		fmt.Fprintf(os.Stderr, "soar: unknown task %q\n", *taskName)
-		os.Exit(2)
+		fail(2, fmt.Sprintf("unknown task %q", *taskName))
 		return nil
 	}
-
-	observer, flush, err := obs.Setup(*traceOut, *metricsOut, *listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "soar:", err)
-		os.Exit(1)
-	}
-	// An interrupt mid-run still flushes complete -trace/-metrics files.
-	flush = obs.FlushOnInterrupt(flush)
 
 	cfg := soar.Config{Engine: engine.DefaultConfig(), Chunking: *chunking, MaxDecisions: *decisions}
 	cfg.Engine.Processes = *procs
@@ -78,21 +85,18 @@ func main() {
 	run := func(label string, seed *soar.Agent) *soar.Agent {
 		a, err := soar.New(cfg, mkTask())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "soar:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		if seed != nil {
 			n, err := a.AdoptChunks(seed)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "soar: chunk transfer:", err)
-				os.Exit(1)
+				fail(1, "chunk transfer:", err)
 			}
 			fmt.Printf(";; transferred %d chunks\n", n)
 		}
 		res, err := a.Run()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "soar:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		fmt.Printf(";; %s: solved=%v decisions=%d elab-cycles=%d chunks-built=%d\n",
 			label, res.Halted, res.Decisions, res.ElabCycles, res.ChunksBuilt)
@@ -109,8 +113,7 @@ func main() {
 	first := run(fmt.Sprintf("%s (%s, %d procs)", *taskName, mode, *procs), nil)
 	if *after {
 		if !*chunking {
-			fmt.Fprintln(os.Stderr, "soar: -after requires -chunking")
-			os.Exit(2)
+			fail(2, "-after requires -chunking")
 		}
 		run(fmt.Sprintf("%s (after chunking)", *taskName), first)
 	}

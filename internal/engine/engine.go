@@ -421,9 +421,6 @@ func (e *Engine) ApplyAndMatch(deltas []wme.Delta) prun.CycleStats {
 		e.OnApply(applied)
 	}
 	var start time.Time
-	if e.obs != nil {
-		e.obs.Tracer().MarkCycle()
-	}
 	if e.obs != nil || e.Prof != nil {
 		start = time.Now()
 	}
@@ -441,10 +438,13 @@ func (e *Engine) ApplyAndMatch(deltas []wme.Delta) prun.CycleStats {
 		e.mCycles.Inc()
 		e.mWMEChanges.Add(uint64(len(applied)))
 		e.mCycleSecs.Observe(d.Seconds())
-		e.obs.Tracer().Complete(0, 0, "match-cycle", "cycle", start, d, map[string]any{
-			"tasks": cs.Tasks, "wme-changes": len(applied), "modeled-us": cs.TotalCost,
-			"failed-pops": cs.FailedPops, "term-probes": cs.TermProbes, "steals": cs.Steals,
-		})
+		// Only a -trace run has a tracer; a served cycle builds no span args.
+		if trc := e.obs.Tracer(); trc != nil {
+			trc.Complete(0, 0, "match-cycle", "cycle", start, d, map[string]any{
+				"tasks": cs.Tasks, "wme-changes": len(applied), "modeled-us": cs.TotalCost,
+				"failed-pops": cs.FailedPops, "term-probes": cs.TermProbes, "steals": cs.Steals,
+			})
+		}
 	}
 	cs = e.endCycle(cs, start)
 	e.cycles++

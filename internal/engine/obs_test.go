@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // that the pipeline hooks actually fire: match counters, the cycle
 // histogram, the contention harvest, and the trace spans.
 func TestObservability(t *testing.T) {
-	o := obs.New()
+	o := &obs.Observer{Reg: obs.NewRegistry(), Trc: obs.NewTracer()}
 	cfg := DefaultConfig()
 	cfg.Processes = 4
 	cfg.Obs = o
@@ -60,12 +61,16 @@ func TestObservability(t *testing.T) {
 		}
 	}
 
-	if o.Trc.Len() == 0 {
-		t.Fatal("tracer collected no events")
-	}
 	var buf bytes.Buffer
 	if err := o.Trc.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	var events []obs.Event
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatal("tracer collected no events")
 	}
 	out := buf.String()
 	for _, want := range []string{`"match-cycle"`, `"ph":"X"`, `"cat":"task"`} {
@@ -89,7 +94,7 @@ func TestObservability(t *testing.T) {
 // TestObservabilityRuntimeAddition checks the run-time addition hooks:
 // splice timing, chunk counter and the state-update span.
 func TestObservabilityRuntimeAddition(t *testing.T) {
-	o := obs.New()
+	o := &obs.Observer{Reg: obs.NewRegistry(), Trc: obs.NewTracer()}
 	cfg := DefaultConfig()
 	cfg.Obs = o
 	var out bytes.Buffer

@@ -25,12 +25,10 @@ type CycleDump struct {
 
 // Dump is a flight-recorder dump: the retained cycles around an anomaly,
 // rendered both structurally (Cycles) and as Chrome trace events
-// (TraceEvents, by the same renderer as the live tracer: wall-clock lanes
-// when every retained task was timed — a tracer was attached — and
-// otherwise a modeled timeline, each worker lane replaying its tasks back
-// to back at their modeled cost). The top-level JSON object is directly
-// loadable in chrome://tracing / Perfetto, which treat the extra keys as
-// metadata.
+// (TraceEvents, by the same renderer as a -trace file, on the modeled
+// timeline: each worker lane replays its tasks back to back at their
+// modeled cost). The top-level JSON object is directly loadable in
+// chrome://tracing / Perfetto, which treat the extra keys as metadata.
 type Dump struct {
 	Reason    string      `json:"reason"`
 	Session   string      `json:"session,omitempty"`
@@ -53,17 +51,10 @@ func (p *Profile) tripLocked(reason string, cycle int64) *Dump {
 		TrippedAt: time.Now().UTC().Format(time.RFC3339Nano),
 		Cycle:     cycle,
 	}
-	// Wall-clock lanes only if every retained record was timed: a sampled
-	// record here and there must not scatter cycles across two timebases.
-	wall := true
 	for i := 0; i < p.ringN; i++ {
-		ev := p.retained(i)
-		d.Cycles = append(d.Cycles, cycleDump(ev))
-		for j := range ev.Stats.Trace {
-			wall = wall && ev.Stats.Trace[j].Start != 0
-		}
+		d.Cycles = append(d.Cycles, cycleDump(p.retained(i)))
 	}
-	d.Events = p.ringEvents(wall)
+	d.Events = p.ringEvents()
 	d.Snapshot = p.buildSnapshot(p.session, p.cycles)
 	p.mTrips.Inc()
 	if p.opts.FlightDir != "" {
@@ -111,26 +102,19 @@ func cycleDump(ev *CycleEvent) CycleDump {
 }
 
 // ringEvents renders the retained cycles through the runtime's one span
-// renderer and brackets each with a cycle span on tid 0. On the modeled
-// timeline cycles are laid end to end with a separator gap, so the same
-// ring always renders the same trace; on the wall-clock one they sit where
-// they ran, in µs on the process clock.
-func (p *Profile) ringEvents(wall bool) []obs.Event {
+// renderer on the modeled timeline and brackets each with a cycle span on
+// tid 0. Cycles are laid end to end with a separator gap, so the same ring
+// always renders the same trace.
+func (p *Profile) ringEvents() []obs.Event {
 	var evs []obs.Event
 	var end float64 // where the previous cycle ended
-	const gap = 100 // µs between modeled cycles, purely visual
+	const gap = 100 // µs between cycles, purely visual
 	for i := 0; i < p.ringN; i++ {
 		c := p.retained(i)
-		base, n0 := end, len(evs)
-		if wall {
-			base = 0
-		}
-		evs = prun.AppendSpans(evs, c.Stats.Trace, 0, base, wall)
-		lo, hi := end, end
-		for j, e := range evs[n0:] {
-			if j == 0 || e.Ts < lo {
-				lo = e.Ts
-			}
+		n0 := len(evs)
+		evs = prun.AppendSpans(evs, c.Stats.Trace, 0, end, false)
+		hi := end
+		for _, e := range evs[n0:] {
 			hi = max(hi, e.Ts+e.Dur)
 		}
 		name := fmt.Sprintf("cycle %d", c.Cycle)
@@ -139,11 +123,8 @@ func (p *Profile) ringEvents(wall bool) []obs.Event {
 			args["reason"] = c.Stats.Reason
 			name += " [" + c.Stats.Reason + "]"
 		}
-		evs = append(evs, obs.Event{Name: name, Cat: "cycle", Ph: "X", Ts: lo, Dur: hi - lo, Pid: 0, Tid: 0, Args: args})
-		end = hi
-		if !wall {
-			end += gap
-		}
+		evs = append(evs, obs.Event{Name: name, Cat: "cycle", Ph: "X", Ts: end, Dur: hi - end, Pid: 0, Tid: 0, Args: args})
+		end = hi + gap
 	}
 	return evs
 }

@@ -67,7 +67,7 @@ func TestConformanceWithProfiling(t *testing.T) {
 	for _, in := range []struct {
 		procs int
 		obs   *obs.Observer
-	}{{1, nil}, {4, nil}, {13, nil}, {4, obs.New()}} {
+	}{{1, nil}, {4, nil}, {13, nil}, {4, &obs.Observer{Reg: obs.NewRegistry(), Trc: obs.NewTracer()}}} {
 		procs, name := in.procs, fmt.Sprintf("procs=%d", in.procs)
 		if in.obs != nil {
 			name += "+obs"
@@ -357,7 +357,7 @@ func TestFoldMatchesNetStats(t *testing.T) {
 	for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 		for _, procs := range []int{1, 2, 4, 13} {
 			t.Run(fmt.Sprintf("%v/procs=%d", pol, procs), func(t *testing.T) {
-				o := obs.New()
+				o := &obs.Observer{Reg: obs.NewRegistry(), Trc: obs.NewTracer()}
 				ec := profiled(procs, &matchprof.Options{SampleEvery: 4})
 				ec.Policy, ec.Obs = pol, o
 				ec.Fault = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 60})
@@ -403,10 +403,11 @@ func TestFoldMatchesNetStats(t *testing.T) {
 	}
 }
 
-// One renderer: the task spans a reader gets from the live tracer and from
-// a flight dump of the same cycles are the same spans.
+// One renderer: the task spans a reader gets from a -trace file's tracer
+// (wall-clock) and from a flight dump of the same cycles (modeled) are the
+// same spans.
 func TestTracerAndFlightDumpRenderTheSameSpans(t *testing.T) {
-	o := obs.New()
+	o := &obs.Observer{Reg: obs.NewRegistry(), Trc: obs.NewTracer()}
 	ec := profiled(2, &matchprof.Options{FlightCycles: 64})
 	ec.Obs = o
 	e, _ := driveCypress(t, ec, 10, nil)

@@ -8,39 +8,32 @@ import (
 	"syscall"
 )
 
-// liveTraceLimit bounds every tracer that has no -trace file to write (New,
-// and Setup with -listen only): long-running serves stay at a fixed memory
-// footprint instead of accumulating one event per task.
-const liveTraceLimit = 1 << 16
-
 // Setup builds an Observer from the common CLI flag values: a Chrome-trace
 // output path (-trace), a Prometheus-text output path (-metrics), and a
 // diagnostics listen address (-listen). When all three are empty it returns
 // a nil Observer — callers pass it straight into the engine config and
-// every hook stays a no-op. The tracer is only attached when a trace sink
-// exists (-trace or -listen); -metrics alone collects no events.
+// every hook stays a no-op. The tracer is attached only for -trace, whose
+// file is its one reader; -metrics and -listen collect no events.
 //
 // The returned flush function writes the output files and shuts down the
-// server; call it once after the run (it is non-nil even when disabled).
+// server; call it once on every exit path after Setup, a failed run's
+// included (it is non-nil even when disabled).
 func Setup(tracePath, metricsPath, listen string) (*Observer, func() error, error) {
 	if tracePath == "" && metricsPath == "" && listen == "" {
 		return nil, func() error { return nil }, nil
 	}
 	o := &Observer{Reg: NewRegistry()}
-	if tracePath != "" || listen != "" {
+	if tracePath != "" {
 		o.Trc = NewTracer()
-		if tracePath == "" {
-			o.Trc.SetLimit(liveTraceLimit)
-		}
 	}
 	var srv *Server
 	if listen != "" {
-		s, err := Serve(listen, o.Reg, o.Trc)
+		s, err := Serve(listen, o.Reg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("obs: listen %s: %w", listen, err)
 		}
 		srv = s
-		fmt.Fprintf(os.Stderr, ";; obs: diagnostics on http://%s/ (/metrics, /trace/last-cycle, /debug/pprof/)\n", s.Addr())
+		fmt.Fprintf(os.Stderr, ";; obs: diagnostics on http://%s/ (/metrics, /debug/pprof/)\n", s.Addr())
 	}
 	flush := func() error {
 		var first error

@@ -32,7 +32,7 @@ func buildTestTrace() *obs.Tracer {
 		{Seq: 1, Cost: 110, Start: 10_000, Dur: 120_000, Node: 3, Depth: 1, Worker: 0, Emitted: 1, Kind: rete.KindJoin},
 		{Seq: 2, Parent: 1, Cost: 190, Start: 15_000, Dur: 200_000, Node: 4, Depth: 2, Worker: 1, Kind: rete.KindP, Stolen: true},
 	}
-	trc.Batch(len(recs), func(dst []obs.Event) []obs.Event { return prun.AppendSpans(dst, recs, 0, 0, true) })
+	trc.Batch(func(dst []obs.Event) []obs.Event { return prun.AppendSpans(dst, recs, 0, 0, true) })
 	trc.InstantTS(0, 0, "chunk-built:chunk-1", "chunk", 480, map[string]any{"ces": 7})
 	return trc
 }

@@ -9,15 +9,11 @@ type Observer struct {
 	Trc *Tracer
 }
 
-// New returns an enabled observer with a fresh registry and a tracer
-// bounded at liveTraceLimit: no sink is attached here, so the events can
-// only ever be read live (Trc.WriteJSON/WriteLastCycle) and a long-running
-// server must not keep one per task and per request forever. Only Setup
-// with an explicit -trace file builds the unbounded full-run buffer.
+// New returns an enabled observer with a fresh registry and no tracer: a
+// trace is kept only for a -trace file (Setup), so a long-running server
+// holding one keeps no event per task or per request.
 func New() *Observer {
-	trc := NewTracer()
-	trc.SetLimit(liveTraceLimit)
-	return &Observer{Reg: NewRegistry(), Trc: trc}
+	return &Observer{Reg: NewRegistry()}
 }
 
 // Counter resolves a registry counter (nil when disabled).
@@ -84,9 +80,9 @@ type MatchHooks struct {
 	// Injected counts faults fired by the internal/fault injector
 	// (faults_injected_total).
 	Injected *Counter
-	// Trc, when non-nil, retains each cycle's task records as one lazy
+	// Trc, when non-nil, holds each cycle's task records as one lazy
 	// Batch, rendered as one span per task on the worker's lane (tid =
-	// worker+1) only when the trace is read. Its presence is also what
+	// worker+1) only when the trace is written. Its presence is also what
 	// makes the runtime time every task instead of a sample.
 	Trc *Tracer
 	// Pid is the trace process lane the match goroutines render under.

@@ -1,8 +1,10 @@
 // Package obs is the observability layer of the system: a low-overhead
 // atomic metrics registry with Prometheus-style text exposition, a
-// structured event tracer producing Chrome trace-event JSON (loadable in
-// chrome://tracing or https://ui.perfetto.dev), and an opt-in HTTP
-// diagnostics server exposing /metrics, /debug/pprof and /trace/last-cycle.
+// structured event tracer producing the Chrome trace-event JSON of a CLI's
+// -trace file (loadable in chrome://tracing or https://ui.perfetto.dev),
+// and an opt-in HTTP diagnostics server exposing /metrics and /debug/pprof.
+// A server's trace is not here: each session's flight ring
+// (internal/matchprof) is rendered on demand at /debug/match/flight.
 //
 // Every type is nil-safe: methods on a nil *Counter, *Gauge, *Histogram,
 // *Tracer, *Registry or *Observer are no-ops, so instrumented code paths

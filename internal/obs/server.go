@@ -9,10 +9,20 @@ import (
 	"time"
 )
 
-// NewMux builds the diagnostics handler: /metrics (Prometheus text
-// exposition of reg), /trace/last-cycle and /trace/full (Chrome
-// trace-event JSON from trc), and the standard /debug/pprof endpoints.
-func NewMux(reg *Registry, trc *Tracer) *http.ServeMux {
+// Server is a running diagnostics server.
+type Server struct {
+	srv *http.Server
+	ln  net.Listener
+	// closeTimeout bounds how long Close waits for in-flight requests
+	// before force-closing connections.
+	closeTimeout time.Duration
+}
+
+// Serve starts the diagnostics server on addr (e.g. ":6060"; ":0" picks a
+// free port) and serves in the background until Close: /metrics
+// (Prometheus text exposition of reg) and the standard /debug/pprof
+// endpoints.
+func Serve(addr string, reg *Registry) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -21,43 +31,18 @@ func NewMux(reg *Registry, trc *Tracer) *http.ServeMux {
 		}
 		fmt.Fprint(w, "soarpsme diagnostics\n\n"+
 			"/metrics            Prometheus text exposition\n"+
-			"/trace/last-cycle   Chrome trace JSON of the last match cycle\n"+
-			"/trace/full         Chrome trace JSON of the whole run so far\n"+
 			"/debug/pprof/       Go runtime profiles\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WriteText(w)
 	})
-	mux.HandleFunc("/trace/last-cycle", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		trc.WriteLastCycle(w)
-	})
-	mux.HandleFunc("/trace/full", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		trc.WriteJSON(w)
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// Server is a running diagnostics server.
-type Server struct {
-	srv *http.Server
-	ln  net.Listener
-	// CloseTimeout bounds how long Close waits for in-flight requests
-	// before force-closing connections. Zero means the default (5s).
-	CloseTimeout time.Duration
-}
-
-// Serve starts the diagnostics server on addr (e.g. ":6060"; ":0" picks a
-// free port) and serves in the background until Close.
-func Serve(addr string, reg *Registry, trc *Tracer) (*Server, error) {
-	return serveHandler(addr, NewMux(reg, trc))
+	return serveHandler(addr, mux)
 }
 
 // serveHandler starts a Server with an arbitrary handler; tests use it to
@@ -67,7 +52,7 @@ func serveHandler(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{srv: &http.Server{Handler: h}, ln: ln}
+	s := &Server{srv: &http.Server{Handler: h}, ln: ln, closeTimeout: 5 * time.Second}
 	go s.srv.Serve(ln)
 	return s, nil
 }
@@ -76,15 +61,11 @@ func serveHandler(addr string, h http.Handler) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the server down gracefully: it stops accepting connections
-// and waits up to CloseTimeout for in-flight requests — a /metrics scrape
-// or a /trace download mid-transfer — to finish, then force-closes
-// whatever remains. The old hard-close truncated any response in flight.
+// and waits up to closeTimeout (5 s) for in-flight requests — a /metrics
+// scrape or a profile download mid-transfer — to finish, then force-closes
+// whatever remains.
 func (s *Server) Close() error {
-	d := s.CloseTimeout
-	if d <= 0 {
-		d = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
+	ctx, cancel := context.WithTimeout(context.Background(), s.closeTimeout)
 	defer cancel()
 	if err := s.srv.Shutdown(ctx); err != nil {
 		return s.srv.Close()

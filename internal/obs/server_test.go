@@ -20,12 +20,14 @@ func mustOpen(t *testing.T, path string) *os.File {
 	return f
 }
 
+// TestServerEndpoints checks what the diagnostics listener serves — the
+// registry and the Go profiles — and that it serves no trace: a served
+// process's only trace is each session's flight ring.
 func TestServerEndpoints(t *testing.T) {
 	o := New()
 	o.Counter("match_tasks_total").Add(3)
-	o.Trc.CompleteTS(0, 1, "Join#1", "task", 0, 50, nil)
 
-	s, err := Serve("127.0.0.1:0", o.Reg, o.Trc)
+	s, err := Serve("127.0.0.1:0", o.Reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,21 +50,15 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "match_tasks_total 3") {
 		t.Fatalf("/metrics: code=%d body=%q", code, body)
 	}
-	code, body := get("/trace/last-cycle")
-	if code != http.StatusOK {
-		t.Fatalf("/trace/last-cycle: code=%d", code)
-	}
-	var events []Event
-	if err := json.Unmarshal([]byte(body), &events); err != nil {
-		t.Fatalf("/trace/last-cycle not JSON: %v\n%s", err, body)
-	}
-	if len(events) != 1 || events[0].Name != "Join#1" {
-		t.Fatalf("/trace/last-cycle events = %+v", events)
+	for _, path := range []string{"/trace/last-cycle", "/trace/full"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Fatalf("%s: code=%d, want 404", path, code)
+		}
 	}
 	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/: code=%d", code)
 	}
-	if code, body := get("/"); code != http.StatusOK || !strings.Contains(body, "/metrics") {
+	if code, body := get("/"); code != http.StatusOK || !strings.Contains(body, "/metrics") || strings.Contains(body, "/trace") {
 		t.Fatalf("index: code=%d body=%q", code, body)
 	}
 }
@@ -81,7 +77,6 @@ func TestCloseWaitsForInFlightRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.CloseTimeout = 5 * time.Second
 
 	type reply struct {
 		body string
@@ -119,7 +114,7 @@ func TestCloseWaitsForInFlightRequests(t *testing.T) {
 }
 
 // TestCloseForceAfterTimeout pins the bound: a handler that never returns
-// cannot wedge Close past its CloseTimeout.
+// cannot wedge Close past its closeTimeout.
 func TestCloseForceAfterTimeout(t *testing.T) {
 	wedge := make(chan struct{})
 	defer close(wedge)
@@ -129,7 +124,7 @@ func TestCloseForceAfterTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.CloseTimeout = 100 * time.Millisecond
+	s.closeTimeout = 100 * time.Millisecond
 	go http.Get("http://" + s.Addr() + "/")
 	// Give the request a moment to reach the handler.
 	time.Sleep(50 * time.Millisecond)
@@ -155,6 +150,10 @@ func TestSetupDisabled(t *testing.T) {
 	}
 }
 
+// TestSetupFiles checks the files a run's flush writes. The trace file
+// starts with the lane metadata, one event per lane however often a lane
+// is named (every engine of a run names the same match lanes), before the
+// events and batches it holds.
 func TestSetupFiles(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := dir + "/t.json"
@@ -165,6 +164,12 @@ func TestSetupFiles(t *testing.T) {
 	}
 	o.Counter("wme_changes_total").Inc()
 	o.Trc.InstantTS(0, 0, "x", "", 1, nil)
+	o.Trc.SetProcessName(0, "match pipeline")
+	o.Trc.SetThreadName(0, 1, "match-1")
+	o.Trc.SetThreadName(0, 1, "match-1")
+	o.Trc.Batch(func(dst []Event) []Event {
+		return append(dst, Event{Name: "t", Cat: "task", Ph: "X", Ts: 2, Dur: 1, Tid: 1})
+	})
 	if err := flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +180,13 @@ func TestSetupFiles(t *testing.T) {
 	var events []Event
 	if err := json.Unmarshal(tb, &events); err != nil {
 		t.Fatalf("trace file not JSON: %v", err)
+	}
+	var names []string
+	for _, e := range events {
+		names = append(names, e.Name)
+	}
+	if got, want := strings.Join(names, " "), "process_name thread_name x t"; got != want {
+		t.Fatalf("trace events %q, want %q", got, want)
 	}
 	mb, err := io.ReadAll(mustOpen(t, metricsPath))
 	if err != nil {

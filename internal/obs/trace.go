@@ -22,37 +22,25 @@ type Event struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Tracer collects trace events. Emission is concurrency-safe; wall-clock
-// events are timestamped relative to the tracer's creation so a trace
-// always starts near ts 0.
+// Tracer collects trace events for a -trace file written at exit.
+// Emission is concurrency-safe; wall-clock events are timestamped relative
+// to the tracer's creation so a trace always starts near ts 0. It keeps
+// everything it is given: only a CLI run, which ends, builds one.
 type Tracer struct {
 	mu    sync.Mutex
 	start time.Time
-	// meta is the process_name/thread_name metadata, one event per lane. It
-	// lives outside the ring so no compaction can discard it, and every
-	// read writes it first.
+	// meta is the process_name/thread_name metadata, one event per lane;
+	// every read writes it first.
 	meta []Event
-	// ring is what is retained, oldest first: eager events and lazy
-	// per-cycle batches side by side. size is the number of events they
-	// stand for — limit, Dropped and Len all count events, so a batch of
-	// task records and the events around it share one budget.
-	ring []entry
-	size int
-	// cycleMark indexes the first entry of the current match cycle (the
-	// /trace/last-cycle window).
-	cycleMark int
-	// limit, when > 0, bounds the ring: past the limit the oldest entries
-	// are discarded (dropped counts their events). Used when the tracer
-	// only feeds the live /trace endpoints, so long runs stay bounded.
-	limit   int
-	dropped uint64
+	// held is what was emitted, oldest first: eager events and lazy
+	// per-cycle batches side by side.
+	held []entry
 }
 
-// entry is one ring slot: an event, or (render != nil) a batch of n events
-// that are built only when the trace is read.
+// entry is one held event, or (render != nil) a batch of events that are
+// built only when the trace is read.
 type entry struct {
 	Event
-	n      int
 	render func(dst []Event) []Event
 }
 
@@ -69,60 +57,21 @@ func (t *Tracer) TS(at time.Time) float64 {
 	return float64(at.Sub(t.start)) / float64(time.Microsecond)
 }
 
-// SetLimit bounds the ring to at most n events; once exceeded, the oldest
-// entries are discarded (down to n/2, to amortize the shift). A limit of 0
-// restores the unbounded full-run buffer.
-func (t *Tracer) SetLimit(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
-}
-
-// Dropped returns how many events have been discarded under SetLimit.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 func (t *Tracer) add(e entry) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.ring = append(t.ring, e)
-	t.size += e.n
-	if t.limit > 0 && t.size > t.limit {
-		// The entry just added always survives, so the newest cycle stays
-		// readable even if it alone is larger than the budget.
-		drop := 0
-		for ; t.size > t.limit/2 && drop < len(t.ring)-1; drop++ {
-			t.size -= t.ring[drop].n
-			t.dropped += uint64(t.ring[drop].n)
-		}
-		keep := copy(t.ring, t.ring[drop:])
-		clear(t.ring[keep:]) // release the dropped batches' records
-		t.ring = t.ring[:keep]
-		t.cycleMark = max(t.cycleMark-drop, 0)
-	}
+	t.held = append(t.held, e)
 	t.mu.Unlock()
 }
 
-// Batch retains n events as one ring entry without building them: render
-// must append exactly those n events to dst, and runs only when the trace
-// is read (WriteJSON, WriteLastCycle) — possibly more than once, possibly
-// never. The match runtime hands each cycle's task records over this way:
-// one lock per cycle instead of one span per task.
-func (t *Tracer) Batch(n int, render func(dst []Event) []Event) {
-	if n > 0 {
-		t.add(entry{n: n, render: render})
-	}
+// Batch holds a group of events without building them: render appends them
+// to dst, and runs only when the trace is read. The match runtime hands
+// each cycle's task records over this way: one lock per cycle instead of
+// one span per task.
+func (t *Tracer) Batch(render func(dst []Event) []Event) {
+	t.add(entry{render: render})
 }
 
 // Complete emits a complete span ("X") from start lasting d.
@@ -132,7 +81,7 @@ func (t *Tracer) Complete(pid, tid int, name, cat string, start time.Time, d tim
 
 // CompleteTS emits a complete span with explicit microsecond timestamps.
 func (t *Tracer) CompleteTS(pid, tid int, name, cat string, tsUS, durUS float64, args map[string]any) {
-	t.add(entry{Event: Event{Name: name, Cat: cat, Ph: "X", Ts: tsUS, Dur: durUS, Pid: pid, Tid: tid, Args: args}, n: 1})
+	t.add(entry{Event: Event{Name: name, Cat: cat, Ph: "X", Ts: tsUS, Dur: durUS, Pid: pid, Tid: tid, Args: args}})
 }
 
 // Instant emits an instant event ("i") at the given wall-clock time.
@@ -142,7 +91,7 @@ func (t *Tracer) Instant(pid, tid int, name, cat string, at time.Time, args map[
 
 // InstantTS emits an instant event with an explicit microsecond timestamp.
 func (t *Tracer) InstantTS(pid, tid int, name, cat string, tsUS float64, args map[string]any) {
-	t.add(entry{Event: Event{Name: name, Cat: cat, Ph: "i", Ts: tsUS, Pid: pid, Tid: tid, Args: args}, n: 1})
+	t.add(entry{Event: Event{Name: name, Cat: cat, Ph: "i", Ts: tsUS, Pid: pid, Tid: tid, Args: args}})
 }
 
 // SetProcessName names a pid lane (the process_name metadata event).
@@ -156,7 +105,7 @@ func (t *Tracer) SetThreadName(pid, tid int, name string) {
 }
 
 // setMeta keeps one metadata event per lane: naming a lane again (every
-// engine of a serving process names the same match lanes) replaces the name.
+// engine of a run names the same match lanes) replaces the name.
 func (t *Tracer) setMeta(e Event) {
 	if t == nil {
 		return
@@ -172,42 +121,17 @@ func (t *Tracer) setMeta(e Event) {
 	t.meta = append(t.meta, e)
 }
 
-// MarkCycle starts a new /trace/last-cycle window: what is emitted or
-// batched from now on (until the next MarkCycle) is "the last cycle".
-func (t *Tracer) MarkCycle() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cycleMark = len(t.ring)
-	t.mu.Unlock()
-}
-
-// Len returns the number of retained events, lane metadata aside.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.size
-}
-
-// events renders the lane metadata followed by the ring (from the cycle
-// mark when fromMark is set). Batches are rendered outside the lock.
-func (t *Tracer) events(fromMark bool) []Event {
+// events renders the lane metadata followed by everything held. Batches
+// are rendered outside the lock.
+func (t *Tracer) events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	lo := 0
-	if fromMark {
-		lo = t.cycleMark
-	}
 	out := append([]Event(nil), t.meta...)
-	ring := append([]entry(nil), t.ring[lo:]...)
+	held := append([]entry(nil), t.held...)
 	t.mu.Unlock()
-	for _, e := range ring {
+	for _, e := range held {
 		if e.render != nil {
 			out = e.render(out)
 		} else {
@@ -217,15 +141,10 @@ func (t *Tracer) events(fromMark bool) []Event {
 	return out
 }
 
-// WriteJSON writes the lane metadata and every retained event as a Chrome
+// WriteJSON writes the lane metadata and every held event as a Chrome
 // trace-event JSON array, one event per line.
-func (t *Tracer) WriteJSON(w io.Writer) error { return writeEvents(w, t.events(false)) }
-
-// WriteLastCycle writes the lane metadata and only what has been retained
-// since the last MarkCycle.
-func (t *Tracer) WriteLastCycle(w io.Writer) error { return writeEvents(w, t.events(true)) }
-
-func writeEvents(w io.Writer, events []Event) error {
+func (t *Tracer) WriteJSON(w io.Writer) error {
+	events := t.events()
 	if len(events) == 0 {
 		_, err := io.WriteString(w, "[]\n")
 		return err

@@ -541,7 +541,7 @@ func (rt *Runtime) collect(n int) CycleStats {
 		h.TaskCost.ObserveEach(len(recs), func(i int) float64 { return float64(recs[i].Cost) })
 		if trc := h.Trc; trc != nil {
 			pid, base := h.Pid, trc.TS(epoch)
-			trc.Batch(len(recs), func(dst []obs.Event) []obs.Event { return AppendSpans(dst, recs, pid, base, true) })
+			trc.Batch(func(dst []obs.Event) []obs.Event { return AppendSpans(dst, recs, pid, base, true) })
 		}
 	}
 	return cs
@@ -549,10 +549,11 @@ func (rt *Runtime) collect(n int) CycleStats {
 
 // AppendSpans is the one TaskRec → Chrome event renderer, behind both the
 // tracer's per-cycle batches and the flight recorder's dumps: one complete
-// span per record on lane tid = worker+1 of pid. With wall set (every
-// record timed) a span sits at its record's Start, base being the process
-// clock's zero in the reader's µs timebase; otherwise each lane replays
-// its tasks back to back from base at their modeled µs cost.
+// span per record on lane tid = worker+1 of pid. With wall set (a
+// tracer's batch, every record timed) a span sits at its record's Start,
+// base being the process clock's zero in the reader's µs timebase;
+// otherwise (a flight dump) each lane replays its tasks back to back from
+// base at their modeled µs cost.
 func AppendSpans(dst []obs.Event, recs []TaskRec, pid int, base float64, wall bool) []obs.Event {
 	lane := map[int32]float64{} // where each worker's modeled lane has got to
 	for i := range recs {

@@ -293,7 +293,7 @@ func TestRunSeededDirectly(t *testing.T) {
 }
 
 // TestAttachedAllocsPerCycleConstant is the allocation guard of the one
-// per-task record: with obs.New() hooks (a tracer) and a profiler attached,
+// per-task record: with a tracer's hooks and a profiler attached,
 // what a steady-state cycle allocates beyond the same cycle with nothing
 // attached is a small constant — the cycle's record slice and the tracer's
 // batch — whether the cycle runs a dozen tasks or a couple of hundred. It
@@ -315,7 +315,7 @@ func TestAttachedAllocsPerCycleConstant(t *testing.T) {
 
 	nw.Prof = rete.NewProf(int(nw.MaxNodeID())+1, 64)
 	attached := New(nw, Config{Processes: 1, Policy: WorkStealing})
-	attached.SetObserver(obs.New().MatchHooks(0))
+	attached.SetObserver((&obs.Observer{Reg: obs.NewRegistry(), Trc: obs.NewTracer()}).MatchHooks(0))
 	small1, nSmall := measure(attached, small)
 	big1, nBig := measure(attached, big)
 

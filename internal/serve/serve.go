@@ -164,16 +164,9 @@ func New(cfg Config) *Server {
 		s.mImgHits = o.Counter("rete_image_cache_hits_total")
 		s.mImgMisses = o.Counter("rete_image_cache_misses_total")
 		s.mImgLive = o.Gauge("rete_images_live")
-		// HTTP request spans render on their own trace lane.
-		o.Tracer().SetProcessName(servePid, "soarpsme serve")
-		o.Tracer().SetThreadName(servePid, 0, "http")
 	}
 	return s
 }
-
-// servePid is the trace process lane HTTP request spans render under (the
-// match pipeline owns pid 0).
-const servePid = 1
 
 // Budget exposes the shared worker budget (tests assert its cap).
 func (s *Server) Budget() *prun.Budget { return s.budget }
@@ -388,8 +381,8 @@ type errJSON struct {
 // Handler returns the service mux wrapped in the admission middleware,
 // which gives every request an ID — the well-formed X-Request-ID it arrived
 // with, else one minted here — echoed in the X-Request-ID header and in
-// error bodies, emits one structured log line and one trace span per
-// request, and refuses everything but /healthz while draining.
+// error bodies, emits one structured log line per request, and refuses
+// everything but /healthz while draining.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -416,15 +409,10 @@ func (s *Server) Handler() http.Handler {
 		defer func() {
 			d := time.Since(start)
 			s.mLatency.Observe(d.Seconds())
-			sess := sessionFromPath(r.URL.Path)
 			if s.cfg.Log != nil {
 				s.cfg.Log.Info("request",
 					"req", reqID, "method", r.Method, "path", r.URL.Path,
-					"session", sess, "status", sw.code(), "bytes", sw.bytes, "dur", d)
-			}
-			if o := s.cfg.Obs; o != nil {
-				o.Tracer().Complete(servePid, 0, r.Method+" "+r.URL.Path, "request", start, d,
-					map[string]any{"req": reqID, "session": sess, "status": sw.code()})
+					"session", sessionFromPath(r.URL.Path), "status", sw.code(), "bytes", sw.bytes, "dur", d)
 			}
 		}()
 		// /healthz stays reachable during drain so orchestration can watch
@@ -581,7 +569,7 @@ func validSessionID(id string) bool {
 
 // inboundRequestID returns the X-Request-ID r arrived with when it obeys the
 // session-id rule, "" otherwise: the header is outside input that ends up in
-// log lines, trace spans and error bodies, so on "" the handler mints its
+// log lines and error bodies, so on "" the handler mints its
 // own and every request line and error body still names its request. The
 // key is in net/http's canonical spelling, so the lookup is a plain map
 // read.
