@@ -33,9 +33,9 @@ type Instantiation struct {
 	fired bool
 }
 
-// TimeTags returns the instantiation's wme time tags sorted descending
+// timeTags returns the instantiation's wme time tags sorted descending
 // (the LEX recency ordering key).
-func (in *Instantiation) TimeTags() []uint64 {
+func (in *Instantiation) timeTags() []uint64 {
 	tags := make([]uint64, len(in.WMEs))
 	for i, w := range in.WMEs {
 		tags[i] = w.TimeTag
@@ -50,21 +50,21 @@ type Strategy uint8
 // LEX orders by recency of all time tags then specificity; MEA first
 // compares the recency of the wme matching the first CE.
 const (
-	LEX Strategy = iota
-	MEA
+	lex Strategy = iota
+	mea
 )
 
 // ParseStrategy converts the ops5 source form.
 func ParseStrategy(s string) Strategy {
 	if s == "mea" {
-		return MEA
+		return mea
 	}
-	return LEX
+	return lex
 }
 
 // String returns the ops5 source form (the inverse of ParseStrategy).
 func (s Strategy) String() string {
-	if s == MEA {
+	if s == mea {
 		return "mea"
 	}
 	return "lex"
@@ -392,7 +392,7 @@ func (s *Set) Select(strat Strategy) *Instantiation {
 
 // better reports whether a dominates b under the strategy.
 func better(a, b *Instantiation, strat Strategy) bool {
-	if strat == MEA {
+	if strat == mea {
 		var at, bt uint64
 		if len(a.WMEs) > 0 {
 			at = a.WMEs[0].TimeTag
@@ -404,7 +404,7 @@ func better(a, b *Instantiation, strat Strategy) bool {
 			return at > bt
 		}
 	}
-	ta, tb := a.TimeTags(), b.TimeTags()
+	ta, tb := a.timeTags(), b.timeTags()
 	n := len(ta)
 	if len(tb) < n {
 		n = len(tb)
@@ -417,7 +417,7 @@ func better(a, b *Instantiation, strat Strategy) bool {
 	if len(ta) != len(tb) {
 		return len(ta) > len(tb)
 	}
-	sa, sb := Specificity(a.Prod.AST), Specificity(b.Prod.AST)
+	sa, sb := specificity(a.Prod.AST), specificity(b.Prod.AST)
 	if sa != sb {
 		return sa > sb
 	}
@@ -428,9 +428,9 @@ func better(a, b *Instantiation, strat Strategy) bool {
 	return a.Prod.PNode.ID > b.Prod.PNode.ID
 }
 
-// Specificity counts the attribute tests in a production's LHS (the OPS5
+// specificity counts the attribute tests in a production's LHS (the OPS5
 // tie-breaker).
-func Specificity(p *ops5.Production) int {
+func specificity(p *ops5.Production) int {
 	n := 0
 	count := func(ce *ops5.CE) {
 		n++ // class test

@@ -56,17 +56,17 @@ func TestSelectRefraction(t *testing.T) {
 	p := mkProd(t, tab, `(p p1 (c ^v 1) --> (halt))`)
 	s := New()
 	s.Insert(p, tok(w(1)))
-	first := s.Select(LEX)
+	first := s.Select(lex)
 	if first == nil {
 		t.Fatalf("Select returned nil")
 	}
-	if s.Select(LEX) != nil {
+	if s.Select(lex) != nil {
 		t.Fatalf("refraction failed: instantiation selected twice")
 	}
 	// Retract + re-insert clears refraction.
 	s.Retract(p, tok(w(1)))
 	s.Insert(p, tok(w(1)))
-	if s.Select(LEX) == nil {
+	if s.Select(lex) == nil {
 		t.Fatalf("re-derived instantiation should be selectable")
 	}
 }
@@ -78,12 +78,12 @@ func TestLEXRecency(t *testing.T) {
 	// inst A: tags {5, 1}; inst B: tags {4, 3} -> A wins (5 > 4).
 	s.Insert(p, tok(w(1), w(5)))
 	s.Insert(p, tok(w(3), w(4)))
-	got := s.Select(LEX)
+	got := s.Select(lex)
 	if got.WMEs[1].ID != 5 {
 		t.Fatalf("LEX picked %v", got.WMEs)
 	}
 	// Next: B.
-	if got := s.Select(LEX); got.WMEs[1].ID != 4 {
+	if got := s.Select(lex); got.WMEs[1].ID != 4 {
 		t.Fatalf("second LEX pick wrong: %v", got.WMEs)
 	}
 }
@@ -95,7 +95,7 @@ func TestLEXSecondTagBreaksTie(t *testing.T) {
 	shared := w(9)
 	s.Insert(p, tok(w(2), shared))
 	s.Insert(p, tok(w(7), shared))
-	if got := s.Select(LEX); got.WMEs[0].ID != 7 {
+	if got := s.Select(lex); got.WMEs[0].ID != 7 {
 		t.Fatalf("LEX second-tag tie-break wrong: %v", got.WMEs)
 	}
 }
@@ -108,7 +108,7 @@ func TestLEXLongerDominatesOnEqualPrefix(t *testing.T) {
 	shared := w(9)
 	s.Insert(pa, tok(shared))
 	s.Insert(pb, tok(shared, w(3)))
-	if got := s.Select(LEX); got.Prod != pb {
+	if got := s.Select(lex); got.Prod != pb {
 		t.Fatalf("longer instantiation should dominate, got %s", got.Prod.Name)
 	}
 }
@@ -120,14 +120,14 @@ func TestMEAFirstCE(t *testing.T) {
 	// A: first CE tag 2, other 9. B: first CE tag 5, other 1.
 	s.Insert(p, tok(w(2), w(9)))
 	s.Insert(p, tok(w(5), w(1)))
-	if got := s.Select(MEA); got.WMEs[0].ID != 5 {
+	if got := s.Select(mea); got.WMEs[0].ID != 5 {
 		t.Fatalf("MEA picked %v", got.WMEs)
 	}
 	// Under LEX, A would win (9 > 5).
 	s2 := New()
 	s2.Insert(p, tok(w(2), w(9)))
 	s2.Insert(p, tok(w(5), w(1)))
-	if got := s2.Select(LEX); got.WMEs[1].ID != 9 {
+	if got := s2.Select(lex); got.WMEs[1].ID != 9 {
 		t.Fatalf("LEX picked %v", got.WMEs)
 	}
 }
@@ -136,12 +136,12 @@ func TestSpecificity(t *testing.T) {
 	tab := value.NewTable()
 	pGen := mkProd(t, tab, `(p gen (obj ^kind box) --> (halt))`)
 	pSpec := mkProd(t, tab, `(p spec (obj ^kind box ^size 3) --> (halt))`)
-	if Specificity(pGen.AST) >= Specificity(pSpec.AST) {
+	if specificity(pGen.AST) >= specificity(pSpec.AST) {
 		t.Fatalf("specificity ordering wrong")
 	}
 	nccP := mkProd(t, tab, `(p n (a ^x 1) -{ (b ^y 1) (c ^z 1) } --> (halt))`)
-	if Specificity(nccP.AST) != 6 {
-		t.Fatalf("NCC specificity = %d, want 6", Specificity(nccP.AST))
+	if specificity(nccP.AST) != 6 {
+		t.Fatalf("NCC specificity = %d, want 6", specificity(nccP.AST))
 	}
 }
 
@@ -177,7 +177,7 @@ func TestDrain(t *testing.T) {
 }
 
 func TestParseStrategy(t *testing.T) {
-	if ParseStrategy("mea") != MEA || ParseStrategy("lex") != LEX || ParseStrategy("") != LEX {
+	if ParseStrategy("mea") != mea || ParseStrategy("lex") != lex || ParseStrategy("") != lex {
 		t.Fatalf("ParseStrategy wrong")
 	}
 }
@@ -330,14 +330,14 @@ func TestRecoveryAnnihilatesWindowTransient(t *testing.T) {
 func TestRecoveryRefraction(t *testing.T) {
 	s, p, ws := recoveryEnv(t)
 	s.Insert(p, tok(ws[1]))
-	if s.Select(LEX) == nil {
+	if s.Select(lex) == nil {
 		t.Fatalf("nothing to fire")
 	}
 	mark := s.Mark()
 	rec := s.BeginRecovery(mark)
 	s.Insert(p, tok(ws[1])) // re-derived
 	s.EndRecovery(rec)
-	if got := s.Select(LEX); got != nil {
+	if got := s.Select(lex); got != nil {
 		t.Fatalf("re-derived fired match selected again: %v", got)
 	}
 
@@ -350,7 +350,7 @@ func TestRecoveryRefraction(t *testing.T) {
 	rec = s.BeginRecovery(mark)
 	s.Insert(p, tok(ws[1]))
 	s.EndRecovery(rec)
-	if got := s.Select(LEX); got != nil {
+	if got := s.Select(lex); got != nil {
 		t.Fatalf("fired match retracted by the poisoned cycle and re-derived by the replay selected again: %v", got)
 	}
 
@@ -359,7 +359,7 @@ func TestRecoveryRefraction(t *testing.T) {
 	rec = s.BeginRecovery(mark)
 	s.EndRecovery(rec)
 	s.Insert(p, tok(ws[1])) // later genuine re-derivation
-	if s.Select(LEX) == nil {
+	if s.Select(lex) == nil {
 		t.Fatalf("refraction not cleared for retracted match")
 	}
 }

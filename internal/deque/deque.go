@@ -50,19 +50,6 @@ func New[T any](capacity int) *Deque[T] {
 	return d
 }
 
-// Len reports the approximate number of queued items (exact when no
-// concurrent operations are in flight).
-func (d *Deque[T]) Len() int {
-	n := d.bottom.Load() - d.top.Load()
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
-
-// Cap reports the current ring capacity.
-func (d *Deque[T]) Cap() int { return len(d.buf.Load().slot) }
-
 // PushBottom appends v at the bottom. Owner only.
 func (d *Deque[T]) PushBottom(v *T) {
 	b := d.bottom.Load()

@@ -169,3 +169,16 @@ func TestConcurrentStealExactlyOnce(t *testing.T) {
 		t.Fatalf("took %d of %d items", got.Load(), items)
 	}
 }
+
+// Len reports the approximate number of queued items (exact when no
+// concurrent operations are in flight).
+func (d *Deque[T]) Len() int {
+	n := d.bottom.Load() - d.top.Load()
+	if n < 0 {
+		return 0
+	}
+	return int(n)
+}
+
+// Cap reports the current ring capacity.
+func (d *Deque[T]) Cap() int { return len(d.buf.Load().slot) }

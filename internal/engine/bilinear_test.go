@@ -141,7 +141,7 @@ func TestBilinearImageCoWExcise(t *testing.T) {
 			chunkName = res.Prod.Name
 		}
 		if c == 10 {
-			if err := learner.ExciseProduction(chunkName); err != nil {
+			if err := learner.NW.RemoveProduction(chunkName); err != nil {
 				t.Fatal(err)
 			}
 		}

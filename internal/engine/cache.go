@@ -44,7 +44,7 @@ func NewImageCache() *ImageCache {
 // paid no compile). Each successful Get takes a reference; pair it with
 // Release when the session ends.
 func (c *ImageCache) Get(src string, opts rete.Options) (img *ProgramImage, hit bool, err error) {
-	key := ProgramHash(src, opts)
+	key := programHash(src, opts)
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {

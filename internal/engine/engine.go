@@ -536,14 +536,14 @@ func (e *Engine) recoverCycle(mark conflict.Mark, failed prun.CycleStats) prun.C
 	return cs
 }
 
-// AuditInvariants runs the full Rete invariant audit: the quiescent-state
-// checks of CheckInvariants, the network's memory-vs-WM cross-check
+// AuditInvariants runs the full Rete invariant audit: no outstanding
+// tombstones, the network's memory-vs-WM cross-check
 // (rete.Audit), and the P-node-tokens-vs-conflict-set size comparison.
 // It must be called at quiescence; tests and the fault matrix run it after
 // recovered cycles to prove the fallback restored a consistent state.
 func (e *Engine) AuditInvariants() error {
-	if err := e.CheckInvariants(); err != nil {
-		return err
+	if n := e.NW.Mem.Tombstones(); n != 0 {
+		return fmt.Errorf("engine: %d outstanding tombstones at quiescence", n)
 	}
 	if errs := e.NW.Audit(e.WM); len(errs) > 0 {
 		return fmt.Errorf("engine: audit found %d violation(s), first: %w", len(errs), errs[0])
@@ -576,7 +576,7 @@ func (e *Engine) Step() (bool, error) {
 	}
 	e.ApplyAndMatch(deltas)
 	for _, name := range e.pendingExcise {
-		if xerr := e.ExciseProduction(name); xerr != nil && err == nil {
+		if xerr := e.NW.RemoveProduction(name); xerr != nil && err == nil {
 			err = xerr
 		}
 	}
@@ -882,21 +882,4 @@ func (e *Engine) AddProductionRuntime(ast *ops5.Production) (*AddResult, error) 
 	}
 	e.Additions = append(e.Additions, res)
 	return res, nil
-}
-
-// ExciseProduction removes a production at run time (OPS5's excise): its
-// unshared nodes are detached, their match state purged, and its live
-// instantiations retracted from the conflict set. The caller must be at
-// quiescence.
-func (e *Engine) ExciseProduction(name string) error {
-	return e.NW.RemoveProduction(name)
-}
-
-// CheckInvariants verifies quiescent-state invariants (no outstanding
-// tombstones); tests and the Soar engine call it between cycles.
-func (e *Engine) CheckInvariants() error {
-	if n := e.NW.Mem.Tombstones(); n != 0 {
-		return fmt.Errorf("engine: %d outstanding tombstones at quiescence", n)
-	}
-	return nil
 }

@@ -25,7 +25,7 @@ func run(t *testing.T, src string, cfg Config) (*Engine, string) {
 	if _, err := e.RunOPS5(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CheckInvariants(); err != nil {
+	if err := e.AuditInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	return e, out.String()
@@ -318,7 +318,7 @@ func TestRuntimeAdditionThroughEngine(t *testing.T) {
 	if res.Update.Tasks == 0 {
 		t.Fatalf("update cycle ran no tasks")
 	}
-	if err := e.CheckInvariants(); err != nil {
+	if err := e.AuditInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if e.CS.Len() != 2 {
@@ -464,7 +464,7 @@ func TestStrategyAccessors(t *testing.T) {
 (p x (c) --> (halt))`); err != nil {
 		t.Fatal(err)
 	}
-	if e.Strategy() != conflict.MEA {
+	if e.Strategy() != conflict.ParseStrategy("mea") {
 		t.Fatalf("strategy not MEA")
 	}
 }

@@ -29,26 +29,26 @@ type ProgramImage struct {
 	// Source is the exact source the image was compiled from.
 	Source string
 
-	Tab      *value.Table
-	Reg      *wme.Registry
+	tab      *value.Table
+	reg      *wme.Registry
 	Top      *rete.Topology
 	Strategy conflict.Strategy
-	// Startup holds the program's startup actions; they run per-session
+	// startup holds the program's startup actions; they run per-session
 	// (RunStartup), not at compile time, since they create working memory.
-	Startup []*ops5.Action
+	startup []*ops5.Action
 }
 
 // Productions returns the number of productions compiled into the image.
 func (img *ProgramImage) Productions() int { return len(img.Top.Productions()) }
 
-// ProgramHash computes the canonical image cache key: a SHA-256 over the
+// programHash computes the canonical image cache key: a SHA-256 over the
 // program source and the structural (topology-level) options. The
 // session-level option, Unlink, is excluded: it configures per-session state,
 // not the compiled graph, so sessions differing only in it share one image.
 // The bilinear victim depth is a constant now, but it stays in the hashed
 // text so that images and data directories written while it was an option
 // keep their hashes.
-func ProgramHash(src string, opts rete.Options) string {
+func programHash(src string, opts rete.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "share=%t org=%d ctx=%d grp=%d bdepth=%d linmem=%t\n",
 		opts.ShareBeta, opts.Organization, opts.ContextCEs, opts.GroupCEs,
@@ -86,13 +86,13 @@ func CompileProgram(src string, opts rete.Options) (*ProgramImage, error) {
 		return nil, err
 	}
 	return &ProgramImage{
-		Hash:     ProgramHash(src, opts),
+		Hash:     programHash(src, opts),
 		Source:   src,
-		Tab:      nw.Tab,
-		Reg:      nw.Reg,
+		tab:      nw.Tab,
+		reg:      nw.Reg,
 		Top:      nw.Freeze(),
 		Strategy: conflict.ParseStrategy(prog.Strategy),
-		Startup:  prog.Startup,
+		startup:  prog.Startup,
 	}, nil
 }
 
@@ -102,4 +102,4 @@ func (e *Engine) Image() *ProgramImage { return e.img }
 
 // RunStartup executes the image's startup actions, if it has any, as one
 // match cycle.
-func (e *Engine) RunStartup() error { return e.runStartup(e.img.Startup) }
+func (e *Engine) RunStartup() error { return e.runStartup(e.img.startup) }

@@ -79,15 +79,15 @@ func TestProgramHashSessionOptionsExcluded(t *testing.T) {
 	base := DefaultConfig().Rete
 	a := base
 	a.Unlink = !base.Unlink
-	if ProgramHash(imageProg, base) != ProgramHash(imageProg, a) {
+	if programHash(imageProg, base) != programHash(imageProg, a) {
 		t.Fatal("Unlink (session-level) changed the image hash")
 	}
 	b := base
 	b.ShareBeta = !base.ShareBeta
-	if ProgramHash(imageProg, base) == ProgramHash(imageProg, b) {
+	if programHash(imageProg, base) == programHash(imageProg, b) {
 		t.Fatal("ShareBeta (structural) did not change the image hash")
 	}
-	if ProgramHash(imageProg, base) == ProgramHash(imageProg+"\n(p x (hand) --> (make o))", base) {
+	if programHash(imageProg, base) == programHash(imageProg+"\n(p x (hand) --> (make o))", base) {
 		t.Fatal("source change did not change the image hash")
 	}
 	// Literal hashes from the last build in which the bilinear depth was
@@ -102,7 +102,7 @@ func TestProgramHashSessionOptionsExcluded(t *testing.T) {
 		{base, "aaed31851e5dc9a2543e7fbc3c81e5e2cab3bfb915d8682e911e1549417375a1"},
 		{auto, "b0e5a7deff61052c1eed4640c9097a78c3101a3283cc259e97b2592b52c4181c"},
 	} {
-		if got := ProgramHash(imageProg, c.opts); got != c.want {
+		if got := programHash(imageProg, c.opts); got != c.want {
 			t.Fatalf("org %v: image hash %s, want %s", c.opts.Organization, got, c.want)
 		}
 	}
@@ -219,7 +219,7 @@ func TestSuffixExcise(t *testing.T) {
 	if err := base.LoadProgram(imageProg); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ExciseProduction("chunk-red"); err != nil {
+	if err := e.NW.RemoveProduction("chunk-red"); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := csFingerprint(e), csFingerprint(base); got != want {
@@ -227,7 +227,7 @@ func TestSuffixExcise(t *testing.T) {
 	}
 	// Excising a production owned by the shared image must refuse: other
 	// sessions depend on those nodes.
-	if err := e.ExciseProduction("graspable"); err == nil {
+	if err := e.NW.RemoveProduction("graspable"); err == nil {
 		t.Fatal("excising a frozen base production succeeded")
 	} else if !strings.Contains(err.Error(), "frozen") {
 		t.Fatalf("unexpected excise error: %v", err)

@@ -42,7 +42,7 @@ func TestExampleProgramsRun(t *testing.T) {
 			if fired == 0 {
 				t.Fatalf("%s: nothing fired", ent.Name())
 			}
-			if err := e.CheckInvariants(); err != nil {
+			if err := e.AuditInvariants(); err != nil {
 				t.Fatalf("%s: %v", ent.Name(), err)
 			}
 		}

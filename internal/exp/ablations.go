@@ -26,12 +26,12 @@ func AblationMemories(l *Lab) (*stats.Table, error) {
 	for _, linear := range []bool{false, true} {
 		lab := NewLab()
 		lab.opts.LinearMemories = linear
-		c, err := lab.SoarTask("strips-mem", strips.Default(), NoChunk)
+		c, err := lab.soarTask("strips-mem", strips.Default(), noChunk)
 		if err != nil {
 			return nil, err
 		}
 		comparisons := c.eng.NW.Stats.Comparisons.Load()
-		one := sim.MultiCycle(c.Traces, sim.Config{Processes: 1, QueueOp: QueueOp})
+		one := sim.MultiCycle(c.traces, sim.Config{Processes: 1, QueueOp: queueOp})
 		name := "hashed (per-line locks)"
 		if linear {
 			name = "linear lists (no hashing)"
@@ -39,7 +39,7 @@ func AblationMemories(l *Lab) (*stats.Table, error) {
 		t.AddRow(name,
 			fmt.Sprintf("%d", comparisons),
 			fmt.Sprintf("%.1f", float64(one.Makespan)/1e6),
-			fmt.Sprintf("%d", c.Tasks))
+			fmt.Sprintf("%d", c.tasks))
 	}
 	return t, nil
 }
@@ -59,7 +59,7 @@ func AblationUnlink(l *Lab) (*stats.Table, error) {
 	for _, on := range []bool{false, true} {
 		lab := NewLab()
 		lab.SetUnlink(on)
-		caps, err := lab.Workloads(NoChunk)
+		caps, err := lab.workloads(noChunk)
 		if err != nil {
 			return nil, err
 		}
@@ -68,10 +68,10 @@ func AblationUnlink(l *Lab) (*stats.Table, error) {
 			name = "on"
 		}
 		for i, c := range caps {
-			one := sim.MultiCycle(c.Traces, sim.Config{Processes: 1, QueueOp: QueueOp})
-			t.AddRow(TaskNames[i], name,
-				fmt.Sprintf("%d", c.Tasks),
-				fmt.Sprintf("%d", c.NullSuppressed),
+			one := sim.MultiCycle(c.traces, sim.Config{Processes: 1, QueueOp: queueOp})
+			t.AddRow(taskNames[i], name,
+				fmt.Sprintf("%d", c.tasks),
+				fmt.Sprintf("%d", c.nullSuppressed),
 				fmt.Sprintf("%d", c.eng.NW.Stats.ConstTests.Load()),
 				fmt.Sprintf("%.1f", float64(one.Makespan)/1e6))
 		}
@@ -98,7 +98,7 @@ func AblationBilinear(l *Lab) (*stats.Table, error) {
 		lab := NewLab()
 		lab.SetUnlink(true)
 		lab.opts.Organization = org
-		c, err := lab.Cypress(DuringChunk)
+		c, err := lab.cypress(duringChunk)
 		if err != nil {
 			return nil, err
 		}
@@ -111,8 +111,8 @@ func AblationBilinear(l *Lab) (*stats.Table, error) {
 		// Max chain depth from the matchprof attribution snapshot — the
 		// left+right spine walk, so restructured right sub-chains count.
 		maxDepth := 0
-		if c.Prof != nil {
-			for _, pc := range c.Prof.Productions {
+		if c.prof != nil {
+			for _, pc := range c.prof.Productions {
 				if pc.ChainDepth > maxDepth {
 					maxDepth = pc.ChainDepth
 				}
@@ -121,10 +121,10 @@ func AblationBilinear(l *Lab) (*stats.Table, error) {
 		t.AddRow(org.String(),
 			fmt.Sprintf("%d", restructured),
 			fmt.Sprintf("%d", maxDepth),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.Traces, 8, sim.MultiQueue, QueueOp)),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.Traces, 11, sim.MultiQueue, QueueOp)),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.Traces, 13, sim.MultiQueue, QueueOp)),
-			fmt.Sprintf("%d", c.Tasks))
+			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 8, sim.MultiQueue, queueOp)),
+			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)),
+			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)),
+			fmt.Sprintf("%d", c.tasks))
 	}
 	return t, nil
 }
@@ -139,18 +139,18 @@ func AblationAsync(l *Lab) (*stats.Table, error) {
 		Title:   "Future work (§7): asynchronous elaboration — speedup at 11 processes with cycle barriers removed (upper bound)",
 		Headers: []string{"Task", "Synchronous (Fig 6-4)", "Asynchronous (merged DAG)"},
 	}
-	caps, err := l.Workloads(NoChunk)
+	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range caps {
-		syncSp := sim.RunSpeedup(c.Traces, 11, sim.MultiQueue, QueueOp)
+		syncSp := sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)
 		var merged []prun.TaskRec
-		for _, tr := range c.Traces {
+		for _, tr := range c.traces {
 			merged = append(merged, tr...)
 		}
-		asyncSp := sim.Speedup(merged, 11, sim.MultiQueue, QueueOp)
-		t.AddRow(TaskNames[i],
+		asyncSp := sim.Speedup(merged, 11, sim.MultiQueue, queueOp)
+		t.AddRow(taskNames[i],
 			fmt.Sprintf("%.2f", syncSp),
 			fmt.Sprintf("%.2f", asyncSp))
 	}
@@ -168,14 +168,14 @@ func AblationSharing(l *Lab) (*stats.Table, error) {
 	for _, share := range []bool{true, false} {
 		lab := NewLab()
 		lab.opts.ShareBeta = share
-		c, err := lab.SoarTask("strips-share", strips.Default(), DuringChunk)
+		c, err := lab.soarTask("strips-share", strips.Default(), duringChunk)
 		if err != nil {
 			return nil, err
 		}
 		perChunk := 0.0
-		if n := len(c.ChunkCEs); n > 0 {
+		if n := len(c.chunkCEs); n > 0 {
 			total := 0
-			for _, k := range c.ChunkNew2In {
+			for _, k := range c.chunkNew2In {
 				total += k
 			}
 			perChunk = float64(total) / float64(n)
@@ -202,27 +202,27 @@ func AblationAdaptiveQueues(l *Lab) (*stats.Table, error) {
 		Headers: []string{"Task", "Multi-queue speedup", "Oracle speedup", "Oracle gain"},
 	}
 	counts := []int{1, 2, 4, 11}
-	caps, err := l.Workloads(NoChunk)
+	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range caps {
 		var uni, multi, oracle int64
-		for _, tr := range c.Traces {
-			uni += sim.Simulate(tr, sim.Config{Processes: 1, QueueOp: QueueOp}).Makespan
+		for _, tr := range c.traces {
+			uni += sim.Simulate(tr, sim.Config{Processes: 1, QueueOp: queueOp}).Makespan
 			best := int64(1) << 62
 			for _, q := range counts {
-				r := sim.Simulate(tr, sim.Config{Processes: 11, Policy: sim.MultiQueue, Queues: q, QueueOp: QueueOp})
+				r := sim.Simulate(tr, sim.Config{Processes: 11, Policy: sim.MultiQueue, Queues: q, QueueOp: queueOp})
 				if r.Makespan < best {
 					best = r.Makespan
 				}
 			}
 			oracle += best
-			multi += sim.Simulate(tr, sim.Config{Processes: 11, Policy: sim.MultiQueue, QueueOp: QueueOp}).Makespan
+			multi += sim.Simulate(tr, sim.Config{Processes: 11, Policy: sim.MultiQueue, QueueOp: queueOp}).Makespan
 		}
 		ms := float64(uni) / float64(multi)
 		os := float64(uni) / float64(oracle)
-		t.AddRow(TaskNames[i],
+		t.AddRow(taskNames[i],
 			fmt.Sprintf("%.2f", ms),
 			fmt.Sprintf("%.2f", os),
 			fmt.Sprintf("%.0f%%", 100*(os-ms)/ms))
@@ -241,7 +241,7 @@ func LongRunChunking(l *Lab) (*stats.Table, error) {
 		Title:   "Future work (§7): chunking over a sequence of trials (Eight-puzzle pool, 150-decision episodes)",
 		Headers: []string{"Trial", "Moves", "Match tasks", "Cumulative chunks", "2-input nodes", "Speedup @13"},
 	}
-	prev := (*Capture)(nil)
+	prev := (*capture)(nil)
 	for i, b := range eightpuzzle.Instances() {
 		lab := NewLab()
 		key := fmt.Sprintf("longrun-%d", i)
@@ -259,60 +259,60 @@ func LongRunChunking(l *Lab) (*stats.Table, error) {
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", i+1),
-			fmt.Sprintf("%d", cap.Moves),
-			fmt.Sprintf("%d", cap.Tasks),
+			fmt.Sprintf("%d", cap.moves),
+			fmt.Sprintf("%d", cap.tasks),
 			fmt.Sprintf("%d", cumulative),
 			fmt.Sprintf("%d", cap.eng.NW.TwoInputNodes()),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(cap.Traces, 13, sim.MultiQueue, QueueOp)))
+			fmt.Sprintf("%.2f", sim.RunSpeedup(cap.traces, 13, sim.MultiQueue, queueOp)))
 		prev = cap
 	}
 	return t, nil
 }
 
-// Diagnosis is the diagnostic tool the paper proposes in §7: "to identify
+// diagnosis is the diagnostic tool the paper proposes in §7: "to identify
 // long chains, the system can look at the last few node activations on the
 // cycles with low parallelism", then suggest adaptive changes such as
 // bilinear networks.
-type Diagnosis struct {
-	CycleTasks   int
-	Speedup      float64
-	CriticalPath int
-	// FailedPops/Steals are the simulated queue diagnostics of the cycle
+type diagnosis struct {
+	cycleTasks   int
+	speedup      float64
+	criticalPath int
+	// failedPops/steals are the simulated queue diagnostics of the cycle
 	// at the diagnosis process count (§6.1).
-	FailedPops int64
-	Steals     int64
-	// Cause is "small-cycle", "long-chain", or "tail-end".
-	Cause string
-	// Production owning the node where the critical path terminates.
-	Production string
-	// ChainDepth and NullRate describe that production across the whole
+	failedPops int64
+	steals     int64
+	// cause is "small-cycle", "long-chain", or "tail-end".
+	cause string
+	// production owning the node where the critical path terminates.
+	production string
+	// chainDepth and nullRate describe that production across the whole
 	// run, sourced from the engine's matchprof attribution snapshot: the
 	// static length of its two-input chain and the fraction of its
 	// activations that emitted nothing.
-	ChainDepth int
-	NullRate   float64
-	Suggestion string
+	chainDepth int
+	nullRate   float64
+	suggestion string
 }
 
-// Diagnose simulates every cycle of a capture at the given process count
+// diagnose simulates every cycle of a capture at the given process count
 // and explains the low-speedup ones (below the threshold).
-func Diagnose(c *Capture, procs int, threshold float64) []Diagnosis {
+func diagnose(c *capture, procs int, threshold float64) []diagnosis {
 	prods, owner := c.eng.NW.Owners()
 	// Per-production run-wide attribution (chain depth, null rate) from the
 	// matchprof snapshot harvested at capture time.
 	prodProf := map[string]matchprof.ProdCost{}
-	if c.Prof != nil {
-		for _, p := range c.Prof.Productions {
+	if c.prof != nil {
+		for _, p := range c.prof.Productions {
 			prodProf[p.Name] = p
 		}
 	}
-	var out []Diagnosis
-	for _, tr := range c.Traces {
+	var out []diagnosis
+	for _, tr := range c.traces {
 		if len(tr) < 5 {
 			continue
 		}
-		one := sim.Simulate(tr, sim.Config{Processes: 1, Policy: sim.SingleQueue, QueueOp: QueueOp})
-		par := sim.Simulate(tr, sim.Config{Processes: procs, Policy: sim.MultiQueue, QueueOp: QueueOp})
+		one := sim.Simulate(tr, sim.Config{Processes: 1, Policy: sim.SingleQueue, QueueOp: queueOp})
+		par := sim.Simulate(tr, sim.Config{Processes: procs, Policy: sim.MultiQueue, QueueOp: queueOp})
 		sp := 1.0
 		if par.Makespan > 0 {
 			sp = float64(one.Makespan) / float64(par.Makespan)
@@ -320,7 +320,7 @@ func Diagnose(c *Capture, procs int, threshold float64) []Diagnosis {
 		if sp >= threshold {
 			continue
 		}
-		d := Diagnosis{CycleTasks: len(tr), Speedup: sp, FailedPops: par.FailedPops, Steals: par.Steals}
+		d := diagnosis{cycleTasks: len(tr), speedup: sp, failedPops: par.FailedPops, steals: par.Steals}
 		// Critical path and its terminal node.
 		depth := make(map[int64]int, len(tr))
 		var tail prun.TaskRec
@@ -330,32 +330,32 @@ func Diagnose(c *Capture, procs int, threshold float64) []Diagnosis {
 				dd = pd + 1
 			}
 			depth[r.Seq] = dd
-			if dd > d.CriticalPath {
-				d.CriticalPath = dd
+			if dd > d.criticalPath {
+				d.criticalPath = dd
 				tail = r
 			}
 		}
 		if o := owner[tail.Node]; o >= 0 {
-			d.Production = prods[o].Name
+			d.production = prods[o].Name
 		}
-		if pp, ok := prodProf[d.Production]; ok {
-			d.ChainDepth = pp.ChainDepth
-			d.NullRate = pp.NullRate
+		if pp, ok := prodProf[d.production]; ok {
+			d.chainDepth = pp.ChainDepth
+			d.nullRate = pp.NullRate
 		}
 		switch {
 		case len(tr) < 30:
-			d.Cause = "small-cycle"
-			d.Suggestion = "overhead-bound: batch with neighbouring cycles (asynchronous elaboration, §7)"
-		case d.CriticalPath > 10 && float64(d.CriticalPath) > 0.2*float64(len(tr)):
-			d.Cause = "long-chain"
-			d.Suggestion = fmt.Sprintf("restructure %s as a constrained bilinear network (Fig 6-8)", d.Production)
+			d.cause = "small-cycle"
+			d.suggestion = "overhead-bound: batch with neighbouring cycles (asynchronous elaboration, §7)"
+		case d.criticalPath > 10 && float64(d.criticalPath) > 0.2*float64(len(tr)):
+			d.cause = "long-chain"
+			d.suggestion = fmt.Sprintf("restructure %s as a constrained bilinear network (Fig 6-8)", d.production)
 		default:
-			d.Cause = "tail-end"
-			d.Suggestion = "uneven task availability late in the cycle; fewer queues near quiescence (§6.2)"
+			d.cause = "tail-end"
+			d.suggestion = "uneven task availability late in the cycle; fewer queues near quiescence (§6.2)"
 		}
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].CycleTasks > out[j].CycleTasks })
+	sort.Slice(out, func(i, j int) bool { return out[i].cycleTasks > out[j].cycleTasks })
 	return out
 }
 
@@ -366,26 +366,26 @@ func DiagnoseTable(l *Lab) (*stats.Table, error) {
 		Title:   "Diagnostics (§7): low-speedup cycles, Eight-puzzle during chunking (11 processes, speedup < 5)",
 		Headers: []string{"Tasks", "Speedup", "Critical path", "Chain depth", "Null rate", "Failed pops", "Steals", "Cause", "Suggestion"},
 	}
-	c, err := l.EightPuzzle(DuringChunk)
+	c, err := l.eightPuzzle(duringChunk)
 	if err != nil {
 		return nil, err
 	}
-	diags := Diagnose(c, 11, 5)
+	diags := diagnose(c, 11, 5)
 	max := 12
 	for i, d := range diags {
 		if i >= max {
 			break
 		}
 		t.AddRow(
-			fmt.Sprintf("%d", d.CycleTasks),
-			fmt.Sprintf("%.2f", d.Speedup),
-			fmt.Sprintf("%d", d.CriticalPath),
-			fmt.Sprintf("%d", d.ChainDepth),
-			fmt.Sprintf("%.0f%%", 100*d.NullRate),
-			fmt.Sprintf("%d", d.FailedPops),
-			fmt.Sprintf("%d", d.Steals),
-			d.Cause,
-			d.Suggestion)
+			fmt.Sprintf("%d", d.cycleTasks),
+			fmt.Sprintf("%.2f", d.speedup),
+			fmt.Sprintf("%d", d.criticalPath),
+			fmt.Sprintf("%d", d.chainDepth),
+			fmt.Sprintf("%.0f%%", 100*d.nullRate),
+			fmt.Sprintf("%d", d.failedPops),
+			fmt.Sprintf("%d", d.steals),
+			d.cause,
+			d.suggestion)
 	}
 	if len(diags) > max {
 		t.AddRow(fmt.Sprintf("(+%d more)", len(diags)-max), "", "", "", "", "", "", "", "")
@@ -396,15 +396,15 @@ func DiagnoseTable(l *Lab) (*stats.Table, error) {
 	// counted separately), which used to inflate this number by exactly one
 	// per sequential capture cycle.
 	t.AddRow("(live run)", "", "", "", "",
-		fmt.Sprintf("%d", c.FailedPops),
-		fmt.Sprintf("%d", c.Steals),
+		fmt.Sprintf("%d", c.failedPops),
+		fmt.Sprintf("%d", c.steals),
 		"runtime totals",
-		fmt.Sprintf("failed pops / steals observed by prun across all cycles (%d quiescence probes)", c.TermProbes))
+		fmt.Sprintf("failed pops / steals observed by prun across all cycles (%d quiescence probes)", c.termProbes))
 	t.AddRow("(match filtering)", "", "", "", "", "", "",
 		"runtime totals",
 		fmt.Sprintf("null activations suppressed %d (unlink=%v); alpha dispatch %d hits / %d misses — see abl-unlink",
-			c.NullSuppressed, c.eng.NW.Opts.Unlink, c.AlphaHits, c.AlphaMisses))
-	if p := c.Prof; p != nil {
+			c.nullSuppressed, c.eng.NW.Opts.Unlink, c.alphaHits, c.alphaMisses))
+	if p := c.prof; p != nil {
 		hottest := "-"
 		if len(p.Productions) > 0 {
 			h := p.Productions[0]

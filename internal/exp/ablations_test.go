@@ -58,18 +58,18 @@ func TestAblationAsyncLiftsSpeedup(t *testing.T) {
 }
 
 func TestDiagnoseFindsLongChains(t *testing.T) {
-	c, err := sharedLab.EightPuzzle(DuringChunk)
+	c, err := sharedLab.eightPuzzle(duringChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Diagnose(c, 11, 5)
+	diags := diagnose(c, 11, 5)
 	if len(diags) == 0 {
 		t.Fatalf("no low-speedup cycles found")
 	}
 	causes := map[string]int{}
 	for _, d := range diags {
-		causes[d.Cause]++
-		if d.Speedup >= 5 {
+		causes[d.cause]++
+		if d.speedup >= 5 {
 			t.Fatalf("diagnosis above threshold: %+v", d)
 		}
 	}
@@ -78,8 +78,8 @@ func TestDiagnoseFindsLongChains(t *testing.T) {
 	}
 	// Long-chain diagnoses name a production and suggest bilinear.
 	for _, d := range diags {
-		if d.Cause == "long-chain" {
-			if d.Production == "" || !strings.Contains(d.Suggestion, "bilinear") {
+		if d.cause == "long-chain" {
+			if d.production == "" || !strings.Contains(d.suggestion, "bilinear") {
 				t.Fatalf("long-chain diagnosis incomplete: %+v", d)
 			}
 			break
@@ -156,7 +156,7 @@ func TestAblationUnlinkCutsScheduledWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(TaskNames)
+	n := len(taskNames)
 	if len(tbl.Rows) != 2*n {
 		t.Fatalf("rows = %d, want %d", len(tbl.Rows), 2*n)
 	}

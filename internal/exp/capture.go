@@ -23,51 +23,51 @@ import (
 	"soarpsme/internal/tasks/strips"
 )
 
-// QueueOp is the simulated task-queue lock service time (µs).
-const QueueOp = 60
+// queueOp is the simulated task-queue lock service time (µs).
+const queueOp = 60
 
-// Capture is one instrumented run of a workload.
-type Capture struct {
-	Name string
-	// Traces holds one task-DAG per match cycle (normal cycles only).
-	Traces [][]prun.TaskRec
-	// UpdateTraces holds the state-update cycles of run-time additions.
-	UpdateTraces [][]prun.TaskRec
-	// TasksPerCycle mirrors Traces (tasks executed per cycle).
-	TasksPerCycle []int
-	Tasks         int
-	TotalCost     int64
-	// FailedPops/TermProbes/Steals are the live runtime's queue diagnostics
-	// summed over all cycles (§6.1; surfaced by -exp diagnose). FailedPops
-	// excludes quiescence-detection probes, which land in TermProbes.
-	FailedPops int64
-	TermProbes int64
-	Steals     int64
-	// BucketAccesses holds per-line left-token access counts per cycle
+// capture is one instrumented run of a workload.
+type capture struct {
+	name string
+	// traces holds one task-DAG per match cycle (normal cycles only).
+	traces [][]prun.TaskRec
+	// updateTraces holds the state-update cycles of run-time additions.
+	updateTraces [][]prun.TaskRec
+	// tasksPerCycle mirrors traces (tasks executed per cycle).
+	tasksPerCycle []int
+	tasks         int
+	totalCost     int64
+	// failedPops/termProbes/steals are the live runtime's queue diagnostics
+	// summed over all cycles (§6.1; surfaced by -exp diagnose). failedPops
+	// excludes quiescence-detection probes, which land in termProbes.
+	failedPops int64
+	termProbes int64
+	steals     int64
+	// bucketAccesses holds per-line left-token access counts per cycle
 	// (Figure 6-2's contention measure).
-	BucketAccesses []int
+	bucketAccesses []int
 	// Chunks built/added during the run.
-	ChunkCEs    []int
-	ChunkBytes  []int
-	ChunkNew2In []int
-	// SharedTwoInput counts join nodes reused by run-time additions.
-	SharedTwoInput int
-	// NullSuppressed / AlphaHits / AlphaMisses are the engine's match-time
+	chunkCEs    []int
+	chunkBytes  []int
+	chunkNew2In []int
+	// sharedTwoInput counts join nodes reused by run-time additions.
+	sharedTwoInput int
+	// nullSuppressed / alphaHits / alphaMisses are the engine's match-time
 	// filtering counters at the end of the run (unlinking and hashed alpha
 	// dispatch — the abl-unlink experiment).
-	NullSuppressed int64
-	AlphaHits      int64
-	AlphaMisses    int64
-	Halted         bool
-	Decisions      int
-	Moves          int // operator decisions in the top goal
-	// Prof is the engine's match-cost attribution snapshot at the end of
+	nullSuppressed int64
+	alphaHits      int64
+	alphaMisses    int64
+	halted         bool
+	decisions      int
+	moves          int // operator decisions in the top goal
+	// prof is the engine's match-cost attribution snapshot at the end of
 	// the run: per-production activation/null counters, chain depths, and
 	// the depth/granularity histograms (diagnose sources its null-rate and
 	// chain-depth columns here instead of recomputing from traces).
-	Prof *matchprof.Snapshot
-	// TaskProdCEs is the CE count of each task (non-chunk) production.
-	TaskProdCEs []int
+	prof *matchprof.Snapshot
+	// taskProdCEs is the CE count of each task (non-chunk) production.
+	taskProdCEs []int
 	// Agent/engine are retained for follow-up queries (chunk transfer).
 	agent *soar.Agent
 	eng   *engine.Engine
@@ -76,46 +76,46 @@ type Capture struct {
 	measuredFrom int
 }
 
-func (c *Capture) harvest(e *engine.Engine) {
+func (c *capture) harvest(e *engine.Engine) {
 	for _, cs := range e.CycleStats {
 		if len(cs.Trace) > 0 {
-			c.Traces = append(c.Traces, cs.Trace)
+			c.traces = append(c.traces, cs.Trace)
 		}
-		c.TasksPerCycle = append(c.TasksPerCycle, cs.Tasks)
-		c.Tasks += cs.Tasks
-		c.TotalCost += cs.TotalCost
-		c.FailedPops += cs.FailedPops
-		c.TermProbes += cs.TermProbes
-		c.Steals += cs.Steals
+		c.tasksPerCycle = append(c.tasksPerCycle, cs.Tasks)
+		c.tasks += cs.Tasks
+		c.totalCost += cs.TotalCost
+		c.failedPops += cs.FailedPops
+		c.termProbes += cs.TermProbes
+		c.steals += cs.Steals
 	}
 	for _, add := range e.Additions[c.measuredFrom:] {
 		cs := &add.Update
 		if len(cs.Trace) > 0 {
-			c.UpdateTraces = append(c.UpdateTraces, cs.Trace)
+			c.updateTraces = append(c.updateTraces, cs.Trace)
 		}
-		c.Tasks += cs.Tasks
-		c.TotalCost += cs.TotalCost
-		c.FailedPops += cs.FailedPops
-		c.TermProbes += cs.TermProbes
-		c.Steals += cs.Steals
+		c.tasks += cs.Tasks
+		c.totalCost += cs.TotalCost
+		c.failedPops += cs.FailedPops
+		c.termProbes += cs.TermProbes
+		c.steals += cs.Steals
 	}
 	for _, add := range e.Additions {
-		c.ChunkCEs = append(c.ChunkCEs, countCEs(add.Prod.AST))
+		c.chunkCEs = append(c.chunkCEs, countCEs(add.Prod.AST))
 		bytes, twoInput := codeSize(add.Info)
-		c.ChunkBytes = append(c.ChunkBytes, bytes)
-		c.ChunkNew2In = append(c.ChunkNew2In, twoInput)
-		c.SharedTwoInput += add.Info.SharedTwoInput
+		c.chunkBytes = append(c.chunkBytes, bytes)
+		c.chunkNew2In = append(c.chunkNew2In, twoInput)
+		c.sharedTwoInput += add.Info.SharedTwoInput
 	}
 	for _, p := range e.NW.Productions() {
 		if !isChunkName(p.Name) {
-			c.TaskProdCEs = append(c.TaskProdCEs, countCEs(p.AST))
+			c.taskProdCEs = append(c.taskProdCEs, countCEs(p.AST))
 		}
 	}
-	c.NullSuppressed = e.NW.Stats.NullSuppressed.Load()
-	c.AlphaHits = e.NW.Stats.AlphaHits.Load()
-	c.AlphaMisses = e.NW.Stats.AlphaMisses.Load()
+	c.nullSuppressed = e.NW.Stats.NullSuppressed.Load()
+	c.alphaHits = e.NW.Stats.AlphaHits.Load()
+	c.alphaMisses = e.NW.Stats.AlphaMisses.Load()
 	if e.Prof != nil {
-		c.Prof = e.Prof.Snapshot()
+		c.prof = e.Prof.Snapshot()
 	}
 }
 
@@ -132,21 +132,21 @@ func countCEs(p *ops5.Production) int {
 	return n
 }
 
-// Mode selects a run variant.
-type Mode int
+// mode selects a run variant.
+type mode int
 
 // The three run modes of §3.
 const (
-	NoChunk Mode = iota
-	DuringChunk
-	AfterChunk
+	noChunk mode = iota
+	duringChunk
+	afterChunk
 )
 
-func (m Mode) String() string {
+func (m mode) String() string {
 	switch m {
-	case NoChunk:
+	case noChunk:
 		return "without-chunking"
-	case DuringChunk:
+	case duringChunk:
 		return "during-chunking"
 	}
 	return "after-chunking"
@@ -154,7 +154,7 @@ func (m Mode) String() string {
 
 // Lab lazily captures and caches workload runs.
 type Lab struct {
-	cache map[string]*Capture
+	cache map[string]*capture
 	opts  rete.Options
 	obs   *obs.Observer
 }
@@ -166,7 +166,7 @@ type Lab struct {
 func NewLab() *Lab {
 	opts := rete.DefaultOptions()
 	opts.Unlink = false
-	return &Lab{cache: map[string]*Capture{}, opts: opts}
+	return &Lab{cache: map[string]*capture{}, opts: opts}
 }
 
 // SetUnlink toggles left/right unlinking on every engine the lab creates
@@ -190,29 +190,29 @@ func (l *Lab) engCfg() engine.Config {
 	return cfg
 }
 
-// SoarTask captures a Soar task run in the given mode. For AfterChunk, the
-// chunks learned in a DuringChunk run of the same task are transferred
+// soarTask captures a Soar task run in the given mode. For afterChunk, the
+// chunks learned in a duringChunk run of the same task are transferred
 // into a fresh agent before the run.
-func (l *Lab) SoarTask(name string, task *soar.Task, mode Mode) (*Capture, error) {
+func (l *Lab) soarTask(name string, task *soar.Task, mode mode) (*capture, error) {
 	key := fmt.Sprintf("%s/%v/org%d/u%v", name, mode, l.opts.Organization, l.opts.Unlink)
 	if c, ok := l.cache[key]; ok {
 		return c, nil
 	}
 	cfg := soar.Config{
 		Engine:       l.engCfg(),
-		Chunking:     mode != NoChunk,
+		Chunking:     mode != noChunk,
 		MaxDecisions: 400,
 	}
 	a, err := soar.New(cfg, task)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", name, err)
 	}
-	cap := &Capture{Name: key, agent: a, eng: a.Eng}
+	cap := &capture{name: key, agent: a, eng: a.Eng}
 	a.Eng.AfterCycle = func(*prun.CycleStats) {
-		cap.BucketAccesses = append(cap.BucketAccesses, a.Eng.NW.Mem.HarvestAccessCounts()...)
+		cap.bucketAccesses = append(cap.bucketAccesses, a.Eng.NW.Mem.HarvestAccessCounts()...)
 	}
-	if mode == AfterChunk {
-		during, err := l.SoarTask(name, task, DuringChunk)
+	if mode == afterChunk {
+		during, err := l.soarTask(name, task, duringChunk)
 		if err != nil {
 			return nil, err
 		}
@@ -226,8 +226,8 @@ func (l *Lab) SoarTask(name string, task *soar.Task, mode Mode) (*Capture, error
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s run: %w", name, err)
 	}
-	cap.Halted = res.Halted
-	cap.Decisions = res.Decisions
+	cap.halted = res.Halted
+	cap.decisions = res.Decisions
 	cap.harvest(a.Eng)
 	l.cache[key] = cap
 	return cap, nil
@@ -236,7 +236,7 @@ func (l *Lab) SoarTask(name string, task *soar.Task, mode Mode) (*Capture, error
 // soarTaskSeeded runs a during-chunking capture seeded with every chunk
 // (including transferred ones) present in a previous capture's network —
 // the long-run learning regime of §7.
-func (l *Lab) soarTaskSeeded(name string, task *soar.Task, prev *Capture) (*Capture, error) {
+func (l *Lab) soarTaskSeeded(name string, task *soar.Task, prev *capture) (*capture, error) {
 	key := fmt.Sprintf("%s/seeded", name)
 	if c, ok := l.cache[key]; ok {
 		return c, nil
@@ -250,7 +250,7 @@ func (l *Lab) soarTaskSeeded(name string, task *soar.Task, prev *Capture) (*Capt
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", name, err)
 	}
-	cap := &Capture{Name: key, agent: a, eng: a.Eng}
+	cap := &capture{name: key, agent: a, eng: a.Eng}
 	if prev != nil {
 		n := 0
 		for _, p := range prev.eng.NW.Productions() {
@@ -270,28 +270,28 @@ func (l *Lab) soarTaskSeeded(name string, task *soar.Task, prev *Capture) (*Capt
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s run: %w", name, err)
 	}
-	cap.Halted = res.Halted
-	cap.Decisions = res.Decisions
-	cap.Moves = res.OperatorDecisions
+	cap.halted = res.Halted
+	cap.decisions = res.Decisions
+	cap.moves = res.OperatorDecisions
 	cap.harvest(a.Eng)
 	l.cache[key] = cap
 	return cap, nil
 }
 
-// EightPuzzle captures the Eight-Puzzle-Soar run.
-func (l *Lab) EightPuzzle(mode Mode) (*Capture, error) {
-	return l.SoarTask("eight-puzzle", eightpuzzle.Default(), mode)
+// eightPuzzle captures the Eight-Puzzle-Soar run.
+func (l *Lab) eightPuzzle(mode mode) (*capture, error) {
+	return l.soarTask("eight-puzzle", eightpuzzle.Default(), mode)
 }
 
-// Strips captures the Strips-Soar run.
-func (l *Lab) Strips(mode Mode) (*Capture, error) {
-	return l.SoarTask("strips", strips.Default(), mode)
+// strips captures the Strips-Soar run.
+func (l *Lab) strips(mode mode) (*capture, error) {
+	return l.soarTask("strips", strips.Default(), mode)
 }
 
-// Cypress captures the synthetic Cypress run. NoChunk runs the driver with
-// only the task productions; DuringChunk adds the 26 chunks at their
-// scripted points; AfterChunk preloads all chunks before driving.
-func (l *Lab) Cypress(mode Mode) (*Capture, error) {
+// cypress captures the synthetic Cypress run. noChunk runs the driver with
+// only the task productions; duringChunk adds the 26 chunks at their
+// scripted points; afterChunk preloads all chunks before driving.
+func (l *Lab) cypress(mode mode) (*capture, error) {
 	key := fmt.Sprintf("cypress/%v/org%d/u%v", mode, l.opts.Organization, l.opts.Unlink)
 	if c, ok := l.cache[key]; ok {
 		return c, nil
@@ -301,11 +301,11 @@ func (l *Lab) Cypress(mode Mode) (*Capture, error) {
 	if err := e.LoadProgram(sys.Source); err != nil {
 		return nil, fmt.Errorf("exp: cypress load: %w", err)
 	}
-	cap := &Capture{Name: key, eng: e}
+	cap := &capture{name: key, eng: e}
 	e.AfterCycle = func(*prun.CycleStats) {
-		cap.BucketAccesses = append(cap.BucketAccesses, e.NW.Mem.HarvestAccessCounts()...)
+		cap.bucketAccesses = append(cap.bucketAccesses, e.NW.Mem.HarvestAccessCounts()...)
 	}
-	if mode == AfterChunk {
+	if mode == afterChunk {
 		for i := range sys.ChunkSrcs {
 			ast, err := sys.ParseChunk(i, e.Tab)
 			if err != nil {
@@ -320,33 +320,33 @@ func (l *Lab) Cypress(mode Mode) (*Capture, error) {
 	drv := cypress.NewDriver(sys, e.Tab, e.WM)
 	next := 0
 	for cyc := 0; cyc < sys.Params.Cycles; cyc++ {
-		if _, err := drv.Step(e, cyc, &next, mode == DuringChunk); err != nil {
+		if _, err := drv.Step(e, cyc, &next, mode == duringChunk); err != nil {
 			return nil, fmt.Errorf("exp: %w", err)
 		}
 	}
-	cap.Halted = true
-	cap.Decisions = sys.Params.Cycles
+	cap.halted = true
+	cap.decisions = sys.Params.Cycles
 	cap.harvest(e)
 	l.cache[key] = cap
 	return cap, nil
 }
 
-// Workloads returns the three paper tasks in the given mode.
-func (l *Lab) Workloads(mode Mode) ([]*Capture, error) {
-	ep, err := l.EightPuzzle(mode)
+// workloads returns the three paper tasks in the given mode.
+func (l *Lab) workloads(mode mode) ([]*capture, error) {
+	ep, err := l.eightPuzzle(mode)
 	if err != nil {
 		return nil, err
 	}
-	st, err := l.Strips(mode)
+	st, err := l.strips(mode)
 	if err != nil {
 		return nil, err
 	}
-	cy, err := l.Cypress(mode)
+	cy, err := l.cypress(mode)
 	if err != nil {
 		return nil, err
 	}
-	return []*Capture{ep, st, cy}, nil
+	return []*capture{ep, st, cy}, nil
 }
 
-// TaskNames are the display names, in the paper's order.
-var TaskNames = []string{"Eight-puzzle", "Strips", "Cypress"}
+// taskNames are the display names, in the paper's order.
+var taskNames = []string{"Eight-puzzle", "Strips", "Cypress"}

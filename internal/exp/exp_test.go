@@ -265,19 +265,19 @@ func TestFig62StripsWorstContention(t *testing.T) {
 }
 
 func TestCaptureInvariants(t *testing.T) {
-	caps, err := sharedLab.Workloads(DuringChunk)
+	caps, err := sharedLab.workloads(duringChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range caps {
-		if !c.Halted {
-			t.Errorf("%s did not halt", c.Name)
+		if !c.halted {
+			t.Errorf("%s did not halt", c.name)
 		}
-		if len(c.ChunkCEs) == 0 {
-			t.Errorf("%s built no chunks", c.Name)
+		if len(c.chunkCEs) == 0 {
+			t.Errorf("%s built no chunks", c.name)
 		}
-		if len(c.UpdateTraces) == 0 {
-			t.Errorf("%s recorded no update cycles", c.Name)
+		if len(c.updateTraces) == 0 {
+			t.Errorf("%s recorded no update cycles", c.name)
 		}
 	}
 }

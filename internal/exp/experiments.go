@@ -16,8 +16,8 @@ import (
 	"soarpsme/internal/value"
 )
 
-// ProcessCounts is the paper's sweep of match processes.
-var ProcessCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
+// processCounts is the paper's sweep of match processes.
+var processCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
 
 func mean(xs []int) float64 {
 	if len(xs) == 0 {
@@ -37,17 +37,17 @@ func Table51(l *Lab) (*stats.Table, error) {
 		Title:   "Table 5-1: Number of CEs per chunk (during-chunking runs)",
 		Headers: []string{"Task", "Avg CEs (task Ps)", "Avg CEs (chunks)", "Avg bytes/chunk", "Avg bytes/2-input node"},
 	}
-	caps, err := l.Workloads(DuringChunk)
+	caps, err := l.workloads(duringChunk)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range caps {
 		n2in := 0
-		for _, n := range c.ChunkNew2In {
+		for _, n := range c.chunkNew2In {
 			n2in += n
 		}
 		bytes := 0
-		for _, b := range c.ChunkBytes {
+		for _, b := range c.chunkBytes {
 			bytes += b
 		}
 		per2in := 0.0
@@ -55,12 +55,12 @@ func Table51(l *Lab) (*stats.Table, error) {
 			per2in = float64(bytes) / float64(n2in)
 		}
 		perChunk := 0.0
-		if len(c.ChunkBytes) > 0 {
-			perChunk = float64(bytes) / float64(len(c.ChunkBytes))
+		if len(c.chunkBytes) > 0 {
+			perChunk = float64(bytes) / float64(len(c.chunkBytes))
 		}
-		t.AddRow(TaskNames[i],
-			fmt.Sprintf("%.0f", mean(c.TaskProdCEs)),
-			fmt.Sprintf("%.0f", mean(c.ChunkCEs)),
+		t.AddRow(taskNames[i],
+			fmt.Sprintf("%.0f", mean(c.taskProdCEs)),
+			fmt.Sprintf("%.0f", mean(c.chunkCEs)),
 			fmt.Sprintf("%.0f", perChunk),
 			fmt.Sprintf("%.0f", per2in))
 	}
@@ -132,7 +132,7 @@ func Table52(l *Lab) (*stats.Table, error) {
 		Title:   "Table 5-2: Time for compiling chunks at run-time (modeled seconds on the 0.75-MIPS target)",
 		Headers: []string{"Task", "Chunks added", "Time shared (s)", "Time unshared (s)"},
 	}
-	caps, err := l.Workloads(DuringChunk)
+	caps, err := l.workloads(duringChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func Table52(l *Lab) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(TaskNames[i],
+		t.AddRow(taskNames[i],
 			fmt.Sprintf("%d", len(chunkASTs)),
 			fmt.Sprintf("%.1f", float64(shared)/1e6),
 			fmt.Sprintf("%.1f", float64(unshared)/1e6))
@@ -159,7 +159,7 @@ func Table52(l *Lab) (*stats.Table, error) {
 
 // recompileChunks rebuilds the task network and re-adds the chunks under
 // the given sharing setting, returning the modeled compile time.
-func recompileChunks(c *Capture, chunks []*ops5.Production, share bool) (int64, error) {
+func recompileChunks(c *capture, chunks []*ops5.Production, share bool) (int64, error) {
 	opts := rete.DefaultOptions()
 	opts.ShareBeta = share
 	nw := rete.NewNetwork(c.eng.Tab, c.eng.Reg, nil, opts)
@@ -196,17 +196,17 @@ func Table61(l *Lab) (*stats.Table, error) {
 		Title:   "Table 6-1: The granularity of the tasks (without chunking; simulated NS32032 time)",
 		Headers: []string{"Task", "Uniproc. time (s)", "Total tasks executed", "Avg time per task (us)"},
 	}
-	caps, err := l.Workloads(NoChunk)
+	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range caps {
-		one := sim.MultiCycle(c.Traces, sim.Config{Processes: 1, QueueOp: QueueOp})
+		one := sim.MultiCycle(c.traces, sim.Config{Processes: 1, QueueOp: queueOp})
 		avg := int64(0)
 		if one.Tasks > 0 {
 			avg = one.TotalWork / int64(one.Tasks)
 		}
-		t.AddRow(TaskNames[i],
+		t.AddRow(taskNames[i],
 			fmt.Sprintf("%.1f", float64(one.Makespan)/1e6),
 			fmt.Sprintf("%d", one.Tasks),
 			fmt.Sprintf("%d", avg))
@@ -215,25 +215,25 @@ func Table61(l *Lab) (*stats.Table, error) {
 }
 
 // speedupFigure builds a speedup-vs-processes figure over the given traces.
-func speedupFigure(title string, caps []*Capture, traces func(*Capture) [][]prun.TaskRec, pol sim.Policy) *stats.Figure {
+func speedupFigure(title string, caps []*capture, traces func(*capture) [][]prun.TaskRec, pol sim.Policy) *stats.Figure {
 	f := &stats.Figure{Title: title, XLabel: "match processes", YLabel: "speedup"}
 	for i, c := range caps {
-		one := sim.MultiCycle(traces(c), sim.Config{Processes: 1, QueueOp: QueueOp})
-		name := fmt.Sprintf("%s (uniproc %.1fs)", TaskNames[i], float64(one.Makespan)/1e6)
+		one := sim.MultiCycle(traces(c), sim.Config{Processes: 1, QueueOp: queueOp})
+		name := fmt.Sprintf("%s (uniproc %.1fs)", taskNames[i], float64(one.Makespan)/1e6)
 		s := f.AddSeries(name)
-		for _, p := range ProcessCounts {
-			s.Add(float64(p), sim.RunSpeedup(traces(c), p, pol, QueueOp))
+		for _, p := range processCounts {
+			s.Add(float64(p), sim.RunSpeedup(traces(c), p, pol, queueOp))
 		}
 	}
 	return f
 }
 
-func normalTraces(c *Capture) [][]prun.TaskRec { return c.Traces }
-func updateTraces(c *Capture) [][]prun.TaskRec { return c.UpdateTraces }
+func normalTraces(c *capture) [][]prun.TaskRec { return c.traces }
+func updateTraces(c *capture) [][]prun.TaskRec { return c.updateTraces }
 
 // Fig61 reproduces Figure 6-1: speedups without chunking, single queue.
 func Fig61(l *Lab) (*stats.Figure, error) {
-	caps, err := l.Workloads(NoChunk)
+	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +243,7 @@ func Fig61(l *Lab) (*stats.Figure, error) {
 
 // Fig64 reproduces Figure 6-4: speedups without chunking, multiple queues.
 func Fig64(l *Lab) (*stats.Figure, error) {
-	caps, err := l.Workloads(NoChunk)
+	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -259,16 +259,16 @@ func Fig62(l *Lab) (*stats.Figure, error) {
 		XLabel: "accesses per bucket per cycle",
 		YLabel: "percent of left tokens",
 	}
-	caps, err := l.Workloads(NoChunk)
+	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range caps {
-		s := f.AddSeries(TaskNames[i])
+		s := f.AddSeries(taskNames[i])
 		// Weight each bucket-cycle count by the tokens it covers.
 		byCount := map[int]int{}
 		total := 0
-		for _, n := range c.BucketAccesses {
+		for _, n := range c.bucketAccesses {
 			byCount[n] += n
 			total += n
 		}
@@ -295,18 +295,18 @@ func Fig63(l *Lab) (*stats.Figure, error) {
 		XLabel: "match processes",
 		YLabel: "spins/task (queue-op units)",
 	}
-	caps, err := l.Workloads(NoChunk)
+	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range caps {
-		s := f.AddSeries(TaskNames[i])
-		for _, p := range ProcessCounts {
+		s := f.AddSeries(taskNames[i])
+		for _, p := range processCounts {
 			if p < 3 {
 				continue
 			}
-			r := sim.MultiCycle(c.Traces, sim.Config{Processes: p, Policy: sim.SingleQueue, QueueOp: QueueOp})
-			s.Add(float64(p), r.SpinsPerTask(QueueOp))
+			r := sim.MultiCycle(c.traces, sim.Config{Processes: p, Policy: sim.SingleQueue, QueueOp: queueOp})
+			s.Add(float64(p), r.SpinsPerTask(queueOp))
 		}
 	}
 	return f, nil
@@ -320,16 +320,16 @@ func Fig65(l *Lab) (*stats.Figure, error) {
 		XLabel: "tasks/cycle (bin)",
 		YLabel: "mean speedup",
 	}
-	c, err := l.EightPuzzle(DuringChunk)
+	c, err := l.eightPuzzle(duringChunk)
 	if err != nil {
 		return nil, err
 	}
 	bins := map[int]*stats.Summary{}
-	for _, tr := range c.Traces {
+	for _, tr := range c.traces {
 		if len(tr) == 0 {
 			continue
 		}
-		sp := sim.Speedup(tr, 11, sim.MultiQueue, QueueOp)
+		sp := sim.Speedup(tr, 11, sim.MultiQueue, queueOp)
 		bin := binFor(len(tr))
 		if bins[bin] == nil {
 			bins[bin] = &stats.Summary{}
@@ -368,26 +368,26 @@ func Fig66(l *Lab) (*stats.Figure, error) {
 		XLabel: "time (100us units)",
 		YLabel: "tasks in system",
 	}
-	c, err := l.EightPuzzle(DuringChunk)
+	c, err := l.eightPuzzle(duringChunk)
 	if err != nil {
 		return nil, err
 	}
 	// Pick the largest cycle in the 250..600 range (like the paper's
 	// ~300-task example), falling back to the largest overall.
 	var pick []prun.TaskRec
-	for _, tr := range c.Traces {
+	for _, tr := range c.traces {
 		if len(tr) >= 250 && len(tr) <= 600 && len(tr) > len(pick) {
 			pick = tr
 		}
 	}
 	if pick == nil {
-		for _, tr := range c.Traces {
+		for _, tr := range c.traces {
 			if len(tr) > len(pick) {
 				pick = tr
 			}
 		}
 	}
-	r := sim.Simulate(pick, sim.Config{Processes: 11, Policy: sim.MultiQueue, QueueOp: QueueOp, MaxSamples: 100000})
+	r := sim.Simulate(pick, sim.Config{Processes: 11, Policy: sim.MultiQueue, QueueOp: queueOp, MaxSamples: 100000})
 	s := f.AddSeries(fmt.Sprintf("cycle with %d tasks", len(pick)))
 	// Downsample to ~120 points, keeping the maximum within each window
 	// (the count fluctuates as tasks complete before their children are
@@ -412,7 +412,7 @@ func Fig66(l *Lab) (*stats.Figure, error) {
 func Fig67(l *Lab) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("Figure 6-7: Long chain productions\n\n")
-	c, err := l.Strips(DuringChunk)
+	c, err := l.strips(duringChunk)
 	if err != nil {
 		return "", err
 	}
@@ -452,13 +452,13 @@ func Fig68(l *Lab) (*stats.Table, error) {
 		// CEs".
 		lab.opts.ContextCEs = 3
 		lab.opts.GroupCEs = 3
-		c, err := lab.SoarTask("strips-bilinear", strips.Default(), NoChunk)
+		c, err := lab.soarTask("strips-bilinear", strips.Default(), noChunk)
 		if err != nil {
 			return nil, err
 		}
 		depth := prodChainDepth(c.eng, "st*monitor-strips-state")
 		crit := 0
-		for _, tr := range c.Traces {
+		for _, tr := range c.traces {
 			if d := criticalPath(tr); d > crit {
 				crit = d
 			}
@@ -470,8 +470,8 @@ func Fig68(l *Lab) (*stats.Table, error) {
 		t.AddRow(name,
 			fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%d", crit),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.Traces, 11, sim.MultiQueue, QueueOp)),
-			fmt.Sprintf("%d", c.Tasks))
+			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)),
+			fmt.Sprintf("%d", c.tasks))
 	}
 	return t, nil
 }
@@ -507,7 +507,7 @@ func criticalPath(tr []prun.TaskRec) int {
 // Fig69 reproduces Figure 6-9: speedups in the update phase (run-time
 // addition state update), multiple queues.
 func Fig69(l *Lab) (*stats.Figure, error) {
-	caps, err := l.Workloads(DuringChunk)
+	caps, err := l.workloads(duringChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +517,7 @@ func Fig69(l *Lab) (*stats.Figure, error) {
 
 // Fig610 reproduces Figure 6-10: speedups after chunking, multiple queues.
 func Fig610(l *Lab) (*stats.Figure, error) {
-	caps, err := l.Workloads(AfterChunk)
+	caps, err := l.workloads(afterChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -526,10 +526,10 @@ func Fig610(l *Lab) (*stats.Figure, error) {
 }
 
 // tasksPerCycleHist builds the paper's tasks/cycle histograms.
-func tasksPerCycleHist(title string, c *Capture) *stats.Figure {
+func tasksPerCycleHist(title string, c *capture) *stats.Figure {
 	f := &stats.Figure{Title: title, XLabel: "tasks/cycle (bin of 25)", YLabel: "percent of cycles"}
 	h := stats.NewHistogram(25)
-	for _, n := range c.TasksPerCycle {
+	for _, n := range c.tasksPerCycle {
 		h.Add(n)
 	}
 	s := f.AddSeries("cycles")
@@ -542,7 +542,7 @@ func tasksPerCycleHist(title string, c *Capture) *stats.Figure {
 // Fig611 reproduces Figure 6-11: tasks/cycle distribution, Eight-puzzle
 // without chunking.
 func Fig611(l *Lab) (*stats.Figure, error) {
-	c, err := l.EightPuzzle(NoChunk)
+	c, err := l.eightPuzzle(noChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -552,7 +552,7 @@ func Fig611(l *Lab) (*stats.Figure, error) {
 // Fig612 reproduces Figure 6-12: tasks/cycle distribution, Eight-puzzle
 // after chunking.
 func Fig612(l *Lab) (*stats.Figure, error) {
-	c, err := l.EightPuzzle(AfterChunk)
+	c, err := l.eightPuzzle(afterChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -567,31 +567,31 @@ func Extras(l *Lab) (*stats.Table, error) {
 		Title:   "Prose measurements (sections 5.1, 6.3)",
 		Headers: []string{"Task", "Shared 2-in nodes/chunk", "Jumptable overhead", "Tasks no-chunk", "Tasks after-chunk", "%cycles >=1000 tasks (after)"},
 	}
-	during, err := l.Workloads(DuringChunk)
+	during, err := l.workloads(duringChunk)
 	if err != nil {
 		return nil, err
 	}
-	noChunk, err := l.Workloads(NoChunk)
+	noChunk, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
-	afterChunk, err := l.Workloads(AfterChunk)
+	afterChunk, err := l.workloads(afterChunk)
 	if err != nil {
 		return nil, err
 	}
-	for i := range TaskNames {
+	for i := range taskNames {
 		d := during[i]
 		nc := noChunk[i]
 		ac := afterChunk[i]
 		sharedPer := 0.0
-		if len(d.ChunkCEs) > 0 {
-			sharedPer = float64(d.SharedTwoInput) / float64(len(d.ChunkCEs))
+		if len(d.chunkCEs) > 0 {
+			sharedPer = float64(d.sharedTwoInput) / float64(len(d.chunkCEs))
 		}
 		bytes, n2in := 0, 0
-		for _, b := range d.ChunkBytes {
+		for _, b := range d.chunkBytes {
 			bytes += b
 		}
-		for _, n := range d.ChunkNew2In {
+		for _, n := range d.chunkNew2In {
 			n2in += n
 		}
 		overhead := 0.0
@@ -599,14 +599,14 @@ func Extras(l *Lab) (*stats.Table, error) {
 			overhead = jumpBytes / (float64(bytes) / float64(n2in))
 		}
 		h := stats.NewHistogram(100)
-		for _, n := range ac.TasksPerCycle {
+		for _, n := range ac.tasksPerCycle {
 			h.Add(n)
 		}
-		t.AddRow(TaskNames[i],
+		t.AddRow(taskNames[i],
 			fmt.Sprintf("%.1f", sharedPer),
 			fmt.Sprintf("%.1f%%", 100*overhead),
-			fmt.Sprintf("%d", nc.Tasks),
-			fmt.Sprintf("%d", ac.Tasks),
+			fmt.Sprintf("%d", nc.tasks),
+			fmt.Sprintf("%d", ac.tasks),
 			fmt.Sprintf("%.0f%%", h.PercentAtOrAbove(1000)))
 	}
 	return t, nil

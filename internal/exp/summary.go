@@ -25,19 +25,19 @@ func Summary(l *Lab) (*stats.Table, error) {
 
 	// Table 5-1: chunks bigger than task productions; bytes/node in band.
 	{
-		c, err := l.Cypress(DuringChunk)
+		c, err := l.cypress(duringChunk)
 		if err != nil {
 			return nil, err
 		}
-		taskCEs, chunkCEs := mean(c.TaskProdCEs), mean(c.ChunkCEs)
+		taskCEs, chunkCEs := mean(c.taskProdCEs), mean(c.chunkCEs)
 		t.AddRow("Table 5-1 (Cypress CEs)", "26 task / 51 chunk",
 			fmt.Sprintf("%.0f task / %.0f chunk", taskCEs, chunkCEs),
 			check(chunkCEs > taskCEs))
 		bytes, n2in := 0, 0
-		for _, b := range c.ChunkBytes {
+		for _, b := range c.chunkBytes {
 			bytes += b
 		}
-		for _, n := range c.ChunkNew2In {
+		for _, n := range c.chunkNew2In {
 			n2in += n
 		}
 		per := float64(bytes) / float64(maxi(1, n2in))
@@ -47,11 +47,11 @@ func Summary(l *Lab) (*stats.Table, error) {
 
 	// Table 6-1: ~400 µs tasks.
 	{
-		c, err := l.EightPuzzle(NoChunk)
+		c, err := l.eightPuzzle(noChunk)
 		if err != nil {
 			return nil, err
 		}
-		one := sim.MultiCycle(c.Traces, sim.Config{Processes: 1, QueueOp: QueueOp})
+		one := sim.MultiCycle(c.traces, sim.Config{Processes: 1, QueueOp: queueOp})
 		avg := float64(one.TotalWork) / float64(maxi(1, one.Tasks))
 		t.AddRow("Table 6-1 (µs/task)", "400-438",
 			fmt.Sprintf("%.0f", avg), check(avg > 250 && avg < 550))
@@ -59,21 +59,21 @@ func Summary(l *Lab) (*stats.Table, error) {
 
 	// Figures 6-1/6-4: single-queue cap lifted by multiple queues.
 	{
-		c, err := l.Strips(NoChunk)
+		c, err := l.strips(noChunk)
 		if err != nil {
 			return nil, err
 		}
-		s1 := sim.RunSpeedup(c.Traces, 13, sim.SingleQueue, QueueOp)
-		s2 := sim.RunSpeedup(c.Traces, 13, sim.MultiQueue, QueueOp)
+		s1 := sim.RunSpeedup(c.traces, 13, sim.SingleQueue, queueOp)
+		s2 := sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)
 		t.AddRow("Fig 6-1 vs 6-4 (Strips @13)", "≈4.2 → ≈7",
 			fmt.Sprintf("%.1f → %.1f", s1, s2), check(s2 > s1 && s1 < 6))
 	}
 
 	// Figure 6-2: Strips is the contended task.
 	{
-		share := func(c *Capture) float64 {
+		share := func(c *capture) float64 {
 			byCount, total := map[int]int{}, 0
-			for _, n := range c.BucketAccesses {
+			for _, n := range c.bucketAccesses {
 				byCount[n] += n
 				total += n
 			}
@@ -82,11 +82,11 @@ func Summary(l *Lab) (*stats.Table, error) {
 			}
 			return 100 * float64(byCount[1]) / float64(total)
 		}
-		epc, err := l.EightPuzzle(NoChunk)
+		epc, err := l.eightPuzzle(noChunk)
 		if err != nil {
 			return nil, err
 		}
-		stc, err := l.Strips(NoChunk)
+		stc, err := l.strips(noChunk)
 		if err != nil {
 			return nil, err
 		}
@@ -97,40 +97,40 @@ func Summary(l *Lab) (*stats.Table, error) {
 
 	// Figure 6-9: update phase parallelizes.
 	{
-		c, err := l.Strips(DuringChunk)
+		c, err := l.strips(duringChunk)
 		if err != nil {
 			return nil, err
 		}
-		sp := sim.RunSpeedup(c.UpdateTraces, 13, sim.MultiQueue, QueueOp)
+		sp := sim.RunSpeedup(c.updateTraces, 13, sim.MultiQueue, queueOp)
 		t.AddRow("Fig 6-9 (update speedup @13)", "high",
 			fmt.Sprintf("%.1f", sp), check(sp > 1.5))
 	}
 
 	// Figure 6-10: Eight-puzzle after chunking ≈ 10×.
 	{
-		c, err := l.EightPuzzle(AfterChunk)
+		c, err := l.eightPuzzle(afterChunk)
 		if err != nil {
 			return nil, err
 		}
-		sp := sim.RunSpeedup(c.Traces, 13, sim.MultiQueue, QueueOp)
+		sp := sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)
 		t.AddRow("Fig 6-10 (EP after-chunking @13)", "≈10",
 			fmt.Sprintf("%.1f", sp), check(sp >= 8))
 	}
 
 	// Figures 6-11/12: histogram shift.
 	{
-		massAbove := func(c *Capture, cut int) float64 {
+		massAbove := func(c *capture, cut int) float64 {
 			h := stats.NewHistogram(25)
-			for _, n := range c.TasksPerCycle {
+			for _, n := range c.tasksPerCycle {
 				h.Add(n)
 			}
 			return h.PercentAtOrAbove(cut)
 		}
-		bc, err := l.EightPuzzle(NoChunk)
+		bc, err := l.eightPuzzle(noChunk)
 		if err != nil {
 			return nil, err
 		}
-		ac, err := l.EightPuzzle(AfterChunk)
+		ac, err := l.eightPuzzle(afterChunk)
 		if err != nil {
 			return nil, err
 		}
@@ -144,16 +144,16 @@ func Summary(l *Lab) (*stats.Table, error) {
 	// cycle parallelizes far worse than the best cycles, which is why the
 	// whole-run speedup understates the burst parallelism.
 	{
-		c, err := l.EightPuzzle(DuringChunk)
+		c, err := l.eightPuzzle(duringChunk)
 		if err != nil {
 			return nil, err
 		}
 		h := stats.NewHistogram(10) // bins of 0.1x (speedup scaled by 100)
-		for _, tr := range c.Traces {
+		for _, tr := range c.traces {
 			if len(tr) < 5 {
 				continue
 			}
-			h.Add(int(100 * sim.Speedup(tr, 11, sim.MultiQueue, QueueOp)))
+			h.Add(int(100 * sim.Speedup(tr, 11, sim.MultiQueue, queueOp)))
 		}
 		p50, p90, p99 := h.Percentiles()
 		t.AddRow("§6.2 (EP per-cycle speedup @11)", "high variance",
@@ -163,15 +163,15 @@ func Summary(l *Lab) (*stats.Table, error) {
 
 	// §6.3: chunking increases total match work on the Eight-puzzle.
 	{
-		ncc, err := l.EightPuzzle(NoChunk)
+		ncc, err := l.eightPuzzle(noChunk)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := l.EightPuzzle(AfterChunk)
+		acc, err := l.eightPuzzle(afterChunk)
 		if err != nil {
 			return nil, err
 		}
-		nc, ac := ncc.Tasks, acc.Tasks
+		nc, ac := ncc.tasks, acc.tasks
 		t.AddRow("§6.3 (EP match work growth)", "expensive chunks",
 			fmt.Sprintf("%d → %d tasks", nc, ac), check(ac > nc))
 	}

@@ -128,7 +128,7 @@ func Plan(faults ...Fault) *Injector {
 type Rates struct {
 	Panic     uint32
 	Stall     uint32
-	DropSteal uint32
+	dropSteal uint32
 	StallFor  time.Duration
 }
 
@@ -136,7 +136,7 @@ type Rates struct {
 // frequent dropped steals. Tuned so a multi-thousand-task run sees a
 // handful of failed cycles without spending its whole life in recovery.
 func DefaultRates() Rates {
-	return Rates{Panic: 8, Stall: 4, DropSteal: 1024, StallFor: 2 * time.Millisecond}
+	return Rates{Panic: 8, Stall: 4, dropSteal: 1024, StallFor: 2 * time.Millisecond}
 }
 
 // Seeded builds an injector whose decisions are a pure function of
@@ -146,7 +146,7 @@ func Seeded(seed int64, r Rates) *Injector {
 		seed:       splitmix(uint64(seed) ^ 0x9e3779b97f4a7c15),
 		pPanic:     r.Panic,
 		pStall:     r.Stall,
-		pDropSteal: r.DropSteal,
+		pDropSteal: r.dropSteal,
 		stallFor:   r.StallFor,
 	}
 }
@@ -193,14 +193,6 @@ func (in *Injector) Visit(site Site) Action {
 		}
 	}
 	return Action{}
-}
-
-// Fired returns the number of faults injected so far.
-func (in *Injector) Fired() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.fired.Load()
 }
 
 // Visits returns the arrival count recorded at site.

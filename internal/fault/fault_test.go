@@ -56,7 +56,7 @@ func TestPlanStallCarriesDelay(t *testing.T) {
 // produces a different schedule.
 func TestSeededDeterminism(t *testing.T) {
 	const n = 100000
-	r := Rates{Panic: 60, Stall: 40, DropSteal: 2000, StallFor: time.Millisecond}
+	r := Rates{Panic: 60, Stall: 40, dropSteal: 2000, StallFor: time.Millisecond}
 	a, b := Seeded(42, r), Seeded(42, r)
 	fired := 0
 	for i := 0; i < n; i++ {
@@ -95,7 +95,7 @@ func TestSeededDeterminism(t *testing.T) {
 }
 
 func TestSeededSiteSeparation(t *testing.T) {
-	in := Seeded(7, Rates{DropSteal: 65536}) // every steal drops, exec never fires
+	in := Seeded(7, Rates{dropSteal: 65536}) // every steal drops, exec never fires
 	for i := 0; i < 100; i++ {
 		if a := in.Visit(SiteExec); a.Kind != KindNone {
 			t.Fatalf("exec visit %d fired %v with only steal rates set", i, a.Kind)

@@ -49,11 +49,3 @@ func (k *KillSwitch) Tick() {
 		k.kill()
 	}
 }
-
-// Remaining reports ticks left until the switch fires.
-func (k *KillSwitch) Remaining() int64 {
-	if k == nil {
-		return -1
-	}
-	return k.remaining.Load()
-}

@@ -59,3 +59,11 @@ func TestKillSwitchInert(t *testing.T) {
 		t.Fatal("nil Remaining should be -1")
 	}
 }
+
+// Remaining reports ticks left until the switch fires.
+func (k *KillSwitch) Remaining() int64 {
+	if k == nil {
+		return -1
+	}
+	return k.remaining.Load()
+}

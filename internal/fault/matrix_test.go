@@ -192,7 +192,7 @@ func TestFaultMatrix(t *testing.T) {
 		},
 		{
 			name: "seeded-drops",
-			mk:   func() *fault.Injector { return fault.Seeded(7, fault.Rates{DropSteal: 20000}) },
+			mk:   func() *fault.Injector { return fault.Seeded(7, fault.DropStealRates(20000)) },
 			// Dropped steals perturb the schedule but never fail a cycle.
 		},
 		{

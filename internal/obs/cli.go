@@ -26,14 +26,14 @@ func Setup(tracePath, metricsPath, listen string) (*Observer, func() error, erro
 	if tracePath != "" {
 		o.Trc = NewTracer()
 	}
-	var srv *Server
+	var srv *server
 	if listen != "" {
-		s, err := Serve(listen, o.Reg)
+		s, err := serve(listen, o.Reg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("obs: listen %s: %w", listen, err)
 		}
 		srv = s
-		fmt.Fprintf(os.Stderr, ";; obs: diagnostics on http://%s/ (/metrics, /debug/pprof/)\n", s.Addr())
+		fmt.Fprintf(os.Stderr, ";; obs: diagnostics on http://%s/ (/metrics, /debug/pprof/)\n", s.addr())
 	}
 	flush := func() error {
 		var first error

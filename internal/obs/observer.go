@@ -21,7 +21,7 @@ func (o *Observer) Counter(name string) *Counter {
 	if o == nil {
 		return nil
 	}
-	return o.Reg.Counter(name)
+	return o.Reg.counter(name)
 }
 
 // Gauge resolves a registry gauge (nil when disabled).
@@ -29,7 +29,7 @@ func (o *Observer) Gauge(name string) *Gauge {
 	if o == nil {
 		return nil
 	}
-	return o.Reg.Gauge(name)
+	return o.Reg.gauge(name)
 }
 
 // Histogram resolves a registry histogram (nil when disabled).
@@ -37,7 +37,7 @@ func (o *Observer) Histogram(name string, bounds ...float64) *Histogram {
 	if o == nil {
 		return nil
 	}
-	return o.Reg.Histogram(name, bounds...)
+	return o.Reg.histogram(name, bounds...)
 }
 
 // Tracer returns the tracer (nil when disabled).

@@ -61,8 +61,8 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
+// value returns the current value (0 on nil).
+func (g *Gauge) value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -121,8 +121,8 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// DefBuckets is the default bucket layout for second-valued histograms.
-var DefBuckets = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, .01, .025, .05, .1, .25, .5, 1, 2.5}
+// defBuckets is the default bucket layout for second-valued histograms.
+var defBuckets = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, .01, .025, .05, .1, .25, .5, 1, 2.5}
 
 // ExpBuckets returns n bucket bounds starting at start, each factor times
 // the previous.
@@ -183,9 +183,9 @@ func (r *Registry) OnCollect(fn func()) (remove func()) {
 	}
 }
 
-// Counter returns (creating if needed) the named counter; nil on a nil
+// counter returns (creating if needed) the named counter; nil on a nil
 // registry.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Registry) counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -199,9 +199,9 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns (creating if needed) the named gauge; nil on a nil
+// gauge returns (creating if needed) the named gauge; nil on a nil
 // registry.
-func (r *Registry) Gauge(name string) *Gauge {
+func (r *Registry) gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
@@ -215,10 +215,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating if needed) the named histogram. The bounds
-// are used only on first creation; DefBuckets when none are given. Nil on
+// histogram returns (creating if needed) the named histogram. The bounds
+// are used only on first creation; defBuckets when none are given. Nil on
 // a nil registry.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
+func (r *Registry) histogram(name string, bounds ...float64) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -227,7 +227,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	h := r.hists[name]
 	if h == nil {
 		if len(bounds) == 0 {
-			bounds = DefBuckets
+			bounds = defBuckets
 		}
 		bb := append([]float64(nil), bounds...)
 		sort.Float64s(bb)
@@ -292,7 +292,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	for _, gg := range gauges {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", gg.name, gg.name, formatFloat(gg.g.Value())); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", gg.name, gg.name, formatFloat(gg.g.value())); err != nil {
 			return err
 		}
 	}

@@ -19,7 +19,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(1)
-	if g.Value() != 0 {
+	if g.value() != 0 {
 		t.Fatal("nil gauge value")
 	}
 	var h *Histogram
@@ -28,7 +28,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil histogram state")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
+	if r.counter("x") != nil || r.gauge("x") != nil || r.histogram("x") != nil {
 		t.Fatal("nil registry returned a metric")
 	}
 	if err := r.WriteText(&strings.Builder{}); err != nil {
@@ -42,14 +42,14 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	if r.Counter("a") != r.Counter("a") {
+	if r.counter("a") != r.counter("a") {
 		t.Fatal("counter identity not stable")
 	}
-	if r.Gauge("g") != r.Gauge("g") {
+	if r.gauge("g") != r.gauge("g") {
 		t.Fatal("gauge identity not stable")
 	}
-	h := r.Histogram("h", 1, 2, 3)
-	if h != r.Histogram("h", 99) { // bounds only apply on first creation
+	h := r.histogram("h", 1, 2, 3)
+	if h != r.histogram("h", 99) { // bounds only apply on first creation
 		t.Fatal("histogram identity not stable")
 	}
 	h.Observe(2.5)
@@ -60,7 +60,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", 1, 10, 100)
+	h := r.histogram("lat", 1, 10, 100)
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(v)
 	}
@@ -87,9 +87,9 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestWriteTextSortedAndTyped(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_total").Add(7)
-	r.Counter("aa_total").Inc()
-	r.Gauge("mid_gauge").Set(1.5)
+	r.counter("zz_total").Add(7)
+	r.counter("aa_total").Inc()
+	r.gauge("mid_gauge").Set(1.5)
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -134,12 +134,12 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < iters; i++ {
-				r.Counter("c").Inc()
-				r.Gauge("g").Set(float64(w + 1))
-				r.Histogram("h", 10, 100).Observe(float64(i % 200))
+				r.counter("c").Inc()
+				r.gauge("g").Set(float64(w + 1))
+				r.histogram("h", 10, 100).Observe(float64(i % 200))
 				// Lazily create a brand-new name on every iteration so map
 				// inserts keep happening while the scraper is reading.
-				r.Counter(fmt.Sprintf("lazy_%d_%d", w, i)).Inc()
+				r.counter(fmt.Sprintf("lazy_%d_%d", w, i)).Inc()
 			}
 		}(w)
 	}
@@ -159,13 +159,13 @@ func TestRegistryConcurrency(t *testing.T) {
 	}()
 	close(start)
 	wg.Wait()
-	if got := r.Counter("c").Value(); got != workers*iters {
+	if got := r.counter("c").Value(); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := r.Gauge("g").Value(); got < 1 || got > workers || got != float64(int(got)) {
+	if got := r.gauge("g").value(); got < 1 || got > workers || got != float64(int(got)) {
 		t.Fatalf("gauge = %g, want one writer's value in [1, %d]", got, workers)
 	}
-	if got := r.Histogram("h").Count(); got != workers*iters {
+	if got := r.histogram("h").Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
 	}
 }
@@ -175,7 +175,7 @@ func TestRegistryConcurrency(t *testing.T) {
 // invariant: _count equals the +Inf cumulative bucket.
 func TestHistogramExpositionInvariant(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", 1, 10)
+	h := r.histogram("lat", 1, 10)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -209,7 +209,7 @@ func TestHistogramExpositionInvariant(t *testing.T) {
 // after it is removed.
 func TestOnCollect(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("harvested_total")
+	c := r.counter("harvested_total")
 	remove := r.OnCollect(func() { c.Add(5) })
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// Server is a running diagnostics server.
-type Server struct {
+// server is a running diagnostics server.
+type server struct {
 	srv *http.Server
 	ln  net.Listener
 	// closeTimeout bounds how long Close waits for in-flight requests
@@ -18,11 +18,11 @@ type Server struct {
 	closeTimeout time.Duration
 }
 
-// Serve starts the diagnostics server on addr (e.g. ":6060"; ":0" picks a
+// serve starts the diagnostics server on addr (e.g. ":6060"; ":0" picks a
 // free port) and serves in the background until Close: /metrics
 // (Prometheus text exposition of reg) and the standard /debug/pprof
 // endpoints.
-func Serve(addr string, reg *Registry) (*Server, error) {
+func serve(addr string, reg *Registry) (*server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -45,26 +45,26 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	return serveHandler(addr, mux)
 }
 
-// serveHandler starts a Server with an arbitrary handler; tests use it to
+// serveHandler starts a server with an arbitrary handler; tests use it to
 // inject slow handlers when exercising the graceful-close path.
-func serveHandler(addr string, h http.Handler) (*Server, error) {
+func serveHandler(addr string, h http.Handler) (*server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{srv: &http.Server{Handler: h}, ln: ln, closeTimeout: 5 * time.Second}
+	s := &server{srv: &http.Server{Handler: h}, ln: ln, closeTimeout: 5 * time.Second}
 	go s.srv.Serve(ln)
 	return s, nil
 }
 
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+// addr returns the bound listen address.
+func (s *server) addr() string { return s.ln.Addr().String() }
 
 // Close shuts the server down gracefully: it stops accepting connections
 // and waits up to closeTimeout (5 s) for in-flight requests — a /metrics
 // scrape or a profile download mid-transfer — to finish, then force-closes
 // whatever remains.
-func (s *Server) Close() error {
+func (s *server) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.closeTimeout)
 	defer cancel()
 	if err := s.srv.Shutdown(ctx); err != nil {

@@ -27,7 +27,7 @@ func TestServerEndpoints(t *testing.T) {
 	o := New()
 	o.Counter("match_tasks_total").Add(3)
 
-	s, err := Serve("127.0.0.1:0", o.Reg)
+	s, err := serve("127.0.0.1:0", o.Reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	get := func(path string) (int, string) {
 		t.Helper()
-		resp, err := http.Get("http://" + s.Addr() + path)
+		resp, err := http.Get("http://" + s.addr() + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestCloseWaitsForInFlightRequests(t *testing.T) {
 	}
 	got := make(chan reply, 1)
 	go func() {
-		resp, err := http.Get("http://" + s.Addr() + "/")
+		resp, err := http.Get("http://" + s.addr() + "/")
 		if err != nil {
 			got <- reply{err: err}
 			return
@@ -125,7 +125,7 @@ func TestCloseForceAfterTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.closeTimeout = 100 * time.Millisecond
-	go http.Get("http://" + s.Addr() + "/")
+	go http.Get("http://" + s.addr() + "/")
 	// Give the request a moment to reach the handler.
 	time.Sleep(50 * time.Millisecond)
 	done := make(chan error, 1)
@@ -163,7 +163,7 @@ func TestSetupFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Counter("wme_changes_total").Inc()
-	o.Trc.InstantTS(0, 0, "x", "", 1, nil)
+	o.Trc.instantTS(0, 0, "x", "", 1, nil)
 	o.Trc.SetProcessName(0, "match pipeline")
 	o.Trc.SetThreadName(0, 1, "match-1")
 	o.Trc.SetThreadName(0, 1, "match-1")

@@ -76,21 +76,21 @@ func (t *Tracer) Batch(render func(dst []Event) []Event) {
 
 // Complete emits a complete span ("X") from start lasting d.
 func (t *Tracer) Complete(pid, tid int, name, cat string, start time.Time, d time.Duration, args map[string]any) {
-	t.CompleteTS(pid, tid, name, cat, t.TS(start), float64(d)/float64(time.Microsecond), args)
+	t.completeTS(pid, tid, name, cat, t.TS(start), float64(d)/float64(time.Microsecond), args)
 }
 
-// CompleteTS emits a complete span with explicit microsecond timestamps.
-func (t *Tracer) CompleteTS(pid, tid int, name, cat string, tsUS, durUS float64, args map[string]any) {
+// completeTS emits a complete span with explicit microsecond timestamps.
+func (t *Tracer) completeTS(pid, tid int, name, cat string, tsUS, durUS float64, args map[string]any) {
 	t.add(entry{Event: Event{Name: name, Cat: cat, Ph: "X", Ts: tsUS, Dur: durUS, Pid: pid, Tid: tid, Args: args}})
 }
 
 // Instant emits an instant event ("i") at the given wall-clock time.
 func (t *Tracer) Instant(pid, tid int, name, cat string, at time.Time, args map[string]any) {
-	t.InstantTS(pid, tid, name, cat, t.TS(at), args)
+	t.instantTS(pid, tid, name, cat, t.TS(at), args)
 }
 
-// InstantTS emits an instant event with an explicit microsecond timestamp.
-func (t *Tracer) InstantTS(pid, tid int, name, cat string, tsUS float64, args map[string]any) {
+// instantTS emits an instant event with an explicit microsecond timestamp.
+func (t *Tracer) instantTS(pid, tid int, name, cat string, tsUS float64, args map[string]any) {
 	t.add(entry{Event: Event{Name: name, Cat: cat, Ph: "i", Ts: tsUS, Pid: pid, Tid: tid, Args: args}})
 }
 

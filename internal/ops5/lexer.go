@@ -70,9 +70,9 @@ func (k tokKind) String() string {
 }
 
 type token struct {
-	Kind tokKind
-	Text string
-	Line int
+	kind tokKind
+	text string
+	line int
 }
 
 // lexer splits OPS5 source into tokens. ';' starts a comment to end of line.
@@ -128,22 +128,22 @@ func (l *lexer) next() (token, error) {
 	l.skipSpace()
 	line := l.line
 	if l.pos >= len(l.src) {
-		return token{Kind: tokEOF, Line: line}, nil
+		return token{kind: tokEOF, line: line}, nil
 	}
 	c := l.src[l.pos]
 	switch c {
 	case '(':
 		l.pos++
-		return token{Kind: tokLParen, Line: line}, nil
+		return token{kind: tokLParen, line: line}, nil
 	case ')':
 		l.pos++
-		return token{Kind: tokRParen, Line: line}, nil
+		return token{kind: tokRParen, line: line}, nil
 	case '{':
 		l.pos++
-		return token{Kind: tokLBrace, Line: line}, nil
+		return token{kind: tokLBrace, line: line}, nil
 	case '}':
 		l.pos++
-		return token{Kind: tokRBrace, Line: line}, nil
+		return token{kind: tokRBrace, line: line}, nil
 	case '^':
 		l.pos++
 		start := l.pos
@@ -153,7 +153,7 @@ func (l *lexer) next() (token, error) {
 		if l.pos == start {
 			return token{}, l.errf("empty attribute name after ^")
 		}
-		return token{Kind: tokCaret, Text: l.src[start:l.pos], Line: line}, nil
+		return token{kind: tokCaret, text: l.src[start:l.pos], line: line}, nil
 	case '|':
 		l.pos++
 		start := l.pos
@@ -168,38 +168,38 @@ func (l *lexer) next() (token, error) {
 		}
 		text := l.src[start:l.pos]
 		l.pos++ // closing |
-		return token{Kind: tokString, Text: text, Line: line}, nil
+		return token{kind: tokString, text: text, line: line}, nil
 	case '<':
 		return l.lexAngle(line)
 	case '>':
 		if strings.HasPrefix(l.src[l.pos:], ">>") {
 			l.pos += 2
-			return token{Kind: tokRDisj, Line: line}, nil
+			return token{kind: tokRDisj, line: line}, nil
 		}
 		if strings.HasPrefix(l.src[l.pos:], ">=") {
 			l.pos += 2
-			return token{Kind: tokPred, Text: ">=", Line: line}, nil
+			return token{kind: tokPred, text: ">=", line: line}, nil
 		}
 		l.pos++
-		return token{Kind: tokPred, Text: ">", Line: line}, nil
+		return token{kind: tokPred, text: ">", line: line}, nil
 	case '=':
 		l.pos++
-		return token{Kind: tokPred, Text: "=", Line: line}, nil
+		return token{kind: tokPred, text: "=", line: line}, nil
 	case '-':
 		// "-->", "-{", "-(", "-5", or bare "-".
 		rest := l.src[l.pos:]
 		switch {
 		case strings.HasPrefix(rest, "-->"):
 			l.pos += 3
-			return token{Kind: tokArrow, Line: line}, nil
+			return token{kind: tokArrow, line: line}, nil
 		case strings.HasPrefix(rest, "-{"):
 			l.pos += 2
-			return token{Kind: tokNegBrace, Line: line}, nil
+			return token{kind: tokNegBrace, line: line}, nil
 		case len(rest) > 1 && (rest[1] >= '0' && rest[1] <= '9'):
 			return l.lexNumberOrSym(line)
 		default:
 			l.pos++
-			return token{Kind: tokMinus, Line: line}, nil
+			return token{kind: tokMinus, line: line}, nil
 		}
 	}
 	if c >= '0' && c <= '9' || c == '+' {
@@ -210,7 +210,7 @@ func (l *lexer) next() (token, error) {
 		for l.pos < len(l.src) && isSymChar(l.src[l.pos]) {
 			l.pos++
 		}
-		return token{Kind: tokSym, Text: l.src[start:l.pos], Line: line}, nil
+		return token{kind: tokSym, text: l.src[start:l.pos], line: line}, nil
 	}
 	return token{}, l.errf("unexpected character %q", rune(c))
 }
@@ -222,16 +222,16 @@ func (l *lexer) lexAngle(line int) (token, error) {
 	switch {
 	case strings.HasPrefix(rest, "<<"):
 		l.pos += 2
-		return token{Kind: tokLDisj, Line: line}, nil
+		return token{kind: tokLDisj, line: line}, nil
 	case strings.HasPrefix(rest, "<=>"):
 		l.pos += 3
-		return token{Kind: tokPred, Text: "<=>", Line: line}, nil
+		return token{kind: tokPred, text: "<=>", line: line}, nil
 	case strings.HasPrefix(rest, "<=") && !isVarStart(rest, 2):
 		l.pos += 2
-		return token{Kind: tokPred, Text: "<=", Line: line}, nil
+		return token{kind: tokPred, text: "<=", line: line}, nil
 	case strings.HasPrefix(rest, "<>") && !isVarStart(rest, 1):
 		l.pos += 2
-		return token{Kind: tokPred, Text: "<>", Line: line}, nil
+		return token{kind: tokPred, text: "<>", line: line}, nil
 	}
 	// Try a variable: <name>
 	end := 1
@@ -240,10 +240,10 @@ func (l *lexer) lexAngle(line int) (token, error) {
 	}
 	if end < len(rest) && rest[end] == '>' && end > 1 {
 		l.pos += end + 1
-		return token{Kind: tokVar, Text: rest[1:end], Line: line}, nil
+		return token{kind: tokVar, text: rest[1:end], line: line}, nil
 	}
 	l.pos++
-	return token{Kind: tokPred, Text: "<", Line: line}, nil
+	return token{kind: tokPred, text: "<", line: line}, nil
 }
 
 // isVarStart reports whether rest[at:] begins a variable body followed by
@@ -284,16 +284,16 @@ func (l *lexer) lexNumberOrSym(line int) (token, error) {
 		for l.pos < len(l.src) && isSymChar(l.src[l.pos]) {
 			l.pos++
 		}
-		return token{Kind: tokSym, Text: l.src[start:l.pos], Line: line}, nil
+		return token{kind: tokSym, text: l.src[start:l.pos], line: line}, nil
 	}
 	if digits == 0 {
-		return token{Kind: tokSym, Text: l.src[start:l.pos], Line: line}, nil
+		return token{kind: tokSym, text: l.src[start:l.pos], line: line}, nil
 	}
 	text := l.src[start:l.pos]
 	if dot {
-		return token{Kind: tokFloat, Text: text, Line: line}, nil
+		return token{kind: tokFloat, text: text, line: line}, nil
 	}
-	return token{Kind: tokInt, Text: text, Line: line}, nil
+	return token{kind: tokInt, text: text, line: line}, nil
 }
 
 // runes kept for unicode sanity in identifiers (currently ASCII only).

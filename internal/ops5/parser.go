@@ -7,8 +7,8 @@ import (
 	"soarpsme/internal/value"
 )
 
-// Parser builds a Program from OPS5 source, interning every name into tab.
-type Parser struct {
+// parser builds a Program from OPS5 source, interning every name into tab.
+type parser struct {
 	lex *lexer
 	tab *value.Table
 	tok token // one-token lookahead
@@ -16,12 +16,12 @@ type Parser struct {
 
 // Parse parses a complete OPS5 source file.
 func Parse(src string, tab *value.Table) (*Program, error) {
-	p := &Parser{lex: newLexer(src), tab: tab}
+	p := &parser{lex: newLexer(src), tab: tab}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	prog := &Program{Strategy: "lex"}
-	for p.tok.Kind != tokEOF {
+	for p.tok.kind != tokEOF {
 		if err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
@@ -49,7 +49,7 @@ func Parse(src string, tab *value.Table) (*Program, error) {
 				return nil, err
 			}
 		case "startup":
-			for p.tok.Kind != tokRParen {
+			for p.tok.kind != tokRParen {
 				act, err := p.parseAction()
 				if err != nil {
 					return nil, err
@@ -75,7 +75,7 @@ func Parse(src string, tab *value.Table) (*Program, error) {
 // ParseProduction parses a single "(p name ...)" form; used for run-time
 // production addition (chunks arrive as individual productions).
 func ParseProduction(src string, tab *value.Table) (*Production, error) {
-	p := &Parser{lex: newLexer(src), tab: tab}
+	p := &parser{lex: newLexer(src), tab: tab}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -93,17 +93,17 @@ func ParseProduction(src string, tab *value.Table) (*Production, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.Kind != tokEOF {
+	if p.tok.kind != tokEOF {
 		return nil, p.errf("trailing input after production")
 	}
 	return prod, nil
 }
 
-func (p *Parser) errf(format string, args ...any) error {
-	return fmt.Errorf("ops5: line %d: %s", p.tok.Line, fmt.Sprintf(format, args...))
+func (p *parser) errf(format string, args ...any) error {
+	return fmt.Errorf("ops5: line %d: %s", p.tok.line, fmt.Sprintf(format, args...))
 }
 
-func (p *Parser) advance() error {
+func (p *parser) advance() error {
 	t, err := p.lex.next()
 	if err != nil {
 		return err
@@ -112,30 +112,30 @@ func (p *Parser) advance() error {
 	return nil
 }
 
-func (p *Parser) expect(k tokKind) error {
-	if p.tok.Kind != k {
-		return p.errf("expected %v, got %v %q", k, p.tok.Kind, p.tok.Text)
+func (p *parser) expect(k tokKind) error {
+	if p.tok.kind != k {
+		return p.errf("expected %v, got %v %q", k, p.tok.kind, p.tok.text)
 	}
 	return p.advance()
 }
 
 // symText consumes a symbol token and returns its text.
-func (p *Parser) symText() (string, error) {
-	if p.tok.Kind != tokSym && p.tok.Kind != tokString {
-		return "", p.errf("expected symbol, got %v %q", p.tok.Kind, p.tok.Text)
+func (p *parser) symText() (string, error) {
+	if p.tok.kind != tokSym && p.tok.kind != tokString {
+		return "", p.errf("expected symbol, got %v %q", p.tok.kind, p.tok.text)
 	}
-	s := p.tok.Text
+	s := p.tok.text
 	return s, p.advance()
 }
 
-func (p *Parser) parseLiteralize() (Literalize, error) {
+func (p *parser) parseLiteralize() (Literalize, error) {
 	cls, err := p.symText()
 	if err != nil {
 		return Literalize{}, err
 	}
 	lit := Literalize{Class: p.tab.Intern(cls)}
-	for p.tok.Kind == tokSym {
-		lit.Attrs = append(lit.Attrs, p.tab.Intern(p.tok.Text))
+	for p.tok.kind == tokSym {
+		lit.Attrs = append(lit.Attrs, p.tab.Intern(p.tok.text))
 		if err := p.advance(); err != nil {
 			return Literalize{}, err
 		}
@@ -144,13 +144,13 @@ func (p *Parser) parseLiteralize() (Literalize, error) {
 }
 
 // parseProduction parses the body after "(p": name, LHS, -->, RHS, ")".
-func (p *Parser) parseProduction() (*Production, error) {
+func (p *parser) parseProduction() (*Production, error) {
 	name, err := p.symText()
 	if err != nil {
 		return nil, err
 	}
 	prod := &Production{Name: name}
-	for p.tok.Kind != tokArrow {
+	for p.tok.kind != tokArrow {
 		ci, err := p.parseCondItem()
 		if err != nil {
 			return nil, err
@@ -160,7 +160,7 @@ func (p *Parser) parseProduction() (*Production, error) {
 	if err := p.advance(); err != nil { // consume -->
 		return nil, err
 	}
-	for p.tok.Kind != tokRParen {
+	for p.tok.kind != tokRParen {
 		act, err := p.parseAction()
 		if err != nil {
 			return nil, err
@@ -179,17 +179,17 @@ func (p *Parser) parseProduction() (*Production, error) {
 	return prod, nil
 }
 
-func (p *Parser) parseCondItem() (*CondItem, error) {
-	switch p.tok.Kind {
+func (p *parser) parseCondItem() (*CondItem, error) {
+	switch p.tok.kind {
 	case tokLBrace:
 		// OPS5 element variable: { <w> (class ...) }.
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if p.tok.Kind != tokVar {
+		if p.tok.kind != tokVar {
 			return nil, p.errf("expected element variable after { in LHS")
 		}
-		ev := p.tab.Intern(p.tok.Text)
+		ev := p.tab.Intern(p.tok.text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -221,7 +221,7 @@ func (p *Parser) parseCondItem() (*CondItem, error) {
 			return nil, err
 		}
 		var sub []*CE
-		for p.tok.Kind != tokRBrace {
+		for p.tok.kind != tokRBrace {
 			ce, err := p.parseCE()
 			if err != nil {
 				return nil, err
@@ -236,11 +236,11 @@ func (p *Parser) parseCondItem() (*CondItem, error) {
 		}
 		return &CondItem{Kind: CondNCC, Sub: sub}, nil
 	}
-	return nil, p.errf("expected condition element, got %v %q", p.tok.Kind, p.tok.Text)
+	return nil, p.errf("expected condition element, got %v %q", p.tok.kind, p.tok.text)
 }
 
 // parseCE parses "(class ^attr test... ^attr test...)".
-func (p *Parser) parseCE() (*CE, error) {
+func (p *parser) parseCE() (*CE, error) {
 	if err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
@@ -249,8 +249,8 @@ func (p *Parser) parseCE() (*CE, error) {
 		return nil, err
 	}
 	ce := &CE{Class: p.tab.Intern(cls)}
-	for p.tok.Kind == tokCaret {
-		attr := p.tab.Intern(p.tok.Text)
+	for p.tok.kind == tokCaret {
+		attr := p.tab.Intern(p.tok.text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -265,13 +265,13 @@ func (p *Parser) parseCE() (*CE, error) {
 
 // parseAttrTests parses the test expression following "^attr": either a
 // single test or a { ... } conjunction of tests.
-func (p *Parser) parseAttrTests() ([]Test, error) {
-	if p.tok.Kind == tokLBrace {
+func (p *parser) parseAttrTests() ([]Test, error) {
+	if p.tok.kind == tokLBrace {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		var tests []Test
-		for p.tok.Kind != tokRBrace {
+		for p.tok.kind != tokRBrace {
 			t, err := p.parseOneTest()
 			if err != nil {
 				return nil, err
@@ -294,21 +294,21 @@ func (p *Parser) parseAttrTests() ([]Test, error) {
 }
 
 // parseOneTest parses one (optionally predicate-prefixed) test.
-func (p *Parser) parseOneTest() (Test, error) {
+func (p *parser) parseOneTest() (Test, error) {
 	pred := value.PredEq
-	if p.tok.Kind == tokPred {
-		pr, ok := value.ParsePred(p.tok.Text)
+	if p.tok.kind == tokPred {
+		pr, ok := value.ParsePred(p.tok.text)
 		if !ok {
-			return Test{}, p.errf("bad predicate %q", p.tok.Text)
+			return Test{}, p.errf("bad predicate %q", p.tok.text)
 		}
 		pred = pr
 		if err := p.advance(); err != nil {
 			return Test{}, err
 		}
 	}
-	switch p.tok.Kind {
+	switch p.tok.kind {
 	case tokVar:
-		v := p.tab.Intern(p.tok.Text)
+		v := p.tab.Intern(p.tok.text)
 		if err := p.advance(); err != nil {
 			return Test{}, err
 		}
@@ -327,7 +327,7 @@ func (p *Parser) parseOneTest() (Test, error) {
 			return Test{}, err
 		}
 		var vals []value.Value
-		for p.tok.Kind != tokRDisj {
+		for p.tok.kind != tokRDisj {
 			v, err := p.constValue()
 			if err != nil {
 				return Test{}, err
@@ -342,35 +342,35 @@ func (p *Parser) parseOneTest() (Test, error) {
 		}
 		return Test{Kind: TestDisj, Pred: value.PredEq, Disj: vals}, nil
 	}
-	return Test{}, p.errf("expected test, got %v %q", p.tok.Kind, p.tok.Text)
+	return Test{}, p.errf("expected test, got %v %q", p.tok.kind, p.tok.text)
 }
 
 // constValue consumes a constant token as a Value.
-func (p *Parser) constValue() (value.Value, error) {
+func (p *parser) constValue() (value.Value, error) {
 	var v value.Value
-	switch p.tok.Kind {
+	switch p.tok.kind {
 	case tokSym, tokString:
-		v = p.tab.SymV(p.tok.Text)
+		v = p.tab.SymV(p.tok.text)
 	case tokInt:
-		n, err := strconv.ParseInt(p.tok.Text, 10, 64)
+		n, err := strconv.ParseInt(p.tok.text, 10, 64)
 		if err != nil {
-			return value.Nil, p.errf("bad integer %q", p.tok.Text)
+			return value.Nil, p.errf("bad integer %q", p.tok.text)
 		}
 		v = value.IntVal(n)
 	case tokFloat:
-		f, err := strconv.ParseFloat(p.tok.Text, 64)
+		f, err := strconv.ParseFloat(p.tok.text, 64)
 		if err != nil {
-			return value.Nil, p.errf("bad float %q", p.tok.Text)
+			return value.Nil, p.errf("bad float %q", p.tok.text)
 		}
 		v = value.FloatVal(f)
 	default:
-		return value.Nil, p.errf("expected constant, got %v %q", p.tok.Kind, p.tok.Text)
+		return value.Nil, p.errf("expected constant, got %v %q", p.tok.kind, p.tok.text)
 	}
 	return v, p.advance()
 }
 
 // parseAction parses one RHS action form.
-func (p *Parser) parseAction() (*Action, error) {
+func (p *parser) parseAction() (*Action, error) {
 	if err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
@@ -392,12 +392,12 @@ func (p *Parser) parseAction() (*Action, error) {
 		}
 	case "remove":
 		act.Kind = ActRemove
-		switch p.tok.Kind {
+		switch p.tok.kind {
 		case tokInt:
-			n, _ := strconv.Atoi(p.tok.Text)
+			n, _ := strconv.Atoi(p.tok.text)
 			act.CE = n
 		case tokVar:
-			act.Elem = p.tab.Intern(p.tok.Text)
+			act.Elem = p.tab.Intern(p.tok.text)
 		default:
 			return nil, p.errf("remove expects a CE index or element variable")
 		}
@@ -406,12 +406,12 @@ func (p *Parser) parseAction() (*Action, error) {
 		}
 	case "modify":
 		act.Kind = ActModify
-		switch p.tok.Kind {
+		switch p.tok.kind {
 		case tokInt:
-			n, _ := strconv.Atoi(p.tok.Text)
+			n, _ := strconv.Atoi(p.tok.text)
 			act.CE = n
 		case tokVar:
-			act.Elem = p.tab.Intern(p.tok.Text)
+			act.Elem = p.tab.Intern(p.tok.text)
 		default:
 			return nil, p.errf("modify expects a CE index or element variable")
 		}
@@ -423,7 +423,7 @@ func (p *Parser) parseAction() (*Action, error) {
 		}
 	case "write":
 		act.Kind = ActWrite
-		for p.tok.Kind != tokRParen {
+		for p.tok.kind != tokRParen {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -441,14 +441,14 @@ func (p *Parser) parseAction() (*Action, error) {
 		act.Name = name
 	case "bind":
 		act.Kind = ActBind
-		if p.tok.Kind != tokVar {
+		if p.tok.kind != tokVar {
 			return nil, p.errf("bind expects a variable")
 		}
-		act.Var = p.tab.Intern(p.tok.Text)
+		act.Var = p.tab.Intern(p.tok.text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if p.tok.Kind == tokRParen {
+		if p.tok.kind == tokRParen {
 			act.Expr = &Expr{Kind: ExprGensym}
 		} else {
 			e, err := p.parseExpr()
@@ -463,10 +463,10 @@ func (p *Parser) parseAction() (*Action, error) {
 	return act, p.expect(tokRParen)
 }
 
-func (p *Parser) parseAttrSets() ([]AttrSet, error) {
+func (p *parser) parseAttrSets() ([]AttrSet, error) {
 	var sets []AttrSet
-	for p.tok.Kind == tokCaret {
-		attr := p.tab.Intern(p.tok.Text)
+	for p.tok.kind == tokCaret {
+		attr := p.tab.Intern(p.tok.text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -480,10 +480,10 @@ func (p *Parser) parseAttrSets() ([]AttrSet, error) {
 }
 
 // parseExpr parses an RHS value: constant, variable, or (compute a op b).
-func (p *Parser) parseExpr() (*Expr, error) {
-	switch p.tok.Kind {
+func (p *parser) parseExpr() (*Expr, error) {
+	switch p.tok.kind {
 	case tokVar:
-		e := &Expr{Kind: ExprVar, Var: p.tab.Intern(p.tok.Text)}
+		e := &Expr{Kind: ExprVar, Var: p.tab.Intern(p.tok.text)}
 		return e, p.advance()
 	case tokSym, tokString, tokInt, tokFloat:
 		v, err := p.constValue()
@@ -523,18 +523,18 @@ func (p *Parser) parseExpr() (*Expr, error) {
 	case tokPred:
 		// "(compute <x> - 1)" lexes '-' as tokMinus; '+'-like symbols come
 		// through symText in computeOp, so a bare predicate here is an error.
-		return nil, p.errf("unexpected predicate %q in expression", p.tok.Text)
+		return nil, p.errf("unexpected predicate %q in expression", p.tok.text)
 	}
-	return nil, p.errf("expected expression, got %v %q", p.tok.Kind, p.tok.Text)
+	return nil, p.errf("expected expression, got %v %q", p.tok.kind, p.tok.text)
 }
 
 // computeOp consumes the operator of a compute form.
-func (p *Parser) computeOp() (byte, error) {
-	switch p.tok.Kind {
+func (p *parser) computeOp() (byte, error) {
+	switch p.tok.kind {
 	case tokMinus:
 		return '-', p.advance()
 	case tokSym:
-		t := p.tok.Text
+		t := p.tok.text
 		if len(t) == 1 {
 			switch t[0] {
 			case '+', '*', '%':
@@ -548,5 +548,5 @@ func (p *Parser) computeOp() (byte, error) {
 			return '%', p.advance()
 		}
 	}
-	return 0, p.errf("bad compute operator %q", p.tok.Text)
+	return 0, p.errf("bad compute operator %q", p.tok.text)
 }

@@ -49,7 +49,7 @@ func Format(p *Production, tab *value.Table) string {
 // can hold delimiters, whitespace, predicates, or number-shaped text).
 func quoteSym(name string) string {
 	lx := newLexer(name)
-	if t, err := lx.next(); err == nil && t.Kind == tokSym && t.Text == name && lx.pos == len(name) {
+	if t, err := lx.next(); err == nil && t.kind == tokSym && t.text == name && lx.pos == len(name) {
 		return name
 	}
 	return "|" + name + "|"

@@ -12,18 +12,18 @@ import (
 
 func TestBudgetGrantsAtLeastOne(t *testing.T) {
 	b := NewBudget(2)
-	if got := b.Acquire(8); got != 2 {
+	if got := b.acquire(8); got != 2 {
 		t.Fatalf("Acquire(8) on fresh budget of 2 = %d, want 2", got)
 	}
 	// Budget exhausted: the next Acquire must block until a release.
 	done := make(chan int, 1)
-	go func() { done <- b.Acquire(4) }()
+	go func() { done <- b.acquire(4) }()
 	select {
 	case got := <-done:
 		t.Fatalf("Acquire on empty budget returned %d without a release", got)
 	case <-time.After(20 * time.Millisecond):
 	}
-	b.Release(1)
+	b.release(1)
 	select {
 	case got := <-done:
 		if got != 1 {
@@ -32,8 +32,8 @@ func TestBudgetGrantsAtLeastOne(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Acquire did not wake after release")
 	}
-	b.Release(1) // the first acquire's remaining slot
-	b.Release(1) // the second acquire's slot
+	b.release(1) // the first acquire's remaining slot
+	b.release(1) // the second acquire's slot
 	if b.Cap() != 2 {
 		t.Fatalf("Cap = %d", b.Cap())
 	}
@@ -49,7 +49,7 @@ func TestBudgetNeverOversubscribes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				got := b.Acquire(1 + i%4)
+				got := b.acquire(1 + i%4)
 				cur := inUse.Add(int64(got))
 				for {
 					p := peak.Load()
@@ -58,7 +58,7 @@ func TestBudgetNeverOversubscribes(t *testing.T) {
 					}
 				}
 				inUse.Add(-int64(got))
-				b.Release(got)
+				b.release(got)
 			}
 		}()
 	}

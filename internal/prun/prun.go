@@ -88,9 +88,9 @@ func (b *Budget) InUse() int {
 	return b.cap - b.free
 }
 
-// Acquire blocks until at least one worker slot is free, then takes up to
+// acquire blocks until at least one worker slot is free, then takes up to
 // want slots and returns the number taken (in [1, want]).
-func (b *Budget) Acquire(want int) int {
+func (b *Budget) acquire(want int) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.free == 0 {
@@ -99,9 +99,9 @@ func (b *Budget) Acquire(want int) int {
 	return b.take(max(want, 1))
 }
 
-// TryAcquire takes up to want free slots without blocking and returns the
+// tryAcquire takes up to want free slots without blocking and returns the
 // number taken (in [0, want]).
-func (b *Budget) TryAcquire(want int) int {
+func (b *Budget) tryAcquire(want int) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.take(want)
@@ -113,8 +113,8 @@ func (b *Budget) take(want int) int {
 	return got
 }
 
-// Release returns n slots taken by Acquire or TryAcquire.
-func (b *Budget) Release(n int) {
+// release returns n slots taken by acquire or tryAcquire.
+func (b *Budget) release(n int) {
 	if n <= 0 {
 		return
 	}
@@ -430,8 +430,8 @@ func (rt *Runtime) runToQuiescence() CycleStats {
 		defer wd.Stop()
 	}
 	if b := rt.cfg.Budget; b != nil {
-		b.Acquire(1)
-		defer func() { b.Release(1 + ctl.helpers) }()
+		b.acquire(1)
+		defer func() { b.release(1 + ctl.helpers) }()
 	}
 	w := rt.workers[0]
 	w.begin(ctl)
@@ -488,7 +488,7 @@ func rebalance(ws []*worker) {
 func (rt *Runtime) startHelpers(ctl *cycleCtl) {
 	n := rt.cfg.Processes - 1
 	if b := rt.cfg.Budget; b != nil {
-		n = b.TryAcquire(n)
+		n = b.tryAcquire(n)
 	}
 	ctl.helpers = n
 	ctl.wg.Add(n)

@@ -27,20 +27,20 @@ import (
 func (nw *Network) SeedUpdateTasks(info *AddInfo) []*Task {
 	var seeds []*Task
 	isNew := func(n *BetaNode) bool { return n != nil && n.ID >= info.FirstNewID }
-	for _, f := range info.Boundary {
-		if f.Parent == nil {
+	for _, f := range info.boundary {
+		if f.parent == nil {
 			// Top-level joins hold the dummy token implicitly; their state
 			// comes entirely from the WM right-replay.
 			continue
 		}
-		if !isNew(f.Parent) {
-			for _, tok := range nw.dumpOutputs(f.Parent, info.FirstNewID) {
-				seeds = append(seeds, &Task{Node: f, Dir: DirLeft, Op: wme.Add, Tok: tok})
+		if !isNew(f.parent) {
+			for _, tok := range nw.dumpOutputs(f.parent, info.FirstNewID) {
+				seeds = append(seeds, &Task{Node: f, Dir: dirLeft, Op: wme.Add, tok: tok})
 			}
 		}
-		if f.Kind == KindJoinBB && !isNew(f.RightParent) {
-			for _, tok := range nw.dumpOutputs(f.RightParent, info.FirstNewID) {
-				seeds = append(seeds, &Task{Node: f, Dir: DirRight, Op: wme.Add, Tok: tok})
+		if f.Kind == KindJoinBB && !isNew(f.rightParent) {
+			for _, tok := range nw.dumpOutputs(f.rightParent, info.FirstNewID) {
+				seeds = append(seeds, &Task{Node: f, Dir: DirRight, Op: wme.Add, tok: tok})
 			}
 		}
 	}
@@ -64,18 +64,18 @@ func (nw *Network) dumpOutputs(p *BetaNode, firstNew NodeID) []*Token {
 			if c.nEqTests == 0 {
 				return nw.Mem.dumpLeftAt(c.ID, keySeed)
 			}
-			return nw.Mem.DumpLeft(c.ID)
+			return nw.Mem.dumpLeft(c.ID, nw.Mem.lines)
 		case KindNCC, KindP:
-			return nw.Mem.DumpLeft(c.ID)
+			return nw.Mem.dumpLeft(c.ID, nw.Mem.lines)
 		case KindJoinBB:
-			if c.Parent == p {
-				return nw.Mem.DumpLeft(c.ID)
+			if c.parent == p {
+				return nw.Mem.dumpLeft(c.ID, nw.Mem.lines)
 			}
-			return nw.Mem.DumpRightSubs(c.ID)
+			return nw.Mem.dumpRightSubs(c.ID)
 		case KindNCCPartner:
 			// The partner stores its inputs as sub-results keyed under
 			// its NCC node's ID.
-			return nw.Mem.DumpRightSubs(c.Partner.ID)
+			return nw.Mem.dumpRightSubs(c.partner.ID)
 		}
 	}
 	// p existed before this addition, so it must have had a child; an
@@ -92,7 +92,7 @@ func (nw *Network) dumpOutputs(p *BetaNode, firstNew NodeID) []*Token {
 // of a memory are a suffix of its list, because IDs are handed out in
 // creation order and successors are appended as they are created.
 func (nw *Network) InjectUpdate(info *AddInfo, w *wme.WME, emit InjectFn) {
-	if root := nw.alphaRoot(w.Class); root != nil && info.walks(root.ID) {
+	if root := nw.alphaRoot(w.Class); root != nil && info.walks(root.id) {
 		nw.walkAlpha(root, wme.Delta{Op: wme.Add, WME: w}, info, emit)
 	}
 }

@@ -28,7 +28,7 @@ func TestJoinActivationAllocs(t *testing.T) {
 				name string
 				dir  Dir
 				key  string // x finds the k stored partners, y none
-			}{{"right", DirRight, "x"}, {"right-miss", DirRight, "y"}, {"left", DirLeft, "x"}, {"left-miss", DirLeft, "y"}} {
+			}{{"right", DirRight, "x"}, {"right-miss", DirRight, "y"}, {"left", dirLeft, "x"}, {"left-miss", dirLeft, "y"}} {
 				t.Run(fmt.Sprintf("unlink=%t/k=%d/%s", unlink, k, c.name), func(t *testing.T) {
 					opts := DefaultOptions()
 					opts.Unlink = unlink
@@ -37,7 +37,7 @@ func TestJoinActivationAllocs(t *testing.T) {
 (literalize b k)
 (p j (a ^k <k>) (b ^k <k>) --> (make o))
 `, opts)
-					j := e.nw.Lookup("j").PNode.Parent // the (b ^k <k>) join
+					j := e.nw.Lookup("j").PNode.parent // the (b ^k <k>) join
 					for i := 0; i < k; i++ {
 						e.add(e.wmeOf("a", "k", "x"))
 						e.add(e.wmeOf("b", "k", "x"))
@@ -50,7 +50,7 @@ func TestJoinActivationAllocs(t *testing.T) {
 						if c.dir == DirRight {
 							tasks[i] = &Task{Node: j, Dir: DirRight, Op: wme.Add, W: e.wmeOf("b", "k", c.key)}
 						} else {
-							tasks[i] = &Task{Node: j, Dir: DirLeft, Op: wme.Add, Tok: Extend(DummyTop, 0, e.wmeOf("a", "k", c.key))}
+							tasks[i] = &Task{Node: j, Dir: dirLeft, Op: wme.Add, tok: Extend(DummyTop, 0, e.wmeOf("a", "k", c.key))}
 						}
 					}
 					// Store and remove them all once, so the line has grown to
@@ -115,7 +115,7 @@ func TestSuppressedRunsSpill(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Unlink = unlink
 		e := newEnvOpts(t, src.String(), opts)
-		shared := e.nw.Lookup("p0").PNode.Parent.Parent.Parent
+		shared := e.nw.Lookup("p0").PNode.parent.parent.parent
 		if n := len(e.nw.childrenOf(shared)); n != fan {
 			t.Fatalf("the shared join has %d children, want %d", n, fan)
 		}

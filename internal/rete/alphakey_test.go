@@ -13,36 +13,36 @@ import (
 
 // alphaKeyCases covers every shape of alpha test: constants of each value
 // kind, every predicate, vs-field tests and disjunctions.
-func alphaKeyCases() [][]AlphaTest {
+func alphaKeyCases() [][]alphaTest {
 	sym, i, f := value.SymVal, value.IntVal, value.FloatVal
-	cases := [][]AlphaTest{
+	cases := [][]alphaTest{
 		nil,
-		{{Field: 0, Pred: value.PredEq, Val: sym(17)}},
-		{{Field: 1, Pred: value.PredEq, Val: sym(math.MaxUint32)}},
-		{{Field: 1, Pred: value.PredNe, Val: i(-42)}},
-		{{Field: 2, Pred: value.PredEq, Val: i(math.MinInt64)}},
-		{{Field: 2, Pred: value.PredGe, Val: i(math.MaxInt64)}},
-		{{Field: 3, Pred: value.PredEq, Val: value.Nil}},
-		{{Field: 4, Pred: value.PredNe, Val: value.Nil}},
-		{{Field: 12, Pred: value.PredEq, Val: sym(0)}},
-		{{Field: 1, Pred: value.PredGt, VsField: true, Other: 4}},
-		{{Field: 0, Pred: value.PredEq, VsField: true, Other: 0}},
-		{{Field: 2, Disj: []value.Value{sym(5), i(7), f(2.5), value.Nil}}},
-		{{Field: 2, Disj: []value.Value{}}},
+		{{field: 0, pred: value.PredEq, val: sym(17)}},
+		{{field: 1, pred: value.PredEq, val: sym(math.MaxUint32)}},
+		{{field: 1, pred: value.PredNe, val: i(-42)}},
+		{{field: 2, pred: value.PredEq, val: i(math.MinInt64)}},
+		{{field: 2, pred: value.PredGe, val: i(math.MaxInt64)}},
+		{{field: 3, pred: value.PredEq, val: value.Nil}},
+		{{field: 4, pred: value.PredNe, val: value.Nil}},
+		{{field: 12, pred: value.PredEq, val: sym(0)}},
+		{{field: 1, pred: value.PredGt, vsField: true, other: 4}},
+		{{field: 0, pred: value.PredEq, vsField: true, other: 0}},
+		{{field: 2, disj: []value.Value{sym(5), i(7), f(2.5), value.Nil}}},
+		{{field: 2, disj: []value.Value{}}},
 		{
-			{Field: 0, Pred: value.PredEq, Val: sym(3)},
-			{Field: 1, Disj: []value.Value{sym(8), sym(9)}},
-			{Field: 2, Pred: value.PredLt, Val: f(-0.5)},
-			{Field: 2, Pred: value.PredNe, VsField: true, Other: 3},
+			{field: 0, pred: value.PredEq, val: sym(3)},
+			{field: 1, disj: []value.Value{sym(8), sym(9)}},
+			{field: 2, pred: value.PredLt, val: f(-0.5)},
+			{field: 2, pred: value.PredNe, vsField: true, other: 3},
 		},
 	}
 	for _, x := range []float64{0, 1, -1, 2.5, 100, 0.1, 1e21, 1e-7, 123456789.125, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64} {
-		cases = append(cases, []AlphaTest{{Field: 5, Pred: value.PredLe, Val: f(x)}})
+		cases = append(cases, []alphaTest{{field: 5, pred: value.PredLe, val: f(x)}})
 	}
 	for p := value.PredEq; p <= value.PredSameType+1; p++ {
 		cases = append(cases,
-			[]AlphaTest{{Field: 1, Pred: p, Val: i(3)}},
-			[]AlphaTest{{Field: 1, Pred: p, VsField: true, Other: 2}})
+			[]alphaTest{{field: 1, pred: p, val: i(3)}},
+			[]alphaTest{{field: 1, pred: p, vsField: true, other: 2}})
 	}
 	return cases
 }
@@ -111,7 +111,7 @@ func TestAlphaKeyLookupAllocs(t *testing.T) {
 	e := newTestEnv(t, alphaKeySource)
 	cls, _ := e.tab.Lookup("c")
 	x, _ := e.tab.Lookup("x")
-	tests := []AlphaTest{{Field: 0, Pred: value.PredEq, Val: value.SymVal(x)}}
+	tests := []alphaTest{{field: 0, pred: value.PredEq, val: value.SymVal(x)}}
 	am := e.nw.buildAlpha(cls, tests)
 	if n := testing.AllocsPerRun(100, func() {
 		if e.nw.buildAlpha(cls, tests) != am {

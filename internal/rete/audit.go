@@ -48,7 +48,7 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 	}
 
 	nodes := map[NodeID]*BetaNode{}
-	nw.WalkBeta(func(n *BetaNode) { nodes[n.ID] = n })
+	nw.walkBeta(func(n *BetaNode) { nodes[n.ID] = n })
 
 	// liveWME reports whether w is the live WM object with its ID.
 	liveWME := func(w *wme.WME) bool { return w != nil && wm.Get(w.ID) == w }
@@ -56,17 +56,17 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 	var liveToken func(t *Token) *wme.WME
 	liveToken = func(t *Token) *wme.WME {
 		for t != nil {
-			if t.L != nil {
-				if bad := liveToken(t.L); bad != nil {
+			if t.l != nil {
+				if bad := liveToken(t.l); bad != nil {
 					return bad
 				}
-				t = t.R
+				t = t.r
 				continue
 			}
-			if t.W != nil && !liveWME(t.W) {
-				return t.W
+			if t.w != nil && !liveWME(t.w) {
+				return t.w
 			}
-			t = t.Parent
+			t = t.parent
 		}
 		return nil
 	}
@@ -76,7 +76,7 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 	rightTally := map[NodeID]int32{}
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.Lock.Lock()
+		l.lock.Lock()
 		for j := len(l.left) - 1; j >= 0; j-- {
 			e := &l.left[j]
 			if e.tomb {
@@ -155,7 +155,7 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 				}
 			}
 		}
-		l.Lock.Unlock()
+		l.lock.Unlock()
 		if len(errs) >= auditMaxErrors {
 			errs = append(errs, fmt.Errorf("audit: error limit reached, stopping"))
 			return errs
@@ -188,7 +188,7 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 			}
 			key := n.rightKeyFromWME(ww)
 			line := m.line(n.ID, key)
-			line.Lock.Lock()
+			line.lock.Lock()
 			found := false
 			for i := len(line.right) - 1; i >= 0; i-- {
 				if e := &line.right[i]; !e.tomb && e.node == n.ID && e.key == key && e.w == ww {
@@ -196,7 +196,7 @@ func (nw *Network) Audit(wm *wme.Memory) []error {
 					break
 				}
 			}
-			line.Lock.Unlock()
+			line.lock.Unlock()
 			if !found {
 				add("node %v: live wme %d missing from right memory (lost insert)", n, ww.ID)
 			}
@@ -217,7 +217,7 @@ func leftKeyFor(n *BetaNode, tok *Token) (key uint64, ok bool) {
 	case KindNCC, KindP:
 		return tok.Hash(), true
 	case KindJoinBB:
-		return ctxOf(tok, int16(n.BranchN)).Hash() ^ n.bbLeftKey(tok), true
+		return ctxOf(tok, int16(n.branchN)).Hash() ^ n.bbLeftKey(tok), true
 	}
 	return 0, false
 }
@@ -236,7 +236,7 @@ func subKeyFor(n *BetaNode, owner, sub *Token) (key uint64, ok bool) {
 
 // recountBlockers recomputes a not/NCC left entry's blocking count from the
 // live right entries on its line (caller holds the line lock).
-func recountBlockers(l *Line, n *BetaNode, le *LEntry) int32 {
+func recountBlockers(l *line, n *BetaNode, le *lEntry) int32 {
 	var count int32
 	for i := len(l.right) - 1; i >= 0; i-- {
 		e := &l.right[i]
@@ -262,7 +262,7 @@ func recountBlockers(l *Line, n *BetaNode, le *LEntry) int32 {
 // cross-checks the two).
 func (nw *Network) LivePTokens() int {
 	pnodes := map[NodeID]bool{}
-	nw.WalkBeta(func(n *BetaNode) {
+	nw.walkBeta(func(n *BetaNode) {
 		if n.Kind == KindP {
 			pnodes[n.ID] = true
 		}
@@ -271,13 +271,13 @@ func (nw *Network) LivePTokens() int {
 	count := 0
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.Lock.Lock()
+		l.lock.Lock()
 		for j := len(l.left) - 1; j >= 0; j-- {
 			if e := &l.left[j]; !e.tomb && pnodes[e.node] {
 				count++
 			}
 		}
-		l.Lock.Unlock()
+		l.lock.Unlock()
 	}
 	return count
 }

@@ -79,7 +79,7 @@ func TestAuditCleanBilinear(t *testing.T) {
 }
 
 // corrupt locates the first live left entry satisfying pred and applies fn.
-func corrupt(e *testEnv, pred func(*LEntry) bool, fn func(l *Line, en *LEntry)) bool {
+func corrupt(e *testEnv, pred func(*lEntry) bool, fn func(l *line, en *lEntry)) bool {
 	m := e.nw.Mem
 	for i := range m.lines {
 		l := &m.lines[i]
@@ -95,7 +95,7 @@ func corrupt(e *testEnv, pred func(*LEntry) bool, fn func(l *Line, en *LEntry)) 
 
 func TestAuditDetectsKeyCorruption(t *testing.T) {
 	e := nccEnv(t)
-	if !corrupt(e, func(en *LEntry) bool { return true }, func(_ *Line, en *LEntry) { en.key ^= 0xdeadbeef }) {
+	if !corrupt(e, func(en *lEntry) bool { return true }, func(_ *line, en *lEntry) { en.key ^= 0xdeadbeef }) {
 		t.Fatalf("no left entry to corrupt")
 	}
 	// A flipped key puts the entry on the wrong line and breaks the key
@@ -129,10 +129,10 @@ func TestAuditDetectsLostInsert(t *testing.T) {
 func TestAuditDetectsRefcountDrift(t *testing.T) {
 	e := nccEnv(t)
 	kinds := map[NodeID]BetaKind{}
-	e.nw.WalkBeta(func(n *BetaNode) { kinds[n.ID] = n.Kind })
+	e.nw.walkBeta(func(n *BetaNode) { kinds[n.ID] = n.Kind })
 	found := corrupt(e,
-		func(en *LEntry) bool { return kinds[en.node] == KindNot || kinds[en.node] == KindNCC },
-		func(_ *Line, en *LEntry) { en.count += 3 })
+		func(en *lEntry) bool { return kinds[en.node] == KindNot || kinds[en.node] == KindNCC },
+		func(_ *line, en *lEntry) { en.count += 3 })
 	if !found {
 		t.Fatalf("no not/NCC left entry found")
 	}
@@ -141,8 +141,8 @@ func TestAuditDetectsRefcountDrift(t *testing.T) {
 
 func TestAuditDetectsTombstone(t *testing.T) {
 	e := nccEnv(t)
-	if !corrupt(e, func(en *LEntry) bool { return true }, func(l *Line, en *LEntry) {
-		l.left = append(l.left, LEntry{node: en.node, key: en.key, tok: en.tok, tomb: true})
+	if !corrupt(e, func(en *lEntry) bool { return true }, func(l *line, en *lEntry) {
+		l.left = append(l.left, lEntry{node: en.node, key: en.key, tok: en.tok, tomb: true})
 	}) {
 		t.Fatalf("no left entry found")
 	}
@@ -151,8 +151,8 @@ func TestAuditDetectsTombstone(t *testing.T) {
 
 func TestAuditDetectsDuplicate(t *testing.T) {
 	e := nccEnv(t)
-	if !corrupt(e, func(en *LEntry) bool { return true }, func(l *Line, en *LEntry) {
-		l.left = append(l.left, LEntry{node: en.node, key: en.key, tok: en.tok, count: en.count})
+	if !corrupt(e, func(en *lEntry) bool { return true }, func(l *line, en *lEntry) {
+		l.left = append(l.left, lEntry{node: en.node, key: en.key, tok: en.tok, count: en.count})
 	}) {
 		t.Fatalf("no left entry found")
 	}

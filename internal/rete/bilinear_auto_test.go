@@ -60,12 +60,12 @@ func netDepth(e *testEnv) int {
 		if d > max {
 			max = d
 		}
-		for _, c := range n.Children {
+		for _, c := range n.children {
 			rec(c, d+1)
 		}
 	}
-	e.nw.WalkBeta(func(n *BetaNode) {
-		if n.Parent == nil {
+	e.nw.walkBeta(func(n *BetaNode) {
+		if n.parent == nil {
 			rec(n, 1)
 		}
 	})
@@ -228,11 +228,11 @@ func TestBilinearTrailingNegationPlacement(t *testing.T) {
 	// the negation (it stayed with group 0, the group whose bindings it
 	// references), so it is not serialized behind the combined line.
 	pn := bil.nw.Lookup("trail").PNode
-	if pn.Parent.Kind != KindJoinBB {
-		t.Fatalf("negation deferred to combined line: P parent is %v", pn.Parent)
+	if pn.parent.Kind != KindJoinBB {
+		t.Fatalf("negation deferred to combined line: P parent is %v", pn.parent)
 	}
-	if pn.Parent.Parent.Kind != KindNot {
-		t.Fatalf("trailing negation not attached to its full group: left input is %v", pn.Parent.Parent)
+	if pn.parent.parent.Kind != KindNot {
+		t.Fatalf("trailing negation not attached to its full group: left input is %v", pn.parent.parent)
 	}
 
 	// Behavior: identical to linear under block/unblock of the negation.

@@ -21,10 +21,10 @@ type AddInfo struct {
 	// FirstNewID is the smallest new node ID: the state update activates
 	// only nodes at or above it.
 	FirstNewID NodeID
-	// Boundary lists the new nodes whose parent (left or right input) is a
+	// boundary lists the new nodes whose parent (left or right input) is a
 	// pre-existing shared node: the "first new node" positions whose left
 	// state must be seeded from the last shared node's stored PIs.
-	Boundary []*BetaNode
+	boundary []*BetaNode
 	// SharedTwoInput counts reused two-input nodes (sharing statistics).
 	SharedTwoInput int
 	// updPath holds, sorted, the IDs of the alpha memories feeding a new
@@ -88,8 +88,8 @@ func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, e
 	} else {
 		bottom = b.buildLinear(conds)
 	}
-	prod.NumCEs = b.posCount
-	pn := b.newNode(&BetaNode{Kind: KindP, Parent: bottom, Prod: prod})
+	prod.numCEs = b.posCount
+	pn := b.newNode(&BetaNode{Kind: KindP, parent: bottom, prod: prod})
 	b.attach(bottom, pn)
 	prod.PNode = pn
 	own := &nw.own
@@ -100,8 +100,8 @@ func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, e
 	b.finishInfo()
 	// Size the unlink counters for the new node IDs while still quiescent
 	// (match workers read them with atomics and never reallocate).
-	nw.Mem.GrowCounts(int(own.nextID) + 1)
-	nw.Prof.Grow(int(own.nextID) + 1)
+	nw.Mem.nc.grow(int(own.nextID) + 1)
+	nw.Prof.grow(int(own.nextID) + 1)
 	b.info.SpliceTime = time.Since(start)
 	return prod, b.info, nil
 }
@@ -120,15 +120,15 @@ func (b *builder) finishInfo() {
 	}
 	isNew := func(n *BetaNode) bool { return n != nil && n.ID >= inf.FirstNewID }
 	for _, n := range inf.NewBeta {
-		leftOld := n.Parent == nil || !isNew(n.Parent)
-		rightOld := n.Kind == KindJoinBB && !isNew(n.RightParent)
+		leftOld := n.parent == nil || !isNew(n.parent)
+		rightOld := n.Kind == KindJoinBB && !isNew(n.rightParent)
 		if leftOld || rightOld {
-			inf.Boundary = append(inf.Boundary, n)
+			inf.boundary = append(inf.boundary, n)
 		}
-		if am := n.Alpha; am != nil {
-			inf.updPath = append(inf.updPath, am.ID)
+		if am := n.alpha; am != nil {
+			inf.updPath = append(inf.updPath, am.id)
 			for a := am.at; a != nil; a = a.parent {
-				inf.updPath = append(inf.updPath, a.ID)
+				inf.updPath = append(inf.updPath, a.id)
 			}
 		}
 	}
@@ -160,7 +160,7 @@ func (b *builder) attach(parent, child *BetaNode) {
 		kids := own.spliced().betaKids
 		kids[parent.ID] = append(kids[parent.ID], child)
 	default:
-		parent.Children = append(parent.Children, child)
+		parent.children = append(parent.children, child)
 	}
 }
 
@@ -174,7 +174,7 @@ type cond struct {
 	kind  ops5.CondKind
 	class value.Sym
 	tag   int // token position of a positive CE; -1 for a negation or an NCC
-	alpha []AlphaTest
+	alpha []alphaTest
 	join  []JoinTest // against the first binding of each variable they read
 	sub   []cond     // a conjunctive negation's sub-chain
 }
@@ -232,22 +232,22 @@ func (b *builder) compileCE(c *cond, ce *ops5.CE, scope map[value.Sym]Binding) e
 		for _, t := range at.Tests {
 			switch t.Kind {
 			case ops5.TestConst:
-				c.alpha = append(c.alpha, AlphaTest{Field: field, Pred: t.Pred, Val: t.Val})
+				c.alpha = append(c.alpha, alphaTest{field: field, pred: t.Pred, val: t.Val})
 				continue
 			case ops5.TestDisj:
-				c.alpha = append(c.alpha, AlphaTest{Field: field, Disj: t.Disj})
+				c.alpha = append(c.alpha, alphaTest{field: field, disj: t.Disj})
 				continue
 			}
 			if bd, ok := scope[t.Var]; ok {
 				if bd.CE == c.tag {
-					c.alpha = append(c.alpha, AlphaTest{Field: field, Pred: t.Pred, VsField: true, Other: bd.Field})
+					c.alpha = append(c.alpha, alphaTest{field: field, pred: t.Pred, vsField: true, other: bd.Field})
 				} else {
-					c.join = append(c.join, JoinTest{RightField: field, LeftCE: bd.CE, LeftField: bd.Field, Pred: t.Pred})
+					c.join = append(c.join, JoinTest{rightField: field, leftCE: bd.CE, leftField: bd.Field, Pred: t.Pred})
 				}
 				continue
 			}
 			if f, ok := wild[t.Var]; ok {
-				c.alpha = append(c.alpha, AlphaTest{Field: field, Pred: t.Pred, VsField: true, Other: f})
+				c.alpha = append(c.alpha, alphaTest{field: field, pred: t.Pred, vsField: true, other: f})
 				continue
 			}
 			switch {
@@ -373,10 +373,10 @@ func (b *builder) addNCC(cur *BetaNode, sub []cond) *BetaNode {
 		subCur = b.joinChild(subCur, KindJoin, &sub[i])
 	}
 	b.private = false
-	ncc := b.newNode(&BetaNode{Kind: KindNCC, Parent: cur, BranchN: b.posCount, private: true})
-	partner := b.newNode(&BetaNode{Kind: KindNCCPartner, Parent: subCur, BranchN: b.posCount, private: true})
-	ncc.Partner = partner
-	partner.Partner = ncc
+	ncc := b.newNode(&BetaNode{Kind: KindNCC, parent: cur, branchN: b.posCount, private: true})
+	partner := b.newNode(&BetaNode{Kind: KindNCCPartner, parent: subCur, branchN: b.posCount, private: true})
+	ncc.partner = partner
+	partner.partner = ncc
 	b.attach(subCur, partner)
 	b.attach(cur, ncc)
 	return ncc
@@ -393,7 +393,7 @@ func (b *builder) joinChild(cur *BetaNode, kind BetaKind, c *cond) *BetaNode {
 	}
 	if b.shared && b.nw.Opts.ShareBeta {
 		for _, s := range b.nw.childrenOf(cur) {
-			if !s.private && s.Kind == kind && s.Alpha == am && s.RightCE == c.tag && sameTests(s.Tests, tests) {
+			if !s.private && s.Kind == kind && s.alpha == am && s.rightCE == c.tag && sameTests(s.Tests, tests) {
 				// Sharing into a base node reuses it without any mutation:
 				// its refs stay as compiled (base nodes are permanent;
 				// excise skips them).
@@ -407,18 +407,18 @@ func (b *builder) joinChild(cur *BetaNode, kind BetaKind, c *cond) *BetaNode {
 	}
 	n := b.newNode(&BetaNode{
 		Kind:     kind,
-		Parent:   cur,
-		Alpha:    am,
-		RightCE:  c.tag,
+		parent:   cur,
+		alpha:    am,
+		rightCE:  c.tag,
 		Tests:    tests,
 		nEqTests: nEq,
 		private:  b.private,
 	})
-	if b.nw.inBase(am.ID) {
+	if b.nw.inBase(am.id) {
 		succs := b.nw.own.spliced().alphaSuccs
-		succs[am.ID] = append(succs[am.ID], n)
+		succs[am.id] = append(succs[am.id], n)
 	} else {
-		am.Succs = append(am.Succs, n)
+		am.succs = append(am.succs, n)
 	}
 	b.attach(cur, n)
 	return n
@@ -433,13 +433,13 @@ func canonicalizeTests(tests []JoinTest) int {
 		if ae != ce {
 			return ae
 		}
-		if a.LeftCE != c.LeftCE {
-			return a.LeftCE < c.LeftCE
+		if a.leftCE != c.leftCE {
+			return a.leftCE < c.leftCE
 		}
-		if a.LeftField != c.LeftField {
-			return a.LeftField < c.LeftField
+		if a.leftField != c.leftField {
+			return a.leftField < c.leftField
 		}
-		return a.RightField < c.RightField
+		return a.rightField < c.rightField
 	})
 	n := 0
 	for _, t := range tests {
@@ -552,13 +552,13 @@ func (s *groupScope) at(src Binding) (Binding, bool) {
 func (s *groupScope) place(c *cond) (cond, bool) {
 	out := cond{kind: c.kind, class: c.class, tag: c.tag, alpha: slices.Clip(c.alpha)}
 	for _, jt := range c.join {
-		src := Binding{CE: jt.LeftCE, Field: jt.LeftField}
+		src := Binding{CE: jt.leftCE, Field: jt.leftField}
 		l, ok := s.at(src)
 		switch {
 		case ok && l.CE == c.tag:
-			out.alpha = append(out.alpha, AlphaTest{Field: jt.RightField, Pred: jt.Pred, VsField: true, Other: l.Field})
+			out.alpha = append(out.alpha, alphaTest{field: jt.rightField, pred: jt.Pred, vsField: true, other: l.Field})
 		case ok:
-			jt.LeftCE, jt.LeftField = l.CE, l.Field
+			jt.leftCE, jt.leftField = l.CE, l.Field
 			out.join = append(out.join, jt)
 		case c.kind != ops5.CondPos:
 			return cond{}, false
@@ -568,9 +568,9 @@ func (s *groupScope) place(c *cond) (cond, bool) {
 			} else {
 				l = src
 			}
-			s.pairs = append(s.pairs, BBTest{LeftCE: l.CE, LeftField: l.Field, RightCE: c.tag, RightField: jt.RightField, Pred: jt.Pred})
+			s.pairs = append(s.pairs, BBTest{leftCE: l.CE, leftField: l.Field, rightCE: c.tag, rightField: jt.rightField, pred: jt.Pred})
 			if jt.Pred == value.PredEq {
-				s.local[src] = Binding{CE: c.tag, Field: jt.RightField}
+				s.local[src] = Binding{CE: c.tag, Field: jt.rightField}
 			}
 		}
 	}
@@ -681,7 +681,7 @@ func (b *builder) combine(bottoms []*BetaNode, lo, hi int, s *groupScope) *BetaN
 	right := b.combine(bottoms, mid+1, hi, s)
 	var tests []BBTest
 	for _, t := range s.pairs {
-		lg, rg := s.groupOf[t.LeftCE], s.groupOf[t.RightCE]
+		lg, rg := s.groupOf[t.leftCE], s.groupOf[t.rightCE]
 		if lg >= lo && lg <= mid && rg > mid && rg <= hi {
 			tests = append(tests, t)
 		}
@@ -692,11 +692,11 @@ func (b *builder) combine(bottoms []*BetaNode, lo, hi int, s *groupScope) *BetaN
 	}
 	bb := b.newNode(&BetaNode{
 		Kind:        KindJoinBB,
-		Parent:      left,
-		RightParent: right,
+		parent:      left,
+		rightParent: right,
 		BBTests:     tests,
 		nEqTests:    nEq,
-		BranchN:     s.ctxTags,
+		branchN:     s.ctxTags,
 		private:     true,
 	})
 	b.attach(left, bb)
@@ -707,18 +707,18 @@ func (b *builder) combine(bottoms []*BetaNode, lo, hi int, s *groupScope) *BetaN
 func canonicalizeBB(tests []BBTest) int {
 	sort.SliceStable(tests, func(i, j int) bool {
 		a, c := tests[i], tests[j]
-		ae, ce := a.Pred == value.PredEq, c.Pred == value.PredEq
+		ae, ce := a.pred == value.PredEq, c.pred == value.PredEq
 		if ae != ce {
 			return ae
 		}
-		if a.LeftCE != c.LeftCE {
-			return a.LeftCE < c.LeftCE
+		if a.leftCE != c.leftCE {
+			return a.leftCE < c.leftCE
 		}
-		return a.RightCE < c.RightCE
+		return a.rightCE < c.rightCE
 	})
 	n := 0
 	for _, t := range tests {
-		if t.Pred == value.PredEq {
+		if t.pred == value.PredEq {
 			n++
 		}
 	}

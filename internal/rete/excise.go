@@ -29,7 +29,7 @@ func (nw *Network) RemoveProduction(name string) error {
 
 	// Retract the production's live instantiations.
 	if nw.CS != nil {
-		for _, tok := range nw.Mem.DumpLeft(prod.PNode.ID) {
+		for _, tok := range nw.Mem.dumpLeft(prod.PNode.ID, nw.Mem.lines) {
 			nw.CS.Retract(prod, tok)
 		}
 	}
@@ -43,13 +43,13 @@ func (nw *Network) RemoveProduction(name string) error {
 		for n != nil && !seen[n.ID] {
 			seen[n.ID] = true
 			chain = append(chain, n)
-			if n.Kind == KindNCC && n.Partner != nil {
-				walk(n.Partner)
+			if n.Kind == KindNCC && n.partner != nil {
+				walk(n.partner)
 			}
 			if n.Kind == KindJoinBB {
-				walk(n.RightParent)
+				walk(n.rightParent)
 			}
-			n = n.Parent
+			n = n.parent
 		}
 	}
 	walk(prod.PNode)
@@ -67,7 +67,7 @@ func (nw *Network) RemoveProduction(name string) error {
 			continue
 		}
 		nw.detach(n)
-		nw.Mem.PurgeNode(n.ID)
+		nw.Mem.purgeNode(n.ID)
 		if n.Kind != KindP {
 			own.nTwoInput--
 		}
@@ -103,32 +103,32 @@ func (nw *Network) detach(n *BetaNode) {
 		case nw.inBase(p.ID):
 			own.betaKids[p.ID] = removeChild(own.betaKids[p.ID])
 		default:
-			p.Children = removeChild(p.Children)
+			p.children = removeChild(p.children)
 		}
 	}
-	unparent(n.Parent)
-	if n.Kind == KindJoinBB && n.RightParent != nil {
-		unparent(n.RightParent)
+	unparent(n.parent)
+	if n.Kind == KindJoinBB && n.rightParent != nil {
+		unparent(n.rightParent)
 	}
-	if am := n.Alpha; am != nil {
-		if nw.inBase(am.ID) {
-			own.alphaSuccs[am.ID] = removeChild(own.alphaSuccs[am.ID])
+	if am := n.alpha; am != nil {
+		if nw.inBase(am.id) {
+			own.alphaSuccs[am.id] = removeChild(own.alphaSuccs[am.id])
 		} else {
-			am.Succs = removeChild(am.Succs)
+			am.succs = removeChild(am.succs)
 		}
 	}
 }
 
-// PurgeNode removes every memory entry stored under a node (both tables)
+// purgeNode removes every memory entry stored under a node (both tables)
 // and zeroes its unlink counters, so a later production re-using the slot
 // range starts correctly unlinked.
-func (m *Mem) PurgeNode(node NodeID) {
-	m.PurgeCounts(node)
+func (m *Mem) purgeNode(node NodeID) {
+	m.purgeCounts(node)
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.Lock.Lock()
-		l.left = slices.DeleteFunc(l.left, func(e LEntry) bool { return e.node == node })
-		l.right = slices.DeleteFunc(l.right, func(e REntry) bool { return e.node == node })
-		l.Lock.Unlock()
+		l.lock.Lock()
+		l.left = slices.DeleteFunc(l.left, func(e lEntry) bool { return e.node == node })
+		l.right = slices.DeleteFunc(l.right, func(e rEntry) bool { return e.node == node })
+		l.lock.Unlock()
 	}
 }

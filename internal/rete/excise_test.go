@@ -176,17 +176,17 @@ func TestExciseRandomizedAgainstNaive(t *testing.T) {
 }
 
 func TestPurgeNode(t *testing.T) {
-	m := NewMem(16)
+	m := newMem(16)
 	tok := Extend(DummyTop, 0, mkWME(1))
 	line := m.line(5, 42)
-	line.Lock.Lock()
+	line.lock.Lock()
 	line.addLeft(5, 42, tok, 0)
 	line.addRight(5, 42, mkWME(2))
-	line.Lock.Unlock()
+	line.lock.Unlock()
 	if l, r := m.Entries(); l != 1 || r != 1 {
 		t.Fatalf("setup wrong: %d %d", l, r)
 	}
-	m.PurgeNode(5)
+	m.purgeNode(5)
 	if l, r := m.Entries(); l != 0 || r != 0 {
 		t.Fatalf("purge incomplete: %d %d", l, r)
 	}

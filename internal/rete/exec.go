@@ -9,16 +9,16 @@ import (
 // Dir is the input arc of a two-input node activation.
 type Dir uint8
 
-// DirLeft activations carry tokens (partial instantiations); DirRight
+// dirLeft activations carry tokens (partial instantiations); DirRight
 // activations carry wmes from an alpha memory (or, for bilinear joins and
 // NCC partners, tokens from a side chain).
 const (
-	DirLeft Dir = iota
+	dirLeft Dir = iota
 	DirRight
 )
 
 func (d Dir) String() string {
-	if d == DirLeft {
+	if d == dirLeft {
 		return "left"
 	}
 	return "right"
@@ -30,7 +30,7 @@ type Task struct {
 	Node *BetaNode
 	Dir  Dir
 	Op   wme.Op
-	Tok  *Token   // left activations; BB right and NCC-partner inputs
+	tok  *Token   // left activations; BB right and NCC-partner inputs
 	W    *wme.WME // join/not right activations
 
 	// Supp, when non-nil, makes this a suppressed-batch task: many
@@ -102,11 +102,11 @@ type Scheduler interface {
 // NS32032. Calibrated so the mean task cost lands near the ~400 µs of
 // Table 6-1 on the three reproduced workloads.
 const (
-	CostBetaBase  = 260 // dequeue + dispatch + hash + lock/unlock
-	CostCompare   = 35  // one join-test evaluation
-	CostEmit      = 75  // build token + queue a child activation
-	CostMemInsert = 60  // hash-line insert or remove
-	CostPNode     = 220 // conflict-set update
+	costBetaBase  = 260 // dequeue + dispatch + hash + lock/unlock
+	costCompare   = 35  // one join-test evaluation
+	costEmit      = 75  // build token + queue a child activation
+	costMemInsert = 60  // hash-line insert or remove
+	costPNode     = 220 // conflict-set update
 )
 
 // suppInline sizes the emitter's inline suppressed-run buffer; runs pending
@@ -172,7 +172,7 @@ func (em *emitter) popSupp() suppRun {
 }
 
 func (em *emitter) emit(from *BetaNode, tok *Token, op wme.Op) {
-	em.emitTo(from, from.Children, tok, op)
+	em.emitTo(from, from.children, tok, op)
 	if spliced := em.nw.own.betaKids; spliced != nil {
 		// Own-layer children spliced under a base node (chunk splice); the
 		// map is nil for sessions that never chunk and for owned networks.
@@ -185,11 +185,11 @@ func (em *emitter) emit(from *BetaNode, tok *Token, op wme.Op) {
 func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op wme.Op) {
 	nw := em.nw
 	for _, c := range children {
-		dir := DirLeft
-		if c.Kind == KindJoinBB && c.RightParent == from {
+		dir := dirLeft
+		if c.Kind == KindJoinBB && c.rightParent == from {
 			dir = DirRight
 		}
-		if dir == DirLeft && nw.suppressLeft(c) {
+		if dir == dirLeft && nw.suppressLeft(c) {
 			// Unlink fast path: the child join's right memory is provably
 			// empty, so its own memory insert/remove runs on this goroutine
 			// instead of costing a scheduled task. The run is buffered and
@@ -204,7 +204,7 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 		}
 		em.emitted++
 		ct := em.s.NewTask()
-		*ct = Task{Node: c, Dir: dir, Op: op, Tok: tok, ParentSeq: em.parentSeq, Depth: em.depth + 1}
+		*ct = Task{Node: c, Dir: dir, Op: op, tok: tok, ParentSeq: em.parentSeq, Depth: em.depth + 1}
 		em.s.Push(ct)
 	}
 }
@@ -228,7 +228,7 @@ func (em *emitter) drain() {
 // provably empty. Not/NCC nodes never qualify on the left — an empty
 // right memory means the token PASSES the negation and must still emit.
 func (nw *Network) suppressLeft(c *BetaNode) bool {
-	return nw.Opts.Unlink && c.Kind == KindJoin && nw.Mem.RightCount(c.ID) == 0
+	return nw.Opts.Unlink && c.Kind == KindJoin && nw.Mem.rightCount(c.ID) == 0
 }
 
 // suppressRight reports whether a right activation of c may be executed
@@ -240,10 +240,10 @@ func (nw *Network) suppressLeft(c *BetaNode) bool {
 // Top-level joins (Parent == nil) match the implicit dummy token and are
 // never suppressed; NCC partners must always record their sub-result.
 func (nw *Network) suppressRight(c *BetaNode) bool {
-	if !nw.Opts.Unlink || c.Parent == nil || (c.Kind != KindJoin && c.Kind != KindNot) {
+	if !nw.Opts.Unlink || c.parent == nil || (c.Kind != KindJoin && c.Kind != KindNot) {
 		return false
 	}
-	return nw.Mem.LeftCount(c.ID) == 0
+	return nw.Mem.leftCount(c.ID) == 0
 }
 
 // rightScanSkip reports — under the line lock, after the activation's own
@@ -256,12 +256,12 @@ func (nw *Network) suppressRight(c *BetaNode) bool {
 // insert means any concurrent opposite-side insert either is already
 // visible here or will see our entry when its own scan runs.
 func (nw *Network) rightScanSkip(n *BetaNode) bool {
-	return nw.Opts.Unlink && nw.Mem.RightCount(n.ID) == 0
+	return nw.Opts.Unlink && nw.Mem.rightCount(n.ID) == 0
 }
 
 // leftScanSkip is the mirror of rightScanSkip for left memories.
 func (nw *Network) leftScanSkip(n *BetaNode) bool {
-	return nw.Opts.Unlink && nw.Mem.LeftCount(n.ID) == 0
+	return nw.Opts.Unlink && nw.Mem.leftCount(n.ID) == 0
 }
 
 // SuppressRight reports whether a right activation of n can be deferred
@@ -319,21 +319,21 @@ func (nw *Network) execSuppBatch(batch []SuppRight, em *emitter) int64 {
 func (nw *Network) Exec(t *Task, s Scheduler) (cost int64, emitted int) {
 	nw.Stats.Activations.Add(1)
 	em := emitter{nw: nw, s: s, parentSeq: t.Seq, depth: t.Depth}
-	cost = CostBetaBase
+	cost = costBetaBase
 
 	n := t.Node
 	switch {
 	case t.Supp != nil:
 		cost += nw.execSuppBatch(t.Supp, &em)
 	case n.Kind == KindJoin:
-		if t.Dir == DirLeft {
-			cost += nw.joinLeft(n, t.Op, t.Tok, &em)
+		if t.Dir == dirLeft {
+			cost += nw.joinLeft(n, t.Op, t.tok, &em)
 		} else {
 			cost += nw.joinRight(n, t.Op, t.W, &em)
 		}
 	case n.Kind == KindNot:
-		if t.Dir == DirLeft {
-			cost += nw.notLeft(n, t.Op, t.Tok, &em)
+		if t.Dir == dirLeft {
+			cost += nw.notLeft(n, t.Op, t.tok, &em)
 		} else {
 			cost += nw.notRight(n, t.Op, t.W, &em)
 		}
@@ -347,7 +347,7 @@ func (nw *Network) Exec(t *Task, s Scheduler) (cost int64, emitted int) {
 		cost += nw.execP(t)
 	}
 	em.drain()
-	cost += em.cost + int64(em.emitted)*CostEmit
+	cost += em.cost + int64(em.emitted)*costEmit
 	nw.Stats.TokensEmitted.Add(int64(em.emitted))
 	if em.emitted == 0 {
 		nw.Stats.NullActs.Add(1)
@@ -361,7 +361,7 @@ func (nw *Network) joinLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int
 	line := nw.Mem.line(n.ID, key)
 	var buf [matchInline]*wme.WME
 	matches := buf[:0]
-	line.Lock.Lock()
+	line.lock.Lock()
 	proceed := true
 	if op == wme.Add {
 		proceed = !line.addLeft(n.ID, key, tok, 0)
@@ -370,7 +370,7 @@ func (nw *Network) joinLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int
 	}
 	comparisons := 0
 	if proceed && !nw.rightScanSkip(n) {
-		line.eachRight(n.ID, key, func(e *REntry) {
+		line.eachRight(n.ID, key, func(e *rEntry) {
 			ok, c := n.testPair(tok, e.w)
 			comparisons += c
 			if ok {
@@ -378,11 +378,11 @@ func (nw *Network) joinLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int
 			}
 		})
 	}
-	line.Lock.Unlock()
+	line.lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
-	cost += CostMemInsert + int64(comparisons)*CostCompare
+	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, w := range matches {
-		em.emit(n, Extend(tok, n.RightCE, w), op)
+		em.emit(n, Extend(tok, n.rightCE, w), op)
 	}
 	return cost
 }
@@ -394,7 +394,7 @@ func (nw *Network) joinRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) in
 	line := nw.Mem.line(n.ID, key)
 	var buf [matchInline]*Token
 	matches := buf[:0]
-	line.Lock.Lock()
+	line.lock.Lock()
 	proceed := true
 	if op == wme.Add {
 		proceed = !line.addRight(n.ID, key, w)
@@ -403,12 +403,12 @@ func (nw *Network) joinRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) in
 	}
 	comparisons := 0
 	if proceed {
-		if n.Parent == nil {
+		if n.parent == nil {
 			// Top-level join: the left memory implicitly holds exactly the
 			// dummy top token (first CEs have no join tests).
 			matches = append(matches, DummyTop)
 		} else if !nw.leftScanSkip(n) {
-			line.eachLeft(n.ID, key, func(e *LEntry) {
+			line.eachLeft(n.ID, key, func(e *lEntry) {
 				ok, c := n.testPair(e.tok, w)
 				comparisons += c
 				if ok {
@@ -417,11 +417,11 @@ func (nw *Network) joinRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) in
 			})
 		}
 	}
-	line.Lock.Unlock()
+	line.lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
-	cost += CostMemInsert + int64(comparisons)*CostCompare
+	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, tok := range matches {
-		em.emit(n, Extend(tok, n.RightCE, w), op)
+		em.emit(n, Extend(tok, n.rightCE, w), op)
 	}
 	return cost
 }
@@ -432,11 +432,11 @@ func (nw *Network) notLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int6
 	line := nw.Mem.line(n.ID, key)
 	comparisons := 0
 	pass := false
-	line.Lock.Lock()
+	line.lock.Lock()
 	if op == wme.Add {
 		var count int32
 		if !nw.rightScanSkip(n) {
-			line.eachRight(n.ID, key, func(e *REntry) {
+			line.eachRight(n.ID, key, func(e *rEntry) {
 				ok, c := n.testPair(tok, e.w)
 				comparisons += c
 				if ok {
@@ -449,9 +449,9 @@ func (nw *Network) notLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int6
 		count, found := line.removeLeft(n.ID, key, tok)
 		pass = found && count == 0
 	}
-	line.Lock.Unlock()
+	line.lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
-	cost += CostMemInsert + int64(comparisons)*CostCompare
+	cost += costMemInsert + int64(comparisons)*costCompare
 	if pass {
 		em.emit(n, tok, op)
 	}
@@ -466,10 +466,10 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 	var buf [matchInline]*Token
 	flips := buf[:0]
 	comparisons := 0
-	line.Lock.Lock()
+	line.lock.Lock()
 	if op == wme.Add {
 		if !line.addRight(n.ID, key, w) && !nw.leftScanSkip(n) {
-			line.eachLeft(n.ID, key, func(e *LEntry) {
+			line.eachLeft(n.ID, key, func(e *lEntry) {
 				ok, c := n.testPair(e.tok, w)
 				comparisons += c
 				if ok {
@@ -482,7 +482,7 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 		}
 	} else {
 		if line.removeRight(n.ID, key, w) && !nw.leftScanSkip(n) {
-			line.eachLeft(n.ID, key, func(e *LEntry) {
+			line.eachLeft(n.ID, key, func(e *lEntry) {
 				ok, c := n.testPair(e.tok, w)
 				comparisons += c
 				if ok {
@@ -494,9 +494,9 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 			})
 		}
 	}
-	line.Lock.Unlock()
+	line.lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
-	cost += CostMemInsert + int64(comparisons)*CostCompare
+	cost += costMemInsert + int64(comparisons)*costCompare
 	// A new blocking wme retracts previously passing tokens; a removed
 	// blocker re-admits them.
 	flipOp := wme.Remove
@@ -511,44 +511,44 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 
 func (nw *Network) execNCC(t *Task, em *emitter) int64 {
 	n := t.Node
-	key := t.Tok.Hash()
+	key := t.tok.Hash()
 	line := nw.Mem.line(n.ID, key)
 	pass := false
 	comparisons := 0
-	line.Lock.Lock()
+	line.lock.Lock()
 	if t.Op == wme.Add {
 		var count int32
 		if !nw.rightScanSkip(n) {
-			line.eachRight(n.ID, key, func(e *REntry) {
+			line.eachRight(n.ID, key, func(e *rEntry) {
 				comparisons++
-				if e.owner.Equal(t.Tok) {
+				if e.owner.Equal(t.tok) {
 					count++
 				}
 			})
 		}
-		pass = !line.addLeft(n.ID, key, t.Tok, count) && count == 0
+		pass = !line.addLeft(n.ID, key, t.tok, count) && count == 0
 	} else {
-		count, found := line.removeLeft(n.ID, key, t.Tok)
+		count, found := line.removeLeft(n.ID, key, t.tok)
 		pass = found && count == 0
 	}
-	line.Lock.Unlock()
+	line.lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
 	if pass {
-		em.emit(n, t.Tok, t.Op)
+		em.emit(n, t.tok, t.Op)
 	}
-	return CostMemInsert + int64(comparisons)*CostCompare
+	return costMemInsert + int64(comparisons)*costCompare
 }
 
 func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 	n := t.Node
-	ncc := n.Partner
-	owner := ancestorAt(t.Tok, int16(n.BranchN))
+	ncc := n.partner
+	owner := ancestorAt(t.tok, int16(n.branchN))
 	key := owner.Hash()
 	line := nw.Mem.line(ncc.ID, key)
 	var flip *Token
-	line.Lock.Lock()
+	line.lock.Lock()
 	if t.Op == wme.Add {
-		if !line.addSubResult(ncc.ID, key, owner, t.Tok) {
+		if !line.addSubResult(ncc.ID, key, owner, t.tok) {
 			if e := line.findLeft(ncc.ID, key, owner); e != nil {
 				e.count++
 				if e.count == 1 {
@@ -557,7 +557,7 @@ func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 			}
 		}
 	} else {
-		if line.removeSubResult(ncc.ID, key, owner, t.Tok) {
+		if line.removeSubResult(ncc.ID, key, owner, t.tok) {
 			if e := line.findLeft(ncc.ID, key, owner); e != nil {
 				e.count--
 				if e.count == 0 {
@@ -566,7 +566,7 @@ func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 			}
 		}
 	}
-	line.Lock.Unlock()
+	line.lock.Unlock()
 	if flip != nil {
 		flipOp := wme.Remove
 		if t.Op == wme.Remove {
@@ -574,56 +574,56 @@ func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 		}
 		em.emit(ncc, flip, flipOp)
 	}
-	return CostMemInsert
+	return costMemInsert
 }
 
 func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 	n := t.Node
-	ctxN := int16(n.BranchN)
+	ctxN := int16(n.branchN)
 	var cost int64
 	comparisons := 0
-	if t.Dir == DirLeft {
-		ctx := ctxOf(t.Tok, ctxN)
-		key := ctx.Hash() ^ n.bbLeftKey(t.Tok)
+	if t.Dir == dirLeft {
+		ctx := ctxOf(t.tok, ctxN)
+		key := ctx.Hash() ^ n.bbLeftKey(t.tok)
 		line := nw.Mem.line(n.ID, key)
 		var buf [matchInline]*Token
 		matches := buf[:0]
-		line.Lock.Lock()
+		line.lock.Lock()
 		proceed := true
 		if t.Op == wme.Add {
-			proceed = !line.addLeft(n.ID, key, t.Tok, 0)
+			proceed = !line.addLeft(n.ID, key, t.tok, 0)
 		} else {
-			_, proceed = line.removeLeft(n.ID, key, t.Tok)
+			_, proceed = line.removeLeft(n.ID, key, t.tok)
 		}
 		if proceed && !nw.rightScanSkip(n) {
-			line.eachRight(n.ID, key, func(e *REntry) {
+			line.eachRight(n.ID, key, func(e *rEntry) {
 				comparisons++
 				if !e.owner.Equal(ctx) {
 					return
 				}
-				ok, c := n.testBBPair(t.Tok, e.sub)
+				ok, c := n.testBBPair(t.tok, e.sub)
 				comparisons += c
 				if ok {
 					matches = append(matches, e.sub)
 				}
 			})
 		}
-		line.Lock.Unlock()
+		line.lock.Unlock()
 		nw.Stats.Comparisons.Add(int64(comparisons))
-		cost += CostMemInsert + int64(comparisons)*CostCompare
+		cost += costMemInsert + int64(comparisons)*costCompare
 		for _, r := range matches {
-			em.emit(n, Pair(t.Tok, r), t.Op)
+			em.emit(n, pair(t.tok, r), t.Op)
 		}
 		return cost
 	}
 	// Right activation: a token from the group sub-chain.
-	ctx := ancestorAt(t.Tok, ctxN)
-	stripped := stripAbove(t.Tok, ctxN)
-	key := ctx.Hash() ^ n.bbRightKey(t.Tok)
+	ctx := ancestorAt(t.tok, ctxN)
+	stripped := stripAbove(t.tok, ctxN)
+	key := ctx.Hash() ^ n.bbRightKey(t.tok)
 	line := nw.Mem.line(n.ID, key)
 	var buf [matchInline]*Token
 	matches := buf[:0]
-	line.Lock.Lock()
+	line.lock.Lock()
 	proceed := true
 	if t.Op == wme.Add {
 		proceed = !line.addSubResult(n.ID, key, ctx, stripped)
@@ -631,7 +631,7 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 		proceed = line.removeSubResult(n.ID, key, ctx, stripped)
 	}
 	if proceed && !nw.leftScanSkip(n) {
-		line.eachLeft(n.ID, key, func(e *LEntry) {
+		line.eachLeft(n.ID, key, func(e *lEntry) {
 			comparisons++
 			if !ctxOf(e.tok, ctxN).Equal(ctx) {
 				return
@@ -643,45 +643,45 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 			}
 		})
 	}
-	line.Lock.Unlock()
+	line.lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
-	cost += CostMemInsert + int64(comparisons)*CostCompare
+	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, l := range matches {
-		em.emit(n, Pair(l, stripped), t.Op)
+		em.emit(n, pair(l, stripped), t.Op)
 	}
 	return cost
 }
 
 func (nw *Network) execP(t *Task) int64 {
 	n := t.Node
-	key := t.Tok.Hash()
+	key := t.tok.Hash()
 	line := nw.Mem.line(n.ID, key)
 	// The conflict set is updated under the line lock: an add and a remove
 	// of one token share this line, so the set sees them in the order the
 	// P-node memory did. Released first, the pair could reach the set as
 	// retract-then-insert — the retract a no-op, the insert stale for good.
-	line.Lock.Lock()
+	line.lock.Lock()
 	if t.Op == wme.Add {
-		if !line.addLeft(n.ID, key, t.Tok, 0) && nw.CS != nil {
-			nw.CS.Insert(n.Prod, t.Tok)
+		if !line.addLeft(n.ID, key, t.tok, 0) && nw.CS != nil {
+			nw.CS.Insert(n.prod, t.tok)
 		}
 	} else {
-		if _, found := line.removeLeft(n.ID, key, t.Tok); found && nw.CS != nil {
-			nw.CS.Retract(n.Prod, t.Tok)
+		if _, found := line.removeLeft(n.ID, key, t.tok); found && nw.CS != nil {
+			nw.CS.Retract(n.prod, t.tok)
 		}
 	}
-	line.Lock.Unlock()
-	return CostPNode
+	line.lock.Unlock()
+	return costPNode
 }
 
 // ancestorAt returns the ancestor of t holding exactly n wmes, descending
 // left sides of pair tokens (the context lives leftmost).
 func ancestorAt(t *Token, n int16) *Token {
-	for t != nil && t.N > n {
-		if t.L != nil {
-			t = t.L
+	for t != nil && t.n > n {
+		if t.l != nil {
+			t = t.l
 		} else {
-			t = t.Parent
+			t = t.parent
 		}
 	}
 	return t
@@ -689,8 +689,8 @@ func ancestorAt(t *Token, n int16) *Token {
 
 // ctxOf returns the context ancestor of a (possibly pair) token.
 func ctxOf(t *Token, n int16) *Token {
-	for t.L != nil {
-		t = t.L
+	for t.l != nil {
+		t = t.l
 	}
 	return ancestorAt(t, n)
 }
@@ -702,11 +702,11 @@ func ctxOf(t *Token, n int16) *Token {
 // their leftmost component only, so stripping recurses down the left side
 // and keeps the (already stripped) right side intact.
 func stripAbove(t *Token, n int16) *Token {
-	if t.N <= n {
+	if t.n <= n {
 		return DummyTop
 	}
-	if t.L != nil {
-		return Pair(stripAbove(t.L, n), t.R)
+	if t.l != nil {
+		return pair(stripAbove(t.l, n), t.r)
 	}
-	return Extend(stripAbove(t.Parent, n), int(t.CE), t.W)
+	return Extend(stripAbove(t.parent, n), int(t.ce), t.w)
 }

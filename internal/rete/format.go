@@ -17,7 +17,7 @@ func (nw *Network) FormatNetwork() string {
 	nw.mu.Lock()
 	tops := append([]*BetaNode(nil), nw.childrenOf(nil)...)
 	classOf := map[NodeID]string{}
-	for _, roots := range []map[value.Sym]*AlphaNode{nw.base.roots, nw.own.roots} {
+	for _, roots := range []map[value.Sym]*alphaNode{nw.base.roots, nw.own.roots} {
 		for cls, root := range roots {
 			nw.collectAlphaPaths(nw.Tab.Name(cls), root, "", classOf)
 		}
@@ -36,9 +36,9 @@ func (nw *Network) FormatNetwork() string {
 		seen[n.ID] = true
 		switch n.Kind {
 		case KindP:
-			fmt.Fprintf(&sb, "%sP %s\n", indent, n.Prod.Name)
+			fmt.Fprintf(&sb, "%sP %s\n", indent, n.prod.Name)
 		case KindJoin, KindNot:
-			right := classOf[n.Alpha.ID]
+			right := classOf[n.alpha.id]
 			shared := ""
 			if n.refs > 1 {
 				shared = fmt.Sprintf("  [shared x%d]", n.refs)
@@ -47,11 +47,11 @@ func (nw *Network) FormatNetwork() string {
 				indent, n.Kind, n.ID, right, formatJoinTests(n.Tests), shared)
 		case KindNCC:
 			fmt.Fprintf(&sb, "%sncc#%d (absence of the sub-chain below partner#%d)\n",
-				indent, n.ID, n.Partner.ID)
+				indent, n.ID, n.partner.ID)
 		case KindNCCPartner:
-			fmt.Fprintf(&sb, "%spartner#%d -> ncc#%d\n", indent, n.ID, n.Partner.ID)
+			fmt.Fprintf(&sb, "%spartner#%d -> ncc#%d\n", indent, n.ID, n.partner.ID)
 		case KindJoinBB:
-			fmt.Fprintf(&sb, "%sand-bb#%d (pair join, context depth %d)\n", indent, n.ID, n.BranchN)
+			fmt.Fprintf(&sb, "%sand-bb#%d (pair join, context depth %d)\n", indent, n.ID, n.branchN)
 		}
 		for _, c := range nw.childrenOf(n) {
 			rec(c, depth+1)
@@ -67,35 +67,35 @@ func (nw *Network) FormatNetwork() string {
 
 // collectAlphaPaths maps every alpha-memory ID to its readable test path,
 // descending into what the own layer spliced under base nodes as well.
-func (nw *Network) collectAlphaPaths(prefix string, n *AlphaNode, path string, out map[NodeID]string) {
-	if n.Test.Pred != 0 || n.Test.Val != (value.Value{}) || n.Test.VsField || n.Test.Disj != nil {
-		path += " " + formatAlphaTest(nw.Tab, n.Test)
+func (nw *Network) collectAlphaPaths(prefix string, n *alphaNode, path string, out map[NodeID]string) {
+	if n.test.pred != 0 || n.test.val != (value.Value{}) || n.test.vsField || n.test.disj != nil {
+		path += " " + formatAlphaTest(nw.Tab, n.test)
 	}
-	for _, am := range []*AlphaMem{n.Mem, nw.own.alphaMemAt[n.ID]} {
+	for _, am := range []*alphaMem{n.mem, nw.own.alphaMemAt[n.id]} {
 		if am != nil {
-			out[am.ID] = prefix + path
+			out[am.id] = prefix + path
 		}
 	}
-	for _, c := range n.Children {
+	for _, c := range n.children {
 		nw.collectAlphaPaths(prefix, c, path, out)
 	}
-	for _, c := range nw.own.alphaKids[n.ID] {
+	for _, c := range nw.own.alphaKids[n.id] {
 		nw.collectAlphaPaths(prefix, c, path, out)
 	}
 }
 
-func formatAlphaTest(tab *value.Table, t AlphaTest) string {
-	if t.Disj != nil {
-		parts := make([]string, len(t.Disj))
-		for i, d := range t.Disj {
+func formatAlphaTest(tab *value.Table, t alphaTest) string {
+	if t.disj != nil {
+		parts := make([]string, len(t.disj))
+		for i, d := range t.disj {
 			parts[i] = tab.Format(d)
 		}
-		return fmt.Sprintf("f%d in {%s}", t.Field, strings.Join(parts, " "))
+		return fmt.Sprintf("f%d in {%s}", t.field, strings.Join(parts, " "))
 	}
-	if t.VsField {
-		return fmt.Sprintf("f%d %v f%d", t.Field, t.Pred, t.Other)
+	if t.vsField {
+		return fmt.Sprintf("f%d %v f%d", t.field, t.pred, t.other)
 	}
-	return fmt.Sprintf("f%d %v %s", t.Field, t.Pred, tab.Format(t.Val))
+	return fmt.Sprintf("f%d %v %s", t.field, t.pred, tab.Format(t.val))
 }
 
 func formatJoinTests(tests []JoinTest) string {
@@ -104,7 +104,7 @@ func formatJoinTests(tests []JoinTest) string {
 	}
 	parts := make([]string, len(tests))
 	for i, t := range tests {
-		parts[i] = fmt.Sprintf("r.f%d %v ce%d.f%d", t.RightField, t.Pred, t.LeftCE, t.LeftField)
+		parts[i] = fmt.Sprintf("r.f%d %v ce%d.f%d", t.rightField, t.Pred, t.leftCE, t.leftField)
 	}
 	return "  tests[" + strings.Join(parts, ", ") + "]"
 }

@@ -34,7 +34,7 @@ func prodNames(ps []*Production) []string {
 
 func countBeta(nw *Network) int {
 	n := 0
-	nw.WalkBeta(func(*BetaNode) { n++ })
+	nw.walkBeta(func(*BetaNode) { n++ })
 	return n
 }
 

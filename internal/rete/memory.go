@@ -23,7 +23,7 @@ import (
 // Deletes that arrive before their corresponding adds (the conjugate-pair
 // problem of parallel Rete) leave a tombstone that annihilates the add.
 type Mem struct {
-	lines []Line
+	lines []line
 	mask  uint64
 	nc    *nodeCounts
 }
@@ -51,8 +51,9 @@ type nodeCounts struct {
 	slots []nodeCount
 }
 
-// grow ensures n slots exist. Quiescence only: existing slot values are
-// copied without synchronization against concurrent updates.
+// grow ensures n slots exist, covering node IDs below n. Quiescence only
+// (the network mutex serializes it against AddProduction): existing slot
+// values are copied without synchronization against concurrent updates.
 func (c *nodeCounts) grow(n int) {
 	if n <= len(c.slots) {
 		return
@@ -93,53 +94,48 @@ func (c *nodeCounts) decRight(id NodeID) {
 	}
 }
 
-// GrowCounts ensures the per-node live-entry counters cover node IDs below
-// n. Call only at quiescence (the network mutex serializes it against
-// AddProduction; no match activation may be in flight).
-func (m *Mem) GrowCounts(n int) { m.nc.grow(n) }
-
-// LeftCount returns the number of live left entries (tokens) stored at
+// leftCount returns the number of live left entries (tokens) stored at
 // node. The value is exact under the node's line locks: every mutation
 // happens inside a Line critical section, so a reader holding the line a
 // prospective match would share sees a count consistent with that line's
 // contents. Unlocked reads are a heuristic (see the unlink fast path).
-func (m *Mem) LeftCount(node NodeID) int32 {
+func (m *Mem) leftCount(node NodeID) int32 {
 	if int(node) < len(m.nc.slots) {
 		return m.nc.slots[node].left.Load()
 	}
 	return 0
 }
 
-// RightCount returns the number of live right entries (wmes or NCC
-// sub-results) stored at node. Same exactness contract as LeftCount.
-func (m *Mem) RightCount(node NodeID) int32 {
+// rightCount returns the number of live right entries (wmes or NCC
+// sub-results) stored at node. Same exactness contract as leftCount.
+func (m *Mem) rightCount(node NodeID) int32 {
 	if int(node) < len(m.nc.slots) {
 		return m.nc.slots[node].right.Load()
 	}
 	return 0
 }
 
-// PurgeCounts zeroes node's live-entry counters (excision removes every
+// purgeCounts zeroes node's live-entry counters (excision removes every
 // entry for the node; quiescence only).
-func (m *Mem) PurgeCounts(node NodeID) {
+func (m *Mem) purgeCounts(node NodeID) {
 	if int(node) < len(m.nc.slots) {
 		m.nc.slots[node].left.Store(0)
 		m.nc.slots[node].right.Store(0)
 	}
 }
 
-// Line is one lockable left/right bucket pair. Each side holds its entries
+// line is one lockable left/right bucket pair. Each side holds its entries
 // by value, oldest first: an insert appends, and every scan walks from the
 // end, so entries are visited newest first. A removal shifts the tail down
 // (order never changes) and clears the vacated slot, so a removed entry
 // pins no token or wme. A pointer to an entry (findLeft, eachLeft,
 // eachRight) is valid only while the line lock is held: the next insert
 // may move the array and the next removal shifts it.
-type Line struct {
-	Lock  spin.Lock
+type line struct {
+	lock  spin.Lock
 	nc    *nodeCounts
-	left  []LEntry
-	right []REntry
+	left  []lEntry
+	right []rEntry
 	// leftAccesses counts left-token accesses this cycle (Figure 6-2).
 	// cumLeft/cumRight are the run-cumulative totals (never reset by the
 	// per-cycle harvest) the observability layer reads.
@@ -150,17 +146,17 @@ type Line struct {
 
 // touchLeft bumps both the per-cycle and cumulative left access counters,
 // touchRight the cumulative right one (caller holds the line lock).
-func (l *Line) touchLeft() {
+func (l *line) touchLeft() {
 	l.leftAccesses++
 	l.cumLeft++
 }
 
-func (l *Line) touchRight() { l.cumRight++ }
+func (l *line) touchRight() { l.cumRight++ }
 
-// LEntry is a left-memory entry: a token stored at a two-input node. count
+// lEntry is a left-memory entry: a token stored at a two-input node. count
 // is used by not/NCC nodes (number of blocking right matches). tomb marks
 // a pending delete awaiting its add. 32 bytes.
-type LEntry struct {
+type lEntry struct {
 	key   uint64
 	tok   *Token
 	node  NodeID
@@ -168,9 +164,9 @@ type LEntry struct {
 	tomb  bool
 }
 
-// REntry is a right-memory entry: a wme (join/not right input) or an NCC
+// rEntry is a right-memory entry: a wme (join/not right input) or an NCC
 // subnetwork result (owner + sub token). 40 bytes.
-type REntry struct {
+type rEntry struct {
 	key   uint64
 	w     *wme.WME
 	owner *Token // NCC partner results
@@ -179,26 +175,23 @@ type REntry struct {
 	tomb  bool
 }
 
-// NewMem allocates a table with the given number of lines (rounded up to a
+// newMem allocates a table with the given number of lines (rounded up to a
 // power of two; minimum 16).
-func NewMem(lines int) *Mem {
+func newMem(lines int) *Mem {
 	n := 16
 	for n < lines {
 		n <<= 1
 	}
-	m := &Mem{lines: make([]Line, n), mask: uint64(n - 1), nc: &nodeCounts{}}
+	m := &Mem{lines: make([]line, n), mask: uint64(n - 1), nc: &nodeCounts{}}
 	for i := range m.lines {
 		m.lines[i].nc = m.nc
 	}
 	return m
 }
 
-// NumLines returns the number of lines.
-func (m *Mem) NumLines() int { return len(m.lines) }
-
 // line returns the line for (node, key). The node ID participates in line
 // selection, per the paper's hash function.
-func (m *Mem) line(node NodeID, key uint64) *Line {
+func (m *Mem) line(node NodeID, key uint64) *line {
 	return &m.lines[m.lineIndex(node, key)]
 }
 
@@ -215,16 +208,16 @@ func (m *Mem) lineIndex(node NodeID, key uint64) uint64 {
 const firstTouch = 4
 
 // pushLeft and pushRight append one entry (caller holds the line lock).
-func (l *Line) pushLeft(e LEntry) {
+func (l *line) pushLeft(e lEntry) {
 	if l.left == nil {
-		l.left = make([]LEntry, 0, firstTouch)
+		l.left = make([]lEntry, 0, firstTouch)
 	}
 	l.left = append(l.left, e)
 }
 
-func (l *Line) pushRight(e REntry) {
+func (l *line) pushRight(e rEntry) {
 	if l.right == nil {
-		l.right = make([]REntry, 0, firstTouch)
+		l.right = make([]rEntry, 0, firstTouch)
 	}
 	l.right = append(l.right, e)
 }
@@ -234,7 +227,7 @@ func (l *Line) pushRight(e REntry) {
 // addLeft inserts tok into node's left memory on l. If a matching tombstone
 // is present the add is annihilated: nothing is inserted and annihilated is
 // true (the caller must not emit pairings).
-func (l *Line) addLeft(node NodeID, key uint64, tok *Token, count int32) (annihilated bool) {
+func (l *line) addLeft(node NodeID, key uint64, tok *Token, count int32) (annihilated bool) {
 	l.touchLeft()
 	for i := len(l.left) - 1; i >= 0; i-- {
 		if e := &l.left[i]; e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
@@ -242,7 +235,7 @@ func (l *Line) addLeft(node NodeID, key uint64, tok *Token, count int32) (annihi
 			return true
 		}
 	}
-	l.pushLeft(LEntry{key: key, tok: tok, node: node, count: count})
+	l.pushLeft(lEntry{key: key, tok: tok, node: node, count: count})
 	l.nc.incLeft(node)
 	return false
 }
@@ -250,7 +243,7 @@ func (l *Line) addLeft(node NodeID, key uint64, tok *Token, count int32) (annihi
 // removeLeft removes tok from node's left memory on l, returning the
 // removed entry's blocking count. When absent, a tombstone is inserted and
 // found is false.
-func (l *Line) removeLeft(node NodeID, key uint64, tok *Token) (count int32, found bool) {
+func (l *line) removeLeft(node NodeID, key uint64, tok *Token) (count int32, found bool) {
 	l.touchLeft()
 	for i := len(l.left) - 1; i >= 0; i-- {
 		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
@@ -260,12 +253,12 @@ func (l *Line) removeLeft(node NodeID, key uint64, tok *Token) (count int32, fou
 			return count, true
 		}
 	}
-	l.pushLeft(LEntry{key: key, tok: tok, node: node, tomb: true})
+	l.pushLeft(lEntry{key: key, tok: tok, node: node, tomb: true})
 	return 0, false
 }
 
 // findLeft returns the live entry for tok at node, if present.
-func (l *Line) findLeft(node NodeID, key uint64, tok *Token) *LEntry {
+func (l *line) findLeft(node NodeID, key uint64, tok *Token) *lEntry {
 	for i := len(l.left) - 1; i >= 0; i-- {
 		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
 			return e
@@ -275,7 +268,7 @@ func (l *Line) findLeft(node NodeID, key uint64, tok *Token) *LEntry {
 }
 
 // eachLeft calls fn for every live left entry of node with the given key.
-func (l *Line) eachLeft(node NodeID, key uint64, fn func(*LEntry)) {
+func (l *line) eachLeft(node NodeID, key uint64, fn func(*lEntry)) {
 	l.touchLeft()
 	for i := len(l.left) - 1; i >= 0; i-- {
 		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key {
@@ -287,7 +280,7 @@ func (l *Line) eachLeft(node NodeID, key uint64, fn func(*LEntry)) {
 // ---- right-entry operations (caller holds the line lock) ----
 
 // addRight inserts a wme right entry, honouring tombstones.
-func (l *Line) addRight(node NodeID, key uint64, w *wme.WME) (annihilated bool) {
+func (l *line) addRight(node NodeID, key uint64, w *wme.WME) (annihilated bool) {
 	l.touchRight()
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; e.tomb && e.node == node && e.key == key && e.w == w {
@@ -295,13 +288,13 @@ func (l *Line) addRight(node NodeID, key uint64, w *wme.WME) (annihilated bool) 
 			return true
 		}
 	}
-	l.pushRight(REntry{key: key, w: w, node: node})
+	l.pushRight(rEntry{key: key, w: w, node: node})
 	l.nc.incRight(node)
 	return false
 }
 
 // removeRight removes a wme right entry or leaves a tombstone.
-func (l *Line) removeRight(node NodeID, key uint64, w *wme.WME) (found bool) {
+func (l *line) removeRight(node NodeID, key uint64, w *wme.WME) (found bool) {
 	l.touchRight()
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key && e.w == w {
@@ -310,13 +303,13 @@ func (l *Line) removeRight(node NodeID, key uint64, w *wme.WME) (found bool) {
 			return true
 		}
 	}
-	l.pushRight(REntry{key: key, w: w, node: node, tomb: true})
+	l.pushRight(rEntry{key: key, w: w, node: node, tomb: true})
 	return false
 }
 
 // addSubResult inserts a token-pair right entry — an NCC partner result or
 // a bilinear join's right-side token — honouring tombstones.
-func (l *Line) addSubResult(node NodeID, key uint64, owner, sub *Token) (annihilated bool) {
+func (l *line) addSubResult(node NodeID, key uint64, owner, sub *Token) (annihilated bool) {
 	l.touchRight()
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; e.tomb && e.node == node && e.key == key && e.sub.Equal(sub) && e.owner.Equal(owner) {
@@ -324,13 +317,13 @@ func (l *Line) addSubResult(node NodeID, key uint64, owner, sub *Token) (annihil
 			return true
 		}
 	}
-	l.pushRight(REntry{key: key, owner: owner, sub: sub, node: node})
+	l.pushRight(rEntry{key: key, owner: owner, sub: sub, node: node})
 	l.nc.incRight(node)
 	return false
 }
 
 // removeSubResult removes a token-pair right entry or leaves a tombstone.
-func (l *Line) removeSubResult(node NodeID, key uint64, owner, sub *Token) (found bool) {
+func (l *line) removeSubResult(node NodeID, key uint64, owner, sub *Token) (found bool) {
 	l.touchRight()
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key && e.sub != nil && e.sub.Equal(sub) && e.owner.Equal(owner) {
@@ -339,12 +332,12 @@ func (l *Line) removeSubResult(node NodeID, key uint64, owner, sub *Token) (foun
 			return true
 		}
 	}
-	l.pushRight(REntry{key: key, owner: owner, sub: sub, node: node, tomb: true})
+	l.pushRight(rEntry{key: key, owner: owner, sub: sub, node: node, tomb: true})
 	return false
 }
 
 // eachRight calls fn for every live right entry of node with the given key.
-func (l *Line) eachRight(node NodeID, key uint64, fn func(*REntry)) {
+func (l *line) eachRight(node NodeID, key uint64, fn func(*rEntry)) {
 	l.touchRight()
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key {
@@ -354,45 +347,42 @@ func (l *Line) eachRight(node NodeID, key uint64, fn func(*REntry)) {
 }
 
 // countRight counts live right entries of node with the given key.
-func (l *Line) countRight(node NodeID, key uint64) int32 {
+func (l *line) countRight(node NodeID, key uint64) int32 {
 	var n int32
-	l.eachRight(node, key, func(*REntry) { n++ })
+	l.eachRight(node, key, func(*rEntry) { n++ })
 	return n
 }
 
 // ---- whole-table operations (no activation in flight) ----
 
-// DumpLeft returns every live token stored at node, in table order (the
-// run-time update algorithm replays the outputs of the last shared node
-// this way). The scan stops once it has found as many tokens as node's
-// live-entry counter holds, so node must be covered by GrowCounts — every
-// node of a Network is.
-func (m *Mem) DumpLeft(node NodeID) []*Token {
-	return m.dumpLeft(node, m.lines)
-}
-
-// dumpLeftAt is DumpLeft for a node that keys every token to key: it reads
+// dumpLeftAt is dumpLeft for a node that keys every token to key: it reads
 // that key's line alone, which holds all of them.
 func (m *Mem) dumpLeftAt(node NodeID, key uint64) []*Token {
 	i := m.lineIndex(node, key)
 	return m.dumpLeft(node, m.lines[i:i+1])
 }
 
-func (m *Mem) dumpLeft(node NodeID, lines []Line) []*Token {
-	want := int(m.LeftCount(node))
+// dumpLeft returns every live token stored at node in lines (all of
+// m.lines unless every token is on one line), in table order: the run-time
+// update algorithm replays the outputs of the last shared node this way.
+// The scan stops once it has found as many tokens as node's live-entry
+// counter holds, so node must be covered by the counters (nodeCounts.grow)
+// — every node of a Network is.
+func (m *Mem) dumpLeft(node NodeID, lines []line) []*Token {
+	want := int(m.leftCount(node))
 	if want == 0 {
 		return nil
 	}
 	out := make([]*Token, 0, want)
 	for i := range lines {
 		l := &lines[i]
-		l.Lock.Lock()
+		l.lock.Lock()
 		for i := len(l.left) - 1; i >= 0 && len(out) < want; i-- {
 			if e := &l.left[i]; !e.tomb && e.node == node {
 				out = append(out, e.tok)
 			}
 		}
-		l.Lock.Unlock()
+		l.lock.Unlock()
 		if len(out) == want {
 			break
 		}
@@ -400,19 +390,19 @@ func (m *Mem) dumpLeft(node NodeID, lines []Line) []*Token {
 	return out
 }
 
-// DumpRightSubs returns every live sub-result token stored under node
+// dumpRightSubs returns every live sub-result token stored under node
 // (NCC partner inputs / bilinear right-side tokens).
-func (m *Mem) DumpRightSubs(node NodeID) []*Token {
+func (m *Mem) dumpRightSubs(node NodeID) []*Token {
 	var out []*Token
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.Lock.Lock()
+		l.lock.Lock()
 		for i := len(l.right) - 1; i >= 0; i-- {
 			if e := &l.right[i]; !e.tomb && e.node == node && e.sub != nil {
 				out = append(out, e.sub)
 			}
 		}
-		l.Lock.Unlock()
+		l.lock.Unlock()
 	}
 	return out
 }
@@ -423,7 +413,7 @@ func (m *Mem) Tombstones() int {
 	n := 0
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.Lock.Lock()
+		l.lock.Lock()
 		for i := range l.left {
 			if l.left[i].tomb {
 				n++
@@ -434,7 +424,7 @@ func (m *Mem) Tombstones() int {
 				n++
 			}
 		}
-		l.Lock.Unlock()
+		l.lock.Unlock()
 	}
 	return n
 }
@@ -443,7 +433,7 @@ func (m *Mem) Tombstones() int {
 func (m *Mem) Entries() (left, right int) {
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.Lock.Lock()
+		l.lock.Lock()
 		for i := range l.left {
 			if !l.left[i].tomb {
 				left++
@@ -454,7 +444,7 @@ func (m *Mem) Entries() (left, right int) {
 				right++
 			}
 		}
-		l.Lock.Unlock()
+		l.lock.Unlock()
 	}
 	return
 }
@@ -468,12 +458,12 @@ func (m *Mem) HarvestAccessCounts() []int {
 	var out []int
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.Lock.Lock()
+		l.lock.Lock()
 		if l.leftAccesses > 0 {
 			out = append(out, int(l.leftAccesses))
 		}
 		l.leftAccesses = 0
-		l.Lock.Unlock()
+		l.lock.Unlock()
 	}
 	return out
 }
@@ -483,16 +473,16 @@ func (m *Mem) HarvestAccessCounts() []int {
 // Unlike HarvestAccessCounts it resets nothing, so the per-cycle harvest
 // and the observability layer can both consume access counts from the same
 // run. The access counts are plain fields mutated under the line lock, so
-// each line is read under its own lock: a sweep costs NumLines
+// each line is read under its own lock: a sweep costs len(m.lines)
 // acquisitions, and they are included in the acquires it returns.
 func (m *Mem) Tallies() (locks spin.Counts, left, right uint64) {
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.Lock.Lock()
+		l.lock.Lock()
 		left += l.cumLeft
 		right += l.cumRight
-		s, a := l.Lock.Stats()
-		l.Lock.Unlock()
+		s, a := l.lock.Stats()
+		l.lock.Unlock()
 		locks.Spins += s
 		locks.Acquires += a
 	}
@@ -502,7 +492,7 @@ func (m *Mem) Tallies() (locks spin.Counts, left, right uint64) {
 // LockStats sums (spins, acquires) over all line locks.
 func (m *Mem) LockStats() (spins, acquires uint64) {
 	for i := range m.lines {
-		s, a := m.lines[i].Lock.Stats()
+		s, a := m.lines[i].lock.Stats()
 		spins += s
 		acquires += a
 	}

@@ -7,13 +7,13 @@ import (
 )
 
 func TestMemLineBasics(t *testing.T) {
-	m := NewMem(100) // rounds up to 128
+	m := newMem(100) // rounds up to 128
 	if m.NumLines() != 128 {
 		t.Fatalf("NumLines = %d, want 128", m.NumLines())
 	}
 	tok := Extend(DummyTop, 0, mkWME(1))
 	l := m.line(7, 99)
-	l.Lock.Lock()
+	l.lock.Lock()
 	if l.addLeft(7, 99, tok, 2) {
 		t.Fatalf("addLeft annihilated")
 	}
@@ -28,14 +28,14 @@ func TestMemLineBasics(t *testing.T) {
 	if n := l.countRight(8, 99); n != 0 {
 		t.Fatalf("countRight wrong node = %d", n)
 	}
-	l.Lock.Unlock()
+	l.lock.Unlock()
 }
 
 func TestMemTombstoneAnnihilation(t *testing.T) {
-	m := NewMem(16)
+	m := newMem(16)
 	tok := Extend(DummyTop, 0, mkWME(1))
 	l := m.line(3, 5)
-	l.Lock.Lock()
+	l.lock.Lock()
 	// Delete before add: tombstone.
 	if _, found := l.removeLeft(3, 5, tok); found {
 		t.Fatalf("remove of absent token found something")
@@ -44,14 +44,14 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 	if !l.addLeft(3, 5, Extend(DummyTop, 0, mkWME(1)), 0) {
 		t.Fatalf("add not annihilated by tombstone")
 	}
-	l.Lock.Unlock()
+	l.lock.Unlock()
 	if n := m.Tombstones(); n != 0 {
 		t.Fatalf("tombstones left: %d", n)
 	}
 
 	// Same for the right side and sub-results.
 	w := mkWME(9)
-	l.Lock.Lock()
+	l.lock.Lock()
 	if l.removeRight(3, 5, w) {
 		t.Fatalf("removeRight found absent wme")
 	}
@@ -66,7 +66,7 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 	if !l.addSubResult(3, 5, owner, sub) {
 		t.Fatalf("addSubResult not annihilated")
 	}
-	l.Lock.Unlock()
+	l.lock.Unlock()
 	if n := m.Tombstones(); n != 0 {
 		t.Fatalf("tombstones left after right-side: %d", n)
 	}
@@ -77,14 +77,14 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 // the order of the rest, and every vacated slot is cleared so that it pins
 // no token or wme.
 func TestLineOrderAndRemoval(t *testing.T) {
-	m := NewMem(16)
+	m := newMem(16)
 	l := m.line(1, 1)
 	toks := make([]*Token, 5)
 	for i := range toks {
 		toks[i] = Extend(DummyTop, 0, mkWME(uint64(i+1)))
 	}
 	scan := func() (got []*Token) {
-		l.eachLeft(1, 1, func(e *LEntry) { got = append(got, e.tok) })
+		l.eachLeft(1, 1, func(e *lEntry) { got = append(got, e.tok) })
 		return got
 	}
 	want := func(idx ...int) {
@@ -99,13 +99,13 @@ func TestLineOrderAndRemoval(t *testing.T) {
 			}
 		}
 		for _, e := range l.left[len(l.left):cap(l.left)] {
-			if e != (LEntry{}) {
+			if e != (lEntry{}) {
 				t.Fatalf("a vacated slot still holds %+v", e)
 			}
 		}
 	}
-	l.Lock.Lock()
-	defer l.Lock.Unlock()
+	l.lock.Lock()
+	defer l.lock.Unlock()
 	l.addLeft(1, 1, toks[0], 0)
 	l.addLeft(1, 1, toks[1], 0)
 	// A remove that overtakes its add leaves a tombstone among the entries.
@@ -129,21 +129,21 @@ func TestLineOrderAndRemoval(t *testing.T) {
 }
 
 func TestDumpRightSubsAndEntries(t *testing.T) {
-	m := NewMem(16)
+	m := newMem(16)
 	owner := Extend(DummyTop, 0, mkWME(1))
 	s1 := Extend(owner, 1, mkWME(2))
 	s2 := Extend(owner, 1, mkWME(3))
 	l := m.line(11, owner.Hash())
-	l.Lock.Lock()
+	l.lock.Lock()
 	l.addSubResult(11, owner.Hash(), owner, s1)
 	l.addSubResult(11, owner.Hash(), owner, s2)
 	l.addRight(11, owner.Hash(), mkWME(7)) // a plain wme entry: not a sub
-	l.Lock.Unlock()
-	subs := m.DumpRightSubs(11)
+	l.lock.Unlock()
+	subs := m.dumpRightSubs(11)
 	if len(subs) != 2 {
 		t.Fatalf("DumpRightSubs = %d, want 2", len(subs))
 	}
-	if m.DumpRightSubs(12) != nil {
+	if m.dumpRightSubs(12) != nil {
 		t.Fatalf("wrong node returned subs")
 	}
 	left, right := m.Entries()
@@ -153,13 +153,13 @@ func TestDumpRightSubsAndEntries(t *testing.T) {
 }
 
 func TestHarvestAndLockStats(t *testing.T) {
-	m := NewMem(16)
+	m := newMem(16)
 	l := m.line(1, 1)
-	l.Lock.Lock()
-	l.eachLeft(1, 1, func(*LEntry) {})
-	l.eachLeft(1, 1, func(*LEntry) {})
-	l.eachRight(1, 1, func(*REntry) {})
-	l.Lock.Unlock()
+	l.lock.Lock()
+	l.eachLeft(1, 1, func(*lEntry) {})
+	l.eachLeft(1, 1, func(*lEntry) {})
+	l.eachRight(1, 1, func(*rEntry) {})
+	l.lock.Unlock()
 	counts := m.HarvestAccessCounts()
 	if len(counts) != 1 || counts[0] != 2 {
 		t.Fatalf("HarvestAccessCounts = %v", counts)
@@ -189,7 +189,7 @@ func TestTaskAndNodeStrings(t *testing.T) {
 	e := newTestEnv(t, `(literalize c v)
 (p p1 (c ^v 1) --> (make o))`)
 	var join *BetaNode
-	e.nw.WalkBeta(func(n *BetaNode) {
+	e.nw.walkBeta(func(n *BetaNode) {
 		if n.Kind == KindJoin {
 			join = n
 		}
@@ -201,7 +201,7 @@ func TestTaskAndNodeStrings(t *testing.T) {
 	if tk.String() == "" || join.String() == "" {
 		t.Fatalf("String methods empty")
 	}
-	if DirLeft.String() != "left" || DirRight.String() != "right" {
+	if dirLeft.String() != "left" || DirRight.String() != "right" {
 		t.Fatalf("Dir strings wrong")
 	}
 	var nilNode *BetaNode
@@ -209,3 +209,6 @@ func TestTaskAndNodeStrings(t *testing.T) {
 		t.Fatalf("nil node string")
 	}
 }
+
+// NumLines returns the number of lines.
+func (m *Mem) NumLines() int { return len(m.lines) }

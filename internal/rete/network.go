@@ -178,40 +178,40 @@ func (nw *Network) Lookup(name string) *Production {
 
 // appendAlphaKey appends the canonical sharing key for a test path, e.g.
 // "c7|f0 = sym#17|f1 in 3 4|f2 > f1" (testdata/alphakey.golden).
-func appendAlphaKey(b []byte, class value.Sym, tests []AlphaTest) []byte {
+func appendAlphaKey(b []byte, class value.Sym, tests []alphaTest) []byte {
 	b = strconv.AppendUint(append(b, 'c'), uint64(class), 10)
 	for _, t := range tests {
-		b = strconv.AppendInt(append(b, "|f"...), int64(t.Field), 10)
-		if t.Disj != nil {
+		b = strconv.AppendInt(append(b, "|f"...), int64(t.field), 10)
+		if t.disj != nil {
 			b = append(b, " in"...)
-			for _, d := range t.Disj {
+			for _, d := range t.disj {
 				b = d.AppendTo(append(b, ' '))
 			}
 			continue
 		}
-		b = append(append(append(b, ' '), t.Pred.String()...), ' ')
-		if t.VsField {
-			b = strconv.AppendInt(append(b, 'f'), int64(t.Other), 10)
+		b = append(append(append(b, ' '), t.pred.String()...), ' ')
+		if t.vsField {
+			b = strconv.AppendInt(append(b, 'f'), int64(t.other), 10)
 			continue
 		}
-		b = t.Val.AppendTo(b)
+		b = t.val.AppendTo(b)
 	}
 	return b
 }
 
 // sortAlphaTests puts tests in canonical order to maximize path sharing.
-func sortAlphaTests(tests []AlphaTest) {
-	slices.SortStableFunc(tests, func(a, b AlphaTest) int {
-		if c := cmp.Compare(a.Field, b.Field); c != 0 {
+func sortAlphaTests(tests []alphaTest) {
+	slices.SortStableFunc(tests, func(a, b alphaTest) int {
+		if c := cmp.Compare(a.field, b.field); c != 0 {
 			return c
 		}
-		if a.VsField != b.VsField {
-			if a.VsField {
+		if a.vsField != b.vsField {
+			if a.vsField {
 				return 1
 			}
 			return -1
 		}
-		return cmp.Compare(a.Pred, b.Pred)
+		return cmp.Compare(a.pred, b.pred)
 	})
 }
 
@@ -220,7 +220,7 @@ func sortAlphaTests(tests []AlphaTest) {
 // full path. The base's trees are traversed read-only: whatever is missing
 // is created in the own layer and, where its parent is a base node, hung
 // under it through a splice map (callers hold nw.mu).
-func (nw *Network) buildAlpha(class value.Sym, tests []AlphaTest) *AlphaMem {
+func (nw *Network) buildAlpha(class value.Sym, tests []alphaTest) *alphaMem {
 	own := &nw.own
 	sortAlphaTests(tests)
 	var buf [128]byte
@@ -234,45 +234,45 @@ func (nw *Network) buildAlpha(class value.Sym, tests []AlphaTest) *AlphaMem {
 	key := string(kb)
 	cur := nw.alphaRoot(class)
 	if cur == nil {
-		cur = &AlphaNode{ID: nw.newID()}
+		cur = &alphaNode{id: nw.newID()}
 		own.roots[class] = cur
 	}
 	for _, t := range tests {
-		next := findAlphaChild(cur.Children, t)
-		if next == nil && nw.inBase(cur.ID) {
-			next = findAlphaChild(own.alphaKids[cur.ID], t)
+		next := findAlphaChild(cur.children, t)
+		if next == nil && nw.inBase(cur.id) {
+			next = findAlphaChild(own.alphaKids[cur.id], t)
 		}
 		if next == nil {
-			next = &AlphaNode{ID: nw.newID(), Test: t, parent: cur}
-			if nw.inBase(cur.ID) {
+			next = &alphaNode{id: nw.newID(), test: t, parent: cur}
+			if nw.inBase(cur.id) {
 				// Scanned linearly by walkAlpha: spliced fanout is chunk-sized.
 				kids := own.spliced().alphaKids
-				kids[cur.ID] = append(kids[cur.ID], next)
+				kids[cur.id] = append(kids[cur.id], next)
 			} else {
-				cur.Children = append(cur.Children, next)
+				cur.children = append(cur.children, next)
 				cur.indexChild(next)
 			}
 		}
 		cur = next
 	}
-	am := cur.Mem
+	am := cur.mem
 	switch {
-	case nw.inBase(cur.ID):
+	case nw.inBase(cur.id):
 		// A base terminal without a memory for this key (a memory would
 		// have hit base.alphaMems above): hang the memory beside it.
-		am = &AlphaMem{ID: nw.newID(), key: key, at: cur}
-		own.spliced().alphaMemAt[cur.ID] = am
+		am = &alphaMem{id: nw.newID(), key: key, at: cur}
+		own.spliced().alphaMemAt[cur.id] = am
 	case am == nil:
-		am = &AlphaMem{ID: nw.newID(), key: key, at: cur}
-		cur.Mem = am
+		am = &alphaMem{id: nw.newID(), key: key, at: cur}
+		cur.mem = am
 	}
 	own.alphaMems[key] = am
 	return am
 }
 
-func findAlphaChild(kids []*AlphaNode, t AlphaTest) *AlphaNode {
+func findAlphaChild(kids []*alphaNode, t alphaTest) *alphaNode {
 	for _, c := range kids {
-		if c.Test.equalTest(t) {
+		if c.test.equalTest(t) {
 			return c
 		}
 	}
@@ -281,7 +281,7 @@ func findAlphaChild(kids []*AlphaNode, t AlphaTest) *AlphaNode {
 
 // alphaRoot returns the constant-test tree of a class: the base's, or the
 // own layer's for a class the base has none for.
-func (nw *Network) alphaRoot(class value.Sym) *AlphaNode {
+func (nw *Network) alphaRoot(class value.Sym) *alphaNode {
 	if root := nw.base.roots[class]; root != nil {
 		return root
 	}
@@ -306,16 +306,16 @@ func (nw *Network) Inject(d wme.Delta, emit InjectFn) {
 // emits a right activation at every two-input node fed by a memory d
 // reaches. upd is nil for a match; a state update's walk keeps to upd's
 // paths and emits only at its new nodes (see InjectUpdate).
-func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, upd *AddInfo, emit InjectFn) {
+func (nw *Network) walkAlpha(n *alphaNode, d wme.Delta, upd *AddInfo, emit InjectFn) {
 	own := &nw.own
-	if am := n.Mem; am != nil && upd.walks(am.ID) {
-		for _, succ := range upd.reached(am.Succs) {
+	if am := n.mem; am != nil && upd.walks(am.id) {
+		for _, succ := range upd.reached(am.succs) {
 			emit(succ, d.WME, d.Op)
 		}
 		if own.alphaSuccs != nil {
 			// Own-layer joins taking right input from this base memory (an
-			// own memory's successors are all in Succs above).
-			for _, succ := range upd.reached(own.alphaSuccs[am.ID]) {
+			// own memory's successors are all in succs above).
+			for _, succ := range upd.reached(own.alphaSuccs[am.id]) {
 				emit(succ, d.WME, d.Op)
 			}
 		}
@@ -326,7 +326,7 @@ func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, upd *AddInfo, emit Injec
 		nw.Stats.ConstTests.Add(1)
 		if c, ok := n.eqKids[alphaEqKey{field: f, val: d.WME.Field(f)}]; ok {
 			nw.Stats.AlphaHits.Add(1)
-			if upd.walks(c.ID) {
+			if upd.walks(c.id) {
 				nw.walkAlpha(c, d, upd, emit)
 			}
 		} else {
@@ -334,25 +334,25 @@ func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, upd *AddInfo, emit Injec
 		}
 	}
 	for _, c := range n.linear {
-		if upd.walks(c.ID) {
+		if upd.walks(c.id) {
 			nw.Stats.ConstTests.Add(1)
-			if c.Test.matches(d.WME.Field) {
+			if c.test.matches(d.WME.Field) {
 				nw.walkAlpha(c, d, upd, emit)
 			}
 		}
 	}
-	if own.alphaKids != nil && nw.inBase(n.ID) {
+	if own.alphaKids != nil && nw.inBase(n.id) {
 		// What the own layer spliced at this base node: a memory beside an
 		// interior node, and constant-test children.
-		if am := own.alphaMemAt[n.ID]; am != nil && upd.walks(am.ID) {
-			for _, succ := range upd.reached(am.Succs) {
+		if am := own.alphaMemAt[n.id]; am != nil && upd.walks(am.id) {
+			for _, succ := range upd.reached(am.succs) {
 				emit(succ, d.WME, d.Op)
 			}
 		}
-		for _, c := range own.alphaKids[n.ID] {
-			if upd.walks(c.ID) {
+		for _, c := range own.alphaKids[n.id] {
+			if upd.walks(c.id) {
 				nw.Stats.ConstTests.Add(1)
-				if c.Test.matches(d.WME.Field) {
+				if c.test.matches(d.WME.Field) {
 					nw.walkAlpha(c, d, upd, emit)
 				}
 			}
@@ -368,17 +368,17 @@ func (nw *Network) walkAlpha(n *AlphaNode, d wme.Delta, upd *AddInfo, emit Injec
 // re-derived by a serial replay of working memory. Must not be called while
 // a cycle is running.
 func (nw *Network) ResetMatchState() {
-	nw.Mem = NewMem(hashLines)
+	nw.Mem = newMem(hashLines)
 	// The fresh table starts with zeroed unlink counters, which is exactly
 	// right (no live entries); size them for the existing nodes so the
 	// replay can maintain them without reallocation.
-	nw.Mem.GrowCounts(int(nw.MaxNodeID()) + 1)
-	nw.Prof.Grow(int(nw.MaxNodeID()) + 1)
+	nw.Mem.nc.grow(int(nw.MaxNodeID()) + 1)
+	nw.Prof.grow(int(nw.MaxNodeID()) + 1)
 }
 
-// WalkBeta visits every beta node reachable from the top, once — base and
+// walkBeta visits every beta node reachable from the top, once — base and
 // own layer both.
-func (nw *Network) WalkBeta(fn func(*BetaNode)) {
+func (nw *Network) walkBeta(fn func(*BetaNode)) {
 	nw.mu.Lock()
 	tops := nw.childrenOf(nil)
 	nw.mu.Unlock()
@@ -393,8 +393,8 @@ func (nw *Network) WalkBeta(fn func(*BetaNode)) {
 		for _, c := range nw.childrenOf(n) {
 			rec(c)
 		}
-		if n.Partner != nil && n.Kind == KindNCC {
-			rec(n.Partner)
+		if n.partner != nil && n.Kind == KindNCC {
+			rec(n.partner)
 		}
 	}
 	for _, t := range tops {

@@ -14,65 +14,65 @@ import (
 // selects the nodes whose state must be built (paper §5.2).
 type NodeID uint32
 
-// AlphaTest is one test in the constant-test network: field PRED constant,
+// alphaTest is one test in the constant-test network: field PRED constant,
 // or field PRED otherField for intra-CE variable consistency.
-type AlphaTest struct {
-	Field   int
-	Pred    value.Pred
-	Val     value.Value
-	VsField bool // compare against OtherField instead of Val
-	Other   int
-	Disj    []value.Value // non-nil: membership test (<< ... >>)
+type alphaTest struct {
+	field   int
+	pred    value.Pred
+	val     value.Value
+	vsField bool // compare against field other instead of val
+	other   int
+	disj    []value.Value // non-nil: membership test (<< ... >>)
 }
 
 // matches applies the test to a wme (by field extraction).
-func (t AlphaTest) matches(get func(int) value.Value) bool {
-	a := get(t.Field)
-	if t.Disj != nil {
-		for _, d := range t.Disj {
+func (t alphaTest) matches(get func(int) value.Value) bool {
+	a := get(t.field)
+	if t.disj != nil {
+		for _, d := range t.disj {
 			if a.Equal(d) {
 				return true
 			}
 		}
 		return false
 	}
-	b := t.Val
-	if t.VsField {
-		b = get(t.Other)
+	b := t.val
+	if t.vsField {
+		b = get(t.other)
 	}
-	return t.Pred.Apply(a, b)
+	return t.pred.Apply(a, b)
 }
 
 // equalTest reports structural equality, used for alpha-network sharing.
-func (t AlphaTest) equalTest(o AlphaTest) bool {
-	if t.Field != o.Field || t.Pred != o.Pred || t.VsField != o.VsField || t.Other != o.Other {
+func (t alphaTest) equalTest(o alphaTest) bool {
+	if t.field != o.field || t.pred != o.pred || t.vsField != o.vsField || t.other != o.other {
 		return false
 	}
-	if (t.Disj == nil) != (o.Disj == nil) {
+	if (t.disj == nil) != (o.disj == nil) {
 		return false
 	}
-	if t.Disj != nil {
-		if len(t.Disj) != len(o.Disj) {
+	if t.disj != nil {
+		if len(t.disj) != len(o.disj) {
 			return false
 		}
-		for i := range t.Disj {
-			if t.Disj[i] != o.Disj[i] {
+		for i := range t.disj {
+			if t.disj[i] != o.disj[i] {
 				return false
 			}
 		}
 		return true
 	}
-	return t.Val == o.Val
+	return t.val == o.val
 }
 
-// AlphaNode is one constant-test node. The alpha network is a tree per wme
+// alphaNode is one constant-test node. The alpha network is a tree per wme
 // class; each node may have further test children and/or a terminal memory.
-type AlphaNode struct {
-	ID       NodeID
-	Test     AlphaTest
-	Children []*AlphaNode
-	Mem      *AlphaMem
-	parent   *AlphaNode // nil for a class root
+type alphaNode struct {
+	id       NodeID
+	test     alphaTest
+	children []*alphaNode
+	mem      *alphaMem
+	parent   *alphaNode // nil for a class root
 
 	// Hashed dispatch index, maintained incrementally by buildAlpha as
 	// children are spliced in: eqKids maps (field, constant) to the child
@@ -82,10 +82,10 @@ type AlphaNode struct {
 	// non-equality predicates, disjunctions, field-vs-field comparisons
 	// and numeric constants (OPS5 equality coerces 3 = 3.0 across
 	// int/float, which a map key cannot express) — still scanned in order.
-	// Children remains the complete list for sharing scans and printing.
-	eqKids   map[alphaEqKey]*AlphaNode
+	// children remains the complete list for sharing scans and printing.
+	eqKids   map[alphaEqKey]*alphaNode
 	eqFields []int
-	linear   []*AlphaNode
+	linear   []*alphaNode
 }
 
 // alphaEqKey is the hashed-dispatch key: which field, equal to what.
@@ -97,39 +97,39 @@ type alphaEqKey struct {
 // hashableEq reports whether t can live in the eqKids index: a plain
 // equality against a symbol or nil constant. Symbol equality is identity,
 // so Value's == (the map's equality) coincides with OPS5 equality.
-func (t AlphaTest) hashableEq() bool {
-	return t.Disj == nil && !t.VsField && t.Pred == value.PredEq &&
-		(t.Val.Kind == value.KindSym || t.Val.Kind == value.KindNil)
+func (t alphaTest) hashableEq() bool {
+	return t.disj == nil && !t.vsField && t.pred == value.PredEq &&
+		(t.val.Kind == value.KindSym || t.val.Kind == value.KindNil)
 }
 
 // indexChild registers a newly spliced child in the dispatch structures.
-func (n *AlphaNode) indexChild(c *AlphaNode) {
-	if !c.Test.hashableEq() {
+func (n *alphaNode) indexChild(c *alphaNode) {
+	if !c.test.hashableEq() {
 		n.linear = append(n.linear, c)
 		return
 	}
 	if n.eqKids == nil {
-		n.eqKids = make(map[alphaEqKey]*AlphaNode)
+		n.eqKids = make(map[alphaEqKey]*alphaNode)
 	}
-	n.eqKids[alphaEqKey{field: c.Test.Field, val: c.Test.Val}] = c
+	n.eqKids[alphaEqKey{field: c.test.field, val: c.test.val}] = c
 	for _, f := range n.eqFields {
-		if f == c.Test.Field {
+		if f == c.test.field {
 			return
 		}
 	}
-	n.eqFields = append(n.eqFields, c.Test.Field)
+	n.eqFields = append(n.eqFields, c.test.field)
 }
 
-// AlphaMem is the terminus of an alpha path. It does not store wmes itself:
+// alphaMem is the terminus of an alpha path. It does not store wmes itself:
 // per the PSM-E hashed-memory design, right state lives in the global right
 // hash table keyed by destination two-input node. The memory's job is to
 // fan a passing wme out to its destination join/not nodes as right
 // activations.
-type AlphaMem struct {
-	ID    NodeID
-	Succs []*BetaNode // two-input nodes taking right input here, in ID order
+type alphaMem struct {
+	id    NodeID
+	succs []*BetaNode // two-input nodes taking right input here, in ID order
 	key   string      // canonical test-path key (for sharing)
-	at    *AlphaNode  // the terminal test node it hangs at
+	at    *alphaNode  // the terminal test node it hangs at
 }
 
 // BetaKind discriminates the beta-network node types.
@@ -182,48 +182,48 @@ func (k *BetaKind) UnmarshalText(b []byte) error {
 // JoinTest compares a field of the right input against a wme already bound
 // in the left token. Eq tests double as the hash key (paper §6.1).
 type JoinTest struct {
-	RightField int
-	LeftCE     int // positive-CE index in the left token
-	LeftField  int
+	rightField int
+	leftCE     int // positive-CE index in the left token
+	leftField  int
 	Pred       value.Pred
 }
 
 // BBTest compares bindings across the two beta inputs of a bilinear join.
 type BBTest struct {
-	LeftCE, LeftField   int
-	RightCE, RightField int
-	Pred                value.Pred
+	leftCE, leftField   int
+	rightCE, rightField int
+	pred                value.Pred
 }
 
 // BetaNode is a two-input node (join/not/NCC/bilinear) or a P node.
 type BetaNode struct {
 	ID     NodeID
 	Kind   BetaKind
-	Parent *BetaNode // left input; nil = dummy top
-	Alpha  *AlphaMem // right input (KindJoin, KindNot)
+	parent *BetaNode // left input; nil = dummy top
+	alpha  *alphaMem // right input (KindJoin, KindNot)
 
-	// RightCE is the positive-CE index contributed by this node's right
+	// rightCE is the positive-CE index contributed by this node's right
 	// input (KindJoin only; negations contribute no wme).
-	RightCE int
+	rightCE int
 
 	Tests   []JoinTest // join/not: equality+residual tests
 	BBTests []BBTest   // bilinear joins
 
-	// RightParent is the left input of the right side for KindJoinBB.
-	RightParent *BetaNode
+	// rightParent is the left input of the right side for KindJoinBB.
+	rightParent *BetaNode
 
-	Children []*BetaNode
+	children []*BetaNode
 
 	// NCC wiring: an NCC node and its partner reference each other.
-	Partner *BetaNode
+	partner *BetaNode
 
-	// BranchN is the wme count of main-line tokens at the branch point:
+	// branchN is the wme count of main-line tokens at the branch point:
 	// for NCC nodes/partners the owner depth, for bilinear joins the
 	// shared-context depth.
-	BranchN int
+	branchN int
 
-	// Prod is set for P nodes.
-	Prod *Production
+	// prod is set for P nodes.
+	prod *Production
 
 	// nEqTests counts the leading equality tests that form the hash key.
 	nEqTests int
@@ -246,7 +246,7 @@ type Production struct {
 	// Bindings maps each LHS variable to the (positive-CE index, field)
 	// of its first bound (equality, positive-CE) occurrence.
 	Bindings map[value.Sym]Binding
-	NumCEs   int // positive CEs
+	numCEs   int // positive CEs
 	// Restructured marks productions the bilinear pass compiled into the
 	// context+group shape (Organization Bilinear, or BilinearAuto when the
 	// linear chain would reach BilinearDepth).
@@ -276,12 +276,12 @@ func chainDepth(n *BetaNode) int {
 	if n == nil {
 		return 0
 	}
-	d := chainDepth(n.Parent)
+	d := chainDepth(n.parent)
 	if n.Kind == KindJoinBB {
-		d = max(d, chainDepth(n.RightParent))
+		d = max(d, chainDepth(n.rightParent))
 	}
-	if n.Kind == KindNCC && n.Partner != nil {
-		d = max(d, chainDepth(n.Partner.Parent))
+	if n.Kind == KindNCC && n.partner != nil {
+		d = max(d, chainDepth(n.partner.parent))
 	}
 	if n.Kind == KindP {
 		return d
@@ -292,9 +292,9 @@ func chainDepth(n *BetaNode) int {
 // Owners attributes every beta node to one production: owner[id] indexes
 // prods (the productions in definition order) at the first production whose
 // spine contains node id, or is -1 for an ID no spine claims. A spine is the
-// P node and everything above it through Parent — and, at a bilinear pair
-// join, RightParent too: the group sub-chains are real two-input nodes, which
-// a Parent-only walk would leave unowned. First owner wins, so the cost of a
+// P node and everything above it through parent — and, at a bilinear pair
+// join, rightParent too: the group sub-chains are real two-input nodes, which
+// a parent-only walk would leave unowned. First owner wins, so the cost of a
 // shared prefix is counted once; NCC partner sub-chains stay unclaimed.
 func (nw *Network) Owners() (prods []*Production, owner []int32) {
 	prods = nw.Productions()
@@ -310,9 +310,9 @@ func (nw *Network) Owners() (prods []*Production, owner []int32) {
 		if owner[n.ID] < 0 {
 			owner[n.ID] = p
 		}
-		claim(n.Parent, p)
+		claim(n.parent, p)
 		if n.Kind == KindJoinBB {
-			claim(n.RightParent, p)
+			claim(n.rightParent, p)
 		}
 	}
 	for i, p := range prods {
@@ -327,7 +327,7 @@ func (n *BetaNode) String() string {
 		return "<top>"
 	}
 	if n.Kind == KindP {
-		return fmt.Sprintf("p#%d(%s)", n.ID, n.Prod.Name)
+		return fmt.Sprintf("p#%d(%s)", n.ID, n.prod.Name)
 	}
 	return fmt.Sprintf("%s#%d", n.Kind, n.ID)
 }
@@ -342,10 +342,10 @@ func (n *BetaNode) leftKeyFromToken(t *Token) uint64 {
 	h := keySeed
 	for i := 0; i < n.nEqTests; i++ {
 		jt := n.Tests[i]
-		w := t.WMEAt(jt.LeftCE)
+		w := t.WMEAt(jt.leftCE)
 		var v value.Value
 		if w != nil {
-			v = w.Field(jt.LeftField)
+			v = w.Field(jt.leftField)
 		}
 		h = h*0x100000001b3 ^ v.Hash()
 	}
@@ -357,7 +357,7 @@ func (n *BetaNode) rightKeyFromWME(w interface{ Field(int) value.Value }) uint64
 	h := keySeed
 	for i := 0; i < n.nEqTests; i++ {
 		jt := n.Tests[i]
-		h = h*0x100000001b3 ^ w.Field(jt.RightField).Hash()
+		h = h*0x100000001b3 ^ w.Field(jt.rightField).Hash()
 	}
 	return h
 }
@@ -369,8 +369,8 @@ func (n *BetaNode) bbLeftKey(t *Token) uint64 {
 	for i := 0; i < n.nEqTests; i++ {
 		bt := n.BBTests[i]
 		var v value.Value
-		if w := t.WMEAt(bt.LeftCE); w != nil {
-			v = w.Field(bt.LeftField)
+		if w := t.WMEAt(bt.leftCE); w != nil {
+			v = w.Field(bt.leftField)
 		}
 		h = h*0x100000001b3 ^ v.Hash()
 	}
@@ -382,8 +382,8 @@ func (n *BetaNode) bbRightKey(t *Token) uint64 {
 	for i := 0; i < n.nEqTests; i++ {
 		bt := n.BBTests[i]
 		var v value.Value
-		if w := t.WMEAt(bt.RightCE); w != nil {
-			v = w.Field(bt.RightField)
+		if w := t.WMEAt(bt.rightCE); w != nil {
+			v = w.Field(bt.rightField)
 		}
 		h = h*0x100000001b3 ^ v.Hash()
 	}
@@ -395,12 +395,12 @@ func (n *BetaNode) bbRightKey(t *Token) uint64 {
 func (n *BetaNode) testPair(t *Token, w interface{ Field(int) value.Value }) (ok bool, comparisons int) {
 	for _, jt := range n.Tests {
 		comparisons++
-		lw := t.WMEAt(jt.LeftCE)
+		lw := t.WMEAt(jt.leftCE)
 		var lv value.Value
 		if lw != nil {
-			lv = lw.Field(jt.LeftField)
+			lv = lw.Field(jt.leftField)
 		}
-		if !jt.Pred.Apply(w.Field(jt.RightField), lv) {
+		if !jt.Pred.Apply(w.Field(jt.rightField), lv) {
 			return false, comparisons
 		}
 	}
@@ -412,13 +412,13 @@ func (n *BetaNode) testBBPair(l, r *Token) (ok bool, comparisons int) {
 	for _, bt := range n.BBTests {
 		comparisons++
 		var lv, rv value.Value
-		if w := l.WMEAt(bt.LeftCE); w != nil {
-			lv = w.Field(bt.LeftField)
+		if w := l.WMEAt(bt.leftCE); w != nil {
+			lv = w.Field(bt.leftField)
 		}
-		if w := r.WMEAt(bt.RightCE); w != nil {
-			rv = w.Field(bt.RightField)
+		if w := r.WMEAt(bt.rightCE); w != nil {
+			rv = w.Field(bt.rightField)
 		}
-		if !bt.Pred.Apply(rv, lv) {
+		if !bt.pred.Apply(rv, lv) {
 			return false, comparisons
 		}
 	}

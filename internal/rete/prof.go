@@ -36,8 +36,8 @@ const (
 	CostBuckets  = 20
 )
 
-// DepthBucket maps a chain depth (1-based) to its histogram bucket.
-func DepthBucket(d int32) int {
+// depthBucket maps a chain depth (1-based) to its histogram bucket.
+func depthBucket(d int32) int {
 	if d < 1 {
 		d = 1
 	}
@@ -47,8 +47,8 @@ func DepthBucket(d int32) int {
 	return int(d - 1)
 }
 
-// CostBucket maps a modeled task cost to its log2 histogram bucket.
-func CostBucket(cost int64) int {
+// costBucket maps a modeled task cost to its log2 histogram bucket.
+func costBucket(cost int64) int {
 	if cost < 1 {
 		cost = 1
 	}
@@ -84,8 +84,8 @@ func NewProf(n, sampleEvery int) *Prof {
 	return &Prof{sampleMask: mask, cells: make([]ProfCell, n)}
 }
 
-// Grow ensures cells exist for node IDs below n.
-func (p *Prof) Grow(n int) {
+// grow ensures cells exist for node IDs below n.
+func (p *Prof) grow(n int) {
 	if p == nil {
 		return
 	}
@@ -109,8 +109,8 @@ func (p *Prof) Fold(recs []TaskRec) (maxDepth int32) {
 	defer p.mu.Unlock()
 	for i := range recs {
 		r := &recs[i]
-		p.depthH[DepthBucket(r.Depth)]++
-		p.costH[CostBucket(r.Cost)]++
+		p.depthH[depthBucket(r.Depth)]++
+		p.costH[costBucket(r.Cost)]++
 		if r.Depth > maxDepth {
 			maxDepth = r.Depth
 		}

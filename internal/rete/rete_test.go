@@ -502,7 +502,7 @@ func TestRuntimeAdditionWithUpdate(t *testing.T) {
 	if info.SharedTwoInput == 0 {
 		t.Fatalf("chunk should share prefix nodes")
 	}
-	if len(info.Boundary) == 0 {
+	if len(info.boundary) == 0 {
 		t.Fatalf("no boundary nodes")
 	}
 	e.update(info)
@@ -687,12 +687,12 @@ func TestBilinearShortensChains(t *testing.T) {
 			if d > max {
 				max = d
 			}
-			for _, c := range n.Children {
+			for _, c := range n.children {
 				rec(c, d+1)
 			}
 		}
-		e.nw.WalkBeta(func(n *BetaNode) {
-			if n.Parent == nil {
+		e.nw.walkBeta(func(n *BetaNode) {
+			if n.parent == nil {
 				rec(n, 1)
 			}
 		})

@@ -23,32 +23,32 @@ import (
 // element it matched, so right-hand sides and join tests can address "the
 // wme matching CE k" regardless of network shape.
 type Token struct {
-	Parent *Token   // linear extension (nil for pair tokens and the dummy)
-	L, R   *Token   // pair combination (bilinear networks)
-	W      *wme.WME // the wme added by this extension (linear only)
-	CE     int16    // positive-CE index of W
-	N      int16    // total number of wmes in the token
+	parent *Token   // linear extension (nil for pair tokens and the dummy)
+	l, r   *Token   // pair combination (bilinear networks)
+	w      *wme.WME // the wme added by this extension (linear only)
+	ce     int16    // positive-CE index of W
+	n      int16    // total number of wmes in the token
 	hash   uint64
 }
 
 // DummyTop is the distinguished empty token that primes the left memory of
 // first-CE join nodes (the paper's "top node" state).
-var DummyTop = &Token{N: 0, hash: 0x5bd1e9955bd1e995}
+var DummyTop = &Token{n: 0, hash: 0x5bd1e9955bd1e995}
 
 // Extend returns the linear token t + (ce, w).
 func Extend(t *Token, ce int, w *wme.WME) *Token {
 	return &Token{
-		Parent: t,
-		W:      w,
-		CE:     int16(ce),
-		N:      t.N + 1,
+		parent: t,
+		w:      w,
+		ce:     int16(ce),
+		n:      t.n + 1,
 		hash:   t.hash ^ mixWME(ce, w),
 	}
 }
 
-// Pair combines two tokens that matched disjoint CE sets (bilinear join).
-func Pair(l, r *Token) *Token {
-	return &Token{L: l, R: r, N: l.N + r.N, hash: l.hash ^ r.hash ^ 0x2545f4914f6cdd1d}
+// pair combines two tokens that matched disjoint CE sets (bilinear join).
+func pair(l, r *Token) *Token {
+	return &Token{l: l, r: r, n: l.n + r.n, hash: l.hash ^ r.hash ^ 0x2545f4914f6cdd1d}
 }
 
 // mixWME hashes one (ce, wme) pair; XOR-combining the per-pair hashes makes
@@ -67,17 +67,17 @@ func (t *Token) Hash() uint64 { return t.hash }
 // WMEAt returns the wme matching positive CE index ce, or nil.
 func (t *Token) WMEAt(ce int) *wme.WME {
 	for t != nil {
-		if t.L != nil {
-			if w := t.L.WMEAt(ce); w != nil {
+		if t.l != nil {
+			if w := t.l.WMEAt(ce); w != nil {
 				return w
 			}
-			t = t.R
+			t = t.r
 			continue
 		}
-		if int(t.CE) == ce {
-			return t.W
+		if int(t.ce) == ce {
+			return t.w
 		}
-		t = t.Parent
+		t = t.parent
 	}
 	return nil
 }
@@ -85,15 +85,15 @@ func (t *Token) WMEAt(ce int) *wme.WME {
 // appendPairs collects the token's (ce, wme) pairs into buf.
 func (t *Token) appendPairs(buf []cePair) []cePair {
 	for t != nil {
-		if t.L != nil {
-			buf = t.L.appendPairs(buf)
-			t = t.R
+		if t.l != nil {
+			buf = t.l.appendPairs(buf)
+			t = t.r
 			continue
 		}
-		if t.W != nil {
-			buf = append(buf, cePair{t.CE, t.W})
+		if t.w != nil {
+			buf = append(buf, cePair{t.ce, t.w})
 		}
-		t = t.Parent
+		t = t.parent
 	}
 	return buf
 }
@@ -109,7 +109,7 @@ func (t *Token) Equal(o *Token) bool {
 	if t == o {
 		return true
 	}
-	if t == nil || o == nil || t.N != o.N || t.hash != o.hash {
+	if t == nil || o == nil || t.n != o.n || t.hash != o.hash {
 		return false
 	}
 	if eq, ok := linearEqual(t, o); ok {
@@ -141,13 +141,13 @@ func linearEqual(a, b *Token) (eq, ok bool) {
 		if a == b { // shared suffix (or both exhausted)
 			return true, true
 		}
-		if a == nil || b == nil || a.L != nil || b.L != nil {
+		if a == nil || b == nil || a.l != nil || b.l != nil {
 			return false, false
 		}
-		if a.CE != b.CE || a.W != b.W {
+		if a.ce != b.ce || a.w != b.w {
 			return false, false
 		}
-		a, b = a.Parent, b.Parent
+		a, b = a.parent, b.parent
 	}
 }
 
@@ -167,7 +167,7 @@ func sortPairs(p []cePair) {
 
 // WMEs returns the token's wmes ordered by CE index (an OPS5 instantiation).
 func (t *Token) WMEs() []*wme.WME {
-	if t == nil || t.N == 0 {
+	if t == nil || t.n == 0 {
 		return nil
 	}
 	var buf [24]cePair
@@ -185,7 +185,7 @@ func (t *Token) String() string {
 	if t == nil {
 		return "<nil>"
 	}
-	if t.N == 0 {
+	if t.n == 0 {
 		return "<top>"
 	}
 	ws := t.WMEs()

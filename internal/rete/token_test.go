@@ -16,8 +16,8 @@ func TestExtendBasics(t *testing.T) {
 	w1, w2 := mkWME(1), mkWME(2)
 	t1 := Extend(DummyTop, 0, w1)
 	t2 := Extend(t1, 1, w2)
-	if t1.N != 1 || t2.N != 2 {
-		t.Fatalf("N wrong: %d %d", t1.N, t2.N)
+	if t1.n != 1 || t2.n != 2 {
+		t.Fatalf("N wrong: %d %d", t1.n, t2.n)
 	}
 	if t2.WMEAt(0) != w1 || t2.WMEAt(1) != w2 {
 		t.Fatalf("WMEAt wrong")
@@ -61,15 +61,15 @@ func TestPairTokenEquality(t *testing.T) {
 	w1, w2, w3, w4 := mkWME(1), mkWME(2), mkWME(3), mkWME(4)
 	l := Extend(Extend(DummyTop, 0, w1), 1, w2)
 	r := Extend(Extend(DummyTop, 2, w3), 3, w4)
-	p := Pair(l, r)
-	if p.N != 4 {
-		t.Fatalf("pair N = %d", p.N)
+	p := pair(l, r)
+	if p.n != 4 {
+		t.Fatalf("pair N = %d", p.n)
 	}
 	if p.WMEAt(0) != w1 || p.WMEAt(3) != w4 || p.WMEAt(2) != w3 {
 		t.Fatalf("pair WMEAt wrong")
 	}
 	// Pair equality across identical structure.
-	p2 := Pair(Extend(Extend(DummyTop, 0, w1), 1, w2), Extend(Extend(DummyTop, 2, w3), 3, w4))
+	p2 := pair(Extend(Extend(DummyTop, 0, w1), 1, w2), Extend(Extend(DummyTop, 2, w3), 3, w4))
 	if !p.Equal(p2) {
 		t.Fatalf("equal pairs should be equal")
 	}
@@ -83,14 +83,14 @@ func TestAncestorAtAndStrip(t *testing.T) {
 	w1, w2, w3 := mkWME(1), mkWME(2), mkWME(3)
 	t3 := Extend(Extend(Extend(DummyTop, 0, w1), 1, w2), 2, w3)
 	a := ancestorAt(t3, 2)
-	if a.N != 2 || a.WMEAt(1) != w2 {
+	if a.n != 2 || a.WMEAt(1) != w2 {
 		t.Fatalf("ancestorAt wrong")
 	}
 	if ancestorAt(t3, 0) != DummyTop {
 		t.Fatalf("ancestorAt(0) should be dummy")
 	}
 	s := stripAbove(t3, 1)
-	if s.N != 2 || s.WMEAt(1) != w2 || s.WMEAt(2) != w3 || s.WMEAt(0) != nil {
+	if s.n != 2 || s.WMEAt(1) != w2 || s.WMEAt(2) != w3 || s.WMEAt(0) != nil {
 		t.Fatalf("stripAbove wrong: %v", s)
 	}
 	if stripAbove(t3, 3) != DummyTop {
@@ -103,7 +103,7 @@ func TestCtxOf(t *testing.T) {
 	ctx := Extend(DummyTop, 0, w1)
 	g1 := Extend(ctx, 1, w2)
 	g2full := Extend(Extend(ctx, 2, w3), 3, w4)
-	p := Pair(g1, stripAbove(g2full, 1))
+	p := pair(g1, stripAbove(g2full, 1))
 	if got := ctxOf(p, 1); !got.Equal(ctx) {
 		t.Fatalf("ctxOf pair wrong: %v", got)
 	}
@@ -171,7 +171,7 @@ func TestStripPartitionProperty(t *testing.T) {
 		}
 		head := ancestorAt(tok, c)
 		tail := stripAbove(tok, c)
-		return int(head.N)+int(tail.N) == depth
+		return int(head.n)+int(tail.n) == depth
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

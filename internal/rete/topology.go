@@ -22,8 +22,8 @@ import (
 // state vectors, so two sessions handing out the same own ID never interfere.
 type layer struct {
 	nextID    NodeID                   // largest ID handed out (the base's, then this layer's)
-	roots     map[value.Sym]*AlphaNode // class -> test tree root, for classes the base has none for
-	alphaMems map[string]*AlphaMem     // canonical path key -> memory
+	roots     map[value.Sym]*alphaNode // class -> test tree root, for classes the base has none for
+	alphaMems map[string]*alphaMem     // canonical path key -> memory
 	prods     map[string]*Production
 	prodOrder []*Production
 	topNodes  []*BetaNode // first-CE nodes (dummy-top children)
@@ -31,8 +31,8 @@ type layer struct {
 
 	// Splice maps, keyed by the ID of the base node shadowed. All four are
 	// nil until the first splice (see spliced).
-	alphaKids  map[NodeID][]*AlphaNode // constant-test children under a base alpha node
-	alphaMemAt map[NodeID]*AlphaMem    // memory at a base interior alpha node
+	alphaKids  map[NodeID][]*alphaNode // constant-test children under a base alpha node
+	alphaMemAt map[NodeID]*alphaMem    // memory at a base interior alpha node
 	alphaSuccs map[NodeID][]*BetaNode  // successors of a base alpha memory
 	betaKids   map[NodeID][]*BetaNode  // children under a base beta node
 }
@@ -41,8 +41,8 @@ type layer struct {
 func newLayer(below NodeID) layer {
 	return layer{
 		nextID:    below,
-		roots:     make(map[value.Sym]*AlphaNode),
-		alphaMems: make(map[string]*AlphaMem),
+		roots:     make(map[value.Sym]*alphaNode),
+		alphaMems: make(map[string]*alphaMem),
 		prods:     make(map[string]*Production),
 	}
 }
@@ -54,8 +54,8 @@ func newLayer(below NodeID) layer {
 // nothing can be spliced under it — never probes a splice map at all.
 func (l *layer) spliced() *layer {
 	if l.betaKids == nil {
-		l.alphaKids = make(map[NodeID][]*AlphaNode)
-		l.alphaMemAt = make(map[NodeID]*AlphaMem)
+		l.alphaKids = make(map[NodeID][]*alphaNode)
+		l.alphaMemAt = make(map[NodeID]*alphaMem)
 		l.alphaSuccs = make(map[NodeID][]*BetaNode)
 		l.betaKids = make(map[NodeID][]*BetaNode)
 	}
@@ -131,13 +131,13 @@ func NewFromTopology(top *Topology, cs ConflictListener, opts Options) *Network 
 	nw := &Network{
 		Tab:  top.tab,
 		Reg:  top.reg,
-		Mem:  NewMem(hashLines),
+		Mem:  newMem(hashLines),
 		Opts: o,
 		CS:   cs,
 		base: top,
 		own:  newLayer(top.nextID),
 	}
-	nw.Mem.GrowCounts(int(top.nextID) + 1)
+	nw.Mem.nc.grow(int(top.nextID) + 1)
 	return nw
 }
 
@@ -152,7 +152,7 @@ func (nw *Network) inBase(id NodeID) bool { return id <= nw.base.nextID }
 func (nw *Network) childrenOf(n *BetaNode) []*BetaNode {
 	kids, spliced := nw.base.topNodes, nw.own.topNodes
 	if n != nil {
-		kids, spliced = n.Children, nw.own.betaKids[n.ID]
+		kids, spliced = n.children, nw.own.betaKids[n.ID]
 	}
 	if len(spliced) == 0 {
 		return kids

@@ -153,7 +153,7 @@ func TestUnlinkCountersRuntimeAdd(t *testing.T) {
 // workers perform under it. Run with -race.
 func TestHarvestAccessCountsRace(t *testing.T) {
 	const iters = 2000
-	m := NewMem(16)
+	m := newMem(16)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -163,11 +163,11 @@ func TestHarvestAccessCountsRace(t *testing.T) {
 			for j := 0; j < iters; j++ {
 				key := uint64(j % 64)
 				l := m.line(NodeID(id+1), key)
-				l.Lock.Lock()
+				l.lock.Lock()
 				l.addLeft(NodeID(id+1), key, tok, 0)
-				l.eachLeft(NodeID(id+1), key, func(*LEntry) {})
+				l.eachLeft(NodeID(id+1), key, func(*lEntry) {})
 				l.removeLeft(NodeID(id+1), key, tok)
-				l.Lock.Unlock()
+				l.lock.Unlock()
 			}
 		}(i)
 	}

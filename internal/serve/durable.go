@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
@@ -46,6 +47,13 @@ type walRecord struct {
 	Cycle int         `json:"cycle"`
 	Run   *RunRequest `json:"run"`
 }
+
+// maxWALLine bounds one journal line, newline included: it is the longest
+// line readWAL's scanner reads. json.Marshal writes each '<', '>' and '&'
+// as six bytes, so a line can be six times its request body.
+const maxWALLine = 1 << 26
+
+var errWALLineTooLong = errors.New("journal line too long")
 
 // walLine is the on-disk frame: the record's raw JSON plus its checksum.
 type walLine struct {
@@ -101,6 +109,10 @@ func (st *store) imagePath() string { return filepath.Join(st.dir, "image.json")
 // record, the request was never acknowledged, and restore + Seq
 // idempotency make the client's retry exactly-once either way (replayed
 // record → cached result; torn record → re-executed).
+//
+// A line longer than maxWALLine is refused before anything is written:
+// readWAL could not read it back, so journalling it would make the whole
+// session unrestorable.
 func (st *store) append(rec walRecord) (int, func() error, error) {
 	raw, err := json.Marshal(rec)
 	if err != nil {
@@ -111,6 +123,9 @@ func (st *store) append(rec walRecord) (int, func() error, error) {
 		return 0, nil, err
 	}
 	line = append(line, '\n')
+	if len(line) > maxWALLine {
+		return 0, nil, fmt.Errorf("%w: %d bytes, limit %d", errWALLineTooLong, len(line), maxWALLine)
+	}
 	if _, err := st.wal.Write(line); err != nil {
 		return 0, nil, err
 	}
@@ -162,7 +177,7 @@ func readWAL(path string) ([]walRecord, error) {
 	defer f.Close()
 	var recs []walRecord
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 0, 1<<20), maxWALLine)
 	for sc.Scan() {
 		var line walLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
@@ -186,12 +201,12 @@ func (st *store) close() {
 	}
 }
 
-// SessionImage is the durable form of one session: its creation request
+// sessionImage is the durable form of one session: its creation request
 // (engine configuration and task parameters), progress counters, the
 // idempotency watermark, and the engine image. Cypress sessions also
 // carry the workload driver's state so the restored session produces the
 // identical remaining batch sequence.
-type SessionImage struct {
+type sessionImage struct {
 	ID         string               `json:"id"`
 	Task       string               `json:"task"`
 	Created    string               `json:"created"`
@@ -227,14 +242,14 @@ type RestoreResult struct {
 // saveSnapshot exports the session into its store and truncates the WAL.
 // It must run with exclusive engine access: under the turn, before the
 // session goes live (create), or after shutdown (drain).
-func (s *Session) saveSnapshot() (*SnapshotResult, error) {
+func (s *session) saveSnapshot() (*SnapshotResult, error) {
 	if s.store == nil {
-		return nil, fmt.Errorf("serve: session %s is not durable (no data dir)", s.ID)
+		return nil, fmt.Errorf("serve: session %s is not durable (no data dir)", s.id)
 	}
-	img := &SessionImage{
-		ID:         s.ID,
-		Task:       s.Task,
-		Created:    s.Created.UTC().Format(time.RFC3339Nano),
+	img := &sessionImage{
+		ID:         s.id,
+		Task:       s.task,
+		Created:    s.created.UTC().Format(time.RFC3339Nano),
 		Create:     s.create,
 		Cycles:     s.cycles,
 		Chunks:     s.chunks,
@@ -256,14 +271,14 @@ func (s *Session) saveSnapshot() (*SnapshotResult, error) {
 	}
 	s.srv.mSnapshots.Inc()
 	s.srv.mSnapBytes.Add(uint64(n))
-	return &SnapshotResult{ID: s.ID, Cycles: s.cycles, Bytes: n}, nil
+	return &SnapshotResult{ID: s.id, Cycles: s.cycles, Bytes: n}, nil
 }
 
 // persistCreate writes the genesis snapshot and opens the WAL for a newly
 // created session. Called before the session goes live, so a session that
 // was ever visible to clients always has an image on disk.
-func (s *Server) persistCreate(ss *Session) error {
-	st, err := openStore(filepath.Join(s.cfg.DataDir, ss.ID))
+func (s *Server) persistCreate(ss *session) error {
+	st, err := openStore(filepath.Join(s.cfg.DataDir, ss.id))
 	if err != nil {
 		return err
 	}
@@ -331,10 +346,10 @@ func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 		if cacheHit {
 			temp = "warm"
 		}
-		s.cfg.Log.Info("session restored", "session", id, "task", ss.Task,
+		s.cfg.Log.Info("session restored", "session", id, "task", ss.task,
 			"cycles", ss.cycles, "replayed", replayed, "image", temp, "dur", d)
 	}
-	return &RestoreResult{ID: id, Task: ss.Task, Cycles: ss.cycles,
+	return &RestoreResult{ID: id, Task: ss.task, Cycles: ss.cycles,
 		Replayed: replayed, Seconds: d.Seconds(), CacheHit: cacheHit}, http.StatusOK, nil
 }
 
@@ -344,13 +359,13 @@ func (s *Server) restoreSession(id string) (*RestoreResult, int, error) {
 // cacheHit reports whether the base topology came warm out of the image
 // cache (one compile per program per server, however many sessions fail
 // over at once).
-func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
+func (s *Server) rebuildSession(id string) (*session, int, bool, error) {
 	dir := filepath.Join(s.cfg.DataDir, id)
 	data, err := os.ReadFile(filepath.Join(dir, "image.json"))
 	if err != nil {
 		return nil, 0, false, err
 	}
-	var img SessionImage
+	var img sessionImage
 	if err := snapshot.Open(data, &img); err != nil {
 		return nil, 0, false, err
 	}
@@ -367,7 +382,7 @@ func (s *Server) rebuildSession(id string) (*Session, int, bool, error) {
 	}
 	ss := s.newSession(img.Create, cypressSystem(&img.Create), eng)
 	if created, err := time.Parse(time.RFC3339Nano, img.Created); err == nil {
-		ss.Created = created
+		ss.created = created
 	}
 	ss.cycles, ss.chunks, ss.nextChunk = img.Cycles, img.Chunks, img.NextChunk
 	ss.lastSeq, ss.lastRes = img.LastSeq, img.LastResult

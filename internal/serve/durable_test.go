@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,9 +52,9 @@ func seedSession(t *testing.T, url, id string) {
 }
 
 // sessionState fetches the stats and conflict-set fingerprint of a session.
-func sessionState(t *testing.T, url, id string) (SessionInfo, string) {
+func sessionState(t *testing.T, url, id string) (sessionInfo, string) {
 	t.Helper()
-	var info SessionInfo
+	var info sessionInfo
 	if code, _ := doJSON(t, "GET", url+"/sessions/"+id, nil, &info); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
@@ -122,7 +123,7 @@ func TestRestoreConflicts(t *testing.T) {
 	// A sealed image with no engine in it, or with cypress params the
 	// generator is not defined for, is a failed restore — a 500 that counts —
 	// not a nil dereference or a division by zero.
-	for id, img := range map[string]*SessionImage{
+	for id, img := range map[string]*sessionImage{
 		"hollow": {ID: "hollow"},
 		"badgen": {ID: "badgen", Create: CreateRequest{Task: "cypress", Params: &cypress.Params{AvgCEs: 1}}},
 	} {
@@ -569,5 +570,42 @@ func TestSessionIDValidation(t *testing.T) {
 		if code, _ := doJSON(t, "POST", ts.URL+"/sessions", CreateRequest{ID: id, Program: serveProgSrc}, nil); code != http.StatusBadRequest {
 			t.Fatalf("create with id %q: %d, want 400", id, code)
 		}
+	}
+}
+
+// postRaw posts body as it stands, without doJSON's json.Marshal (which
+// would escape every '<' to six bytes), and returns the status code.
+func postRaw(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestOversizeWALLineRefused: an 11.5 MB /run whose one symbol is 11 MiB of
+// '<' journals as a 66 MiB line, longer than readWAL reads. The server
+// must refuse it before it runs, and a restore after a crash must give back
+// the session as it was before the request.
+func TestOversizeWALLineRefused(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := crashableServer(t, dir)
+	seedSession(t, tsA.URL, "big1")
+	want, wantFp := sessionState(t, tsA.URL, "big1")
+	body := `{"cycles":0,"deltas":[{"op":"add","class":"fact","fields":["` + strings.Repeat("<", 11<<20) + `"]}]}`
+	if code := postRaw(t, tsA.URL+"/sessions/big1/run", body); code/100 == 2 {
+		t.Fatalf("run with a %d-byte body: code=%d, want a refusal", len(body), code)
+	}
+	tsA.Close()
+
+	_, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/big1/restore", nil, nil); code != http.StatusOK {
+		t.Fatalf("restore: %d", code)
+	}
+	got, gotFp := sessionState(t, tsB.URL, "big1")
+	if gotFp != wantFp || got.Cycles != want.Cycles || got.WM != want.WM {
+		t.Fatalf("restored session %+v %s, want %+v %s", got, gotFp, want, wantFp)
 	}
 }

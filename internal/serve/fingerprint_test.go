@@ -61,7 +61,7 @@ func (p *fpProbe) attach(id string) {
 	p.check("attach", p.served())
 }
 
-func (p *fpProbe) session() *Session {
+func (p *fpProbe) session() *session {
 	p.srv.mu.Lock()
 	defer p.srv.mu.Unlock()
 	return p.srv.sessions[p.id]
@@ -127,7 +127,7 @@ func (p *fpProbe) delete() {
 
 // onLoop runs fn on the session loop, the way the session's own commands
 // reach its engine.
-func (p *fpProbe) onLoop(label string, fn func(ss *Session) error) {
+func (p *fpProbe) onLoop(label string, fn func(ss *session) error) {
 	p.t.Helper()
 	ss := p.session()
 	if _, err := ss.submit(nil, func() (any, error) { return nil, fn(ss) }); err != nil {
@@ -175,7 +175,7 @@ func mixSecondHalf(p *fpProbe, added []uint64) {
 	// productions sit in a frozen shared image and cannot be excised, so
 	// this is the excise a served session can see: a chunk's.
 	base := p.session().fp.bytes
-	p.onLoop("add production", func(ss *Session) error {
+	p.onLoop("add production", func(ss *session) error {
 		ast, err := ops5.ParseProduction(`(p extra (fact ^v <v>) --> (make seen ^v extra))`, ss.eng.Tab)
 		if err != nil {
 			return err
@@ -187,7 +187,7 @@ func mixSecondHalf(p *fpProbe, added []uint64) {
 	if grown := p.session().fp.bytes; grown <= base {
 		t.Fatalf("run-time production added nothing to the index (%d -> %d bytes)", base, grown)
 	}
-	p.onLoop("excise", func(ss *Session) error { return ss.eng.ExciseProduction("extra") })
+	p.onLoop("excise", func(ss *session) error { return ss.eng.NW.RemoveProduction("extra") })
 	p.check("excise", p.served())
 	if after := p.session().fp.bytes; after != base {
 		t.Fatalf("excise left the index at %d bytes, want %d", after, base)
@@ -262,7 +262,7 @@ func TestIncrementalFingerprintProperty(t *testing.T) {
 				defer srvNs.Close()
 				p = newProbe(t, srvNs, CreateRequest{Program: mixProgSrc})
 				mixSecondHalf(p, mixFirstHalf(p))
-				var info SessionInfo
+				var info sessionInfo
 				if code := call(t, p.h, "GET", p.base, nil, &info); code != http.StatusOK || info.Recovered < info.Cycles/2 {
 					t.Fatalf("1ns server: %d of %d cycles recovered (stats %d), want most", info.Recovered, info.Cycles, code)
 				}
@@ -325,7 +325,7 @@ func TestServedSessionStaysBounded(t *testing.T) {
 	if got := ss.eng.Totals.Recovered; got != recovered {
 		t.Fatalf("engine totals: %d recovered cycles, want %d", got, recovered)
 	}
-	var info SessionInfo
+	var info sessionInfo
 	if code := call(t, p.h, "GET", p.base, nil, &info); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}

@@ -19,6 +19,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -88,7 +89,7 @@ type Server struct {
 	images *engine.ImageCache
 
 	mu       sync.Mutex
-	sessions map[string]*Session
+	sessions map[string]*session
 	// restoring holds the ids reserved for a create or a restore in flight:
 	// they count against MaxSessions, and a second create or restore of one
 	// fails with 409 instead of racing (reserve, adopt).
@@ -143,7 +144,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		budget:    prun.NewBudget(cfg.Workers),
 		images:    engine.NewImageCache(),
-		sessions:  map[string]*Session{},
+		sessions:  map[string]*session{},
 		restoring: map[string]bool{},
 	}
 	if o := cfg.Obs; o != nil {
@@ -189,10 +190,10 @@ func (s *Server) Close() {
 }
 
 // live returns the sessions in the table.
-func (s *Server) live() []*Session {
+func (s *Server) live() []*session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	all := make([]*Session, 0, len(s.sessions))
+	all := make([]*session, 0, len(s.sessions))
 	for _, ss := range s.sessions {
 		all = append(all, ss)
 	}
@@ -235,13 +236,13 @@ func (s *Server) unreserve(id string) {
 }
 
 // adopt makes a session live under the id reserved for it.
-func (s *Server) adopt(ss *Session) {
+func (s *Server) adopt(ss *session) {
 	s.mu.Lock()
-	delete(s.restoring, ss.ID)
-	s.sessions[ss.ID] = ss
+	delete(s.restoring, ss.id)
+	s.sessions[ss.id] = ss
 	s.mSessions.Set(float64(len(s.sessions)))
 	s.mu.Unlock()
-	ss.eng.Prof.SetSession(ss.ID)
+	ss.eng.Prof.SetSession(ss.id)
 }
 
 // retire takes a session out of service and gives back what it holds, once:
@@ -251,7 +252,7 @@ func (s *Server) adopt(ss *Session) {
 // the session is broken and what is on disk is the only good copy. Erasing
 // is outside the once: a DELETE that lost the race to Close still removes
 // the directory Close kept.
-func (s *Server) retire(ss *Session, erase bool) {
+func (s *Server) retire(ss *session, erase bool) {
 	var err error
 	ss.retired.Do(func() {
 		ss.shutdown()
@@ -265,7 +266,7 @@ func (s *Server) retire(ss *Session, erase bool) {
 		err = os.RemoveAll(ss.store.dir)
 	}
 	if err != nil && s.cfg.Log != nil {
-		s.cfg.Log.Error("retiring durable state", "session", ss.ID, "erase", erase, "err", err)
+		s.cfg.Log.Error("retiring durable state", "session", ss.id, "erase", erase, "err", err)
 	}
 }
 
@@ -349,8 +350,8 @@ type DeltaJSON struct {
 	ID     uint64 `json:"id,omitempty"`
 }
 
-// SessionInfo is a session stats snapshot.
-type SessionInfo struct {
+// sessionInfo is a session stats snapshot.
+type sessionInfo struct {
 	ID        string `json:"id"`
 	Task      string `json:"task"`
 	Created   string `json:"created"`
@@ -363,8 +364,8 @@ type SessionInfo struct {
 	Chunks    int    `json:"chunks"`
 }
 
-// InstJSON is one conflict-set instantiation on the wire.
-type InstJSON struct {
+// instJSON is one conflict-set instantiation on the wire.
+type instJSON struct {
 	Production string   `json:"production"`
 	TimeTags   []uint64 `json:"timetags"`
 }
@@ -624,10 +625,34 @@ func cypressSystem(req *CreateRequest) *cypress.System {
 	return cypress.Generate(p)
 }
 
+// maxRequestBody bounds a create or run body. The largest that any test,
+// CI step, psmeload run or benchmark workload sends is 2,823 bytes. A
+// durable session can still refuse a smaller /run whose journal line would
+// pass maxWALLine.
+const maxRequestBody = 32 << 20
+
+// decodeBody decodes r's JSON body into v. It answers 413 for a body over
+// maxRequestBody and 400 for malformed JSON, and reports whether v holds
+// the request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	// Declared only here: errors.As takes its address, which moves it to
+	// the heap, and the success path should not pay for that.
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxRequestBody)
+	} else {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.ID != "" && !validSessionID(req.ID) {
@@ -699,14 +724,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	adopted = true
 	if s.cfg.Log != nil {
 		s.cfg.Log.Info("session created", "req", w.Header().Get("X-Request-ID"),
-			"session", ss.ID, "task", ss.Task, "productions", prods)
+			"session", ss.id, "task", ss.task, "productions", prods)
 	}
 
-	writeJSON(w, http.StatusCreated, CreateResult{ID: ss.ID, Task: ss.Task, Productions: prods})
+	writeJSON(w, http.StatusCreated, CreateResult{ID: ss.id, Task: ss.task, Productions: prods})
 }
 
 // session looks a live session up, answering 404 itself when there is none.
-func (s *Server) session(w http.ResponseWriter, id string) *Session {
+func (s *Server) session(w http.ResponseWriter, id string) *session {
 	s.mu.Lock()
 	ss := s.sessions[id]
 	s.mu.Unlock()
@@ -718,29 +743,31 @@ func (s *Server) session(w http.ResponseWriter, id string) *Session {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	all := s.live()
-	infos := make([]*SessionInfo, 0, len(all))
+	infos := make([]*sessionInfo, 0, len(all))
 	for _, ss := range all {
 		v, err := ss.submit(r.Context().Done(), func() (any, error) { return ss.stats(), nil })
 		if err != nil {
 			continue // busy or closing; listing is best-effort
 		}
-		infos = append(infos, v.(*SessionInfo))
+		infos = append(infos, v.(*sessionInfo))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": infos})
 }
 
 // dispatch submits fn to the session and writes the reply, mapping
 // backpressure to 429 + Retry-After.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, ss *Session, fn func() (any, error)) {
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, ss *session, fn func() (any, error)) {
 	v, err := ss.submit(r.Context().Done(), fn)
 	switch {
 	case err == errBusy:
 		s.mRejected.Inc()
 		occupied := float64(len(ss.admit)) / float64(cap(ss.admit))
 		w.Header().Set("Retry-After", retryAfterHint(occupied, s.budgetFrac()))
-		writeErr(w, http.StatusTooManyRequests, "session %s queue full", ss.ID)
+		writeErr(w, http.StatusTooManyRequests, "session %s queue full", ss.id)
 	case err == errGone:
-		writeErr(w, http.StatusGone, "session %s closed", ss.ID)
+		writeErr(w, http.StatusGone, "session %s closed", ss.id)
+	case errors.Is(err, errWALLineTooLong):
+		writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
 	case err != nil:
 		writeErr(w, http.StatusBadRequest, "%v", err)
 	default:
@@ -762,8 +789,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// A delta batch counts as the request's one guaranteed cycle, so
@@ -786,7 +812,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.mCycles.Add(uint64(res.Cycles))
 			if s.cfg.Log != nil && res.Cycles > 0 {
 				s.cfg.Log.Info("run", "req", w.Header().Get("X-Request-ID"),
-					"session", ss.ID, "cycles", res.Cycles,
+					"session", ss.id, "cycles", res.Cycles,
 					"first_cycle", res.FirstCycle, "last_cycle", res.LastCycle,
 					"tasks", res.Tasks, "failed", res.Failed, "recovered", res.Recovered)
 			}
@@ -825,13 +851,13 @@ func (s *Server) handleConflictSet(w http.ResponseWriter, r *http.Request) {
 	}
 	s.dispatch(w, r, ss, func() (any, error) {
 		insts := ss.eng.CS.All()
-		out := make([]InstJSON, 0, len(insts))
+		out := make([]instJSON, 0, len(insts))
 		for _, in := range insts {
 			tags := make([]uint64, len(in.WMEs))
 			for i, wm := range in.WMEs {
 				tags[i] = wm.TimeTag
 			}
-			out = append(out, InstJSON{Production: in.Prod.Name, TimeTags: tags})
+			out = append(out, instJSON{Production: in.Prod.Name, TimeTags: tags})
 		}
 		return map[string]any{"instantiations": out, "fingerprint": ss.fingerprint()}, nil
 	})
@@ -879,7 +905,7 @@ func (s *Server) handleDebugMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	all := s.live()
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
 	snaps := make([]*matchprof.Snapshot, 0, len(all))
 	for _, ss := range all {
 		if sn := ss.eng.Prof.Snapshot(); sn != nil {
@@ -901,7 +927,7 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 	var latest *matchprof.Dump
 	var latestAt time.Time
 	for _, ss := range s.live() {
-		if want != "" && ss.ID != want {
+		if want != "" && ss.id != want {
 			continue
 		}
 		d := ss.eng.Prof.LastDump()

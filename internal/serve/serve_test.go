@@ -31,7 +31,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // liveSession reaches behind the API for a session the tests drive directly.
-func liveSession(s *Server, id string) *Session {
+func liveSession(s *Server, id string) *session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sessions[id]
@@ -104,7 +104,7 @@ func TestProgramSessionLifecycle(t *testing.T) {
 
 	// The two matches are in the conflict set.
 	var cs struct {
-		Instantiations []InstJSON `json:"instantiations"`
+		Instantiations []instJSON `json:"instantiations"`
 		Fingerprint    string     `json:"fingerprint"`
 	}
 	if code, _ := doJSON(t, "GET", base+"/conflict-set", nil, &cs); code != http.StatusOK || len(cs.Instantiations) != 2 {
@@ -120,7 +120,7 @@ func TestProgramSessionLifecycle(t *testing.T) {
 		t.Fatalf("run: %+v", rres)
 	}
 
-	var info SessionInfo
+	var info sessionInfo
 	if code, _ := doJSON(t, "GET", base, nil, &info); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
@@ -171,7 +171,7 @@ func TestBadRemoveReportedNotDesynced(t *testing.T) {
 	if code, _ := doJSON(t, "GET", base+"/audit", nil, &audit); code != http.StatusOK || !audit.OK {
 		t.Fatalf("audit after bad deltas: code=%d %+v", code, audit)
 	}
-	var info SessionInfo
+	var info sessionInfo
 	doJSON(t, "GET", base, nil, &info)
 	if info.BadDeltas != 2 || info.Recovered != 2 {
 		t.Fatalf("stats after bad deltas: %+v", info)
@@ -248,7 +248,7 @@ func TestProgramRunCountsStepCycles(t *testing.T) {
 			if c.fault != nil && (res.Failed != 2 || res.Recovered != 2) {
 				t.Fatalf("every step cycle panics, run reported failed=%d recovered=%d", res.Failed, res.Recovered)
 			}
-			var info SessionInfo
+			var info sessionInfo
 			doJSON(t, "GET", base, nil, &info)
 			if info.Recovered != ingested.Recovered+res.Recovered {
 				t.Fatalf("recovered_cycles = %d, requests reported %d + %d", info.Recovered, ingested.Recovered, res.Recovered)
@@ -298,7 +298,7 @@ func TestRunIngestsDeltaBatch(t *testing.T) {
 		t.Fatalf("ingest+run cycles: %+v", rres)
 	}
 
-	var info SessionInfo
+	var info sessionInfo
 	doJSON(t, "GET", base, nil, &info)
 	if info.WM != 4 { // 3 facts - 1 removed + 2 seen
 		t.Fatalf("stats after ingest runs: %+v", info)
@@ -554,7 +554,7 @@ func TestBackpressure429(t *testing.T) {
 	admitted(1)
 	next := make(chan int, 1)
 	go func() {
-		var info SessionInfo
+		var info sessionInfo
 		code, _ := doJSON(t, "GET", ts.URL+"/sessions/"+created.ID, nil, &info)
 		if info.Cycles != 0 || info.WM != 0 {
 			t.Errorf("canceled waiter ran: %+v", info)
@@ -639,7 +639,7 @@ func TestCypressSessionRuns(t *testing.T) {
 	if rres.Cycles != 12 || len(rres.Fingerprints) != 12 {
 		t.Fatalf("run: %+v", rres)
 	}
-	var info SessionInfo
+	var info sessionInfo
 	doJSON(t, "GET", base, nil, &info)
 	if info.Cycles != 12 || info.Chunks == 0 {
 		t.Fatalf("stats: %+v (want 12 cycles and chunks added)", info)
@@ -675,7 +675,7 @@ func TestChunkScheduleSurvivesChunkingOff(t *testing.T) {
 				t.Fatalf("%+v: run: %d", c.runs, code)
 			}
 		}
-		var info SessionInfo
+		var info sessionInfo
 		doJSON(t, "GET", base, nil, &info)
 		if info.Cycles != 40 || info.Chunks != c.want {
 			t.Fatalf("%+v: %d cycles added %d chunks, want 40 and %d", c.runs, info.Cycles, info.Chunks, c.want)
@@ -796,5 +796,31 @@ func TestRequestID(t *testing.T) {
 		if !strings.Contains(logs.String(), "req="+id+" ") {
 			t.Fatalf("%s: log has no line for %q:\n%s", c.name, id, logs.String())
 		}
+	}
+}
+
+// TestOversizeBodyRefused: a create or run body over maxRequestBody gets
+// 413 and changes nothing — no session is created, and the target session
+// runs no cycle and takes no wme.
+func TestOversizeBodyRefused(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 2, Processes: 2})
+	seedSession(t, ts.URL, "b1")
+	want, wantFp := sessionState(t, ts.URL, "b1")
+	pad := strings.Repeat("a", maxRequestBody)
+	if code := postRaw(t, ts.URL+"/sessions", `{"id":"b2","program":"`+pad+`"}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize create: code=%d, want 413", code)
+	}
+	if code, _ := doJSON(t, "GET", ts.URL+"/sessions/b2", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("oversize create left session b2: code=%d", code)
+	}
+	if code := postRaw(t, ts.URL+"/sessions/b1/run", `{"cycles":1,"deltas":[{"op":"add","class":"fact","fields":["`+pad+`"]}]}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize run: code=%d, want 413", code)
+	}
+	got, gotFp := sessionState(t, ts.URL, "b1")
+	if gotFp != wantFp || got.Cycles != want.Cycles || got.WM != want.WM {
+		t.Fatalf("session after an oversize run %+v %s, want %+v %s", got, gotFp, want, wantFp)
+	}
+	if code := postRaw(t, ts.URL+"/sessions/b1/run", `{"cycles":`); code != http.StatusBadRequest {
+		t.Fatalf("malformed run: code=%d, want 400", code)
 	}
 }

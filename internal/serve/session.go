@@ -12,13 +12,13 @@ import (
 	"soarpsme/internal/wme"
 )
 
-// Session hosts one engine behind a lock. Cypress sessions carry the
+// session hosts one engine behind a lock. Cypress sessions carry the
 // workload driver and chunk schedule server-side; program sessions hold an
 // uploaded OPS5 program driven by client deltas and recognize-act steps.
-type Session struct {
-	ID      string
-	Task    string // "cypress" or "program"
-	Created time.Time
+type session struct {
+	id      string
+	task    string // "cypress" or "program"
+	created time.Time
 
 	eng *engine.Engine
 	// cypress-task state (nil for program sessions).
@@ -75,11 +75,11 @@ type Session struct {
 // conflict set. sys is the generated cypress system, nil for a program
 // session; the workload driver is the caller's to attach (a fresh one at
 // create, the snapshot's at restore).
-func (s *Server) newSession(req CreateRequest, sys *cypress.System, eng *engine.Engine) *Session {
-	ss := &Session{
-		ID:      req.ID,
-		Task:    "program",
-		Created: time.Now(),
+func (s *Server) newSession(req CreateRequest, sys *cypress.System, eng *engine.Engine) *session {
+	ss := &session{
+		id:      req.ID,
+		task:    "program",
+		created: time.Now(),
 		eng:     eng,
 		sys:     sys,
 		create:  req,
@@ -88,7 +88,7 @@ func (s *Server) newSession(req CreateRequest, sys *cypress.System, eng *engine.
 		turn:    make(chan struct{}, 1),
 	}
 	if sys != nil {
-		ss.Task = "cypress"
+		ss.task = "cypress"
 	}
 	ss.syncFingerprint()
 	return ss
@@ -97,7 +97,7 @@ func (s *Server) newSession(req CreateRequest, sys *cypress.System, eng *engine.
 // shutdown stops admission and takes every slot for good, so it returns once
 // everything already admitted has run to completion — a drain loses no cycle
 // — with the engine quiescent. Server.retire calls it, once.
-func (s *Session) shutdown() {
+func (s *session) shutdown() {
 	s.gone.Store(true)
 	for i := 0; i < cap(s.admit); i++ {
 		s.admit <- struct{}{}
@@ -123,7 +123,7 @@ var (
 // the turn it runs to completion whatever happens to its client. If fn
 // panics, the turn and the slot are given back as the panic unwinds and the
 // session is left broken: whoever has the turn next is told errGone.
-func (s *Session) submit(cancel <-chan struct{}, fn func() (any, error)) (any, error) {
+func (s *session) submit(cancel <-chan struct{}, fn func() (any, error)) (any, error) {
 	if s.gone.Load() {
 		return nil, errGone
 	}
@@ -161,9 +161,9 @@ func (s *Session) submit(cancel <-chan struct{}, fn func() (any, error)) (any, e
 // and matched before an excise failed is closed before the error returns,
 // so the session's cycles, fingerprints and journal stay in step with the
 // engine.
-func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
+func (s *session) runCycles(res *RunResult, n int, chunking bool) error {
 	for i := 0; i < n; i++ {
-		switch s.Task {
+		switch s.task {
 		case "cypress":
 			added, err := s.drv.Step(s.eng, s.cycles, &s.nextChunk, chunking)
 			s.chunks += added
@@ -189,7 +189,7 @@ func (s *Session) runCycles(res *RunResult, n int, chunking bool) error {
 
 // closeCycle ends one session cycle of a /run and appends its conflict-set
 // fingerprint.
-func (s *Session) closeCycle(res *RunResult) {
+func (s *session) closeCycle(res *RunResult) {
 	s.cycles++
 	res.Cycles++
 	res.LastCycle = s.cycles - 1
@@ -202,7 +202,7 @@ func (s *Session) closeCycle(res *RunResult) {
 // by EndRecovery when the cycle went through the serial fallback — into
 // the fingerprint index. The session is the journal's only consumer, and
 // the journal pins every retracted token and wme until it is drained.
-func (s *Session) fingerprint() string {
+func (s *session) fingerprint() string {
 	if added, retracted := s.eng.CS.Drain(); !s.fp.apply(added, retracted) {
 		s.fp.rebuild(s.eng.CS.All())
 	}
@@ -213,7 +213,7 @@ func (s *Session) fingerprint() string {
 // set and discards the journal that led up to it. A session calls it once,
 // when it takes over an engine: after create's startup cycle, and after
 // restore's serial rebuild and before its WAL replay.
-func (s *Session) syncFingerprint() {
+func (s *session) syncFingerprint() {
 	s.eng.CS.ResetJournal()
 	s.fp.rebuild(s.eng.CS.All())
 }
@@ -226,7 +226,7 @@ func (s *Session) syncFingerprint() {
 // per delta plus one per run. Every engine cycle the request ran — an
 // ingest batch, a cypress batch or a recognize-act step — is counted in res
 // as the difference of the engine's totals across it.
-func (s *Session) run(deltas []DeltaJSON, n int, chunking bool) (*RunResult, error) {
+func (s *session) run(deltas []DeltaJSON, n int, chunking bool) (*RunResult, error) {
 	res := &RunResult{FirstCycle: s.cycles, LastCycle: s.cycles}
 	before := s.eng.Totals
 	if len(deltas) > 0 {
@@ -253,13 +253,13 @@ func (s *Session) run(deltas []DeltaJSON, n int, chunking bool) (*RunResult, err
 // runs exec: a non-durable one, and one being restored, which replays the
 // journal it is reading through here and is given its store only afterwards
 // (rebuildSession).
-func (s *Session) writeAhead(rec walRecord, exec func()) error {
+func (s *session) writeAhead(rec walRecord, exec func()) error {
 	if s.store == nil {
 		exec()
 		return nil
 	}
 	if s.walBroken {
-		return fmt.Errorf("serve: session %s journal failed a durability barrier; snapshot or restore it", s.ID)
+		return fmt.Errorf("serve: session %s journal failed a durability barrier; snapshot or restore it", s.id)
 	}
 	start := time.Now()
 	n, barrier, err := s.store.append(rec)
@@ -281,7 +281,7 @@ func (s *Session) writeAhead(rec walRecord, exec func()) error {
 // idempotent retries and runs the request write-ahead; restore's WAL replay
 // plus Seq idempotency reconcile whatever a crash left unacknowledged, by
 // re-deriving the pre-crash state through this same path.
-func (s *Session) runLogged(req *RunRequest) (*RunResult, error) {
+func (s *session) runLogged(req *RunRequest) (*RunResult, error) {
 	if req.Seq > 0 && req.Seq == s.lastSeq && s.lastRes != nil {
 		cached := *s.lastRes
 		cached.Cached = true
@@ -310,9 +310,9 @@ func (s *Session) runLogged(req *RunRequest) (*RunResult, error) {
 // remove ids included — are dropped and counted by the engine, and the
 // cycle degrades through the serial-recovery path; res reports it rather
 // than desyncing.
-func (s *Session) applyDeltas(res *RunResult, in []DeltaJSON) error {
-	if s.Task != "program" {
-		return fmt.Errorf("serve: deltas only apply to program sessions (task %q drives its own workload)", s.Task)
+func (s *session) applyDeltas(res *RunResult, in []DeltaJSON) error {
+	if s.task != "program" {
+		return fmt.Errorf("serve: deltas only apply to program sessions (task %q drives its own workload)", s.task)
 	}
 	var ds []wme.Delta
 	var added []uint64
@@ -394,11 +394,11 @@ func SoloFingerprints(p cypress.Params, cycles int, chunking bool) ([]string, er
 }
 
 // stats snapshots the session for GET /sessions/{id}. Runs under the turn.
-func (s *Session) stats() *SessionInfo {
-	return &SessionInfo{
-		ID:        s.ID,
-		Task:      s.Task,
-		Created:   s.Created.UTC().Format(time.RFC3339),
+func (s *session) stats() *sessionInfo {
+	return &sessionInfo{
+		ID:        s.id,
+		Task:      s.task,
+		Created:   s.created.UTC().Format(time.RFC3339),
 		Cycles:    s.cycles,
 		Fired:     s.eng.Fired,
 		WM:        s.eng.WM.Len(),

@@ -37,10 +37,10 @@ type Config struct {
 	// QueueOp is the service time of one task-queue lock/push/pop, in the
 	// same microsecond units as task costs (default 25).
 	QueueOp int64
-	// FailedPopRetry is the idle-loop delay after a failed pop (default:
+	// failedPopRetry is the idle-loop delay after a failed pop (default:
 	// 2*QueueOp — the paper's idle processes find the empty queue by
 	// locking it, §6.1).
-	FailedPopRetry int64
+	failedPopRetry int64
 	// Queues overrides the queue count (0 = 1 for SingleQueue, Processes
 	// for MultiQueue). Intermediate counts model §6.2's observation that
 	// cycle tails want fewer queues than cycle bursts.
@@ -54,13 +54,13 @@ type Result struct {
 	Makespan   int64 // µs until the last task completes
 	TotalWork  int64 // sum of task costs (sequential execution time)
 	Tasks      int
-	QueueSpins int64 // µs spent waiting on queue locks
+	queueSpins int64 // µs spent waiting on queue locks
 	FailedPops int64
 	// Steals counts tasks popped from a queue other than the popping
 	// processor's own (multi-queue cycle-stealing).
 	Steals int64
 	// Busy[p] is processor p's busy time (task execution only).
-	Busy []int64
+	busy []int64
 	// Samples is (time, tasks-in-system) at task push/completion events.
 	Samples []Sample
 }
@@ -77,7 +77,7 @@ func (r *Result) SpinsPerTask(queueOp int64) float64 {
 	if r.Tasks == 0 || queueOp == 0 {
 		return 0
 	}
-	return float64(r.QueueSpins) / float64(queueOp) / float64(r.Tasks)
+	return float64(r.queueSpins) / float64(queueOp) / float64(r.Tasks)
 }
 
 // task is the simulator's internal task form.
@@ -103,8 +103,8 @@ func Simulate(trace []prun.TaskRec, cfg Config) *Result {
 	if cfg.QueueOp == 0 {
 		cfg.QueueOp = 25
 	}
-	if cfg.FailedPopRetry == 0 {
-		cfg.FailedPopRetry = 4 * cfg.QueueOp
+	if cfg.failedPopRetry == 0 {
+		cfg.failedPopRetry = 4 * cfg.QueueOp
 	}
 	nq := 1
 	if cfg.Policy == MultiQueue {
@@ -123,7 +123,7 @@ func Simulate(trace []prun.TaskRec, cfg Config) *Result {
 	// run; keep that order for determinism.
 	idOf := make(map[int64]int32, len(trace))
 	tasks := make([]task, len(trace))
-	res := &Result{Tasks: len(trace), Busy: make([]int64, cfg.Processes)}
+	res := &Result{Tasks: len(trace), busy: make([]int64, cfg.Processes)}
 	for i, r := range trace {
 		idOf[r.Seq] = int32(i)
 		tasks[i].cost = r.Cost
@@ -210,7 +210,7 @@ func Simulate(trace []prun.TaskRec, cfg Config) *Result {
 			for _, c := range pending[p] {
 				start := t
 				if lockFree[q] > start {
-					res.QueueSpins += lockFree[q] - start
+					res.queueSpins += lockFree[q] - start
 					start = lockFree[q]
 				}
 				t = start + cfg.QueueOp
@@ -238,7 +238,7 @@ func Simulate(trace []prun.TaskRec, cfg Config) *Result {
 			q := (p + k) % nq
 			start := t
 			if lockFree[q] > start {
-				res.QueueSpins += lockFree[q] - start
+				res.queueSpins += lockFree[q] - start
 				start = lockFree[q]
 			}
 			if id, ok := pop(q, start); ok {
@@ -258,11 +258,11 @@ func Simulate(trace []prun.TaskRec, cfg Config) *Result {
 		}
 		if got < 0 {
 			res.FailedPops++
-			procTime[p] = t + cfg.FailedPopRetry
+			procTime[p] = t + cfg.failedPopRetry
 			continue
 		}
 		done := t + tasks[got].cost
-		res.Busy[p] += tasks[got].cost
+		res.busy[p] += tasks[got].cost
 		pending[p] = tasks[got].children
 		executed++
 		if recordEvents {
@@ -305,18 +305,18 @@ func Speedup(trace []prun.TaskRec, p int, pol Policy, queueOp int64) float64 {
 // are synchronous (paper §3) — each cycle starts only after the previous
 // completes — so makespans add.
 func MultiCycle(traces [][]prun.TaskRec, cfg Config) *Result {
-	total := &Result{Busy: make([]int64, cfg.Processes)}
+	total := &Result{busy: make([]int64, cfg.Processes)}
 	for _, tr := range traces {
 		r := Simulate(tr, cfg)
 		total.Makespan += r.Makespan
 		total.TotalWork += r.TotalWork
 		total.Tasks += r.Tasks
-		total.QueueSpins += r.QueueSpins
+		total.queueSpins += r.queueSpins
 		total.FailedPops += r.FailedPops
 		total.Steals += r.Steals
-		for i := range r.Busy {
-			if i < len(total.Busy) {
-				total.Busy[i] += r.Busy[i]
+		for i := range r.busy {
+			if i < len(total.busy) {
+				total.busy[i] += r.busy[i]
 			}
 		}
 	}

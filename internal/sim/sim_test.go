@@ -114,7 +114,7 @@ func TestAllTasksExecuteExactlyOnce(t *testing.T) {
 			t.Fatalf("p=%d executed %d of %d", p, r.Tasks, len(tr))
 		}
 		var busy int64
-		for _, b := range r.Busy {
+		for _, b := range r.busy {
 			busy += b
 		}
 		if busy != r.TotalWork {
@@ -127,7 +127,7 @@ func TestDeterminism(t *testing.T) {
 	tr := wide(100, 333)
 	a := Simulate(tr, Config{Processes: 7, Policy: MultiQueue, QueueOp: 30})
 	b := Simulate(tr, Config{Processes: 7, Policy: MultiQueue, QueueOp: 30})
-	if a.Makespan != b.Makespan || a.QueueSpins != b.QueueSpins || a.FailedPops != b.FailedPops {
+	if a.Makespan != b.Makespan || a.queueSpins != b.queueSpins || a.FailedPops != b.FailedPops {
 		t.Fatalf("simulation not deterministic")
 	}
 }

@@ -22,12 +22,12 @@ import (
 	"soarpsme/internal/wme"
 )
 
-// FormatVersion is the image format version; Decode rejects images whose
+// formatVersion is the image format version; Decode rejects images whose
 // version it does not understand. Version 2 added the compiled-image fields
 // (BaseHash, Chunks, Schema, TopoSig) every snapshot now carries; an image
 // without them — version 1, or a version-2 "standalone" one — is still
 // readable and restores as a program with nothing in its own layer.
-const FormatVersion = 2
+const formatVersion = 2
 
 // envelope wraps any payload with a format version and a CRC32 (Castagnoli)
 // over the raw payload bytes, so torn or corrupted files fail loudly
@@ -47,7 +47,7 @@ func Seal(payload any) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(envelope{
-		Version: FormatVersion,
+		Version: formatVersion,
 		CRC:     crc32.Checksum(raw, crcTable),
 		Payload: raw,
 	})
@@ -60,8 +60,8 @@ func Open(data []byte, out any) error {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return fmt.Errorf("snapshot: bad envelope: %w", err)
 	}
-	if env.Version < 1 || env.Version > FormatVersion {
-		return fmt.Errorf("snapshot: format version %d, want 1..%d", env.Version, FormatVersion)
+	if env.Version < 1 || env.Version > formatVersion {
+		return fmt.Errorf("snapshot: format version %d, want 1..%d", env.Version, formatVersion)
 	}
 	if got := crc32.Checksum(env.Payload, crcTable); got != env.CRC {
 		return fmt.Errorf("snapshot: checksum mismatch: payload crc %08x, envelope says %08x", got, env.CRC)

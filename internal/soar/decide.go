@@ -67,19 +67,19 @@ const (
 type outcome struct {
 	kind       outcomeKind
 	winner     value.Sym
-	impasse    Impasse
+	impasse    impasse
 	candidates []value.Sym
 	accWMEs    map[value.Sym]*wme.WME // candidate -> acceptable pref wme
 }
 
 // decideSlot runs the preference semantics for one context slot.
-func (a *Agent) decideSlot(g *goalEntry, s Slot, prefs prefTable) outcome {
+func (a *Agent) decideSlot(g *goalEntry, s slot, prefs prefTable) outcome {
 	k := a.k
 	slotPrefs := prefs[g.id][a.slotSym(s)]
-	curState := g.slots[SlotState]
+	curState := g.slots[slotState]
 
 	refOK := func(p pref) bool {
-		if s == SlotProblemSpace {
+		if s == slotProblemSpace {
 			return true
 		}
 		// State and operator preferences apply to the current state.
@@ -175,7 +175,7 @@ func (a *Agent) decideSlot(g *goalEntry, s Slot, prefs prefTable) outcome {
 			w = rest
 		}
 		if conflictFound {
-			return outcome{kind: outImpasse, impasse: ImpasseConflict, candidates: w, accWMEs: acc}
+			return outcome{kind: outImpasse, impasse: impasseConflict, candidates: w, accWMEs: acc}
 		}
 	}
 
@@ -184,7 +184,7 @@ func (a *Agent) decideSlot(g *goalEntry, s Slot, prefs prefTable) outcome {
 		if g.slots[s] != value.NilSym {
 			return outcome{kind: outKeep}
 		}
-		return outcome{kind: outImpasse, impasse: ImpasseNoChange}
+		return outcome{kind: outImpasse, impasse: impasseNoChange}
 	case len(w) == 1:
 		if w[0] == g.slots[s] {
 			return outcome{kind: outKeep}
@@ -204,7 +204,7 @@ func (a *Agent) decideSlot(g *goalEntry, s Slot, prefs prefTable) outcome {
 			}
 			return outcome{kind: outDecide, winner: w[0]}
 		}
-		return outcome{kind: outImpasse, impasse: ImpasseTie, candidates: w, accWMEs: acc}
+		return outcome{kind: outImpasse, impasse: impasseTie, candidates: w, accWMEs: acc}
 	}
 }
 
@@ -217,7 +217,7 @@ func (a *Agent) decide() (bool, error) {
 nextGoal:
 	for gi := 0; gi < len(a.goals); gi++ {
 		g := a.goals[gi]
-		for s := SlotProblemSpace; s < numSlots; s++ {
+		for s := slotProblemSpace; s < numSlots; s++ {
 			out := a.decideSlot(g, s, prefs)
 			switch out.kind {
 			case outKeep:
@@ -226,7 +226,7 @@ nextGoal:
 				if a.tracing() {
 					a.tracef("decide: goal %s %v <- %s [%s]", a.fmtSym(g.id), s, a.fmtSym(out.winner), a.signature(out.winner))
 				}
-				if s == SlotOperator && gi == 0 {
+				if s == slotOperator && gi == 0 {
 					a.res.OperatorDecisions++
 				}
 				deltas := a.destroyBelow(g.depth)
@@ -234,7 +234,7 @@ nextGoal:
 				for s2 := s + 1; s2 < numSlots; s2++ {
 					deltas = append(deltas, a.installSlot(g, s2, value.NilSym)...)
 				}
-				g.subImpasse = ImpasseNone
+				g.subImpasse = impasseNone
 				deltas = append(deltas, a.gcDeltas()...)
 				a.Eng.ApplyAndMatch(deltas)
 				// The context wmes installSlot replaced are out of working
@@ -276,11 +276,11 @@ nextGoal:
 	// §3 — the selected operator's application needs a subgoal). Created
 	// on the lowest goal with an operator installed and no subgoal yet.
 	low := a.goals[len(a.goals)-1]
-	if low.slots[SlotOperator] != value.NilSym && low.subImpasse == ImpasseNone && low.depth < maxGoalDepth {
+	if low.slots[slotOperator] != value.NilSym && low.subImpasse == impasseNone && low.depth < maxGoalDepth {
 		if a.tracing() {
 			a.tracef("decide: goal %s operator no-change impasse", a.fmtSym(low.id))
 		}
-		deltas := a.createSubgoal(low, SlotOperator, outcome{impasse: ImpasseNoChange})
+		deltas := a.createSubgoal(low, slotOperator, outcome{impasse: impasseNoChange})
 		a.Eng.ApplyAndMatch(deltas)
 		return true, nil
 	}
@@ -290,7 +290,7 @@ nextGoal:
 // createSubgoal builds the architecture wmes of a new subgoal: the goal
 // wme and, for ties/conflicts, one impasse item per candidate whose
 // backtrace substitute is the candidate's acceptable preference.
-func (a *Agent) createSubgoal(g *goalEntry, s Slot, out outcome) []wme.Delta {
+func (a *Agent) createSubgoal(g *goalEntry, s slot, out outcome) []wme.Delta {
 	depth := g.depth + 1
 	sub := a.gensym("g", depth)
 	gw := a.archWME(a.k.clsGoal, depth,
@@ -333,7 +333,7 @@ func (a *Agent) destroyBelow(depth int) []wme.Delta {
 	for len(a.goals) > 0 && a.goals[len(a.goals)-1].depth > depth {
 		a.goals = a.goals[:len(a.goals)-1]
 	}
-	a.goals[len(a.goals)-1].subImpasse = ImpasseNone
+	a.goals[len(a.goals)-1].subImpasse = impasseNone
 	return deltas
 }
 
@@ -376,7 +376,7 @@ func (a *Agent) gcDeltas() []wme.Delta {
 	// the owning goal's current state.
 	curState := map[value.Sym]value.Sym{}
 	for _, g := range a.goals {
-		curState[g.id] = g.slots[SlotState]
+		curState[g.id] = g.slots[slotState]
 	}
 	for _, w := range a.prefs {
 		if !a.inWM(w) {
@@ -408,7 +408,7 @@ func (a *Agent) gcDeltas() []wme.Delta {
 	}
 	for _, g := range a.goals {
 		mark(g.id)
-		for s := SlotProblemSpace; s < numSlots; s++ {
+		for s := slotProblemSpace; s < numSlots; s++ {
 			mark(g.slots[s])
 		}
 	}

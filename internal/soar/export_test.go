@@ -4,7 +4,20 @@ import (
 	"fmt"
 	"slices"
 
+	"soarpsme/internal/chunk"
 	"soarpsme/internal/wme"
+)
+
+// The decision procedure's slot and impasse names, for the external tests.
+const (
+	SlotProblemSpace = slotProblemSpace
+	SlotState        = slotState
+	SlotOperator     = slotOperator
+
+	ImpasseNone     = impasseNone
+	ImpasseTie      = impasseTie
+	ImpasseConflict = impasseConflict
+	ImpasseNoChange = impasseNoChange
 )
 
 // CheckBookkeeping cross-checks the agent's own indexes against working
@@ -50,3 +63,6 @@ func (a *Agent) CheckBookkeeping() (byID, anchors int, err error) {
 	}
 	return byID, len(a.anchor), nil
 }
+
+// Builder exposes the chunk builder (for statistics).
+func (a *Agent) Builder() *chunk.Builder { return a.builder }

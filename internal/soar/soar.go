@@ -34,47 +34,47 @@ import (
 	"soarpsme/internal/wme"
 )
 
-// Slot names the three context roles, in decision priority order.
-type Slot uint8
+// slot names the three context roles, in decision priority order.
+type slot uint8
 
 // The context slots.
 const (
-	SlotProblemSpace Slot = iota
-	SlotState
-	SlotOperator
+	slotProblemSpace slot = iota
+	slotState
+	slotOperator
 	numSlots
 )
 
-func (s Slot) String() string {
+func (s slot) String() string {
 	switch s {
-	case SlotProblemSpace:
+	case slotProblemSpace:
 		return "problem-space"
-	case SlotState:
+	case slotState:
 		return "state"
-	case SlotOperator:
+	case slotOperator:
 		return "operator"
 	}
 	return "?"
 }
 
-// Impasse is the reason a subgoal was created.
-type Impasse uint8
+// impasse is the reason a subgoal was created.
+type impasse uint8
 
 // The impasse types of §3.
 const (
-	ImpasseNone Impasse = iota
-	ImpasseTie
-	ImpasseConflict
-	ImpasseNoChange
+	impasseNone impasse = iota
+	impasseTie
+	impasseConflict
+	impasseNoChange
 )
 
-func (i Impasse) String() string {
+func (i impasse) String() string {
 	switch i {
-	case ImpasseTie:
+	case impasseTie:
 		return "tie"
-	case ImpasseConflict:
+	case impasseConflict:
 		return "conflict"
-	case ImpasseNoChange:
+	case impasseNoChange:
 		return "no-change"
 	}
 	return "none"
@@ -121,8 +121,8 @@ type goalEntry struct {
 	slots   [numSlots]value.Sym
 	ctxWMEs [numSlots]*wme.WME
 	// impasse info for the subgoal below this goal (if any).
-	subImpasse Impasse
-	subSlot    Slot
+	subImpasse impasse
+	subSlot    slot
 }
 
 // Result reports a finished run.
@@ -239,21 +239,21 @@ func (a *Agent) loadTask() error {
 	return a.Eng.LoadProgram(a.task.Source)
 }
 
-func (a *Agent) slotSym(s Slot) value.Sym {
+func (a *Agent) slotSym(s slot) value.Sym {
 	switch s {
-	case SlotProblemSpace:
+	case slotProblemSpace:
 		return a.k.sProblemSpace
-	case SlotState:
+	case slotState:
 		return a.k.sState
 	}
 	return a.k.sOperator
 }
 
-func (a *Agent) impasseSym(i Impasse) value.Sym {
+func (a *Agent) impasseSym(i impasse) value.Sym {
 	switch i {
-	case ImpasseTie:
+	case impasseTie:
 		return a.k.sTie
-	case ImpasseConflict:
+	case impasseConflict:
 		return a.k.sConflict
 	}
 	return a.k.sNoChange
@@ -450,8 +450,8 @@ func (a *Agent) initTop() error {
 	if _, ok := a.idLevel[st]; !ok {
 		a.idLevel[st] = 1
 	}
-	deltas = append(deltas, a.installSlot(ge, SlotProblemSpace, ps)...)
-	deltas = append(deltas, a.installSlot(ge, SlotState, st)...)
+	deltas = append(deltas, a.installSlot(ge, slotProblemSpace, ps)...)
+	deltas = append(deltas, a.installSlot(ge, slotState, st)...)
 	a.Eng.ApplyAndMatch(deltas)
 	a.tracef("top goal %s: ps=%s state=%s", a.fmtSym(g), a.task.ProblemSpace, a.task.InitialState)
 	return nil
@@ -459,7 +459,7 @@ func (a *Agent) initTop() error {
 
 // installSlot builds the context-wme deltas for setting a slot value
 // (removing any previous context wme).
-func (a *Agent) installSlot(g *goalEntry, s Slot, v value.Sym) []wme.Delta {
+func (a *Agent) installSlot(g *goalEntry, s slot, v value.Sym) []wme.Delta {
 	var deltas []wme.Delta
 	if g.ctxWMEs[s] != nil {
 		deltas = append(deltas, wme.Delta{Op: wme.Remove, WME: g.ctxWMEs[s]})
@@ -545,6 +545,3 @@ func (a *Agent) AdoptChunks(from *Agent) (int, error) {
 	}
 	return n, nil
 }
-
-// Builder exposes the chunk builder (for statistics).
-func (a *Agent) Builder() *chunk.Builder { return a.builder }

@@ -43,7 +43,7 @@ func TestEightPuzzleTrivial(t *testing.T) {
 	if res.Decisions == 0 {
 		t.Fatalf("no decisions")
 	}
-	if err := a.Eng.CheckInvariants(); err != nil {
+	if err := a.Eng.AuditInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,7 +84,7 @@ func TestEightPuzzleChunkingBuildsChunks(t *testing.T) {
 	if found != res.ChunksBuilt {
 		t.Fatalf("network has %d chunks, result says %d", found, res.ChunksBuilt)
 	}
-	if err := a.Eng.CheckInvariants(); err != nil {
+	if err := a.Eng.AuditInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Histogram counts values into fixed-width bins.
 type Histogram struct {
-	BinWidth int
+	binWidth int
 	counts   map[int]int
 	n        int
 	max      int
@@ -22,7 +22,7 @@ func NewHistogram(binWidth int) *Histogram {
 	if binWidth < 1 {
 		binWidth = 1
 	}
-	return &Histogram{BinWidth: binWidth, counts: map[int]int{}}
+	return &Histogram{binWidth: binWidth, counts: map[int]int{}}
 }
 
 // Add records one value.
@@ -30,20 +30,17 @@ func (h *Histogram) Add(v int) {
 	if h.n == 0 || v > h.max {
 		h.max = v
 	}
-	h.counts[v/h.BinWidth]++
+	h.counts[v/h.binWidth]++
 	h.n++
 }
 
 // N returns the number of recorded values.
 func (h *Histogram) N() int { return h.n }
 
-// Max returns the largest recorded value (0 when empty).
-func (h *Histogram) Max() int { return h.max }
-
 // Bin is one histogram bin: [Lo, Lo+width) with its percentage share.
 type Bin struct {
 	Lo      int
-	Count   int
+	count   int
 	Percent float64
 }
 
@@ -57,15 +54,15 @@ func (h *Histogram) Bins() []Bin {
 	out := make([]Bin, 0, len(keys))
 	for _, k := range keys {
 		c := h.counts[k]
-		out = append(out, Bin{Lo: k * h.BinWidth, Count: c, Percent: 100 * float64(c) / float64(h.n)})
+		out = append(out, Bin{Lo: k * h.binWidth, count: c, Percent: 100 * float64(c) / float64(h.n)})
 	}
 	return out
 }
 
-// Percentile approximates the p'th percentile (0 < p <= 100) of the
+// percentile approximates the p'th percentile (0 < p <= 100) of the
 // recorded values: the bin containing the p-quantile observation is found
 // by cumulative count, then linearly interpolated. Returns 0 when empty.
-func (h *Histogram) Percentile(p float64) float64 {
+func (h *Histogram) percentile(p float64) float64 {
 	if h.n == 0 {
 		return 0
 	}
@@ -77,10 +74,10 @@ func (h *Histogram) Percentile(p float64) float64 {
 	bins := h.Bins()
 	var v float64
 	for i, b := range bins {
-		cnt := float64(b.Count)
+		cnt := float64(b.count)
 		// The last bin always resolves: cumulative float rounding can make
 		// target overshoot n slightly (p=100), and falling through here used
-		// to return last.Lo+BinWidth unconditionally.
+		// to return last.Lo+binWidth unconditionally.
 		if i == len(bins)-1 || cum+cnt >= target {
 			frac := (target - cum) / cnt
 			if frac < 0 {
@@ -88,12 +85,12 @@ func (h *Histogram) Percentile(p float64) float64 {
 			} else if frac > 1 {
 				frac = 1
 			}
-			v = float64(b.Lo) + frac*float64(h.BinWidth)
+			v = float64(b.Lo) + frac*float64(h.binWidth)
 			break
 		}
 		cum += cnt
 	}
-	// Interpolation estimates within [Lo, Lo+BinWidth), but the true maximum
+	// Interpolation estimates within [Lo, Lo+binWidth), but the true maximum
 	// observation is known exactly: no percentile may exceed it.
 	if m := float64(h.max); v > m {
 		v = m
@@ -103,7 +100,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 
 // Percentiles returns the (p50, p90, p99) percentiles.
 func (h *Histogram) Percentiles() (p50, p90, p99 float64) {
-	return h.Percentile(50), h.Percentile(90), h.Percentile(99)
+	return h.percentile(50), h.percentile(90), h.percentile(99)
 }
 
 // PercentAtOrAbove returns the share of values >= v.
@@ -113,46 +110,38 @@ func (h *Histogram) PercentAtOrAbove(v int) float64 {
 	}
 	c := 0
 	for bin, cnt := range h.counts {
-		if bin*h.BinWidth >= v {
+		if bin*h.binWidth >= v {
 			c += cnt
 		}
 	}
 	return 100 * float64(c) / float64(h.n)
 }
 
-// PercentBelow returns the share of values < v.
-func (h *Histogram) PercentBelow(v int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return 100 - h.PercentAtOrAbove(v)
-}
-
 // Summary accumulates count/sum/min/max.
 type Summary struct {
-	N        int
-	Sum      float64
-	Min, Max float64
+	n        int
+	sum      float64
+	min, max float64
 }
 
 // Add records a value.
 func (s *Summary) Add(v float64) {
-	if s.N == 0 || v < s.Min {
-		s.Min = v
+	if s.n == 0 || v < s.min {
+		s.min = v
 	}
-	if s.N == 0 || v > s.Max {
-		s.Max = v
+	if s.n == 0 || v > s.max {
+		s.max = v
 	}
-	s.N++
-	s.Sum += v
+	s.n++
+	s.sum += v
 }
 
 // Mean returns the average (0 when empty).
 func (s *Summary) Mean() float64 {
-	if s.N == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return s.Sum / float64(s.N)
+	return s.sum / float64(s.n)
 }
 
 // Table renders rows of labelled columns as aligned plain text.

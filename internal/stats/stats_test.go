@@ -18,7 +18,7 @@ func TestHistogramBasics(t *testing.T) {
 	if len(bins) != 5 {
 		t.Fatalf("bins = %v", bins)
 	}
-	if bins[0].Lo != 0 || bins[0].Count != 2 {
+	if bins[0].Lo != 0 || bins[0].count != 2 {
 		t.Fatalf("bin0 = %+v", bins[0])
 	}
 	if got := h.PercentAtOrAbove(1000); got < 33.2 || got > 33.4 {
@@ -64,7 +64,7 @@ func TestSummary(t *testing.T) {
 	for _, v := range []float64{1, 2, 6} {
 		s.Add(v)
 	}
-	if s.N != 3 || s.Min != 1 || s.Max != 6 || s.Mean() != 3 {
+	if s.n != 3 || s.min != 1 || s.max != 6 || s.Mean() != 3 {
 		t.Fatalf("summary wrong: %+v mean %f", s, s.Mean())
 	}
 }
@@ -151,7 +151,7 @@ func TestPercentile(t *testing.T) {
 		{100, 90, 110},
 	}
 	for _, c := range cases {
-		got := h.Percentile(c.p)
+		got := h.percentile(c.p)
 		if got < c.lo || got > c.hi {
 			t.Fatalf("Percentile(%g) = %g, want in [%g, %g]", c.p, got, c.lo, c.hi)
 		}
@@ -168,7 +168,7 @@ func TestPercentileSingleBin(t *testing.T) {
 		h.Add(5)
 	}
 	for _, p := range []float64{1, 50, 99} {
-		got := h.Percentile(p)
+		got := h.percentile(p)
 		if got < 0 || got > 10 {
 			t.Fatalf("Percentile(%g) = %g, want within the only bin [0,10]", p, got)
 		}
@@ -177,7 +177,7 @@ func TestPercentileSingleBin(t *testing.T) {
 
 func TestPercentileEmpty(t *testing.T) {
 	h := NewHistogram(10)
-	if h.Percentile(50) != 0 {
+	if h.percentile(50) != 0 {
 		t.Fatalf("empty percentile nonzero")
 	}
 	p50, p90, p99 := h.Percentiles()
@@ -224,7 +224,7 @@ func TestPercentileClampedToMax(t *testing.T) {
 				t.Fatalf("Max = %d, want %d", h.Max(), max)
 			}
 			for _, p := range []float64{1, 50, 90, 99, 99.9, 100} {
-				got := h.Percentile(p)
+				got := h.percentile(p)
 				if got > float64(max) {
 					t.Fatalf("Percentile(%g) = %g exceeds max observation %d", p, got, max)
 				}
@@ -232,7 +232,7 @@ func TestPercentileClampedToMax(t *testing.T) {
 					t.Fatalf("Percentile(%g) = %g negative", p, got)
 				}
 			}
-			if got := h.Percentile(100); got != float64(max) {
+			if got := h.percentile(100); got != float64(max) {
 				t.Fatalf("Percentile(100) = %g, want max %d", got, max)
 			}
 		})
@@ -253,7 +253,7 @@ func TestPercentileMonotone(t *testing.T) {
 		}
 		prev := 0.0
 		for p := 5.0; p <= 100; p += 5 {
-			cur := h.Percentile(p)
+			cur := h.percentile(p)
 			if cur < prev {
 				return false
 			}
@@ -264,4 +264,15 @@ func TestPercentileMonotone(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Max returns the largest recorded value (0 when empty).
+func (h *Histogram) Max() int { return h.max }
+
+// PercentBelow returns the share of values < v.
+func (h *Histogram) PercentBelow(v int) float64 {
+	if h.n == 0 {
+		return 0
+	}
+	return 100 - h.PercentAtOrAbove(v)
 }

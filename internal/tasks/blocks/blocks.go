@@ -14,22 +14,22 @@ import (
 	"soarpsme/internal/soar"
 )
 
-// Stack describes a world as bottom-to-top block lists per pile; block
+// stack describes a world as bottom-to-top block lists per pile; block
 // names are single lowercase words.
-type Stack [][]string
+type stack [][]string
 
-// DefaultStart is c-on-b-on-a; the goal is the reversed tower a-on-b-on-c.
-var DefaultStart = Stack{{"block-a", "block-b", "block-c"}}
+// defaultStart is c-on-b-on-a; the goal is the reversed tower a-on-b-on-c.
+var defaultStart = stack{{"block-a", "block-b", "block-c"}}
 
-// DefaultGoal places block-a on block-b on block-c on the table.
-var DefaultGoal = [][2]string{
+// defaultGoal places block-a on block-b on block-c on the table.
+var defaultGoal = [][2]string{
 	{"block-c", "table"},
 	{"block-b", "block-c"},
 	{"block-a", "block-b"},
 }
 
-// Task builds the Soar task for a start configuration and goal relation.
-func Task(start Stack, goal [][2]string) *soar.Task {
+// task builds the Soar task for a start configuration and goal relation.
+func task(start stack, goal [][2]string) *soar.Task {
 	var sb strings.Builder
 	sb.WriteString(`
 ; Blocks-world with operator-application subgoals.
@@ -196,4 +196,4 @@ func Task(start Stack, goal [][2]string) *soar.Task {
 }
 
 // Default returns the three-block tower-reversal instance.
-func Default() *soar.Task { return Task(DefaultStart, DefaultGoal) }
+func Default() *soar.Task { return task(defaultStart, defaultGoal) }

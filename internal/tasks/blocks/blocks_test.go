@@ -1,4 +1,4 @@
-package blocks_test
+package blocks
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 
 	"soarpsme/internal/engine"
 	"soarpsme/internal/soar"
-	"soarpsme/internal/tasks/blocks"
 )
 
 func run(t *testing.T, chunking bool, seed *soar.Agent, trace *bytes.Buffer) (*soar.Agent, *soar.Result) {
@@ -16,7 +15,7 @@ func run(t *testing.T, chunking bool, seed *soar.Agent, trace *bytes.Buffer) (*s
 	if trace != nil {
 		cfg.Trace = trace
 	}
-	a, err := soar.New(cfg, blocks.Default())
+	a, err := soar.New(cfg, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +103,10 @@ func TestApplicationChunkShape(t *testing.T) {
 
 func TestCustomInstance(t *testing.T) {
 	// Two piles: a on table, b on a; goal: b on table, a on b.
-	start := blocks.Stack{{"block-a", "block-b"}}
+	start := stack{{"block-a", "block-b"}}
 	goal := [][2]string{{"block-b", "table"}, {"block-a", "block-b"}}
 	cfg := soar.Config{Engine: engine.DefaultConfig(), MaxDecisions: 200}
-	a, err := soar.New(cfg, blocks.Task(start, goal))
+	a, err := soar.New(cfg, task(start, goal))
 	if err != nil {
 		t.Fatal(err)
 	}

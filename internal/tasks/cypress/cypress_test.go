@@ -88,7 +88,7 @@ func TestDriverProducesMatchesAndDeletes(t *testing.T) {
 	if e.CS.Len() < 0 {
 		t.Fatalf("impossible")
 	}
-	if err := e.CheckInvariants(); err != nil {
+	if err := e.AuditInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,7 +114,7 @@ func TestRunTimeChunkAddition(t *testing.T) {
 			t.Fatalf("chunk %d shared nothing (chunks extend task productions)", i)
 		}
 	}
-	if err := e.CheckInvariants(); err != nil {
+	if err := e.AuditInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -75,9 +75,6 @@ func Scramble(k int, seed uint64) Board {
 	return b
 }
 
-// Solved reports whether b equals the goal configuration.
-func Solved(b Board) bool { return b == Goal }
-
 // Task builds the Soar task for an initial board.
 func Task(start Board) *soar.Task {
 	var sb strings.Builder

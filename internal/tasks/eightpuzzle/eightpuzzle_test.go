@@ -1,4 +1,4 @@
-package eightpuzzle_test
+package eightpuzzle
 
 import (
 	"strings"
@@ -6,13 +6,12 @@ import (
 
 	"soarpsme/internal/engine"
 	"soarpsme/internal/soar"
-	"soarpsme/internal/tasks/eightpuzzle"
 )
 
-func solve(t *testing.T, b eightpuzzle.Board, chunking bool, seed *soar.Agent) (*soar.Agent, *soar.Result) {
+func solve(t *testing.T, b Board, chunking bool, seed *soar.Agent) (*soar.Agent, *soar.Result) {
 	t.Helper()
 	cfg := soar.Config{Engine: engine.DefaultConfig(), Chunking: chunking, MaxDecisions: 300}
-	a, err := soar.New(cfg, eightpuzzle.Task(b))
+	a, err := soar.New(cfg, Task(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,15 +28,15 @@ func solve(t *testing.T, b eightpuzzle.Board, chunking bool, seed *soar.Agent) (
 }
 
 func TestScrambleDeterministicAndSolvable(t *testing.T) {
-	a := eightpuzzle.Scramble(16, 8)
-	b := eightpuzzle.Scramble(16, 8)
+	a := Scramble(16, 8)
+	b := Scramble(16, 8)
 	if a != b {
 		t.Fatalf("Scramble not deterministic")
 	}
-	if eightpuzzle.Solved(a) {
+	if Solved(a) {
 		t.Fatalf("scramble equals goal")
 	}
-	if !eightpuzzle.Solved(eightpuzzle.Goal) {
+	if !Solved(Goal) {
 		t.Fatalf("goal not solved")
 	}
 	// Scrambles must preserve the tile multiset.
@@ -58,7 +57,7 @@ func TestInstancesSolveInAllModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	for i, b := range eightpuzzle.Instances() {
+	for i, b := range Instances() {
 		_, nc := solve(t, b, false, nil)
 		if !nc.Halted {
 			t.Fatalf("instance %d: no-chunking run did not solve", i)
@@ -84,7 +83,7 @@ func TestInstancesSolveInAllModes(t *testing.T) {
 func TestChunksAreConfigSpecific(t *testing.T) {
 	// Chunk LHS must pin the board cells (constants), with the state and
 	// operator variablized.
-	a, res := solve(t, eightpuzzle.Scramble(12, 18), true, nil)
+	a, res := solve(t, Scramble(12, 18), true, nil)
 	if !res.Halted || res.ChunksBuilt == 0 {
 		t.Fatalf("run failed: %+v", res)
 	}
@@ -112,7 +111,7 @@ func TestExpensiveChunksIncreaseMatchWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	b := eightpuzzle.Scramble(20, 3)
+	b := Scramble(20, 3)
 	_, nc := solve(t, b, false, nil)
 	during, _ := solve(t, b, true, nil)
 	after, ares := solve(t, b, true, during)
@@ -129,7 +128,7 @@ func TestExpensiveChunksIncreaseMatchWork(t *testing.T) {
 }
 
 func TestTaskSourceParses(t *testing.T) {
-	task := eightpuzzle.Default()
+	task := Default()
 	if task.ProblemSpace != "eight-puzzle" || task.InitialState != "s0" {
 		t.Fatalf("task metadata wrong")
 	}
@@ -140,3 +139,6 @@ func TestTaskSourceParses(t *testing.T) {
 		t.Fatalf("missing startup wmes")
 	}
 }
+
+// Solved reports whether b equals the goal configuration.
+func Solved(b Board) bool { return b == Goal }

@@ -165,8 +165,5 @@ func Task(n int) *soar.Task {
 	}
 }
 
-// MinMoves returns the optimal move count for n disks.
-func MinMoves(n int) int { return 1<<uint(n) - 1 }
-
 // Default returns the experiment instance (five disks, 31 moves).
 func Default() *soar.Task { return Task(5) }

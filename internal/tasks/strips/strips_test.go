@@ -1,4 +1,4 @@
-package strips_test
+package strips
 
 import (
 	"strings"
@@ -6,14 +6,13 @@ import (
 
 	"soarpsme/internal/engine"
 	"soarpsme/internal/soar"
-	"soarpsme/internal/tasks/strips"
 	"soarpsme/internal/value"
 )
 
 func run(t *testing.T, chunking bool, seed *soar.Agent) (*soar.Agent, *soar.Result) {
 	t.Helper()
 	cfg := soar.Config{Engine: engine.DefaultConfig(), Chunking: chunking, MaxDecisions: 300}
-	a, err := soar.New(cfg, strips.Default())
+	a, err := soar.New(cfg, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,22 +54,22 @@ func TestBoxesDelivered(t *testing.T) {
 	// Every box sits in its goal room in the final state.
 	tab := a.Eng.Tab
 	atCls, _ := tab.Lookup("at")
-	layout := strips.DefaultLayout()
+	layout := defaultLayout()
 	// Find the final state: the value of the top goal's state slot is not
 	// exported, so check that for each box a live "at" wme places it in
 	// its goal room.
-	for _, box := range layout.Boxes {
+	for _, box := range layout.boxes {
 		found := false
 		for _, w := range a.Eng.WM.All() {
 			if w.Class != atCls {
 				continue
 			}
-			if tab.Name(w.Field(1).Sym) == box.Name && tab.Name(w.Field(2).Sym) == box.Goal {
+			if tab.Name(w.Field(1).Sym) == box.name && tab.Name(w.Field(2).Sym) == box.goal {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("box %s not delivered to %s", box.Name, box.Goal)
+			t.Fatalf("box %s not delivered to %s", box.name, box.goal)
 		}
 	}
 }
@@ -97,7 +96,7 @@ func TestMonitorProductionFires(t *testing.T) {
 
 func TestUsesConjunctiveNegation(t *testing.T) {
 	// The nearest-box evaluation uses a Soar conjunctive negation.
-	task := strips.Default()
+	task := Default()
 	if !strings.Contains(task.Source, "-{") {
 		t.Fatalf("task does not exercise conjunctive negation")
 	}
@@ -107,11 +106,11 @@ func TestUsesConjunctiveNegation(t *testing.T) {
 }
 
 func TestLayoutHelpers(t *testing.T) {
-	if strips.Room(2, 3) != "r23" {
+	if room(2, 3) != "r23" {
 		t.Fatalf("Room naming wrong")
 	}
-	l := strips.DefaultLayout()
-	if l.Rows != 3 || l.Cols != 3 || len(l.Boxes) != 3 {
+	l := defaultLayout()
+	if l.rows != 3 || l.cols != 3 || len(l.boxes) != 3 {
 		t.Fatalf("layout wrong: %+v", l)
 	}
 	var _ value.Sym // keep import shape stable

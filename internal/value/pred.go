@@ -52,7 +52,7 @@ func (p Pred) Apply(a, b Value) bool {
 	case PredSameType:
 		return a.Numeric() == b.Numeric() && a.Kind != KindNil && b.Kind != KindNil
 	}
-	cmp, ok := a.Compare(b)
+	cmp, ok := a.compare(b)
 	if !ok {
 		return false
 	}

@@ -129,10 +129,10 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Compare returns -1, 0, +1 for numeric ordering. ok is false when either
+// compare returns -1, 0, +1 for numeric ordering. ok is false when either
 // operand is not numeric (OPS5 relational predicates fail on non-numbers;
 // symbols are compared for identity only).
-func (v Value) Compare(o Value) (cmp int, ok bool) {
+func (v Value) compare(o Value) (cmp int, ok bool) {
 	if !v.Numeric() || !o.Numeric() {
 		return 0, false
 	}
@@ -224,13 +224,6 @@ func (t *Table) Name(s Sym) string {
 		return t.names[s]
 	}
 	return ""
-}
-
-// Len returns the number of interned symbols.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.names) - 1
 }
 
 // SymV interns name and returns it wrapped as a Value.

@@ -123,7 +123,7 @@ func TestCompare(t *testing.T) {
 		{IntVal(2), Nil, 0, false},
 	}
 	for i, c := range cases {
-		cmp, ok := c.a.Compare(c.b)
+		cmp, ok := c.a.compare(c.b)
 		if cmp != c.cmp || ok != c.ok {
 			t.Errorf("case %d: Compare = %d,%v want %d,%v", i, cmp, ok, c.cmp, c.ok)
 		}
@@ -224,7 +224,7 @@ func TestHashProperty(t *testing.T) {
 // Property: Compare agrees with float ordering for ints.
 func TestComparePropertyInts(t *testing.T) {
 	f := func(a, b int32) bool {
-		cmp, ok := IntVal(int64(a)).Compare(IntVal(int64(b)))
+		cmp, ok := IntVal(int64(a)).compare(IntVal(int64(b)))
 		if !ok {
 			return false
 		}
@@ -300,4 +300,11 @@ func TestFloatNormalization(t *testing.T) {
 func math_Copysign0() float64 {
 	z := 0.0
 	return -z
+}
+
+// Len returns the number of interned symbols.
+func (t *Table) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.names) - 1
 }

@@ -21,7 +21,7 @@ import (
 
 // Schema fixes the attribute layout of one wme class.
 type Schema struct {
-	Class value.Sym
+	class value.Sym
 	attrs []value.Sym
 	index map[value.Sym]int
 }
@@ -29,10 +29,10 @@ type Schema struct {
 // Attrs returns the ordered attribute list.
 func (s *Schema) Attrs() []value.Sym { return s.attrs }
 
-// Index returns the field index for attr, adding the attribute to the
+// attrIndex returns the field index for attr, adding the attribute to the
 // schema when extend is true and it is not yet present. Added attributes
 // keep existing indices stable, so compiled networks remain valid.
-func (s *Schema) Index(attr value.Sym, extend bool) (int, bool) {
+func (s *Schema) attrIndex(attr value.Sym, extend bool) (int, bool) {
 	if i, ok := s.index[attr]; ok {
 		return i, true
 	}
@@ -67,11 +67,11 @@ func (r *Registry) Declare(class value.Sym, attrs ...value.Sym) *Schema {
 	defer r.mu.Unlock()
 	s := r.classes[class]
 	if s == nil {
-		s = &Schema{Class: class, index: make(map[value.Sym]int)}
+		s = &Schema{class: class, index: make(map[value.Sym]int)}
 		r.classes[class] = s
 	}
 	for _, a := range attrs {
-		s.Index(a, true)
+		s.attrIndex(a, true)
 	}
 	return s
 }
@@ -97,7 +97,7 @@ func (r *Registry) FieldIndex(class, attr value.Sym, extend bool) (int, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return s.Index(attr, extend)
+	return s.attrIndex(attr, extend)
 }
 
 // Classes returns all declared class symbols in ascending Sym order.

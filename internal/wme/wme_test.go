@@ -19,18 +19,18 @@ func TestDeclareAndIndex(t *testing.T) {
 	if s.Width() != 2 {
 		t.Fatalf("Width = %d, want 2", s.Width())
 	}
-	i, ok := s.Index(name, false)
+	i, ok := s.attrIndex(name, false)
 	if !ok || i != 0 {
 		t.Fatalf("Index(name) = %d,%v", i, ok)
 	}
-	i, ok = s.Index(color, false)
+	i, ok = s.attrIndex(color, false)
 	if !ok || i != 1 {
 		t.Fatalf("Index(color) = %d,%v", i, ok)
 	}
-	if _, ok := s.Index(tab.Intern("zzz"), false); ok {
+	if _, ok := s.attrIndex(tab.Intern("zzz"), false); ok {
 		t.Fatalf("Index found undeclared attr without extend")
 	}
-	i, ok = s.Index(tab.Intern("zzz"), true)
+	i, ok = s.attrIndex(tab.Intern("zzz"), true)
 	if !ok || i != 2 {
 		t.Fatalf("extend Index = %d,%v", i, ok)
 	}
