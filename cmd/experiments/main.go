@@ -73,7 +73,7 @@ var runners = []runner{
 func main() {
 	which := flag.String("exp", "all", "experiment id (t51..f612, extras) or all")
 	plot := flag.Bool("plot", false, "render figures as ASCII charts too")
-	unlink := flag.Bool("unlink", true, "left/right unlinking in the capture engines (pass -unlink=false to reproduce the paper's full task volume: its engine scheduled every null activation)")
+	unlink := flag.Bool("unlink", true, "left/right unlinking in the capture engines of every experiment that does not set it itself (pass -unlink=false to reproduce the paper's full task volume: its engine scheduled every null activation)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the captured runs")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
 	listen := flag.String("listen", "", "serve /metrics and /debug/pprof while experiments run (e.g. :6060)")

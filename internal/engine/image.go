@@ -29,8 +29,6 @@ type ProgramImage struct {
 	// Source is the exact source the image was compiled from.
 	Source string
 
-	tab      *value.Table
-	reg      *wme.Registry
 	Top      *rete.Topology
 	Strategy conflict.Strategy
 	// startup holds the program's startup actions; they run per-session
@@ -88,8 +86,6 @@ func CompileProgram(src string, opts rete.Options) (*ProgramImage, error) {
 	return &ProgramImage{
 		Hash:     programHash(src, opts),
 		Source:   src,
-		tab:      nw.Tab,
-		reg:      nw.Reg,
 		Top:      nw.Freeze(),
 		Strategy: conflict.ParseStrategy(prog.Strategy),
 		startup:  prog.Startup,

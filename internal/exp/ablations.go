@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"soarpsme/internal/matchprof"
 	"soarpsme/internal/prun"
@@ -11,27 +10,25 @@ import (
 	"soarpsme/internal/sim"
 	"soarpsme/internal/stats"
 	"soarpsme/internal/tasks/eightpuzzle"
-	"soarpsme/internal/tasks/strips"
 )
 
 // AblationMemories quantifies §6.1's hashing claim: hashed token memories
 // vs linear lists ("Hashing the contents of the associated memory nodes,
 // instead of storing them in linear lists, reduces the number of
-// comparisons performed during a node-activation").
+// comparisons performed during a node-activation"), on the paper's engine
+// (unlinking off) whatever the lab's setting.
 func AblationMemories(l *Lab) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:   "Ablation (§6.1): hashed token memories vs linear lists (Strips, without chunking)",
 		Headers: []string{"Memories", "Join comparisons", "Uniproc time (s)", "Tasks"},
 	}
 	for _, linear := range []bool{false, true} {
-		lab := NewLab()
-		lab.opts.LinearMemories = linear
-		c, err := lab.soarTask("strips-mem", strips.Default(), noChunk)
+		c, err := l.strips(noChunk, paperEngine, func(o *rete.Options) { o.LinearMemories = linear })
 		if err != nil {
 			return nil, err
 		}
 		comparisons := c.eng.NW.Stats.Comparisons.Load()
-		one := sim.MultiCycle(c.traces, sim.Config{Processes: 1, QueueOp: queueOp})
+		one := uniproc(c.traces)
 		name := "hashed (per-line locks)"
 		if linear {
 			name = "linear lists (no hashing)"
@@ -57,9 +54,7 @@ func AblationUnlink(l *Lab) (*stats.Table, error) {
 		Headers: []string{"Task", "Unlink", "Tasks", "Suppressed", "Const tests", "Uniproc time (s)"},
 	}
 	for _, on := range []bool{false, true} {
-		lab := NewLab()
-		lab.SetUnlink(on)
-		caps, err := lab.workloads(noChunk)
+		caps, err := l.workloads(noChunk, func(o *rete.Options) { o.Unlink = on })
 		if err != nil {
 			return nil, err
 		}
@@ -68,10 +63,10 @@ func AblationUnlink(l *Lab) (*stats.Table, error) {
 			name = "on"
 		}
 		for i, c := range caps {
-			one := sim.MultiCycle(c.traces, sim.Config{Processes: 1, QueueOp: queueOp})
+			one := uniproc(c.traces)
 			t.AddRow(taskNames[i], name,
 				fmt.Sprintf("%d", c.tasks),
-				fmt.Sprintf("%d", c.nullSuppressed),
+				fmt.Sprintf("%d", c.eng.NW.Stats.NullSuppressed.Load()),
 				fmt.Sprintf("%d", c.eng.NW.Stats.ConstTests.Load()),
 				fmt.Sprintf("%.1f", float64(one.Makespan)/1e6))
 		}
@@ -95,10 +90,10 @@ func AblationBilinear(l *Lab) (*stats.Table, error) {
 		Headers: []string{"Bilinear", "Restructured", "Max chain depth", "Speedup @8", "Speedup @11", "Speedup @13", "Tasks"},
 	}
 	for _, org := range []rete.Organization{rete.Linear, rete.Bilinear, rete.BilinearAuto} {
-		lab := NewLab()
-		lab.SetUnlink(true)
-		lab.opts.Organization = org
-		c, err := lab.cypress(duringChunk)
+		c, err := l.cypress(duringChunk, func(o *rete.Options) {
+			o.Unlink = true
+			o.Organization = org
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -166,9 +161,7 @@ func AblationSharing(l *Lab) (*stats.Table, error) {
 		Headers: []string{"Sharing", "Two-input nodes", "New nodes per chunk"},
 	}
 	for _, share := range []bool{true, false} {
-		lab := NewLab()
-		lab.opts.ShareBeta = share
-		c, err := lab.soarTask("strips-share", strips.Default(), duringChunk)
+		c, err := l.strips(duringChunk, func(o *rete.Options) { o.ShareBeta = share })
 		if err != nil {
 			return nil, err
 		}
@@ -235,36 +228,31 @@ func AblationAdaptiveQueues(l *Lab) (*stats.Table, error) {
 // carried from trial to trial. As chunks accumulate, the match volume per
 // episode and the available parallelism grow — the regime where the paper
 // argues the 10-20-fold empirical parallelism bound of non-learning
-// production systems no longer applies (§6.3).
+// production systems no longer applies (§6.3). The trials run on the
+// paper's engine (unlinking off) whatever the lab's setting.
 func LongRunChunking(l *Lab) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:   "Future work (§7): chunking over a sequence of trials (Eight-puzzle pool, 150-decision episodes)",
 		Headers: []string{"Trial", "Moves", "Match tasks", "Cumulative chunks", "2-input nodes", "Speedup @13"},
 	}
-	prev := (*capture)(nil)
-	for i, b := range eightpuzzle.Instances() {
-		lab := NewLab()
-		key := fmt.Sprintf("longrun-%d", i)
-		task := eightpuzzle.Task(b)
-		// Seed with all chunks learned so far (freshly built + carried).
-		cap, err := lab.soarTaskSeeded(key, task, prev)
+	for i := range eightpuzzle.Instances() {
+		c, err := l.longRun(i+1, paperEngine)
 		if err != nil {
 			return nil, err
 		}
 		cumulative := 0
-		for _, p := range cap.eng.NW.Productions() {
-			if isChunkName(p.Name) || strings.HasPrefix(p.Name, "xfer-") {
+		for _, p := range c.eng.NW.Productions() {
+			if isChunkName(p.Name) {
 				cumulative++
 			}
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", i+1),
-			fmt.Sprintf("%d", cap.moves),
-			fmt.Sprintf("%d", cap.tasks),
+			fmt.Sprintf("%d", c.moves),
+			fmt.Sprintf("%d", c.tasks),
 			fmt.Sprintf("%d", cumulative),
-			fmt.Sprintf("%d", cap.eng.NW.TwoInputNodes()),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(cap.traces, 13, sim.MultiQueue, queueOp)))
-		prev = cap
+			fmt.Sprintf("%d", c.eng.NW.TwoInputNodes()),
+			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)))
 	}
 	return t, nil
 }
@@ -322,16 +310,10 @@ func diagnose(c *capture, procs int, threshold float64) []diagnosis {
 		}
 		d := diagnosis{cycleTasks: len(tr), speedup: sp, failedPops: par.FailedPops, steals: par.Steals}
 		// Critical path and its terminal node.
-		depth := make(map[int64]int, len(tr))
 		var tail prun.TaskRec
 		for _, r := range tr {
-			dd := 1
-			if pd, ok := depth[r.Parent]; ok {
-				dd = pd + 1
-			}
-			depth[r.Seq] = dd
-			if dd > d.criticalPath {
-				d.criticalPath = dd
+			if int(r.Depth) > d.criticalPath {
+				d.criticalPath = int(r.Depth)
 				tail = r
 			}
 		}
@@ -400,10 +382,11 @@ func DiagnoseTable(l *Lab) (*stats.Table, error) {
 		fmt.Sprintf("%d", c.steals),
 		"runtime totals",
 		fmt.Sprintf("failed pops / steals observed by prun across all cycles (%d quiescence probes)", c.termProbes))
+	st := &c.eng.NW.Stats
 	t.AddRow("(match filtering)", "", "", "", "", "", "",
 		"runtime totals",
 		fmt.Sprintf("null activations suppressed %d (unlink=%v); alpha dispatch %d hits / %d misses — see abl-unlink",
-			c.nullSuppressed, c.eng.NW.Opts.Unlink, c.alphaHits, c.alphaMisses))
+			st.NullSuppressed.Load(), c.eng.NW.Opts.Unlink, st.AlphaHits.Load(), st.AlphaMisses.Load()))
 	if p := c.prof; p != nil {
 		hottest := "-"
 		if len(p.Productions) > 0 {

@@ -8,15 +8,14 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
-	"soarpsme/internal/chunk"
 	"soarpsme/internal/engine"
 	"soarpsme/internal/matchprof"
 	"soarpsme/internal/obs"
 	"soarpsme/internal/ops5"
 	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
+	"soarpsme/internal/sim"
 	"soarpsme/internal/soar"
 	"soarpsme/internal/tasks/cypress"
 	"soarpsme/internal/tasks/eightpuzzle"
@@ -36,7 +35,6 @@ type capture struct {
 	// tasksPerCycle mirrors traces (tasks executed per cycle).
 	tasksPerCycle []int
 	tasks         int
-	totalCost     int64
 	// failedPops/termProbes/steals are the live runtime's queue diagnostics
 	// summed over all cycles (§6.1; surfaced by -exp diagnose). failedPops
 	// excludes quiescence-detection probes, which land in termProbes.
@@ -46,20 +44,13 @@ type capture struct {
 	// bucketAccesses holds per-line left-token access counts per cycle
 	// (Figure 6-2's contention measure).
 	bucketAccesses []int
-	// Chunks built/added during the run.
+	// Chunks built or added during the measured run.
 	chunkCEs    []int
 	chunkBytes  []int
 	chunkNew2In []int
 	// sharedTwoInput counts join nodes reused by run-time additions.
 	sharedTwoInput int
-	// nullSuppressed / alphaHits / alphaMisses are the engine's match-time
-	// filtering counters at the end of the run (unlinking and hashed alpha
-	// dispatch — the abl-unlink experiment).
-	nullSuppressed int64
-	alphaHits      int64
-	alphaMisses    int64
 	halted         bool
-	decisions      int
 	moves          int // operator decisions in the top goal
 	// prof is the engine's match-cost attribution snapshot at the end of
 	// the run: per-production activation/null counters, chain depths, and
@@ -76,14 +67,14 @@ type capture struct {
 	measuredFrom int
 }
 
-func (c *capture) harvest(e *engine.Engine) {
+func (c *capture) harvest() {
+	e := c.eng
 	for _, cs := range e.CycleStats {
 		if len(cs.Trace) > 0 {
 			c.traces = append(c.traces, cs.Trace)
 		}
 		c.tasksPerCycle = append(c.tasksPerCycle, cs.Tasks)
 		c.tasks += cs.Tasks
-		c.totalCost += cs.TotalCost
 		c.failedPops += cs.FailedPops
 		c.termProbes += cs.TermProbes
 		c.steals += cs.Steals
@@ -94,12 +85,9 @@ func (c *capture) harvest(e *engine.Engine) {
 			c.updateTraces = append(c.updateTraces, cs.Trace)
 		}
 		c.tasks += cs.Tasks
-		c.totalCost += cs.TotalCost
 		c.failedPops += cs.FailedPops
 		c.termProbes += cs.TermProbes
 		c.steals += cs.Steals
-	}
-	for _, add := range e.Additions {
 		c.chunkCEs = append(c.chunkCEs, countCEs(add.Prod.AST))
 		bytes, twoInput := codeSize(add.Info)
 		c.chunkBytes = append(c.chunkBytes, bytes)
@@ -111,9 +99,6 @@ func (c *capture) harvest(e *engine.Engine) {
 			c.taskProdCEs = append(c.taskProdCEs, countCEs(p.AST))
 		}
 	}
-	c.nullSuppressed = e.NW.Stats.NullSuppressed.Load()
-	c.alphaHits = e.NW.Stats.AlphaHits.Load()
-	c.alphaMisses = e.NW.Stats.AlphaMisses.Load()
 	if e.Prof != nil {
 		c.prof = e.Prof.Snapshot()
 	}
@@ -130,6 +115,58 @@ func countCEs(p *ops5.Production) int {
 		}
 	}
 	return n
+}
+
+// uniproc simulates a run's cycles back to back on one process: Table
+// 6-1's match time and task granularity, and the base of every speedup.
+func uniproc(traces [][]prun.TaskRec) *sim.Result {
+	return sim.MultiCycle(traces, sim.Config{Processes: 1, QueueOp: queueOp})
+}
+
+// bytesPer2In is the code the run's additions emitted per new two-input
+// node (Table 5-1); 0 if they built none.
+func (c *capture) bytesPer2In() float64 {
+	bytes, n := 0, 0
+	for i := range c.chunkBytes {
+		bytes += c.chunkBytes[i]
+		n += c.chunkNew2In[i]
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(bytes) / float64(n)
+}
+
+// pctCyclesAtLeast is the percentage of the run's match cycles that
+// executed at least n tasks (Figures 6-11/12).
+func (c *capture) pctCyclesAtLeast(n int) float64 {
+	if len(c.tasksPerCycle) == 0 {
+		return 0
+	}
+	k := 0
+	for _, t := range c.tasksPerCycle {
+		if t >= n {
+			k++
+		}
+	}
+	return 100 * float64(k) / float64(len(c.tasksPerCycle))
+}
+
+// accessShares maps each per-cycle access count a bucket line reached to
+// the percentage of all left-token accesses made in lines that reached it
+// (Figure 6-2's contention measure; the 1-access share is the uncontended
+// one).
+func (c *capture) accessShares() map[int]float64 {
+	byCount, total := map[int]int{}, 0
+	for _, n := range c.bucketAccesses {
+		byCount[n] += n
+		total += n
+	}
+	shares := make(map[int]float64, len(byCount))
+	for k, n := range byCount {
+		shares[k] = 100 * float64(n) / float64(total)
+	}
+	return shares
 }
 
 // mode selects a run variant.
@@ -152,25 +189,38 @@ func (m mode) String() string {
 	return "after-chunking"
 }
 
-// Lab lazily captures and caches workload runs.
+// Lab captures each workload run once, on first request, and caches it by
+// everything that determines it (key). Every driver asks the lab it is
+// given and states only the network options it changes; nothing else
+// builds an engine, so the lab's observer sees every capture.
 type Lab struct {
-	cache map[string]*capture
+	cache map[key]*capture
 	opts  rete.Options
 	obs   *obs.Observer
 }
 
+// key is what a capture is a function of: the workload, the run mode, the
+// whole network configuration and, in the long-run study, the trial.
+type key struct {
+	workload string
+	mode     mode
+	opts     rete.Options
+	// trial numbers the long-run study's episodes from 1; 0 outside it.
+	trial int
+}
+
 // NewLab returns an empty lab with default network options — except that
 // left/right unlinking is off: the paper's engine scheduled every null
-// activation as a task, and the reproduced tables and figures measure that
-// task volume. AblationUnlink re-runs with the filter on.
+// activation, and the reproduced tables and figures measure that task
+// volume. AblationUnlink re-runs with the filter on.
 func NewLab() *Lab {
 	opts := rete.DefaultOptions()
 	opts.Unlink = false
-	return &Lab{cache: map[string]*capture{}, opts: opts}
+	return &Lab{cache: map[key]*capture{}, opts: opts}
 }
 
-// SetUnlink toggles left/right unlinking on every engine the lab creates
-// from now on (the abl-unlink experiment; NewLab defaults to off for
+// SetUnlink toggles left/right unlinking in every capture the lab runs from
+// now on that does not set unlinking itself (NewLab defaults to off for
 // paper fidelity).
 func (l *Lab) SetUnlink(on bool) { l.opts.Unlink = on }
 
@@ -178,11 +228,84 @@ func (l *Lab) SetUnlink(on bool) { l.opts.Unlink = on }
 // creates from now on (live /metrics while experiments run).
 func (l *Lab) SetObserver(o *obs.Observer) { l.obs = o }
 
-func (l *Lab) engCfg() engine.Config {
+// paperEngine turns unlinking off for the captures whose rows stand as the
+// paper engine's measurements whatever the lab's setting (ROADMAP keeps
+// open whether they should follow it).
+func paperEngine(o *rete.Options) { o.Unlink = false }
+
+// eightPuzzle captures the Eight-Puzzle-Soar run. Each vary changes the
+// lab's network options for this capture only; so do strips', cypress'
+// and longRun's.
+func (l *Lab) eightPuzzle(m mode, vary ...func(*rete.Options)) (*capture, error) {
+	return l.capture(key{workload: "eight-puzzle", mode: m}, vary)
+}
+
+// strips captures the Strips-Soar run.
+func (l *Lab) strips(m mode, vary ...func(*rete.Options)) (*capture, error) {
+	return l.capture(key{workload: "strips", mode: m}, vary)
+}
+
+// cypress captures the synthetic Cypress run. noChunk runs the driver with
+// only the task productions; duringChunk adds the 26 chunks at their
+// scripted points; afterChunk preloads all chunks before driving.
+func (l *Lab) cypress(m mode, vary ...func(*rete.Options)) (*capture, error) {
+	return l.capture(key{workload: "cypress", mode: m}, vary)
+}
+
+// longRun captures trial n (from 1) of the long-run learning regime of §7:
+// a during-chunking, fixed-budget episode on the nth Eight-puzzle instance,
+// seeded with every chunk in trial n-1's network.
+func (l *Lab) longRun(n int, vary ...func(*rete.Options)) (*capture, error) {
+	return l.capture(key{workload: "eight-puzzle", mode: duringChunk, trial: n}, vary)
+}
+
+// workloads returns the three paper tasks in the given mode.
+func (l *Lab) workloads(m mode, vary ...func(*rete.Options)) ([]*capture, error) {
+	var caps []*capture
+	for _, w := range []string{"eight-puzzle", "strips", "cypress"} {
+		c, err := l.capture(key{workload: w, mode: m}, vary)
+		if err != nil {
+			return nil, err
+		}
+		caps = append(caps, c)
+	}
+	return caps, nil
+}
+
+// taskNames are the display names, in the paper's order.
+var taskNames = []string{"Eight-puzzle", "Strips", "Cypress"}
+
+func (l *Lab) capture(k key, vary []func(*rete.Options)) (*capture, error) {
+	k.opts = l.opts
+	for _, f := range vary {
+		f(&k.opts)
+	}
+	return l.get(k)
+}
+
+// get returns the capture for k, running it if the lab has not yet.
+func (l *Lab) get(k key) (*capture, error) {
+	if c, ok := l.cache[k]; ok {
+		return c, nil
+	}
+	c := &capture{name: fmt.Sprintf("%s/%v", k.workload, k.mode)}
+	run := l.runSoar
+	if k.workload == "cypress" {
+		run = l.runCypress
+	}
+	if err := run(k, c); err != nil {
+		return nil, fmt.Errorf("exp: %s: %w", c.name, err)
+	}
+	c.harvest()
+	l.cache[k] = c
+	return c, nil
+}
+
+func (l *Lab) engCfg(opts rete.Options) engine.Config {
 	cfg := engine.DefaultConfig()
 	cfg.Processes = 1 // sequential capture: deterministic traces
 	cfg.CaptureTrace = true
-	cfg.Rete = l.opts
+	cfg.Rete = opts
 	cfg.Obs = l.obs
 	// Attribution profiling without the flight recorder: diagnose reads
 	// per-production null rates and chain depths from the snapshot.
@@ -190,163 +313,88 @@ func (l *Lab) engCfg() engine.Config {
 	return cfg
 }
 
-// soarTask captures a Soar task run in the given mode. For afterChunk, the
-// chunks learned in a duringChunk run of the same task are transferred
-// into a fresh agent before the run.
-func (l *Lab) soarTask(name string, task *soar.Task, mode mode) (*capture, error) {
-	key := fmt.Sprintf("%s/%v/org%d/u%v", name, mode, l.opts.Organization, l.opts.Unlink)
-	if c, ok := l.cache[key]; ok {
-		return c, nil
-	}
-	cfg := soar.Config{
-		Engine:       l.engCfg(),
-		Chunking:     mode != noChunk,
-		MaxDecisions: 400,
-	}
-	a, err := soar.New(cfg, task)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", name, err)
-	}
-	cap := &capture{name: key, agent: a, eng: a.Eng}
-	a.Eng.AfterCycle = func(*prun.CycleStats) {
-		cap.bucketAccesses = append(cap.bucketAccesses, a.Eng.NW.Mem.HarvestAccessCounts()...)
-	}
-	if mode == afterChunk {
-		during, err := l.soarTask(name, task, duringChunk)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := a.AdoptChunks(during.agent); err != nil {
-			return nil, fmt.Errorf("exp: %s transfer: %w", name, err)
-		}
-		// Transfer-time additions are not part of the measured run.
-		a.Eng.Additions = nil
-	}
-	res, err := a.Run()
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s run: %w", name, err)
-	}
-	cap.halted = res.Halted
-	cap.decisions = res.Decisions
-	cap.harvest(a.Eng)
-	l.cache[key] = cap
-	return cap, nil
-}
-
-// soarTaskSeeded runs a during-chunking capture seeded with every chunk
-// (including transferred ones) present in a previous capture's network —
-// the long-run learning regime of §7.
-func (l *Lab) soarTaskSeeded(name string, task *soar.Task, prev *capture) (*capture, error) {
-	key := fmt.Sprintf("%s/seeded", name)
-	if c, ok := l.cache[key]; ok {
-		return c, nil
-	}
-	cfg := soar.Config{
-		Engine:       l.engCfg(),
-		Chunking:     true,
-		MaxDecisions: 150, // fixed-budget episodes for the long-run study
-	}
-	a, err := soar.New(cfg, task)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", name, err)
-	}
-	cap := &capture{name: key, agent: a, eng: a.Eng}
-	if prev != nil {
-		n := 0
-		for _, p := range prev.eng.NW.Productions() {
-			if strings.HasPrefix(p.Name, chunk.Prefix) || strings.HasPrefix(p.Name, "xfer-") {
-				n++
-				clone := *p.AST
-				// Rename so the new agent's own chunk counter can't collide.
-				clone.Name = fmt.Sprintf("xfer-%d-%s", n, name)
-				if _, err := a.Eng.AddProductionRuntime(&clone); err != nil {
-					return nil, fmt.Errorf("exp: %s seed %s: %w", name, clone.Name, err)
-				}
-			}
-		}
-		cap.measuredFrom = len(a.Eng.Additions)
-	}
-	res, err := a.Run()
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s run: %w", name, err)
-	}
-	cap.halted = res.Halted
-	cap.decisions = res.Decisions
-	cap.moves = res.OperatorDecisions
-	cap.harvest(a.Eng)
-	l.cache[key] = cap
-	return cap, nil
-}
-
-// eightPuzzle captures the Eight-Puzzle-Soar run.
-func (l *Lab) eightPuzzle(mode mode) (*capture, error) {
-	return l.soarTask("eight-puzzle", eightpuzzle.Default(), mode)
-}
-
-// strips captures the Strips-Soar run.
-func (l *Lab) strips(mode mode) (*capture, error) {
-	return l.soarTask("strips", strips.Default(), mode)
-}
-
-// cypress captures the synthetic Cypress run. noChunk runs the driver with
-// only the task productions; duringChunk adds the 26 chunks at their
-// scripted points; afterChunk preloads all chunks before driving.
-func (l *Lab) cypress(mode mode) (*capture, error) {
-	key := fmt.Sprintf("cypress/%v/org%d/u%v", mode, l.opts.Organization, l.opts.Unlink)
-	if c, ok := l.cache[key]; ok {
-		return c, nil
-	}
-	sys := cypress.Generate(cypress.DefaultParams())
-	e := engine.New(l.engCfg())
-	if err := e.LoadProgram(sys.Source); err != nil {
-		return nil, fmt.Errorf("exp: cypress load: %w", err)
-	}
-	cap := &capture{name: key, eng: e}
+// record points c at its engine and collects Figure 6-2's per-cycle bucket
+// access counts from it.
+func (c *capture) record(e *engine.Engine) {
+	c.eng = e
 	e.AfterCycle = func(*prun.CycleStats) {
-		cap.bucketAccesses = append(cap.bucketAccesses, e.NW.Mem.HarvestAccessCounts()...)
+		c.bucketAccesses = append(c.bucketAccesses, e.NW.Mem.HarvestAccessCounts()...)
 	}
-	if mode == afterChunk {
+}
+
+// runSoar runs a Soar task. An after-chunking run first adopts the chunks
+// its during-chunking run learned, and a long-run trial every chunk in the
+// previous trial's network; adopting them is not part of the measured run.
+func (l *Lab) runSoar(k key, c *capture) error {
+	var task *soar.Task
+	decisions := 400
+	switch {
+	case k.trial > 0:
+		task = eightpuzzle.Task(eightpuzzle.Instances()[k.trial-1])
+		decisions = 150 // fixed-budget episodes for the long-run study
+	case k.workload == "strips":
+		task = strips.Default()
+	default:
+		task = eightpuzzle.Default()
+	}
+	a, err := soar.New(soar.Config{Engine: l.engCfg(k.opts), Chunking: k.mode != noChunk, MaxDecisions: decisions}, task)
+	if err != nil {
+		return err
+	}
+	c.agent = a
+	c.record(a.Eng)
+	seed := k
+	switch {
+	case k.mode == afterChunk:
+		seed.mode = duringChunk
+	case k.trial > 1:
+		seed.trial--
+	}
+	if seed != k {
+		from, err := l.get(seed)
+		if err != nil {
+			return err
+		}
+		if _, err := a.AdoptChunks(from.agent); err != nil {
+			return err
+		}
+		c.measuredFrom = len(a.Eng.Additions)
+	}
+	res, err := a.Run()
+	if err != nil {
+		return err
+	}
+	c.halted, c.moves = res.Halted, res.OperatorDecisions
+	return nil
+}
+
+// runCypress drives the synthetic Cypress workload for its scripted cycles.
+func (l *Lab) runCypress(k key, c *capture) error {
+	sys := cypress.Generate(cypress.DefaultParams())
+	e := engine.New(l.engCfg(k.opts))
+	if err := e.LoadProgram(sys.Source); err != nil {
+		return err
+	}
+	c.record(e)
+	if k.mode == afterChunk {
 		for i := range sys.ChunkSrcs {
 			ast, err := sys.ParseChunk(i, e.Tab)
 			if err != nil {
-				return nil, fmt.Errorf("exp: cypress chunk %d: %w", i, err)
+				return fmt.Errorf("chunk %d: %w", i, err)
 			}
 			if _, err := e.AddProductionRuntime(ast); err != nil {
-				return nil, fmt.Errorf("exp: cypress chunk %d: %w", i, err)
+				return fmt.Errorf("chunk %d: %w", i, err)
 			}
 		}
-		cap.measuredFrom = len(e.Additions) // preload is not part of the measured run
+		c.measuredFrom = len(e.Additions) // preload is not part of the measured run
 	}
 	drv := cypress.NewDriver(sys, e.Tab, e.WM)
 	next := 0
 	for cyc := 0; cyc < sys.Params.Cycles; cyc++ {
-		if _, err := drv.Step(e, cyc, &next, mode == duringChunk); err != nil {
-			return nil, fmt.Errorf("exp: %w", err)
+		if _, err := drv.Step(e, cyc, &next, k.mode == duringChunk); err != nil {
+			return err
 		}
 	}
-	cap.halted = true
-	cap.decisions = sys.Params.Cycles
-	cap.harvest(e)
-	l.cache[key] = cap
-	return cap, nil
+	c.halted = true
+	return nil
 }
-
-// workloads returns the three paper tasks in the given mode.
-func (l *Lab) workloads(mode mode) ([]*capture, error) {
-	ep, err := l.eightPuzzle(mode)
-	if err != nil {
-		return nil, err
-	}
-	st, err := l.strips(mode)
-	if err != nil {
-		return nil, err
-	}
-	cy, err := l.cypress(mode)
-	if err != nil {
-		return nil, err
-	}
-	return []*capture{ep, st, cy}, nil
-}
-
-// taskNames are the display names, in the paper's order.
-var taskNames = []string{"Eight-puzzle", "Strips", "Cypress"}

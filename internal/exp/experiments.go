@@ -12,7 +12,6 @@ import (
 	"soarpsme/internal/rete"
 	"soarpsme/internal/sim"
 	"soarpsme/internal/stats"
-	"soarpsme/internal/tasks/strips"
 	"soarpsme/internal/value"
 )
 
@@ -42,27 +41,11 @@ func Table51(l *Lab) (*stats.Table, error) {
 		return nil, err
 	}
 	for i, c := range caps {
-		n2in := 0
-		for _, n := range c.chunkNew2In {
-			n2in += n
-		}
-		bytes := 0
-		for _, b := range c.chunkBytes {
-			bytes += b
-		}
-		per2in := 0.0
-		if n2in > 0 {
-			per2in = float64(bytes) / float64(n2in)
-		}
-		perChunk := 0.0
-		if len(c.chunkBytes) > 0 {
-			perChunk = float64(bytes) / float64(len(c.chunkBytes))
-		}
 		t.AddRow(taskNames[i],
 			fmt.Sprintf("%.0f", mean(c.taskProdCEs)),
 			fmt.Sprintf("%.0f", mean(c.chunkCEs)),
-			fmt.Sprintf("%.0f", perChunk),
-			fmt.Sprintf("%.0f", per2in))
+			fmt.Sprintf("%.0f", mean(c.chunkBytes)),
+			fmt.Sprintf("%.0f", c.bytesPer2In()))
 	}
 	return t, nil
 }
@@ -201,7 +184,7 @@ func Table61(l *Lab) (*stats.Table, error) {
 		return nil, err
 	}
 	for i, c := range caps {
-		one := sim.MultiCycle(c.traces, sim.Config{Processes: 1, QueueOp: queueOp})
+		one := uniproc(c.traces)
 		avg := int64(0)
 		if one.Tasks > 0 {
 			avg = one.TotalWork / int64(one.Tasks)
@@ -218,7 +201,7 @@ func Table61(l *Lab) (*stats.Table, error) {
 func speedupFigure(title string, caps []*capture, traces func(*capture) [][]prun.TaskRec, pol sim.Policy) *stats.Figure {
 	f := &stats.Figure{Title: title, XLabel: "match processes", YLabel: "speedup"}
 	for i, c := range caps {
-		one := sim.MultiCycle(traces(c), sim.Config{Processes: 1, QueueOp: queueOp})
+		one := uniproc(traces(c))
 		name := fmt.Sprintf("%s (uniproc %.1fs)", taskNames[i], float64(one.Makespan)/1e6)
 		s := f.AddSeries(name)
 		for _, p := range processCounts {
@@ -265,15 +248,9 @@ func Fig62(l *Lab) (*stats.Figure, error) {
 	}
 	for i, c := range caps {
 		s := f.AddSeries(taskNames[i])
-		// Weight each bucket-cycle count by the tokens it covers.
-		byCount := map[int]int{}
-		total := 0
-		for _, n := range c.bucketAccesses {
-			byCount[n] += n
-			total += n
-		}
-		keys := make([]int, 0, len(byCount))
-		for k := range byCount {
+		shares := c.accessShares()
+		keys := make([]int, 0, len(shares))
+		for k := range shares {
 			keys = append(keys, k)
 		}
 		sort.Ints(keys)
@@ -281,7 +258,7 @@ func Fig62(l *Lab) (*stats.Figure, error) {
 			if k > 16 {
 				break
 			}
-			s.Add(float64(k), 100*float64(byCount[k])/float64(total))
+			s.Add(float64(k), shares[k])
 		}
 	}
 	return f, nil
@@ -437,22 +414,23 @@ func Fig67(l *Lab) (string, error) {
 }
 
 // Fig68 reproduces Figure 6-8: the constrained bilinear network — chain
-// length and critical-path reduction on the Strips task.
+// length and critical-path reduction on the Strips task, measured on the
+// paper's engine (unlinking off) whatever the lab's setting.
 func Fig68(l *Lab) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:   "Figure 6-8: Constrained bilinear network organization (Strips, without chunking)",
 		Headers: []string{"Organization", "Max network chain (nodes)", "Critical path (activations)", "Speedup @11 procs", "Tasks"},
 	}
 	for _, org := range []rete.Organization{rete.Linear, rete.Bilinear} {
-		lab := NewLab()
-		lab.opts.Organization = org
-		// The context prefix must cover the CEs that bind the linking
-		// variables (goal, impasse item, state) — the paper's "matching in
-		// all of the CEs is constrained by the matches for the first few
-		// CEs".
-		lab.opts.ContextCEs = 3
-		lab.opts.GroupCEs = 3
-		c, err := lab.soarTask("strips-bilinear", strips.Default(), noChunk)
+		c, err := l.strips(noChunk, paperEngine, func(o *rete.Options) {
+			o.Organization = org
+			// The context prefix must cover the CEs that bind the linking
+			// variables (goal, impasse item, state) — the paper's "matching
+			// in all of the CEs is constrained by the matches for the first
+			// few CEs".
+			o.ContextCEs = 3
+			o.GroupCEs = 3
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -489,19 +467,13 @@ func prodChainDepth(e *engine.Engine, name string) int {
 
 // criticalPath returns the longest dependent-activation chain in a trace.
 func criticalPath(tr []prun.TaskRec) int {
-	depth := make(map[int64]int, len(tr))
-	max := 0
-	for _, r := range tr { // traces are in sequential completion order
-		d := 1
-		if p, ok := depth[r.Parent]; ok {
-			d = p + 1
-		}
-		depth[r.Seq] = d
-		if d > max {
-			max = d
+	max := int32(0)
+	for _, r := range tr {
+		if r.Depth > max {
+			max = r.Depth
 		}
 	}
-	return max
+	return int(max)
 }
 
 // Fig69 reproduces Figure 6-9: speedups in the update phase (run-time
@@ -587,27 +559,16 @@ func Extras(l *Lab) (*stats.Table, error) {
 		if len(d.chunkCEs) > 0 {
 			sharedPer = float64(d.sharedTwoInput) / float64(len(d.chunkCEs))
 		}
-		bytes, n2in := 0, 0
-		for _, b := range d.chunkBytes {
-			bytes += b
-		}
-		for _, n := range d.chunkNew2In {
-			n2in += n
-		}
 		overhead := 0.0
-		if n2in > 0 {
-			overhead = jumpBytes / (float64(bytes) / float64(n2in))
-		}
-		h := stats.NewHistogram(100)
-		for _, n := range ac.tasksPerCycle {
-			h.Add(n)
+		if per := d.bytesPer2In(); per > 0 {
+			overhead = jumpBytes / per
 		}
 		t.AddRow(taskNames[i],
 			fmt.Sprintf("%.1f", sharedPer),
 			fmt.Sprintf("%.1f%%", 100*overhead),
 			fmt.Sprintf("%d", nc.tasks),
 			fmt.Sprintf("%d", ac.tasks),
-			fmt.Sprintf("%.0f%%", h.PercentAtOrAbove(1000)))
+			fmt.Sprintf("%.0f%%", ac.pctCyclesAtLeast(1000)))
 	}
 	return t, nil
 }

@@ -33,14 +33,7 @@ func Summary(l *Lab) (*stats.Table, error) {
 		t.AddRow("Table 5-1 (Cypress CEs)", "26 task / 51 chunk",
 			fmt.Sprintf("%.0f task / %.0f chunk", taskCEs, chunkCEs),
 			check(chunkCEs > taskCEs))
-		bytes, n2in := 0, 0
-		for _, b := range c.chunkBytes {
-			bytes += b
-		}
-		for _, n := range c.chunkNew2In {
-			n2in += n
-		}
-		per := float64(bytes) / float64(maxi(1, n2in))
+		per := c.bytesPer2In()
 		t.AddRow("Table 5-1 (bytes/2-input node)", "219-304",
 			fmt.Sprintf("%.0f", per), check(per >= 180 && per <= 350))
 	}
@@ -51,7 +44,7 @@ func Summary(l *Lab) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		one := sim.MultiCycle(c.traces, sim.Config{Processes: 1, QueueOp: queueOp})
+		one := uniproc(c.traces)
 		avg := float64(one.TotalWork) / float64(maxi(1, one.Tasks))
 		t.AddRow("Table 6-1 (µs/task)", "400-438",
 			fmt.Sprintf("%.0f", avg), check(avg > 250 && avg < 550))
@@ -71,17 +64,6 @@ func Summary(l *Lab) (*stats.Table, error) {
 
 	// Figure 6-2: Strips is the contended task.
 	{
-		share := func(c *capture) float64 {
-			byCount, total := map[int]int{}, 0
-			for _, n := range c.bucketAccesses {
-				byCount[n] += n
-				total += n
-			}
-			if total == 0 {
-				return 0
-			}
-			return 100 * float64(byCount[1]) / float64(total)
-		}
 		epc, err := l.eightPuzzle(noChunk)
 		if err != nil {
 			return nil, err
@@ -90,7 +72,7 @@ func Summary(l *Lab) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep, st := share(epc), share(stc)
+		ep, st := epc.accessShares()[1], stc.accessShares()[1]
 		t.AddRow("Fig 6-2 (Strips contention)", "Strips worst",
 			fmt.Sprintf("1-access: EP %.0f%%, Strips %.0f%%", ep, st), check(st < ep))
 	}
@@ -119,13 +101,6 @@ func Summary(l *Lab) (*stats.Table, error) {
 
 	// Figures 6-11/12: histogram shift.
 	{
-		massAbove := func(c *capture, cut int) float64 {
-			h := stats.NewHistogram(25)
-			for _, n := range c.tasksPerCycle {
-				h.Add(n)
-			}
-			return h.PercentAtOrAbove(cut)
-		}
 		bc, err := l.eightPuzzle(noChunk)
 		if err != nil {
 			return nil, err
@@ -134,8 +109,8 @@ func Summary(l *Lab) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := massAbove(bc, 200)
-		a := massAbove(ac, 200)
+		b := bc.pctCyclesAtLeast(200)
+		a := ac.pctCyclesAtLeast(200)
 		t.AddRow("Fig 6-11/12 (cycles ≥200 tasks)", "3% → 30%+",
 			fmt.Sprintf("%.0f%% → %.0f%%", b, a), check(a > b))
 	}

@@ -88,7 +88,6 @@ func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, e
 	} else {
 		bottom = b.buildLinear(conds)
 	}
-	prod.numCEs = b.posCount
 	pn := b.newNode(&BetaNode{Kind: KindP, parent: bottom, prod: prod})
 	b.attach(bottom, pn)
 	prod.PNode = pn

@@ -346,13 +346,6 @@ func (l *line) eachRight(node NodeID, key uint64, fn func(*rEntry)) {
 	}
 }
 
-// countRight counts live right entries of node with the given key.
-func (l *line) countRight(node NodeID, key uint64) int32 {
-	var n int32
-	l.eachRight(node, key, func(*rEntry) { n++ })
-	return n
-}
-
 // ---- whole-table operations (no activation in flight) ----
 
 // dumpLeftAt is dumpLeft for a node that keys every token to key: it reads

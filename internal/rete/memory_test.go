@@ -22,11 +22,15 @@ func TestMemLineBasics(t *testing.T) {
 	}
 	l.addRight(7, 99, mkWME(2))
 	l.addRight(7, 99, mkWME(3))
-	if n := l.countRight(7, 99); n != 2 {
-		t.Fatalf("countRight = %d", n)
+	countRight := func(node NodeID) (n int) {
+		l.eachRight(node, 99, func(*rEntry) { n++ })
+		return n
 	}
-	if n := l.countRight(8, 99); n != 0 {
-		t.Fatalf("countRight wrong node = %d", n)
+	if n := countRight(7); n != 2 {
+		t.Fatalf("right entries = %d", n)
+	}
+	if n := countRight(8); n != 0 {
+		t.Fatalf("right entries of the wrong node = %d", n)
 	}
 	l.lock.Unlock()
 }

@@ -260,10 +260,10 @@ func (nw *Network) buildAlpha(class value.Sym, tests []alphaTest) *alphaMem {
 	case nw.inBase(cur.id):
 		// A base terminal without a memory for this key (a memory would
 		// have hit base.alphaMems above): hang the memory beside it.
-		am = &alphaMem{id: nw.newID(), key: key, at: cur}
+		am = &alphaMem{id: nw.newID(), at: cur}
 		own.spliced().alphaMemAt[cur.id] = am
 	case am == nil:
-		am = &alphaMem{id: nw.newID(), key: key, at: cur}
+		am = &alphaMem{id: nw.newID(), at: cur}
 		cur.mem = am
 	}
 	own.alphaMems[key] = am

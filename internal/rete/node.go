@@ -128,7 +128,6 @@ func (n *alphaNode) indexChild(c *alphaNode) {
 type alphaMem struct {
 	id    NodeID
 	succs []*BetaNode // two-input nodes taking right input here, in ID order
-	key   string      // canonical test-path key (for sharing)
 	at    *alphaNode  // the terminal test node it hangs at
 }
 
@@ -246,7 +245,6 @@ type Production struct {
 	// Bindings maps each LHS variable to the (positive-CE index, field)
 	// of its first bound (equality, positive-CE) occurrence.
 	Bindings map[value.Sym]Binding
-	numCEs   int // positive CEs
 	// Restructured marks productions the bilinear pass compiled into the
 	// context+group shape (Organization Bilinear, or BilinearAuto when the
 	// linear chain would reach BilinearDepth).

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,35 +165,82 @@ func (st *store) writeImage(data []byte) (int, error) {
 	return len(data), nil
 }
 
-// readWAL decodes the journal, stopping silently at the first torn or
-// corrupt line (a crash mid-append leaves at most one).
-func readWAL(path string) ([]walRecord, error) {
+// truncate cuts the journal to its first size bytes and makes the cut
+// durable.
+func (st *store) truncate(size int64) error {
+	if err := st.wal.Truncate(size); err != nil {
+		return err
+	}
+	return fdatasync(st.wal)
+}
+
+// errWALCorrupt is a journal line that does not decode, or fails its
+// checksum, with another line after it. A crash mid-append tears only the
+// last line, so this is damage: the records after it were acknowledged, and
+// a restore that dropped them would silently lose them.
+var errWALCorrupt = errors.New("corrupt journal line before the last")
+
+// decodeWALLine checks one journal line, trailing newline included, and
+// decodes its record. A line without its newline was never completely
+// written, so its request was never acknowledged: it counts as torn.
+func decodeWALLine(b []byte) (walRecord, error) {
+	var line walLine
+	var rec walRecord
+	if len(b) == 0 || b[len(b)-1] != '\n' {
+		return rec, errors.New("no newline")
+	}
+	if err := json.Unmarshal(b, &line); err != nil {
+		return rec, err
+	}
+	if crc32.Checksum(line.Rec, walCRCTable) != line.CRC {
+		return rec, errors.New("checksum mismatch")
+	}
+	err := json.Unmarshal(line.Rec, &rec)
+	return rec, err
+}
+
+// readWAL decodes the journal. Its last line may be torn (a crash
+// mid-append leaves at most one): torn is then that line's offset, which
+// the caller cuts off before appending again, and -1 otherwise. A bad line
+// anywhere else is an errWALCorrupt naming it.
+func readWAL(path string) (recs []walRecord, torn int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, -1, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	defer f.Close()
-	var recs []walRecord
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), maxWALLine)
-	for sc.Scan() {
-		var line walLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			break // torn tail
+	// Lines keep their newline, so offsets add up and a line cut short
+	// before its newline shows.
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
 		}
-		if crc32.Checksum(line.Rec, walCRCTable) != line.CRC {
-			break // corrupt tail
+		if atEOF && len(data) > 0 {
+			return len(data), data, nil
 		}
-		var rec walRecord
-		if err := json.Unmarshal(line.Rec, &rec); err != nil {
-			break
+		return 0, nil, nil
+	})
+	var off int64
+	var bad error
+	torn = -1
+	for n := 1; sc.Scan(); n++ {
+		if bad != nil {
+			return nil, -1, fmt.Errorf("%w: %s line %d: %v", errWALCorrupt, path, n-1, bad)
+		}
+		rec, err := decodeWALLine(sc.Bytes())
+		if err != nil {
+			bad, torn = err, off
+			continue
 		}
 		recs = append(recs, rec)
+		off += int64(len(sc.Bytes()))
 	}
-	return recs, sc.Err()
+	return recs, torn, sc.Err()
 }
 
 func (st *store) close() {
@@ -401,7 +449,7 @@ func (s *Server) rebuildSession(id string) (*session, int, bool, error) {
 	// already covers are skipped (a crash between image rename and WAL
 	// truncation leaves them behind); a gap means a missing record and the
 	// restore must fail rather than silently diverge.
-	recs, err := readWAL(filepath.Join(dir, "wal.jsonl"))
+	recs, torn, err := readWAL(filepath.Join(dir, "wal.jsonl"))
 	if err != nil {
 		return ss, 0, cacheHit, err
 	}
@@ -426,7 +474,13 @@ func (s *Server) rebuildSession(id string) (*session, int, bool, error) {
 
 	// Only now does the session get its store: with none, the replay above
 	// ran its records without journaling them again (writeAhead).
+	// A torn last line goes first, or the next record would run on from it.
 	st, err := openStore(dir)
+	if err == nil && torn >= 0 {
+		if err = st.truncate(torn); err != nil {
+			st.close()
+		}
+	}
 	if err != nil {
 		return ss, replayed, cacheHit, err
 	}

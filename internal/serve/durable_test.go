@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -216,6 +217,58 @@ func TestWALTornTailTolerated(t *testing.T) {
 	}
 }
 
+// TestWALCorruptMidFileRefused: only the journal's last line may be torn.
+// A bad line with records after it fails the restore with an error naming
+// the line, instead of replaying the prefix and dropping acknowledged
+// records. A torn tail is cut off at restore, so the records journalled
+// after it replay on the next restore.
+func TestWALCorruptMidFileRefused(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := crashableServer(t, dir)
+	seedSession(t, tsA.URL, "mid1")
+	tsA.Close()
+	walPath := filepath.Join(dir, "mid1", "wal.jsonl")
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), data...)
+	bad[strings.Index(string(bad), `"crc":`)+6]++ // the first record's checksum
+	if err := os.WriteFile(walPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	var rr RestoreResult
+	if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/mid1/restore", nil, &rr); code != http.StatusInternalServerError {
+		t.Fatalf("restore over a corrupt first record: code=%d %+v, want 500", code, rr)
+	}
+	if _, _, err := s.restoreSession("mid1"); !errors.Is(err, errWALCorrupt) || !strings.Contains(err.Error(), "wal.jsonl line 1:") {
+		t.Fatalf("restore over a corrupt first record: %v, want errWALCorrupt naming line 1", err)
+	}
+
+	// Torn tail, restore, one more acknowledged run, crash: the next
+	// restore replays all three records.
+	if err := os.WriteFile(walPath, append(data, `{"crc":12345,"rec":{"cy`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, tsC := crashableServer(t, dir)
+	if code, _ := doJSON(t, "POST", tsC.URL+"/sessions/mid1/restore", nil, &rr); code != http.StatusOK || rr.Replayed != 2 {
+		t.Fatalf("restore with a torn tail: code=%d %+v", code, rr)
+	}
+	if dres := ingest(t, tsC.URL+"/sessions/mid1", DeltaJSON{Op: "add", Class: "fact", Fields: []any{3}}); dres.Failed != 0 {
+		t.Fatalf("run after the torn-tail restore: %+v", dres)
+	}
+	_, wantFp := sessionState(t, tsC.URL, "mid1")
+	tsC.Close()
+	_, tsD := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	if code, _ := doJSON(t, "POST", tsD.URL+"/sessions/mid1/restore", nil, &rr); code != http.StatusOK || rr.Replayed != 3 {
+		t.Fatalf("restore after a run appended past the torn tail: code=%d %+v", code, rr)
+	}
+	if _, gotFp := sessionState(t, tsD.URL, "mid1"); gotFp != wantFp {
+		t.Fatalf("fingerprint\n got %s\nwant %s", gotFp, wantFp)
+	}
+}
+
 // TestRunSeqIdempotent: retrying the last Seq returns the cached result
 // without re-running — before and after a failover restore.
 func TestRunSeqIdempotent(t *testing.T) {
@@ -260,6 +313,46 @@ func TestRunSeqIdempotent(t *testing.T) {
 	if !after.Cached || after.Fired != first.Fired {
 		t.Fatalf("post-restore retry not cached: %+v", after)
 	}
+}
+
+// TestFailedRequestKeepsWatermark: a request that fails produces no result
+// and does not move the idempotency watermark, so its retry runs again and
+// fails again instead of getting the previous request's result — live, and
+// after a crash-restore whose WAL replay runs the same path.
+func TestFailedRequestKeepsWatermark(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := crashableServer(t, dir)
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions", CreateRequest{ID: "seq2", Program: serveProgSrc}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	good := RunRequest{Seq: 1, Deltas: []DeltaJSON{{Op: "add", Class: "fact", Fields: []any{1}}}}
+	var first RunResult
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions/seq2/run", good, &first); code != http.StatusOK || len(first.Added) != 1 {
+		t.Fatalf("Seq 1: code=%d %+v", code, first)
+	}
+	bad := RunRequest{Seq: 2, Deltas: []DeltaJSON{{Op: "bogus"}}}
+	check := func(url, when string) {
+		t.Helper()
+		for try := 1; try <= 2; try++ {
+			var res RunResult
+			if code, _ := doJSON(t, "POST", url+"/sessions/seq2/run", bad, &res); code != http.StatusBadRequest {
+				t.Fatalf("%s: failed Seq 2, try %d: code=%d %+v, want 400", when, try, code, res)
+			}
+		}
+		var again RunResult
+		if code, _ := doJSON(t, "POST", url+"/sessions/seq2/run", good, &again); code != http.StatusOK || !again.Cached ||
+			len(again.Added) != 1 || again.Added[0] != first.Added[0] {
+			t.Fatalf("%s: retry of Seq 1: code=%d %+v, want the cached %+v", when, code, again, first)
+		}
+	}
+	check(tsA.URL, "live")
+	tsA.Close()
+
+	_, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/seq2/restore", nil, nil); code != http.StatusOK {
+		t.Fatalf("restore: %d", code)
+	}
+	check(tsB.URL, "after restore")
 }
 
 // TestClientFailoverMidStream is the contract psmeload's client-driven

@@ -38,7 +38,8 @@ type session struct {
 	// rebuilds the same task or program; lastSeq/lastRes are the
 	// idempotency watermark: a retried request with Seq == lastSeq returns
 	// the cached result instead of re-executing, which is what makes
-	// client retries across a failover exactly-once.
+	// client retries across a failover exactly-once. They move together,
+	// and only for a request that produced a result.
 	create  CreateRequest
 	srv     *Server
 	store   *store
@@ -295,11 +296,11 @@ func (s *session) runLogged(req *RunRequest) (*RunResult, error) {
 	if werr != nil {
 		return nil, werr
 	}
-	if req.Seq > 0 {
-		s.lastSeq = req.Seq
-		if res != nil {
-			s.lastRes = res
-		}
+	// The watermark moves with a result or not at all: a request that
+	// produced none did not happen, and its retry must run again rather
+	// than get the previous request's result.
+	if req.Seq > 0 && res != nil {
+		s.lastSeq, s.lastRes = req.Seq, res
 	}
 	return res, err
 }

@@ -30,6 +30,11 @@ const (
 	MultiQueue
 )
 
+// failedPopRetry is the idle-loop delay after a failed pop, in queue-op
+// units: the paper's idle processes find the empty queue by locking it
+// (§6.1).
+const failedPopRetry = 4
+
 // Config sets the machine model.
 type Config struct {
 	Processes int
@@ -37,10 +42,6 @@ type Config struct {
 	// QueueOp is the service time of one task-queue lock/push/pop, in the
 	// same microsecond units as task costs (default 25).
 	QueueOp int64
-	// failedPopRetry is the idle-loop delay after a failed pop (default:
-	// 2*QueueOp — the paper's idle processes find the empty queue by
-	// locking it, §6.1).
-	failedPopRetry int64
 	// Queues overrides the queue count (0 = 1 for SingleQueue, Processes
 	// for MultiQueue). Intermediate counts model §6.2's observation that
 	// cycle tails want fewer queues than cycle bursts.
@@ -102,9 +103,6 @@ func Simulate(trace []prun.TaskRec, cfg Config) *Result {
 	}
 	if cfg.QueueOp == 0 {
 		cfg.QueueOp = 25
-	}
-	if cfg.failedPopRetry == 0 {
-		cfg.failedPopRetry = 4 * cfg.QueueOp
 	}
 	nq := 1
 	if cfg.Policy == MultiQueue {
@@ -258,7 +256,7 @@ func Simulate(trace []prun.TaskRec, cfg Config) *Result {
 		}
 		if got < 0 {
 			res.FailedPops++
-			procTime[p] = t + cfg.failedPopRetry
+			procTime[p] = t + failedPopRetry*cfg.QueueOp
 			continue
 		}
 		done := t + tasks[got].cost

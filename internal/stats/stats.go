@@ -103,20 +103,6 @@ func (h *Histogram) Percentiles() (p50, p90, p99 float64) {
 	return h.percentile(50), h.percentile(90), h.percentile(99)
 }
 
-// PercentAtOrAbove returns the share of values >= v.
-func (h *Histogram) PercentAtOrAbove(v int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	c := 0
-	for bin, cnt := range h.counts {
-		if bin*h.binWidth >= v {
-			c += cnt
-		}
-	}
-	return 100 * float64(c) / float64(h.n)
-}
-
 // Summary accumulates count/sum/min/max.
 type Summary struct {
 	n        int

@@ -269,6 +269,20 @@ func TestPercentileMonotone(t *testing.T) {
 // Max returns the largest recorded value (0 when empty).
 func (h *Histogram) Max() int { return h.max }
 
+// PercentAtOrAbove returns the share of values >= v.
+func (h *Histogram) PercentAtOrAbove(v int) float64 {
+	if h.n == 0 {
+		return 0
+	}
+	c := 0
+	for bin, cnt := range h.counts {
+		if bin*h.binWidth >= v {
+			c += cnt
+		}
+	}
+	return 100 * float64(c) / float64(h.n)
+}
+
 // PercentBelow returns the share of values < v.
 func (h *Histogram) PercentBelow(v int) float64 {
 	if h.n == 0 {

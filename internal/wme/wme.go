@@ -21,7 +21,6 @@ import (
 
 // Schema fixes the attribute layout of one wme class.
 type Schema struct {
-	class value.Sym
 	attrs []value.Sym
 	index map[value.Sym]int
 }
@@ -67,7 +66,7 @@ func (r *Registry) Declare(class value.Sym, attrs ...value.Sym) *Schema {
 	defer r.mu.Unlock()
 	s := r.classes[class]
 	if s == nil {
-		s = &Schema{class: class, index: make(map[value.Sym]int)}
+		s = &Schema{index: make(map[value.Sym]int)}
 		r.classes[class] = s
 	}
 	for _, a := range attrs {
