@@ -323,11 +323,13 @@ const suppBatch = 32
 // inline (rete.FilterRight), which serialized every suppressed memory op on
 // the injection goroutine and re-entered the emitter recursively on relink
 // races. Batches keep the per-activation cost near zero while the memory
-// ops parallelize across the match processes like any other task.
+// ops parallelize across the match processes like any other task. The
+// pending batch is gathered in the task that will carry it, drawn from the
+// free list with the array it kept.
 type injector struct {
 	s     *sched
 	rr    int
-	batch []rete.SuppRight
+	batch *rete.Task
 }
 
 // rotate points the injector at the next queue.
@@ -350,10 +352,13 @@ func (in *injector) activate(n *rete.BetaNode, w *wme.WME, op wme.Op) {
 		return
 	}
 	if in.batch == nil {
-		in.batch = make([]rete.SuppRight, 0, suppBatch)
+		in.batch = s.alloc()
+		if in.batch.Supp == nil {
+			in.batch.Supp = make([]rete.SuppRight, 0, suppBatch)
+		}
 	}
-	in.batch = append(in.batch, rete.SuppRight{Node: n, Op: op, W: w})
-	if len(in.batch) >= suppBatch {
+	in.batch.Supp = append(in.batch.Supp, rete.SuppRight{Node: n, Op: op, W: w})
+	if len(in.batch.Supp) >= suppBatch {
 		in.flush()
 	}
 }
@@ -361,13 +366,13 @@ func (in *injector) activate(n *rete.BetaNode, w *wme.WME, op wme.Op) {
 // flush schedules the pending suppressed activations as one batch task on
 // the next queue (no-op when there are none).
 func (in *injector) flush() {
-	if len(in.batch) == 0 {
+	t := in.batch
+	if t == nil {
 		return
 	}
-	in.rotate()
-	t := in.s.alloc()
-	*t = rete.Task{Node: in.batch[0].Node, Dir: rete.DirRight, Supp: in.batch}
 	in.batch = nil
+	in.rotate()
+	t.Node, t.Dir = t.Supp[0].Node, rete.DirRight
 	in.s.Push(t)
 }
 

@@ -12,9 +12,10 @@ import (
 
 // freeListCap bounds each worker's task free list; beyond it, executed
 // tasks are left to the garbage collector. Sized to absorb a large cycle's
-// root-task injection, at ~64 B per idle task: the injector draws on worker
-// 0's list, which a cycle with helpers refills only because rebalance deals
-// the lists back out at its end.
+// root-task injection: the injector draws on worker 0's list, which a cycle
+// with helpers refills only because rebalance deals the lists back out at
+// its end. An idle task is 80 B, plus the suppBatch-entry array (768 B) of
+// one that has carried a suppressed batch, which it keeps for the next.
 const freeListCap = 2048
 
 // sched is the rete.Scheduler of one match process under every policy: it
@@ -22,9 +23,10 @@ const freeListCap = 2048
 // per-worker free list so the steady-state hot path allocates no tasks. It
 // is used by one goroutine at a time.
 type sched struct {
-	rt   *Runtime
-	q    queue
-	free []*rete.Task
+	rt    *Runtime
+	q     queue
+	free  []*rete.Task
+	spill rete.Spill
 	// ord is the ordinal of the last task this process recorded, the number
 	// the wall-clock sampling mask applies to. It lives here because the
 	// sched, unlike the worker's per-cycle bookkeeping, persists: the rate
@@ -46,6 +48,10 @@ func (s *sched) alloc() *rete.Task {
 // worker's free list when one is parked there.
 func (s *sched) NewTask() *rete.Task { return s.alloc() }
 
+// Spill implements rete.Scheduler: the one suppressed-run overflow buffer
+// of this match process, reused by every activation it executes.
+func (s *sched) Spill() *rete.Spill { return &s.spill }
+
 // Push enqueues an activation on the owner's queue.
 func (s *sched) Push(t *rete.Task) {
 	rt := s.rt
@@ -57,17 +63,19 @@ func (s *sched) Push(t *rete.Task) {
 // pushRoot schedules a right activation arriving from the alpha network.
 func (s *sched) pushRoot(n *rete.BetaNode, op wme.Op, w *wme.WME) {
 	t := s.alloc()
-	*t = rete.Task{Node: n, Dir: rete.DirRight, Op: op, W: w}
+	*t = rete.Task{Node: n, Dir: rete.DirRight, Op: op, W: w, Supp: t.Supp}
 	s.Push(t)
 }
 
 // recycle returns an executed task to the free list. The task must no
 // longer be reachable from any queue (it was just executed by this worker).
 // It is cleared first: a parked task must not keep its token, wme or batch
-// slice — retracted state by the next cycle — reachable.
+// entries — retracted state by the next cycle — reachable. It keeps its
+// emptied batch array, so a suppressed batch reuses one.
 func (s *sched) recycle(t *rete.Task) {
 	if len(s.free) < freeListCap {
-		*t = rete.Task{}
+		clear(t.Supp)
+		*t = rete.Task{Supp: t.Supp[:0]}
 		s.free = append(s.free, t)
 	}
 }
@@ -171,7 +179,7 @@ func (w *worker) exec(t *rete.Task, stolen bool) {
 	cost, emitted := w.rt.nw.Exec(t, &w.sched)
 	w.tasks++
 	w.cost += cost
-	if t.Supp != nil {
+	if len(t.Supp) > 0 {
 		w.batches++
 	}
 	if w.rec {

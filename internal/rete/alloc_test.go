@@ -11,15 +11,22 @@ import (
 // poolSched hands every child activation the same parked task and drops it
 // on Push, so an Exec under it allocates only what the activation itself
 // emits.
-type poolSched struct{ t Task }
+type poolSched struct {
+	t     Task
+	spill Spill
+}
 
 func (s *poolSched) NewTask() *Task { return &s.t }
 func (s *poolSched) Push(*Task)     {}
+func (s *poolSched) Spill() *Spill  { return &s.spill }
 
 // TestJoinActivationAllocs pins what one join activation allocates once its
-// hash line has capacity: one token per match and nothing else — no memory
-// entry (lines hold entries by value), no emitter, no match buffer, no
-// closure — for every k up to matchInline, and nothing at all on a miss.
+// hash line has capacity: an add, one token per match and nothing else — no
+// memory entry (lines hold entries by value), no emitter, no match buffer,
+// no closure — for every k up to matchInline, and nothing at all on a miss;
+// a remove, nothing at all, since it finds the stored token it deletes and
+// names each child by that token instead of building one. A left remove
+// carries its token as a remove cascade does, by its stored parent.
 func TestJoinActivationAllocs(t *testing.T) {
 	const runs = 50
 	for _, unlink := range []bool{true, false} {
@@ -28,7 +35,13 @@ func TestJoinActivationAllocs(t *testing.T) {
 				name string
 				dir  Dir
 				key  string // x finds the k stored partners, y none
-			}{{"right", DirRight, "x"}, {"right-miss", DirRight, "y"}, {"left", dirLeft, "x"}, {"left-miss", dirLeft, "y"}} {
+				op   wme.Op
+			}{
+				{"right", DirRight, "x", wme.Add}, {"right-miss", DirRight, "y", wme.Add},
+				{"left", dirLeft, "x", wme.Add}, {"left-miss", dirLeft, "y", wme.Add},
+				{"right-remove", DirRight, "x", wme.Remove}, {"right-remove-miss", DirRight, "y", wme.Remove},
+				{"left-remove", dirLeft, "x", wme.Remove}, {"left-remove-miss", dirLeft, "y", wme.Remove},
+			} {
 				t.Run(fmt.Sprintf("unlink=%t/k=%d/%s", unlink, k, c.name), func(t *testing.T) {
 					opts := DefaultOptions()
 					opts.Unlink = unlink
@@ -53,29 +66,51 @@ func TestJoinActivationAllocs(t *testing.T) {
 							tasks[i] = &Task{Node: j, Dir: dirLeft, Op: wme.Add, tok: Extend(DummyTop, 0, e.wmeOf("a", "k", c.key))}
 						}
 					}
+					removes := make([]*Task, len(tasks))
+					for i, add := range tasks {
+						rm := *add
+						rm.Op = wme.Remove
+						if c.dir == dirLeft {
+							rm.tok, rm.W, rm.ce = DummyTop, add.tok.w, add.tok.ce
+						}
+						removes[i] = &rm
+					}
 					// Store and remove them all once, so the line has grown to
-					// the size the measured adds need.
+					// the size the measured activations need; a measured
+					// remove finds its entry stored again.
 					s := &poolSched{}
 					for _, task := range tasks {
 						e.nw.Exec(task, s)
 					}
-					for _, task := range tasks {
-						task.Op = wme.Remove
+					for _, task := range removes {
 						e.nw.Exec(task, s)
-						task.Op = wme.Add
+					}
+					measured := tasks
+					if c.op == wme.Remove {
+						for _, task := range tasks {
+							e.nw.Exec(task, s)
+						}
+						measured = removes
 					}
 					i := 0
 					got := testing.AllocsPerRun(runs, func() {
-						e.nw.Exec(tasks[i], s)
+						e.nw.Exec(measured[i], s)
 						i++
 					})
 					matches := 0
 					if c.key == "x" {
 						matches = k
 					}
-					if want := float64(matches); got != want {
-						t.Fatalf("a %s activation with %d matches allocates %v objects, want %v: its tokens",
-							c.dir, matches, got, want)
+					want := float64(matches)
+					if c.op == wme.Remove {
+						want = 0
+					}
+					if got != want {
+						t.Fatalf("a %s %s activation with %d matches allocates %v objects, want %v",
+							c.dir, c.op, matches, got, want)
+					}
+					if n := e.nw.Mem.Tombstones(); n != 0 {
+						t.Fatalf("%d tombstones: a remove missed its stored entry", n)
 					}
 				})
 			}

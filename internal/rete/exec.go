@@ -30,15 +30,17 @@ type Task struct {
 	Node *BetaNode
 	Dir  Dir
 	Op   wme.Op
+	ce   int16    // with W on a token-carrying activation: see ref
 	tok  *Token   // left activations; BB right and NCC-partner inputs
-	W    *wme.WME // join/not right activations
+	W    *wme.WME // join/not right activations; a left remove's extension
 
-	// Supp, when non-nil, makes this a suppressed-batch task: many
+	// Supp, when non-empty, makes this a suppressed-batch task: many
 	// empty-left right activations riding one scheduled task (Node is the
 	// first entry's node, for tracing/attribution; Dir/Op/W are ignored).
 	// Injectors batch these instead of executing them inline so the
 	// empty-opposite memory ops parallelize across workers at full
-	// granularity rather than serializing on the injection goroutine.
+	// granularity rather than serializing on the injection goroutine. A
+	// recycled task keeps its emptied array for the next batch.
 	Supp []SuppRight
 
 	Seq       int64
@@ -90,13 +92,25 @@ func (t *Task) String() string {
 	return fmt.Sprintf("%v %v %v", t.Node, t.Dir, t.Op)
 }
 
+// ref returns the token a token-carrying activation carries.
+func (t *Task) ref() ref { return ref{tok: t.tok, w: t.W, ce: t.ce} }
+
 // Scheduler is what Exec needs from the runtime executing it. For every
 // child activation Exec asks NewTask for a blank task — typically recycled
-// from a per-worker free list — fills it and hands it to Push.
+// from a per-worker free list; every field is zero but Supp, which may keep
+// an emptied batch array — fills it and hands it to Push. Spill is the
+// process's overflow buffer for pending suppressed runs, used only by the
+// Exec running on that process.
 type Scheduler interface {
 	NewTask() *Task
 	Push(t *Task)
+	Spill() *Spill
 }
+
+// Spill holds an emitter's pending suppressed runs beyond its inline
+// buffer. A match process keeps one across activations, so a fan-out that
+// spills reuses the array an earlier one grew.
+type Spill struct{ runs []suppRun }
 
 // Activation cost model, in simulated microseconds on the paper's 0.75-MIPS
 // NS32032. Calibrated so the mean task cost lands near the ~400 µs of
@@ -110,7 +124,7 @@ const (
 )
 
 // suppInline sizes the emitter's inline suppressed-run buffer; runs pending
-// beyond it spill to a heap slice (rare — it takes more than suppInline
+// beyond it spill to the process's Spill (it takes more than suppInline
 // empty-right child joins pending at once, which outside a relink race
 // means that much fan-out below one emitting node).
 const suppInline = 8
@@ -124,7 +138,7 @@ const matchInline = 8
 // drained iteratively instead of executed by recursion — see drain.
 type suppRun struct {
 	node *BetaNode
-	tok  *Token
+	r    ref
 	op   wme.Op
 }
 
@@ -135,10 +149,10 @@ type suppRun struct {
 // so the hot path allocates no closure.
 //
 // The pending suppressed runs are a LIFO stack of suppN entries: the first
-// suppInline in suppBuf, the rest in spill. It is kept by index because a
-// slice into suppBuf would point the emitter into itself, and that alone
-// moves it to the heap (Go issue 35518); CI fails the build if exec.go
-// reports "moved to heap" again.
+// suppInline in suppBuf, the rest in the process's Spill. It is kept by
+// index because a slice into suppBuf would point the emitter into itself,
+// and that alone moves it to the heap (Go issue 35518); CI fails the build
+// if the match path reports "moved to heap" again.
 type emitter struct {
 	nw        *Network
 	s         Scheduler
@@ -148,7 +162,7 @@ type emitter struct {
 	cost      int64
 	suppN     int
 	suppBuf   [suppInline]suppRun
-	spill     []suppRun
+	spill     *Spill // the process's, fetched on the first overflow
 }
 
 // pushSupp and popSupp are the suppressed-run stack (see emitter).
@@ -156,7 +170,12 @@ func (em *emitter) pushSupp(r suppRun) {
 	if em.suppN < suppInline {
 		em.suppBuf[em.suppN] = r
 	} else {
-		em.spill = append(em.spill, r)
+		if em.spill == nil {
+			// An activation that panicked may have left runs behind.
+			em.spill = em.s.Spill()
+			em.spill.runs = em.spill.runs[:0]
+		}
+		em.spill.runs = append(em.spill.runs, r)
 	}
 	em.suppN++
 }
@@ -166,28 +185,46 @@ func (em *emitter) popSupp() suppRun {
 	if em.suppN < suppInline {
 		return em.suppBuf[em.suppN]
 	}
-	r := em.spill[len(em.spill)-1]
-	em.spill = em.spill[:len(em.spill)-1]
+	runs := em.spill.runs
+	r := runs[len(runs)-1]
+	runs[len(runs)-1] = suppRun{} // the kept array pins no token
+	em.spill.runs = runs[:len(runs)-1]
 	return r
 }
 
-func (em *emitter) emit(from *BetaNode, tok *Token, op wme.Op) {
-	em.emitTo(from, from.children, tok, op)
+// extend emits tok + (from.rightCE, w). An add materializes the token once,
+// since every child stores it; a remove names it by tok, the stored parent,
+// since every child only finds the entry that holds it (see ref).
+func (em *emitter) extend(from *BetaNode, tok *Token, w *wme.WME, op wme.Op) {
+	if op == wme.Add {
+		em.emit(from, ref{tok: Extend(tok, from.rightCE, w)}, op)
+	} else {
+		em.emit(from, ref{tok: tok, w: w, ce: int16(from.rightCE)}, op)
+	}
+}
+
+func (em *emitter) emit(from *BetaNode, r ref, op wme.Op) {
+	em.emitTo(from, from.children, r, op)
 	if spliced := em.nw.own.betaKids; spliced != nil {
 		// Own-layer children spliced under a base node (chunk splice); the
 		// map is nil for sessions that never chunk and for owned networks.
 		if kids := spliced[from.ID]; len(kids) > 0 {
-			em.emitTo(from, kids, tok, op)
+			em.emitTo(from, kids, r, op)
 		}
 	}
 }
 
-func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op wme.Op) {
+func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, r ref, op wme.Op) {
 	nw := em.nw
 	for _, c := range children {
 		dir := dirLeft
-		if c.Kind == KindJoinBB && c.rightParent == from {
-			dir = DirRight
+		if c.Kind == KindJoinBB {
+			// Pair joins store and pair whole tokens: a remove reaching one
+			// materializes its token, once for every later child too.
+			r = ref{tok: r.token()}
+			if c.rightParent == from {
+				dir = DirRight
+			}
 		}
 		if dir == dirLeft && nw.suppressLeft(c) {
 			// Unlink fast path: the child join's right memory is provably
@@ -199,12 +236,13 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 			// goroutines' stacks (runtime.newstack) is what made unlink=true
 			// lose wall-clock on chain-heavy workloads.
 			nw.Stats.NullSuppressed.Add(1)
-			em.pushSupp(suppRun{node: c, tok: tok, op: op})
+			em.pushSupp(suppRun{node: c, r: r, op: op})
 			continue
 		}
 		em.emitted++
 		ct := em.s.NewTask()
-		*ct = Task{Node: c, Dir: dir, Op: op, tok: tok, ParentSeq: em.parentSeq, Depth: em.depth + 1}
+		*ct = Task{Node: c, Dir: dir, Op: op, ce: r.ce, tok: r.tok, W: r.w, Supp: ct.Supp,
+			ParentSeq: em.parentSeq, Depth: em.depth + 1}
 		em.s.Push(ct)
 	}
 }
@@ -219,7 +257,7 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, tok *Token, op w
 func (em *emitter) drain() {
 	for em.suppN > 0 {
 		r := em.popSupp()
-		em.cost += em.nw.joinLeft(r.node, r.op, r.tok, em)
+		em.cost += em.nw.joinLeft(r.node, r.op, r.r, em)
 	}
 }
 
@@ -323,17 +361,17 @@ func (nw *Network) Exec(t *Task, s Scheduler) (cost int64, emitted int) {
 
 	n := t.Node
 	switch {
-	case t.Supp != nil:
+	case len(t.Supp) > 0:
 		cost += nw.execSuppBatch(t.Supp, &em)
 	case n.Kind == KindJoin:
 		if t.Dir == dirLeft {
-			cost += nw.joinLeft(n, t.Op, t.tok, &em)
+			cost += nw.joinLeft(n, t.Op, t.ref(), &em)
 		} else {
 			cost += nw.joinRight(n, t.Op, t.W, &em)
 		}
 	case n.Kind == KindNot:
 		if t.Dir == dirLeft {
-			cost += nw.notLeft(n, t.Op, t.tok, &em)
+			cost += nw.notLeft(n, t.Op, t.ref(), &em)
 		} else {
 			cost += nw.notRight(n, t.Op, t.W, &em)
 		}
@@ -355,18 +393,24 @@ func (nw *Network) Exec(t *Task, s Scheduler) (cost int64, emitted int) {
 	return cost, em.emitted
 }
 
-func (nw *Network) joinLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int64 {
+// joinLeft and the other token-input bodies key an activation by the token
+// r names and continue from a stored token: on an add the one r carries,
+// which they store; on a remove the one they found and deleted.
+func (nw *Network) joinLeft(n *BetaNode, op wme.Op, r ref, em *emitter) int64 {
 	var cost int64
-	key := n.leftKeyFromToken(tok)
+	var probe Token
+	key := n.leftKeyFromToken(r.probe(&probe))
 	line := nw.Mem.line(n.ID, key)
 	var buf [matchInline]*wme.WME
 	matches := buf[:0]
 	line.lock.Lock()
+	var tok *Token
 	proceed := true
 	if op == wme.Add {
+		tok = r.token()
 		proceed = !line.addLeft(n.ID, key, tok, 0)
 	} else {
-		_, proceed = line.removeLeft(n.ID, key, tok)
+		tok, _, proceed = line.removeLeft(n.ID, key, r)
 	}
 	comparisons := 0
 	if proceed && !nw.rightScanSkip(n) {
@@ -382,7 +426,7 @@ func (nw *Network) joinLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int
 	nw.Stats.Comparisons.Add(int64(comparisons))
 	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, w := range matches {
-		em.emit(n, Extend(tok, n.rightCE, w), op)
+		em.extend(n, tok, w, op)
 	}
 	return cost
 }
@@ -421,19 +465,22 @@ func (nw *Network) joinRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) in
 	nw.Stats.Comparisons.Add(int64(comparisons))
 	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, tok := range matches {
-		em.emit(n, Extend(tok, n.rightCE, w), op)
+		em.extend(n, tok, w, op)
 	}
 	return cost
 }
 
-func (nw *Network) notLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int64 {
+func (nw *Network) notLeft(n *BetaNode, op wme.Op, r ref, em *emitter) int64 {
 	var cost int64
-	key := n.leftKeyFromToken(tok)
+	var probe Token
+	key := n.leftKeyFromToken(r.probe(&probe))
 	line := nw.Mem.line(n.ID, key)
 	comparisons := 0
 	pass := false
+	var tok *Token
 	line.lock.Lock()
 	if op == wme.Add {
+		tok = r.token()
 		var count int32
 		if !nw.rightScanSkip(n) {
 			line.eachRight(n.ID, key, func(e *rEntry) {
@@ -446,14 +493,16 @@ func (nw *Network) notLeft(n *BetaNode, op wme.Op, tok *Token, em *emitter) int6
 		}
 		pass = !line.addLeft(n.ID, key, tok, count) && count == 0
 	} else {
-		count, found := line.removeLeft(n.ID, key, tok)
+		var count int32
+		var found bool
+		tok, count, found = line.removeLeft(n.ID, key, r)
 		pass = found && count == 0
 	}
 	line.lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
 	cost += costMemInsert + int64(comparisons)*costCompare
 	if pass {
-		em.emit(n, tok, op)
+		em.emit(n, ref{tok: tok}, op)
 	}
 	return cost
 }
@@ -504,37 +553,43 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 		flipOp = wme.Add
 	}
 	for _, tok := range flips {
-		em.emit(n, tok, flipOp)
+		em.emit(n, ref{tok: tok}, flipOp)
 	}
 	return cost
 }
 
 func (nw *Network) execNCC(t *Task, em *emitter) int64 {
 	n := t.Node
-	key := t.tok.Hash()
+	r := t.ref()
+	var probe Token
+	key := r.probe(&probe).Hash()
 	line := nw.Mem.line(n.ID, key)
 	pass := false
 	comparisons := 0
+	var tok *Token
 	line.lock.Lock()
 	if t.Op == wme.Add {
+		tok = r.token()
 		var count int32
 		if !nw.rightScanSkip(n) {
 			line.eachRight(n.ID, key, func(e *rEntry) {
 				comparisons++
-				if e.owner.Equal(t.tok) {
+				if e.owner.Equal(tok) {
 					count++
 				}
 			})
 		}
-		pass = !line.addLeft(n.ID, key, t.tok, count) && count == 0
+		pass = !line.addLeft(n.ID, key, tok, count) && count == 0
 	} else {
-		count, found := line.removeLeft(n.ID, key, t.tok)
+		var count int32
+		var found bool
+		tok, count, found = line.removeLeft(n.ID, key, r)
 		pass = found && count == 0
 	}
 	line.lock.Unlock()
 	nw.Stats.Comparisons.Add(int64(comparisons))
 	if pass {
-		em.emit(n, t.tok, t.Op)
+		em.emit(n, ref{tok: tok}, t.Op)
 	}
 	return costMemInsert + int64(comparisons)*costCompare
 }
@@ -542,13 +597,16 @@ func (nw *Network) execNCC(t *Task, em *emitter) int64 {
 func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 	n := t.Node
 	ncc := n.partner
-	owner := ancestorAt(t.tok, int16(n.branchN))
+	r := t.ref()
+	// A sub-result extends its owner by at least one wme, so when r names
+	// it by its stored parent the owner is that parent or above it.
+	owner := ancestorAt(r.tok, int16(n.branchN))
 	key := owner.Hash()
 	line := nw.Mem.line(ncc.ID, key)
 	var flip *Token
 	line.lock.Lock()
 	if t.Op == wme.Add {
-		if !line.addSubResult(ncc.ID, key, owner, t.tok) {
+		if !line.addSubResult(ncc.ID, key, owner, r.token()) {
 			if e := line.findLeft(ncc.ID, key, owner); e != nil {
 				e.count++
 				if e.count == 1 {
@@ -557,7 +615,7 @@ func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 			}
 		}
 	} else {
-		if line.removeSubResult(ncc.ID, key, owner, t.tok) {
+		if line.removeSubResult(ncc.ID, key, owner, r) {
 			if e := line.findLeft(ncc.ID, key, owner); e != nil {
 				e.count--
 				if e.count == 0 {
@@ -572,7 +630,7 @@ func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 		if t.Op == wme.Remove {
 			flipOp = wme.Add
 		}
-		em.emit(ncc, flip, flipOp)
+		em.emit(ncc, ref{tok: flip}, flipOp)
 	}
 	return costMemInsert
 }
@@ -593,7 +651,7 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 		if t.Op == wme.Add {
 			proceed = !line.addLeft(n.ID, key, t.tok, 0)
 		} else {
-			_, proceed = line.removeLeft(n.ID, key, t.tok)
+			_, _, proceed = line.removeLeft(n.ID, key, ref{tok: t.tok})
 		}
 		if proceed && !nw.rightScanSkip(n) {
 			line.eachRight(n.ID, key, func(e *rEntry) {
@@ -612,7 +670,7 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 		nw.Stats.Comparisons.Add(int64(comparisons))
 		cost += costMemInsert + int64(comparisons)*costCompare
 		for _, r := range matches {
-			em.emit(n, pair(t.tok, r), t.Op)
+			em.emit(n, ref{tok: pair(t.tok, r)}, t.Op)
 		}
 		return cost
 	}
@@ -628,7 +686,7 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 	if t.Op == wme.Add {
 		proceed = !line.addSubResult(n.ID, key, ctx, stripped)
 	} else {
-		proceed = line.removeSubResult(n.ID, key, ctx, stripped)
+		proceed = line.removeSubResult(n.ID, key, ctx, ref{tok: stripped})
 	}
 	if proceed && !nw.leftScanSkip(n) {
 		line.eachLeft(n.ID, key, func(e *lEntry) {
@@ -647,27 +705,30 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 	nw.Stats.Comparisons.Add(int64(comparisons))
 	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, l := range matches {
-		em.emit(n, pair(l, stripped), t.Op)
+		em.emit(n, ref{tok: pair(l, stripped)}, t.Op)
 	}
 	return cost
 }
 
 func (nw *Network) execP(t *Task) int64 {
 	n := t.Node
-	key := t.tok.Hash()
+	r := t.ref()
+	var probe Token
+	key := r.probe(&probe).Hash()
 	line := nw.Mem.line(n.ID, key)
 	// The conflict set is updated under the line lock: an add and a remove
 	// of one token share this line, so the set sees them in the order the
 	// P-node memory did. Released first, the pair could reach the set as
 	// retract-then-insert — the retract a no-op, the insert stale for good.
+	// A retract hands the set the stored token, the one it inserted.
 	line.lock.Lock()
 	if t.Op == wme.Add {
-		if !line.addLeft(n.ID, key, t.tok, 0) && nw.CS != nil {
-			nw.CS.Insert(n.prod, t.tok)
+		if tok := r.token(); !line.addLeft(n.ID, key, tok, 0) && nw.CS != nil {
+			nw.CS.Insert(n.prod, tok)
 		}
 	} else {
-		if _, found := line.removeLeft(n.ID, key, t.tok); found && nw.CS != nil {
-			nw.CS.Retract(n.prod, t.tok)
+		if tok, _, found := line.removeLeft(n.ID, key, r); found && nw.CS != nil {
+			nw.CS.Retract(n.prod, tok)
 		}
 	}
 	line.lock.Unlock()

@@ -240,21 +240,26 @@ func (l *line) addLeft(node NodeID, key uint64, tok *Token, count int32) (annihi
 	return false
 }
 
-// removeLeft removes tok from node's left memory on l, returning the
-// removed entry's blocking count. When absent, a tombstone is inserted and
-// found is false.
-func (l *line) removeLeft(node NodeID, key uint64, tok *Token) (count int32, found bool) {
+// removeLeft removes the token r names from node's left memory on l,
+// returning the stored token it removed and that entry's blocking count.
+// The entry is found by content (Token.Equal against a probe on the stack,
+// which a stored extension of r's parent passes on pointer identity). When
+// absent, a tombstone holding r's materialized token is inserted and found
+// is false.
+func (l *line) removeLeft(node NodeID, key uint64, r ref) (stored *Token, count int32, found bool) {
 	l.touchLeft()
+	var buf Token
+	probe := r.probe(&buf)
 	for i := len(l.left) - 1; i >= 0; i-- {
-		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
-			count = e.count
+		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key && e.tok.Equal(probe) {
+			stored, count = e.tok, e.count
 			l.left = slices.Delete(l.left, i, i+1)
 			l.nc.decLeft(node)
-			return count, true
+			return stored, count, true
 		}
 	}
-	l.pushLeft(lEntry{key: key, tok: tok, node: node, tomb: true})
-	return 0, false
+	l.pushLeft(lEntry{key: key, tok: r.token(), node: node, tomb: true})
+	return nil, 0, false
 }
 
 // findLeft returns the live entry for tok at node, if present.
@@ -322,17 +327,20 @@ func (l *line) addSubResult(node NodeID, key uint64, owner, sub *Token) (annihil
 	return false
 }
 
-// removeSubResult removes a token-pair right entry or leaves a tombstone.
-func (l *line) removeSubResult(node NodeID, key uint64, owner, sub *Token) (found bool) {
+// removeSubResult removes a token-pair right entry, its sub token named by
+// sub as removeLeft names its token, or leaves a tombstone.
+func (l *line) removeSubResult(node NodeID, key uint64, owner *Token, sub ref) (found bool) {
 	l.touchRight()
+	var buf Token
+	probe := sub.probe(&buf)
 	for i := len(l.right) - 1; i >= 0; i-- {
-		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key && e.sub != nil && e.sub.Equal(sub) && e.owner.Equal(owner) {
+		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key && e.sub != nil && e.sub.Equal(probe) && e.owner.Equal(owner) {
 			l.right = slices.Delete(l.right, i, i+1)
 			l.nc.decRight(node)
 			return true
 		}
 	}
-	l.pushRight(rEntry{key: key, owner: owner, sub: sub, node: node, tomb: true})
+	l.pushRight(rEntry{key: key, owner: owner, sub: sub.token(), node: node, tomb: true})
 	return false
 }
 

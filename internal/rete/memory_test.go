@@ -1,6 +1,7 @@
 package rete
 
 import (
+	"fmt"
 	"testing"
 
 	"soarpsme/internal/wme"
@@ -41,7 +42,7 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 	l := m.line(3, 5)
 	l.lock.Lock()
 	// Delete before add: tombstone.
-	if _, found := l.removeLeft(3, 5, tok); found {
+	if _, _, found := l.removeLeft(3, 5, ref{tok: tok}); found {
 		t.Fatalf("remove of absent token found something")
 	}
 	// The add annihilates against the tombstone.
@@ -64,7 +65,7 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 	}
 	owner := Extend(DummyTop, 0, mkWME(4))
 	sub := Extend(owner, 1, mkWME(5))
-	if l.removeSubResult(3, 5, owner, sub) {
+	if l.removeSubResult(3, 5, owner, ref{tok: sub}) {
 		t.Fatalf("removeSubResult found absent entry")
 	}
 	if !l.addSubResult(3, 5, owner, sub) {
@@ -113,13 +114,13 @@ func TestLineOrderAndRemoval(t *testing.T) {
 	l.addLeft(1, 1, toks[0], 0)
 	l.addLeft(1, 1, toks[1], 0)
 	// A remove that overtakes its add leaves a tombstone among the entries.
-	if _, found := l.removeLeft(1, 1, toks[4]); found {
+	if _, _, found := l.removeLeft(1, 1, ref{tok: toks[4]}); found {
 		t.Fatalf("removeLeft found an absent token")
 	}
 	l.addLeft(1, 1, toks[2], 0)
 	l.addLeft(1, 1, toks[3], 0)
 	want(3, 2, 1, 0)
-	if _, found := l.removeLeft(1, 1, toks[1]); !found {
+	if _, _, found := l.removeLeft(1, 1, ref{tok: toks[1]}); !found {
 		t.Fatalf("removeLeft missed a stored token")
 	}
 	want(3, 2, 0)
@@ -216,3 +217,107 @@ func TestTaskAndNodeStrings(t *testing.T) {
 
 // NumLines returns the number of lines.
 func (m *Mem) NumLines() int { return len(m.lines) }
+
+// TestRemoveBeforeAdd runs, through a serial scheduler, a Remove activation
+// before its Add at each node kind a removal passes by naming its token —
+// the stored parent plus the (CE, wme) it extends — as a remove cascade
+// sends it. Each Remove must leave exactly one tombstone holding the
+// materialized token, its Add must annihilate it, neither may emit, and the
+// conflict set and memories must read as before the pair.
+func TestRemoveBeforeAdd(t *testing.T) {
+	const src = `
+(literalize a k)
+(literalize b k)
+(literalize c k m)
+(p j (a ^k <k>) (b ^k <k>) (c ^k <k>) --> (make o))
+(p n (a ^k <k>) (b ^k <k>) -(c ^k <k>) --> (make o))
+(p ncc (a ^k <k>) (b ^k <k>) -{ (c ^k <k> ^m <m>) (c ^k <m>) } --> (make o))
+(p pp (a ^k <k>) (b ^k <k>) --> (make o))
+`
+	for _, c := range []struct {
+		name string
+		kind BetaKind
+		node func(*Network) *BetaNode
+	}{
+		{"join", KindJoin, func(nw *Network) *BetaNode { return nw.Lookup("j").PNode.parent }},
+		{"not", KindNot, func(nw *Network) *BetaNode { return nw.Lookup("n").PNode.parent }},
+		{"ncc", KindNCC, func(nw *Network) *BetaNode { return nw.Lookup("ncc").PNode.parent }},
+		{"ncc-partner", KindNCCPartner, func(nw *Network) *BetaNode { return nw.Lookup("ncc").PNode.parent.partner }},
+		{"p", KindP, func(nw *Network) *BetaNode { return nw.Lookup("pp").PNode }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newTestEnv(t, src)
+			n := c.node(e.nw)
+			if n.Kind != c.kind {
+				t.Fatalf("node %v is a %v, want a %v", n, n.Kind, c.kind)
+			}
+			// Live matches elsewhere, so an unchanged conflict set is not
+			// merely an empty one.
+			e.add(e.wmeOf("a", "k", "y"))
+			e.add(e.wmeOf("b", "k", "y"))
+			cs := e.cs.keys()
+			left, right := e.nw.Mem.Entries()
+			stats := func() int64 { return e.nw.Stats.TokensEmitted.Load() + e.nw.Stats.NullSuppressed.Load() }
+			emitted := stats()
+
+			// The token n's input carries, built from wmes that never reach
+			// working memory: its parent is materialized, its last
+			// extension only named.
+			var exts []*BetaNode // the joins above n, innermost last
+			for p := n.parent; p != nil; p = p.parent {
+				exts = append([]*BetaNode{p}, exts...)
+			}
+			kvs := [][]any{{"a", "k", "x"}, {"b", "k", "x"}, {"c", "k", "x", "m", "z"}, {"c", "k", "z"}}
+			mk := func(i int) *wme.WME { return e.wmeOf(kvs[i][0].(string), kvs[i][1:]...) }
+			parent := DummyTop
+			for i, p := range exts[:len(exts)-1] {
+				parent = Extend(parent, p.rightCE, mk(i))
+			}
+			last := exts[len(exts)-1]
+			w := mk(len(exts) - 1)
+
+			e.s.Push(&Task{Node: n, Dir: dirLeft, Op: wme.Remove, tok: parent, W: w, ce: int16(last.rightCE)})
+			if ran := drain(e.nw, e.s); ran != 1 {
+				t.Fatalf("the remove ran %d tasks, want 1: it emitted", ran)
+			}
+			var tombs []*Token
+			for i := range e.nw.Mem.lines {
+				l := &e.nw.Mem.lines[i]
+				for _, le := range l.left {
+					if le.tomb {
+						tombs = append(tombs, le.tok)
+					}
+				}
+				for _, re := range l.right {
+					if re.tomb {
+						tombs = append(tombs, re.sub)
+					}
+				}
+			}
+			if len(tombs) != 1 {
+				t.Fatalf("%d tombstones after the remove, want 1", len(tombs))
+			}
+			if tok := tombs[0]; tok == parent || tok.parent != parent || tok.w != w || int(tok.ce) != last.rightCE {
+				t.Fatalf("the tombstone holds %v, want the materialized extension of %v by w%d", tok, parent, w.ID)
+			}
+
+			e.s.Push(&Task{Node: n, Dir: dirLeft, Op: wme.Add, tok: Extend(parent, last.rightCE, w)})
+			if ran := drain(e.nw, e.s); ran != 1 {
+				t.Fatalf("the add ran %d tasks, want 1: it emitted", ran)
+			}
+			if got := stats(); got != emitted {
+				t.Fatalf("the pair emitted or suppressed %d tokens, want 0", got-emitted)
+			}
+			if n := e.nw.Mem.Tombstones(); n != 0 {
+				t.Fatalf("%d tombstones after the add", n)
+			}
+			if l, r := e.nw.Mem.Entries(); l != left || r != right {
+				t.Fatalf("memories hold (%d, %d) entries, want (%d, %d) as before the pair", l, r, left, right)
+			}
+			if got := e.cs.keys(); fmt.Sprint(got) != fmt.Sprint(cs) {
+				t.Fatalf("conflict set %v, want %v as before the pair", got, cs)
+			}
+			auditClean(t, e)
+		})
+	}
+}

@@ -13,11 +13,16 @@ import (
 )
 
 // serialSched executes pushed tasks LIFO on the calling goroutine.
-type serialSched struct{ q []*Task }
+type serialSched struct {
+	q     []*Task
+	spill Spill
+}
 
 func (s *serialSched) NewTask() *Task { return new(Task) }
 
 func (s *serialSched) Push(t *Task) { s.q = append(s.q, t) }
+
+func (s *serialSched) Spill() *Spill { return &s.spill }
 
 func drain(nw *Network, s *serialSched) int {
 	n := 0

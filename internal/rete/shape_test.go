@@ -116,10 +116,13 @@ func TestBindingsAreFirstBindings(t *testing.T) {
 }
 
 // randShapeProgram generates productions of four or five positive CEs with
-// negations between them, over variables bound left to right, so that
-// variables cross bilinear groups. A negation may also name one of the
-// next two variables to be bound, which is illegal if a CE to its right
-// binds it, and a <> test on a variable still unbound is illegal too.
+// negations and conjunctive negations between them, over variables bound
+// left to right, so that variables cross bilinear groups. A negation may
+// also name one of the next two variables to be bound, which is illegal if
+// a CE to its right binds it, and a <> test on a variable still unbound is
+// illegal too. A conjunctive negation holds one or two CEs; a production
+// with one keeps its linear shape under every organization, and its
+// removals cascade through NCC nodes and their partners.
 func randShapeProgram(rng *rand.Rand, nProds int) string {
 	var b strings.Builder
 	b.WriteString("(literalize ca a1 a2 a3)\n(literalize cb a1 a2 a3)\n")
@@ -154,6 +157,13 @@ func randShapeProgram(rng *rand.Rand, nProds int) string {
 			if rng.Intn(3) == 0 {
 				b.WriteString("  -" + ce(true) + "\n")
 			}
+			if rng.Intn(8) == 0 {
+				sub := ce(true)
+				if rng.Intn(2) == 0 {
+					sub += " " + ce(true)
+				}
+				b.WriteString("  -{ " + sub + " }\n")
+			}
 		}
 		b.WriteString("  -->\n  (make out))\n")
 	}
@@ -166,7 +176,7 @@ func randShapeProgram(rng *rand.Rand, nProds int) string {
 // change to working memory.
 func TestShapesAgreeOnRandomPrograms(t *testing.T) {
 	opts := shapeOpts()[:2]
-	accepted, rejected := 0, 0
+	accepted, rejected, nccs := 0, 0, 0
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 6800))
 		src := randShapeProgram(rng, 4)
@@ -179,6 +189,11 @@ func TestShapesAgreeOnRandomPrograms(t *testing.T) {
 			}
 			if linErrs[i] == nil {
 				legal = append(legal, p)
+				for _, ci := range p.LHS {
+					if ci.Kind == ops5.CondNCC {
+						nccs++
+					}
+				}
 			}
 		}
 		accepted += len(legal)
@@ -216,5 +231,8 @@ func TestShapesAgreeOnRandomPrograms(t *testing.T) {
 	}
 	if accepted == 0 || rejected == 0 {
 		t.Fatalf("%d legal and %d illegal productions generated: both kinds are needed", accepted, rejected)
+	}
+	if nccs == 0 {
+		t.Fatal("no legal production has a conjunctive negation")
 	}
 }

@@ -37,13 +37,46 @@ var DummyTop = &Token{n: 0, hash: 0x5bd1e9955bd1e995}
 
 // Extend returns the linear token t + (ce, w).
 func Extend(t *Token, ce int, w *wme.WME) *Token {
-	return &Token{
-		parent: t,
-		w:      w,
-		ce:     int16(ce),
-		n:      t.n + 1,
-		hash:   t.hash ^ mixWME(ce, w),
+	e := new(Token)
+	*e = extension(t, ce, w)
+	return e
+}
+
+// extension is the value of the linear token t + (ce, w).
+func extension(t *Token, ce int, w *wme.WME) Token {
+	return Token{parent: t, w: w, ce: int16(ce), n: t.n + 1, hash: t.hash ^ mixWME(ce, w)}
+}
+
+// ref is a token as an activation carries it. With w nil it is tok itself:
+// an add always carries its token so, because every child stores it and the
+// emitter materializes it once for all of them. A remove of a linear
+// extension carries the stored parent tok plus the (ce, w) it extends
+// (paper §2.3 sends a copy of the token; here the copy is named, not
+// built): a child only finds the stored entry and continues from that.
+type ref struct {
+	tok *Token
+	w   *wme.WME
+	ce  int16
+}
+
+// probe returns the token r names, building an unmaterialized extension in
+// buf: a probe is compared (Token.Equal) and hashed, never stored.
+func (r ref) probe(buf *Token) *Token {
+	if r.w == nil {
+		return r.tok
 	}
+	*buf = extension(r.tok, int(r.ce), r.w)
+	return buf
+}
+
+// token returns the token r names, materializing an extension. A remove
+// needs one only where a token is stored or paired: the tombstone it
+// leaves when it overtakes its add, and a bilinear pair join.
+func (r ref) token() *Token {
+	if r.w == nil {
+		return r.tok
+	}
+	return Extend(r.tok, int(r.ce), r.w)
 }
 
 // pair combines two tokens that matched disjoint CE sets (bilinear join).

@@ -166,7 +166,7 @@ func TestHarvestAccessCountsRace(t *testing.T) {
 				l.lock.Lock()
 				l.addLeft(NodeID(id+1), key, tok, 0)
 				l.eachLeft(NodeID(id+1), key, func(*lEntry) {})
-				l.removeLeft(NodeID(id+1), key, tok)
+				l.removeLeft(NodeID(id+1), key, ref{tok: tok})
 				l.lock.Unlock()
 			}
 		}(i)
