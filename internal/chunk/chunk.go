@@ -53,11 +53,38 @@ type Builder struct {
 	counter int
 	seen    map[string]string // canonical body -> chunk name
 	key     []byte            // appendCanonical's buffer, reused across builds
+	vars    []value.Sym       // v1, v2, ...: interned once, shared by every chunk
+
+	// Scratch, cleared and reused by every Build; nothing in it outlives
+	// the call. The AST a Build returns is the production, so it is carved
+	// from arrays of its own and never recycled.
+	visited map[uint64]bool         // backtrace: wmes already traced
+	queue   []*wme.WME              // backtrace: wmes left to trace
+	conds   []*wme.WME              // backtrace's conditions
+	order   []*wme.WME              // orderLinked's output
+	used    []bool                  // orderLinked: conds already taken
+	bound   map[value.Sym]bool      // orderLinked: identifiers the taken conds bind
+	results []*wme.WME              // the firing's result wmes
+	varOf   map[value.Sym]value.Sym // identifier -> its variable in this chunk
+	fields  []field                 // every rendered field: the conds', then the results'
+	ends    []int                   // where each cond's, then each result's, fields end
+	fresh   []value.Sym             // variables of identifiers only the results mention
+}
+
+// field is one wme field as a chunk renders it: a variable when the field
+// holds an identifier, the constant val otherwise.
+type field struct {
+	attr value.Sym
+	val  value.Value
+	v    value.Sym // 0: a constant
 }
 
 func (b *Builder) ensure() {
 	if b.seen == nil {
 		b.seen = make(map[string]string)
+		b.visited = make(map[uint64]bool)
+		b.bound = make(map[value.Sym]bool)
+		b.varOf = make(map[value.Sym]value.Sym)
 	}
 }
 
@@ -66,24 +93,20 @@ func (b *Builder) ensure() {
 // out to be local, and (nil, name) when an identical chunk already exists.
 func (b *Builder) Build(rec *Record) (*ops5.Production, string, error) {
 	b.ensure()
-	var results []*wme.WME
+	b.results = b.results[:0]
 	for _, w := range rec.Created {
 		if b.Level(w) < rec.Level {
-			results = append(results, w)
+			b.results = append(b.results, w)
 		}
 	}
-	if len(results) == 0 {
+	if len(b.results) == 0 {
 		return nil, "", nil
 	}
-	conds, err := b.backtrace(rec)
-	if err != nil {
-		return nil, "", err
-	}
+	conds := b.backtrace(rec)
 	if len(conds) == 0 {
 		return nil, "", fmt.Errorf("chunk: no supergoal conditions for results of %s", rec.Prod.Name)
 	}
-	conds = orderLinked(conds, b)
-	ast := b.buildAST(conds, results)
+	ast := b.buildAST(b.orderLinked(conds), b.results)
 	b.key = appendCanonical(b.key[:0], ast)
 	if name, dup := b.seen[string(b.key)]; dup {
 		return nil, name, nil
@@ -104,19 +127,19 @@ func (b *Builder) Count() int { return b.counter }
 
 // backtrace walks the dependency graph: subgoal-local wmes are replaced by
 // the wmes matched by the firing that created them (or their architecture
-// substitutes), until only supergoal wmes remain.
-func (b *Builder) backtrace(rec *Record) ([]*wme.WME, error) {
+// substitutes), until only supergoal wmes remain. The conditions it returns
+// are scratch, valid until the next Build.
+func (b *Builder) backtrace(rec *Record) []*wme.WME {
 	gl := rec.Level
-	var conds []*wme.WME
-	seen := map[uint64]bool{}
-	queue := append([]*wme.WME(nil), rec.Matched...)
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
-		if seen[w.ID] {
+	clear(b.visited)
+	conds := b.conds[:0]
+	queue := append(b.queue[:0], rec.Matched...)
+	for i := 0; i < len(queue); i++ {
+		w := queue[i]
+		if b.visited[w.ID] {
 			continue
 		}
-		seen[w.ID] = true
+		b.visited[w.ID] = true
 		if b.Level(w) < gl {
 			conds = append(conds, w)
 			continue
@@ -132,133 +155,176 @@ func (b *Builder) backtrace(rec *Record) ([]*wme.WME, error) {
 		// Architecture wme of the subgoal (goal/context): terminates the
 		// trace without contributing a condition.
 	}
+	b.queue, b.conds = queue, conds
 	slices.SortFunc(conds, func(x, y *wme.WME) int { return cmp.Compare(x.ID, y.ID) })
-	return conds, nil
+	return conds
 }
 
 // orderLinked orders conditions so that each CE (after the first) shares an
 // identifier with an earlier CE where possible — Soar's condition ordering,
-// which is also what makes chunk join chains connected (paper §6.1).
-func orderLinked(conds []*wme.WME, b *Builder) []*wme.WME {
+// which is also what makes chunk join chains connected (paper §6.1). The
+// order it returns is scratch, valid until the next Build.
+func (b *Builder) orderLinked(conds []*wme.WME) []*wme.WME {
 	if len(conds) <= 1 {
 		return conds
 	}
-	ids := func(w *wme.WME) []value.Sym {
-		var out []value.Sym
-		for _, f := range w.Fields {
-			if f.Kind == value.KindSym && b.IsID(f.Sym) {
-				out = append(out, f.Sym)
-			}
-		}
-		return out
-	}
-	used := make([]bool, len(conds))
-	bound := map[value.Sym]bool{}
-	var out []*wme.WME
+	clear(b.bound)
+	used := append(b.used[:0], make([]bool, len(conds))...)
+	out := b.order[:0]
 	take := func(i int) {
 		used[i] = true
 		out = append(out, conds[i])
-		for _, s := range ids(conds[i]) {
-			bound[s] = true
+		for _, f := range conds[i].Fields {
+			if f.Kind == value.KindSym && b.IsID(f.Sym) {
+				b.bound[f.Sym] = true
+			}
 		}
+	}
+	// linked reports whether w holds an identifier a taken cond binds.
+	linked := func(w *wme.WME) bool {
+		for _, f := range w.Fields {
+			if f.Kind == value.KindSym && b.bound[f.Sym] {
+				return true
+			}
+		}
+		return false
 	}
 	take(0)
 	for len(out) < len(conds) {
 		picked := -1
 		for i, w := range conds {
-			if used[i] {
-				continue
-			}
-			for _, s := range ids(w) {
-				if bound[s] {
-					picked = i
-					break
-				}
-			}
-			if picked >= 0 {
+			if !used[i] && linked(w) {
+				picked = i
 				break
 			}
 		}
 		if picked < 0 {
 			// No linked condition left; take the first unused.
-			for i := range conds {
-				if !used[i] {
-					picked = i
-					break
-				}
-			}
+			picked = slices.Index(used, false)
 		}
 		take(picked)
 	}
+	b.used, b.order = used, out
 	return out
 }
 
-// buildAST renders conditions and result actions as a production AST,
-// variablizing identifiers consistently.
-func (b *Builder) buildAST(conds, results []*wme.WME) *ops5.Production {
-	vars := map[value.Sym]value.Sym{} // identifier -> variable name
-	nv := 0
-	varFor := func(s value.Sym) value.Sym {
-		if v, ok := vars[s]; ok {
-			return v
-		}
-		nv++
-		v := b.Tab.Intern("v" + strconv.Itoa(nv))
-		vars[s] = v
+// varFor returns the variable of identifier s in the chunk being built,
+// numbering a new one v1, v2, ... in order of first use.
+func (b *Builder) varFor(s value.Sym) value.Sym {
+	if v, ok := b.varOf[s]; ok {
 		return v
 	}
-	p := &ops5.Production{}
-	for _, w := range conds {
-		ce := &ops5.CE{Class: w.Class}
-		schema := b.Reg.Get(w.Class, false)
+	n := len(b.varOf)
+	if n == len(b.vars) {
+		b.vars = append(b.vars, b.Tab.Intern("v"+strconv.Itoa(n+1)))
+	}
+	b.varOf[s] = b.vars[n]
+	return b.vars[n]
+}
+
+// collect appends the fields of w a chunk renders — those its class's
+// schema names — to b.fields, variablizing identifiers, and closes the
+// wme's span in b.ends.
+func (b *Builder) collect(w *wme.WME) {
+	if schema := b.Reg.Get(w.Class, false); schema != nil {
+		attrs := schema.Attrs()
 		for i, f := range w.Fields {
-			if f.IsNil() || schema == nil || i >= len(schema.Attrs()) {
+			if f.IsNil() || i >= len(attrs) {
 				continue
 			}
-			attr := schema.Attrs()[i]
-			var t ops5.Test
+			fd := field{attr: attrs[i], val: f}
 			if f.Kind == value.KindSym && b.IsID(f.Sym) {
-				t = ops5.Test{Kind: ops5.TestVar, Var: varFor(f.Sym)}
-			} else {
-				t = ops5.Test{Kind: ops5.TestConst, Val: f}
+				fd.v = b.varFor(f.Sym)
 			}
-			ce.Tests = append(ce.Tests, ops5.AttrTest{Attr: attr, Tests: []ops5.Test{t}})
+			b.fields = append(b.fields, fd)
 		}
-		p.LHS = append(p.LHS, &ops5.CondItem{Kind: ops5.CondPos, CE: ce})
 	}
+	b.ends = append(b.ends, len(b.fields))
+}
+
+// carve returns a[i:j] with its capacity cut at j, so that an append to it
+// copies instead of writing into the next span; an empty span is nil, as
+// an AST built by appends has it.
+func carve[T any](a []T, i, j int) []T {
+	if i == j {
+		return nil
+	}
+	return a[i:j:j]
+}
+
+// buildAST renders conditions and result actions as a production AST,
+// variablizing identifiers consistently. It walks the wmes once into
+// scratch, then carves the AST from one exact-size array per node type, so
+// a chunk costs the same number of allocations whatever its size.
+func (b *Builder) buildAST(conds, results []*wme.WME) *ops5.Production {
+	clear(b.varOf)
+	b.fields, b.ends, b.fresh = b.fields[:0], b.ends[:0], b.fresh[:0]
+	for _, w := range conds {
+		b.collect(w)
+	}
+	nTests := len(b.fields)
 	// Identifiers appearing only in actions are fresh objects: bind them
 	// to gensyms first.
-	condVars := map[value.Sym]bool{}
-	for s := range vars {
-		condVars[s] = true
-	}
 	for _, w := range results {
 		for _, f := range w.Fields {
-			if f.Kind == value.KindSym && b.IsID(f.Sym) && !condVars[f.Sym] {
-				if _, ok := vars[f.Sym]; !ok {
-					v := varFor(f.Sym)
-					p.RHS = append(p.RHS, &ops5.Action{Kind: ops5.ActBind, Var: v, Expr: &ops5.Expr{Kind: ops5.ExprGensym}})
+			if f.Kind == value.KindSym && b.IsID(f.Sym) {
+				if _, ok := b.varOf[f.Sym]; !ok {
+					b.fresh = append(b.fresh, b.varFor(f.Sym))
 				}
 			}
 		}
 	}
 	for _, w := range results {
-		act := &ops5.Action{Kind: ops5.ActMake, Class: w.Class}
-		schema := b.Reg.Get(w.Class, false)
-		for i, f := range w.Fields {
-			if f.IsNil() || schema == nil || i >= len(schema.Attrs()) {
-				continue
-			}
-			attr := schema.Attrs()[i]
-			var e *ops5.Expr
-			if f.Kind == value.KindSym && b.IsID(f.Sym) {
-				e = &ops5.Expr{Kind: ops5.ExprVar, Var: vars[f.Sym]}
+		b.collect(w)
+	}
+	nSets := len(b.fields) - nTests
+
+	items := make([]ops5.CondItem, len(conds))
+	ces := make([]ops5.CE, len(conds))
+	ats := make([]ops5.AttrTest, nTests)
+	tests := make([]ops5.Test, nTests)
+	acts := make([]ops5.Action, len(b.fresh)+len(results))
+	sets := make([]ops5.AttrSet, nSets)
+	exprs := make([]ops5.Expr, len(b.fresh)+nSets)
+	p := &ops5.Production{LHS: make([]*ops5.CondItem, len(conds)), RHS: make([]*ops5.Action, len(acts))}
+
+	start := 0
+	for i, w := range conds {
+		end := b.ends[i]
+		for j := start; j < end; j++ {
+			if f := b.fields[j]; f.v != 0 {
+				tests[j] = ops5.Test{Kind: ops5.TestVar, Var: f.v}
 			} else {
-				e = &ops5.Expr{Kind: ops5.ExprConst, Val: f}
+				tests[j] = ops5.Test{Kind: ops5.TestConst, Val: f.val}
 			}
-			act.Sets = append(act.Sets, ops5.AttrSet{Attr: attr, Expr: e})
+			ats[j] = ops5.AttrTest{Attr: b.fields[j].attr, Tests: tests[j : j+1 : j+1]}
 		}
-		p.RHS = append(p.RHS, act)
+		ces[i] = ops5.CE{Class: w.Class, Tests: carve(ats, start, end)}
+		items[i] = ops5.CondItem{Kind: ops5.CondPos, CE: &ces[i]}
+		p.LHS[i] = &items[i]
+		start = end
+	}
+	for i, v := range b.fresh {
+		exprs[i] = ops5.Expr{Kind: ops5.ExprGensym}
+		acts[i] = ops5.Action{Kind: ops5.ActBind, Var: v, Expr: &exprs[i]}
+	}
+	e := exprs[len(b.fresh):]
+	for i, w := range results {
+		end := b.ends[len(conds)+i]
+		for j := start; j < end; j++ {
+			k := j - nTests
+			if f := b.fields[j]; f.v != 0 {
+				e[k] = ops5.Expr{Kind: ops5.ExprVar, Var: f.v}
+			} else {
+				e[k] = ops5.Expr{Kind: ops5.ExprConst, Val: f.val}
+			}
+			sets[k] = ops5.AttrSet{Attr: b.fields[j].attr, Expr: &e[k]}
+		}
+		acts[len(b.fresh)+i] = ops5.Action{Kind: ops5.ActMake, Class: w.Class, Sets: carve(sets, start-nTests, end-nTests)}
+		start = end
+	}
+	for i := range acts {
+		p.RHS[i] = &acts[i]
 	}
 	return p
 }

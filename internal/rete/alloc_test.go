@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"soarpsme/internal/ops5"
+	"soarpsme/internal/value"
 	"soarpsme/internal/wme"
 )
 
@@ -187,5 +189,57 @@ func TestSuppressedRunsSpill(t *testing.T) {
 	}
 	if !matched {
 		t.Fatal("no production ever matched: the stream does not exercise the joins")
+	}
+}
+
+// TestAddProductionAllocs pins what compiling a production costs: a fixed
+// number of allocations per production and per node it builds, none per
+// test. A CE's tests are compiled into the network's reused scratch, and
+// the join tests the new nodes keep move into one exact-size array per
+// production, so a production whose second CE joins on four variables
+// costs what one joining on a single variable costs; a third CE, which
+// builds one more join node, costs more. Beta sharing is off, so every
+// addition builds its nodes anew; the alpha memories are shared after the
+// first (unmeasured) addition.
+func TestAddProductionAllocs(t *testing.T) {
+	const runs = 20
+	measure := func(src string) float64 {
+		tab, reg := value.NewTable(), wme.NewRegistry()
+		opts := DefaultOptions()
+		opts.ShareBeta = false
+		nw := NewNetwork(tab, reg, newCS(), opts)
+		prog, err := ops5.Parse(src, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lit := range prog.Literalize {
+			reg.Declare(lit.Class, lit.Attrs...)
+		}
+		// AllocsPerRun makes one call more than runs; each adds a copy of
+		// the production under a name of its own.
+		asts := make([]*ops5.Production, runs+1)
+		for i := range asts {
+			p := *prog.Productions[0]
+			p.Name = fmt.Sprintf("p%d", i)
+			asts[i] = &p
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, _, err := nw.AddProduction(asts[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	const lit = "(literalize a k1 k2 k3 k4)\n(literalize b k1 k2 k3 k4)\n(literalize c k1 k2 k3 k4)\n"
+	one := measure(lit + "(p j (a ^k1 <x>) (b ^k1 <x>) --> (make c))")
+	four := measure(lit + "(p j (a ^k1 <x> ^k2 <y> ^k3 <z> ^k4 <w>) (b ^k1 <x> ^k2 <y> ^k3 <z> ^k4 <w>) --> (make c))")
+	three := measure(lit + "(p j (a ^k1 <x>) (b ^k1 <x>) (c ^k1 <x>) --> (make c))")
+	t.Logf("allocations per AddProduction: 1 join test %v, 4 join tests %v, one more CE %v", one, four, three)
+	if four != one {
+		t.Fatalf("a join on four variables costs %v allocations, on one %v: the count grows with the tests", four, one)
+	}
+	if three <= one {
+		t.Fatalf("a production with one more join node costs %v allocations, want more than %v", three, one)
 	}
 }

@@ -1,10 +1,10 @@
 package rete
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"time"
 
 	"soarpsme/internal/ops5"
@@ -178,8 +178,24 @@ type cond struct {
 	sub   []cond     // a conjunctive negation's sub-chain
 }
 
-// compileLHS compiles the production's conditions in source order.
+// compileLHS compiles the production's conditions in source order. The
+// conditions' tests are compiled into the network's scratch, sized once from
+// the production's test count (each test becomes at most one alpha or join
+// test); alpha tests are copied into alpha nodes and stay there, while the
+// join tests, which the new beta nodes keep, are moved into one array of
+// exactly their count.
 func (b *builder) compileLHS() ([]cond, error) {
+	n := 0
+	for _, ci := range b.ast.LHS {
+		if ci.CE != nil {
+			n += testCount(ci.CE)
+		}
+		for _, ce := range ci.Sub {
+			n += testCount(ce)
+		}
+	}
+	sc := &b.nw.scratch
+	sc.alpha, sc.join = slices.Grow(sc.alpha[:0], n), slices.Grow(sc.join[:0], n)
 	conds := make([]cond, len(b.ast.LHS))
 	tag := 0
 	for i, ci := range b.ast.LHS {
@@ -212,7 +228,40 @@ func (b *builder) compileLHS() ([]cond, error) {
 			return nil, err
 		}
 	}
+	// Move the join tests, which new beta nodes keep, into one array of
+	// exactly their count; the scratch holds them in compile order.
+	own, k := slices.Clone(sc.join), 0
+	rehome := func(c *cond) {
+		n := len(c.join)
+		c.join = span(own[:k+n], k)
+		k += n
+	}
+	for i := range conds {
+		rehome(&conds[i])
+		for j := range conds[i].sub {
+			rehome(&conds[i].sub[j])
+		}
+	}
 	return conds, nil
+}
+
+// testCount is the number of tests in a CE.
+func testCount(ce *ops5.CE) int {
+	n := 0
+	for _, at := range ce.Tests {
+		n += len(at.Tests)
+	}
+	return n
+}
+
+// span returns the tests a CE appended to a scratch array since start,
+// cap-limited so that an append to one condition's tests copies them
+// instead of overwriting the next condition's; none is nil.
+func span[T any](a []T, start int) []T {
+	if len(a) == start {
+		return nil
+	}
+	return a[start:len(a):len(a)]
 }
 
 // compileCE splits a CE's attribute tests into alpha tests (constants,
@@ -222,6 +271,8 @@ func (b *builder) compileLHS() ([]cond, error) {
 // wildcards local to the CE.
 func (b *builder) compileCE(c *cond, ce *ops5.CE, scope map[value.Sym]Binding) error {
 	c.class = ce.Class
+	sc := &b.nw.scratch
+	alpha0, join0 := len(sc.alpha), len(sc.join)
 	var wild map[value.Sym]int // a negated CE's wildcards -> field
 	for _, at := range ce.Tests {
 		field, ok := b.nw.Reg.FieldIndex(ce.Class, at.Attr, true)
@@ -231,22 +282,22 @@ func (b *builder) compileCE(c *cond, ce *ops5.CE, scope map[value.Sym]Binding) e
 		for _, t := range at.Tests {
 			switch t.Kind {
 			case ops5.TestConst:
-				c.alpha = append(c.alpha, alphaTest{field: field, pred: t.Pred, val: t.Val})
+				sc.alpha = append(sc.alpha, alphaTest{field: field, pred: t.Pred, val: t.Val})
 				continue
 			case ops5.TestDisj:
-				c.alpha = append(c.alpha, alphaTest{field: field, disj: t.Disj})
+				sc.alpha = append(sc.alpha, alphaTest{field: field, disj: t.Disj})
 				continue
 			}
 			if bd, ok := scope[t.Var]; ok {
 				if bd.CE == c.tag {
-					c.alpha = append(c.alpha, alphaTest{field: field, pred: t.Pred, vsField: true, other: bd.Field})
+					sc.alpha = append(sc.alpha, alphaTest{field: field, pred: t.Pred, vsField: true, other: bd.Field})
 				} else {
-					c.join = append(c.join, JoinTest{rightField: field, leftCE: bd.CE, leftField: bd.Field, Pred: t.Pred})
+					sc.join = append(sc.join, JoinTest{rightField: field, leftCE: bd.CE, leftField: bd.Field, Pred: t.Pred})
 				}
 				continue
 			}
 			if f, ok := wild[t.Var]; ok {
-				c.alpha = append(c.alpha, alphaTest{field: field, pred: t.Pred, vsField: true, other: f})
+				sc.alpha = append(sc.alpha, alphaTest{field: field, pred: t.Pred, vsField: true, other: f})
 				continue
 			}
 			switch {
@@ -266,6 +317,7 @@ func (b *builder) compileCE(c *cond, ce *ops5.CE, scope map[value.Sym]Binding) e
 			}
 		}
 	}
+	c.alpha, c.join = span(sc.alpha, alpha0), span(sc.join, join0)
 	return nil
 }
 
@@ -426,19 +478,15 @@ func (b *builder) joinChild(cur *BetaNode, kind BetaKind, c *cond) *BetaNode {
 // canonicalizeTests orders equality tests first (they form the hash key)
 // and returns the equality-test count.
 func canonicalizeTests(tests []JoinTest) int {
-	sort.SliceStable(tests, func(i, j int) bool {
-		a, c := tests[i], tests[j]
+	slices.SortStableFunc(tests, func(a, c JoinTest) int {
 		ae, ce := a.Pred == value.PredEq, c.Pred == value.PredEq
 		if ae != ce {
-			return ae
+			if ae {
+				return -1
+			}
+			return 1
 		}
-		if a.leftCE != c.leftCE {
-			return a.leftCE < c.leftCE
-		}
-		if a.leftField != c.leftField {
-			return a.leftField < c.leftField
-		}
-		return a.rightField < c.rightField
+		return cmp.Or(cmp.Compare(a.leftCE, c.leftCE), cmp.Compare(a.leftField, c.leftField), cmp.Compare(a.rightField, c.rightField))
 	})
 	n := 0
 	for _, t := range tests {
@@ -704,16 +752,15 @@ func (b *builder) combine(bottoms []*BetaNode, lo, hi int, s *groupScope) *BetaN
 }
 
 func canonicalizeBB(tests []BBTest) int {
-	sort.SliceStable(tests, func(i, j int) bool {
-		a, c := tests[i], tests[j]
+	slices.SortStableFunc(tests, func(a, c BBTest) int {
 		ae, ce := a.pred == value.PredEq, c.pred == value.PredEq
 		if ae != ce {
-			return ae
+			if ae {
+				return -1
+			}
+			return 1
 		}
-		if a.leftCE != c.leftCE {
-			return a.leftCE < c.leftCE
-		}
-		return a.rightCE < c.rightCE
+		return cmp.Or(cmp.Compare(a.leftCE, c.leftCE), cmp.Compare(a.rightCE, c.rightCE))
 	})
 	n := 0
 	for _, t := range tests {

@@ -129,6 +129,13 @@ type Network struct {
 	mu   sync.Mutex // guards construction state: the own layer, and base until Freeze
 	base *Topology  // never nil; empty for an owned network
 	own  layer
+
+	// scratch holds the tests of the production being compiled (callers
+	// hold nw.mu); AddProduction reuses it for every production.
+	scratch struct {
+		alpha []alphaTest
+		join  []JoinTest
+	}
 }
 
 // NewNetwork creates an empty owned network: a session over an empty base.

@@ -41,7 +41,7 @@ func (a *Agent) elaborate() error {
 				return err
 			}
 			gl := a.instLevel(in)
-			rec := &chunk.Record{Prod: in.Prod, Matched: in.WMEs, Level: gl}
+			var rec *chunk.Record // made at the firing's first new wme
 			for _, d := range ds {
 				if d.Op != wme.Add {
 					return fmt.Errorf("soar: %s removed a wme", in.Prod.Name)
@@ -50,6 +50,9 @@ func (a *Agent) elaborate() error {
 					continue // Soar working memory is a set
 				}
 				lvl := a.registerWME(d.WME, gl)
+				if rec == nil {
+					rec = &chunk.Record{Prod: in.Prod, Matched: in.WMEs, Created: make([]*wme.WME, 0, len(ds)), Level: gl}
+				}
 				rec.Created = append(rec.Created, d.WME)
 				a.records[d.WME.ID] = rec
 				deltas = append(deltas, d)
@@ -58,7 +61,7 @@ func (a *Agent) elaborate() error {
 						d.WME.Format(a.Eng.Tab, a.Eng.Reg), in.Prod.Name, lvl, gl)
 				}
 			}
-			if a.cfg.Chunking && len(rec.Created) > 0 && gl > 1 {
+			if a.cfg.Chunking && rec != nil && gl > 1 {
 				ast, name, err := a.builder.Build(rec)
 				if err != nil {
 					return err

@@ -223,20 +223,22 @@ func (a *Agent) declareKernelClasses() {
 }
 
 // loadTask compiles the task program; Soar productions may only add wmes.
+// The source is parsed once, by the engine. The check reads the compiled
+// productions afterwards: loading only matches the startup wmes and fires
+// nothing, and an agent whose task fails it is never returned.
 func (a *Agent) loadTask() error {
-	prog, err := ops5.Parse(a.task.Source, a.Eng.Tab)
-	if err != nil {
+	if err := a.Eng.LoadProgram(a.task.Source); err != nil {
 		return err
 	}
-	for _, p := range prog.Productions {
-		for _, act := range p.RHS {
+	for _, p := range a.Eng.NW.Productions() {
+		for _, act := range p.AST.RHS {
 			switch act.Kind {
 			case ops5.ActRemove, ops5.ActModify, ops5.ActExcise:
 				return fmt.Errorf("soar: production %s: Soar productions only add wmes (paper §3)", p.Name)
 			}
 		}
 	}
-	return a.Eng.LoadProgram(a.task.Source)
+	return nil
 }
 
 func (a *Agent) slotSym(s slot) value.Sym {

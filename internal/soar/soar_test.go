@@ -157,16 +157,25 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
+// TestSoarRejectsRemoveModify pins that New refuses a task any of whose
+// productions removes, modifies or excises (Soar productions only add wmes,
+// paper §3), naming the production, whichever action it is and wherever
+// the production stands in the program.
 func TestSoarRejectsRemoveModify(t *testing.T) {
-	cfg := Config{Engine: engine.DefaultConfig()}
-	_, err := New(cfg, &Task{
-		Name:         "bad",
-		Source:       `(literalize c v) (p bad (c ^v <x>) --> (remove 1))`,
-		ProblemSpace: "p",
-		InitialState: "s0",
-	})
-	if err == nil {
-		t.Fatalf("remove action accepted in Soar mode")
+	for _, act := range []string{"(remove 1)", "(modify 1 ^v 2)", "(excise fine)"} {
+		src := "(literalize c v)\n(p fine (c ^v <x>) --> (make c ^v <x>))\n(p bad (c ^v <x>) --> (make c ^v 3) " + act + ")"
+		_, err := New(Config{Engine: engine.DefaultConfig()}, &Task{
+			Name:         "bad",
+			Source:       src,
+			ProblemSpace: "p",
+			InitialState: "s0",
+		})
+		if err == nil {
+			t.Fatalf("%s accepted in Soar mode", act)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "production bad:") || !strings.Contains(msg, "paper §3") {
+			t.Fatalf("%s: error %q does not name the production and cite paper §3", act, msg)
+		}
 	}
 }
 
