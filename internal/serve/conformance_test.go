@@ -103,8 +103,8 @@ func driveSession(url string, chunking bool, p cypress.Params, cycles, batch int
 	}
 	for i := range fps {
 		if fps[i] != baseline[i] {
-			return 0, fmt.Errorf("%s (chunking=%v): cycle %d fingerprint diverged from solo serial run:\n  got  %s\n  want %s",
-				created.ID, chunking, i, fps[i], baseline[i])
+			return 0, fmt.Errorf("%s (chunking=%v): cycle %d fingerprint diverged from solo serial run:\n  got  %s\n  want %s\n%s",
+				created.ID, chunking, i, fps[i], baseline[i], lastCycleTexts(base, p, cycles, chunking))
 		}
 	}
 	var audit struct {
@@ -118,6 +118,22 @@ func driveSession(url string, chunking bool, p cypress.Params, cycles, batch int
 		return 0, fmt.Errorf("%s: audit failed: %s", created.ID, audit.Error)
 	}
 	return recovered, postJSON("DELETE", base, nil, nil)
+}
+
+// lastCycleTexts renders, for a failure message, the conflict set a
+// served session holds after its last cycle beside the solo serial run's
+// at the same cycle, so a digest mismatch still shows which instantiation
+// differs.
+func lastCycleTexts(base string, p cypress.Params, cycles int, chunking bool) string {
+	var cs csResponse
+	if err := postJSON("GET", base+"/conflict-set", nil, &cs); err != nil {
+		return err.Error()
+	}
+	ref, err := solo(p, cycles, chunking, csText)
+	if err != nil {
+		return err.Error()
+	}
+	return fmt.Sprintf("after the last cycle:\n  served %s\n  solo   %s", cs.view().Text, ref[len(ref)-1])
 }
 
 // TestConcurrentSessionsByteIdentical is the serving conformance test (run

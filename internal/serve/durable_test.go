@@ -52,20 +52,18 @@ func seedSession(t *testing.T, url, id string) {
 	}
 }
 
-// sessionState fetches the stats and conflict-set fingerprint of a session.
-func sessionState(t *testing.T, url, id string) (sessionInfo, string) {
+// sessionState fetches the stats and conflict set of a session.
+func sessionState(t *testing.T, url, id string) (sessionInfo, csView) {
 	t.Helper()
 	var info sessionInfo
 	if code, _ := doJSON(t, "GET", url+"/sessions/"+id, nil, &info); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
-	var cs struct {
-		Fingerprint string `json:"fingerprint"`
-	}
+	var cs csResponse
 	if code, _ := doJSON(t, "GET", url+"/sessions/"+id+"/conflict-set", nil, &cs); code != http.StatusOK {
 		t.Fatalf("conflict-set: %d", code)
 	}
-	return info, cs.Fingerprint
+	return info, cs.view()
 }
 
 // TestRestoreAfterCrash is the headline durability property: kill a
@@ -449,8 +447,8 @@ func TestParentDataDirRestores(t *testing.T) {
 	doJSON(t, "POST", ref+"/run", RunRequest{Cycles: 1}, nil)
 	wantInfo, wantFp := sessionState(t, tsRef.URL, "dlt")
 	// What the parent build answered after its last request.
-	if parent := "wm=7 cs=6 note(2) note(3) note(6) note(7) pair(3,4) pair(7,8)"; wantFp != parent {
-		t.Fatalf("reference fingerprint %s, the parent served %s", wantFp, parent)
+	if parent := "wm=7 cs=6 note(2) note(3) note(6) note(7) pair(3,4) pair(7,8)"; wantFp.Text != parent {
+		t.Fatalf("reference conflict set %s, the parent served %s", wantFp.Text, parent)
 	}
 	gotInfo, gotFp := sessionState(t, ts.URL, "dlt")
 	if gotFp != wantFp || gotInfo.Cycles != wantInfo.Cycles || gotInfo.Fired != wantInfo.Fired ||
@@ -635,7 +633,7 @@ func TestFailedExciseDoesNotWedgeSession(t *testing.T) {
 	}
 	ss := liveSession(sA, "xc")
 	if _, err := ss.submit(nil, func() (any, error) {
-		if scratch := Fingerprint(ss.eng); scratch != wantFp {
+		if scratch := Fingerprint(ss.eng); scratch != wantFp.FP {
 			return nil, fmt.Errorf("served fingerprint %s, from scratch %s", wantFp, scratch)
 		}
 		return nil, nil

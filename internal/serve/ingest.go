@@ -109,6 +109,11 @@ func IngestBatchJSON(ops []IngestOp, ids []uint64) ([]DeltaJSON, error) {
 // per batch — and returns the per-cycle fingerprints served sessions must
 // match byte for byte.
 func IngestBaseline(batches [][]IngestOp) ([]string, error) {
+	return ingestBaseline(batches, Fingerprint)
+}
+
+// ingestBaseline is IngestBaseline with each cycle rendered by render.
+func ingestBaseline(batches [][]IngestOp, render func(*engine.Engine) string) ([]string, error) {
 	ec := engine.DefaultConfig()
 	ec.Processes = 1
 	e := engine.New(ec)
@@ -133,7 +138,7 @@ func IngestBaseline(batches [][]IngestOp) ([]string, error) {
 			ds = append(ds, wme.Delta{Op: wme.Add, WME: w})
 		}
 		e.ApplyAndMatch(ds)
-		fps = append(fps, Fingerprint(e))
+		fps = append(fps, render(e))
 	}
 	return fps, nil
 }

@@ -26,7 +26,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -872,6 +872,10 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		if err := ss.eng.AuditInvariants(); err != nil {
 			return map[string]any{"ok": false, "error": err.Error()}, nil
 		}
+		if kept, live := ss.fingerprint(), Fingerprint(ss.eng); kept != live {
+			return map[string]any{"ok": false, "error": "the session's conflict-set digest differs from the live set's",
+				"fingerprint": kept, "live": live}, nil
+		}
 		return map[string]any{"ok": true}, nil
 	})
 }
@@ -905,7 +909,7 @@ func (s *Server) handleDebugMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	all := s.live()
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	slices.SortFunc(all, func(a, b *session) int { return strings.Compare(a.id, b.id) })
 	snaps := make([]*matchprof.Snapshot, 0, len(all))
 	for _, ss := range all {
 		if sn := ss.eng.Prof.Snapshot(); sn != nil {

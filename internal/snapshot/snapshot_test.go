@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -46,8 +48,29 @@ const refractionProg = `
   (halt))
 `
 
-// runSteps advances n recognize-act steps, collecting per-step
-// fingerprints (stopping early at quiescence or halt).
+// csText renders an engine's match state as text: "wm=W cs=N " then each
+// instantiation as production name plus its CE-ordered wme time tags,
+// sorted. It is the form serve.Fingerprint had before it became a digest,
+// which the parent fixture below pins.
+func csText(e *engine.Engine) string {
+	insts := e.CS.All()
+	lines := make([]string, 0, len(insts))
+	for _, in := range insts {
+		b := append([]byte(in.Prod.Name), '(')
+		for i, w := range in.WMEs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, w.TimeTag, 10)
+		}
+		lines = append(lines, string(append(b, ')')))
+	}
+	slices.Sort(lines)
+	return fmt.Sprintf("wm=%d cs=%d %s", e.WM.Len(), len(insts), strings.Join(lines, " "))
+}
+
+// runSteps advances n recognize-act steps, collecting per-step conflict
+// sets as text (stopping early at quiescence or halt).
 func runSteps(t *testing.T, e *engine.Engine, n int) []string {
 	t.Helper()
 	var fps []string
@@ -59,7 +82,7 @@ func runSteps(t *testing.T, e *engine.Engine, n int) []string {
 		if !fired {
 			break
 		}
-		fps = append(fps, serve.Fingerprint(e))
+		fps = append(fps, csText(e))
 	}
 	return fps
 }
@@ -314,8 +337,8 @@ func TestParentStandaloneFixture(t *testing.T) {
 		t.Fatalf("re-export of the restored fixture: baseHash %q program %q", reexported.BaseHash, reexported.Program)
 	}
 	for name, e := range map[string]*engine.Engine{"fixture": e, "re-exported": again} {
-		if got := serve.Fingerprint(e); got != fx.Fingerprint {
-			t.Fatalf("%s: fingerprint\n got %s\nwant %s", name, got, fx.Fingerprint)
+		if got := csText(e); got != fx.Fingerprint {
+			t.Fatalf("%s: conflict set\n got %s\nwant %s", name, got, fx.Fingerprint)
 		}
 		if got := e.Strategy().String(); got != fx.Strategy {
 			t.Fatalf("%s: strategy %s, want %s", name, got, fx.Strategy)

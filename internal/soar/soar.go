@@ -21,8 +21,10 @@
 package soar
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -482,18 +484,26 @@ func (a *Agent) fmtSym(s value.Sym) string { return a.Eng.Tab.Name(s) }
 // sortSyms orders candidate objects deterministically by structural
 // signature — the contents of the wmes attached to them, with identifier
 // fields masked — so decisions do not depend on gensym numbering, which
-// differs between runs with and without chunking.
+// differs between runs with and without chunking. Ties fall to the name,
+// so the order is total. Each signature is rendered once.
 func (a *Agent) sortSyms(ss []value.Sym) {
-	sigs := make(map[value.Sym]string, len(ss))
-	for _, s := range ss {
-		sigs[s] = a.signature(s)
+	if len(ss) < 2 {
+		return
 	}
-	sort.Slice(ss, func(i, j int) bool {
-		if sigs[ss[i]] != sigs[ss[j]] {
-			return sigs[ss[i]] < sigs[ss[j]]
-		}
-		return a.fmtSym(ss[i]) < a.fmtSym(ss[j])
+	type keyed struct {
+		sig, name string
+		sym       value.Sym
+	}
+	ks := make([]keyed, len(ss))
+	for i, s := range ss {
+		ks[i] = keyed{a.signature(s), a.fmtSym(s), s}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int {
+		return cmp.Or(strings.Compare(x.sig, y.sig), strings.Compare(x.name, y.name))
 	})
+	for i, k := range ks {
+		ss[i] = k.sym
+	}
 }
 
 // signature renders the live wmes anchored at id with identifier fields
