@@ -1,17 +1,19 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section (see DESIGN.md §4 for the index and EXPERIMENTS.md for
-// paper-vs-measured commentary).
+// paper-vs-measured commentary). Every capture runs one engine, the paper's:
+// unlinking off, because its engine scheduled every null activation; only
+// the abl-unlink and abl-bilinear ablations turn it on.
 //
 // Usage:
 //
 //	experiments [-exp all|t51|t52|t61|f61|f62|...|extras] [-plot]
-//	            [-unlink=false]
 //	            [-trace out.json] [-metrics out.txt] [-listen :6060]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -70,15 +72,46 @@ var runners = []runner{
 	{"summary", "reproduction scorecard", str(func(l *exp.Lab) (fmt.Stringer, error) { return exp.Summary(l) })},
 }
 
+// known reports whether which names an experiment, or is "all".
+func known(which string) bool {
+	for _, r := range runners {
+		if strings.EqualFold(which, r.id) {
+			return true
+		}
+	}
+	return which == "all"
+}
+
+// report renders the experiments which names ("all" or one id) through l to
+// w, in runners order, and calls done with each id once its section is
+// written.
+func report(w io.Writer, l *exp.Lab, which string, done func(id string)) error {
+	for _, r := range runners {
+		if which != "all" && !strings.EqualFold(which, r.id) {
+			continue
+		}
+		text, err := r.fn(l)
+		if err != nil {
+			return fmt.Errorf("%s: %w", r.id, err)
+		}
+		fmt.Fprintf(w, "==== %s (%s) ====\n%s\n", r.id, r.desc, text)
+		done(r.id)
+	}
+	return nil
+}
+
 func main() {
 	which := flag.String("exp", "all", "experiment id (t51..f612, extras) or all")
 	plot := flag.Bool("plot", false, "render figures as ASCII charts too")
-	unlink := flag.Bool("unlink", true, "left/right unlinking in the capture engines of every experiment that does not set it itself (pass -unlink=false to reproduce the paper's full task volume: its engine scheduled every null activation)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the captured runs")
 	metricsOut := flag.String("metrics", "", "write a Prometheus-text metrics snapshot at exit")
 	listen := flag.String("listen", "", "serve /metrics and /debug/pprof while experiments run (e.g. :6060)")
 	flag.Parse()
 	plotFigures = *plot
+	if !known(*which) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *which)
+		os.Exit(2)
+	}
 
 	observer, flush, err := obs.Setup(*traceOut, *metricsOut, *listen)
 	if err != nil {
@@ -88,41 +121,22 @@ func main() {
 	// An interrupt mid-run still flushes complete -trace/-metrics files,
 	// and so does a run that fails.
 	flush = obs.FlushOnInterrupt(flush)
-	fail := func(code int, msg ...any) {
-		fmt.Fprintln(os.Stderr, append([]any{"experiments:"}, msg...)...)
-		if err := flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-		}
-		os.Exit(code)
-	}
 
 	l := exp.NewLab()
 	l.SetObserver(observer)
-	l.SetUnlink(*unlink)
-	if *unlink {
-		fmt.Fprintln(os.Stderr, ";; note: null-activation filter on (the default); the paper's engine"+
-			" scheduled every null activation, so figures that measure task volume or"+
-			" its parallel speedup run lower here — pass -unlink=false for paper fidelity")
-	}
-	matched := false
-	for _, r := range runners {
-		if *which != "all" && !strings.EqualFold(*which, r.id) {
-			continue
-		}
-		matched = true
-		start := time.Now()
-		text, err := r.fn(l)
-		if err != nil {
-			fail(1, r.id+":", err)
-		}
-		fmt.Printf("==== %s (%s) ====\n%s\n", r.id, r.desc, text)
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", r.id, time.Since(start).Round(time.Millisecond))
-	}
-	if !matched {
-		fail(2, fmt.Sprintf("unknown experiment %q", *which))
-	}
-	if err := flush(); err != nil {
+	start := time.Now()
+	err = report(os.Stdout, l, *which, func(id string) {
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
+		start = time.Now()
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
+	}
+	if ferr := flush(); ferr != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", ferr)
+		err = ferr
+	}
+	if err != nil {
 		os.Exit(1)
 	}
 }

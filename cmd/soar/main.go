@@ -25,6 +25,14 @@ import (
 	"soarpsme/internal/tasks/strips"
 )
 
+// tasks maps each -task name, hyphens dropped, to its constructor.
+var tasks = map[string]func() *soar.Task{
+	"eightpuzzle": eightpuzzle.Default,
+	"strips":      strips.Default,
+	"hanoi":       hanoi.Default,
+	"blocks":      blocks.Default,
+}
+
 func main() {
 	taskName := flag.String("task", "eight-puzzle", "task: eight-puzzle, strips, hanoi, or blocks")
 	procs := flag.Int("procs", 1, "number of match processes")
@@ -38,6 +46,21 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 0, "inject a seeded fault schedule into the match workers (0 = off); failed cycles recover via the serial fallback")
 	deadline := flag.Duration("deadline", 0, "per-cycle quiescence watchdog deadline (0 = off)")
 	flag.Parse()
+	// Flag checks come before anything runs, so a usage error exits 2
+	// with nothing on stdout. Task names accept both "eight-puzzle" and
+	// "eightpuzzle".
+	newTask := tasks[strings.ReplaceAll(*taskName, "-", "")]
+	usage := ""
+	switch {
+	case newTask == nil:
+		usage = fmt.Sprintf("unknown task %q", *taskName)
+	case *after && !*chunking:
+		usage = "-after requires -chunking"
+	}
+	if usage != "" {
+		fmt.Fprintln(os.Stderr, "soar:", usage)
+		os.Exit(2)
+	}
 
 	observer, flush, err := obs.Setup(*traceOut, *metricsOut, *listen)
 	if err != nil {
@@ -47,28 +70,12 @@ func main() {
 	// An interrupt mid-run still flushes complete -trace/-metrics files,
 	// and so does a run that fails.
 	flush = obs.FlushOnInterrupt(flush)
-	fail := func(code int, msg ...any) {
+	fail := func(msg ...any) {
 		fmt.Fprintln(os.Stderr, append([]any{"soar:"}, msg...)...)
 		if err := flush(); err != nil {
 			fmt.Fprintln(os.Stderr, "soar:", err)
 		}
-		os.Exit(code)
-	}
-
-	mkTask := func() *soar.Task {
-		// Accept both "eight-puzzle" and "eightpuzzle" spellings.
-		switch strings.ReplaceAll(*taskName, "-", "") {
-		case "eightpuzzle":
-			return eightpuzzle.Default()
-		case "strips":
-			return strips.Default()
-		case "hanoi":
-			return hanoi.Default()
-		case "blocks":
-			return blocks.Default()
-		}
-		fail(2, fmt.Sprintf("unknown task %q", *taskName))
-		return nil
+		os.Exit(1)
 	}
 
 	cfg := soar.Config{Engine: engine.DefaultConfig(), Chunking: *chunking, MaxDecisions: *decisions}
@@ -83,20 +90,20 @@ func main() {
 	}
 
 	run := func(label string, seed *soar.Agent) *soar.Agent {
-		a, err := soar.New(cfg, mkTask())
+		a, err := soar.New(cfg, newTask())
 		if err != nil {
-			fail(1, err)
+			fail(err)
 		}
 		if seed != nil {
 			n, err := a.AdoptChunks(seed)
 			if err != nil {
-				fail(1, "chunk transfer:", err)
+				fail("chunk transfer:", err)
 			}
 			fmt.Printf(";; transferred %d chunks\n", n)
 		}
 		res, err := a.Run()
 		if err != nil {
-			fail(1, err)
+			fail(err)
 		}
 		fmt.Printf(";; %s: solved=%v decisions=%d elab-cycles=%d chunks-built=%d\n",
 			label, res.Halted, res.Decisions, res.ElabCycles, res.ChunksBuilt)
@@ -112,9 +119,6 @@ func main() {
 	}
 	first := run(fmt.Sprintf("%s (%s, %d procs)", *taskName, mode, *procs), nil)
 	if *after {
-		if !*chunking {
-			fail(2, "-after requires -chunking")
-		}
 		run(fmt.Sprintf("%s (after chunking)", *taskName), first)
 	}
 	if err := flush(); err != nil {

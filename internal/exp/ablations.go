@@ -15,15 +15,14 @@ import (
 // AblationMemories quantifies §6.1's hashing claim: hashed token memories
 // vs linear lists ("Hashing the contents of the associated memory nodes,
 // instead of storing them in linear lists, reduces the number of
-// comparisons performed during a node-activation"), on the paper's engine
-// (unlinking off) whatever the lab's setting.
+// comparisons performed during a node-activation").
 func AblationMemories(l *Lab) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:   "Ablation (§6.1): hashed token memories vs linear lists (Strips, without chunking)",
 		Headers: []string{"Memories", "Join comparisons", "Uniproc time (s)", "Tasks"},
 	}
 	for _, linear := range []bool{false, true} {
-		c, err := l.strips(noChunk, paperEngine, func(o *rete.Options) { o.LinearMemories = linear })
+		c, err := l.strips(noChunk, func(o *rete.Options) { o.LinearMemories = linear })
 		if err != nil {
 			return nil, err
 		}
@@ -228,15 +227,14 @@ func AblationAdaptiveQueues(l *Lab) (*stats.Table, error) {
 // carried from trial to trial. As chunks accumulate, the match volume per
 // episode and the available parallelism grow — the regime where the paper
 // argues the 10-20-fold empirical parallelism bound of non-learning
-// production systems no longer applies (§6.3). The trials run on the
-// paper's engine (unlinking off) whatever the lab's setting.
+// production systems no longer applies (§6.3).
 func LongRunChunking(l *Lab) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:   "Future work (§7): chunking over a sequence of trials (Eight-puzzle pool, 150-decision episodes)",
 		Headers: []string{"Trial", "Moves", "Match tasks", "Cumulative chunks", "2-input nodes", "Speedup @13"},
 	}
 	for i := range eightpuzzle.Instances() {
-		c, err := l.longRun(i+1, paperEngine)
+		c, err := l.longRun(i + 1)
 		if err != nil {
 			return nil, err
 		}

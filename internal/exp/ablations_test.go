@@ -4,9 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"soarpsme/internal/obs"
-	"soarpsme/internal/stats"
 )
 
 func cellInt(t *testing.T, s string) int {
@@ -176,38 +173,6 @@ func TestAblationUnlinkCutsScheduledWork(t *testing.T) {
 		}
 		if s := cellInt(t, off[3]); s != 0 {
 			t.Errorf("%s: unlink off suppressed %d null activations", off[0], s)
-		}
-	}
-}
-
-// TestLabObserverReachesEveryDriver: the drivers that change the network
-// options capture through the lab they are given, so its observer counts
-// their engines' match cycles.
-func TestLabObserverReachesEveryDriver(t *testing.T) {
-	l := NewLab()
-	o := obs.New()
-	l.SetObserver(o)
-	cycles := o.Counter("match_cycles_total")
-	table := func(f func(*Lab) (*stats.Table, error)) func(*Lab) error {
-		return func(l *Lab) error { _, err := f(l); return err }
-	}
-	for _, d := range []struct {
-		id  string
-		run func(*Lab) error
-	}{
-		{"abl-mem", table(AblationMemories)},
-		{"abl-unlink", table(AblationUnlink)},
-		{"abl-bilinear", table(AblationBilinear)},
-		{"abl-share", table(AblationSharing)},
-		{"longrun", table(LongRunChunking)},
-		{"f68", table(Fig68)},
-	} {
-		before := cycles.Value()
-		if err := d.run(l); err != nil {
-			t.Fatalf("%s: %v", d.id, err)
-		}
-		if cycles.Value() == before {
-			t.Errorf("%s: no match cycle reached the lab's observer", d.id)
 		}
 	}
 }

@@ -209,29 +209,20 @@ type key struct {
 	trial int
 }
 
-// NewLab returns an empty lab with default network options — except that
-// left/right unlinking is off: the paper's engine scheduled every null
-// activation, and the reproduced tables and figures measure that task
-// volume. AblationUnlink re-runs with the filter on.
+// NewLab returns an empty lab running the paper's engine: default network
+// options with left/right unlinking off, because the paper's engine
+// scheduled every null activation and the reproduced tables and figures
+// measure that task volume. Only the ablations vary it (AblationUnlink,
+// AblationBilinear), through their own options.
 func NewLab() *Lab {
 	opts := rete.DefaultOptions()
 	opts.Unlink = false
 	return &Lab{cache: map[key]*capture{}, opts: opts}
 }
 
-// SetUnlink toggles left/right unlinking in every capture the lab runs from
-// now on that does not set unlinking itself (NewLab defaults to off for
-// paper fidelity).
-func (l *Lab) SetUnlink(on bool) { l.opts.Unlink = on }
-
 // SetObserver attaches an observability handle to every engine the lab
 // creates from now on (live /metrics while experiments run).
 func (l *Lab) SetObserver(o *obs.Observer) { l.obs = o }
-
-// paperEngine turns unlinking off for the captures whose rows stand as the
-// paper engine's measurements whatever the lab's setting (ROADMAP keeps
-// open whether they should follow it).
-func paperEngine(o *rete.Options) { o.Unlink = false }
 
 // eightPuzzle captures the Eight-Puzzle-Soar run. Each vary changes the
 // lab's network options for this capture only; so do strips', cypress'

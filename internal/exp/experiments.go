@@ -414,15 +414,14 @@ func Fig67(l *Lab) (string, error) {
 }
 
 // Fig68 reproduces Figure 6-8: the constrained bilinear network — chain
-// length and critical-path reduction on the Strips task, measured on the
-// paper's engine (unlinking off) whatever the lab's setting.
+// length and critical-path reduction on the Strips task.
 func Fig68(l *Lab) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:   "Figure 6-8: Constrained bilinear network organization (Strips, without chunking)",
 		Headers: []string{"Organization", "Max network chain (nodes)", "Critical path (activations)", "Speedup @11 procs", "Tasks"},
 	}
 	for _, org := range []rete.Organization{rete.Linear, rete.Bilinear} {
-		c, err := l.strips(noChunk, paperEngine, func(o *rete.Options) {
+		c, err := l.strips(noChunk, func(o *rete.Options) {
 			o.Organization = org
 			// The context prefix must cover the CEs that bind the linking
 			// variables (goal, impasse item, state) — the paper's "matching
