@@ -8,19 +8,16 @@ import (
 	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/sim"
-	"soarpsme/internal/stats"
 	"soarpsme/internal/tasks/eightpuzzle"
 )
 
-// AblationMemories quantifies §6.1's hashing claim: hashed token memories
+// ablationMemories quantifies §6.1's hashing claim: hashed token memories
 // vs linear lists ("Hashing the contents of the associated memory nodes,
 // instead of storing them in linear lists, reduces the number of
 // comparisons performed during a node-activation").
-func AblationMemories(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Ablation (§6.1): hashed token memories vs linear lists (Strips, without chunking)",
-		Headers: []string{"Memories", "Join comparisons", "Uniproc time (s)", "Tasks"},
-	}
+func ablationMemories(l *Lab) (*table, error) {
+	t := newTable("Ablation (§6.1): hashed token memories vs linear lists (Strips, without chunking)",
+		"Memories", "Join comparisons", "Uniproc time (s)", "Tasks")
 	for _, linear := range []bool{false, true} {
 		c, err := l.strips(noChunk, func(o *rete.Options) { o.LinearMemories = linear })
 		if err != nil {
@@ -32,26 +29,21 @@ func AblationMemories(l *Lab) (*stats.Table, error) {
 		if linear {
 			name = "linear lists (no hashing)"
 		}
-		t.AddRow(name,
-			fmt.Sprintf("%d", comparisons),
-			fmt.Sprintf("%.1f", float64(one.Makespan)/1e6),
-			fmt.Sprintf("%d", c.tasks))
+		t.add(name, count(comparisons), num("%.1f", float64(one.Makespan)/1e6), count(c.tasks))
 	}
 	return t, nil
 }
 
-// AblationUnlink quantifies the match-time filtering the paper's engine
+// ablationUnlink quantifies the match-time filtering the paper's engine
 // lacked: left/right unlinking runs activations against provably empty
 // opposite memories inline (no task scheduled, no opposite-side scan), and
 // hashed alpha dispatch replaces the linear constant-test scan with one map
 // probe per tested field. The conflict sets are byte-identical either way
 // (rete's conformance test proves it); the ablation measures how much
 // scheduled work and modeled time the filter removes.
-func AblationUnlink(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Ablation: left/right unlinking + hashed alpha dispatch (without chunking)",
-		Headers: []string{"Task", "Unlink", "Tasks", "Suppressed", "Const tests", "Uniproc time (s)"},
-	}
+func ablationUnlink(l *Lab) (*table, error) {
+	t := newTable("Ablation: left/right unlinking + hashed alpha dispatch (without chunking)",
+		"Task", "Unlink", "Tasks", "Suppressed", "Const tests", "Uniproc time (s)")
 	for _, on := range []bool{false, true} {
 		caps, err := l.workloads(noChunk, func(o *rete.Options) { o.Unlink = on })
 		if err != nil {
@@ -63,31 +55,25 @@ func AblationUnlink(l *Lab) (*stats.Table, error) {
 		}
 		for i, c := range caps {
 			one := uniproc(c.traces)
-			t.AddRow(taskNames[i], name,
-				fmt.Sprintf("%d", c.tasks),
-				fmt.Sprintf("%d", c.eng.NW.Stats.NullSuppressed.Load()),
-				fmt.Sprintf("%d", c.eng.NW.Stats.ConstTests.Load()),
-				fmt.Sprintf("%.1f", float64(one.Makespan)/1e6))
+			st := &c.eng.NW.Stats
+			t.add(taskNames[i], name, count(c.tasks), count(st.NullSuppressed.Load()),
+				count(st.ConstTests.Load()), num("%.1f", float64(one.Makespan)/1e6))
 		}
 	}
 	return t, nil
 }
 
-// AblationBilinear quantifies the automatic bilinear restructuring pass on
+// ablationBilinear quantifies the automatic bilinear restructuring pass on
 // the learning workload: the cypress 26-CE production chains (and its
 // 51-CE chunks, added at run time) are split into balanced pair-join trees,
 // shortening the dependent-activation chains the paper names as the second
 // parallelism limiter. Conflict sets are byte-identical across
 // organizations (the engine conformance test proves it); the ablation
-// measures the chain-depth reduction and the per-cycle speedup lift at
-// 8-13 simulated processes, with unlink default-on. "auto" must track
-// "all" here (every cypress production qualifies) and both must lift the
-// high-process speedups over "off".
-func AblationBilinear(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Ablation: automatic bilinear restructuring (cypress, chunks added at run time, unlink on)",
-		Headers: []string{"Bilinear", "Restructured", "Max chain depth", "Speedup @8", "Speedup @11", "Speedup @13", "Tasks"},
-	}
+// measures the chain depth and the speedup at 8-13 simulated processes,
+// with unlink on.
+func ablationBilinear(l *Lab) (*table, error) {
+	t := newTable("Ablation: automatic bilinear restructuring (cypress, chunks added at run time, unlink on)",
+		"Bilinear", "Restructured", "Max chain depth", "Speedup @8", "Speedup @11", "Speedup @13", "Tasks")
 	for _, org := range []rete.Organization{rete.Linear, rete.Bilinear, rete.BilinearAuto} {
 		c, err := l.cypress(duringChunk, func(o *rete.Options) {
 			o.Unlink = true
@@ -112,27 +98,22 @@ func AblationBilinear(l *Lab) (*stats.Table, error) {
 				}
 			}
 		}
-		t.AddRow(org.String(),
-			fmt.Sprintf("%d", restructured),
-			fmt.Sprintf("%d", maxDepth),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 8, sim.MultiQueue, queueOp)),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)),
-			fmt.Sprintf("%d", c.tasks))
+		t.add(org.String(), count(restructured), count(maxDepth),
+			num("%.2f", sim.RunSpeedup(c.traces, 8, sim.MultiQueue, queueOp)),
+			num("%.2f", sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)),
+			num("%.2f", sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)), count(c.tasks))
 	}
 	return t, nil
 }
 
-// AblationAsync estimates the gain of the paper's first future-work item
+// ablationAsync estimates the gain of the paper's first future-work item
 // (§7): firing elaboration cycles asynchronously, synchronizing only at
 // decision boundaries. The estimate merges each run's per-cycle task DAGs
 // into one DAG with the cycle barriers removed — an upper bound, since
 // real cross-cycle data dependencies would restore some ordering.
-func AblationAsync(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Future work (§7): asynchronous elaboration — speedup at 11 processes with cycle barriers removed (upper bound)",
-		Headers: []string{"Task", "Synchronous (Fig 6-4)", "Asynchronous (merged DAG)"},
-	}
+func ablationAsync(l *Lab) (*table, error) {
+	t := newTable("Future work (§7): asynchronous elaboration — speedup at 11 processes with cycle barriers removed (upper bound)",
+		"Task", "Synchronous (Fig 6-4)", "Asynchronous (merged DAG)")
 	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
@@ -144,55 +125,39 @@ func AblationAsync(l *Lab) (*stats.Table, error) {
 			merged = append(merged, tr...)
 		}
 		asyncSp := sim.Speedup(merged, 11, sim.MultiQueue, queueOp)
-		t.AddRow(taskNames[i],
-			fmt.Sprintf("%.2f", syncSp),
-			fmt.Sprintf("%.2f", asyncSp))
+		t.add(taskNames[i], num("%.2f", syncSp), num("%.2f", asyncSp))
 	}
 	return t, nil
 }
 
-// AblationSharing reruns the Strips workload with two-input-node sharing
+// ablationSharing reruns the Strips workload with two-input-node sharing
 // disabled and reports the network growth (§5.1: "20-30% loss due to an
 // unshared network").
-func AblationSharing(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Ablation (§5.1): two-input-node sharing (Strips during-chunking network)",
-		Headers: []string{"Sharing", "Two-input nodes", "New nodes per chunk"},
-	}
+func ablationSharing(l *Lab) (*table, error) {
+	t := newTable("Ablation (§5.1): two-input-node sharing (Strips during-chunking network)",
+		"Sharing", "Two-input nodes", "New nodes per chunk")
 	for _, share := range []bool{true, false} {
 		c, err := l.strips(duringChunk, func(o *rete.Options) { o.ShareBeta = share })
 		if err != nil {
 			return nil, err
 		}
-		perChunk := 0.0
-		if n := len(c.chunkCEs); n > 0 {
-			total := 0
-			for _, k := range c.chunkNew2In {
-				total += k
-			}
-			perChunk = float64(total) / float64(n)
-		}
 		name := "shared"
 		if !share {
 			name = "unshared"
 		}
-		t.AddRow(name,
-			fmt.Sprintf("%d", c.eng.NW.TwoInputNodes()),
-			fmt.Sprintf("%.1f", perChunk))
+		t.add(name, count(c.eng.NW.TwoInputNodes()), num("%.1f", mean(c.chunkNew2In)))
 	}
 	return t, nil
 }
 
-// AblationAdaptiveQueues quantifies §6.2's scheduling observation: bursts
+// ablationAdaptiveQueues quantifies §6.2's scheduling observation: bursts
 // want one queue per process, cycle tails want one or two. An oracle picks
 // the best queue count per cycle (1, 2, 4, or one per process) — the gain
 // available to the adaptive switching the paper says is hard because
 // "detecting the end of a cycle is very difficult".
-func AblationAdaptiveQueues(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Scheduling (§6.2): per-cycle oracle queue-count selection at 11 processes",
-		Headers: []string{"Task", "Multi-queue speedup", "Oracle speedup", "Oracle gain"},
-	}
+func ablationAdaptiveQueues(l *Lab) (*table, error) {
+	t := newTable("Scheduling (§6.2): per-cycle oracle queue-count selection at 11 processes",
+		"Task", "Multi-queue speedup", "Oracle speedup", "Oracle gain")
 	counts := []int{1, 2, 4, 11}
 	caps, err := l.workloads(noChunk)
 	if err != nil {
@@ -214,25 +179,20 @@ func AblationAdaptiveQueues(l *Lab) (*stats.Table, error) {
 		}
 		ms := float64(uni) / float64(multi)
 		os := float64(uni) / float64(oracle)
-		t.AddRow(taskNames[i],
-			fmt.Sprintf("%.2f", ms),
-			fmt.Sprintf("%.2f", os),
-			fmt.Sprintf("%.0f%%", 100*(os-ms)/ms))
+		t.add(taskNames[i], num("%.2f", ms), num("%.2f", os), num("%.0f%%", 100*(os-ms)/ms))
 	}
 	return t, nil
 }
 
-// LongRunChunking implements §7's "effects of chunking over long periods":
+// longRunChunking implements §7's "effects of chunking over long periods":
 // a sequence of fixed-budget Eight-puzzle episodes with the learned chunks
 // carried from trial to trial. As chunks accumulate, the match volume per
 // episode and the available parallelism grow — the regime where the paper
 // argues the 10-20-fold empirical parallelism bound of non-learning
 // production systems no longer applies (§6.3).
-func LongRunChunking(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Future work (§7): chunking over a sequence of trials (Eight-puzzle pool, 150-decision episodes)",
-		Headers: []string{"Trial", "Moves", "Match tasks", "Cumulative chunks", "2-input nodes", "Speedup @13"},
-	}
+func longRunChunking(l *Lab) (*table, error) {
+	t := newTable("Future work (§7): chunking over a sequence of trials (Eight-puzzle pool, 150-decision episodes)",
+		"Trial", "Moves", "Match tasks", "Cumulative chunks", "2-input nodes", "Speedup @13")
 	for i := range eightpuzzle.Instances() {
 		c, err := l.longRun(i + 1)
 		if err != nil {
@@ -244,13 +204,9 @@ func LongRunChunking(l *Lab) (*stats.Table, error) {
 				cumulative++
 			}
 		}
-		t.AddRow(
-			fmt.Sprintf("%d", i+1),
-			fmt.Sprintf("%d", c.moves),
-			fmt.Sprintf("%d", c.tasks),
-			fmt.Sprintf("%d", cumulative),
-			fmt.Sprintf("%d", c.eng.NW.TwoInputNodes()),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)))
+		t.add(count(i+1), count(c.moves), count(c.tasks), count(cumulative),
+			count(c.eng.NW.TwoInputNodes()),
+			num("%.2f", sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)))
 	}
 	return t, nil
 }
@@ -339,49 +295,33 @@ func diagnose(c *capture, procs int, threshold float64) []diagnosis {
 	return out
 }
 
-// DiagnoseTable renders the diagnosis of the Eight-puzzle during-chunking
+// diagnoseTable renders the diagnosis of the Eight-puzzle during-chunking
 // run — the paper's own example of cycles with many tasks but low speedup.
-func DiagnoseTable(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Diagnostics (§7): low-speedup cycles, Eight-puzzle during chunking (11 processes, speedup < 5)",
-		Headers: []string{"Tasks", "Speedup", "Critical path", "Chain depth", "Null rate", "Failed pops", "Steals", "Cause", "Suggestion"},
-	}
+func diagnoseTable(l *Lab) (*table, error) {
+	t := newTable("Diagnostics (§7): low-speedup cycles, Eight-puzzle during chunking (11 processes, speedup < 5)",
+		"Tasks", "Speedup", "Critical path", "Chain depth", "Null rate", "Failed pops", "Steals", "Cause", "Suggestion")
 	c, err := l.eightPuzzle(duringChunk)
 	if err != nil {
 		return nil, err
 	}
 	diags := diagnose(c, 11, 5)
-	max := 12
-	for i, d := range diags {
-		if i >= max {
-			break
-		}
-		t.AddRow(
-			fmt.Sprintf("%d", d.cycleTasks),
-			fmt.Sprintf("%.2f", d.speedup),
-			fmt.Sprintf("%d", d.criticalPath),
-			fmt.Sprintf("%d", d.chainDepth),
-			fmt.Sprintf("%.0f%%", 100*d.nullRate),
-			fmt.Sprintf("%d", d.failedPops),
-			fmt.Sprintf("%d", d.steals),
-			d.cause,
-			d.suggestion)
+	const shown = 12
+	for _, d := range diags[:min(shown, len(diags))] {
+		t.add(count(d.cycleTasks), num("%.2f", d.speedup), count(d.criticalPath), count(d.chainDepth),
+			num("%.0f%%", 100*d.nullRate), count(d.failedPops), count(d.steals), d.cause, d.suggestion)
 	}
-	if len(diags) > max {
-		t.AddRow(fmt.Sprintf("(+%d more)", len(diags)-max), "", "", "", "", "", "", "", "")
+	if len(diags) > shown {
+		t.add(fmt.Sprintf("(+%d more)", len(diags)-shown), "", "", "", "", "", "", "", "")
 	}
-	// The live runtime's own queue diagnostics for the whole capture — the
-	// counters prun records but the harness previously dropped. FailedPops
-	// excludes quiescence-detection probes (one per worker per cycle, now
-	// counted separately), which used to inflate this number by exactly one
-	// per sequential capture cycle.
-	t.AddRow("(live run)", "", "", "", "",
+	// The live runtime's own queue diagnostics for the whole capture.
+	// FailedPops excludes quiescence-detection probes, counted separately.
+	t.add("(live run)", "", "", "", "",
 		fmt.Sprintf("%d", c.failedPops),
 		fmt.Sprintf("%d", c.steals),
 		"runtime totals",
 		fmt.Sprintf("failed pops / steals observed by prun across all cycles (%d quiescence probes)", c.termProbes))
 	st := &c.eng.NW.Stats
-	t.AddRow("(match filtering)", "", "", "", "", "", "",
+	t.add("(match filtering)", "", "", "", "", "", "",
 		"runtime totals",
 		fmt.Sprintf("null activations suppressed %d (unlink=%v); alpha dispatch %d hits / %d misses — see abl-unlink",
 			st.NullSuppressed.Load(), c.eng.NW.Opts.Unlink, st.AlphaHits.Load(), st.AlphaMisses.Load()))
@@ -392,7 +332,7 @@ func DiagnoseTable(l *Lab) (*stats.Table, error) {
 			hottest = fmt.Sprintf("hottest %s: chain %d, %.0f%% null, %.0f%% of modeled cost",
 				h.Name, h.ChainDepth, 100*h.NullRate, 100*h.CostShare)
 		}
-		t.AddRow("(match profile)", "", "", "", fmt.Sprintf("%.0f%%", 100*p.NullRate), "", "",
+		t.add("(match profile)", "", "", "", fmt.Sprintf("%.0f%%", 100*p.NullRate), "", "",
 			"runtime totals",
 			fmt.Sprintf("%d activations over %d nodes; %s", p.Totals.Acts, p.Nodes, hottest))
 	}

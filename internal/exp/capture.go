@@ -1,9 +1,9 @@
 // Package exp regenerates every table and figure of the paper's evaluation
-// (§5-§6). Each experiment has one driver function returning a stats.Table
-// or stats.Figure; the Lab captures each workload's task-dependency traces
-// once (sequentially, for determinism) and the drivers replay them on the
-// simulated multiprocessor (internal/sim) — see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured results.
+// (§5-§6) and checks its claims. Report renders one section per experiment
+// driver; the Lab captures each workload's task-dependency traces once
+// (sequentially, for determinism) and the drivers replay them on the
+// simulated multiprocessor (internal/sim). The scorecard evaluates every
+// claim (claims.go) on the drivers' results. See DESIGN.md §4.
 package exp
 
 import (
@@ -180,13 +180,7 @@ const (
 )
 
 func (m mode) String() string {
-	switch m {
-	case noChunk:
-		return "without-chunking"
-	case duringChunk:
-		return "during-chunking"
-	}
-	return "after-chunking"
+	return [...]string{"without-chunking", "during-chunking", "after-chunking"}[m]
 }
 
 // Lab captures each workload run once, on first request, and caches it by
@@ -212,8 +206,8 @@ type key struct {
 // NewLab returns an empty lab running the paper's engine: default network
 // options with left/right unlinking off, because the paper's engine
 // scheduled every null activation and the reproduced tables and figures
-// measure that task volume. Only the ablations vary it (AblationUnlink,
-// AblationBilinear), through their own options.
+// measure that task volume. Only the ablations vary it (ablationUnlink,
+// ablationBilinear), through their own options.
 func NewLab() *Lab {
 	opts := rete.DefaultOptions()
 	opts.Unlink = false

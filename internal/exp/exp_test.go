@@ -1,36 +1,186 @@
 package exp
 
 import (
+	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
+	"soarpsme/internal/obs"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/value"
 )
 
-// sharedLab caches captures across tests in this package (they are
-// expensive); the Lab itself memoizes runs.
-var sharedLab = NewLab()
+// rendering is the one `experiments -exp all` report of this package's
+// tests, rendered on one lab: every test below reads it, so each paper
+// workload is captured once.
+type rendering struct {
+	lab  *Lab
+	text string
+	res  results
+	// ran counts the match cycles the lab's observer saw in each section.
+	ran map[string]uint64
+}
 
-func TestTable51ChunksBiggerThanTaskProductions(t *testing.T) {
-	tbl, err := Table51(sharedLab)
+var rendered = sync.OnceValues(func() (*rendering, error) {
+	r := &rendering{lab: NewLab(), res: results{}, ran: map[string]uint64{}}
+	o := obs.New()
+	r.lab.SetObserver(o)
+	cycles := o.Counter("match_cycles_total")
+	last := cycles.Value()
+	var out strings.Builder
+	err := report(&out, r.lab, "all", false, func(id string, v fmt.Stringer) {
+		r.res[id], r.ran[id], last = v, cycles.Value()-last, cycles.Value()
+	})
+	r.text = out.String()
+	return r, err
+})
+
+func render(t *testing.T) *rendering {
+	t.Helper()
+	r, err := rendered()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
+	return r
+}
+
+// TestReportMatchesGolden: the report equals testdata/exp-all.golden byte
+// for byte (an intended figure change regenerates the file with
+// `go run ./cmd/experiments -exp all > internal/exp/testdata/exp-all.golden`),
+// README's scorecard is the rendered summary section, and each driver that
+// varies the network options captures through the lab it is given: the
+// lab's observer counts match cycles during its section.
+func TestReportMatchesGolden(t *testing.T) {
+	r := render(t)
+	want, err := os.ReadFile("testdata/exp-all.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := tbl.String()
-	if !strings.Contains(out, "Eight-puzzle") || !strings.Contains(out, "Cypress") {
-		t.Fatalf("missing tasks:\n%s", out)
+	if r.text != string(want) {
+		t.Errorf("report differs from the golden file at %s", firstDiff(r.text, string(want)))
 	}
-	// Shape target: chunks have more CEs than the hand-coded productions.
-	for _, row := range tbl.Rows {
-		taskCEs := atoiOr(t, row[1])
-		chunkCEs := atoiOr(t, row[2])
-		if chunkCEs <= taskCEs {
-			t.Errorf("%s: chunk CEs (%d) not larger than task CEs (%d)", row[0], chunkCEs, taskCEs)
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if card := r.res["summary"].String(); !strings.Contains(string(readme), "```\n"+card+"```\n") {
+		t.Errorf("README.md's scorecard block is not the rendered summary section:\n%s", card)
+	}
+	for _, id := range []string{"abl-mem", "abl-unlink", "abl-bilinear", "abl-share", "longrun", "f68"} {
+		if r.ran[id] == 0 {
+			t.Errorf("%s: no match cycle reached the lab's observer", id)
 		}
+	}
+}
+
+// firstDiff names the first line at which got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, gl, wl)
+		}
+	}
+	return "length"
+}
+
+// holds fails t unless each named claim (claims.go) holds on the report.
+func holds(t *testing.T, ids ...string) {
+	t.Helper()
+	rows := render(t).res["summary"].(*table).Rows
+	for _, id := range ids {
+		i := 0
+		for i < len(rows) && rows[i][0] != id {
+			i++
+		}
+		if i == len(rows) {
+			t.Errorf("no claim %s", id)
+		} else if row := rows[i]; row[5] != "holds" {
+			t.Errorf("%s (%s): measured %s, bound %s", id, row[1], row[3], row[4])
+		}
+	}
+}
+
+func TestSummaryAllShapesHold(t *testing.T) {
+	for _, c := range claims {
+		holds(t, c.id)
+	}
+}
+
+// Each test below requires the claims-table rows that replaced its own
+// predicates, so a failing row is reported under the name it had.
+func TestTable51ChunksBiggerThanTaskProductions(t *testing.T)   { holds(t, "t51-ces", "t51-bytes") }
+func TestTable52SharingCompilesFaster(t *testing.T)             { holds(t, "t52") }
+func TestTable61Granularity(t *testing.T)                       { holds(t, "t61") }
+func TestSpeedupShapes(t *testing.T)                            { holds(t, "f61-64") }
+func TestFig62StripsWorstContention(t *testing.T)               { holds(t, "f62") }
+func TestFig68BilinearShortensChain(t *testing.T)               { holds(t, "f68") }
+func TestUpdatePhaseSpeedups(t *testing.T)                      { holds(t, "f69") }
+func TestAfterChunkingEightPuzzleHighestSpeedup(t *testing.T)   { holds(t, "f610") }
+func TestHistogramShiftAfterChunking(t *testing.T)              { holds(t, "f611-612") }
+func TestAblationMemoriesHashingWins(t *testing.T)              { holds(t, "abl-mem") }
+func TestAblationSharingReducesNodes(t *testing.T)              { holds(t, "abl-share") }
+func TestAblationUnlinkCutsScheduledWork(t *testing.T)          { holds(t, "abl-unlink") }
+func TestAblationAsyncLiftsSpeedup(t *testing.T)                { holds(t, "abl-async") }
+func TestAblationAdaptiveQueuesOracleAtLeastMulti(t *testing.T) { holds(t, "abl-queues") }
+func TestLongRunChunkingGrows(t *testing.T)                     { holds(t, "longrun") }
+
+func TestFig67RendersProductions(t *testing.T) {
+	out := render(t).res["f67"].String()
+	if !strings.Contains(out, "st*monitor-strips-state") || !strings.Contains(out, "chunk") {
+		t.Fatalf("monitor production or chunk missing:\n%s", out)
+	}
+}
+
+func TestCaptureInvariants(t *testing.T) {
+	caps, err := render(t).lab.workloads(duringChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range caps {
+		if !c.halted {
+			t.Errorf("%s did not halt", c.name)
+		}
+		if len(c.chunkCEs) == 0 {
+			t.Errorf("%s built no chunks", c.name)
+		}
+		if len(c.updateTraces) == 0 {
+			t.Errorf("%s recorded no update cycles", c.name)
+		}
+	}
+}
+
+// TestDiagnoseFindsLongChains: the §7 diagnosis finds low-speedup cycles,
+// and a long-chain one names its production and suggests bilinear.
+func TestDiagnoseFindsLongChains(t *testing.T) {
+	c, err := render(t).lab.eightPuzzle(duringChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	causes := map[string]int{}
+	for _, d := range diagnose(c, 11, 5) {
+		causes[d.cause]++
+		if d.speedup >= 5 {
+			t.Fatalf("diagnosis above threshold: %+v", d)
+		}
+		if d.cause == "long-chain" && (d.production == "" || !strings.Contains(d.suggestion, "bilinear")) {
+			t.Fatalf("long-chain diagnosis incomplete: %+v", d)
+		}
+	}
+	if causes["long-chain"] == 0 {
+		t.Errorf("no long-chain diagnosis (causes: %v)", causes)
+	}
+	if len(render(t).res["diagnose"].(*table).Rows) == 0 {
+		t.Errorf("diagnose table empty")
 	}
 }
 
@@ -63,221 +213,25 @@ func TestNodeBytes(t *testing.T) {
 	}
 }
 
-func atoiOr(t *testing.T, s string) int {
-	t.Helper()
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			t.Fatalf("non-numeric cell %q", s)
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
-}
-
-func TestTable52SharingCompilesFaster(t *testing.T) {
-	tbl, err := Table52(sharedLab)
+// TestLabKeyCoversOptions: a capture is a function of the whole network
+// configuration, so captures that differ in one option are two captures,
+// and asking again for either is a cache hit.
+func TestLabKeyCoversOptions(t *testing.T) {
+	l := NewLab()
+	hashed, err := l.strips(noChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tbl.Rows {
-		shared := row[2]
-		unshared := row[3]
-		if !(parseF(t, shared) < parseF(t, unshared)) {
-			t.Errorf("%s: shared compile (%s) not faster than unshared (%s)", row[0], shared, unshared)
-		}
-	}
-}
-
-func parseF(t *testing.T, s string) float64 {
-	t.Helper()
-	var f float64
-	var frac, div float64 = 0, 1
-	dot := false
-	for _, c := range s {
-		if c == '.' {
-			dot = true
-			continue
-		}
-		d := float64(c - '0')
-		if dot {
-			div *= 10
-			frac = frac*10 + d
-			continue
-		}
-		f = f*10 + d
-	}
-	return f + frac/div
-}
-
-func TestTable61Granularity(t *testing.T) {
-	tbl, err := Table61(sharedLab)
+	l.opts.LinearMemories = true
+	linear, err := l.strips(noChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tbl.Rows {
-		avg := atoiOr(t, row[3])
-		// Shape target: task granularity in the hundreds of microseconds
-		// (the paper reports ~400-438 µs).
-		if avg < 200 || avg > 600 {
-			t.Errorf("%s: avg task time %dus outside paper band", row[0], avg)
-		}
+	if linear == hashed || !linear.eng.NW.Opts.LinearMemories {
+		t.Fatalf("the LinearMemories capture is the hashed one")
 	}
-}
-
-func TestSpeedupShapes(t *testing.T) {
-	f61, err := Fig61(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f64, err := Fig64(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f61.Series {
-		last61 := f61.Series[i].Y[len(f61.Series[i].Y)-1]
-		last64 := f64.Series[i].Y[len(f64.Series[i].Y)-1]
-		// Multiple queues lift the 13-process ceiling (Fig 6-1 vs 6-4).
-		if last64 <= last61 {
-			t.Errorf("series %d: multi-queue (%.2f) not above single-queue (%.2f)", i, last64, last61)
-		}
-		// Single-queue saturates: <= 6-fold (paper: max ~4.2).
-		if last61 > 6 {
-			t.Errorf("series %d: single-queue speedup %.2f too high", i, last61)
-		}
-		// Speedup at 13 exceeds speedup at 1.
-		if f64.Series[i].Y[0] != 1 {
-			t.Errorf("series %d: speedup at 1 process = %.2f", i, f64.Series[i].Y[0])
-		}
-	}
-}
-
-func TestUpdatePhaseSpeedups(t *testing.T) {
-	f, err := Fig69(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 3 {
-		t.Fatalf("series = %d", len(f.Series))
-	}
-	for _, s := range f.Series {
-		last := s.Y[len(s.Y)-1]
-		if last < 1.5 {
-			t.Errorf("%s: update-phase speedup %.2f too low (paper: high)", s.Name, last)
-		}
-	}
-}
-
-func TestAfterChunkingEightPuzzleHighestSpeedup(t *testing.T) {
-	f610, err := Fig610(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f64, err := Fig64(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep610 := f610.Series[0].Y[len(f610.Series[0].Y)-1]
-	ep64 := f64.Series[0].Y[len(f64.Series[0].Y)-1]
-	// Paper §6.3: the biggest increase in parallelism is the Eight-puzzle
-	// after chunking (about 10-fold at 13 processes).
-	if ep610 <= ep64 {
-		t.Errorf("after-chunking EP speedup (%.2f) not above without-chunking (%.2f)", ep610, ep64)
-	}
-	if ep610 < 7 {
-		t.Errorf("after-chunking EP speedup %.2f below paper band (~10)", ep610)
-	}
-}
-
-func TestHistogramShiftAfterChunking(t *testing.T) {
-	before, err := Fig611(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := Fig612(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mass at >= 200 tasks/cycle grows after chunking (rightward shift,
-	// Figures 6-11 vs 6-12).
-	sumAbove := func(s []float64, x []float64, cut float64) float64 {
-		total := 0.0
-		for i := range x {
-			if x[i] >= cut {
-				total += s[i]
-			}
-		}
-		return total
-	}
-	b := sumAbove(before.Series[0].Y, before.Series[0].X, 200)
-	a := sumAbove(after.Series[0].Y, after.Series[0].X, 200)
-	if a <= b {
-		t.Errorf("histogram did not shift right: before %.1f%%, after %.1f%%", b, a)
-	}
-}
-
-func TestFig67RendersProductions(t *testing.T) {
-	out, err := Fig67(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "st*monitor-strips-state") {
-		t.Fatalf("monitor production missing:\n%s", out)
-	}
-	if !strings.Contains(out, "chunk") {
-		t.Fatalf("chunk missing:\n%s", out)
-	}
-}
-
-func TestFig68BilinearShortensChain(t *testing.T) {
-	tbl, err := Fig68(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	lin := atoiOr(t, tbl.Rows[0][1])
-	bil := atoiOr(t, tbl.Rows[1][1])
-	if bil >= lin {
-		t.Errorf("bilinear chain (%d) not shorter than linear (%d)", bil, lin)
-	}
-}
-
-func TestFig62StripsWorstContention(t *testing.T) {
-	f, err := Fig62(sharedLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strips should have the smallest share of single-access buckets
-	// (paper: Strips contention higher than Eight-puzzle and Cypress).
-	oneAccess := make([]float64, len(f.Series))
-	for i, s := range f.Series {
-		for j, x := range s.X {
-			if x == 1 {
-				oneAccess[i] = s.Y[j]
-			}
-		}
-	}
-	if !(oneAccess[1] < oneAccess[0] && oneAccess[1] < oneAccess[2]) {
-		t.Errorf("Strips not the most contended: one-access shares %v", oneAccess)
-	}
-}
-
-func TestCaptureInvariants(t *testing.T) {
-	caps, err := sharedLab.workloads(duringChunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range caps {
-		if !c.halted {
-			t.Errorf("%s did not halt", c.name)
-		}
-		if len(c.chunkCEs) == 0 {
-			t.Errorf("%s built no chunks", c.name)
-		}
-		if len(c.updateTraces) == 0 {
-			t.Errorf("%s recorded no update cycles", c.name)
-		}
+	l.opts.LinearMemories = false
+	if again, err := l.strips(noChunk); err != nil || again != hashed {
+		t.Fatalf("asking again ran a new capture (err %v)", err)
 	}
 }

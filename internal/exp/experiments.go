@@ -19,33 +19,25 @@ import (
 var processCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
 
 func mean(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	s := 0
 	for _, x := range xs {
 		s += x
 	}
-	return float64(s) / float64(len(xs))
+	return float64(s) / float64(max(1, len(xs)))
 }
 
-// Table51 reproduces Table 5-1: CEs per task production vs per chunk,
+// table51 reproduces Table 5-1: CEs per task production vs per chunk,
 // code bytes per chunk and per two-input node.
-func Table51(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Table 5-1: Number of CEs per chunk (during-chunking runs)",
-		Headers: []string{"Task", "Avg CEs (task Ps)", "Avg CEs (chunks)", "Avg bytes/chunk", "Avg bytes/2-input node"},
-	}
+func table51(l *Lab) (*table, error) {
+	t := newTable("Table 5-1: Number of CEs per chunk (during-chunking runs)",
+		"Task", "Avg CEs (task Ps)", "Avg CEs (chunks)", "Avg bytes/chunk", "Avg bytes/2-input node")
 	caps, err := l.workloads(duringChunk)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range caps {
-		t.AddRow(taskNames[i],
-			fmt.Sprintf("%.0f", mean(c.taskProdCEs)),
-			fmt.Sprintf("%.0f", mean(c.chunkCEs)),
-			fmt.Sprintf("%.0f", mean(c.chunkBytes)),
-			fmt.Sprintf("%.0f", c.bytesPer2In()))
+		t.add(taskNames[i], num("%.0f", mean(c.taskProdCEs)), num("%.0f", mean(c.chunkCEs)),
+			num("%.0f", mean(c.chunkBytes)), num("%.0f", c.bytesPer2In()))
 	}
 	return t, nil
 }
@@ -107,14 +99,12 @@ func compileModelMicros(bytes, newNodes, sharedNodes int) int64 {
 	return int64(bytes)*perByte + int64(newNodes)*perNode + int64(sharedNodes)*perSearch
 }
 
-// Table52 reproduces Table 5-2: time to compile chunks at run time, with
+// table52 reproduces Table 5-2: time to compile chunks at run time, with
 // two-input-node sharing on and off. The chunks of the during-chunking
 // runs are recompiled into fresh networks under both settings.
-func Table52(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Table 5-2: Time for compiling chunks at run-time (modeled seconds on the 0.75-MIPS target)",
-		Headers: []string{"Task", "Chunks added", "Time shared (s)", "Time unshared (s)"},
-	}
+func table52(l *Lab) (*table, error) {
+	t := newTable("Table 5-2: Time for compiling chunks at run-time (modeled seconds on the 0.75-MIPS target)",
+		"Task", "Chunks added", "Time shared (s)", "Time unshared (s)")
 	caps, err := l.workloads(duringChunk)
 	if err != nil {
 		return nil, err
@@ -132,10 +122,7 @@ func Table52(l *Lab) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(taskNames[i],
-			fmt.Sprintf("%d", len(chunkASTs)),
-			fmt.Sprintf("%.1f", float64(shared)/1e6),
-			fmt.Sprintf("%.1f", float64(unshared)/1e6))
+		t.add(taskNames[i], count(len(chunkASTs)), num("%.1f", float64(shared)/1e6), num("%.1f", float64(unshared)/1e6))
 	}
 	return t, nil
 }
@@ -172,76 +159,62 @@ func isChunkName(n string) bool {
 	return strings.HasPrefix(n, chunk.Prefix) || strings.HasPrefix(n, "cy-chunk-")
 }
 
-// Table61 reproduces Table 6-1: the granularity of tasks — uniprocessor
+// table61 reproduces Table 6-1: the granularity of tasks — uniprocessor
 // match time, total node activations, mean time per activation.
-func Table61(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Table 6-1: The granularity of the tasks (without chunking; simulated NS32032 time)",
-		Headers: []string{"Task", "Uniproc. time (s)", "Total tasks executed", "Avg time per task (us)"},
-	}
+func table61(l *Lab) (*table, error) {
+	t := newTable("Table 6-1: The granularity of the tasks (without chunking; simulated NS32032 time)",
+		"Task", "Uniproc. time (s)", "Total tasks executed", "Avg time per task (us)")
 	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range caps {
 		one := uniproc(c.traces)
-		avg := int64(0)
-		if one.Tasks > 0 {
-			avg = one.TotalWork / int64(one.Tasks)
-		}
-		t.AddRow(taskNames[i],
-			fmt.Sprintf("%.1f", float64(one.Makespan)/1e6),
-			fmt.Sprintf("%d", one.Tasks),
-			fmt.Sprintf("%d", avg))
+		avg := one.TotalWork / int64(max(1, one.Tasks))
+		t.add(taskNames[i], num("%.1f", float64(one.Makespan)/1e6), count(one.Tasks), count(avg))
 	}
 	return t, nil
 }
 
-// speedupFigure builds a speedup-vs-processes figure over the given traces.
-func speedupFigure(title string, caps []*capture, traces func(*capture) [][]prun.TaskRec, pol sim.Policy) *stats.Figure {
-	f := &stats.Figure{Title: title, XLabel: "match processes", YLabel: "speedup"}
-	for i, c := range caps {
-		one := uniproc(traces(c))
-		name := fmt.Sprintf("%s (uniproc %.1fs)", taskNames[i], float64(one.Makespan)/1e6)
-		s := f.AddSeries(name)
-		for _, p := range processCounts {
-			s.Add(float64(p), sim.RunSpeedup(traces(c), p, pol, queueOp))
+// speedups returns the driver of a speedup-vs-processes figure over the
+// three tasks' runs in mode m: their match cycles or, with update, the
+// state updates of their run-time additions.
+func speedups(title string, m mode, update bool, pol sim.Policy) func(*Lab) (*stats.Figure, error) {
+	return func(l *Lab) (*stats.Figure, error) {
+		caps, err := l.workloads(m)
+		if err != nil {
+			return nil, err
 		}
+		f := &stats.Figure{Title: title, XLabel: "match processes", YLabel: "speedup"}
+		for i, c := range caps {
+			traces := c.traces
+			if update {
+				traces = c.updateTraces
+			}
+			one := uniproc(traces)
+			s := f.AddSeries(fmt.Sprintf("%s (uniproc %.1fs)", taskNames[i], float64(one.Makespan)/1e6))
+			for _, p := range processCounts {
+				s.Add(float64(p), sim.RunSpeedup(traces, p, pol, queueOp))
+			}
+		}
+		return f, nil
 	}
-	return f
 }
 
-func normalTraces(c *capture) [][]prun.TaskRec { return c.traces }
-func updateTraces(c *capture) [][]prun.TaskRec { return c.updateTraces }
+// Figures 6-1, 6-4, 6-9 (update phase) and 6-10: speedups with a single or
+// multiple task queues, without, during and after chunking.
+var (
+	fig61  = speedups("Figure 6-1: Speedups without chunking, single task queue", noChunk, false, sim.SingleQueue)
+	fig64  = speedups("Figure 6-4: Speedups without chunking, multiple task queues", noChunk, false, sim.MultiQueue)
+	fig69  = speedups("Figure 6-9: Speedups in the update phase, multiple task queues", duringChunk, true, sim.MultiQueue)
+	fig610 = speedups("Figure 6-10: Speedups after chunking, multiple task queues", afterChunk, false, sim.MultiQueue)
+)
 
-// Fig61 reproduces Figure 6-1: speedups without chunking, single queue.
-func Fig61(l *Lab) (*stats.Figure, error) {
-	caps, err := l.workloads(noChunk)
-	if err != nil {
-		return nil, err
-	}
-	return speedupFigure("Figure 6-1: Speedups without chunking, single task queue",
-		caps, normalTraces, sim.SingleQueue), nil
-}
-
-// Fig64 reproduces Figure 6-4: speedups without chunking, multiple queues.
-func Fig64(l *Lab) (*stats.Figure, error) {
-	caps, err := l.workloads(noChunk)
-	if err != nil {
-		return nil, err
-	}
-	return speedupFigure("Figure 6-4: Speedups without chunking, multiple task queues",
-		caps, normalTraces, sim.MultiQueue), nil
-}
-
-// Fig62 reproduces Figure 6-2: contention for the hash buckets — the
+// fig62 reproduces Figure 6-2: contention for the hash buckets — the
 // distribution of left-token accesses per bucket line per cycle.
-func Fig62(l *Lab) (*stats.Figure, error) {
-	f := &stats.Figure{
-		Title:  "Figure 6-2: Contention for the hash buckets",
-		XLabel: "accesses per bucket per cycle",
-		YLabel: "percent of left tokens",
-	}
+func fig62(l *Lab) (*stats.Figure, error) {
+	f := &stats.Figure{Title: "Figure 6-2: Contention for the hash buckets",
+		XLabel: "accesses per bucket per cycle", YLabel: "percent of left tokens"}
 	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
@@ -264,14 +237,11 @@ func Fig62(l *Lab) (*stats.Figure, error) {
 	return f, nil
 }
 
-// Fig63 reproduces Figure 6-3: task-queue contention (spins per task) as
+// fig63 reproduces Figure 6-3: task-queue contention (spins per task) as
 // the number of processes grows, single shared queue.
-func Fig63(l *Lab) (*stats.Figure, error) {
-	f := &stats.Figure{
-		Title:  "Figure 6-3: Task-queue contention with increasing number of processes (single queue)",
-		XLabel: "match processes",
-		YLabel: "spins/task (queue-op units)",
-	}
+func fig63(l *Lab) (*stats.Figure, error) {
+	f := &stats.Figure{Title: "Figure 6-3: Task-queue contention with increasing number of processes (single queue)",
+		XLabel: "match processes", YLabel: "spins/task (queue-op units)"}
 	caps, err := l.workloads(noChunk)
 	if err != nil {
 		return nil, err
@@ -289,14 +259,19 @@ func Fig63(l *Lab) (*stats.Figure, error) {
 	return f, nil
 }
 
-// Fig65 reproduces Figure 6-5: per-cycle speedup as a function of
+// perCycle is Figure 6-5 and the per-cycle speedups it bins, with each
+// cycle's task count.
+type perCycle struct {
+	*stats.Figure
+	tasks    []int
+	speedups []float64
+}
+
+// fig65 reproduces Figure 6-5: per-cycle speedup as a function of
 // tasks/cycle for the Eight-puzzle at 11 match processes.
-func Fig65(l *Lab) (*stats.Figure, error) {
-	f := &stats.Figure{
-		Title:  "Figure 6-5: Eight-puzzle: per-cycle speedup vs tasks/cycle (11 processes, multiple queues)",
-		XLabel: "tasks/cycle (bin)",
-		YLabel: "mean speedup",
-	}
+func fig65(l *Lab) (*perCycle, error) {
+	f := &perCycle{Figure: &stats.Figure{Title: "Figure 6-5: Eight-puzzle: per-cycle speedup vs tasks/cycle (11 processes, multiple queues)",
+		XLabel: "tasks/cycle (bin)", YLabel: "mean speedup"}}
 	c, err := l.eightPuzzle(duringChunk)
 	if err != nil {
 		return nil, err
@@ -307,6 +282,7 @@ func Fig65(l *Lab) (*stats.Figure, error) {
 			continue
 		}
 		sp := sim.Speedup(tr, 11, sim.MultiQueue, queueOp)
+		f.tasks, f.speedups = append(f.tasks, len(tr)), append(f.speedups, sp)
 		bin := binFor(len(tr))
 		if bins[bin] == nil {
 			bins[bin] = &stats.Summary{}
@@ -337,14 +313,11 @@ func binFor(n int) int {
 	}
 }
 
-// Fig66 reproduces Figure 6-6: tasks in the system over time for a large
+// fig66 reproduces Figure 6-6: tasks in the system over time for a large
 // cycle with low speedup (the long-chain tail), 11 processes.
-func Fig66(l *Lab) (*stats.Figure, error) {
-	f := &stats.Figure{
-		Title:  "Figure 6-6: Eight-puzzle: tasks in system over time (one ~300-task cycle, 11 processes)",
-		XLabel: "time (100us units)",
-		YLabel: "tasks in system",
-	}
+func fig66(l *Lab) (*stats.Figure, error) {
+	f := &stats.Figure{Title: "Figure 6-6: Eight-puzzle: tasks in system over time (one ~300-task cycle, 11 processes)",
+		XLabel: "time (100us units)", YLabel: "tasks in system"}
 	c, err := l.eightPuzzle(duringChunk)
 	if err != nil {
 		return nil, err
@@ -366,9 +339,8 @@ func Fig66(l *Lab) (*stats.Figure, error) {
 	}
 	r := sim.Simulate(pick, sim.Config{Processes: 11, Policy: sim.MultiQueue, QueueOp: queueOp, MaxSamples: 100000})
 	s := f.AddSeries(fmt.Sprintf("cycle with %d tasks", len(pick)))
-	// Downsample to ~120 points, keeping the maximum within each window
-	// (the count fluctuates as tasks complete before their children are
-	// pushed).
+	// Downsample to ~120 evenly spaced points, each the count of the last
+	// sample at or before its time.
 	if len(r.Samples) > 0 {
 		end := r.Samples[len(r.Samples)-1].T
 		step := end/120 + 1
@@ -384,14 +356,14 @@ func Fig66(l *Lab) (*stats.Figure, error) {
 	return f, nil
 }
 
-// Fig67 renders the long-chain productions of Figure 6-7: the
+// fig67 renders the long-chain productions of Figure 6-7: the
 // Monitor-Strips-State task production and the longest learned chunk.
-func Fig67(l *Lab) (string, error) {
+func fig67(l *Lab) (*strings.Builder, error) {
 	var sb strings.Builder
 	sb.WriteString("Figure 6-7: Long chain productions\n\n")
 	c, err := l.strips(duringChunk)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for _, p := range c.eng.NW.Productions() {
 		if p.Name == "st*monitor-strips-state" {
@@ -410,16 +382,14 @@ func Fig67(l *Lab) (string, error) {
 		fmt.Fprintf(&sb, "\n; The longest learned chunk (%d CEs):\n", countCEs(longest.AST))
 		sb.WriteString(ops5.Format(longest.AST, c.eng.Tab))
 	}
-	return sb.String(), nil
+	return &sb, nil
 }
 
-// Fig68 reproduces Figure 6-8: the constrained bilinear network — chain
+// fig68 reproduces Figure 6-8: the constrained bilinear network — chain
 // length and critical-path reduction on the Strips task.
-func Fig68(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Figure 6-8: Constrained bilinear network organization (Strips, without chunking)",
-		Headers: []string{"Organization", "Max network chain (nodes)", "Critical path (activations)", "Speedup @11 procs", "Tasks"},
-	}
+func fig68(l *Lab) (*table, error) {
+	t := newTable("Figure 6-8: Constrained bilinear network organization (Strips, without chunking)",
+		"Organization", "Max network chain (nodes)", "Critical path (activations)", "Speedup @11 procs", "Tasks")
 	for _, org := range []rete.Organization{rete.Linear, rete.Bilinear} {
 		c, err := l.strips(noChunk, func(o *rete.Options) {
 			o.Organization = org
@@ -434,21 +404,18 @@ func Fig68(l *Lab) (*stats.Table, error) {
 			return nil, err
 		}
 		depth := prodChainDepth(c.eng, "st*monitor-strips-state")
-		crit := 0
+		crit := int32(0) // the longest dependent-activation chain
 		for _, tr := range c.traces {
-			if d := criticalPath(tr); d > crit {
-				crit = d
+			for _, r := range tr {
+				crit = max(crit, r.Depth)
 			}
 		}
 		name := "linear"
 		if org == rete.Bilinear {
 			name = "bilinear (ctx=3, group=3)"
 		}
-		t.AddRow(name,
-			fmt.Sprintf("%d", depth),
-			fmt.Sprintf("%d", crit),
-			fmt.Sprintf("%.2f", sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)),
-			fmt.Sprintf("%d", c.tasks))
+		t.add(name, count(depth), count(crit),
+			num("%.2f", sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)), count(c.tasks))
 	}
 	return t, nil
 }
@@ -464,80 +431,40 @@ func prodChainDepth(e *engine.Engine, name string) int {
 	return p.ChainDepth() + 1
 }
 
-// criticalPath returns the longest dependent-activation chain in a trace.
-func criticalPath(tr []prun.TaskRec) int {
-	max := int32(0)
-	for _, r := range tr {
-		if r.Depth > max {
-			max = r.Depth
+// tasksPerCycle returns the driver of the paper's tasks/cycle histogram of
+// the Eight-puzzle run in mode m.
+func tasksPerCycle(title string, m mode) func(*Lab) (*stats.Figure, error) {
+	return func(l *Lab) (*stats.Figure, error) {
+		c, err := l.eightPuzzle(m)
+		if err != nil {
+			return nil, err
 		}
+		f := &stats.Figure{Title: title, XLabel: "tasks/cycle (bin of 25)", YLabel: "percent of cycles"}
+		h := stats.NewHistogram(25)
+		for _, n := range c.tasksPerCycle {
+			h.Add(n)
+		}
+		s := f.AddSeries("cycles")
+		for _, b := range h.Bins() {
+			s.Add(float64(b.Lo), b.Percent)
+		}
+		return f, nil
 	}
-	return int(max)
 }
 
-// Fig69 reproduces Figure 6-9: speedups in the update phase (run-time
-// addition state update), multiple queues.
-func Fig69(l *Lab) (*stats.Figure, error) {
-	caps, err := l.workloads(duringChunk)
-	if err != nil {
-		return nil, err
-	}
-	return speedupFigure("Figure 6-9: Speedups in the update phase, multiple task queues",
-		caps, updateTraces, sim.MultiQueue), nil
-}
+// Figures 6-11 and 6-12: the Eight-puzzle's tasks/cycle without and after
+// chunking.
+var (
+	fig611 = tasksPerCycle("Figure 6-11: Eight-puzzle without chunking: tasks/cycle vs percent of cycles", noChunk)
+	fig612 = tasksPerCycle("Figure 6-12: Eight-puzzle after chunking: tasks/cycle vs percent of cycles", afterChunk)
+)
 
-// Fig610 reproduces Figure 6-10: speedups after chunking, multiple queues.
-func Fig610(l *Lab) (*stats.Figure, error) {
-	caps, err := l.workloads(afterChunk)
-	if err != nil {
-		return nil, err
-	}
-	return speedupFigure("Figure 6-10: Speedups after chunking, multiple task queues",
-		caps, normalTraces, sim.MultiQueue), nil
-}
-
-// tasksPerCycleHist builds the paper's tasks/cycle histograms.
-func tasksPerCycleHist(title string, c *capture) *stats.Figure {
-	f := &stats.Figure{Title: title, XLabel: "tasks/cycle (bin of 25)", YLabel: "percent of cycles"}
-	h := stats.NewHistogram(25)
-	for _, n := range c.tasksPerCycle {
-		h.Add(n)
-	}
-	s := f.AddSeries("cycles")
-	for _, b := range h.Bins() {
-		s.Add(float64(b.Lo), b.Percent)
-	}
-	return f
-}
-
-// Fig611 reproduces Figure 6-11: tasks/cycle distribution, Eight-puzzle
-// without chunking.
-func Fig611(l *Lab) (*stats.Figure, error) {
-	c, err := l.eightPuzzle(noChunk)
-	if err != nil {
-		return nil, err
-	}
-	return tasksPerCycleHist("Figure 6-11: Eight-puzzle without chunking: tasks/cycle vs percent of cycles", c), nil
-}
-
-// Fig612 reproduces Figure 6-12: tasks/cycle distribution, Eight-puzzle
-// after chunking.
-func Fig612(l *Lab) (*stats.Figure, error) {
-	c, err := l.eightPuzzle(afterChunk)
-	if err != nil {
-		return nil, err
-	}
-	return tasksPerCycleHist("Figure 6-12: Eight-puzzle after chunking: tasks/cycle vs percent of cycles", c), nil
-}
-
-// Extras summarizes measurements the paper reports in prose: jumptable
+// extras summarizes measurements the paper reports in prose: jumptable
 // overhead (§5.1), sharing statistics, and the chunking effect on run
 // totals (§6.3).
-func Extras(l *Lab) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Prose measurements (sections 5.1, 6.3)",
-		Headers: []string{"Task", "Shared 2-in nodes/chunk", "Jumptable overhead", "Tasks no-chunk", "Tasks after-chunk", "%cycles >=1000 tasks (after)"},
-	}
+func extras(l *Lab) (*table, error) {
+	t := newTable("Prose measurements (sections 5.1, 6.3)",
+		"Task", "Shared 2-in nodes/chunk", "Jumptable overhead", "Tasks no-chunk", "Tasks after-chunk", "%cycles >=1000 tasks (after)")
 	during, err := l.workloads(duringChunk)
 	if err != nil {
 		return nil, err
@@ -554,20 +481,13 @@ func Extras(l *Lab) (*stats.Table, error) {
 		d := during[i]
 		nc := noChunk[i]
 		ac := afterChunk[i]
-		sharedPer := 0.0
-		if len(d.chunkCEs) > 0 {
-			sharedPer = float64(d.sharedTwoInput) / float64(len(d.chunkCEs))
-		}
+		sharedPer := float64(d.sharedTwoInput) / float64(max(1, len(d.chunkCEs)))
 		overhead := 0.0
 		if per := d.bytesPer2In(); per > 0 {
 			overhead = jumpBytes / per
 		}
-		t.AddRow(taskNames[i],
-			fmt.Sprintf("%.1f", sharedPer),
-			fmt.Sprintf("%.1f%%", 100*overhead),
-			fmt.Sprintf("%d", nc.tasks),
-			fmt.Sprintf("%d", ac.tasks),
-			fmt.Sprintf("%.0f%%", ac.pctCyclesAtLeast(1000)))
+		t.add(taskNames[i], num("%.1f", sharedPer), num("%.1f%%", 100*overhead),
+			count(nc.tasks), count(ac.tasks), num("%.0f%%", ac.pctCyclesAtLeast(1000)))
 	}
 	return t, nil
 }

@@ -65,7 +65,7 @@ func (f *Figure) Plot(width, height int) string {
 	sb.WriteString(f.Title)
 	sb.WriteByte('\n')
 	for si, s := range f.Series {
-		fmt.Fprintf(&sb, "  %c %s\n", markers[si%len(markers)], s.Name)
+		fmt.Fprintf(&sb, "  %c %s\n", markers[si%len(markers)], s.name)
 	}
 	label := func(v float64) string { return fmt.Sprintf("%8.2f", v) }
 	for r := 0; r < height; r++ {

@@ -137,8 +137,8 @@ type Table struct {
 	Rows    [][]string
 }
 
-// AddRow appends one row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// addRow appends one row.
+func (t *Table) addRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // String renders the table.
 func (t *Table) String() string {
@@ -181,7 +181,7 @@ func (t *Table) String() string {
 
 // Series is a labelled (x, y) sequence — one curve of a figure.
 type Series struct {
-	Name string
+	name string
 	X    []float64
 	Y    []float64
 }
@@ -202,7 +202,7 @@ type Figure struct {
 
 // AddSeries appends and returns a new series.
 func (f *Figure) AddSeries(name string) *Series {
-	s := &Series{Name: name}
+	s := &Series{name: name}
 	f.Series = append(f.Series, s)
 	return s
 }
@@ -224,7 +224,7 @@ func (f *Figure) String() string {
 	t := &Table{Title: fmt.Sprintf("%s\n(y: %s)", f.Title, f.YLabel)}
 	t.Headers = append(t.Headers, f.XLabel)
 	for _, s := range f.Series {
-		t.Headers = append(t.Headers, s.Name)
+		t.Headers = append(t.Headers, s.name)
 	}
 	for _, x := range keys {
 		row := []string{trimFloat(x)}
@@ -238,7 +238,7 @@ func (f *Figure) String() string {
 			}
 			row = append(row, cell)
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t.String()
 }

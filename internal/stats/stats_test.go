@@ -71,8 +71,8 @@ func TestSummary(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{Title: "T", Headers: []string{"a", "long-header"}}
-	tbl.AddRow("x", "1")
-	tbl.AddRow("longer-cell", "2")
+	tbl.addRow("x", "1")
+	tbl.addRow("longer-cell", "2")
 	out := tbl.String()
 	if !strings.Contains(out, "T\n") || !strings.Contains(out, "long-header") {
 		t.Fatalf("bad render:\n%s", out)
