@@ -75,6 +75,108 @@ func TestReportMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestExperimentsQuotesReport: every ```report <id>``` block of
+// EXPERIMENTS.md is an excerpt of that section of the rendered report (its
+// lines, in order, any skipped), and every claims-table row is named in
+// the file, so no verdict can silently go. A regenerated golden file whose
+// lines moved means re-copying the excerpts this test names.
+func TestExperimentsQuotesReport(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, c := range claims {
+		ids = append(ids, c.id)
+	}
+	for _, msg := range checkExcerpts("EXPERIMENTS.md", string(doc), render(t).text, ids) {
+		t.Error(msg)
+	}
+}
+
+// TestCheckExcerptsFailures: each way a document can misquote the report
+// is reported, with the block's starting line and the line not found.
+func TestCheckExcerptsFailures(t *testing.T) {
+	const report = "==== t61 (Table 6-1) ====\nTask  us\n----  ---\nEP    405\nS     402\n\n" +
+		"==== f61 (Figure 6-1) ====\nprocs  EP\n13     3.28\n\n"
+	const ok = "Verdict `t61`, `f61-64`.\n```report t61\nTask  us\nS     402\n```\n"
+	for _, c := range []struct {
+		name, doc, want string
+	}{
+		{"a faithful excerpt", ok, ""},
+		{"an unknown section id", ok + "\n```report t62\nTask  us\n```\n", "doc.md:7: report block names no section t62"},
+		{"two lines out of order", ok + "```report t61\nS     402\nEP    405\n```\n", `doc.md:6: line "EP    405" is not in section t61 after the line before it`},
+		{"a one-digit edit", ok + "```report t61\nEP    406\n```\n", `doc.md:6: line "EP    406" is not in section t61`},
+		{"an empty block", ok + "```report f61\n```\n", "doc.md:6: report f61 block is empty"},
+		{"a claims id missing from the text", "Verdict `t61`.\n", "doc.md: claims row `f61-64` is named nowhere"},
+	} {
+		got := strings.Join(checkExcerpts("doc.md", c.doc, report, []string{"t61", "f61-64"}), "\n")
+		if c.want == "" && got != "" || !strings.Contains(got, c.want) {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// checkExcerpts returns one message per misquote in doc (named name): a
+// ```report <id>``` block naming no section of report, an empty block, a
+// block line not found in its section after the block's previous line,
+// and each of ids not named in backticks.
+func checkExcerpts(name, doc, report string, ids []string) []string {
+	sections := map[string][]string{}
+	var cur string
+	for _, l := range strings.Split(report, "\n") {
+		if strings.HasPrefix(l, "==== ") {
+			cur = strings.Fields(l)[1]
+			sections[cur] = nil
+		} else if cur != "" {
+			sections[cur] = append(sections[cur], l)
+		}
+	}
+	var msgs []string
+	lines := strings.Split(doc, "\n")
+	for i := 0; i < len(lines); i++ {
+		id, ok := strings.CutPrefix(lines[i], "```report ")
+		if !ok {
+			continue
+		}
+		start := i + 1
+		var body []string
+		for i++; i < len(lines) && lines[i] != "```"; i++ {
+			body = append(body, lines[i])
+		}
+		sec, ok := sections[id]
+		switch {
+		case !ok:
+			msgs = append(msgs, fmt.Sprintf("%s:%d: report block names no section %s", name, start, id))
+			continue
+		case len(body) == 0:
+			msgs = append(msgs, fmt.Sprintf("%s:%d: report %s block is empty", name, start, id))
+			continue
+		}
+		at := 0
+		for j, l := range body {
+			for at < len(sec) && sec[at] != l {
+				at++
+			}
+			if at == len(sec) {
+				where := ""
+				if j > 0 {
+					where = " after the line before it"
+				}
+				msgs = append(msgs, fmt.Sprintf("%s:%d: line %q is not in section %s%s", name, start, l, id, where))
+				break
+			}
+			at++
+		}
+	}
+	for _, id := range ids {
+		if !strings.Contains(doc, "`"+id+"`") {
+			msgs = append(msgs, fmt.Sprintf("%s: claims row `%s` is named nowhere", name, id))
+		}
+	}
+	return msgs
+}
+
 // firstDiff names the first line at which got and want differ.
 func firstDiff(got, want string) string {
 	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")

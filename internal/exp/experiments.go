@@ -316,7 +316,7 @@ func binFor(n int) int {
 // fig66 reproduces Figure 6-6: tasks in the system over time for a large
 // cycle with low speedup (the long-chain tail), 11 processes.
 func fig66(l *Lab) (*stats.Figure, error) {
-	f := &stats.Figure{Title: "Figure 6-6: Eight-puzzle: tasks in system over time (one ~300-task cycle, 11 processes)",
+	f := &stats.Figure{Title: "Figure 6-6: Eight-puzzle: tasks in system over time (the largest cycle of 250-600 tasks, the paper's example ~300; 11 processes)",
 		XLabel: "time (100us units)", YLabel: "tasks in system"}
 	c, err := l.eightPuzzle(duringChunk)
 	if err != nil {

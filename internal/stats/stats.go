@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Histogram counts values into fixed-width bins.
@@ -140,16 +141,18 @@ type Table struct {
 // addRow appends one row.
 func (t *Table) addRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// String renders the table.
+// String renders the table. Columns are sized and padded in runes, so a
+// cell holding →, µ or § keeps its column aligned, and a line ends at its
+// last cell's last character.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, r := range t.Rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -159,12 +162,14 @@ func (t *Table) String() string {
 		sb.WriteByte('\n')
 	}
 	line := func(cells []string) {
+		var l strings.Builder
 		for i, c := range cells {
 			if i > 0 {
-				sb.WriteString("  ")
+				l.WriteString("  ")
 			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
+			fmt.Fprintf(&l, "%-*s", widths[i], c) // fmt pads in runes
 		}
+		sb.WriteString(strings.TrimRight(l.String(), " "))
 		sb.WriteByte('\n')
 	}
 	line(t.Headers)

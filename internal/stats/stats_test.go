@@ -87,6 +87,41 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// A cell with a multi-byte rune (→, µ) pads its column by runes: every
+// column starts at the separator's rune offset on every line, and no line
+// ends in a space, even a row whose last cell is empty.
+func TestTableAlignsInRunes(t *testing.T) {
+	tbl := &Table{Headers: []string{"Claim", "Measured", "µs", "Shape"}}
+	tbl.addRow("t61", "405 → 406", "1", "holds")
+	tbl.addRow("f611-612", "0% → 48%", "µ", "")
+	tbl.addRow("x", "y", "10000", "DIVERGES")
+	lines := strings.Split(strings.TrimSuffix(tbl.String(), "\n"), "\n")
+	var starts []int
+	sep := []rune(lines[1])
+	for i, r := range sep {
+		if r == '-' && (i == 0 || sep[i-1] == ' ') {
+			starts = append(starts, i)
+		}
+	}
+	if len(starts) != 4 {
+		t.Fatalf("separator %q has %d columns", lines[1], len(starts))
+	}
+	for _, l := range lines {
+		if strings.HasSuffix(l, " ") {
+			t.Errorf("line ends in a space: %q", l)
+		}
+		rs := []rune(l)
+		for _, s := range starts[1:] {
+			if s >= len(rs) {
+				continue // an empty last cell
+			}
+			if rs[s-1] != ' ' || rs[s-2] != ' ' || rs[s] == ' ' {
+				t.Errorf("a column does not start at rune %d: %q", s, l)
+			}
+		}
+	}
+}
+
 func TestFigureRendering(t *testing.T) {
 	f := &Figure{Title: "Fig", XLabel: "x", YLabel: "y"}
 	a := f.AddSeries("a")
