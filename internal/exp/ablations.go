@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"soarpsme/internal/matchprof"
-	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/sim"
 	"soarpsme/internal/tasks/eightpuzzle"
@@ -24,7 +23,7 @@ func ablationMemories(l *Lab) (*table, error) {
 			return nil, err
 		}
 		comparisons := c.eng.NW.Stats.Comparisons.Load()
-		one := uniproc(c.traces)
+		one := uniproc(c.cycles)
 		name := "hashed (per-line locks)"
 		if linear {
 			name = "linear lists (no hashing)"
@@ -54,7 +53,7 @@ func ablationUnlink(l *Lab) (*table, error) {
 			name = "on"
 		}
 		for i, c := range caps {
-			one := uniproc(c.traces)
+			one := uniproc(c.cycles)
 			st := &c.eng.NW.Stats
 			t.add(taskNames[i], name, count(c.tasks), count(st.NullSuppressed.Load()),
 				count(st.ConstTests.Load()), num("%.1f", float64(one.Makespan)/1e6))
@@ -98,10 +97,11 @@ func ablationBilinear(l *Lab) (*table, error) {
 				}
 			}
 		}
+		one := uniproc(c.cycles)
 		t.add(org.String(), count(restructured), count(maxDepth),
-			num("%.2f", sim.RunSpeedup(c.traces, 8, sim.MultiQueue, queueOp)),
-			num("%.2f", sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)),
-			num("%.2f", sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)), count(c.tasks))
+			num("%.2f", speedup(one, replay(c.cycles, 8, 0))),
+			num("%.2f", speedup(one, replay(c.cycles, 11, 0))),
+			num("%.2f", speedup(one, replay(c.cycles, 13, 0))), count(c.tasks))
 	}
 	return t, nil
 }
@@ -119,12 +119,15 @@ func ablationAsync(l *Lab) (*table, error) {
 		return nil, err
 	}
 	for i, c := range caps {
-		syncSp := sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)
-		var merged []prun.TaskRec
-		for _, tr := range c.traces {
-			merged = append(merged, tr...)
+		var merged sim.Cycle
+		for _, cyc := range c.cycles {
+			merged = append(merged, cyc...)
 		}
-		asyncSp := sim.Speedup(merged, 11, sim.MultiQueue, queueOp)
+		// One process never waits at a barrier, so the merged DAG's
+		// uniprocessor replay is the synchronous one's.
+		one := uniproc(c.cycles)
+		syncSp := speedup(one, replay(c.cycles, 11, 0))
+		asyncSp := speedup(one, replay([]sim.Cycle{merged}, 11, 0))
 		t.add(taskNames[i], num("%.2f", syncSp), num("%.2f", asyncSp))
 	}
 	return t, nil
@@ -165,17 +168,15 @@ func ablationAdaptiveQueues(l *Lab) (*table, error) {
 	}
 	for i, c := range caps {
 		var uni, multi, oracle int64
-		for _, tr := range c.traces {
-			uni += sim.Simulate(tr, sim.Config{Processes: 1, QueueOp: queueOp}).Makespan
+		for k := range c.cycles {
+			cyc := c.cycles[k : k+1]
+			uni += uniproc(cyc).Makespan
 			best := int64(1) << 62
 			for _, q := range counts {
-				r := sim.Simulate(tr, sim.Config{Processes: 11, Policy: sim.MultiQueue, Queues: q, QueueOp: queueOp})
-				if r.Makespan < best {
-					best = r.Makespan
-				}
+				best = min(best, replay(cyc, 11, q).Makespan)
 			}
 			oracle += best
-			multi += sim.Simulate(tr, sim.Config{Processes: 11, Policy: sim.MultiQueue, QueueOp: queueOp}).Makespan
+			multi += replay(cyc, 11, 0).Makespan
 		}
 		ms := float64(uni) / float64(multi)
 		os := float64(uni) / float64(oracle)
@@ -206,7 +207,7 @@ func longRunChunking(l *Lab) (*table, error) {
 		}
 		t.add(count(i+1), count(c.moves), count(c.tasks), count(cumulative),
 			count(c.eng.NW.TwoInputNodes()),
-			num("%.2f", sim.RunSpeedup(c.traces, 13, sim.MultiQueue, queueOp)))
+			num("%.2f", speedup(uniproc(c.cycles), replay(c.cycles, 13, 0))))
 	}
 	return t, nil
 }
@@ -249,29 +250,20 @@ func diagnose(c *capture, procs int, threshold float64) []diagnosis {
 		}
 	}
 	var out []diagnosis
-	for _, tr := range c.traces {
-		if len(tr) < 5 {
+	for i := range c.cycles {
+		cyc, n := c.cycles[i:i+1], len(c.cycles[i])
+		if n < 5 {
 			continue
 		}
-		one := sim.Simulate(tr, sim.Config{Processes: 1, Policy: sim.SingleQueue, QueueOp: queueOp})
-		par := sim.Simulate(tr, sim.Config{Processes: procs, Policy: sim.MultiQueue, QueueOp: queueOp})
-		sp := 1.0
-		if par.Makespan > 0 {
-			sp = float64(one.Makespan) / float64(par.Makespan)
-		}
+		par := replay(cyc, procs, 0)
+		sp := speedup(uniproc(cyc), par)
 		if sp >= threshold {
 			continue
 		}
-		d := diagnosis{cycleTasks: len(tr), speedup: sp, failedPops: par.FailedPops, steals: par.Steals}
 		// Critical path and its terminal node.
-		var tail prun.TaskRec
-		for _, r := range tr {
-			if int(r.Depth) > d.criticalPath {
-				d.criticalPath = int(r.Depth)
-				tail = r
-			}
-		}
-		if o := owner[tail.Node]; o >= 0 {
+		ch := c.chains[i]
+		d := diagnosis{cycleTasks: n, speedup: sp, criticalPath: int(ch.depth), failedPops: par.FailedPops, steals: par.Steals}
+		if o := owner[ch.tail]; o >= 0 {
 			d.production = prods[o].Name
 		}
 		if pp, ok := prodProf[d.production]; ok {
@@ -279,10 +271,10 @@ func diagnose(c *capture, procs int, threshold float64) []diagnosis {
 			d.nullRate = pp.NullRate
 		}
 		switch {
-		case len(tr) < 30:
+		case n < 30:
 			d.cause = "small-cycle"
 			d.suggestion = "overhead-bound: batch with neighbouring cycles (asynchronous elaboration, §7)"
-		case d.criticalPath > 10 && float64(d.criticalPath) > 0.2*float64(len(tr)):
+		case d.criticalPath > 10 && float64(d.criticalPath) > 0.2*float64(n):
 			d.cause = "long-chain"
 			d.suggestion = fmt.Sprintf("restructure %s as a constrained bilinear network (Fig 6-8)", d.production)
 		default:

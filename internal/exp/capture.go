@@ -28,11 +28,14 @@ const queueOp = 60
 // capture is one instrumented run of a workload.
 type capture struct {
 	name string
-	// traces holds one task-DAG per match cycle (normal cycles only).
-	traces [][]prun.TaskRec
-	// updateTraces holds the state-update cycles of run-time additions.
-	updateTraces [][]prun.TaskRec
-	// tasksPerCycle mirrors traces (tasks executed per cycle).
+	// cycles holds the task DAG of each normal match cycle that ran tasks,
+	// indexed for replay, and chains each one's longest dependent chain.
+	cycles []sim.Cycle
+	chains []chain
+	// updates holds the state-update cycles of the measured run-time
+	// additions.
+	updates []sim.Cycle
+	// tasksPerCycle is every normal cycle's task count, zero included.
 	tasksPerCycle []int
 	tasks         int
 	// failedPops/termProbes/steals are the live runtime's queue diagnostics
@@ -67,11 +70,24 @@ type capture struct {
 	measuredFrom int
 }
 
+// chain is a cycle's longest dependent-activation chain (Figure 6-8's
+// critical path): its length and the node of the first task that deep
+// (where diagnose finds the production it ends in).
+type chain struct {
+	depth int32
+	tail  rete.NodeID
+}
+
+// harvest indexes the engine's cycle traces for replay, keeps the counters
+// and chunk statistics the drivers read, and then drops the task records:
+// nothing reads them after this.
 func (c *capture) harvest() {
 	e := c.eng
-	for _, cs := range e.CycleStats {
+	for i := range e.CycleStats {
+		cs := &e.CycleStats[i]
 		if len(cs.Trace) > 0 {
-			c.traces = append(c.traces, cs.Trace)
+			cyc, ch := index(cs.Trace)
+			c.cycles, c.chains = append(c.cycles, cyc), append(c.chains, ch)
 		}
 		c.tasksPerCycle = append(c.tasksPerCycle, cs.Tasks)
 		c.tasks += cs.Tasks
@@ -82,7 +98,8 @@ func (c *capture) harvest() {
 	for _, add := range e.Additions[c.measuredFrom:] {
 		cs := &add.Update
 		if len(cs.Trace) > 0 {
-			c.updateTraces = append(c.updateTraces, cs.Trace)
+			cyc, _ := index(cs.Trace)
+			c.updates = append(c.updates, cyc)
 		}
 		c.tasks += cs.Tasks
 		c.failedPops += cs.FailedPops
@@ -102,6 +119,26 @@ func (c *capture) harvest() {
 	if e.Prof != nil {
 		c.prof = e.Prof.Snapshot()
 	}
+	for i := range e.CycleStats {
+		e.CycleStats[i].Trace = nil
+	}
+	for _, add := range e.Additions {
+		add.Update.Trace = nil
+	}
+}
+
+// index links a cycle's task records for replay and finds its longest
+// chain.
+func index(tr []prun.TaskRec) (sim.Cycle, chain) {
+	var ch chain
+	for _, r := range tr {
+		if r.Depth > ch.depth {
+			ch = chain{r.Depth, r.Node}
+		}
+	}
+	return sim.Index(len(tr), func(i int) (seq, parent, cost int64) {
+		return tr[i].Seq, tr[i].Parent, tr[i].Cost
+	}), ch
 }
 
 func countCEs(p *ops5.Production) int {
@@ -117,10 +154,23 @@ func countCEs(p *ops5.Production) int {
 	return n
 }
 
-// uniproc simulates a run's cycles back to back on one process: Table
-// 6-1's match time and task granularity, and the base of every speedup.
-func uniproc(traces [][]prun.TaskRec) *sim.Result {
-	return sim.MultiCycle(traces, sim.Config{Processes: 1, QueueOp: queueOp})
+// replay runs cycles back to back on procs simulated processes sharing
+// queues task queues (0: one per process, with cycle-stealing).
+func replay(cycles []sim.Cycle, procs, queues int) *sim.Result {
+	return sim.Run(cycles, sim.Config{Processes: procs, Queues: queues, QueueOp: queueOp})
+}
+
+// uniproc replays a run's cycles on one process: Table 6-1's match time
+// and task granularity, and the base of every speedup.
+func uniproc(cycles []sim.Cycle) *sim.Result { return replay(cycles, 1, 1) }
+
+// speedup is makespan(1)/makespan(P) of the uniprocessor replay one and the
+// parallel replay par; a parallel replay that took no time counts as 1.
+func speedup(one, par *sim.Result) float64 {
+	if par.Makespan == 0 {
+		return 1
+	}
+	return float64(one.Makespan) / float64(par.Makespan)
 }
 
 // bytesPer2In is the code the run's additions emitted per new two-input

@@ -9,6 +9,7 @@ import (
 
 	"soarpsme/internal/obs"
 	"soarpsme/internal/rete"
+	"soarpsme/internal/sim"
 	"soarpsme/internal/value"
 )
 
@@ -243,8 +244,12 @@ func TestFig67RendersProductions(t *testing.T) {
 	}
 }
 
+// TestCaptureInvariants: the during-chunking captures halted and learned,
+// and after the report no capture's engine holds a task record: each trace
+// was indexed for replay, with every task it held, and then dropped.
 func TestCaptureInvariants(t *testing.T) {
-	caps, err := render(t).lab.workloads(duringChunk)
+	r := render(t)
+	caps, err := r.lab.workloads(duringChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +260,55 @@ func TestCaptureInvariants(t *testing.T) {
 		if len(c.chunkCEs) == 0 {
 			t.Errorf("%s built no chunks", c.name)
 		}
-		if len(c.updateTraces) == 0 {
+		if len(c.updates) == 0 {
 			t.Errorf("%s recorded no update cycles", c.name)
 		}
+	}
+	held := func(cycles []sim.Cycle) (n int) {
+		for _, cyc := range cycles {
+			n += len(cyc)
+		}
+		return n
+	}
+	for k, c := range r.lab.cache {
+		cycleTasks, updateTasks := 0, 0
+		for _, cs := range c.eng.CycleStats {
+			if cs.Trace != nil {
+				t.Fatalf("%s (%+v) keeps a cycle's %d task records", c.name, k, len(cs.Trace))
+			}
+			cycleTasks += cs.Tasks
+		}
+		for i, add := range c.eng.Additions {
+			if add.Update.Trace != nil {
+				t.Fatalf("%s (%+v) keeps an addition's %d task records", c.name, k, len(add.Update.Trace))
+			}
+			if i >= c.measuredFrom {
+				updateTasks += add.Update.Tasks
+			}
+		}
+		if got := held(c.cycles); got != cycleTasks {
+			t.Errorf("%s (%+v): indexed cycles hold %d tasks, the engine ran %d", c.name, k, got, cycleTasks)
+		}
+		if got := held(c.updates); got != updateTasks {
+			t.Errorf("%s (%+v): indexed updates hold %d tasks, the engine ran %d", c.name, k, got, updateTasks)
+		}
+		if len(c.chains) != len(c.cycles) {
+			t.Errorf("%s (%+v): %d chains for %d cycles", c.name, k, len(c.chains), len(c.cycles))
+		}
+	}
+}
+
+// TestSpeedup: a replay's speedup is makespan(1)/makespan(P), and 1 when
+// the parallel replay took no time, as an empty run does.
+func TestSpeedup(t *testing.T) {
+	if s := speedup(uniproc(nil), replay(nil, 8, 0)); s != 1 {
+		t.Errorf("empty run: speedup %v, want 1", s)
+	}
+	if s := speedup(&sim.Result{Makespan: 10}, &sim.Result{}); s != 1 {
+		t.Errorf("zero parallel makespan: speedup %v, want 1", s)
+	}
+	if s := speedup(&sim.Result{Makespan: 10}, &sim.Result{Makespan: 4}); s != 2.5 {
+		t.Errorf("speedup %v, want 2.5", s)
 	}
 }
 

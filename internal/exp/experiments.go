@@ -8,7 +8,6 @@ import (
 	"soarpsme/internal/chunk"
 	"soarpsme/internal/engine"
 	"soarpsme/internal/ops5"
-	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/sim"
 	"soarpsme/internal/stats"
@@ -169,7 +168,7 @@ func table61(l *Lab) (*table, error) {
 		return nil, err
 	}
 	for i, c := range caps {
-		one := uniproc(c.traces)
+		one := uniproc(c.cycles)
 		avg := one.TotalWork / int64(max(1, one.Tasks))
 		t.add(taskNames[i], num("%.1f", float64(one.Makespan)/1e6), count(one.Tasks), count(avg))
 	}
@@ -178,8 +177,9 @@ func table61(l *Lab) (*table, error) {
 
 // speedups returns the driver of a speedup-vs-processes figure over the
 // three tasks' runs in mode m: their match cycles or, with update, the
-// state updates of their run-time additions.
-func speedups(title string, m mode, update bool, pol sim.Policy) func(*Lab) (*stats.Figure, error) {
+// state updates of their run-time additions, replayed on the given number of
+// task queues (0: one per process).
+func speedups(title string, m mode, update bool, queues int) func(*Lab) (*stats.Figure, error) {
 	return func(l *Lab) (*stats.Figure, error) {
 		caps, err := l.workloads(m)
 		if err != nil {
@@ -187,14 +187,14 @@ func speedups(title string, m mode, update bool, pol sim.Policy) func(*Lab) (*st
 		}
 		f := &stats.Figure{Title: title, XLabel: "match processes", YLabel: "speedup"}
 		for i, c := range caps {
-			traces := c.traces
+			cycles := c.cycles
 			if update {
-				traces = c.updateTraces
+				cycles = c.updates
 			}
-			one := uniproc(traces)
+			one := uniproc(cycles)
 			s := f.AddSeries(fmt.Sprintf("%s (uniproc %.1fs)", taskNames[i], float64(one.Makespan)/1e6))
 			for _, p := range processCounts {
-				s.Add(float64(p), sim.RunSpeedup(traces, p, pol, queueOp))
+				s.Add(float64(p), speedup(one, replay(cycles, p, queues)))
 			}
 		}
 		return f, nil
@@ -204,10 +204,10 @@ func speedups(title string, m mode, update bool, pol sim.Policy) func(*Lab) (*st
 // Figures 6-1, 6-4, 6-9 (update phase) and 6-10: speedups with a single or
 // multiple task queues, without, during and after chunking.
 var (
-	fig61  = speedups("Figure 6-1: Speedups without chunking, single task queue", noChunk, false, sim.SingleQueue)
-	fig64  = speedups("Figure 6-4: Speedups without chunking, multiple task queues", noChunk, false, sim.MultiQueue)
-	fig69  = speedups("Figure 6-9: Speedups in the update phase, multiple task queues", duringChunk, true, sim.MultiQueue)
-	fig610 = speedups("Figure 6-10: Speedups after chunking, multiple task queues", afterChunk, false, sim.MultiQueue)
+	fig61  = speedups("Figure 6-1: Speedups without chunking, single task queue", noChunk, false, 1)
+	fig64  = speedups("Figure 6-4: Speedups without chunking, multiple task queues", noChunk, false, 0)
+	fig69  = speedups("Figure 6-9: Speedups in the update phase, multiple task queues", duringChunk, true, 0)
+	fig610 = speedups("Figure 6-10: Speedups after chunking, multiple task queues", afterChunk, false, 0)
 )
 
 // fig62 reproduces Figure 6-2: contention for the hash buckets — the
@@ -252,8 +252,7 @@ func fig63(l *Lab) (*stats.Figure, error) {
 			if p < 3 {
 				continue
 			}
-			r := sim.MultiCycle(c.traces, sim.Config{Processes: p, Policy: sim.SingleQueue, QueueOp: queueOp})
-			s.Add(float64(p), r.SpinsPerTask(queueOp))
+			s.Add(float64(p), replay(c.cycles, p, 1).SpinsPerTask(queueOp))
 		}
 	}
 	return f, nil
@@ -277,13 +276,11 @@ func fig65(l *Lab) (*perCycle, error) {
 		return nil, err
 	}
 	bins := map[int]*stats.Summary{}
-	for _, tr := range c.traces {
-		if len(tr) == 0 {
-			continue
-		}
-		sp := sim.Speedup(tr, 11, sim.MultiQueue, queueOp)
-		f.tasks, f.speedups = append(f.tasks, len(tr)), append(f.speedups, sp)
-		bin := binFor(len(tr))
+	for i := range c.cycles {
+		cyc, n := c.cycles[i:i+1], len(c.cycles[i])
+		sp := speedup(uniproc(cyc), replay(cyc, 11, 0))
+		f.tasks, f.speedups = append(f.tasks, n), append(f.speedups, sp)
+		bin := binFor(n)
 		if bins[bin] == nil {
 			bins[bin] = &stats.Summary{}
 		}
@@ -324,20 +321,19 @@ func fig66(l *Lab) (*stats.Figure, error) {
 	}
 	// Pick the largest cycle in the 250..600 range (like the paper's
 	// ~300-task example), falling back to the largest overall.
-	var pick []prun.TaskRec
-	for _, tr := range c.traces {
-		if len(tr) >= 250 && len(tr) <= 600 && len(tr) > len(pick) {
-			pick = tr
+	var pick, largest sim.Cycle
+	for _, cyc := range c.cycles {
+		if n := len(cyc); n >= 250 && n <= 600 && n > len(pick) {
+			pick = cyc
+		}
+		if len(cyc) > len(largest) {
+			largest = cyc
 		}
 	}
 	if pick == nil {
-		for _, tr := range c.traces {
-			if len(tr) > len(pick) {
-				pick = tr
-			}
-		}
+		pick = largest
 	}
-	r := sim.Simulate(pick, sim.Config{Processes: 11, Policy: sim.MultiQueue, QueueOp: queueOp, MaxSamples: 100000})
+	r := sim.Run([]sim.Cycle{pick}, sim.Config{Processes: 11, QueueOp: queueOp, MaxSamples: 100000})
 	s := f.AddSeries(fmt.Sprintf("cycle with %d tasks", len(pick)))
 	// Downsample to ~120 evenly spaced points, each the count of the last
 	// sample at or before its time.
@@ -405,17 +401,15 @@ func fig68(l *Lab) (*table, error) {
 		}
 		depth := prodChainDepth(c.eng, "st*monitor-strips-state")
 		crit := int32(0) // the longest dependent-activation chain
-		for _, tr := range c.traces {
-			for _, r := range tr {
-				crit = max(crit, r.Depth)
-			}
+		for _, ch := range c.chains {
+			crit = max(crit, ch.depth)
 		}
 		name := "linear"
 		if org == rete.Bilinear {
 			name = "bilinear (ctx=3, group=3)"
 		}
 		t.add(name, count(depth), count(crit),
-			num("%.2f", sim.RunSpeedup(c.traces, 11, sim.MultiQueue, queueOp)), count(c.tasks))
+			num("%.2f", speedup(uniproc(c.cycles), replay(c.cycles, 11, 0))), count(c.tasks))
 	}
 	return t, nil
 }

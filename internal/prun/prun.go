@@ -408,7 +408,8 @@ func (rt *Runtime) RunSeeded(info *rete.AddInfo, seeds []*rete.Task, all []*wme.
 }
 
 // helperThreshold is the pending-task count at which a cycle starts its
-// helpers. From the sweep on the 2-core builder host (EXPERIMENTS.md, PR 23):
+// helpers. From a sweep on a 2-core host, whose tables are in
+// `git show 23e7236661dd7b7053e35b771003f09fb5a47d28:EXPERIMENTS.md`:
 // a task costs 0.7–1.0 µs and a helper costs its cycle 1.4–1.8 µs to start
 // and await (≈ 4 µs when, as before PR 23, the caller parks as well), on a
 // cycle it can at best halve. Of {8, 16, 24, 32, 64, never}, 24 is the

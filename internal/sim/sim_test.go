@@ -1,43 +1,58 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"soarpsme/internal/prun"
 )
 
+// rec is one traced task: its sequence number, its parent's and its cost.
+type rec struct{ seq, parent, cost int64 }
+
+func index(tr []rec) Cycle {
+	return Index(len(tr), func(i int) (int64, int64, int64) { return tr[i].seq, tr[i].parent, tr[i].cost })
+}
+
 // wide returns n independent root tasks of the given cost.
-func wide(n int, cost int64) []prun.TaskRec {
-	out := make([]prun.TaskRec, n)
+func wide(n int, cost int64) Cycle {
+	out := make([]rec, n)
 	for i := range out {
-		out[i] = prun.TaskRec{Seq: int64(i + 1), Cost: cost}
+		out[i] = rec{seq: int64(i + 1), cost: cost}
 	}
-	return out
+	return index(out)
 }
 
 // chain returns n fully dependent tasks.
-func chain(n int, cost int64) []prun.TaskRec {
-	out := make([]prun.TaskRec, n)
+func chain(n int, cost int64) Cycle {
+	out := make([]rec, n)
 	for i := range out {
-		out[i] = prun.TaskRec{Seq: int64(i + 1), Parent: int64(i), Cost: cost}
+		out[i] = rec{seq: int64(i + 1), parent: int64(i), cost: cost}
 	}
-	return out
+	return index(out)
+}
+
+// run replays one cycle.
+func run(c Cycle, cfg Config) *Result { return Run([]Cycle{c}, cfg) }
+
+// speedup replays c at 1 and at p processes with the given queue count and
+// returns makespan(1)/makespan(p).
+func speedup(c Cycle, p, queues int, queueOp int64) float64 {
+	one := run(c, Config{Processes: 1, QueueOp: queueOp})
+	par := run(c, Config{Processes: p, Queues: queues, QueueOp: queueOp})
+	return float64(one.Makespan) / float64(par.Makespan)
 }
 
 func TestEmptyTrace(t *testing.T) {
-	r := Simulate(nil, Config{Processes: 4})
-	if r.Makespan != 0 || r.Tasks != 0 {
-		t.Fatalf("empty trace: %+v", r)
-	}
-	if Speedup(nil, 8, MultiQueue, 25) != 1 {
-		t.Fatalf("empty speedup != 1")
+	for _, cycles := range [][]Cycle{nil, {index(nil)}, {index(nil), index(nil)}} {
+		r := Run(cycles, Config{Processes: 4})
+		if r.Makespan != 0 || r.Tasks != 0 || r.TotalWork != 0 {
+			t.Fatalf("empty run of %d cycles: %+v", len(cycles), r)
+		}
 	}
 }
 
 func TestUniprocessorMakespan(t *testing.T) {
-	tr := wide(10, 400)
-	r := Simulate(tr, Config{Processes: 1, QueueOp: 25})
+	r := run(wide(10, 400), Config{Processes: 1, QueueOp: 25})
 	// 10 pops + execution; no pushes (no children).
 	want := int64(10*400 + 10*25)
 	if r.Makespan != want {
@@ -49,22 +64,20 @@ func TestUniprocessorMakespan(t *testing.T) {
 }
 
 func TestWideScalesNearLinear(t *testing.T) {
-	tr := wide(200, 400)
-	s4 := Speedup(tr, 4, MultiQueue, 25)
-	s8 := Speedup(tr, 8, MultiQueue, 25)
+	c := wide(200, 400)
+	s4 := speedup(c, 4, 0, 25)
+	s8 := speedup(c, 8, 0, 25)
 	if s4 < 3.5 || s8 < 6.5 {
 		t.Fatalf("wide trace scaled poorly: s4=%.2f s8=%.2f", s4, s8)
 	}
 }
 
 func TestChainDoesNotScale(t *testing.T) {
-	tr := chain(100, 400)
-	s := Speedup(tr, 13, MultiQueue, 25)
-	if s > 1.05 {
+	c := chain(100, 400)
+	if s := speedup(c, 13, 0, 25); s > 1.05 {
 		t.Fatalf("chain should not speed up, got %.2f", s)
 	}
-	r := Simulate(tr, Config{Processes: 13, Policy: MultiQueue, QueueOp: 25})
-	if r.FailedPops == 0 {
+	if r := run(c, Config{Processes: 13, QueueOp: 25}); r.FailedPops == 0 {
 		t.Fatalf("idle processors should record failed pops")
 	}
 }
@@ -72,9 +85,9 @@ func TestChainDoesNotScale(t *testing.T) {
 func TestSingleQueueContentionCapsSpeedup(t *testing.T) {
 	// With expensive queue ops, the single shared queue caps throughput
 	// below the multi-queue organization (Figure 6-1 vs 6-4).
-	tr := wide(400, 400)
-	single := Speedup(tr, 13, SingleQueue, 120)
-	multi := Speedup(tr, 13, MultiQueue, 120)
+	c := wide(400, 400)
+	single := speedup(c, 13, 1, 120)
+	multi := speedup(c, 13, 0, 120)
 	if single >= multi {
 		t.Fatalf("single-queue (%.2f) should cap below multi-queue (%.2f)", single, multi)
 	}
@@ -84,9 +97,9 @@ func TestSingleQueueContentionCapsSpeedup(t *testing.T) {
 }
 
 func TestSpinsGrowWithProcesses(t *testing.T) {
-	tr := wide(400, 400)
-	r4 := Simulate(tr, Config{Processes: 4, Policy: SingleQueue, QueueOp: 60})
-	r13 := Simulate(tr, Config{Processes: 13, Policy: SingleQueue, QueueOp: 60})
+	c := wide(400, 400)
+	r4 := run(c, Config{Processes: 4, Queues: 1, QueueOp: 60})
+	r13 := run(c, Config{Processes: 13, Queues: 1, QueueOp: 60})
 	if r13.SpinsPerTask(60) <= r4.SpinsPerTask(60) {
 		t.Fatalf("spins/task should grow with processes: %f vs %f",
 			r4.SpinsPerTask(60), r13.SpinsPerTask(60))
@@ -95,21 +108,22 @@ func TestSpinsGrowWithProcesses(t *testing.T) {
 
 func TestAllTasksExecuteExactlyOnce(t *testing.T) {
 	// Mixed DAG: roots with chains hanging off them.
-	var tr []prun.TaskRec
+	var tr []rec
 	seq := int64(0)
 	for r := 0; r < 20; r++ {
 		seq++
 		root := seq
-		tr = append(tr, prun.TaskRec{Seq: root, Cost: 300})
+		tr = append(tr, rec{seq: root, cost: 300})
 		parent := root
 		for d := 0; d < r%5; d++ {
 			seq++
-			tr = append(tr, prun.TaskRec{Seq: seq, Parent: parent, Cost: 200})
+			tr = append(tr, rec{seq: seq, parent: parent, cost: 200})
 			parent = seq
 		}
 	}
+	c := index(tr)
 	for _, p := range []int{1, 3, 8} {
-		r := Simulate(tr, Config{Processes: p, Policy: MultiQueue, QueueOp: 20})
+		r := run(c, Config{Processes: p, QueueOp: 20})
 		if r.Tasks != len(tr) {
 			t.Fatalf("p=%d executed %d of %d", p, r.Tasks, len(tr))
 		}
@@ -124,17 +138,16 @@ func TestAllTasksExecuteExactlyOnce(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	tr := wide(100, 333)
-	a := Simulate(tr, Config{Processes: 7, Policy: MultiQueue, QueueOp: 30})
-	b := Simulate(tr, Config{Processes: 7, Policy: MultiQueue, QueueOp: 30})
+	c := wide(100, 333)
+	a := run(c, Config{Processes: 7, QueueOp: 30})
+	b := run(c, Config{Processes: 7, QueueOp: 30})
 	if a.Makespan != b.Makespan || a.queueSpins != b.queueSpins || a.FailedPops != b.FailedPops {
 		t.Fatalf("simulation not deterministic")
 	}
 }
 
 func TestSamples(t *testing.T) {
-	tr := wide(50, 400)
-	r := Simulate(tr, Config{Processes: 4, QueueOp: 20, MaxSamples: 1000})
+	r := run(wide(50, 400), Config{Processes: 4, Queues: 1, QueueOp: 20, MaxSamples: 1000})
 	if len(r.Samples) == 0 {
 		t.Fatalf("no samples")
 	}
@@ -149,23 +162,43 @@ func TestSamples(t *testing.T) {
 	}
 }
 
+// TestMultiCycleAddsMakespans: a run of several cycles replays them back to
+// back, and merging them removes the barrier between them.
 func TestMultiCycleAddsMakespans(t *testing.T) {
-	tr := wide(10, 400)
-	one := Simulate(tr, Config{Processes: 2, QueueOp: 20})
-	both := MultiCycle([][]prun.TaskRec{tr, tr}, Config{Processes: 2, QueueOp: 20})
+	c := wide(10, 400)
+	cfg := Config{Processes: 2, Queues: 1, QueueOp: 20}
+	one := run(c, cfg)
+	both := Run([]Cycle{c, c}, cfg)
 	if both.Makespan != 2*one.Makespan {
-		t.Fatalf("MultiCycle makespan %d != 2x%d", both.Makespan, one.Makespan)
+		t.Fatalf("two-cycle makespan %d != 2x%d", both.Makespan, one.Makespan)
 	}
 	if both.Tasks != 2*one.Tasks {
-		t.Fatalf("MultiCycle tasks wrong")
+		t.Fatalf("two-cycle tasks wrong")
+	}
+	// Concatenated, the chains keep their links and the barriers go: a
+	// 3-chain beside ten roots finishes no later than the ten alone plus
+	// the chain run after them.
+	ch := chain(3, 400)
+	merged := append(append(Cycle{}, c...), ch...)
+	if got, want := run(merged, cfg).Makespan, Run([]Cycle{c, ch}, cfg).Makespan; got >= want {
+		t.Fatalf("merged makespan %d, want below the two cycles' %d", got, want)
+	}
+	if got, want := run(ch, cfg).Makespan, 3*(400+20)+2*20; got != int64(want) {
+		t.Fatalf("3-chain makespan %d, want %d", got, want)
 	}
 }
 
 func TestUnknownParentTreatedAsRoot(t *testing.T) {
-	tr := []prun.TaskRec{{Seq: 5, Parent: 99, Cost: 100}}
-	r := Simulate(tr, Config{Processes: 1, QueueOp: 10})
+	r := run(index([]rec{{seq: 5, parent: 99, cost: 100}}), Config{Processes: 1, QueueOp: 10})
 	if r.Tasks != 1 {
 		t.Fatalf("orphan task not executed")
+	}
+	// A parent later in the trace still links, and its children keep
+	// trace order.
+	c := index([]rec{{seq: 3, parent: 1, cost: 10}, {seq: 2, parent: 1, cost: 10}, {seq: 1, cost: 10}, {seq: 4, parent: 7, cost: 10}})
+	want := Cycle{{cost: 10, sib: 1}, {cost: 10}, {cost: 10, kid: -2, root: true}, {cost: 10, root: true}}
+	if !slices.Equal(c, want) {
+		t.Fatalf("indexed %+v, want %+v", c, want)
 	}
 }
 
@@ -176,20 +209,20 @@ func TestSpeedupBoundsProperty(t *testing.T) {
 		n := int(nRoots%20) + 1
 		d := int(depth % 6)
 		p := int(procs%12) + 2
-		var tr []prun.TaskRec
+		var tr []rec
 		seq := int64(0)
 		for i := 0; i < n; i++ {
 			seq++
 			root := seq
-			tr = append(tr, prun.TaskRec{Seq: root, Cost: 200})
+			tr = append(tr, rec{seq: root, cost: 200})
 			parent := root
 			for j := 0; j < d; j++ {
 				seq++
-				tr = append(tr, prun.TaskRec{Seq: seq, Parent: parent, Cost: 150})
+				tr = append(tr, rec{seq: seq, parent: parent, cost: 150})
 				parent = seq
 			}
 		}
-		s := Speedup(tr, p, MultiQueue, 20)
+		s := speedup(index(tr), p, 0, 20)
 		return s >= 0.9 && s <= float64(p)+0.01
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -198,12 +231,22 @@ func TestSpeedupBoundsProperty(t *testing.T) {
 }
 
 func TestQueueCountOverride(t *testing.T) {
-	tr := wide(200, 400)
+	c := wide(200, 400)
 	// 2 queues for 8 processes sits between single and full multi.
-	single := Simulate(tr, Config{Processes: 8, Policy: SingleQueue, QueueOp: 120}).Makespan
-	two := Simulate(tr, Config{Processes: 8, Queues: 2, QueueOp: 120}).Makespan
-	multi := Simulate(tr, Config{Processes: 8, Policy: MultiQueue, QueueOp: 120}).Makespan
+	single := run(c, Config{Processes: 8, Queues: 1, QueueOp: 120}).Makespan
+	two := run(c, Config{Processes: 8, Queues: 2, QueueOp: 120}).Makespan
+	multi := run(c, Config{Processes: 8, QueueOp: 120}).Makespan
 	if !(multi <= two && two <= single) {
 		t.Fatalf("queue-count ordering wrong: single=%d two=%d multi=%d", single, two, multi)
+	}
+}
+
+// TestRunAllocsPerChain: an indexed cycle replays without allocating per
+// task — popping from a queue keeps its capacity for the next push.
+func TestRunAllocsPerChain(t *testing.T) {
+	cycles := []Cycle{chain(10000, 400)}
+	cfg := Config{Processes: 4, QueueOp: 25}
+	if n := testing.AllocsPerRun(3, func() { Run(cycles, cfg) }); n >= 100 {
+		t.Fatalf("replaying a 10000-task chain made %.0f allocations, want < 100", n)
 	}
 }
