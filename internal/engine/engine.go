@@ -165,8 +165,14 @@ type Engine struct {
 // New creates an empty engine: a session over the image of the empty
 // program. What LoadProgram and run-time additions compile goes to the
 // network's own layer, as a served session's chunks do.
-func New(cfg Config) *Engine {
-	img, err := CompileProgram("", cfg.Rete)
+func New(cfg Config) *Engine { return NewWithTable(cfg, value.NewTable()) }
+
+// NewWithTable is New with the engine's symbols interned in tab, which the
+// engine then owns: symbols tab already holds keep their numbers, so a
+// program parsed against tab (or against the table tab was cloned from)
+// can be compiled by LoadParsed.
+func NewWithTable(cfg Config, tab *value.Table) *Engine {
+	img, err := compileImage(tab, "", cfg.Rete)
 	if err != nil {
 		panic(err) // the empty program has nothing to reject
 	}
@@ -348,8 +354,18 @@ func (e *Engine) RebuildMatchState() prun.CycleStats {
 // exists, so no state update is needed) and startup actions, which are
 // applied and matched.
 func (e *Engine) LoadProgram(src string) error {
-	prog, err := compileInto(e.NW, src)
+	prog, err := ops5.Parse(src, e.Tab)
 	if err != nil {
+		return err
+	}
+	return e.LoadParsed(prog)
+}
+
+// LoadParsed is LoadProgram for a program already parsed against the
+// engine's symbol table, or against a table it was cloned from with the
+// same symbols; prog is only read, so one parse may load many engines.
+func (e *Engine) LoadParsed(prog *ops5.Program) error {
+	if err := compileInto(e.NW, prog); err != nil {
 		return err
 	}
 	e.strategy = conflict.ParseStrategy(prog.Strategy)

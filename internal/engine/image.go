@@ -55,32 +55,38 @@ func programHash(src string, opts rete.Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// compileInto parses src against the network's symbol table, declares its
-// classes and adds its productions — the routine an engine loading its own
-// program (LoadProgram) and an image compile (CompileProgram) share. Startup
-// actions are returned on the program, not executed.
-func compileInto(nw *rete.Network, src string) (*ops5.Program, error) {
-	prog, err := ops5.Parse(src, nw.Tab)
-	if err != nil {
-		return nil, err
-	}
+// compileInto declares a parsed program's classes and adds its productions
+// to the network — the routine an engine loading its own program
+// (LoadProgram, LoadParsed) and an image compile (CompileProgram) share.
+// The program was parsed against the network's symbol table and is only
+// read, so one parse may be compiled into many networks whose tables are
+// copies of that table. Startup actions are not executed.
+func compileInto(nw *rete.Network, prog *ops5.Program) error {
 	for _, lit := range prog.Literalize {
 		nw.Reg.Declare(lit.Class, lit.Attrs...)
 	}
 	for _, p := range prog.Productions {
 		if _, _, err := nw.AddProduction(p); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return prog, nil
+	return nil
 }
 
 // CompileProgram parses and compiles an OPS5 program into a frozen,
 // shareable image. Startup actions are recorded, not executed.
 func CompileProgram(src string, opts rete.Options) (*ProgramImage, error) {
-	nw := rete.NewNetwork(value.NewTable(), wme.NewRegistry(), nil, opts)
-	prog, err := compileInto(nw, src)
+	return compileImage(value.NewTable(), src, opts)
+}
+
+// compileImage is CompileProgram with its symbols interned in tab.
+func compileImage(tab *value.Table, src string, opts rete.Options) (*ProgramImage, error) {
+	nw := rete.NewNetwork(tab, wme.NewRegistry(), nil, opts)
+	prog, err := ops5.Parse(src, tab)
 	if err != nil {
+		return nil, err
+	}
+	if err := compileInto(nw, prog); err != nil {
 		return nil, err
 	}
 	return &ProgramImage{

@@ -224,6 +224,9 @@ type Runtime struct {
 	pending atomic.Int64
 	seq     atomic.Int64
 
+	// ctl is the control reused by unsupervised cycles (nextCtl).
+	ctl *cycleCtl
+
 	// obs, when non-nil, receives each cycle's counters, task-cost
 	// observations and (given a tracer) task records from collect.
 	obs *obs.MatchHooks
@@ -231,9 +234,11 @@ type Runtime struct {
 
 // cycleCtl is the supervision state of one cycle: the first failure wins
 // (sync.Once), publishes its reason, and closes abort so stalled workers
-// wake. bad is the cheap per-iteration poison check. Every cycle gets a
-// fresh one, so a stale watchdog can only poison its own (already
-// finished) cycle.
+// wake. bad is the cheap per-iteration poison check. Every cycle under a
+// watchdog or a fault injector gets a fresh one, so a stale watchdog or
+// stall can only poison its own (already finished) cycle; without either,
+// only the cycle's own processes can poison it, and they have exited when
+// it ends, so an unpoisoned control is reused (Runtime.nextCtl).
 type cycleCtl struct {
 	abort   chan struct{}
 	once    sync.Once
@@ -244,6 +249,20 @@ type cycleCtl struct {
 }
 
 func newCycleCtl() *cycleCtl { return &cycleCtl{abort: make(chan struct{})} }
+
+// nextCtl returns the control of the cycle about to run: a fresh one under
+// a watchdog or a fault injector, else the runtime's own, replaced once a
+// cycle has poisoned it.
+func (rt *Runtime) nextCtl() *cycleCtl {
+	if rt.cfg.Deadline > 0 || rt.cfg.Fault != nil {
+		return newCycleCtl()
+	}
+	if rt.ctl == nil || rt.ctl.bad.Load() {
+		rt.ctl = newCycleCtl()
+	}
+	rt.ctl.helpers = 0
+	return rt.ctl
+}
 
 // poison marks the cycle failed with the given reason; it reports whether
 // this call won the race to poison (so callers can count causes exactly
@@ -424,7 +443,7 @@ const helperThreshold = 24
 // caller is the first match process (worker 0) and holds the budget's floor
 // of one slot; below helperThreshold there is no other, and no other slot.
 func (rt *Runtime) runToQuiescence() CycleStats {
-	ctl := newCycleCtl()
+	ctl := rt.nextCtl()
 	if d := rt.cfg.Deadline; d > 0 {
 		wd := time.AfterFunc(d, func() {
 			if ctl.poison(fmt.Sprintf("watchdog: cycle exceeded %v deadline", d)) {

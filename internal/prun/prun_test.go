@@ -6,12 +6,16 @@ import (
 	"sync"
 	"testing"
 
+	"soarpsme/internal/fault"
 	"soarpsme/internal/obs"
 	"soarpsme/internal/ops5"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/value"
 	"soarpsme/internal/wme"
 )
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
 
 // csCount is a minimal concurrency-safe conflict listener.
 type csCount struct {
@@ -289,6 +293,76 @@ func TestRunSeededDirectly(t *testing.T) {
 	}
 	if n := nw.Mem.Tombstones(); n != 0 {
 		t.Fatalf("tombstones: %d", n)
+	}
+}
+
+// TestPlainCyclePairAllocsNoControl: a runtime with neither a watchdog nor
+// a fault injector reuses one cycle control, so a steady-state add/remove
+// pair allocates exactly the two controls (a struct and a channel each)
+// fewer than the same pair under an injector that never fires, which takes
+// a fresh control every cycle, in a small cycle and a large one. One
+// process, because how many tasks a helper steals, and so allocates, varies
+// run to run; and no race detector, which allocates on its own account (by
+// one to five per pair here).
+func TestPlainCyclePairAllocsNoControl(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	nw, _, ws := buildNet(t)
+	for _, n := range []int{4, len(ws)} {
+		add, del := deltas(ws[:n]), removals(ws[:n])
+		pair := func(rt *Runtime) float64 {
+			return testing.AllocsPerRun(100, func() {
+				rt.RunCycle(add)
+				rt.RunCycle(del)
+			})
+		}
+		plain := pair(New(nw, Config{Processes: 1}))
+		supervised := pair(New(nw, Config{Processes: 1, Fault: fault.Plan()}))
+		if supervised-plain != 4 {
+			t.Fatalf("%d wmes: a plain pair allocates %v, a supervised one %v; want 4 fewer", n, plain, supervised)
+		}
+	}
+}
+
+// panicking is a conflict listener that panics while armed: an organic
+// worker panic, with no fault injector to raise it.
+type panicking struct {
+	*csCount
+	armed bool
+}
+
+func (p *panicking) Insert(prod *rete.Production, tok *rete.Token) {
+	if p.armed {
+		panic("listener fault")
+	}
+	p.csCount.Insert(prod, tok)
+}
+
+// TestPoisonedControlReplaced: an unsupervised runtime keeps its cycle
+// control across healthy cycles, but a cycle its own process poisoned is
+// never followed by one on the same control.
+func TestPoisonedControlReplaced(t *testing.T) {
+	nw, cs, ws := buildNet(t)
+	lis := &panicking{csCount: cs}
+	nw.CS = lis
+	rt := New(nw, Config{Processes: 1})
+	rt.RunCycle(deltas(ws[:4]))
+	kept := rt.ctl
+	rt.RunCycle(removals(ws[:4]))
+	if rt.ctl != kept {
+		t.Fatal("a healthy cycle replaced the control")
+	}
+	lis.armed = true
+	if st := rt.RunCycle(deltas(ws[:4])); !st.Failed {
+		t.Fatal("a panicking listener did not fail the cycle")
+	}
+	lis.armed = false
+	nw.ResetMatchState()
+	st := rt.RunCycle(deltas(ws[:4]))
+	if st.Failed || st.Tasks == 0 || rt.ctl == kept {
+		t.Fatalf("the cycle after a poisoned one: Failed=%v (%s) Tasks=%d, control replaced %v",
+			st.Failed, st.Reason, st.Tasks, rt.ctl != kept)
 	}
 }
 

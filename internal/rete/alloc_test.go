@@ -193,12 +193,13 @@ func TestSuppressedRunsSpill(t *testing.T) {
 }
 
 // TestAddProductionAllocs pins what compiling a production costs: a fixed
-// number of allocations per production and per node it builds, none per
-// test. A CE's tests are compiled into the network's reused scratch, and
-// the join tests the new nodes keep move into one exact-size array per
-// production, so a production whose second CE joins on four variables
-// costs what one joining on a single variable costs; a third CE, which
-// builds one more join node, costs more. Beta sharing is off, so every
+// number of allocations per production, none per test and none per node. A
+// CE's tests are compiled into the network's reused scratch, the join tests
+// the new nodes keep move into one exact-size array per production, and the
+// new nodes, their first child slots and the AddInfo's lists are carved
+// from arrays of exact size, so a production whose second CE joins on four
+// variables costs what one joining on a single variable costs, and so does
+// a third CE, which builds one more join node. Beta sharing is off, so every
 // addition builds its nodes anew; the alpha memories are shared after the
 // first (unmeasured) addition.
 func TestAddProductionAllocs(t *testing.T) {
@@ -239,7 +240,59 @@ func TestAddProductionAllocs(t *testing.T) {
 	if four != one {
 		t.Fatalf("a join on four variables costs %v allocations, on one %v: the count grows with the tests", four, one)
 	}
-	if three <= one {
-		t.Fatalf("a production with one more join node costs %v allocations, want more than %v", three, one)
+	if three != one {
+		t.Fatalf("a production with one more join node costs %v allocations, one with two CEs %v: the count grows with the nodes", three, one)
 	}
+}
+
+// TestAddProductionExactNodeArrays: the array a production's new nodes are
+// carved from is sized exactly — AddInfo.NewBeta, which shares its length,
+// has no unused slot — and every new node that gets children here holds
+// its first child in the slot it was given. A production that shares a
+// prefix (and ends in a conjunctive negation) sizes it at its first new
+// node; a bilinear production sizes it for its groups and pair joins.
+func TestAddProductionExactNodeArrays(t *testing.T) {
+	const lit = "(literalize a k1 k2)\n(literalize b k1 k2)\n(literalize c k1 k2)\n(literalize d k1 k2)\n"
+	check := func(name string, opts Options, src string, shared int, restructured bool) {
+		t.Helper()
+		tab, reg := value.NewTable(), wme.NewRegistry()
+		nw := NewNetwork(tab, reg, newCS(), opts)
+		prog, err := ops5.Parse(lit+src, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range prog.Literalize {
+			reg.Declare(l.Class, l.Attrs...)
+		}
+		var info *AddInfo
+		for _, p := range prog.Productions {
+			if _, info, err = nw.AddProduction(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if info.SharedTwoInput != shared || info.Prod.Restructured != restructured {
+			t.Fatalf("%s: shared %d two-input nodes, restructured %v; want %d, %v",
+				name, info.SharedTwoInput, info.Prod.Restructured, shared, restructured)
+		}
+		if len(info.NewBeta) != cap(info.NewBeta) {
+			t.Fatalf("%s: %d new nodes in an array of %d", name, len(info.NewBeta), cap(info.NewBeta))
+		}
+		for _, n := range info.NewBeta {
+			if n.Kind != KindP && n.Kind != KindNCCPartner && (len(n.children) == 0 || cap(n.children) != len(n.children)) {
+				t.Fatalf("%s: new %v node %d has %d children in %d slots", name, n.Kind, n.ID, len(n.children), cap(n.children))
+			}
+		}
+	}
+	share := DefaultOptions()
+	check("shared prefix", share, `
+(p first (a ^k1 <x>) (b ^k1 <x>) (c ^k1 <x>) --> (make d))
+(p second (a ^k1 <x>) (b ^k1 <x>) (c ^k2 <x>) -{(d ^k1 <x>) (a ^k2 <x>)} (d ^k2 <x>) --> (make d))`, 2, false)
+	check("all shared", share, `
+(p first (a ^k1 <x>) (b ^k1 <x>) --> (make d))
+(p second (a ^k1 <x>) (b ^k1 <x>) --> (make c))`, 2, false)
+	bil := DefaultOptions()
+	bil.Organization = Bilinear
+	check("bilinear", bil, `
+(p wide (a ^k1 <x>) (b ^k1 <x>) (c ^k1 <x>) (d ^k1 <x>) - (a ^k2 <x>) (a ^k2 <x>)
+   (b ^k2 <x>) (c ^k2 <x>) (d ^k2 <x>) (a ^k1 <x> ^k2 <x>) - (b ^k1 <x> ^k2 <x>) --> (make d))`, 0, true)
 }

@@ -49,6 +49,14 @@ type builder struct {
 	shared   bool
 	private  bool // creating NCC-sub or bilinear nodes: never share into
 	info     *AddInfo
+
+	// A production shares nodes only on a prefix, so from its first new
+	// node on it builds every node it has left: nodes holds them, kids their
+	// first child slots, both sized exactly by reserve; rest is the
+	// conditions a linear build has still to build, which it sizes them from.
+	nodes []BetaNode
+	kids  []*BetaNode
+	rest  []cond
 }
 
 // AddProduction compiles ast into the network's own layer, sharing nodes
@@ -88,7 +96,7 @@ func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, e
 	} else {
 		bottom = b.buildLinear(conds)
 	}
-	pn := b.newNode(&BetaNode{Kind: KindP, parent: bottom, prod: prod})
+	pn := b.newNode(BetaNode{Kind: KindP, parent: bottom, prod: prod})
 	b.attach(bottom, pn)
 	prod.PNode = pn
 	own := &nw.own
@@ -105,7 +113,8 @@ func (nw *Network) AddProduction(ast *ops5.Production) (*Production, *AddInfo, e
 	return prod, b.info, nil
 }
 
-// finishInfo computes FirstNewID, the boundary set and the update paths.
+// finishInfo computes FirstNewID, the boundary set and the update paths,
+// each into an array of its exact size.
 func (b *builder) finishInfo() {
 	inf := b.info
 	if len(inf.NewBeta) == 0 {
@@ -118,29 +127,75 @@ func (b *builder) finishInfo() {
 		}
 	}
 	isNew := func(n *BetaNode) bool { return n != nil && n.ID >= inf.FirstNewID }
-	for _, n := range inf.NewBeta {
+	onBoundary := func(n *BetaNode) bool {
 		leftOld := n.parent == nil || !isNew(n.parent)
 		rightOld := n.Kind == KindJoinBB && !isNew(n.rightParent)
-		if leftOld || rightOld {
-			inf.boundary = append(inf.boundary, n)
+		return leftOld || rightOld
+	}
+	nb := 0
+	path := b.nw.scratch.path[:0]
+	for _, n := range inf.NewBeta {
+		if onBoundary(n) {
+			nb++
 		}
 		if am := n.alpha; am != nil {
-			inf.updPath = append(inf.updPath, am.id)
+			path = append(path, am.id)
 			for a := am.at; a != nil; a = a.parent {
-				inf.updPath = append(inf.updPath, a.id)
+				path = append(path, a.id)
 			}
 		}
 	}
-	slices.Sort(inf.updPath)
-	inf.updPath = slices.Clip(slices.Compact(inf.updPath))
+	inf.boundary = make([]*BetaNode, 0, nb)
+	for _, n := range inf.NewBeta {
+		if onBoundary(n) {
+			inf.boundary = append(inf.boundary, n)
+		}
+	}
+	slices.Sort(path)
+	inf.updPath = slices.Clone(slices.Compact(path))
+	b.nw.scratch.path = path
 }
 
-// newNode registers a freshly created beta node.
-func (b *builder) newNode(n *BetaNode) *BetaNode {
+// reserve makes the arrays a production's new nodes are carved from: n
+// nodes, of which withKids get children in this production, and the
+// AddInfo's NewBeta, which shares one array with their first child slots.
+func (b *builder) reserve(n, withKids int) {
+	b.nodes = make([]BetaNode, 0, n)
+	ptrs := make([]*BetaNode, n+withKids)
+	b.info.NewBeta, b.kids = ptrs[:0:n], ptrs[n:]
+}
+
+// linearNodes counts the nodes a linear build of conds makes when none is
+// shared, the P node included, and how many of them get children here:
+// all but the P node and each conjunctive negation's partner.
+func linearNodes(conds []cond) (n, withKids int) {
+	n, leaves := 1, 1 // the P node
+	for i := range conds {
+		n++
+		if c := &conds[i]; c.kind == ops5.CondNCC {
+			n += len(c.sub) + 1 // the sub-chain and the partner
+			leaves++
+		}
+	}
+	return n, n - leaves
+}
+
+// newNode registers a freshly created beta node, copying it into the
+// production's node array; a linear build makes that array at its first
+// new node, from the conditions it has still to build.
+func (b *builder) newNode(proto BetaNode) *BetaNode {
+	if b.nodes == nil {
+		b.reserve(linearNodes(b.rest))
+	}
+	b.nodes = append(b.nodes, proto)
+	n := &b.nodes[len(b.nodes)-1]
 	n.ID = b.nw.newID()
 	n.refs = 1
 	if n.Kind != KindP {
 		b.nw.own.nTwoInput++
+	}
+	if n.Kind != KindP && n.Kind != KindNCCPartner && len(b.kids) > 0 {
+		n.children, b.kids = b.kids[:0:1], b.kids[1:]
 	}
 	b.info.NewBeta = append(b.info.NewBeta, n)
 	b.shared = false
@@ -395,8 +450,10 @@ func (b *builder) checkRHS(p *Production, conds []cond) error {
 func (b *builder) buildLinear(conds []cond) *BetaNode {
 	var cur *BetaNode
 	for i := range conds {
+		b.rest = conds[i:]
 		cur = b.addCond(cur, &conds[i])
 	}
+	b.rest = nil
 	return cur
 }
 
@@ -424,8 +481,8 @@ func (b *builder) addNCC(cur *BetaNode, sub []cond) *BetaNode {
 		subCur = b.joinChild(subCur, KindJoin, &sub[i])
 	}
 	b.private = false
-	ncc := b.newNode(&BetaNode{Kind: KindNCC, parent: cur, branchN: b.posCount, private: true})
-	partner := b.newNode(&BetaNode{Kind: KindNCCPartner, parent: subCur, branchN: b.posCount, private: true})
+	ncc := b.newNode(BetaNode{Kind: KindNCC, parent: cur, branchN: b.posCount, private: true})
+	partner := b.newNode(BetaNode{Kind: KindNCCPartner, parent: subCur, branchN: b.posCount, private: true})
 	ncc.partner = partner
 	partner.partner = ncc
 	b.attach(subCur, partner)
@@ -456,7 +513,7 @@ func (b *builder) joinChild(cur *BetaNode, kind BetaKind, c *cond) *BetaNode {
 			}
 		}
 	}
-	n := b.newNode(&BetaNode{
+	n := b.newNode(BetaNode{
 		Kind:     kind,
 		parent:   cur,
 		alpha:    am,
@@ -632,10 +689,12 @@ func (s *groupScope) place(c *cond) (cond, bool) {
 func (b *builder) buildBilinear(conds []cond) *BetaNode {
 	b.shared = false // bilinear structures are private
 	b.private = true
-	var ctx *BetaNode
-	i := 0
-	for ; i < len(conds) && b.posCount < b.nw.Opts.ContextCEs; i++ {
-		ctx = b.addCond(ctx, &conds[i])
+	// The context is the conditions up to its ContextCEs-th positive CE.
+	nctx := 0
+	for pos := 0; nctx < len(conds) && pos < b.nw.Opts.ContextCEs; nctx++ {
+		if conds[nctx].kind == ops5.CondPos {
+			pos++
+		}
 	}
 
 	// Cut the rest into groups of positive CEs, each negation with the
@@ -655,7 +714,7 @@ func (b *builder) buildBilinear(conds []cond) *BetaNode {
 	type group struct{ pos, negs []*cond }
 	var groups []group
 	var open group
-	for ; i < len(conds); i++ {
+	for i := nctx; i < len(conds); i++ {
 		c := &conds[i]
 		if c.kind == ops5.CondNeg {
 			open.negs = append(open.negs, c)
@@ -668,6 +727,15 @@ func (b *builder) buildBilinear(conds []cond) *BetaNode {
 		open.pos = append(open.pos, c)
 	}
 	groups = append(groups, open)
+
+	// One node per condition, a pair join per group after the first, and
+	// the P node; all but the P node get children.
+	n := len(conds) + len(groups)
+	b.reserve(n, n-1)
+	var ctx *BetaNode
+	for i := range conds[:nctx] {
+		ctx = b.addCond(ctx, &conds[i])
+	}
 
 	s := &groupScope{ctxTags: b.posCount, groupOf: make(map[int]int), latest: make(map[Binding]Binding)}
 	for gi, g := range groups {
@@ -737,7 +805,7 @@ func (b *builder) combine(bottoms []*BetaNode, lo, hi int, s *groupScope) *BetaN
 	if b.nw.Opts.LinearMemories {
 		nEq = 0
 	}
-	bb := b.newNode(&BetaNode{
+	bb := b.newNode(BetaNode{
 		Kind:        KindJoinBB,
 		parent:      left,
 		rightParent: right,

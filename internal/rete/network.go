@@ -130,11 +130,13 @@ type Network struct {
 	base *Topology  // never nil; empty for an owned network
 	own  layer
 
-	// scratch holds the tests of the production being compiled (callers
-	// hold nw.mu); AddProduction reuses it for every production.
+	// scratch holds the tests of the production being compiled and the
+	// update path of the one just built (callers hold nw.mu); AddProduction
+	// reuses it for every production.
 	scratch struct {
 		alpha []alphaTest
 		join  []JoinTest
+		path  []NodeID
 	}
 }
 

@@ -66,3 +66,13 @@ func (a *Agent) CheckBookkeeping() (byID, anchors int, err error) {
 
 // Builder exposes the chunk builder (for statistics).
 func (a *Agent) Builder() *chunk.Builder { return a.builder }
+
+// MaxParsedTasks is the parse cache's bound.
+const MaxParsedTasks = maxParsedTasks
+
+// CachedParses returns how many task parses the process holds.
+func CachedParses() int {
+	parsedTasks.mu.Lock()
+	defer parsedTasks.mu.Unlock()
+	return len(parsedTasks.m)
+}

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"soarpsme/internal/chunk"
@@ -161,15 +162,22 @@ type Agent struct {
 	pendingC  []*ops5.Production // chunks to add at end of elaboration cycle
 }
 
-// New creates an agent for a task.
+// New creates an agent for a task. The task's source is parsed and checked
+// once per process (parseTask); every agent compiles that parse into a
+// network of its own, with a copy of the parse's symbol table.
 func New(cfg Config, task *Task) (*Agent, error) {
 	if cfg.MaxDecisions == 0 {
 		cfg.MaxDecisions = 500
 	}
-	eng := engine.New(cfg.Engine)
+	pt, err := parseTask(task.Source)
+	if err != nil {
+		return nil, err
+	}
+	eng := engine.NewWithTable(cfg.Engine, pt.tab.Clone())
 	a := &Agent{
 		Eng:       eng,
 		cfg:       cfg,
+		k:         pt.k,
 		task:      task,
 		idLevel:   make(map[value.Sym]int),
 		anchor:    make(map[uint64]value.Sym),
@@ -178,9 +186,8 @@ func New(cfg Config, task *Task) (*Agent, error) {
 		subst:     make(map[uint64]*wme.WME),
 		permanent: make(map[value.Sym]bool),
 	}
-	a.internKernel()
 	a.declareKernelClasses()
-	if err := a.loadTask(); err != nil {
+	if err := eng.LoadParsed(pt.prog); err != nil {
 		return nil, err
 	}
 	a.builder = &chunk.Builder{
@@ -195,9 +202,80 @@ func New(cfg Config, task *Task) (*Agent, error) {
 	return a, nil
 }
 
-func (a *Agent) internKernel() {
-	t := a.Eng.Tab
-	a.k = kernel{
+// parsedTask is a task source parsed once: the program, and the symbol
+// table as it stood after the kernel symbols and the parse were interned.
+// Both are read-only; each agent interns into a clone of tab.
+type parsedTask struct {
+	prog *ops5.Program
+	tab  *value.Table
+	k    kernel
+}
+
+// parsedTasks caches parseTask's successes by source. It is bounded so that
+// a process building agents of ever new sources cannot grow it without
+// limit: a miss that finds it full empties it.
+var parsedTasks struct {
+	mu sync.Mutex
+	m  map[string]*parsedTask
+}
+
+// maxParsedTasks is parsedTasks' bound: more than the distinct sources of
+// any run of the bundled tasks.
+const maxParsedTasks = 32
+
+// parseTask returns src parsed against a fresh table holding the kernel
+// symbols first, as every agent's table does, with every production checked
+// to only add wmes. A source that fails either is not cached, so every New
+// of it fails alike. Two goroutines missing on one source at once both
+// parse it; the parses are equal and the first stored is kept.
+func parseTask(src string) (*parsedTask, error) {
+	c := &parsedTasks
+	c.mu.Lock()
+	pt := c.m[src]
+	c.mu.Unlock()
+	if pt != nil {
+		return pt, nil
+	}
+	tab := value.NewTable()
+	pt = &parsedTask{tab: tab, k: internKernel(tab)}
+	prog, err := ops5.Parse(src, tab)
+	if err != nil {
+		return nil, err
+	}
+	if err := onlyAdds(prog); err != nil {
+		return nil, err
+	}
+	pt.prog = prog
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.m[src]; old != nil {
+		return old, nil
+	}
+	if c.m == nil || len(c.m) >= maxParsedTasks {
+		c.m = make(map[string]*parsedTask)
+	}
+	c.m[src] = pt
+	return pt, nil
+}
+
+// onlyAdds rejects a program with a production that removes, modifies or
+// excises: Soar productions only add wmes (paper §3).
+func onlyAdds(prog *ops5.Program) error {
+	for _, p := range prog.Productions {
+		for _, act := range p.RHS {
+			switch act.Kind {
+			case ops5.ActRemove, ops5.ActModify, ops5.ActExcise:
+				return fmt.Errorf("soar: production %s: Soar productions only add wmes (paper §3)", p.Name)
+			}
+		}
+	}
+	return nil
+}
+
+// internKernel interns the kernel symbols into t, in the order that fixes
+// their numbers.
+func internKernel(t *value.Table) kernel {
+	return kernel{
 		clsGoal: t.Intern("goal"), clsContext: t.Intern("context"),
 		clsPref: t.Intern("preference"), clsItem: t.Intern("item"),
 		aID: t.Intern("id"), aSupergoal: t.Intern("supergoal"),
@@ -222,25 +300,6 @@ func (a *Agent) declareKernelClasses() {
 	r.Declare(k.clsContext, k.aGoal, k.aSlot, k.aValue)
 	r.Declare(k.clsPref, k.aGoal, k.aObject, k.aRole, k.aKind, k.aRef, k.aThan)
 	r.Declare(k.clsItem, k.aGoal, k.aValue)
-}
-
-// loadTask compiles the task program; Soar productions may only add wmes.
-// The source is parsed once, by the engine. The check reads the compiled
-// productions afterwards: loading only matches the startup wmes and fires
-// nothing, and an agent whose task fails it is never returned.
-func (a *Agent) loadTask() error {
-	if err := a.Eng.LoadProgram(a.task.Source); err != nil {
-		return err
-	}
-	for _, p := range a.Eng.NW.Productions() {
-		for _, act := range p.AST.RHS {
-			switch act.Kind {
-			case ops5.ActRemove, ops5.ActModify, ops5.ActExcise:
-				return fmt.Errorf("soar: production %s: Soar productions only add wmes (paper §3)", p.Name)
-			}
-		}
-	}
-	return nil
 }
 
 func (a *Agent) slotSym(s slot) value.Sym {

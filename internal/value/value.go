@@ -8,6 +8,8 @@ package value
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -187,6 +189,14 @@ type Table struct {
 // NewTable returns an empty symbol table.
 func NewTable() *Table {
 	return &Table{names: make([]string, 1, 256), ids: make(map[string]Sym, 256)}
+}
+
+// Clone returns a table holding t's symbols under the same numbers, which
+// interns on independently of t from then on.
+func (t *Table) Clone() *Table {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return &Table{names: slices.Clone(t.names), ids: maps.Clone(t.ids)}
 }
 
 // Intern returns the symbol for name, creating it if necessary.
