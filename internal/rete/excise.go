@@ -121,14 +121,13 @@ func (nw *Network) detach(n *BetaNode) {
 
 // purgeNode removes every memory entry stored under a node (both tables)
 // and zeroes its unlink counters, so a later production re-using the slot
-// range starts correctly unlinked.
+// range starts correctly unlinked. Like the dumps it takes no line lock:
+// excise runs at quiescence.
 func (m *Mem) purgeNode(node NodeID) {
 	m.purgeCounts(node)
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.lock.Lock()
 		l.left = slices.DeleteFunc(l.left, func(e lEntry) bool { return e.node == node })
 		l.right = slices.DeleteFunc(l.right, func(e rEntry) bool { return e.node == node })
-		l.lock.Unlock()
 	}
 }

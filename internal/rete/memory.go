@@ -356,8 +356,14 @@ func (l *line) eachRight(node NodeID, key uint64, fn func(*rEntry)) {
 
 // ---- whole-table operations (no activation in flight) ----
 
+// The dumps and purgeNode take no line lock. They run at quiescence, on the
+// goroutine that ran the last cycle: no match process is live, and the
+// cycle's wait for its helpers (runToQuiescence's wg.Wait) orders every
+// helper's writes before them. The others here lock each line: a scrape or
+// an audit may call them from another goroutine.
+
 // dumpLeftAt is dumpLeft for a node that keys every token to key: it reads
-// that key's line alone, which holds all of them.
+// that key's line alone, which holds all of them. Quiescence only.
 func (m *Mem) dumpLeftAt(node NodeID, key uint64) []*Token {
 	i := m.lineIndex(node, key)
 	return m.dumpLeft(node, m.lines[i:i+1])
@@ -368,7 +374,8 @@ func (m *Mem) dumpLeftAt(node NodeID, key uint64) []*Token {
 // update algorithm replays the outputs of the last shared node this way.
 // The scan stops once it has found as many tokens as node's live-entry
 // counter holds, so node must be covered by the counters (nodeCounts.grow)
-// — every node of a Network is.
+// — every node of a Network is. It takes no line lock, so it may run only at
+// quiescence, when no match process runs (SeedUpdateTasks, excise).
 func (m *Mem) dumpLeft(node NodeID, lines []line) []*Token {
 	want := int(m.leftCount(node))
 	if want == 0 {
@@ -377,13 +384,11 @@ func (m *Mem) dumpLeft(node NodeID, lines []line) []*Token {
 	out := make([]*Token, 0, want)
 	for i := range lines {
 		l := &lines[i]
-		l.lock.Lock()
 		for i := len(l.left) - 1; i >= 0 && len(out) < want; i-- {
 			if e := &l.left[i]; !e.tomb && e.node == node {
 				out = append(out, e.tok)
 			}
 		}
-		l.lock.Unlock()
 		if len(out) == want {
 			break
 		}
@@ -392,18 +397,18 @@ func (m *Mem) dumpLeft(node NodeID, lines []line) []*Token {
 }
 
 // dumpRightSubs returns every live sub-result token stored under node
-// (NCC partner inputs / bilinear right-side tokens).
+// (NCC partner inputs / bilinear right-side tokens). It takes no line lock,
+// so it may run only at quiescence, when no match process runs
+// (SeedUpdateTasks).
 func (m *Mem) dumpRightSubs(node NodeID) []*Token {
 	var out []*Token
 	for i := range m.lines {
 		l := &m.lines[i]
-		l.lock.Lock()
 		for i := len(l.right) - 1; i >= 0; i-- {
 			if e := &l.right[i]; !e.tomb && e.node == node && e.sub != nil {
 				out = append(out, e.sub)
 			}
 		}
-		l.lock.Unlock()
 	}
 	return out
 }

@@ -2,8 +2,10 @@ package rete
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"soarpsme/internal/ops5"
 	"soarpsme/internal/wme"
 )
 
@@ -319,5 +321,91 @@ func TestRemoveBeforeAdd(t *testing.T) {
 			}
 			auditClean(t, e)
 		})
+	}
+}
+
+// TestQuiescentDumpsTakeNoLineLock: the whole-table reads and the purge of
+// the state update and of excise run at quiescence and take no line lock,
+// so the tables' lock acquires do not move across a SeedUpdateTasks, a
+// dumpRightSubs or a RemoveProduction — and each of them found state to
+// read.
+func TestQuiescentDumpsTakeNoLineLock(t *testing.T) {
+	e := newTestEnv(t, blueBlock+`
+(literalize g s)
+(literalize d in st)
+(p pn (g ^s <s>) -{ (d ^in <s> ^st closed) } --> (make o))
+`)
+	for _, w := range []*wme.WME{
+		e.wmeOf("block", "name", "b1", "color", "blue"),
+		e.wmeOf("hand", "state", "free"),
+		e.wmeOf("g", "s", "s1"),
+		e.wmeOf("g", "s", "s2"),
+		e.wmeOf("d", "in", "s1", "st", "closed"),
+	} {
+		e.add(w)
+	}
+	acquires := func() uint64 {
+		_, a := e.nw.Mem.LockStats()
+		return a
+	}
+	still := func(what string, before uint64) {
+		t.Helper()
+		if after := acquires(); after != before {
+			t.Errorf("%s took %d line locks", what, after-before)
+		}
+	}
+
+	// Two additions whose boundaries read a join's memory without
+	// equality tests (dumpLeftAt) and a P node's (dumpLeft).
+	for _, src := range []string{`
+(p chunk-1 (block ^name <b> ^color blue) -(block ^on <b>) (hand ^state <> free) --> (make waitfor ^obj <b>))`, `
+(p chunk-2 (g ^s <s>) -{ (d ^in <s> ^st closed) } (block ^name <s>) --> (make o2))`} {
+		p, err := ops5.ParseProduction(src, e.tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, info, err := e.nw.AddProduction(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := acquires()
+		seeds := e.nw.SeedUpdateTasks(info)
+		still("SeedUpdateTasks of "+p.Name, before)
+		if len(seeds) == 0 {
+			t.Fatalf("%s: no seeds, so no dump was read", p.Name)
+		}
+		e.update(info)
+	}
+
+	// The NCC's partner results, as a boundary under a partner reads them.
+	ncc := e.nw.Lookup("pn").PNode.parent
+	if ncc.Kind != KindNCC {
+		t.Fatalf("pn's P node hangs under a %v node, want an NCC", ncc.Kind)
+	}
+	before := acquires()
+	subs := e.nw.Mem.dumpRightSubs(ncc.ID)
+	still("dumpRightSubs", before)
+	if len(subs) == 0 {
+		t.Fatalf("the NCC holds no partner results")
+	}
+
+	pn := func() (n int) {
+		for _, k := range e.cs.keys() {
+			if strings.HasPrefix(k, "pn[") {
+				n++
+			}
+		}
+		return n
+	}
+	if pn() == 0 {
+		t.Fatalf("pn has no instantiation for the excise to retract")
+	}
+	before = acquires()
+	if err := e.nw.RemoveProduction("pn"); err != nil {
+		t.Fatal(err)
+	}
+	still("RemoveProduction", before)
+	if n := pn(); n != 0 {
+		t.Fatalf("%d instantiations of pn survive its excise", n)
 	}
 }

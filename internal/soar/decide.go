@@ -1,6 +1,7 @@
 package soar
 
 import (
+	"cmp"
 	"slices"
 
 	"soarpsme/internal/value"
@@ -229,24 +230,7 @@ nextGoal:
 				if s == slotOperator && gi == 0 {
 					a.res.OperatorDecisions++
 				}
-				deltas := a.destroyBelow(g.depth)
-				deltas = append(deltas, a.installSlot(g, s, out.winner)...)
-				for s2 := s + 1; s2 < numSlots; s2++ {
-					deltas = append(deltas, a.installSlot(g, s2, value.NilSym)...)
-				}
-				g.subImpasse = impasseNone
-				deltas = append(deltas, a.gcDeltas()...)
-				a.Eng.ApplyAndMatch(deltas)
-				// The context wmes installSlot replaced are out of working
-				// memory now; they keep their anchors (old firing records
-				// backtrace through them) but leave byID. Unlinking them any
-				// earlier would hide them from this decision's garbage
-				// collection, which still walks them.
-				for _, d := range deltas {
-					if d.Op == wme.Remove && d.WME.Class == a.k.clsContext {
-						a.unlink(d.WME)
-					}
-				}
+				a.changeSlot(g, s, out.winner)
 				return true, nil
 			case outImpasse:
 				if g.subImpasse == out.impasse && g.subSlot == s && gi+1 < len(a.goals) {
@@ -287,6 +271,33 @@ nextGoal:
 	return false, nil
 }
 
+// changeSlot installs v in goal g's slot s: it destroys the goals below g,
+// clears g's lower slots, collects garbage, and matches the changes.
+func (a *Agent) changeSlot(g *goalEntry, s slot, v value.Sym) {
+	deltas := a.destroyBelow(g.depth)
+	deltas = append(deltas, a.installSlot(g, s, v)...)
+	for s2 := s + 1; s2 < numSlots; s2++ {
+		deltas = append(deltas, a.installSlot(g, s2, value.NilSym)...)
+	}
+	g.subImpasse = impasseNone
+	if a.gcWrap != nil {
+		deltas = a.gcWrap(a.gcDeltas, deltas)
+	} else {
+		deltas = a.gcDeltas(deltas)
+	}
+	a.Eng.ApplyAndMatch(deltas)
+	// The context wmes installSlot replaced are out of working memory now;
+	// they keep their anchors (old firing records backtrace through them)
+	// but leave byID, and their values lose the links. Unlinking them any
+	// earlier would hide them from this decision's garbage collection,
+	// which still walks them.
+	for _, d := range deltas {
+		if d.Op == wme.Remove && d.WME.Class == a.k.clsContext {
+			a.unlink(d.WME)
+		}
+	}
+}
+
 // createSubgoal builds the architecture wmes of a new subgoal: the goal
 // wme and, for ties/conflicts, one impasse item per candidate whose
 // backtrace substitute is the candidate's acceptable preference.
@@ -312,144 +323,47 @@ func (a *Agent) createSubgoal(g *goalEntry, s slot, out outcome) []wme.Delta {
 }
 
 // destroyBelow removes every goal deeper than depth and the wmes at those
-// levels (the decision module's garbage collection of subgoal structures).
+// levels (the decision module's garbage collection of subgoal structures),
+// in time-tag order. It visits only the identifiers deeper than the top
+// level (a.deep). The popped goals become collection candidates.
 func (a *Agent) destroyBelow(depth int) []wme.Delta {
 	if len(a.goals) == 0 || a.goals[len(a.goals)-1].depth <= depth {
 		return nil
 	}
-	var deltas []wme.Delta
-	for _, w := range a.Eng.WM.All() {
-		if a.wmeLevel(w) > depth {
-			deltas = append(deltas, wme.Delta{Op: wme.Remove, WME: w})
-			a.forgetWME(w)
+	rm, gone := a.gc.rm[:0], a.gc.scope[:0]
+	keep := a.deep[:0]
+	for _, s := range a.deep {
+		switch lvl, ok := a.idLevel[s]; {
+		case !ok || lvl == 1:
+			// Gone already, or promoted to the top level: no longer deep.
+		case lvl <= depth:
+			keep = append(keep, s)
+		default:
+			gone = append(gone, s)
+			for _, w := range a.byID[s] {
+				if a.inWM(w) {
+					rm = append(rm, w)
+				}
+			}
 		}
 	}
-	for s, lvl := range a.idLevel {
-		if lvl > depth {
-			delete(a.idLevel, s)
-			delete(a.byID, s)
-		}
+	a.deep = keep
+	slices.SortFunc(rm, func(x, y *wme.WME) int { return cmp.Compare(x.TimeTag, y.TimeTag) })
+	deltas := make([]wme.Delta, len(rm))
+	for i, w := range rm {
+		deltas[i] = wme.Delta{Op: wme.Remove, WME: w}
+		a.forgetWME(w)
+	}
+	for _, s := range gone {
+		delete(a.idLevel, s)
+		delete(a.byID, s)
 	}
 	for len(a.goals) > 0 && a.goals[len(a.goals)-1].depth > depth {
+		a.gc.cand = append(a.gc.cand, a.goals[len(a.goals)-1].id)
 		a.goals = a.goals[:len(a.goals)-1]
 	}
 	a.goals[len(a.goals)-1].subImpasse = impasseNone
-	return deltas
-}
-
-// forgetWME drops the agent's bookkeeping for a wme being removed from
-// working memory, its identifier's byID entry included.
-func (a *Agent) forgetWME(w *wme.WME) {
-	a.unlink(w)
-	delete(a.anchor, w.ID)
-	delete(a.records, w.ID)
-	delete(a.subst, w.ID)
-}
-
-// unlink removes w from its identifier's byID list.
-func (a *Agent) unlink(w *wme.WME) {
-	id, ok := a.anchor[w.ID]
-	if !ok {
-		return
-	}
-	list := a.byID[id]
-	i := slices.Index(list, w)
-	switch {
-	case i < 0:
-	case len(list) == 1:
-		delete(a.byID, id)
-	default:
-		a.byID[id] = slices.Delete(list, i, i+1)
-	}
-}
-
-// gcDeltas implements the decision module's garbage collection of
-// inaccessible wmes (paper §3): stale preferences are dropped, then a
-// mark-sweep from the context roots removes unreachable objects (old
-// states, orphaned operators).
-func (a *Agent) gcDeltas() []wme.Delta {
-	k := a.k
-	var deltas []wme.Delta
-	dead := map[uint64]bool{}
-
-	// 1. Stale preferences: state/operator preferences not anchored to
-	// the owning goal's current state.
-	curState := map[value.Sym]value.Sym{}
-	for _, g := range a.goals {
-		curState[g.id] = g.slots[slotState]
-	}
-	for _, w := range a.prefs {
-		if !a.inWM(w) {
-			continue
-		}
-		gID := w.Field(0).Sym
-		role := w.Field(2).Sym
-		ref := w.Field(4).Sym
-		cs, live := curState[gID]
-		switch {
-		case !live:
-			dead[w.ID] = true
-		case role == k.sOperator && ref != cs:
-			dead[w.ID] = true
-		case role == k.sState && ref != cs && w.Field(1).Sym != cs:
-			dead[w.ID] = true
-		}
-	}
-
-	// 2. Mark from the context roots. Preference ^ref fields do not mark
-	// (they chain old states together).
-	marked := map[value.Sym]bool{}
-	var stack []value.Sym
-	mark := func(s value.Sym) {
-		if s != value.NilSym && !marked[s] {
-			marked[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for _, g := range a.goals {
-		mark(g.id)
-		for s := slotProblemSpace; s < numSlots; s++ {
-			mark(g.slots[s])
-		}
-	}
-	for s := range a.permanent {
-		mark(s)
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range a.byID[id] {
-			if !a.inWM(w) || dead[w.ID] {
-				continue
-			}
-			for i := 1; i < len(w.Fields); i++ {
-				if w.Class == k.clsPref && (i == 4 || i == 5) {
-					continue // ^ref / ^than do not keep objects alive
-				}
-				if f := w.Fields[i]; f.Kind == value.KindSym {
-					if _, isID := a.idLevel[f.Sym]; isID {
-						mark(f.Sym)
-					}
-				}
-			}
-		}
-	}
-
-	// 3. Sweep wmes anchored to unmarked identifiers.
-	for _, w := range a.Eng.WM.All() {
-		if dead[w.ID] {
-			deltas = append(deltas, wme.Delta{Op: wme.Remove, WME: w})
-			a.forgetWME(w)
-			continue
-		}
-		anchor, ok := a.anchor[w.ID]
-		if !ok {
-			continue
-		}
-		if !marked[anchor] {
-			deltas = append(deltas, wme.Delta{Op: wme.Remove, WME: w})
-			a.forgetWME(w)
-		}
-	}
+	clear(rm)
+	a.gc.rm, a.gc.scope = rm[:0], gone[:0]
 	return deltas
 }

@@ -158,8 +158,13 @@ type Agent struct {
 	builder   *chunk.Builder
 	gsym      int
 	permanent map[value.Sym]bool // startup symbols: never collected, never variablized
+	deep      []value.Sym        // identifiers created below the top level (destroyBelow's)
+	gc        gcState
 	res       Result
 	pendingC  []*ops5.Production // chunks to add at end of elaboration cycle
+	// gcWrap, set only by tests, runs each decision's garbage collection
+	// (gcDeltas) in its place.
+	gcWrap func(gc func([]wme.Delta) []wme.Delta, deltas []wme.Delta) []wme.Delta
 }
 
 // New creates an agent for a task. The task's source is parsed and checked
@@ -355,9 +360,11 @@ func (a *Agent) registerWME(w *wme.WME, creating int) int {
 	if id != value.NilSym {
 		if _, known := a.idLevel[id]; !known {
 			a.idLevel[id] = creating
+			if creating > 1 {
+				a.deep = append(a.deep, id)
+			}
 		}
-		a.anchor[w.ID] = id
-		a.byID[id] = append(a.byID[id], w)
+		a.list(id, w)
 	}
 	if w.Class == a.k.clsPref {
 		a.prefs = append(a.prefs, w)
@@ -410,6 +417,9 @@ func (a *Agent) gensym(prefix string, lvl int) value.Sym {
 	a.gsym++
 	s := a.Eng.Tab.Intern(fmt.Sprintf("%s*%d", prefix, a.gsym))
 	a.idLevel[s] = lvl
+	if lvl > 1 {
+		a.deep = append(a.deep, s)
+	}
 	return s
 }
 
@@ -482,8 +492,7 @@ func (a *Agent) initTop() error {
 				a.idLevel[id] = 1
 			}
 			a.permanent[id] = true
-			a.anchor[w.ID] = id
-			a.byID[id] = append(a.byID[id], w)
+			a.list(id, w)
 		}
 		if w.Class == a.k.clsPref {
 			a.prefs = append(a.prefs, w)
