@@ -1,6 +1,6 @@
 // Fault matrix: every fault schedule crossed with every scheduling policy,
 // several process counts and a program on each side of the runtime's
-// helper threshold must leave the engine in a state byte-identical to a
+// crossing must leave the engine in a state byte-identical to a
 // fault-free serial run — the serial-fallback guarantee. The test is in
 // an external package because it drives the whole engine (which itself
 // imports fault).
@@ -28,8 +28,9 @@ var matrixParams = cypress.Params{Productions: 60, Cycles: 20, Seed: 5}
 
 // A program is one workload of the matrix: load compiles it into e and
 // returns the source of its per-cycle delta batches. Some cycle of a
-// helpers program must start helpers, and every cycle of the other kind
-// must stay on its caller's goroutine (checked on the fault-free schedule).
+// helpers program must start helpers once its first task is stalled for
+// paperTask, and every cycle of the other kind must stay on its caller's
+// goroutine (checked on the fault-free schedule).
 // A noUnlink program runs with left/right unlinking off: the paper's
 // engine, which schedules every null activation as a task.
 type program struct {
@@ -69,9 +70,17 @@ func cypressProgram(name string, split bool) program {
 	}}
 }
 
+// paperTask stands in for a node activation of the paper's size (about
+// 400 µs on the Multimax) where this runtime's tasks cost about 1 µs: a stall
+// longer than the runtime's crossing, which starts a cycle's helpers once
+// its backlog has lasted 1 ms.
+const paperTask = 2 * time.Millisecond
+
 // fanoutProgram joins wide batches: each cycle adds (or, every third cycle,
 // removes) some sixty wmes whose pairs and triples match independently, so
-// every cycle is past the helper threshold at injection.
+// every cycle is past the helper threshold at injection. On the fault-free
+// schedule its first task is stalled for paperTask, so its first cycle
+// crosses.
 var fanoutProgram = program{name: "fanout", cycles: 9, helpers: true, load: func(t *testing.T, e *engine.Engine) func() []wme.Delta {
 	const src = `
 (literalize a k) (literalize b k) (literalize c k)
@@ -231,6 +240,9 @@ func TestFaultMatrix(t *testing.T) {
 					for i, prog := range programs {
 						t.Run(prog.name, func(t *testing.T) {
 							in := sched.mk()
+							if in == nil && prog.helpers {
+								in = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindStall, Visit: 0, Delay: paperTask})
+							}
 							fps, stats, e := run(t, prog, procs, pol, in, sched.deadline)
 							failed := checkRun(t, e, fps, baselines[i], stats, in, sched.wantRecovery)
 							if sched.name != "none" {
@@ -239,10 +251,14 @@ func TestFaultMatrix(t *testing.T) {
 							if len(failed) != 0 {
 								t.Fatalf("fault-free run failed %d cycles", len(failed))
 							}
-							widest := 0
+							widest, parallel := 0, 0
 							for _, cs := range stats {
 								widest = max(widest, cs.Workers)
+								if cs.Workers > 1 {
+									parallel++
+								}
 							}
+							t.Logf("%d of %d cycles ran with helpers", parallel, len(stats))
 							if procs > 1 && (widest > 1) != prog.helpers {
 								t.Fatalf("widest cycle ran %d processes: helpers started, or not, against what this program is in the matrix for", widest)
 							}

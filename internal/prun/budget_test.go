@@ -69,13 +69,14 @@ func TestBudgetNeverOversubscribes(t *testing.T) {
 }
 
 // TestBudgetSharedAcrossRuntimes runs the same workload with and without a
-// single-slot budget: every budgeted cycle must run with exactly one worker
-// (the budget's floor) and produce a conflict set identical to the
-// unbudgeted run — worker width never affects match results.
+// single-slot budget, its first task stalled so that the first cycle
+// crosses: every budgeted cycle must run with exactly one worker (the
+// budget's floor) and produce a conflict set identical to the unbudgeted
+// run — worker width never affects match results.
 func TestBudgetSharedAcrossRuntimes(t *testing.T) {
 	run := func(budget *Budget) ([]CycleStats, []string) {
 		nw, cs, ws := buildNet(t)
-		rt := New(nw, Config{Processes: 4, Policy: WorkStealing, Budget: budget})
+		rt := New(nw, Config{Processes: 4, Policy: WorkStealing, Budget: budget, Fault: stallAt(0)})
 		var dels []wme.Delta
 		for _, w := range ws {
 			dels = append(dels, wme.Delta{Op: wme.Remove, WME: w})

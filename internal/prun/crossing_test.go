@@ -56,7 +56,7 @@ func TestSmallCycleStartsNoGoroutine(t *testing.T) {
 // fanNet compiles one production whose first condition matches a single
 // hub wme and whose second matches every spoke: adding the hub to a memory
 // of spokes is a cycle of ONE root task that emits a task per spoke.
-func fanNet(t *testing.T, spokes int) (nw *rete.Network, cs *csCount, hub *wme.WME, rim []*wme.WME) {
+func fanNet(t testing.TB, spokes int) (nw *rete.Network, cs *csCount, hub *wme.WME, rim []*wme.WME) {
 	t.Helper()
 	cs = &csCount{m: map[string]int{}}
 	nw = rete.NewNetwork(value.NewTable(), wme.NewRegistry(), cs, rete.DefaultOptions())
@@ -76,36 +76,99 @@ func fanNet(t *testing.T, spokes int) (nw *rete.Network, cs *csCount, hub *wme.W
 	return nw, cs, mk("hub"), rim
 }
 
-// TestCrossingStartsHelpersMidCycle pins the other side: a cycle injected
-// as one root task starts on the caller alone, fans out past the threshold,
-// and must start every granted helper mid-cycle — with the conflict set of
-// the single-threaded oracle. CI runs it under -race and with GOMAXPROCS=1.
-func TestCrossingStartsHelpersMidCycle(t *testing.T) {
+// stallAt is the paper-sized task of this package's tests: a plan that
+// stalls each exec visit named for helperAfter, so a backlog held across
+// such a task lasts long enough to cross.
+func stallAt(visits ...uint64) *fault.Injector {
+	fs := make([]fault.Fault, len(visits))
+	for i, v := range visits {
+		fs[i] = fault.Fault{Site: fault.SiteExec, Kind: fault.KindStall, Visit: v, Delay: helperAfter}
+	}
+	return fault.Plan(fs...)
+}
+
+// hubCycle runs fanNet's hub cycle under cfg, after a cycle that fills the
+// spoke memory: one root task whose child fans out past the threshold.
+// With stall, exec visit 2 of the hub cycle — the first task run while the
+// fan-out waits — is stalled for helperAfter. It returns the cycle's stats,
+// its conflict set and its wall-clock time.
+func hubCycle(t *testing.T, cfg Config, stall bool) (CycleStats, []string, time.Duration) {
+	t.Helper()
 	const spokes = 3 * helperThreshold
-	hubCycle := func(cfg Config) (CycleStats, []string) {
-		nw, cs, hub, rim := fanNet(t, spokes)
-		cfg.CaptureTrace = true
-		rt := New(nw, cfg)
-		rt.RunCycle(deltas(rim))
-		st := rt.RunCycle(deltas([]*wme.WME{hub}))
-		roots := 0
-		for _, r := range st.Trace {
-			if r.Parent == 0 {
-				roots++
-			}
-		}
-		if roots != 1 || st.Tasks <= helperThreshold {
-			t.Fatalf("%v/%d: hub cycle has %d root tasks of %d; want one root fanning out past %d", cfg.Policy, cfg.Processes, roots, st.Tasks, helperThreshold)
-		}
-		return st, cs.keys()
+	nw, cs, hub, rim := fanNet(t, spokes)
+	cfg.CaptureTrace = true
+	rt := New(nw, cfg)
+	rt.RunCycle(deltas(rim))
+	if stall {
+		rt.cfg.Fault = stallAt(2)
 	}
-	_, want := hubCycle(Config{Processes: 1})
-	if len(want) != spokes {
-		t.Fatalf("oracle conflict set has %d instantiations, want %d", len(want), spokes)
+	start := time.Now()
+	st := rt.RunCycle(deltas([]*wme.WME{hub}))
+	took := time.Since(start)
+	roots := 0
+	for _, r := range st.Trace {
+		if r.Parent == 0 {
+			roots++
+		}
 	}
+	if roots != 1 || st.Tasks <= helperThreshold {
+		t.Fatalf("%v/%d: hub cycle has %d root tasks of %d; want one root fanning out past %d", cfg.Policy, cfg.Processes, roots, st.Tasks, helperThreshold)
+	}
+	keys := cs.keys()
+	if len(keys) != spokes {
+		t.Fatalf("%v/%d: hub cycle built %d instantiations, want %d", cfg.Policy, cfg.Processes, len(keys), spokes)
+	}
+	return st, keys, took
+}
+
+// TestCrossingKeepsFineBacklogOnLead pins the fine-grained side of the
+// crossing: a hub cycle of 1 µs tasks holds a backlog of up to three times
+// the threshold for far less than helperAfter, so it runs on the caller
+// alone, with the conflict set of the single-threaded oracle. Only a cycle
+// that lasted helperAfter may start helpers; such an attempt, one the host
+// held up, is retried. Under -race a task costs several µs and the cycle
+// can outlast helperAfter on its own, so there the test checks only that
+// no shorter cycle crossed.
+func TestCrossingKeepsFineBacklogOnLead(t *testing.T) {
+	_, want, _ := hubCycle(t, Config{Processes: 1}, false)
 	for _, pol := range allPolicies {
 		for _, procs := range []int{2, 4, 13} {
-			st, got := hubCycle(Config{Processes: procs, Policy: pol})
+			const attempts = 5
+			var st CycleStats
+			for range attempts {
+				var got []string
+				var took time.Duration
+				st, got, took = hubCycle(t, Config{Processes: procs, Policy: pol}, false)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%v/%d: conflict set diverged from the single-threaded oracle:\n got %v\nwant %v", pol, procs, got, want)
+				}
+				if st.Workers == 1 {
+					break
+				}
+				if took < helperAfter {
+					t.Fatalf("%v/%d: a %v cycle started %d processes, before its backlog could last %v", pol, procs, took, st.Workers, helperAfter)
+				}
+			}
+			if raceEnabled && st.Workers > 1 {
+				continue
+			}
+			if st.Workers != 1 || st.TermProbes != 1 || st.Steals != 0 {
+				t.Fatalf("%v/%d: Workers=%d TermProbes=%d Steals=%d in each of %d attempts, want 1, 1, 0", pol, procs, st.Workers, st.TermProbes, st.Steals, attempts)
+			}
+		}
+	}
+}
+
+// TestCrossingStartsHelpersMidCycle pins the coarse side: a hub cycle
+// whose first fanned-out task is stalled for helperAfter starts on the
+// caller alone, holds its backlog across that task, and must then start
+// every granted helper mid-cycle — with the conflict set of the
+// single-threaded oracle. CI runs it under -race and with GOMAXPROCS=1.
+func TestCrossingStartsHelpersMidCycle(t *testing.T) {
+	_, want, _ := hubCycle(t, Config{Processes: 1}, true)
+	for _, pol := range allPolicies {
+		for _, procs := range []int{2, 4, 13} {
+			st, got, _ := hubCycle(t, Config{Processes: procs, Policy: pol}, true)
 			if st.Workers != procs || st.TermProbes != int64(procs) {
 				t.Fatalf("%v/%d: Workers=%d TermProbes=%d, want every granted process started", pol, procs, st.Workers, st.TermProbes)
 			}
@@ -115,7 +178,7 @@ func TestCrossingStartsHelpersMidCycle(t *testing.T) {
 		}
 		// A contended budget grants the crossing what is free, not what is configured.
 		b := NewBudget(3)
-		if st, _ := hubCycle(Config{Processes: 13, Policy: pol, Budget: b}); st.Workers != 3 || b.InUse() != 0 {
+		if st, _, _ := hubCycle(t, Config{Processes: 13, Policy: pol, Budget: b}, true); st.Workers != 3 || b.InUse() != 0 {
 			t.Fatalf("%v: Workers=%d under a 3-slot budget (in use after: %d), want 3 and 0", pol, st.Workers, b.InUse())
 		}
 	}

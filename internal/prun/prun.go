@@ -216,7 +216,7 @@ type Runtime struct {
 	// queues are the policy's task queues, one per process, and the only
 	// policy-dependent state. workers are the match processes;
 	// they persist across cycles (each keeps its task free list); a cycle
-	// runs worker 0 on its caller and, past helperThreshold, the next few.
+	// runs worker 0 on its caller and, once it crosses, the next few.
 	queues  []queue
 	workers []*worker
 	inj     injector
@@ -296,7 +296,7 @@ func New(nw *rete.Network, cfg Config) *Runtime {
 	}
 	rt.workers = make([]*worker, cfg.Processes)
 	for i := range rt.workers {
-		rt.workers[i] = &worker{sched: sched{rt: rt}, id: i}
+		rt.workers[i] = &worker{sched: sched{rt: rt, q: rt.queues[i]}, id: i}
 	}
 	rt.inj.s = &rt.workers[0].sched
 	return rt
@@ -328,14 +328,13 @@ func (rt *Runtime) attached() (rec bool, timeMask uint64) {
 // across the workers (work-stealing steals whole batches).
 const suppBatch = 32
 
-// injector spreads a cycle's root tasks round-robin over the queues. It
-// runs before the match processes start, so it may push onto any queue, and
-// it schedules through worker 0's sched to draw on that worker's free list
-// (worker.begin points the sched back at its own queue). Worker 0 runs in
-// every cycle, but the tasks the helpers steal are recycled onto their
+// injector schedules a cycle's root tasks, all of them onto worker 0's
+// queue through worker 0's sched, drawing on that worker's free list. A
+// cycle that no helper joins so runs exactly the one-process schedule; a
+// helper that starts steals the roots like any other task. Worker 0 runs
+// in every cycle, but the tasks the helpers steal are recycled onto their
 // lists, not its own; rebalance deals the lists back out when a cycle with
-// helpers ends. Roots parked on the queue of a process that is never
-// started are reached by worker 0's steal scan.
+// helpers ends.
 //
 // Suppressed right activations — destinations whose left memory was empty
 // at injection time — are deferred into batch tasks instead of executed
@@ -347,19 +346,11 @@ const suppBatch = 32
 // free list with the array it kept.
 type injector struct {
 	s     *sched
-	rr    int
 	batch *rete.Task
 }
 
-// rotate points the injector at the next queue.
-func (in *injector) rotate() {
-	in.rr++
-	in.s.q = in.s.rt.queues[in.rr%len(in.s.rt.queues)]
-}
-
-// delta injects one wme change onto the next queue.
+// delta injects one wme change.
 func (in *injector) delta(d wme.Delta) {
-	in.rotate()
 	in.s.rt.nw.Inject(d, in.activate)
 }
 
@@ -382,15 +373,14 @@ func (in *injector) activate(n *rete.BetaNode, w *wme.WME, op wme.Op) {
 	}
 }
 
-// flush schedules the pending suppressed activations as one batch task on
-// the next queue (no-op when there are none).
+// flush schedules the pending suppressed activations as one batch task
+// (no-op when there are none).
 func (in *injector) flush() {
 	t := in.batch
 	if t == nil {
 		return
 	}
 	in.batch = nil
-	in.rotate()
 	t.Node, t.Dir = t.Supp[0].Node, rete.DirRight
 	in.s.Push(t)
 }
@@ -399,6 +389,7 @@ func (in *injector) flush() {
 // quiescence. Per the paper's measurement methodology (§6), all wme changes
 // are applied before match begins.
 func (rt *Runtime) RunCycle(deltas []wme.Delta) CycleStats {
+	rt.inj.s.rec, _ = rt.attached()
 	for _, d := range deltas {
 		rt.inj.delta(d)
 	}
@@ -411,37 +402,50 @@ func (rt *Runtime) RunCycle(deltas []wme.Delta) CycleStats {
 // live wme in all through the alpha paths that feed info's new nodes
 // (rete.InjectUpdate), and runs to quiescence.
 func (rt *Runtime) RunSeeded(info *rete.AddInfo, seeds []*rete.Task, all []*wme.WME) CycleStats {
+	rt.inj.s.rec, _ = rt.attached()
 	for _, t := range seeds {
-		rt.inj.rotate()
 		rt.inj.s.Push(t)
 	}
 	for _, w := range all {
-		// One rotation per wme, as the injector makes per delta, so an
-		// activation lands on the queue injecting w as a delta would put
-		// it on.
-		rt.inj.rotate()
 		rt.nw.InjectUpdate(info, w, rt.inj.activate)
 	}
 	rt.inj.flush()
 	return rt.runToQuiescence()
 }
 
-// helperThreshold is the pending-task count at which a cycle starts its
-// helpers. From a sweep on a 2-core host, whose tables are in
-// `git show 23e7236661dd7b7053e35b771003f09fb5a47d28:EXPERIMENTS.md`:
-// a task costs 0.7–1.0 µs and a helper costs its cycle 1.4–1.8 µs to start
-// and await (≈ 4 µs when, as before PR 23, the caller parks as well), on a
-// cycle it can at best halve. Of {8, 16, 24, 32, 64, never}, 24 is the
-// smallest at which the small-cycle trajectories (cypress, 5 tasks at the
-// median; eight-puzzle, 34) read as they do at "never" while strips cycles
-// (135) read as they do with helpers always started.
-const helperThreshold = 24
+// helperThreshold and helperAfter are the crossing: a cycle starts its
+// helpers once helperThreshold tasks have stayed pending for helperAfter
+// of wall-clock time. A task here costs about 1 µs, against 400 µs for a
+// node activation on the paper's Multimax, and a helper, which starts
+// late and shares queues and counters with the lead, cost every real
+// workload more than it took over; a backlog that lasts a millisecond is
+// one of tasks large enough to repay it. The sweep, on a 2-core host
+// (benchmark/run.sh, 12 s runs, seeds 21 and 22; the first row is the
+// count-only crossing with roots dealt round-robin over the queues):
+//
+//	helperAfter      soar-learn work/s   match-replay work/s
+//	count only       4,017  4,468         92,755   86,968
+//	100 µs           5,358  5,778         79,210   91,802
+//	250 µs           4,694  5,788         90,781  106,354
+//	1 ms             5,308  6,360        130,850  120,102
+//	4 ms             5,694  6,356        134,680  129,072
+//	never            5,792  6,034        151,222  120,430
+//
+// 1 ms is the shortest at which both read like never, and a cycle of
+// paper-sized tasks (BenchmarkStalledFanout, 2 ms each) still crosses
+// after the first task it runs with the backlog held. The count keeps a
+// cycle that never holds 24 tasks — every cypress and served b=1 cycle —
+// from reading the clock at all.
+const (
+	helperThreshold = 24
+	helperAfter     = time.Millisecond
+)
 
 // runToQuiescence runs the injected tasks to completion under the cycle's
 // supervision: a panicking process or an expired watchdog deadline poisons
 // the cycle, the processes exit, and the cycle is reported Failed. The
 // caller is the first match process (worker 0) and holds the budget's floor
-// of one slot; below helperThreshold there is no other, and no other slot.
+// of one slot; until the cycle crosses there is no other, and no other slot.
 func (rt *Runtime) runToQuiescence() CycleStats {
 	ctl := rt.nextCtl()
 	if d := rt.cfg.Deadline; d > 0 {
@@ -507,9 +511,9 @@ func rebalance(ws []*worker) {
 	}
 }
 
-// startHelpers is the crossing: worker 0 calls it once, the first time it
-// sees helperThreshold tasks pending, and every other match process the
-// budget can spare right now starts (run recovers, so Done is reached).
+// startHelpers is the crossing: worker 0 calls it once, when helperThreshold
+// tasks have stayed pending for helperAfter, and every other match process
+// the budget can spare right now starts (run recovers, so Done is reached).
 func (rt *Runtime) startHelpers(ctl *cycleCtl) {
 	n := rt.cfg.Processes - 1
 	if b := rt.cfg.Budget; b != nil {

@@ -49,9 +49,10 @@ func oracle(t *testing.T) (keys []string, tasks int) {
 // counters obeying their oracle values. At Processes=1 both policies
 // execute the identical LIFO order, so the task count must equal the
 // oracle's exactly; at higher counts the negated condition makes child-task
-// counts schedule-dependent, and the conflict set is the invariant. Run
-// under -race (CI) and with GOMAXPROCS=1 (CI leg) to catch
-// Gosched-dependent livelocks.
+// counts schedule-dependent, and the conflict set is the invariant. Above
+// one process each trial's first task is stalled for helperAfter, so its
+// add cycle crosses and runs with helpers. Run under -race (CI) and with
+// GOMAXPROCS=1 (CI leg) to catch Gosched-dependent livelocks.
 func TestQuiescenceStress(t *testing.T) {
 	refKeys, refTasks := oracle(t)
 	trials := 3
@@ -61,10 +62,18 @@ func TestQuiescenceStress(t *testing.T) {
 	for _, pol := range allPolicies {
 		for _, procs := range stressProcs {
 			t.Run(fmt.Sprintf("%v/procs=%d", pol, procs), func(t *testing.T) {
+				parallel := 0
 				for trial := 0; trial < trials; trial++ {
 					nw, cs, ws := buildNet(t)
-					rt := New(nw, Config{Processes: procs, Policy: pol})
+					cfg := Config{Processes: procs, Policy: pol}
+					if procs > 1 {
+						cfg.Fault = stallAt(0)
+					}
+					rt := New(nw, cfg)
 					st := rt.RunCycle(deltas(ws))
+					if st.Workers > 1 {
+						parallel++
+					}
 					if st.Tasks == 0 {
 						t.Fatalf("trial %d: no tasks executed", trial)
 					}
@@ -97,6 +106,9 @@ func TestQuiescenceStress(t *testing.T) {
 						dels = append(dels, wme.Delta{Op: wme.Remove, WME: w})
 					}
 					st = rt.RunCycle(dels)
+					if st.Workers > 1 {
+						parallel++
+					}
 					if st.TermProbes != int64(st.Workers) {
 						t.Fatalf("trial %d (drain): %d termination probes, want %d", trial, st.TermProbes, st.Workers)
 					}
@@ -109,6 +121,10 @@ func TestQuiescenceStress(t *testing.T) {
 					if n := nw.Mem.Tombstones(); n != 0 {
 						t.Fatalf("trial %d: %d tombstones", trial, n)
 					}
+				}
+				t.Logf("%d of %d cycles ran with helpers", parallel, 2*trials)
+				if procs > 1 && parallel == 0 {
+					t.Fatalf("no cycle ran with helpers")
 				}
 			})
 		}
@@ -313,9 +329,16 @@ func TestFreeListRebalance(t *testing.T) {
 					}
 					parked = total
 				}
+				// Every add cycle's first task is stalled, so it crosses,
+				// and so is its second, so that the helpers run and steal
+				// even on one P; the removal cycles keep their 1 µs tasks.
 				stole := 0
 				for i := 0; i < 100 && stole < 3; i++ {
 					for _, batch := range [][]wme.Delta{deltas(ws), removals(ws)} {
+						rt.cfg.Fault = nil
+						if batch[0].Op == wme.Add {
+							rt.cfg.Fault = stallAt(0, 1)
+						}
 						st := rt.RunCycle(batch)
 						check(st)
 						if st.Workers > 1 && st.Steals > 0 {
@@ -328,7 +351,9 @@ func TestFreeListRebalance(t *testing.T) {
 				}
 
 				// A poisoned cycle past the crossing abandons every list.
-				rt.cfg.Fault = fault.Plan(fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 2 * helperThreshold})
+				rt.cfg.Fault = fault.Plan(
+					fault.Fault{Site: fault.SiteExec, Kind: fault.KindStall, Visit: 0, Delay: helperAfter},
+					fault.Fault{Site: fault.SiteExec, Kind: fault.KindPanic, Visit: 2 * helperThreshold})
 				if st := rt.RunCycle(deltas(ws)); !st.Failed || st.Workers < 2 {
 					t.Fatalf("injected panic gave Failed=%v Workers=%d, want a failed cycle with helpers", st.Failed, st.Workers)
 				}

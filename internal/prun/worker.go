@@ -32,6 +32,9 @@ type sched struct {
 	// sched, unlike the worker's per-cycle bookkeeping, persists: the rate
 	// is one in SampleEvery whatever the cycle size.
 	ord uint64
+	// rec is set while the cycle records its tasks (Runtime.attached); only
+	// a record reads a task's Seq, so Push numbers tasks only then.
+	rec bool
 }
 
 // alloc returns a recycled (or fresh) blank task.
@@ -55,7 +58,9 @@ func (s *sched) Spill() *rete.Spill { return &s.spill }
 // Push enqueues an activation on the owner's queue.
 func (s *sched) Push(t *rete.Task) {
 	rt := s.rt
-	t.Seq = rt.seq.Add(1)
+	if s.rec {
+		t.Seq = rt.seq.Add(1)
+	}
 	rt.pending.Add(1)
 	s.q.push(t)
 }
@@ -89,14 +94,16 @@ type worker struct {
 	sched
 	id  int
 	ctl *cycleCtl
-	// lead marks worker 0 until it has started the cycle's helpers.
-	lead bool
+	// lead marks worker 0 until it has started the cycle's helpers;
+	// backlog is the clock reading at which the lead last saw the pending
+	// count reach helperThreshold, 0 while it is below.
+	lead    bool
+	backlog int64
 
 	// recs is the cycle's task records, appended iff something is attached
 	// (rec). The task of ordinal k is timed when k&timeMask is zero; last
 	// is the process's latest clock reading, where the next timed task
 	// starts.
-	rec      bool
 	timeMask uint64
 	last     int64
 	recs     []TaskRec
@@ -110,11 +117,10 @@ type worker struct {
 	panics     int
 }
 
-// begin resets the per-cycle bookkeeping, pointing the worker at its own
-// queue and at whatever is attached to the runtime now.
+// begin resets the per-cycle bookkeeping, pointing the worker at whatever
+// is attached to the runtime now.
 func (w *worker) begin(ctl *cycleCtl) {
 	*w = worker{sched: w.sched, id: w.id, ctl: ctl, recs: w.recs[:0]}
-	w.q = w.rt.queues[w.id%len(w.rt.queues)]
 	w.rec, w.timeMask = w.rt.attached()
 }
 
@@ -219,7 +225,9 @@ func (w *worker) quiesced() bool {
 // quiescence — the pending counter is consulted only after a fully failed
 // round, which is the termination protocol's confirmation scan. The lead
 // also looks at it once after injection and after each task it retires,
-// until the cycle has crossed helperThreshold.
+// until the cycle crosses: it reads the clock only while helperThreshold
+// tasks are pending, and starts the helpers once that backlog has lasted
+// helperAfter.
 func (w *worker) run() {
 	defer w.recovered()
 	w.stamp()
@@ -227,9 +235,15 @@ func (w *worker) run() {
 	nq := len(queues)
 	rot := 0
 	for !w.ctl.bad.Load() {
-		if w.lead && w.rt.pending.Load() >= helperThreshold {
-			w.lead = false
-			w.rt.startHelpers(w.ctl)
+		if w.lead {
+			if w.rt.pending.Load() < helperThreshold {
+				w.backlog = 0
+			} else if now := clock(); w.backlog == 0 {
+				w.backlog = now
+			} else if now-w.backlog >= int64(helperAfter) {
+				w.lead = false
+				w.rt.startHelpers(w.ctl)
+			}
 		}
 		t := own.pop()
 		stolen := false

@@ -120,6 +120,47 @@ func driveSession(url string, chunking bool, p cypress.Params, cycles, batch int
 	return recovered, postJSON("DELETE", base, nil, nil)
 }
 
+// driveIngest creates an IngestProgram session, sends each batch as one
+// ingest-only /run, and verifies every cycle's fingerprint against the
+// serial baseline want. It counts in helped the session's match cycles
+// that ran with helpers, read on its turn by the engine's AfterCycle hook,
+// and reports how many of its cycles went through the serial fallback.
+func driveIngest(s *Server, url string, batches [][]IngestOp, want []string, helped *atomic.Int64) (recovered int, err error) {
+	var created CreateResult
+	if err := postJSON("POST", url+"/sessions", CreateRequest{Program: IngestProgram}, &created); err != nil {
+		return 0, fmt.Errorf("ingest: create: %w", err)
+	}
+	ss := liveSession(s, created.ID)
+	if _, err := ss.submit(nil, func() (any, error) {
+		ss.eng.AfterCycle = func(cs *prun.CycleStats) {
+			if cs.Workers > 1 {
+				helped.Add(1)
+			}
+		}
+		return nil, nil
+	}); err != nil {
+		return 0, fmt.Errorf("%s: set AfterCycle: %w", created.ID, err)
+	}
+	base := url + "/sessions/" + created.ID
+	var ids []uint64
+	for i, ops := range batches {
+		ds, err := IngestBatchJSON(ops, ids)
+		if err != nil {
+			return 0, fmt.Errorf("%s: ingest #%d: %w", created.ID, i, err)
+		}
+		var res RunResult
+		if err := postJSON("POST", base+"/run", RunRequest{Deltas: ds}, &res); err != nil {
+			return 0, fmt.Errorf("%s: run: %w", created.ID, err)
+		}
+		if res.Fingerprints[0] != want[i] {
+			return 0, fmt.Errorf("%s: ingest #%d diverged from the serial baseline:\n  got  %s\n  want %s", created.ID, i, res.Fingerprints[0], want[i])
+		}
+		ids = append(ids, res.Added...)
+		recovered += res.Recovered
+	}
+	return recovered, postJSON("DELETE", base, nil, nil)
+}
+
 // lastCycleTexts renders, for a failure message, the conflict set a
 // served session holds after its last cycle beside the solo serial run's
 // at the same cycle, so a digest mismatch still shows which instantiation
@@ -137,11 +178,15 @@ func lastCycleTexts(base string, p cypress.Params, cycles int, chunking bool) st
 }
 
 // TestConcurrentSessionsByteIdentical is the serving conformance test (run
-// under -race in CI): under each policy, 8 concurrent sessions over one
-// shared 4-slot worker budget, with and without mid-stream
-// AddProductionRuntime chunking, on two servers. On the first, seeded
-// worker panics poison some cycles onto the serial-fallback path while the
-// rest run healthy, interleaved across all eight sessions. On the second, a
+// under -race in CI): under each policy, 8 concurrent cypress sessions, with
+// and without mid-stream AddProductionRuntime chunking, and 2 sessions
+// ingesting 64-delta batches, over one shared 4-slot worker budget, on three
+// servers. On the first, seeded worker panics poison some cycles onto the
+// serial-fallback path while the rest run healthy, interleaved across all
+// ten sessions. On the second, seeded 2 ms stalls stand in for paper-sized
+// tasks: an ingest cycle whose backlog is held across one crosses, so some
+// cycle must run with helpers (a cypress cycle never holds a backlog, and
+// nearly every ingest cycle on the first server panics). On the third, a
 // 1ns deadline poisons every cycle that runs a task: each task stalls until
 // the watchdog fires. Every session's per-cycle conflict-set fingerprints
 // must be byte-identical to a solo serial run of the same task.
@@ -153,17 +198,28 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 		true:  soloFingerprints(t, p, cycles, true),
 	}
 	chunking := []bool{false, true, false, true, false, true, true, false}
+	const ingesters = 2
+	batches := ChopScript(IngestScript(512), 64)
+	ingestWant, err := IngestBaseline(batches)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pol := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 		t.Run(pol.String(), func(t *testing.T) {
-			for _, cfg := range []Config{
-				{Fault: fault.Seeded(11, fault.Rates{Panic: 2048})},
-				{Deadline: time.Nanosecond, Fault: fault.Seeded(11, fault.Rates{Stall: 1 << 16, StallFor: time.Minute})},
+			for _, srv := range []struct {
+				name string
+				cfg  Config
+			}{
+				{"panics", Config{Fault: fault.Seeded(11, fault.Rates{Panic: 2048})}},
+				{"stalls", Config{Fault: fault.Seeded(11, fault.Rates{Stall: 2048, StallFor: 2 * time.Millisecond})}},
+				{"deadline", Config{Deadline: time.Nanosecond, Fault: fault.Seeded(11, fault.Rates{Stall: 1 << 16, StallFor: time.Minute})}},
 			} {
+				cfg := srv.cfg
 				cfg.Workers, cfg.Processes, cfg.Policy, cfg.QueueDepth, cfg.Obs = 4, 4, pol, 8, obs.New()
 				s, ts := testServer(t, cfg)
 				var wg sync.WaitGroup
-				var recovered atomic.Int64
-				errs := make(chan error, len(chunking))
+				var recovered, helped atomic.Int64
+				errs := make(chan error, len(chunking)+ingesters)
 				for _, c := range chunking {
 					wg.Add(1)
 					go func(c bool) {
@@ -173,6 +229,15 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 						errs <- err
 					}(c)
 				}
+				for range ingesters {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						n, err := driveIngest(s, ts.URL, batches, ingestWant, &helped)
+						recovered.Add(int64(n))
+						errs <- err
+					}()
+				}
 				wg.Wait()
 				close(errs)
 				for err := range errs {
@@ -180,16 +245,18 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 						t.Error(err)
 					}
 				}
-				total := len(chunking) * cycles
+				total := len(chunking)*cycles + ingesters*len(batches)
 				if got := s.cfg.Obs.Counter("serve_cycles_total").Value(); got != uint64(total) {
 					t.Fatalf("serve_cycles_total = %d, want %d (no lost cycles)", got, total)
 				}
 				n := recovered.Load()
-				t.Logf("deadline %v: %d of %d cycles recovered", cfg.Deadline, n, total)
+				t.Logf("%s: %d of %d cycles recovered; %d ingest match cycles ran with helpers", srv.name, n, total, helped.Load())
 				switch {
-				case cfg.Deadline == 0 && (n == 0 || n == int64(total)):
+				case srv.name == "panics" && (n == 0 || n == int64(total)):
 					t.Fatalf("seeded panics recovered %d of %d cycles, want some poisoned and some healthy", n, total)
-				case cfg.Deadline > 0 && n <= int64(total/2):
+				case srv.name == "stalls" && helped.Load() == 0:
+					t.Fatalf("no ingest cycle held its backlog across a 2 ms stall and ran with helpers")
+				case srv.name == "deadline" && n <= int64(total/2):
 					t.Fatalf("a 1ns deadline over stalled tasks recovered %d of %d cycles, want most", n, total)
 				}
 			}
