@@ -165,6 +165,11 @@ func TestCrossingKeepsFineBacklogOnLead(t *testing.T) {
 // every granted helper mid-cycle — with the conflict set of the
 // single-threaded oracle. CI runs it under -race and with GOMAXPROCS=1.
 func TestCrossingStartsHelpersMidCycle(t *testing.T) {
+	// Tests outside this package stall tasks for the CLI's stall to make a
+	// cycle cross; it must outlast the crossing.
+	if d := fault.DefaultRates().StallFor; d <= helperAfter {
+		t.Fatalf("the CLI's stall of %v does not outlast helperAfter (%v): stalled tasks elsewhere no longer cross", d, helperAfter)
+	}
 	_, want, _ := hubCycle(t, Config{Processes: 1}, true)
 	for _, pol := range allPolicies {
 		for _, procs := range []int{2, 4, 13} {

@@ -183,9 +183,9 @@ func lastCycleTexts(base string, p cypress.Params, cycles int, chunking bool) st
 // ingesting 64-delta batches, over one shared 4-slot worker budget, on three
 // servers. On the first, seeded worker panics poison some cycles onto the
 // serial-fallback path while the rest run healthy, interleaved across all
-// ten sessions. On the second, seeded 2 ms stalls stand in for paper-sized
-// tasks: an ingest cycle whose backlog is held across one crosses, so some
-// cycle must run with helpers (a cypress cycle never holds a backlog, and
+// ten sessions. On the second, seeded stalls of the CLI's 2 ms stand in for
+// paper-sized tasks: an ingest cycle whose backlog is held across one
+// crosses, so some cycle must run with helpers (a cypress cycle never holds a backlog, and
 // nearly every ingest cycle on the first server panics). On the third, a
 // 1ns deadline poisons every cycle that runs a task: each task stalls until
 // the watchdog fires. Every session's per-cycle conflict-set fingerprints
@@ -211,7 +211,7 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 				cfg  Config
 			}{
 				{"panics", Config{Fault: fault.Seeded(11, fault.Rates{Panic: 2048})}},
-				{"stalls", Config{Fault: fault.Seeded(11, fault.Rates{Stall: 2048, StallFor: 2 * time.Millisecond})}},
+				{"stalls", Config{Fault: fault.Seeded(11, fault.Rates{Stall: 2048, StallFor: fault.DefaultRates().StallFor})}},
 				{"deadline", Config{Deadline: time.Nanosecond, Fault: fault.Seeded(11, fault.Rates{Stall: 1 << 16, StallFor: time.Minute})}},
 			} {
 				cfg := srv.cfg

@@ -8,6 +8,7 @@ import (
 
 	"soarpsme/internal/conflict"
 	"soarpsme/internal/engine"
+	"soarpsme/internal/fault"
 	"soarpsme/internal/prun"
 	"soarpsme/internal/rete"
 	"soarpsme/internal/serve"
@@ -23,7 +24,8 @@ import (
 // one to three instantiations behind whose retract had overtaken their
 // insert. The solved, chunked engine's captured delta batches are replayed
 // inverse then forward — which returns the network to the captured state —
-// and every round must end with exactly the captured conflict set.
+// and every round must end with exactly the captured conflict set. Stalled
+// tasks (paperTasks) make some cycles run with helpers.
 func TestParallelReplayLeavesNoStaleInstantiation(t *testing.T) {
 	a, inv, fwd := capture(t)
 	want := serve.Fingerprint(a.Eng)
@@ -35,12 +37,17 @@ func TestParallelReplayLeavesNoStaleInstantiation(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		for _, policy := range []prun.Policy{prun.MultiQueue, prun.WorkStealing} {
 			t.Run(fmt.Sprintf("%v/p%d", policy, procs), func(t *testing.T) {
-				rt := prun.New(a.Eng.NW, prun.Config{Processes: procs, Policy: policy})
+				rt := prun.New(a.Eng.NW, prun.Config{Processes: procs, Policy: policy, Fault: paperTasks()})
+				helped := 0
 				for r := 0; r < rounds; r++ {
 					for _, pass := range [][][]wme.Delta{inv, fwd} {
 						for _, batch := range pass {
-							if cs := rt.RunCycle(batch); cs.Failed {
+							cs := rt.RunCycle(batch)
+							if cs.Failed {
 								t.Fatalf("round %d: cycle failed: %s", r, cs.Reason)
+							}
+							if cs.Workers > 1 {
+								helped++
 							}
 						}
 					}
@@ -50,6 +57,10 @@ func TestParallelReplayLeavesNoStaleInstantiation(t *testing.T) {
 					if got := serve.Fingerprint(a.Eng); got != want {
 						t.Fatalf("round %d: conflict set differs from the captured one:\n got %s\nwant %s", r, got, want)
 					}
+				}
+				t.Logf("%d cycles of %d rounds ran with helpers", helped, rounds)
+				if helped == 0 {
+					t.Fatalf("no cycle of %d rounds ran with helpers", rounds)
 				}
 			})
 		}
@@ -139,8 +150,8 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 		}
 		return int64(after.Mallocs - before.Mallocs), emitted, inserts, cycles, helped
 	}
-	serial := prun.New(nw, prun.Config{Processes: 1, Policy: prun.WorkStealing})
-	parallel := prun.New(nw, prun.Config{Processes: 2, Policy: prun.WorkStealing})
+	serial := prun.New(nw, prun.Config{Processes: 1, Policy: prun.WorkStealing, Fault: paperTasks()})
+	parallel := prun.New(nw, prun.Config{Processes: 2, Policy: prun.WorkStealing, Fault: paperTasks()})
 	round(serial)
 	round(parallel)
 	one, _, _, _, _ := round(serial)
@@ -158,6 +169,14 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	if bound := one + perCycle*cycles; two > bound {
 		t.Fatalf("a steady-state replay round allocates %d objects at two workers, want at most %d (%d at one worker)", two, bound, one)
 	}
+}
+
+// paperTasks stalls one match task in 4096 for the CLI's stall, a stand-in
+// for the paper's 400 µs node activation where a task here costs about
+// 1 µs: a replay cycle whose backlog is held across such a task starts its
+// helpers, and some cycles of every round do, however fast the host.
+func paperTasks() *fault.Injector {
+	return fault.Seeded(1, fault.Rates{Stall: 16, StallFor: fault.DefaultRates().StallFor})
 }
 
 // insertCounter counts conflict-set inserts on their way to the set.
