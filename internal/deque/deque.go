@@ -74,6 +74,16 @@ func (d *Deque[T]) grow(old *ring[T], b, t int64) *ring[T] {
 	return r
 }
 
+// Len reports the approximate number of queued items (exact when no
+// concurrent operations are in flight).
+func (d *Deque[T]) Len() int {
+	n := d.bottom.Load() - d.top.Load()
+	if n < 0 {
+		return 0
+	}
+	return int(n)
+}
+
 // PopBottom removes and returns the most recently pushed item, or nil if
 // the deque is empty. Owner only.
 func (d *Deque[T]) PopBottom() *T {

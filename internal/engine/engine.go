@@ -245,13 +245,15 @@ func (e *Engine) Obs() *obs.Observer { return e.obs }
 // previous harvest into the registry: the paper's contention measures
 // (queue-lock and hash-line lock counts, bucket accesses; Figures 6-2/6-3)
 // and the null-suppressed and alpha-dispatch counts. Reading the line
-// tallies sweeps every line of the table — a lock each, whatever the cycle
-// touched — so no cycle pays for any of it: the harvest runs when the totals
-// are looked at (the registry's OnCollect hook, so /metrics and the -metrics
-// file are exact at scrape time), before the table is discarded
-// (resetMatchState) and when the engine is released (Close). It may run
-// concurrently with a match cycle: every counter is read atomically or
-// under its line's lock.
+// lock counts sweeps every line of the table, so no cycle pays for any of
+// it: the harvest runs when the totals are looked at (the registry's
+// OnCollect hook, for /metrics and the -metrics file), before the table is
+// discarded (resetMatchState) and when the engine is released (Close). It
+// may run concurrently with a match cycle and reads only atomics — never a
+// line, which a lead running alone writes without its lock — so what it
+// folds is exact as of the last finished cycle: the bucket accesses, the
+// match-work counts and the lock acquisitions a lone lead skipped reach
+// the shared counters when a cycle ends.
 func (e *Engine) harvest() {
 	e.harvestMu.Lock()
 	defer e.harvestMu.Unlock()

@@ -168,8 +168,7 @@ func TestLineHarvest(t *testing.T) {
 			}
 		}
 	}
-	// tallies reads a table's cumulative counts. Lock acquires first:
-	// reading the access counts takes each line's lock.
+	// tallies reads a table's cumulative counts.
 	tallies := func(m *rete.Mem) (acq, acc uint64) {
 		_, acq = m.LockStats()
 		_, l, r := m.Tallies()

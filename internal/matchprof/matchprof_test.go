@@ -346,7 +346,7 @@ func TestServeDebugMatchConcurrent(t *testing.T) {
 }
 
 // The fold is checked against counters it does not feed: rete's own
-// NetStats, bumped inside Exec, and the runtime's task counter. After a
+// NetStats, tallied inside Exec, and the runtime's task counter. After a
 // cypress drive with chunk additions and one worker panic — a poisoned
 // cycle, whose executed tasks still count, and its serial replay — every
 // activation, null activation and (until the replay, whose inline

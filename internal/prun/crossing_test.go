@@ -53,6 +53,98 @@ func TestSmallCycleStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// leadWatch is a conflict listener that counts the conflict-set updates
+// made while the lead was not alone. execP makes each update while it holds
+// the instantiation's hash line, so an update made with the lead alone is
+// one whose line lock was skipped.
+type leadWatch struct {
+	*csCount
+	lead   *rete.Proc
+	shared int
+}
+
+func (w *leadWatch) Insert(p *rete.Production, t *rete.Token) {
+	if !w.lead.Alone {
+		w.shared++
+	}
+	w.csCount.Insert(p, t)
+}
+
+func (w *leadWatch) Retract(p *rete.Production, t *rete.Token) {
+	if !w.lead.Alone {
+		w.shared++
+	}
+	w.csCount.Retract(p, t)
+}
+
+// TestLoneLeadTakesNoLock pins what a cycle its lead runs alone does not
+// do: at Processes=2, below-threshold cycles take no queue lock — every
+// queue lock's own counters stay zero, under both policies — and no line
+// lock, as every conflict-set update finds the lead alone (rete's
+// TestLoneProcessTakesNoLineLock pins that such a process skips the line's
+// lock). Yet QueueLockStats, Mem.LockStats and every NetStats field read
+// exactly what the same cycles read at Processes=1, the conflict set is
+// the same, and nothing is left pending.
+func TestLoneLeadTakesNoLock(t *testing.T) {
+	type reading struct {
+		queue, line [2]uint64
+		net         [8]int64
+		cs          string
+	}
+	read := func(rt *Runtime) reading {
+		var r reading
+		r.queue[0], r.queue[1] = rt.QueueLockStats()
+		r.line[0], r.line[1] = rt.nw.Mem.LockStats()
+		s := &rt.nw.Stats
+		r.net = [8]int64{s.ConstTests.Load(), s.Activations.Load(), s.Comparisons.Load(), s.TokensEmitted.Load(),
+			s.NullActs.Load(), s.NullSuppressed.Load(), s.AlphaHits.Load(), s.AlphaMisses.Load()}
+		return r
+	}
+	for _, pol := range allPolicies {
+		t.Run(pol.String(), func(t *testing.T) {
+			var runs [2][]reading
+			var lone *Runtime
+			for i, procs := range []int{1, 2} {
+				nw, cs, ws := buildNet(t)
+				rt := New(nw, Config{Processes: procs, Policy: pol})
+				watch := &leadWatch{csCount: cs, lead: &rt.workers[0].proc}
+				nw.CS = watch
+				for _, batch := range [][]wme.Delta{deltas(ws[:4]), deltas(ws[4:8]), removals(ws[:4]), deltas(ws[8:12]), removals(ws[4:8])} {
+					st := rt.RunCycle(batch)
+					if st.Workers != 1 || st.Tasks == 0 || st.Tasks >= helperThreshold {
+						t.Fatalf("P=%d: a cycle ran %d tasks on %d processes; this test wants one process below the threshold of %d", procs, st.Tasks, st.Workers, helperThreshold)
+					}
+					r := read(rt)
+					r.cs = fmt.Sprint(cs.keys())
+					runs[i] = append(runs[i], r)
+				}
+				if watch.shared != 0 {
+					t.Fatalf("P=%d: %d conflict-set updates were made with the lead not alone", procs, watch.shared)
+				}
+				if n := rt.pending.Load(); n != 0 || !rt.workers[0].proc.Alone {
+					t.Fatalf("P=%d: pending %d, lead alone %v between cycles", procs, n, rt.workers[0].proc.Alone)
+				}
+				lone = rt
+			}
+			for i, q := range lone.queues {
+				if lq, ok := q.(*lockQueue); ok {
+					if s, a := lq.lock.Stats(); s != 0 || a != 0 {
+						t.Fatalf("queue %d's lock was taken: %d spins, %d acquires", i, s, a)
+					}
+				}
+			}
+			for c := range runs[0] {
+				if runs[1][c] != runs[0][c] {
+					t.Fatalf("cycle %d: P=2 reads %+v, P=1 %+v", c, runs[1][c], runs[0][c])
+				}
+			}
+			if last := runs[1][len(runs[1])-1]; last.line[1] == 0 || (last.queue[1] == 0) != (pol == WorkStealing) {
+				t.Fatalf("%d line and %d queue lock acquisitions counted", last.line[1], last.queue[1])
+			}
+		})
+	}
+}
+
 // fanNet compiles one production whose first condition matches a single
 // hub wme and whose second matches every spoke: adding the hub to a memory
 // of spokes is a cycle of ONE root task that emits a task per spoke.

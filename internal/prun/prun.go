@@ -221,8 +221,13 @@ type Runtime struct {
 	workers []*worker
 	inj     injector
 
-	pending atomic.Int64
-	seq     atomic.Int64
+	// pending counts the tasks queued or running once a cycle has crossed;
+	// before, the lead's queue holds them all and it is not kept.
+	// queueSkipped is the queue-lock acquisitions the lead skipped while
+	// alone, folded in by collect.
+	pending      atomic.Int64
+	seq          atomic.Int64
+	queueSkipped atomic.Uint64
 
 	// ctl is the control reused by unsupervised cycles (nextCtl).
 	ctl *cycleCtl
@@ -286,17 +291,22 @@ func New(nw *rete.Network, cfg Config) *Runtime {
 		cfg.Processes = 1
 	}
 	rt := &Runtime{nw: nw, cfg: cfg}
-	rt.queues = make([]queue, cfg.Processes)
-	for i := range rt.queues {
-		if cfg.Policy == WorkStealing {
-			rt.queues[i] = dequeQueue{deque.New[rete.Task](0)}
-		} else {
-			rt.queues[i] = &lockQueue{}
-		}
-	}
 	rt.workers = make([]*worker, cfg.Processes)
 	for i := range rt.workers {
-		rt.workers[i] = &worker{sched: sched{rt: rt, q: rt.queues[i]}, id: i}
+		rt.workers[i] = &worker{sched: sched{rt: rt}, id: i}
+	}
+	// Between cycles the lead is alone: the injector pushes the next
+	// cycle's roots onto its queue before it runs.
+	alone := &rt.workers[0].proc.Alone
+	*alone = true
+	rt.queues = make([]queue, cfg.Processes)
+	for i, w := range rt.workers {
+		if cfg.Policy == WorkStealing {
+			w.q = dequeQueue{deque.New[rete.Task](0)}
+		} else {
+			w.q = &lockQueue{alone: alone}
+		}
+		rt.queues[i] = w.q
 	}
 	rt.inj.s = &rt.workers[0].sched
 	return rt
@@ -445,7 +455,9 @@ const (
 // supervision: a panicking process or an expired watchdog deadline poisons
 // the cycle, the processes exit, and the cycle is reported Failed. The
 // caller is the first match process (worker 0) and holds the budget's floor
-// of one slot; until the cycle crosses there is no other, and no other slot.
+// of one slot; until the cycle crosses there is no other, and no other slot,
+// and the lead runs alone: it takes no line or queue lock and keeps no
+// pending count. Once the helpers have exited it is alone again.
 func (rt *Runtime) runToQuiescence() CycleStats {
 	ctl := rt.nextCtl()
 	if d := rt.cfg.Deadline; d > 0 {
@@ -464,11 +476,11 @@ func (rt *Runtime) runToQuiescence() CycleStats {
 	}
 	w := rt.workers[0]
 	w.begin(ctl)
-	w.lead = rt.cfg.Processes > 1
 	w.run()
 	if ctl.helpers > 0 {
 		ctl.wg.Wait()
 	}
+	w.proc.Alone = true
 	cs := rt.collect(1 + ctl.helpers)
 	if ctl.bad.Load() {
 		rt.drainPoisoned()
@@ -514,7 +526,14 @@ func rebalance(ws []*worker) {
 // startHelpers is the crossing: worker 0 calls it once, when helperThreshold
 // tasks have stayed pending for helperAfter, and every other match process
 // the budget can spare right now starts (run recovers, so Done is reached).
+// The lead stops running alone first, even when the budget grants no
+// helper: the pending count takes over from its queue's length, and from
+// here on every process locks. The go statements publish everything the
+// lead wrote without a lock.
 func (rt *Runtime) startHelpers(ctl *cycleCtl) {
+	lead := rt.workers[0]
+	rt.pending.Store(int64(lead.q.len()))
+	lead.proc.Alone = false
 	n := rt.cfg.Processes - 1
 	if b := rt.cfg.Budget; b != nil {
 		n = b.tryAcquire(n)
@@ -529,11 +548,14 @@ func (rt *Runtime) startHelpers(ctl *cycleCtl) {
 
 // collect folds the cycle-local counters of the n processes that ran into the
 // cycle's stats and publishes them to the observer's registry: one Add each
-// per cycle. If the workers recorded their tasks it then makes the one pass
-// every per-task observer is derived from: the records are merged into
-// Trace, folded into the profiler's cells and histograms and into
-// match_task_cost_us, and handed to the tracer as one lazy batch — nothing
-// is rendered unless the trace is read.
+// per cycle. It adds each process's tallies of the network's counters into
+// those (rete.Network.Publish) and the queue-lock acquisitions the lead
+// skipped into the runtime's count, so no activation or queue operation
+// bumps a shared counter. If the workers recorded their tasks it then makes
+// the one pass every per-task observer is derived from: the records are
+// merged into Trace, folded into the profiler's cells and histograms and
+// into match_task_cost_us, and handed to the tracer as one lazy batch —
+// nothing is rendered unless the trace is read.
 func (rt *Runtime) collect(n int) CycleStats {
 	cs := CycleStats{Workers: n}
 	nrec := 0
@@ -546,6 +568,11 @@ func (rt *Runtime) collect(n int) CycleStats {
 		cs.SuppBatches += w.batches
 		cs.Panics += w.panics
 		nrec += len(w.recs)
+		rt.nw.Publish(&w.proc)
+		if lq, ok := w.q.(*lockQueue); ok && lq.skipped != 0 {
+			rt.queueSkipped.Add(lq.skipped)
+			lq.skipped = 0
+		}
 	}
 	h := rt.obs
 	if h != nil {
@@ -652,7 +679,9 @@ func (rt *Runtime) ReplaySerial(all []*wme.WME) CycleStats {
 // counterpart of the paper's spins/task measure, read by queue_lock_spins_total
 // and psme -stats. Figure 6-3 itself is drawn by internal/sim from
 // one-process traces, not from these counts. Always zero under the
-// lock-free WorkStealing policy.
+// lock-free WorkStealing policy. The acquires count each acquisition the
+// lead skipped while alone, as of the last finished cycle: they are those
+// of the same schedule with every queue locked.
 func (rt *Runtime) QueueLockStats() (spins, acquires uint64) {
 	for _, q := range rt.queues {
 		if lq, ok := q.(*lockQueue); ok {
@@ -661,5 +690,5 @@ func (rt *Runtime) QueueLockStats() (spins, acquires uint64) {
 			acquires += a
 		}
 	}
-	return
+	return spins, acquires + rt.queueSkipped.Load()
 }

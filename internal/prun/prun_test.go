@@ -371,8 +371,13 @@ func TestPoisonedControlReplaced(t *testing.T) {
 // what a steady-state cycle allocates beyond the same cycle with nothing
 // attached is a small constant — the cycle's record slice and the tracer's
 // batch — whether the cycle runs a dozen tasks or a couple of hundred. It
-// was seven allocations per task when every task built its own span.
+// was seven allocations per task when every task built its own span. Not
+// under the race detector, whose own allocations AllocsPerRun counts too:
+// on a loaded host they pushed the difference past the bound now and then.
 func TestAttachedAllocsPerCycleConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
 	nw, _, ws := buildNet(t)
 	measure := func(rt *Runtime, ws []*wme.WME) (allocs float64, tasks int) {
 		add, del := deltas(ws), removals(ws)
@@ -397,8 +402,7 @@ func TestAttachedAllocsPerCycleConstant(t *testing.T) {
 		t.Fatalf("cycles of %d and %d tasks do not span the sizes this test is about", nSmall, nBig)
 	}
 	extraSmall, extraBig := small1-small0, big1-big0
-	// 4 and 4 as built by go test; the race detector's own allocations move
-	// both by one or two, hence the slack. One per task would be +181.
+	// 4 and 4 as built by go test. One per task would be +181.
 	if extraBig-extraSmall > 4 || extraBig > 12 {
 		t.Fatalf("attached cycles allocate %v extra at %d tasks and %v extra at %d tasks per add+remove pair; want the same small constant",
 			extraSmall, nSmall, extraBig, nBig)

@@ -21,12 +21,14 @@ const freeListCap = 2048
 // sched is the rete.Scheduler of one match process under every policy: it
 // pushes onto the process's own queue and recycles executed tasks through a
 // per-worker free list so the steady-state hot path allocates no tasks. It
-// is used by one goroutine at a time.
+// is used by one goroutine at a time. proc is the process's rete state;
+// worker 0's proc.Alone is set while it runs its cycle alone, and then its
+// pushes and retirements do not touch the pending counter.
 type sched struct {
-	rt    *Runtime
-	q     queue
-	free  []*rete.Task
-	spill rete.Spill
+	rt   *Runtime
+	q    queue
+	free []*rete.Task
+	proc rete.Proc
 	// ord is the ordinal of the last task this process recorded, the number
 	// the wall-clock sampling mask applies to. It lives here because the
 	// sched, unlike the worker's per-cycle bookkeeping, persists: the rate
@@ -51,9 +53,9 @@ func (s *sched) alloc() *rete.Task {
 // worker's free list when one is parked there.
 func (s *sched) NewTask() *rete.Task { return s.alloc() }
 
-// Spill implements rete.Scheduler: the one suppressed-run overflow buffer
-// of this match process, reused by every activation it executes.
-func (s *sched) Spill() *rete.Spill { return &s.spill }
+// Proc implements rete.Scheduler: this match process's own state, reused
+// by every activation it executes.
+func (s *sched) Proc() *rete.Proc { return &s.proc }
 
 // Push enqueues an activation on the owner's queue.
 func (s *sched) Push(t *rete.Task) {
@@ -61,7 +63,9 @@ func (s *sched) Push(t *rete.Task) {
 	if s.rec {
 		t.Seq = rt.seq.Add(1)
 	}
-	rt.pending.Add(1)
+	if !s.proc.Alone {
+		rt.pending.Add(1)
+	}
 	s.q.push(t)
 }
 
@@ -94,10 +98,8 @@ type worker struct {
 	sched
 	id  int
 	ctl *cycleCtl
-	// lead marks worker 0 until it has started the cycle's helpers;
-	// backlog is the clock reading at which the lead last saw the pending
-	// count reach helperThreshold, 0 while it is below.
-	lead    bool
+	// backlog is the clock reading at which the lead, alone, last saw its
+	// queue reach helperThreshold tasks, 0 while it is below.
 	backlog int64
 
 	// recs is the cycle's task records, appended iff something is attached
@@ -178,9 +180,10 @@ func (w *worker) recovered() {
 
 // exec runs one task, counts it, records it if anything is attached, and
 // retires it. The pending counter drops only after Exec has pushed the
-// task's children, so it never reads zero while work remains. A timed
-// record costs one clock read (two for a sampled task: the reading that
-// ends the task before it is its start).
+// task's children, so it never reads zero while work remains; a lead
+// running alone counts nothing there, its queue being all that is
+// pending. A timed record costs one clock read (two for a sampled task:
+// the reading that ends the task before it is its start).
 func (w *worker) exec(t *rete.Task, stolen bool) {
 	cost, emitted := w.rt.nw.Exec(t, &w.sched)
 	w.tasks++
@@ -201,16 +204,19 @@ func (w *worker) exec(t *rete.Task, stolen bool) {
 			w.last = end
 		}
 	}
-	w.rt.pending.Add(-1)
+	if !w.proc.Alone {
+		w.rt.pending.Add(-1)
+	}
 	w.recycle(t)
 }
 
 // quiesced handles a fully failed pop/steal round: it reports true when
 // the cycle is over (a quiescence probe, counted separately), and
 // otherwise counts a failed pop — genuine idleness while work is pending —
-// and yields.
+// and yields. A lead alone has found its own queue empty, and no other
+// process ever held a task: its cycle is over.
 func (w *worker) quiesced() bool {
-	if w.rt.pending.Load() == 0 {
+	if w.proc.Alone || w.rt.pending.Load() == 0 {
 		w.termProbes++
 		return true
 	}
@@ -223,11 +229,11 @@ func (w *worker) quiesced() bool {
 // run is one match process, the same under every policy: pop the own queue,
 // else steal from the others starting at a rotating victim, else test for
 // quiescence — the pending counter is consulted only after a fully failed
-// round, which is the termination protocol's confirmation scan. The lead
-// also looks at it once after injection and after each task it retires,
-// until the cycle crosses: it reads the clock only while helperThreshold
-// tasks are pending, and starts the helpers once that backlog has lasted
-// helperAfter.
+// round, which is the termination protocol's confirmation scan. The lead,
+// while it runs alone with helpers to start, also looks at its queue's
+// length once after injection and after each task it retires: it reads
+// the clock only while helperThreshold tasks are queued, and starts the
+// helpers once that backlog has lasted helperAfter.
 func (w *worker) run() {
 	defer w.recovered()
 	w.stamp()
@@ -235,13 +241,12 @@ func (w *worker) run() {
 	nq := len(queues)
 	rot := 0
 	for !w.ctl.bad.Load() {
-		if w.lead {
-			if w.rt.pending.Load() < helperThreshold {
+		if w.proc.Alone && nq > 1 {
+			if own.len() < helperThreshold {
 				w.backlog = 0
 			} else if now := clock(); w.backlog == 0 {
 				w.backlog = now
 			} else if now-w.backlog >= int64(helperAfter) {
-				w.lead = false
 				w.rt.startHelpers(w.ctl)
 			}
 		}

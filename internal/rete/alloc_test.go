@@ -14,13 +14,13 @@ import (
 // on Push, so an Exec under it allocates only what the activation itself
 // emits.
 type poolSched struct {
-	t     Task
-	spill Spill
+	t    Task
+	proc Proc
 }
 
 func (s *poolSched) NewTask() *Task { return &s.t }
 func (s *poolSched) Push(*Task)     {}
-func (s *poolSched) Spill() *Spill  { return &s.spill }
+func (s *poolSched) Proc() *Proc    { return &s.proc }
 
 // TestJoinActivationAllocs pins what one join activation allocates once its
 // hash line has capacity: an add, one token per match and nothing else — no

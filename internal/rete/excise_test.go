@@ -176,12 +176,13 @@ func TestExciseRandomizedAgainstNaive(t *testing.T) {
 }
 
 func TestPurgeNode(t *testing.T) {
+	var p Proc
 	m := newMem(16)
 	tok := Extend(DummyTop, 0, mkWME(1))
 	line := m.line(5, 42)
 	line.lock.Lock()
-	line.addLeft(5, 42, tok, 0)
-	line.addRight(5, 42, mkWME(2))
+	line.addLeft(&p, 5, 42, tok, 0)
+	line.addRight(&p, 5, 42, mkWME(2))
 	line.lock.Unlock()
 	if l, r := m.Entries(); l != 1 || r != 1 {
 		t.Fatalf("setup wrong: %d %d", l, r)

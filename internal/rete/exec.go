@@ -98,19 +98,58 @@ func (t *Task) ref() ref { return ref{tok: t.tok, w: t.W, ce: t.ce} }
 // Scheduler is what Exec needs from the runtime executing it. For every
 // child activation Exec asks NewTask for a blank task — typically recycled
 // from a per-worker free list; every field is zero but Supp, which may keep
-// an emptied batch array — fills it and hands it to Push. Spill is the
-// process's overflow buffer for pending suppressed runs, used only by the
-// Exec running on that process.
+// an emptied batch array — fills it and hands it to Push. Proc is the
+// process's own state, used only by the Exec running on that process.
 type Scheduler interface {
 	NewTask() *Task
 	Push(t *Task)
-	Spill() *Spill
+	Proc() *Proc
 }
 
-// Spill holds an emitter's pending suppressed runs beyond its inline
-// buffer. A match process keeps one across activations, so a fan-out that
-// spills reuses the array an earlier one grew.
-type Spill struct{ runs []suppRun }
+// Proc is one match process's own state: whether it runs its cycle alone,
+// the overflow buffer for its pending suppressed runs — a fan-out that
+// spills reuses the array an earlier one grew — and its tallies of the
+// network's counters. Only the process that owns it touches it while a
+// cycle runs; its tallies reach the shared counters through Publish.
+type Proc struct {
+	// Alone is set while no other process runs in this one's cycle: no
+	// peer can reach a hash line, so the emitter's lock only counts the
+	// acquisition it skips. The runtime clears it before it starts a second process, and
+	// that start publishes every write made without the lock.
+	Alone bool
+	runs  []suppRun
+	tally tally
+}
+
+// tally is one process's share of NetStats' match-work counters and of its
+// table's bucket-access and line-lock counts, kept in plain fields while a
+// cycle runs.
+type tally struct {
+	activations, comparisons, tokens, nullActs, nullSupp int64
+	// left and right count bucket accesses (line.touchLeft/touchRight);
+	// skipped counts the line-lock acquisitions lock skipped while Alone.
+	left, right, skipped uint64
+}
+
+// Publish adds p's tallies into the network's shared counters — NetStats,
+// the table's bucket-access totals and its line-lock acquisitions — and
+// zeroes them. A runtime calls it for each process once the processes of a
+// cycle have exited, so those counters are exact as of the last finished
+// cycle and are never bumped per activation.
+func (nw *Network) Publish(p *Proc) {
+	t := &p.tally
+	st := &nw.Stats
+	st.Activations.Add(t.activations)
+	st.Comparisons.Add(t.comparisons)
+	st.TokensEmitted.Add(t.tokens)
+	st.NullActs.Add(t.nullActs)
+	st.NullSuppressed.Add(t.nullSupp)
+	m := nw.Mem
+	m.left.Add(t.left)
+	m.right.Add(t.right)
+	m.skipped.Add(t.skipped)
+	*t = tally{}
+}
 
 // Activation cost model, in simulated microseconds on the paper's 0.75-MIPS
 // NS32032. Calibrated so the mean task cost lands near the ~400 µs of
@@ -124,7 +163,7 @@ const (
 )
 
 // suppInline sizes the emitter's inline suppressed-run buffer; runs pending
-// beyond it spill to the process's Spill (it takes more than suppInline
+// beyond it spill to the process's Proc (it takes more than suppInline
 // empty-right child joins pending at once, which outside a relink race
 // means that much fan-out below one emitting node).
 const suppInline = 8
@@ -149,20 +188,39 @@ type suppRun struct {
 // so the hot path allocates no closure.
 //
 // The pending suppressed runs are a LIFO stack of suppN entries: the first
-// suppInline in suppBuf, the rest in the process's Spill. It is kept by
+// suppInline in suppBuf, the rest in the process's Proc. It is kept by
 // index because a slice into suppBuf would point the emitter into itself,
 // and that alone moves it to the heap (Go issue 35518); CI fails the build
 // if the match path reports "moved to heap" again.
 type emitter struct {
 	nw        *Network
 	s         Scheduler
+	p         *Proc // s.Proc(): the executing process
 	parentSeq int64
 	depth     int32 // chain depth of the emitting task; children get depth+1
 	emitted   int
 	cost      int64
 	suppN     int
 	suppBuf   [suppInline]suppRun
-	spill     *Spill // the process's, fetched on the first overflow
+}
+
+// lock takes line l for one activation's memory op and scan. A process
+// running its cycle alone has no peer to exclude and only counts the
+// acquisition it skips, so the line's own counters read as though no
+// process had locked it; every other process locks.
+func (em *emitter) lock(l *line) {
+	if em.p.Alone {
+		em.p.tally.skipped++
+		return
+	}
+	l.lock.Lock()
+}
+
+// unlock releases what lock took.
+func (em *emitter) unlock(l *line) {
+	if !em.p.Alone {
+		l.lock.Unlock()
+	}
 }
 
 // pushSupp and popSupp are the suppressed-run stack (see emitter).
@@ -170,12 +228,12 @@ func (em *emitter) pushSupp(r suppRun) {
 	if em.suppN < suppInline {
 		em.suppBuf[em.suppN] = r
 	} else {
-		if em.spill == nil {
-			// An activation that panicked may have left runs behind.
-			em.spill = em.s.Spill()
-			em.spill.runs = em.spill.runs[:0]
+		if em.suppN == suppInline {
+			// The spill is logically empty here; an activation that
+			// panicked may have left runs behind.
+			em.p.runs = em.p.runs[:0]
 		}
-		em.spill.runs = append(em.spill.runs, r)
+		em.p.runs = append(em.p.runs, r)
 	}
 	em.suppN++
 }
@@ -185,10 +243,10 @@ func (em *emitter) popSupp() suppRun {
 	if em.suppN < suppInline {
 		return em.suppBuf[em.suppN]
 	}
-	runs := em.spill.runs
+	runs := em.p.runs
 	r := runs[len(runs)-1]
 	runs[len(runs)-1] = suppRun{} // the kept array pins no token
-	em.spill.runs = runs[:len(runs)-1]
+	em.p.runs = runs[:len(runs)-1]
 	return r
 }
 
@@ -235,7 +293,7 @@ func (em *emitter) emitTo(from *BetaNode, children []*BetaNode, r ref, op wme.Op
 			// call-stack depth, and repeatedly growing the fresh worker
 			// goroutines' stacks (runtime.newstack) is what made unlink=true
 			// lose wall-clock on chain-heavy workloads.
-			nw.Stats.NullSuppressed.Add(1)
+			em.p.tally.nullSupp++
 			em.pushSupp(suppRun{node: c, r: r, op: op})
 			continue
 		}
@@ -321,15 +379,15 @@ func (nw *Network) FilterRight(n *BetaNode, op wme.Op, w *wme.WME, s Scheduler) 
 	if !nw.suppressRight(n) {
 		return false
 	}
-	em := emitter{nw: nw, s: s}
-	nw.Stats.NullSuppressed.Add(1)
+	em := emitter{nw: nw, s: s, p: s.Proc()}
+	em.p.tally.nullSupp++
 	if n.Kind == KindJoin {
 		nw.joinRight(n, op, w, &em)
 	} else {
 		nw.notRight(n, op, w, &em)
 	}
 	em.drain()
-	nw.Stats.TokensEmitted.Add(int64(em.emitted))
+	em.p.tally.tokens += int64(em.emitted)
 	return true
 }
 
@@ -341,7 +399,7 @@ func (nw *Network) FilterRight(n *BetaNode, op wme.Op, w *wme.WME, s Scheduler) 
 func (nw *Network) execSuppBatch(batch []SuppRight, em *emitter) int64 {
 	var cost int64
 	for _, e := range batch {
-		nw.Stats.NullSuppressed.Add(1)
+		em.p.tally.nullSupp++
 		if e.Node.Kind == KindJoin {
 			cost += nw.joinRight(e.Node, e.Op, e.W, em)
 		} else {
@@ -353,10 +411,11 @@ func (nw *Network) execSuppBatch(batch []SuppRight, em *emitter) int64 {
 
 // Exec executes one node activation, pushing child activations onto s.
 // It returns the task's modeled cost and the number of tokens it emitted.
-// Exec is safe for concurrent use by many workers.
+// Exec is safe for concurrent use by many workers, each with its own Proc;
+// what it counts stays in that Proc until Publish.
 func (nw *Network) Exec(t *Task, s Scheduler) (cost int64, emitted int) {
-	nw.Stats.Activations.Add(1)
-	em := emitter{nw: nw, s: s, parentSeq: t.Seq, depth: t.Depth}
+	em := emitter{nw: nw, s: s, p: s.Proc(), parentSeq: t.Seq, depth: t.Depth}
+	em.p.tally.activations++
 	cost = costBetaBase
 
 	n := t.Node
@@ -382,13 +441,13 @@ func (nw *Network) Exec(t *Task, s Scheduler) (cost int64, emitted int) {
 	case n.Kind == KindJoinBB:
 		cost += nw.execJoinBB(t, &em)
 	case n.Kind == KindP:
-		cost += nw.execP(t)
+		cost += nw.execP(t, &em)
 	}
 	em.drain()
 	cost += em.cost + int64(em.emitted)*costEmit
-	nw.Stats.TokensEmitted.Add(int64(em.emitted))
+	em.p.tally.tokens += int64(em.emitted)
 	if em.emitted == 0 {
-		nw.Stats.NullActs.Add(1)
+		em.p.tally.nullActs++
 	}
 	return cost, em.emitted
 }
@@ -403,18 +462,18 @@ func (nw *Network) joinLeft(n *BetaNode, op wme.Op, r ref, em *emitter) int64 {
 	line := nw.Mem.line(n.ID, key)
 	var buf [matchInline]*wme.WME
 	matches := buf[:0]
-	line.lock.Lock()
+	em.lock(line)
 	var tok *Token
 	proceed := true
 	if op == wme.Add {
 		tok = r.token()
-		proceed = !line.addLeft(n.ID, key, tok, 0)
+		proceed = !line.addLeft(em.p, n.ID, key, tok, 0)
 	} else {
-		tok, _, proceed = line.removeLeft(n.ID, key, r)
+		tok, _, proceed = line.removeLeft(em.p, n.ID, key, r)
 	}
 	comparisons := 0
 	if proceed && !nw.rightScanSkip(n) {
-		line.eachRight(n.ID, key, func(e *rEntry) {
+		line.eachRight(em.p, n.ID, key, func(e *rEntry) {
 			ok, c := n.testPair(tok, e.w)
 			comparisons += c
 			if ok {
@@ -422,8 +481,8 @@ func (nw *Network) joinLeft(n *BetaNode, op wme.Op, r ref, em *emitter) int64 {
 			}
 		})
 	}
-	line.lock.Unlock()
-	nw.Stats.Comparisons.Add(int64(comparisons))
+	em.unlock(line)
+	em.p.tally.comparisons += int64(comparisons)
 	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, w := range matches {
 		em.extend(n, tok, w, op)
@@ -438,12 +497,12 @@ func (nw *Network) joinRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) in
 	line := nw.Mem.line(n.ID, key)
 	var buf [matchInline]*Token
 	matches := buf[:0]
-	line.lock.Lock()
+	em.lock(line)
 	proceed := true
 	if op == wme.Add {
-		proceed = !line.addRight(n.ID, key, w)
+		proceed = !line.addRight(em.p, n.ID, key, w)
 	} else {
-		proceed = line.removeRight(n.ID, key, w)
+		proceed = line.removeRight(em.p, n.ID, key, w)
 	}
 	comparisons := 0
 	if proceed {
@@ -452,7 +511,7 @@ func (nw *Network) joinRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) in
 			// dummy top token (first CEs have no join tests).
 			matches = append(matches, DummyTop)
 		} else if !nw.leftScanSkip(n) {
-			line.eachLeft(n.ID, key, func(e *lEntry) {
+			line.eachLeft(em.p, n.ID, key, func(e *lEntry) {
 				ok, c := n.testPair(e.tok, w)
 				comparisons += c
 				if ok {
@@ -461,8 +520,8 @@ func (nw *Network) joinRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) in
 			})
 		}
 	}
-	line.lock.Unlock()
-	nw.Stats.Comparisons.Add(int64(comparisons))
+	em.unlock(line)
+	em.p.tally.comparisons += int64(comparisons)
 	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, tok := range matches {
 		em.extend(n, tok, w, op)
@@ -478,12 +537,12 @@ func (nw *Network) notLeft(n *BetaNode, op wme.Op, r ref, em *emitter) int64 {
 	comparisons := 0
 	pass := false
 	var tok *Token
-	line.lock.Lock()
+	em.lock(line)
 	if op == wme.Add {
 		tok = r.token()
 		var count int32
 		if !nw.rightScanSkip(n) {
-			line.eachRight(n.ID, key, func(e *rEntry) {
+			line.eachRight(em.p, n.ID, key, func(e *rEntry) {
 				ok, c := n.testPair(tok, e.w)
 				comparisons += c
 				if ok {
@@ -491,15 +550,15 @@ func (nw *Network) notLeft(n *BetaNode, op wme.Op, r ref, em *emitter) int64 {
 				}
 			})
 		}
-		pass = !line.addLeft(n.ID, key, tok, count) && count == 0
+		pass = !line.addLeft(em.p, n.ID, key, tok, count) && count == 0
 	} else {
 		var count int32
 		var found bool
-		tok, count, found = line.removeLeft(n.ID, key, r)
+		tok, count, found = line.removeLeft(em.p, n.ID, key, r)
 		pass = found && count == 0
 	}
-	line.lock.Unlock()
-	nw.Stats.Comparisons.Add(int64(comparisons))
+	em.unlock(line)
+	em.p.tally.comparisons += int64(comparisons)
 	cost += costMemInsert + int64(comparisons)*costCompare
 	if pass {
 		em.emit(n, ref{tok: tok}, op)
@@ -515,10 +574,10 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 	var buf [matchInline]*Token
 	flips := buf[:0]
 	comparisons := 0
-	line.lock.Lock()
+	em.lock(line)
 	if op == wme.Add {
-		if !line.addRight(n.ID, key, w) && !nw.leftScanSkip(n) {
-			line.eachLeft(n.ID, key, func(e *lEntry) {
+		if !line.addRight(em.p, n.ID, key, w) && !nw.leftScanSkip(n) {
+			line.eachLeft(em.p, n.ID, key, func(e *lEntry) {
 				ok, c := n.testPair(e.tok, w)
 				comparisons += c
 				if ok {
@@ -530,8 +589,8 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 			})
 		}
 	} else {
-		if line.removeRight(n.ID, key, w) && !nw.leftScanSkip(n) {
-			line.eachLeft(n.ID, key, func(e *lEntry) {
+		if line.removeRight(em.p, n.ID, key, w) && !nw.leftScanSkip(n) {
+			line.eachLeft(em.p, n.ID, key, func(e *lEntry) {
 				ok, c := n.testPair(e.tok, w)
 				comparisons += c
 				if ok {
@@ -543,8 +602,8 @@ func (nw *Network) notRight(n *BetaNode, op wme.Op, w *wme.WME, em *emitter) int
 			})
 		}
 	}
-	line.lock.Unlock()
-	nw.Stats.Comparisons.Add(int64(comparisons))
+	em.unlock(line)
+	em.p.tally.comparisons += int64(comparisons)
 	cost += costMemInsert + int64(comparisons)*costCompare
 	// A new blocking wme retracts previously passing tokens; a removed
 	// blocker re-admits them.
@@ -567,27 +626,27 @@ func (nw *Network) execNCC(t *Task, em *emitter) int64 {
 	pass := false
 	comparisons := 0
 	var tok *Token
-	line.lock.Lock()
+	em.lock(line)
 	if t.Op == wme.Add {
 		tok = r.token()
 		var count int32
 		if !nw.rightScanSkip(n) {
-			line.eachRight(n.ID, key, func(e *rEntry) {
+			line.eachRight(em.p, n.ID, key, func(e *rEntry) {
 				comparisons++
 				if e.owner.Equal(tok) {
 					count++
 				}
 			})
 		}
-		pass = !line.addLeft(n.ID, key, tok, count) && count == 0
+		pass = !line.addLeft(em.p, n.ID, key, tok, count) && count == 0
 	} else {
 		var count int32
 		var found bool
-		tok, count, found = line.removeLeft(n.ID, key, r)
+		tok, count, found = line.removeLeft(em.p, n.ID, key, r)
 		pass = found && count == 0
 	}
-	line.lock.Unlock()
-	nw.Stats.Comparisons.Add(int64(comparisons))
+	em.unlock(line)
+	em.p.tally.comparisons += int64(comparisons)
 	if pass {
 		em.emit(n, ref{tok: tok}, t.Op)
 	}
@@ -604,9 +663,9 @@ func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 	key := owner.Hash()
 	line := nw.Mem.line(ncc.ID, key)
 	var flip *Token
-	line.lock.Lock()
+	em.lock(line)
 	if t.Op == wme.Add {
-		if !line.addSubResult(ncc.ID, key, owner, r.token()) {
+		if !line.addSubResult(em.p, ncc.ID, key, owner, r.token()) {
 			if e := line.findLeft(ncc.ID, key, owner); e != nil {
 				e.count++
 				if e.count == 1 {
@@ -615,7 +674,7 @@ func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 			}
 		}
 	} else {
-		if line.removeSubResult(ncc.ID, key, owner, r) {
+		if line.removeSubResult(em.p, ncc.ID, key, owner, r) {
 			if e := line.findLeft(ncc.ID, key, owner); e != nil {
 				e.count--
 				if e.count == 0 {
@@ -624,7 +683,7 @@ func (nw *Network) execPartner(t *Task, em *emitter) int64 {
 			}
 		}
 	}
-	line.lock.Unlock()
+	em.unlock(line)
 	if flip != nil {
 		flipOp := wme.Remove
 		if t.Op == wme.Remove {
@@ -646,15 +705,15 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 		line := nw.Mem.line(n.ID, key)
 		var buf [matchInline]*Token
 		matches := buf[:0]
-		line.lock.Lock()
+		em.lock(line)
 		proceed := true
 		if t.Op == wme.Add {
-			proceed = !line.addLeft(n.ID, key, t.tok, 0)
+			proceed = !line.addLeft(em.p, n.ID, key, t.tok, 0)
 		} else {
-			_, _, proceed = line.removeLeft(n.ID, key, ref{tok: t.tok})
+			_, _, proceed = line.removeLeft(em.p, n.ID, key, ref{tok: t.tok})
 		}
 		if proceed && !nw.rightScanSkip(n) {
-			line.eachRight(n.ID, key, func(e *rEntry) {
+			line.eachRight(em.p, n.ID, key, func(e *rEntry) {
 				comparisons++
 				if !e.owner.Equal(ctx) {
 					return
@@ -666,8 +725,8 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 				}
 			})
 		}
-		line.lock.Unlock()
-		nw.Stats.Comparisons.Add(int64(comparisons))
+		em.unlock(line)
+		em.p.tally.comparisons += int64(comparisons)
 		cost += costMemInsert + int64(comparisons)*costCompare
 		for _, r := range matches {
 			em.emit(n, ref{tok: pair(t.tok, r)}, t.Op)
@@ -681,15 +740,15 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 	line := nw.Mem.line(n.ID, key)
 	var buf [matchInline]*Token
 	matches := buf[:0]
-	line.lock.Lock()
+	em.lock(line)
 	proceed := true
 	if t.Op == wme.Add {
-		proceed = !line.addSubResult(n.ID, key, ctx, stripped)
+		proceed = !line.addSubResult(em.p, n.ID, key, ctx, stripped)
 	} else {
-		proceed = line.removeSubResult(n.ID, key, ctx, ref{tok: stripped})
+		proceed = line.removeSubResult(em.p, n.ID, key, ctx, ref{tok: stripped})
 	}
 	if proceed && !nw.leftScanSkip(n) {
-		line.eachLeft(n.ID, key, func(e *lEntry) {
+		line.eachLeft(em.p, n.ID, key, func(e *lEntry) {
 			comparisons++
 			if !ctxOf(e.tok, ctxN).Equal(ctx) {
 				return
@@ -701,8 +760,8 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 			}
 		})
 	}
-	line.lock.Unlock()
-	nw.Stats.Comparisons.Add(int64(comparisons))
+	em.unlock(line)
+	em.p.tally.comparisons += int64(comparisons)
 	cost += costMemInsert + int64(comparisons)*costCompare
 	for _, l := range matches {
 		em.emit(n, ref{tok: pair(l, stripped)}, t.Op)
@@ -710,7 +769,7 @@ func (nw *Network) execJoinBB(t *Task, em *emitter) int64 {
 	return cost
 }
 
-func (nw *Network) execP(t *Task) int64 {
+func (nw *Network) execP(t *Task, em *emitter) int64 {
 	n := t.Node
 	r := t.ref()
 	var probe Token
@@ -721,17 +780,17 @@ func (nw *Network) execP(t *Task) int64 {
 	// P-node memory did. Released first, the pair could reach the set as
 	// retract-then-insert — the retract a no-op, the insert stale for good.
 	// A retract hands the set the stored token, the one it inserted.
-	line.lock.Lock()
+	em.lock(line)
 	if t.Op == wme.Add {
-		if tok := r.token(); !line.addLeft(n.ID, key, tok, 0) && nw.CS != nil {
+		if tok := r.token(); !line.addLeft(em.p, n.ID, key, tok, 0) && nw.CS != nil {
 			nw.CS.Insert(n.prod, tok)
 		}
 	} else {
-		if tok, _, found := line.removeLeft(n.ID, key, r); found && nw.CS != nil {
+		if tok, _, found := line.removeLeft(em.p, n.ID, key, r); found && nw.CS != nil {
 			nw.CS.Retract(n.prod, tok)
 		}
 	}
-	line.lock.Unlock()
+	em.unlock(line)
 	return costPNode
 }
 

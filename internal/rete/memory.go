@@ -11,7 +11,8 @@ import (
 // Mem is the pair of global token hash tables of PSM-E (§6.1): one table
 // for all left memories, one for all right memories, physically fused so
 // that a "line" is the pair of corresponding left/right buckets guarded by
-// a single counted spin lock.
+// a single counted spin lock — taken once a cycle is shared; a process
+// running its cycle alone has the whole table to itself (emitter.lock).
 //
 // Entries are keyed by (destination two-input node ID, hash of the
 // variable bindings tested for equality at that node) — the paper's hash
@@ -26,6 +27,10 @@ type Mem struct {
 	lines []line
 	mask  uint64
 	nc    *nodeCounts
+	// left and right are the run's bucket accesses, skipped the line-lock
+	// acquisitions a process running its cycle alone did not make: each
+	// process's tallies, added once per cycle (Network.Publish).
+	left, right, skipped atomic.Uint64
 }
 
 // nodeCount is one node's pair of live-entry counters, padded out to its
@@ -129,29 +134,26 @@ func (m *Mem) purgeCounts(node NodeID) {
 // end, so entries are visited newest first. A removal shifts the tail down
 // (order never changes) and clears the vacated slot, so a removed entry
 // pins no token or wme. A pointer to an entry (findLeft, eachLeft,
-// eachRight) is valid only while the line lock is held: the next insert
-// may move the array and the next removal shifts it.
+// eachRight) is valid only while the caller holds the line: the next
+// insert may move the array and the next removal shifts it.
 type line struct {
 	lock  spin.Lock
 	nc    *nodeCounts
 	left  []lEntry
 	right []rEntry
 	// leftAccesses counts left-token accesses this cycle (Figure 6-2).
-	// cumLeft/cumRight are the run-cumulative totals (never reset by the
-	// per-cycle harvest) the observability layer reads.
 	leftAccesses uint32
-	cumLeft      uint64
-	cumRight     uint64
 }
 
-// touchLeft bumps both the per-cycle and cumulative left access counters,
-// touchRight the cumulative right one (caller holds the line lock).
-func (l *line) touchLeft() {
+// touchLeft counts a left access on the line's per-cycle counter and in
+// the accessing process's run-cumulative tally, touchRight a right access
+// in the tally (caller holds the line, see emitter.lock).
+func (l *line) touchLeft(p *Proc) {
 	l.leftAccesses++
-	l.cumLeft++
+	p.tally.left++
 }
 
-func (l *line) touchRight() { l.cumRight++ }
+func (l *line) touchRight(p *Proc) { p.tally.right++ }
 
 // lEntry is a left-memory entry: a token stored at a two-input node. count
 // is used by not/NCC nodes (number of blocking right matches). tomb marks
@@ -207,7 +209,7 @@ func (m *Mem) lineIndex(node NodeID, key uint64) uint64 {
 // would allocate and copy on the way there.
 const firstTouch = 4
 
-// pushLeft and pushRight append one entry (caller holds the line lock).
+// pushLeft and pushRight append one entry (caller holds the line).
 func (l *line) pushLeft(e lEntry) {
 	if l.left == nil {
 		l.left = make([]lEntry, 0, firstTouch)
@@ -222,13 +224,13 @@ func (l *line) pushRight(e rEntry) {
 	l.right = append(l.right, e)
 }
 
-// ---- left-entry operations (caller holds the line lock) ----
+// ---- left-entry operations (caller holds the line; p is its process) ----
 
 // addLeft inserts tok into node's left memory on l. If a matching tombstone
 // is present the add is annihilated: nothing is inserted and annihilated is
 // true (the caller must not emit pairings).
-func (l *line) addLeft(node NodeID, key uint64, tok *Token, count int32) (annihilated bool) {
-	l.touchLeft()
+func (l *line) addLeft(p *Proc, node NodeID, key uint64, tok *Token, count int32) (annihilated bool) {
+	l.touchLeft(p)
 	for i := len(l.left) - 1; i >= 0; i-- {
 		if e := &l.left[i]; e.tomb && e.node == node && e.key == key && e.tok.Equal(tok) {
 			l.left = slices.Delete(l.left, i, i+1)
@@ -246,8 +248,8 @@ func (l *line) addLeft(node NodeID, key uint64, tok *Token, count int32) (annihi
 // which a stored extension of r's parent passes on pointer identity). When
 // absent, a tombstone holding r's materialized token is inserted and found
 // is false.
-func (l *line) removeLeft(node NodeID, key uint64, r ref) (stored *Token, count int32, found bool) {
-	l.touchLeft()
+func (l *line) removeLeft(p *Proc, node NodeID, key uint64, r ref) (stored *Token, count int32, found bool) {
+	l.touchLeft(p)
 	var buf Token
 	probe := r.probe(&buf)
 	for i := len(l.left) - 1; i >= 0; i-- {
@@ -273,8 +275,8 @@ func (l *line) findLeft(node NodeID, key uint64, tok *Token) *lEntry {
 }
 
 // eachLeft calls fn for every live left entry of node with the given key.
-func (l *line) eachLeft(node NodeID, key uint64, fn func(*lEntry)) {
-	l.touchLeft()
+func (l *line) eachLeft(p *Proc, node NodeID, key uint64, fn func(*lEntry)) {
+	l.touchLeft(p)
 	for i := len(l.left) - 1; i >= 0; i-- {
 		if e := &l.left[i]; !e.tomb && e.node == node && e.key == key {
 			fn(e)
@@ -282,11 +284,11 @@ func (l *line) eachLeft(node NodeID, key uint64, fn func(*lEntry)) {
 	}
 }
 
-// ---- right-entry operations (caller holds the line lock) ----
+// ---- right-entry operations (caller holds the line; p is its process) ----
 
 // addRight inserts a wme right entry, honouring tombstones.
-func (l *line) addRight(node NodeID, key uint64, w *wme.WME) (annihilated bool) {
-	l.touchRight()
+func (l *line) addRight(p *Proc, node NodeID, key uint64, w *wme.WME) (annihilated bool) {
+	l.touchRight(p)
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; e.tomb && e.node == node && e.key == key && e.w == w {
 			l.right = slices.Delete(l.right, i, i+1)
@@ -299,8 +301,8 @@ func (l *line) addRight(node NodeID, key uint64, w *wme.WME) (annihilated bool) 
 }
 
 // removeRight removes a wme right entry or leaves a tombstone.
-func (l *line) removeRight(node NodeID, key uint64, w *wme.WME) (found bool) {
-	l.touchRight()
+func (l *line) removeRight(p *Proc, node NodeID, key uint64, w *wme.WME) (found bool) {
+	l.touchRight(p)
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key && e.w == w {
 			l.right = slices.Delete(l.right, i, i+1)
@@ -314,8 +316,8 @@ func (l *line) removeRight(node NodeID, key uint64, w *wme.WME) (found bool) {
 
 // addSubResult inserts a token-pair right entry — an NCC partner result or
 // a bilinear join's right-side token — honouring tombstones.
-func (l *line) addSubResult(node NodeID, key uint64, owner, sub *Token) (annihilated bool) {
-	l.touchRight()
+func (l *line) addSubResult(p *Proc, node NodeID, key uint64, owner, sub *Token) (annihilated bool) {
+	l.touchRight(p)
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; e.tomb && e.node == node && e.key == key && e.sub.Equal(sub) && e.owner.Equal(owner) {
 			l.right = slices.Delete(l.right, i, i+1)
@@ -329,8 +331,8 @@ func (l *line) addSubResult(node NodeID, key uint64, owner, sub *Token) (annihil
 
 // removeSubResult removes a token-pair right entry, its sub token named by
 // sub as removeLeft names its token, or leaves a tombstone.
-func (l *line) removeSubResult(node NodeID, key uint64, owner *Token, sub ref) (found bool) {
-	l.touchRight()
+func (l *line) removeSubResult(p *Proc, node NodeID, key uint64, owner *Token, sub ref) (found bool) {
+	l.touchRight(p)
 	var buf Token
 	probe := sub.probe(&buf)
 	for i := len(l.right) - 1; i >= 0; i-- {
@@ -345,8 +347,8 @@ func (l *line) removeSubResult(node NodeID, key uint64, owner *Token, sub ref) (
 }
 
 // eachRight calls fn for every live right entry of node with the given key.
-func (l *line) eachRight(node NodeID, key uint64, fn func(*rEntry)) {
-	l.touchRight()
+func (l *line) eachRight(p *Proc, node NodeID, key uint64, fn func(*rEntry)) {
+	l.touchRight(p)
 	for i := len(l.right) - 1; i >= 0; i-- {
 		if e := &l.right[i]; !e.tomb && e.node == node && e.key == key {
 			fn(e)
@@ -457,9 +459,11 @@ func (m *Mem) Entries() (left, right int) {
 
 // HarvestAccessCounts returns this cycle's per-line left-token access
 // counts (nonzero only) and resets them. The distribution over cycles is
-// Figure 6-2's bucket-contention measure. touchLeft/touchRight mutate the
-// counters under the line lock, so the harvest takes each line's lock too
-// (as Tallies does) rather than racing a straggling activation.
+// Figure 6-2's bucket-contention measure. Every access writes its line's
+// counter, a process running its cycle alone without the lock, so the
+// harvest runs at quiescence, when the cycle's writes are ordered before
+// it; it takes each line's lock all the same, as it always has, so the
+// acquisitions it adds to LockStats do not move.
 func (m *Mem) HarvestAccessCounts() []int {
 	var out []int
 	for i := range m.lines {
@@ -474,33 +478,26 @@ func (m *Mem) HarvestAccessCounts() []int {
 	return out
 }
 
-// Tallies sums, in one sweep, the run-cumulative line-lock contention
-// counters and the (left, right) bucket access counts over all lines.
-// Unlike HarvestAccessCounts it resets nothing, so the per-cycle harvest
-// and the observability layer can both consume access counts from the same
-// run. The access counts are plain fields mutated under the line lock, so
-// each line is read under its own lock: a sweep costs len(m.lines)
-// acquisitions, and they are included in the acquires it returns.
+// Tallies returns the run-cumulative line-lock contention counters and
+// the (left, right) bucket access counts. Unlike HarvestAccessCounts it
+// resets nothing, so the per-cycle harvest and the observability layer can
+// both consume access counts from the same run. It reads only atomics, so
+// it may run while a cycle does (a scrape): the access counts and the
+// acquisitions skipped by a process alone are exact as of the last
+// finished cycle, the lines' own lock counts as of the read.
 func (m *Mem) Tallies() (locks spin.Counts, left, right uint64) {
-	for i := range m.lines {
-		l := &m.lines[i]
-		l.lock.Lock()
-		left += l.cumLeft
-		right += l.cumRight
-		s, a := l.lock.Stats()
-		l.lock.Unlock()
-		locks.Spins += s
-		locks.Acquires += a
-	}
-	return
+	locks.Spins, locks.Acquires = m.LockStats()
+	return locks, m.left.Load(), m.right.Load()
 }
 
-// LockStats sums (spins, acquires) over all line locks.
+// LockStats sums (spins, acquires) over all line locks, counting as an
+// acquisition each one a process running its cycle alone skipped: the
+// acquires are those of the same schedule with every line locked.
 func (m *Mem) LockStats() (spins, acquires uint64) {
 	for i := range m.lines {
 		s, a := m.lines[i].lock.Stats()
 		spins += s
 		acquires += a
 	}
-	return
+	return spins, acquires + m.skipped.Load()
 }

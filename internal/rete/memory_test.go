@@ -10,6 +10,7 @@ import (
 )
 
 func TestMemLineBasics(t *testing.T) {
+	var p Proc
 	m := newMem(100) // rounds up to 128
 	if m.NumLines() != 128 {
 		t.Fatalf("NumLines = %d, want 128", m.NumLines())
@@ -17,16 +18,16 @@ func TestMemLineBasics(t *testing.T) {
 	tok := Extend(DummyTop, 0, mkWME(1))
 	l := m.line(7, 99)
 	l.lock.Lock()
-	if l.addLeft(7, 99, tok, 2) {
+	if l.addLeft(&p, 7, 99, tok, 2) {
 		t.Fatalf("addLeft annihilated")
 	}
 	if e := l.findLeft(7, 99, tok); e == nil || e.tok != tok || e.count != 2 {
 		t.Fatalf("entry accessors wrong")
 	}
-	l.addRight(7, 99, mkWME(2))
-	l.addRight(7, 99, mkWME(3))
+	l.addRight(&p, 7, 99, mkWME(2))
+	l.addRight(&p, 7, 99, mkWME(3))
 	countRight := func(node NodeID) (n int) {
-		l.eachRight(node, 99, func(*rEntry) { n++ })
+		l.eachRight(&p, node, 99, func(*rEntry) { n++ })
 		return n
 	}
 	if n := countRight(7); n != 2 {
@@ -39,16 +40,17 @@ func TestMemLineBasics(t *testing.T) {
 }
 
 func TestMemTombstoneAnnihilation(t *testing.T) {
+	var p Proc
 	m := newMem(16)
 	tok := Extend(DummyTop, 0, mkWME(1))
 	l := m.line(3, 5)
 	l.lock.Lock()
 	// Delete before add: tombstone.
-	if _, _, found := l.removeLeft(3, 5, ref{tok: tok}); found {
+	if _, _, found := l.removeLeft(&p, 3, 5, ref{tok: tok}); found {
 		t.Fatalf("remove of absent token found something")
 	}
 	// The add annihilates against the tombstone.
-	if !l.addLeft(3, 5, Extend(DummyTop, 0, mkWME(1)), 0) {
+	if !l.addLeft(&p, 3, 5, Extend(DummyTop, 0, mkWME(1)), 0) {
 		t.Fatalf("add not annihilated by tombstone")
 	}
 	l.lock.Unlock()
@@ -59,18 +61,18 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 	// Same for the right side and sub-results.
 	w := mkWME(9)
 	l.lock.Lock()
-	if l.removeRight(3, 5, w) {
+	if l.removeRight(&p, 3, 5, w) {
 		t.Fatalf("removeRight found absent wme")
 	}
-	if !l.addRight(3, 5, w) {
+	if !l.addRight(&p, 3, 5, w) {
 		t.Fatalf("addRight not annihilated")
 	}
 	owner := Extend(DummyTop, 0, mkWME(4))
 	sub := Extend(owner, 1, mkWME(5))
-	if l.removeSubResult(3, 5, owner, ref{tok: sub}) {
+	if l.removeSubResult(&p, 3, 5, owner, ref{tok: sub}) {
 		t.Fatalf("removeSubResult found absent entry")
 	}
-	if !l.addSubResult(3, 5, owner, sub) {
+	if !l.addSubResult(&p, 3, 5, owner, sub) {
 		t.Fatalf("addSubResult not annihilated")
 	}
 	l.lock.Unlock()
@@ -84,6 +86,7 @@ func TestMemTombstoneAnnihilation(t *testing.T) {
 // the order of the rest, and every vacated slot is cleared so that it pins
 // no token or wme.
 func TestLineOrderAndRemoval(t *testing.T) {
+	var p Proc
 	m := newMem(16)
 	l := m.line(1, 1)
 	toks := make([]*Token, 5)
@@ -91,7 +94,7 @@ func TestLineOrderAndRemoval(t *testing.T) {
 		toks[i] = Extend(DummyTop, 0, mkWME(uint64(i+1)))
 	}
 	scan := func() (got []*Token) {
-		l.eachLeft(1, 1, func(e *lEntry) { got = append(got, e.tok) })
+		l.eachLeft(&p, 1, 1, func(e *lEntry) { got = append(got, e.tok) })
 		return got
 	}
 	want := func(idx ...int) {
@@ -113,20 +116,20 @@ func TestLineOrderAndRemoval(t *testing.T) {
 	}
 	l.lock.Lock()
 	defer l.lock.Unlock()
-	l.addLeft(1, 1, toks[0], 0)
-	l.addLeft(1, 1, toks[1], 0)
+	l.addLeft(&p, 1, 1, toks[0], 0)
+	l.addLeft(&p, 1, 1, toks[1], 0)
 	// A remove that overtakes its add leaves a tombstone among the entries.
-	if _, _, found := l.removeLeft(1, 1, ref{tok: toks[4]}); found {
+	if _, _, found := l.removeLeft(&p, 1, 1, ref{tok: toks[4]}); found {
 		t.Fatalf("removeLeft found an absent token")
 	}
-	l.addLeft(1, 1, toks[2], 0)
-	l.addLeft(1, 1, toks[3], 0)
+	l.addLeft(&p, 1, 1, toks[2], 0)
+	l.addLeft(&p, 1, 1, toks[3], 0)
 	want(3, 2, 1, 0)
-	if _, _, found := l.removeLeft(1, 1, ref{tok: toks[1]}); !found {
+	if _, _, found := l.removeLeft(&p, 1, 1, ref{tok: toks[1]}); !found {
 		t.Fatalf("removeLeft missed a stored token")
 	}
 	want(3, 2, 0)
-	if !l.addLeft(1, 1, toks[4], 0) {
+	if !l.addLeft(&p, 1, 1, toks[4], 0) {
 		t.Fatalf("add not annihilated by its tombstone")
 	}
 	want(3, 2, 0)
@@ -136,15 +139,16 @@ func TestLineOrderAndRemoval(t *testing.T) {
 }
 
 func TestDumpRightSubsAndEntries(t *testing.T) {
+	var p Proc
 	m := newMem(16)
 	owner := Extend(DummyTop, 0, mkWME(1))
 	s1 := Extend(owner, 1, mkWME(2))
 	s2 := Extend(owner, 1, mkWME(3))
 	l := m.line(11, owner.Hash())
 	l.lock.Lock()
-	l.addSubResult(11, owner.Hash(), owner, s1)
-	l.addSubResult(11, owner.Hash(), owner, s2)
-	l.addRight(11, owner.Hash(), mkWME(7)) // a plain wme entry: not a sub
+	l.addSubResult(&p, 11, owner.Hash(), owner, s1)
+	l.addSubResult(&p, 11, owner.Hash(), owner, s2)
+	l.addRight(&p, 11, owner.Hash(), mkWME(7)) // a plain wme entry: not a sub
 	l.lock.Unlock()
 	subs := m.dumpRightSubs(11)
 	if len(subs) != 2 {
@@ -160,12 +164,13 @@ func TestDumpRightSubsAndEntries(t *testing.T) {
 }
 
 func TestHarvestAndLockStats(t *testing.T) {
+	var p Proc
 	m := newMem(16)
 	l := m.line(1, 1)
 	l.lock.Lock()
-	l.eachLeft(1, 1, func(*lEntry) {})
-	l.eachLeft(1, 1, func(*lEntry) {})
-	l.eachRight(1, 1, func(*rEntry) {})
+	l.eachLeft(&p, 1, 1, func(*lEntry) {})
+	l.eachLeft(&p, 1, 1, func(*lEntry) {})
+	l.eachRight(&p, 1, 1, func(*rEntry) {})
 	l.lock.Unlock()
 	counts := m.HarvestAccessCounts()
 	if len(counts) != 1 || counts[0] != 2 {
@@ -407,5 +412,66 @@ func TestQuiescentDumpsTakeNoLineLock(t *testing.T) {
 	still("RemoveProduction", before)
 	if n := pn(); n != 0 {
 		t.Fatalf("%d instantiations of pn survive its excise", n)
+	}
+}
+
+// netStats reads every NetStats counter.
+func netStats(nw *Network) [8]int64 {
+	s := &nw.Stats
+	return [8]int64{s.ConstTests.Load(), s.Activations.Load(), s.Comparisons.Load(), s.TokensEmitted.Load(),
+		s.NullActs.Load(), s.NullSuppressed.Load(), s.AlphaHits.Load(), s.AlphaMisses.Load()}
+}
+
+// TestLoneProcessTakesNoLineLock pins the emitter's lock: a process whose
+// Proc is Alone — the lead of a cycle no helper has joined — never touches
+// a line's lock, yet Mem.LockStats, Tallies and every NetStats field read
+// exactly what the same activations read with every line locked, and the
+// conflict set is the same. The program has a join, a negated condition,
+// an NCC and its partner, so every body's lock is taken (or skipped).
+func TestLoneProcessTakesNoLineLock(t *testing.T) {
+	const src = blueBlock + `
+(literalize g s)
+(literalize d in st)
+(p pn (g ^s <s>) -{ (d ^in <s> ^st closed) } --> (make o))
+`
+	locked, alone := newTestEnv(t, src), newTestEnv(t, src)
+	alone.s.proc.Alone = true
+	for _, e := range []*testEnv{locked, alone} {
+		ws := []*wme.WME{
+			e.wmeOf("block", "name", "b1", "color", "blue"),
+			e.wmeOf("block", "name", "b2", "color", "blue"),
+			e.wmeOf("hand", "state", "free"),
+			e.wmeOf("block", "name", "b3", "on", "b1"),
+			e.wmeOf("g", "s", "s1"),
+			e.wmeOf("g", "s", "s2"),
+			e.wmeOf("d", "in", "s1", "st", "closed"),
+		}
+		for _, w := range ws {
+			e.add(w)
+		}
+		for _, w := range ws[3:] {
+			e.remove(w)
+		}
+	}
+	for i := range alone.nw.Mem.lines {
+		if s, a := alone.nw.Mem.lines[i].lock.Stats(); s != 0 || a != 0 {
+			t.Fatalf("a lone process took line %d's lock: %d spins, %d acquires", i, s, a)
+		}
+	}
+	s0, a0 := locked.nw.Mem.LockStats()
+	s1, a1 := alone.nw.Mem.LockStats()
+	if a0 == 0 || s0 != 0 || s1 != 0 || a1 != a0 {
+		t.Fatalf("LockStats: locked (%d spins, %d acquires), alone (%d, %d); want equal acquires and no spins", s0, a0, s1, a1)
+	}
+	l0, left0, right0 := locked.nw.Mem.Tallies()
+	l1, left1, right1 := alone.nw.Mem.Tallies()
+	if l0 != l1 || left0 != left1 || right0 != right1 || left0 == 0 || right0 == 0 {
+		t.Fatalf("Tallies: locked %+v %d/%d, alone %+v %d/%d", l0, left0, right0, l1, left1, right1)
+	}
+	if got, want := netStats(alone.nw), netStats(locked.nw); got != want {
+		t.Fatalf("NetStats alone %v, locked %v", got, want)
+	}
+	if got, want := alone.cs.keys(), locked.cs.keys(); fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
+		t.Fatalf("conflict set alone %v, locked %v", got, want)
 	}
 }

@@ -88,7 +88,10 @@ type ConflictListener interface {
 	Retract(p *Production, t *Token)
 }
 
-// NetStats aggregates match-work counters across all workers.
+// NetStats aggregates match-work counters across all workers. ConstTests
+// and the alpha-dispatch counts are bumped at injection; the rest are each
+// process's tallies, added once per process per cycle (Publish), so they
+// read exact between cycles.
 type NetStats struct {
 	ConstTests    atomic.Int64 // alpha-network test executions
 	Activations   atomic.Int64 // beta tasks executed

@@ -14,16 +14,18 @@ import (
 
 // serialSched executes pushed tasks LIFO on the calling goroutine.
 type serialSched struct {
-	q     []*Task
-	spill Spill
+	q    []*Task
+	proc Proc
 }
 
 func (s *serialSched) NewTask() *Task { return new(Task) }
 
 func (s *serialSched) Push(t *Task) { s.q = append(s.q, t) }
 
-func (s *serialSched) Spill() *Spill { return &s.spill }
+func (s *serialSched) Proc() *Proc { return &s.proc }
 
+// drain runs the queued tasks to quiescence and publishes their counts, as
+// a runtime does at the end of a cycle.
 func drain(nw *Network, s *serialSched) int {
 	n := 0
 	for len(s.q) > 0 {
@@ -32,6 +34,7 @@ func drain(nw *Network, s *serialSched) int {
 		nw.Exec(t, s)
 		n++
 	}
+	nw.Publish(&s.proc)
 	return n
 }
 

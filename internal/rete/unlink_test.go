@@ -160,13 +160,14 @@ func TestHarvestAccessCountsRace(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			tok := Extend(DummyTop, 0, mkWME(uint64(100+id)))
+			var p Proc
 			for j := 0; j < iters; j++ {
 				key := uint64(j % 64)
 				l := m.line(NodeID(id+1), key)
 				l.lock.Lock()
-				l.addLeft(NodeID(id+1), key, tok, 0)
-				l.eachLeft(NodeID(id+1), key, func(*lEntry) {})
-				l.removeLeft(NodeID(id+1), key, ref{tok: tok})
+				l.addLeft(&p, NodeID(id+1), key, tok, 0)
+				l.eachLeft(&p, NodeID(id+1), key, func(*lEntry) {})
+				l.removeLeft(&p, NodeID(id+1), key, ref{tok: tok})
 				l.lock.Unlock()
 			}
 		}(i)

@@ -46,8 +46,7 @@ func TestContentionCountersExact(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	// read returns an idle engine's cumulative tallies. Lock counters
-	// first: reading the access counts takes each line's lock.
+	// read returns an idle engine's cumulative tallies.
 	type tally struct{ spins, acquires, accesses uint64 }
 	read := func(e *engine.Engine) tally {
 		s, a := e.NW.Mem.LockStats()
