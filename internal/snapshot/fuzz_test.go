@@ -1,6 +1,7 @@
 package snapshot_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -138,6 +139,9 @@ func FuzzRestore(f *testing.F) {
 		data, err := in.Encode()
 		if err != nil {
 			t.Fatalf("an image that unmarshalled does not seal: %v", err)
+		}
+		if want := marshalSeal(t, &in); !bytes.Equal(data, want) {
+			t.Fatalf("Seal differs from the marshalled envelope:\n got %s\nwant %s", data, want)
 		}
 		img, err := snapshot.Decode(data)
 		if err != nil {

@@ -10,9 +10,11 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 
 	"soarpsme/internal/conflict"
 	"soarpsme/internal/engine"
@@ -40,33 +42,100 @@ type envelope struct {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Seal wraps payload in a versioned, checksummed envelope.
+// sealPrefix opens the canonical envelope, whose keys json.Marshal writes in
+// field order: version, crc, payload. Seal writes it and Open splits it
+// without scanning the payload.
+var sealPrefix = `{"version":` + strconv.Itoa(formatVersion) + `,"crc":`
+
+const payloadKey = `,"payload":`
+
+// sealHead is room for the longest head Seal writes: the prefix, the widest
+// CRC and the payload key.
+var sealHead = len(sealPrefix) + len("4294967295") + len(payloadKey)
+
+// Seal wraps payload in a versioned, checksummed envelope. Its bytes are
+// json.Marshal's of the envelope struct, written in one buffer: the payload
+// is encoded after room for the head, and the head, whose CRC needs the
+// payload, is filled in right-aligned before it.
 func Seal(payload any) ([]byte, error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
+	buf := bytes.NewBuffer(make([]byte, sealHead))
+	if err := json.NewEncoder(buf).Encode(payload); err != nil {
 		return nil, err
 	}
-	return json.Marshal(envelope{
-		Version: formatVersion,
-		CRC:     crc32.Checksum(raw, crcTable),
-		Payload: raw,
-	})
+	b := buf.Bytes()
+	raw := b[sealHead : len(b)-1] // Encode ends the value with a newline
+	var head [64]byte
+	h := append(head[:0], sealPrefix...)
+	h = strconv.AppendUint(h, uint64(crc32.Checksum(raw, crcTable)), 10)
+	h = append(h, payloadKey...)
+	start := sealHead - len(h)
+	copy(b[start:], h)
+	b[len(b)-1] = '}'
+	return b[start:], nil
 }
 
 // Open verifies an envelope's version and checksum and unmarshals the
-// payload into out.
+// payload into out. An envelope in Seal's canonical form is split by hand
+// and its payload scanned once, by the decode; any other framing — or a
+// canonical-looking one that fails — is read by json.Unmarshal, so Open
+// accepts and rejects exactly what that reading does.
 func Open(data []byte, out any) error {
+	if crc, payload, ok := splitSealed(data); ok && openPayload(formatVersion, crc, payload, out) == nil {
+		return nil
+	}
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return fmt.Errorf("snapshot: bad envelope: %w", err)
 	}
-	if env.Version < 1 || env.Version > formatVersion {
-		return fmt.Errorf("snapshot: format version %d, want 1..%d", env.Version, formatVersion)
+	return openPayload(env.Version, env.CRC, env.Payload, out)
+}
+
+// splitSealed returns the CRC and payload of an envelope framed exactly as
+// Seal writes it: the prefix, a CRC in canonical decimal, the payload key,
+// a payload that neither starts nor ends with whitespace, and the closing
+// brace as the last byte. It does not look inside the payload; ok says only
+// that the frame fits, and the payload's decode is what shows it is one
+// JSON value.
+func splitSealed(data []byte) (crc uint32, payload []byte, ok bool) {
+	rest, found := bytes.CutPrefix(data, []byte(sealPrefix))
+	if !found {
+		return 0, nil, false
 	}
-	if got := crc32.Checksum(env.Payload, crcTable); got != env.CRC {
-		return fmt.Errorf("snapshot: checksum mismatch: payload crc %08x, envelope says %08x", got, env.CRC)
+	n := 0
+	for n < len(rest) && '0' <= rest[n] && rest[n] <= '9' {
+		n++
 	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
+	if n == 0 || (n > 1 && rest[0] == '0') { // json reads no leading zero
+		return 0, nil, false
+	}
+	v, err := strconv.ParseUint(string(rest[:n]), 10, 32)
+	if err != nil {
+		return 0, nil, false
+	}
+	payload, found = bytes.CutPrefix(rest[n:], []byte(payloadKey))
+	if !found || len(payload) < 2 || payload[len(payload)-1] != '}' {
+		return 0, nil, false
+	}
+	payload = payload[:len(payload)-1]
+	if isSpace(payload[0]) || isSpace(payload[len(payload)-1]) {
+		return 0, nil, false
+	}
+	return uint32(v), payload, true
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// openPayload checks an envelope's version, then its checksum, and only then
+// decodes its payload into out.
+func openPayload(version int, crc uint32, payload []byte, out any) error {
+	if version < 1 || version > formatVersion {
+		return fmt.Errorf("snapshot: format version %d, want 1..%d", version, formatVersion)
+	}
+	if got := crc32.Checksum(payload, crcTable); got != crc {
+		return fmt.Errorf("snapshot: checksum mismatch: payload crc %08x, envelope says %08x", got, crc)
+	}
+	if err := json.Unmarshal(payload, out); err != nil {
 		return fmt.Errorf("snapshot: bad payload: %w", err)
 	}
 	return nil

@@ -18,7 +18,7 @@ package cypress
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"soarpsme/internal/engine"
 	"soarpsme/internal/ops5"
@@ -124,31 +124,41 @@ func Generate(p Params) *System {
 		sys.chunkSeqs = append(sys.chunkSeqs, seq[:n])
 	}
 
-	var sb strings.Builder
-	sb.WriteString("(literalize step id prev op depth)\n(literalize derived p last)\n")
+	src := []byte("(literalize step id prev op depth)\n(literalize derived p last)\n")
 	for i, seq := range sys.seqs {
-		sb.WriteString(renderProd(fmt.Sprintf("cy-%d", i+1), seq))
+		src = appendProd(src, "cy-"+strconv.Itoa(i+1), seq)
 	}
-	sys.Source = sb.String()
+	sys.Source = string(src)
+	// Source holds its own copy, so each chunk renders in src's buffer.
 	for i, seq := range sys.chunkSeqs {
-		sys.ChunkSrcs = append(sys.ChunkSrcs, renderProd(fmt.Sprintf("cy-chunk-%d", i+1), seq))
+		sys.ChunkSrcs = append(sys.ChunkSrcs, string(appendProd(src[:0], "cy-chunk-"+strconv.Itoa(i+1), seq)))
 	}
 	return sys
 }
 
-// renderProd writes one derivation-recognizer production.
-func renderProd(name string, seq []int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "(p %s\n", name)
+// appendProd appends one derivation-recognizer production to b.
+func appendProd(b []byte, name string, seq []int) []byte {
+	b = append(append(append(b, "(p "...), name...), '\n')
 	for i, op := range seq {
 		if i == 0 {
-			fmt.Fprintf(&sb, "  (step ^id <s1> ^prev root ^op a%d ^depth 1)\n", op)
+			b = append(b, "  (step ^id <s1> ^prev root ^op a"...)
+			b = strconv.AppendInt(b, int64(op), 10)
+			b = append(b, " ^depth 1)\n"...)
 			continue
 		}
-		fmt.Fprintf(&sb, "  (step ^id <s%d> ^prev <s%d> ^op a%d ^depth %d)\n", i+1, i, op, i+1)
+		b = append(b, "  (step ^id <s"...)
+		b = strconv.AppendInt(b, int64(i+1), 10)
+		b = append(b, "> ^prev <s"...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, "> ^op a"...)
+		b = strconv.AppendInt(b, int64(op), 10)
+		b = append(b, " ^depth "...)
+		b = strconv.AppendInt(b, int64(i+1), 10)
+		b = append(b, ")\n"...)
 	}
-	fmt.Fprintf(&sb, "  -->\n  (make derived ^p %s ^last <s%d>))\n", name, len(seq))
-	return sb.String()
+	b = append(append(append(b, "  -->\n  (make derived ^p "...), name...), " ^last <s"...)
+	b = strconv.AppendInt(b, int64(len(seq)), 10)
+	return append(b, ">))\n"...)
 }
 
 // Driver produces the run's working-memory change batches. Each batch is

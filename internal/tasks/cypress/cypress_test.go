@@ -1,6 +1,7 @@
 package cypress
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -125,5 +126,53 @@ func TestParamsFillDefaults(t *testing.T) {
 	d := DefaultParams()
 	if p != d {
 		t.Fatalf("fill() != defaults: %+v vs %+v", p, d)
+	}
+}
+
+// fmtRenderProd is the fmt renderer appendProd replaced. Source and
+// ChunkSrcs feed program hashes, image-cache keys and the golden report, so
+// the two must agree byte for byte.
+func fmtRenderProd(name string, seq []int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "(p %s\n", name)
+	for i, op := range seq {
+		if i == 0 {
+			fmt.Fprintf(&sb, "  (step ^id <s1> ^prev root ^op a%d ^depth 1)\n", op)
+			continue
+		}
+		fmt.Fprintf(&sb, "  (step ^id <s%d> ^prev <s%d> ^op a%d ^depth %d)\n", i+1, i, op, i+1)
+	}
+	fmt.Fprintf(&sb, "  -->\n  (make derived ^p %s ^last <s%d>))\n", name, len(seq))
+	return sb.String()
+}
+
+// TestRenderMatchesFmt: Source and every chunk equal the fmt renderer's
+// output, for the paper-matched system and for the 100-production,
+// 12-chunk shape served sessions use, over several seeds.
+func TestRenderMatchesFmt(t *testing.T) {
+	var params []Params
+	for _, seed := range []uint64{1, 5, 42, 101, 977} {
+		d := DefaultParams()
+		d.Seed = seed
+		params = append(params, d, Params{Productions: 100, Chunks: 12, Cycles: 60, Seed: seed})
+	}
+	for _, p := range params {
+		sys := Generate(p)
+		var want strings.Builder
+		want.WriteString("(literalize step id prev op depth)\n(literalize derived p last)\n")
+		for i, seq := range sys.seqs {
+			want.WriteString(fmtRenderProd(fmt.Sprintf("cy-%d", i+1), seq))
+		}
+		if sys.Source != want.String() {
+			t.Fatalf("%+v: Source differs from the fmt renderer's", p)
+		}
+		if len(sys.ChunkSrcs) != len(sys.chunkSeqs) {
+			t.Fatalf("%+v: %d chunk sources for %d chunks", p, len(sys.ChunkSrcs), len(sys.chunkSeqs))
+		}
+		for i, seq := range sys.chunkSeqs {
+			if want := fmtRenderProd(fmt.Sprintf("cy-chunk-%d", i+1), seq); sys.ChunkSrcs[i] != want {
+				t.Fatalf("%+v: chunk %d\n got %q\nwant %q", p, i, sys.ChunkSrcs[i], want)
+			}
+		}
 	}
 }

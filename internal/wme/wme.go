@@ -89,14 +89,28 @@ func (r *Registry) Get(class value.Sym, extend bool) *Schema {
 
 // FieldIndex resolves (class, attr) to a field index, extending the schema
 // when extend is true.
+// A known attribute costs one read lock; the write lock is taken only to
+// extend, and what the read saw is checked again under it.
 func (r *Registry) FieldIndex(class, attr value.Sym, extend bool) (int, bool) {
-	s := r.Get(class, extend)
-	if s == nil {
+	r.mu.RLock()
+	if s := r.classes[class]; s != nil {
+		if i, ok := s.index[attr]; ok {
+			r.mu.RUnlock()
+			return i, true
+		}
+	}
+	r.mu.RUnlock()
+	if !extend {
 		return -1, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return s.attrIndex(attr, extend)
+	s := r.classes[class]
+	if s == nil {
+		s = &Schema{index: make(map[value.Sym]int)}
+		r.classes[class] = s
+	}
+	return s.attrIndex(attr, true)
 }
 
 // Classes returns all declared class symbols in ascending Sym order.
