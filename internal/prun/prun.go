@@ -348,9 +348,10 @@ const suppBatch = 32
 //
 // Suppressed right activations — destinations whose left memory was empty
 // at injection time — are deferred into batch tasks instead of executed
-// inline (rete.FilterRight), which serialized every suppressed memory op on
-// the injection goroutine and re-entered the emitter recursively on relink
-// races. Batches keep the per-activation cost near zero while the memory
+// inline, which serialized every suppressed memory op on the injection
+// goroutine and re-entered the emitter recursively on relink races. Every
+// injection goes through here: a cycle's, a state update's and the serial
+// replay's. Batches keep the per-activation cost near zero while the memory
 // ops parallelize across the match processes like any other task. The
 // pending batch is gathered in the task that will carry it, drawn from the
 // free list with the array it kept.
@@ -645,26 +646,23 @@ func (rt *Runtime) drainPoisoned() {
 }
 
 // ReplaySerial rebuilds match state from scratch on the calling goroutine:
-// every wme in all is injected and its activation chain run to completion,
-// depth-first, before the next wme is injected. It is the engine's
-// degradation path after a poisoned cycle — the network's memories must
-// already have been reset (rete.Network.ResetMatchState) so the replay
-// re-derives them. No fault injector, watchdog, or termination protocol is
-// consulted: a degraded cycle always completes (§2.3's serial semantics are
+// every wme in all is injected through the cycle injector and its
+// activation chain run to completion, depth-first, before the next wme is
+// injected. It is the engine's degradation path after a poisoned cycle —
+// the network's memories must already have been reset
+// (rete.Network.ResetMatchState) so the replay re-derives them. No fault
+// injector, watchdog, or termination protocol is consulted, and no helper
+// starts: a degraded cycle always completes (§2.3's serial semantics are
 // the correctness oracle the parallel policies are measured against). It
-// runs as worker 0 on worker 0's queue, so a recovered cycle is recorded —
-// and so profiled, observed and traced — exactly like a one-worker cycle.
+// runs as worker 0 on worker 0's queue, so the replay is a run of one-wme
+// cycles at one process, and a recovered cycle is recorded — and so
+// profiled, observed and traced — exactly like a one-worker cycle.
 func (rt *Runtime) ReplaySerial(all []*wme.WME) CycleStats {
 	w := rt.workers[0]
 	w.begin(nil)
 	for _, x := range all {
-		rt.nw.Inject(wme.Delta{Op: wme.Add, WME: x}, func(n *rete.BetaNode, ww *wme.WME, op wme.Op) {
-			// Suppressed activations run inline here, not batched: there
-			// are no other workers to spread them over.
-			if !rt.nw.FilterRight(n, op, ww, &w.sched) {
-				w.pushRoot(n, op, ww)
-			}
-		})
+		rt.inj.delta(wme.Delta{Op: wme.Add, WME: x})
+		rt.inj.flush()
 		w.stamp() // injection is not task time
 		for t := w.q.pop(); t != nil; t = w.q.pop() {
 			w.exec(t, false)

@@ -366,31 +366,6 @@ func (nw *Network) leftScanSkip(n *BetaNode) bool {
 // decide between scheduling a full task and appending a SuppRight entry.
 func (nw *Network) SuppressRight(n *BetaNode) bool { return nw.suppressRight(n) }
 
-// FilterRight applies the unlink fast path to a right activation arriving
-// from the alpha network: when the destination's left memory is provably
-// empty, the activation runs inline — its own memory insert/remove still
-// happens; only the left scan and the task allocation/scheduling are
-// skipped — and FilterRight returns true. Matches discovered in the rare
-// relink race are scheduled through s. Callers must apply any update
-// filter before calling (as they would before Push). The parallel
-// injectors batch suppressed activations instead (SuppressRight + a Supp
-// task); this inline path remains for the serial replay.
-func (nw *Network) FilterRight(n *BetaNode, op wme.Op, w *wme.WME, s Scheduler) bool {
-	if !nw.suppressRight(n) {
-		return false
-	}
-	em := emitter{nw: nw, s: s, p: s.Proc()}
-	em.p.tally.nullSupp++
-	if n.Kind == KindJoin {
-		nw.joinRight(n, op, w, &em)
-	} else {
-		nw.notRight(n, op, w, &em)
-	}
-	em.drain()
-	em.p.tally.tokens += int64(em.emitted)
-	return true
-}
-
 // execSuppBatch executes a suppressed-batch task: every entry's own memory
 // op runs, the left scan is skipped exactly when the left memory is still
 // empty under the line lock, and relink-race matches emit through em. Each

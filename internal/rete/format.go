@@ -66,21 +66,23 @@ func (nw *Network) FormatNetwork() string {
 }
 
 // collectAlphaPaths maps every alpha-memory ID to its readable test path,
-// descending into what the own layer spliced under base nodes as well.
+// descending into what the own layer hung at base nodes as well: a holder
+// has no test of its own, so its path is its base node's.
 func (nw *Network) collectAlphaPaths(prefix string, n *alphaNode, path string, out map[NodeID]string) {
 	if n.test.pred != 0 || n.test.val != (value.Value{}) || n.test.vsField || n.test.disj != nil {
 		path += " " + formatAlphaTest(nw.Tab, n.test)
 	}
-	for _, am := range []*alphaMem{n.mem, nw.own.alphaMemAt[n.id]} {
-		if am != nil {
-			out[am.id] = prefix + path
-		}
+	if n.mem != nil {
+		out[n.mem.id] = prefix + path
 	}
-	for _, c := range n.children {
+	for _, c := range n.eqKids {
 		nw.collectAlphaPaths(prefix, c, path, out)
 	}
-	for _, c := range nw.own.alphaKids[n.id] {
+	for _, c := range n.linear {
 		nw.collectAlphaPaths(prefix, c, path, out)
+	}
+	if h := nw.own.alphaAt[n.id]; h != nil && h != n {
+		nw.collectAlphaPaths(prefix, h, path, out)
 	}
 }
 

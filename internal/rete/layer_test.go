@@ -261,9 +261,10 @@ func layerTrial(t *testing.T, rng *rand.Rand, share bool) {
 }
 
 // TestUpdateWalkUnderSplices runs the state update of chunks that a session
-// splices under its shared base through every alpha splice map: a new test
-// node under a base test node (alphaKids), a new memory at a base interior
-// node (alphaMemAt), and new joins under base memories (alphaSuccs); the
+// splices under its shared base through every splice: a new test node under
+// a base test node and a new memory at a base interior node (both in that
+// node's holder, alphaAt), new joins under base memories (alphaSuccs) and
+// under base beta nodes (betaKids); the
 // second chunk also shares base joins, so it is seeded from base state.
 // runUpdate checks each wme's update walk against the filtered alpha walk;
 // the conflict sets must equal the naive matcher's.
@@ -313,13 +314,67 @@ func TestUpdateWalkUnderSplices(t *testing.T) {
 		check("after " + ast.Name)
 	}
 	own := &e.nw.own
-	if len(own.alphaKids) == 0 || len(own.alphaMemAt) == 0 || len(own.alphaSuccs) == 0 || len(own.betaKids) == 0 {
-		t.Fatalf("splices made: %d alphaKids, %d alphaMemAt, %d alphaSuccs, %d betaKids; want some of each",
-			len(own.alphaKids), len(own.alphaMemAt), len(own.alphaSuccs), len(own.betaKids))
+	withKids, withMem := 0, 0
+	for _, h := range own.alphaAt {
+		if len(h.eqKids)+len(h.linear) > 0 {
+			withKids++
+		}
+		if h.mem != nil {
+			withMem++
+		}
+	}
+	if withKids == 0 || withMem == 0 || len(own.alphaSuccs) == 0 || len(own.betaKids) == 0 {
+		t.Fatalf("splices made: %d holders with children, %d with a memory, %d alphaSuccs, %d betaKids; want some of each",
+			withKids, withMem, len(own.alphaSuccs), len(own.betaKids))
 	}
 	for _, w := range e.mem.All() {
 		e.remove(w)
 		check(fmt.Sprintf("after removing wme %d", w.ID))
+	}
+}
+
+// TestSplicedAlphaDispatchIsConstant splices k and then 10·k symbol-equality
+// test nodes under one base alpha node, (a ^x foo), and injects the same
+// deltas into both sessions: the children spliced under a base node are
+// dispatched through the same index as the base's own, so the tests, hits
+// and misses a delta costs do not grow with what a session has learned, and
+// the walk allocates nothing.
+func TestSplicedAlphaDispatchIsConstant(t *testing.T) {
+	const src = `
+(literalize a x y)
+(p base (a ^x foo) --> (make o))
+`
+	noop := func(*BetaNode, *wme.WME, wme.Op) {}
+	perDelta := func(k int) [][3]int64 {
+		e := newTestEnv(t, src)
+		e.nw = NewFromTopology(e.nw.Freeze(), e.cs, DefaultOptions())
+		for i := range k {
+			ast, err := ops5.ParseProduction(fmt.Sprintf("(p chunk%d (a ^x foo ^y s%d) --> (make o))", i, i), e.tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.nw.AddProduction(ast); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out [][3]int64
+		st := &e.nw.Stats
+		for _, y := range []string{"s3", "s7", "nope"} {
+			d := wme.Delta{Op: wme.Add, WME: e.wmeOf("a", "x", "foo", "y", y)}
+			c, h, m := st.ConstTests.Load(), st.AlphaHits.Load(), st.AlphaMisses.Load()
+			e.nw.Inject(d, noop)
+			out = append(out, [3]int64{st.ConstTests.Load() - c, st.AlphaHits.Load() - h, st.AlphaMisses.Load() - m})
+			if allocs := testing.AllocsPerRun(20, func() { e.nw.Inject(d, noop) }); allocs != 0 {
+				t.Fatalf("k=%d: Inject of y=%s allocates %.1f times", k, y, allocs)
+			}
+		}
+		return out
+	}
+	const k = 8
+	small, large := perDelta(k), perDelta(10*k)
+	if fmt.Sprint(small) != fmt.Sprint(large) {
+		t.Fatalf("(ConstTests, AlphaHits, AlphaMisses) per delta: %v at %d spliced children, %v at %d",
+			small, k, large, 10*k)
 	}
 }
 

@@ -231,7 +231,7 @@ func sortAlphaTests(tests []alphaTest) {
 // test sequence. Constant-test nodes are shared by path prefix; memories by
 // full path. The base's trees are traversed read-only: whatever is missing
 // is created in the own layer and, where its parent is a base node, hung
-// under it through a splice map (callers hold nw.mu).
+// in that node's holder (callers hold nw.mu).
 func (nw *Network) buildAlpha(class value.Sym, tests []alphaTest) *alphaMem {
 	own := &nw.own
 	sortAlphaTests(tests)
@@ -250,45 +250,40 @@ func (nw *Network) buildAlpha(class value.Sym, tests []alphaTest) *alphaMem {
 		own.roots[class] = cur
 	}
 	for _, t := range tests {
-		next := findAlphaChild(cur.children, t)
-		if next == nil && nw.inBase(cur.id) {
-			next = findAlphaChild(own.alphaKids[cur.id], t)
-		}
+		next := cur.child(t)
 		if next == nil {
-			next = &alphaNode{id: nw.newID(), test: t, parent: cur}
-			if nw.inBase(cur.id) {
-				// Scanned linearly by walkAlpha: spliced fanout is chunk-sized.
-				kids := own.spliced().alphaKids
-				kids[cur.id] = append(kids[cur.id], next)
-			} else {
-				cur.children = append(cur.children, next)
-				cur.indexChild(next)
+			w := nw.writable(cur)
+			if next = w.child(t); next == nil {
+				next = &alphaNode{id: nw.newID(), test: t, parent: cur}
+				w.indexChild(next)
 			}
 		}
 		cur = next
 	}
-	am := cur.mem
-	switch {
-	case nw.inBase(cur.id):
-		// A base terminal without a memory for this key (a memory would
-		// have hit base.alphaMems above): hang the memory beside it.
-		am = &alphaMem{id: nw.newID(), at: cur}
-		own.spliced().alphaMemAt[cur.id] = am
-	case am == nil:
-		am = &alphaMem{id: nw.newID(), at: cur}
-		cur.mem = am
+	// A base terminal has no memory for this key (it would have hit
+	// base.alphaMems above): the memory goes in its holder.
+	w := nw.writable(cur)
+	if w.mem == nil {
+		w.mem = &alphaMem{id: nw.newID(), at: cur}
 	}
-	own.alphaMems[key] = am
-	return am
+	own.alphaMems[key] = w.mem
+	return w.mem
 }
 
-func findAlphaChild(kids []*alphaNode, t alphaTest) *alphaNode {
-	for _, c := range kids {
-		if c.test.equalTest(t) {
-			return c
-		}
+// writable returns the alpha node the own layer writes to for n: n itself,
+// or, for a base node, its holder — made on first use — which carries n's
+// ID and holds the children and the memory spliced under n.
+func (nw *Network) writable(n *alphaNode) *alphaNode {
+	if !nw.inBase(n.id) {
+		return n
 	}
-	return nil
+	at := nw.own.spliced().alphaAt
+	h := at[n.id]
+	if h == nil {
+		h = &alphaNode{id: n.id, parent: n}
+		at[n.id] = h
+	}
+	return h
 }
 
 // alphaRoot returns the constant-test tree of a class: the base's, or the
@@ -353,21 +348,11 @@ func (nw *Network) walkAlpha(n *alphaNode, d wme.Delta, upd *AddInfo, emit Injec
 			}
 		}
 	}
-	if own.alphaKids != nil && nw.inBase(n.id) {
-		// What the own layer spliced at this base node: a memory beside an
-		// interior node, and constant-test children.
-		if am := own.alphaMemAt[n.id]; am != nil && upd.walks(am.id) {
-			for _, succ := range upd.reached(am.succs) {
-				emit(succ, d.WME, d.Op)
-			}
-		}
-		for _, c := range own.alphaKids[n.id] {
-			if upd.walks(c.id) {
-				nw.Stats.ConstTests.Add(1)
-				if c.test.matches(d.WME.Field) {
-					nw.walkAlpha(c, d, upd, emit)
-				}
-			}
+	if own.alphaAt != nil && nw.inBase(n.id) {
+		// What the own layer hung at this base node, walked by this same
+		// body: its holder carries the node's ID, so the walk ends there.
+		if h := own.alphaAt[n.id]; h != nil && h != n {
+			nw.walkAlpha(h, d, upd, emit)
 		}
 	}
 }

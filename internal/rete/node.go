@@ -68,21 +68,19 @@ func (t alphaTest) equalTest(o alphaTest) bool {
 // alphaNode is one constant-test node. The alpha network is a tree per wme
 // class; each node may have further test children and/or a terminal memory.
 type alphaNode struct {
-	id       NodeID
-	test     alphaTest
-	children []*alphaNode
-	mem      *alphaMem
-	parent   *alphaNode // nil for a class root
+	id     NodeID
+	test   alphaTest
+	mem    *alphaMem
+	parent *alphaNode // nil for a class root
 
-	// Hashed dispatch index, maintained incrementally by buildAlpha as
-	// children are spliced in: eqKids maps (field, constant) to the child
-	// performing that plain equality test, so a wme delta jumps straight
-	// to the matching subtree; eqFields lists the distinct fields probed
-	// (one map lookup each); linear holds the remaining children —
+	// The children, kept once, in the hashed dispatch index buildAlpha
+	// extends as they are spliced in: eqKids maps (field, constant) to the
+	// child performing that plain equality test, so a wme delta jumps
+	// straight to the matching subtree; eqFields lists the distinct fields
+	// probed (one map lookup each); linear holds the remaining children —
 	// non-equality predicates, disjunctions, field-vs-field comparisons
 	// and numeric constants (OPS5 equality coerces 3 = 3.0 across
-	// int/float, which a map key cannot express) — still scanned in order.
-	// children remains the complete list for sharing scans and printing.
+	// int/float, which a map key cannot express) — scanned in order.
 	eqKids   map[alphaEqKey]*alphaNode
 	eqFields []int
 	linear   []*alphaNode
@@ -100,6 +98,19 @@ type alphaEqKey struct {
 func (t alphaTest) hashableEq() bool {
 	return t.disj == nil && !t.vsField && t.pred == value.PredEq &&
 		(t.val.Kind == value.KindSym || t.val.Kind == value.KindNil)
+}
+
+// child returns n's child performing test t, or nil.
+func (n *alphaNode) child(t alphaTest) *alphaNode {
+	if t.hashableEq() {
+		return n.eqKids[alphaEqKey{field: t.field, val: t.val}]
+	}
+	for _, c := range n.linear {
+		if c.test.equalTest(t) {
+			return c
+		}
+	}
+	return nil
 }
 
 // indexChild registers a newly spliced child in the dispatch structures.

@@ -29,12 +29,11 @@ type layer struct {
 	topNodes  []*BetaNode // first-CE nodes (dummy-top children)
 	nTwoInput int         // join/not/ncc/bb node count (statistics)
 
-	// Splice maps, keyed by the ID of the base node shadowed. All four are
+	// Splice maps, keyed by the ID of the base node shadowed. All three are
 	// nil until the first splice (see spliced).
-	alphaKids  map[NodeID][]*alphaNode // constant-test children under a base alpha node
-	alphaMemAt map[NodeID]*alphaMem    // memory at a base interior alpha node
-	alphaSuccs map[NodeID][]*BetaNode  // successors of a base alpha memory
-	betaKids   map[NodeID][]*BetaNode  // children under a base beta node
+	alphaAt    map[NodeID]*alphaNode  // holder of the test children and memory hung at a base alpha node
+	alphaSuccs map[NodeID][]*BetaNode // successors of a base alpha memory
+	betaKids   map[NodeID][]*BetaNode // children under a base beta node
 }
 
 // newLayer returns an empty layer whose IDs continue from below.
@@ -54,8 +53,7 @@ func newLayer(below NodeID) layer {
 // nothing can be spliced under it — never probes a splice map at all.
 func (l *layer) spliced() *layer {
 	if l.betaKids == nil {
-		l.alphaKids = make(map[NodeID][]*alphaNode)
-		l.alphaMemAt = make(map[NodeID]*alphaMem)
+		l.alphaAt = make(map[NodeID]*alphaNode)
 		l.alphaSuccs = make(map[NodeID][]*BetaNode)
 		l.betaKids = make(map[NodeID][]*BetaNode)
 	}

@@ -213,7 +213,9 @@ func readWAL(path string) (recs []walRecord, torn int64, err error) {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), maxWALLine)
+	// The buffer starts small and grows with the longest line, up to
+	// maxWALLine: a restore reads a tail of a few short lines.
+	sc.Buffer(nil, maxWALLine)
 	// Lines keep their newline, so offsets add up and a line cut short
 	// before its newline shows.
 	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {

@@ -700,3 +700,50 @@ func TestOversizeWALLineRefused(t *testing.T) {
 		t.Fatalf("restored session %+v %s, want %+v %s", got, gotFp, want, wantFp)
 	}
 }
+
+// TestLongWALLineRestores: a /run whose one symbol is 2 MiB of '<'
+// journals as a line of about 12 MiB, longer than the scanner's first
+// buffer and shorter than maxWALLine. A restore after a crash that left a
+// torn line behind it must replay that line, give back the same session,
+// and cut the torn tail off.
+func TestLongWALLineRestores(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := crashableServer(t, dir)
+	seedSession(t, tsA.URL, "long1")
+	body := `{"cycles":0,"seq":2,"deltas":[{"op":"add","class":"fact","fields":["` + strings.Repeat("<", 2<<20) + `"]}]}`
+	if code := postRaw(t, tsA.URL+"/sessions/long1/run", body); code != http.StatusOK {
+		t.Fatalf("run with a %d-byte body: code=%d", len(body), code)
+	}
+	want, wantFp := sessionState(t, tsA.URL, "long1")
+	tsA.Close()
+
+	walPath := filepath.Join(dir, "long1", "wal.jsonl")
+	intact, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if intact.Size() <= 1<<20 {
+		t.Fatalf("journal holds %d bytes; want a line longer than 1 MiB", intact.Size())
+	}
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"crc":12345,"rec":{"cy`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	_, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	var rr RestoreResult
+	if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/long1/restore", nil, &rr); code != http.StatusOK || rr.Replayed != 3 {
+		t.Fatalf("restore: code=%d %+v, want 3 records replayed", code, rr)
+	}
+	got, gotFp := sessionState(t, tsB.URL, "long1")
+	if gotFp != wantFp || got.Cycles != want.Cycles || got.WM != want.WM {
+		t.Fatalf("restored session %+v %s, want %+v %s", got, gotFp, want, wantFp)
+	}
+	if cut, err := os.Stat(walPath); err != nil || cut.Size() != intact.Size() {
+		t.Fatalf("journal after restore: %v, %v; want the %d bytes before the torn tail", cut, err, intact.Size())
+	}
+}

@@ -87,7 +87,8 @@ func replayDeltas(tab *value.Table, wm *wme.Memory, recs []deltaRec) ([]wme.Delt
 				fs[j] = value.Nil
 			}
 		}
-		wm.EnsureCounters(r.id, r.tag)
+		id, tag := wm.Counters()
+		wm.SetCounters(max(id, r.id), max(tag, r.tag))
 		out[i] = wme.Delta{Op: wme.Add, WME: &wme.WME{ID: r.id, TimeTag: r.tag, Class: tab.Intern(r.class), Fields: fs}}
 	}
 	return out, nil

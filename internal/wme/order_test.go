@@ -86,7 +86,7 @@ func checkAll(t *testing.T, step int, m *Memory, ref orderModel) {
 
 // TestMemoryOrderProperty drives random streams of inserts, deletes,
 // re-inserts of the same *WME and out-of-order tags (SetCounters moving the
-// tag counter back, EnsureCounters under pre-assigned identities, as a
+// tag counter back, or raising it to cover pre-assigned identities, as a
 // replay does) and requires All to equal the map-walk-and-sort reference.
 // Half the streams call All after every step; the other half only every
 // 64 steps, so Delete's own compaction runs with unsorted entries and holes
@@ -139,7 +139,7 @@ func TestMemoryOrderProperty(t *testing.T) {
 			default:
 				id, tag := m.Counters()
 				w := &WME{ID: id + 1 + uint64(rng.Intn(3)), TimeTag: uint64(rng.Int63n(int64(tag) + 5)), Class: c}
-				m.EnsureCounters(w.ID, w.TimeTag)
+				m.SetCounters(w.ID, max(tag, w.TimeTag))
 				insert(w)
 			}
 			if m.Delete(&WME{ID: 1 << 62}) {

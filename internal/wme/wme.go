@@ -247,17 +247,6 @@ func (m *Memory) SetCounters(nextID, nextTag uint64) {
 	m.nextTag = nextTag
 }
 
-// EnsureCounters raises the allocation state to at least (id, tag). Used
-// when replaying recorded deltas that carry pre-assigned identities.
-func (m *Memory) EnsureCounters(id, tag uint64) {
-	if id > m.nextID {
-		m.nextID = id
-	}
-	if tag > m.nextTag {
-		m.nextTag = tag
-	}
-}
-
 // Insert adds w to working memory. A duplicate insert (same wme already
 // present) is rejected with an error and leaves memory unchanged; the
 // engine treats it as a failed cycle and recovers rather than crashing.
