@@ -167,10 +167,10 @@ type Engine struct {
 // network's own layer, as a served session's chunks do.
 func New(cfg Config) *Engine { return NewWithTable(cfg, value.NewTable()) }
 
-// NewWithTable is New with the engine's symbols interned in tab, which the
-// engine then owns: symbols tab already holds keep their numbers, so a
-// program parsed against tab (or against the table tab was cloned from)
-// can be compiled by LoadParsed.
+// NewWithTable is New with the engine's symbols numbered as in tab: the
+// engine interns into a copy of tab and never writes tab itself, so a
+// program parsed against tab can be compiled by LoadParsed, and tab may be
+// shared by any number of engines.
 func NewWithTable(cfg Config, tab *value.Table) *Engine {
 	img, err := compileImage(tab, "", cfg.Rete)
 	if err != nil {

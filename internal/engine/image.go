@@ -19,10 +19,10 @@ import (
 )
 
 // ProgramImage is an immutable compiled OPS5 program: the frozen rete
-// topology plus everything a session needs to run against it. The symbol
-// table and class registry are shared by every session of the image (node
-// tests hold table-interned symbols); both are internally locked and
-// append-only, so concurrent sessions may extend them safely.
+// topology plus everything a session needs to run against it. Nothing in it
+// is written after the compile: each session stamped from it interns into
+// and extends its own copies of the topology's symbol table and class
+// registry.
 type ProgramImage struct {
 	// Hash is the canonical cache key: program source + structural options.
 	Hash string

@@ -3,6 +3,7 @@ package rete
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,8 +94,9 @@ func layerTrial(t *testing.T, rng *rand.Rand, share bool) {
 	opts.ShareBeta = share
 
 	sess := func(mk func(cs ConflictListener) *Network) *testEnv {
-		e := &testEnv{t: t, tab: tab, reg: reg, cs: newCS(), s: &serialSched{}}
+		e := &testEnv{t: t, cs: newCS(), s: &serialSched{}}
 		e.nw = mk(e.cs)
+		e.tab, e.reg = e.nw.Tab, e.nw.Reg
 		return e
 	}
 	a := sess(func(cs ConflictListener) *Network { return NewNetwork(tab, reg, cs, opts) })
@@ -109,6 +111,10 @@ func layerTrial(t *testing.T, rng *rand.Rand, share bool) {
 			}
 		}
 	}
+	// The delta stream's symbols are interned before the freeze, so that
+	// every session's copy of the table holds them.
+	classes := []value.Sym{tab.Intern("ca"), tab.Intern("cb"), tab.Intern("cc")}
+	consts := []value.Value{tab.SymV("k1"), tab.SymV("k2"), tab.SymV("k3")}
 	top := compiler.Freeze()
 	overTop := func(cs ConflictListener) *Network { return NewFromTopology(top, cs, opts) }
 	b, c := sess(overTop), sess(overTop)
@@ -117,8 +123,6 @@ func layerTrial(t *testing.T, rng *rand.Rand, share bool) {
 	// The delta stream, with the live set after each step for the reference.
 	const steps = 30
 	mem := wme.NewMemory()
-	classes := []value.Sym{tab.Intern("ca"), tab.Intern("cb"), tab.Intern("cc")}
-	consts := []value.Value{tab.SymV("k1"), tab.SymV("k2"), tab.SymV("k3")}
 	var live []*wme.WME
 	deltas := make([]wme.Delta, steps)
 	liveAt := make([][]*wme.WME, steps)
@@ -280,7 +284,7 @@ func TestUpdateWalkUnderSplices(t *testing.T) {
 		"(p chunk2 (a ^x 1 ^y 2) (b ^x <v>) (a ^x 1 ^z <v>) --> (make o))",
 	}
 	e := newTestEnv(t, src)
-	e.nw = NewFromTopology(e.nw.Freeze(), e.cs, DefaultOptions())
+	e.stamp()
 	prog, err := ops5.Parse(src, e.tab)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +351,7 @@ func TestSplicedAlphaDispatchIsConstant(t *testing.T) {
 	noop := func(*BetaNode, *wme.WME, wme.Op) {}
 	perDelta := func(k int) [][3]int64 {
 		e := newTestEnv(t, src)
-		e.nw = NewFromTopology(e.nw.Freeze(), e.cs, DefaultOptions())
+		e.stamp()
 		for i := range k {
 			ast, err := ops5.ParseProduction(fmt.Sprintf("(p chunk%d (a ^x foo ^y s%d) --> (make o))", i, i), e.tab)
 			if err != nil {
@@ -430,7 +434,7 @@ func TestRejectedAddLeavesNetworkUnchanged(t *testing.T) {
 				build := func(srcs ...string) (*testEnv, []error) {
 					e := newTestEnv(t, decls+base)
 					if layered {
-						e.nw = NewFromTopology(e.nw.Freeze(), e.cs, DefaultOptions())
+						e.stamp()
 					}
 					var errs []error
 					for _, src := range srcs {
@@ -481,4 +485,85 @@ func TestRejectedAddLeavesNetworkUnchanged(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestStampsAreIndependent: networks stamped from one topology share only
+// what is frozen. Eight stamps run at once; each interns names of its own,
+// extends one class with the same attributes in an order of its own, and
+// compiles and matches a production over them. Each sees only what it
+// wrote, and the topology's table and registry are as Freeze left them.
+func TestStampsAreIndependent(t *testing.T) {
+	const stamps = 8
+	top := newTestEnv(t, "(literalize c v)\n(p base (c ^v 1) --> (make o))").nw.Freeze()
+	cls, _ := top.tab.Lookup("c")
+	symbols, classes := symbolCount(top.tab), top.reg.Classes()
+	schema := slices.Clone(top.reg.Get(cls, false).Attrs())
+
+	stamp := func(i int) error {
+		e := &testEnv{t: t, cs: newCS(), s: &serialSched{}, mem: wme.NewMemory()}
+		e.nw = NewFromTopology(top, e.cs, DefaultOptions())
+		e.tab, e.reg = e.nw.Tab, e.nw.Reg
+		// Attributes x0..x7, starting at xi: stamp i puts xi at index 1.
+		for k := range stamps {
+			attr := e.tab.Intern(fmt.Sprintf("x%d", (i+k)%stamps))
+			if idx, _ := e.reg.FieldIndex(cls, attr, true); idx != 1+k {
+				return fmt.Errorf("x%d at index %d, want %d", (i+k)%stamps, idx, 1+k)
+			}
+		}
+		own, attr := fmt.Sprintf("own%d", i), fmt.Sprintf("x%d", i)
+		ast, err := ops5.ParseProduction(fmt.Sprintf("(p %s (c ^%s %s) --> (make o))", own, attr, own), e.tab)
+		if err != nil {
+			return err
+		}
+		if _, _, err := e.nw.AddProduction(ast); err != nil {
+			return err
+		}
+		w := e.wmeOf("c", "v", 1, attr, own)
+		e.add(w)
+		if got, want := e.cs.keys(), []string{fmt.Sprintf("base[%d]", w.ID), fmt.Sprintf("%s[%d]", own, w.ID)}; !slices.Equal(got, want) {
+			return fmt.Errorf("conflict set %v, want %v", got, want)
+		}
+		if got, want := w.Format(e.tab, e.reg), fmt.Sprintf("(c ^v 1 ^%s %s)", attr, own); got != want {
+			return fmt.Errorf("wme reads %s, want %s", got, want)
+		}
+		for j := range stamps {
+			if _, ok := e.tab.Lookup(fmt.Sprintf("own%d", j)); ok != (j == i) {
+				return fmt.Errorf("table holds own%d: %t", j, ok)
+			}
+		}
+		return nil
+	}
+	errs := make([]error, stamps)
+	var wg sync.WaitGroup
+	for i := range stamps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = stamp(i)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("stamp %d: %v", i, err)
+		}
+	}
+	if got := symbolCount(top.tab); got != symbols {
+		t.Errorf("topology's table grew from %d to %d symbols", symbols, got)
+	}
+	if got := top.reg.Classes(); !slices.Equal(got, classes) {
+		t.Errorf("topology's classes %v, were %v", got, classes)
+	}
+	if got := top.reg.Get(cls, false).Attrs(); !slices.Equal(got, schema) {
+		t.Errorf("topology's schema of c %v, was %v", got, schema)
+	}
+}
+
+// symbolCount returns the number of symbols tab has interned.
+func symbolCount(tab *value.Table) int {
+	n := 0
+	for tab.Name(value.Sym(n+1)) != "" {
+		n++
+	}
+	return n
 }

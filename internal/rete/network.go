@@ -144,8 +144,10 @@ type Network struct {
 }
 
 // NewNetwork creates an empty owned network: a session over an empty base.
+// It adopts tab and reg, interning into and extending them as it compiles;
+// Freeze hands them on to the topology.
 func NewNetwork(tab *value.Table, reg *wme.Registry, cs ConflictListener, opts Options) *Network {
-	return NewFromTopology(&Topology{tab: tab, reg: reg, opts: opts}, cs, opts)
+	return newNetwork(&Topology{opts: opts}, tab, reg, cs, opts)
 }
 
 // newID hands out the next monotone node ID (callers hold nw.mu).

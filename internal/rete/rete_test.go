@@ -121,6 +121,13 @@ func newTestEnv(t *testing.T, src string) *testEnv {
 	return newEnvOpts(t, src, DefaultOptions())
 }
 
+// stamp freezes e's network and makes e a session over the topology: a
+// fresh network whose own table and registry e's helpers use from then on.
+func (e *testEnv) stamp() {
+	e.nw = NewFromTopology(e.nw.Freeze(), e.cs, DefaultOptions())
+	e.tab, e.reg = e.nw.Tab, e.nw.Reg
+}
+
 // wmeOf builds a wme like (class ^a1 v1 ^a2 v2 ...); values given as
 // strings are interned symbols, ints as int values.
 func (e *testEnv) wmeOf(class string, kv ...any) *wme.WME {

@@ -66,15 +66,14 @@ func (l *layer) spliced() *layer {
 // match state (token tables, unlink counters, conflict set). It extends the
 // paper's node-sharing economy across sessions.
 //
-// The symbol table and class registry travel with the topology: node tests
-// hold interned Syms, so every Network sharing the topology must resolve
-// symbols through the same table. Both are internally locked and append-only
-// (interning a symbol or extending a schema never moves existing indices),
-// which is what makes sharing them safe.
+// The topology keeps the symbol table and class registry it was compiled
+// against, frozen with it: node tests hold interned Syms and field indices.
+// Every Network stamped from it gets its own copy of both, so what one
+// session interns or extends no other session sees.
 type Topology struct {
-	tab  *value.Table
-	reg  *wme.Registry
-	opts Options // as compiled; Unlink is a per-session override
+	tab  *value.Table  // set by Freeze
+	reg  *wme.Registry // set by Freeze
+	opts Options       // as compiled; Unlink is a per-session override
 	layer
 }
 
@@ -103,34 +102,40 @@ func (s Sig) String() string {
 	return fmt.Sprintf("nodes=%d twoInput=%d prods=%d", s.Nodes, s.TwoInput, s.Prods)
 }
 
-// Freeze hands the network's own layer over as an immutable base and returns
-// it for sharing. The freezing network keeps running, now as one more
-// session over that base: whatever it adds from here on goes to a fresh own
-// layer. The caller must be quiescent. Layers do not stack, so a network
-// that already runs over a base cannot freeze again.
+// Freeze hands the network's graph and its tables over as an immutable base
+// and returns it for sharing; the network must not be used afterwards. The
+// caller must be quiescent. Layers do not stack, so a network that already
+// runs over a base cannot freeze.
 func (nw *Network) Freeze() *Topology {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	if nw.base.nextID != 0 {
 		panic("rete: Freeze on a network that already has a base")
 	}
-	nw.base.layer = nw.own
-	nw.own = newLayer(nw.base.nextID)
-	return nw.base
+	top := nw.base
+	top.layer, top.tab, top.reg = nw.own, nw.Tab, nw.Reg
+	return top
 }
 
 // NewFromTopology builds a session Network over a shared base: fresh token
-// tables and unlink counters sized for the base's node IDs, no compilation.
-// The session-level option, Unlink, comes from opts; structural options are
-// fixed by the topology and taken from it.
+// tables and unlink counters sized for the base's node IDs, and its own
+// copies of the base's symbol table and class registry, which keep every
+// number the base's node tests hold. Nothing is compiled. The session-level
+// option, Unlink, comes from opts; structural options are fixed by the
+// topology and taken from it.
 func NewFromTopology(top *Topology, cs ConflictListener, opts Options) *Network {
 	o := top.opts
 	o.Unlink = opts.Unlink
+	return newNetwork(top, top.tab.Clone(), top.reg.Clone(), cs, o)
+}
+
+// newNetwork builds a network over top that interns into tab and extends reg.
+func newNetwork(top *Topology, tab *value.Table, reg *wme.Registry, cs ConflictListener, opts Options) *Network {
 	nw := &Network{
-		Tab:  top.tab,
-		Reg:  top.reg,
+		Tab:  tab,
+		Reg:  reg,
 		Mem:  newMem(hashLines),
-		Opts: o,
+		Opts: opts,
 		CS:   cs,
 		base: top,
 		own:  newLayer(top.nextID),

@@ -3,9 +3,11 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 
 	"soarpsme/internal/engine"
+	"soarpsme/internal/value"
 )
 
 // TestImageCacheAcrossSessions: sessions of one program share a single
@@ -112,5 +114,103 @@ func TestRestoreStormWarm(t *testing.T) {
 	}
 	if warm != storm-1 {
 		t.Fatalf("%d/%d warm restores, want %d", warm, storm, storm-1)
+	}
+}
+
+// symbolCount returns the number of symbols tab has interned.
+func symbolCount(tab *value.Table) int {
+	n := 0
+	for tab.Name(value.Sym(n+1)) != "" {
+		n++
+	}
+	return n
+}
+
+// TestSessionsShareNoSymbols: what a session interns is its own. One
+// session ingests 1,000 distinct strings and is deleted; another session of
+// the same program, and one created from the warm image afterwards, hold
+// only the program's symbols.
+func TestSessionsShareNoSymbols(t *testing.T) {
+	srv, _ := testServer(t, Config{Workers: 2, Processes: 2})
+	req := CreateRequest{Program: serveProgSrc}
+	symbols := func(p *fpProbe) (n int) {
+		p.onLoop("count symbols", func(ss *session) error { n = symbolCount(ss.eng.Tab); return nil })
+		return n
+	}
+	a, b := newProbe(t, srv, req), newProbe(t, srv, req)
+	want := symbols(b)
+	for i := 0; i < 1000; i += 100 {
+		ds := make([]DeltaJSON, 100)
+		for j := range ds {
+			ds[j] = DeltaJSON{Op: "add", Class: "fact", Fields: []any{fmt.Sprintf("str-%d", i+j)}}
+		}
+		a.ingest("ingest strings", ds...)
+	}
+	if got := symbols(a); got != want+1000 {
+		t.Fatalf("the ingesting session holds %d symbols, want %d", got, want+1000)
+	}
+	a.delete()
+	if got := symbols(b); got != want {
+		t.Errorf("the other session's table grew from %d to %d symbols", want, got)
+	}
+	if got := symbols(newProbe(t, srv, req)); got != want {
+		t.Errorf("a session of the warm image starts with %d symbols, want %d", got, want)
+	}
+}
+
+// TestWarmServerRestoresRecordedMeaning: a restore reads working memory the
+// way it was written, whatever order the restoring server's other sessions
+// fired their schemas into. Session b, snapshotted on one server, holds
+// (out ^x 1); on a second server over the same data directory, another
+// session of the program first makes (out ^y 2); b is then restored there.
+func TestWarmServerRestoresRecordedMeaning(t *testing.T) {
+	const prog = `
+(literalize go which)
+(p px (go ^which x) --> (make out ^x 1))
+(p py (go ^which y) --> (make out ^y 2))
+`
+	fire := func(url, id, which string) {
+		t.Helper()
+		if res := ingest(t, url+"/sessions/"+id, DeltaJSON{Op: "add", Class: "go", Fields: []any{which}}); res.Failed != 0 {
+			t.Fatalf("%s: ingest: %+v", id, res)
+		}
+		var res RunResult
+		if code, _ := doJSON(t, "POST", url+"/sessions/"+id+"/run", RunRequest{Cycles: 10, Seq: 1}, &res); code != http.StatusOK || res.Fired != 1 {
+			t.Fatalf("%s: run: code=%d %+v", id, code, res)
+		}
+	}
+	create := func(url, id string) {
+		t.Helper()
+		if code, _ := doJSON(t, "POST", url+"/sessions", CreateRequest{ID: id, Program: prog}, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: %d", id, code)
+		}
+	}
+	dir := t.TempDir()
+	_, first := crashableServer(t, dir)
+	create(first.URL, "b")
+	fire(first.URL, "b", "x")
+	if code, _ := doJSON(t, "POST", first.URL+"/sessions/b/snapshot", nil, nil); code != http.StatusOK {
+		t.Fatalf("snapshot: %d", code)
+	}
+	first.Close()
+
+	second, ts := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	create(ts.URL, "a")
+	fire(ts.URL, "a", "y")
+	if code, _ := doJSON(t, "POST", ts.URL+"/sessions/b/restore", nil, nil); code != http.StatusOK {
+		t.Fatalf("restore: %d", code)
+	}
+	ss := liveSession(second, "b")
+	var wm []string
+	if _, err := ss.submit(nil, func() (any, error) {
+		for _, w := range ss.eng.WM.All() {
+			wm = append(wm, w.Format(ss.eng.Tab, ss.eng.Reg))
+		}
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(wm, "(out ^x 1)") {
+		t.Fatalf("restored working memory %v, want it to hold (out ^x 1)", wm)
 	}
 }

@@ -41,6 +41,13 @@ var wrongPayloads = []struct {
 	{"wrong baseHash", func(img *snapshot.Image) { img.BaseHash = "deadbeef" }, "hash mismatch"},
 	{"wrong topoSig", func(img *snapshot.Image) { img.TopoSig = &rete.Sig{Nodes: 1, TwoInput: 1, Prods: 1} }, "topology mismatch"},
 	{"unknown value kind", func(img *snapshot.Image) { img.WMEs[0].Fields[0].K = "z" }, "unknown value kind"},
+	{"swapped schema attrs", func(img *snapshot.Image) {
+		for i := range img.Schema {
+			if a := img.Schema[i].Attrs; len(a) > 1 {
+				a[0], a[1] = a[1], a[0]
+			}
+		}
+	}, "not at the image schema's indices"},
 }
 
 // wrongPayload applies mutate to a fresh copy of the good image and returns
@@ -89,7 +96,7 @@ func TestRestoreRejectsWrongPayloads(t *testing.T) {
 			t.Errorf("%s: restore error %v, want one mentioning %q", c.name, err, c.wantErr)
 		}
 		want := 0
-		if err == nil && img.Program != "" { // the empty program's image is never shared
+		if err == nil {
 			want = 1
 		}
 		if held := cache.Stats().Sessions - before; held != want {

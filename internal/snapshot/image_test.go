@@ -172,3 +172,43 @@ func TestImageRestoreDivergenceFailsLoudly(t *testing.T) {
 		t.Fatalf("unexpected hash error: %v", err)
 	}
 }
+
+// TestRestoreRejectsSwappedSchema: a snapshot whose recorded schema puts a
+// class's attributes where the image's schema does not is refused, with or
+// without an image cache, rather than restored with its wmes read under
+// the image's order.
+func TestRestoreRejectsSwappedSchema(t *testing.T) {
+	cfg := engine.DefaultConfig()
+	img, err := engine.CompileProgram("(literalize fact v w)\n(startup (make fact ^v a ^w b))", cfg.Rete)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewFromImage(img, cfg)
+	if err := e.RunStartup(); err != nil {
+		t.Fatal(err)
+	}
+	exp := snapshot.Export(e)
+	var swapped bool
+	for i, rec := range exp.Schema {
+		if rec.Class == "fact" {
+			exp.Schema[i].Attrs = []string{"w", "v"} // the image now says (fact ^w a ^v b)
+			swapped = true
+		}
+	}
+	if !swapped {
+		t.Fatalf("no schema recorded for fact: %+v", exp.Schema)
+	}
+	for _, cache := range []*engine.ImageCache{nil, engine.NewImageCache()} {
+		back, _, err := snapshot.RestoreWithCache(exp, cfg, cache)
+		if err == nil {
+			var wm []string
+			for _, w := range back.WM.All() {
+				wm = append(wm, w.Format(back.Tab, back.Reg))
+			}
+			t.Fatalf("cache %t: a swapped schema restored silently as %v", cache != nil, wm)
+		}
+		if !strings.Contains(err.Error(), "class fact") {
+			t.Fatalf("cache %t: restore error %q does not name the class", cache != nil, err)
+		}
+	}
+}

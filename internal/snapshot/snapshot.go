@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strconv"
 
 	"soarpsme/internal/conflict"
@@ -314,25 +315,21 @@ func Decode(data []byte) (*Image, error) {
 // RestoreWithCache builds a fresh engine from an image, byte-identical to
 // the exporting engine: same conflict set, same fingerprints, same
 // counters. It resolves the snapshot's base image through cache, which may
-// be nil to force a private compile. cacheHit
-// reports whether the base topology came out of the cache without a
-// compile. A recompiled base whose program hash or topology signature
-// diverges from the snapshot's record fails loudly: restoring state
-// vectors against a different graph would be silent corruption.
+// be nil to force a private compile; the bool reports whether the base
+// topology came out of the cache without a compile. A recompiled base whose
+// program hash or topology signature diverges from the snapshot's record
+// fails loudly: restoring state vectors against a different graph would be
+// silent corruption.
 func RestoreWithCache(img *Image, cfg engine.Config, cache *engine.ImageCache) (*engine.Engine, bool, error) {
 	if img == nil {
 		return nil, false, fmt.Errorf("snapshot: no engine image to restore")
 	}
-	// The empty program's image is never shared: an image carries the symbol
-	// table and class registry, and an engine.New engine fills them with its
-	// own program's classes.
-	shared := cache != nil && img.Program != ""
 	var (
 		base *engine.ProgramImage
 		hit  bool
 		err  error
 	)
-	if shared {
+	if cache != nil {
 		base, hit, err = cache.Get(img.Program, cfg.Rete)
 	} else {
 		base, err = engine.CompileProgram(img.Program, cfg.Rete)
@@ -341,7 +338,7 @@ func RestoreWithCache(img *Image, cfg engine.Config, cache *engine.ImageCache) (
 		return nil, false, fmt.Errorf("snapshot: compiling base image: %w", err)
 	}
 	e, err := restoreOnto(base, img, cfg)
-	if err != nil && shared {
+	if err != nil && cache != nil {
 		cache.Release(base)
 	}
 	return e, hit, err
@@ -369,13 +366,20 @@ func restoreOnto(base *engine.ProgramImage, img *Image, cfg engine.Config) (_ *e
 	}
 	// Re-impose the recorded schema order before anything else touches the
 	// registry: field indices are positional, and runtime firings extend
-	// schemas in firing order, which the shared image cannot know about.
+	// schemas in firing order, which the image cannot know about. Every
+	// recorded attribute must then sit at its recorded index; one that does
+	// not (the image's schema puts another attribute there) would give the
+	// recorded wmes another meaning.
 	for _, rec := range img.Schema {
 		attrs := make([]value.Sym, len(rec.Attrs))
 		for i, a := range rec.Attrs {
 			attrs[i] = e.Tab.Intern(a)
 		}
-		e.Reg.Declare(e.Tab.Intern(rec.Class), attrs...)
+		have := e.Reg.Declare(e.Tab.Intern(rec.Class), attrs...).Attrs()
+		if len(have) < len(attrs) || !slices.Equal(have[:len(attrs)], attrs) {
+			return nil, fmt.Errorf("snapshot: class %s: recorded attributes %v are not at the image schema's indices",
+				rec.Class, rec.Attrs)
+		}
 	}
 	// Compile the own layer's productions. Working memory is still empty
 	// here, so the §5.2 state update is a no-op and they pick up their state

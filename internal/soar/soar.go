@@ -178,7 +178,7 @@ func New(cfg Config, task *Task) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.NewWithTable(cfg.Engine, pt.tab.Clone())
+	eng := engine.NewWithTable(cfg.Engine, pt.tab)
 	a := &Agent{
 		Eng:       eng,
 		cfg:       cfg,

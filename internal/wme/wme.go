@@ -11,10 +11,10 @@ package wme
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"soarpsme/internal/value"
 )
@@ -47,10 +47,11 @@ func (s *Schema) attrIndex(attr value.Sym, extend bool) (int, bool) {
 // Width returns the number of declared attributes.
 func (s *Schema) Width() int { return len(s.attrs) }
 
-// Registry holds the schemas of every wme class. It is safe for concurrent
-// read access; schema extension (parsing, production addition) is locked.
+// Registry holds the schemas of every wme class. Like value.Table it has
+// one owner and no lock: a network's registry is extended only by the
+// goroutine driving that network, and a frozen topology's, which its stamps
+// clone, by nobody.
 type Registry struct {
-	mu      sync.RWMutex
 	classes map[value.Sym]*Schema
 }
 
@@ -59,16 +60,20 @@ func NewRegistry() *Registry {
 	return &Registry{classes: make(map[value.Sym]*Schema)}
 }
 
+// Clone returns a registry holding r's schemas with the same field indices,
+// which extends independently of r from then on.
+func (r *Registry) Clone() *Registry {
+	c := &Registry{classes: make(map[value.Sym]*Schema, len(r.classes))}
+	for cls, s := range r.classes {
+		c.classes[cls] = &Schema{attrs: slices.Clone(s.attrs), index: maps.Clone(s.index)}
+	}
+	return c
+}
+
 // Declare registers (or extends) a class with the given attributes,
 // mirroring OPS5's literalize. It returns the class schema.
 func (r *Registry) Declare(class value.Sym, attrs ...value.Sym) *Schema {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.classes[class]
-	if s == nil {
-		s = &Schema{index: make(map[value.Sym]int)}
-		r.classes[class] = s
-	}
+	s := r.Get(class, true)
 	for _, a := range attrs {
 		s.attrIndex(a, true)
 	}
@@ -78,45 +83,26 @@ func (r *Registry) Declare(class value.Sym, attrs ...value.Sym) *Schema {
 // Get returns the schema for class, creating an empty one when extend is
 // true (Soar classes need no literalize; attributes appear on first use).
 func (r *Registry) Get(class value.Sym, extend bool) *Schema {
-	r.mu.RLock()
 	s := r.classes[class]
-	r.mu.RUnlock()
-	if s != nil || !extend {
-		return s
+	if s == nil && extend {
+		s = &Schema{index: make(map[value.Sym]int)}
+		r.classes[class] = s
 	}
-	return r.Declare(class)
+	return s
 }
 
 // FieldIndex resolves (class, attr) to a field index, extending the schema
 // when extend is true.
-// A known attribute costs one read lock; the write lock is taken only to
-// extend, and what the read saw is checked again under it.
 func (r *Registry) FieldIndex(class, attr value.Sym, extend bool) (int, bool) {
-	r.mu.RLock()
-	if s := r.classes[class]; s != nil {
-		if i, ok := s.index[attr]; ok {
-			r.mu.RUnlock()
-			return i, true
-		}
-	}
-	r.mu.RUnlock()
-	if !extend {
+	s := r.Get(class, extend)
+	if s == nil {
 		return -1, false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.classes[class]
-	if s == nil {
-		s = &Schema{index: make(map[value.Sym]int)}
-		r.classes[class] = s
-	}
-	return s.attrIndex(attr, true)
+	return s.attrIndex(attr, extend)
 }
 
 // Classes returns all declared class symbols in ascending Sym order.
 func (r *Registry) Classes() []value.Sym {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]value.Sym, 0, len(r.classes))
 	for c := range r.classes {
 		out = append(out, c)

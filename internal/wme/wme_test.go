@@ -2,8 +2,6 @@ package wme
 
 import (
 	"slices"
-	"strconv"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -70,66 +68,23 @@ func TestRegistryGetExtend(t *testing.T) {
 	}
 }
 
-// TestFieldIndexConcurrent: goroutines resolve, extend and re-declare the
-// same fresh classes at once, all walking classes and attributes in one
-// order, so attribute k is always the k-th added. Every call sees that index, and
-// every class ends with the schema a serial run assigns. Under -race this
-// is also the registry's lock check.
-func TestFieldIndexConcurrent(t *testing.T) {
-	const goroutines, classes, attrs = 4, 64, 12
-	tab := value.NewTable()
-	cls := make([]value.Sym, classes)
-	for i := range cls {
-		cls[i] = tab.Intern("class-" + strconv.Itoa(i))
+// TestRegistryClone: a clone keeps every field index, and from then on the
+// two registries extend apart.
+func TestRegistryClone(t *testing.T) {
+	tab, reg, _ := newEnv()
+	c, x, y := tab.Intern("c"), tab.Intern("x"), tab.Intern("y")
+	reg.Declare(c, x)
+	clone := reg.Clone()
+	if i, ok := clone.FieldIndex(c, x, false); !ok || i != 0 {
+		t.Fatalf("clone: FieldIndex(x) = %d, %v", i, ok)
 	}
-	as := make([]value.Sym, attrs)
-	for k := range as {
-		as[k] = tab.Intern("attr-" + strconv.Itoa(k))
+	clone.FieldIndex(c, y, true)
+	reg.Declare(tab.Intern("d"))
+	if _, ok := reg.FieldIndex(c, y, false); ok {
+		t.Fatal("extending the clone extended the original")
 	}
-	// walk extends class c attribute by attribute, alternating the two ways
-	// a schema grows, and reads one attribute ahead without extending.
-	walk := func(t *testing.T, reg *Registry, g int) {
-		for _, c := range cls {
-			for k, a := range as {
-				if (k+g)%3 == 0 {
-					reg.Declare(c, as[:k+1]...)
-				} else if i, ok := reg.FieldIndex(c, a, true); !ok || i != k {
-					t.Errorf("goroutine %d: FieldIndex(attr %d) = %d, %v", g, k, i, ok)
-					return
-				}
-				if k+1 < attrs {
-					if i, ok := reg.FieldIndex(c, as[k+1], false); ok && i != k+1 {
-						t.Errorf("goroutine %d: attr %d read at index %d", g, k+1, i)
-						return
-					}
-				}
-			}
-		}
-	}
-	serial := NewRegistry()
-	walk(t, serial, 0)
-	for round := 0; round < 20; round++ {
-		reg := NewRegistry()
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				walk(t, reg, g)
-			}()
-		}
-		close(start)
-		wg.Wait()
-		if !slices.Equal(reg.Classes(), serial.Classes()) {
-			t.Fatalf("round %d: classes %v, serial run %v", round, reg.Classes(), serial.Classes())
-		}
-		for _, c := range cls {
-			if got, want := reg.Get(c, false).Attrs(), serial.Get(c, false).Attrs(); !slices.Equal(got, want) {
-				t.Fatalf("round %d: class %s attributes %v, serial run %v", round, tab.Name(c), got, want)
-			}
-		}
+	if got := clone.Classes(); !slices.Equal(got, []value.Sym{c}) {
+		t.Fatalf("declaring in the original declared in the clone: %v", got)
 	}
 }
 
