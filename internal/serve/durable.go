@@ -255,7 +255,9 @@ func (st *store) close() {
 // (engine configuration and task parameters), progress counters, the
 // idempotency watermark, and the engine image. Cypress sessions also
 // carry the workload driver's state so the restored session produces the
-// identical remaining batch sequence.
+// identical remaining batch sequence. The engine image's program is
+// empty: the creation request names it (createProgram), and a restore
+// derives it from there and checks it against the image's base hash.
 type sessionImage struct {
 	ID         string               `json:"id"`
 	Task       string               `json:"task"`
@@ -308,6 +310,8 @@ func (s *session) saveSnapshot() (*SnapshotResult, error) {
 		LastResult: s.lastRes,
 		Engine:     snapshot.Export(s.eng),
 	}
+	// The program is a function of s.create: restore derives it again.
+	img.Engine.Program = ""
 	if s.drv != nil {
 		img.Driver = s.drv.State()
 	}
@@ -426,11 +430,23 @@ func (s *Server) rebuildSession(id string) (*session, int, bool, error) {
 	if err := checkCypressParams(&img.Create); err != nil {
 		return nil, 0, false, err
 	}
+	// The program comes from the create request, never from the image: an
+	// earlier build's recorded engine.program is ignored. Without a recorded
+	// base hash nothing would check that the derived program is the one
+	// the state was exported from, so such an image is refused.
+	if img.Engine == nil {
+		return nil, 0, false, fmt.Errorf("serve: image for %s has no engine", id)
+	}
+	if img.Engine.BaseHash == "" {
+		return nil, 0, false, fmt.Errorf("serve: image for %s records no base hash to check its program against", id)
+	}
+	sys := cypressSystem(&img.Create)
+	img.Engine.Program = createProgram(&img.Create, sys)
 	eng, cacheHit, err := snapshot.RestoreWithCache(img.Engine, s.engineConfig(), s.images)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	ss := s.newSession(img.Create, cypressSystem(&img.Create), eng)
+	ss := s.newSession(img.Create, sys, eng)
 	if created, err := time.Parse(time.RFC3339Nano, img.Created); err == nil {
 		ss.created = created
 	}

@@ -121,12 +121,16 @@ func TestRestoreConflicts(t *testing.T) {
 
 	// A sealed image with no engine in it, or with cypress params the
 	// generator is not defined for, is a failed restore — a 500 that counts —
-	// not a nil dereference or a division by zero.
-	for id, img := range map[string]*sessionImage{
-		"hollow": {ID: "hollow"},
-		"badgen": {ID: "badgen", Create: CreateRequest{Task: "cypress", Params: &cypress.Params{AvgCEs: 1}}},
+	// not a nil dereference or a division by zero. The params are checked
+	// before anything is generated.
+	for id, c := range map[string]struct {
+		img     *sessionImage
+		wantErr string
+	}{
+		"hollow": {&sessionImage{ID: "hollow"}, "has no engine"},
+		"badgen": {&sessionImage{ID: "badgen", Create: CreateRequest{Task: "cypress", Params: &cypress.Params{AvgCEs: 1}}}, "cypress params"},
 	} {
-		data, err := snapshot.Seal(img)
+		data, err := snapshot.Seal(c.img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,8 +139,8 @@ func TestRestoreConflicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		failed := s.cfg.Obs.Counter("serve_restore_failures_total").Value()
-		if _, code, err := s.restoreSession(id); err == nil || code != http.StatusInternalServerError {
-			t.Fatalf("restore of %s: code=%d err=%v, want 500 and an error", id, code, err)
+		if _, code, err := s.restoreSession(id); err == nil || code != http.StatusInternalServerError || !strings.Contains(err.Error(), c.wantErr) {
+			t.Fatalf("restore of %s: code=%d err=%v, want 500 and an error mentioning %q", id, code, err, c.wantErr)
 		}
 		if got := s.cfg.Obs.Counter("serve_restore_failures_total").Value(); got != failed+1 {
 			t.Fatalf("restore of %s: serve_restore_failures_total %d -> %d, want +1", id, failed, got)
@@ -461,6 +465,159 @@ func TestParentDataDirRestores(t *testing.T) {
 	doJSON(t, "POST", ref+"/run", next, &wantNext)
 	if len(got.Fingerprints) < 2 || !slices.Equal(got.Fingerprints, wantNext.Fingerprints) {
 		t.Fatalf("dlt next cycles\n got %q\nwant %q", got.Fingerprints, wantNext.Fingerprints)
+	}
+}
+
+// readImage opens the image.json a durable server wrote for session id
+// under dir, and returns it with its size in bytes.
+func readImage(t *testing.T, dir, id string) (*sessionImage, int) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, id, "image.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img sessionImage
+	if err := snapshot.Open(data, &img); err != nil {
+		t.Fatal(err)
+	}
+	return &img, len(data)
+}
+
+// TestServedImageCarriesNoProgram: a served image holds its program once,
+// as the create request, and its engine.program is empty. A restore derives
+// the program from the request again and serves what an uninterrupted run
+// serves: a cypress session the solo serial run's fingerprints, a program
+// session the state it had. A cypress session's genesis image does not
+// grow with the program it generates: ten times the productions is less
+// than twice the bytes. When the image carried the program, its 100- and
+// 1000-production genesis images were 58,665 and 588,720 bytes.
+func TestServedImageCarriesNoProgram(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := crashableServer(t, dir)
+	p := *cypressParams(12, 30, 2, 5)
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions", CreateRequest{ID: "cy", Task: "cypress", Params: &p}, nil); code != http.StatusCreated {
+		t.Fatalf("create cy: %d", code)
+	}
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions/cy/run", RunRequest{Cycles: 20, Chunking: true, Seq: 1}, nil); code != http.StatusOK {
+		t.Fatalf("run cy: %d", code)
+	}
+	seedSession(t, tsA.URL, "prog")
+	for _, id := range []string{"cy", "prog"} {
+		if code, _ := doJSON(t, "POST", tsA.URL+"/sessions/"+id+"/snapshot", nil, nil); code != http.StatusOK {
+			t.Fatalf("snapshot %s: %d", id, code)
+		}
+		img, _ := readImage(t, dir, id)
+		if img.Engine == nil {
+			t.Fatalf("%s: image.json holds no engine", id)
+		}
+		if img.Engine.Program != "" || img.Engine.BaseHash == "" {
+			t.Fatalf("%s: image.json's engine holds a %d-byte program and base hash %q; want no program and a base hash",
+				id, len(img.Engine.Program), img.Engine.BaseHash)
+		}
+	}
+	if img, _ := readImage(t, dir, "cy"); len(img.Engine.Chunks) == 0 {
+		t.Fatalf("cy: image.json holds no chunks after 20 cycles; the restore below would not rebuild an own layer")
+	}
+	if img, _ := readImage(t, dir, "prog"); img.Create.Program != serveProgSrc {
+		t.Fatalf("prog: image.json's create.program is %q, want the uploaded program", img.Create.Program)
+	}
+	// A WAL tail on top of the image: the restore replays it against the
+	// derived program.
+	ingest(t, tsA.URL+"/sessions/prog", addFact(3))
+	wantInfo, wantFp := sessionState(t, tsA.URL, "prog")
+	tsA.Close()
+
+	_, tsB := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir})
+	for _, id := range []string{"cy", "prog"} {
+		if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/"+id+"/restore", nil, nil); code != http.StatusOK {
+			t.Fatalf("restore %s: %d", id, code)
+		}
+	}
+	want := soloFingerprints(t, p, 30, true)
+	var res RunResult
+	if code, _ := doJSON(t, "POST", tsB.URL+"/sessions/cy/run", RunRequest{Cycles: 10, Chunking: true, Seq: 2}, &res); code != http.StatusOK {
+		t.Fatalf("cy run after restore: %d", code)
+	}
+	if !slices.Equal(res.Fingerprints, want[20:]) {
+		t.Fatalf("cy after restore\n got %q\nwant %q", res.Fingerprints, want[20:])
+	}
+	gotInfo, gotFp := sessionState(t, tsB.URL, "prog")
+	if gotFp != wantFp || gotInfo.Cycles != wantInfo.Cycles || gotInfo.Fired != wantInfo.Fired || gotInfo.WM != wantInfo.WM {
+		t.Fatalf("prog after restore\n got %+v %s\nwant %+v %s", gotInfo, gotFp, wantInfo, wantFp)
+	}
+
+	genesis := func(prods int) int {
+		id := fmt.Sprintf("g%d", prods)
+		if code, _ := doJSON(t, "POST", tsB.URL+"/sessions", CreateRequest{ID: id, Task: "cypress", Params: cypressParams(prods, 30, 2, 5)}, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: %d", id, code)
+		}
+		_, n := readImage(t, dir, id)
+		return n
+	}
+	small, large := genesis(100), genesis(1000)
+	if large >= 2*small {
+		t.Fatalf("genesis image at 1000 productions is %d bytes, at 100 %d: want less than twice", large, small)
+	}
+	t.Logf("genesis image: %d bytes at 100 productions, %d at 1000", small, large)
+}
+
+// TestRestoreRefusesUnverifiableImage: a served restore takes the program
+// from the image's create request, so an image whose request names another
+// program than the one its state was exported from — a cypress seed
+// changed under a valid CRC — fails at the base-hash check, and an image
+// with no base hash to check against is refused. Each is a 500 that counts
+// in serve_restore_failures_total and leaves no live session.
+func TestRestoreRefusesUnverifiableImage(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := crashableServer(t, dir)
+	p := *cypressParams(12, 30, 2, 5)
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions", CreateRequest{ID: "cy", Task: "cypress", Params: &p}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions/cy/run", RunRequest{Cycles: 10, Chunking: true, Seq: 1}, nil); code != http.StatusOK {
+		t.Fatalf("run: %d", code)
+	}
+	if code, _ := doJSON(t, "POST", tsA.URL+"/sessions/cy/snapshot", nil, nil); code != http.StatusOK {
+		t.Fatalf("snapshot: %d", code)
+	}
+	tsA.Close()
+
+	s, _ := testServer(t, Config{Workers: 2, Processes: 2, DataDir: dir, Obs: obs.New()})
+	for id, c := range map[string]struct {
+		mutate  func(*sessionImage)
+		wantErr string
+	}{
+		"seed":   {func(img *sessionImage) { img.Create.Params.Seed++ }, "base image hash mismatch"},
+		"nohash": {func(img *sessionImage) { img.Engine.BaseHash = "" }, "no base hash"},
+	} {
+		img, _ := readImage(t, dir, "cy")
+		img.ID = id
+		c.mutate(img)
+		data, err := snapshot.Seal(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, "image.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		failed := s.cfg.Obs.Counter("serve_restore_failures_total").Value()
+		_, code, err := s.restoreSession(id)
+		if code != http.StatusInternalServerError || err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Fatalf("restore of %s: code=%d err=%v, want 500 and an error mentioning %q", id, code, err, c.wantErr)
+		}
+		if got := s.cfg.Obs.Counter("serve_restore_failures_total").Value(); got != failed+1 {
+			t.Fatalf("restore of %s: serve_restore_failures_total %d -> %d, want +1", id, failed, got)
+		}
+		if liveSession(s, id) != nil {
+			t.Fatalf("restore of %s failed but left a live session", id)
+		}
+	}
+	// The image itself still restores.
+	if _, code, err := s.restoreSession("cy"); code != http.StatusOK {
+		t.Fatalf("restore of the unchanged image: code=%d err=%v", code, err)
 	}
 }
 

@@ -625,6 +625,17 @@ func cypressSystem(req *CreateRequest) *cypress.System {
 	return cypress.Generate(p)
 }
 
+// createProgram is the program source a create request compiles: sys's
+// generated source for a cypress session, the uploaded program otherwise.
+// A served image does not record it; restore derives it from the image's
+// create request again.
+func createProgram(req *CreateRequest, sys *cypress.System) string {
+	if sys != nil {
+		return sys.Source
+	}
+	return req.Program
+}
+
 // maxRequestBody bounds a create or run body. The largest that any test,
 // CI step, psmeload run or benchmark workload sends is 2,823 bytes. A
 // durable session can still refuse a smaller /run whose journal line would
@@ -695,11 +706,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.testHookReserved()
 	}
 	sys := cypressSystem(&req)
-	src, what := req.Program, "program"
+	what := "program"
 	if sys != nil {
-		src, what = sys.Source, "cypress program"
+		what = "cypress program"
 	}
-	eng, err := s.imageEngine(src)
+	eng, err := s.imageEngine(createProgram(&req, sys))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%s: %v", what, err)
 		return

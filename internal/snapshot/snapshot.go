@@ -220,7 +220,10 @@ type Image struct {
 	// Program is the exact source of the engine's compiled image: its hash
 	// is the image-cache key, so a restoring node with the image already
 	// compiled pays no compile at all. It is empty for an engine made by
-	// engine.New, whose every production is in Chunks. The standalone images
+	// engine.New, whose every production is in Chunks. A served session's
+	// image also leaves it empty, because the session's create request
+	// names the program: serve fills it in again before the restore, and
+	// BaseHash and TopoSig check what it filled in. The standalone images
 	// of earlier builds carry generated source here (literalizes, strategy,
 	// every production) and none of the four fields below; restore compiles
 	// it like any other program.
